@@ -195,6 +195,16 @@ fi
 # (TestControllerStopLeaksNoGoroutine).
 go test -race -count=1 -timeout 120s ./internal/elastic/
 go test -race -count=1 -timeout 300s -run 'TestElastic' ./internal/e2e/
+# Benchmark gate: benchmark/ is a module of its own (`replace colza => ../`),
+# so nothing above builds it and a changed signature under internal/ would
+# break it unseen. Its tests run here, then a 2 s run of the per-block TCP
+# workload must exit 0 with every oracle check passed.
+(cd benchmark && go test ./...)
+smoke=$(mktemp)
+bash benchmark/run.sh --workload mb_stage_tcp_perblock --seconds 2 --trace 0 > "$smoke"
+tail -n 1 "$smoke"
+tail -n 1 "$smoke" | grep -q '"correct":true'
+rm -f "$smoke"
 check_cover
 check_codec_cover
 check_elastic_cover

@@ -298,8 +298,7 @@ func (b *stageBatcher) dispatch(pb *pendingBatch) {
 // finish fails every block of a batch with one error and releases all
 // batch-owned buffers.
 func (b *stageBatcher) finish(pb *pendingBatch, err error) {
-	reg := b.h.c.observer()
-	reg.Counter("colza.stage.failed", "pipeline", b.h.pipeline).Add(int64(len(pb.blocks)))
+	b.h.stageMetrics().failed.Add(int64(len(pb.blocks)))
 	for i := range pb.blocks {
 		blk := &pb.blocks[i]
 		if blk.orig != nil {
@@ -322,7 +321,8 @@ func (b *stageBatcher) finish(pb *pendingBatch, err error) {
 // completion helpers.
 func (b *stageBatcher) send(pb *pendingBatch) {
 	h := b.h
-	reg := h.c.observer()
+	m := h.stageMetrics()
+	reg := m.reg
 	h.mu.Lock()
 	timeout := h.timeout
 	retry := h.stageRetry
@@ -338,7 +338,7 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 	start := time.Now()
 	for attempt := 0; attempt < retry.attempts(); attempt++ {
 		if attempt > 0 {
-			reg.Counter("colza.stage.retries", "pipeline", h.pipeline).Inc()
+			m.retries.Inc()
 			sleep := h.backoff(retry, attempt-1)
 			if ra := BusyRetryAfter(err); ra > sleep {
 				sleep = ra
@@ -389,8 +389,8 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 		}
 		h.codec.recordStaged(reg, h.pipeline, pb.it, blk.rec.Meta, blk.orig, blk.dataLen,
 			blk.rec.CI, blk.used.c, blk.rec.PayloadLen, blk.used.encNs, share)
-		reg.Counter("colza.stage.bytes", "pipeline", h.pipeline).Add(int64(blk.dataLen))
-		reg.Counter("colza.stage.blocks", "pipeline", h.pipeline).Inc()
+		m.bytes.Add(int64(blk.dataLen))
+		m.blocks.Inc()
 		if blk.orig != nil {
 			bufpool.Put(blk.orig)
 			blk.orig = nil
@@ -406,9 +406,9 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 // for the block but invisible to its batch-mates.
 func (b *stageBatcher) completeError(pb *pendingBatch, blk *pendingBlock, e stageBatchBlockErr) {
 	h := b.h
-	reg := h.c.observer()
+	m := h.stageMetrics()
 	if e.Kind == stageBatchErrDeltaMismatch && blk.rec.CI.HasBase && blk.orig != nil {
-		reg.Counter("codec.delta.fallback", "pipeline", h.pipeline).Inc()
+		m.deltaFallback.Inc()
 		err := h.stageBlock(pb.it, blk.rec.Meta, blk.orig, true)
 		bufpool.Put(blk.orig)
 		blk.orig = nil
@@ -419,7 +419,7 @@ func (b *stageBatcher) completeError(pb *pendingBatch, blk *pendingBlock, e stag
 		bufpool.Put(blk.orig)
 		blk.orig = nil
 	}
-	reg.Counter("colza.stage.failed", "pipeline", h.pipeline).Inc()
+	m.failed.Inc()
 	b.resolveBlock(blk, fmt.Errorf("colza: stage block %d on %s: %s", blk.rec.Meta.BlockID, pb.addr, e.Msg))
 }
 

@@ -277,6 +277,37 @@ type DistributedPipelineHandle struct {
 	// nbSem bounds unbatched NBStage concurrency (lazily created).
 	nbOnce sync.Once
 	nbSem  chan struct{}
+
+	stageM atomic.Pointer[stageMetrics]
+}
+
+// stageMetrics are a handle's per-block stage instruments. A labeled
+// registry lookup composes a key string, so they are resolved once per
+// registry instead of per block (the idiom of mercury's metricsCache).
+type stageMetrics struct {
+	reg           *obs.Registry
+	bytes         *obs.Counter
+	blocks        *obs.Counter
+	retries       *obs.Counter
+	failed        *obs.Counter
+	deltaFallback *obs.Counter
+}
+
+func (h *DistributedPipelineHandle) stageMetrics() *stageMetrics {
+	reg := h.c.observer()
+	if m := h.stageM.Load(); m != nil && m.reg == reg {
+		return m
+	}
+	m := &stageMetrics{
+		reg:           reg,
+		bytes:         reg.Counter("colza.stage.bytes", "pipeline", h.pipeline),
+		blocks:        reg.Counter("colza.stage.blocks", "pipeline", h.pipeline),
+		retries:       reg.Counter("colza.stage.retries", "pipeline", h.pipeline),
+		failed:        reg.Counter("colza.stage.failed", "pipeline", h.pipeline),
+		deltaFallback: reg.Counter("codec.delta.fallback", "pipeline", h.pipeline),
+	}
+	h.stageM.Store(m)
+	return m
 }
 
 // nbStageWindow bounds concurrently in-flight unbatched NBStage calls per
@@ -655,7 +686,8 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 	timeout := h.timeout
 	retry := h.stageRetry
 	h.mu.Unlock()
-	reg := h.c.observer()
+	m := h.stageMetrics()
+	reg := m.reg
 	sp := reg.StartSpan("stage", SpanKeyFor(h.pipeline, it))
 	defer func() { sp.End(err_) }()
 	if len(view.Members) == 0 {
@@ -699,7 +731,7 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 	var err error
 	for attempt := 0; attempt < retry.attempts(); attempt++ {
 		if attempt > 0 {
-			reg.Counter("colza.stage.retries", "pipeline", h.pipeline).Inc()
+			m.retries.Inc()
 			sleep := h.backoff(retry, attempt-1)
 			// A busy server named its price; never retry sooner than its
 			// Retry-After hint.
@@ -717,8 +749,8 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 		_, err = h.c.call(view.Members[target].RPC, "stage", payload, timeout)
 		if err == nil {
 			h.codec.recordSuccess(reg, h.pipeline, it, meta, data, ci, used.c, len(wire), used.encNs, time.Since(start).Nanoseconds())
-			reg.Counter("colza.stage.bytes", "pipeline", h.pipeline).Add(int64(len(data)))
-			reg.Counter("colza.stage.blocks", "pipeline", h.pipeline).Inc()
+			m.bytes.Add(int64(len(data)))
+			m.blocks.Inc()
 			return nil
 		}
 		if isDeltaBaseMismatch(err) && ci.HasBase {
@@ -727,7 +759,7 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 			// self-contained and keep retrying — at-least-once staging may
 			// cost a fallback round-trip but never decodes against wrong
 			// state.
-			reg.Counter("codec.delta.fallback", "pipeline", h.pipeline).Inc()
+			m.deltaFallback.Inc()
 			teardown()
 			setup(true)
 			continue
@@ -736,7 +768,7 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 			break
 		}
 	}
-	reg.Counter("colza.stage.failed", "pipeline", h.pipeline).Inc()
+	m.failed.Inc()
 	return fmt.Errorf("colza: stage block %d on %s: %w", meta.BlockID, view.Members[target].RPC, err)
 }
 

@@ -109,6 +109,31 @@ type pipelineSlot struct {
 	prepared    *preparedState
 	active      *activeState
 	lastMembers string // member key of the last committed view (delta invalidation)
+
+	stagedM atomic.Pointer[stagedMetrics]
+}
+
+// stagedMetrics are a slot's per-block stage instruments, resolved once per
+// registry rather than per block (a labeled lookup composes a key string).
+type stagedMetrics struct {
+	reg           *obs.Registry
+	bytes         *obs.Counter
+	blocks        *obs.Counter
+	deltaMismatch *obs.Counter
+}
+
+func (s *pipelineSlot) stagedMetrics(reg *obs.Registry) *stagedMetrics {
+	if m := s.stagedM.Load(); m != nil && m.reg == reg {
+		return m
+	}
+	m := &stagedMetrics{
+		reg:           reg,
+		bytes:         reg.Counter("colza.staged.bytes", "pipeline", s.name),
+		blocks:        reg.Counter("colza.staged.blocks", "pipeline", s.name),
+		deltaMismatch: reg.Counter("codec.delta.mismatch", "pipeline", s.name),
+	}
+	s.stagedM.Store(m)
+	return m
 }
 
 // Provider hosts pipelines on one staging server and reacts to membership
@@ -127,8 +152,8 @@ type Provider struct {
 	leaving       bool
 	left          bool
 	onLeave       func()
-	stateReplicas int              // ring successors per checkpoint round; 0 disables
-	lastMigration *MigrationStatus // outcome of the leave-time migration
+	stateReplicas int                    // ring successors per checkpoint round; 0 disables
+	lastMigration *MigrationStatus       // outcome of the leave-time migration
 	elasticStatus func() ([]byte, error) // elastic controller status hook (nil without -elastic)
 
 	// Replicated-checkpoint store (see checkpoint.go): checkpoints held for
@@ -544,11 +569,11 @@ func (p *Provider) handleAbort(req mercury.Request) ([]byte, error) {
 	return []byte("ok"), nil
 }
 
-// handleStage pulls the staged block from the simulation's memory (bulk
-// RDMA) and hands it to the pipeline. The pull carries whatever the client
-// exposed — for a compressed frame that is the encoded payload, which is
-// decoded (and delta-reconstructed) into a second pooled buffer here before
-// the backend borrows it.
+// handleStage fetches the staged block from the simulation's memory (bulk
+// RDMA) and hands it to the pipeline. The region is whatever the client
+// exposed — for a compressed frame that is the encoded payload, which
+// stageWireBlock decodes (and delta-reconstructs) into a pooled buffer
+// before the backend borrows it.
 func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 	pipeline, iteration, meta, ci, bulk, err := decodeStageMsg(req.Payload)
 	if err != nil {
@@ -556,10 +581,8 @@ func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 	}
 	p.codecMu.RLock()
 	accepted := p.acceptedCodecs[ci.CodecID]
-	ctrIn, ctrOut := p.codecIn[ci.CodecID], p.codecOut[ci.CodecID]
 	p.codecMu.RUnlock()
-	c, known := codec.ByID(ci.CodecID)
-	if !known || !accepted {
+	if _, known := codec.ByID(ci.CodecID); !known || !accepted {
 		return nil, fmt.Errorf("colza: stage codec %d not accepted by %s", ci.CodecID, p.mi.Addr())
 	}
 	slot, err := p.slot(pipeline)
@@ -573,72 +596,40 @@ func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 	defer st.inflight.Done()
 	reg := p.observer()
 	sp := reg.StartSpan("srv.stage", obs.SpanKey{Pipeline: pipeline, Iteration: iteration, Rank: st.rank})
-	// Pull the block into a pooled buffer sized from the bulk descriptor and
-	// recycle it once the backend returns: Backend.Stage only borrows the
-	// data for the duration of the call (backends decode into their own
-	// structures), so no alias survives the Put.
-	data := bufpool.Get(int(bulk.Size))
-	if err := p.mi.Class().PullBulkInto(bulk, data); err != nil {
-		bufpool.Put(data)
+	wire, pooled, err := p.fetchStaged(bulk)
+	if err != nil {
 		err = fmt.Errorf("colza: pulling staged block: %w", err)
 		sp.End(err)
 		return nil, err
 	}
-	wireLen := len(data)
-	if ci.CodecID == codec.RawID {
-		// Raw frames pass the pulled buffer straight through; the claimed
-		// uncompressed length must agree with what was actually pulled.
-		if ci.Uncompressed != uint64(len(data)) || ci.HasBase {
-			bufpool.Put(data)
-			err = fmt.Errorf("%w: raw frame length mismatch", ErrStageWire)
-			sp.End(err)
-			return nil, err
-		}
-	} else {
-		buf := bufpool.Get(int(ci.Uncompressed))
-		dec, derr := c.Decode(buf[:0], data, int(ci.Uncompressed))
-		bufpool.Put(data)
-		if derr != nil {
-			bufpool.Put(buf)
-			err = fmt.Errorf("colza: stage decode (%s): %w", c.Name(), derr)
-			sp.End(err)
-			return nil, err
-		}
-		data = dec
-		if ci.HasBase {
-			// The payload is an XOR against a specific prior iteration; it
-			// only reconstructs correctly against exactly that base. A miss
-			// (evicted, invalidated, or advanced by a duplicate) is reported
-			// to the client, which falls back to a self-contained resend —
-			// never a silent wrong-bytes decode.
-			key := codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}
-			if !p.deltas.XORBase(key, ci.DeltaBase, data) {
-				bufpool.Put(data)
-				reg.Counter("codec.delta.mismatch", "pipeline", pipeline).Inc()
-				err = fmt.Errorf("%s: pipeline %q block %d base %d", deltaMismatchText, pipeline, meta.BlockID, ci.DeltaBase)
-				sp.End(err)
-				return nil, err
-			}
-		}
+	_, err = p.stageWireBlock(slot, pipeline, iteration, ci, meta, wire, reg)
+	if pooled {
+		bufpool.Put(wire)
 	}
-	if ci.Remember {
-		p.deltas.Remember(codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}, iteration, data)
-	}
-	err = slot.backend.Stage(iteration, meta, data)
-	n := len(data)
-	bufpool.Put(data)
+	sp.End(err)
 	if err != nil {
-		sp.End(err)
 		return nil, err
 	}
-	if ctrIn != nil {
-		ctrIn.Add(int64(wireLen))
-		ctrOut.Add(int64(n))
-	}
-	reg.Counter("colza.staged.bytes", "pipeline", pipeline).Add(int64(n))
-	reg.Counter("colza.staged.blocks", "pipeline", pipeline).Inc()
-	sp.End(nil)
 	return []byte("ok"), nil
+}
+
+// fetchStaged returns the region behind a decoded stage handle. A region
+// that rode in the request frame (eager) is borrowed from it as is — no
+// buffer, no copy; anything else is pulled into a pooled buffer sized from
+// the handle, which the caller must bufpool.Put (pooled is true). Either way
+// the handler only lends the bytes on: Backend.Stage decodes into its own
+// structures, so no alias survives the handler (DESIGN.md §7).
+func (p *Provider) fetchStaged(bulk mercury.Bulk) (wire []byte, pooled bool, err error) {
+	cls := p.mi.Class()
+	if wire, ok := cls.BorrowBulk(bulk); ok {
+		return wire, false, nil
+	}
+	wire = bufpool.Get(bulk.Size)
+	if err := cls.PullBulkInto(bulk, wire); err != nil {
+		bufpool.Put(wire)
+		return nil, false, err
+	}
+	return wire, true, nil
 }
 
 // SetStageBatch toggles acceptance of batched stage frames (stagewire v3).
@@ -680,9 +671,8 @@ func (p *Provider) handleStageBatch(req mercury.Request) ([]byte, error) {
 	defer st.inflight.Done()
 	reg := p.observer()
 	sp := reg.StartSpan("srv.stage_batch", obs.SpanKey{Pipeline: pipeline, Iteration: iteration, Rank: st.rank})
-	data := bufpool.Get(int(bulk.Size))
-	if err := p.mi.Class().PullBulkInto(bulk, data); err != nil {
-		bufpool.Put(data)
+	data, pooled, err := p.fetchStaged(bulk)
+	if err != nil {
 		err = fmt.Errorf("colza: pulling staged batch: %w", err)
 		sp.End(err)
 		return nil, err
@@ -692,30 +682,32 @@ func (p *Provider) handleStageBatch(req mercury.Request) ([]byte, error) {
 	for i, r := range recs {
 		wire := data[off : off+r.PayloadLen]
 		off += r.PayloadLen
-		if kind, berr := p.stageBatchedBlock(slot, pipeline, iteration, r, wire, reg); berr != nil {
+		if kind, berr := p.stageWireBlock(slot, pipeline, iteration, r.CI, r.Meta, wire, reg); berr != nil {
 			blockErrs = append(blockErrs, stageBatchBlockErr{Index: i, Kind: kind, Msg: berr.Error()})
 		}
 	}
-	bufpool.Put(data)
+	if pooled {
+		bufpool.Put(data)
+	}
 	sp.End(nil)
 	// The response buffer leaves this handler's ownership (the transport
 	// holds it until the reply is sent), so it is not drawn from the pool.
 	return appendStageBatchResp(make([]byte, 0, stageBatchRespSize(blockErrs)), blockErrs), nil
 }
 
-// stageBatchedBlock decodes one batched record's payload slice and hands
-// it to the backend — the per-block half of handleStage, with the error
-// mapped to a demux kind instead of failing the RPC. wire aliases the
-// batch's pulled buffer; decode targets draw their own pooled buffer and
-// are recycled before return.
-func (p *Provider) stageBatchedBlock(slot *pipelineSlot, pipeline string, iteration uint64, r stageBatchRec, wire []byte, reg *obs.Registry) (uint8, error) {
-	ci, meta := r.CI, r.Meta
-	c, _ := codec.ByID(ci.CodecID) // screened at the frame level
+// stageWireBlock decodes one staged block's wire bytes and hands the block
+// to the backend — the per-block half of both stage handlers, with the
+// error tagged by a batch demux kind (handleStage ignores it). wire is on
+// loan from the caller (the request frame or the pulled buffer, for a batch
+// a slice of it) and is passed to the backend as is when raw; decode targets
+// draw their own pooled buffer and are recycled before return.
+func (p *Provider) stageWireBlock(slot *pipelineSlot, pipeline string, iteration uint64, ci stageCodecInfo, meta BlockMeta, wire []byte, reg *obs.Registry) (uint8, error) {
+	c, _ := codec.ByID(ci.CodecID) // screened by the handler
 	data := wire
 	pooled := false
 	if ci.CodecID == codec.RawID {
 		if ci.Uncompressed != uint64(len(wire)) || ci.HasBase {
-			return stageBatchErrRemote, fmt.Errorf("%w: raw record length mismatch", ErrStageWire)
+			return stageBatchErrRemote, fmt.Errorf("%w: raw block length mismatch", ErrStageWire)
 		}
 	} else {
 		buf := bufpool.Get(int(ci.Uncompressed))
@@ -730,7 +722,7 @@ func (p *Provider) stageBatchedBlock(slot *pipelineSlot, pipeline string, iterat
 			key := codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}
 			if !p.deltas.XORBase(key, ci.DeltaBase, data) {
 				bufpool.Put(data)
-				reg.Counter("codec.delta.mismatch", "pipeline", pipeline).Inc()
+				slot.stagedMetrics(reg).deltaMismatch.Inc()
 				return stageBatchErrDeltaMismatch,
 					fmt.Errorf("%s: pipeline %q block %d base %d", deltaMismatchText, pipeline, meta.BlockID, ci.DeltaBase)
 			}
@@ -754,8 +746,9 @@ func (p *Provider) stageBatchedBlock(slot *pipelineSlot, pipeline string, iterat
 		ctrIn.Add(int64(len(wire)))
 		ctrOut.Add(int64(n))
 	}
-	reg.Counter("colza.staged.bytes", "pipeline", pipeline).Add(int64(n))
-	reg.Counter("colza.staged.blocks", "pipeline", pipeline).Inc()
+	m := slot.stagedMetrics(reg)
+	m.bytes.Add(int64(n))
+	m.blocks.Inc()
 	return 0, nil
 }
 

@@ -127,7 +127,8 @@ func appendStageBatchMsg(dst []byte, pipeline string, it uint64, recs []stageBat
 // incrementally as parsing succeeds, so a hostile count cannot reserve
 // memory beyond what the input actually carries; every per-record bound of
 // the single-block decoder is enforced per record, and the payload lengths
-// must sum to exactly the bulk size.
+// must sum to exactly the bulk size. As with decodeStageMsg, a bulk handle
+// that carries its region aliases p.
 func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk, err error) {
 	fail := func() (string, uint64, []stageBatchRec, mercury.Bulk, error) {
 		return "", 0, nil, mercury.Bulk{}, ErrStageWire

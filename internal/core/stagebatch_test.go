@@ -55,7 +55,7 @@ func TestStageBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipeline != "viz" || it != 9 || gotBulk != bulk {
+	if pipeline != "viz" || it != 9 || !sameBulk(gotBulk, bulk) {
 		t.Fatalf("round trip: %q %d %+v", pipeline, it, gotBulk)
 	}
 	if len(gotRecs) != len(recs) {
@@ -181,6 +181,18 @@ func FuzzStageBatchDecode(f *testing.F) {
 		}}
 		f.Add(appendStageBatchMsg(nil, "p", 2, r, batchTestBulk(r)))
 	}
+	// A small batch riding in the frame: intact, with a lying embedded
+	// length, and cut inside the region.
+	small := []stageBatchRec{
+		{CI: stageCodecInfo{Uncompressed: 3}, Meta: BlockMeta{Field: "u"}, PayloadLen: 3},
+		{CI: stageCodecInfo{Uncompressed: 4}, Meta: BlockMeta{Field: "u", BlockID: 1}, PayloadLen: 4},
+	}
+	eager := appendStageBatchMsg(nil, "viz", 4, small, eagerTestBulk(f, []byte("abcdefg")))
+	f.Add(eager)
+	lying := append([]byte(nil), eager...)
+	lying[len(lying)-7-4]++
+	f.Add(lying)
+	f.Add(eager[:len(eager)-3])
 	// A huge claimed pipeline length over a short buffer.
 	f.Add([]byte{stageBatchWireVersion, 0xFF, 0xFF, 0xFF, 0x7F, 'x'})
 	// A huge claimed count over an empty body.

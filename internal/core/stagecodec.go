@@ -42,6 +42,36 @@ type stageCodecState struct {
 	delta       *codec.DeltaState
 	allowed     map[uint8]bool // per-link negotiated set; nil before negotiation
 	lastMembers string         // member key of the last negotiated view
+
+	// metrics caches the per-codec instruments recordStaged bumps per block,
+	// resolved against metricsReg (labeled lookups compose a key string).
+	metricsReg *obs.Registry
+	metrics    map[uint8]*codecMetrics
+}
+
+// codecMetrics are the client-side instruments of one codec.
+type codecMetrics struct {
+	bytesIn, bytesOut *obs.Counter
+	ratio, encodeCost *obs.Gauge
+}
+
+// codecMetricsFor returns c's instruments in reg. The caller holds s.mu.
+func (s *stageCodecState) codecMetricsFor(reg *obs.Registry, c codec.Codec) *codecMetrics {
+	if s.metricsReg != reg {
+		s.metricsReg, s.metrics = reg, make(map[uint8]*codecMetrics)
+	}
+	m := s.metrics[c.ID()]
+	if m == nil {
+		name := c.Name()
+		m = &codecMetrics{
+			bytesIn:    reg.Counter("codec.bytes.in", "codec", name),
+			bytesOut:   reg.Counter("codec.bytes.out", "codec", name),
+			ratio:      reg.Gauge("codec.ratio", "codec", name),
+			encodeCost: reg.Gauge("codec.encode_ns_per_mb", "codec", name),
+		}
+		s.metrics[c.ID()] = m
+	}
+	return m
 }
 
 // enabled reports whether the codec machinery is engaged at all.
@@ -215,16 +245,16 @@ func (s *stageCodecState) recordStaged(reg *obs.Registry, pipeline string, it ui
 	if used == nil {
 		return
 	}
-	name := used.Name()
-	reg.Counter("codec.bytes.in", "codec", name).Add(int64(dataLen))
-	reg.Counter("codec.bytes.out", "codec", name).Add(int64(wireLen))
-	if dataLen > 0 {
-		reg.Gauge("codec.ratio", "codec", name).Set(int64(wireLen) * 1000 / int64(dataLen))
-		reg.Gauge("codec.encode_ns_per_mb", "codec", name).Set(encNs * (1 << 20) / int64(dataLen))
-	}
 	s.mu.Lock()
+	m := s.codecMetricsFor(reg, used)
 	sel := s.selector
 	s.mu.Unlock()
+	m.bytesIn.Add(int64(dataLen))
+	m.bytesOut.Add(int64(wireLen))
+	if dataLen > 0 {
+		m.ratio.Set(int64(wireLen) * 1000 / int64(dataLen))
+		m.encodeCost.Set(encNs * (1 << 20) / int64(dataLen))
+	}
 	if sel != nil {
 		sel.Record(used, dataLen, wireLen, encNs, rpcNs)
 	}

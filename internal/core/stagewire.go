@@ -12,7 +12,8 @@ import (
 // so it gets a binary wire format; every other RPC stays JSON (cold and
 // debuggable). A stage frame is appended into a pooled buffer sized by
 // stageMsgSize and decoded with a bounded handful of small allocations
-// (the three metadata strings), independent of block size.
+// (the three metadata strings), independent of block size — a block small
+// enough to ride inside the encoded bulk handle is aliased, not copied.
 //
 // Layout (little-endian):
 //
@@ -148,8 +149,10 @@ func readLenString(p []byte) (string, []byte, error) {
 	return string(p[:n]), p[n:], nil
 }
 
-// decodeStageMsg parses a stage frame. The returned bulk handle holds its
-// own decoded fields, so nothing aliases the request payload afterwards.
+// decodeStageMsg parses a stage frame. The strings are copies, but a bulk
+// handle that carries its region (mercury's eager path) aliases p: the
+// handle, and whatever is borrowed from it, is valid only while p is — for
+// a handler, until it returns.
 func decodeStageMsg(p []byte) (pipeline string, it uint64, meta BlockMeta, ci stageCodecInfo, bulk mercury.Bulk, err error) {
 	fail := func() (string, uint64, BlockMeta, stageCodecInfo, mercury.Bulk, error) {
 		return "", 0, BlockMeta{}, stageCodecInfo{}, mercury.Bulk{}, ErrStageWire

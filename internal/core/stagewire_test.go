@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"colza/internal/codec"
 	"colza/internal/mercury"
+	"colza/internal/na"
 )
 
 func TestStageWireRoundTrip(t *testing.T) {
@@ -17,14 +19,20 @@ func TestStageWireRoundTrip(t *testing.T) {
 		Origin:  [3]float64{-1, 0.5, 3e9},
 		Spacing: [3]float64{0.1, 0.2, 0.3},
 	}
-	bulk := mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}
-	for _, ci := range []stageCodecInfo{
-		{CodecID: codec.RawID, Uncompressed: 1 << 20},
-		{CodecID: codec.ShuffleID, Uncompressed: 4 << 20},
-		{CodecID: codec.DeltaID, Uncompressed: 64, HasBase: true, DeltaBase: 0, Remember: true},
-		{CodecID: codec.DeltaID, Uncompressed: 64, HasBase: true, DeltaBase: 8, Remember: true},
-		{CodecID: codec.FlateID, Uncompressed: 0},
-	} {
+	cases := []struct {
+		ci   stageCodecInfo
+		bulk mercury.Bulk
+	}{
+		{stageCodecInfo{CodecID: codec.RawID, Uncompressed: 1 << 20}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
+		{stageCodecInfo{CodecID: codec.ShuffleID, Uncompressed: 4 << 20}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
+		{stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 64, HasBase: true, DeltaBase: 0, Remember: true}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
+		{stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 64, HasBase: true, DeltaBase: 8, Remember: true}, eagerTestBulk(t, []byte("a delta payload"))},
+		{stageCodecInfo{CodecID: codec.FlateID, Uncompressed: 0}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
+		// A small raw block rides in the frame.
+		{stageCodecInfo{CodecID: codec.RawID, Uncompressed: 4096}, eagerTestBulk(t, bytes.Repeat([]byte{0xC3}, 4096))},
+	}
+	for _, c := range cases {
+		ci, bulk := c.ci, c.bulk
 		frame := appendStageMsg(nil, "viz", 9, meta, ci, bulk)
 		if len(frame) != stageMsgSize("viz", meta, bulk) {
 			t.Fatalf("frame length %d, stageMsgSize %d", len(frame), stageMsgSize("viz", meta, bulk))
@@ -33,7 +41,7 @@ func TestStageWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pipeline != "viz" || it != 9 || gotMeta != meta || gotBulk != bulk || gotCI != ci {
+		if pipeline != "viz" || it != 9 || gotMeta != meta || !sameBulk(gotBulk, bulk) || gotCI != ci {
 			t.Fatalf("round trip: %q %d %+v %+v %+v", pipeline, it, gotMeta, gotCI, gotBulk)
 		}
 	}
@@ -86,6 +94,70 @@ func TestDecodeStageMsgMalformed(t *testing.T) {
 	}
 }
 
+// eagerTestBulk returns a handle that carries region inside its encoding, as
+// Expose hands out for a small region on a transport without a shared arena.
+func eagerTestBulk(tb testing.TB, region []byte) mercury.Bulk {
+	tb.Helper()
+	ep, err := na.NewInprocNetwork().Listen("sim-3")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cls := mercury.New(ep)
+	tb.Cleanup(func() { cls.Close() })
+	bulk := cls.Expose(region)
+	if bulk.EncodedSize() <= len(region) {
+		tb.Fatalf("a %d-byte region did not go eager", len(region))
+	}
+	return bulk
+}
+
+// TestDecodeStageMsgEagerRegion: a frame whose handle carries the block
+// decodes without copying it (the handle aliases the frame), and an embedded
+// region that disagrees with the handle's size, or runs past the frame, is a
+// malformed frame — for the batch decoder as well.
+func TestDecodeStageMsgEagerRegion(t *testing.T) {
+	region := bytes.Repeat([]byte{0x5A}, 300)
+	bulk := eagerTestBulk(t, region)
+	meta := BlockMeta{Field: "v", Type: "raw"}
+	frame := appendStageMsg(nil, "p", 1, meta, stageCodecInfo{Uncompressed: 300}, bulk)
+	recs := []stageBatchRec{{CI: stageCodecInfo{Uncompressed: 300}, Meta: meta, PayloadLen: 300}}
+	batch := appendStageBatchMsg(nil, "p", 1, recs, bulk)
+	for name, f := range map[string][]byte{"stage": frame, "stage_batch": batch} {
+		decode := func(p []byte) (mercury.Bulk, error) {
+			if name == "stage" {
+				_, _, _, _, b, err := decodeStageMsg(p)
+				return b, err
+			}
+			_, _, _, b, err := decodeStageBatchMsg(p)
+			return b, err
+		}
+		got, err := decode(f)
+		if err != nil || !sameBulk(got, bulk) {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() { decode(f) })
+		if allocs > 6 { // metadata strings and the record slice, never the region
+			t.Fatalf("%s: decoding a frame with an eager region allocates %.1f times", name, allocs)
+		}
+		// The region is the frame's tail, preceded by its u32 length.
+		lenAt := len(f) - len(region) - 4
+		lying := append([]byte(nil), f...)
+		binary.LittleEndian.PutUint32(lying[lenAt:], uint32(len(region)-1))
+		if _, err := decode(lying); err == nil {
+			t.Fatalf("%s: embedded length != handle size accepted", name)
+		}
+		binary.LittleEndian.PutUint32(lying[lenAt:], 0xFFFFFF00)
+		if _, err := decode(lying); err == nil {
+			t.Fatalf("%s: embedded length past the frame accepted", name)
+		}
+		for cut := 1; cut <= len(region)+4; cut += 37 {
+			if _, err := decode(f[:len(f)-cut]); err == nil {
+				t.Fatalf("%s: frame truncated by %d bytes accepted", name, cut)
+			}
+		}
+	}
+}
+
 // FuzzStageFrameDecode: the stage decoder fronts the only binary RPC on the
 // hot path; arbitrary bytes must never panic, and any frame that decodes
 // must re-encode to exactly itself. Seeds cover every codec ID and the
@@ -103,6 +175,15 @@ func FuzzStageFrameDecode(f *testing.F) {
 		stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 1 << 16, HasBase: true, DeltaBase: 2, Remember: true}, bulk))
 	// A huge claimed string length over a short buffer.
 	f.Add([]byte{stageWireVersion, 0xFF, 0xFF, 0xFF, 0x7F, 'x'})
+	// A block riding in the frame: intact, with a lying embedded length, and
+	// cut inside the region.
+	eager := appendStageMsg(nil, "viz", 4, BlockMeta{Field: "v", Type: "raw"}, stageCodecInfo{Uncompressed: 7},
+		eagerTestBulk(f, []byte("7 bytes")))
+	f.Add(eager)
+	lying := append([]byte(nil), eager...)
+	lying[len(lying)-7-4]++
+	f.Add(lying)
+	f.Add(eager[:len(eager)-3])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pipeline, it, meta, ci, bulk, err := decodeStageMsg(data)
 		if err != nil {
@@ -128,3 +209,7 @@ func TestDecodeStageMsgBoundedAllocs(t *testing.T) {
 		t.Fatalf("malformed decode allocates %.1f times", allocs)
 	}
 }
+
+// sameBulk compares two handles by their encodings (Bulk holds the eager
+// region's slice, so == does not apply).
+func sameBulk(a, b mercury.Bulk) bool { return bytes.Equal(a.Encode(), b.Encode()) }

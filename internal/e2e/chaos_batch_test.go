@@ -26,12 +26,20 @@ import (
 // dropped response leaves the server's remembered base one iteration ahead,
 // so the retried frame's based blocks are refused per index and re-staged
 // self-contained through the v2 fallback path.
+//
+// As in the per-block suite the raw arm runs on both sides of mercury's
+// eager limit: two-block batches of 256 KiB blocks are pulled, two-block
+// batches of 16 KiB blocks ride inside the stage_batch frame; the delta
+// arm's batches are small and ride.
 func TestChaosBatchedStageRetryBufferOwnership(t *testing.T) {
 	t.Run("raw", func(t *testing.T) {
-		runChaosBatchedStageRetry(t, "bown-raw", func(h *core.DistributedPipelineHandle) {})
+		runChaosBatchedStageRetry(t, "bown-raw", chaosPulledBlockLen/4, func(h *core.DistributedPipelineHandle) {})
+	})
+	t.Run("raw-eager", func(t *testing.T) {
+		runChaosBatchedStageRetry(t, "bown-rawe", chaosEagerBlockLen/4, func(h *core.DistributedPipelineHandle) {})
 	})
 	t.Run("delta", func(t *testing.T) {
-		runChaosBatchedStageRetry(t, "bown-delta", func(h *core.DistributedPipelineHandle) {
+		runChaosBatchedStageRetry(t, "bown-delta", chaosEagerBlockLen/4, func(h *core.DistributedPipelineHandle) {
 			if err := h.SetCodec("delta"); err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +47,7 @@ func TestChaosBatchedStageRetryBufferOwnership(t *testing.T) {
 	})
 }
 
-func runChaosBatchedStageRetry(t *testing.T, prefix string, configure func(h *core.DistributedPipelineHandle)) {
+func runChaosBatchedStageRetry(t *testing.T, prefix string, blockLen int, configure func(h *core.DistributedPipelineHandle)) {
 	net := na.NewInprocNetwork()
 	var servers []*core.Server
 	for i := 0; i < 2; i++ {
@@ -93,7 +101,6 @@ func runChaosBatchedStageRetry(t *testing.T, prefix string, configure func(h *co
 	configure(h)
 
 	const iters, blocks = 3, 5
-	const blockLen = 64 << 10
 	for it := uint64(1); it <= iters; it++ {
 		if _, err := h.Activate(it); err != nil {
 			t.Fatalf("iteration %d activate: %v", it, err)
@@ -155,6 +162,9 @@ func runChaosBatchedStageRetry(t *testing.T, prefix string, configure func(h *co
 	if got := snap.Counters["colza.stage.batch.blocks{pipeline=viz}"]; got != iters*blocks {
 		t.Errorf("batch.blocks = %d, want %d", got, iters*blocks)
 	}
+	// One region per batch frame, and at least one frame per rank an
+	// iteration.
+	assertStageTransfer(t, blockLen == chaosEagerBlockLen/4, reg, servers, iters*2)
 	if prefix == "bown-delta" {
 		var wire int64
 		for k, v := range snap.Counters {

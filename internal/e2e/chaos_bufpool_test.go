@@ -87,17 +87,26 @@ func init() {
 // the adaptive controller, and forced to delta: the compressed paths add a
 // second pooled buffer and the delta base-mismatch fallback to the retry
 // machinery, and none of it may change what the backend observes.
+//
+// The raw arm runs at two block sizes, one on each side of mercury's eager
+// limit: 1 MiB blocks are pulled out of the exposed buffer (a retry's pull
+// re-reads it), 64 KiB blocks ride inside the stage frame (a retry resends a
+// frame that carries the bytes itself, and the server borrows them from the
+// request). The compressed arms' payloads are small, so they ride too.
 func TestChaosStageRetryBufferOwnership(t *testing.T) {
 	t.Run("raw", func(t *testing.T) {
-		runChaosStageRetryBufferOwnership(t, "own-raw", func(h *core.DistributedPipelineHandle) {})
+		runChaosStageRetryBufferOwnership(t, "own-raw", chaosPulledBlockLen, func(h *core.DistributedPipelineHandle) {})
+	})
+	t.Run("raw-eager", func(t *testing.T) {
+		runChaosStageRetryBufferOwnership(t, "own-rawe", chaosEagerBlockLen, func(h *core.DistributedPipelineHandle) {})
 	})
 	t.Run("adaptive", func(t *testing.T) {
-		runChaosStageRetryBufferOwnership(t, "own-adpt", func(h *core.DistributedPipelineHandle) {
+		runChaosStageRetryBufferOwnership(t, "own-adpt", chaosEagerBlockLen, func(h *core.DistributedPipelineHandle) {
 			h.SetCodecAdaptive(true)
 		})
 	})
 	t.Run("delta", func(t *testing.T) {
-		runChaosStageRetryBufferOwnership(t, "own-delta", func(h *core.DistributedPipelineHandle) {
+		runChaosStageRetryBufferOwnership(t, "own-delta", chaosEagerBlockLen, func(h *core.DistributedPipelineHandle) {
 			if err := h.SetCodec("delta"); err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +114,36 @@ func TestChaosStageRetryBufferOwnership(t *testing.T) {
 	})
 }
 
-func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure func(h *core.DistributedPipelineHandle)) {
+// Block sizes on either side of mercury's eager limit; the arms assert from
+// the bulk counters that they landed on the side they name.
+const (
+	chaosEagerBlockLen  = 64 << 10
+	chaosPulledBlockLen = 1 << 20
+)
+
+// assertStageTransfer checks which way the staged regions of a chaos arm
+// travelled. Eager: every region rode in its stage frame — the servers
+// pulled nothing and the client served no bulk_pull, so each retried frame
+// was self-contained. Pulled: nothing rode, everything was pulled.
+func assertStageTransfer(t *testing.T, eager bool, client *obs.Registry, servers []*core.Server, regions int64) {
+	t.Helper()
+	var rode, pulled int64
+	for _, s := range servers {
+		snap := s.Obs.Snapshot()
+		rode += snap.Counters["mercury.bulk.eager.count"]
+		pulled += snap.Counters["mercury.bulk.pull.count"]
+	}
+	served := client.Snapshot().Counters["mercury.serve.count{rpc=__mercury/bulk_pull}"]
+	if eager && (rode < regions || pulled != 0 || served != 0) {
+		t.Errorf("eager arm: %d regions rode in their frames (want >= %d), %d pulls, %d bulk_pull RPCs served by the client (want 0 and 0)",
+			rode, regions, pulled, served)
+	}
+	if !eager && (rode != 0 || pulled < regions) {
+		t.Errorf("pulled arm: %d pulls (want >= %d), %d regions rode in their frames (want 0)", pulled, regions, rode)
+	}
+}
+
+func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, blockLen int, configure func(h *core.DistributedPipelineHandle)) {
 	net := na.NewInprocNetwork()
 	var servers []*core.Server
 	for i := 0; i < 2; i++ {
@@ -153,7 +191,6 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 	configure(h)
 
 	const iters, blocks = 3, 5
-	const blockLen = 64 << 10
 	for it := uint64(1); it <= iters; it++ {
 		if _, err := h.Activate(it); err != nil {
 			t.Fatalf("iteration %d activate: %v", it, err)
@@ -213,11 +250,12 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, configure fu
 	if got := snap.Counters["colza.stage.retries{pipeline=viz}"]; got < 1 {
 		t.Errorf("fault plan produced %d stage retries, want >= 1", got)
 	}
+	assertStageTransfer(t, blockLen == chaosEagerBlockLen, reg, servers, iters*blocks)
 	// In the compressed arms the codec must actually have carried bytes,
 	// and the forced-delta arm must have hit the base-mismatch fallback (the
 	// dropped stage response leaves the server one iteration ahead, so the
 	// retry's base is stale and the client must re-encode zero-base).
-	if prefix != "own-raw" {
+	if !strings.HasPrefix(prefix, "own-raw") {
 		var wire int64
 		for k, v := range snap.Counters {
 			if strings.HasPrefix(k, "codec.bytes.out{") {

@@ -55,10 +55,10 @@ func (s *slowStats) Execute(it uint64) (core.ExecResult, error) {
 	}
 	return s.inner.Execute(it)
 }
-func (s *slowStats) Deactivate(it uint64) error      { return s.inner.Deactivate(it) }
-func (s *slowStats) Destroy() error                  { return s.inner.Destroy() }
-func (s *slowStats) ExportState() ([]byte, error)    { return s.inner.ExportState() }
-func (s *slowStats) ImportState(data []byte) error   { return s.inner.ImportState(data) }
+func (s *slowStats) Deactivate(it uint64) error    { return s.inner.Deactivate(it) }
+func (s *slowStats) Destroy() error                { return s.inner.Destroy() }
+func (s *slowStats) ExportState() ([]byte, error)  { return s.inner.ExportState() }
+func (s *slowStats) ImportState(data []byte) error { return s.inner.ImportState(data) }
 
 var slowStatsOnce sync.Once
 
@@ -235,7 +235,11 @@ func TestElasticScaleUpThenDownMatchesOracle(t *testing.T) {
 	registerSlowStats()
 	const blocks = 4
 	const slowIters = 8
-	const maxIters = 40
+	// The fast phase runs until the controller has released the extra
+	// server. It is bounded by time, not by an iteration count: how many
+	// fast iterations fit before the controller's next verdict depends on
+	// how quick an iteration is, which is not what this test is about.
+	const fastPhase = 20 * time.Second
 
 	arm := newElasticArm(t, "elo")
 	pcfg, _ := json.Marshal(slowStatsConfig{Field: "f", SlowFrom: 1, SlowTo: slowIters, DelayMS: 150})
@@ -264,14 +268,14 @@ func TestElasticScaleUpThenDownMatchesOracle(t *testing.T) {
 	// Fast phase: the load drops below the low-water band and the
 	// controller must release the extra server again.
 	downAt := 0
-	for ; it <= maxIters && downAt == 0; it++ {
+	for deadline := time.Now().Add(fastPhase); downAt == 0 && time.Now().Before(deadline); it++ {
 		runStatsIteration(t, h, uint64(it), blocks)
 		if arm.size() == 1 {
 			downAt = it
 		}
 	}
 	if downAt == 0 {
-		t.Fatalf("controller never scaled back down by iteration %d; status: %+v", maxIters, ctl.Status())
+		t.Fatalf("controller never scaled back down within %v (%d iterations); status: %+v", fastPhase, it-1, ctl.Status())
 	}
 	t.Logf("scaled down to 1 server during iteration %d", downAt)
 	total := it - 1
@@ -282,7 +286,7 @@ func TestElasticScaleUpThenDownMatchesOracle(t *testing.T) {
 	// (delays off — they never affect the data).
 	onet := na.NewInprocNetwork()
 	osrv, err := core.StartInprocServer(onet, "elo-oracle0", core.ServerConfig{
-		SSG: ssg.Config{GossipPeriod: 5 * time.Millisecond, PingTimeout: 100 * time.Millisecond, SuspectPeriods: 20, Seed: 1},
+		SSG:           ssg.Config{GossipPeriod: 5 * time.Millisecond, PingTimeout: 100 * time.Millisecond, SuspectPeriods: 20, Seed: 1},
 		StateReplicas: 1,
 	})
 	if err != nil {

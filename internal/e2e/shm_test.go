@@ -272,12 +272,15 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 	if got := snap.Counters["na.route.sm_preferred"]; got < 1 {
 		t.Errorf("na.route.sm_preferred = %d: chaos ran over TCP, not shared memory", got)
 	}
-	var pulls int64
+	// The blocks are under mercury's eager limit, but an sm endpoint's
+	// regions are in the arena: they are pulled from it, never sent along.
+	var pulls, rode int64
 	for _, s := range servers {
 		pulls += s.Obs.Counter("na.shm.pull.local").Value()
+		rode += s.Obs.Counter("mercury.bulk.eager.count").Value()
 	}
-	if want := int64(iters * blocks); pulls < want {
-		t.Errorf("na.shm.pull.local total = %d, want >= %d (stage pulls not zero-copy)", pulls, want)
+	if want := int64(iters * blocks); pulls < want || rode != 0 {
+		t.Errorf("na.shm.pull.local total = %d (want >= %d), mercury.bulk.eager.count = %d (want 0): stage transfers left the arena", pulls, want, rode)
 	}
 
 	checksumMu.Lock()

@@ -81,13 +81,31 @@ func ProviderRPCName(provider, rpc string) string {
 // Argobots pool's queue depth) and per-handler dispatch latency.
 func (m *Instance) RegisterProviderRPC(provider, rpc string, h mercury.Handler) {
 	name := ProviderRPCName(provider, rpc)
+	// The handler's two instruments, resolved once per registry: this
+	// wrapper runs for every request, and a labeled registry lookup composes
+	// a key string each time.
+	type rpcMetrics struct {
+		reg      *obs.Registry
+		inflight *obs.Gauge
+		latency  *obs.Histogram
+	}
+	var cached atomic.Pointer[rpcMetrics]
 	m.class.Register(name, func(req mercury.Request) ([]byte, error) {
 		reg := m.observer()
-		reg.Gauge("margo.handlers.inflight").Inc()
+		rm := cached.Load()
+		if rm == nil || rm.reg != reg {
+			rm = &rpcMetrics{
+				reg:      reg,
+				inflight: reg.Gauge("margo.handlers.inflight"),
+				latency:  reg.Histogram("margo.dispatch.latency", "rpc", name),
+			}
+			cached.Store(rm)
+		}
+		rm.inflight.Inc()
 		start := reg.Now()
 		defer func() {
-			reg.Histogram("margo.dispatch.latency", "rpc", name).Observe(int64(reg.Now() - start))
-			reg.Gauge("margo.handlers.inflight").Dec()
+			rm.latency.Observe(int64(reg.Now() - start))
+			rm.inflight.Dec()
 		}()
 		return h(req)
 	})

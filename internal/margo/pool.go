@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"colza/internal/mercury"
+	"colza/internal/obs"
 )
 
 // This file implements execution streams: named bounded pools the analog of
@@ -55,6 +56,8 @@ type Pool struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
+
+	metrics atomic.Pointer[poolMetrics]
 }
 
 type poolTask struct {
@@ -154,19 +157,46 @@ func (p *Pool) Config() PoolConfig { return p.cfg }
 // error. Never blocks: admission control happens here, on the progress
 // loop, so a full pool costs the caller one round trip, not a goroutine.
 func (p *Pool) trySubmit(run func()) error {
-	reg := p.m.observer()
+	pm := p.poolMetrics()
 	if p.closed.Load() {
-		reg.Counter("margo.pool.shed", "pool", p.name).Inc()
+		pm.shed.Inc()
 		return &mercury.BusyError{RetryAfter: p.cfg.BusyHint}
 	}
 	select {
-	case p.tasks <- poolTask{run: run, enq: reg.Now()}:
-		reg.Gauge("margo.pool.queue.depth", "pool", p.name).Inc()
+	case p.tasks <- poolTask{run: run, enq: pm.reg.Now()}:
+		pm.depth.Inc()
 		return nil
 	default:
-		reg.Counter("margo.pool.shed", "pool", p.name).Inc()
+		pm.shed.Inc()
 		return &mercury.BusyError{RetryAfter: p.cfg.BusyHint}
 	}
+}
+
+// poolMetrics are a pool's per-request instruments, resolved once per
+// registry: every admitted request touches four of them, and a labeled
+// registry lookup composes a key string each time.
+type poolMetrics struct {
+	reg   *obs.Registry
+	shed  *obs.Counter
+	depth *obs.Gauge
+	busy  *obs.Gauge
+	wait  *obs.Histogram
+}
+
+func (p *Pool) poolMetrics() *poolMetrics {
+	reg := p.m.observer()
+	if pm := p.metrics.Load(); pm != nil && pm.reg == reg {
+		return pm
+	}
+	pm := &poolMetrics{
+		reg:   reg,
+		shed:  reg.Counter("margo.pool.shed", "pool", p.name),
+		depth: reg.Gauge("margo.pool.queue.depth", "pool", p.name),
+		busy:  reg.Gauge("margo.pool.busy", "pool", p.name),
+		wait:  reg.Histogram("margo.pool.wait", "pool", p.name),
+	}
+	p.metrics.Store(pm)
+	return pm
 }
 
 func (p *Pool) worker() {
@@ -191,13 +221,12 @@ func (p *Pool) worker() {
 }
 
 func (p *Pool) runTask(t poolTask) {
-	reg := p.m.observer()
-	reg.Gauge("margo.pool.queue.depth", "pool", p.name).Dec()
-	reg.Histogram("margo.pool.wait", "pool", p.name).Observe(int64(reg.Now() - t.enq))
-	busy := reg.Gauge("margo.pool.busy", "pool", p.name)
-	busy.Inc()
+	pm := p.poolMetrics()
+	pm.depth.Dec()
+	pm.wait.Observe(int64(pm.reg.Now() - t.enq))
+	pm.busy.Inc()
 	t.run()
-	busy.Dec()
+	pm.busy.Dec()
 }
 
 // close stops the workers after the current (and queued) tasks finish.

@@ -10,17 +10,43 @@ import (
 )
 
 // Bulk is a handle to a registered memory region on some process. It is
-// small and serializable: Colza's stage() RPC sends a Bulk instead of the
-// data itself, and the staging server pulls the bytes with PullBulk —
-// mirroring Mercury's RDMA semantics.
+// small and serializable: Colza's stage() RPC sends a Bulk instead of a
+// pointer, and the staging server fetches the bytes with PullBulkInto —
+// mirroring Mercury's RDMA semantics. A region of at most eagerLimit bytes
+// that is not published in a shared-memory arena rides inside the serialized
+// handle (Mercury's eager path); larger ones are pulled (rendezvous).
 type Bulk struct {
 	Addr string // owner's class address
 	ID   uint64 // registration id at the owner
 	Size int    // region length in bytes
+
+	// eager is the region itself when it travels with the handle (len ==
+	// Size), nil otherwise. Expose sets it on the owner so AppendEncode can
+	// embed the bytes; DecodeBulk sets it to the embedded bytes, aliasing the
+	// decoded frame, and marks the handle inFrame. Only an inFrame handle is
+	// served from eager: one that never crossed the wire pulls as any other.
+	eager   []byte
+	inFrame bool
 }
 
+// eagerLimit is the largest region that rides inside its serialized handle
+// instead of being pulled: one round trip and no pull response below it, the
+// chunked pull protocol above. DESIGN.md ("Eager bulk") has the size sweep it
+// was chosen from. A queued request pins at most this much beyond its header.
+const eagerLimit = 128 << 10
+
+// bulkEagerFlag in the address-length word marks a handle whose region
+// follows the address as u32 length + bytes.
+const bulkEagerFlag = 1 << 31
+
 // EncodedSize is the exact length of the handle's encoding.
-func (b Bulk) EncodedSize() int { return 20 + len(b.Addr) }
+func (b Bulk) EncodedSize() int {
+	n := 20 + len(b.Addr)
+	if b.eager != nil {
+		n += 4 + len(b.eager)
+	}
+	return n
+}
 
 // Encode serializes the handle.
 func (b Bulk) Encode() []byte {
@@ -28,21 +54,30 @@ func (b Bulk) Encode() []byte {
 }
 
 // AppendEncode appends the serialized handle to dst; with EncodedSize of
-// spare capacity it does not allocate.
+// spare capacity it does not allocate. An eager region is copied here, so
+// the handle must be serialized before its Release.
 func (b Bulk) AppendEncode(dst []byte) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], b.ID)
-	dst = append(dst, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], uint64(b.Size))
-	dst = append(dst, tmp[:]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(b.Addr)))
-	dst = append(dst, tmp[:4]...)
-	return append(dst, b.Addr...)
+	al := uint32(len(b.Addr))
+	if b.eager != nil {
+		al |= bulkEagerFlag
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, b.ID)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(b.Size))
+	dst = binary.LittleEndian.AppendUint32(dst, al)
+	dst = append(dst, b.Addr...)
+	if b.eager != nil {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.eager)))
+		dst = append(dst, b.eager...)
+	}
+	return dst
 }
 
 // DecodeBulk reverses Bulk.Encode, returning the remaining bytes. Malformed
-// input (short frames, negative sizes, address lengths past the buffer)
-// errors without allocating proportionally to the claimed lengths.
+// input (short frames, negative sizes, address or region lengths past the
+// buffer, an embedded region whose length is not Size) errors without
+// allocating proportionally to the claimed lengths. An embedded region is
+// not copied: the handle aliases data, so it is valid only as long as data
+// is — for a request payload, the duration of the handler.
 func DecodeBulk(data []byte) (Bulk, []byte, error) {
 	if len(data) < 20 {
 		return Bulk{}, nil, ErrBadBulk
@@ -53,12 +88,28 @@ func DecodeBulk(data []byte) (Bulk, []byte, error) {
 	if b.Size < 0 {
 		return Bulk{}, nil, ErrBadBulk
 	}
-	al := int64(binary.LittleEndian.Uint32(data[16:]))
-	if int64(len(data)) < 20+al {
+	al := binary.LittleEndian.Uint32(data[16:])
+	embedded := al&bulkEagerFlag != 0
+	al &^= bulkEagerFlag
+	data = data[20:]
+	if int64(len(data)) < int64(al) {
 		return Bulk{}, nil, ErrBadBulk
 	}
-	b.Addr = string(data[20 : 20+al])
-	return b, data[20+al:], nil
+	b.Addr = string(data[:al])
+	data = data[al:]
+	if embedded {
+		if len(data) < 4 {
+			return Bulk{}, nil, ErrBadBulk
+		}
+		n := int64(binary.LittleEndian.Uint32(data))
+		data = data[4:]
+		if n != int64(b.Size) || n > int64(len(data)) {
+			return Bulk{}, nil, ErrBadBulk
+		}
+		b.eager, b.inFrame = data[:n:n], true
+		data = data[n:]
+	}
+	return b, data, nil
 }
 
 // Expose registers buf as pull-able memory and returns its handle. The
@@ -71,17 +122,24 @@ func (c *Class) Expose(buf []byte) Bulk {
 	c.bmu.Lock()
 	c.bulks[id] = buf
 	c.bmu.Unlock()
-	c.observer().Gauge("mercury.bulk.exposed.bytes").Add(int64(len(buf)))
+	c.bulkM.for_(c.observer()).exposed.Add(int64(len(buf)))
+	b := Bulk{Addr: c.Addr(), ID: id, Size: len(buf)}
 	// On a shared-memory-capable transport, additionally publish the
 	// region in the endpoint's shared segment so colocated pullers can
 	// copy it straight out of mapped memory. Best-effort: on any failure
 	// pulls simply use the RPC path against c.bulks. IDs are never reused
 	// (nextBk only grows), so a stale publication can never alias a new
 	// region.
+	published := false
 	if lb, ok := c.ep.(na.LocalBulk); ok {
-		lb.ExposeLocal(id, buf)
+		published = lb.ExposeLocal(id, buf)
 	}
-	return Bulk{Addr: c.Addr(), ID: id, Size: len(buf)}
+	// A small region nobody can map travels inside the serialized handle
+	// (an empty one needs no transfer at all).
+	if !published && len(buf) > 0 && len(buf) <= eagerLimit {
+		b.eager = buf
+	}
+	return b
 }
 
 // Release deregisters a previously exposed region. After Release, pulls
@@ -93,7 +151,7 @@ func (c *Class) Release(b Bulk) {
 	delete(c.bulks, b.ID)
 	c.bmu.Unlock()
 	if ok {
-		c.observer().Gauge("mercury.bulk.exposed.bytes").Add(int64(-b.Size))
+		c.bulkM.for_(c.observer()).exposed.Add(int64(-b.Size))
 		if lb, lok := c.ep.(na.LocalBulk); lok {
 			lb.ReleaseLocal(b.ID)
 		}
@@ -159,6 +217,20 @@ func (c *Class) PullBulkInto(b Bulk, dst []byte) error {
 	return c.pullRange(b, 0, dst)
 }
 
+// BorrowBulk returns the region itself when it rode inside the frame b was
+// decoded from, sparing the caller a destination buffer and a copy; ok is
+// false when the region has to be pulled. The bytes alias that frame: a
+// handler may read them until it returns and must not retain or modify them.
+func (c *Class) BorrowBulk(b Bulk) (region []byte, ok bool) {
+	if !b.inFrame {
+		return nil, false
+	}
+	m := c.bulkM.for_(c.observer())
+	m.eagerCount.Inc()
+	m.eagerBytes.Add(int64(len(b.eager)))
+	return b.eager, true
+}
+
 // PullBulkRange fetches n bytes starting at off into a fresh buffer,
 // letting a puller fetch a sub-region (e.g. one block of a packed exposure)
 // without moving the rest.
@@ -184,6 +256,14 @@ func (c *Class) pullRange(b Bulk, off int, dst []byte) error {
 	}
 	reg := c.observer()
 	m := c.bulkM.for_(reg)
+	if b.inFrame {
+		// The region rode in the frame the handle was decoded from: no RPC,
+		// and not a pull in the counters either.
+		m.eagerCount.Inc()
+		m.eagerBytes.Add(int64(n))
+		copy(dst, b.eager[off:off+n])
+		return nil
+	}
 	start := reg.Now()
 	defer func() {
 		m.latency.Observe(int64(reg.Now() - start))

@@ -4,35 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"colza/internal/na"
-	"colza/internal/obs"
 )
-
-func smClassPair(t *testing.T) (*Class, *Class, *obs.Registry, *obs.Registry) {
-	t.Helper()
-	dir := t.TempDir()
-	epA, err := na.ListenDual("127.0.0.1:0", dir, "a")
-	if err != nil {
-		t.Fatalf("ListenDual a: %v", err)
-	}
-	epB, err := na.ListenDual("127.0.0.1:0", dir, "b")
-	if err != nil {
-		t.Fatalf("ListenDual b: %v", err)
-	}
-	ca, cb := New(epA), New(epB)
-	t.Cleanup(func() { ca.Close(); cb.Close() })
-	ra, rb := obs.NewRegistry(), obs.NewRegistry()
-	ca.SetObserver(ra)
-	cb.SetObserver(rb)
-	return ca, cb, ra, rb
-}
 
 // TestBulkPullOverSharedMemory: pulls against an sm-capable exposer copy
 // straight out of the exposer's mapped segment — the chunked bulk-pull
 // RPC never runs.
 func TestBulkPullOverSharedMemory(t *testing.T) {
-	ca, cb, ra, rb := smClassPair(t)
+	ca, cb, ra, rb := classPair(t, "sm")
 	payload := make([]byte, 256<<10)
 	for i := range payload {
 		payload[i] = byte(i * 131)
@@ -70,7 +48,7 @@ func TestBulkPullOverSharedMemory(t *testing.T) {
 // authoritative and reports ErrBadBulk — the §7 guard survives the
 // zero-copy shortcut.
 func TestBulkUseAfterReleaseOverSM(t *testing.T) {
-	ca, cb, ra, _ := smClassPair(t)
+	ca, cb, ra, _ := classPair(t, "sm")
 	payload := make([]byte, 8<<10)
 	b := ca.Expose(payload)
 	ca.Release(b)

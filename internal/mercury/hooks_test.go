@@ -64,7 +64,7 @@ func TestServeHookRejectsBeforeHandler(t *testing.T) {
 }
 
 func TestRPCNameOf(t *testing.T) {
-	frame := encodeRequest(7, "colza::prepare", []byte("payload"))
+	frame := append(appendRequestHeader(nil, 7, "colza::prepare"), "payload"...)
 	name, ok := RPCNameOf(frame)
 	if !ok || name != "colza::prepare" {
 		t.Fatalf("RPCNameOf = %q, %v", name, ok)

@@ -1,13 +1,19 @@
 // Package mercury implements the remote-procedure-call layer of the stack,
 // modeled on Mercury from the Mochi suite: named RPCs with request/response
 // semantics on top of the NA message layer, plus RDMA-style bulk transfers.
-// As in Mercury, bulk data is not pushed inside RPC payloads: the owner
-// exposes a registered memory region and sends a compact handle; the peer
-// pulls the bytes on demand. Colza's stage() call uses exactly this pattern
-// (the simulation exposes its block, the staging server pulls it).
+// As in Mercury, a large region is not pushed inside an RPC payload: the
+// owner exposes a registered memory region and sends a compact handle, and
+// the peer pulls the bytes on demand (rendezvous). A small region — at most
+// eagerLimit bytes, on a transport that has no shared-memory arena to publish
+// it in — is sent eagerly instead: the serialized handle carries the bytes,
+// and the peer reads them out of the request they arrived in, with no second
+// round trip. Colza's stage() call uses one interface for both (the
+// simulation exposes its block and sends the handle, the staging server
+// fetches the region behind it); the size of the block decides which it gets.
 package mercury
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -169,6 +175,9 @@ const bulkPullRPC = "__mercury/bulk_pull"
 // own goroutines, so a handler may itself issue RPCs.
 type Class struct {
 	ep na.Endpoint
+	// gather is ep's scatter-gather send when the transport has one (nil
+	// otherwise); see sendFrame.
+	gather na.GatherSender
 
 	mu         sync.RWMutex
 	handlers   map[string]Handler
@@ -236,6 +245,7 @@ func New(ep na.Endpoint) *Class {
 		pending:  make(map[uint64]chan response),
 		bulks:    make(map[uint64][]byte),
 	}
+	c.gather, _ = ep.(na.GatherSender)
 	c.Register(bulkPullRPC, c.handleBulkPull)
 	c.wg.Add(1)
 	go c.progress()
@@ -321,12 +331,8 @@ func (c *Class) Call(to, name string, payload []byte, timeout time.Duration) (re
 		c.pmu.Unlock()
 	}()
 
-	// The request frame is pooled: na endpoints are done with the slice when
-	// Send returns (inproc copies, tcp writes synchronously), so it can be
-	// recycled immediately.
-	frame := encodeRequest(id, name, payload)
-	sendErr := c.ep.Send(to, frame)
-	bufpool.Put(frame)
+	var hdr [64]byte
+	sendErr := c.sendFrame(to, appendRequestHeader(hdr[:0], id, name), payload)
 	if sendErr != nil {
 		return nil, fmt.Errorf("mercury: send to %s: %w", to, sendErr)
 	}
@@ -473,16 +479,13 @@ func (c *Class) respondError(from string, id uint64, name string, err error) {
 	c.respond(from, id, status, out)
 }
 
-// respond sends one response frame. The frame is pooled: Send is done with
-// the slice when it returns.
+// respond sends one response frame.
 func (c *Class) respond(from string, id uint64, status byte, out []byte) {
-	frame := bufpool.Get(10 + len(out))
-	frame[0] = kindResponse
-	binary.LittleEndian.PutUint64(frame[1:], id)
-	frame[9] = status
-	copy(frame[10:], out)
-	err := c.ep.Send(from, frame)
-	bufpool.Put(frame)
+	var hdr [10]byte
+	hdr[0] = kindResponse
+	binary.LittleEndian.PutUint64(hdr[1:], id)
+	hdr[9] = status
+	err := c.sendFrame(from, hdr[:], out)
 	if err != nil {
 		// The caller only ever sees a timeout when this happens; without the
 		// counter a dropped response leaves zero server-side trace.
@@ -505,16 +508,28 @@ func (c *Class) Close() error {
 	return err
 }
 
-// encodeRequest builds a request frame in a pooled buffer; the caller must
-// bufpool.Put it once the transport is done with it.
-func encodeRequest(id uint64, name string, payload []byte) []byte {
-	frame := bufpool.Get(13 + len(name) + len(payload))
-	frame[0] = kindRequest
-	binary.LittleEndian.PutUint64(frame[1:], id)
-	binary.LittleEndian.PutUint32(frame[9:], uint32(len(name)))
-	copy(frame[13:], name)
-	copy(frame[13+len(name):], payload)
-	return frame
+// sendFrame transmits one frame, hdr followed by payload. A transport that
+// can gather sends payload as it is (hdr is cloned so that the callers' stack
+// buffers need not escape); otherwise the two are joined in a pooled buffer,
+// recycled at once because endpoints are done with the slice when Send
+// returns (inproc copies, tcp writes synchronously).
+func (c *Class) sendFrame(to string, hdr, payload []byte) error {
+	if c.gather != nil {
+		return c.gather.SendGather(to, bytes.Clone(hdr), payload)
+	}
+	frame := bufpool.Get(len(hdr) + len(payload))
+	copy(frame[copy(frame, hdr):], payload)
+	err := c.ep.Send(to, frame)
+	bufpool.Put(frame)
+	return err
+}
+
+// appendRequestHeader appends everything of a request frame but its payload.
+func appendRequestHeader(dst []byte, id uint64, name string) []byte {
+	dst = append(dst, kindRequest)
+	dst = binary.LittleEndian.AppendUint64(dst, id)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
+	return append(dst, name...)
 }
 
 func splitRequest(body []byte) (name string, payload []byte, ok bool) {

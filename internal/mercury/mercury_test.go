@@ -203,7 +203,7 @@ func TestBulkHandleEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec != b {
+	if !sameBulk(dec, b) || dec.inFrame {
 		t.Fatalf("dec = %+v, want %+v", dec, b)
 	}
 	if len(rest) != 2 || rest[0] != 0xFF {
@@ -263,4 +263,11 @@ func TestQuickEchoAnyPayload(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameBulk compares two handles field by field (Bulk holds a slice, so ==
+// does not apply); inFrame is provenance, not identity, and is left out.
+func sameBulk(a, b Bulk) bool {
+	return a.Addr == b.Addr && a.ID == b.ID && a.Size == b.Size &&
+		(a.eager == nil) == (b.eager == nil) && bytes.Equal(a.eager, b.eager)
 }

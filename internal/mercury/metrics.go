@@ -70,14 +70,17 @@ func (mc *metricsCache) serve(reg *obs.Registry, name string) *serveMetrics {
 	return sm
 }
 
-// bulkMetrics bundles the bulk-pull instruments (unlabeled, one set per
+// bulkMetrics bundles the bulk instruments (unlabeled, one set per
 // registry).
 type bulkMetrics struct {
-	reg     *obs.Registry
-	count   *obs.Counter
-	bytes   *obs.Counter
-	local   *obs.Counter
-	latency *obs.Histogram
+	reg        *obs.Registry
+	count      *obs.Counter
+	bytes      *obs.Counter
+	local      *obs.Counter
+	latency    *obs.Histogram
+	eagerCount *obs.Counter
+	eagerBytes *obs.Counter
+	exposed    *obs.Gauge
 }
 
 type bulkMetricsCache struct{ p atomic.Pointer[bulkMetrics] }
@@ -87,11 +90,14 @@ func (mc *bulkMetricsCache) for_(reg *obs.Registry) *bulkMetrics {
 		return m
 	}
 	m := &bulkMetrics{
-		reg:     reg,
-		count:   reg.Counter("mercury.bulk.pull.count"),
-		bytes:   reg.Counter("mercury.bulk.pull.bytes"),
-		local:   reg.Counter("mercury.bulk.pull.local"),
-		latency: reg.Histogram("mercury.bulk.pull.latency"),
+		reg:        reg,
+		count:      reg.Counter("mercury.bulk.pull.count"),
+		bytes:      reg.Counter("mercury.bulk.pull.bytes"),
+		local:      reg.Counter("mercury.bulk.pull.local"),
+		latency:    reg.Histogram("mercury.bulk.pull.latency"),
+		eagerCount: reg.Counter("mercury.bulk.eager.count"),
+		eagerBytes: reg.Counter("mercury.bulk.eager.bytes"),
+		exposed:    reg.Gauge("mercury.bulk.exposed.bytes"),
 	}
 	mc.p.Store(m)
 	return m

@@ -77,6 +77,14 @@ type LocalBulk interface {
 	PullLocal(ownerAddr string, id uint64, off int, dst []byte) (done bool, err error)
 }
 
+// GatherSender is implemented by endpoints that can send one message handed
+// over as a head and a body (writev on a socket), sparing the caller the
+// copy that would join them. The receiver sees a single message, head then
+// body; everything else is as Send.
+type GatherSender interface {
+	SendGather(to string, head, body []byte) error
+}
+
 // packet is one in-flight message.
 type packet struct {
 	from string

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"colza/internal/bufpool"
 	"colza/internal/obs"
 )
 
@@ -81,6 +80,22 @@ func (e *tcpEP) SetObserver(r *obs.Registry) {
 type tcpConn struct {
 	mu sync.Mutex
 	c  net.Conn
+
+	// Send state, guarded by mu. prefix is the frame header plus this
+	// endpoint's sender address (constant but for the data length); iov and
+	// bufs are the gather list handed to writev, kept here so a send
+	// allocates nothing; deadline is the write deadline currently armed.
+	prefix   []byte
+	iov      [3][]byte
+	bufs     net.Buffers
+	deadline time.Time
+}
+
+func newTCPConn(c net.Conn, from string) *tcpConn {
+	prefix := make([]byte, 8+len(from))
+	binary.LittleEndian.PutUint32(prefix[:4], uint32(len(from)))
+	copy(prefix[8:], from)
+	return &tcpConn{c: c, prefix: prefix}
 }
 
 func (e *tcpEP) Addr() string { return e.addr }
@@ -113,18 +128,24 @@ func (e *tcpEP) readLoop(c net.Conn) {
 		delete(e.accepted, c)
 		e.mu.Unlock()
 	}()
+	// A connection's peer stamps the same sender address on every frame, so
+	// the previous frame's string is reused instead of allocated again.
+	var last string
 	for {
-		from, data, err := readFrame(c)
+		from, data, err := readFrame(c, last)
 		if err != nil {
 			return
 		}
+		last = from
 		if !e.q.push(packet{from: from, data: data}) {
 			return
 		}
 	}
 }
 
-func readFrame(r io.Reader) (string, []byte, error) {
+// readFrame reads one frame. lastFrom is the sender of the previous frame on
+// this connection; it is returned again when the bytes match.
+func readFrame(r io.Reader, lastFrom string) (string, []byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return "", nil, err
@@ -138,25 +159,29 @@ func readFrame(r io.Reader) (string, []byte, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", nil, err
 	}
-	return string(buf[:fromLen]), buf[fromLen:], nil
+	if string(buf[:fromLen]) != lastFrom {
+		lastFrom = string(buf[:fromLen])
+	}
+	return lastFrom, buf[fromLen:], nil
 }
 
-// writeFrame assembles header+sender+payload in one pooled buffer so a
-// frame leaves in a single Write (one syscall, and no partial-frame
-// interleaving risk if a future caller ever skips the conn lock).
-func writeFrame(w io.Writer, from string, data []byte) error {
-	buf := bufpool.Get(8 + len(from) + len(data))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(from)))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(data)))
-	copy(buf[8:], from)
-	copy(buf[8+len(from):], data)
-	_, err := w.Write(buf)
-	bufpool.Put(buf)
+// writeFrame sends header+sender and the message (head then body) as one
+// gathered write (writev on a TCP conn: one syscall, and the payload is not
+// copied into a second buffer). The caller holds tc.mu, which also keeps
+// frames from interleaving.
+func (tc *tcpConn) writeFrame(head, body []byte) error {
+	binary.LittleEndian.PutUint32(tc.prefix[4:8], uint32(len(head)+len(body)))
+	tc.iov = [3][]byte{tc.prefix, head, body}
+	tc.bufs = tc.iov[:]
+	_, err := tc.bufs.WriteTo(tc.c)
+	tc.iov = [3][]byte{}
 	return err
 }
 
-func (e *tcpEP) Send(to string, data []byte) error {
-	if len(data) > maxFrame {
+func (e *tcpEP) Send(to string, data []byte) error { return e.SendGather(to, nil, data) }
+
+func (e *tcpEP) SendGather(to string, head, body []byte) error {
+	if len(head)+len(body) > maxFrame {
 		return ErrTooLarge
 	}
 	// Accept composite sm+tcp addresses too: a pure-TCP endpoint simply
@@ -180,9 +205,15 @@ func (e *tcpEP) Send(to string, data []byte) error {
 	}
 	conn.mu.Lock()
 	if e.writeTimeout > 0 {
-		conn.c.SetWriteDeadline(time.Now().Add(e.writeTimeout))
+		// Arming the deadline resets a netpoll timer, so it is re-armed only
+		// once less than half of it remains: a write that stalls still fails
+		// between writeTimeout/2 and writeTimeout after it began.
+		if now := time.Now(); conn.deadline.Sub(now) < e.writeTimeout/2 {
+			conn.deadline = now.Add(e.writeTimeout)
+			conn.c.SetWriteDeadline(conn.deadline)
+		}
 	}
-	err = writeFrame(conn.c, e.advertise, data)
+	err = conn.writeFrame(head, body)
 	conn.mu.Unlock()
 	if err != nil {
 		// Covers write timeouts too: the stalled conn is discarded so the
@@ -221,7 +252,7 @@ func (e *tcpEP) getConn(to, hostport string) (*tcpConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &tcpConn{c: raw}
+	c := newTCPConn(raw, e.advertise)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()

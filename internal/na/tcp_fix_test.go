@@ -3,11 +3,13 @@ package na
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // waitGoroutines polls until the process goroutine count drops to at most
@@ -145,32 +147,60 @@ func TestTCPDialErrorClassification(t *testing.T) {
 	}
 }
 
-type countingWriter struct {
-	writes int
-	buf    bytes.Buffer
-}
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	return w.buf.Write(p)
-}
-
-// TestWriteFrameSingleWrite: header, sender, and payload leave in one
-// Write call (one syscall on a net.Conn), and the frame round-trips.
-func TestWriteFrameSingleWrite(t *testing.T) {
-	var w countingWriter
-	data := bytes.Repeat([]byte{0xAB}, 3000)
-	if err := writeFrame(&w, "tcp://1.2.3.4:5", data); err != nil {
-		t.Fatal(err)
-	}
-	if w.writes != 1 {
-		t.Fatalf("writeFrame issued %d writes, want 1", w.writes)
-	}
-	from, got, err := readFrame(&w.buf)
+// TestWriteFrameGathered: header+sender and payload leave as one gathered
+// write on a real TCP conn (no second assembly buffer, no allocation per
+// send), frames round-trip back to back, and a connection's repeated sender
+// address is one string, not one per frame.
+func TestWriteFrameGathered(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if from != "tcp://1.2.3.4:5" || !bytes.Equal(got, data) {
-		t.Fatalf("round trip mismatch: from=%q len=%d", from, len(got))
+	defer l.Close()
+	raw, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	peer, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	tc := newTCPConn(raw, "tcp://1.2.3.4:5")
+	frames := [][]byte{bytes.Repeat([]byte{0xAB}, 3000), {}, bytes.Repeat([]byte{0xCD}, 70000)}
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		for _, data := range frames {
+			if err := tc.writeFrame(data[:len(data)/3], data[len(data)/3:]); err != nil {
+				t.Errorf("writeFrame: %v", err)
+			}
+		}
+	}()
+	var from string
+	for i, want := range frames {
+		prev := from
+		var got []byte
+		from, got, err = readFrame(peer, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from != "tcp://1.2.3.4:5" || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d mismatch: from=%q len=%d", i, from, len(got))
+		}
+		if i > 0 && unsafe.StringData(from) != unsafe.StringData(prev) {
+			t.Fatalf("frame %d allocated a new sender string", i)
+		}
+	}
+	<-written
+	if tc.iov[1] != nil || tc.iov[2] != nil {
+		t.Fatal("writeFrame retained the caller's payload")
+	}
+	small := make([]byte, 64)
+	go io.Copy(io.Discard, peer)
+	if allocs := testing.AllocsPerRun(50, func() { tc.writeFrame(nil, small) }); allocs > 0 {
+		t.Fatalf("writeFrame allocates %.1f times per frame", allocs)
 	}
 }

@@ -131,17 +131,21 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	trace    traceBuf
+	// spanHists finds a span's duration histogram (also in hists) without
+	// composing its key string; see spanHistogram.
+	spanHists map[spanHistKey]*Histogram
+	trace     traceBuf
 }
 
 // NewRegistry creates an empty registry on the wall clock.
 func NewRegistry() *Registry {
 	return &Registry{
-		clock:    WallClock(),
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		trace:    traceBuf{cap: defaultTraceCap},
+		clock:     WallClock(),
+		counters:  make(map[string]*Counter),
+		gauges:    make(map[string]*Gauge),
+		hists:     make(map[string]*Histogram),
+		spanHists: make(map[spanHistKey]*Histogram),
+		trace:     traceBuf{cap: defaultTraceCap},
 	}
 }
 

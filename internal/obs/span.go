@@ -61,11 +61,7 @@ func (s *Span) End(err error) time.Duration {
 	if dur < 0 {
 		dur = 0
 	}
-	var labels []string
-	if s.key.Pipeline != "" {
-		labels = []string{"pipeline", s.key.Pipeline}
-	}
-	s.r.Histogram("span."+s.name, labels...).Observe(int64(dur))
+	s.r.spanHistogram(s.name, s.key.Pipeline).Observe(int64(dur))
 	rec := SpanRecord{
 		Name:      s.name,
 		Pipeline:  s.key.Pipeline,
@@ -76,17 +72,48 @@ func (s *Span) End(err error) time.Duration {
 	}
 	if err != nil {
 		rec.Err = err.Error()
-		s.r.Counter("span."+s.name+".errors", labels...).Inc()
+		s.r.Counter("span."+s.name+".errors", pipelineLabel(s.key.Pipeline)...).Inc()
 	}
 	s.r.trace.append(rec)
 	return dur
 }
 
-// traceBuf is a mutex-guarded ring of completed spans.
+// pipelineLabel is the label list of a span instrument: none for a span
+// without a pipeline.
+func pipelineLabel(pipeline string) []string {
+	if pipeline == "" {
+		return nil
+	}
+	return []string{"pipeline", pipeline}
+}
+
+type spanHistKey struct{ name, pipeline string }
+
+// spanHistogram returns the histogram "span.<name>{pipeline=...}". A span
+// ends once or twice per staged block, so the composed-key lookup (two
+// string builds) is paid once per (name, pipeline) rather than per span.
+func (r *Registry) spanHistogram(name, pipeline string) *Histogram {
+	k := spanHistKey{name, pipeline}
+	r.mu.RLock()
+	h := r.spanHists[k]
+	r.mu.RUnlock()
+	if h == nil {
+		h = r.Histogram("span."+name, pipelineLabel(pipeline)...)
+		r.mu.Lock()
+		r.spanHists[k] = h
+		r.mu.Unlock()
+	}
+	return h
+}
+
+// traceBuf is a mutex-guarded ring of completed spans. recs grows by append
+// until it holds cap records; from then on head is the oldest record's index
+// and a new span overwrites it, so an append costs the same full or not.
 type traceBuf struct {
 	mu      sync.Mutex
 	cap     int
 	recs    []SpanRecord
+	head    int
 	dropped int64
 }
 
@@ -96,12 +123,24 @@ func (t *traceBuf) append(rec SpanRecord) {
 	if t.cap <= 0 {
 		t.cap = defaultTraceCap
 	}
-	if len(t.recs) >= t.cap {
-		n := copy(t.recs, t.recs[1:])
-		t.recs = t.recs[:n]
-		t.dropped++
+	if len(t.recs) < t.cap {
+		t.recs = append(t.recs, rec)
+		return
 	}
-	t.recs = append(t.recs, rec)
+	t.recs[t.head] = rec
+	t.head = (t.head + 1) % len(t.recs)
+	t.dropped++
+}
+
+// newest copies out the newest n retained records (all of them when fewer
+// are held), oldest first. The caller holds mu.
+func (t *traceBuf) newest(n int) []SpanRecord {
+	skip := max(len(t.recs)-n, 0)
+	out := make([]SpanRecord, 0, len(t.recs)-skip)
+	for i := skip; i < len(t.recs); i++ {
+		out = append(out, t.recs[(t.head+i)%len(t.recs)])
+	}
+	return out
 }
 
 // SetTraceCapacity resizes the trace ring (existing newest records are
@@ -113,11 +152,8 @@ func (r *Registry) SetTraceCapacity(n int) {
 	t := &r.trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.cap = n
-	if len(t.recs) > n {
-		t.dropped += int64(len(t.recs) - n)
-		t.recs = append([]SpanRecord(nil), t.recs[len(t.recs)-n:]...)
-	}
+	t.dropped += int64(max(len(t.recs)-n, 0))
+	t.recs, t.head, t.cap = t.newest(n), 0, n
 }
 
 // Trace returns a copy of the retained spans in completion order.
@@ -125,7 +161,7 @@ func (r *Registry) Trace() []SpanRecord {
 	t := &r.trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.recs...)
+	return t.newest(len(t.recs))
 }
 
 // TraceDropped reports how many spans the ring has evicted.

@@ -85,6 +85,46 @@ func TestTraceRingEviction(t *testing.T) {
 	}
 }
 
+// TestTraceRingWrapsAndResizes fills the ring several times past capacity
+// (the head wraps), then shrinks and grows it mid-wrap: Trace stays oldest to
+// newest, a shrink keeps the newest records and counts the rest as dropped,
+// and appends after a resize continue the order.
+func TestTraceRingWrapsAndResizes(t *testing.T) {
+	r := NewRegistry()
+	r.SetTraceCapacity(8)
+	next := uint64(0)
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			r.StartSpan("s", SpanKey{Iteration: next}).End(nil)
+			next++
+		}
+	}
+	check := func(wantLen int, wantDropped int64) {
+		t.Helper()
+		recs := r.Trace()
+		if len(recs) != wantLen || r.TraceDropped() != wantDropped {
+			t.Fatalf("len = %d dropped = %d, want %d and %d", len(recs), r.TraceDropped(), wantLen, wantDropped)
+		}
+		for i, rec := range recs {
+			if want := next - uint64(wantLen) + uint64(i); rec.Iteration != want {
+				t.Fatalf("record %d is iteration %d, want %d: not oldest to newest", i, rec.Iteration, want)
+			}
+		}
+	}
+	add(5)
+	check(5, 0)
+	add(8*3 + 1) // 30 spans: wrapped three times, head mid-buffer
+	check(8, 22)
+	r.SetTraceCapacity(3)
+	check(3, 27)
+	add(2)
+	check(3, 29)
+	r.SetTraceCapacity(6)
+	check(3, 29)
+	add(5)
+	check(6, 31)
+}
+
 func TestTraceJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.StartSpan("stage", SpanKey{Pipeline: "viz", Iteration: 1, Rank: 0}).End(nil)
