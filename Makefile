@@ -35,8 +35,10 @@ fuzz:
 
 # Zero-copy hot-path smoke: one racing pass over the micro-benchmarks
 # (correctness under -race), then the allocs/op regression gates in a pure
-# build (the ceilings exclude race-instrumentation overhead). See
-# internal/bench/micro.go and BENCH_3.json.
+# build (the ceilings exclude race-instrumentation overhead) — the stage,
+# pull and composite paths and a warm iso execute
+# (TestIsoExecuteAllocsCeiling). See internal/bench/micro.go and
+# BENCH_3.json.
 bench-smoke:
 	$(GO) test -race -run NONE -bench 'BenchmarkStagePut|BenchmarkBulkPull|BenchmarkCompositePooled|BenchmarkStageSaturation|BenchmarkStageBatched|BenchmarkStageOverSM' -benchtime=1x ./internal/bench/
 	$(GO) test -count=1 -run 'AllocsCeiling' ./internal/bench/

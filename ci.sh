@@ -104,7 +104,8 @@ go build ./...
 go vet ./...
 go test -timeout 300s ./...
 go test -race -timeout 600s ./...
-# Allocs/op gate: the pooled stage/pull/composite hot paths must stay under
+# Allocs/op gate: the pooled stage/pull/composite hot paths and a warm iso
+# execute (extract + render on the pipeline's workspace) must stay under
 # the ceilings locked in by internal/bench/micro_test.go (see BENCH_3.json).
 go test -count=1 -run 'AllocsCeiling' ./internal/bench/
 # Goroutine-leak gate: endpoint teardown must reap accepted conns and their
@@ -198,12 +199,16 @@ go test -race -count=1 -timeout 300s -run 'TestElastic' ./internal/e2e/
 # Benchmark gate: benchmark/ is a module of its own (`replace colza => ../`),
 # so nothing above builds it and a changed signature under internal/ would
 # break it unseen. Its tests run here, then a 2 s run of the per-block TCP
-# workload must exit 0 with every oracle check passed.
+# workload (the stage path) and of the iso workload (the execute path: its
+# oracle holds the triangle count and every ring slot's PNG hash) must each
+# exit 0 with every oracle check passed.
 (cd benchmark && go test ./...)
 smoke=$(mktemp)
-bash benchmark/run.sh --workload mb_stage_tcp_perblock --seconds 2 --trace 0 > "$smoke"
-tail -n 1 "$smoke"
-tail -n 1 "$smoke" | grep -q '"correct":true'
+for workload in mb_stage_tcp_perblock gs_iso_inproc; do
+    bash benchmark/run.sh --workload "$workload" --seconds 2 --trace 0 > "$smoke"
+    tail -n 1 "$smoke"
+    tail -n 1 "$smoke" | grep -q '"correct":true'
+done
 rm -f "$smoke"
 check_cover
 check_codec_cover

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"colza/internal/bufpool"
+	"colza/internal/catalyst"
 	"colza/internal/collectives"
 	"colza/internal/core"
 	"colza/internal/icet"
@@ -614,6 +615,101 @@ func BenchCompositePooled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := compositeOp(world, imgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// grayScottSlabs runs Gray-Scott on an n^3 grid for the given steps and
+// cuts the state into z-slabs that share their boundary planes — the blocks
+// the repository benchmark's gs_iso_inproc workload stages (n 64, 200
+// steps, 16 slabs of 64x64x5 points).
+func grayScottSlabs(n, steps, slabs int) ([]*vtk.ImageData, error) {
+	gs := sim.NewGrayScott(nil, [3]int{n, n, n}, sim.DefaultGrayScott())
+	if err := gs.Step(steps); err != nil {
+		return nil, err
+	}
+	full := gs.Block()
+	per, plane := n/slabs, n*n
+	out := make([]*vtk.ImageData, slabs)
+	for s := range out {
+		z0, z1 := s*per, (s+1)*per
+		if s == slabs-1 {
+			z1 = n - 1
+		}
+		origin := full.Origin
+		origin[2] += float64(z0) * full.Spacing[2]
+		blk := vtk.NewImageData([3]int{n, n, z1 - z0 + 1}, origin, full.Spacing)
+		for _, a := range full.PointData {
+			copy(blk.AddPointArray(a.Name, a.Components).Data, a.Data[z0*plane:(z1+1)*plane])
+		}
+		out[s] = blk
+	}
+	return out, nil
+}
+
+// isoExecuteEnv stages blocks into a catalyst/iso instance configured as
+// gs_iso_inproc configures it (three isovalues, clip at x = n/2, 256x256)
+// and returns its Execute. The instance is the only rank of its group and
+// emits no image, so one call is extraction plus rasterization on the
+// pipeline's own workspace: the composite is the identity and no PNG is
+// encoded. Each call returns the triangle count.
+func isoExecuteEnv(blocks []*vtk.ImageData) (exec func() (int, error), cleanup func(), err error) {
+	catalyst.Register()
+	factory, _ := core.LookupPipelineType(catalyst.IsoPipelineType)
+	cfg, err := json.Marshal(catalyst.IsoConfig{
+		Field: "V", IsoValues: []float64{0.1, 0.2, 0.3}, Width: 256, Height: 256,
+		ScalarRange: [2]float64{0, 0.5}, Strategy: "tree", WarmupKiB: 16,
+		Clip: &catalyst.ClipSpec{Normal: [3]float64{1, 0, 0}, Offset: float64(blocks[0].Dims[0]) / 2},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	backend, err := factory(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	world := minimpi.World(1)
+	cleanup = func() {
+		backend.Destroy()
+		world[0].Finalize()
+	}
+	if err := backend.Activate(core.IterationContext{Iteration: 1, Size: 1, Comm: world[0]}); err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	for _, blk := range blocks {
+		if err := backend.Stage(1, core.BlockMeta{Type: "imagedata"}, blk.Encode()); err != nil {
+			cleanup()
+			return nil, nil, err
+		}
+	}
+	exec = func() (int, error) {
+		res, err := backend.Execute(1)
+		return int(res.Summary["triangles"]), err
+	}
+	return exec, cleanup, nil
+}
+
+// BenchIsoExecute measures one warm extract + render of the gs_iso_inproc
+// shape on a pipeline-owned workspace.
+func BenchIsoExecute(b *testing.B) {
+	blocks, err := grayScottSlabs(64, 200, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exec, cleanup, err := isoExecuteEnv(blocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cleanup()
+	if _, err := exec(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"colza/internal/core"
+	"colza/internal/vtk"
 )
 
 // The `go test -bench` entry points for the zero-copy hot-path
@@ -14,6 +15,9 @@ func BenchmarkStagePut(b *testing.B)           { BenchStagePut(b) }
 func BenchmarkStagePutCompressed(b *testing.B) { BenchStagePutCompressed(b) }
 func BenchmarkBulkPull(b *testing.B)           { BenchBulkPull(b) }
 func BenchmarkCompositePooled(b *testing.B)    { BenchCompositePooled(b) }
+
+// Warm iso execute (extract + render) on the pipeline's own workspace.
+func BenchmarkIsoExecute(b *testing.B) { BenchIsoExecute(b) }
 
 // Overload path: tiny stage pool vs parallel stagers (see saturation.go).
 func BenchmarkStageSaturation(b *testing.B) { BenchStageSaturation(b) }
@@ -50,6 +54,11 @@ const (
 	// per-block budget sits far below the per-RPC ceilings above. Measured
 	// 1.7 with the stage instruments resolved once per handle and slot.
 	ceilBatchedStagePerBlockAllocs = 3.0
+	// A warm catalyst/iso Execute short of composite and PNG: the
+	// controller, the clip plane, the result's summary map. Measured 5, with
+	// 134 k triangles as with 24 k; the mesh and the framebuffer are the
+	// pipeline's and are refilled in place.
+	ceilIsoExecuteAllocs = 6.0
 )
 
 // skipUnderRace: the race detector's instrumentation allocates on its own,
@@ -183,5 +192,46 @@ func TestCompositeAllocsCeiling(t *testing.T) {
 	t.Logf("composite: %.1f allocs/op (baseline %.1f, ceiling %.1f)", allocs, BaselineCompositeAllocs, ceilCompositeAllocs)
 	if allocs > ceilCompositeAllocs {
 		t.Errorf("composite allocs/op = %.1f, ceiling %.1f", allocs, ceilCompositeAllocs)
+	}
+}
+
+// TestIsoExecuteAllocsCeiling holds a warm iso execute — extraction and
+// rasterization of the gs_iso_inproc shape on the pipeline's workspace — to
+// a constant number of allocations: the same for the full block set as for
+// an eighth of it, i.e. none per block, voxel or triangle. A slice grown per
+// triangle, a per-block mesh or a fresh framebuffer shows here at once.
+func TestIsoExecuteAllocsCeiling(t *testing.T) {
+	skipUnderRace(t)
+	blocks, err := grayScottSlabs(64, 200, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perRun [2]float64
+	var triangles [2]int
+	for k, set := range [][]*vtk.ImageData{blocks, blocks[7:9]} {
+		exec, cleanup, err := isoExecuteEnv(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if triangles[k], err = exec(); err != nil { // warm: sizes the workspace
+			t.Fatal(err)
+		}
+		perRun[k] = testing.AllocsPerRun(5, func() {
+			if _, err := exec(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		cleanup()
+	}
+	t.Logf("iso execute: %.0f allocs/op at %d triangles, %.0f at %d (ceiling %.0f)",
+		perRun[0], triangles[0], perRun[1], triangles[1], ceilIsoExecuteAllocs)
+	if triangles[1] == 0 || triangles[0] < 4*triangles[1] {
+		t.Fatalf("block sets extract %d and %d triangles: not two sizes apart", triangles[0], triangles[1])
+	}
+	if perRun[0] != perRun[1] {
+		t.Errorf("allocs/op depend on the data: %.0f at %d triangles, %.0f at %d", perRun[0], triangles[0], perRun[1], triangles[1])
+	}
+	if perRun[0] > ceilIsoExecuteAllocs {
+		t.Errorf("iso execute allocs/op = %.0f, ceiling %.0f", perRun[0], ceilIsoExecuteAllocs)
 	}
 }

@@ -42,18 +42,24 @@ func Register() {
 	registerStats()
 }
 
-// IsoPipeline is the Colza backend wrapping ExecuteIso. One instance runs
-// on every staging server; instances of the same iteration communicate
-// through the controller built from the activation context.
+// IsoPipeline is the Colza backend running the iso pipeline body (the one
+// behind ExecuteIso). One instance runs on every staging server; instances
+// of the same iteration communicate through the controller built from the
+// activation context. The instance owns the workspace its executes fill —
+// surface mesh and local framebuffer — so a steady run of iterations
+// allocates neither; one execute runs on an instance at a time.
 type IsoPipeline struct {
 	cfg IsoConfig
 
-	mu       sync.Mutex
-	ctx      core.IterationContext
-	active   bool
-	warmed   bool
-	staged   map[uint64][]*vtk.ImageData
-	LastStat Stats
+	mu        sync.Mutex
+	ctx       core.IterationContext
+	active    bool
+	warmed    bool
+	executing bool // ws is in use
+	staged    map[uint64][]*vtk.ImageData
+	LastStat  Stats
+
+	ws isoWorkspace // touched only by the execute that set executing
 }
 
 var _ core.Backend = (*IsoPipeline)(nil)
@@ -98,12 +104,22 @@ func (p *IsoPipeline) Execute(it uint64) (core.ExecResult, error) {
 		p.mu.Unlock()
 		return core.ExecResult{}, fmt.Errorf("catalyst: execute outside active iteration %d", it)
 	}
+	if p.executing {
+		p.mu.Unlock()
+		return core.ExecResult{}, fmt.Errorf("catalyst: iso pipeline is already executing iteration %d", it)
+	}
+	p.executing = true
 	ctx := p.ctx
 	blocks := p.staged[it]
 	cfg := p.cfg
 	warmed := p.warmed
 	p.warmed = true
 	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.executing = false
+		p.mu.Unlock()
+	}()
 
 	var warmSecs float64
 	if !warmed {
@@ -112,7 +128,9 @@ func (p *IsoPipeline) Execute(it uint64) (core.ExecResult, error) {
 		warmSecs = warmup(cfg.WarmupKiB, cfg.Width, cfg.Height)
 	}
 	ctrl := vtk.NewController("mona", ctx.Comm)
-	st, img, err := ExecuteIso(ctrl, blocks, cfg)
+	// img may be the workspace's framebuffer: it is encoded below and not
+	// kept past this call.
+	st, img, err := p.ws.execute(ctrl, blocks, cfg)
 	if err != nil {
 		return core.ExecResult{}, err
 	}
@@ -151,12 +169,16 @@ func (p *IsoPipeline) Deactivate(it uint64) error {
 	return nil
 }
 
-// Destroy drops all state.
+// Destroy drops all state, the workspace included (an execute still
+// running keeps it until it returns).
 func (p *IsoPipeline) Destroy() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.staged = nil
 	p.active = false
+	if !p.executing {
+		p.ws = isoWorkspace{}
+	}
 	return nil
 }
 

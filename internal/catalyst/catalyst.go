@@ -5,9 +5,12 @@
 //
 // Two pipelines are provided, matching the paper's evaluation:
 //
-//   - "catalyst/iso": multi-level isosurface extraction, optional plane
-//     clip, rasterization, depth compositing. Used by the Gray-Scott and
-//     Mandelbulb experiments (Figs. 3, 5, 6, 8, 9).
+//   - "catalyst/iso": multi-level isosurface extraction with the optional
+//     plane clip applied to each triangle as it is emitted, rasterization,
+//     depth compositing — one pass from staged block to local framebuffer
+//     over a mesh and a framebuffer the pipeline instance keeps (DESIGN.md
+//     §14). Used by the Gray-Scott and Mandelbulb experiments (Figs. 3, 5,
+//     6, 8, 9).
 //   - "catalyst/volume": block merging followed by volume rendering of
 //     unstructured grids with ordered compositing. Used by the Deep Water
 //     Impact experiments (Figs. 1b, 7, 10).
@@ -178,35 +181,56 @@ func (c *IsoConfig) withDefaults() {
 }
 
 // ExecuteIso runs the isosurface pipeline body over the blocks staged on
-// this rank: contour each block (possibly at several iso levels), clip,
-// rasterize locally, composite across the controller. The composited
-// image is returned on rank 0.
+// this rank: contour each block (possibly at several iso levels) with the
+// clip applied as triangles are emitted, rasterize locally, composite
+// across the controller. The composited image is returned on rank 0. It
+// runs on a workspace of its own, so the caller owns the returned image;
+// IsoPipeline runs the same body on the workspace it keeps.
 func ExecuteIso(ctrl *vtk.Controller, blocks []*vtk.ImageData, cfg IsoConfig) (Stats, *render.Image, error) {
+	var ws isoWorkspace
+	return ws.execute(ctrl, blocks, cfg)
+}
+
+// isoWorkspace is the storage one iso execute fills: the extracted surface
+// and the local framebuffer. An owner that keeps it between executes (one
+// IsoPipeline instance, never two goroutines at once) pays for that storage
+// once: execute resets and refills it, and allocates only when an iteration
+// extracts more triangles than any before it or the frame size changes.
+// Nothing computed in one execute is reused by the next.
+//
+// Ownership of the framebuffer: icet.Composite hands the local framebuffer
+// back as its result when the group has one rank, so the image execute
+// returns may be ws.frame. It is valid until the next execute on the same
+// workspace and must not be retained past it, nor handed to
+// render.PutImage.
+type isoWorkspace struct {
+	surface vtk.TriangleMesh
+	frame   *render.Image
+}
+
+func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, cfg IsoConfig) (Stats, *render.Image, error) {
 	cfg.withDefaults()
 	var st Stats
 	start := time.Now()
 
 	// Surface extraction: the computation-heavy, embarrassingly parallel
 	// part (gated and timed as pure local compute).
-	computeGate.Lock()
-	t0 := time.Now()
-	surface := &vtk.TriangleMesh{}
-	var exErr error
-	for _, blk := range blocks {
-		for _, iso := range cfg.IsoValues {
-			mesh, err := vtk.Isosurface(blk, cfg.Field, iso)
-			if err != nil {
-				exErr = err
-				break
-			}
-			surface.Append(mesh)
-		}
-	}
-	if exErr == nil && cfg.Clip != nil {
-		surface = vtk.ClipMesh(surface, vtk.Plane{
+	var clip *vtk.Plane
+	if cfg.Clip != nil {
+		clip = &vtk.Plane{
 			Normal: [3]float32{float32(cfg.Clip.Normal[0]), float32(cfg.Clip.Normal[1]), float32(cfg.Clip.Normal[2])},
 			Offset: float32(cfg.Clip.Offset),
-		})
+		}
+	}
+	surface := &ws.surface
+	computeGate.Lock()
+	t0 := time.Now()
+	surface.Reset()
+	var exErr error
+	for _, blk := range blocks {
+		if exErr = vtk.ExtractIsosurfaces(surface, blk, cfg.Field, cfg.IsoValues, clip); exErr != nil {
+			break
+		}
 	}
 	st.ExtractSeconds = time.Since(t0).Seconds()
 	computeGate.Unlock()
@@ -233,7 +257,13 @@ func ExecuteIso(ctrl *vtk.Controller, blocks []*vtk.ImageData, cfg IsoConfig) (S
 	// Local rendering (gated pure compute).
 	computeGate.Lock()
 	t1 := time.Now()
-	im := render.NewImage(cfg.Width, cfg.Height)
+	im := ws.frame
+	if im == nil || im.W != cfg.Width || im.H != cfg.Height {
+		im = render.NewImage(cfg.Width, cfg.Height)
+		ws.frame = im
+	} else {
+		im.Clear()
+	}
 	render.RasterizeMesh(im, cam, surface, pickColorMap(cfg.ColorMap), cfg.ScalarRange)
 	st.RenderSeconds = time.Since(t1).Seconds()
 	computeGate.Unlock()

@@ -604,3 +604,29 @@ func TestCommIDDistinctAcrossPipelines(t *testing.T) {
 		t.Fatal("comm id must never be zero")
 	}
 }
+
+// A server that is shut down releases what its pipelines hold: every
+// backend is destroyed, even though the caller may keep the Server value.
+func TestShutdownDestroysBackends(t *testing.T) {
+	d := deploy(t, 1)
+	mockMu.Lock()
+	before := len(mockInsts)
+	mockMu.Unlock()
+	d.createEverywhere(t, "viz")
+	d.createEverywhere(t, "viz2")
+	mockMu.Lock()
+	created := append([]*mockPipeline(nil), mockInsts[before:]...)
+	mockMu.Unlock()
+	if len(created) != 2 {
+		t.Fatalf("%d mock pipelines created, want 2", len(created))
+	}
+	d.servers[0].Shutdown()
+	for i, m := range created {
+		m.mu.Lock()
+		n := m.destroys
+		m.mu.Unlock()
+		if n != 1 {
+			t.Errorf("pipeline %d destroyed %d times by Shutdown, want once", i, n)
+		}
+	}
+}

@@ -418,6 +418,23 @@ func (p *Provider) destroyPipeline(name string, flush func(func())) error {
 	return slot.backend.Destroy()
 }
 
+// destroyBackends destroys every pipeline's backend; the server calls it
+// after its endpoint stopped admitting requests. The slots stay, so a late
+// handler still finds its pipeline (and an inactive backend).
+func (p *Provider) destroyBackends() {
+	p.mu.Lock()
+	slots := make([]*pipelineSlot, 0, len(p.pipelines))
+	for _, slot := range p.pipelines {
+		slots = append(slots, slot)
+	}
+	p.mu.Unlock()
+	for _, slot := range slots {
+		slot.mu.Lock()
+		_ = slot.backend.Destroy() // nothing to report to: the server is gone
+		slot.mu.Unlock()
+	}
+}
+
 // Pipelines lists locally instantiated pipeline names.
 func (p *Provider) Pipelines() []string {
 	p.mu.Lock()

@@ -166,8 +166,12 @@ func StartInprocServer(net *na.InprocNetwork, name string, cfg ServerConfig) (*S
 func (s *Server) Addr() string { return s.MI.Addr() }
 
 // Shutdown stops the server abruptly (no leave announcement) — the crash
-// path. Use the admin leave RPC for graceful departure.
+// path. Use the admin leave RPC for graceful departure. Once the endpoint
+// is closed the pipelines' backends are destroyed, so what they hold (the
+// iso pipeline's mesh and framebuffer, say) is released even while the
+// caller keeps the Server value.
 func (s *Server) Shutdown() {
 	s.Group.Shutdown()
 	s.MI.Finalize()
+	s.Provider.destroyBackends()
 }

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"image"
-	"image/color"
 	"image/png"
 	"math"
+	"sync"
 )
 
 // ErrImage reports a malformed serialized framebuffer.
@@ -87,21 +87,31 @@ func DecodeImage(data []byte) (*Image, error) {
 	return im, nil
 }
 
-// PNG encodes the color plane as a PNG.
+// PNG encodes the color plane as a PNG. The plane already has the layout
+// of image.NRGBA's Pix (non-premultiplied RGBA, row-major, no padding), so
+// the encoder reads it in place.
 func (im *Image) PNG() ([]byte, error) {
-	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b, a := im.At(x, y)
-			out.SetNRGBA(x, y, color.NRGBA{R: r, G: g, B: b, A: a})
-		}
-	}
+	src := image.NRGBA{Pix: im.RGBA, Stride: 4 * im.W, Rect: image.Rect(0, 0, im.W, im.H)}
 	var buf bytes.Buffer
-	if err := png.Encode(&buf, out); err != nil {
+	if err := pngEncoder.Encode(&buf, &src); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
+
+// pngEncoder is png.Encode's encoder (default compression) with its
+// per-image scratch — row filters and the deflate state — recycled between
+// encodes.
+var pngEncoder = png.Encoder{BufferPool: &pngBufferPool{}}
+
+type pngBufferPool struct{ pool sync.Pool }
+
+func (p *pngBufferPool) Get() *png.EncoderBuffer {
+	b, _ := p.pool.Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (p *pngBufferPool) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
 
 // CoveredPixels counts pixels with finite depth (geometry present).
 func (im *Image) CoveredPixels() int {

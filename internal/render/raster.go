@@ -48,8 +48,16 @@ func (c Camera) viewProjection(aspect float64) Mat4 {
 // z-buffering, per-vertex colors from the scalar field, and Lambertian
 // shading against a headlight. scalarRange normalizes scalars into the
 // colormap domain.
+//
+// A triangle is projected first and shaded only if it survives: one with a
+// vertex at or behind the eye plane, off screen, or without area costs three
+// projections and nothing else. The colormap and the shading term are
+// looked up again only when a vertex's scalar or normal differs from the
+// previous vertex's — an isosurface carries one scalar per level and one
+// normal per facet.
 func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap, scalarRange [2]float64) {
-	if mesh.NumTriangles() == 0 {
+	nt := mesh.NumTriangles()
+	if nt == 0 {
 		return
 	}
 	vp := cam.viewProjection(float64(im.W) / float64(im.H))
@@ -58,87 +66,123 @@ func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap,
 	if span == 0 {
 		span = 1
 	}
-	nt := mesh.NumTriangles()
+	halfW, halfH := 0.5*float64(im.W), 0.5*float64(im.H)
+
+	// The last scalar and normal looked up (by bit pattern) and what they
+	// mapped to.
+	var (
+		primed                         bool
+		lastS                          uint32
+		lastN                          [3]uint32
+		lastR, lastG, lastB, lastShade float64
+	)
+
 	var sx, sy, sz [3]float64
 	var colR, colG, colB [3]float64
 	for t := 0; t < nt; t++ {
+		pos := (*[9]float32)(mesh.Positions[9*t:])
 		visible := true
 		for v := 0; v < 3; v++ {
-			base := 9*t + 3*v
-			p := Vec3{
-				float64(mesh.Positions[base]),
-				float64(mesh.Positions[base+1]),
-				float64(mesh.Positions[base+2]),
-			}
-			x, y, z, w := vp.MulPoint(p)
+			// vp.MulPoint, written out: the call copies the matrix.
+			px, py, pz := float64(pos[3*v]), float64(pos[3*v+1]), float64(pos[3*v+2])
+			x := vp[0]*px + vp[4]*py + vp[8]*pz + vp[12]
+			y := vp[1]*px + vp[5]*py + vp[9]*pz + vp[13]
+			z := vp[2]*px + vp[6]*py + vp[10]*pz + vp[14]
+			w := vp[3]*px + vp[7]*py + vp[11]*pz + vp[15]
 			if w <= 1e-9 {
 				visible = false
 				break
 			}
-			sx[v] = (x/w + 1) * 0.5 * float64(im.W)
-			sy[v] = (1 - y/w) * 0.5 * float64(im.H)
+			sx[v] = (x/w + 1) * halfW
+			sy[v] = (1 - y/w) * halfH
 			sz[v] = z / w
-
-			n := Vec3{
-				float64(mesh.Normals[base]),
-				float64(mesh.Normals[base+1]),
-				float64(mesh.Normals[base+2]),
-			}
-			diff := math.Abs(n.Dot(lightDir)) // two-sided shading
-			shade := 0.25 + 0.75*diff
-			sc := (float64(mesh.Scalars[3*t+v]) - scalarRange[0]) / span
-			r, g, b := cmap(sc)
-			colR[v] = float64(r) * shade
-			colG[v] = float64(g) * shade
-			colB[v] = float64(b) * shade
 		}
 		if !visible {
 			continue
 		}
-		fillTriangle(im, sx, sy, sz, colR, colG, colB)
+		box, ok := coveredBox(im, &sx, &sy)
+		if !ok {
+			continue
+		}
+		area := (sx[1]-sx[0])*(sy[2]-sy[0]) - (sx[2]-sx[0])*(sy[1]-sy[0])
+		if math.Abs(area) < 1e-12 {
+			continue
+		}
+		nrm := (*[9]float32)(mesh.Normals[9*t:])
+		scal := (*[3]float32)(mesh.Scalars[3*t:])
+		for v := 0; v < 3; v++ {
+			n := [3]uint32{math.Float32bits(nrm[3*v]), math.Float32bits(nrm[3*v+1]), math.Float32bits(nrm[3*v+2])}
+			if !primed || n != lastN {
+				lastN = n
+				dir := Vec3{float64(nrm[3*v]), float64(nrm[3*v+1]), float64(nrm[3*v+2])}
+				lastShade = 0.25 + 0.75*math.Abs(dir.Dot(lightDir)) // two-sided shading
+			}
+			if s := math.Float32bits(scal[v]); !primed || s != lastS {
+				lastS = s
+				r, g, b := cmap((float64(scal[v]) - scalarRange[0]) / span)
+				lastR, lastG, lastB = float64(r), float64(g), float64(b)
+			}
+			primed = true
+			colR[v] = lastR * lastShade
+			colG[v] = lastG * lastShade
+			colB[v] = lastB * lastShade
+		}
+		fillTriangle(im, box, 1/area, &sx, &sy, &sz, &colR, &colG, &colB)
 	}
 }
 
-// fillTriangle rasterizes one screen-space triangle with barycentric
-// interpolation and a z-buffer test.
-func fillTriangle(im *Image, sx, sy, sz [3]float64, cr, cg, cb [3]float64) {
-	minX := int(math.Floor(math.Min(sx[0], math.Min(sx[1], sx[2]))))
-	maxX := int(math.Ceil(math.Max(sx[0], math.Max(sx[1], sx[2]))))
-	minY := int(math.Floor(math.Min(sy[0], math.Min(sy[1], sy[2]))))
-	maxY := int(math.Ceil(math.Max(sy[0], math.Max(sy[1], sy[2]))))
-	if minX < 0 {
-		minX = 0
+// pixelBox is an inclusive pixel rectangle.
+type pixelBox struct{ minX, maxX, minY, maxY int }
+
+// coveredBox returns the pixels a screen-space triangle can cover: its
+// bounding box clamped to the image; ok is false when that is empty.
+func coveredBox(im *Image, sx, sy *[3]float64) (box pixelBox, ok bool) {
+	box = pixelBox{
+		minX: int(math.Floor(min(sx[0], sx[1], sx[2]))),
+		maxX: int(math.Ceil(max(sx[0], sx[1], sx[2]))),
+		minY: int(math.Floor(min(sy[0], sy[1], sy[2]))),
+		maxY: int(math.Ceil(max(sy[0], sy[1], sy[2]))),
 	}
-	if minY < 0 {
-		minY = 0
+	if box.minX < 0 {
+		box.minX = 0
 	}
-	if maxX >= im.W {
-		maxX = im.W - 1
+	if box.minY < 0 {
+		box.minY = 0
 	}
-	if maxY >= im.H {
-		maxY = im.H - 1
+	if box.maxX >= im.W {
+		box.maxX = im.W - 1
 	}
-	if minX > maxX || minY > maxY {
-		return
+	if box.maxY >= im.H {
+		box.maxY = im.H - 1
 	}
+	return box, box.minX <= box.maxX && box.minY <= box.maxY
+}
+
+// fillTriangle rasterizes one screen-space triangle over box (from
+// coveredBox) with barycentric interpolation and a z-buffer test; inv is
+// one over twice its signed area.
+func fillTriangle(im *Image, box pixelBox, inv float64, sx, sy, sz, cr, cg, cb *[3]float64) {
 	x0, y0, x1, y1, x2, y2 := sx[0], sy[0], sx[1], sy[1], sx[2], sy[2]
-	area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
-	if math.Abs(area) < 1e-12 {
-		return
-	}
-	inv := 1 / area
-	for py := minY; py <= maxY; py++ {
+	for py := box.minY; py <= box.maxY; py++ {
 		fy := float64(py) + 0.5
-		for px := minX; px <= maxX; px++ {
+		dy0, dy1, dy2 := y0-fy, y1-fy, y2-fy
+		row := py * im.W
+		for px := box.minX; px <= box.maxX; px++ {
 			fx := float64(px) + 0.5
-			w0 := ((x1-fx)*(y2-fy) - (x2-fx)*(y1-fy)) * inv
-			w1 := ((x2-fx)*(y0-fy) - (x0-fx)*(y2-fy)) * inv
+			w0 := ((x1-fx)*dy2 - (x2-fx)*dy1) * inv
+			if w0 < 0 {
+				continue
+			}
+			w1 := ((x2-fx)*dy0 - (x0-fx)*dy2) * inv
+			if w1 < 0 {
+				continue
+			}
 			w2 := 1 - w0 - w1
-			if w0 < 0 || w1 < 0 || w2 < 0 {
+			if w2 < 0 {
 				continue
 			}
 			z := float32(w0*sz[0] + w1*sz[1] + w2*sz[2])
-			idx := py*im.W + px
+			idx := row + px
 			if z >= im.Depth[idx] {
 				continue
 			}

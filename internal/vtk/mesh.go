@@ -3,6 +3,7 @@ package vtk
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 func floatBits(v float32) uint32     { return math.Float32bits(v) }
@@ -23,8 +24,27 @@ func (m *TriangleMesh) NumTriangles() int { return len(m.Positions) / 9 }
 // NumVertices returns the vertex count.
 func (m *TriangleMesh) NumVertices() int { return len(m.Positions) / 3 }
 
+// Reset empties the mesh and keeps its storage, so that refilling it with
+// a mesh no larger than the previous one allocates nothing.
+func (m *TriangleMesh) Reset() {
+	m.Positions = m.Positions[:0]
+	m.Normals = m.Normals[:0]
+	m.Scalars = m.Scalars[:0]
+}
+
+// Reserve makes room for n more triangles: the next n AddTriangle calls
+// will not allocate.
+func (m *TriangleMesh) Reserve(n int) {
+	m.Positions = slices.Grow(m.Positions, 9*n)
+	m.Normals = slices.Grow(m.Normals, 9*n)
+	m.Scalars = slices.Grow(m.Scalars, 3*n)
+}
+
 // AddTriangle appends one triangle with per-vertex scalars; the facet
-// normal is computed and shared by the three vertices.
+// normal is computed and shared by the three vertices. Storage grows
+// geometrically — by a quarter once the mesh is large, as append does, so
+// that a mesh kept for reuse holds little more than it needs — and not at
+// all once the mesh has been Reset after holding as many triangles.
 func (m *TriangleMesh) AddTriangle(p0, p1, p2 [3]float32, s0, s1, s2 float32) {
 	ux, uy, uz := p1[0]-p0[0], p1[1]-p0[1], p1[2]-p0[2]
 	vx, vy, vz := p2[0]-p0[0], p2[1]-p0[1], p2[2]-p0[2]
@@ -33,11 +53,18 @@ func (m *TriangleMesh) AddTriangle(p0, p1, p2 [3]float32, s0, s1, s2 float32) {
 	if l > 0 {
 		nx, ny, nz = nx/l, ny/l, nz/l
 	}
-	for _, p := range [][3]float32{p0, p1, p2} {
-		m.Positions = append(m.Positions, p[0], p[1], p[2])
-		m.Normals = append(m.Normals, nx, ny, nz)
+	np, nn, ns := len(m.Positions), len(m.Normals), len(m.Scalars)
+	if np+9 > cap(m.Positions) || nn+9 > cap(m.Normals) || ns+3 > cap(m.Scalars) {
+		m.Reserve((ns/3 + 3072) / 4)
 	}
-	m.Scalars = append(m.Scalars, s0, s1, s2)
+	m.Positions = m.Positions[:np+9]
+	*(*[9]float32)(m.Positions[np:]) = [9]float32{
+		p0[0], p0[1], p0[2], p1[0], p1[1], p1[2], p2[0], p2[1], p2[2],
+	}
+	m.Normals = m.Normals[:nn+9]
+	*(*[9]float32)(m.Normals[nn:]) = [9]float32{nx, ny, nz, nx, ny, nz, nx, ny, nz}
+	m.Scalars = m.Scalars[:ns+3]
+	*(*[3]float32)(m.Scalars[ns:]) = [3]float32{s0, s1, s2}
 }
 
 // Bounds returns the axis-aligned bounding box (min, max); zero boxes for
