@@ -2,10 +2,6 @@ GO ?= go
 
 .PHONY: all build vet test race cover fuzz bench-smoke ci
 
-# Packages whose statement coverage is gated (see `cover`).
-COVER_PKGS = ./internal/obs/ ./internal/collectives/ ./internal/icet/
-COVER_FLOOR = 60
-
 all: build vet test
 
 build:
@@ -20,8 +16,9 @@ test:
 race:
 	$(GO) test -race -timeout 600s ./...
 
-# Enforce the coverage floor on the gated packages. Fuzz seed corpora run
-# as part of the normal test pass (go test executes every f.Add seed).
+# Enforce the coverage floors (packages, files and floors are listed at the
+# end of ci.sh). Fuzz seed corpora run as part of the normal test pass (go
+# test executes every f.Add seed).
 cover:
 	./ci.sh cover
 
@@ -34,13 +31,13 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzShmFrameDecode -fuzztime=10s ./internal/na/
 
 # Zero-copy hot-path smoke: one racing pass over the micro-benchmarks
-# (correctness under -race), then the allocs/op regression gates in a pure
-# build (the ceilings exclude race-instrumentation overhead) — the stage,
-# pull and composite paths and a warm iso execute
-# (TestIsoExecuteAllocsCeiling). See internal/bench/micro.go and
-# BENCH_3.json.
+# (correctness under -race), then the allocs/op ceilings in a pure build
+# (they exclude race-instrumentation overhead) — the stage, pull, batcher
+# and composite paths and a warm iso execute; see
+# internal/bench/micro_test.go. Speed is not measured here:
+# `bash benchmark/run.sh --workload <name>` does that, on a real deployment.
 bench-smoke:
-	$(GO) test -race -run NONE -bench 'BenchmarkStagePut|BenchmarkBulkPull|BenchmarkCompositePooled|BenchmarkStageSaturation|BenchmarkStageBatched|BenchmarkStageOverSM' -benchtime=1x ./internal/bench/
+	$(GO) test -race -run NONE -bench 'BenchmarkStagePut|BenchmarkBulkPull|BenchmarkCompositePooled|BenchmarkIsoExecute' -benchtime=1x ./internal/bench/
 	$(GO) test -count=1 -run 'AllocsCeiling' ./internal/bench/
 	# Codec kernel before/after: word-wise shuffle/XOR next to their
 	# byte-wise references (see internal/codec/kernels.go).

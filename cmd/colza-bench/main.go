@@ -27,65 +27,9 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	out := flag.String("out", "", "also write results to this file")
 	csvDir := flag.String("csv", "", "also write each table as <dir>/<name>.csv")
-	benchJSON := flag.String("benchjson", "", "run the zero-copy micro-benchmarks and write the BENCH_3.json trajectory point to this path")
-	bench6JSON := flag.String("bench6json", "", "run the wire-compression micro-benchmarks and write the BENCH_6.json trajectory point to this path")
-	bench9JSON := flag.String("bench9json", "", "run the batched-vs-unbatched stage benchmarks and write the BENCH_9.json trajectory point to this path")
-	bench10JSON := flag.String("bench10json", "", "run the sm-vs-TCP stage benchmarks and write the BENCH_10.json trajectory point to this path")
 	flag.Parse()
 
 	catalyst.Register()
-
-	if *benchJSON != "" {
-		data, err := bench.ZeroCopyTrajectoryJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-	}
-	if *bench6JSON != "" {
-		data, err := bench.CompressionTrajectoryJSON(*quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*bench6JSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *bench6JSON)
-	}
-	if *bench9JSON != "" {
-		data, err := bench.StageBatchTrajectoryJSON(*quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*bench9JSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *bench9JSON)
-	}
-	if *bench10JSON != "" {
-		data, err := bench.ShmTrajectoryJSON(*quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*bench10JSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *bench10JSON)
-	}
-	if (*benchJSON != "" || *bench6JSON != "" || *bench9JSON != "" || *bench10JSON != "") && flag.NArg() == 0 {
-		return
-	}
 
 	if *list {
 		for _, e := range bench.All() {

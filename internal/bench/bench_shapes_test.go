@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -234,19 +235,22 @@ func TestAblationsRun(t *testing.T) {
 	_ = tab
 }
 
+// The registry is the paper's evaluation and the DESIGN.md ablations, in
+// presentation order — the experiments results_full.txt lists.
 func TestRegistryComplete(t *testing.T) {
-	all := All()
-	if len(all) != 21 {
-		t.Fatalf("%d experiments registered, want 21", len(all))
+	want := []string{
+		"fig1a", "fig4", "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+		"a1", "a2", "a3", "a4", "a5", "ext-autoscale", "ext-shm",
 	}
-	if _, err := Lookup("batch"); err != nil {
-		t.Fatal(err)
+	var got []string
+	for _, e := range All() {
+		got = append(got, e.Name)
+		if _, err := Lookup(e.Name); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Lookup("smstage"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Lookup("fig9"); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(got, want) {
+		t.Fatalf("registered experiments = %v, want %v", got, want)
 	}
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("unknown lookup should fail")

@@ -1,29 +1,16 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
-	"testing"
 	"time"
 
-	"colza/internal/bufpool"
-	"colza/internal/catalyst"
 	"colza/internal/collectives"
 	"colza/internal/core"
-	"colza/internal/icet"
-	"colza/internal/margo"
-	"colza/internal/mercury"
-	"colza/internal/minimpi"
-	"colza/internal/mona"
 	"colza/internal/na"
-	"colza/internal/render"
 	"colza/internal/sim"
 	"colza/internal/ssg"
 	"colza/internal/vstack"
-	"colza/internal/vtk"
 )
 
 // Fig1aDataGrowth reproduces Figure 1a: cells and file size per iteration
@@ -391,391 +378,4 @@ func sizeLabel(n int) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// --- Zero-copy hot-path micro-benchmarks (BENCH_3) ------------------------
-//
-// The stage → pull → composite hot path is pooled end to end (bufpool wire
-// frames, PullBulkInto, render's image pool). These benchmarks are the
-// harness that locks the result in: they run both under `go test -bench`
-// (see micro_test.go) and from colza-bench, which emits the BENCH_3.json
-// trajectory point comparing against the pre-change baselines below.
-
-// Pre-change allocs/op baselines, measured at the seed of this change
-// (encode-into-fresh-slice, PullBulk-into-fresh-slice, unpooled composite
-// scratch) with the exact op shapes of the benchmarks below.
-const (
-	BaselineStagePutAllocs  = 85.0
-	BaselineBulkPullAllocs  = 21.0
-	BaselineCompositeAllocs = 48.0
-)
-
-// sinkBackend is the no-op pipeline the staging benchmarks stage into; it
-// follows the Backend contract (data is borrowed only for the call).
-type sinkBackend struct{ bytes atomic.Int64 }
-
-func (s *sinkBackend) Activate(core.IterationContext) error { return nil }
-func (s *sinkBackend) Stage(it uint64, meta core.BlockMeta, data []byte) error {
-	s.bytes.Add(int64(len(data)))
-	return nil
-}
-func (s *sinkBackend) Execute(uint64) (core.ExecResult, error) { return core.ExecResult{}, nil }
-func (s *sinkBackend) Deactivate(uint64) error                 { return nil }
-func (s *sinkBackend) Destroy() error                          { return nil }
-
-func init() {
-	core.RegisterPipelineType("bench/sink", func(json.RawMessage) (core.Backend, error) {
-		return &sinkBackend{}, nil
-	})
-}
-
-// stagePutEnv builds the minimal single-server staging deployment the
-// stage-put benchmark drives: in-process transport, one provider hosting a
-// sink pipeline, and a solo (non-collective) client handle with iteration
-// 1 active. Returned cleanup finalizes both margo instances.
-func stagePutEnv() (h *core.PipelineHandle, img *vtk.ImageData, cleanup func(), err error) {
-	net := na.NewInprocNetwork()
-	sEP, err := net.Listen("micro-srv")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	mi := margo.NewInstance(sEP)
-	mEP, err := net.Listen("micro-srv:mona")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	mn := mona.NewInstance(mEP)
-	prov := core.NewProvider(mi, mn, nil)
-	if err := prov.CreatePipeline("bench", "bench/sink", nil); err != nil {
-		return nil, nil, nil, err
-	}
-	cEP, err := net.Listen("micro-cli")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cmi := margo.NewInstance(cEP)
-	cli := core.NewClient(cmi)
-	h = cli.SoloHandle("bench", mi.Addr())
-	if err := h.Activate(1); err != nil {
-		return nil, nil, nil, err
-	}
-	img = vtk.NewImageData([3]int{32, 32, 32}, [3]float64{}, [3]float64{1, 1, 1})
-	a := img.AddPointArray("v", 1)
-	for i := range a.Data {
-		a.Data[i] = float32(i % 97)
-	}
-	cleanup = func() {
-		cmi.Finalize()
-		mi.Finalize()
-	}
-	return h, img, cleanup, nil
-}
-
-// stagePutOp is one benchmarked operation: encode the block into a pooled
-// frame, stage it through the full RPC + bulk-pull path, recycle the frame.
-func stagePutOp(h *core.PipelineHandle, img *vtk.ImageData, meta core.BlockMeta) error {
-	data := img.AppendEncode(bufpool.Get(img.EncodedSize())[:0])
-	err := h.Stage(1, meta, data)
-	bufpool.Put(data)
-	return err
-}
-
-// BenchStagePut measures the client-observed stage hot path: vtk encode →
-// bulk expose → stage RPC → server-side concurrent pull → backend.
-func BenchStagePut(b *testing.B) {
-	h, img, cleanup, err := stagePutEnv()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cleanup()
-	meta := core.BlockMeta{Field: "v", BlockID: 0, Type: "imagedata"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := stagePutOp(h, img, meta); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchStagePutCompressed measures the same stage hot path with the wire
-// codec forced to delta — the costliest client path: pooled XOR copy,
-// shuffle+RLE encode into a pooled wire buffer, base Remember — plus the
-// server-side decode and XOR reconstruction.
-func BenchStagePutCompressed(b *testing.B) {
-	h, img, cleanup, err := stagePutEnv()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cleanup()
-	if err := h.SetCodec("delta"); err != nil {
-		b.Fatal(err)
-	}
-	meta := core.BlockMeta{Field: "v", BlockID: 0, Type: "imagedata"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := stagePutOp(h, img, meta); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// bulkPullEnv exposes a 1 MiB region on one endpoint and returns the
-// puller's class plus the handle.
-func bulkPullEnv() (puller *mercury.Class, bulk mercury.Bulk, cleanup func(), err error) {
-	net := na.NewInprocNetwork()
-	oEP, err := net.Listen("micro-own")
-	if err != nil {
-		return nil, mercury.Bulk{}, nil, err
-	}
-	pEP, err := net.Listen("micro-pull")
-	if err != nil {
-		return nil, mercury.Bulk{}, nil, err
-	}
-	owner := margo.NewInstance(oEP)
-	pullerMI := margo.NewInstance(pEP)
-	region := make([]byte, 1<<20)
-	for i := range region {
-		region[i] = byte(i * 31)
-	}
-	bulk = owner.Class().Expose(region)
-	cleanup = func() {
-		owner.Class().Release(bulk)
-		pullerMI.Finalize()
-		owner.Finalize()
-	}
-	return pullerMI.Class(), bulk, cleanup, nil
-}
-
-// BenchBulkPull measures a remote 1 MiB chunked pull landing in a reused
-// caller-provided buffer (the PullBulkInto server path).
-func BenchBulkPull(b *testing.B) {
-	puller, bulk, cleanup, err := bulkPullEnv()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cleanup()
-	dst := make([]byte, bulk.Size)
-	b.SetBytes(int64(bulk.Size))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := puller.PullBulkInto(bulk, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// compositeEnv builds deterministic 64×64 framebuffers for 4 ranks.
-func compositeEnv() (world []*minimpi.Comm, imgs []*render.Image) {
-	const ranks, w, h = 4, 64, 64
-	world = minimpi.World(ranks)
-	rng := rand.New(rand.NewSource(3))
-	imgs = make([]*render.Image, ranks)
-	for r := range imgs {
-		im := render.NewImage(w, h)
-		for i := 0; i < w*h; i++ {
-			if rng.Float64() < 0.3 {
-				continue
-			}
-			im.RGBA[4*i+3] = uint8(rng.Intn(256))
-			im.Depth[i] = rng.Float32()
-		}
-		imgs[r] = im
-	}
-	return world, imgs
-}
-
-// compositeOp runs one 4-rank tree-reduce depth composite.
-func compositeOp(world []*minimpi.Comm, imgs []*render.Image) error {
-	errs := make([]error, len(world))
-	var wg sync.WaitGroup
-	for r := range world {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			_, errs[r] = icet.Composite(imgs[r], world[r], icet.TreeReduce, icet.Depth, 0)
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BenchCompositePooled measures a full 4-rank tree composite with the
-// pooled scratch images and wire frames.
-func BenchCompositePooled(b *testing.B) {
-	world, imgs := compositeEnv()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := compositeOp(world, imgs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// grayScottSlabs runs Gray-Scott on an n^3 grid for the given steps and
-// cuts the state into z-slabs that share their boundary planes — the blocks
-// the repository benchmark's gs_iso_inproc workload stages (n 64, 200
-// steps, 16 slabs of 64x64x5 points).
-func grayScottSlabs(n, steps, slabs int) ([]*vtk.ImageData, error) {
-	gs := sim.NewGrayScott(nil, [3]int{n, n, n}, sim.DefaultGrayScott())
-	if err := gs.Step(steps); err != nil {
-		return nil, err
-	}
-	full := gs.Block()
-	per, plane := n/slabs, n*n
-	out := make([]*vtk.ImageData, slabs)
-	for s := range out {
-		z0, z1 := s*per, (s+1)*per
-		if s == slabs-1 {
-			z1 = n - 1
-		}
-		origin := full.Origin
-		origin[2] += float64(z0) * full.Spacing[2]
-		blk := vtk.NewImageData([3]int{n, n, z1 - z0 + 1}, origin, full.Spacing)
-		for _, a := range full.PointData {
-			copy(blk.AddPointArray(a.Name, a.Components).Data, a.Data[z0*plane:(z1+1)*plane])
-		}
-		out[s] = blk
-	}
-	return out, nil
-}
-
-// isoExecuteEnv stages blocks into a catalyst/iso instance configured as
-// gs_iso_inproc configures it (three isovalues, clip at x = n/2, 256x256)
-// and returns its Execute. The instance is the only rank of its group and
-// emits no image, so one call is extraction plus rasterization on the
-// pipeline's own workspace: the composite is the identity and no PNG is
-// encoded. Each call returns the triangle count.
-func isoExecuteEnv(blocks []*vtk.ImageData) (exec func() (int, error), cleanup func(), err error) {
-	catalyst.Register()
-	factory, _ := core.LookupPipelineType(catalyst.IsoPipelineType)
-	cfg, err := json.Marshal(catalyst.IsoConfig{
-		Field: "V", IsoValues: []float64{0.1, 0.2, 0.3}, Width: 256, Height: 256,
-		ScalarRange: [2]float64{0, 0.5}, Strategy: "tree", WarmupKiB: 16,
-		Clip: &catalyst.ClipSpec{Normal: [3]float64{1, 0, 0}, Offset: float64(blocks[0].Dims[0]) / 2},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	backend, err := factory(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	world := minimpi.World(1)
-	cleanup = func() {
-		backend.Destroy()
-		world[0].Finalize()
-	}
-	if err := backend.Activate(core.IterationContext{Iteration: 1, Size: 1, Comm: world[0]}); err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	for _, blk := range blocks {
-		if err := backend.Stage(1, core.BlockMeta{Type: "imagedata"}, blk.Encode()); err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-	}
-	exec = func() (int, error) {
-		res, err := backend.Execute(1)
-		return int(res.Summary["triangles"]), err
-	}
-	return exec, cleanup, nil
-}
-
-// BenchIsoExecute measures one warm extract + render of the gs_iso_inproc
-// shape on a pipeline-owned workspace.
-func BenchIsoExecute(b *testing.B) {
-	blocks, err := grayScottSlabs(64, 200, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exec, cleanup, err := isoExecuteEnv(blocks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cleanup()
-	if _, err := exec(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ZeroCopyPoint is one benchmark's entry in the BENCH_3.json trajectory.
-type ZeroCopyPoint struct {
-	Name           string  `json:"name"`
-	AllocsPerOp    float64 `json:"allocs_per_op"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	NsPerOp        int64   `json:"ns_per_op"`
-	BaselineAllocs float64 `json:"baseline_allocs_per_op"`
-	ReductionPct   float64 `json:"reduction_pct"`
-}
-
-// zeroCopyBenches pairs each benchmark with its pre-change baseline.
-var zeroCopyBenches = []struct {
-	name     string
-	baseline float64
-	fn       func(*testing.B)
-}{
-	{"StagePut", BaselineStagePutAllocs, BenchStagePut},
-	{"BulkPull", BaselineBulkPullAllocs, BenchBulkPull},
-	{"CompositePooled", BaselineCompositeAllocs, BenchCompositePooled},
-}
-
-// RunZeroCopy executes the three micro-benchmarks via testing.Benchmark
-// and returns their trajectory points.
-func RunZeroCopy() []ZeroCopyPoint {
-	out := make([]ZeroCopyPoint, 0, len(zeroCopyBenches))
-	for _, zb := range zeroCopyBenches {
-		r := testing.Benchmark(zb.fn)
-		allocs := float64(r.AllocsPerOp())
-		out = append(out, ZeroCopyPoint{
-			Name:           zb.name,
-			AllocsPerOp:    allocs,
-			BytesPerOp:     r.AllocedBytesPerOp(),
-			NsPerOp:        r.NsPerOp(),
-			BaselineAllocs: zb.baseline,
-			ReductionPct:   100 * (1 - allocs/zb.baseline),
-		})
-	}
-	return out
-}
-
-// MicroZeroCopy is the "micro" experiment: the zero-copy hot-path
-// trajectory as a table (colza-bench -out) — use -benchjson to also write
-// the machine-readable BENCH_3.json point.
-func MicroZeroCopy(quick bool) (*Table, error) {
-	t := &Table{
-		ID:      "BENCH 3",
-		Title:   "zero-copy hot path: allocs/op vs pre-change baseline",
-		Note:    "StagePut = encode+stage 32³ block (solo, inproc); BulkPull = 1MiB PullBulkInto; Composite = 4-rank 64×64 tree/depth",
-		Columns: []string{"benchmark", "allocs/op", "baseline", "reduction_%", "B/op", "ns/op"},
-	}
-	for _, p := range RunZeroCopy() {
-		t.Add(p.Name, p.AllocsPerOp, p.BaselineAllocs, p.ReductionPct, p.BytesPerOp, p.NsPerOp)
-	}
-	return t, nil
-}
-
-// ZeroCopyTrajectoryJSON renders the BENCH_3.json payload.
-func ZeroCopyTrajectoryJSON() ([]byte, error) {
-	doc := struct {
-		Issue      int             `json:"issue"`
-		Benchmarks []ZeroCopyPoint `json:"benchmarks"`
-	}{Issue: 3, Benchmarks: RunZeroCopy()}
-	return json.MarshalIndent(doc, "", "  ")
 }

@@ -32,10 +32,6 @@ func All() []Experiment {
 		{"a5", "ablation: SSG gossip period vs propagation", wrap(AblationA5GossipPeriod)},
 		{"ext-autoscale", "extension: autoscaled DWI run (paper future work 2)", ExtAutoscale},
 		{"ext-shm", "extension: shared-memory vs cross-node MoNA (paper footnote 12)", ExtSharedMemory},
-		{"micro", "zero-copy hot path: allocs/op trajectory (BENCH_3)", MicroZeroCopy},
-		{"compress", "stage wire compression: codec ratios and adaptive reduction (BENCH_6)", MicroCompression},
-		{"batch", "batched stage path: throughput vs per-block staging (BENCH_9)", MicroStageBatch},
-		{"smstage", "shared-memory transport: stage throughput vs TCP loopback (BENCH_10)", MicroShmStage},
 	}
 }
 

@@ -319,26 +319,6 @@ func TestStageBatchedDeltaMismatchFallback(t *testing.T) {
 	}
 }
 
-func TestStageBatchedServerRefusal(t *testing.T) {
-	d := deploy(t, 1)
-	d.createEverywhere(t, "viz")
-	h, _ := batchedHandle(t, d, BatchConfig{MaxBlocks: 2, MaxAge: -1})
-	d.servers[0].Provider.SetStageBatch(false)
-
-	if _, err := h.Activate(1); err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < 2; b++ {
-		if err := h.Stage(1, BlockMeta{Field: "v", BlockID: b, Type: "raw"}, []byte{byte(b)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := h.Flush(1)
-	if err == nil || !strings.Contains(err.Error(), "batched staging disabled") {
-		t.Fatalf("flush against a batch-refusing server = %v", err)
-	}
-}
-
 func TestStageBatchedIterationChangeFlushesOldBatch(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
@@ -538,6 +518,47 @@ func TestStageCloseCancelsRetryBackoff(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stage still sleeping its backoff 5s after the handle closed")
+	}
+}
+
+// TestActivateCloseCancelsRetryBackoff: an Activate that keeps failing
+// (nobody listens at the contact) must return when the handle closes,
+// within one RPC timeout, instead of serving out its view-retry schedule.
+// The first arm backs off after a failed view refresh, the second after a
+// failed prepare round over a pinned view.
+func TestActivateCloseCancelsRetryBackoff(t *testing.T) {
+	for name, pinned := range map[string]bool{"refresh": false, "prepare": true} {
+		t.Run(name, func(t *testing.T) {
+			d := deploy(t, 1)
+			h := d.client.Handle("viz", "inproc://nowhere")
+			h.SetTimeout(time.Second)
+			if pinned {
+				h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: "inproc://nowhere"}}})
+			}
+			h.mu.Lock()
+			h.viewRetry = RetryPolicy{Max: 8, Base: 30 * time.Second, Cap: 60 * time.Second}
+			h.mu.Unlock()
+
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := h.Activate(1)
+				errCh <- err
+			}()
+			time.Sleep(50 * time.Millisecond) // let the first round fail and the backoff start
+			start := time.Now()
+			h.Close()
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, ErrHandleClosed) {
+					t.Fatalf("activate returned %v, want ErrHandleClosed", err)
+				}
+				if elapsed := time.Since(start); elapsed > time.Second {
+					t.Fatalf("activate took %v after close, want under one RPC timeout", elapsed)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("activate still sleeping its backoff 5s after the handle closed")
+			}
+		})
 	}
 }
 

@@ -563,9 +563,6 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 	timeout := h.timeout
 	retries := h.retries
 	view := h.view
-	h.mu.Unlock()
-
-	h.mu.Lock()
 	viewRetry := h.viewRetry
 	h.mu.Unlock()
 
@@ -582,7 +579,9 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 			v, err := h.refreshView(timeout)
 			if err != nil {
 				lastErr = err
-				time.Sleep(h.backoff(viewRetry, attempt))
+				if !h.sleepInterruptible(h.backoff(viewRetry, attempt)) {
+					return MemberView{}, fmt.Errorf("colza: activate aborted: %w", ErrHandleClosed)
+				}
 				continue
 			}
 			view = v
@@ -603,7 +602,9 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 		for _, m := range view.Members {
 			h.c.evictInfo(m.RPC)
 		}
-		time.Sleep(h.backoff(viewRetry, attempt))
+		if !h.sleepInterruptible(h.backoff(viewRetry, attempt)) {
+			return MemberView{}, fmt.Errorf("colza: activate aborted: %w", ErrHandleClosed)
+		}
 		view = MemberView{}
 	}
 	return MemberView{}, fmt.Errorf("%w: %v", ErrActivateFailed, lastErr)

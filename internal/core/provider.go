@@ -174,10 +174,6 @@ type Provider struct {
 	codecOut       map[uint8]*obs.Counter
 	deltas         *codec.DeltaState
 
-	// batchOff refuses stage_batch frames (operator toggle for wire-compat
-	// debugging; the per-block v2 path is unaffected).
-	batchOff atomic.Bool
-
 	// migrateSleep, when non-nil, replaces time.Sleep in the migrate retry
 	// so dessim-style tests cover the backoff without real sleeps;
 	// migrateRNG draws its jitter (leave-time migration runs on a single
@@ -649,10 +645,6 @@ func (p *Provider) fetchStaged(bulk mercury.Bulk) (wire []byte, pooled bool, err
 	return wire, true, nil
 }
 
-// SetStageBatch toggles acceptance of batched stage frames (stagewire v3).
-// Accepted by default; refusing them never affects the per-block v2 path.
-func (p *Provider) SetStageBatch(accept bool) { p.batchOff.Store(!accept) }
-
 // handleStageBatch pulls a multi-block batch in one bulk transfer and
 // hands each block to the pipeline. Frame-level problems (malformed frame,
 // unknown pipeline, inactive iteration, failed pull, unaccepted codec) are
@@ -660,9 +652,6 @@ func (p *Provider) SetStageBatch(accept bool) { p.batchOff.Store(!accept) }
 // decode and backend failures are demultiplexed into the response instead,
 // so one bad block cannot fail or re-send its batch-mates.
 func (p *Provider) handleStageBatch(req mercury.Request) ([]byte, error) {
-	if p.batchOff.Load() {
-		return nil, fmt.Errorf("colza: batched staging disabled on %s", p.mi.Addr())
-	}
 	pipeline, iteration, recs, bulk, err := decodeStageBatchMsg(req.Payload)
 	if err != nil {
 		return nil, err

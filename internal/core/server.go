@@ -34,9 +34,6 @@ type PoolsConfig struct {
 	Control margo.PoolConfig
 	// Data runs stage and execute: sized for throughput.
 	Data margo.PoolConfig
-	// Disable reverts to the historic unbounded goroutine-per-RPC server
-	// (no admission control, no shedding).
-	Disable bool
 }
 
 // Pool names a server defines on its margo instance.
@@ -131,17 +128,15 @@ func StartServer(rpcEP, monaEP na.Endpoint, cfg ServerConfig) (*Server, error) {
 	default:
 		s.Provider.SetStateReplicas(cfg.StateReplicas)
 	}
-	if !cfg.Pools.Disable {
-		pc := cfg.Pools.Control
-		if pc == (margo.PoolConfig{}) {
-			pc = DefaultControlPool()
-		}
-		pd := cfg.Pools.Data
-		if pd == (margo.PoolConfig{}) {
-			pd = DefaultDataPool()
-		}
-		s.Provider.BindPools(mi.DefinePool(ControlPoolName, pc), mi.DefinePool(DataPoolName, pd))
+	pc := cfg.Pools.Control
+	if pc == (margo.PoolConfig{}) {
+		pc = DefaultControlPool()
 	}
+	pd := cfg.Pools.Data
+	if pd == (margo.PoolConfig{}) {
+		pd = DefaultDataPool()
+	}
+	s.Provider.BindPools(mi.DefinePool(ControlPoolName, pc), mi.DefinePool(DataPoolName, pd))
 	mi.OnFinalize(func() { mn.Finalize() })
 	return s, nil
 }
