@@ -55,7 +55,7 @@ if [ "${1:-}" != "cover" ]; then
     # goroutine-leak checks (endpoint teardown, overload shed-and-recover, NBStage
     # bound, batcher drain, controller stop), crash recovery against the
     # replicated-checkpoint oracle, the stage-retry buffer-ownership chaos suites
-    # (raw, compressed, batched, over sm+tcp), the full stack over sm, the fuzz
+    # (raw, compressed, coalesced, over sm+tcp), the full stack over sm, the fuzz
     # seed corpora, and the elastic conformance and live closed-loop suites.
     go test -timeout 300s ./...
     go test -race -timeout 600s ./...
@@ -74,9 +74,10 @@ if [ "${1:-}" != "cover" ]; then
     # break it unseen. Its tests run here, then a 2 s run of three workloads on a
     # real deployment, each of which must exit 0 with every oracle check passed:
     # the per-block TCP stage path, the iso execute path (its oracle holds the
-    # triangle count and every ring slot's PNG hash), and the v3 batcher over the
-    # sm:// arenas. Speed is measured by `benchmark/run.sh` against the parent
-    # commit (BENCHMARK.json), not gated here.
+    # triangle count and every ring slot's PNG hash), and the coalesced stage
+    # path over the sm:// arenas — one workload on each side of the handle's
+    # by-transport choice. Speed is measured by `benchmark/run.sh` against the
+    # parent commit (BENCHMARK.json), not gated here.
     (cd benchmark && go test ./...)
     smoke=$(mktemp)
     for workload in mb_stage_tcp_perblock gs_iso_inproc mb_stage_sm_batched; do
@@ -90,10 +91,11 @@ fi
 # the stack leans on (metrics math, collective algorithms, image
 # compositing). 90%: the codec layer, which decodes whatever a client staged
 # (the untrusted side of the wire); the elastic controller, which actuates
-# real process launches and membership leaves; and, per file, the stage
-# batcher, whose retry path re-exposes a shared payload long after the
-# callers' buffers were recycled — a missed branch there is a silent
-# data-corruption path.
+# real process launches and membership leaves; and, per file, the client
+# stage path — the frame codec (it also decodes what a client sent), the one
+# send function every Stage goes through, and the batcher, whose retry
+# re-exposes a shared payload long after the callers' buffers were recycled:
+# a missed branch there is a silent data-corruption path.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
-check_cover 90 ./internal/core/batch.go ./internal/core/stagebatch.go
+check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go

@@ -13,7 +13,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -36,29 +35,7 @@ const (
 	iterations   = 5
 )
 
-// Client-side stage batching knobs (DESIGN.md §12). Batching stays off by
-// default — the example then stages on the per-block v2 wire path; any
-// non-zero -stage-batch-* flag engages the batcher with these triggers.
-var (
-	batchBytes  = flag.Int("stage-batch-bytes", 0, "flush a pending batch at this many assembled payload bytes (0 = default when batching on)")
-	batchBlocks = flag.Int("stage-batch-blocks", 0, "flush a pending batch at this many blocks (0 = default when batching on)")
-	batchAge    = flag.Duration("stage-batch-age", 0, "flush a non-empty batch this long after its first block (0 = default when batching on)")
-	batchWindow = flag.Int("stage-batch-window", 0, "bound on batches in flight per handle (0 = default when batching on); setting only this still engages batching")
-)
-
-func batchingConfig() (core.BatchConfig, bool) {
-	cfg := core.BatchConfig{
-		MaxBytes:  *batchBytes,
-		MaxBlocks: *batchBlocks,
-		MaxAge:    *batchAge,
-		Window:    *batchWindow,
-	}
-	on := cfg.MaxBytes > 0 || cfg.MaxBlocks > 0 || cfg.MaxAge > 0 || cfg.Window > 0
-	return cfg, on
-}
-
 func main() {
-	flag.Parse()
 	catalyst.Register()
 	net := na.NewInprocNetwork()
 
@@ -126,9 +103,6 @@ func clientRank(net *na.InprocNetwork, world []*minimpi.Comm, rank int, contact 
 	defer mi.Finalize()
 	client := core.NewClient(mi)
 	h := client.Handle("gs-viz", contact)
-	if cfg, on := batchingConfig(); on {
-		h.SetBatching(cfg)
-	}
 	defer h.Close()
 
 	solver := sim.NewGrayScott(c, [3]int{48, 48, 48}, sim.DefaultGrayScott())

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,52 +103,80 @@ func stagePutOp(h *core.PipelineHandle, img *vtk.ImageData) error {
 	return err
 }
 
-// stageBatchEnv builds the single-server distributed deployment the batched
-// op drives: one inproc daemon forming a real SSG group (so the collective
-// handle can Activate), a sink pipeline, and a distributed client handle with
-// iteration 1 active. The solo handle of stagePutEnv cannot be reused here —
-// batching rides the distributed handle's placement and flush-barrier
-// machinery.
+// stageBatchEnv builds the single-server deployment the batched op drives,
+// on sm+tcp endpoints: a handle coalesces exactly when its endpoint publishes
+// staged regions in a shared arena (core.Client.Handle), so that is where the
+// batcher runs, on its constant triggers. One daemon forms a real SSG group
+// (so the collective handle can Activate) and hosts a sink pipeline; the
+// distributed client handle comes back with iteration 1 active.
 func stageBatchEnv(name string) (h *core.DistributedPipelineHandle, cleanup func(), err error) {
-	net := na.NewInprocNetwork()
-	srv, err := core.StartInprocServer(net, name+"-srv", core.ServerConfig{
+	dir, err := os.MkdirTemp("", "czsm-bench-")
+	if err != nil {
+		return nil, nil, err
+	}
+	var (
+		srv *core.Server
+		cmi *margo.Instance
+	)
+	cleanup = func() {
+		if h != nil {
+			h.Close()
+		}
+		if cmi != nil {
+			cmi.Finalize()
+		}
+		if srv != nil {
+			srv.Shutdown()
+		}
+		os.RemoveAll(dir)
+	}
+	defer func() {
+		if err != nil {
+			cleanup()
+		}
+	}()
+	listen := func() (na.Endpoint, error) {
+		ep, err := na.ListenDual("127.0.0.1:0", dir, "")
+		if err != nil {
+			return nil, err
+		}
+		ep.SetRouteLog(nil)
+		return ep, nil
+	}
+	rpcEP, err := listen()
+	if err != nil {
+		return nil, nil, err
+	}
+	monaEP, err := na.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		rpcEP.Close()
+		return nil, nil, err
+	}
+	srv, err = core.StartServer(rpcEP, monaEP, core.ServerConfig{
 		GroupName: name,
 		SSG:       ssg.Config{GossipPeriod: 10 * time.Millisecond},
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	cEP, err := net.Listen(name + "-cli")
+	cEP, err := listen()
 	if err != nil {
-		srv.Shutdown()
 		return nil, nil, err
 	}
-	cmi := margo.NewInstance(cEP)
-	cli := core.NewClient(cmi)
-	admin := core.NewAdminClient(cmi)
-	if err := admin.CreatePipeline(srv.Addr(), "bench", "bench/sink", nil); err != nil {
-		cmi.Finalize()
-		srv.Shutdown()
+	cmi = margo.NewInstance(cEP)
+	if err := core.NewAdminClient(cmi).CreatePipeline(srv.Addr(), "bench", "bench/sink", nil); err != nil {
 		return nil, nil, err
 	}
-	h = cli.Handle("bench", srv.Addr())
+	h = core.NewClient(cmi).Handle("bench", srv.Addr())
 	h.SetTimeout(10 * time.Second)
 	if _, err := h.Activate(1); err != nil {
-		h.Close()
-		cmi.Finalize()
-		srv.Shutdown()
 		return nil, nil, err
-	}
-	cleanup = func() {
-		h.Close()
-		cmi.Finalize()
-		srv.Shutdown()
 	}
 	return h, cleanup, nil
 }
 
 // stageBatchOp stages one iteration's worth of small blocks into the active
-// iteration and drains the handle: the Stage calls enqueue into coalesced v3
+// iteration and drains the handle: the Stage calls enqueue into coalesced
 // frames and Flush is the barrier.
 func stageBatchOp(h *core.DistributedPipelineHandle, blocks int, data []byte) error {
 	meta := core.BlockMeta{Field: "v", Type: "raw"}
@@ -453,8 +482,8 @@ func TestCompressedStagePutAllocsCeiling(t *testing.T) {
 }
 
 // TestBatchedStageAllocsCeiling holds the coalescing stage path to its
-// amortized per-block allocation budget: 64 small blocks staged into v3
-// batch frames plus the Flush barrier, measured per block. A fresh
+// amortized per-block allocation budget: 64 small blocks staged into
+// coalesced frames plus the Flush barrier, measured per block. A fresh
 // (unpooled) payload or frame buffer per batch, or any per-block goroutine
 // sneaking back in, shows up here immediately.
 func TestBatchedStageAllocsCeiling(t *testing.T) {
@@ -464,7 +493,6 @@ func TestBatchedStageAllocsCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cleanup()
-	h.SetBatching(core.BatchConfig{MaxAge: -1})
 	const blocks = 64
 	data := make([]byte, 4<<10)
 	for i := range data {

@@ -10,41 +10,19 @@ import (
 	"colza/internal/obs"
 )
 
-// BatchConfig tunes the per-handle stage batcher (SetBatching). Zero
-// fields take the defaults; batching itself is strictly opt-in — a handle
-// without SetBatching stages every block on the unchanged v2 wire path.
-type BatchConfig struct {
-	// MaxBlocks flushes a rank's pending batch once it holds this many
-	// blocks (default 64).
-	MaxBlocks int
-	// MaxBytes flushes once the assembled encoded payload reaches this
-	// size; it is also the assembly buffer's initial capacity (default 1 MiB).
-	MaxBytes int
-	// MaxAge flushes a non-empty batch this long after its first block, so
-	// a trickle of blocks never waits for a size trigger (default 2ms;
-	// negative disables the age trigger).
-	MaxAge time.Duration
-	// Window bounds the batches in flight at once — and with them the send
-	// goroutines, which is the whole point: no goroutine per block, no
-	// goroutine bomb (default 4).
-	Window int
-}
-
-func (c BatchConfig) withDefaults() BatchConfig {
-	if c.MaxBlocks <= 0 {
-		c.MaxBlocks = 64
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 1 << 20
-	}
-	if c.MaxAge == 0 {
-		c.MaxAge = 2 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
-	return c
-}
+// The batcher's triggers. A pending batch goes out when it holds
+// batchMaxBlocks blocks or batchMaxBytes of assembled payload (also the
+// assembly buffer's initial capacity), or batchMaxAge after its first block,
+// so a trickle of blocks never waits for a size trigger. batchWindow bounds
+// the batches in flight at once — and with them the send goroutines: no
+// goroutine per block. Which handles run a batcher at all is Client.Handle's
+// decision (DESIGN.md §7.3).
+const (
+	batchMaxBlocks = 64
+	batchMaxBytes  = 1 << 20
+	batchMaxAge    = 2 * time.Millisecond
+	batchWindow    = 4
+)
 
 // pendingBlock is one enqueued block: its wire record plus everything the
 // completion path needs — the original length for metrics, a pooled copy
@@ -74,14 +52,19 @@ type pendingBatch struct {
 }
 
 // stageBatcher coalesces a handle's staged blocks into per-rank batches
-// (DESIGN.md §12). Enqueue copies the caller's data into batch-owned
-// pooled storage, so — unlike the unbatched RDMA-semantics path — the
-// caller's buffer is free for reuse the moment enqueue returns. Errors of
-// sync Stage calls are deferred to the next barrier (Flush / Execute /
-// Deactivate); NBStage errors resolve on the block's own Async.
+// (DESIGN.md §7.3). Enqueue copies the caller's data into batch-owned
+// pooled storage, so the caller's buffer is free for reuse the moment
+// enqueue returns. Errors of sync Stage calls are deferred to the next
+// barrier (Flush / Execute / Deactivate); NBStage errors resolve on the
+// block's own Async.
 type stageBatcher struct {
-	h   *DistributedPipelineHandle
-	cfg BatchConfig
+	h *DistributedPipelineHandle
+
+	// The triggers, set from the constants above; they are fields only so
+	// that in-package tests can pin frame boundaries (small frames, no age
+	// timer) before the first block.
+	maxBlocks, maxBytes int
+	maxAge              time.Duration
 
 	mu      sync.Mutex
 	pending map[int]*pendingBatch
@@ -102,14 +85,15 @@ type stageBatcher struct {
 	gWindow    *obs.Gauge
 }
 
-func newStageBatcher(h *DistributedPipelineHandle, cfg BatchConfig) *stageBatcher {
-	cfg = cfg.withDefaults()
+func newStageBatcher(h *DistributedPipelineHandle) *stageBatcher {
 	reg := h.c.observer()
 	return &stageBatcher{
 		h:          h,
-		cfg:        cfg,
+		maxBlocks:  batchMaxBlocks,
+		maxBytes:   batchMaxBytes,
+		maxAge:     batchMaxAge,
 		pending:    make(map[int]*pendingBatch),
-		window:     make(chan struct{}, cfg.Window),
+		window:     make(chan struct{}, batchWindow),
 		ctrBlocks:  reg.Counter("colza.stage.batch.blocks", "pipeline", h.pipeline),
 		ctrBytes:   reg.Counter("colza.stage.batch.bytes", "pipeline", h.pipeline),
 		ctrFlushes: reg.Counter("colza.stage.batch.flushes", "pipeline", h.pipeline),
@@ -147,34 +131,14 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 		}
 		return err
 	}
-	h.mu.Lock()
-	view := h.view
-	placement := h.placement
-	h.mu.Unlock()
-	if h.isClosed() {
-		return fail(fmt.Errorf("colza: stage: %w", ErrHandleClosed))
-	}
-	if len(view.Members) == 0 {
-		return fail(fmt.Errorf("colza: stage before activate (no pinned view)"))
-	}
-	target := placement(meta, len(view.Members))
-	if target < 0 || target >= len(view.Members) {
-		return fail(fmt.Errorf("colza: placement selected invalid rank %d", target))
+	target, addr, err := h.stageTarget(meta)
+	if err != nil {
+		return fail(err)
 	}
 	// Encode outside the batcher lock: this copies (or compresses) the
 	// caller's bytes into storage the batch owns, so data is free for reuse
 	// as soon as enqueue returns.
-	var (
-		wire       []byte
-		pooledWire bool
-		ci         stageCodecInfo
-		used       codecUsed
-	)
-	if h.codec.enabled() {
-		wire, pooledWire, ci, used.c, used.encNs = h.codec.encodeStage(h.pipeline, it, meta, data, false)
-	} else {
-		wire, ci = data, stageCodecInfo{Uncompressed: uint64(len(data))}
-	}
+	wire, pooledWire, ci, used := h.encodeBlock(it, meta, data, false)
 	var orig []byte
 	if ci.Remember || ci.HasBase {
 		// The delta machinery needs the original bytes after the RPC lands
@@ -214,16 +178,16 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 	if pb == nil {
 		pb = &pendingBatch{
 			target:  target,
-			addr:    view.Members[target].RPC,
+			addr:    addr,
 			it:      it,
-			payload: bufpool.Get(b.cfg.MaxBytes)[:0],
+			payload: bufpool.Get(b.maxBytes)[:0],
 			gen:     b.gen,
 		}
 		b.gen++
 		b.pending[target] = pb
-		if b.cfg.MaxAge > 0 {
+		if b.maxAge > 0 {
 			gen := pb.gen
-			pb.timer = time.AfterFunc(b.cfg.MaxAge, func() { b.flushAged(target, gen) })
+			pb.timer = time.AfterFunc(b.maxAge, func() { b.flushAged(target, gen) })
 		}
 	}
 	pb.payload = append(pb.payload, wire...)
@@ -231,7 +195,7 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 	pb.blocks = append(pb.blocks, blk)
 	b.ctrBlocks.Inc()
 	b.ctrBytes.Add(int64(len(data)))
-	if len(pb.recs) >= b.cfg.MaxBlocks || len(pb.payload) >= b.cfg.MaxBytes {
+	if len(pb.recs) >= b.maxBlocks || len(pb.payload) >= b.maxBytes {
 		b.ctrFull.Inc()
 		b.detachLocked(pb)
 		ready = append(ready, pb)
@@ -313,63 +277,28 @@ func (b *stageBatcher) finish(pb *pendingBatch, err error) {
 	}
 }
 
-// send performs one batch RPC under the handle's stage retry policy —
-// whole-batch retries for transport-level failures (the frame either never
-// landed or never answered), per-block demultiplexing once a response
-// arrives. Buffer teardown covers every exit path: the frame and the
-// exposed payload are released here, per-block orig copies by the
-// completion helpers.
+// send puts one batch on the wire through the handle's shared send path
+// (sendStage: whole-frame retries for transport-level failures, the frame
+// and the exposed payload released there) and demultiplexes the response per
+// block. Per-block orig copies are released by the completion helpers.
 func (b *stageBatcher) send(pb *pendingBatch) {
 	h := b.h
 	m := h.stageMetrics()
 	reg := m.reg
-	h.mu.Lock()
-	timeout := h.timeout
-	retry := h.stageRetry
-	h.mu.Unlock()
-	sp := reg.StartSpan("stage_batch", SpanKeyFor(h.pipeline, pb.it))
-	cls := h.c.mi.Class()
-	bulk := cls.Expose(pb.payload)
-	frame := appendStageBatchMsg(bufpool.Get(stageBatchMsgSize(h.pipeline, pb.recs, bulk))[:0], h.pipeline, pb.it, pb.recs, bulk)
-	var (
-		resp []byte
-		err  error
-	)
-	start := time.Now()
-	for attempt := 0; attempt < retry.attempts(); attempt++ {
-		if attempt > 0 {
-			m.retries.Inc()
-			sleep := h.backoff(retry, attempt-1)
-			if ra := BusyRetryAfter(err); ra > sleep {
-				sleep = ra
-			}
-			if !h.sleepInterruptible(sleep) {
-				err = ErrHandleClosed
-				break
-			}
-		}
-		resp, err = h.c.call(pb.addr, "stage_batch", frame, timeout)
-		if err == nil || !Retryable(err) {
-			break
-		}
-	}
-	rpcNs := time.Since(start).Nanoseconds()
-	cls.Release(bulk)
-	bufpool.Put(frame)
+	sp := reg.StartSpan("stage.flush", SpanKeyFor(h.pipeline, pb.it))
+	berrs, rpcNs, err := h.sendStage(pb.it, pb.addr, pb.recs, pb.payload)
 	if err != nil {
 		sp.End(err)
 		b.finish(pb, err)
 		return
 	}
-	berrs, derr := decodeStageBatchResp(resp, len(pb.blocks))
-	if derr != nil {
-		sp.End(derr)
-		b.finish(pb, derr)
-		return
-	}
-	blockErr := make(map[int]stageBatchBlockErr, len(berrs))
-	for _, e := range berrs {
-		blockErr[e.Index] = e
+	// The error list is empty for almost every batch; index it only when not.
+	var blockErr map[int]stageBatchBlockErr
+	if len(berrs) > 0 {
+		blockErr = make(map[int]stageBatchBlockErr, len(berrs))
+		for _, e := range berrs {
+			blockErr[e.Index] = e
+		}
 	}
 	totalWire := len(pb.payload)
 	bufpool.Put(pb.payload)
@@ -420,23 +349,28 @@ func (b *stageBatcher) completeError(pb *pendingBatch, blk *pendingBlock, e stag
 		blk.orig = nil
 	}
 	m.failed.Inc()
-	b.resolveBlock(blk, fmt.Errorf("colza: stage block %d on %s: %s", blk.rec.Meta.BlockID, pb.addr, e.Msg))
+	b.resolveBlock(blk, fmt.Errorf("colza: stage block %d on %s: %w", blk.rec.Meta.BlockID, pb.addr, e.err()))
+}
+
+// detachAll empties the pending map and returns what it held; closing also
+// refuses every later enqueue.
+func (b *stageBatcher) detachAll(closing bool) []*pendingBatch {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = b.closed || closing
+	ready := make([]*pendingBatch, 0, len(b.pending))
+	for _, pb := range b.pending {
+		b.detachLocked(pb)
+		ready = append(ready, pb)
+	}
+	return ready
 }
 
 // flush dispatches every pending batch, waits for all in-flight sends to
 // drain, and returns the accumulated sync-Stage errors — the barrier
 // Execute, Deactivate, and the explicit Flush(it) await.
 func (b *stageBatcher) flush() error {
-	b.mu.Lock()
-	ready := make([]*pendingBatch, 0, len(b.pending))
-	for _, pb := range b.pending {
-		ready = append(ready, pb)
-	}
-	for _, pb := range ready {
-		b.detachLocked(pb)
-	}
-	b.mu.Unlock()
-	for _, pb := range ready {
+	for _, pb := range b.detachAll(false) {
 		b.dispatch(pb)
 	}
 	b.inflight.Wait()
@@ -451,17 +385,7 @@ func (b *stageBatcher) flush() error {
 // In-flight sends observe the handle's closed channel themselves (their
 // retry backoff is interruptible) and drain on their own.
 func (b *stageBatcher) close() {
-	b.mu.Lock()
-	b.closed = true
-	ready := make([]*pendingBatch, 0, len(b.pending))
-	for _, pb := range b.pending {
-		ready = append(ready, pb)
-	}
-	for _, pb := range ready {
-		b.detachLocked(pb)
-	}
-	b.mu.Unlock()
-	for _, pb := range ready {
+	for _, pb := range b.detachAll(true) {
 		b.finish(pb, ErrHandleClosed)
 	}
 }

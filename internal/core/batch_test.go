@@ -35,8 +35,8 @@ func (f *failBlockPipeline) Stage(it uint64, meta BlockMeta, data []byte) error 
 }
 
 func (f *failBlockPipeline) Execute(it uint64) (ExecResult, error) { return ExecResult{}, nil }
-func (f *failBlockPipeline) Deactivate(it uint64) error           { return nil }
-func (f *failBlockPipeline) Destroy() error                       { return nil }
+func (f *failBlockPipeline) Deactivate(it uint64) error            { return nil }
+func (f *failBlockPipeline) Destroy() error                        { return nil }
 
 func init() {
 	RegisterPipelineType("failblock", func(cfg json.RawMessage) (Backend, error) {
@@ -44,15 +44,17 @@ func init() {
 	})
 }
 
-// batchedHandle builds a distributed handle with batching engaged and a
-// fresh client-side registry for counter assertions.
-func batchedHandle(t *testing.T, d *deployment, cfg BatchConfig) (*DistributedPipelineHandle, *obs.Registry) {
+// batchedHandle builds a coalescing handle on the in-process fabric (where
+// Handle itself would stage per block), with its frame boundaries pinned —
+// maxBlocks per frame, maxAge < 0 for no age timer — and a fresh client-side
+// registry for counter assertions.
+func batchedHandle(t *testing.T, d *deployment, pipeline string, maxBlocks int, maxAge time.Duration) (*DistributedPipelineHandle, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	d.client.SetObserver(reg)
-	h := d.client.Handle("viz", d.servers[0].Addr())
+	h := d.client.newHandle(pipeline, d.servers[0].Addr(), true)
 	h.SetTimeout(2 * time.Second)
-	h.SetBatching(cfg)
+	h.batch.maxBlocks, h.batch.maxAge = maxBlocks, maxAge
 	t.Cleanup(h.Close)
 	return h, reg
 }
@@ -60,7 +62,8 @@ func batchedHandle(t *testing.T, d *deployment, cfg BatchConfig) (*DistributedPi
 func TestStageBatchedLifecycle(t *testing.T) {
 	d := deploy(t, 2)
 	d.createEverywhere(t, "viz")
-	h, reg := batchedHandle(t, d, BatchConfig{MaxBlocks: 4, MaxAge: -1, Window: 2})
+	h, reg := batchedHandle(t, d, "viz", 4, -1)
+	h.batch.window = make(chan struct{}, 2)
 
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
@@ -134,7 +137,7 @@ func TestStageBatchedLifecycle(t *testing.T) {
 func TestStageBatchedAgeTrigger(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
-	h, reg := batchedHandle(t, d, BatchConfig{MaxBlocks: 1 << 20, MaxAge: 5 * time.Millisecond})
+	h, reg := batchedHandle(t, d, "viz", 1<<20, 5*time.Millisecond)
 
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
@@ -171,7 +174,7 @@ func TestStageBatchedAgeTrigger(t *testing.T) {
 func TestNBStageBatchedResolvesOnBatchCompletion(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
-	h, _ := batchedHandle(t, d, BatchConfig{MaxBlocks: 4, MaxAge: -1})
+	h, _ := batchedHandle(t, d, "viz", 4, -1)
 
 	// Before activate the Async resolves with the immediate error instead of
 	// hanging in a batch that will never flush.
@@ -215,12 +218,7 @@ func TestStageBatchedPerBlockErrorDemux(t *testing.T) {
 	if err := d.admin.CreatePipeline(d.servers[0].Addr(), "fb", "failblock", nil); err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	d.client.SetObserver(reg)
-	h := d.client.Handle("fb", d.servers[0].Addr())
-	h.SetTimeout(2 * time.Second)
-	h.SetBatching(BatchConfig{MaxBlocks: 64, MaxAge: -1})
-	t.Cleanup(h.Close)
+	h, reg := batchedHandle(t, d, "fb", 64, -1)
 
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
@@ -250,6 +248,17 @@ func TestStageBatchedPerBlockErrorDemux(t *testing.T) {
 	if got := d.servers[0].Obs.Snapshot().Counters["colza.staged.blocks{pipeline=fb}"]; got != 3 {
 		t.Errorf("server staged %d blocks, want 3", got)
 	}
+	// The server's trace must not show a clean stage for a frame that lost a
+	// block: the srv.stage span ends with the block's error.
+	var spanErr string
+	for _, rec := range d.servers[0].Obs.Trace() {
+		if rec.Name == "srv.stage" && rec.Pipeline == "fb" {
+			spanErr = rec.Err
+		}
+	}
+	if !strings.Contains(spanErr, "synthetic stage failure") {
+		t.Errorf("srv.stage span ended with %q, want the failed block's error", spanErr)
+	}
 
 	// The NBStage flavor: the failing block's own Async carries the error,
 	// its batch-mates resolve nil, and the next barrier is clean.
@@ -269,7 +278,7 @@ func TestStageBatchedPerBlockErrorDemux(t *testing.T) {
 func TestStageBatchedDeltaMismatchFallback(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
-	h, reg := batchedHandle(t, d, BatchConfig{MaxBlocks: 8, MaxAge: -1})
+	h, reg := batchedHandle(t, d, "viz", 8, -1)
 	if err := h.SetCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +331,7 @@ func TestStageBatchedDeltaMismatchFallback(t *testing.T) {
 func TestStageBatchedIterationChangeFlushesOldBatch(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
-	h, reg := batchedHandle(t, d, BatchConfig{MaxBlocks: 64, MaxAge: -1})
+	h, reg := batchedHandle(t, d, "viz", 64, -1)
 
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
@@ -410,10 +419,8 @@ func TestNBStageBoundedGoroutines(t *testing.T) {
 		}
 	})
 	t.Run("batched", func(t *testing.T) {
-		h := d.client.Handle("viz", d.servers[0].Addr())
+		h, _ := batchedHandle(t, d, "viz", 32, -1)
 		h.SetTimeout(5 * time.Second)
-		h.SetBatching(BatchConfig{MaxBlocks: 32, MaxAge: -1, Window: 4})
-		t.Cleanup(h.Close)
 		if _, err := h.Activate(2); err != nil {
 			t.Fatal(err)
 		}
@@ -458,7 +465,7 @@ func TestBatcherDrainNoGoroutineLeak(t *testing.T) {
 	d.createEverywhere(t, "viz")
 	baseline := runtime.NumGoroutine()
 
-	h, _ := batchedHandle(t, d, BatchConfig{MaxBlocks: 8, MaxAge: time.Millisecond, Window: 4})
+	h, _ := batchedHandle(t, d, "viz", 8, time.Millisecond)
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +574,7 @@ func TestActivateCloseCancelsRetryBackoff(t *testing.T) {
 func TestBatchedCloseCancelsRetryBackoff(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
-	h, _ := batchedHandle(t, d, BatchConfig{MaxBlocks: 1, MaxAge: -1})
+	h, _ := batchedHandle(t, d, "viz", 1, -1)
 	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: "inproc://nowhere"}}})
 	h.SetStageRetry(RetryPolicy{Max: 4, Base: 30 * time.Second, Cap: 60 * time.Second})
 
@@ -643,19 +650,21 @@ func TestMigrateCallBackoffInjectable(t *testing.T) {
 	}
 }
 
-// TestBatchConfigDefaults pins the documented zero-value defaults — the
-// knobs the cmd flags and SetBatching callers lean on when they only set
-// some of the fields.
+// TestBatchConfigDefaults: there is nothing left to configure. SetBatching
+// with the (empty) BatchConfig does not engage a batcher on a handle whose
+// transport stages per block, and a batcher runs on the documented triggers.
 func TestBatchConfigDefaults(t *testing.T) {
-	cfg := BatchConfig{}.withDefaults()
-	want := BatchConfig{MaxBlocks: 64, MaxBytes: 1 << 20, MaxAge: 2 * time.Millisecond, Window: 4}
-	if cfg != want {
-		t.Fatalf("withDefaults() = %+v, want %+v", cfg, want)
+	d := deploy(t, 1)
+	h := d.client.Handle("viz", d.servers[0].Addr())
+	t.Cleanup(h.Close)
+	h.SetBatching(BatchConfig{})
+	if h.batch != nil {
+		t.Fatal("SetBatching engaged a batcher on an in-process handle")
 	}
-	// Negative MaxAge survives (age trigger disabled), explicit values stick.
-	cfg = BatchConfig{MaxBlocks: 7, MaxBytes: 123, MaxAge: -1, Window: 2}.withDefaults()
-	if cfg.MaxAge != -1 || cfg.MaxBlocks != 7 || cfg.MaxBytes != 123 || cfg.Window != 2 {
-		t.Fatalf("withDefaults() clobbered explicit config: %+v", cfg)
+	b := newStageBatcher(h)
+	if b.maxBlocks != 64 || b.maxBytes != 1<<20 || b.maxAge != 2*time.Millisecond || cap(b.window) != 4 {
+		t.Fatalf("batcher triggers = %d blocks, %d bytes, %v, window %d; DESIGN.md §7.3 documents 64, 1 MiB, 2ms, 4",
+			b.maxBlocks, b.maxBytes, b.maxAge, cap(b.window))
 	}
 }
 
@@ -667,7 +676,7 @@ func TestBatchConfigDefaults(t *testing.T) {
 func TestBatchedCloseFailsPendingBlocks(t *testing.T) {
 	d := deploy(t, 2)
 	d.createEverywhere(t, "viz")
-	h, _ := batchedHandle(t, d, BatchConfig{MaxBlocks: 1 << 20, MaxAge: -1})
+	h, _ := batchedHandle(t, d, "viz", 1<<20, -1)
 	if err := h.SetCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +704,7 @@ func TestBatchedCloseFailsPendingBlocks(t *testing.T) {
 func TestStageBatchedInvalidPlacement(t *testing.T) {
 	d := deploy(t, 2)
 	d.createEverywhere(t, "viz")
-	h, reg := batchedHandle(t, d, BatchConfig{MaxBlocks: 1 << 20, MaxAge: -1})
+	h, reg := batchedHandle(t, d, "viz", 1<<20, -1)
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"colza/internal/bufpool"
 	"colza/internal/margo"
-	"colza/internal/mercury"
 	"colza/internal/obs"
 )
 
@@ -82,6 +80,14 @@ const clientBusyRetries = 8
 // responses (admission shedding) are retried in place under the server's
 // backoff hint; they never evict, the server is alive and just loaded.
 func (c *Client) call(addr, rpc string, payload []byte, timeout time.Duration) ([]byte, error) {
+	return c.callUntil(nil, addr, rpc, payload, timeout)
+}
+
+// callUntil is call with a busy backoff that ends as soon as stop closes
+// (a nil stop never does), with an error wrapping ErrHandleClosed: the
+// stage path passes its handle's closed channel, so a Close during a
+// shed-and-retry does not wait out the schedule.
+func (c *Client) callUntil(stop <-chan struct{}, addr, rpc string, payload []byte, timeout time.Duration) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		out, err := c.mi.CallProvider(addr, ProviderID, rpc, payload, timeout)
 		cls := Classify(err)
@@ -94,7 +100,9 @@ func (c *Client) call(addr, rpc string, payload []byte, timeout time.Duration) (
 			// balanced against the servers' margo.pool.shed.
 			c.observer().Counter("core.client.retries.busy", "rpc", rpc).Inc()
 			if attempt < clientBusyRetries {
-				time.Sleep(busyBackoff(err, attempt))
+				if !sleepUnless(stop, busyBackoff(err, attempt)) {
+					return nil, fmt.Errorf("colza: %s aborted in its busy backoff: %w", rpc, ErrHandleClosed)
+				}
 				continue
 			}
 			return out, err
@@ -103,6 +111,21 @@ func (c *Client) call(addr, rpc string, payload []byte, timeout time.Duration) (
 			c.evictInfo(addr)
 		}
 		return out, err
+	}
+}
+
+// sleepUnless sleeps d unless stop closes first (a nil stop never does); it
+// reports whether the full sleep elapsed. Retry loops pass their handle's
+// closed channel, so a handle being torn down returns promptly instead of
+// serving out its backoff schedule.
+func sleepUnless(stop <-chan struct{}, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-stop:
+		return false
 	}
 }
 
@@ -270,11 +293,10 @@ type DistributedPipelineHandle struct {
 	closeOnce sync.Once
 
 	// batch, when non-nil, routes Stage/NBStage through the coalescing
-	// batcher (SetBatching, DESIGN.md §12).
-	batchMu sync.Mutex
-	batch   *stageBatcher
+	// batcher; set at creation and never changed (see Handle).
+	batch *stageBatcher
 
-	// nbSem bounds unbatched NBStage concurrency (lazily created).
+	// nbSem bounds per-block NBStage concurrency (lazily created).
 	nbOnce sync.Once
 	nbSem  chan struct{}
 
@@ -310,14 +332,28 @@ func (h *DistributedPipelineHandle) stageMetrics() *stageMetrics {
 	return m
 }
 
-// nbStageWindow bounds concurrently in-flight unbatched NBStage calls per
+// nbStageWindow bounds concurrently in-flight per-block NBStage calls per
 // handle: acquire before spawn, so the goroutine count is bounded too.
 const nbStageWindow = 16
 
 // Handle creates a distributed handle on pipeline, using contact (any
 // server address) to discover membership.
+//
+// How the handle stages is decided here, by the transport and by nothing
+// else (DESIGN.md §7.3): a client whose endpoint publishes exposed regions
+// in a shared-memory arena (mercury.Class.SharesBulk — sm:// and sm+tcp
+// endpoints) can never send a block eagerly inside its stage frame, so its
+// handle coalesces the blocks bound for one server rank into one frame and
+// one arena pull; on every other endpoint a block of up to 128 KiB already
+// rides in its own stage RPC, and the handle stages per block.
 func (c *Client) Handle(pipeline, contact string) *DistributedPipelineHandle {
-	return &DistributedPipelineHandle{
+	return c.newHandle(pipeline, contact, c.mi.Class().SharesBulk())
+}
+
+// newHandle is Handle with the staging mode spelled out, for tests that
+// need the batcher on the in-process fault fabric.
+func (c *Client) newHandle(pipeline, contact string, coalesce bool) *DistributedPipelineHandle {
+	h := &DistributedPipelineHandle{
 		c:          c,
 		pipeline:   pipeline,
 		contact:    contact,
@@ -329,6 +365,10 @@ func (c *Client) Handle(pipeline, contact string) *DistributedPipelineHandle {
 		rng:        rand.New(rand.NewSource(1)),
 		closed:     make(chan struct{}),
 	}
+	if coalesce {
+		h.batch = newStageBatcher(h)
+	}
+	return h
 }
 
 // Close releases the handle: every pending batched block fails with
@@ -337,67 +377,30 @@ func (c *Client) Handle(pipeline, contact string) *DistributedPipelineHandle {
 // area — a deactivated pipeline needs no remote teardown.
 func (h *DistributedPipelineHandle) Close() {
 	h.closeOnce.Do(func() { close(h.closed) })
-	if b := h.batcher(); b != nil {
-		b.close()
+	if h.batch != nil {
+		h.batch.close()
 	}
 }
 
-func (h *DistributedPipelineHandle) isClosed() bool {
-	select {
-	case <-h.closed:
-		return true
-	default:
-		return false
-	}
-}
+// BatchConfig is empty: whether a handle coalesces is decided by its
+// transport (see Client.Handle) and the triggers are constants (batch.go).
+type BatchConfig struct{}
 
-// sleepInterruptible sleeps d unless the handle closes first; it reports
-// whether the full sleep elapsed. Retry loops use it so a handle being
-// torn down returns promptly instead of serving out its backoff schedule.
-func (h *DistributedPipelineHandle) sleepInterruptible(d time.Duration) bool {
-	if d <= 0 {
-		return !h.isClosed()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-h.closed:
-		return false
-	}
-}
-
-// SetBatching engages the coalescing stage batcher: blocks bound for the
-// same server rank ride one multi-block frame, flushed on size/age/count
-// triggers and drained by Flush/Execute/Deactivate. Off by default — an
-// unbatched handle stages on the v2 wire path, byte for byte. The first
-// call wins; reconfiguring a live batcher is not supported.
-func (h *DistributedPipelineHandle) SetBatching(cfg BatchConfig) {
-	h.batchMu.Lock()
-	defer h.batchMu.Unlock()
-	if h.batch == nil {
-		h.batch = newStageBatcher(h, cfg)
-	}
-}
-
-func (h *DistributedPipelineHandle) batcher() *stageBatcher {
-	h.batchMu.Lock()
-	defer h.batchMu.Unlock()
-	return h.batch
-}
+// SetBatching does nothing. It remains only because benchmark/deploy.go,
+// which a program change may not edit, still calls it; ROADMAP item 1 drops
+// the call and this shim together.
+func (h *DistributedPipelineHandle) SetBatching(BatchConfig) {}
 
 // Flush is the explicit stage barrier: it dispatches every pending batch,
 // waits for all in-flight batches to complete, and returns the deferred
-// errors of this handle's batched sync Stage calls (joined). Without
-// batching it is a no-op. The iteration argument documents intent; one
-// batcher serves all iterations and drains fully.
+// errors of this handle's coalesced sync Stage calls (joined). On a handle
+// that stages per block it is a no-op. The iteration argument documents
+// intent; one batcher serves all iterations and drains fully.
 func (h *DistributedPipelineHandle) Flush(it uint64) error {
-	b := h.batcher()
-	if b == nil {
+	if h.batch == nil {
 		return nil
 	}
-	return b.flush()
+	return h.batch.flush()
 }
 
 // SetPlacement overrides the stage-target selection policy.
@@ -579,7 +582,7 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 			v, err := h.refreshView(timeout)
 			if err != nil {
 				lastErr = err
-				if !h.sleepInterruptible(h.backoff(viewRetry, attempt)) {
+				if !sleepUnless(h.closed, h.backoff(viewRetry, attempt)) {
 					return MemberView{}, fmt.Errorf("colza: activate aborted: %w", ErrHandleClosed)
 				}
 				continue
@@ -602,7 +605,7 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 		for _, m := range view.Members {
 			h.c.evictInfo(m.RPC)
 		}
-		if !h.sleepInterruptible(h.backoff(viewRetry, attempt)) {
+		if !sleepUnless(h.closed, h.backoff(viewRetry, attempt)) {
 			return MemberView{}, fmt.Errorf("colza: activate aborted: %w", ErrHandleClosed)
 		}
 		view = MemberView{}
@@ -656,121 +659,26 @@ func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, time
 	return true, nil
 }
 
-// Stage exposes data and asks the selected server to pull it. The data
-// buffer must stay unchanged until Stage returns (RDMA semantics); it is
-// not copied on the client side.
-// The stage RPC is retried under the handle's RetryPolicy on transient
-// failures (timeouts, unreachable server). A retry after a timeout may
-// duplicate a block the server already pulled, so staging is at-least-once:
-// pipelines that cannot tolerate duplicates must deduplicate on
-// (iteration, block id), which BlockMeta carries for exactly that purpose.
+// Stage hands one block to the server the placement policy selects, which
+// fetches it out of the caller's memory (RDMA semantics: data is exposed, not
+// pushed). The contract is the same however the handle stages (see Handle):
+// data must stay unchanged until Stage returns and is the caller's again
+// afterwards; a block that could not be delivered is reported by Stage
+// itself or, at the latest, by the next Flush, Execute or Deactivate — a
+// per-block handle reports everything at once, a coalescing handle copies
+// the block into its rank's pending frame and reports send failures at that
+// barrier.
 //
-// With batching engaged (SetBatching) Stage instead copies the block into
-// the target rank's pending batch and returns immediately; the data buffer
-// is free for reuse on return, and send errors surface at the next barrier
-// (Flush, Execute, or Deactivate).
+// The stage RPC is retried under the handle's RetryPolicy on transient
+// failures (timeouts, unreachable server, admission shedding). A retry after
+// a timeout may duplicate a block the server already pulled, so staging is
+// at-least-once: pipelines that cannot tolerate duplicates must deduplicate
+// on (iteration, block id), which BlockMeta carries for exactly that purpose.
 func (h *DistributedPipelineHandle) Stage(it uint64, meta BlockMeta, data []byte) error {
-	if b := h.batcher(); b != nil {
-		return b.enqueue(it, meta, data, nil)
+	if h.batch != nil {
+		return h.batch.enqueue(it, meta, data, nil)
 	}
 	return h.stageBlock(it, meta, data, false)
-}
-
-// stageBlock is the per-block stage path: one frame, one RPC, retried
-// under the handle's policy. zeroBase forces a self-contained delta encode
-// from the first attempt (the batch path's mismatch fallback re-enters
-// here).
-func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data []byte, zeroBase bool) (err_ error) {
-	h.mu.Lock()
-	view := h.view
-	placement := h.placement
-	timeout := h.timeout
-	retry := h.stageRetry
-	h.mu.Unlock()
-	m := h.stageMetrics()
-	reg := m.reg
-	sp := reg.StartSpan("stage", SpanKeyFor(h.pipeline, it))
-	defer func() { sp.End(err_) }()
-	if len(view.Members) == 0 {
-		return fmt.Errorf("colza: stage before activate (no pinned view)")
-	}
-	target := placement(meta, len(view.Members))
-	if target < 0 || target >= len(view.Members) {
-		return fmt.Errorf("colza: placement selected invalid rank %d", target)
-	}
-	cls := h.c.mi.Class()
-	// With no codec engaged wire IS data (raw passthrough, nothing pooled);
-	// otherwise the block is compressed into a pooled buffer and the bulk
-	// handle exposes the encoded bytes — the server's pull carries the
-	// compressed payload.
-	var (
-		wire       []byte
-		pooledWire bool
-		ci         stageCodecInfo
-		used       codecUsed
-		bulk       = mercury.Bulk{}
-		payload    []byte
-	)
-	setup := func(zeroBase bool) {
-		if h.codec.enabled() {
-			wire, pooledWire, ci, used.c, used.encNs = h.codec.encodeStage(h.pipeline, it, meta, data, zeroBase)
-		} else {
-			wire, pooledWire, ci, used.c, used.encNs = data, false, stageCodecInfo{Uncompressed: uint64(len(data))}, nil, 0
-		}
-		bulk = cls.Expose(wire)
-		payload = appendStageMsg(bufpool.Get(stageMsgSize(h.pipeline, meta, bulk))[:0], h.pipeline, it, meta, ci, bulk)
-	}
-	teardown := func() {
-		cls.Release(bulk)
-		bufpool.Put(payload)
-		if pooledWire {
-			bufpool.Put(wire)
-		}
-	}
-	setup(zeroBase)
-	defer func() { teardown() }()
-	var err error
-	for attempt := 0; attempt < retry.attempts(); attempt++ {
-		if attempt > 0 {
-			m.retries.Inc()
-			sleep := h.backoff(retry, attempt-1)
-			// A busy server named its price; never retry sooner than its
-			// Retry-After hint.
-			if ra := BusyRetryAfter(err); ra > sleep {
-				sleep = ra
-			}
-			// The backoff aborts when the handle closes mid-sleep: a
-			// deactivating client must not serve out the whole schedule.
-			if !h.sleepInterruptible(sleep) {
-				err = fmt.Errorf("colza: stage aborted: %w", ErrHandleClosed)
-				break
-			}
-		}
-		start := time.Now()
-		_, err = h.c.call(view.Members[target].RPC, "stage", payload, timeout)
-		if err == nil {
-			h.codec.recordSuccess(reg, h.pipeline, it, meta, data, ci, used.c, len(wire), used.encNs, time.Since(start).Nanoseconds())
-			m.bytes.Add(int64(len(data)))
-			m.blocks.Inc()
-			return nil
-		}
-		if isDeltaBaseMismatch(err) && ci.HasBase {
-			// The server no longer holds our base (evicted, invalidated, or a
-			// duplicate of this block already advanced it). Re-encode
-			// self-contained and keep retrying — at-least-once staging may
-			// cost a fallback round-trip but never decodes against wrong
-			// state.
-			m.deltaFallback.Inc()
-			teardown()
-			setup(true)
-			continue
-		}
-		if !Retryable(err) {
-			break
-		}
-	}
-	m.failed.Inc()
-	return fmt.Errorf("colza: stage block %d on %s: %w", meta.BlockID, view.Members[target].RPC, err)
 }
 
 // Execute triggers the pipeline's analysis on every server and returns the
@@ -779,10 +687,8 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 func (h *DistributedPipelineHandle) Execute(it uint64) (res_ []ExecResult, err_ error) {
 	// The execute barrier: every batched block must have landed (or failed,
 	// reported here) before the servers run the pipeline on the iteration.
-	if b := h.batcher(); b != nil {
-		if err := b.flush(); err != nil {
-			return nil, fmt.Errorf("colza: stage flush before execute: %w", err)
-		}
+	if err := h.Flush(it); err != nil {
+		return nil, fmt.Errorf("colza: stage flush before execute: %w", err)
 	}
 	h.mu.Lock()
 	view := h.view
@@ -812,10 +718,8 @@ func (h *DistributedPipelineHandle) Execute(it uint64) (res_ []ExecResult, err_ 
 func (h *DistributedPipelineHandle) Deactivate(it uint64) (err_ error) {
 	// Same barrier as Execute: a deactivate must not race batches still in
 	// flight — the server would fail them with ErrNotActive.
-	if b := h.batcher(); b != nil {
-		if err := b.flush(); err != nil {
-			return fmt.Errorf("colza: stage flush before deactivate: %w", err)
-		}
+	if err := h.Flush(it); err != nil {
+		return fmt.Errorf("colza: stage flush before deactivate: %w", err)
 	}
 	h.mu.Lock()
 	view := h.view
@@ -889,16 +793,17 @@ func (h *DistributedPipelineHandle) NBActivate(it uint64) *Async {
 	})
 }
 
-// NBStage is the non-blocking Stage. With batching engaged the block joins
-// its rank's pending batch and the Async resolves when that batch
-// completes — no goroutine per call. Without batching, a window semaphore
-// acquired before the goroutine spawns bounds both in-flight stages and
-// live goroutines (the unbounded goroutine-per-call this replaces was a
-// goroutine bomb under a simulation staging thousands of blocks).
+// NBStage is the non-blocking Stage. On a coalescing handle the block joins
+// its rank's pending batch and the Async resolves when that batch completes
+// — no goroutine per call. Otherwise a window semaphore acquired before the
+// goroutine spawns bounds both in-flight stages and live goroutines (a
+// goroutine per call is a goroutine bomb under a simulation staging
+// thousands of blocks), and data must stay unchanged until the Async
+// resolves.
 func (h *DistributedPipelineHandle) NBStage(it uint64, meta BlockMeta, data []byte) *Async {
-	if b := h.batcher(); b != nil {
+	if h.batch != nil {
 		a := &Async{ch: make(chan asyncRes, 1)}
-		b.enqueue(it, meta, data, a)
+		h.batch.enqueue(it, meta, data, a)
 		return a
 	}
 	h.nbOnce.Do(func() { h.nbSem = make(chan struct{}, nbStageWindow) })

@@ -239,7 +239,6 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 	mi.RegisterProviderRPC(ProviderID, "commit", p.handleCommit)
 	mi.RegisterProviderRPC(ProviderID, "abort", p.handleAbort)
 	mi.RegisterProviderRPC(ProviderID, "stage", p.handleStage)
-	mi.RegisterProviderRPC(ProviderID, "stage_batch", p.handleStageBatch)
 	mi.RegisterProviderRPC(ProviderID, "execute", p.handleExecute)
 	mi.RegisterProviderRPC(ProviderID, "deactivate", p.handleDeactivate)
 	mi.RegisterProviderRPC(ProviderID, "members", p.handleMembers)
@@ -278,7 +277,7 @@ func (p *Provider) BindPools(control, data *margo.Pool) {
 	// them off the control pool removes the mutual-wait cycle two servers
 	// checkpointing to each other would otherwise risk under a saturated
 	// control stream.
-	for _, rpc := range []string{"stage", "stage_batch", "execute",
+	for _, rpc := range []string{"stage", "execute",
 		"migrate_state", "checkpoint_state", "checkpoint_discard"} {
 		p.mi.BindRPCPool(margo.ProviderRPCName(ProviderID, rpc), data)
 	}
@@ -582,50 +581,6 @@ func (p *Provider) handleAbort(req mercury.Request) ([]byte, error) {
 	return []byte("ok"), nil
 }
 
-// handleStage fetches the staged block from the simulation's memory (bulk
-// RDMA) and hands it to the pipeline. The region is whatever the client
-// exposed — for a compressed frame that is the encoded payload, which
-// stageWireBlock decodes (and delta-reconstructs) into a pooled buffer
-// before the backend borrows it.
-func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
-	pipeline, iteration, meta, ci, bulk, err := decodeStageMsg(req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	p.codecMu.RLock()
-	accepted := p.acceptedCodecs[ci.CodecID]
-	p.codecMu.RUnlock()
-	if _, known := codec.ByID(ci.CodecID); !known || !accepted {
-		return nil, fmt.Errorf("colza: stage codec %d not accepted by %s", ci.CodecID, p.mi.Addr())
-	}
-	slot, err := p.slot(pipeline)
-	if err != nil {
-		return nil, err
-	}
-	st, err := slot.enter(iteration, "stage")
-	if err != nil {
-		return nil, err
-	}
-	defer st.inflight.Done()
-	reg := p.observer()
-	sp := reg.StartSpan("srv.stage", obs.SpanKey{Pipeline: pipeline, Iteration: iteration, Rank: st.rank})
-	wire, pooled, err := p.fetchStaged(bulk)
-	if err != nil {
-		err = fmt.Errorf("colza: pulling staged block: %w", err)
-		sp.End(err)
-		return nil, err
-	}
-	_, err = p.stageWireBlock(slot, pipeline, iteration, ci, meta, wire, reg)
-	if pooled {
-		bufpool.Put(wire)
-	}
-	sp.End(err)
-	if err != nil {
-		return nil, err
-	}
-	return []byte("ok"), nil
-}
-
 // fetchStaged returns the region behind a decoded stage handle. A region
 // that rode in the request frame (eager) is borrowed from it as is — no
 // buffer, no copy; anything else is pulled into a pooled buffer sized from
@@ -645,19 +600,22 @@ func (p *Provider) fetchStaged(bulk mercury.Bulk) (wire []byte, pooled bool, err
 	return wire, true, nil
 }
 
-// handleStageBatch pulls a multi-block batch in one bulk transfer and
-// hands each block to the pipeline. Frame-level problems (malformed frame,
-// unknown pipeline, inactive iteration, failed pull, unaccepted codec) are
-// RPC errors — the client's whole-batch retry machinery applies. Per-block
-// decode and backend failures are demultiplexed into the response instead,
-// so one bad block cannot fail or re-send its batch-mates.
-func (p *Provider) handleStageBatch(req mercury.Request) ([]byte, error) {
+// handleStage fetches a frame's staged blocks from the simulation's memory
+// (bulk RDMA) in one transfer and hands each block to the pipeline. The
+// region is whatever the client exposed — for compressed records the encoded
+// payloads, which stageWireBlock decodes (and delta-reconstructs) into pooled
+// buffers before the backend borrows them. Frame-level problems (malformed
+// frame, unknown pipeline, inactive iteration, failed pull, unaccepted codec)
+// are RPC errors — the client's whole-frame retry machinery applies.
+// Per-block decode and backend failures are demultiplexed into the response
+// instead, so one bad block cannot fail or re-send its frame-mates.
+func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 	pipeline, iteration, recs, bulk, err := decodeStageBatchMsg(req.Payload)
 	if err != nil {
 		return nil, err
 	}
 	// Codec acceptance is a frame-level screen: a client that failed
-	// negotiation must learn it loudly, not land half a batch.
+	// negotiation must learn it loudly, not land half a frame.
 	p.codecMu.RLock()
 	for _, r := range recs {
 		if _, known := codec.ByID(r.CI.CodecID); !known || !p.acceptedCodecs[r.CI.CodecID] {
@@ -670,42 +628,49 @@ func (p *Provider) handleStageBatch(req mercury.Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := slot.enter(iteration, "stage_batch")
+	st, err := slot.enter(iteration, "stage")
 	if err != nil {
 		return nil, err
 	}
 	defer st.inflight.Done()
 	reg := p.observer()
-	sp := reg.StartSpan("srv.stage_batch", obs.SpanKey{Pipeline: pipeline, Iteration: iteration, Rank: st.rank})
+	sp := reg.StartSpan("srv.stage", obs.SpanKey{Pipeline: pipeline, Iteration: iteration, Rank: st.rank})
 	data, pooled, err := p.fetchStaged(bulk)
 	if err != nil {
-		err = fmt.Errorf("colza: pulling staged batch: %w", err)
+		err = fmt.Errorf("colza: pulling staged blocks: %w", err)
 		sp.End(err)
 		return nil, err
 	}
-	var blockErrs []stageBatchBlockErr
+	var (
+		blockErrs []stageBatchBlockErr
+		lost      error // the failed blocks' errors, joined, for the span
+	)
 	off := 0
 	for i, r := range recs {
 		wire := data[off : off+r.PayloadLen]
 		off += r.PayloadLen
 		if kind, berr := p.stageWireBlock(slot, pipeline, iteration, r.CI, r.Meta, wire, reg); berr != nil {
 			blockErrs = append(blockErrs, stageBatchBlockErr{Index: i, Kind: kind, Msg: berr.Error()})
+			lost = errors.Join(lost, berr)
 		}
 	}
 	if pooled {
 		bufpool.Put(data)
 	}
-	sp.End(nil)
+	// A trace must not show a clean stage for an iteration that lost blocks.
+	sp.End(lost)
+	if len(blockErrs) == 0 {
+		return stageRespAllLanded, nil
+	}
 	// The response buffer leaves this handler's ownership (the transport
 	// holds it until the reply is sent), so it is not drawn from the pool.
 	return appendStageBatchResp(make([]byte, 0, stageBatchRespSize(blockErrs)), blockErrs), nil
 }
 
 // stageWireBlock decodes one staged block's wire bytes and hands the block
-// to the backend — the per-block half of both stage handlers, with the
-// error tagged by a batch demux kind (handleStage ignores it). wire is on
-// loan from the caller (the request frame or the pulled buffer, for a batch
-// a slice of it) and is passed to the backend as is when raw; decode targets
+// to the backend, with the error tagged by the kind the client reacts to.
+// wire is on loan from the caller (a slice of the request frame or of the
+// pulled buffer) and is passed to the backend as is when raw; decode targets
 // draw their own pooled buffer and are recycled before return.
 func (p *Provider) stageWireBlock(slot *pipelineSlot, pipeline string, iteration uint64, ci stageCodecInfo, meta BlockMeta, wire []byte, reg *obs.Registry) (uint8, error) {
 	c, _ := codec.ByID(ci.CodecID) // screened by the handler
@@ -730,7 +695,7 @@ func (p *Provider) stageWireBlock(slot *pipelineSlot, pipeline string, iteration
 				bufpool.Put(data)
 				slot.stagedMetrics(reg).deltaMismatch.Inc()
 				return stageBatchErrDeltaMismatch,
-					fmt.Errorf("%s: pipeline %q block %d base %d", deltaMismatchText, pipeline, meta.BlockID, ci.DeltaBase)
+					fmt.Errorf("colza: stage delta base mismatch: pipeline %q block %d base %d", pipeline, meta.BlockID, ci.DeltaBase)
 			}
 		}
 	}

@@ -3,10 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
-	"colza/internal/bufpool"
 	"colza/internal/mercury"
 )
 
@@ -71,158 +69,85 @@ func (p *Provider) handleActivateSolo(req mercury.Request) ([]byte, error) {
 
 // PipelineHandle references one pipeline instance on one specific server.
 // Unlike the distributed handle there is no view agreement: activate is a
-// single RPC, and all staged blocks land on that server.
+// single RPC, after which the handle is a distributed handle pinned to a
+// one-member view — staging (retries, codecs, coalescing by transport),
+// execute and deactivate are the distributed handle's own.
 type PipelineHandle struct {
-	c        *Client
-	pipeline string
-	server   string
-
-	mu      sync.Mutex
-	timeout time.Duration
-	epoch   uint64
-
-	codec stageCodecState
-
-	// nbSem bounds in-flight NBStage calls (lazily created): acquire
-	// before spawn, so the goroutine count is bounded too.
-	nbOnce sync.Once
-	nbSem  chan struct{}
+	h      *DistributedPipelineHandle
+	server string
 }
 
 // SoloHandle creates a handle on the pipeline instance at one server.
 func (c *Client) SoloHandle(pipeline, serverRPC string) *PipelineHandle {
-	return &PipelineHandle{c: c, pipeline: pipeline, server: serverRPC, timeout: 10 * time.Second}
+	return &PipelineHandle{h: c.Handle(pipeline, serverRPC), server: serverRPC}
 }
 
 // SetTimeout sets the per-RPC timeout.
-func (h *PipelineHandle) SetTimeout(d time.Duration) {
-	h.mu.Lock()
-	h.timeout = d
-	h.mu.Unlock()
-}
+func (p *PipelineHandle) SetTimeout(d time.Duration) { p.h.SetTimeout(d) }
 
 // Server returns the target server's RPC address.
-func (h *PipelineHandle) Server() string { return h.server }
+func (p *PipelineHandle) Server() string { return p.server }
 
-// Activate starts an iteration on the single server.
-func (h *PipelineHandle) Activate(it uint64) error {
+// Activate starts an iteration on the single server and pins the handle's
+// view to it.
+func (p *PipelineHandle) Activate(it uint64) error {
+	h := p.h
 	h.mu.Lock()
-	h.epoch = (it+1)<<8 | 0xE0 // distinct epoch space from distributed handles
-	payload, _ := json.Marshal(soloMsg{Pipeline: h.pipeline, Iteration: it, Epoch: h.epoch})
 	timeout := h.timeout
 	h.mu.Unlock()
-	_, err := h.c.mi.CallProvider(h.server, ProviderID, "activate_solo", payload, timeout)
-	return err
+	// The member entry carries the codecs the server accepts, which the
+	// pinned view negotiates against.
+	si, err := h.c.serverInfo(p.server, timeout)
+	if err != nil {
+		return err
+	}
+	epoch := (it+1)<<8 | 0xE0 // distinct epoch space from distributed handles
+	payload, _ := json.Marshal(soloMsg{Pipeline: h.pipeline, Iteration: it, Epoch: epoch})
+	if _, err := h.c.call(p.server, "activate_solo", payload, timeout); err != nil {
+		return err
+	}
+	h.SetView(MemberView{Epoch: epoch, Members: []ServerInfo{si}})
+	return nil
 }
 
 // SetCodec forces every staged block through the named codec; the default
 // is raw (no compression, no copies).
-func (h *PipelineHandle) SetCodec(name string) error { return h.codec.setCodec(name) }
+func (p *PipelineHandle) SetCodec(name string) error { return p.h.SetCodec(name) }
 
 // SetCodecAdaptive lets the adaptive controller pick the codec per block.
-func (h *PipelineHandle) SetCodecAdaptive(on bool) { h.codec.setAdaptive(on) }
+func (p *PipelineHandle) SetCodecAdaptive(on bool) { p.h.SetCodecAdaptive(on) }
 
-// Stage exposes data for the server to pull.
-func (h *PipelineHandle) Stage(it uint64, meta BlockMeta, data []byte) error {
-	h.mu.Lock()
-	timeout := h.timeout
-	h.mu.Unlock()
-	cls := h.c.mi.Class()
-	stageOnce := func(zeroBase bool) (stageCodecInfo, codecUsed, int, int64, error) {
-		var (
-			wire       []byte
-			pooledWire bool
-			ci         stageCodecInfo
-			used       codecUsed
-		)
-		if h.codec.enabled() {
-			wire, pooledWire, ci, used.c, used.encNs = h.codec.encodeStage(h.pipeline, it, meta, data, zeroBase)
-		} else {
-			wire, ci = data, stageCodecInfo{Uncompressed: uint64(len(data))}
-		}
-		bulk := cls.Expose(wire)
-		// The stage frame is binary (see stagewire.go) and pooled: CallProvider
-		// is synchronous and the transport copies on send, so the frame can be
-		// recycled as soon as the call returns — even across its retries.
-		payload := appendStageMsg(bufpool.Get(stageMsgSize(h.pipeline, meta, bulk))[:0], h.pipeline, it, meta, ci, bulk)
-		start := time.Now()
-		_, err := h.c.mi.CallProvider(h.server, ProviderID, "stage", payload, timeout)
-		rpcNs := time.Since(start).Nanoseconds()
-		cls.Release(bulk)
-		bufpool.Put(payload)
-		n := len(wire)
-		if pooledWire {
-			bufpool.Put(wire)
-		}
-		return ci, used, n, rpcNs, err
-	}
-	ci, used, wireLen, rpcNs, err := stageOnce(false)
-	if isDeltaBaseMismatch(err) && ci.HasBase {
-		// The server lost our delta base; resend self-contained.
-		ci, used, wireLen, rpcNs, err = stageOnce(true)
-	}
-	if err == nil {
-		h.codec.recordSuccess(h.c.observer(), h.pipeline, it, meta, data, ci, used.c, wireLen, used.encNs, rpcNs)
-	}
-	return err
+// Stage hands a block to the server (DistributedPipelineHandle.Stage).
+func (p *PipelineHandle) Stage(it uint64, meta BlockMeta, data []byte) error {
+	return p.h.Stage(it, meta, data)
 }
 
 // Execute runs the pipeline on the single server.
-func (h *PipelineHandle) Execute(it uint64) (ExecResult, error) {
-	h.mu.Lock()
-	payload, _ := json.Marshal(epochMsg{Pipeline: h.pipeline, Iteration: it, Epoch: h.epoch})
-	timeout := h.timeout
-	h.mu.Unlock()
-	raw, err := h.c.mi.CallProvider(h.server, ProviderID, "execute", payload, timeout)
+func (p *PipelineHandle) Execute(it uint64) (ExecResult, error) {
+	res, err := p.h.Execute(it)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	var res ExecResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return ExecResult{}, err
-	}
-	return res, nil
+	return res[0], nil
 }
 
 // Deactivate completes the iteration.
-func (h *PipelineHandle) Deactivate(it uint64) error {
-	h.mu.Lock()
-	payload, _ := json.Marshal(epochMsg{Pipeline: h.pipeline, Iteration: it, Epoch: h.epoch})
-	timeout := h.timeout
-	h.mu.Unlock()
-	_, err := h.c.mi.CallProvider(h.server, ProviderID, "deactivate", payload, timeout)
-	return err
-}
+func (p *PipelineHandle) Deactivate(it uint64) error { return p.h.Deactivate(it) }
 
 // Non-blocking variants, mirroring the distributed handle.
 
 // NBActivate is the non-blocking Activate.
-func (h *PipelineHandle) NBActivate(it uint64) *Async {
-	return asyncRun(func() asyncRes { return asyncRes{err: h.Activate(it)} })
+func (p *PipelineHandle) NBActivate(it uint64) *Async {
+	return asyncRun(func() asyncRes { return asyncRes{err: p.Activate(it)} })
 }
 
-// NBStage is the non-blocking Stage. A window semaphore acquired before
-// the goroutine spawns bounds in-flight stages and live goroutines alike;
-// the control-plane NB variants stay unbounded on purpose — they run once
-// per iteration, not once per block.
-func (h *PipelineHandle) NBStage(it uint64, meta BlockMeta, data []byte) *Async {
-	h.nbOnce.Do(func() { h.nbSem = make(chan struct{}, nbStageWindow) })
-	h.nbSem <- struct{}{}
-	return asyncRun(func() asyncRes {
-		defer func() { <-h.nbSem }()
-		return asyncRes{err: h.Stage(it, meta, data)}
-	})
+// NBStage is the non-blocking Stage (DistributedPipelineHandle.NBStage).
+func (p *PipelineHandle) NBStage(it uint64, meta BlockMeta, data []byte) *Async {
+	return p.h.NBStage(it, meta, data)
 }
 
 // NBExecute is the non-blocking Execute.
-func (h *PipelineHandle) NBExecute(it uint64) *Async {
-	return asyncRun(func() asyncRes {
-		r, err := h.Execute(it)
-		return asyncRes{results: []ExecResult{r}, err: err}
-	})
-}
+func (p *PipelineHandle) NBExecute(it uint64) *Async { return p.h.NBExecute(it) }
 
 // NBDeactivate is the non-blocking Deactivate.
-func (h *PipelineHandle) NBDeactivate(it uint64) *Async {
-	return asyncRun(func() asyncRes { return asyncRes{err: h.Deactivate(it)} })
-}
+func (p *PipelineHandle) NBDeactivate(it uint64) *Async { return p.h.NBDeactivate(it) }

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"colza/internal/margo"
+	"colza/internal/mercury"
+	"colza/internal/na"
+	"colza/internal/obs"
 )
 
 // TestSoloHandleLifecycle: the single-server pipeline handle works
@@ -98,6 +103,48 @@ func TestSoloHandleAsyncVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := h.Deactivate(99); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSoloHandleRetriesDroppedStage: a solo handle stages through the
+// distributed handle's send path, so a stage request the fabric drops is
+// retried under the stage retry policy (and counted), not handed back to the
+// caller as a timeout.
+func TestSoloHandleRetriesDroppedStage(t *testing.T) {
+	d := deploy(t, 1)
+	d.createEverywhere(t, "solo")
+	reg := obs.NewRegistry()
+	d.client.SetObserver(reg)
+	h := d.client.SoloHandle("solo", d.servers[0].Addr())
+	h.SetTimeout(200 * time.Millisecond)
+	if err := h.Activate(1); err != nil {
+		t.Fatal(err)
+	}
+	plan := na.NewFaultPlan(1).SetClassifier(func(frame []byte) string {
+		name, _ := mercury.RPCNameOf(frame)
+		return name
+	})
+	plan.Add(na.FaultRule{Label: margo.ProviderRPCName(ProviderID, "stage"), Nth: 1, Drop: true})
+	d.net.SetFaultPlan(plan)
+	defer d.net.SetFaultPlan(nil)
+	if err := h.Stage(1, BlockMeta{Field: "v", Type: "raw"}, []byte("abcd")); err != nil {
+		t.Fatalf("stage after a dropped request: %v", err)
+	}
+	if plan.Fired(0) != 1 {
+		t.Fatalf("the stage request was never dropped (%s)", plan)
+	}
+	if got := reg.Snapshot().Counters["colza.stage.retries{pipeline=solo}"]; got != 1 {
+		t.Errorf("colza.stage.retries = %d, want 1", got)
+	}
+	res, err := h.Execute(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary["total_bytes"] != 4 {
+		t.Fatalf("total = %v, want 4", res.Summary["total_bytes"])
+	}
+	if err := h.Deactivate(1); err != nil {
 		t.Fatal(err)
 	}
 }

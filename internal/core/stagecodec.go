@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -10,18 +9,6 @@ import (
 	"colza/internal/obs"
 )
 
-// deltaMismatchText is the sentinel carried by the server's remote error
-// when a delta-encoded frame names a base iteration the server no longer
-// holds (evicted, invalidated, or already superseded by a duplicate of this
-// very block). Remote errors cross the wire as strings, so the client
-// detects it by substring and re-encodes the block against a zero base —
-// the stage is retried self-contained, never decoded against wrong state.
-const deltaMismatchText = "colza: stage delta base mismatch"
-
-func isDeltaBaseMismatch(err error) bool {
-	return err != nil && strings.Contains(err.Error(), deltaMismatchText)
-}
-
 // codecUsed pairs the codec a block was encoded with and the CPU time the
 // encode took, for feedback after the stage RPC completes.
 type codecUsed struct {
@@ -29,11 +16,10 @@ type codecUsed struct {
 	encNs int64
 }
 
-// stageCodecState is the client half of the stage compression path, shared
-// by the distributed and solo pipeline handles. Compression is opt-in per
-// handle (SetCodec / SetCodecAdaptive): with neither set every block takes
-// the exact pre-codec raw path — no copy, no encode, no extra metrics — so
-// the PR 3 alloc ceilings hold unchanged.
+// stageCodecState is the client half of the stage compression path.
+// Compression is opt-in per handle (SetCodec / SetCodecAdaptive): with
+// neither set every block takes the exact pre-codec raw path — no copy, no
+// encode, no extra metrics — so the PR 3 alloc ceilings hold unchanged.
 type stageCodecState struct {
 	mu          sync.Mutex
 	forced      codec.Codec // non-nil: always use this codec (negotiation permitting)
@@ -120,11 +106,7 @@ func (s *stageCodecState) deltaState() *codec.DeltaState {
 // servers that never saw their history, so every base this client
 // remembers is suspect.
 func (s *stageCodecState) negotiate(pipeline string, members []ServerInfo) {
-	var key strings.Builder
-	for _, m := range members {
-		key.WriteString(m.RPC)
-		key.WriteByte(',')
-	}
+	key := viewMemberKey(MemberView{Members: members})
 	inter := map[uint8]bool{codec.RawID: true}
 	for _, id := range codec.IDs() {
 		inter[id] = true
@@ -141,8 +123,8 @@ func (s *stageCodecState) negotiate(pipeline string, members []ServerInfo) {
 		}
 	}
 	s.mu.Lock()
-	changed := s.lastMembers != "" && s.lastMembers != key.String()
-	s.lastMembers = key.String()
+	changed := s.lastMembers != "" && s.lastMembers != key
+	s.lastMembers = key
 	s.allowed = inter
 	sel := s.selector
 	delta := s.delta
@@ -227,20 +209,14 @@ func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta
 	return enc, true, ci, c, time.Since(start).Nanoseconds()
 }
 
-// recordSuccess feeds one successfully staged block back into metrics, the
+// recordStaged feeds one successfully staged block back into metrics, the
 // adaptive selector, and — for delta — the remembered base history.
 // Client-side codec.bytes.in counts uncompressed bytes entering the codec,
 // codec.bytes.out the wire bytes leaving; codec.ratio is permille
-// (wire*1000/uncompressed).
-func (s *stageCodecState) recordSuccess(reg *obs.Registry, pipeline string, it uint64, meta BlockMeta, data []byte, ci stageCodecInfo, used codec.Codec, wireLen int, encNs, rpcNs int64) {
-	s.recordStaged(reg, pipeline, it, meta, data, len(data), ci, used, wireLen, encNs, rpcNs)
-}
-
-// recordStaged is recordSuccess for callers that may no longer hold the
-// original block (the batched path): dataLen carries the uncompressed
-// length for the metrics, and data may be nil — the delta base is then not
-// remembered. The batcher keeps a pooled copy whenever ci.Remember is set,
-// so nil data only ever pairs with non-delta codecs.
+// (wire*1000/uncompressed). dataLen carries the uncompressed length; data
+// may be nil for a caller that no longer holds the original block (the
+// batcher, for non-delta codecs) — the delta base is then not remembered,
+// and the batcher keeps a pooled copy whenever ci.Remember is set.
 func (s *stageCodecState) recordStaged(reg *obs.Registry, pipeline string, it uint64, meta BlockMeta, data []byte, dataLen int, ci stageCodecInfo, used codec.Codec, wireLen int, encNs, rpcNs int64) {
 	if used == nil {
 		return

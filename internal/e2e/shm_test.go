@@ -138,23 +138,26 @@ func TestColzaOverSM(t *testing.T) {
 	if got := snap.Counters["na.shm.frames.tx"]; got == 0 {
 		t.Error("na.shm.frames.tx = 0: no RPC frame crossed the shared-memory ring")
 	}
-	// Every staged block must have been pulled zero-copy out of the
-	// client's bulk arena by some server — the chunked RPC path stays cold.
+	// The client's endpoint has an arena, so its handle coalesced: every
+	// flushed frame's payload must have been pulled zero-copy out of the
+	// arena by its server, and the chunked RPC path stays cold.
 	var pulls int64
 	for _, s := range []*core.Server{s0, s1, s2} {
 		pulls += s.Obs.Counter("na.shm.pull.local").Value()
 	}
-	if want := int64(3 * mb.Blocks); pulls < want {
-		t.Errorf("na.shm.pull.local total = %d, want >= %d (bulk pulls not zero-copy)", pulls, want)
+	if flushes := snap.Counters["colza.stage.batch.flushes{pipeline=viz}"]; flushes < 2+3+2 || pulls < flushes {
+		t.Errorf("colza.stage.batch.flushes = %d (want >= 7, a frame per rank an iteration), na.shm.pull.local total = %d (want >= flushes): bulk pulls not zero-copy", flushes, pulls)
 	}
 }
 
 // TestChaosStageRetryOverSM reruns the stage-retry buffer-ownership chaos
-// scenario with the deployment on sm+tcp endpoints: injected drops of a
-// stage request and a stage response force at-least-once retries while the
-// bulk region stays exposed in the client's shared arena, and the retry's
-// zero-copy pull must still observe the original bytes — never a recycled
-// buffer. Every exposed region must be released by shutdown on all ranks.
+// scenario with the deployment on sm+tcp endpoints, where a handle coalesces
+// (its regions are in the arena and cannot ride in a stage frame): injected
+// drops of a stage request and a stage response force at-least-once
+// whole-frame retries while the batch's payload stays exposed in the
+// client's shared arena, and the retry's zero-copy pull must still observe
+// the original bytes — never a recycled buffer. Every exposed region must be
+// released by shutdown on all ranks.
 func TestChaosStageRetryOverSM(t *testing.T) {
 	dir := smTestDir(t)
 
@@ -215,8 +218,9 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 			// every dual endpoint so drops hit whichever transport the route
 			// picked (here: the sm ring). Rule 0 drops a stage *request* —
 			// client times out and retries with the bulk region still
-			// exposed. Rule 1 drops a stage *response* from server 0 — the
-			// server already pulled the block, so the retry's pull re-reads
+			// exposed. Rule 1 drops the next response from server 0, which
+			// answers a stage frame (execute waits for the flush) — the
+			// server already pulled the blocks, so the retry's pull re-reads
 			// a region whose first zero-copy pull completed long ago.
 			plan := na.NewFaultPlan(7).SetClassifier(func(data []byte) string {
 				if name, ok := mercury.RPCNameOf(data); ok {
@@ -225,7 +229,7 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 				return "response"
 			})
 			plan.Add(na.FaultRule{Label: "colza::stage", Nth: 1, Drop: true})
-			plan.Add(na.FaultRule{Label: "response", From: servers[0].Addr(), To: mi.Addr(), Nth: 2, Drop: true})
+			plan.Add(na.FaultRule{Label: "response", From: servers[0].Addr(), To: mi.Addr(), Nth: 1, Drop: true})
 			clientEP.SetFaultPlan(plan)
 			for _, ep := range serverEPs {
 				ep.SetFaultPlan(plan)
@@ -240,8 +244,9 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 		}
 		for b := 0; b < blocks; b++ {
 			// Pooling discipline under test: the block's pooled buffer is
-			// recycled the moment Stage returns — legal because Stage
-			// releases its arena region before returning, retries included.
+			// recycled the moment Stage returns — legal because the batcher
+			// copied it into the frame's own buffer, which is what the
+			// retries re-expose.
 			data := bufpool.Get(blockLen)
 			for i := range data {
 				data[i] = blockByte(it, b, i)
@@ -272,15 +277,18 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 	if got := snap.Counters["na.route.sm_preferred"]; got < 1 {
 		t.Errorf("na.route.sm_preferred = %d: chaos ran over TCP, not shared memory", got)
 	}
-	// The blocks are under mercury's eager limit, but an sm endpoint's
-	// regions are in the arena: they are pulled from it, never sent along.
+	// An sm endpoint's regions are in the arena: every frame's payload is
+	// pulled from it (one pull a flushed frame, at least one frame per rank
+	// an iteration), never sent along.
 	var pulls, rode int64
 	for _, s := range servers {
 		pulls += s.Obs.Counter("na.shm.pull.local").Value()
 		rode += s.Obs.Counter("mercury.bulk.eager.count").Value()
 	}
-	if want := int64(iters * blocks); pulls < want || rode != 0 {
-		t.Errorf("na.shm.pull.local total = %d (want >= %d), mercury.bulk.eager.count = %d (want 0): stage transfers left the arena", pulls, want, rode)
+	flushes := snap.Counters["colza.stage.batch.flushes{pipeline=viz}"]
+	if flushes < iters*2 || pulls < flushes || rode != 0 {
+		t.Errorf("colza.stage.batch.flushes = %d (want >= %d), na.shm.pull.local total = %d (want >= flushes), mercury.bulk.eager.count = %d (want 0): stage transfers left the arena",
+			flushes, iters*2, pulls, rode)
 	}
 
 	checksumMu.Lock()

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"colza/internal/na"
 )
 
 // Bulk is a handle to a registered memory region on some process. It is
@@ -112,6 +110,13 @@ func DecodeBulk(data []byte) (Bulk, []byte, error) {
 	return b, data, nil
 }
 
+// SharesBulk reports whether the endpoint publishes exposed regions in a
+// shared-memory arena (na.LocalBulk). One predicate, two decisions that must
+// not drift apart: Expose sends no such region eagerly (colocated pullers map
+// it instead), and a core pipeline handle coalesces staged blocks exactly
+// there, where no block can ride in its stage frame.
+func (c *Class) SharesBulk() bool { return c.arena != nil }
+
 // Expose registers buf as pull-able memory and returns its handle. The
 // caller must keep buf alive and unchanged until Release; the region is
 // referenced, not copied, as with pinned RDMA memory. In particular a
@@ -124,19 +129,16 @@ func (c *Class) Expose(buf []byte) Bulk {
 	c.bmu.Unlock()
 	c.bulkM.for_(c.observer()).exposed.Add(int64(len(buf)))
 	b := Bulk{Addr: c.Addr(), ID: id, Size: len(buf)}
-	// On a shared-memory-capable transport, additionally publish the
-	// region in the endpoint's shared segment so colocated pullers can
-	// copy it straight out of mapped memory. Best-effort: on any failure
-	// pulls simply use the RPC path against c.bulks. IDs are never reused
-	// (nextBk only grows), so a stale publication can never alias a new
-	// region.
-	published := false
-	if lb, ok := c.ep.(na.LocalBulk); ok {
-		published = lb.ExposeLocal(id, buf)
-	}
-	// A small region nobody can map travels inside the serialized handle
-	// (an empty one needs no transfer at all).
-	if !published && len(buf) > 0 && len(buf) <= eagerLimit {
+	if c.SharesBulk() {
+		// Additionally publish the region in the endpoint's shared segment so
+		// colocated pullers can copy it straight out of mapped memory.
+		// Best-effort: on any failure pulls simply use the RPC path against
+		// c.bulks. IDs are never reused (nextBk only grows), so a stale
+		// publication can never alias a new region.
+		c.arena.ExposeLocal(id, buf)
+	} else if len(buf) > 0 && len(buf) <= eagerLimit {
+		// A small region nobody can map travels inside the serialized handle
+		// (an empty one needs no transfer at all).
 		b.eager = buf
 	}
 	return b
@@ -152,8 +154,8 @@ func (c *Class) Release(b Bulk) {
 	c.bmu.Unlock()
 	if ok {
 		c.bulkM.for_(c.observer()).exposed.Add(int64(-b.Size))
-		if lb, lok := c.ep.(na.LocalBulk); lok {
-			lb.ReleaseLocal(b.ID)
+		if c.SharesBulk() {
+			c.arena.ReleaseLocal(b.ID)
 		}
 	}
 }
@@ -291,8 +293,8 @@ func (c *Class) pullRange(b Bulk, off int, dst []byte) error {
 	// (region not published, peer not colocated, seqlock churn) falls
 	// through to the RPC pulls, which remain authoritative — notably for
 	// use-after-release, which must surface as ErrBadBulk.
-	if lb, ok := c.ep.(na.LocalBulk); ok {
-		if done, err := lb.PullLocal(b.Addr, b.ID, off, dst); done {
+	if c.SharesBulk() {
+		if done, err := c.arena.PullLocal(b.Addr, b.ID, off, dst); done {
 			return err
 		}
 	}

@@ -178,6 +178,8 @@ type Class struct {
 	// gather is ep's scatter-gather send when the transport has one (nil
 	// otherwise); see sendFrame.
 	gather na.GatherSender
+	// arena is ep's shared-memory bulk arena, nil without one (SharesBulk).
+	arena na.LocalBulk
 
 	mu         sync.RWMutex
 	handlers   map[string]Handler
@@ -246,6 +248,7 @@ func New(ep na.Endpoint) *Class {
 		bulks:    make(map[uint64][]byte),
 	}
 	c.gather, _ = ep.(na.GatherSender)
+	c.arena, _ = ep.(na.LocalBulk)
 	c.Register(bulkPullRPC, c.handleBulkPull)
 	c.wg.Add(1)
 	go c.progress()
