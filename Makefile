@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race cover fuzz bench-smoke ci
+.PHONY: all build vet test race cover fuzz bench-smoke chaos ci
 
 all: build vet test
 

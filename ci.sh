@@ -93,9 +93,11 @@ fi
 # (the untrusted side of the wire); the elastic controller, which actuates
 # real process launches and membership leaves; and, per file, the client
 # stage path — the frame codec (it also decodes what a client sent), the one
-# send function every Stage goes through, and the batcher, whose retry
-# re-exposes a shared payload long after the callers' buffers were recycled:
-# a missed branch there is a silent data-corruption path.
+# send function every Stage goes through, the batcher, whose retry
+# re-exposes a shared payload long after the callers' buffers were recycled,
+# and the codec step, which decides which bytes go on the wire and owns the
+# delta mismatch and invalidation steps: a missed branch there is a silent
+# data-corruption path.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
-check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go
+check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go

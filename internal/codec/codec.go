@@ -142,9 +142,8 @@ func All() []Codec {
 	return out
 }
 
-// Raw is the identity codec: the no-compression fallback every peer
-// accepts, and what adaptive selection falls back to when the link is
-// faster than any codec.
+// Raw is the identity codec: what a handle with no codec named stages
+// through, and what a failing encode degrades to.
 type Raw struct{}
 
 func (Raw) ID() uint8                              { return RawID }

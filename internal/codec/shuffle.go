@@ -10,8 +10,8 @@ import "colza/internal/bufpool"
 // When the planes do not form runs — unaligned sections in a serialized
 // block, or mantissa bytes that vary smoothly without repeating — RLE
 // breaks even at best, so Encode falls back to DEFLATE over the shuffled
-// bytes (the Blosc shuffle+LZ pairing), trading encode CPU for the ratio
-// the adaptive controller is weighing against the link anyway.
+// bytes (the Blosc shuffle+LZ pairing), trading encode CPU for the ratio a
+// caller who named this codec asked for.
 //
 // Wire layout: one format byte, then the payload. The low bits of the
 // format byte carry the shuffle stride (1, 2, 4, or 8); the 0x80 bit

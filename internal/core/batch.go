@@ -138,7 +138,7 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 	// Encode outside the batcher lock: this copies (or compresses) the
 	// caller's bytes into storage the batch owns, so data is free for reuse
 	// as soon as enqueue returns.
-	wire, pooledWire, ci, used := h.encodeBlock(it, meta, data, false)
+	wire, pooledWire, ci, used := h.codec.encodeStage(h.pipeline, it, meta, data, false)
 	var orig []byte
 	if ci.Remember || ci.HasBase {
 		// The delta machinery needs the original bytes after the RPC lands
@@ -286,7 +286,7 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 	m := h.stageMetrics()
 	reg := m.reg
 	sp := reg.StartSpan("stage.flush", SpanKeyFor(h.pipeline, pb.it))
-	berrs, rpcNs, err := h.sendStage(pb.it, pb.addr, pb.recs, pb.payload)
+	berrs, err := h.sendStage(pb.it, pb.addr, pb.recs, pb.payload)
 	if err != nil {
 		sp.End(err)
 		b.finish(pb, err)
@@ -300,7 +300,6 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 			blockErr[e.Index] = e
 		}
 	}
-	totalWire := len(pb.payload)
 	bufpool.Put(pb.payload)
 	pb.payload = nil
 	for i := range pb.blocks {
@@ -309,15 +308,8 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 			b.completeError(pb, blk, e)
 			continue
 		}
-		// The RPC time is shared by the whole batch; attribute it to each
-		// block by its share of the wire bytes so the adaptive selector
-		// sees a sane per-block link cost.
-		share := rpcNs
-		if totalWire > 0 {
-			share = rpcNs * int64(blk.rec.PayloadLen) / int64(totalWire)
-		}
 		h.codec.recordStaged(reg, h.pipeline, pb.it, blk.rec.Meta, blk.orig, blk.dataLen,
-			blk.rec.CI, blk.used.c, blk.rec.PayloadLen, blk.used.encNs, share)
+			blk.rec.CI, blk.used, blk.rec.PayloadLen)
 		m.bytes.Add(int64(blk.dataLen))
 		m.blocks.Inc()
 		if blk.orig != nil {

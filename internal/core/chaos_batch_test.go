@@ -218,7 +218,7 @@ func runChaosBatchedStageRetry(t *testing.T, blockLen int, configure func(h *Dis
 	} else if !eager && (rode != 0 || pulled < iters*2) {
 		t.Errorf("pulled arm: %d pulls (want >= %d), %d regions rode in their frames (want 0)", pulled, iters*2, rode)
 	}
-	if h.codec.enabled() {
+	if h.codec.forced != nil {
 		var wire int64
 		for k, v := range snap.Counters {
 			if strings.HasPrefix(k, "codec.bytes.out{") {

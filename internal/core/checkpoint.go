@@ -42,10 +42,10 @@ import (
 // for long.
 const (
 	maxCheckpointBytes = 16 << 20
-	checkpointAttempts = 3
 	checkpointTimeout  = 2 * time.Second
-	checkpointBackoff  = 25 * time.Millisecond
 )
+
+var checkpointRetry = RetryPolicy{Max: 3, Base: 25 * time.Millisecond, Cap: 100 * time.Millisecond, Jitter: 0.5}
 
 // ckptKey identifies one replicated checkpoint: which pipeline's state,
 // exported by which server.
@@ -145,16 +145,17 @@ func (p *Provider) checkpointStateful(slot *pipelineSlot, view MemberView, itera
 		return // replication disabled, or a single-member view
 	}
 	reg := p.observer()
+	errs := reg.Counter("core.state.checkpoint.errors")
 	state, err := sb.ExportState()
 	if err != nil {
-		reg.Counter("core.state.checkpoint.errors").Inc()
+		errs.Inc()
 		return
 	}
 	if len(state) == 0 {
 		return
 	}
 	if len(state) > maxCheckpointBytes {
-		reg.Counter("core.state.checkpoint.errors").Inc()
+		errs.Inc()
 		return
 	}
 	payload, _ := json.Marshal(ckptMsg{
@@ -167,8 +168,7 @@ func (p *Provider) checkpointStateful(slot *pipelineSlot, view MemberView, itera
 	})
 	acked := 0
 	for _, addr := range succ {
-		if err := p.callCheckpoint(addr, "checkpoint_state", payload); err != nil {
-			reg.Counter("core.state.checkpoint.errors").Inc()
+		if p.transfer(addr, "checkpoint_state", payload, checkpointTimeout, checkpointRetry, errs) != nil {
 			continue
 		}
 		acked++
@@ -179,23 +179,6 @@ func (p *Provider) checkpointStateful(slot *pipelineSlot, view MemberView, itera
 	p.ckptMu.Lock()
 	p.sentReplicas[slot.name] = succ
 	p.ckptMu.Unlock()
-}
-
-// callCheckpoint is an acknowledged, retried control transfer. Transient
-// failures back off and retry; a remote refusal is final — the peer
-// answered, so resending the same frame cannot change the outcome.
-func (p *Provider) callCheckpoint(addr, rpc string, payload []byte) error {
-	var err error
-	for attempt := 0; attempt < checkpointAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(checkpointBackoff << uint(attempt-1))
-		}
-		_, err = p.mi.CallProvider(addr, ProviderID, rpc, payload, checkpointTimeout)
-		if err == nil || Classify(err) == ClassRemote {
-			return err
-		}
-	}
-	return err
 }
 
 // handleCheckpointState stores a peer's replicated checkpoint. A stale
@@ -253,10 +236,9 @@ func (p *Provider) discardReplicas(pipeline string) {
 		return
 	}
 	payload, _ := json.Marshal(ckptDiscardMsg{Pipeline: pipeline, Origin: p.mi.Addr()})
+	errs := p.observer().Counter("core.state.checkpoint.errors")
 	for _, addr := range targets {
-		if err := p.callCheckpoint(addr, "checkpoint_discard", payload); err != nil {
-			p.observer().Counter("core.state.checkpoint.errors").Inc()
-		}
+		_ = p.transfer(addr, "checkpoint_discard", payload, checkpointTimeout, checkpointRetry, errs) // counted; best effort
 	}
 }
 

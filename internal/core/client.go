@@ -174,11 +174,10 @@ func (c *Client) serverInfo(rpcAddr string, timeout time.Duration) (ServerInfo, 
 	if err != nil {
 		return ServerInfo{}, err
 	}
-	var im infoMsg
-	if err := json.Unmarshal(raw, &im); err != nil {
+	var si ServerInfo
+	if err := json.Unmarshal(raw, &si); err != nil {
 		return ServerInfo{}, err
 	}
-	si := ServerInfo{RPC: im.RPC, Mona: im.Mona, Codecs: im.Codecs}
 	c.mu.Lock()
 	c.infoCache[rpcAddr] = si
 	c.mu.Unlock()
@@ -431,19 +430,13 @@ func (h *DistributedPipelineHandle) SetRetrySeed(seed int64) {
 	h.mu.Unlock()
 }
 
-// SetCodec forces every staged block through the named codec ("raw",
-// "flate", "shuffle", "delta"), subject to what the pinned view's servers
-// accept. The default is raw: compression is strictly opt-in so the
-// alloc-free raw stage path is untouched.
+// SetCodec stages every block through the named codec ("raw", "flate",
+// "shuffle", "delta"); each frame record says which codec it used, and a
+// server decodes any codec registered in its binary. The default is raw:
+// compression is strictly opt-in so the alloc-free raw stage path is
+// untouched. DESIGN.md §10.3 says when a named codec pays.
 func (h *DistributedPipelineHandle) SetCodec(name string) error {
 	return h.codec.setCodec(name)
-}
-
-// SetCodecAdaptive lets the per-pipeline controller choose the codec per
-// block from the negotiated set, balancing encode CPU against measured
-// link throughput (see codec.Selector). Overrides any forced codec.
-func (h *DistributedPipelineHandle) SetCodecAdaptive(on bool) {
-	h.codec.setAdaptive(on)
 }
 
 // backoff computes the jittered sleep before retry attempt k under rp.
@@ -494,7 +487,7 @@ func (h *DistributedPipelineHandle) SetView(v MemberView) {
 	h.mu.Lock()
 	h.view = v
 	h.mu.Unlock()
-	h.codec.negotiate(h.pipeline, v.Members)
+	h.codec.viewPinned(h.pipeline, v)
 }
 
 // Pipeline returns the pipeline name.
@@ -594,7 +587,7 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 			h.mu.Lock()
 			h.view = view
 			h.mu.Unlock()
-			h.codec.negotiate(h.pipeline, view.Members)
+			h.codec.viewPinned(h.pipeline, view)
 			return view, nil
 		} else if err != nil {
 			lastErr = err

@@ -64,11 +64,6 @@ type createPipelineMsg struct {
 type nameMsg struct {
 	Name string `json:"n"`
 }
-type infoMsg struct {
-	RPC    string  `json:"rpc"`
-	Mona   string  `json:"mona"`
-	Codecs []uint8 `json:"codecs,omitempty"` // stage codecs this server accepts
-}
 type membersMsg struct {
 	Members []string `json:"m"`
 }
@@ -163,23 +158,21 @@ type Provider struct {
 	ckpts        map[ckptKey]*ckptEntry
 	sentReplicas map[string][]string
 
-	// Stage compression (DESIGN.md §10): which codecs this server accepts
-	// (and advertises via info), the per-(pipeline, field, block) delta
-	// bases remembered for temporal encoding, and the per-codec wire/decode
-	// byte counters cached so the stage hot path increments them without a
-	// labeled-lookup allocation.
-	codecMu        sync.RWMutex
-	acceptedCodecs map[uint8]bool
-	codecIn        map[uint8]*obs.Counter
-	codecOut       map[uint8]*obs.Counter
-	deltas         *codec.DeltaState
+	// Stage compression (DESIGN.md §10): the per-(pipeline, field, block)
+	// delta bases remembered for temporal encoding, and the per-codec
+	// wire/decode byte counters cached so the stage hot path increments them
+	// without a labeled-lookup allocation.
+	codecMu  sync.RWMutex
+	codecIn  map[uint8]*obs.Counter
+	codecOut map[uint8]*obs.Counter
+	deltas   *codec.DeltaState
 
-	// migrateSleep, when non-nil, replaces time.Sleep in the migrate retry
-	// so dessim-style tests cover the backoff without real sleeps;
-	// migrateRNG draws its jitter (leave-time migration runs on a single
-	// goroutine, so no extra locking).
-	migrateSleep func(time.Duration)
-	migrateRNG   *rand.Rand
+	// transferSleep, when non-nil, replaces time.Sleep in the control
+	// transfers' retry (transfer) so dessim-style tests cover the backoff
+	// without real sleeps; transferRNG draws its jitter. Both under mu:
+	// deactivate handlers of different pipelines checkpoint concurrently.
+	transferSleep func(time.Duration)
+	transferRNG   *rand.Rand
 }
 
 // SetObserver routes this provider's metrics and spans (and the Margo
@@ -232,9 +225,8 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 		ckpts:         make(map[ckptKey]*ckptEntry),
 		sentReplicas:  make(map[string][]string),
 		deltas:        codec.NewDeltaState(0),
-		migrateRNG:    rand.New(rand.NewSource(1)),
+		transferRNG:   rand.New(rand.NewSource(1)),
 	}
-	p.SetAcceptedCodecs(codec.IDs())
 	mi.RegisterProviderRPC(ProviderID, "prepare", p.handlePrepare)
 	mi.RegisterProviderRPC(ProviderID, "commit", p.handleCommit)
 	mi.RegisterProviderRPC(ProviderID, "abort", p.handleAbort)
@@ -292,35 +284,9 @@ func (p *Provider) BindPools(control, data *margo.Pool) {
 	}
 }
 
-// Info returns this server's address pair and advertised codec set.
+// Info returns this server's address pair.
 func (p *Provider) Info() ServerInfo {
-	return ServerInfo{RPC: p.mi.Addr(), Mona: p.mn.Addr(), Codecs: p.AcceptedCodecs()}
-}
-
-// SetAcceptedCodecs restricts which stage codecs this server accepts and
-// advertises. Raw is always included — it is the universal fallback. The
-// default (set at construction) is every registered codec.
-func (p *Provider) SetAcceptedCodecs(ids []uint8) {
-	m := map[uint8]bool{codec.RawID: true}
-	for _, id := range ids {
-		m[id] = true
-	}
-	p.codecMu.Lock()
-	p.acceptedCodecs = m
-	p.codecMu.Unlock()
-}
-
-// AcceptedCodecs lists the accepted codec IDs, ascending.
-func (p *Provider) AcceptedCodecs() []uint8 {
-	p.codecMu.RLock()
-	defer p.codecMu.RUnlock()
-	out := make([]uint8, 0, len(p.acceptedCodecs))
-	for _, id := range codec.IDs() {
-		if p.acceptedCodecs[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return ServerInfo{RPC: p.mi.Addr(), Mona: p.mn.Addr()}
 }
 
 // OnLeave registers a callback fired once the server has left the group
@@ -605,7 +571,7 @@ func (p *Provider) fetchStaged(bulk mercury.Bulk) (wire []byte, pooled bool, err
 // region is whatever the client exposed — for compressed records the encoded
 // payloads, which stageWireBlock decodes (and delta-reconstructs) into pooled
 // buffers before the backend borrows them. Frame-level problems (malformed
-// frame, unknown pipeline, inactive iteration, failed pull, unaccepted codec)
+// frame, unknown pipeline, inactive iteration, failed pull, unknown codec)
 // are RPC errors — the client's whole-frame retry machinery applies.
 // Per-block decode and backend failures are demultiplexed into the response
 // instead, so one bad block cannot fail or re-send its frame-mates.
@@ -614,16 +580,14 @@ func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Codec acceptance is a frame-level screen: a client that failed
-	// negotiation must learn it loudly, not land half a frame.
-	p.codecMu.RLock()
+	// The codec id is a frame-level screen: a frame naming a codec this
+	// binary does not register (a hostile or newer client) must fail loudly,
+	// not land half its blocks.
 	for _, r := range recs {
-		if _, known := codec.ByID(r.CI.CodecID); !known || !p.acceptedCodecs[r.CI.CodecID] {
-			p.codecMu.RUnlock()
-			return nil, fmt.Errorf("colza: stage codec %d not accepted by %s", r.CI.CodecID, p.mi.Addr())
+		if _, known := codec.ByID(r.CI.CodecID); !known {
+			return nil, fmt.Errorf("colza: stage codec %d not registered on %s", r.CI.CodecID, p.mi.Addr())
 		}
 	}
-	p.codecMu.RUnlock()
 	slot, err := p.slot(pipeline)
 	if err != nil {
 		return nil, err
@@ -828,7 +792,7 @@ func (p *Provider) handleMembers(req mercury.Request) ([]byte, error) {
 }
 
 func (p *Provider) handleInfo(req mercury.Request) ([]byte, error) {
-	return json.Marshal(infoMsg{RPC: p.mi.Addr(), Mona: p.mn.Addr(), Codecs: p.AcceptedCodecs()})
+	return json.Marshal(p.Info())
 }
 
 func (p *Provider) handleCreatePipeline(req mercury.Request) ([]byte, error) {
@@ -950,7 +914,7 @@ func (p *Provider) migrateStatefulPipelines() MigrationStatus {
 		slots = append(slots, s)
 	}
 	p.mu.Unlock()
-	reg := p.observer()
+	errs := p.observer().Counter("core.migrate.errors")
 	for _, slot := range slots {
 		sb, ok := slot.backend.(StatefulBackend)
 		if !ok {
@@ -960,7 +924,7 @@ func (p *Provider) migrateStatefulPipelines() MigrationStatus {
 		if err != nil {
 			status.Attempted++
 			status.Failed = append(status.Failed, slot.name)
-			reg.Counter("core.migrate.errors").Inc()
+			errs.Inc()
 			continue
 		}
 		if len(state) == 0 {
@@ -970,7 +934,7 @@ func (p *Provider) migrateStatefulPipelines() MigrationStatus {
 		payload, _ := json.Marshal(migrateMsg{Pipeline: slot.name, State: state})
 		migrated := false
 		for _, succ := range targets {
-			if err := p.migrateCall(succ, payload); err != nil {
+			if p.transfer(succ, "migrate_state", payload, migrateTimeout, migrateRetry, errs) != nil {
 				continue // next ring member (leaving, dead, or refusing)
 			}
 			migrated = true
@@ -991,49 +955,45 @@ func (p *Provider) migrateStatefulPipelines() MigrationStatus {
 }
 
 // migrateRetry bounds the migrate_state resend: two attempts with a
-// jittered backoff between them — the same shape as every other retry in
-// the repo (the bare 50ms time.Sleep this replaces was neither jittered
-// nor clock-injectable, so no test ever covered it without a real sleep).
+// jittered backoff between them.
 var migrateRetry = RetryPolicy{Max: 2, Base: 50 * time.Millisecond, Cap: 200 * time.Millisecond, Jitter: 0.5}
 
-// sleepMigrate waits out a migrate backoff through the injectable clock.
-func (p *Provider) sleepMigrate(d time.Duration) {
-	p.mu.Lock()
-	fn := p.migrateSleep
-	p.mu.Unlock()
-	if fn != nil {
-		fn(d)
-		return
-	}
-	time.Sleep(d)
-}
+const migrateTimeout = 10 * time.Second
 
-// SetMigrateSleep injects the migrate retry's sleep function (tests cover
-// the backoff without real sleeps); nil restores time.Sleep.
-func (p *Provider) SetMigrateSleep(fn func(time.Duration)) {
+// SetTransferSleep injects the sleep function of the control transfers'
+// retry (tests cover the backoff without real sleeps); nil restores
+// time.Sleep.
+func (p *Provider) SetTransferSleep(fn func(time.Duration)) {
 	p.mu.Lock()
-	p.migrateSleep = fn
+	p.transferSleep = fn
 	p.mu.Unlock()
 }
 
-// migrateCall sends one migrate_state transfer, retrying transient
-// failures under migrateRetry. Every failed attempt counts into
-// core.migrate.errors — the bug this replaces discarded the call result
-// outright. A remote refusal (the peer answered: it is leaving too, or the
-// pipeline is missing or stateless there) is final for this target; the
-// caller moves on to the next ring member.
-func (p *Provider) migrateCall(addr string, payload []byte) error {
-	reg := p.observer()
+// transfer is an acknowledged, retried control transfer to a peer
+// (migrate_state, checkpoint_state, checkpoint_discard). Transient failures
+// back off under rp, jittered, through the injectable sleep, and retry; a
+// remote refusal is final — the peer answered (it is leaving too, or the
+// pipeline is missing or stateless there), so resending the same frame
+// cannot change the outcome. Every failed attempt counts into failed, even
+// when a later one lands: a dropped transfer must leave a trace.
+func (p *Provider) transfer(addr, rpc string, payload []byte, timeout time.Duration, rp RetryPolicy, failed *obs.Counter) error {
 	var err error
-	for attempt := 0; attempt < migrateRetry.attempts(); attempt++ {
+	for attempt := 0; attempt < rp.attempts(); attempt++ {
 		if attempt > 0 {
-			p.sleepMigrate(migrateRetry.Backoff(attempt-1, p.migrateRNG))
+			p.mu.Lock()
+			d := rp.Backoff(attempt-1, p.transferRNG)
+			sleep := p.transferSleep
+			p.mu.Unlock()
+			if sleep == nil {
+				sleep = time.Sleep
+			}
+			sleep(d)
 		}
-		_, err = p.mi.CallProvider(addr, ProviderID, "migrate_state", payload, 10*time.Second)
+		_, err = p.mi.CallProvider(addr, ProviderID, rpc, payload, timeout)
 		if err == nil {
 			return nil
 		}
-		reg.Counter("core.migrate.errors").Inc()
+		failed.Inc()
 		if Classify(err) == ClassRemote {
 			return err
 		}

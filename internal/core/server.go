@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"colza/internal/codec"
 	"colza/internal/margo"
 	"colza/internal/mona"
 	"colza/internal/na"
@@ -76,13 +75,6 @@ type ServerConfig struct {
 	// DESIGN.md §9). 0 selects the default of 1; a negative value disables
 	// checkpointing entirely.
 	StateReplicas int
-	// Codec, when non-empty, restricts the stage codecs this server accepts
-	// and advertises to raw plus the named codec (DESIGN.md §10). Empty
-	// accepts every registered codec.
-	Codec string
-	// CodecsOff makes the server raw-only: compressed stage frames are
-	// rejected and clients negotiating against it fall back to raw.
-	CodecsOff bool
 }
 
 // StartServer assembles a staging server from its two endpoints. rpcEP
@@ -108,17 +100,6 @@ func StartServer(rpcEP, monaEP na.Endpoint, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("colza: starting server: %w", err)
 	}
 	s := &Server{MI: mi, Mona: mn, Group: group, Provider: NewProvider(mi, mn, group), Obs: obs.NewRegistry()}
-	switch {
-	case cfg.Codec != "":
-		c, cerr := codec.Lookup(cfg.Codec)
-		if cerr != nil {
-			s.Shutdown()
-			return nil, cerr
-		}
-		s.Provider.SetAcceptedCodecs([]uint8{codec.RawID, c.ID()})
-	case cfg.CodecsOff:
-		s.Provider.SetAcceptedCodecs(nil)
-	}
 	s.Provider.SetObserver(s.Obs)
 	switch {
 	case cfg.StateReplicas < 0:

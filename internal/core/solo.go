@@ -95,27 +95,18 @@ func (p *PipelineHandle) Activate(it uint64) error {
 	h.mu.Lock()
 	timeout := h.timeout
 	h.mu.Unlock()
-	// The member entry carries the codecs the server accepts, which the
-	// pinned view negotiates against.
-	si, err := h.c.serverInfo(p.server, timeout)
-	if err != nil {
-		return err
-	}
 	epoch := (it+1)<<8 | 0xE0 // distinct epoch space from distributed handles
 	payload, _ := json.Marshal(soloMsg{Pipeline: h.pipeline, Iteration: it, Epoch: epoch})
 	if _, err := h.c.call(p.server, "activate_solo", payload, timeout); err != nil {
 		return err
 	}
-	h.SetView(MemberView{Epoch: epoch, Members: []ServerInfo{si}})
+	h.SetView(MemberView{Epoch: epoch, Members: []ServerInfo{{RPC: p.server}}})
 	return nil
 }
 
-// SetCodec forces every staged block through the named codec; the default
-// is raw (no compression, no copies).
+// SetCodec stages every block through the named codec; the default is raw
+// (no compression, no copies).
 func (p *PipelineHandle) SetCodec(name string) error { return p.h.SetCodec(name) }
-
-// SetCodecAdaptive lets the adaptive controller pick the codec per block.
-func (p *PipelineHandle) SetCodecAdaptive(on bool) { p.h.SetCodecAdaptive(on) }
 
 // Stage hands a block to the server (DistributedPipelineHandle.Stage).
 func (p *PipelineHandle) Stage(it uint64, meta BlockMeta, data []byte) error {

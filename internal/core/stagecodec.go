@@ -9,25 +9,24 @@ import (
 	"colza/internal/obs"
 )
 
-// codecUsed pairs the codec a block was encoded with and the CPU time the
-// encode took, for feedback after the stage RPC completes.
+// codecUsed pairs the codec a block was encoded with (nil when none is
+// named) and the CPU time the encode took, for the metrics recorded once the
+// stage RPC completes.
 type codecUsed struct {
 	c     codec.Codec
 	encNs int64
 }
 
-// stageCodecState is the client half of the stage compression path.
-// Compression is opt-in per handle (SetCodec / SetCodecAdaptive): with
-// neither set every block takes the exact pre-codec raw path — no copy, no
-// encode, no extra metrics — so the PR 3 alloc ceilings hold unchanged.
+// stageCodecState is the client half of the stage compression path
+// (DESIGN.md §10). SetCodec names the one codec the handle encodes every
+// block with; with none named every block takes the exact pre-codec raw
+// path — no copy, no encode, no extra metrics — so the PR 3 alloc ceilings
+// hold unchanged.
 type stageCodecState struct {
 	mu          sync.Mutex
-	forced      codec.Codec // non-nil: always use this codec (negotiation permitting)
-	adaptive    bool
-	selector    *codec.Selector
+	forced      codec.Codec // nil: no codec named
 	delta       *codec.DeltaState
-	allowed     map[uint8]bool // per-link negotiated set; nil before negotiation
-	lastMembers string         // member key of the last negotiated view
+	lastMembers string // member key of the last pinned view
 
 	// metrics caches the per-codec instruments recordStaged bumps per block,
 	// resolved against metricsReg (labeled lookups compose a key string).
@@ -60,13 +59,6 @@ func (s *stageCodecState) codecMetricsFor(reg *obs.Registry, c codec.Codec) *cod
 	return m
 }
 
-// enabled reports whether the codec machinery is engaged at all.
-func (s *stageCodecState) enabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.forced != nil || s.adaptive
-}
-
 func (s *stageCodecState) setCodec(name string) error {
 	c, err := codec.Lookup(name)
 	if err != nil {
@@ -78,18 +70,6 @@ func (s *stageCodecState) setCodec(name string) error {
 	return nil
 }
 
-func (s *stageCodecState) setAdaptive(on bool) {
-	s.mu.Lock()
-	s.adaptive = on
-	if on {
-		s.forced = nil
-		if s.selector == nil {
-			s.selector = codec.NewSelector(codec.All())
-		}
-	}
-	s.mu.Unlock()
-}
-
 func (s *stageCodecState) deltaState() *codec.DeltaState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -99,79 +79,36 @@ func (s *stageCodecState) deltaState() *codec.DeltaState {
 	return s.delta
 }
 
-// negotiate installs the per-link codec set for a freshly pinned view: the
-// intersection of what every member advertises (a member advertising
-// nothing is raw-only — raw is always mutual). A membership change also
-// invalidates the pipeline's delta bases: placement re-routes blocks to
-// servers that never saw their history, so every base this client
-// remembers is suspect.
-func (s *stageCodecState) negotiate(pipeline string, members []ServerInfo) {
-	key := viewMemberKey(MemberView{Members: members})
-	inter := map[uint8]bool{codec.RawID: true}
-	for _, id := range codec.IDs() {
-		inter[id] = true
-	}
-	for _, m := range members {
-		mset := map[uint8]bool{codec.RawID: true}
-		for _, id := range m.Codecs {
-			mset[id] = true
-		}
-		for id := range inter {
-			if !mset[id] {
-				delete(inter, id)
-			}
-		}
-	}
+// viewPinned notes the members of a freshly pinned view. A membership
+// change invalidates the pipeline's delta bases: placement re-routes blocks
+// to servers that never saw their history, so every base this client
+// remembers is suspect (invalidation matrix, DESIGN.md §10.2).
+func (s *stageCodecState) viewPinned(pipeline string, v MemberView) {
+	key := viewMemberKey(v)
 	s.mu.Lock()
 	changed := s.lastMembers != "" && s.lastMembers != key
 	s.lastMembers = key
-	s.allowed = inter
-	sel := s.selector
 	delta := s.delta
 	s.mu.Unlock()
-	if sel != nil {
-		var cands []codec.Codec
-		for _, c := range codec.All() {
-			if inter[c.ID()] {
-				cands = append(cands, c)
-			}
-		}
-		sel.SetCandidates(cands)
-	}
 	if changed && delta != nil {
 		delta.InvalidatePipeline(pipeline)
 	}
 }
 
-// pick chooses the codec for the next block, honoring the negotiated set.
-func (s *stageCodecState) pick() codec.Codec {
+// encodeStage prepares one block's wire payload. With no codec named wire
+// IS data (raw passthrough, nothing pooled, no codec metrics), and so it is
+// for a named raw; any other codec compresses into a pooled buffer the
+// caller must bufpool.Put once the bytes are sent or copied. zeroBase forces
+// a self-contained delta (the mismatch resend).
+func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta, data []byte, zeroBase bool) (wire []byte, pooled bool, ci stageCodecInfo, used codecUsed) {
 	s.mu.Lock()
-	forced, adaptive, sel, allowed := s.forced, s.adaptive, s.selector, s.allowed
+	c := s.forced
 	s.mu.Unlock()
-	permit := func(c codec.Codec) bool {
-		return c.ID() == codec.RawID || allowed == nil || allowed[c.ID()]
+	ci = stageCodecInfo{Uncompressed: uint64(len(data))}
+	if c == nil || c.ID() == codec.RawID {
+		return data, false, ci, codecUsed{c: c}
 	}
-	if forced != nil && permit(forced) {
-		return forced
-	}
-	if forced == nil && adaptive && sel != nil {
-		if c := sel.Pick(); permit(c) {
-			return c
-		}
-	}
-	return codec.Raw{}
-}
-
-// encodeStage prepares the wire payload for one block. Raw returns data
-// itself (pooled=false, nothing to recycle); any other codec returns a
-// pooled buffer the caller must bufpool.Put after release. zeroBase forces
-// a self-contained delta (the mismatch-fallback retry path).
-func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta, data []byte, zeroBase bool) (wire []byte, pooled bool, ci stageCodecInfo, used codec.Codec, encNs int64) {
-	c := s.pick()
-	ci = stageCodecInfo{CodecID: c.ID(), Uncompressed: uint64(len(data))}
-	if c.ID() == codec.RawID {
-		return data, false, ci, c, 0
-	}
+	ci.CodecID = c.ID()
 	start := time.Now()
 	src := data
 	var xbuf []byte
@@ -203,36 +140,32 @@ func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta
 		// The built-in codecs cannot fail to encode, but a failing codec must
 		// degrade to raw, never fail the stage.
 		bufpool.Put(buf)
-		ci = stageCodecInfo{CodecID: codec.RawID, Uncompressed: uint64(len(data))}
-		return data, false, ci, codec.Raw{}, time.Since(start).Nanoseconds()
+		ci = stageCodecInfo{Uncompressed: uint64(len(data))}
+		return data, false, ci, codecUsed{codec.Raw{}, time.Since(start).Nanoseconds()}
 	}
-	return enc, true, ci, c, time.Since(start).Nanoseconds()
+	return enc, true, ci, codecUsed{c, time.Since(start).Nanoseconds()}
 }
 
-// recordStaged feeds one successfully staged block back into metrics, the
-// adaptive selector, and — for delta — the remembered base history.
-// Client-side codec.bytes.in counts uncompressed bytes entering the codec,
-// codec.bytes.out the wire bytes leaving; codec.ratio is permille
-// (wire*1000/uncompressed). dataLen carries the uncompressed length; data
-// may be nil for a caller that no longer holds the original block (the
-// batcher, for non-delta codecs) — the delta base is then not remembered,
-// and the batcher keeps a pooled copy whenever ci.Remember is set.
-func (s *stageCodecState) recordStaged(reg *obs.Registry, pipeline string, it uint64, meta BlockMeta, data []byte, dataLen int, ci stageCodecInfo, used codec.Codec, wireLen int, encNs, rpcNs int64) {
-	if used == nil {
+// recordStaged feeds one successfully staged block back into metrics and —
+// for delta — the remembered base history. Client-side codec.bytes.in counts
+// uncompressed bytes entering the codec, codec.bytes.out the wire bytes
+// leaving; codec.ratio is permille (wire*1000/uncompressed). dataLen carries
+// the uncompressed length; data may be nil for a caller that no longer holds
+// the original block (the batcher, for non-delta codecs) — the delta base is
+// then not remembered, and the batcher keeps a pooled copy whenever
+// ci.Remember is set.
+func (s *stageCodecState) recordStaged(reg *obs.Registry, pipeline string, it uint64, meta BlockMeta, data []byte, dataLen int, ci stageCodecInfo, used codecUsed, wireLen int) {
+	if used.c == nil {
 		return
 	}
 	s.mu.Lock()
-	m := s.codecMetricsFor(reg, used)
-	sel := s.selector
+	m := s.codecMetricsFor(reg, used.c)
 	s.mu.Unlock()
 	m.bytesIn.Add(int64(dataLen))
 	m.bytesOut.Add(int64(wireLen))
 	if dataLen > 0 {
 		m.ratio.Set(int64(wireLen) * 1000 / int64(dataLen))
-		m.encodeCost.Set(encNs * (1 << 20) / int64(dataLen))
-	}
-	if sel != nil {
-		sel.Record(used, dataLen, wireLen, encNs, rpcNs)
+		m.encodeCost.Set(used.encNs * (1 << 20) / int64(dataLen))
 	}
 	if ci.Remember && data != nil {
 		s.deltaState().Remember(codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}, it, data)

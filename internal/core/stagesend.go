@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"colza/internal/bufpool"
 )
@@ -29,19 +28,6 @@ func (h *DistributedPipelineHandle) stageTarget(meta BlockMeta) (rank int, addr 
 	return rank, view.Members[rank].RPC, nil
 }
 
-// encodeBlock prepares one block's wire payload. With no codec engaged wire
-// IS data (raw passthrough, nothing pooled, no codec metrics); otherwise the
-// block is compressed into a pooled buffer the caller must bufpool.Put once
-// the bytes are sent or copied. zeroBase forces a self-contained delta (the
-// mismatch resend).
-func (h *DistributedPipelineHandle) encodeBlock(it uint64, meta BlockMeta, data []byte, zeroBase bool) (wire []byte, pooled bool, ci stageCodecInfo, used codecUsed) {
-	if !h.codec.enabled() {
-		return data, false, stageCodecInfo{Uncompressed: uint64(len(data))}, codecUsed{}
-	}
-	wire, pooled, ci, used.c, used.encNs = h.codec.encodeStage(h.pipeline, it, meta, data, zeroBase)
-	return wire, pooled, ci, used
-}
-
 // sendStage sends one stage frame: recs over payload, to addr. It exposes
 // payload in place (so a region of at most mercury's eager limit rides in
 // the frame, and a larger or arena-published one is pulled), runs the RPC
@@ -53,9 +39,8 @@ func (h *DistributedPipelineHandle) encodeBlock(it uint64, meta BlockMeta, data 
 // already staged: staging is at-least-once.
 //
 // err is a frame-level failure: no block is known to have landed. Otherwise
-// berrs lists the blocks the server refused, by record index, and rpcNs is
-// the round trip of the attempt that was answered.
-func (h *DistributedPipelineHandle) sendStage(it uint64, addr string, recs []stageBatchRec, payload []byte) (berrs []stageBatchBlockErr, rpcNs int64, err error) {
+// berrs lists the blocks the server refused, by record index.
+func (h *DistributedPipelineHandle) sendStage(it uint64, addr string, recs []stageBatchRec, payload []byte) (berrs []stageBatchBlockErr, err error) {
 	h.mu.Lock()
 	timeout := h.timeout
 	retry := h.stageRetry
@@ -78,21 +63,18 @@ func (h *DistributedPipelineHandle) sendStage(it uint64, addr string, recs []sta
 				sleep = ra
 			}
 			if !sleepUnless(h.closed, sleep) {
-				return nil, 0, fmt.Errorf("colza: stage aborted: %w", ErrHandleClosed)
+				return nil, fmt.Errorf("colza: stage aborted: %w", ErrHandleClosed)
 			}
 		}
-		start := time.Now()
 		resp, err = h.c.callUntil(h.closed, addr, "stage", frame, timeout)
-		rpcNs = time.Since(start).Nanoseconds()
 		if err == nil {
 			break
 		}
 		if !Retryable(err) || attempt+1 >= retry.attempts() {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	berrs, err = decodeStageBatchResp(resp, len(recs))
-	return berrs, rpcNs, err
+	return decodeStageBatchResp(resp, len(recs))
 }
 
 // stageBlock stages one block synchronously: a frame of one record whose
@@ -111,9 +93,9 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 		return err
 	}
 	for {
-		wire, pooledWire, ci, used := h.encodeBlock(it, meta, data, zeroBase)
+		wire, pooledWire, ci, used := h.codec.encodeStage(h.pipeline, it, meta, data, zeroBase)
 		recs := [1]stageBatchRec{{CI: ci, Meta: meta, PayloadLen: len(wire)}}
-		berrs, rpcNs, err := h.sendStage(it, addr, recs[:], wire)
+		berrs, err := h.sendStage(it, addr, recs[:], wire)
 		wireLen := len(wire)
 		if pooledWire {
 			bufpool.Put(wire)
@@ -127,7 +109,7 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 			err = berrs[0].err()
 		}
 		if err == nil {
-			h.codec.recordStaged(m.reg, h.pipeline, it, meta, data, len(data), ci, used.c, wireLen, used.encNs, rpcNs)
+			h.codec.recordStaged(m.reg, h.pipeline, it, meta, data, len(data), ci, used, wireLen)
 			m.bytes.Add(int64(len(data)))
 			m.blocks.Inc()
 			return nil

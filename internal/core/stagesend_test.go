@@ -96,8 +96,8 @@ func TestStageCoalescesByTransport(t *testing.T) {
 }
 
 // stageScript serves "stage" on a raw margo pair (busyPair) from a script
-// and hands the test a handle pinned to that server, which accepts every
-// codec. The script sees each decoded frame's records.
+// and hands the test a handle pinned to that server. The script sees each
+// decoded frame's records.
 func stageScript(t *testing.T, script func(call int, recs []stageBatchRec) ([]byte, error)) (*DistributedPipelineHandle, *obs.Registry) {
 	t.Helper()
 	c, sm, reg := busyPair(t)
@@ -117,7 +117,7 @@ func stageScript(t *testing.T, script func(call int, recs []stageBatchRec) ([]by
 	h := c.Handle("viz", sm.Addr())
 	t.Cleanup(h.Close)
 	h.SetTimeout(5 * time.Second)
-	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: sm.Addr(), Codecs: codec.IDs()}}})
+	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: sm.Addr()}}})
 	return h, reg
 }
 
@@ -206,5 +206,75 @@ func TestStageDeltaMismatchResendIsTyped(t *testing.T) {
 	}
 	if blocks, failed := snap.Counters["colza.stage.blocks{pipeline=viz}"], snap.Counters["colza.stage.failed{pipeline=viz}"]; blocks != 2 || failed != 1 {
 		t.Errorf("stage.blocks = %d, stage.failed = %d; want 2 and 1", blocks, failed)
+	}
+}
+
+// failingCodec is a compressing codec (not raw's id) whose Encode always
+// fails.
+type failingCodec struct{ codec.Raw }
+
+func (failingCodec) ID() uint8 { return codec.FlateID }
+func (failingCodec) Encode(dst, src []byte) ([]byte, error) {
+	return nil, errors.New("encode failed")
+}
+
+// TestStageCodecIsTheNameOnTheHandle: what SetCodec named is what every
+// record says, with three things the handle decides on its own — an unknown
+// name is refused and changes nothing, a pinned view with different members
+// drops the delta bases (and one with the same members keeps them), and a
+// codec that fails to encode degrades the block to raw instead of failing the
+// stage.
+func TestStageCodecIsTheNameOnTheHandle(t *testing.T) {
+	var got []stageCodecInfo
+	h, reg := stageScript(t, func(call int, recs []stageBatchRec) ([]byte, error) {
+		got = append(got, recs[0].CI)
+		return stageRespAllLanded, nil
+	})
+	meta := BlockMeta{Field: "v", Type: "raw"}
+	block := func(it byte) []byte { return append(bytes.Repeat([]byte{9}, 255), it) }
+	stage := func(it uint64) {
+		t.Helper()
+		if err := h.Stage(it, meta, block(byte(it))); err != nil {
+			t.Fatalf("stage %d: %v", it, err)
+		}
+	}
+	if err := h.SetCodec("zstd"); err == nil {
+		t.Fatal("an unregistered codec name was accepted")
+	}
+	stage(1) // no codec named: raw, and no codec metrics
+	if n := reg.Snapshot().Counters["codec.bytes.in{codec=raw}"]; got[0].CodecID != codec.RawID || n != 0 {
+		t.Fatalf("no codec named: record %+v, codec.bytes.in{codec=raw} = %d; want raw and no codec metrics", got[0], n)
+	}
+
+	if err := h.SetCodec("delta"); err != nil {
+		t.Fatal(err)
+	}
+	view := h.View()
+	stage(2) // first delta block: nothing to base on
+	stage(3) // based on 2
+	grown := MemberView{Epoch: 2, Members: append(append([]ServerInfo(nil), view.Members...), ServerInfo{RPC: "inproc://zz-joined"})}
+	h.SetView(grown)
+	stage(4) // membership changed: self-contained
+	stage(5) // based on 4
+	h.SetView(MemberView{Epoch: 3, Members: grown.Members})
+	stage(6) // same members under a new epoch: the bases stay
+	var based []bool
+	for _, ci := range got[1:] {
+		if ci.CodecID != codec.DeltaID || !ci.Remember {
+			t.Fatalf("record %+v under SetCodec(delta)", ci)
+		}
+		based = append(based, ci.HasBase)
+	}
+	if want := []bool{false, true, false, true, true}; !slices.Equal(based, want) {
+		t.Fatalf("frames carried a delta base: %v, want %v", based, want)
+	}
+
+	h.codec.forced = failingCodec{}
+	stage(7)
+	if ci := got[len(got)-1]; ci != (stageCodecInfo{Uncompressed: 256}) {
+		t.Fatalf("record after a failed encode: %+v, want a plain raw record", ci)
+	}
+	if n := reg.Snapshot().Counters["codec.bytes.out{codec=raw}"]; n != 256 {
+		t.Fatalf("codec.bytes.out{codec=raw} = %d after the degraded block, want 256", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -101,30 +102,74 @@ func v2StageFrame(pipeline string, it uint64, meta BlockMeta, bulk mercury.Bulk)
 	return bulk.AppendEncode(f)
 }
 
-// TestStageRejectsV2Frame: the single-block wire version is gone. A
-// well-formed version-2 frame is a malformed frame to the decoder, and a
-// server answers it with ErrStageWire without staging anything.
+// unregisteredCodec stands for a codec some other binary knows and this one
+// does not: raw's bytes under an id nothing registers.
+type unregisteredCodec struct{ codec.Raw }
+
+func (unregisteredCodec) ID() uint8    { return 0xC8 }
+func (unregisteredCodec) Name() string { return "unregistered" }
+
+// TestStageRejectsV2Frame: two well-formed frames a server must refuse
+// whole. The single-block wire version is gone — a version-2 frame is a
+// malformed frame to the decoder and ErrStageWire from the server — and a
+// record naming a codec id the server's binary does not register is refused
+// before anything is pulled. Both are remote errors the client must not
+// retry, and neither stages a block; a handle that sends such a record gets
+// the refusal back from Stage on the first attempt.
 func TestStageRejectsV2Frame(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
-	h := d.client.Handle("viz", d.servers[0].Addr())
+	addr := d.servers[0].Addr()
+	h := d.client.Handle("viz", addr)
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
 	}
+	meta := BlockMeta{Field: "v", Type: "raw"}
 	region := []byte("a block")
-	bulk := d.clientM.Class().Expose(region)
-	defer d.clientM.Class().Release(bulk)
-	frame := v2StageFrame("viz", 1, BlockMeta{Field: "v", Type: "raw"}, bulk)
-	if _, _, _, _, err := decodeStageBatchMsg(frame); !errors.Is(err, ErrStageWire) {
+	cls := d.clientM.Class()
+	bulk := cls.Expose(region)
+	v2 := v2StageFrame("viz", 1, meta, bulk)
+	if _, _, _, _, err := decodeStageBatchMsg(v2); !errors.Is(err, ErrStageWire) {
 		t.Fatalf("decoding a version-2 frame: %v, want ErrStageWire", err)
 	}
-	_, err := d.clientM.CallProvider(d.servers[0].Addr(), ProviderID, "stage", frame, time.Second)
+	ci := stageCodecInfo{CodecID: unregisteredCodec{}.ID(), Uncompressed: uint64(len(region))}
+	unknown := appendStageBatchMsg(nil, "viz", 1, oneRec(meta, ci, bulk), bulk)
+	refusal := fmt.Sprintf("colza: stage codec %d not registered on %s", ci.CodecID, addr)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"version-2 frame", v2, ErrStageWire.Error()},
+		{"unregistered codec id", unknown, refusal},
+	} {
+		_, err := d.clientM.CallProvider(addr, ProviderID, "stage", tc.frame, time.Second)
+		var re *mercury.RemoteError
+		if !errors.As(err, &re) || re.Msg != tc.want {
+			t.Fatalf("staging a %s: %v, want the server's %q", tc.name, err, tc.want)
+		}
+		if Retryable(err) {
+			t.Fatalf("staging a %s: %v is retryable", tc.name, err)
+		}
+	}
+	cls.Release(bulk)
+
+	retries := d.client.observer().Counter("colza.stage.retries", "pipeline", "viz")
+	retriesBefore := retries.Value()
+	h.codec.forced = unregisteredCodec{}
+	err := h.Stage(1, meta, region)
 	var re *mercury.RemoteError
-	if !errors.As(err, &re) || re.Msg != ErrStageWire.Error() {
-		t.Fatalf("staging a version-2 frame: %v, want the server's ErrStageWire", err)
+	if !errors.As(err, &re) || re.Msg != refusal {
+		t.Fatalf("Stage through an unregistered codec: %v, want the server's %q", err, refusal)
+	}
+	if got := retries.Value() - retriesBefore; got != 0 {
+		t.Fatalf("Stage burned %d retries on a refusal", got)
 	}
 	if got := d.servers[0].Obs.Snapshot().Counters["colza.staged.blocks{pipeline=viz}"]; got != 0 {
-		t.Fatalf("server staged %d blocks from a version-2 frame", got)
+		t.Fatalf("server staged %d blocks from refused frames", got)
+	}
+	if c, s := cls.ExposedBytes(), d.servers[0].MI.Class().ExposedBytes(); c != 0 || s != 0 {
+		t.Fatalf("exposed bytes after refused frames: client %d, server %d; want 0 and 0", c, s)
 	}
 	if err := h.Deactivate(1); err != nil {
 		t.Fatal(err)

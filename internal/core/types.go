@@ -33,14 +33,11 @@ import (
 )
 
 // ServerInfo identifies one staging server: the address of its RPC (Margo)
-// endpoint and of its MoNA (collectives) endpoint, plus the stage codecs
-// the server accepts (internal/codec IDs). Clients intersect Codecs across
-// a pinned view to pick the compression their link supports; an absent set
-// means raw only.
+// endpoint and of its MoNA (collectives) endpoint. It is also the info
+// RPC's reply.
 type ServerInfo struct {
-	RPC    string  `json:"rpc"`
-	Mona   string  `json:"mona"`
-	Codecs []uint8 `json:"codecs,omitempty"`
+	RPC  string `json:"rpc"`
+	Mona string `json:"mona"`
 }
 
 // MemberView is the frozen, ordered set of servers agreed on for an

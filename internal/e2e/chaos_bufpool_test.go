@@ -83,10 +83,10 @@ func init() {
 // and every exposed bulk region must be released by shutdown, client and
 // servers alike (the mercury.bulk.exposed.bytes balance check).
 //
-// The arms rerun the identical fault plan with the wire codec off, under
-// the adaptive controller, and forced to delta: the compressed paths add a
-// second pooled buffer and the delta base-mismatch fallback to the retry
-// machinery, and none of it may change what the backend observes.
+// The arms rerun the identical fault plan with the wire codec off, through
+// flate, and through delta: the compressed paths add a second pooled buffer
+// and the delta base-mismatch fallback to the retry machinery, and none of
+// it may change what the backend observes.
 //
 // The raw arm runs at two block sizes, one on each side of mercury's eager
 // limit: 1 MiB blocks are pulled out of the exposed buffer (a retry's pull
@@ -100,9 +100,11 @@ func TestChaosStageRetryBufferOwnership(t *testing.T) {
 	t.Run("raw-eager", func(t *testing.T) {
 		runChaosStageRetryBufferOwnership(t, "own-rawe", chaosEagerBlockLen, func(h *core.DistributedPipelineHandle) {})
 	})
-	t.Run("adaptive", func(t *testing.T) {
-		runChaosStageRetryBufferOwnership(t, "own-adpt", chaosEagerBlockLen, func(h *core.DistributedPipelineHandle) {
-			h.SetCodecAdaptive(true)
+	t.Run("flate", func(t *testing.T) {
+		runChaosStageRetryBufferOwnership(t, "own-flate", chaosEagerBlockLen, func(h *core.DistributedPipelineHandle) {
+			if err := h.SetCodec("flate"); err != nil {
+				t.Fatal(err)
+			}
 		})
 	})
 	t.Run("delta", func(t *testing.T) {
@@ -264,6 +266,15 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, blockLen int
 		}
 		if wire == 0 {
 			t.Error("codec enabled but codec.bytes.out counted no wire bytes")
+		}
+	}
+	if prefix == "own-flate" {
+		var decoded int64
+		for _, s := range servers {
+			decoded += s.Obs.Snapshot().Counters["codec.bytes.in{codec=flate}"]
+		}
+		if decoded < 1 {
+			t.Errorf("servers' codec.bytes.in{codec=flate} = %d, want > 0", decoded)
 		}
 	}
 	if prefix == "own-delta" {

@@ -57,12 +57,9 @@ func TestCommandLineDeployment(t *testing.T) {
 	connFile := filepath.Join(dir, "colza.addr")
 
 	startServer := func(name string) *exec.Cmd {
-		// -codec shuffle exercises the accepted-set restriction end to end:
-		// the servers advertise {raw, shuffle} and the client below stages
-		// through the shuffle codec it negotiates.
 		cmd := exec.Command(serverBin,
 			"-listen", "127.0.0.1:0", "-listen-mona", "127.0.0.1:0",
-			"-connfile", connFile, "-gossip-ms", "20", "-codec", "shuffle",
+			"-connfile", connFile, "-gossip-ms", "20",
 			"-sm-dir", dir)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
