@@ -22,13 +22,14 @@ race:
 cover:
 	./ci.sh cover
 
-# Short smoke run of the fuzzers beyond their seed corpora.
+# Short smoke run of every fuzzer in the tree beyond its seed corpus (go test
+# takes one -fuzz target at a time, so they are found and run in turn).
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzParseLegacyImageData -fuzztime=10s ./internal/vtk/
-	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/codec/
-	$(GO) test -run=NONE -fuzz=FuzzStageFrameDecode -fuzztime=10s ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzStageBatchDecode -fuzztime=10s ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzShmFrameDecode -fuzztime=10s ./internal/na/
+	@set -e; grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' internal cmd examples | \
+	while IFS=: read -r file fn; do \
+		echo "== $${fn#func } ./$${file%/*}/"; \
+		$(GO) test -run=NONE -fuzz="^$${fn#func }\$$" -fuzztime=10s "./$${file%/*}/"; \
+	done
 
 # Zero-copy hot-path smoke: one racing pass over the micro-benchmarks
 # (correctness under -race), then the allocs/op ceilings in a pure build

@@ -60,10 +60,11 @@ if [ "${1:-}" != "cover" ]; then
     go test -timeout 300s ./...
     go test -race -timeout 600s ./...
     # Segment-cleanup sweep: the passes above ran servers and clients on sm+tcp
-    # dual endpoints; a test run must not leave orphaned sockets, rings or bulk
-    # arenas in the temp tree.
+    # dual endpoints; a test run must not leave what a dual endpoint can orphan
+    # — its unix socket (*.sock) and its bulk arena (*.blk) — in the default
+    # segment directory, nor an e2e segment directory, in the temp tree.
     leftovers=$(find "${TMPDIR:-/tmp}" -maxdepth 2 \
-        \( -name 'czsm-*' -o -path '*/colza-sm/*' \) 2>/dev/null | head -20)
+        \( -name 'czsm-*' -o -path '*/colza-sm/*.sock' -o -path '*/colza-sm/*.blk' \) 2>/dev/null | head -20)
     if [ -n "$leftovers" ]; then
         echo "orphaned shared-memory segment files after tests:"
         echo "$leftovers"
@@ -75,7 +76,7 @@ if [ "${1:-}" != "cover" ]; then
     # real deployment, each of which must exit 0 with every oracle check passed:
     # the per-block TCP stage path, the iso execute path (its oracle holds the
     # triangle count and every ring slot's PNG hash), and the coalesced stage
-    # path over the sm:// arenas — one workload on each side of the handle's
+    # path over the sm+tcp arenas — one workload on each side of the handle's
     # by-transport choice. Speed is measured by `benchmark/run.sh` against the
     # parent commit (BENCHMARK.json), not gated here.
     (cd benchmark && go test ./...)
@@ -97,7 +98,10 @@ fi
 # re-exposes a shared payload long after the callers' buffers were recycled,
 # and the codec step, which decides which bytes go on the wire and owns the
 # delta mismatch and invalidation steps: a missed branch there is a silent
-# data-corruption path.
+# data-corruption path; and the bulk arena, which reads a header and slot
+# words out of memory another process writes (what its tests do not reach is
+# the mmap/open/truncate error branches).
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go
+check_cover 90 ./internal/na/arena.go

@@ -66,25 +66,14 @@ func main() {
 		fatal("no target: pass -server or -connfile")
 	}
 
-	// A dual endpoint lets the tool reach a colocated daemon over shared
-	// memory when the connection file advertises an sm+tcp address; if the
-	// sm listener cannot come up (exotic tmp dirs), plain TCP still works.
-	var ep na.Endpoint
-	if dep, err := na.ListenDual("127.0.0.1:0", "", ""); err == nil {
-		// The tool's output is machine-parsed (trace JSON lines, metrics
-		// dumps); keep the route-decision log off its stderr.
-		dep.SetRouteLog(nil)
-		ep = dep
-	} else {
-		tep, err := na.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			fatal("listen: %v", err)
-		}
-		ep = tep
+	// An admin tool exposes no bulk, and a plain tcp endpoint reaches a
+	// daemon's sm+tcp address through its tcp component.
+	ep, err := na.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		fatal("listen: %v", err)
 	}
 	mi := margo.NewInstance(ep)
 	defer mi.Finalize()
-	cleanup = func() { mi.Finalize() }
 	client := core.NewClient(mi)
 	admin := core.NewAdminClient(mi)
 
@@ -185,12 +174,5 @@ func main() {
 
 func fatal(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "colza-ctl: "+format+"\n", args...)
-	if cleanup != nil {
-		cleanup()
-	}
 	os.Exit(1)
 }
-
-// cleanup tears the endpoint down before os.Exit so shared-memory
-// segment files (socket, bulk arena) never outlive a failed invocation.
-var cleanup func()

@@ -135,14 +135,7 @@ func stageBatchEnv(name string) (h *core.DistributedPipelineHandle, cleanup func
 			cleanup()
 		}
 	}()
-	listen := func() (na.Endpoint, error) {
-		ep, err := na.ListenDual("127.0.0.1:0", dir, "")
-		if err != nil {
-			return nil, err
-		}
-		ep.SetRouteLog(nil)
-		return ep, nil
-	}
+	listen := func() (na.Endpoint, error) { return na.ListenDual("127.0.0.1:0", dir, "") }
 	rpcEP, err := listen()
 	if err != nil {
 		return nil, nil, err

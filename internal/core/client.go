@@ -340,7 +340,7 @@ const nbStageWindow = 16
 //
 // How the handle stages is decided here, by the transport and by nothing
 // else (DESIGN.md §7.3): a client whose endpoint publishes exposed regions
-// in a shared-memory arena (mercury.Class.SharesBulk — sm:// and sm+tcp
+// in a shared-memory arena (mercury.Class.SharesBulk — sm+tcp
 // endpoints) can never send a block eagerly inside its stage frame, so its
 // handle coalesces the blocks bound for one server rank into one frame and
 // one arena pull; on every other endpoint a block of up to 128 KiB already

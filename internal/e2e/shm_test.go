@@ -29,11 +29,11 @@ func smTestDir(t *testing.T) string {
 	return dir
 }
 
-// startSMServer launches one staging server whose RPC endpoint listens on
-// shared memory and TCP simultaneously (the sm+tcp composite address ends
-// up in the membership view, so peers and clients route per link). MoNA
-// stays on TCP: collective traffic is server-to-server and exercises the
-// plain transport alongside the sm one.
+// startSMServer launches one staging server whose RPC endpoint is dual: a
+// unix socket next to the TCP one, and a bulk arena (the sm+tcp composite
+// address ends up in the membership view, so peers and clients choose the
+// socket when they dial). MoNA stays on TCP: collective traffic is
+// server-to-server and exercises the plain endpoint alongside the dual one.
 func startSMServer(t *testing.T, dir, bootstrap string) (*core.Server, *na.DualEndpoint) {
 	t.Helper()
 	rpcEP, err := na.ListenDual("127.0.0.1:0", dir, "")
@@ -59,14 +59,14 @@ func startSMServer(t *testing.T, dir, bootstrap string) (*core.Server, *na.DualE
 // TestColzaOverSM runs the whole stack — SSG membership, 2PC activation,
 // staging, MoNA collectives, IceT compositing, growth and scale-down —
 // with every server listening on sm+tcp. All ranks are colocated, so every
-// RPC link must pin the shared-memory route and every staged block must be
-// pulled zero-copy from the exposer's segment, and shutdown must leave no
-// segment files behind.
+// RPC connection must be to a unix socket and every staged block must be
+// pulled from the exposer's arena with no bulk-pull RPC served, and
+// shutdown must leave no segment files and no exposed region behind.
 func TestColzaOverSM(t *testing.T) {
 	dir := smTestDir(t)
 
-	// Runs after every shutdown below (LIFO): all sockets, rings, and
-	// bulk arenas must be unlinked once the deployment is down.
+	// Runs after every shutdown below (LIFO): all sockets and bulk arenas
+	// must be unlinked once the deployment is down.
 	defer func() {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -126,28 +126,30 @@ func TestColzaOverSM(t *testing.T) {
 	waitMembers(t, []*core.Server{s0, s1}, 2)
 	runIteration(t, h, mb, 3, 2)
 
-	// Everything is colocated, so the client must have pinned sm to every
-	// server it talked to and never fallen back to TCP.
+	// Everything is colocated, so the client must have dialed the unix
+	// socket of every server it talked to and never TCP.
 	snap := reg.Snapshot()
 	if got := snap.Counters["na.route.sm_preferred"]; got < 2 {
-		t.Errorf("na.route.sm_preferred = %d, want >= 2 (client links did not ride shared memory)", got)
+		t.Errorf("na.route.sm_preferred = %d, want >= 2 (client connections did not go to the unix sockets)", got)
 	}
 	if got := snap.Counters["na.route.tcp_fallback"]; got != 0 {
-		t.Errorf("na.route.tcp_fallback = %d, want 0 (a colocated link fell back to TCP)", got)
-	}
-	if got := snap.Counters["na.shm.frames.tx"]; got == 0 {
-		t.Error("na.shm.frames.tx = 0: no RPC frame crossed the shared-memory ring")
+		t.Errorf("na.route.tcp_fallback = %d, want 0 (a colocated peer was dialed over TCP)", got)
 	}
 	// The client's endpoint has an arena, so its handle coalesced: every
-	// flushed frame's payload must have been pulled zero-copy out of the
-	// arena by its server, and the chunked RPC path stays cold.
+	// flushed frame's payload must have been pulled out of the arena by its
+	// server, and the chunked RPC path stays cold.
 	var pulls int64
+	classes := []*mercury.Class{mi.Class()}
 	for _, s := range []*core.Server{s0, s1, s2} {
 		pulls += s.Obs.Counter("na.shm.pull.local").Value()
+		classes = append(classes, s.MI.Class())
 	}
-	if flushes := snap.Counters["colza.stage.batch.flushes{pipeline=viz}"]; flushes < 2+3+2 || pulls < flushes {
-		t.Errorf("colza.stage.batch.flushes = %d (want >= 7, a frame per rank an iteration), na.shm.pull.local total = %d (want >= flushes): bulk pulls not zero-copy", flushes, pulls)
+	flushes := snap.Counters["colza.stage.batch.flushes{pipeline=viz}"]
+	served := snap.Counters["mercury.serve.count{rpc=__mercury/bulk_pull}"]
+	if flushes < 2+3+2 || pulls < flushes || served != 0 {
+		t.Errorf("colza.stage.batch.flushes = %d (want >= 7, a frame per rank an iteration), na.shm.pull.local total = %d (want >= flushes), bulk_pull RPCs served by the client = %d (want 0): bulk pulls not from the arena", flushes, pulls, served)
 	}
+	mercury.VerifyNoExposedLeaks(t, classes...)
 }
 
 // TestChaosStageRetryOverSM reruns the stage-retry buffer-ownership chaos
@@ -215,8 +217,8 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 		}
 		if it == 2 {
 			// Same mid-run plan as the inproc ownership test, installed on
-			// every dual endpoint so drops hit whichever transport the route
-			// picked (here: the sm ring). Rule 0 drops a stage *request* —
+			// every dual endpoint so drops hit whichever socket was dialed
+			// (here: the unix one). Rule 0 drops a stage *request* —
 			// client times out and retries with the bulk region still
 			// exposed. Rule 1 drops the next response from server 0, which
 			// answers a stage frame (execute waits for the flush) — the
@@ -269,13 +271,13 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 		ep.SetFaultPlan(nil)
 	}
 
-	// The retry path must actually have run over the sm route.
+	// The retry path must actually have run between colocated endpoints.
 	snap := reg.Snapshot()
 	if got := snap.Counters["colza.stage.retries{pipeline=viz}"]; got < 1 {
 		t.Errorf("fault plan produced %d stage retries, want >= 1", got)
 	}
 	if got := snap.Counters["na.route.sm_preferred"]; got < 1 {
-		t.Errorf("na.route.sm_preferred = %d: chaos ran over TCP, not shared memory", got)
+		t.Errorf("na.route.sm_preferred = %d: chaos ran over TCP, not the unix sockets", got)
 	}
 	// An sm endpoint's regions are in the arena: every frame's payload is
 	// pulled from it (one pull a flushed frame, at least one frame per rank
@@ -286,9 +288,10 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 		rode += s.Obs.Counter("mercury.bulk.eager.count").Value()
 	}
 	flushes := snap.Counters["colza.stage.batch.flushes{pipeline=viz}"]
-	if flushes < iters*2 || pulls < flushes || rode != 0 {
-		t.Errorf("colza.stage.batch.flushes = %d (want >= %d), na.shm.pull.local total = %d (want >= flushes), mercury.bulk.eager.count = %d (want 0): stage transfers left the arena",
-			flushes, iters*2, pulls, rode)
+	served := snap.Counters["mercury.serve.count{rpc=__mercury/bulk_pull}"]
+	if flushes < iters*2 || pulls < flushes || rode != 0 || served != 0 {
+		t.Errorf("colza.stage.batch.flushes = %d (want >= %d), na.shm.pull.local total = %d (want >= flushes), mercury.bulk.eager.count = %d and bulk_pull RPCs served by the client = %d (want 0 and 0): stage transfers left the arena",
+			flushes, iters*2, pulls, rode, served)
 	}
 
 	checksumMu.Lock()

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"colza/internal/na"
 )
 
-// TestBulkPullOverSharedMemory: pulls against an sm-capable exposer copy
-// straight out of the exposer's mapped segment — the chunked bulk-pull
-// RPC never runs.
+// TestBulkPullOverSharedMemory: pulls against a colocated exposer with an
+// arena copy straight out of the exposer's mapped segment — the chunked
+// bulk-pull RPC never runs.
 func TestBulkPullOverSharedMemory(t *testing.T) {
 	ca, cb, ra, rb := classPair(t, "sm")
 	payload := make([]byte, 256<<10)
@@ -59,5 +61,45 @@ func TestBulkUseAfterReleaseOverSM(t *testing.T) {
 	}
 	if got := ra.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
 		t.Fatalf("released region still mapped: %d bytes", got)
+	}
+}
+
+// TestBulkArenaMissFallsBackToRPC: a region the exposer could not publish
+// (its id lands on an export-table slot a live region holds) is still
+// pullable — the arena miss sends the puller down the chunked RPC path,
+// byte-identical, over the same dual endpoints, whose one send path is the
+// gathered one.
+func TestBulkArenaMissFallsBackToRPC(t *testing.T) {
+	ca, cb, ra, rb := classPair(t, "sm")
+	if _, ok := ca.ep.(na.GatherSender); !ok {
+		t.Fatal("a dual endpoint does not satisfy na.GatherSender")
+	}
+	holder := ca.Expose([]byte("holds the slot"))
+	defer ca.Release(holder)
+	// Bulk ids count up by one; the table has 4096 slots (the default, what
+	// ListenDual gives), so the 4096th id after holder's is on its slot.
+	ca.nextBk.Add(4096 - 1)
+	payload := make([]byte, eagerLimit+4096)
+	for i := range payload {
+		payload[i] = byte(i * 29)
+	}
+	b := ca.Expose(payload)
+	defer ca.Release(b)
+	if got := ra.Counter("na.shm.expose.fallback").Value(); got != 1 {
+		t.Fatalf("na.shm.expose.fallback = %d, want 1: the ids did not collide", got)
+	}
+
+	got, err := cb.PullBulk(b)
+	if err != nil {
+		t.Fatalf("PullBulk: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("pulled bytes differ")
+	}
+	if local, fell := rb.Counter("na.shm.pull.local").Value(), rb.Counter("na.shm.pull.fallback").Value(); local != 0 || fell != 1 {
+		t.Fatalf("na.shm.pull.local = %d, na.shm.pull.fallback = %d, want 0 and 1", local, fell)
+	}
+	if served := ra.Counter("mercury.serve.count{rpc=__mercury/bulk_pull}").Value(); served == 0 {
+		t.Fatal("the exposer served no bulk_pull RPC: where did the bytes come from?")
 	}
 }

@@ -220,7 +220,7 @@ func (c *Class) SetObserver(r *obs.Registry) {
 		// never be invisible just because the counter was never touched.
 		r.Counter("mercury.respond.send_errors")
 		// Forward to the transport so endpoint metrics (queue depth,
-		// na.shm.* frame/pull counters) land in the same registry.
+		// na.route.* and na.shm.* counters) land in the same registry.
 		if o, ok := c.ep.(na.Observable); ok {
 			o.SetObserver(r)
 		}

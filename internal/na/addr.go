@@ -5,16 +5,17 @@ import (
 	"strings"
 )
 
-// Address schemes. A plain transport address is "tcp://host:port",
-// "sm://host/abs/base" or "inproc://name". A dual endpoint (ListenDual)
-// advertises one composite address carrying both of its listeners:
+// Address schemes. A plain transport address is "tcp://host:port" or
+// "inproc://name". A dual endpoint (ListenDual) advertises one composite
+// address carrying its TCP listener and, as an sm component
+// "sm://<host>/<abs-base>", where its unix socket and bulk arena live:
 //
 //	sm+tcp://<host>/<abs-base>;<host:port>
 //
 // The composite travels everywhere a plain address does (connection file,
-// SSG membership, mercury frames, bulk handles); senders pick the best
-// component per link. Addresses stay opaque above this package — these
-// helpers are the only parser.
+// SSG membership, mercury frames, bulk handles); a sender picks the socket
+// when it dials. Addresses stay opaque above this package — these helpers
+// are the only parser.
 
 const (
 	schemeTCP  = "tcp://"

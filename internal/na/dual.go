@@ -1,229 +1,104 @@
 package na
 
 import (
-	"fmt"
-	"log"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"colza/internal/obs"
 )
 
-// DualEndpoint listens on shared memory and TCP simultaneously and
-// advertises one composite "sm+tcp://host/base;host:port" address. Sends
-// pick the best component per link: the first frame to a peer probes its
-// sm:// component (a dial plus segment handshake) and pins the route —
-// shared memory when the peer is colocated and alive, TCP otherwise. The
-// decision is logged once per peer and counted (na.route.sm_preferred /
-// na.route.tcp_fallback) so a deployment can verify colocated ranks
-// actually ride the fast path. Frames too large for the ring slip over
-// TCP without disturbing the pinned route.
-//
-// Both underlying listeners feed one receive queue, so upper layers see a
-// single ordinary Endpoint.
+// DualEndpoint is one stream endpoint plus a shared-memory bulk arena. It
+// listens on TCP and on a unix socket and advertises one composite
+// "sm+tcp://host/base;host:port" address; the first frame to a peer dials
+// its unix socket when the peer is colocated and alive, its TCP port
+// otherwise, and the cached connection carries every later frame
+// (tcpEP.dial counts the choice: na.route.sm_preferred /
+// na.route.tcp_fallback). Framing, accept/read loops and the send path are
+// the plain TCP endpoint's. What sharing a host buys beyond the socket is
+// LocalBulk: exposed regions are published in the arena (arena.go) and
+// colocated pullers copy them out of mapped memory.
 type DualEndpoint struct {
-	addr string
-	sm   *SMEndpoint
-	tcp  *tcpEP
-	q    *pktQueue
+	*tcpEP
+	*shmBulk
 
 	plan atomic.Pointer[FaultPlan]
-	met  atomic.Pointer[routeMetrics]
-
-	// logf lets tests capture the route-decision log line.
-	logf func(format string, args ...any)
-
-	mu     sync.Mutex
-	routes map[string]uint8 // keyed by the peer's sm component
-}
-
-const (
-	routeSM uint8 = iota + 1
-	routeTCP
-)
-
-type routeMetrics struct {
-	smPreferred *obs.Counter
-	tcpFallback *obs.Counter
-}
-
-func newRouteMetrics(r *obs.Registry) *routeMetrics {
-	return &routeMetrics{
-		smPreferred: r.Counter("na.route.sm_preferred"),
-		tcpFallback: r.Counter("na.route.tcp_fallback"),
-	}
 }
 
 // ListenDual creates a dual sm+tcp endpoint: hostport binds the TCP side
-// (e.g. "127.0.0.1:0"), dir/name place the shared-memory segments (empty
-// values pick defaults, see ListenSM).
+// (e.g. "127.0.0.1:0"); the unix socket and the arena are smDir/smName
+// + ".sock" / ".blk" (an empty dir selects DefaultSMDir, an empty name
+// generates a unique one).
 func ListenDual(hostport, smDir, smName string) (*DualEndpoint, error) {
-	return ListenDualOptions(hostport, smDir, smName, SMOptions{})
+	return listenDual(hostport, smDir, smName, defaultArenaBytes, defaultArenaSlots)
 }
 
-// ListenDualOptions is ListenDual with explicit sm tuning.
-func ListenDualOptions(hostport, smDir, smName string, opts SMOptions) (*DualEndpoint, error) {
-	tcp, err := listenTCP(hostport)
+func listenDual(hostport, smDir, smName string, arenaBytes, arenaSlots int) (*DualEndpoint, error) {
+	base, err := smSegmentBase(smDir, smName)
 	if err != nil {
 		return nil, err
 	}
-	sm, err := ListenSMOptions(smDir, smName, opts)
+	bulk, err := newShmBulk(base, arenaBytes, arenaSlots)
 	if err != nil {
-		tcp.Close()
 		return nil, err
 	}
-	e := &DualEndpoint{
-		addr:   DualAddr(sm.Addr(), tcp.addr),
-		sm:     sm,
-		tcp:    tcp,
-		q:      tcp.q, // reuse one queue for both transports
-		logf:   log.Printf,
-		routes: make(map[string]uint8),
+	ep, err := listenTCP(hostport)
+	if err != nil {
+		return nil, err
 	}
-	sm.setQueue(e.q)
-	sm.setAdvertise(e.addr)
-	tcp.setAdvertise(e.addr)
-	return e, nil
+	if err := ep.listenUnix(base); err != nil {
+		ep.Close()
+		return nil, err
+	}
+	return &DualEndpoint{tcpEP: ep, shmBulk: bulk}, nil
 }
 
-// Addr returns the composite address.
-func (e *DualEndpoint) Addr() string { return e.addr }
-
-// SetObserver wires the receive-queue depth, the sm transport counters,
-// and the route-decision counters into r.
+// SetObserver wires the receive-queue depth, the dial-time route counters
+// and the arena counters into r.
 func (e *DualEndpoint) SetObserver(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	e.sm.SetObserver(r)
 	e.q.setDepthGauge(r.Gauge("na.queue.depth", "transport", "sm+tcp"))
-	e.met.Store(newRouteMetrics(r))
+	e.route.Store(newRouteMetrics(r))
+	e.met.Store(newArenaMetrics(r))
 }
 
-// SetRouteLog replaces the route-decision logger (default log.Printf).
-// Tools whose stdout/stderr is machine-parsed pass nil for silence. Call
-// before the endpoint is handed to a sender; the field is not locked.
-func (e *DualEndpoint) SetRouteLog(f func(format string, args ...any)) {
-	if f == nil {
-		f = func(string, ...any) {}
-	}
-	e.logf = f
-}
+// SetRouteLog does nothing: there is no per-peer route decision left to
+// log (the dial counts it). It stays because benchmark/deploy.go calls it;
+// both go together (ROADMAP item 1).
+func (e *DualEndpoint) SetRouteLog(func(format string, args ...any)) {}
 
-// SetFaultPlan installs a fault plan consulted on every outgoing frame,
-// regardless of which transport the route picks — chaos suites drop and
-// delay sm-routed frames the same way they do TCP ones.
+// SetFaultPlan installs (or, with nil, removes) a fault plan consulted on
+// every outgoing frame, whichever socket carries it — chaos suites drop and
+// delay a dual endpoint's frames as they do on the in-process fabric.
 func (e *DualEndpoint) SetFaultPlan(p *FaultPlan) { e.plan.Store(p) }
 
-func (e *DualEndpoint) metrics() *routeMetrics {
-	if m := e.met.Load(); m != nil {
-		return m
-	}
-	m := newRouteMetrics(obs.Default())
-	e.met.CompareAndSwap(nil, m)
-	return e.met.Load()
-}
+// Send delivers one frame; see SendGather.
+func (e *DualEndpoint) Send(to string, data []byte) error { return e.SendGather(to, nil, data) }
 
-// Send routes one frame to the best transport for the destination.
-func (e *DualEndpoint) Send(to string, data []byte) error {
+// SendGather is the stream endpoint's, behind the fault plan.
+func (e *DualEndpoint) SendGather(to string, head, body []byte) error {
 	if plan := e.plan.Load(); plan != nil {
-		v := plan.Decide(e.addr, to, data)
+		// The plan's classifier reads the whole message, and a delayed one
+		// needs a private copy anyway.
+		msg := append(append(make([]byte, 0, len(head)+len(body)), head...), body...)
+		v := plan.Decide(e.addr, to, msg)
 		if v.Drop {
 			return nil
 		}
 		if v.Delay > 0 {
-			cp := append([]byte(nil), data...)
-			time.AfterFunc(v.Delay, func() { e.deliver(to, cp) })
+			time.AfterFunc(v.Delay, func() { e.tcpEP.SendGather(to, nil, msg) })
 			return nil
 		}
 	}
-	return e.deliver(to, data)
+	return e.tcpEP.SendGather(to, head, body)
 }
 
-func (e *DualEndpoint) deliver(to string, data []byte) error {
-	smPart, tcpPart := SplitAddr(to)
-	switch {
-	case smPart == "" && tcpPart == "":
-		return fmt.Errorf("%w: %s", ErrNoRoute, to)
-	case tcpPart == "":
-		return e.sm.Send(smPart, data)
-	case smPart == "":
-		return e.tcp.Send(tcpPart, data)
-	}
-	// Oversized frames take the TCP component without disturbing the
-	// pinned route; the ring keeps carrying everything that fits.
-	if len(data) > e.sm.MaxFrame() {
-		return e.tcp.Send(tcpPart, data)
-	}
-	if e.routeFor(smPart, tcpPart) == routeSM {
-		return e.sm.Send(smPart, data)
-	}
-	return e.tcp.Send(tcpPart, data)
-}
-
-// routeFor returns the pinned route for a peer, probing the sm component
-// on first contact. A peer that restarts gets a fresh segment base and
-// therefore a fresh composite address, so pins never go stale.
-func (e *DualEndpoint) routeFor(smPart, tcpPart string) uint8 {
-	e.mu.Lock()
-	if r, ok := e.routes[smPart]; ok {
-		e.mu.Unlock()
-		return r
-	}
-	e.mu.Unlock()
-
-	r := routeTCP
-	if err := e.sm.Probe(smPart); err == nil {
-		r = routeSM
-	}
-
-	e.mu.Lock()
-	if prev, ok := e.routes[smPart]; ok {
-		e.mu.Unlock()
-		return prev
-	}
-	e.routes[smPart] = r
-	e.mu.Unlock()
-	m := e.metrics()
-	if r == routeSM {
-		m.smPreferred.Inc()
-		e.logf("na: route to %s via sm (colocated peer, shared-memory path)", smPart)
-	} else {
-		m.tcpFallback.Inc()
-		e.logf("na: route to %s via tcp (sm probe failed)", tcpPart)
-	}
-	return r
-}
-
-// Recv blocks for the next frame from either transport.
-func (e *DualEndpoint) Recv() (string, []byte, error) {
-	p, err := e.q.pop()
-	if err != nil {
-		return "", nil, err
-	}
-	return p.from, p.data, nil
-}
-
-// Close shuts both transports down.
+// Close shuts the listeners and connections down, releases every mapping
+// and unlinks the socket and arena files — after a clean Close no segment
+// files remain on disk.
 func (e *DualEndpoint) Close() error {
-	smErr := e.sm.Close()
-	tcpErr := e.tcp.Close()
-	if smErr != nil {
-		return smErr
-	}
-	return tcpErr
-}
-
-// ExposeLocal implements LocalBulk by delegating to the sm transport.
-func (e *DualEndpoint) ExposeLocal(id uint64, buf []byte) bool {
-	return e.sm.ExposeLocal(id, buf)
-}
-
-// ReleaseLocal implements LocalBulk by delegating to the sm transport.
-func (e *DualEndpoint) ReleaseLocal(id uint64) { e.sm.ReleaseLocal(id) }
-
-// PullLocal implements LocalBulk by delegating to the sm transport.
-func (e *DualEndpoint) PullLocal(ownerAddr string, id uint64, off int, dst []byte) (bool, error) {
-	return e.sm.PullLocal(ownerAddr, id, off, dst)
+	err := e.tcpEP.Close()
+	e.shmBulk.close()
+	return err
 }

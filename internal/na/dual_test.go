@@ -1,183 +1,136 @@
 package na
 
 import (
-	"fmt"
-	"strings"
-	"sync"
+	"os"
 	"testing"
 
 	"colza/internal/obs"
 )
 
-func dualPair(t *testing.T, opts SMOptions) (*DualEndpoint, *DualEndpoint) {
-	t.Helper()
-	dir := t.TempDir()
-	a, err := ListenDualOptions("127.0.0.1:0", dir, "a", opts)
-	if err != nil {
-		t.Fatalf("ListenDual a: %v", err)
+// connNetwork reports which kind of socket e's cached connection to peer is
+// ("unix", "tcp"; "" without one).
+func connNetwork(e *DualEndpoint, peer string) string {
+	_, tcpPart := SplitAddr(peer)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if c, ok := e.conns[tcpPart]; ok {
+		return c.c.RemoteAddr().Network()
 	}
-	t.Cleanup(func() { a.Close() })
-	b, err := ListenDualOptions("127.0.0.1:0", dir, "b", opts)
-	if err != nil {
-		t.Fatalf("ListenDual b: %v", err)
-	}
-	t.Cleanup(func() { b.Close() })
-	return a, b
-}
-
-// logCapture collects route-decision log lines.
-type logCapture struct {
-	mu    sync.Mutex
-	lines []string
-}
-
-func (lc *logCapture) logf(format string, args ...any) {
-	lc.mu.Lock()
-	lc.lines = append(lc.lines, fmt.Sprintf(format, args...))
-	lc.mu.Unlock()
-}
-
-func (lc *logCapture) joined() string {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return strings.Join(lc.lines, "\n")
+	return ""
 }
 
 // TestDualPrefersSMOverLoopbackTCP is the regression test for the routing
 // bugfix: when a connection file lists both an sm and a tcp address for a
-// colocated peer, the sender must ride shared memory, not dial loopback
-// TCP — and the choice must be logged and counted.
+// colocated peer, the sender must dial the peer's unix socket, not
+// loopback TCP — and the choice must be counted, once per connection.
 func TestDualPrefersSMOverLoopbackTCP(t *testing.T) {
-	a, b := dualPair(t, SMOptions{})
-	var lc logCapture
-	a.logf = lc.logf
+	a, b, _ := dualPair(t)
 	reg := obs.NewRegistry()
 	a.SetObserver(reg)
 
-	if err := a.Send(b.Addr(), []byte("hello")); err != nil {
-		t.Fatalf("send: %v", err)
+	for _, msg := range []string{"hello", "again"} {
+		if err := a.Send(b.Addr(), []byte(msg)); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		from, data, err := b.Recv()
+		if err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		if from != a.Addr() || string(data) != msg {
+			t.Fatalf("got %q from %q", data, from)
+		}
 	}
-	from, data, err := b.Recv()
-	if err != nil {
-		t.Fatalf("recv: %v", err)
+	if got := connNetwork(a, b.Addr()); got != "unix" {
+		t.Fatalf("colocated peer dialed over %q, want unix", got)
 	}
-	if from != a.Addr() || string(data) != "hello" {
-		t.Fatalf("got %q from %q", data, from)
-	}
+	// The second send reused the cached connection.
 	if got := reg.Counter("na.route.sm_preferred").Value(); got != 1 {
 		t.Fatalf("na.route.sm_preferred = %d, want 1", got)
 	}
 	if got := reg.Counter("na.route.tcp_fallback").Value(); got != 0 {
 		t.Fatalf("na.route.tcp_fallback = %d, want 0", got)
 	}
-	if !strings.Contains(lc.joined(), "via sm") {
-		t.Fatalf("route decision not logged: %q", lc.joined())
+	// A plain tcp peer is no route decision at all.
+	plain, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The frame must actually have ridden the ring, not loopback TCP.
-	if got := reg.Counter("na.shm.frames.tx").Value(); got != 1 {
-		t.Fatalf("na.shm.frames.tx = %d, want 1 (frame took TCP?)", got)
+	defer plain.Close()
+	if err := a.Send(plain.Addr(), []byte("plain")); err != nil {
+		t.Fatalf("send: %v", err)
 	}
-	// Subsequent sends reuse the pinned route without re-probing.
-	if err := a.Send(b.Addr(), []byte("again")); err != nil {
-		t.Fatalf("send 2: %v", err)
+	if _, _, err := plain.Recv(); err != nil {
+		t.Fatalf("recv: %v", err)
 	}
-	if _, _, err := b.Recv(); err != nil {
-		t.Fatalf("recv 2: %v", err)
-	}
-	if got := reg.Counter("na.route.sm_preferred").Value(); got != 1 {
-		t.Fatalf("route decision recounted: %d", got)
+	if sm, tcp := reg.Counter("na.route.sm_preferred").Value(), reg.Counter("na.route.tcp_fallback").Value(); sm != 1 || tcp != 0 {
+		t.Fatalf("a plain tcp peer moved the route counters: sm_preferred = %d, tcp_fallback = %d", sm, tcp)
 	}
 }
 
-// TestDualFallsBackToTCP: a peer whose sm component is unreachable (dead
-// segment base) still gets its frames, over the tcp component.
+// TestDualFallsBackToTCP: a peer whose unix socket cannot be dialed — the
+// file is gone, or its address names another host — still gets its frames,
+// over the tcp component.
 func TestDualFallsBackToTCP(t *testing.T) {
-	a, b := dualPair(t, SMOptions{})
-	var lc logCapture
-	a.logf = lc.logf
-	reg := obs.NewRegistry()
-	a.SetObserver(reg)
-
-	_, tcpPart := SplitAddr(b.Addr())
-	ghost := DualAddr("sm://"+smHostID()+"/nonexistent/segment/base", tcpPart)
-	if err := a.Send(ghost, []byte("via wire")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	_, data, err := b.Recv()
-	if err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-	if string(data) != "via wire" {
-		t.Fatalf("got %q", data)
-	}
-	if got := reg.Counter("na.route.tcp_fallback").Value(); got != 1 {
-		t.Fatalf("na.route.tcp_fallback = %d, want 1", got)
-	}
-	if !strings.Contains(lc.joined(), "via tcp") {
-		t.Fatalf("fallback not logged: %q", lc.joined())
-	}
-}
-
-// TestDualOversizedFrameTakesTCP: frames beyond the ring limit slip over
-// the tcp component transparently, without disturbing the sm route pin.
-func TestDualOversizedFrameTakesTCP(t *testing.T) {
-	a, b := dualPair(t, SMOptions{RingBytes: minRingBytes})
-	reg := obs.NewRegistry()
-	a.SetObserver(reg)
-
-	small := []byte("rides the ring")
-	if err := a.Send(b.Addr(), small); err != nil {
-		t.Fatalf("small send: %v", err)
-	}
-	big := make([]byte, minRingBytes) // > MaxFrame (= RingBytes/2)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	if err := a.Send(b.Addr(), big); err != nil {
-		t.Fatalf("big send: %v", err)
-	}
-	sawBig := false
-	for i := 0; i < 2; i++ {
-		_, data, err := b.Recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if len(data) == len(big) {
-			sawBig = true
-			for j, v := range data {
-				if v != byte(j) {
-					t.Fatalf("big frame corrupted at %d", j)
-				}
+	for name, peerAddr := range map[string]func(t *testing.T, b *DualEndpoint) string{
+		"socket file gone": func(t *testing.T, b *DualEndpoint) string {
+			if err := os.Remove(b.base + ".sock"); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if !sawBig {
-		t.Fatal("oversized frame never arrived")
-	}
-	if got := reg.Counter("na.shm.frames.tx").Value(); got != 1 {
-		t.Fatalf("na.shm.frames.tx = %d, want 1 (only the small frame)", got)
+			return b.Addr()
+		},
+		"other host": func(_ *testing.T, b *DualEndpoint) string {
+			_, tcpPart := SplitAddr(b.Addr())
+			return DualAddr("sm://other-host"+b.base, tcpPart)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b, _ := dualPair(t)
+			reg := obs.NewRegistry()
+			a.SetObserver(reg)
+			to := peerAddr(t, b)
+			if err := a.Send(to, []byte("via wire")); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			_, data, err := b.Recv()
+			if err != nil {
+				t.Fatalf("recv: %v", err)
+			}
+			if string(data) != "via wire" {
+				t.Fatalf("got %q", data)
+			}
+			if got := connNetwork(a, to); got != "tcp" {
+				t.Fatalf("peer dialed over %q, want tcp", got)
+			}
+			if sm, tcp := reg.Counter("na.route.sm_preferred").Value(), reg.Counter("na.route.tcp_fallback").Value(); sm != 0 || tcp != 1 {
+				t.Fatalf("na.route.sm_preferred = %d, na.route.tcp_fallback = %d, want 0 and 1", sm, tcp)
+			}
+		})
 	}
 }
 
-// TestDualFaultPlanCoversSMRoute: chaos hooks apply to frames routed over
-// shared memory exactly as over TCP.
+// TestDualFaultPlanCoversSMRoute: chaos hooks see a gathered send as the one
+// message it is (the classifier gets head and body joined), on the unix
+// socket exactly as over TCP.
 func TestDualFaultPlanCoversSMRoute(t *testing.T) {
-	a, b := dualPair(t, SMOptions{})
-	plan := NewFaultPlan(3)
-	plan.Add(FaultRule{Nth: 1, Drop: true})
+	a, b, _ := dualPair(t)
+	plan := NewFaultPlan(3).SetClassifier(func(data []byte) string { return string(data) })
+	plan.Add(FaultRule{Label: "head|dropped", Drop: true})
 	a.SetFaultPlan(plan)
-	if err := a.Send(b.Addr(), []byte("dropped")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if err := a.Send(b.Addr(), []byte("arrives")); err != nil {
-		t.Fatalf("send: %v", err)
+	var gs GatherSender = a
+	for _, body := range []string{"dropped", "arrives"} {
+		if err := gs.SendGather(b.Addr(), []byte("head|"), []byte(body)); err != nil {
+			t.Fatalf("send: %v", err)
+		}
 	}
 	_, data, err := b.Recv()
 	if err != nil {
 		t.Fatalf("recv: %v", err)
 	}
-	if string(data) != "arrives" {
+	if string(data) != "head|arrives" {
 		t.Fatalf("dropped frame leaked: %q", data)
+	}
+	if plan.Fired(0) != 1 {
+		t.Fatalf("drop rule fired %d times, want 1", plan.Fired(0))
 	}
 }
 

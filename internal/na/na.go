@@ -2,11 +2,12 @@
 // the messaging layer underneath Mercury in the Mochi suite. It provides
 // addressed, connectionless message endpoints. Two transports are
 // implemented: an in-process transport (many simulated "processes" inside
-// one OS process, with optional fault injection and link delays) and a TCP
-// transport for actually-distributed deployments. Everything above — RPC
-// (internal/mercury), collectives (internal/mona), membership
-// (internal/ssg) — is written against the Endpoint interface and cannot
-// tell the transports apart.
+// one OS process, with optional fault injection and link delays) and a
+// stream-socket transport for actually-distributed deployments — TCP, plus,
+// on a dual endpoint, a unix socket and a shared-memory bulk arena for
+// colocated peers. Everything above — RPC (internal/mercury), collectives
+// (internal/mona), membership (internal/ssg) — is written against the
+// Endpoint interface and cannot tell the transports apart.
 package na
 
 import (
@@ -51,7 +52,7 @@ type Observable interface {
 }
 
 // LocalBulk is the capability interface behind cross-process zero-copy
-// bulk handoff (the sm:// transport implements it; see shm.go). An
+// bulk handoff (a dual endpoint implements it; see arena.go). An
 // endpoint that supports it lets the RPC layer publish exposed bulk
 // regions in a shared-memory segment and lets same-host pullers copy the
 // bytes straight out of the exposer's segment — no chunked

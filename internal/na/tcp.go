@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"colza/internal/obs"
@@ -37,28 +38,36 @@ func listenTCP(hostport string) (*tcpEP, error) {
 		return nil, fmt.Errorf("na: listen: %w", err)
 	}
 	ep := &tcpEP{
-		addr:         "tcp://" + l.Addr().String(),
+		addr:         schemeTCP + l.Addr().String(),
 		l:            l,
 		q:            newPktQueue(),
 		conns:        make(map[string]*tcpConn),
 		accepted:     make(map[net.Conn]struct{}),
 		writeTimeout: defaultTCPWriteTimeout,
 	}
-	ep.advertise = ep.addr
-	go ep.acceptLoop()
+	go ep.acceptLoop(l)
 	return ep, nil
 }
 
+// tcpEP is the stream-socket endpoint: length-prefixed frames over one
+// cached connection per peer. A plain endpoint (ListenTCP) has a TCP
+// listener only; a dual endpoint (ListenDual) adds a unix-socket listener
+// that colocated peers dial instead — same framing, same loops.
 type tcpEP struct {
+	// addr is the endpoint's address, stamped as the sender on outgoing
+	// frames: "tcp://host:port", or the composite form for a dual endpoint,
+	// so the responder can choose its own link back.
 	addr         string
 	l            net.Listener
 	q            *pktQueue
 	writeTimeout time.Duration
 
-	// advertise is the sender address stamped on outgoing frames. A dual
-	// endpoint overrides it with its composite address so replies carry
-	// both components and the responder can route per-link again.
-	advertise string
+	// The unix listener of a dual endpoint (nil on a plain one), this
+	// host's identity in composite addresses, and the dial-time counters of
+	// which socket a composite peer was reached over.
+	ul    net.Listener
+	host  string
+	route atomic.Pointer[routeMetrics]
 
 	mu       sync.Mutex
 	conns    map[string]*tcpConn   // outbound dials, keyed by peer address
@@ -66,10 +75,33 @@ type tcpEP struct {
 	closed   bool
 }
 
-// setQueue shares an external receive queue and setAdvertise overrides the
-// stamped sender address (dual endpoint plumbing; before any traffic).
-func (e *tcpEP) setQueue(q *pktQueue)     { e.q = q }
-func (e *tcpEP) setAdvertise(addr string) { e.advertise = addr }
+type routeMetrics struct {
+	smPreferred *obs.Counter
+	tcpFallback *obs.Counter
+}
+
+func newRouteMetrics(r *obs.Registry) *routeMetrics {
+	return &routeMetrics{
+		smPreferred: r.Counter("na.route.sm_preferred"),
+		tcpFallback: r.Counter("na.route.tcp_fallback"),
+	}
+}
+
+// listenUnix adds the colocated listener at base+".sock" and turns the
+// endpoint's address into the composite one. Before any traffic.
+func (e *tcpEP) listenUnix(base string) error {
+	ul, err := net.Listen("unix", base+".sock")
+	if err != nil {
+		return fmt.Errorf("na: sm listen: %w", err)
+	}
+	e.ul = ul
+	e.host = smHostID()
+	e.addr = DualAddr(schemeSM+e.host+base, e.addr)
+	e.route.Store(newRouteMetrics(obs.Default()))
+	go e.acceptLoop(ul)
+	return nil
+}
+
 func (e *tcpEP) SetObserver(r *obs.Registry) {
 	if r == nil {
 		return
@@ -100,9 +132,9 @@ func newTCPConn(c net.Conn, from string) *tcpConn {
 
 func (e *tcpEP) Addr() string { return e.addr }
 
-func (e *tcpEP) acceptLoop() {
+func (e *tcpEP) acceptLoop(l net.Listener) {
 	for {
-		c, err := e.l.Accept()
+		c, err := l.Accept()
 		if err != nil {
 			return
 		}
@@ -184,16 +216,17 @@ func (e *tcpEP) SendGather(to string, head, body []byte) error {
 	if len(head)+len(body) > maxFrame {
 		return ErrTooLarge
 	}
-	// Accept composite sm+tcp addresses too: a pure-TCP endpoint simply
-	// uses the tcp component (the sm one is useless to it anyway).
-	if _, tcpPart := SplitAddr(to); tcpPart != "" {
+	// A composite sm+tcp address is reached through its tcp component; the
+	// sm one only matters to the dial, and only on a dual endpoint.
+	smPart, tcpPart := SplitAddr(to)
+	if tcpPart != "" {
 		to = tcpPart
 	}
-	hostport := strings.TrimPrefix(to, "tcp://")
+	hostport := strings.TrimPrefix(to, schemeTCP)
 	if hostport == to {
 		return fmt.Errorf("%w: %s (not a tcp address)", ErrNoRoute, to)
 	}
-	conn, err := e.getConn(to, hostport)
+	conn, err := e.getConn(to, hostport, smPart)
 	if err != nil {
 		// Connection refused behaves like a lost datagram once the peer is
 		// gone; surface only resolution-style failures (malformed address,
@@ -236,7 +269,7 @@ func isAddressErr(err error) bool {
 	return errors.As(err, &de)
 }
 
-func (e *tcpEP) getConn(to, hostport string) (*tcpConn, error) {
+func (e *tcpEP) getConn(to, hostport, smPart string) (*tcpConn, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -248,11 +281,11 @@ func (e *tcpEP) getConn(to, hostport string) (*tcpConn, error) {
 	}
 	e.mu.Unlock()
 
-	raw, err := net.Dial("tcp", hostport)
+	raw, err := e.dial(hostport, smPart)
 	if err != nil {
 		return nil, err
 	}
-	c := newTCPConn(raw, e.advertise)
+	c := newTCPConn(raw, e.addr)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -267,6 +300,30 @@ func (e *tcpEP) getConn(to, hostport string) (*tcpConn, error) {
 	e.conns[to] = c
 	e.mu.Unlock()
 	return c, nil
+}
+
+// dial opens the connection to a peer. Between two dual endpoints on one
+// host (smPart, the sm component of the peer's composite address, names
+// this host) it connects to the peer's unix socket; whenever that is not
+// possible — other host, socket gone — and on a plain endpoint it connects
+// to hostport over TCP. The choice holds for as long as the connection
+// stays in the cache; a redial chooses again.
+func (e *tcpEP) dial(hostport, smPart string) (net.Conn, error) {
+	if e.ul == nil || smPart == "" {
+		return net.Dial("tcp", hostport)
+	}
+	m := e.route.Load()
+	if host, base, ok := smHostBase(smPart); ok && host == e.host {
+		if c, err := net.Dial("unix", base+".sock"); err == nil {
+			m.smPreferred.Inc()
+			return c, nil
+		}
+	}
+	c, err := net.Dial("tcp", hostport)
+	if err == nil {
+		m.tcpFallback.Inc()
+	}
+	return c, err
 }
 
 func (e *tcpEP) dropConn(to string, c *tcpConn) {
@@ -301,6 +358,9 @@ func (e *tcpEP) Close() error {
 	}
 	e.mu.Unlock()
 	e.l.Close()
+	if e.ul != nil {
+		e.ul.Close() // unlinks the socket file
+	}
 	for _, c := range conns {
 		c.c.Close()
 	}
