@@ -26,7 +26,13 @@ const (
 	maxBits = 26
 )
 
-var pools [maxBits - minBits + 1]sync.Pool
+// A parked buffer travels as a pointer to its slice header — storing the
+// slice itself in a sync.Pool would allocate a header on every Put — and
+// the emptied headers are recycled through a pool of their own.
+var (
+	pools   [maxBits - minBits + 1]sync.Pool // *[]byte, parked
+	headers sync.Pool                        // *[]byte, nil
+)
 
 // Stats counts pool traffic; test helpers use it to assert hot paths
 // actually recycle instead of silently falling back to make.
@@ -66,7 +72,11 @@ func Get(n int) []byte {
 	}
 	gets.Add(1)
 	if v := pools[c].Get(); v != nil {
-		return v.([]byte)[:n]
+		p := v.(*[]byte)
+		b := *p
+		*p = nil
+		headers.Put(p)
+		return b[:n]
 	}
 	misses.Add(1)
 	return make([]byte, n, 1<<(c+minBits))
@@ -85,5 +95,10 @@ func Put(b []byte) {
 		return
 	}
 	puts.Add(1)
-	pools[k-minBits].Put(b[:0])
+	p, _ := headers.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	*p = b[:0]
+	pools[k-minBits].Put(p)
 }

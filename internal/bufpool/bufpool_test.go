@@ -69,8 +69,8 @@ func TestForeignCapacityPut(t *testing.T) {
 }
 
 func TestAllocsPerGetPutCycle(t *testing.T) {
-	// Steady-state recycle of a large class must not allocate the payload:
-	// only the Put-side interface boxing (1 small alloc) is tolerated.
+	// Steady-state recycle of a large class allocates neither the payload
+	// nor a slice header on the Put side.
 	b := Get(1 << 20)
 	Put(b)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -78,7 +78,7 @@ func TestAllocsPerGetPutCycle(t *testing.T) {
 		x[0] = 1
 		Put(x)
 	})
-	if allocs > 2 {
+	if allocs >= 1 {
 		t.Fatalf("get/put cycle allocates %.1f times per op", allocs)
 	}
 }

@@ -16,9 +16,9 @@
 //
 //	raw     (0) — identity passthrough; the fallback every peer accepts
 //	flate   (1) — stdlib DEFLATE at BestSpeed, pooled writers/readers
-//	shuffle (2) — byte-shuffle by float stride, then RLE or (when the
-//	              planes don't form runs) DEFLATE over the shuffled bytes;
-//	              tuned for float32/float64 grid data
+//	shuffle (2) — byte-shuffle by float stride, then per 4 KiB segment of
+//	              the planes: one byte if constant, verbatim if
+//	              incompressible, DEFLATE for the rest; for float grids
 //	delta   (3) — the shuffle transform applied to the XOR against the
 //	              previous iteration's block (zero base when no history)
 //

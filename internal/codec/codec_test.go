@@ -101,27 +101,67 @@ func TestCodecConformance(t *testing.T) {
 					continue // truncation/corruption sweeps only on the small cases
 				}
 				// Every truncation must error, never panic and never succeed
-				// while producing the wrong number of bytes.
-				for n := 0; n < len(enc); n++ {
+				// while producing the wrong number of bytes. Corruption has
+				// no checksum to catch it, so wrong bytes can decode
+				// "successfully" — but it must never panic, and a nil error
+				// must still mean exactly srcLen output bytes.
+				for _, n := range sweepOffsets(len(enc), segmentBoundaries(c, enc, len(tc.data))) {
 					out, err := c.Decode(nil, enc[:n], len(tc.data))
 					if err == nil && len(out) != len(tc.data) {
 						t.Fatalf("%s: truncated decode [:%d] returned %d bytes without error", tc.name, n, len(out))
 					}
-				}
-				// Corruption has no checksum to catch it, so wrong bytes can
-				// decode "successfully" — but it must never panic, and a nil
-				// error must still mean exactly srcLen output bytes.
-				for i := 0; i < len(enc); i++ {
 					bad := append([]byte(nil), enc...)
-					bad[i] ^= 0xFF
-					out, err := c.Decode(nil, bad, len(tc.data))
+					bad[n] ^= 0xFF
+					out, err = c.Decode(nil, bad, len(tc.data))
 					if err == nil && len(out) != len(tc.data) {
-						t.Fatalf("%s: corrupted decode at %d returned %d bytes without error", tc.name, i, len(out))
+						t.Fatalf("%s: corrupted decode at %d returned %d bytes without error", tc.name, n, len(out))
 					}
 				}
 			}
 		})
 	}
+}
+
+// sweepOffsets lists the offsets of an n-byte encoding the truncation and
+// corruption sweeps visit: all of them up to 4 KiB; for longer encodings
+// the first 256, the last 64, two either side of every layout boundary,
+// and a prime stride in between.
+func sweepOffsets(n int, boundaries []int) []int {
+	var offs []int
+	for i := 0; i < n; i++ {
+		near := false
+		for _, b := range boundaries {
+			near = near || (i >= b-2 && i <= b+2)
+		}
+		if n <= 4096 || i < 256 || i >= n-64 || i%251 == 0 || near {
+			offs = append(offs, i)
+		}
+	}
+	return offs
+}
+
+// segmentBoundaries walks a Shuffle/Delta frame's layout (nil for the
+// other codecs): the end of the mode table, the end of every inline
+// segment payload, and so the start of the DEFLATE stream.
+func segmentBoundaries(c Codec, enc []byte, srcLen int) []int {
+	if c.ID() != ShuffleID && c.ID() != DeltaID {
+		return nil
+	}
+	nseg := (srcLen + segSize - 1) / segSize
+	off := 1 + nseg
+	bounds := []int{off}
+	for i, mode := range enc[1 : 1+nseg] {
+		switch mode {
+		case segRaw:
+			off += min(segSize, srcLen-i*segSize)
+		case segConst:
+			off++
+		default:
+			continue
+		}
+		bounds = append(bounds, off)
+	}
+	return bounds
 }
 
 // TestCodecWrongLength: a decode asked for a different original length than
@@ -183,85 +223,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestShuffleStride2Decode: encode never emits stride 2, but the wire
-// format admits it and the decoder must honor it (forward compatibility
-// for int16 data).
-func TestShuffleStride2Decode(t *testing.T) {
-	orig := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	shuffled := make([]byte, len(orig))
-	shuffleBytes(shuffled, orig, 2)
-	enc := rleAppend([]byte{2}, shuffled)
-	dec, err := Shuffle{}.Decode(nil, enc, len(orig))
-	if err != nil || !bytes.Equal(dec, orig) {
-		t.Fatalf("stride-2 decode: %v %v", dec, err)
-	}
-	// Invalid strides are corruption.
-	for _, s := range []byte{0, 3, 5, 16, 255} {
-		if _, err := (Shuffle{}).Decode(nil, append([]byte{s}, enc[1:]...), len(orig)); err == nil {
-			t.Fatalf("stride %d accepted", s)
-		}
-	}
-	// A payload that decodes to more bytes than srcLen is corruption (the
-	// unaligned-tail rules make srcLen=7 format-valid, but this RLE stream
-	// carries 8 bytes).
-	if _, err := (Shuffle{}).Decode(nil, enc, 7); err == nil {
-		t.Fatal("stride 2 payload longer than srcLen accepted")
-	}
-	// Unaligned srcLen: the aligned prefix shuffles, the tail rides verbatim.
-	odd := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	shuffledOdd := make([]byte, len(odd))
-	shuffleBytes(shuffledOdd, odd, 2)
-	if shuffledOdd[len(odd)-1] != 9 {
-		t.Fatalf("tail byte not carried verbatim: %v", shuffledOdd)
-	}
-	encOdd := rleAppend([]byte{2}, shuffledOdd)
-	dec, err = Shuffle{}.Decode(nil, encOdd, len(odd))
-	if err != nil || !bytes.Equal(dec, odd) {
-		t.Fatalf("stride-2 unaligned decode: %v %v", dec, err)
-	}
-}
-
-// TestShuffleFlateBackend: the 0x80 format bit selects DEFLATE over the
-// shuffled bytes. Incompressible input must take that trial (RLE breaks
-// even at best on it) and still round-trip; a hand-flagged frame with a
-// garbage payload is corruption.
-func TestShuffleFlateBackend(t *testing.T) {
-	noise := randomBytes(1<<16, 9)
-	enc, err := Shuffle{}.Encode(nil, noise)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Shuffle{}.Decode(nil, enc, len(noise))
-	if err != nil || !bytes.Equal(dec, noise) {
-		t.Fatalf("round trip through entropy trial: %v", err)
-	}
-	// Force the flag onto an RLE payload: not a DEFLATE stream, so corrupt.
-	rle := rleAppend([]byte{4 | 0x80}, noise[:64])
-	if _, err := (Shuffle{}).Decode(nil, rle, 64); err == nil {
-		t.Fatal("flate-flagged RLE payload accepted")
-	}
-	// A genuine flagged frame decodes, stride 1 and stride 4 alike.
-	grid := float32Grid(1024, 3)
-	shuffled := make([]byte, len(grid))
-	shuffleBytes(shuffled, grid, 4)
-	flated, err := (&Flate{}).Encode([]byte{4 | 0x80}, shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err = Shuffle{}.Decode(nil, flated, len(grid))
-	if err != nil || !bytes.Equal(dec, grid) {
-		t.Fatalf("hand-built flate-backed frame: %v", err)
-	}
-	flat1, err := (&Flate{}).Encode([]byte{1 | 0x80}, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err = Shuffle{}.Decode(nil, flat1, len(grid))
-	if err != nil || !bytes.Equal(dec, grid) {
-		t.Fatalf("stride-1 flate-backed frame: %v", err)
-	}
-}
-
 // TestRawLengthMismatch: raw's only failure mode.
 func TestRawLengthMismatch(t *testing.T) {
 	if _, err := (Raw{}).Decode(nil, []byte{1, 2, 3}, 4); err == nil {
@@ -283,26 +244,6 @@ func TestFlateTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestShuffleCompressesFloatGrids: the reason the codec exists — float
-// grids must actually shrink.
-func TestShuffleCompressesFloatGrids(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{
-		{"f32", float32Grid(32*32*32, 21)},
-		{"f64", float64Grid(16*16*16, 22)},
-	} {
-		enc, err := Shuffle{}.Encode(nil, tc.data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(enc) >= len(tc.data) {
-			t.Fatalf("%s: shuffle did not compress (%d -> %d)", tc.name, len(tc.data), len(enc))
-		}
-	}
-}
-
 // FuzzCodecDecode: arbitrary input to any registered codec's decoder must
 // never panic, never allocate past the claimed length, and a nil error must
 // mean exactly srcLen output bytes. Seeded from the conformance corpus.
@@ -320,6 +261,20 @@ func FuzzCodecDecode(f *testing.F) {
 		}
 	}
 	f.Add(uint8(200), []byte{1, 2, 3}, 3) // unregistered ID
+	// Segment-table edges: block lengths either side of a segment bound, a
+	// mode table shorter than srcLen implies, an unknown mode, a constant
+	// segment without its byte, inline segments with no stream behind them.
+	for _, n := range []int{segSize - 1, segSize, segSize + 1, 2*segSize + 1} {
+		enc, err := Shuffle{}.Encode(nil, float32Grid(n/4+1, 6)[:n])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ShuffleID, enc, n)
+		f.Add(DeltaID, enc, n+segSize)
+	}
+	f.Add(ShuffleID, []byte{4 | segmentedFlag, 3, 0}, 16)
+	f.Add(ShuffleID, []byte{4 | segmentedFlag, segConst}, 16)
+	f.Add(ShuffleID, []byte{4 | segmentedFlag, segConst, 0}, 16)
 	f.Fuzz(func(t *testing.T, id uint8, data []byte, srcLen int) {
 		c, ok := ByID(id)
 		if !ok {

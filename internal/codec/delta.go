@@ -9,10 +9,11 @@ import (
 // Delta is the temporal codec: the caller XORs the block against the
 // previous iteration's copy (held in a DeltaState) and Delta encodes the
 // residual with the same shuffle transform as Shuffle. Frame-to-frame
-// coherence makes the XOR mostly zeros, which the shuffle's run-length or
-// entropy coding collapses far below what any single-frame codec reaches. With no history the XOR base is absent
-// and Delta degenerates to Shuffle — a "zero-base" delta, bit-compatible on
-// the wire, which is what makes fallback after invalidation safe.
+// coherence makes the XOR mostly zeros, which become constant segments far
+// below what any single-frame codec reaches. With no history the XOR base
+// is absent and Delta degenerates to Shuffle — a "zero-base" delta,
+// bit-compatible on the wire, which is what makes fallback after
+// invalidation safe.
 //
 // The codec itself stays stateless: base management, bounding, and
 // invalidation all live in DeltaState so that a Codec in flight can never
@@ -88,6 +89,24 @@ func (s *DeltaState) XORBase(k DeltaKey, base uint64, buf []byte) bool {
 	e.used = s.seq
 	xorInto(buf, e.data)
 	return true
+}
+
+// XORLatest writes src XOR the stored base for k into dst (same length as
+// src, which stays untouched) in one locked pass, if the stored base is
+// from an iteration before it and as long as src. It reports that base's
+// iteration and whether the XOR was written; if not, dst is garbage and the
+// caller uses a zero base.
+func (s *DeltaState) XORLatest(dst []byte, k DeltaKey, it uint64, src []byte) (base uint64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[k]
+	if !ok || e.iter >= it || len(e.data) != len(src) {
+		return 0, false
+	}
+	s.seq++
+	e.used = s.seq
+	xorTo(dst, src, e.data)
+	return e.iter, true
 }
 
 // Latest reports the iteration and length of the stored base for k.

@@ -29,13 +29,11 @@ func evolveGrid(grid []byte, rng *rand.Rand) {
 // runs in internal/core.
 func stageDelta(t *testing.T, cs *DeltaState, k DeltaKey, it uint64, data []byte) (wire []byte, base uint64, hasBase bool) {
 	t.Helper()
-	work := append([]byte(nil), data...)
-	if prevIt, n, ok := cs.Latest(k); ok && n == len(work) && prevIt < it {
-		if cs.XORBase(k, prevIt, work) {
-			base, hasBase = prevIt, true
-		}
+	src, work := data, make([]byte, len(data))
+	if prevIt, ok := cs.XORLatest(work, k, it, data); ok {
+		base, hasBase, src = prevIt, true, work
 	}
-	wire, err := Delta{}.Encode(nil, work)
+	wire, err := Delta{}.Encode(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +130,26 @@ func TestDeltaXORBaseRefusals(t *testing.T) {
 		if b != 0 {
 			t.Fatal("XOR against identical base should zero the buffer")
 		}
+	}
+	// XORLatest is the encode side's one-pass form: it finds the base
+	// itself, refuses one that is not older than the iteration being staged
+	// or not as long, and never writes to src.
+	dst := make([]byte, len(data))
+	if _, ok := s.XORLatest(dst, k, 5, data); ok {
+		t.Fatal("XORLatest against a base of the same iteration applied")
+	}
+	if _, ok := s.XORLatest(dst[:3], k, 6, data[:3]); ok {
+		t.Fatal("XORLatest with mismatched length applied")
+	}
+	if _, ok := s.XORLatest(dst, DeltaKey{Pipeline: "q"}, 6, data); ok {
+		t.Fatal("XORLatest with wrong key applied")
+	}
+	src := []byte{9, 2, 3, 5}
+	if base, ok := s.XORLatest(dst, k, 6, src); !ok || base != 5 || !bytes.Equal(dst, []byte{8, 0, 0, 1}) {
+		t.Fatalf("XORLatest = %v (base %d, ok %v)", dst, base, ok)
+	}
+	if !bytes.Equal(src, []byte{9, 2, 3, 5}) {
+		t.Fatal("XORLatest wrote to src")
 	}
 }
 

@@ -1,18 +1,21 @@
 package codec
 
 import (
+	"bytes"
 	"compress/flate"
 	"io"
+	"slices"
 	"sync"
 )
 
 // Flate wraps stdlib DEFLATE at BestSpeed. It is the general-purpose entry
 // in the registry: slower than Shuffle on float grids but stronger on mixed
-// or byte-oriented payloads. Writers and readers are pooled and Reset so
-// steady-state encoding touches no allocator beyond the pools.
+// or byte-oriented payloads. Writers and readers are pooled with their sink
+// and source and Reset, so steady-state coding touches no allocator beyond
+// the pools — and every path, failing ones included, hands them back.
 type Flate struct {
-	writers sync.Pool // *flate.Writer
-	readers sync.Pool // io.ReadCloser with flate.Resetter
+	writers sync.Pool // *deflater
+	readers sync.Pool // *inflater
 }
 
 func (*Flate) ID() uint8    { return FlateID }
@@ -22,89 +25,100 @@ func (*Flate) Name() string { return "flate" }
 // block, plus stream header/trailer slack.
 func (*Flate) MaxEncodedSize(n int) int { return n + 5*(n/65535+1) + 16 }
 
-// sliceWriter appends everything written to it onto buf.
-type sliceWriter struct{ buf []byte }
+// deflater is a pooled DEFLATE writer: what goes into zw comes out
+// appended to buf.
+type deflater struct {
+	buf []byte
+	zw  *flate.Writer
+}
 
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
+func (z *deflater) Write(p []byte) (int, error) {
+	z.buf = append(z.buf, p...)
 	return len(p), nil
 }
 
+// deflate opens a stream that appends to dst; endDeflate closes it.
+func (f *Flate) deflate(dst []byte) *deflater {
+	z, _ := f.writers.Get().(*deflater)
+	if z == nil {
+		z = &deflater{}
+		z.zw, _ = flate.NewWriter(z, flate.BestSpeed)
+	}
+	z.buf = dst
+	z.zw.Reset(z)
+	return z
+}
+
+// endDeflate closes the stream, pools the writer and returns dst extended
+// by the stream.
+func (f *Flate) endDeflate(z *deflater) ([]byte, error) {
+	err := z.zw.Close()
+	buf := z.buf
+	z.buf = nil
+	f.writers.Put(z)
+	return buf, err
+}
+
 func (f *Flate) Encode(dst, src []byte) ([]byte, error) {
-	sw := &sliceWriter{buf: dst}
-	var zw *flate.Writer
-	if v := f.writers.Get(); v != nil {
-		zw = v.(*flate.Writer)
-		zw.Reset(sw)
-	} else {
-		zw, _ = flate.NewWriter(sw, flate.BestSpeed)
-	}
-	if _, err := zw.Write(src); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	f.writers.Put(zw)
-	return sw.buf, nil
+	z := f.deflate(dst)
+	_, _ = z.zw.Write(src) // a failed write sticks: Close reports it
+	return f.endDeflate(z)
 }
 
-// byteReader serves src without the allocation of bytes.NewReader and
-// implements io.ByteReader so flate skips its internal bufio wrapper.
-type byteReader struct {
-	src []byte
-	off int
+// inflater is a pooled DEFLATE reader over src. bytes.Reader is an
+// io.ByteReader, so flate skips its internal bufio wrapper and reads not one
+// byte past the stream.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser // also a flate.Resetter
+	one [1]byte
 }
 
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.src) {
-		return 0, io.EOF
+// inflate opens the stream in src; endInflate closes it.
+func (f *Flate) inflate(src []byte) *inflater {
+	z, _ := f.readers.Get().(*inflater)
+	if z == nil {
+		z = &inflater{}
+		z.zr = flate.NewReader(&z.src)
 	}
-	n := copy(p, r.src[r.off:])
-	r.off += n
-	return n, nil
+	z.src.Reset(src)
+	z.zr.(flate.Resetter).Reset(&z.src, nil)
+	return z
 }
 
-func (r *byteReader) ReadByte() (byte, error) {
-	if r.off >= len(r.src) {
-		return 0, io.EOF
+// fill inflates exactly len(p) bytes into p.
+func (z *inflater) fill(p []byte) bool {
+	_, err := io.ReadFull(z.zr, p)
+	return err == nil
+}
+
+// endInflate pools the reader and reports ErrCorrupt unless every fill
+// succeeded (ok) and the stream then ends cleanly at the last byte of src:
+// extra or missing data is corruption, not silence.
+func (f *Flate) endInflate(z *inflater, ok bool) error {
+	if ok {
+		n, err := z.zr.Read(z.one[:])
+		ok = n == 0 && err == io.EOF && z.src.Len() == 0
 	}
-	b := r.src[r.off]
-	r.off++
-	return b, nil
+	z.src.Reset(nil)
+	f.readers.Put(z)
+	if !ok {
+		return ErrCorrupt
+	}
+	return nil
 }
 
 func (f *Flate) Decode(dst, src []byte, srcLen int) ([]byte, error) {
-	br := &byteReader{src: src}
-	var zr io.ReadCloser
-	if v := f.readers.Get(); v != nil {
-		zr = v.(io.ReadCloser)
-		zr.(flate.Resetter).Reset(br, nil)
-	} else {
-		zr = flate.NewReader(br)
-	}
-	// Read exactly srcLen bytes into the grown tail of dst, then require a
-	// clean EOF — extra or missing data is corruption, not silence.
 	base := len(dst)
-	for cap(dst)-len(dst) < srcLen {
-		dst = append(dst[:cap(dst)], 0)
+	dst = grow(dst, srcLen)
+	z := f.inflate(src)
+	if err := f.endInflate(z, z.fill(dst[base:])); err != nil {
+		return nil, err
 	}
-	dst = dst[:base+srcLen]
-	if _, err := io.ReadFull(zr, dst[base:]); err != nil {
-		return nil, ErrCorrupt
-	}
-	var one [1]byte
-	if n, err := zr.Read(one[:]); n != 0 || err != io.EOF {
-		return nil, ErrCorrupt
-	}
-	if err := zr.Close(); err != nil {
-		return nil, ErrCorrupt
-	}
-	// The DEFLATE reader consumes exactly the stream (it pulls byte-at-a-time
-	// through the ByteReader), so unread source bytes are trailing garbage.
-	if br.off != len(src) {
-		return nil, ErrCorrupt
-	}
-	f.readers.Put(zr)
 	return dst, nil
+}
+
+// grow extends dst by n bytes of unspecified content.
+func grow(dst []byte, n int) []byte {
+	return slices.Grow(dst, n)[:len(dst)+n]
 }

@@ -8,17 +8,41 @@ import "encoding/binary"
 // words (§10 pattern: aligned prefix word-wise, sub-word tail byte-wise)
 // and are proven bit-identical to the references by TestKernelsMatchReference.
 
-// xorInto XORs src into dst elementwise (the delta residual). Word-wise:
-// one load/xor/store per 8 bytes instead of eight.
-func xorInto(dst, src []byte) {
+// xorInto XORs src into dst elementwise (the delta residual).
+func xorInto(dst, src []byte) { xorTo(dst, dst, src) }
+
+// xorTo writes a XOR b into dst, all of dst's length. Word-wise: one
+// load/xor/store per 8 bytes instead of eight.
+func xorTo(dst, a, b []byte) {
 	n := len(dst)
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
+			binary.LittleEndian.Uint64(a[i:])^binary.LittleEndian.Uint64(b[i:]))
 	}
 	for ; i < n; i++ {
-		dst[i] ^= src[i]
+		dst[i] = a[i] ^ b[i]
+	}
+}
+
+// histogram counts seg's byte values into h. The count is split over four
+// tables filled in turn, so a run of one value does not serialise on a
+// single counter's store-to-load dependency; all four live on the stack.
+func histogram(h *[256]uint32, seg []byte) {
+	var h1, h2, h3 [256]uint32
+	*h = [256]uint32{}
+	i := 0
+	for ; i+4 <= len(seg); i += 4 {
+		h[seg[i]]++
+		h1[seg[i+1]]++
+		h2[seg[i+2]]++
+		h3[seg[i+3]]++
+	}
+	for ; i < len(seg); i++ {
+		h[seg[i]]++
+	}
+	for v := range h {
+		h[v] += h1[v] + h2[v] + h3[v]
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // kernels: over randomized sizes (including every sub-stride and sub-tile
 // tail shape) and all supported strides, the word-wise shuffle,
 // unshuffle, and XOR produce bit-identical output to the byte-wise
-// references, and unshuffle inverts shuffle.
+// references, unshuffle inverts shuffle, and the split histogram counts
+// what a plain loop counts.
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sizes := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257, 4096, 4097}
@@ -38,6 +39,14 @@ func TestKernelsMatchReference(t *testing.T) {
 			if !bytes.Equal(backRef, src) {
 				t.Fatalf("unshuffle reference n=%d stride=%d not identity", n, stride)
 			}
+		}
+		var got, want [256]uint32
+		histogram(&got, src)
+		for _, b := range src {
+			want[b]++
+		}
+		if got != want {
+			t.Fatalf("histogram n=%d differs from a plain count", n)
 		}
 		other := make([]byte, n)
 		rng.Read(other)

@@ -116,18 +116,15 @@ func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta
 		ci.Remember = true
 		key := codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}
 		if !zeroBase && len(data) > 0 {
-			if base, n, ok := s.deltaState().Latest(key); ok && n == len(data) && base < it {
-				// XOR against the remembered base in a pooled copy (the
-				// caller's buffer must stay untouched — RDMA semantics).
-				xbuf = bufpool.Get(len(data))
-				copy(xbuf, data)
-				if s.deltaState().XORBase(key, base, xbuf) {
-					ci.HasBase, ci.DeltaBase = true, base
-					src = xbuf
-				} else {
-					bufpool.Put(xbuf)
-					xbuf = nil
-				}
+			// XOR against the remembered base into a pooled buffer (the
+			// caller's must stay untouched — RDMA semantics).
+			xbuf = bufpool.Get(len(data))
+			if base, ok := s.deltaState().XORLatest(xbuf, key, it, data); ok {
+				ci.HasBase, ci.DeltaBase = true, base
+				src = xbuf
+			} else {
+				bufpool.Put(xbuf)
+				xbuf = nil
 			}
 		}
 	}

@@ -162,9 +162,12 @@ func (e *tcpEP) readLoop(c net.Conn) {
 	}()
 	// A connection's peer stamps the same sender address on every frame, so
 	// the previous frame's string is reused instead of allocated again.
+	// The header buffer escapes through io.ReadFull, so it is this loop's, not
+	// each frame's.
 	var last string
+	hdr := make([]byte, 8)
 	for {
-		from, data, err := readFrame(c, last)
+		from, data, err := readFrame(c, hdr, last)
 		if err != nil {
 			return
 		}
@@ -175,11 +178,11 @@ func (e *tcpEP) readLoop(c net.Conn) {
 	}
 }
 
-// readFrame reads one frame. lastFrom is the sender of the previous frame on
-// this connection; it is returned again when the bytes match.
-func readFrame(r io.Reader, lastFrom string) (string, []byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame, its 8-byte header into hdr. lastFrom is the
+// sender of the previous frame on this connection; it is returned again when
+// the bytes match.
+func readFrame(r io.Reader, hdr []byte, lastFrom string) (string, []byte, error) {
+	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
 		return "", nil, err
 	}
 	fromLen := binary.LittleEndian.Uint32(hdr[:4])

@@ -180,10 +180,11 @@ func TestWriteFrameGathered(t *testing.T) {
 		}
 	}()
 	var from string
+	hdr := make([]byte, 8)
 	for i, want := range frames {
 		prev := from
 		var got []byte
-		from, got, err = readFrame(peer, from)
+		from, got, err = readFrame(peer, hdr, from)
 		if err != nil {
 			t.Fatal(err)
 		}
