@@ -44,9 +44,10 @@ bench-smoke:
 	# byte-wise references (see internal/codec/kernels.go).
 	$(GO) test -run NONE -bench 'Kernel' -benchtime=100x ./internal/codec/
 
-# Focused run of the chaos/fault-injection suites.
+# Focused run of the chaos/fault-injection suites, the leave and crash
+# schedules of internal/core/leave_test.go included.
 chaos:
-	$(GO) test -race -timeout 600s -run 'TestChaos|TestDeactivateDrains|TestStageRejected|TestDuplicatePrepare|TestDeferredLeave|TestStageRetries' ./internal/core/ ./internal/e2e/
+	$(GO) test -race -timeout 600s -run 'TestChaos|TestDeactivateDrains|TestStageRejected|TestDuplicatePrepare|TestDeferredLeave|TestStageRetries|TestStatefulMigrationOnLeave|TestTwoServersLeave|TestLeaveOfOnlyHolder|TestMigrateRetries|TestFailedMigration' ./internal/core/ ./internal/e2e/
 
 ci:
 	./ci.sh

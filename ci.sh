@@ -98,10 +98,12 @@ fi
 # re-exposes a shared payload long after the callers' buffers were recycled,
 # and the codec step, which decides which bytes go on the wire and owns the
 # delta mismatch and invalidation steps: a missed branch there is a silent
-# data-corruption path; and the bulk arena, which reads a header and slot
+# data-corruption path; the checkpoint file, which holds every line that
+# moves pipeline state between servers (rounds, the leave, recovery); and
+# the bulk arena, which reads a header and slot
 # words out of memory another process writes (what its tests do not reach is
 # the mmap/open/truncate error branches).
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
-check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go
+check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
 check_cover 90 ./internal/na/arena.go

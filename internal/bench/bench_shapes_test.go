@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -11,8 +12,14 @@ import (
 // claims the paper makes — who wins, what grows, where overheads appear —
 // not absolute numbers.
 
+// cellF reads a numeric cell: the value Add was given where it was a
+// float64 (the printed three decimals quantise millisecond timings), the
+// parsed text otherwise.
 func cellF(t *testing.T, tab *Table, row, col int) float64 {
 	t.Helper()
+	if v := tab.exact[row][col]; !math.IsNaN(v) {
+		return v
+	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(tab.Rows[row][col]), 64)
 	if err != nil {
 		t.Fatalf("%s: cell (%d,%d) = %q not a number: %v", tab.ID, row, col, tab.Rows[row][col], err)

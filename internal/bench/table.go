@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -18,20 +19,28 @@ type Table struct {
 	Note    string // calibration / substitution note
 	Columns []string
 	Rows    [][]string
+	// exact keeps every float64 cell as Add received it, next to the three
+	// decimals Rows prints (NaN for any other cell): a shape check on
+	// millisecond timings must not compare rounding steps.
+	exact [][]float64
 }
 
 // Add appends a row, formatting each cell with %v.
 func (t *Table) Add(cells ...interface{}) {
 	row := make([]string, len(cells))
+	exact := make([]float64, len(cells))
 	for i, c := range cells {
+		exact[i] = math.NaN()
 		switch v := c.(type) {
 		case float64:
 			row[i] = fmt.Sprintf("%.3f", v)
+			exact[i] = v
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
 	}
 	t.Rows = append(t.Rows, row)
+	t.exact = append(t.exact, exact)
 }
 
 // Fprint renders the table with aligned columns.

@@ -9,7 +9,7 @@
 //     plane clip applied to each triangle as it is emitted, rasterization,
 //     depth compositing — one pass from staged block to local framebuffer
 //     over a mesh and a framebuffer the pipeline instance keeps (DESIGN.md
-//     §14). Used by the Gray-Scott and Mandelbulb experiments (Figs. 3, 5,
+//     §13). Used by the Gray-Scott and Mandelbulb experiments (Figs. 3, 5,
 //     6, 8, 9).
 //   - "catalyst/volume": block merging followed by volume rendering of
 //     unstructured grids with ordered compositing. Used by the Deep Water

@@ -28,9 +28,9 @@ type StatsConfig struct {
 // cross-iteration statistics, keyed by the origin instance id in
 // StatsPipeline.running. Keeping the map origin-keyed — instead of merging
 // into one scalar set — makes ImportState a per-origin join where the
-// higher (Iters, Count, ...) version wins, so a double delivery (a replica
-// recovered after the migration already landed, a retried migrate_state)
-// replaces rather than double-counts.
+// higher (Iters, Count, ...) version wins, so a double delivery (an origin's
+// moments arriving inside two peers' maps, or again in a newer round of a
+// peer merged before) replaces rather than double-counts.
 type runningMoments struct {
 	Count int64
 	Sum   float64
@@ -77,7 +77,7 @@ type stagedBlock struct {
 // the iteration's blocks into per-origin running moments, which Execute
 // additionally allreduces into run_* summary keys (statistics over all
 // completed iterations). The running map is what Export/ImportState move
-// around on migration and crash recovery, so the cumulative statistics
+// around when a server leaves or crashes, so the cumulative statistics
 // survive any single server.
 type StatsPipeline struct {
 	cfg    StatsConfig
@@ -438,9 +438,9 @@ func parseStatsState(data []byte) (map[string]runningMoments, error) {
 
 // ImportState merges a peer's running moments into this instance. The
 // merge is per-origin, newest version wins (runningMoments.newer), so
-// importing the same blob twice — or recovering a checkpoint replica after
-// the graceful migration already delivered the same state — is a no-op
-// rather than a double count.
+// meeting an origin's moments again — the provider imports one checkpoint
+// round once, but a peer's map carries what that peer imported before — is
+// a no-op rather than a double count.
 func (p *StatsPipeline) ImportState(data []byte) error {
 	in, err := parseStatsState(data)
 	if err != nil {

@@ -76,8 +76,8 @@ func TestStatsStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsStateDoubleImportIdempotent: importing the same blob twice (a
-// checkpoint recovered after the migration already delivered it) must not
+// TestStatsStateDoubleImportIdempotent: importing the same blob twice (an
+// origin's moments met again inside another peer's map) must not
 // double-count.
 func TestStatsStateDoubleImportIdempotent(t *testing.T) {
 	src := newStatsForTest(t, "f")

@@ -599,8 +599,8 @@ func TestBatchedCloseCancelsRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestMigrateCallBackoffInjectable covers the control transfers' backoff
-// (migrate_state and checkpoint_state go through one helper) through the
+// TestMigrateCallBackoffInjectable covers the checkpoint transfer's backoff
+// (deactivate rounds and leave rounds go through one helper) through the
 // injected clock: the schedule is observable without one real sleep, every
 // failed attempt counts, and a remote refusal is final immediately.
 func TestMigrateCallBackoffInjectable(t *testing.T) {
@@ -619,39 +619,17 @@ func TestMigrateCallBackoffInjectable(t *testing.T) {
 		defer mu.Unlock()
 		return append([]time.Duration(nil), sleeps...)
 	}
-	errs := func(name string) int64 { return d.servers[0].Obs.Snapshot().Counters[name] }
-	migrate := func(addr string, payload []byte) error {
-		return p.transfer(addr, "migrate_state", payload, migrateTimeout, migrateRetry, p.observer().Counter("core.migrate.errors"))
-	}
-	payload, _ := json.Marshal(migrateMsg{Pipeline: "ghost", State: []byte("s")})
-
-	errsBefore := errs("core.migrate.errors")
-	start := time.Now()
-	if err := migrate("inproc://nowhere", payload); err == nil {
-		t.Fatal("migrate to a dead address succeeded")
-	}
-	// Two attempts, one backoff between them: Base 50ms plus up to 50% jitter.
-	got := recorded()
-	if len(got) != 1 {
-		t.Fatalf("recorded %d sleeps (%v), want 1", len(got), got)
-	}
-	if got[0] < 50*time.Millisecond || got[0] >= 75*time.Millisecond {
-		t.Fatalf("backoff %v outside [50ms, 75ms)", got[0])
-	}
-	if n := errs("core.migrate.errors") - errsBefore; n != 2 {
-		t.Fatalf("migrate errors advanced by %d, want 2 (one per failed attempt)", n)
-	}
+	errs := func() int64 { return d.servers[0].Obs.Snapshot().Counters["core.state.checkpoint.errors"] }
 
 	// A checkpoint to a dead successor: three attempts under checkpointRetry,
 	// so two backoffs — 25ms and 50ms, each plus up to 50% jitter — and none
 	// of them on the wall clock.
-	errsBefore = errs("core.state.checkpoint.errors")
+	start := time.Now()
 	ckpt, _ := json.Marshal(ckptMsg{Pipeline: "ghost", Origin: p.mi.Addr(), Iteration: 1, State: []byte("s")})
-	if err := p.transfer("inproc://nowhere", "checkpoint_state", ckpt, checkpointTimeout, checkpointRetry,
-		p.observer().Counter("core.state.checkpoint.errors")); err == nil {
+	if err := p.transfer("inproc://nowhere", ckpt); err == nil {
 		t.Fatal("checkpoint to a dead address succeeded")
 	}
-	got = recorded()[1:]
+	got := recorded()
 	if len(got) != 2 {
 		t.Fatalf("checkpoint retry recorded %d sleeps (%v), want 2", len(got), got)
 	}
@@ -660,20 +638,21 @@ func TestMigrateCallBackoffInjectable(t *testing.T) {
 			t.Fatalf("checkpoint backoff %d = %v outside [%v, %v)", i, got[i], base, base+base/2)
 		}
 	}
-	if n := errs("core.state.checkpoint.errors") - errsBefore; n != 3 {
+	if n := errs(); n != 3 {
 		t.Fatalf("checkpoint errors advanced by %d, want 3 (one per failed attempt)", n)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("five failed transfers took %v: a backoff really slept despite the injected clock", elapsed)
+		t.Fatalf("three failed transfers took %v: a backoff really slept despite the injected clock", elapsed)
 	}
 
-	// A live peer that refuses (unknown pipeline) answers ClassRemote:
+	// A live peer that refuses (a malformed checkpoint) answers ClassRemote:
 	// final for this target, no backoff at all.
-	if err := migrate(d.servers[1].Addr(), payload); err == nil {
-		t.Fatal("migrate of an unknown pipeline succeeded")
+	bad, _ := json.Marshal(ckptMsg{Pipeline: "ghost"})
+	if err := p.transfer(d.servers[1].Addr(), bad); err == nil {
+		t.Fatal("a checkpoint without an origin was accepted")
 	}
-	if after := len(recorded()); after != 3 {
-		t.Fatalf("remote refusal slept %d times, want 0", after-3)
+	if after := len(recorded()); after != 2 {
+		t.Fatalf("remote refusal slept %d times, want 0", after-2)
 	}
 
 	// Deactivate handlers of different pipelines checkpoint at the same
@@ -683,13 +662,12 @@ func TestMigrateCallBackoffInjectable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.transfer("inproc://nowhere", "checkpoint_state", ckpt, checkpointTimeout, checkpointRetry,
-				p.observer().Counter("core.state.checkpoint.errors"))
+			_ = p.transfer("inproc://nowhere", ckpt)
 		}()
 	}
 	wg.Wait()
-	if after := len(recorded()); after != 3+4*2 {
-		t.Fatalf("four concurrent checkpoint transfers slept %d times, want 8", after-3)
+	if after := len(recorded()); after != 2+4*2 {
+		t.Fatalf("four concurrent checkpoint transfers slept %d times, want 8", after-2)
 	}
 }
 

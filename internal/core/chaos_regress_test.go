@@ -308,7 +308,7 @@ func TestErrorClassification(t *testing.T) {
 }
 
 // countingStateful counts ExportState/ImportState calls to pin the
-// exactly-once migration contract of a deferred leave.
+// exactly-once hand-over contract of a deferred leave.
 type countingStateful struct {
 	statefulPipeline
 	exports int
@@ -347,7 +347,7 @@ func init() {
 // TestDeferredLeaveMigratesOnceAndRejectsPrepare covers the full deferred
 // leave contract: a leave during an active iteration defers until
 // deactivate, the leaving server rejects new prepares meanwhile, and
-// stateful pipeline state migrates to the survivor exactly once.
+// stateful pipeline state reaches the survivor's instance exactly once.
 func TestDeferredLeaveMigratesOnceAndRejectsPrepare(t *testing.T) {
 	d := deploy(t, 2)
 	countMu.Lock()
@@ -431,11 +431,12 @@ func TestDeferredLeaveMigratesOnceAndRejectsPrepare(t *testing.T) {
 	if got := res[0].Summary["total"]; got != 200 {
 		t.Fatalf("survivor total = %v, want 200 (state lost or duplicated)", got)
 	}
-	// Exactly-once import: the survivor imported the leaver's state once —
-	// even if finishLeave is poked again (idempotence guard). Exports are 3:
-	// both servers checkpointed at deactivate(1) (two-member view, one ring
-	// successor each) plus the leaver's migration export; deactivate(2) sees
-	// a single-member view, which checkpointStateful skips before exporting.
+	// Exactly-once import: the survivor imported the leaver's state once, at
+	// commit(2) — even if finishLeave is poked again (idempotence guard).
+	// Exports are 3: both servers checkpointed at deactivate(1) (two-member
+	// view; the survivor's round was refused by the leaver and counted) plus
+	// the leaver's leave round; deactivate(2) sees a single-member view,
+	// which checkpointSlot skips before exporting.
 	d.servers[1].Provider.finishLeave(nil)
 	var exports, imports int
 	for _, p := range insts {
@@ -447,10 +448,13 @@ func TestDeferredLeaveMigratesOnceAndRejectsPrepare(t *testing.T) {
 	if exports != 3 || imports != 1 {
 		t.Fatalf("exports=%d imports=%d, want exactly 3 and 1", exports, imports)
 	}
-	// The acknowledged migration discarded the leaver's checkpoint replica
-	// on the survivor; the survivor's own replica died with the leaver.
+	// Recovery consumed the leaver's checkpoint on the survivor, and the
+	// leaver never took the survivor's: it refused while leaving.
 	if held := d.servers[0].Provider.HeldCheckpoints(); held != 0 {
-		t.Fatalf("survivor still holds %d checkpoints, want 0 after discard", held)
+		t.Fatalf("survivor still holds %d checkpoints, want 0 after recovery", held)
+	}
+	if held := d.servers[1].Provider.HeldCheckpoints(); held != 0 {
+		t.Fatalf("leaver accepted %d checkpoints while leaving", held)
 	}
 }
 

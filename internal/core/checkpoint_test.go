@@ -1,14 +1,9 @@
 package core
 
 import (
-	"encoding/json"
-	"strings"
-	"sync"
+	"slices"
 	"testing"
 	"time"
-
-	"colza/internal/margo"
-	"colza/internal/na"
 )
 
 // runAccIteration drives one full iteration on the "acc" stateful pipeline,
@@ -127,173 +122,6 @@ func TestCheckpointDisabledLosesCrashedState(t *testing.T) {
 	}
 }
 
-// TestFailedMigrationFallsBackToCheckpointRecovery: when every
-// migrate_state transfer fails, the leave still completes, the failure is
-// counted and reported via MigrationStatus — and the retained checkpoint
-// replicas recover the state on the next activate. The durability layer is
-// the backstop for exactly this case.
-func TestFailedMigrationFallsBackToCheckpointRecovery(t *testing.T) {
-	d := deploy(t, 2)
-	createAccEverywhere(t, d)
-	h := d.client.Handle("acc", d.servers[0].Addr())
-	h.SetTimeout(2 * time.Second)
-
-	runAccIteration(t, h, 1, 2)
-
-	// Every outgoing migrate_state from the leaver vanishes in the network.
-	d.servers[1].MI.SetCallHook(func(to, name string) error {
-		if name == margo.ProviderRPCName(ProviderID, "migrate_state") {
-			return na.ErrNoRoute
-		}
-		return nil
-	})
-	if err := d.admin.RequestLeave(d.servers[1].Addr()); err != nil {
-		t.Fatal(err)
-	}
-	waitSoloView(t, d.servers[0], 15*time.Second)
-
-	st, err := d.admin.MigrationStatus(d.servers[1].Addr())
-	if err != nil {
-		t.Fatalf("migration status: %v", err)
-	}
-	if !st.Partial() || st.Attempted != 1 || st.Migrated != 0 || len(st.Failed) != 1 || st.Failed[0] != "acc" {
-		t.Fatalf("migration status = %+v, want partial with acc failed", st)
-	}
-	// Initial attempt + one backoff retry, both counted.
-	if n := d.servers[1].Obs.Counter("core.migrate.errors").Value(); n != 2 {
-		t.Fatalf("migrate.errors = %d, want 2", n)
-	}
-
-	// The failed migration left the checkpoint replicas in place; the next
-	// activate recovers the leaver's 100 bytes from them.
-	if total := runAccIteration(t, h, 2, 2); total != 400 {
-		t.Fatalf("post-leave total = %v, want 400 (checkpoint backstop failed)", total)
-	}
-	if n := d.servers[0].Obs.Counter("core.state.recover.count", "pipeline", "acc").Value(); n != 1 {
-		t.Fatalf("recover.count = %d, want 1", n)
-	}
-}
-
-// TestMigrateRetriesAndCountsDrop: a single dropped migrate_state is
-// retried with backoff and lands; the drop is still counted — the original
-// bug discarded both the error and any trace of it.
-func TestMigrateRetriesAndCountsDrop(t *testing.T) {
-	d := deploy(t, 2)
-	createAccEverywhere(t, d)
-	h := d.client.Handle("acc", d.servers[0].Addr())
-	h.SetTimeout(2 * time.Second)
-
-	runAccIteration(t, h, 1, 2)
-
-	var calls int
-	var mu sync.Mutex
-	d.servers[1].MI.SetCallHook(func(to, name string) error {
-		if name != margo.ProviderRPCName(ProviderID, "migrate_state") {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if calls == 1 {
-			return na.ErrNoRoute
-		}
-		return nil
-	})
-	if err := d.admin.RequestLeave(d.servers[1].Addr()); err != nil {
-		t.Fatal(err)
-	}
-	waitSoloView(t, d.servers[0], 15*time.Second)
-
-	st, err := d.admin.MigrationStatus(d.servers[1].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Partial() || st.Migrated != 1 {
-		t.Fatalf("migration status = %+v, want clean single migration", st)
-	}
-	if n := d.servers[1].Obs.Counter("core.migrate.errors").Value(); n != 1 {
-		t.Fatalf("migrate.errors = %d, want exactly the one dropped attempt", n)
-	}
-	if total := runAccIteration(t, h, 2, 2); total != 400 {
-		t.Fatalf("post-leave total = %v, want 400", total)
-	}
-	// Migration succeeded, so recovery must NOT have also imported the
-	// checkpoint replica (discard ran): exactly-once semantics.
-	if n := d.servers[0].Obs.Counter("core.state.recover.count", "pipeline", "acc").Value(); n != 0 {
-		t.Fatalf("recover.count = %d, want 0 after acknowledged migration", n)
-	}
-}
-
-// TestMigrateStateRefusedWhileLeaving: a leaving server must not accept
-// migrated state (it would strand it on departure).
-func TestMigrateStateRefusedWhileLeaving(t *testing.T) {
-	d := deploy(t, 2)
-	createAccEverywhere(t, d)
-	if err := d.admin.RequestLeave(d.servers[1].Addr()); err != nil {
-		t.Fatal(err)
-	}
-	payload := mustMigratePayload(t, "acc", []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	_, err := d.clientM.CallProvider(d.servers[1].Addr(), ProviderID, "migrate_state", payload, time.Second)
-	if err == nil || !strings.Contains(err.Error(), "leaving") {
-		t.Fatalf("migrate_state to leaving server = %v, want leaving refusal", err)
-	}
-}
-
-func mustMigratePayload(t *testing.T, pipeline string, state []byte) []byte {
-	t.Helper()
-	payload, err := json.Marshal(migrateMsg{Pipeline: pipeline, State: state})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return payload
-}
-
-// TestTwoServersLeaveAtOnceConservesState: two simultaneous leaves must
-// not pick each other as migration successors and strand both states —
-// the live ring-successor walk skips leaving peers. Replication is
-// disabled so the migration path alone carries the state.
-func TestTwoServersLeaveAtOnceConservesState(t *testing.T) {
-	d := deployCfg(t, 3, func(i int, cfg *ServerConfig) { cfg.StateReplicas = -1 })
-	createAccEverywhere(t, d)
-	h := d.client.Handle("acc", d.servers[0].Addr())
-	h.SetTimeout(2 * time.Second)
-
-	// One 100-byte block per server (placement is BlockID mod members).
-	runAccIteration(t, h, 1, 3)
-
-	// servers[0] and servers[1] leave at once: under the old
-	// first-member-not-self successor rule, srv0 would pick srv1 (itself
-	// mid-leave) and the 2x100 bytes could strand on departed servers.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			if err := d.admin.RequestLeave(addr); err != nil {
-				t.Errorf("leave %s: %v", addr, err)
-			}
-		}(d.servers[i].Addr())
-	}
-	wg.Wait()
-	waitSoloView(t, d.servers[2], 15*time.Second)
-
-	h2 := d.client.Handle("acc", d.servers[2].Addr())
-	h2.SetTimeout(2 * time.Second)
-	if _, err := h2.Activate(2); err != nil {
-		t.Fatal(err)
-	}
-	res, err := h2.Execute(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.Deactivate(2); err != nil {
-		t.Fatal(err)
-	}
-	if got := res[0].Summary["total"]; got != 300 {
-		t.Fatalf("survivor total = %v, want 300 (state stranded on a leaving peer)", got)
-	}
-}
-
 // TestLeaveResponseFlushBeforeOnLeave: the OnLeave callback — which in the
 // daemon tears the process down — must run only after the leave RPC's
 // response has left the endpoint. The callback here crashes the server's
@@ -323,32 +151,44 @@ func TestLeaveResponseFlushBeforeOnLeave(t *testing.T) {
 // TestRingSuccessors pins the placement rule checkpoints rely on.
 func TestRingSuccessors(t *testing.T) {
 	view := MemberView{Members: []ServerInfo{{RPC: "a"}, {RPC: "b"}, {RPC: "c"}}}
-	cases := []struct {
-		self string
-		r    int
-		want []string
+	for _, tc := range []struct {
+		origin string
+		want   []string
 	}{
-		{"a", 1, []string{"b"}},
-		{"b", 1, []string{"c"}},
-		{"c", 1, []string{"a"}},
-		{"a", 2, []string{"b", "c"}},
-		{"a", 5, []string{"b", "c"}}, // clamped to n-1
-		{"a", 0, nil},                // disabled
-		{"x", 1, nil},                // not in view
-	}
-	for _, tc := range cases {
-		got := ringSuccessors(view, tc.self, tc.r)
-		if len(got) != len(tc.want) {
-			t.Fatalf("ringSuccessors(%s, %d) = %v, want %v", tc.self, tc.r, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("ringSuccessors(%s, %d) = %v, want %v", tc.self, tc.r, got, tc.want)
-			}
+		{"a", []string{"b", "c"}},
+		{"b", []string{"c", "a"}},
+		{"c", []string{"a", "b"}},
+		{"x", nil}, // not in view
+	} {
+		if got := ringSuccessors(view, tc.origin); !slices.Equal(got, tc.want) {
+			t.Fatalf("ringSuccessors(%s) = %v, want %v", tc.origin, got, tc.want)
 		}
 	}
 	solo := MemberView{Members: []ServerInfo{{RPC: "a"}}}
-	if got := ringSuccessors(solo, "a", 3); got != nil {
+	if got := ringSuccessors(solo, "a"); got != nil {
 		t.Fatalf("single-member view has successors: %v", got)
+	}
+}
+
+// TestReplicaSequencePrefixInvariant pins what the importer election rests
+// on: whatever the live membership, a sequence starts with the list it
+// extends and then names the live members that list lacks in address order,
+// never the origin — so every list sent for one round is a prefix of the
+// next one built, and a newcomer that sorts between the origin and an old
+// holder still comes after that holder.
+func TestReplicaSequencePrefixInvariant(t *testing.T) {
+	ring := []string{"c", "a"} // successors of origin b in the frozen view {a, b, c}
+	for _, tc := range []struct {
+		list, live, want []string
+	}{
+		{ring, nil, []string{"c", "a"}},
+		{ring, []string{"a", "b", "c"}, []string{"c", "a"}},
+		{ring, []string{"bb", "c", "b", "a", "0"}, []string{"c", "a", "0", "bb"}},
+		{[]string{"c", "a", "0"}, []string{"d", "0", "bb"}, []string{"c", "a", "0", "bb", "d"}},
+		{nil, []string{"z", "b", "y"}, []string{"y", "z"}}, // no frozen view: address order
+	} {
+		if got := replicaSequence(tc.list, "b", tc.live); !slices.Equal(got, tc.want) {
+			t.Fatalf("replicaSequence(%v, b, %v) = %v, want %v", tc.list, tc.live, got, tc.want)
+		}
 	}
 }

@@ -228,44 +228,6 @@ func DefaultPlacement(meta BlockMeta, servers int) int {
 	return id % servers
 }
 
-// RangePlacement assigns contiguous block-id ranges to servers (block ids
-// in [0, totalBlocks) split into equal chunks) — keeps spatially adjacent
-// blocks together, which helps pipelines whose work is neighborhood-local.
-func RangePlacement(totalBlocks int) PlacementPolicy {
-	return func(meta BlockMeta, servers int) int {
-		if servers <= 0 || totalBlocks <= 0 {
-			return 0
-		}
-		id := meta.BlockID
-		if id < 0 {
-			id = 0
-		}
-		if id >= totalBlocks {
-			id = totalBlocks - 1
-		}
-		per := (totalBlocks + servers - 1) / servers
-		r := id / per
-		if r >= servers {
-			r = servers - 1
-		}
-		return r
-	}
-}
-
-// FieldHashPlacement routes by (field, block id) hash — spreads multiple
-// fields of the same block across servers.
-func FieldHashPlacement(meta BlockMeta, servers int) int {
-	if servers <= 0 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for _, b := range []byte(meta.Field) {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	h = (h ^ uint64(uint32(meta.BlockID))) * 1099511628211
-	return int(h % uint64(servers))
-}
-
 // DistributedPipelineHandle references one pipeline instance on every
 // server of the staging area (the paper's distributed pipeline handle).
 // The driver rank calls Activate/Execute/Deactivate; every client rank may
@@ -893,22 +855,6 @@ func (a *AdminClient) ListTypes(serverRPC string) ([]string, error) {
 func (a *AdminClient) RequestLeave(serverRPC string) error {
 	_, err := a.mi.CallProvider(serverRPC, AdminID, "leave", nil, a.timeout)
 	return err
-}
-
-// MigrationStatus fetches the outcome of a server's leave-time state
-// migration — how finishLeave reports a partial migration to operators
-// instead of dropping it on the floor. It errors while no leave has
-// completed on the target.
-func (a *AdminClient) MigrationStatus(serverRPC string) (MigrationStatus, error) {
-	raw, err := a.mi.CallProvider(serverRPC, AdminID, "migration_status", nil, a.timeout)
-	if err != nil {
-		return MigrationStatus{}, err
-	}
-	var st MigrationStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return MigrationStatus{}, err
-	}
-	return st, nil
 }
 
 // Metrics fetches one server's metrics registry as the stable text dump

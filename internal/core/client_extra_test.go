@@ -168,47 +168,6 @@ func TestProviderInfoEndpoints(t *testing.T) {
 	}
 }
 
-func TestRangePlacement(t *testing.T) {
-	p := RangePlacement(10)
-	// 10 blocks over 3 servers: chunks of 4 -> ranks 0,0,0,0,1,1,1,1,2,2.
-	want := []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2}
-	for id, w := range want {
-		if got := p(BlockMeta{BlockID: id}, 3); got != w {
-			t.Fatalf("block %d -> %d, want %d", id, got, w)
-		}
-	}
-	// Out-of-range ids clamp instead of escaping.
-	if got := p(BlockMeta{BlockID: 99}, 3); got != 2 {
-		t.Fatalf("overflow id -> %d", got)
-	}
-	if got := p(BlockMeta{BlockID: -5}, 3); got != 0 {
-		t.Fatalf("negative id -> %d", got)
-	}
-	if got := p(BlockMeta{BlockID: 1}, 0); got != 0 {
-		t.Fatalf("zero servers -> %d", got)
-	}
-}
-
-func TestFieldHashPlacementSpreadsFields(t *testing.T) {
-	a := FieldHashPlacement(BlockMeta{Field: "U", BlockID: 3}, 8)
-	b := FieldHashPlacement(BlockMeta{Field: "V", BlockID: 3}, 8)
-	if a < 0 || a >= 8 || b < 0 || b >= 8 {
-		t.Fatalf("out of range: %d %d", a, b)
-	}
-	// Determinism.
-	if a != FieldHashPlacement(BlockMeta{Field: "U", BlockID: 3}, 8) {
-		t.Fatal("hash placement not deterministic")
-	}
-	// Across many blocks, every server gets something.
-	seen := map[int]bool{}
-	for id := 0; id < 64; id++ {
-		seen[FieldHashPlacement(BlockMeta{Field: "rho", BlockID: id}, 4)] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("hash placement used only %d of 4 servers", len(seen))
-	}
-}
-
 func TestAdminListTypes(t *testing.T) {
 	d := deploy(t, 1)
 	types, err := d.admin.ListTypes(d.servers[0].Addr())

@@ -104,6 +104,10 @@ type pipelineSlot struct {
 	prepared    *preparedState
 	active      *activeState
 	lastMembers string // member key of the last committed view (delta invalidation)
+	// The frozen view and number of the last iteration this slot deactivated:
+	// where, and under which version, its checkpoint rounds go.
+	lastView MemberView
+	lastIter uint64
 
 	stagedM atomic.Pointer[stagedMetrics]
 }
@@ -148,15 +152,13 @@ type Provider struct {
 	left          bool
 	onLeave       func()
 	stateReplicas int                    // ring successors per checkpoint round; 0 disables
-	lastMigration *MigrationStatus       // outcome of the leave-time migration
+	lastMigration *MigrationStatus       // outcome of the leave round
 	elasticStatus func() ([]byte, error) // elastic controller status hook (nil without -elastic)
 
 	// Replicated-checkpoint store (see checkpoint.go): checkpoints held for
-	// peers, and the replica sets of this server's own last rounds (for
-	// discard after a successful migration).
-	ckptMu       sync.Mutex
-	ckpts        map[ckptKey]*ckptEntry
-	sentReplicas map[string][]string
+	// peers.
+	ckptMu sync.Mutex
+	ckpts  map[ckptKey]*ckptEntry
 
 	// Stage compression (DESIGN.md §10): the per-(pipeline, field, block)
 	// delta bases remembered for temporal encoding, and the per-codec
@@ -167,8 +169,8 @@ type Provider struct {
 	codecOut map[uint8]*obs.Counter
 	deltas   *codec.DeltaState
 
-	// transferSleep, when non-nil, replaces time.Sleep in the control
-	// transfers' retry (transfer) so dessim-style tests cover the backoff
+	// transferSleep, when non-nil, replaces time.Sleep in the checkpoint
+	// transfer's retry (transfer) so dessim-style tests cover the backoff
 	// without real sleeps; transferRNG draws its jitter. Both under mu:
 	// deactivate handlers of different pipelines checkpoint concurrently.
 	transferSleep func(time.Duration)
@@ -185,9 +187,8 @@ func (p *Provider) SetObserver(r *obs.Registry) {
 	p.obsReg.Store(r)
 	p.mi.SetObserver(r)
 	// Pre-create the durability layer's failure instruments so every
-	// metrics snapshot carries them (at zero): a migration or checkpoint
-	// failure must never be invisible just because its counter was never
-	// touched.
+	// metrics snapshot carries them (at zero): a leave or checkpoint failure
+	// must never be invisible just because its counter was never touched.
 	r.Counter("core.migrate.errors")
 	r.Counter("core.state.checkpoint.errors")
 	r.Counter("core.state.recover.count")
@@ -223,7 +224,6 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 		pipelines:     make(map[string]*pipelineSlot),
 		stateReplicas: 1,
 		ckpts:         make(map[ckptKey]*ckptEntry),
-		sentReplicas:  make(map[string][]string),
 		deltas:        codec.NewDeltaState(0),
 		transferRNG:   rand.New(rand.NewSource(1)),
 	}
@@ -240,11 +240,8 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 	mi.RegisterProviderRPC(AdminID, "list_pipelines", p.handleListPipelines)
 	mi.RegisterProviderRPC(AdminID, "list_types", p.handleListTypes)
 	mi.RegisterProviderRPC(AdminID, "leave", p.handleLeave)
-	mi.RegisterProviderRPC(ProviderID, "migrate_state", p.handleMigrateState)
 	mi.RegisterProviderRPC(ProviderID, "checkpoint_state", p.handleCheckpointState)
-	mi.RegisterProviderRPC(ProviderID, "checkpoint_discard", p.handleCheckpointDiscard)
 	mi.RegisterProviderRPC(ProviderID, "activate_solo", p.handleActivateSolo)
-	mi.RegisterProviderRPC(AdminID, "migration_status", p.handleMigrationStatus)
 	mi.RegisterProviderRPC(AdminID, "metrics", p.handleMetrics)
 	mi.RegisterProviderRPC(AdminID, "metrics_json", p.handleMetricsJSON)
 	mi.RegisterProviderRPC(AdminID, "trace", p.handleTrace)
@@ -262,15 +259,13 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 // would read as member failure), and bulk pulls are only ever driven by
 // pooled stage handlers, which already bound their concurrency.
 func (p *Provider) BindPools(control, data *margo.Pool) {
-	// State transfers (migrate_state, checkpoint_*) ride the data pool even
-	// though they are control-plane RPCs: they carry whole state blobs, and
-	// — more importantly — they are issued synchronously from handlers that
-	// themselves run on a peer's control pool (deactivate, leave). Keeping
-	// them off the control pool removes the mutual-wait cycle two servers
-	// checkpointing to each other would otherwise risk under a saturated
-	// control stream.
-	for _, rpc := range []string{"stage", "execute",
-		"migrate_state", "checkpoint_state", "checkpoint_discard"} {
+	// The state transfer (checkpoint_state) rides the data pool even though
+	// it is a control-plane RPC: it carries whole state blobs, and — more
+	// importantly — it is issued synchronously from handlers that themselves
+	// run on a peer's control pool (deactivate, leave). Keeping it off the
+	// control pool removes the mutual-wait cycle two servers checkpointing to
+	// each other would otherwise risk under a saturated control stream.
+	for _, rpc := range []string{"stage", "execute", "checkpoint_state"} {
 		p.mi.BindRPCPool(margo.ProviderRPCName(ProviderID, rpc), data)
 	}
 	for _, rpc := range []string{"prepare", "commit", "abort", "deactivate",
@@ -279,7 +274,7 @@ func (p *Provider) BindPools(control, data *margo.Pool) {
 	}
 	for _, rpc := range []string{"create_pipeline", "destroy_pipeline",
 		"list_pipelines", "list_types", "leave", "metrics", "metrics_json",
-		"trace", "migration_status", "pipeline_defs", "elastic_status"} {
+		"trace", "pipeline_defs", "elastic_status"} {
 		p.mi.BindRPCPool(margo.ProviderRPCName(AdminID, rpc), control)
 	}
 }
@@ -383,13 +378,7 @@ func (p *Provider) destroyPipeline(name string, flush func(func())) error {
 // after its endpoint stopped admitting requests. The slots stay, so a late
 // handler still finds its pipeline (and an inactive backend).
 func (p *Provider) destroyBackends() {
-	p.mu.Lock()
-	slots := make([]*pipelineSlot, 0, len(p.pipelines))
-	for _, slot := range p.pipelines {
-		slots = append(slots, slot)
-	}
-	p.mu.Unlock()
-	for _, slot := range slots {
+	for _, slot := range p.slots() {
 		slot.mu.Lock()
 		_ = slot.backend.Destroy() // nothing to report to: the server is gone
 		slot.mu.Unlock()
@@ -403,6 +392,17 @@ func (p *Provider) Pipelines() []string {
 	out := make([]string, 0, len(p.pipelines))
 	for n := range p.pipelines {
 		out = append(out, n)
+	}
+	return out
+}
+
+// slots snapshots the hosted pipelines' slots.
+func (p *Provider) slots() []*pipelineSlot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]*pipelineSlot, 0, len(p.pipelines))
+	for _, s := range p.pipelines {
+		out = append(out, s)
 	}
 	return out
 }
@@ -513,7 +513,7 @@ func (p *Provider) handleCommit(req mercury.Request) ([]byte, error) {
 	slot.lastMembers = memberKey
 	// Before the instance starts the iteration, re-seed any orphaned
 	// checkpoints: state whose origin server fell out of the committed
-	// view, because it crashed or its leave-time migration was lost.
+	// view, because it crashed or left.
 	p.recoverOrphans(slot, st.view)
 	if err := slot.backend.Activate(ctx); err != nil {
 		p.mn.DestroyComm(c)
@@ -750,13 +750,14 @@ func (p *Provider) handleDeactivate(req mercury.Request) ([]byte, error) {
 	err = slot.backend.Deactivate(msg.Iteration)
 	p.mn.DestroyComm(st.comm)
 	slot.active = nil
+	slot.lastView, slot.lastIter = st.view, msg.Iteration
 	slot.mu.Unlock()
 	sp.End(err)
 	if err == nil {
 		// The iteration's state is now quiescent: replicate it before the
 		// client can activate the next view (which may no longer contain
 		// this server).
-		p.checkpointStateful(slot, st.view, msg.Iteration)
+		p.checkpointSlot(slot, nil)
 	}
 	p.iterDone(req.Defer)
 	if err != nil {
@@ -860,7 +861,7 @@ func (p *Provider) finishLeaveFlush(fn func(), flush func(func())) {
 	}
 	p.left = true
 	p.mu.Unlock()
-	st := p.migrateStatefulPipelines()
+	st := p.leaveRound()
 	p.mu.Lock()
 	p.lastMigration = &st
 	p.mu.Unlock()
@@ -884,155 +885,6 @@ func (p *Provider) finishLeaveFlush(fn func(), flush func(func())) {
 	// No response to order against: fire on a goroutine so the caller is
 	// not blocked by the host's shutdown.
 	go fn()
-}
-
-// migrateMsg carries a departing instance's state to a successor.
-type migrateMsg struct {
-	Pipeline string `json:"p"`
-	State    []byte `json:"s"`
-}
-
-// migrateStatefulPipelines ships the state of every StatefulBackend to a
-// surviving member before this server leaves (paper future work (3)). The
-// preferred successor is the live ring-successor — the next member after
-// this server in rank order — and a peer that refuses because it is
-// mid-leave itself is skipped in favor of the next one, so two
-// simultaneous RequestLeaves cannot pick each other and strand both
-// states. A migration failure must not block the departure, but it is
-// never silent: every failed transfer counts into core.migrate.errors and
-// the returned status records what could not be moved (its checkpoint
-// replicas stay in place as the recovery backstop).
-func (p *Provider) migrateStatefulPipelines() MigrationStatus {
-	var status MigrationStatus
-	if p.group == nil {
-		return status
-	}
-	targets := ringAfter(p.group.Members(), p.mi.Addr())
-	p.mu.Lock()
-	slots := make([]*pipelineSlot, 0, len(p.pipelines))
-	for _, s := range p.pipelines {
-		slots = append(slots, s)
-	}
-	p.mu.Unlock()
-	errs := p.observer().Counter("core.migrate.errors")
-	for _, slot := range slots {
-		sb, ok := slot.backend.(StatefulBackend)
-		if !ok {
-			continue
-		}
-		state, err := sb.ExportState()
-		if err != nil {
-			status.Attempted++
-			status.Failed = append(status.Failed, slot.name)
-			errs.Inc()
-			continue
-		}
-		if len(state) == 0 {
-			continue
-		}
-		status.Attempted++
-		payload, _ := json.Marshal(migrateMsg{Pipeline: slot.name, State: state})
-		migrated := false
-		for _, succ := range targets {
-			if p.transfer(succ, "migrate_state", payload, migrateTimeout, migrateRetry, errs) != nil {
-				continue // next ring member (leaving, dead, or refusing)
-			}
-			migrated = true
-			break
-		}
-		if migrated {
-			status.Migrated++
-			// The state now lives on a successor with an ack; drop the stale
-			// checkpoint replicas so recovery cannot double-import it.
-			p.discardReplicas(slot.name)
-		} else {
-			// Includes the last-server-standing case (no targets): the state
-			// leaves with us, and the status says so.
-			status.Failed = append(status.Failed, slot.name)
-		}
-	}
-	return status
-}
-
-// migrateRetry bounds the migrate_state resend: two attempts with a
-// jittered backoff between them.
-var migrateRetry = RetryPolicy{Max: 2, Base: 50 * time.Millisecond, Cap: 200 * time.Millisecond, Jitter: 0.5}
-
-const migrateTimeout = 10 * time.Second
-
-// SetTransferSleep injects the sleep function of the control transfers'
-// retry (tests cover the backoff without real sleeps); nil restores
-// time.Sleep.
-func (p *Provider) SetTransferSleep(fn func(time.Duration)) {
-	p.mu.Lock()
-	p.transferSleep = fn
-	p.mu.Unlock()
-}
-
-// transfer is an acknowledged, retried control transfer to a peer
-// (migrate_state, checkpoint_state, checkpoint_discard). Transient failures
-// back off under rp, jittered, through the injectable sleep, and retry; a
-// remote refusal is final — the peer answered (it is leaving too, or the
-// pipeline is missing or stateless there), so resending the same frame
-// cannot change the outcome. Every failed attempt counts into failed, even
-// when a later one lands: a dropped transfer must leave a trace.
-func (p *Provider) transfer(addr, rpc string, payload []byte, timeout time.Duration, rp RetryPolicy, failed *obs.Counter) error {
-	var err error
-	for attempt := 0; attempt < rp.attempts(); attempt++ {
-		if attempt > 0 {
-			p.mu.Lock()
-			d := rp.Backoff(attempt-1, p.transferRNG)
-			sleep := p.transferSleep
-			p.mu.Unlock()
-			if sleep == nil {
-				sleep = time.Sleep
-			}
-			sleep(d)
-		}
-		_, err = p.mi.CallProvider(addr, ProviderID, rpc, payload, timeout)
-		if err == nil {
-			return nil
-		}
-		failed.Inc()
-		if Classify(err) == ClassRemote {
-			return err
-		}
-	}
-	return err
-}
-
-// handleMigrateState merges a departing peer's pipeline state into the
-// local instance.
-func (p *Provider) handleMigrateState(req mercury.Request) ([]byte, error) {
-	var msg migrateMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	leaving := p.leaving
-	p.mu.Unlock()
-	if leaving {
-		// Refuse: this server is departing too, so accepting the state
-		// would strand it. The migrator moves on to its next ring
-		// successor.
-		return nil, fmt.Errorf("colza: server %s is leaving; cannot accept state for %q", p.mi.Addr(), msg.Pipeline)
-	}
-	slot, err := p.slot(msg.Pipeline)
-	if err != nil {
-		return nil, err
-	}
-	sb, ok := slot.backend.(StatefulBackend)
-	if !ok {
-		return nil, fmt.Errorf("colza: pipeline %q is not stateful", msg.Pipeline)
-	}
-	if err := sb.ImportState(msg.State); err != nil {
-		return nil, err
-	}
-	// Imported state changes the pipeline's block history out from under any
-	// remembered delta bases; drop them so the next delta stage falls back
-	// to a self-contained frame instead of XORing against the wrong past.
-	p.deltas.InvalidatePipeline(msg.Pipeline)
-	return []byte("ok"), nil
 }
 
 // viewMemberKey flattens a view's member RPC addresses (already in rank

@@ -154,14 +154,18 @@ type Backend interface {
 // StatefulBackend is the optional extension for pipelines that keep state
 // across iterations — the paper's future work (3): "enable state-full
 // pipelines, for which shutting down a process requires data migration".
-// When a server is asked to leave the staging area, its provider exports
-// the state of every stateful pipeline and ships it to a surviving member,
-// whose instance merges it via ImportState.
+// The provider exports the state after every deactivate, and once more when
+// the server is asked to leave, and replicates it to other members
+// (checkpoint.go). When the exporting server is absent from a committed
+// view — it left, or crashed — the one replica holder the view elects merges
+// the state into its instance via ImportState, before Activate.
 type StatefulBackend interface {
 	Backend
 	// ExportState serializes the instance's cross-iteration state.
 	ExportState() ([]byte, error)
-	// ImportState merges state exported by a departing peer instance.
+	// ImportState merges state exported by a departed peer instance. It may
+	// see a newer round of an origin it has merged before (that origin came
+	// back and departed again), never the same round twice.
 	ImportState(data []byte) error
 }
 

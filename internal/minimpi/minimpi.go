@@ -106,7 +106,6 @@ type Comm struct {
 	rank   int
 	size   int
 	q      *comm.MatchQueue
-	algo   collectives.Algorithm
 	splits int
 }
 
@@ -128,7 +127,6 @@ func World(n int) []*Comm {
 			rank: r,
 			size: n,
 			q:    w.register(0, n, r),
-			algo: collectives.DefaultAlgorithm,
 		}
 	}
 	return out
@@ -143,9 +141,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the communicator size.
 func (c *Comm) Size() int { return c.size }
-
-// SetAlgorithm overrides the collective algorithm; all ranks must agree.
-func (c *Comm) SetAlgorithm(a collectives.Algorithm) { c.algo = a }
 
 // Send delivers data to rank dst under tag. The payload is copied, so the
 // caller may reuse its buffer immediately.
@@ -171,17 +166,17 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 
 // Bcast distributes data from root.
 func (c *Comm) Bcast(root, tag int, data []byte) ([]byte, error) {
-	return collectives.Bcast(c, root, tag, data, c.algo)
+	return collectives.Bcast(c, root, tag, data, collectives.DefaultAlgorithm)
 }
 
 // Reduce folds contributions at root.
 func (c *Comm) Reduce(root, tag int, data []byte, op collectives.Op) ([]byte, error) {
-	return collectives.Reduce(c, root, tag, data, op, c.algo)
+	return collectives.Reduce(c, root, tag, data, op, collectives.DefaultAlgorithm)
 }
 
 // AllReduce folds contributions everywhere.
 func (c *Comm) AllReduce(tag int, data []byte, op collectives.Op) ([]byte, error) {
-	return collectives.AllReduce(c, tag, data, op, c.algo)
+	return collectives.AllReduce(c, tag, data, op, collectives.DefaultAlgorithm)
 }
 
 // Gather collects contributions at root.
@@ -191,7 +186,7 @@ func (c *Comm) Gather(root, tag int, data []byte) ([][]byte, error) {
 
 // AllGather collects contributions everywhere.
 func (c *Comm) AllGather(tag int, data []byte) ([][]byte, error) {
-	return collectives.AllGather(c, tag, data, c.algo)
+	return collectives.AllGather(c, tag, data, collectives.DefaultAlgorithm)
 }
 
 // Scatter distributes parts from root.
@@ -273,7 +268,6 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		rank: newRank,
 		size: len(grp),
 		q:    c.w.register(ctx, len(grp), newRank),
-		algo: c.algo,
 	}
 	return sub, nil
 }

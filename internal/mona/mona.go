@@ -7,8 +7,8 @@
 //     explicit, ordered list of addresses (obtained from the membership
 //     service), so groups can grow and shrink between iterations.
 //   - Progress yields. Blocking operations park a goroutine, not a core.
-//   - Collectives use typical tree-based algorithms (binomial by default,
-//     see internal/collectives).
+//   - Collectives use a typical tree-based algorithm (the binomial tree of
+//     internal/collectives).
 //   - Message buffers are cached and reused, which is why MoNA outperforms
 //     raw NA in the paper's Table I.
 //
@@ -132,7 +132,6 @@ func (i *Instance) CreateComm(id uint64, addrs []string) (*Comm, error) {
 		rank:  rank,
 		addrs: append([]string(nil), addrs...),
 		mq:    comm.NewMatchQueue(),
-		algo:  collectives.DefaultAlgorithm,
 	}
 	i.mu.Lock()
 	if i.closed {
@@ -187,7 +186,6 @@ type Comm struct {
 	rank  int
 	addrs []string
 	mq    *comm.MatchQueue
-	algo  collectives.Algorithm
 }
 
 // Comm implements the shared communicator abstraction injected into the
@@ -205,10 +203,6 @@ func (c *Comm) Size() int { return len(c.addrs) }
 
 // Addrs returns the ordered member addresses (a copy).
 func (c *Comm) Addrs() []string { return append([]string(nil), c.addrs...) }
-
-// SetAlgorithm overrides the collective algorithm (ablation A1); all
-// members must agree.
-func (c *Comm) SetAlgorithm(a collectives.Algorithm) { c.algo = a }
 
 // Send transmits data to rank dst with the given tag. It completes locally
 // (buffered at the receiver). The wire frame is built in a size-classed
@@ -238,17 +232,17 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 
 // Bcast distributes data from root (see collectives.Bcast).
 func (c *Comm) Bcast(root, tag int, data []byte) ([]byte, error) {
-	return collectives.Bcast(c, root, tag, data, c.algo)
+	return collectives.Bcast(c, root, tag, data, collectives.DefaultAlgorithm)
 }
 
 // Reduce folds contributions at root (see collectives.Reduce).
 func (c *Comm) Reduce(root, tag int, data []byte, op collectives.Op) ([]byte, error) {
-	return collectives.Reduce(c, root, tag, data, op, c.algo)
+	return collectives.Reduce(c, root, tag, data, op, collectives.DefaultAlgorithm)
 }
 
 // AllReduce folds contributions and distributes the result everywhere.
 func (c *Comm) AllReduce(tag int, data []byte, op collectives.Op) ([]byte, error) {
-	return collectives.AllReduce(c, tag, data, op, c.algo)
+	return collectives.AllReduce(c, tag, data, op, collectives.DefaultAlgorithm)
 }
 
 // Gather collects each rank's data at root.
@@ -258,7 +252,7 @@ func (c *Comm) Gather(root, tag int, data []byte) ([][]byte, error) {
 
 // AllGather collects each rank's data everywhere.
 func (c *Comm) AllGather(tag int, data []byte) ([][]byte, error) {
-	return collectives.AllGather(c, tag, data, c.algo)
+	return collectives.AllGather(c, tag, data, collectives.DefaultAlgorithm)
 }
 
 // Scatter distributes parts from root.

@@ -1,7 +1,6 @@
 package mona
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -77,30 +76,6 @@ func TestConcurrentCollectivesDistinctTags(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// TestAlgorithmOverrideOnLiveComm: collectives honor SetAlgorithm.
-func TestAlgorithmOverrideOnLiveComm(t *testing.T) {
-	_, comms := group(t, 5, 57)
-	for _, c := range comms {
-		c.SetAlgorithm(collectives.Algorithm{Kind: collectives.KAry, K: 3})
-	}
-	payload := []byte("kary")
-	var wg sync.WaitGroup
-	for _, c := range comms[1:] {
-		wg.Add(1)
-		go func(c *Comm) {
-			defer wg.Done()
-			got, err := c.Bcast(0, 9, nil)
-			if err != nil || !bytes.Equal(got, payload) {
-				t.Errorf("kary bcast: %v %q", err, got)
-			}
-		}(c)
-	}
-	if _, err := comms[0].Bcast(0, 9, payload); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
 }
 
 // TestShrinkingGroupCommunicator: a new epoch excluding a member still

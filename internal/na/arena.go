@@ -19,7 +19,7 @@ import (
 // data): exposed bulk regions are published in a per-endpoint mmap'd
 // segment (a tmpfs-backed file), and a same-host puller maps the exposer's
 // arena and copies the bytes straight out of it, skipping the chunked
-// bulk-pull RPC protocol entirely (DESIGN.md §13). RPC frames do not come
+// bulk-pull RPC protocol entirely (DESIGN.md §12). RPC frames do not come
 // through here — they ride the endpoint's stream sockets (tcp.go).
 //
 // Lifecycle invariants:

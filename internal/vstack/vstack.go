@@ -118,15 +118,6 @@ func MoNANoCache() Profile {
 	return p
 }
 
-// WithAlgo returns a copy of the profile using the given collective
-// algorithm (ablation A1).
-func (p Profile) WithAlgo(a collectives.Algorithm) Profile {
-	p.Algo = a
-	p.LargeAlgo = nil
-	p.Name = fmt.Sprintf("%s(%s)", p.Name, a.Kind)
-	return p
-}
-
 // WithEagerLimit returns a copy with a different protocol switch point
 // (ablation A2).
 func (p Profile) WithEagerLimit(n int) Profile {
