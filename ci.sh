@@ -102,8 +102,10 @@ fi
 # moves pipeline state between servers (rounds, the leave, recovery); and
 # the bulk arena, which reads a header and slot
 # words out of memory another process writes (what its tests do not reach is
-# the mmap/open/truncate error branches).
+# the mmap/open/truncate error branches); and the cost model every number
+# of Figs. 5-10 and ext-autoscale is computed in.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
 check_cover 90 ./internal/na/arena.go
+check_cover 90 ./internal/bench/simtime.go

@@ -66,16 +66,19 @@ type Verdict struct {
 	Reason string
 }
 
+// The policy's bands: it scales up when execute exceeds Target*highWater,
+// and down when, even with one server fewer, the projected time stays
+// below Target*lowWater.
+const (
+	highWater = 1.0
+	lowWater  = 0.7
+)
+
 // Config tunes the policy.
 type Config struct {
 	// Target is the desired pipeline execution time per iteration (the
 	// simulation's iteration time when the goal is full overlap).
 	Target time.Duration
-	// HighWater scales up when execute > Target*HighWater (default 1.0).
-	HighWater float64
-	// LowWater scales down when, even with one server fewer, the
-	// projected time stays below Target*LowWater (default 0.7).
-	LowWater float64
 	// Min and Max bound the staging-area size (defaults 1 and 1<<30).
 	Min, Max int
 	// Cooldown is how many observations to hold after an action, giving
@@ -92,22 +95,13 @@ type Config struct {
 	// hysteresis: a single latency spike or dip cannot resize the group.
 	// Observations landing inside a cooldown do not count toward a streak.
 	Confirm int
-	// Clock timestamps the history and drives CooldownWindow. Nil means
-	// a frozen clock at zero (windows then never block, matching the
-	// pre-clock behavior of the package).
+	// Clock drives CooldownWindow. Nil means a frozen clock at zero
+	// (windows then never block, matching the pre-clock behavior of the
+	// package).
 	Clock Clock
 }
 
 func (c Config) withDefaults() Config {
-	if c.HighWater <= 0 {
-		c.HighWater = 1.0
-	}
-	if c.LowWater <= 0 {
-		c.LowWater = 0.7
-	}
-	if c.LowWater >= c.HighWater {
-		c.LowWater = c.HighWater * 0.7
-	}
 	if c.Min < 1 {
 		c.Min = 1
 	}
@@ -134,13 +128,6 @@ type Autoscaler struct {
 	hasActed    bool
 	overStreak  int
 	underStreak int
-	history     []obs
-}
-
-type obs struct {
-	servers int
-	secs    float64
-	at      time.Duration
 }
 
 // New creates an autoscaler; Target must be positive.
@@ -177,7 +164,6 @@ func (a *Autoscaler) ObserveBatch(batch []Sample) Verdict {
 
 func (a *Autoscaler) step(s Sample) Verdict {
 	now := a.cfg.Clock()
-	a.history = append(a.history, obs{servers: s.Servers, secs: s.Exec.Seconds(), at: now})
 	a.sinceAct++
 	if a.sinceAct < a.cfg.Cooldown {
 		a.overStreak, a.underStreak = 0, 0
@@ -189,8 +175,8 @@ func (a *Autoscaler) step(s Sample) Verdict {
 	}
 	target := a.cfg.Target.Seconds()
 	secs := s.Exec.Seconds()
-	over := secs > target*a.cfg.HighWater
-	under := !over && a.projected(s.Servers-1) < target*a.cfg.LowWater
+	over := secs > target*highWater
+	under := !over && projected(s, s.Servers-1) < target*lowWater
 	if over {
 		a.overStreak++
 	} else {
@@ -251,32 +237,13 @@ func (a *Autoscaler) windowRemaining(now time.Duration) time.Duration {
 	return 0
 }
 
-// projected estimates the execution time on n servers from the most
-// recent observation, assuming the parallel part scales with 1/servers
-// (the pipelines are embarrassingly parallel up to compositing).
-func (a *Autoscaler) projected(n int) float64 {
-	if len(a.history) == 0 || n < 1 {
+// projected estimates the execution time of observation s on n servers,
+// assuming the parallel part scales with 1/servers (the pipelines are
+// embarrassingly parallel up to compositing). The policy projects from
+// the observation in hand only, so it keeps no history.
+func projected(s Sample, n int) float64 {
+	if n < 1 {
 		return 0
 	}
-	last := a.history[len(a.history)-1]
-	return last.secs * float64(last.servers) / float64(n)
-}
-
-// History returns the recorded (servers, seconds, at) observations.
-func (a *Autoscaler) History() []struct {
-	Servers int
-	Seconds float64
-	At      time.Duration
-} {
-	out := make([]struct {
-		Servers int
-		Seconds float64
-		At      time.Duration
-	}, len(a.history))
-	for i, o := range a.history {
-		out[i].Servers = o.servers
-		out[i].Seconds = o.secs
-		out[i].At = o.at
-	}
-	return out
+	return s.Exec.Seconds() * float64(s.Servers) / float64(n)
 }

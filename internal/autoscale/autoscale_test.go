@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -101,7 +102,7 @@ func TestTracksGrowingWorkload(t *testing.T) {
 		case ScaleUp:
 			servers++
 		case ScaleDown:
-			servers--
+			t.Fatalf("iteration %d: released a server while the workload grows", it)
 		}
 	}
 	if servers < 10 {
@@ -110,8 +111,24 @@ func TestTracksGrowingWorkload(t *testing.T) {
 	if maxSeen > 2.0 {
 		t.Fatalf("execution time escaped to %.2fs despite autoscaling", maxSeen)
 	}
-	if len(a.History()) != 30 {
-		t.Fatalf("history has %d entries", len(a.History()))
+}
+
+// An -elastic daemon observes every iteration of its life: the policy
+// must not keep what it observed.
+func TestObserveRetainsNoHistory(t *testing.T) {
+	a := mustNew(t, Config{Target: time.Second, Max: 8})
+	const n = 1 << 17
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		a.Observe(900*time.Millisecond, 4)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(a)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Fatalf("%d observations left %d more bytes on the heap", n, grew)
 	}
 }
 
@@ -142,8 +159,8 @@ func TestActionStrings(t *testing.T) {
 	}
 }
 
-// The injectable clock must timestamp history and drive the cooldown
-// window without any real sleeping.
+// The injectable clock must drive the cooldown window without any real
+// sleeping.
 func TestCooldownWindowOnVirtualClock(t *testing.T) {
 	var now time.Duration
 	a := mustNew(t, Config{
@@ -165,9 +182,9 @@ func TestCooldownWindowOnVirtualClock(t *testing.T) {
 	if got := a.ObserveBatch([]Sample{{Exec: 5 * time.Second, Servers: 2}}); got.Action != ScaleUp {
 		t.Fatalf("after window: %+v", got)
 	}
-	h := a.History()
-	if h[0].At != 0 || h[1].At != 5*time.Second || h[2].At != 11*time.Second {
-		t.Fatalf("history timestamps wrong: %+v", h)
+	// The second action, at 11s on the clock, opened a fresh window.
+	if left := a.CooldownRemaining(); left != 10*time.Second {
+		t.Fatalf("remaining after the second action = %v", left)
 	}
 }
 
@@ -216,8 +233,10 @@ func TestObserveBatchSemantics(t *testing.T) {
 	if got.Action != ScaleUp || got.Reason != "over-target" {
 		t.Fatalf("batch verdict: %+v", got)
 	}
-	if len(a.History()) != 3 {
-		t.Fatalf("history %d", len(a.History()))
+	// Every sample was observed: the third spent the one-observation
+	// cooldown, so the next breach acts at once.
+	if got := a.Observe(5*time.Second, 2); got != ScaleUp {
+		t.Fatalf("after the batch: %v", got)
 	}
 }
 

@@ -72,6 +72,22 @@ func NewCluster(n int) (*Cluster, error) {
 	return c, nil
 }
 
+// newPipelineCluster deploys n servers, creates pipeline name (type kind,
+// config cfg) on every one, and returns the cluster with a handle on it.
+func newPipelineCluster(n int, name, kind string, cfg interface{}) (*Cluster, *core.DistributedPipelineHandle, error) {
+	cl, err := NewCluster(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := cl.CreatePipelineEverywhere(name, kind, cfg); err != nil {
+		cl.Shutdown()
+		return nil, nil, err
+	}
+	h := cl.Client.Handle(name, cl.Contact())
+	h.SetTimeout(300 * time.Second)
+	return cl, h, nil
+}
+
 // AddServer launches one more staging daemon; it joins via the first live
 // server, exactly like the paper's job-script scale-up.
 func (c *Cluster) AddServer() (*core.Server, error) {

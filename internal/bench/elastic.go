@@ -6,7 +6,6 @@ import (
 
 	"colza/internal/catalyst"
 	"colza/internal/core"
-	"colza/internal/icet"
 	"colza/internal/sim"
 	"colza/internal/vstack"
 )
@@ -46,16 +45,11 @@ func Fig9MandelbulbElastic(quick bool) (*Table, error) {
 		Columns: []string{"iteration", "servers", "activate_s", "stage_s", "execute_s", "deactivate_s"},
 	}
 
-	cl, err := NewCluster(startServers)
+	cl, h, err := newPipelineCluster(startServers, "fig9", catalyst.IsoPipelineType, pcfg)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Shutdown()
-	if err := cl.CreatePipelineEverywhere("fig9", catalyst.IsoPipelineType, pcfg); err != nil {
-		return nil, err
-	}
-	h := cl.Client.Handle("fig9", cl.Contact())
-	h.SetTimeout(120 * time.Second)
 
 	metas := make([]core.BlockMeta, nBlocks)
 	for b := 0; b < nBlocks; b++ {
@@ -100,7 +94,7 @@ func Fig9MandelbulbElastic(quick bool) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		executeS := simPipelineSeconds(statsFromResults(results), vstack.MoNA, fb, icet.TreeReduce)
+		executeS := simPipelineSeconds(isoCost, statsFromResults(results, true), vstack.MoNA, fb)
 
 		t0 = time.Now()
 		if err := h.Deactivate(uint64(it)); err != nil {
@@ -143,74 +137,30 @@ func Fig10DWIElastic(quick bool) (*Table, error) {
 		Columns: []string{"iteration", "static_small_s", "static_large_s", "elastic_s", "elastic_servers"},
 	}
 
-	type runner struct {
-		cl  *Cluster
-		h   *core.DistributedPipelineHandle
-		n   int
-		max int
-	}
-	mk := func(n int, name string) (*runner, error) {
-		cl, err := NewCluster(n)
+	// Static small, static large, elastic: one cluster each.
+	var handles []*core.DistributedPipelineHandle
+	var elastic *Cluster
+	for _, n := range []int{small, large, small} {
+		cl, h, err := newPipelineCluster(n, "fig10", catalyst.VolumePipelineType, vcfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := cl.CreatePipelineEverywhere(name, catalyst.VolumePipelineType, vcfg); err != nil {
-			cl.Shutdown()
-			return nil, err
-		}
-		h := cl.Client.Handle(name, cl.Contact())
-		h.SetTimeout(300 * time.Second)
-		return &runner{cl: cl, h: h, n: n}, nil
-	}
-	rs, err := mk(small, "f10s")
-	if err != nil {
-		return nil, err
-	}
-	defer rs.cl.Shutdown()
-	rl, err := mk(large, "f10l")
-	if err != nil {
-		return nil, err
-	}
-	defer rl.cl.Shutdown()
-	re, err := mk(small, "f10e")
-	if err != nil {
-		return nil, err
-	}
-	defer re.cl.Shutdown()
-	re.max = large
-
-	iterate := func(r *runner, it int, enc [][]byte, metas []core.BlockMeta) (float64, int, error) {
-		view, err := r.h.Activate(uint64(it))
-		if err != nil {
-			return 0, 0, err
-		}
-		for b := range enc {
-			if err := r.h.Stage(uint64(it), metas[b], enc[b]); err != nil {
-				return 0, 0, err
-			}
-		}
-		results, err := r.h.Execute(uint64(it))
-		if err != nil {
-			return 0, 0, err
-		}
-		secs := simPipelineSeconds(statsFromResults(results), vstack.MoNA, fb, icet.TreeReduce)
-		if err := r.h.Deactivate(uint64(it)); err != nil {
-			return 0, 0, err
-		}
-		return secs, len(view.Members), nil
+		defer cl.Shutdown()
+		handles, elastic = append(handles, h), cl
 	}
 
+	live := small
 	for it := 1; it <= dwi.Iterations; it++ {
 		// Elastic scale-up every other iteration once growth starts.
-		if it >= growStart && (it-growStart)%2 == 0 && re.n < re.max {
-			s, err := re.cl.AddServer()
+		if it >= growStart && (it-growStart)%2 == 0 && live < large {
+			s, err := elastic.AddServer()
 			if err != nil {
 				return nil, err
 			}
-			if err := re.cl.CreatePipelineOn(s, "f10e", catalyst.VolumePipelineType, vcfg); err != nil {
+			if err := elastic.CreatePipelineOn(s, "fig10", catalyst.VolumePipelineType, vcfg); err != nil {
 				return nil, err
 			}
-			re.n++
+			live++
 		}
 		enc := make([][]byte, dwi.Blocks)
 		metas := make([]core.BlockMeta, dwi.Blocks)
@@ -218,19 +168,17 @@ func Fig10DWIElastic(quick bool) (*Table, error) {
 			enc[b] = sim.DWIIterationBlock(dwi, it, b).Encode()
 			metas[b] = core.BlockMeta{Field: "velocity", BlockID: b, Type: "ugrid"}
 		}
-		sS, _, err := iterate(rs, it, enc, metas)
-		if err != nil {
-			return nil, err
+		row := []interface{}{it}
+		servers := 0
+		for _, h := range handles {
+			results, err := colzaIteration(h, uint64(it), metas, enc)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, simPipelineSeconds(volumeCost, statsFromResults(results, true), vstack.MoNA, fb))
+			servers = len(results) // one result per member of the view the iteration pinned
 		}
-		lS, _, err := iterate(rl, it, enc, metas)
-		if err != nil {
-			return nil, err
-		}
-		eS, eN, err := iterate(re, it, enc, metas)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(it, sS, lS, eS, eN)
+		t.Add(append(row, servers)...)
 	}
 	return t, nil
 }

@@ -7,37 +7,10 @@ import (
 	"colza/internal/autoscale"
 	"colza/internal/catalyst"
 	"colza/internal/core"
-	"colza/internal/icet"
 	"colza/internal/netem"
 	"colza/internal/sim"
 	"colza/internal/vstack"
 )
-
-// Deterministic per-cell costs for the autoscale loop's observed execute
-// time: the measured extract/render timings vary with the host CPU, which
-// made the run's shape machine-dependent. The closed loop exercises the
-// policy, so the compute phases are modeled from the (deterministic)
-// local cell and triangle counts instead, and the autoscaler advances on
-// a virtual clock fed by the modeled durations.
-const (
-	autoscaleExtractSecPerCell = 600e-9
-	autoscaleRenderSecPerCell  = 400e-9
-)
-
-// autoscaleModelStats replaces each server's measured compute timings with
-// the deterministic model; the network phases (bounds exchange, IceT
-// compositing) were already modeled by simPipelineSeconds. Volume
-// rendering splats every cell, so both phases scale with the local cell
-// count.
-func autoscaleModelStats(results []core.ExecResult) []catalyst.Stats {
-	stats := statsFromResults(results)
-	for i := range stats {
-		stats[i].ExtractSeconds = autoscaleExtractSecPerCell * float64(stats[i].LocalCells)
-		stats[i].RenderSeconds = autoscaleRenderSecPerCell * float64(stats[i].LocalCells)
-		stats[i].WarmupSeconds = 0
-	}
-	return stats
-}
 
 // ExtAutoscale demonstrates the paper's future work (2) end to end: the
 // DWI proxy's rendering cost grows every iteration; an autoscaler watches
@@ -46,8 +19,10 @@ func autoscaleModelStats(results []core.ExecResult) []catalyst.Stats {
 // launches a daemon that joins via SSG; scale-down goes through the admin
 // leave RPC, exactly the two actuation paths the paper describes. The
 // staging area and its block distribution are real; the observed execute
-// time is the deterministic model above, so the run's shape is identical
-// on every machine.
+// time is reconstructed from counted work like every pipeline figure's,
+// with the join iterations' warm-up left out (the policy's cooldown skips
+// them), so the run's shape is identical on every machine and the
+// autoscaler advances on a virtual clock fed by the modeled durations.
 func ExtAutoscale(quick bool) (*Table, error) {
 	dwi := sim.DWIConfig{Blocks: 64, Iterations: 24, BaseRes: 32, GrowthRes: 3}
 	width := 256
@@ -71,16 +46,11 @@ func ExtAutoscale(quick bool) (*Table, error) {
 		Columns: []string{"iteration", "servers", "execute_s", "action"},
 	}
 
-	cl, err := NewCluster(1)
+	cl, h, err := newPipelineCluster(1, "auto", catalyst.VolumePipelineType, vcfg)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Shutdown()
-	if err := cl.CreatePipelineEverywhere("auto", catalyst.VolumePipelineType, vcfg); err != nil {
-		return nil, err
-	}
-	h := cl.Client.Handle("auto", cl.Contact())
-	h.SetTimeout(300 * time.Second)
 
 	// The policy's clock is the simulated run time: every iteration
 	// advances it by the modeled execute duration, so cooldown behavior is
@@ -106,7 +76,7 @@ func ExtAutoscale(quick bool) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		secs := simPipelineSeconds(autoscaleModelStats(results), vstack.MoNA, fb, icet.TreeReduce)
+		secs := simPipelineSeconds(volumeCost, statsFromResults(results, false), vstack.MoNA, fb)
 
 		vt += time.Duration(secs * float64(time.Second))
 		action := as.Observe(time.Duration(secs*float64(time.Second)), live)

@@ -1,32 +1,23 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
-	"time"
 
 	"colza/internal/catalyst"
 	"colza/internal/core"
 	"colza/internal/icet"
+	"colza/internal/margo"
 	"colza/internal/minimpi"
+	"colza/internal/na"
 	"colza/internal/sim"
 	"colza/internal/staging"
 	"colza/internal/vstack"
 	"colza/internal/vtk"
 )
-
-// minPositive returns the smallest positive sample (microbenchmark-style
-// aggregation: robust to one-off scheduler/GC outliers on shared hosts).
-func minPositive(samples []float64) float64 {
-	best := 0.0
-	for _, v := range samples {
-		if v > 0 && (best == 0 || v < best) {
-			best = v
-		}
-	}
-	return best
-}
 
 // pipelineScales picks the server counts for the scaling figures.
 func pipelineScales(quick bool) []int {
@@ -36,11 +27,15 @@ func pipelineScales(quick bool) []int {
 	return []int{2, 4, 8, 16}
 }
 
-// runMPIIso executes the iso pipeline over a static mini-MPI world, with
-// blocksByRank[r] staged on rank r, returning per-rank stats — the "MPI"
-// arm of Figs. 5-8.
-func runMPIIso(blocksByRank [][]*vtk.ImageData, cfg catalyst.IsoConfig) ([]catalyst.Stats, error) {
-	n := len(blocksByRank)
+// mpiArm runs a pipeline body on every rank of a static mini-MPI world
+// over the blocks DefaultPlacement puts there — the "MPI" arm of Figs.
+// 5-8 — and returns each rank's stats.
+func mpiArm[B any](n int, metas []core.BlockMeta, blocks []B, body func(*vtk.Controller, []B) (catalyst.Stats, error)) ([]catalyst.Stats, error) {
+	byRank := make([][]B, n)
+	for b := range blocks {
+		r := core.DefaultPlacement(metas[b], n)
+		byRank[r] = append(byRank[r], blocks[b])
+	}
 	world := minimpi.World(n)
 	defer world[0].Finalize()
 	errs := make([]error, n)
@@ -50,42 +45,25 @@ func runMPIIso(blocksByRank [][]*vtk.ImageData, cfg catalyst.IsoConfig) ([]catal
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ctrl := vtk.NewController("mpi", world[r])
-			stats[r], _, errs[r] = catalyst.ExecuteIso(ctrl, blocksByRank[r], cfg)
+			stats[r], errs[r] = body(vtk.NewController("mpi", world[r]), byRank[r])
 		}(r)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return stats, nil
+	return stats, errors.Join(errs...)
 }
 
-// runMPIVolume is the volume-pipeline MPI arm.
-func runMPIVolume(gridsByRank [][]*vtk.UnstructuredGrid, cfg catalyst.VolumeConfig) ([]catalyst.Stats, error) {
-	n := len(gridsByRank)
-	world := minimpi.World(n)
-	defer world[0].Finalize()
-	errs := make([]error, n)
-	stats := make([]catalyst.Stats, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ctrl := vtk.NewController("mpi", world[r])
-			stats[r], _, errs[r] = catalyst.ExecuteVolume(ctrl, gridsByRank[r], cfg)
-		}(r)
+func isoBody(cfg catalyst.IsoConfig) func(*vtk.Controller, []*vtk.ImageData) (catalyst.Stats, error) {
+	return func(ctrl *vtk.Controller, blocks []*vtk.ImageData) (catalyst.Stats, error) {
+		st, _, err := catalyst.ExecuteIso(ctrl, blocks, cfg)
+		return st, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+}
+
+func volumeBody(cfg catalyst.VolumeConfig) func(*vtk.Controller, []*vtk.UnstructuredGrid) (catalyst.Stats, error) {
+	return func(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid) (catalyst.Stats, error) {
+		st, _, err := catalyst.ExecuteVolume(ctrl, grids, cfg)
+		return st, err
 	}
-	return stats, nil
 }
 
 // colzaIteration drives one full activate/stage/execute/deactivate round
@@ -109,94 +87,68 @@ func colzaIteration(h *core.DistributedPipelineHandle, it uint64, metas []core.B
 	return results, nil
 }
 
+// compareArms runs iteration it of the Colza arm through h (MoNA), checks
+// that it saw the per-rank work the MPI arm reported in mpi, and returns
+// each arm's reconstructed time at cost c without warm-up.
+func compareArms(c workCost, h *core.DistributedPipelineHandle, it uint64, metas []core.BlockMeta, enc [][]byte, fb int, mpi []catalyst.Stats) (mpiSecs, monaSecs float64, err error) {
+	results, err := colzaIteration(h, it, metas, enc)
+	if err != nil {
+		return 0, 0, err
+	}
+	colza := statsFromResults(results, false)
+	if err := sameWork(mpi, colza); err != nil {
+		return 0, 0, err
+	}
+	return simPipelineSeconds(c, mpi, vstack.VendorMPI, fb), simPipelineSeconds(c, colza, vstack.MoNA, fb), nil
+}
+
 // Fig5MandelbulbWeak reproduces Figure 5: Mandelbulb pipeline execution
 // time at several staging sizes with a fixed per-server workload (weak
-// scaling), MPI vs MoNA. The first iteration is discarded, as in the
-// paper.
+// scaling), MPI vs MoNA. Warm-up is not charged, as the paper discards
+// the first iteration.
 func Fig5MandelbulbWeak(quick bool) (*Table, error) {
 	scales := pipelineScales(quick)
 	blocksPerServer := 2
 	dims := [3]int{28, 28, 14}
-	iters := 4
 	if quick {
 		dims = [3]int{14, 14, 8}
-		iters = 3
 	}
 	imgW := 256
 	t := &Table{
 		ID:      "Fig. 5",
-		Title:   "Mandelbulb weak scaling: avg pipeline execution time (s), first iteration discarded",
-		Note:    fmt.Sprintf("%d blocks of %v per server; parallel time reconstructed per DESIGN.md sub.5; flat lines = weak scaling holds", blocksPerServer, dims),
+		Title:   "Mandelbulb weak scaling: pipeline execution time (s), warm-up excluded",
+		Note:    fmt.Sprintf("%d blocks of %v per server; compute costed from counted work (DESIGN.md sub. 7); flat lines = weak scaling holds", blocksPerServer, dims),
 		Columns: []string{"servers", "mpi_s", "mona_s", "mona/mpi"},
+	}
+	pcfg := catalyst.IsoConfig{
+		Field: "value", IsoValues: []float64{8}, Width: imgW, Height: imgW,
+		ScalarRange: [2]float64{0, 32}, WarmupKiB: 256,
 	}
 	for _, s := range scales {
 		nBlocks := s * blocksPerServer
 		mb := sim.DefaultMandelbulb(dims, nBlocks)
-		pcfg := catalyst.IsoConfig{
-			Field: "value", IsoValues: []float64{8}, Width: imgW, Height: imgW,
-			ScalarRange: [2]float64{0, 32}, WarmupKiB: 256,
-		}
-		fb := frameBytes(imgW, imgW)
-
-		blockData := make([][][]byte, iters)
-		blockImgs := make([][]*vtk.ImageData, iters)
+		imgs := make([]*vtk.ImageData, nBlocks)
+		enc := make([][]byte, nBlocks)
 		metas := make([]core.BlockMeta, nBlocks)
-		for b := 0; b < nBlocks; b++ {
+		for b := range imgs {
 			metas[b] = sim.MandelbulbMeta(mb, b)
+			imgs[b] = sim.MandelbulbBlock(mb, b, 1)
+			enc[b] = imgs[b].Encode()
 		}
-		for it := 0; it < iters; it++ {
-			blockData[it] = make([][]byte, nBlocks)
-			blockImgs[it] = make([]*vtk.ImageData, nBlocks)
-			for b := 0; b < nBlocks; b++ {
-				img := sim.MandelbulbBlock(mb, b, uint64(it+1))
-				blockImgs[it][b] = img
-				blockData[it][b] = img.Encode()
-			}
-		}
-
-		// MPI arm.
-		var mpiSamples []float64
-		for it := 0; it < iters; it++ {
-			byRank := make([][]*vtk.ImageData, s)
-			for b := 0; b < nBlocks; b++ {
-				r := core.DefaultPlacement(metas[b], s)
-				byRank[r] = append(byRank[r], blockImgs[it][b])
-			}
-			stats, err := runMPIIso(byRank, pcfg)
-			if err != nil {
-				return nil, err
-			}
-			if it > 0 {
-				mpiSamples = append(mpiSamples, simPipelineSeconds(stats, vstack.VendorMPI, fb, icet.TreeReduce))
-			}
-		}
-		mpiAvg := minPositive(mpiSamples)
-
-		// MoNA (Colza) arm.
-		cl, err := NewCluster(s)
+		mpi, err := mpiArm(s, metas, imgs, isoBody(pcfg))
 		if err != nil {
 			return nil, err
 		}
-		if err := cl.CreatePipelineEverywhere("fig5", catalyst.IsoPipelineType, pcfg); err != nil {
-			cl.Shutdown()
+		cl, h, err := newPipelineCluster(s, "fig5", catalyst.IsoPipelineType, pcfg)
+		if err != nil {
 			return nil, err
 		}
-		h := cl.Client.Handle("fig5", cl.Contact())
-		h.SetTimeout(300 * time.Second)
-		var monaSamples []float64
-		for it := 0; it < iters; it++ {
-			results, err := colzaIteration(h, uint64(it+1), metas, blockData[it])
-			if err != nil {
-				cl.Shutdown()
-				return nil, err
-			}
-			if it > 0 {
-				monaSamples = append(monaSamples, simPipelineSeconds(statsFromResults(results), vstack.MoNA, fb, icet.TreeReduce))
-			}
-		}
+		mpiS, monaS, err := compareArms(isoCost, h, 1, metas, enc, frameBytes(imgW, imgW), mpi)
 		cl.Shutdown()
-		monaAvg := minPositive(monaSamples)
-		t.Add(s, mpiAvg, monaAvg, monaAvg/mpiAvg)
+		if err != nil {
+			return nil, err
+		}
+		t.Add(s, mpiS, monaS, monaS/mpiS)
 	}
 	return t, nil
 }
@@ -208,17 +160,15 @@ func Fig6GrayScottStrong(quick bool) (*Table, error) {
 	global := [3]int{48, 48, 48}
 	steps := 60
 	nBlocks := 16
-	iters := 3
 	if quick {
 		global = [3]int{24, 24, 24}
 		steps = 30
 		nBlocks = 8
 	}
 	imgW := 256
-	fb := frameBytes(imgW, imgW)
 	t := &Table{
 		ID:      "Fig. 6",
-		Title:   "Gray-Scott strong scaling: avg pipeline execution time (s), fixed total domain",
+		Title:   "Gray-Scott strong scaling: pipeline execution time (s), fixed total domain",
 		Note:    fmt.Sprintf("domain %v cut into %d blocks; time falls as servers grow; MPI vs MoNA on par", global, nBlocks),
 		Columns: []string{"servers", "mpi_s", "mona_s", "mona/mpi"},
 	}
@@ -227,8 +177,7 @@ func Fig6GrayScottStrong(quick bool) (*Table, error) {
 	if err := gs.Step(steps); err != nil {
 		return nil, err
 	}
-	whole := gs.Block()
-	blocks, metas, err := sliceImageZ(whole, nBlocks)
+	blocks, metas, err := sliceImageZ(gs.Block(), nBlocks)
 	if err != nil {
 		return nil, err
 	}
@@ -242,49 +191,21 @@ func Fig6GrayScottStrong(quick bool) (*Table, error) {
 		Clip:        &catalyst.ClipSpec{Normal: [3]float64{1, 0, 0}, Offset: float64(global[0]) / 2},
 		WarmupKiB:   256,
 	}
-
 	for _, s := range scales {
-		var mpiSamples []float64
-		for it := 0; it < iters; it++ {
-			byRank := make([][]*vtk.ImageData, s)
-			for b := range blocks {
-				r := core.DefaultPlacement(metas[b], s)
-				byRank[r] = append(byRank[r], blocks[b])
-			}
-			stats, err := runMPIIso(byRank, pcfg)
-			if err != nil {
-				return nil, err
-			}
-			if it > 0 {
-				mpiSamples = append(mpiSamples, simPipelineSeconds(stats, vstack.VendorMPI, fb, icet.TreeReduce))
-			}
-		}
-		mpiAvg := minPositive(mpiSamples)
-
-		cl, err := NewCluster(s)
+		mpi, err := mpiArm(s, metas, blocks, isoBody(pcfg))
 		if err != nil {
 			return nil, err
 		}
-		if err := cl.CreatePipelineEverywhere("fig6", catalyst.IsoPipelineType, pcfg); err != nil {
-			cl.Shutdown()
+		cl, h, err := newPipelineCluster(s, "fig6", catalyst.IsoPipelineType, pcfg)
+		if err != nil {
 			return nil, err
 		}
-		h := cl.Client.Handle("fig6", cl.Contact())
-		h.SetTimeout(300 * time.Second)
-		var monaSamples []float64
-		for it := 0; it < iters; it++ {
-			results, err := colzaIteration(h, uint64(it+1), metas, enc)
-			if err != nil {
-				cl.Shutdown()
-				return nil, err
-			}
-			if it > 0 {
-				monaSamples = append(monaSamples, simPipelineSeconds(statsFromResults(results), vstack.MoNA, fb, icet.TreeReduce))
-			}
-		}
+		mpiS, monaS, err := compareArms(isoCost, h, 1, metas, enc, frameBytes(imgW, imgW), mpi)
 		cl.Shutdown()
-		monaAvg := minPositive(monaSamples)
-		t.Add(s, mpiAvg, monaAvg, monaAvg/mpiAvg)
+		if err != nil {
+			return nil, err
+		}
+		t.Add(s, mpiS, monaS, monaS/mpiS)
 	}
 	return t, nil
 }
@@ -331,7 +252,6 @@ func Fig7DWIScaling(quick bool) (*Table, error) {
 		dwi = sim.DWIConfig{Blocks: 24, Iterations: 8, BaseRes: 18, GrowthRes: 3}
 	}
 	imgW := 256
-	fb := frameBytes(imgW, imgW)
 	cols := []string{"iteration"}
 	for _, s := range scales {
 		cols = append(cols, fmt.Sprintf("mpi_%d", s), fmt.Sprintf("mona_%d", s))
@@ -347,60 +267,39 @@ func Fig7DWIScaling(quick bool) (*Table, error) {
 		PointSize: 3, WarmupKiB: 256,
 	}
 
-	type cell struct{ mpi, mona float64 }
-	results := make([]map[int]cell, dwi.Iterations+1)
-
+	rows := make([][]interface{}, dwi.Iterations)
+	for it := range rows {
+		rows[it] = []interface{}{it + 1}
+	}
 	for _, s := range scales {
-		cl, err := NewCluster(s)
+		cl, h, err := newPipelineCluster(s, "fig7", catalyst.VolumePipelineType, vcfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := cl.CreatePipelineEverywhere("fig7", catalyst.VolumePipelineType, vcfg); err != nil {
-			cl.Shutdown()
-			return nil, err
-		}
-		h := cl.Client.Handle("fig7", cl.Contact())
-		h.SetTimeout(300 * time.Second)
 		for it := 1; it <= dwi.Iterations; it++ {
 			grids := make([]*vtk.UnstructuredGrid, dwi.Blocks)
 			enc := make([][]byte, dwi.Blocks)
 			metas := make([]core.BlockMeta, dwi.Blocks)
-			for b := 0; b < dwi.Blocks; b++ {
+			for b := range grids {
 				grids[b] = sim.DWIIterationBlock(dwi, it, b)
 				enc[b] = grids[b].Encode()
 				metas[b] = core.BlockMeta{Field: "velocity", BlockID: b, Type: "ugrid"}
 			}
-			byRank := make([][]*vtk.UnstructuredGrid, s)
-			for b := 0; b < dwi.Blocks; b++ {
-				r := core.DefaultPlacement(metas[b], s)
-				byRank[r] = append(byRank[r], grids[b])
-			}
-			mpiStats, err := runMPIVolume(byRank, vcfg)
+			mpi, err := mpiArm(s, metas, grids, volumeBody(vcfg))
 			if err != nil {
 				cl.Shutdown()
 				return nil, err
 			}
-			mpiSecs := simPipelineSeconds(mpiStats, vstack.VendorMPI, fb, icet.TreeReduce)
-
-			res, err := colzaIteration(h, uint64(it), metas, enc)
+			mpiS, monaS, err := compareArms(volumeCost, h, uint64(it), metas, enc, frameBytes(imgW, imgW), mpi)
 			if err != nil {
 				cl.Shutdown()
 				return nil, err
 			}
-			monaSecs := simPipelineSeconds(statsFromResults(res), vstack.MoNA, fb, icet.TreeReduce)
-			if results[it] == nil {
-				results[it] = map[int]cell{}
-			}
-			results[it][s] = cell{mpi: mpiSecs, mona: monaSecs}
+			rows[it-1] = append(rows[it-1], mpiS, monaS)
 		}
 		cl.Shutdown()
 	}
-	for it := 1; it <= dwi.Iterations; it++ {
-		row := []interface{}{it}
-		for _, s := range scales {
-			c := results[it][s]
-			row = append(row, c.mpi, c.mona)
-		}
+	for _, row := range rows {
 		t.Add(row...)
 	}
 	return t, nil
@@ -411,11 +310,9 @@ func Fig7DWIScaling(quick bool) (*Table, error) {
 func Fig8Frameworks(quick bool) (*Table, error) {
 	clients, servers := 8, 4
 	dims := [3]int{24, 24, 12}
-	iters := 4
 	if quick {
 		clients, servers = 4, 2
 		dims = [3]int{14, 14, 8}
-		iters = 3
 	}
 	blocksPerClient := 2
 	nBlocks := clients * blocksPerClient
@@ -430,66 +327,32 @@ func Fig8Frameworks(quick bool) (*Table, error) {
 		ID:      "Fig. 8",
 		Title:   "Mandelbulb pipeline execution time (s) across frameworks",
 		Note:    "Damaris pays per-client trigger skew (clients signal independently); DataSpaces and Colza+MPI share the static pipeline path",
-		Columns: []string{"framework", "avg_exec_s", "vs_colza_mona"},
+		Columns: []string{"framework", "exec_s", "vs_colza_mona"},
 	}
 
-	imgs := make([][]*vtk.ImageData, iters)
-	enc := make([][][]byte, iters)
+	imgs := make([]*vtk.ImageData, nBlocks)
+	enc := make([][]byte, nBlocks)
 	metas := make([]core.BlockMeta, nBlocks)
-	for b := 0; b < nBlocks; b++ {
+	for b := range imgs {
 		metas[b] = sim.MandelbulbMeta(mb, b)
-	}
-	for it := 0; it < iters; it++ {
-		imgs[it] = make([]*vtk.ImageData, nBlocks)
-		enc[it] = make([][]byte, nBlocks)
-		for b := 0; b < nBlocks; b++ {
-			imgs[it][b] = sim.MandelbulbBlock(mb, b, uint64(it+1))
-			enc[it][b] = imgs[it][b].Encode()
-		}
+		imgs[b] = sim.MandelbulbBlock(mb, b, 1)
+		enc[b] = imgs[b].Encode()
 	}
 
-	// --- Colza + MoNA.
-	cl, err := NewCluster(servers)
+	// --- Colza + MoNA and Colza + MPI.
+	mpi, err := mpiArm(servers, metas, imgs, isoBody(pcfg))
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.CreatePipelineEverywhere("fig8", catalyst.IsoPipelineType, pcfg); err != nil {
-		cl.Shutdown()
+	cl, h, err := newPipelineCluster(servers, "fig8", catalyst.IsoPipelineType, pcfg)
+	if err != nil {
 		return nil, err
 	}
-	h := cl.Client.Handle("fig8", cl.Contact())
-	h.SetTimeout(300 * time.Second)
-	var monaSamples []float64
-	for it := 0; it < iters; it++ {
-		results, err := colzaIteration(h, uint64(it+1), metas, enc[it])
-		if err != nil {
-			cl.Shutdown()
-			return nil, err
-		}
-		if it > 0 {
-			monaSamples = append(monaSamples, simPipelineSeconds(statsFromResults(results), vstack.MoNA, fb, icet.TreeReduce))
-		}
-	}
+	mpiS, monaS, err := compareArms(isoCost, h, 1, metas, enc, fb, mpi)
 	cl.Shutdown()
-	monaAvg := minPositive(monaSamples)
-
-	// --- Colza + MPI.
-	var mpiSamples []float64
-	for it := 0; it < iters; it++ {
-		byRank := make([][]*vtk.ImageData, servers)
-		for b := 0; b < nBlocks; b++ {
-			r := core.DefaultPlacement(metas[b], servers)
-			byRank[r] = append(byRank[r], imgs[it][b])
-		}
-		stats, err := runMPIIso(byRank, pcfg)
-		if err != nil {
-			return nil, err
-		}
-		if it > 0 {
-			mpiSamples = append(mpiSamples, simPipelineSeconds(stats, vstack.VendorMPI, fb, icet.TreeReduce))
-		}
+	if err != nil {
+		return nil, err
 	}
-	mpiAvg := minPositive(mpiSamples)
 
 	// --- Damaris: per-client signals with client-side skew. In the paper
 	// the skew arises from clients reaching damaris_signal at different
@@ -502,94 +365,64 @@ func Fig8Frameworks(quick bool) (*Table, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(8))
-	var damSamples []float64
-	for it := 0; it < iters; it++ {
-		skewSpan := 1.2 * (monaAvg + 0.002)
-		sigs := make([]float64, clients)
-		var wg sync.WaitGroup
-		for c, dc := range dam.Clients() {
-			sig := rng.Float64() * skewSpan
-			sigs[c] = sig
-			wg.Add(1)
-			go func(c int, dc *staging.DamarisClient, sig float64) {
-				defer wg.Done()
-				for b := 0; b < blocksPerClient; b++ {
-					dc.Write(uint64(it+1), imgs[it][c*blocksPerClient+b])
-				}
-				dc.Signal(uint64(it + 1))
-			}(c, dc, sig)
+	skewSpan := 1.2 * (monaS + 0.002)
+	minSig, maxSig := math.Inf(1), math.Inf(-1)
+	for c, dc := range dam.Clients() {
+		sig := rng.Float64() * skewSpan
+		minSig, maxSig = min(minSig, sig), max(maxSig, sig)
+		for b := 0; b < blocksPerClient; b++ {
+			dc.Write(1, imgs[c*blocksPerClient+b])
 		}
-		wg.Wait()
-		stats := make([]catalyst.Stats, servers)
-		for s := 0; s < servers; s++ {
-			r := <-dam.Results(s)
-			if r.Err != nil {
-				dam.Shutdown()
-				return nil, r.Err
-			}
-			stats[r.Server] = r.Stats
+		dc.Signal(1)
+	}
+	stats := make([]catalyst.Stats, servers)
+	for s := 0; s < servers; s++ {
+		r := <-dam.Results(s)
+		if r.Err != nil {
+			dam.Shutdown()
+			return nil, r.Err
 		}
-		if it > 0 {
-			minSig, maxSig := sigs[0], sigs[0]
-			for _, v := range sigs {
-				if v < minSig {
-					minSig = v
-				}
-				if v > maxSig {
-					maxSig = v
-				}
-			}
-			damSamples = append(damSamples, (maxSig-minSig)+simPipelineSeconds(stats, vstack.VendorMPI, fb, icet.TreeReduce))
-		}
+		stats[r.Server] = r.Stats
 	}
 	dam.Shutdown()
-	damAvg := minPositive(damSamples)
+	damS := (maxSig - minSig) + simPipelineSeconds(isoCost, stats, vstack.VendorMPI, fb)
 
 	// --- DataSpaces: static Margo staging, single trigger, MPI pipeline.
-	dsNet := naNetwork()
+	dsNet := na.NewInprocNetwork()
 	ds, err := staging.DeployDataSpaces(dsNet, staging.DataSpacesConfig{Servers: servers, Iso: pcfg})
 	if err != nil {
 		return nil, err
 	}
-	dsClient, err := newMargoOn(dsNet, "fig8-ds-client")
+	defer ds.Shutdown()
+	ep, err := dsNet.Listen("fig8-ds-client")
 	if err != nil {
-		ds.Shutdown()
 		return nil, err
 	}
-	var dsSamples []float64
-	for it := 0; it < iters; it++ {
-		for b := 0; b < nBlocks; b++ {
-			if err := ds.Put(dsClient, uint64(it+1), b, imgs[it][b]); err != nil {
-				ds.Shutdown()
-				return nil, err
-			}
-		}
-		stats := make([]catalyst.Stats, servers)
-		for _, r := range ds.Exec(uint64(it + 1)) {
-			if r.Err != nil {
-				ds.Shutdown()
-				return nil, r.Err
-			}
-			stats[r.Server] = r.Stats
-		}
-		if it > 0 {
-			dsSamples = append(dsSamples, simPipelineSeconds(stats, vstack.VendorMPI, fb, icet.TreeReduce))
+	dsClient := margo.NewInstance(ep)
+	defer dsClient.Finalize()
+	for b := range imgs {
+		if err := ds.Put(dsClient, 1, b, imgs[b]); err != nil {
+			return nil, err
 		}
 	}
-	dsClient.Finalize()
-	ds.Shutdown()
-	dsAvg := minPositive(dsSamples)
+	for _, r := range ds.Exec(1) {
+		if r.Err != nil {
+			return nil, r.Err
+		}
+		stats[r.Server] = r.Stats
+	}
+	dsS := simPipelineSeconds(isoCost, stats, vstack.VendorMPI, fb)
 
 	for _, e := range []struct {
 		name string
 		v    float64
 	}{
-		{"colza+mona", monaAvg},
-		{"colza+mpi", mpiAvg},
-		{"damaris", damAvg},
-		{"dataspaces", dsAvg},
+		{"colza+mona", monaS},
+		{"colza+mpi", mpiS},
+		{"damaris", damS},
+		{"dataspaces", dsS},
 	} {
-		t.Add(e.name, e.v, e.v/monaAvg)
+		t.Add(e.name, e.v, e.v/monaS)
 	}
 	return t, nil
 }

@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: one generator per table and
 // figure of the Colza paper's evaluation (and per ablation in DESIGN.md),
 // each printing the same rows/series the paper reports. cmd/colza-bench
-// is the command-line front end; bench_test.go wraps each generator in a
-// testing.B benchmark.
+// is the command-line front end; bench_shapes_test.go runs each generator
+// in quick mode and asserts the shape the paper claims.
 package bench
 
 import (

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"colza/internal/core"
+	"colza/internal/render"
 	"colza/internal/vtk"
 )
 
@@ -57,7 +58,6 @@ type IsoPipeline struct {
 	warmed    bool
 	executing bool // ws is in use
 	staged    map[uint64][]*vtk.ImageData
-	LastStat  Stats
 
 	ws isoWorkspace // touched only by the execute that set executing
 }
@@ -121,36 +121,40 @@ func (p *IsoPipeline) Execute(it uint64) (core.ExecResult, error) {
 		p.mu.Unlock()
 	}()
 
-	var warmSecs float64
+	var warm Stats
 	if !warmed {
 		// First execution on this instance pays the VTK/Python startup
 		// analog — the join-iteration spike of Figs. 9-10.
-		warmSecs = warmup(cfg.WarmupKiB, cfg.Width, cfg.Height)
+		warm = warmup(cfg.WarmupKiB, cfg.Width, cfg.Height)
 	}
 	ctrl := vtk.NewController("mona", ctx.Comm)
-	// img may be the workspace's framebuffer: it is encoded below and not
-	// kept past this call.
+	// img may be the workspace's framebuffer: execResult encodes it and it
+	// is not kept past this call.
 	st, img, err := p.ws.execute(ctrl, blocks, cfg)
 	if err != nil {
 		return core.ExecResult{}, err
 	}
-	st.WarmupSeconds = warmSecs
-	st.TotalSeconds += warmSecs
-	p.mu.Lock()
-	p.LastStat = st
-	p.mu.Unlock()
+	return execResult(st, warm, len(blocks), ctx, img, cfg.EmitImage)
+}
+
+// execResult is what both backends return for one execute: its work counts
+// and phase times with the warm-up charged to it (warm is zero after an
+// instance's first execute), and on rank 0 the PNG when configured.
+func execResult(st, warm Stats, blocks int, ctx core.IterationContext, img *render.Image, emit bool) (core.ExecResult, error) {
 	res := core.ExecResult{Summary: map[string]float64{
+		"cells":         float64(st.LocalCells),
 		"triangles":     float64(st.LocalTriangles),
-		"blocks":        float64(len(blocks)),
+		"warmup_kib":    float64(warm.WarmupKiB),
+		"blocks":        float64(blocks),
 		"extract_sec":   st.ExtractSeconds,
 		"render_sec":    st.RenderSeconds,
-		"warmup_sec":    st.WarmupSeconds,
+		"warmup_sec":    warm.WarmupSeconds,
 		"composite_sec": st.CompositeSecs,
-		"execute_sec":   st.TotalSeconds,
+		"execute_sec":   st.TotalSeconds + warm.WarmupSeconds,
 		"rank":          float64(ctx.Rank),
 		"size":          float64(ctx.Size),
 	}}
-	if ctx.Rank == 0 && img != nil && cfg.EmitImage {
+	if ctx.Rank == 0 && img != nil && emit {
 		png, err := img.PNG()
 		if err != nil {
 			return core.ExecResult{}, err
@@ -188,12 +192,11 @@ func (p *IsoPipeline) Destroy() error {
 type VolumePipeline struct {
 	cfg VolumeConfig
 
-	mu       sync.Mutex
-	ctx      core.IterationContext
-	active   bool
-	warmed   bool
-	staged   map[uint64][]*vtk.UnstructuredGrid
-	LastStat Stats
+	mu     sync.Mutex
+	ctx    core.IterationContext
+	active bool
+	warmed bool
+	staged map[uint64][]*vtk.UnstructuredGrid
 }
 
 var _ core.Backend = (*VolumePipeline)(nil)
@@ -245,39 +248,16 @@ func (p *VolumePipeline) Execute(it uint64) (core.ExecResult, error) {
 	p.warmed = true
 	p.mu.Unlock()
 
-	var warmSecs float64
+	var warm Stats
 	if !warmed {
-		warmSecs = warmup(cfg.WarmupKiB, cfg.Width, cfg.Height)
+		warm = warmup(cfg.WarmupKiB, cfg.Width, cfg.Height)
 	}
 	ctrl := vtk.NewController("mona", ctx.Comm)
 	st, img, err := ExecuteVolume(ctrl, grids, cfg)
 	if err != nil {
 		return core.ExecResult{}, err
 	}
-	st.WarmupSeconds = warmSecs
-	st.TotalSeconds += warmSecs
-	p.mu.Lock()
-	p.LastStat = st
-	p.mu.Unlock()
-	res := core.ExecResult{Summary: map[string]float64{
-		"cells":         float64(st.LocalCells),
-		"blocks":        float64(len(grids)),
-		"extract_sec":   st.ExtractSeconds,
-		"render_sec":    st.RenderSeconds,
-		"warmup_sec":    st.WarmupSeconds,
-		"composite_sec": st.CompositeSecs,
-		"execute_sec":   st.TotalSeconds,
-		"rank":          float64(ctx.Rank),
-		"size":          float64(ctx.Size),
-	}}
-	if ctx.Rank == 0 && img != nil && cfg.EmitImage {
-		png, err := img.PNG()
-		if err != nil {
-			return core.ExecResult{}, err
-		}
-		res.Image = png
-	}
-	return res, nil
+	return execResult(st, warm, len(grids), ctx, img, cfg.EmitImage)
 }
 
 // Deactivate releases staged data.

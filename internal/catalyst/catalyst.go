@@ -25,7 +25,6 @@ package catalyst
 import (
 	"encoding/binary"
 	"math"
-	"sync"
 	"time"
 
 	"colza/internal/collectives"
@@ -72,31 +71,26 @@ func pickColorMap(name string) render.ColorMap {
 	}
 }
 
-// Stats aggregates what one Execute measured; it feeds the experiment
-// harness.
+// Stats is what one Execute did on one rank.
 //
-// ExtractSeconds and RenderSeconds time the two pure-compute phases
-// (surface extraction / block merge, then rasterization or splatting).
-// They are measured under a process-wide compute gate that serializes the
-// compute of co-located simulated servers, so each value is that server's
-// own compute cost even when the whole deployment shares one CPU core —
-// the experiment harness reconstructs parallel execution time as
-// max-over-servers of these phases plus a modeled composite
-// (DESIGN.md, substitution 5).
+// The counts are its work: the experiment harness (internal/bench) costs
+// each rank's compute as these counts times a constant table and
+// reconstructs parallel time from them (DESIGN.md §2, substitution 7), so
+// its figures do not depend on the host's cores or load.
+//
+// The seconds are wall-clock phase times, reported in ExecResult.Summary
+// for per-layer profiling. Ranks sharing a core interleave their compute,
+// so a phase time includes whatever ran beside it.
 type Stats struct {
-	LocalTriangles int
-	LocalCells     int
-	ExtractSeconds float64 // contour/clip or merge (pure local compute)
-	RenderSeconds  float64 // rasterize/splat (pure local compute)
+	LocalCells     int     // voxel cells scanned, once per isovalue (iso); cells merged (volume)
+	LocalTriangles int     // triangles extracted (iso)
+	WarmupKiB      int     // warm-up table built by this call (an instance's first execute)
+	ExtractSeconds float64 // contour/clip or merge
+	RenderSeconds  float64 // rasterize/splat
 	WarmupSeconds  float64 // first-activation init, when charged to this call
-	CompositeSecs  float64 // wall time of compositing, including peer waits
-	TotalSeconds   float64 // wall time of the whole execute
+	CompositeSecs  float64 // compositing, including peer waits
+	TotalSeconds   float64 // the whole execute
 }
-
-// computeGate serializes the pure-compute phases of co-located pipeline
-// instances so their per-phase timings stay uncontaminated on
-// oversubscribed hosts.
-var computeGate sync.Mutex
 
 // IsoConfig configures the isosurface pipeline (JSON, passed through the
 // admin create_pipeline call — the analog of the Catalyst Python script
@@ -214,7 +208,7 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 	start := time.Now()
 
 	// Surface extraction: the computation-heavy, embarrassingly parallel
-	// part (gated and timed as pure local compute).
+	// part.
 	var clip *vtk.Plane
 	if cfg.Clip != nil {
 		clip = &vtk.Plane{
@@ -223,20 +217,15 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 		}
 	}
 	surface := &ws.surface
-	computeGate.Lock()
 	t0 := time.Now()
 	surface.Reset()
-	var exErr error
 	for _, blk := range blocks {
-		if exErr = vtk.ExtractIsosurfaces(surface, blk, cfg.Field, cfg.IsoValues, clip); exErr != nil {
-			break
+		if err := vtk.ExtractIsosurfaces(surface, blk, cfg.Field, cfg.IsoValues, clip); err != nil {
+			return st, nil, err
 		}
+		st.LocalCells += blk.NumCells() * len(cfg.IsoValues)
 	}
 	st.ExtractSeconds = time.Since(t0).Seconds()
-	computeGate.Unlock()
-	if exErr != nil {
-		return st, nil, exErr
-	}
 	st.LocalTriangles = surface.NumTriangles()
 
 	// Agree on a global camera.
@@ -254,8 +243,7 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 	}
 	cam := resolveCamera(cfg.Camera, glo, ghi)
 
-	// Local rendering (gated pure compute).
-	computeGate.Lock()
+	// Local rendering.
 	t1 := time.Now()
 	im := ws.frame
 	if im == nil || im.W != cfg.Width || im.H != cfg.Height {
@@ -266,7 +254,6 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 	}
 	render.RasterizeMesh(im, cam, surface, pickColorMap(cfg.ColorMap), cfg.ScalarRange)
 	st.RenderSeconds = time.Since(t1).Seconds()
-	computeGate.Unlock()
 
 	// Parallel compositing — the only communication-intensive step.
 	compStart := time.Now()
@@ -320,11 +307,9 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 	var st Stats
 	start := time.Now()
 
-	computeGate.Lock()
 	t0 := time.Now()
 	merged, err := vtk.MergeUnstructured(grids...)
 	st.ExtractSeconds = time.Since(t0).Seconds()
-	computeGate.Unlock()
 	if err != nil {
 		return st, nil, err
 	}
@@ -344,7 +329,6 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 	}
 	cam := resolveCamera(cfg.Camera, glo, ghi)
 
-	computeGate.Lock()
 	t1 := time.Now()
 	im := render.NewImage(cfg.Width, cfg.Height)
 	var spErr error
@@ -358,7 +342,6 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 		})
 	}
 	st.RenderSeconds = time.Since(t1).Seconds()
-	computeGate.Unlock()
 	if spErr != nil {
 		return st, nil, spErr
 	}
@@ -380,18 +363,11 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 // warmup performs the first-execution initialization work: allocating
 // framebuffers and building lookup tables. It stands in for the dynamic
 // library loading and Python interpreter startup the paper observes as a
-// first-iteration spike whenever a new server joins (Figs. 9-10). It runs
-// under the compute gate and returns its own duration so the spike is
+// first-iteration spike whenever a new server joins (Figs. 9-10). It
+// returns the KiB of table it built and its own duration, so the spike is
 // charged to the execute that paid it.
-func warmup(kib int, w, h int) float64 {
-	computeGate.Lock()
-	defer computeGate.Unlock()
+func warmup(kib int, w, h int) Stats {
 	t0 := time.Now()
-	runWarmup(kib, w, h)
-	return time.Since(t0).Seconds()
-}
-
-func runWarmup(kib int, w, h int) {
 	if kib <= 0 {
 		kib = 4096
 	}
@@ -403,4 +379,5 @@ func runWarmup(kib int, w, h int) {
 	}
 	fb := render.NewImage(w, h)
 	fb.SetBackground(uint8(int(acc)&0xff), 0, 0)
+	return Stats{WarmupKiB: kib, WarmupSeconds: time.Since(t0).Seconds()}
 }

@@ -385,13 +385,6 @@ func (h *DistributedPipelineHandle) SetStageRetry(rp RetryPolicy) {
 	h.mu.Unlock()
 }
 
-// SetRetrySeed reseeds the jitter RNG (chaos tests pin it for replay).
-func (h *DistributedPipelineHandle) SetRetrySeed(seed int64) {
-	h.mu.Lock()
-	h.rng = rand.New(rand.NewSource(seed))
-	h.mu.Unlock()
-}
-
 // SetCodec stages every block through the named codec ("raw", "flate",
 // "shuffle", "delta"); each frame record says which codec it used, and a
 // server decodes any codec registered in its binary. The default is raw:

@@ -489,45 +489,48 @@ func (p *Provider) handleCommit(req mercury.Request) ([]byte, error) {
 		return nil, fmt.Errorf("%w (pipeline %q epoch %d)", ErrNotPrepared, msg.Pipeline, msg.Epoch)
 	}
 	st := slot.prepared
-	rank := st.view.RankOf(p.mi.Addr())
-	c, err := p.mn.CreateComm(CommID(msg.Pipeline, st.epoch), st.view.MonaAddrs())
-	if err != nil {
-		return nil, fmt.Errorf("colza: creating iteration communicator: %w", err)
+	// Before the instance starts the iteration, re-seed any orphaned
+	// checkpoints: state whose origin server fell out of the committed
+	// view, because it crashed or left.
+	p.recoverOrphans(slot, st.view)
+	if err := p.activateSlot(slot, st.iteration, st.epoch, st.view); err != nil {
+		return nil, err
 	}
-	ctx := IterationContext{
-		Iteration: st.iteration,
-		Epoch:     st.epoch,
-		Rank:      rank,
-		Size:      len(st.view.Members),
-		Comm:      c,
-		View:      st.view,
+	slot.prepared = nil
+	p.observer().Counter("colza.commit.count", "pipeline", msg.Pipeline).Inc()
+	return []byte("ok"), nil
+}
+
+// activateSlot starts iteration it on slot (held locked) under view: the
+// iteration communicator, the instance's Activate, the active state and
+// the active-iteration counters that iterDone takes back. Both activations
+// — the 2PC commit and the solo handle's — go through it.
+func (p *Provider) activateSlot(slot *pipelineSlot, it, epoch uint64, view MemberView) error {
+	rank := view.RankOf(p.mi.Addr())
+	c, err := p.mn.CreateComm(CommID(slot.name, epoch), view.MonaAddrs())
+	if err != nil {
+		return fmt.Errorf("colza: creating iteration communicator: %w", err)
 	}
 	// A membership change re-routes block placement: delta bases remembered
 	// under the previous view describe blocks that may now land elsewhere,
 	// so they must not survive into this iteration (invalidation matrix,
 	// DESIGN.md §10).
-	memberKey := viewMemberKey(st.view)
+	memberKey := viewMemberKey(view)
 	if slot.lastMembers != "" && slot.lastMembers != memberKey {
 		p.deltas.InvalidatePipeline(slot.name)
 	}
 	slot.lastMembers = memberKey
-	// Before the instance starts the iteration, re-seed any orphaned
-	// checkpoints: state whose origin server fell out of the committed
-	// view, because it crashed or left.
-	p.recoverOrphans(slot, st.view)
+	ctx := IterationContext{Iteration: it, Epoch: epoch, Rank: rank, Size: len(view.Members), Comm: c, View: view}
 	if err := slot.backend.Activate(ctx); err != nil {
 		p.mn.DestroyComm(c)
-		return nil, fmt.Errorf("colza: pipeline activate: %w", err)
+		return fmt.Errorf("colza: pipeline activate: %w", err)
 	}
-	slot.prepared = nil
-	slot.active = &activeState{epoch: st.epoch, iteration: st.iteration, rank: rank, comm: c, view: st.view}
+	slot.active = &activeState{epoch: epoch, iteration: it, rank: rank, comm: c, view: view}
 	p.mu.Lock()
 	p.activeIters++
 	p.mu.Unlock()
-	reg := p.observer()
-	reg.Counter("colza.commit.count", "pipeline", msg.Pipeline).Inc()
-	reg.Gauge("colza.active.iterations").Inc()
-	return []byte("ok"), nil
+	p.observer().Gauge("colza.active.iterations").Inc()
+	return nil
 }
 
 func (p *Provider) handleAbort(req mercury.Request) ([]byte, error) {

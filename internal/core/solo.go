@@ -39,31 +39,9 @@ func (p *Provider) handleActivateSolo(req mercury.Request) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", ErrBusy, msg.Pipeline)
 	}
 	view := MemberView{Epoch: msg.Epoch, Members: []ServerInfo{p.Info()}}
-	memberKey := viewMemberKey(view)
-	if slot.lastMembers != "" && slot.lastMembers != memberKey {
-		p.deltas.InvalidatePipeline(slot.name)
+	if err := p.activateSlot(slot, msg.Iteration, msg.Epoch, view); err != nil {
+		return nil, err
 	}
-	slot.lastMembers = memberKey
-	c, err := p.mn.CreateComm(CommID(msg.Pipeline, msg.Epoch), []string{p.mn.Addr()})
-	if err != nil {
-		return nil, fmt.Errorf("colza: creating solo communicator: %w", err)
-	}
-	ctx := IterationContext{
-		Iteration: msg.Iteration,
-		Epoch:     msg.Epoch,
-		Rank:      0,
-		Size:      1,
-		Comm:      c,
-		View:      view,
-	}
-	if err := slot.backend.Activate(ctx); err != nil {
-		p.mn.DestroyComm(c)
-		return nil, fmt.Errorf("colza: pipeline activate: %w", err)
-	}
-	slot.active = &activeState{epoch: msg.Epoch, iteration: msg.Iteration, comm: c, view: view}
-	p.mu.Lock()
-	p.activeIters++
-	p.mu.Unlock()
 	return []byte("ok"), nil
 }
 

@@ -52,6 +52,31 @@ func TestSoloHandleLifecycle(t *testing.T) {
 	}
 }
 
+// TestSoloIterationsLeaveActiveGaugeAtZero: a solo activation counts the
+// iteration into the colza.active.iterations gauge its deactivate takes
+// back out, as a commit does.
+func TestSoloIterationsLeaveActiveGaugeAtZero(t *testing.T) {
+	d := deploy(t, 1)
+	d.createEverywhere(t, "solo")
+	h := d.client.SoloHandle("solo", d.servers[0].Addr())
+	h.SetTimeout(2 * time.Second)
+	gauge := func() int64 { return d.servers[0].Obs.Snapshot().Gauges["colza.active.iterations"].Value }
+	for it := uint64(1); it <= 2; it++ {
+		if err := h.Activate(it); err != nil {
+			t.Fatal(err)
+		}
+		if g := gauge(); g != 1 {
+			t.Fatalf("iteration %d active: gauge = %d, want 1", it, g)
+		}
+		if err := h.Deactivate(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g := gauge(); g != 0 {
+		t.Fatalf("after two solo iterations: gauge = %d, want 0", g)
+	}
+}
+
 // TestSoloHandleBusyConflict: a solo activate on a pipeline already held
 // by a distributed iteration is refused.
 func TestSoloHandleBusyConflict(t *testing.T) {

@@ -34,9 +34,6 @@ import (
 type Config struct {
 	// Target is the desired per-iteration execute time (required).
 	Target time.Duration
-	// HighWater / LowWater are the policy's scale bands (autoscale
-	// defaults 1.0 / 0.7 when zero).
-	HighWater, LowWater float64
 	// Floor and Ceiling bound the group size (defaults 1 and 8).
 	Floor, Ceiling int
 	// Confirm is how many consecutive confirming observations the policy
@@ -197,8 +194,6 @@ func NewController(cfg Config, deps Deps) (*Controller, error) {
 	}
 	as, err := autoscale.New(autoscale.Config{
 		Target:         cfg.Target,
-		HighWater:      cfg.HighWater,
-		LowWater:       cfg.LowWater,
 		Min:            cfg.Floor,
 		Max:            cfg.Ceiling,
 		Cooldown:       cfg.CooldownObs,
