@@ -50,8 +50,8 @@ if [ "${1:-}" != "cover" ]; then
     go vet ./...
     # Every test once without the race detector — this is the pass that asserts
     # the allocs/op ceilings of internal/bench/micro_test.go (stage, pull,
-    # composite, batcher, warm iso execute), which skip under -race — and once
-    # with it. Both passes carry every gate there is no separate step for: the
+    # composite, batcher, warm iso execute, buffer-pool recycle), which skip
+    # under -race — and once with it. Both passes carry every gate there is no separate step for: the
     # goroutine-leak checks (endpoint teardown, overload shed-and-recover, NBStage
     # bound, batcher drain, controller stop), crash recovery against the
     # replicated-checkpoint oracle, the stage-retry buffer-ownership chaos suites
@@ -99,7 +99,8 @@ fi
 # and the codec step, which decides which bytes go on the wire and owns the
 # delta mismatch and invalidation steps: a missed branch there is a silent
 # data-corruption path; the checkpoint file, which holds every line that
-# moves pipeline state between servers (rounds, the leave, recovery); and
+# moves pipeline state between servers (rounds, the leave, the drop of
+# superseded entries, recovery); and
 # the bulk arena, which reads a header and slot
 # words out of memory another process writes (what its tests do not reach is
 # the mmap/open/truncate error branches); and the cost model every number

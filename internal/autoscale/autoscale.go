@@ -11,9 +11,9 @@
 // the actuator outside matches the paper's observation that scale-up and
 // scale-down travel different paths (resource manager vs admin RPC).
 //
-// Time never comes from the wall clock directly: Config.Clock injects the
-// time source, so the same policy runs against real clusters and against
-// the dessim virtual clock in the deterministic conformance suite.
+// The policy keeps no clock: its one hysteresis is counted in
+// observations (one per metrics poll), so the same policy runs against
+// real clusters and in the deterministic conformance suite.
 package autoscale
 
 import (
@@ -45,10 +45,6 @@ func (a Action) String() string {
 	}
 }
 
-// Clock is an injectable monotonic time source. The zero duration is the
-// process (or simulation) start; only differences matter.
-type Clock func() time.Duration
-
 // Sample is one iteration's observation: the measured execute time and
 // the staging-area size it ran on.
 type Sample struct {
@@ -61,8 +57,7 @@ type Sample struct {
 type Verdict struct {
 	Action Action
 	// Reason is one of: "over-target", "under-low-water", "steady",
-	// "cooldown", "cooldown-window", "confirming-up", "confirming-down",
-	// "at-ceiling", "at-floor", "idle".
+	// "cooldown", "at-ceiling", "at-floor", "idle".
 	Reason string
 }
 
@@ -74,6 +69,14 @@ const (
 	lowWater  = 0.7
 )
 
+// cooldown is the policy's one hysteresis: an action (or StartCooldown)
+// holds the observation that follows it. An observation is one batch — a
+// metrics poll covers every iteration completed since the last one, so
+// the batch after an action holds the iterations that ran while it was
+// actuated and the join iteration, whose warm-up spike says nothing about
+// the new size.
+const cooldown = 2
+
 // Config tunes the policy.
 type Config struct {
 	// Target is the desired pipeline execution time per iteration (the
@@ -81,53 +84,13 @@ type Config struct {
 	Target time.Duration
 	// Min and Max bound the staging-area size (defaults 1 and 1<<30).
 	Min, Max int
-	// Cooldown is how many observations to hold after an action, giving
-	// the new configuration time to show its effect — and skipping the
-	// join iteration's warm-up spike (default 2).
-	Cooldown int
-	// CooldownWindow additionally holds for a wall (or virtual) time span
-	// after an action, measured on Clock. Zero disables the window; it
-	// matters when observations arrive much faster than actuation settles
-	// (a launched daemon takes real time to join). Requires Clock.
-	CooldownWindow time.Duration
-	// Confirm is how many consecutive observations must agree before the
-	// policy acts (default 1 = act on the first). Values above 1 add
-	// hysteresis: a single latency spike or dip cannot resize the group.
-	// Observations landing inside a cooldown do not count toward a streak.
-	Confirm int
-	// Clock drives CooldownWindow. Nil means a frozen clock at zero
-	// (windows then never block, matching the pre-clock behavior of the
-	// package).
-	Clock Clock
 }
 
-func (c Config) withDefaults() Config {
-	if c.Min < 1 {
-		c.Min = 1
-	}
-	if c.Max <= 0 {
-		c.Max = 1 << 30
-	}
-	if c.Cooldown < 1 {
-		c.Cooldown = 2
-	}
-	if c.Confirm < 1 {
-		c.Confirm = 1
-	}
-	if c.Clock == nil {
-		c.Clock = func() time.Duration { return 0 }
-	}
-	return c
-}
-
-// Autoscaler keeps the policy state.
+// Autoscaler keeps the policy state: observations (batches) since the last
+// action.
 type Autoscaler struct {
-	cfg         Config
-	sinceAct    int
-	actedAt     time.Duration
-	hasActed    bool
-	overStreak  int
-	underStreak int
+	cfg      Config
+	sinceAct int
 }
 
 // New creates an autoscaler; Target must be positive.
@@ -135,107 +98,68 @@ func New(cfg Config) (*Autoscaler, error) {
 	if cfg.Target <= 0 {
 		return nil, fmt.Errorf("autoscale: Target must be positive")
 	}
-	return &Autoscaler{cfg: cfg.withDefaults(), sinceAct: 1 << 30}, nil
+	if cfg.Min < 1 {
+		cfg.Min = 1
+	}
+	if cfg.Max <= 0 {
+		cfg.Max = 1 << 30
+	}
+	return &Autoscaler{cfg: cfg, sinceAct: cooldown}, nil
 }
 
 // Observe records one iteration's execute time on the given staging-area
-// size and returns the action to take before the next iteration.
+// size as an observation of its own and returns the action to take before
+// the next iteration.
 func (a *Autoscaler) Observe(execTime time.Duration, servers int) Action {
-	return a.step(Sample{Exec: execTime, Servers: servers}).Action
+	return a.ObserveBatch([]Sample{{Exec: execTime, Servers: servers}}).Action
 }
 
-// ObserveBatch feeds a batch of samples (one metrics poll may cover
-// several completed iterations) and returns the batch's decisive verdict:
-// the action taken if any sample triggered one — at most one can, because
-// an action opens a cooldown — otherwise the last hold. An empty batch is
-// an idle hold and records nothing.
+// ObserveBatch feeds one observation: the samples of every iteration one
+// metrics poll covers. During a cooldown the whole batch is held;
+// otherwise the first sample that triggers an action decides and the rest
+// are dropped, so a batch yields at most one action. Without an action the
+// verdict is the last sample's hold. An empty batch is an idle hold and
+// does not count as an observation.
 func (a *Autoscaler) ObserveBatch(batch []Sample) Verdict {
 	if len(batch) == 0 {
 		return Verdict{Action: Hold, Reason: "idle"}
 	}
-	out := Verdict{Action: Hold, Reason: "idle"}
-	for _, s := range batch {
-		if v := a.step(s); v.Action != Hold || out.Action == Hold {
-			out = v
-		}
-	}
-	return out
-}
-
-func (a *Autoscaler) step(s Sample) Verdict {
-	now := a.cfg.Clock()
 	a.sinceAct++
-	if a.sinceAct < a.cfg.Cooldown {
-		a.overStreak, a.underStreak = 0, 0
+	if a.sinceAct < cooldown {
 		return Verdict{Action: Hold, Reason: "cooldown"}
 	}
-	if a.windowRemaining(now) > 0 {
-		a.overStreak, a.underStreak = 0, 0
-		return Verdict{Action: Hold, Reason: "cooldown-window"}
+	var v Verdict
+	for _, s := range batch {
+		if v = a.decide(s); v.Action != Hold {
+			a.sinceAct = 0
+			break
+		}
 	}
+	return v
+}
+
+func (a *Autoscaler) decide(s Sample) Verdict {
 	target := a.cfg.Target.Seconds()
-	secs := s.Exec.Seconds()
-	over := secs > target*highWater
-	under := !over && projected(s, s.Servers-1) < target*lowWater
-	if over {
-		a.overStreak++
-	} else {
-		a.overStreak = 0
-	}
-	if under {
-		a.underStreak++
-	} else {
-		a.underStreak = 0
-	}
 	switch {
-	case over && s.Servers >= a.cfg.Max:
-		return Verdict{Action: Hold, Reason: "at-ceiling"}
-	case over && a.overStreak < a.cfg.Confirm:
-		return Verdict{Action: Hold, Reason: "confirming-up"}
-	case over:
-		a.act(now)
+	case s.Exec.Seconds() > target*highWater:
+		if s.Servers >= a.cfg.Max {
+			return Verdict{Action: Hold, Reason: "at-ceiling"}
+		}
 		return Verdict{Action: ScaleUp, Reason: "over-target"}
-	case under && s.Servers <= a.cfg.Min:
-		return Verdict{Action: Hold, Reason: "at-floor"}
-	case under && a.underStreak < a.cfg.Confirm:
-		return Verdict{Action: Hold, Reason: "confirming-down"}
-	case under:
-		a.act(now)
+	case projected(s, s.Servers-1) < target*lowWater:
+		if s.Servers <= a.cfg.Min {
+			return Verdict{Action: Hold, Reason: "at-floor"}
+		}
 		return Verdict{Action: ScaleDown, Reason: "under-low-water"}
 	}
 	return Verdict{Action: Hold, Reason: "steady"}
 }
 
-func (a *Autoscaler) act(now time.Duration) {
-	a.sinceAct = 0
-	a.actedAt = now
-	a.hasActed = true
-	a.overStreak, a.underStreak = 0, 0
-}
-
-// StartCooldown opens a fresh cooldown (count and window) as if the
-// policy had just acted. Controllers call it when external events — a
-// leadership takeover, a failed actuation settling — should suppress
-// decisions until fresh post-event observations accumulate.
-func (a *Autoscaler) StartCooldown() {
-	a.act(a.cfg.Clock())
-}
-
-// CooldownRemaining reports how much of the cooldown window is left on
-// the policy clock (zero when no window is configured or it elapsed).
-func (a *Autoscaler) CooldownRemaining() time.Duration {
-	return a.windowRemaining(a.cfg.Clock())
-}
-
-func (a *Autoscaler) windowRemaining(now time.Duration) time.Duration {
-	if !a.hasActed || a.cfg.CooldownWindow <= 0 {
-		return 0
-	}
-	if left := a.actedAt + a.cfg.CooldownWindow - now; left > 0 {
-		return left
-	}
-	return 0
-}
+// StartCooldown opens a fresh cooldown as if the policy had just acted:
+// the next non-empty batch is held. Controllers call it on a leadership
+// takeover, so the new leader decides only on observations gathered after
+// it took over.
+func (a *Autoscaler) StartCooldown() { a.sinceAct = 0 }
 
 // projected estimates the execution time of observation s on n servers,
 // assuming the parallel part scales with 1/servers (the pipelines are

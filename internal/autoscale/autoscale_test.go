@@ -69,16 +69,13 @@ func TestRespectsBounds(t *testing.T) {
 }
 
 func TestCooldownSuppressesFlapping(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8, Cooldown: 3})
+	a := mustNew(t, Config{Target: time.Second, Max: 8})
 	if got := a.Observe(5*time.Second, 1); got != ScaleUp {
 		t.Fatalf("first: %v", got)
 	}
-	// Next two observations are in cooldown even though still over.
+	// The next observation is in cooldown even though still over.
 	if got := a.Observe(5*time.Second, 2); got != Hold {
-		t.Fatalf("cooldown 1: %v", got)
-	}
-	if got := a.Observe(5*time.Second, 2); got != Hold {
-		t.Fatalf("cooldown 2: %v", got)
+		t.Fatalf("cooldown: %v", got)
 	}
 	if got := a.Observe(5*time.Second, 2); got != ScaleUp {
 		t.Fatalf("after cooldown: %v", got)
@@ -88,7 +85,7 @@ func TestCooldownSuppressesFlapping(t *testing.T) {
 // A growing workload (DWI-like) must drive the size up monotonically and
 // keep the controlled time bounded, assuming ideal 1/n scaling.
 func TestTracksGrowingWorkload(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 16, Cooldown: 1})
+	a := mustNew(t, Config{Target: time.Second, Max: 16})
 	servers := 1
 	maxSeen := 0.0
 	for it := 0; it < 30; it++ {
@@ -134,7 +131,7 @@ func TestObserveRetainsNoHistory(t *testing.T) {
 
 // A shrinking workload must eventually release servers.
 func TestReleasesServersWhenWorkloadShrinks(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Min: 1, Max: 16, Cooldown: 1})
+	a := mustNew(t, Config{Target: time.Second, Min: 1, Max: 16})
 	servers := 8
 	work := 0.4 // tiny work on many servers
 	downs := 0
@@ -159,72 +156,13 @@ func TestActionStrings(t *testing.T) {
 	}
 }
 
-// The injectable clock must drive the cooldown window without any real
-// sleeping.
-func TestCooldownWindowOnVirtualClock(t *testing.T) {
-	var now time.Duration
-	a := mustNew(t, Config{
-		Target: time.Second, Max: 8, Cooldown: 1,
-		CooldownWindow: 10 * time.Second,
-		Clock:          func() time.Duration { return now },
-	})
-	if got := a.ObserveBatch([]Sample{{Exec: 5 * time.Second, Servers: 1}}); got.Action != ScaleUp {
-		t.Fatalf("first: %+v", got)
-	}
-	now += 5 * time.Second
-	if got := a.ObserveBatch([]Sample{{Exec: 5 * time.Second, Servers: 2}}); got.Reason != "cooldown-window" {
-		t.Fatalf("inside window: %+v", got)
-	}
-	if left := a.CooldownRemaining(); left != 5*time.Second {
-		t.Fatalf("remaining = %v", left)
-	}
-	now += 6 * time.Second
-	if got := a.ObserveBatch([]Sample{{Exec: 5 * time.Second, Servers: 2}}); got.Action != ScaleUp {
-		t.Fatalf("after window: %+v", got)
-	}
-	// The second action, at 11s on the clock, opened a fresh window.
-	if left := a.CooldownRemaining(); left != 10*time.Second {
-		t.Fatalf("remaining after the second action = %v", left)
-	}
-}
-
-// Confirm > 1 must hold through a single spike and act only on a
-// sustained breach.
-func TestConfirmHysteresis(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8, Confirm: 2, Cooldown: 1})
-	if got := a.ObserveBatch([]Sample{{Exec: 5 * time.Second, Servers: 2}}); got.Reason != "confirming-up" {
-		t.Fatalf("spike sample: %+v", got)
-	}
-	// Spike over: the streak resets and nothing ever fires.
-	if got := a.ObserveBatch([]Sample{{Exec: 900 * time.Millisecond, Servers: 2}}); got.Reason != "steady" {
-		t.Fatalf("back to steady: %+v", got)
-	}
-	// A sustained breach fires on the second confirming observation.
-	if got := a.Observe(5*time.Second, 2); got != Hold {
-		t.Fatalf("confirm 1/2: %v", got)
-	}
-	if got := a.Observe(5*time.Second, 2); got != ScaleUp {
-		t.Fatalf("confirm 2/2: %v", got)
-	}
-}
-
-func TestConfirmHysteresisDown(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8, Confirm: 2, Cooldown: 1})
-	if got := a.ObserveBatch([]Sample{{Exec: 100 * time.Millisecond, Servers: 4}}); got.Reason != "confirming-down" {
-		t.Fatalf("dip sample: %+v", got)
-	}
-	if got := a.Observe(100*time.Millisecond, 4); got != ScaleDown {
-		t.Fatal("sustained dip should release a server")
-	}
-}
-
 func TestObserveBatchSemantics(t *testing.T) {
 	a := mustNew(t, Config{Target: time.Second, Max: 8})
 	if got := a.ObserveBatch(nil); got.Reason != "idle" || got.Action != Hold {
 		t.Fatalf("empty batch: %+v", got)
 	}
-	// A batch spanning the breach returns the action, not the later holds
-	// (the post-action samples land in the count cooldown).
+	// A batch spanning the breach returns the action, not the later holds;
+	// the samples after the action are dropped.
 	got := a.ObserveBatch([]Sample{
 		{Exec: 500 * time.Millisecond, Servers: 1},
 		{Exec: 5 * time.Second, Servers: 1},
@@ -233,21 +171,28 @@ func TestObserveBatchSemantics(t *testing.T) {
 	if got.Action != ScaleUp || got.Reason != "over-target" {
 		t.Fatalf("batch verdict: %+v", got)
 	}
-	// Every sample was observed: the third spent the one-observation
-	// cooldown, so the next breach acts at once.
-	if got := a.Observe(5*time.Second, 2); got != ScaleUp {
-		t.Fatalf("after the batch: %v", got)
+	// The cooldown counts batches: the whole next batch is held, however
+	// many iterations it covers, and the one after it acts.
+	breach := []Sample{{Exec: 5 * time.Second, Servers: 2}, {Exec: 5 * time.Second, Servers: 2}}
+	if got := a.ObserveBatch(breach); got.Action != Hold || got.Reason != "cooldown" {
+		t.Fatalf("batch after the action: %+v", got)
+	}
+	if got := a.ObserveBatch(breach); got.Action != ScaleUp {
+		t.Fatalf("batch after the cooldown: %+v", got)
+	}
+	if got := a.ObserveBatch(nil); got.Reason != "idle" {
+		t.Fatalf("empty batch in cooldown: %+v", got)
+	}
+	if got := a.ObserveBatch(breach); got.Reason != "cooldown" {
+		t.Fatalf("an empty batch spent the cooldown: %+v", got)
 	}
 }
 
 func TestStartCooldownSuppresses(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8, Cooldown: 3})
+	a := mustNew(t, Config{Target: time.Second, Max: 8})
 	a.StartCooldown()
-	if got := a.Observe(5*time.Second, 1); got != Hold {
-		t.Fatalf("cooldown ignored after StartCooldown: %v", got)
-	}
-	if got := a.Observe(5*time.Second, 1); got != Hold {
-		t.Fatalf("cooldown 2: %v", got)
+	if got := a.ObserveBatch([]Sample{{Exec: 5 * time.Second, Servers: 1}}); got.Reason != "cooldown" {
+		t.Fatalf("cooldown ignored after StartCooldown: %+v", got)
 	}
 	if got := a.Observe(5*time.Second, 1); got != ScaleUp {
 		t.Fatalf("after cooldown: %v", got)
@@ -255,7 +200,7 @@ func TestStartCooldownSuppresses(t *testing.T) {
 }
 
 func TestVerdictReasonsForBounds(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Min: 2, Max: 3, Cooldown: 1})
+	a := mustNew(t, Config{Target: time.Second, Min: 2, Max: 3})
 	if got := a.ObserveBatch([]Sample{{Exec: 5 * time.Second, Servers: 3}}); got.Reason != "at-ceiling" {
 		t.Fatalf("ceiling: %+v", got)
 	}
@@ -268,7 +213,7 @@ func TestVerdictReasonsForBounds(t *testing.T) {
 // when applied, never push the size outside [Min, Max].
 func TestQuickBoundsRespected(t *testing.T) {
 	f := func(obs []uint16) bool {
-		a, err := New(Config{Target: time.Second, Min: 2, Max: 6, Cooldown: 1})
+		a, err := New(Config{Target: time.Second, Min: 2, Max: 6})
 		if err != nil {
 			return false
 		}

@@ -21,8 +21,7 @@ import (
 // staging area and its block distribution are real; the observed execute
 // time is reconstructed from counted work like every pipeline figure's,
 // with the join iterations' warm-up left out (the policy's cooldown skips
-// them), so the run's shape is identical on every machine and the
-// autoscaler advances on a virtual clock fed by the modeled durations.
+// them), so the run's shape is identical on every machine.
 func ExtAutoscale(quick bool) (*Table, error) {
 	dwi := sim.DWIConfig{Blocks: 64, Iterations: 24, BaseRes: 32, GrowthRes: 3}
 	width := 256
@@ -52,14 +51,7 @@ func ExtAutoscale(quick bool) (*Table, error) {
 	}
 	defer cl.Shutdown()
 
-	// The policy's clock is the simulated run time: every iteration
-	// advances it by the modeled execute duration, so cooldown behavior is
-	// as deterministic as the observations themselves.
-	var vt time.Duration
-	as, err := autoscale.New(autoscale.Config{
-		Target: target, Min: 1, Max: maxServers, Cooldown: 2,
-		Clock: func() time.Duration { return vt },
-	})
+	as, err := autoscale.New(autoscale.Config{Target: target, Min: 1, Max: maxServers})
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +70,6 @@ func ExtAutoscale(quick bool) (*Table, error) {
 		}
 		secs := simPipelineSeconds(volumeCost, statsFromResults(results, false), vstack.MoNA, fb)
 
-		vt += time.Duration(secs * float64(time.Second))
 		action := as.Observe(time.Duration(secs*float64(time.Second)), live)
 		t.Add(it, live, secs, action.String())
 		switch action {

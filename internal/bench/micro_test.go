@@ -26,7 +26,8 @@ import (
 )
 
 // Allocation gates on the pooled hot paths: stage → pull → composite, the
-// batcher's enqueue, and a warm iso execute. Each path has an env that
+// batcher's enqueue, a warm iso execute, and the buffer pool's own
+// get/put cycle under all of them. Each path has an env that
 // builds the smallest deployment able to run it and an op that is one
 // measured operation; the AllocsCeiling tests pin the op's allocs/op and the
 // `go test -bench` wrappers time the same op (make bench-smoke runs them once
@@ -524,6 +525,22 @@ func TestBulkPullAllocsCeiling(t *testing.T) {
 	t.Logf("bulk pull: %.1f allocs/op (ceiling %.1f)", allocs, ceilBulkPullAllocs)
 	if allocs > ceilBulkPullAllocs {
 		t.Errorf("bulk pull allocs/op = %.1f, ceiling %.1f", allocs, ceilBulkPullAllocs)
+	}
+}
+
+// TestBufpoolCycleAllocsCeiling: a steady-state recycle of a large class
+// allocates neither the payload nor a slice header on the Put side. Under
+// the race detector sync.Pool drops Puts at random, so a Get can miss.
+func TestBufpoolCycleAllocsCeiling(t *testing.T) {
+	skipUnderRace(t)
+	bufpool.Put(bufpool.Get(1 << 20))
+	allocs := testing.AllocsPerRun(100, func() {
+		x := bufpool.Get(1 << 20)
+		x[0] = 1
+		bufpool.Put(x)
+	})
+	if allocs >= 1 {
+		t.Fatalf("get/put cycle allocates %.1f times per op", allocs)
 	}
 }
 

@@ -67,18 +67,3 @@ func TestForeignCapacityPut(t *testing.T) {
 	}
 	Put(b)
 }
-
-func TestAllocsPerGetPutCycle(t *testing.T) {
-	// Steady-state recycle of a large class allocates neither the payload
-	// nor a slice header on the Put side.
-	b := Get(1 << 20)
-	Put(b)
-	allocs := testing.AllocsPerRun(100, func() {
-		x := Get(1 << 20)
-		x[0] = 1
-		Put(x)
-	})
-	if allocs >= 1 {
-		t.Fatalf("get/put cycle allocates %.1f times per op", allocs)
-	}
-}

@@ -3,6 +3,7 @@ package catalyst
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -87,6 +88,45 @@ func TestVolumePipelineThroughColza(t *testing.T) {
 			t.Fatal("no PNG from rank 0")
 		}
 		if err := h.Deactivate(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestVolumePipelineRendersNaNAndInfScalars: one staged block of garbage
+// scalars must render, not panic the server's execute. Viridis turns the
+// normalized scalar into a palette index, which int(NaN) made negative.
+func TestVolumePipelineRendersNaNAndInfScalars(t *testing.T) {
+	factory, _ := core.LookupPipelineType(VolumePipelineType)
+	for _, cmap := range []string{"viridis", "coolwarm"} {
+		cfg, _ := json.Marshal(VolumeConfig{Field: "velocity", Width: 32, Height: 32, ScalarRange: [2]float64{0, 2}, ColorMap: cmap})
+		b, err := factory(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := sim.DWIIterationBlock(sim.DWIConfig{Blocks: 1, Iterations: 4, BaseRes: 6, GrowthRes: 1}, 1, 0)
+		vel, err := g.CellArray("velocity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		garbage := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+		for i := range vel.Data {
+			vel.Data[i] = garbage[i%len(garbage)]
+		}
+		if err := b.Activate(core.IterationContext{Iteration: 1, Size: 1, Comm: newSingletonComm(t)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Stage(1, core.BlockMeta{Field: "velocity", Type: "ugrid"}, g.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.Execute(1)
+		if err != nil {
+			t.Fatalf("%s: %v", cmap, err)
+		}
+		if res.Summary["cells"] == 0 {
+			t.Fatalf("%s: no cells rendered", cmap)
+		}
+		if err := b.Deactivate(1); err != nil {
 			t.Fatal(err)
 		}
 	}

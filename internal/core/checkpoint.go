@@ -265,6 +265,32 @@ func (p *Provider) handleCheckpointState(req mercury.Request) ([]byte, error) {
 	return []byte("ok"), nil
 }
 
+// dropSuperseded runs after a successful deactivate. A held entry of this
+// pipeline whose origin took part in the iteration is older than the round
+// that origin sends after it. When this server is among the origin's first
+// R ring successors in the iteration's view, that round comes here and
+// replaces the entry in place, so the entry stays: should the round never
+// come (the origin crashed first, or every transfer failed), it is the
+// newest state there is. Otherwise the round goes elsewhere — a scale-up
+// moved the origin's ring successor — and the entry is dropped: kept, it
+// would make this server a second importer when the origin crashes (its
+// replica list names it first), and the state would be imported twice. The
+// rule assumes every server runs with the same replica count.
+func (p *Provider) dropSuperseded(pipeline string, view MemberView, iteration uint64) {
+	self, r := p.mi.Addr(), p.replicaCount()
+	p.ckptMu.Lock()
+	defer p.ckptMu.Unlock()
+	for k, e := range p.ckpts {
+		if k.pipeline != pipeline || e.iteration >= iteration || view.RankOf(k.origin) < 0 {
+			continue
+		}
+		ring := ringSuccessors(view, k.origin)
+		if !slices.Contains(ring[:min(r, len(ring))], self) {
+			delete(p.ckpts, k)
+		}
+	}
+}
+
 // heldCheckpoint pairs a held entry with its key, outside ckptMu.
 type heldCheckpoint struct {
 	key   ckptKey

@@ -15,11 +15,11 @@ import (
 )
 
 // leaveBlocks 100-byte blocks are staged per iteration, whatever the view
-// (6 divides evenly over 1, 2 and 3 servers), so after two iterations the
-// fault-free sum of "total" over the ranks is leaveOracle.
+// (6 divides evenly over 1, 2 and 3 servers), so after n iterations the
+// fault-free sum of "total" over the ranks is n * leaveIterBytes.
 const (
-	leaveBlocks = 6
-	leaveOracle = 2 * leaveBlocks * 100
+	leaveBlocks    = 6
+	leaveIterBytes = leaveBlocks * 100
 )
 
 var ckptRPC = margo.ProviderRPCName(ProviderID, "checkpoint_state")
@@ -28,9 +28,13 @@ var ckptRPC = margo.ProviderRPCName(ProviderID, "checkpoint_state")
 // servers have departed (left or crashed) so far.
 type leaveRun struct {
 	*deployment
-	t    *testing.T
-	r    int // -state-replicas of every server; 0 is off
-	gone map[int]bool
+	t     *testing.T
+	r     int // -state-replicas of every server; 0 is off
+	gone  map[int]bool
+	iters uint64 // iterations run so far
+	// lost is the state a schedule destroys on purpose: bytes a crashed
+	// origin accumulated after its last replicated round.
+	lost float64
 }
 
 func (l *leaveRun) survivors() []*Server {
@@ -107,10 +111,13 @@ func (l *leaveRun) prepare(s *Server) {
 	}
 }
 
-// iterate runs one iteration from the first survivor and returns the sum of
-// "total" over the ranks; mid, when non-nil, runs between stage and execute.
-func (l *leaveRun) iterate(it uint64, mid func()) float64 {
+// iterate runs the next iteration from the first survivor and returns the
+// sum of "total" over the ranks; mid, when non-nil, runs between stage and
+// execute.
+func (l *leaveRun) iterate(mid func()) float64 {
 	l.t.Helper()
+	l.iters++
+	it := l.iters
 	h := l.client.Handle("acc", l.survivors()[0].Addr())
 	h.SetTimeout(5 * time.Second)
 	if _, err := h.Activate(it); err != nil {
@@ -139,7 +146,7 @@ func (l *leaveRun) iterate(it uint64, mid func()) float64 {
 }
 
 // leaveSchedule is one row of the table: what happens to a deployment
-// between (or during) its first and second iteration.
+// between (or during) its first and last iteration.
 type leaveSchedule struct {
 	name    string
 	servers int
@@ -147,7 +154,7 @@ type leaveSchedule struct {
 	partial bool              // the leavers report state without a taker
 	waits   bool              // sits out a checkpoint timeout: its runs overlap
 	during  func(l *leaveRun) // between stage and execute of iteration 1
-	between func(l *leaveRun) // between the iterations
+	between func(l *leaveRun) // between the first and the last iteration
 }
 
 // leaveSchedules is the table of leave and crash schedules. Every row is
@@ -254,6 +261,49 @@ var leaveSchedules = []leaveSchedule{
 				l.t.Fatalf("leaver counted %d failed attempts, want 3", n)
 			}
 		}},
+	{name: "stale/scale-up-then-origin-crash", servers: 2, minR: 1,
+		between: func(l *leaveRun) {
+			// srv1 holds srv0's iteration-1 round. "srv0a" joins and sorts
+			// between them, so srv0's iteration-2 round goes to srv0a: srv1's
+			// entry is stale, and must not make srv1 a second importer when
+			// srv0 crashes.
+			l.join("srv0a")
+			if sum := l.iterate(nil); sum != 2*leaveIterBytes {
+				l.t.Fatalf("iteration 2 sum = %v, want %v", sum, 2*leaveIterBytes)
+			}
+			l.crash(0)
+		}},
+	{name: "stale/origin-crash-before-its-next-round", servers: 2, minR: 1, waits: true,
+		between: func(l *leaveRun) {
+			// srv0 crashes between iteration 2's execute and deactivate: srv1
+			// deactivates, srv0 never sends its iteration-2 round. That round
+			// would have replaced srv1's entry in place (srv1 is srv0's ring
+			// successor), so srv1 keeps its iteration-1 entry and recovers
+			// it; only srv0's iteration-2 share, never replicated, is lost.
+			l.iters++
+			it := l.iters
+			h := l.client.Handle("acc", l.servers[0].Addr())
+			h.SetTimeout(time.Second)
+			if _, err := h.Activate(it); err != nil {
+				l.t.Fatalf("activate(%d): %v", it, err)
+			}
+			for b := 0; b < leaveBlocks; b++ {
+				if err := h.Stage(it, BlockMeta{BlockID: b}, make([]byte, 100)); err != nil {
+					l.t.Fatalf("stage(%d, %d): %v", it, b, err)
+				}
+			}
+			if _, err := h.Execute(it); err != nil {
+				l.t.Fatalf("execute(%d): %v", it, err)
+			}
+			l.crash(0)
+			if err := h.Deactivate(it); err == nil {
+				l.t.Fatal("deactivate reached the crashed origin")
+			}
+			if held := l.servers[1].Provider.HeldCheckpoints(); held != 1 {
+				l.t.Fatalf("srv1 holds %d checkpoints after deactivate(2), want srv0's iteration-1 entry", held)
+			}
+			l.lost = leaveIterBytes / 2
+		}},
 }
 
 // runLeaveSchedules runs the rows of one family under every replica count.
@@ -291,8 +341,8 @@ func runLeaveSchedule(t *testing.T, row leaveSchedule, r int) {
 	if row.during != nil {
 		during = func() { row.during(l) }
 	}
-	if sum := l.iterate(1, during); sum != leaveOracle/2 {
-		t.Fatalf("iteration 1 sum = %v, want %v", sum, leaveOracle/2)
+	if sum := l.iterate(during); sum != leaveIterBytes {
+		t.Fatalf("iteration 1 sum = %v, want %v", sum, leaveIterBytes)
 	}
 	row.between(l)
 
@@ -313,17 +363,17 @@ func runLeaveSchedule(t *testing.T, row leaveSchedule, r int) {
 		}
 	}
 
-	if sum := l.iterate(2, nil); sum != leaveOracle {
-		t.Fatalf("sum of totals after the schedule = %v, want %v (state lost or imported twice)", sum, leaveOracle)
+	if sum, want := l.iterate(nil), float64(l.iters*leaveIterBytes)-l.lost; sum != want {
+		t.Fatalf("sum of totals after the schedule = %v, want %v (state lost or imported twice)", sum, want)
 	}
 	live := l.survivors()
 	var recovered int64
 	for _, s := range live {
 		recovered += s.Obs.Counter("core.state.recover.count", "pipeline", "acc").Value()
-		// Iteration 2's rounds replaced whatever the schedule handed around:
+		// The last iteration's rounds replaced whatever the schedule handed around:
 		// each survivor holds its R ring predecessors' state and nothing else.
 		if held, want := s.Provider.HeldCheckpoints(), min(r, len(live)-1); held != want {
-			t.Errorf("%s holds %d checkpoints after iteration 2, want %d", s.Addr(), held, want)
+			t.Errorf("%s holds %d checkpoints after the last iteration, want %d", s.Addr(), held, want)
 		}
 	}
 	if recovered != int64(departed) {
@@ -360,6 +410,12 @@ func TestMigrateRetriesAndCountsDrop(t *testing.T) { runLeaveSchedules(t, "redel
 func TestFailedMigrationFallsBackToCheckpointRecovery(t *testing.T) {
 	runLeaveSchedules(t, "dropped")
 }
+
+// TestStaleHeldCheckpointNotImported: a holder whose origin moved its ring
+// successor in a scale-up drops the entry it kept, so a later crash of the
+// origin imports its state once, from the newest round; a holder the next
+// round comes back to keeps its entry until that round lands.
+func TestStaleHeldCheckpointNotImported(t *testing.T) { runLeaveSchedules(t, "stale") }
 
 // TestMigrateStateRefusedWhileLeaving: a leaving server must not accept a
 // checkpoint (it would strand it on departure).

@@ -760,6 +760,7 @@ func (p *Provider) handleDeactivate(req mercury.Request) ([]byte, error) {
 		// The iteration's state is now quiescent: replicate it before the
 		// client can activate the next view (which may no longer contain
 		// this server).
+		p.dropSuperseded(slot.name, st.view, msg.Iteration)
 		p.checkpointSlot(slot, nil)
 	}
 	p.iterDone(req.Defer)

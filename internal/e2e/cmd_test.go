@@ -298,7 +298,7 @@ func TestElasticCommandLine(t *testing.T) {
 	// (the sensed group is idle, so it never will); floor 1 and an idle
 	// load keep the deployment static while we read the control plane.
 	startServer("elastic-leader", "-elastic", "-elastic-target", "50ms",
-		"-elastic-poll", "25ms", "-elastic-cooldown", "200ms", "-elastic-ceiling", "2")
+		"-elastic-poll", "25ms", "-elastic-ceiling", "2")
 	deadline := time.Now().Add(20 * time.Second)
 	var target string
 	for time.Now().Before(deadline) {
@@ -405,12 +405,12 @@ func TestElasticProcessRelaunchCarriesController(t *testing.T) {
 	connFile := filepath.Join(dir, "colza.addr")
 
 	// Target 2ms: any real iso execute overshoots it, so the first sensed
-	// batch triggers a launch. The 30s cooldown keeps it to one.
+	// batch triggers a launch. The ceiling of 2 keeps it to one.
 	cmd := exec.Command(serverBin,
 		"-listen", "127.0.0.1:0", "-listen-mona", "127.0.0.1:0",
 		"-connfile", connFile, "-gossip-ms", "20", "-sm-dir", dir,
 		"-elastic", "-elastic-target", "2ms", "-elastic-poll", "50ms",
-		"-elastic-cooldown", "30s", "-elastic-ceiling", "2")
+		"-elastic-ceiling", "2")
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

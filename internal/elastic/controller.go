@@ -11,6 +11,11 @@
 // the head of the sorted membership and takes over, opening a fresh
 // cooldown so decisions resume only on post-takeover observations.
 //
+// Both actuations are synchronous: a Tick returns only once the view shows
+// the joiner, or no longer shows the member asked to leave. The policy's
+// one-observation cooldown therefore never has to cover an actuation that
+// is still in flight.
+//
 // All time flows through an injectable clock and sleep, so the
 // conformance suite drives the whole state machine on the dessim virtual
 // clock with zero real-time sleeps.
@@ -21,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,20 +42,13 @@ type Config struct {
 	Target time.Duration
 	// Floor and Ceiling bound the group size (defaults 1 and 8).
 	Floor, Ceiling int
-	// Confirm is how many consecutive confirming observations the policy
-	// needs before acting (default 1).
-	Confirm int
-	// Cooldown is the time window held after an action or takeover
-	// (default 2s). CooldownObs is the observation-count cooldown the
-	// policy keeps on top (default 2).
-	Cooldown    time.Duration
-	CooldownObs int
 	// Poll is the sensing loop period (default 250ms).
 	Poll time.Duration
 	// LaunchRetries bounds the launch attempts per scale-up verdict
 	// (default 3); LaunchBackoff is the first retry delay, doubled per
-	// attempt (default 100ms); JoinTimeout bounds how long a launched
-	// daemon may take to appear in the membership (default 10s).
+	// attempt (default 100ms); JoinTimeout bounds how long the view may
+	// take to settle after an actuation — a launched daemon to appear in
+	// it, or a released one to leave it (default 10s).
 	LaunchRetries int
 	LaunchBackoff time.Duration
 	JoinTimeout   time.Duration
@@ -57,7 +56,7 @@ type Config struct {
 	HistoryCap int
 	// Clock and Sleep inject the time source; nil means wall time. They
 	// must agree (sleeping advances the clock).
-	Clock autoscale.Clock
+	Clock func() time.Duration
 	Sleep func(time.Duration)
 }
 
@@ -67,12 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Ceiling <= 0 {
 		c.Ceiling = 8
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.CooldownObs < 1 {
-		c.CooldownObs = 2
 	}
 	if c.Poll <= 0 {
 		c.Poll = 250 * time.Millisecond
@@ -138,17 +131,16 @@ type Verdict struct {
 
 // Status is the document `colza-ctl elastic status` renders.
 type Status struct {
-	Self       string           `json:"self"`
-	Leader     bool             `json:"leader"`
-	Running    bool             `json:"running"`
-	Members    []string         `json:"members"`
-	Floor      int              `json:"floor"`
-	Ceiling    int              `json:"ceiling"`
-	TargetMS   float64          `json:"target_ms"`
-	CooldownMS int64            `json:"cooldown_ms"`
-	Counters   map[string]int64 `json:"counters"`
-	Gauges     map[string]int64 `json:"gauges"`
-	Verdicts   []Verdict        `json:"verdicts"`
+	Self     string           `json:"self"`
+	Leader   bool             `json:"leader"`
+	Running  bool             `json:"running"`
+	Members  []string         `json:"members"`
+	Floor    int              `json:"floor"`
+	Ceiling  int              `json:"ceiling"`
+	TargetMS float64          `json:"target_ms"`
+	Counters map[string]int64 `json:"counters"`
+	Gauges   map[string]int64 `json:"gauges"`
+	Verdicts []Verdict        `json:"verdicts"`
 }
 
 // Controller is the closed-loop scaling controller.
@@ -162,7 +154,7 @@ type Controller struct {
 	launchAttempts, launchErrs *obs.Counter
 	leaveErrs, provisionErrs   *obs.Counter
 	holds, takeovers, senseErr *obs.Counter
-	gLeader, gServers, gCdMS   *obs.Gauge
+	gLeader, gServers          *obs.Gauge
 
 	mu          sync.Mutex
 	as          *autoscale.Autoscaler
@@ -192,15 +184,7 @@ func NewController(cfg Config, deps Deps) (*Controller, error) {
 	if deps.Launcher == nil {
 		deps.Launcher = LauncherFunc(func() error { return errors.New("elastic: no launcher") })
 	}
-	as, err := autoscale.New(autoscale.Config{
-		Target:         cfg.Target,
-		Min:            cfg.Floor,
-		Max:            cfg.Ceiling,
-		Cooldown:       cfg.CooldownObs,
-		CooldownWindow: cfg.Cooldown,
-		Confirm:        cfg.Confirm,
-		Clock:          cfg.Clock,
-	})
+	as, err := autoscale.New(autoscale.Config{Target: cfg.Target, Min: cfg.Floor, Max: cfg.Ceiling})
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +201,6 @@ func NewController(cfg Config, deps Deps) (*Controller, error) {
 	c.senseErr = c.reg.Counter("elastic.sense_errors")
 	c.gLeader = c.reg.Gauge("elastic.leader")
 	c.gServers = c.reg.Gauge("elastic.servers")
-	c.gCdMS = c.reg.Gauge("elastic.cooldown_ms")
 	return c, nil
 }
 
@@ -235,7 +218,6 @@ func (c *Controller) Tick(batch []autoscale.Sample) Verdict {
 	leader := c.evalLeadershipLocked(members)
 	c.gServers.Set(int64(n))
 	if !leader {
-		c.gCdMS.Set(0)
 		v := c.recordLocked(now, autoscale.Hold.String(), "not-leader", n, batch, false)
 		c.mu.Unlock()
 		c.holds.Inc()
@@ -244,7 +226,6 @@ func (c *Controller) Tick(batch []autoscale.Sample) Verdict {
 	if len(batch) == 0 {
 		// No iterations completed since the last poll: nothing to decide,
 		// nothing recorded (the ring holds decisions, not idle polls).
-		c.gCdMS.Set(c.as.CooldownRemaining().Milliseconds())
 		c.mu.Unlock()
 		return Verdict{Action: autoscale.Hold.String(), Reason: "idle", Servers: n, AtMS: now.Milliseconds()}
 	}
@@ -252,7 +233,6 @@ func (c *Controller) Tick(batch []autoscale.Sample) Verdict {
 		batch[i].Servers = n
 	}
 	pv := c.as.ObserveBatch(batch)
-	c.gCdMS.Set(c.as.CooldownRemaining().Milliseconds())
 	c.mu.Unlock()
 
 	actuated := false
@@ -268,12 +248,11 @@ func (c *Controller) Tick(batch []autoscale.Sample) Verdict {
 		victim := scaleDownVictim(members, c.deps.Self)
 		if victim == "" {
 			reason += "; no-victim"
-		} else if err := c.deps.Leave(victim); err != nil {
+		} else if actuated = c.scaleDown(victim); actuated {
+			c.scaledowns.Inc()
+		} else {
 			c.leaveErrs.Inc()
 			reason += "; leave-failed"
-		} else {
-			actuated = true
-			c.scaledowns.Inc()
 		}
 	default:
 		c.holds.Inc()
@@ -348,7 +327,16 @@ func (c *Controller) scaleUp(members []string) bool {
 			c.launchErrs.Inc()
 			continue
 		}
-		if addr := c.waitJoin(prior); addr != "" {
+		var addr string
+		if c.waitView(func(members []string) bool {
+			for _, m := range members {
+				if !prior[m] {
+					addr = m
+					return true
+				}
+			}
+			return false
+		}) {
 			if c.deps.Provision != nil {
 				if err := c.deps.Provision(addr); err != nil {
 					c.provisionErrs.Inc()
@@ -361,28 +349,30 @@ func (c *Controller) scaleUp(members []string) bool {
 	return false
 }
 
-// waitJoin polls the membership for an address not in prior, up to
-// JoinTimeout on the controller clock.
-func (c *Controller) waitJoin(prior map[string]bool) string {
+// scaleDown asks victim to leave and waits until the view no longer shows
+// it. A server defers a leave until its active iteration ends, so the
+// request returns before the departure; waiting for it keeps the next
+// Tick from counting the same member again and asking it (or another) to
+// leave. False means the RPC failed or the view never settled.
+func (c *Controller) scaleDown(victim string) bool {
+	if err := c.deps.Leave(victim); err != nil {
+		return false
+	}
+	return c.waitView(func(members []string) bool { return !slices.Contains(members, victim) })
+}
+
+// waitView polls the membership until settled accepts it, up to
+// JoinTimeout on the controller clock, and reports whether it did.
+func (c *Controller) waitView(settled func(members []string) bool) bool {
 	deadline := c.cfg.Clock() + c.cfg.JoinTimeout
-	quantum := c.cfg.JoinTimeout / 50
-	if quantum < time.Millisecond {
-		quantum = time.Millisecond
-	}
-	if quantum > 100*time.Millisecond {
-		quantum = 100 * time.Millisecond
-	}
-	for {
-		for _, m := range c.deps.Members() {
-			if !prior[m] {
-				return m
-			}
-		}
+	quantum := min(max(c.cfg.JoinTimeout/50, time.Millisecond), 100*time.Millisecond)
+	for !settled(c.deps.Members()) {
 		if c.cfg.Clock() >= deadline {
-			return ""
+			return false
 		}
 		c.cfg.Sleep(quantum)
 	}
+	return true
 }
 
 // scaleDownVictim picks the member to release: the last of the sorted
@@ -453,15 +443,14 @@ func (c *Controller) Status() Status {
 	members := c.deps.Members()
 	c.mu.Lock()
 	st := Status{
-		Self:       c.deps.Self,
-		Leader:     c.deps.Self == "" || (len(members) > 0 && members[0] == c.deps.Self),
-		Running:    c.running,
-		Members:    members,
-		Floor:      c.cfg.Floor,
-		Ceiling:    c.cfg.Ceiling,
-		TargetMS:   float64(c.cfg.Target) / float64(time.Millisecond),
-		CooldownMS: c.as.CooldownRemaining().Milliseconds(),
-		Verdicts:   append([]Verdict(nil), c.verdicts...),
+		Self:     c.deps.Self,
+		Leader:   c.deps.Self == "" || (len(members) > 0 && members[0] == c.deps.Self),
+		Running:  c.running,
+		Members:  members,
+		Floor:    c.cfg.Floor,
+		Ceiling:  c.cfg.Ceiling,
+		TargetMS: float64(c.cfg.Target) / float64(time.Millisecond),
+		Verdicts: append([]Verdict(nil), c.verdicts...),
 	}
 	c.mu.Unlock()
 	snap := c.reg.Snapshot()
@@ -491,8 +480,8 @@ func (c *Controller) StatusJSON() ([]byte, error) {
 func WriteStatus(w io.Writer, st Status) {
 	fmt.Fprintf(w, "self    %s\n", st.Self)
 	fmt.Fprintf(w, "leader  %v  running %v\n", st.Leader, st.Running)
-	fmt.Fprintf(w, "members %d  floor %d  ceiling %d  target %.1fms  cooldown %dms\n",
-		len(st.Members), st.Floor, st.Ceiling, st.TargetMS, st.CooldownMS)
+	fmt.Fprintf(w, "members %d  floor %d  ceiling %d  target %.1fms\n",
+		len(st.Members), st.Floor, st.Ceiling, st.TargetMS)
 	names := make([]string, 0, len(st.Counters))
 	for name := range st.Counters {
 		names = append(names, name)

@@ -31,8 +31,7 @@ func TestCoreDepsLiveScaleUpAndDown(t *testing.T) {
 	deps := CoreDeps(self, cl.Servers[0].Group.Members, cl.Admin,
 		LauncherFunc(func() error { _, err := cl.AddServer(); return err }), reg)
 	c, err := NewController(Config{
-		Target: 100 * time.Millisecond, Floor: 1, Ceiling: 2, Confirm: 1,
-		CooldownObs: 1, Cooldown: time.Millisecond, LaunchRetries: 1,
+		Target: 100 * time.Millisecond, Floor: 1, Ceiling: 2, LaunchRetries: 1,
 		JoinTimeout: 30 * time.Second,
 	}, deps)
 	if err != nil {
@@ -60,22 +59,18 @@ func TestCoreDepsLiveScaleUpAndDown(t *testing.T) {
 		t.Fatalf("provision_errors=%d", pe)
 	}
 
-	// Cooldown expired (1ms window) — an under-target batch must release
-	// the newcomer through the admin leave RPC.
-	time.Sleep(5 * time.Millisecond)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		v = c.Tick([]autoscale.Sample{{Exec: 10 * time.Millisecond}})
-		if v.Action == "scale-down" && v.Actuated {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never scaled down; last verdict: %+v", v)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The first under-target batch is the cooldown's; the second must
+	// release the newcomer through the admin leave RPC, and the verdict
+	// returns only once the leader's view no longer shows it.
+	under := []autoscale.Sample{{Exec: 10 * time.Millisecond}}
+	if v = c.Tick(under); v.Reason != "cooldown" {
+		t.Fatalf("post-scale-up verdict: %+v", v)
 	}
-	if err := cl.WaitSize(1, 30*time.Second); err != nil {
-		t.Fatal(err)
+	if v = c.Tick(under); v.Action != "scale-down" || !v.Actuated {
+		t.Fatalf("under-target verdict: %+v", v)
+	}
+	if n := len(cl.Servers[0].Group.Members()); n != 1 {
+		t.Fatalf("leader's view holds %d members after an actuated scale-down, want 1", n)
 	}
 	up, down := reg.Counter("elastic.scaleups").Value(), reg.Counter("elastic.scaledowns").Value()
 	att, lerr := reg.Counter("elastic.launch_attempts").Value(), reg.Counter("elastic.launch_errors").Value()

@@ -189,16 +189,15 @@ func TestProcessLauncherErrors(t *testing.T) {
 
 func TestWriteStatusFormat(t *testing.T) {
 	st := Status{
-		Self:       "tcp://a:1",
-		Leader:     true,
-		Running:    true,
-		Members:    []string{"tcp://a:1", "tcp://b:2"},
-		Floor:      1,
-		Ceiling:    4,
-		TargetMS:   100,
-		CooldownMS: 1500,
-		Counters:   map[string]int64{"elastic.scaleups": 2, "elastic.holds": 7},
-		Gauges:     map[string]int64{"elastic.leader": 1},
+		Self:     "tcp://a:1",
+		Leader:   true,
+		Running:  true,
+		Members:  []string{"tcp://a:1", "tcp://b:2"},
+		Floor:    1,
+		Ceiling:  4,
+		TargetMS: 100,
+		Counters: map[string]int64{"elastic.scaleups": 2, "elastic.holds": 7},
+		Gauges:   map[string]int64{"elastic.leader": 1},
 		Verdicts: []Verdict{
 			{Seq: 0, AtMS: 100, Action: "scale-up", Reason: "over-target", Servers: 1, ExecMS: 250, Actuated: true},
 		},
@@ -209,7 +208,7 @@ func TestWriteStatusFormat(t *testing.T) {
 	for _, want := range []string{
 		"self    tcp://a:1",
 		"leader  true  running true",
-		"members 2  floor 1  ceiling 4  target 100.0ms  cooldown 1500ms",
+		"members 2  floor 1  ceiling 4  target 100.0ms\n",
 		"counter elastic.holds 7",
 		"counter elastic.scaleups 2",
 		"gauge elastic.leader 1",
@@ -280,8 +279,7 @@ func TestSensingLoopScalesUp(t *testing.T) {
 	counts := map[string]int64{"m00": 0}
 	reg := obs.NewRegistry()
 	c, err := NewController(Config{
-		Target: 50 * time.Millisecond, Ceiling: 2, Confirm: 1,
-		CooldownObs: 1, Cooldown: time.Millisecond, Poll: 2 * time.Millisecond,
+		Target: 50 * time.Millisecond, Ceiling: 2, Poll: 2 * time.Millisecond,
 		LaunchRetries: 1, JoinTimeout: time.Second,
 	}, Deps{
 		Self: "m00",

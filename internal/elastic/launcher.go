@@ -8,7 +8,7 @@ import (
 
 // Launcher starts one new staging server. Launch returns once the daemon
 // is spawned; joining the group is observed separately by the controller
-// through the membership (waitJoin), which is what catches a daemon that
+// through the membership (waitView), which is what catches a daemon that
 // crashes before joining.
 type Launcher interface {
 	Launch() error

@@ -156,8 +156,11 @@ func Viridis(t float64) (uint8, uint8, uint8) {
 	return uint8(a[0] + u*(b[0]-a[0])), uint8(a[1] + u*(b[1]-a[1])), uint8(a[2] + u*(b[2]-a[2]))
 }
 
+// clamp01 maps t into [0, 1]. NaN maps to 0: a colormap turns t into an
+// index, and int(NaN) is negative, so one garbage scalar would otherwise
+// panic a render.
 func clamp01(t float64) float64 {
-	if t < 0 {
+	if !(t >= 0) {
 		return 0
 	}
 	if t > 1 {
