@@ -92,7 +92,8 @@ fi
 # the stack leans on (metrics math, collective algorithms, image
 # compositing). 90%: the codec layer, which decodes whatever a client staged
 # (the untrusted side of the wire); the elastic controller, which actuates
-# real process launches and membership leaves; and, per file, the client
+# real process launches and membership leaves, and the autoscale policy
+# whose verdicts it actuates; and, per file, the client
 # stage path — the frame codec (it also decodes what a client sent), the one
 # send function every Stage goes through, the batcher, whose retry
 # re-exposes a shared payload long after the callers' buffers were recycled,
@@ -106,7 +107,7 @@ fi
 # the mmap/open/truncate error branches); and the cost model every number
 # of Figs. 5-10 and ext-autoscale is computed in.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
-check_cover 90 ./internal/codec/ ./internal/elastic/
+check_cover 90 ./internal/codec/ ./internal/elastic/ ./internal/autoscale/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
 check_cover 90 ./internal/na/arena.go
 check_cover 90 ./internal/bench/simtime.go

@@ -42,9 +42,7 @@ func main() {
 	stateReplicas := flag.Int("state-replicas", 1, "ring successors receiving each stateful pipeline's checkpoint after deactivate (0 disables the durability layer)")
 	elasticOn := flag.Bool("elastic", false, "embed the closed-loop scaling controller (the SWIM leader's controller actuates)")
 	elasticTarget := flag.Duration("elastic-target", time.Second, "desired per-iteration execute time the controller steers toward")
-	elasticFloor := flag.Int("elastic-floor", 1, "minimum staging-area size the controller may scale down to")
 	elasticCeiling := flag.Int("elastic-ceiling", 8, "maximum staging-area size the controller may scale up to")
-	elasticPoll := flag.Duration("elastic-poll", 250*time.Millisecond, "metrics sensing period of the controller loop")
 	flag.Parse()
 
 	catalyst.Register()
@@ -106,11 +104,12 @@ func main() {
 	fmt.Printf("colza-server: pools control=%d/%d data=%d/%d (workers/queue)\n",
 		pools.Control.Workers, pools.Control.Queue, pools.Data.Workers, pools.Data.Queue)
 
-	// With -elastic every daemon embeds a controller; only the one whose
-	// address heads the sorted membership (the SWIM leader) actuates, and
-	// leadership hands off automatically when that daemon dies. Scale-up
-	// re-execs this binary against the shared connection file, so the new
-	// daemon bootstraps and carries its own controller for future handoffs.
+	// With -elastic every daemon embeds a controller, fed by its own
+	// executes; only the one whose address heads the sorted membership (the
+	// SWIM leader) actuates, and leadership hands off automatically when
+	// that daemon dies. Scale-up re-execs this binary against the shared
+	// connection file, so the new daemon bootstraps and carries its own
+	// controller for future handoffs.
 	var elasticCtl *elastic.Controller
 	if *elasticOn {
 		binary, err := os.Executable()
@@ -133,9 +132,7 @@ func main() {
 				"-state-replicas", fmt.Sprint(*stateReplicas),
 				"-elastic=true",
 				"-elastic-target", elasticTarget.String(),
-				"-elastic-floor", fmt.Sprint(*elasticFloor),
 				"-elastic-ceiling", fmt.Sprint(*elasticCeiling),
-				"-elastic-poll", elasticPoll.String(),
 			},
 			Stdout: os.Stderr,
 			Stderr: os.Stderr,
@@ -143,19 +140,16 @@ func main() {
 		admin := core.NewAdminClient(srv.MI)
 		elasticCtl, err = elastic.NewController(elastic.Config{
 			Target:  *elasticTarget,
-			Floor:   *elasticFloor,
 			Ceiling: *elasticCeiling,
-			Poll:    *elasticPoll,
 		}, elastic.CoreDeps(srv.Addr(), srv.Group.Members, admin, launcher, srv.Obs))
 		if err != nil {
 			fatal("elastic controller: %v", err)
 		}
-		srv.Provider.SetElasticStatus(elasticCtl.StatusJSON)
+		srv.Provider.SetElastic(elasticCtl)
 		if err := elasticCtl.Start(); err != nil {
 			fatal("elastic controller: %v", err)
 		}
-		fmt.Printf("colza-server: elastic controller on (target=%v floor=%d ceiling=%d poll=%v)\n",
-			*elasticTarget, *elasticFloor, *elasticCeiling, *elasticPoll)
+		fmt.Printf("colza-server: elastic controller on (target=%v ceiling=%d)\n", *elasticTarget, *elasticCeiling)
 	}
 
 	// Leave requests arriving via the admin interface shut us down.

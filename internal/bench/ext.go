@@ -51,7 +51,7 @@ func ExtAutoscale(quick bool) (*Table, error) {
 	}
 	defer cl.Shutdown()
 
-	as, err := autoscale.New(autoscale.Config{Target: target, Min: 1, Max: maxServers})
+	as, err := autoscale.New(autoscale.Config{Target: target, Max: maxServers})
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func ExtAutoscale(quick bool) (*Table, error) {
 		}
 		secs := simPipelineSeconds(volumeCost, statsFromResults(results, false), vstack.MoNA, fb)
 
-		action := as.Observe(time.Duration(secs*float64(time.Second)), live)
+		action := as.Observe(time.Duration(secs*float64(time.Second)), live).Action
 		t.Add(it, live, secs, action.String())
 		switch action {
 		case autoscale.ScaleUp:

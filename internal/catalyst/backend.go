@@ -1,6 +1,7 @@
 package catalyst
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -22,25 +23,36 @@ const (
 func Register() {
 	core.RegisterPipelineType(IsoPipelineType, func(cfg json.RawMessage) (core.Backend, error) {
 		var c IsoConfig
-		if len(cfg) > 0 {
-			if err := json.Unmarshal(cfg, &c); err != nil {
-				return nil, fmt.Errorf("catalyst: iso config: %w", err)
-			}
+		if err := decodeConfig("iso", cfg, &c); err != nil {
+			return nil, err
 		}
 		c.withDefaults()
 		return &IsoPipeline{cfg: c}, nil
 	})
 	core.RegisterPipelineType(VolumePipelineType, func(cfg json.RawMessage) (core.Backend, error) {
 		var c VolumeConfig
-		if len(cfg) > 0 {
-			if err := json.Unmarshal(cfg, &c); err != nil {
-				return nil, fmt.Errorf("catalyst: volume config: %w", err)
-			}
+		if err := decodeConfig("volume", cfg, &c); err != nil {
+			return nil, err
 		}
 		c.withDefaults()
 		return &VolumePipeline{cfg: c}, nil
 	})
 	registerStats()
+}
+
+// decodeConfig decodes a pipeline's JSON config into c, refusing keys c
+// does not have, so a misspelt option fails the create instead of
+// silently rendering with its default. An empty config leaves c zero.
+func decodeConfig(kind string, cfg json.RawMessage, c any) error {
+	if len(cfg) == 0 {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(cfg))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(c); err != nil {
+		return fmt.Errorf("catalyst: %s config: %w", kind, err)
+	}
+	return nil
 }
 
 // IsoPipeline is the Colza backend running the iso pipeline body (the one

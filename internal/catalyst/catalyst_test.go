@@ -3,6 +3,7 @@ package catalyst
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,6 +268,35 @@ func TestConfigDefaultsAndBadJSON(t *testing.T) {
 	vp := b.(*VolumePipeline)
 	if vp.cfg.Width != 512 || vp.cfg.Field != "velocity" {
 		t.Fatalf("defaults not applied: %+v", vp.cfg)
+	}
+}
+
+// A misspelt option must fail the create, not render with its default:
+// `iso_values` is not `isovalues`. Every catalyst factory refuses unknown
+// keys, and the refusal reaches the admin client.
+func TestConfigRefusesUnknownKeys(t *testing.T) {
+	for _, typ := range []string{IsoPipelineType, VolumePipelineType, StatsPipelineType} {
+		factory, _ := core.LookupPipelineType(typ)
+		if _, err := factory(json.RawMessage(`{"field":"value","iso_values":[8]}`)); err == nil {
+			t.Errorf("%s accepted an unknown key", typ)
+		}
+	}
+	net := na.NewInprocNetwork()
+	s, err := core.StartInprocServer(net, "strict0", core.ServerConfig{SSG: ssg.Config{GossipPeriod: 5 * time.Millisecond, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	ep, _ := net.Listen("strict-client")
+	mi := margo.NewInstance(ep)
+	defer mi.Finalize()
+	admin := core.NewAdminClient(mi)
+	err = admin.CreatePipeline(s.Addr(), "viz", IsoPipelineType, json.RawMessage(`{"field":"value","iso_values":[8]}`))
+	if err == nil || !strings.Contains(err.Error(), "iso_values") {
+		t.Fatalf("create_pipeline with a misspelt key: err = %v", err)
+	}
+	if err := admin.CreatePipeline(s.Addr(), "viz", IsoPipelineType, json.RawMessage(`{"field":"value","isovalues":[8]}`)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package catalyst
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"sync"
 	"testing"
 
@@ -121,5 +122,31 @@ func TestGoldenIsoOutput(t *testing.T) {
 	}
 	if got := sha(fb.Encode()); got != goldenIsoFramebuffer {
 		t.Errorf("local framebuffer hash %s, want %s", got, goldenIsoFramebuffer)
+	}
+}
+
+// TestGoldenIsoSurvivesNaNAndInf runs the golden blocks on one rank with
+// NaN, +Inf and -Inf planted through the contoured field: one garbage
+// block must come back as an iteration, not as an execute error or a
+// panic on the server.
+func TestGoldenIsoSurvivesNaNAndInf(t *testing.T) {
+	slabs := goldenSlabs(t)
+	poisoned := slabs[1]
+	field, err := poisoned.PointArray("V")
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := 0; i < len(field.Data); i += 7 {
+		field.Data[i] = garbage[(i/7)%len(garbage)]
+	}
+	world := minimpi.World(1)
+	defer world[0].Finalize()
+	st, img, err := ExecuteIso(vtk.NewController("mpi", world[0]), slabs, goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LocalTriangles == 0 || img == nil || img.CoveredPixels() == 0 {
+		t.Fatalf("nothing rendered around the garbage block: %d triangles", st.LocalTriangles)
 	}
 }

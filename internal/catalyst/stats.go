@@ -108,10 +108,8 @@ func newOriginID() string {
 func registerStats() {
 	core.RegisterPipelineType(StatsPipelineType, func(cfg json.RawMessage) (core.Backend, error) {
 		var c StatsConfig
-		if len(cfg) > 0 {
-			if err := json.Unmarshal(cfg, &c); err != nil {
-				return nil, fmt.Errorf("catalyst: stats config: %w", err)
-			}
+		if err := decodeConfig("stats", cfg, &c); err != nil {
+			return nil, err
 		}
 		if c.Field == "" {
 			c.Field = "value"

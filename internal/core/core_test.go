@@ -204,6 +204,56 @@ func (d *deployment) createEverywhere(t *testing.T, name string) {
 	}
 }
 
+// elasticRecorder is an Elastic that keeps what the server hands it.
+type elasticRecorder struct {
+	mu      sync.Mutex
+	samples [][2]int64 // exec ns, servers
+}
+
+func (r *elasticRecorder) StatusJSON() ([]byte, error) { return []byte(`{"recorder":true}`), nil }
+
+func (r *elasticRecorder) Executed(exec time.Duration, servers int) {
+	r.mu.Lock()
+	r.samples = append(r.samples, [2]int64{int64(exec), int64(servers)})
+	r.mu.Unlock()
+}
+
+// The embedded controller's seam: each successful execute hands the
+// controller its wall time and the pinned view's size, and the
+// elastic_status RPC is served from the same controller.
+func TestExecuteFeedsElastic(t *testing.T) {
+	d := deploy(t, 2)
+	d.createEverywhere(t, "viz")
+	if _, err := d.admin.ElasticStatus(d.servers[0].Addr()); err == nil {
+		t.Fatal("elastic_status answered without a controller")
+	}
+	rec := &elasticRecorder{}
+	d.servers[0].Provider.SetElastic(rec)
+	h := d.client.Handle("viz", d.servers[0].Addr())
+	h.SetTimeout(2 * time.Second)
+	if _, err := h.Activate(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Execute(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Execute(99); err == nil {
+		t.Fatal("execute on the wrong iteration succeeded")
+	}
+	if err := h.Deactivate(1); err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	samples := rec.samples
+	rec.mu.Unlock()
+	if len(samples) != 1 || samples[0][0] <= 0 || samples[0][1] != 2 {
+		t.Fatalf("samples %v, want one positive execute time on a 2-server view", samples)
+	}
+	if raw, err := d.admin.ElasticStatus(d.servers[0].Addr()); err != nil || string(raw) != `{"recorder":true}` {
+		t.Fatalf("elastic_status = %s, %v", raw, err)
+	}
+}
+
 func TestSingleServerLifecycle(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
@@ -476,8 +526,25 @@ func TestAdminPipelineManagement(t *testing.T) {
 	if err := d.admin.CreatePipeline(addr, "p1", "mock", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.admin.CreatePipeline(addr, "p1", "mock", nil); err == nil {
-		t.Fatal("duplicate create should fail")
+	// Repeating an identical create succeeds without constructing a second
+	// backend; the same name with another type or config is refused.
+	mockMu.Lock()
+	built := len(mockInsts)
+	mockMu.Unlock()
+	if err := d.admin.CreatePipeline(addr, "p1", "mock", nil); err != nil {
+		t.Fatalf("identical create: %v", err)
+	}
+	mockMu.Lock()
+	built = len(mockInsts) - built
+	mockMu.Unlock()
+	if built != 0 {
+		t.Fatalf("identical create constructed %d backends", built)
+	}
+	if err := d.admin.CreatePipeline(addr, "p1", "mock", json.RawMessage(`{"x":1}`)); err == nil {
+		t.Fatal("create with another config should fail")
+	}
+	if err := d.admin.CreatePipeline(addr, "p1", "failing", nil); err == nil {
+		t.Fatal("create with another type should fail")
 	}
 	if err := d.admin.CreatePipeline(addr, "p2", "no-such-type", nil); err == nil {
 		t.Fatal("unknown type should fail")

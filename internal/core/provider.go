@@ -151,9 +151,9 @@ type Provider struct {
 	leaving       bool
 	left          bool
 	onLeave       func()
-	stateReplicas int                    // ring successors per checkpoint round; 0 disables
-	lastMigration *MigrationStatus       // outcome of the leave round
-	elasticStatus func() ([]byte, error) // elastic controller status hook (nil without -elastic)
+	stateReplicas int                     // ring successors per checkpoint round; 0 disables
+	lastMigration *MigrationStatus        // outcome of the leave round
+	elastic       atomic.Pointer[Elastic] // read lock-free on every execute; nil without -elastic
 
 	// Replicated-checkpoint store (see checkpoint.go): checkpoints held for
 	// peers.
@@ -294,8 +294,15 @@ func (p *Provider) OnLeave(fn func()) {
 }
 
 // CreatePipeline instantiates a pipeline locally (also reachable via the
-// admin RPC).
+// admin RPC). Repeating a create with the same type and config bytes is a
+// no-op; the same name with another definition is an error.
 func (p *Provider) CreatePipeline(name, typeName string, config json.RawMessage) error {
+	p.mu.Lock()
+	old := p.pipelines[name]
+	p.mu.Unlock()
+	if old != nil && old.typeName == typeName && bytes.Equal(old.config, config) {
+		return nil
+	}
 	f, ok := LookupPipelineType(typeName)
 	if !ok {
 		return fmt.Errorf("colza: unknown pipeline type %q (known: %v)", typeName, PipelineTypes())
@@ -720,9 +727,12 @@ func (p *Provider) handleExecute(req mercury.Request) ([]byte, error) {
 	defer st.inflight.Done()
 	sp := p.observer().StartSpan("srv.execute", obs.SpanKey{Pipeline: msg.Pipeline, Iteration: msg.Iteration, Rank: st.rank})
 	res, err := slot.backend.Execute(msg.Iteration)
-	sp.End(err)
+	exec := sp.End(err)
 	if err != nil {
 		return nil, err
+	}
+	if e := p.elastic.Load(); e != nil {
+		(*e).Executed(exec, len(st.view.Members))
 	}
 	return json.Marshal(res)
 }
@@ -942,23 +952,25 @@ func (p *Provider) handlePipelineDefs(req mercury.Request) ([]byte, error) {
 	return json.Marshal(p.PipelineDefs())
 }
 
-// SetElasticStatus installs the callback serving the elastic controller's
-// status document. The hook keeps core free of an elastic import: servers
-// without a controller answer the RPC with an error instead.
-func (p *Provider) SetElasticStatus(fn func() ([]byte, error)) {
-	p.mu.Lock()
-	p.elasticStatus = fn
-	p.mu.Unlock()
+// Elastic is the scaling controller a server embeds, declared here so core
+// need not import internal/elastic. It serves the elastic_status admin RPC
+// and is handed every successful execute's wall time (the srv.execute
+// span) with the size of the view it ran on; Executed must not block.
+type Elastic interface {
+	StatusJSON() ([]byte, error)
+	Executed(exec time.Duration, servers int)
 }
 
+// SetElastic installs the embedded controller. Servers without one answer
+// elastic_status with an error.
+func (p *Provider) SetElastic(c Elastic) { p.elastic.Store(&c) }
+
 func (p *Provider) handleElasticStatus(req mercury.Request) ([]byte, error) {
-	p.mu.Lock()
-	fn := p.elasticStatus
-	p.mu.Unlock()
-	if fn == nil {
+	c := p.elastic.Load()
+	if c == nil {
 		return nil, errors.New("colza: no elastic controller on this server")
 	}
-	return fn()
+	return (*c).StatusJSON()
 }
 
 // handleTrace serves the retained span records as JSON lines.

@@ -295,10 +295,10 @@ func TestElasticCommandLine(t *testing.T) {
 	}
 
 	// A high ceiling would let the controller launch daemons on its own
-	// (the sensed group is idle, so it never will); floor 1 and an idle
-	// load keep the deployment static while we read the control plane.
+	// (no iteration executes, so it never will); the idle load keeps the
+	// deployment static while we read the control plane.
 	startServer("elastic-leader", "-elastic", "-elastic-target", "50ms",
-		"-elastic-poll", "25ms", "-elastic-ceiling", "2")
+		"-elastic-ceiling", "2")
 	deadline := time.Now().Add(20 * time.Second)
 	var target string
 	for time.Now().Before(deadline) {
@@ -320,8 +320,8 @@ func TestElasticCommandLine(t *testing.T) {
 		return string(out)
 	}
 
-	// The controller ticks every 25ms; once the leader gauge is up the
-	// status document is fully populated.
+	// A status query evaluates leadership itself, so the idle leader's
+	// gauge is up once the daemon answers.
 	var status string
 	deadline = time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
@@ -334,7 +334,7 @@ func TestElasticCommandLine(t *testing.T) {
 	for _, want := range []string{
 		"self    " + target,
 		"leader  true  running true",
-		"floor 1  ceiling 2  target 50.0ms",
+		"ceiling 2  target 50.0ms",
 		"counter elastic.scaleups 0",
 		"counter elastic.scaledowns 0",
 		"counter elastic.launch_attempts 0",
@@ -405,11 +405,11 @@ func TestElasticProcessRelaunchCarriesController(t *testing.T) {
 	connFile := filepath.Join(dir, "colza.addr")
 
 	// Target 2ms: any real iso execute overshoots it, so the first sensed
-	// batch triggers a launch. The ceiling of 2 keeps it to one.
+	// execute triggers a launch. The ceiling of 2 keeps it to one.
 	cmd := exec.Command(serverBin,
 		"-listen", "127.0.0.1:0", "-listen-mona", "127.0.0.1:0",
 		"-connfile", connFile, "-gossip-ms", "20", "-sm-dir", dir,
-		"-elastic", "-elastic-target", "2ms", "-elastic-poll", "50ms",
+		"-elastic", "-elastic-target", "2ms",
 		"-elastic-ceiling", "2")
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
@@ -444,7 +444,7 @@ func TestElasticProcessRelaunchCarriesController(t *testing.T) {
 	ctl("create-all", "viz", catalyst.IsoPipelineType,
 		`{"field":"value","isovalues":[8],"scalar_range":[0,32],"width":48,"height":48}`)
 
-	// Drive iterations until the controller's sensed batch launches a
+	// Drive iterations until the controller's sensed execute launches a
 	// second daemon (the launched process joins via the conn file).
 	ep, err := na.ListenTCP("127.0.0.1:0")
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"colza/internal/autoscale"
 	"colza/internal/catalyst"
 	"colza/internal/core"
 	"colza/internal/elastic"
@@ -186,9 +185,9 @@ func (a *elasticArm) shutdownAll() {
 	}
 }
 
-// startController wires a controller to the arm through CoreDeps — the
-// exact production wiring of cmd/colza-server — and starts its sensing
-// loop.
+// startController wires a controller to the arm's first server through
+// CoreDeps and that server's execute hook — the exact production wiring
+// of cmd/colza-server — and starts its loop.
 func (a *elasticArm) startController(cfg elastic.Config) *elastic.Controller {
 	a.t.Helper()
 	ctl, err := elastic.NewController(cfg,
@@ -196,6 +195,7 @@ func (a *elasticArm) startController(cfg elastic.Config) *elastic.Controller {
 	if err != nil {
 		a.t.Fatal(err)
 	}
+	a.s0().Provider.SetElastic(ctl)
 	if err := ctl.Start(); err != nil {
 		a.t.Fatal(err)
 	}
@@ -218,13 +218,13 @@ func assertLaunchConservation(t *testing.T, reg *obs.Registry) {
 }
 
 var elasticCtlConfig = elastic.Config{
-	Target: 50 * time.Millisecond, Floor: 1, Ceiling: 2, Poll: 10 * time.Millisecond,
+	Target: 50 * time.Millisecond, Ceiling: 2,
 	LaunchRetries: 2, JoinTimeout: 20 * time.Second,
 }
 
 // TestElasticScaleUpThenDownMatchesOracle is the live closed loop end to
 // end: a scripted slow phase pushes execute past the target, the
-// controller senses it through the admin metrics RPCs and launches a real
+// controller senses it in the leader's execute handler and launches a real
 // second server (provisioned with the pipeline via pipeline_defs); when
 // the load drops, it releases that server through the admin leave RPC —
 // whose graceful migration carries the stateful pipeline's moments back.
@@ -419,15 +419,15 @@ func TestElasticLaunchFailureRetriesLive(t *testing.T) {
 		return arm.launch()
 	})
 	ctl, err := elastic.NewController(elastic.Config{
-		Target: 50 * time.Millisecond, Floor: 1, Ceiling: 2,
+		Target: 50 * time.Millisecond, Ceiling: 2,
 		LaunchRetries: 2, LaunchBackoff: 20 * time.Millisecond, JoinTimeout: 400 * time.Millisecond,
 	}, elastic.CoreDeps(arm.s0().Addr(), arm.s0().Group.Members, arm.admin, launcher, arm.reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// One synthetic over-target batch against the real actuators.
-	v := ctl.Tick([]autoscale.Sample{{Exec: 500 * time.Millisecond}})
+	// One synthetic over-target execute against the real actuators.
+	v := ctl.Tick(500*time.Millisecond, 1)
 	if v.Action != "scale-up" || !v.Actuated {
 		t.Fatalf("verdict: %+v", v)
 	}
@@ -460,15 +460,15 @@ func TestElasticLeaderCrashHandsOff(t *testing.T) {
 	follower := arm.server(1)
 
 	ctl, err := elastic.NewController(elastic.Config{
-		Target: 50 * time.Millisecond, Floor: 1, Ceiling: 3,
+		Target: 50 * time.Millisecond, Ceiling: 3,
 		LaunchRetries: 2, JoinTimeout: 20 * time.Second,
 	}, elastic.CoreDeps(follower.Addr(), follower.Group.Members, arm.admin, elastic.LauncherFunc(arm.launch), arm.reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	over := []autoscale.Sample{{Exec: 500 * time.Millisecond}}
-	if v := ctl.Tick(over); v.Action != "hold" || v.Reason != "not-leader" {
+	const over = 500 * time.Millisecond
+	if v := ctl.Tick(over, 2); v.Action != "hold" || v.Reason != "not-leader" {
 		t.Fatalf("follower verdict with leader alive: %+v", v)
 	}
 
@@ -483,7 +483,7 @@ func TestElasticLeaderCrashHandsOff(t *testing.T) {
 	}
 
 	// First tick after the crash: takeover, and a fresh cooldown guards it.
-	if v := ctl.Tick(over); v.Action != "hold" || v.Reason != "cooldown" {
+	if v := ctl.Tick(over, 1); v.Action != "hold" || v.Reason != "cooldown" {
 		t.Fatalf("first post-takeover verdict: %+v", v)
 	}
 	if tk := arm.counter("elastic.takeovers"); tk != 1 {
@@ -494,7 +494,7 @@ func TestElasticLeaderCrashHandsOff(t *testing.T) {
 	}
 
 	// The second tick after the takeover actuates for real.
-	v := ctl.Tick(over)
+	v := ctl.Tick(over, 1)
 	if v.Action != "scale-up" || !v.Actuated {
 		t.Fatalf("post-cooldown verdict: %+v", v)
 	}

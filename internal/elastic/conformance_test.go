@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"colza/internal/autoscale"
 	"colza/internal/dessim"
 	"colza/internal/obs"
 )
@@ -115,33 +114,30 @@ func newConfHarness(t *testing.T, seed int64, cfg Config, self string, fc *fakeC
 }
 
 // drive ticks the controller once per interval with the scripted execute
-// times, one iteration per tick, and returns one formatted line per
-// verdict.
+// times, each run on the live membership, and returns one formatted line
+// per verdict.
 func (h *confHarness) drive(interval time.Duration, trace []time.Duration) []string {
 	h.t.Helper()
-	polls := make([][]time.Duration, len(trace))
+	samples := make([]sample, len(trace))
 	for i, exec := range trace {
-		polls[i] = []time.Duration{exec}
+		samples[i].exec = exec
 	}
-	return h.drivePolls(interval, polls)
+	return h.driveSamples(interval, samples)
 }
 
-// drivePolls is drive with a batch per tick: each poll lists the execute
-// times of the iterations completed since the previous one.
-func (h *confHarness) drivePolls(interval time.Duration, polls [][]time.Duration) []string {
+// driveSamples is drive with the view size of each execute scripted too;
+// a zero size means the live membership's.
+func (h *confHarness) driveSamples(interval time.Duration, samples []sample) []string {
 	h.t.Helper()
 	var lines []string
 	h.sim.Spawn("driver", func(p *dessim.Proc) {
 		h.proc = p
-		for _, poll := range polls {
+		for _, s := range samples {
 			p.Sleep(interval)
-			batch := make([]autoscale.Sample, len(poll))
-			for i, exec := range poll {
-				batch[i].Exec = exec
+			if s.servers == 0 {
+				s.servers = len(h.fc.list())
 			}
-			v := h.c.Tick(batch)
-			lines = append(lines, fmt.Sprintf("at=%04dms %s reason=%s servers=%d actuated=%v",
-				v.AtMS, v.Action, v.Reason, v.Servers, v.Actuated))
+			lines = append(lines, verdictLine(h.c.Tick(s.exec, s.servers)))
 		}
 	})
 	if err := h.sim.Run(); err != nil {
@@ -151,6 +147,11 @@ func (h *confHarness) drivePolls(interval time.Duration, polls [][]time.Duration
 }
 
 func (h *confHarness) counter(name string) int64 { return h.reg.Counter(name).Value() }
+
+func verdictLine(v Verdict) string {
+	return fmt.Sprintf("at=%04dms %s reason=%s servers=%d actuated=%v",
+		v.AtMS, v.Action, v.Reason, v.Servers, v.Actuated)
+}
 
 func assertLines(t *testing.T, got, want []string) {
 	t.Helper()
@@ -170,7 +171,7 @@ func TestConformanceRampScalesToCeiling(t *testing.T) {
 		trace = append(trace, time.Duration(20+15*i)*ms)
 	}
 	h := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 3, LaunchRetries: 1, JoinTimeout: time.Second,
+		Target: 100 * ms, Ceiling: 3, LaunchRetries: 1, JoinTimeout: time.Second,
 	}, "m00", newFakeCluster("m00"), nil)
 	got := h.drive(100*ms, trace)
 	assertLines(t, got, []string{
@@ -207,7 +208,7 @@ func TestConformanceSpikeScalesUpOnce(t *testing.T) {
 	trace := []time.Duration{50 * ms, 50 * ms, 50 * ms, 50 * ms, 50 * ms,
 		500 * ms, 50 * ms, 50 * ms, 50 * ms, 50 * ms}
 	h := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 4,
+		Target: 100 * ms, Ceiling: 4,
 	}, "m00", newFakeCluster("m00", "m01"), nil)
 	got := h.drive(100*ms, trace)
 	want := []string{
@@ -240,7 +241,7 @@ func TestConformanceOscillationActsEveryOtherSample(t *testing.T) {
 		trace = append(trace, 120*ms, 40*ms)
 	}
 	h := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 4,
+		Target: 100 * ms, Ceiling: 4,
 	}, "m00", newFakeCluster("m00", "m01"), nil)
 	got := h.drive(100*ms, trace)
 	assertLines(t, got, []string{
@@ -268,7 +269,7 @@ func TestConformanceFloorCeilingClamps(t *testing.T) {
 	ms := time.Millisecond
 	trace := []time.Duration{500 * ms, 500 * ms, 10 * ms, 10 * ms, 10 * ms, 10 * ms, 10 * ms, 10 * ms}
 	h := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 3,
+		Target: 100 * ms, Ceiling: 3,
 	}, "m00", newFakeCluster("m00", "m01", "m02"), nil)
 	got := h.drive(100*ms, trace)
 	assertLines(t, got, []string{
@@ -296,7 +297,7 @@ func TestConformanceNoiseByteIdentical(t *testing.T) {
 	run := func(seed int64) []string {
 		fc := newFakeCluster("m00")
 		h := newConfHarness(t, seed, Config{
-			Target: 100 * ms, Floor: 1, Ceiling: 4,
+			Target: 100 * ms, Ceiling: 4,
 		}, "m00", fc, nil)
 		rng := h.sim.Rand()
 		var trace []time.Duration
@@ -323,7 +324,7 @@ func TestConformanceNoiseByteIdentical(t *testing.T) {
 func TestConformanceLaunchFailureRetries(t *testing.T) {
 	ms := time.Millisecond
 	h := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 3,
+		Target: 100 * ms, Ceiling: 3,
 		LaunchRetries: 3, LaunchBackoff: 50 * ms, JoinTimeout: time.Second,
 	}, "m00", newFakeCluster("m00"),
 		func() error { return errors.New("injected launch failure") })
@@ -350,7 +351,7 @@ func TestConformanceLaunchFailureRetries(t *testing.T) {
 func TestConformanceCrashBeforeJoinTimesOut(t *testing.T) {
 	ms := time.Millisecond
 	h := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 3,
+		Target: 100 * ms, Ceiling: 3,
 		LaunchRetries: 2, LaunchBackoff: 50 * ms, JoinTimeout: 500 * ms,
 	}, "m00", newFakeCluster("m00"),
 		func() error { return nil }) // "launched", but never joins
@@ -375,16 +376,14 @@ func TestConformanceLeaderHandoff(t *testing.T) {
 	ms := time.Millisecond
 	fc := newFakeCluster("m00", "m01")
 	h := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 3,
+		Target: 100 * ms, Ceiling: 3,
 	}, "m01", fc, nil)
 	var lines []string
 	h.sim.Spawn("driver", func(p *dessim.Proc) {
 		h.proc = p
 		tick := func(exec time.Duration) {
 			p.Sleep(100 * ms)
-			v := h.c.Tick([]autoscale.Sample{{Exec: exec}})
-			lines = append(lines, fmt.Sprintf("at=%04dms %s reason=%s servers=%d actuated=%v",
-				v.AtMS, v.Action, v.Reason, v.Servers, v.Actuated))
+			lines = append(lines, verdictLine(h.c.Tick(exec, len(fc.list()))))
 		}
 		tick(500 * ms)
 		tick(500 * ms)
@@ -434,7 +433,7 @@ func TestConformanceDelayedLeaveReleasesOneMember(t *testing.T) {
 	fc := newFakeCluster("m00", "m01", "m02")
 	fc.leaveDelay = 2500 * ms
 	h := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 4, JoinTimeout: 5 * time.Second,
+		Target: 100 * ms, Ceiling: 4, JoinTimeout: 5 * time.Second,
 	}, "m00", fc, nil)
 	trace := make([]time.Duration, 30)
 	for i := range trace {
@@ -457,23 +456,22 @@ func TestConformanceDelayedLeaveReleasesOneMember(t *testing.T) {
 	}
 }
 
-// A poll covers every iteration completed since the previous one, and the
-// poll after an actuation also covers the iterations that ran while it
-// was in flight, relabelled with the new size. The cooldown holds that
-// whole batch, so neither a scale-up nor a delayed leave is followed by a
-// second action on data measured before it took effect.
-func TestConformanceBatchedPollActsOnce(t *testing.T) {
+// An iteration activated before a resize settled still runs on the old
+// view, and its execute reaches the controller after the actuating Tick
+// returned. Its time says nothing about the live size — after a delayed
+// leave it would project under the low-water mark again — so it is held
+// as stale-view without reaching the policy, and the cooldown then holds
+// exactly the join iteration: one decision follows, and no second action.
+func TestConformanceStaleViewSampleHeld(t *testing.T) {
 	ms := time.Millisecond
-	three := func(exec time.Duration) []time.Duration { return []time.Duration{exec, exec, exec} }
 
-	up := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 4,
-	}, "m00", newFakeCluster("m00"), nil)
-	got := up.drivePolls(100*ms, [][]time.Duration{three(500 * ms), three(500 * ms), three(60 * ms)})
+	up := newConfHarness(t, 1, Config{Target: 100 * ms, Ceiling: 4}, "m00", newFakeCluster("m00"), nil)
+	got := up.driveSamples(100*ms, []sample{{500 * ms, 1}, {500 * ms, 1}, {500 * ms, 2}, {60 * ms, 2}})
 	assertLines(t, got, []string{
 		"at=0100ms scale-up reason=over-target servers=1 actuated=true",
-		"at=0200ms hold reason=cooldown servers=2 actuated=false",
-		"at=0300ms hold reason=steady servers=2 actuated=false",
+		"at=0200ms hold reason=stale-view servers=2 actuated=false",
+		"at=0300ms hold reason=cooldown servers=2 actuated=false",
+		"at=0400ms hold reason=steady servers=2 actuated=false",
 	})
 	if n := up.counter("elastic.scaleups"); n != 1 {
 		t.Fatalf("scaleups=%d, want 1", n)
@@ -482,15 +480,14 @@ func TestConformanceBatchedPollActsOnce(t *testing.T) {
 	fc := newFakeCluster("m00", "m01", "m02")
 	fc.leaveDelay = 250 * ms
 	down := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 4, JoinTimeout: 5 * time.Second,
+		Target: 100 * ms, Ceiling: 4, JoinTimeout: 5 * time.Second,
 	}, "m00", fc, nil)
-	// The second poll's 20ms iterations ran on three servers while m02 was
-	// leaving; on two they would project under the low-water mark.
-	got = down.drivePolls(100*ms, [][]time.Duration{three(20 * ms), three(20 * ms), three(40 * ms)})
+	got = down.driveSamples(100*ms, []sample{{20 * ms, 3}, {20 * ms, 3}, {20 * ms, 2}, {40 * ms, 2}})
 	assertLines(t, got, []string{
 		"at=0100ms scale-down reason=under-low-water servers=3 actuated=true",
-		"at=0500ms hold reason=cooldown servers=2 actuated=false",
-		"at=0600ms hold reason=steady servers=2 actuated=false",
+		"at=0500ms hold reason=stale-view servers=2 actuated=false",
+		"at=0600ms hold reason=cooldown servers=2 actuated=false",
+		"at=0700ms hold reason=steady servers=2 actuated=false",
 	})
 	if len(fc.leaves) != 1 || fc.leaves[0] != "m02" {
 		t.Fatalf("leave RPCs %v, want exactly one, to m02", fc.leaves)
@@ -508,7 +505,7 @@ func TestConformanceLeaveNeverSettles(t *testing.T) {
 	fc := newFakeCluster("m00", "m01")
 	fc.leaveDelay = time.Hour
 	h := newConfHarness(t, 1, Config{
-		Target: 100 * ms, Floor: 1, Ceiling: 4, JoinTimeout: 500 * ms,
+		Target: 100 * ms, Ceiling: 4, JoinTimeout: 500 * ms,
 	}, "m00", fc, nil)
 	got := h.drive(100*ms, []time.Duration{10 * ms})
 	assertLines(t, got, []string{

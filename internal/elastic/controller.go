@@ -1,20 +1,24 @@
 // Package elastic closes the loop the paper leaves as future work (IV-B):
 // it turns the pure autoscale policy into a live controller that senses
-// per-iteration execute latencies through the admin metrics RPCs, feeds
-// them to autoscale.Autoscaler, and actuates the verdicts against a real
-// staging area — scale-up by launching a new colza-server daemon through
-// a pluggable Launcher, scale-down through the existing admin leave RPC.
+// each iteration's execute time on the server it runs in, feeds it to
+// autoscale.Autoscaler, and actuates the verdicts against a real staging
+// area — scale-up by launching a new colza-server daemon through a
+// pluggable Launcher, scale-down through the existing admin leave RPC.
 //
 // The controller runs embedded in every -elastic server, but only the
 // SWIM leader — the lexicographically smallest live member — actuates.
-// When the leader dies, the next member's controller observes itself at
-// the head of the sorted membership and takes over, opening a fresh
-// cooldown so decisions resume only on post-takeover observations.
+// The leader is rank 0 of every view it belongs to, and every pipeline
+// ends its execute in a collective rank 0 finishes last (the composite to
+// root 0, the stats all-reduces), so its own execute time is the
+// iteration's. When the leader dies, the next member's controller
+// observes itself at the head of the sorted membership and takes over,
+// opening a fresh cooldown so decisions resume only on post-takeover
+// observations.
 //
 // Both actuations are synchronous: a Tick returns only once the view shows
-// the joiner, or no longer shows the member asked to leave. The policy's
-// one-observation cooldown therefore never has to cover an actuation that
-// is still in flight.
+// the joiner, or no longer shows the member asked to leave, and a sample
+// that ran on a view of another size is held as stale. The policy's
+// one-observation cooldown therefore covers exactly the join iteration.
 //
 // All time flows through an injectable clock and sleep, so the
 // conformance suite drives the whole state machine on the dessim virtual
@@ -40,10 +44,9 @@ import (
 type Config struct {
 	// Target is the desired per-iteration execute time (required).
 	Target time.Duration
-	// Floor and Ceiling bound the group size (defaults 1 and 8).
-	Floor, Ceiling int
-	// Poll is the sensing loop period (default 250ms).
-	Poll time.Duration
+	// Ceiling bounds the group size (default 8); the floor is the one
+	// server the controller runs on.
+	Ceiling int
 	// LaunchRetries bounds the launch attempts per scale-up verdict
 	// (default 3); LaunchBackoff is the first retry delay, doubled per
 	// attempt (default 100ms); JoinTimeout bounds how long the view may
@@ -61,14 +64,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Floor < 1 {
-		c.Floor = 1
-	}
 	if c.Ceiling <= 0 {
 		c.Ceiling = 8
-	}
-	if c.Poll <= 0 {
-		c.Poll = 250 * time.Millisecond
 	}
 	if c.LaunchRetries < 1 {
 		c.LaunchRetries = 3
@@ -92,9 +89,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Deps is the controller's actuation and sensing surface, injected so
-// tests can swap a fake cluster (and the conformance suite a virtual
-// one) for the live admin RPC plane.
+// Deps is the controller's actuation surface, injected so tests can swap
+// a fake cluster (and the conformance suite a virtual one) for the live
+// admin RPC plane.
 type Deps struct {
 	// Self is the hosting server's RPC address; the controller actuates
 	// only while Self heads the sorted membership. Empty means an
@@ -102,10 +99,6 @@ type Deps struct {
 	Self string
 	// Members returns the sorted live membership (required).
 	Members func() []string
-	// Snapshot fetches one member's metrics registry (admin
-	// metrics_json); required for Start's sensing loop, optional when
-	// the caller drives Tick directly.
-	Snapshot func(addr string) (obs.Snapshot, error)
 	// Leave asks a member to exit (admin leave RPC).
 	Leave func(addr string) error
 	// Launcher starts one new server daemon.
@@ -135,7 +128,6 @@ type Status struct {
 	Leader   bool             `json:"leader"`
 	Running  bool             `json:"running"`
 	Members  []string         `json:"members"`
-	Floor    int              `json:"floor"`
 	Ceiling  int              `json:"ceiling"`
 	TargetMS float64          `json:"target_ms"`
 	Counters map[string]int64 `json:"counters"`
@@ -143,17 +135,25 @@ type Status struct {
 	Verdicts []Verdict        `json:"verdicts"`
 }
 
+// sample is one execute: its wall time and the size of the view it ran on.
+type sample struct {
+	exec    time.Duration
+	servers int
+}
+
 // Controller is the closed-loop scaling controller.
 type Controller struct {
 	cfg  Config
 	deps Deps
 	reg  *obs.Registry
-	src  *metricsSource
+	// samples hands Executed's samples to the running loop. Unbuffered, so
+	// a send succeeds only while the loop waits outside a Tick.
+	samples chan sample
 
 	scaleups, scaledowns       *obs.Counter
 	launchAttempts, launchErrs *obs.Counter
 	leaveErrs, provisionErrs   *obs.Counter
-	holds, takeovers, senseErr *obs.Counter
+	holds, takeovers           *obs.Counter
 	gLeader, gServers          *obs.Gauge
 
 	mu          sync.Mutex
@@ -184,12 +184,11 @@ func NewController(cfg Config, deps Deps) (*Controller, error) {
 	if deps.Launcher == nil {
 		deps.Launcher = LauncherFunc(func() error { return errors.New("elastic: no launcher") })
 	}
-	as, err := autoscale.New(autoscale.Config{Target: cfg.Target, Min: cfg.Floor, Max: cfg.Ceiling})
+	as, err := autoscale.New(autoscale.Config{Target: cfg.Target, Max: cfg.Ceiling})
 	if err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, deps: deps, reg: deps.Registry, as: as}
-	c.src = newMetricsSource(deps.Snapshot)
+	c := &Controller{cfg: cfg, deps: deps, reg: deps.Registry, as: as, samples: make(chan sample)}
 	c.scaleups = c.reg.Counter("elastic.scaleups")
 	c.scaledowns = c.reg.Counter("elastic.scaledowns")
 	c.launchAttempts = c.reg.Counter("elastic.launch_attempts")
@@ -198,41 +197,33 @@ func NewController(cfg Config, deps Deps) (*Controller, error) {
 	c.provisionErrs = c.reg.Counter("elastic.provision_errors")
 	c.holds = c.reg.Counter("elastic.holds")
 	c.takeovers = c.reg.Counter("elastic.takeovers")
-	c.senseErr = c.reg.Counter("elastic.sense_errors")
 	c.gLeader = c.reg.Gauge("elastic.leader")
 	c.gServers = c.reg.Gauge("elastic.servers")
 	return c, nil
 }
 
-// Tick runs one control round over a batch of samples (one per completed
-// iteration since the last round; Sample.Servers is overwritten with the
-// live membership size). It evaluates leadership, feeds the policy, and
-// actuates the verdict synchronously. The sensing loop calls it every
-// Poll; the conformance suite calls it directly.
-func (c *Controller) Tick(batch []autoscale.Sample) Verdict {
+// Tick runs one control round on one execute: its wall time and the size
+// of the view it ran on. It evaluates leadership, feeds the policy, and
+// actuates the verdict synchronously. A sample whose view size differs
+// from the live membership ran before the last resize settled; it is held
+// as stale-view and never reaches the policy. The running loop calls Tick
+// for the samples Executed hands it; the conformance suite calls it
+// directly.
+func (c *Controller) Tick(exec time.Duration, servers int) Verdict {
 	members := c.deps.Members()
 	n := len(members)
 	now := c.cfg.Clock()
 
 	c.mu.Lock()
-	leader := c.evalLeadershipLocked(members)
-	c.gServers.Set(int64(n))
-	if !leader {
-		v := c.recordLocked(now, autoscale.Hold.String(), "not-leader", n, batch, false)
-		c.mu.Unlock()
-		c.holds.Inc()
-		return v
+	var pv autoscale.Verdict
+	switch {
+	case !c.evalLeadershipLocked(members):
+		pv = autoscale.Verdict{Action: autoscale.Hold, Reason: "not-leader"}
+	case servers != n:
+		pv = autoscale.Verdict{Action: autoscale.Hold, Reason: "stale-view"}
+	default:
+		pv = c.as.Observe(exec, n)
 	}
-	if len(batch) == 0 {
-		// No iterations completed since the last poll: nothing to decide,
-		// nothing recorded (the ring holds decisions, not idle polls).
-		c.mu.Unlock()
-		return Verdict{Action: autoscale.Hold.String(), Reason: "idle", Servers: n, AtMS: now.Milliseconds()}
-	}
-	for i := range batch {
-		batch[i].Servers = n
-	}
-	pv := c.as.ObserveBatch(batch)
 	c.mu.Unlock()
 
 	actuated := false
@@ -259,15 +250,15 @@ func (c *Controller) Tick(batch []autoscale.Sample) Verdict {
 	}
 
 	c.mu.Lock()
-	v := c.recordLocked(now, pv.Action.String(), reason, n, batch, actuated)
+	v := c.recordLocked(now, pv.Action.String(), reason, n, exec, actuated)
 	c.mu.Unlock()
 	return v
 }
 
-// evalLeadershipLocked decides whether this controller actuates and
-// counts leadership takeovers: acquiring the lead after the previous
-// leader died opens a fresh cooldown, so the new leader decides only on
-// observations it gathered itself.
+// evalLeadershipLocked decides whether this controller actuates, sets the
+// leader and servers gauges, and counts leadership takeovers: acquiring
+// the lead after the previous leader died opens a fresh cooldown, so the
+// new leader decides only on observations it gathered itself.
 func (c *Controller) evalLeadershipLocked(members []string) bool {
 	leader := c.deps.Self == "" || (len(members) > 0 && members[0] == c.deps.Self)
 	if !c.leaderKnown {
@@ -282,20 +273,19 @@ func (c *Controller) evalLeadershipLocked(members []string) bool {
 	} else {
 		c.gLeader.Set(0)
 	}
+	c.gServers.Set(int64(len(members)))
 	return leader
 }
 
-func (c *Controller) recordLocked(now time.Duration, action, reason string, servers int, batch []autoscale.Sample, actuated bool) Verdict {
+func (c *Controller) recordLocked(now time.Duration, action, reason string, servers int, exec time.Duration, actuated bool) Verdict {
 	v := Verdict{
 		Seq:      c.seq,
 		AtMS:     now.Milliseconds(),
 		Action:   action,
 		Reason:   reason,
 		Servers:  servers,
+		ExecMS:   float64(exec) / float64(time.Millisecond),
 		Actuated: actuated,
-	}
-	if len(batch) > 0 {
-		v.ExecMS = float64(batch[len(batch)-1].Exec) / float64(time.Millisecond)
 	}
 	c.seq++
 	c.verdicts = append(c.verdicts, v)
@@ -387,12 +377,20 @@ func scaleDownVictim(members []string, self string) string {
 	return ""
 }
 
-// Start launches the sensing loop: poll each member's metrics, derive
-// per-iteration execute samples, Tick. Safe to call once; Stop reverses.
-func (c *Controller) Start() error {
-	if c.deps.Snapshot == nil {
-		return errors.New("elastic: Deps.Snapshot is required for the sensing loop")
+// Executed is the hosting server's execute hook (core.Elastic): it hands
+// one execute's sample to the running loop without blocking. A sample
+// that arrives while the loop is inside a Tick, or while the controller is
+// stopped, is dropped: the loop never queues work behind an actuation.
+func (c *Controller) Executed(exec time.Duration, servers int) {
+	select {
+	case c.samples <- sample{exec, servers}:
+	default:
 	}
+}
+
+// Start launches the loop that Ticks on the samples Executed hands it.
+// Safe to call once; Stop reverses.
+func (c *Controller) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.running {
@@ -407,24 +405,18 @@ func (c *Controller) Start() error {
 
 func (c *Controller) run(stop, done chan struct{}) {
 	defer close(done)
-	ticker := time.NewTicker(c.cfg.Poll)
-	defer ticker.Stop()
 	for {
-		batch, errs := c.src.Poll(c.deps.Members())
-		if errs > 0 {
-			c.senseErr.Add(int64(errs))
-		}
-		c.Tick(batch)
 		select {
 		case <-stop:
 			return
-		case <-ticker.C:
+		case s := <-c.samples:
+			c.Tick(s.exec, s.servers)
 		}
 	}
 }
 
-// Stop halts the sensing loop and waits for it to exit, so a stopped
-// controller leaks no goroutine.
+// Stop halts the loop and waits for it to exit, so a stopped controller
+// leaks no goroutine.
 func (c *Controller) Stop() {
 	c.mu.Lock()
 	if !c.running {
@@ -438,16 +430,16 @@ func (c *Controller) Stop() {
 	<-done
 }
 
-// Status assembles the live status document.
+// Status assembles the live status document. It evaluates leadership
+// like a Tick, so an idle leader's gauges are current too.
 func (c *Controller) Status() Status {
 	members := c.deps.Members()
 	c.mu.Lock()
 	st := Status{
 		Self:     c.deps.Self,
-		Leader:   c.deps.Self == "" || (len(members) > 0 && members[0] == c.deps.Self),
+		Leader:   c.evalLeadershipLocked(members),
 		Running:  c.running,
 		Members:  members,
-		Floor:    c.cfg.Floor,
 		Ceiling:  c.cfg.Ceiling,
 		TargetMS: float64(c.cfg.Target) / float64(time.Millisecond),
 		Verdicts: append([]Verdict(nil), c.verdicts...),
@@ -470,7 +462,7 @@ func (c *Controller) Status() Status {
 }
 
 // StatusJSON serves Status as JSON — the payload of the elastic_status
-// admin RPC (core.Provider.SetElasticStatus).
+// admin RPC (core.Elastic).
 func (c *Controller) StatusJSON() ([]byte, error) {
 	return json.Marshal(c.Status())
 }
@@ -480,8 +472,8 @@ func (c *Controller) StatusJSON() ([]byte, error) {
 func WriteStatus(w io.Writer, st Status) {
 	fmt.Fprintf(w, "self    %s\n", st.Self)
 	fmt.Fprintf(w, "leader  %v  running %v\n", st.Leader, st.Running)
-	fmt.Fprintf(w, "members %d  floor %d  ceiling %d  target %.1fms\n",
-		len(st.Members), st.Floor, st.Ceiling, st.TargetMS)
+	fmt.Fprintf(w, "members %d  ceiling %d  target %.1fms\n",
+		len(st.Members), st.Ceiling, st.TargetMS)
 	names := make([]string, 0, len(st.Counters))
 	for name := range st.Counters {
 		names = append(names, name)

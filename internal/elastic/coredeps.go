@@ -1,21 +1,19 @@
 package elastic
 
 import (
-	"strings"
-
 	"colza/internal/core"
 	"colza/internal/obs"
 )
 
-// CoreDeps wires a controller to a live server's admin RPC plane: sensing
-// through metrics_json, scale-down through leave, and post-join
-// provisioning that replicates the hosting server's pipeline definitions
-// onto the newcomer.
+// CoreDeps wires a controller to a live server's admin RPC plane:
+// scale-down through leave, and post-join provisioning that replicates the
+// hosting server's pipeline definitions onto the newcomer. Sensing needs
+// no RPC: the hosting server hands the controller its own executes
+// (core.Provider.SetElastic).
 func CoreDeps(self string, members func() []string, admin *core.AdminClient, launcher Launcher, reg *obs.Registry) Deps {
 	return Deps{
 		Self:     self,
 		Members:  members,
-		Snapshot: admin.MetricsSnapshot,
 		Leave:    admin.RequestLeave,
 		Launcher: launcher,
 		Provision: ProvisionFromDefs(admin, func() string {
@@ -33,8 +31,8 @@ func CoreDeps(self string, members func() []string, admin *core.AdminClient, lau
 
 // ProvisionFromDefs returns a Provision hook copying the pipeline
 // definitions of source() onto a freshly joined member, so the newcomer
-// can vote yes on the next activate. Already-existing pipelines (a
-// daemon that raced its own provisioning) are not an error.
+// can vote yes on the next activate. Creating a pipeline is idempotent, so
+// a daemon that raced its own provisioning is not an error.
 func ProvisionFromDefs(admin *core.AdminClient, source func() string) func(addr string) error {
 	return func(addr string) error {
 		src := source()
@@ -46,8 +44,7 @@ func ProvisionFromDefs(admin *core.AdminClient, source func() string) func(addr 
 			return err
 		}
 		for _, d := range defs {
-			err := admin.CreatePipeline(addr, d.Name, d.Type, d.Config)
-			if err != nil && !strings.Contains(err.Error(), "already exists") {
+			if err := admin.CreatePipeline(addr, d.Name, d.Type, d.Config); err != nil {
 				return err
 			}
 		}

@@ -1,7 +1,6 @@
 package elastic
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"colza/internal/autoscale"
 	"colza/internal/obs"
 )
 
@@ -24,9 +22,6 @@ func TestNewControllerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err == nil {
-		t.Fatal("Start accepted nil Snapshot")
-	}
 	// The default leave/launch actuators must error, not panic.
 	if err := c.deps.Leave("a"); err == nil {
 		t.Fatal("default Leave actuator did not error")
@@ -38,9 +33,8 @@ func TestNewControllerValidation(t *testing.T) {
 
 func TestControllerDoubleStartAndStop(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, err := NewController(Config{Target: time.Second, Poll: time.Millisecond}, Deps{
+	c, err := NewController(Config{Target: time.Second}, Deps{
 		Members:  func() []string { return []string{"a"} },
-		Snapshot: func(string) (obs.Snapshot, error) { return obs.Snapshot{}, nil },
 		Registry: reg,
 	})
 	if err != nil {
@@ -59,16 +53,14 @@ func TestControllerDoubleStartAndStop(t *testing.T) {
 	}
 }
 
-// The controller's sensing loop must leave no goroutine behind after
-// Stop — the shutdown-leak gate ci.sh runs.
+// The controller's loop must leave no goroutine behind after Stop — the
+// shutdown-leak gate ci.sh runs — and Executed, called from several
+// execute handlers at once, never blocks, stopped controller included.
 func TestControllerStopLeaksNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		c, err := NewController(Config{Target: time.Second, Poll: time.Millisecond}, Deps{
-			Members: func() []string { return []string{"a", "b"} },
-			Snapshot: func(string) (obs.Snapshot, error) {
-				return obs.Snapshot{}, errors.New("down")
-			},
+		c, err := NewController(Config{Target: time.Second}, Deps{
+			Members:  func() []string { return []string{"a", "b"} },
 			Registry: obs.NewRegistry(),
 		})
 		if err != nil {
@@ -77,8 +69,19 @@ func TestControllerStopLeaksNoGoroutine(t *testing.T) {
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 10; j++ {
+					c.Executed(time.Millisecond, 2)
+				}
+			}()
+		}
 		c.Stop()
+		wg.Wait()
+		c.Executed(time.Millisecond, 2)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -110,71 +113,6 @@ func TestScaleDownVictim(t *testing.T) {
 	}
 }
 
-// execSnap builds a snapshot with one execute span histogram totalling
-// the given cumulative sum/count.
-func execSnap(sum, count int64) obs.Snapshot {
-	return obs.Snapshot{Histograms: map[string]obs.HistSnapshot{
-		"span.srv.execute{pipeline=viz}": {Sum: sum, Count: count},
-	}}
-}
-
-func TestMetricsSourceDeltas(t *testing.T) {
-	ms := int64(time.Millisecond)
-	state := map[string]obs.Snapshot{
-		"a": execSnap(100*ms, 1),
-		"b": execSnap(400*ms, 1),
-	}
-	src := newMetricsSource(func(addr string) (obs.Snapshot, error) {
-		snap, ok := state[addr]
-		if !ok {
-			return obs.Snapshot{}, errors.New("down")
-		}
-		return snap, nil
-	})
-	members := []string{"a", "b"}
-
-	// First sight baselines both members: no samples, no errors.
-	batch, errs := src.Poll(members)
-	if batch != nil || errs != 0 {
-		t.Fatalf("baseline poll: batch=%v errs=%d", batch, errs)
-	}
-
-	// a completes 2 iterations at 150ms mean, b completes 2 at 300ms
-	// mean: the batch reports 2 iterations at the slowest member's mean.
-	state["a"] = execSnap(400*ms, 3)
-	state["b"] = execSnap(1000*ms, 3)
-	batch, errs = src.Poll(members)
-	if errs != 0 || len(batch) != 2 {
-		t.Fatalf("delta poll: batch=%v errs=%d", batch, errs)
-	}
-	if batch[0].Exec != 300*time.Millisecond || batch[0].Servers != 2 {
-		t.Fatalf("sample: %+v", batch[0])
-	}
-
-	// A member whose snapshot fails is skipped and counted.
-	delete(state, "b")
-	state["a"] = execSnap(500*ms, 4)
-	batch, errs = src.Poll(members)
-	if errs != 1 || len(batch) != 1 || batch[0].Exec != 100*time.Millisecond {
-		t.Fatalf("degraded poll: batch=%v errs=%d", batch, errs)
-	}
-
-	// A member that left is pruned; re-joining re-baselines instead of
-	// replaying its old totals.
-	batch, _ = src.Poll([]string{"a"})
-	if len(batch) != 0 {
-		t.Fatalf("idle poll produced samples: %v", batch)
-	}
-	if _, ok := src.prev["b"]; ok {
-		t.Fatal("dead member not pruned from source state")
-	}
-	state["b"] = execSnap(5000*ms, 9)
-	batch, errs = src.Poll(members)
-	if errs != 0 || len(batch) != 0 {
-		t.Fatalf("re-baseline poll: batch=%v errs=%d", batch, errs)
-	}
-}
-
 func TestProcessLauncherErrors(t *testing.T) {
 	if err := (&ProcessLauncher{}).Launch(); err == nil {
 		t.Fatal("empty binary accepted")
@@ -193,7 +131,6 @@ func TestWriteStatusFormat(t *testing.T) {
 		Leader:   true,
 		Running:  true,
 		Members:  []string{"tcp://a:1", "tcp://b:2"},
-		Floor:    1,
 		Ceiling:  4,
 		TargetMS: 100,
 		Counters: map[string]int64{"elastic.scaleups": 2, "elastic.holds": 7},
@@ -208,7 +145,7 @@ func TestWriteStatusFormat(t *testing.T) {
 	for _, want := range []string{
 		"self    tcp://a:1",
 		"leader  true  running true",
-		"members 2  floor 1  ceiling 4  target 100.0ms\n",
+		"members 2  ceiling 4  target 100.0ms\n",
 		"counter elastic.holds 7",
 		"counter elastic.scaleups 2",
 		"gauge elastic.leader 1",
@@ -234,7 +171,7 @@ func TestStatusJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Tick([]autoscale.Sample{{Exec: 50 * time.Millisecond}})
+	c.Tick(50*time.Millisecond, 1)
 	raw, err := c.StatusJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +194,7 @@ func TestVerdictHistoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		c.Tick([]autoscale.Sample{{Exec: time.Millisecond}})
+		c.Tick(time.Millisecond, 2)
 	}
 	st := c.Status()
 	if len(st.Verdicts) != 4 {
@@ -268,19 +205,33 @@ func TestVerdictHistoryBounded(t *testing.T) {
 	}
 }
 
-// The live sensing loop end to end against fake snapshots: members
-// report growing execute totals, the loop senses the deltas and scales
-// up through the launcher.
+// feedUntil hands c one sample every millisecond until done reports
+// true: Executed drops what arrives while the loop is busy or not yet
+// waiting, as a server's execute hook would.
+func feedUntil(t *testing.T, c *Controller, exec time.Duration, servers int, done func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !done(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("loop never reached the expected state; status: %+v", c.Status())
+		}
+		c.Executed(exec, servers)
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// The live loop end to end: over-target executes handed to Executed reach
+// a Tick, which scales up through the launcher.
 func TestSensingLoopScalesUp(t *testing.T) {
-	ms := int64(time.Millisecond)
 	var mu sync.Mutex
 	members := []string{"m00"}
-	totals := map[string]int64{"m00": 0}
-	counts := map[string]int64{"m00": 0}
+	size := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(members)
+	}
 	reg := obs.NewRegistry()
 	c, err := NewController(Config{
-		Target: 50 * time.Millisecond, Ceiling: 2, Poll: 2 * time.Millisecond,
-		LaunchRetries: 1, JoinTimeout: time.Second,
+		Target: 50 * time.Millisecond, Ceiling: 2, LaunchRetries: 1, JoinTimeout: time.Second,
 	}, Deps{
 		Self: "m00",
 		Members: func() []string {
@@ -288,19 +239,10 @@ func TestSensingLoopScalesUp(t *testing.T) {
 			defer mu.Unlock()
 			return append([]string(nil), members...)
 		},
-		Snapshot: func(addr string) (obs.Snapshot, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			totals[addr] += 500 * ms // every poll: one 500ms iteration
-			counts[addr]++
-			return execSnap(totals[addr], counts[addr]), nil
-		},
 		Launcher: LauncherFunc(func() error {
 			mu.Lock()
 			defer mu.Unlock()
-			name := fmt.Sprintf("m%02d", len(members))
-			members = append(members, name)
-			totals[name], counts[name] = 0, 0
+			members = append(members, fmt.Sprintf("m%02d", len(members)))
 			return nil
 		}),
 		Registry: reg,
@@ -312,18 +254,68 @@ func TestSensingLoopScalesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if reg.Counter("elastic.scaleups").Value() >= 1 {
-			mu.Lock()
-			n := len(members)
-			mu.Unlock()
-			if n != 2 {
-				t.Fatalf("scaleup counted but members=%d", n)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	feedUntil(t, c, 500*time.Millisecond, 1, func() bool { return reg.Counter("elastic.scaleups").Value() == 1 })
+	if n := size(); n != 2 {
+		t.Fatalf("scaleup counted but members=%d", n)
 	}
-	t.Fatalf("sensing loop never scaled up; status: %+v", c.Status())
+}
+
+// Executes keep arriving while a scale-down waits for its victim to leave
+// the view. The loop is inside that Tick, so each is dropped: the leave
+// RPC is sent once, and the only verdict recorded is the scale-down's.
+func TestSensingLoopDropsSamplesDuringLeave(t *testing.T) {
+	var mu sync.Mutex
+	members := []string{"m00", "m01", "m02"}
+	var leaves []string
+	reg := obs.NewRegistry()
+	c, err := NewController(Config{Target: 100 * time.Millisecond, JoinTimeout: 10 * time.Second}, Deps{
+		Self: "m00",
+		Members: func() []string {
+			mu.Lock()
+			defer mu.Unlock()
+			return append([]string(nil), members...)
+		},
+		Leave: func(addr string) error {
+			mu.Lock()
+			defer mu.Unlock()
+			leaves = append(leaves, addr)
+			return nil
+		},
+		Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	leaveSent := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(leaves) > 0
+	}
+	feedUntil(t, c, 10*time.Millisecond, 3, leaveSent)
+	// The victim is still in the view, so the Tick is still waiting.
+	for i := 0; i < 50; i++ {
+		c.Executed(10*time.Millisecond, 3)
+	}
+	mu.Lock()
+	members = members[:2]
+	mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); reg.Counter("elastic.scaledowns").Value() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("scale-down never settled; status: %+v", c.Status())
+		}
+	}
+	c.Stop()
+	mu.Lock()
+	sent := append([]string(nil), leaves...)
+	mu.Unlock()
+	if len(sent) != 1 || sent[0] != "m02" {
+		t.Fatalf("leave RPCs %v, want exactly one, to m02", sent)
+	}
+	if vs := c.Status().Verdicts; len(vs) != 1 || vs[0].Action != "scale-down" || !vs[0].Actuated {
+		t.Fatalf("verdicts %+v, want the one actuated scale-down", vs)
+	}
 }
