@@ -104,10 +104,15 @@ fi
 # superseded entries, recovery); and
 # the bulk arena, which reads a header and slot
 # words out of memory another process writes (what its tests do not reach is
-# the mmap/open/truncate error branches); and the cost model every number
-# of Figs. 5-10 and ext-autoscale is computed in.
+# the mmap/open/truncate error branches); the cost model every number
+# of Figs. 5-10 and ext-autoscale is computed in; and the iso execute's
+# kernels — the rasterizer, the isosurface extraction and the clip — which
+# produce every pixel the benchmark's oracle hashes, and whose pixel-centre
+# box and discarded-voxel skip each sit behind a guard that only a test
+# reaching both of its sides checks.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/ ./internal/autoscale/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
 check_cover 90 ./internal/na/arena.go
 check_cover 90 ./internal/bench/simtime.go
+check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go

@@ -25,6 +25,14 @@ const (
 	goldenIsoFramebuffer = "e820e69ac837a4e40189318248663ae37dc3074a58f4b0803811d41fd597197f"
 )
 
+// The same pair at the benchmark's iso shape (benchSlabs, benchConfig),
+// recorded at commit 3af247a (go1.24, linux/amd64) before the pixel-centre
+// box and the clip-side voxel skip; the same re-recording rule applies.
+const (
+	goldenBenchIsoPNG         = "ad601cc24187d4be384f3fc2e70f36fa472e0afb6dce0628f785f127120f7983"
+	goldenBenchIsoFramebuffer = "33dfe96110efa73f118c1249fc5de3fce7234d5b33b7fb0df5f6f5b443b71ad4"
+)
+
 // goldenSlabs cuts a fixed Gray-Scott state into four z-slabs that share
 // their boundary planes, the way the benchmark stages it.
 func goldenSlabs(t *testing.T) []*vtk.ImageData {
@@ -34,6 +42,20 @@ func goldenSlabs(t *testing.T) []*vtk.ImageData {
 		t.Fatal(err)
 	}
 	return zSlabs(gs.Block(), 4)
+}
+
+// benchSlabs is a Gray-Scott state cut the way the benchmark's iso workload
+// cuts its 64^3 domain (spin-up 200, slabs four planes thick), at 32^3 so
+// the test stays well under a second.
+func benchSlabs(t *testing.T) []*vtk.ImageData {
+	t.Helper()
+	p := sim.DefaultGrayScott()
+	p.Seed = 1
+	gs := sim.NewGrayScott(nil, [3]int{32, 32, 32}, p)
+	if err := gs.Step(200); err != nil {
+		t.Fatal(err)
+	}
+	return zSlabs(gs.Block(), 8)
 }
 
 // zSlabs splits img into n slabs along z; neighbours share one plane.
@@ -66,6 +88,16 @@ func goldenConfig() IsoConfig {
 	}
 }
 
+// benchConfig is the benchmark's iso configuration: three levels, the
+// clip plane through the middle of the domain, coolwarm, 256x256.
+func benchConfig() IsoConfig {
+	return IsoConfig{
+		Field: "V", IsoValues: []float64{0.1, 0.2, 0.3}, Width: 256, Height: 256,
+		ScalarRange: [2]float64{0, 0.5}, ColorMap: "coolwarm", Strategy: "tree",
+		Clip: &ClipSpec{Normal: [3]float64{1, 0, 0}, Offset: 16},
+	}
+}
+
 func sha(b []byte) string {
 	h := sha256.Sum256(b)
 	return hex.EncodeToString(h[:])
@@ -73,55 +105,72 @@ func sha(b []byte) string {
 
 // TestGoldenIsoOutput pins the iso pipeline's pixels: the rank-0 PNG of a
 // two-rank tree composite, and the local framebuffer (colour and depth) a
-// single rank renders from the same blocks.
+// single rank renders from the same blocks. The small case splits its slabs
+// into contiguous halves; the benchmark-shaped one places them by block id
+// modulo the rank count, as the client's default placement does.
 func TestGoldenIsoOutput(t *testing.T) {
-	slabs := goldenSlabs(t)
-
-	world := minimpi.World(2)
-	defer world[0].Finalize()
-	var wg sync.WaitGroup
-	var root *render.Image
-	var tris [2]int
-	errs := make([]error, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			st, img, err := ExecuteIso(vtk.NewController("mpi", world[r]), slabs[2*r:2*r+2], goldenConfig())
-			errs[r], tris[r] = err, st.LocalTriangles
-			if r == 0 {
-				root = img
+	for _, c := range []struct {
+		name          string
+		slabs         []*vtk.ImageData
+		cfg           IsoConfig
+		place         func(block int) int
+		wantPNG, want string
+	}{
+		{"96x96", goldenSlabs(t), goldenConfig(), func(b int) int { return b / 2 }, goldenIsoPNG, goldenIsoFramebuffer},
+		{"benchmark shape", benchSlabs(t), benchConfig(), func(b int) int { return b % 2 }, goldenBenchIsoPNG, goldenBenchIsoFramebuffer},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var ranks [2][]*vtk.ImageData
+			for b, s := range c.slabs {
+				ranks[c.place(b)] = append(ranks[c.place(b)], s)
 			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	png, err := root.PNG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sha(png); got != goldenIsoPNG {
-		t.Errorf("rank-0 PNG hash %s, want %s", got, goldenIsoPNG)
-	}
+			world := minimpi.World(2)
+			defer world[0].Finalize()
+			var wg sync.WaitGroup
+			var root *render.Image
+			var tris [2]int
+			errs := make([]error, 2)
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					st, img, err := ExecuteIso(vtk.NewController("mpi", world[r]), ranks[r], c.cfg)
+					errs[r], tris[r] = err, st.LocalTriangles
+					if r == 0 {
+						root = img
+					}
+				}(r)
+			}
+			wg.Wait()
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+			png, err := root.PNG()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sha(png); got != c.wantPNG {
+				t.Errorf("rank-0 PNG hash %s, want %s", got, c.wantPNG)
+			}
 
-	solo := minimpi.World(1)
-	defer solo[0].Finalize()
-	st, fb, err := ExecuteIso(vtk.NewController("mpi", solo[0]), slabs, goldenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LocalTriangles == 0 || st.LocalTriangles != tris[0]+tris[1] {
-		t.Errorf("single rank extracted %d triangles, two ranks %d+%d", st.LocalTriangles, tris[0], tris[1])
-	}
-	if fb.CoveredPixels() == 0 {
-		t.Error("local framebuffer is empty")
-	}
-	if got := sha(fb.Encode()); got != goldenIsoFramebuffer {
-		t.Errorf("local framebuffer hash %s, want %s", got, goldenIsoFramebuffer)
+			solo := minimpi.World(1)
+			defer solo[0].Finalize()
+			st, fb, err := ExecuteIso(vtk.NewController("mpi", solo[0]), c.slabs, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.LocalTriangles == 0 || st.LocalTriangles != tris[0]+tris[1] {
+				t.Errorf("single rank extracted %d triangles, two ranks %d+%d", st.LocalTriangles, tris[0], tris[1])
+			}
+			if fb.CoveredPixels() == 0 {
+				t.Error("local framebuffer is empty")
+			}
+			if got := sha(fb.Encode()); got != c.want {
+				t.Errorf("local framebuffer hash %s, want %s", got, c.want)
+			}
+		})
 	}
 }
 

@@ -567,6 +567,90 @@ func TestAdminPipelineManagement(t *testing.T) {
 	}
 }
 
+// TestConcurrentCreatesRace: creates of one name that race past the
+// existence check — each backend is built before any is installed — all
+// succeed when their definitions are identical, leaving exactly one backend
+// live and every other destroyed; with different definitions one wins and
+// the other fails.
+func TestConcurrentCreatesRace(t *testing.T) {
+	prov := deploy(t, 1).servers[0].Provider
+	race := func(name string, configs ...string) ([]error, []*mockPipeline) {
+		var mu sync.Mutex
+		var built []*mockPipeline
+		all := make(chan struct{})
+		RegisterPipelineType("gated", func(json.RawMessage) (Backend, error) {
+			m := &mockPipeline{}
+			mu.Lock()
+			built = append(built, m)
+			if len(built) == len(configs) {
+				close(all)
+			}
+			mu.Unlock()
+			select {
+			case <-all:
+				return m, nil
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("the other creates never reached the factory")
+			}
+		})
+		errs := make([]error, len(configs))
+		var wg sync.WaitGroup
+		for i, cfg := range configs {
+			wg.Add(1)
+			go func(i int, cfg string) {
+				defer wg.Done()
+				errs[i] = prov.CreatePipeline(name, "gated", json.RawMessage(cfg))
+			}(i, cfg)
+		}
+		wg.Wait()
+		return errs, built
+	}
+	installed := func(name string) Backend {
+		prov.mu.Lock()
+		defer prov.mu.Unlock()
+		return prov.pipelines[name].backend
+	}
+	// destroyed counts the backends destroyed, and checks that the one
+	// installed is not among them.
+	destroyed := func(name string, built []*mockPipeline) int {
+		n := 0
+		for _, m := range built {
+			m.mu.Lock()
+			if m.destroys > 0 {
+				n++
+				if Backend(m) == installed(name) {
+					t.Errorf("%s: the installed backend was destroyed", name)
+				}
+			}
+			m.mu.Unlock()
+		}
+		return n
+	}
+
+	const racers = 8
+	same := make([]string, racers)
+	for i := range same {
+		same[i] = `{"x":1}`
+	}
+	errs, built := race("same", same...)
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("identical create %d: %v", i, err)
+		}
+	}
+	if len(built) != racers || destroyed("same", built) != racers-1 {
+		t.Errorf("identical creates built %d backends and destroyed %d, want %d and %d", len(built), destroyed("same", built), racers, racers-1)
+	}
+
+	errs, built = race("conflict", `{"x":1}`, `{"x":2}`)
+	if (errs[0] == nil) == (errs[1] == nil) {
+		t.Errorf("conflicting creates returned %v and %v, want exactly one error", errs[0], errs[1])
+	}
+	if destroyed("conflict", built) != 1 {
+		t.Errorf("conflicting creates destroyed %d backends, want 1", destroyed("conflict", built))
+	}
+}
+
 func TestViewEncodeDecodeAndSetView(t *testing.T) {
 	d := deploy(t, 2)
 	d.createEverywhere(t, "viz")

@@ -295,12 +295,16 @@ func (p *Provider) OnLeave(fn func()) {
 
 // CreatePipeline instantiates a pipeline locally (also reachable via the
 // admin RPC). Repeating a create with the same type and config bytes is a
-// no-op; the same name with another definition is an error.
+// no-op, also when the repeats race each other (one backend stays, the
+// others are destroyed); the same name with another definition is an error.
 func (p *Provider) CreatePipeline(name, typeName string, config json.RawMessage) error {
+	same := func(slot *pipelineSlot) bool {
+		return slot.typeName == typeName && bytes.Equal(slot.config, config)
+	}
 	p.mu.Lock()
 	old := p.pipelines[name]
 	p.mu.Unlock()
-	if old != nil && old.typeName == typeName && bytes.Equal(old.config, config) {
+	if old != nil && same(old) {
 		return nil
 	}
 	f, ok := LookupPipelineType(typeName)
@@ -313,8 +317,11 @@ func (p *Provider) CreatePipeline(name, typeName string, config json.RawMessage)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.pipelines[name]; dup {
+	if old := p.pipelines[name]; old != nil {
 		b.Destroy()
+		if same(old) {
+			return nil
+		}
 		return fmt.Errorf("colza: pipeline %q already exists", name)
 	}
 	p.pipelines[name] = &pipelineSlot{name: name, backend: b, typeName: typeName, config: config}

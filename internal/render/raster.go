@@ -50,8 +50,9 @@ func (c Camera) viewProjection(aspect float64) Mat4 {
 // colormap domain.
 //
 // A triangle is projected first and shaded only if it survives: one with a
-// vertex at or behind the eye plane, off screen, or without area costs three
-// projections and nothing else. The colormap and the shading term are
+// vertex at or behind the eye plane, without area, or with no pixel centre
+// near its bounding box (off screen, or small and between centres) costs
+// three projections and nothing else. The colormap and the shading term are
 // looked up again only when a vertex's scalar or normal differs from the
 // previous vertex's — an isosurface carries one scalar per level and one
 // normal per facet.
@@ -100,12 +101,12 @@ func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap,
 		if !visible {
 			continue
 		}
-		box, ok := coveredBox(im, &sx, &sy)
-		if !ok {
-			continue
-		}
 		area := (sx[1]-sx[0])*(sy[2]-sy[0]) - (sx[2]-sx[0])*(sy[1]-sy[0])
 		if math.Abs(area) < 1e-12 {
+			continue
+		}
+		box, ok := coveredBox(im, &sx, &sy, area)
+		if !ok {
 			continue
 		}
 		nrm := (*[9]float32)(mesh.Normals[9*t:])
@@ -134,14 +135,31 @@ func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap,
 // pixelBox is an inclusive pixel rectangle.
 type pixelBox struct{ minX, maxX, minY, maxY int }
 
-// coveredBox returns the pixels a screen-space triangle can cover: its
-// bounding box clamped to the image; ok is false when that is empty.
-func coveredBox(im *Image, sx, sy *[3]float64) (box pixelBox, ok bool) {
-	box = pixelBox{
-		minX: int(math.Floor(min(sx[0], sx[1], sx[2]))),
-		maxX: int(math.Ceil(max(sx[0], sx[1], sx[2]))),
-		minY: int(math.Floor(min(sy[0], sy[1], sy[2]))),
-		maxY: int(math.Ceil(max(sy[0], sy[1], sy[2]))),
+// centreSlack is δ: how far outside a triangle's bounding box a pixel
+// centre is still scanned.
+const centreSlack = 0x1p-6
+
+// coveredBox returns the pixels fillTriangle must test for a screen-space
+// triangle (area is twice its signed area): those whose centre lies within
+// δ of its bounding box, clamped to the image; ok is false when that is
+// empty.
+//
+// The dropped pixels are ones the per-pixel test rejects. With D the box's
+// larger extent + 2 px, a centre over δ/2 outside the box (its limits round
+// by under 2^-20 px in any image that fits in memory) has an exact
+// barycentric below −η = −δ/(4D). The edge functions and the area are off
+// by at most 9u·D², u = 2^-53; under η·|area|/8 that keeps such a w0 or w1
+// negative, and w2 = 1 − w0 − w1 too when w0, w1 > −η. That needs |area| >
+// 288u·D³/δ; the guard takes 2^-38·D³. A triangle failing it (a sliver at
+// rounding level, a non-finite extent) keeps the floor/ceil box.
+func coveredBox(im *Image, sx, sy *[3]float64, area float64) (box pixelBox, ok bool) {
+	x0, x1 := min(sx[0], sx[1], sx[2]), max(sx[0], sx[1], sx[2])
+	y0, y1 := min(sy[0], sy[1], sy[2]), max(sy[0], sy[1], sy[2])
+	if d := max(x1-x0, y1-y0) + 2; math.Abs(area) > 0x1p-38*d*d*d {
+		box = pixelBox{int(math.Ceil(x0 - (0.5 + centreSlack))), int(math.Floor(x1 - (0.5 - centreSlack))),
+			int(math.Ceil(y0 - (0.5 + centreSlack))), int(math.Floor(y1 - (0.5 - centreSlack)))}
+	} else {
+		box = pixelBox{int(math.Floor(x0)), int(math.Ceil(x1)), int(math.Floor(y0)), int(math.Ceil(y1))}
 	}
 	if box.minX < 0 {
 		box.minX = 0

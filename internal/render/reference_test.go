@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"fmt"
 	"image"
 	"image/color"
 	"image/png"
@@ -9,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"colza/internal/sim"
 	"colza/internal/vtk"
 )
 
@@ -248,6 +250,147 @@ func TestRasterizeMatchesReference(t *testing.T) {
 	}
 	if covered < 20000 {
 		t.Fatalf("only %d pixels covered over all trials: the comparison shows little", covered)
+	}
+}
+
+// fillAfterProjection runs what RasterizeMesh does with a projected
+// triangle: the area cut, coveredBox, fillTriangle. It returns the box.
+func fillAfterProjection(im *Image, sx, sy, sz, cr, cg, cb *[3]float64) pixelBox {
+	area := (sx[1]-sx[0])*(sy[2]-sy[0]) - (sx[2]-sx[0])*(sy[1]-sy[0])
+	if math.Abs(area) < 1e-12 {
+		return pixelBox{}
+	}
+	box, ok := coveredBox(im, sx, sy, area)
+	if ok {
+		fillTriangle(im, box, 1/area, sx, sy, sz, cr, cg, cb)
+	}
+	return box
+}
+
+// TestFillTriangleSliversMatchReference holds the pixel-centre box to the
+// parent's floor/ceil scan on triangles built to sit on its edges: vertices
+// 1e-15 to 1e-3 px (and about δ) from pixel centres, and near-collinear
+// slivers whose area runs from just above the 1e-12 cut upwards, some lying
+// along a row, column or diagonal of pixel centres. Each is filled into a
+// fresh frame on both sides, well inside it so that no box is clamped; both
+// sides of coveredBox's guard must be taken.
+func TestFillTriangleSliversMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const size = 16
+	off := func() float64 {
+		e := math.Pow(10, -15+12*rng.Float64())
+		switch rng.Intn(6) {
+		case 0:
+			e = 0
+		case 1:
+			e = centreSlack * (0.5 + rng.Float64())
+		}
+		if rng.Intn(2) == 0 {
+			e = -e
+		}
+		return e
+	}
+	centre := func(base, spread int) float64 { return float64(base+rng.Intn(spread)) + 0.5 + off() }
+	var narrowed, wide, covered int
+	for n := 0; n < 6000; n++ {
+		var sx, sy, sz, cr, cg, cb [3]float64
+		bx, by := 5+rng.Intn(5), 5+rng.Intn(5)
+		for v := range sx {
+			sx[v], sy[v] = centre(bx, 4), centre(by, 4)
+			sz[v] = rng.Float64()*2 - 1
+			cr[v], cg[v], cb[v] = rng.Float64()*300, rng.Float64()*300, rng.Float64()*300
+		}
+		if n%3 == 2 {
+			// The second vertex 2-5 centres from the first along a row,
+			// column or diagonal.
+			k, dir := 2+rng.Intn(4), [4][2]int{{1, 0}, {0, 1}, {1, 1}, {1, -1}}[rng.Intn(4)]
+			sx[1], sy[1] = centre(int(sx[0])+k*dir[0], 1), centre(int(sy[0])+k*dir[1], 1)
+		}
+		if n%3 != 0 {
+			// A sliver: the third vertex pushed off the line through the
+			// first two by a height that sets the area.
+			dx, dy := sx[1]-sx[0], sy[1]-sy[0]
+			l := math.Hypot(dx, dy)
+			if l == 0 {
+				dx, dy, l = 1, 0, 1
+			}
+			s, h := rng.Float64()*1.4-0.2, 1e-12*math.Pow(10, 6*rng.Float64())/l
+			sx[2] = sx[0] + s*dx - h*dy/l
+			sy[2] = sy[0] + s*dy + h*dx/l
+		}
+		got, want := NewImage(size, size), NewImage(size, size)
+		box := fillAfterProjection(got, &sx, &sy, &sz, &cr, &cg, &cb)
+		refFillTriangle(want, sx, sy, sz, cr, cg, cb)
+		requireSameImage(t, fmt.Sprintf("triangle %d (%v, %v)", n, sx, sy), got, want)
+		covered += want.CoveredPixels()
+		switch {
+		case box == pixelBox{}:
+		case box.maxX < int(math.Ceil(max(sx[0], sx[1], sx[2]))):
+			narrowed++
+		default:
+			wide++
+		}
+	}
+	if narrowed < 1000 || wide < 100 || covered < 2000 {
+		t.Fatalf("pixel-centre box taken %d times, floor/ceil box %d times, %d pixels covered: the table shows little", narrowed, wide, covered)
+	}
+}
+
+// grayScottSlabs is the benchmark's iso input at seed 1: a 64^3 Gray-Scott
+// state after 200 steps, cut into 16 z-slabs that share their boundary
+// planes, each extracted at three levels and clipped at x = 32.
+func grayScottSlabs(t *testing.T) []*vtk.TriangleMesh {
+	t.Helper()
+	p := sim.DefaultGrayScott()
+	p.Seed = 1
+	gs := sim.NewGrayScott(nil, [3]int{64, 64, 64}, p)
+	if err := gs.Step(200); err != nil {
+		t.Fatal(err)
+	}
+	full, err := gs.Block().PointArray("V")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clip := &vtk.Plane{Normal: [3]float32{1, 0, 0}, Offset: 32}
+	var out []*vtk.TriangleMesh
+	for s := 0; s < 16; s++ {
+		z0, z1 := 4*s, min(4*s+4, 63)
+		slab := vtk.NewImageData([3]int{64, 64, z1 - z0 + 1}, [3]float64{0, 0, float64(z0)}, [3]float64{1, 1, 1})
+		copy(slab.AddPointArray("V", 1).Data, full.Data[z0*64*64:(z1+1)*64*64])
+		mesh := &vtk.TriangleMesh{}
+		if err := vtk.ExtractIsosurfaces(mesh, slab, "V", []float64{0.1, 0.2, 0.3}, clip); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, mesh)
+	}
+	return out
+}
+
+// TestRasterizeBenchmarkFramesMatchReference renders the benchmark's frames
+// against the parent's rasterizer at 256x256 in coolwarm: the full surface
+// and each rank's half (slabs by block-id parity, the client's default
+// placement), all framed by the full surface's bounds as the pipeline's
+// global camera is.
+func TestRasterizeBenchmarkFramesMatchReference(t *testing.T) {
+	slabs := grayScottSlabs(t)
+	var full vtk.TriangleMesh
+	var halves [2]vtk.TriangleMesh
+	for s, m := range slabs {
+		full.Append(m)
+		halves[s%2].Append(m)
+	}
+	if n := full.NumTriangles(); n != 134221 {
+		t.Fatalf("%d triangles, want the benchmark's 134221 at seed 1", n)
+	}
+	cam := DefaultCamera(MeshBounds(&full))
+	for name, m := range map[string]*vtk.TriangleMesh{"full": &full, "rank 0": &halves[0], "rank 1": &halves[1]} {
+		got, want := NewImage(256, 256), NewImage(256, 256)
+		RasterizeMesh(got, cam, m, CoolWarm, [2]float64{0, 0.5})
+		refRasterizeMesh(want, cam, m, CoolWarm, [2]float64{0, 0.5})
+		requireSameImage(t, name, got, want)
+		if want.CoveredPixels() < 5000 {
+			t.Fatalf("%s: only %d pixels covered", name, want.CoveredPixels())
+		}
 	}
 }
 

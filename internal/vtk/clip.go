@@ -1,5 +1,7 @@
 package vtk
 
+import "math"
+
 // Plane is the half-space dot(Normal, p) >= Offset.
 type Plane struct {
 	Normal [3]float32
@@ -27,6 +29,31 @@ func ClipMesh(m *TriangleMesh, pl Plane) *TriangleMesh {
 			(*[3]float32)(m.Scalars[3*t:]), &pl)
 	}
 	return out
+}
+
+// planeBound bounds n·p − Offset over a box of float32 corners, axis by
+// axis in float64 (a product of two float32s is exact): hi is its largest
+// value, scale the sum of the terms' magnitudes. bound seeds scale with
+// 2^-126 (the smallest normal float32) per unit of normal, so that the
+// margin also covers subnormal rounding.
+type planeBound struct{ hi, scale float64 }
+
+func (pl *Plane) bound() planeBound {
+	n, off := pl.Normal, float64(pl.Offset)
+	return planeBound{-off, math.Abs(off) + 0x1p-126*(1+math.Abs(float64(n[0]))+math.Abs(float64(n[1]))+math.Abs(float64(n[2])))}
+}
+
+func (b planeBound) add(n, c0, c1 float32) planeBound {
+	p, q := float64(n)*float64(c0), float64(n)*float64(c1)
+	return planeBound{b.hi + max(p, q), b.scale + max(math.Abs(p), math.Abs(q))}
+}
+
+// discarded reports that clipTriangle keeps nothing of a triangle whose
+// vertices lie within a float32 rounding of the box (marching interpolates
+// between corners): Eval's six float32 roundings err by far less than
+// 1e-4·scale while no term can overflow. NaN (max keeps it) and ±Inf fail.
+func (b planeBound) discarded() bool {
+	return b.hi < -1e-4*b.scale && b.scale < 0x1p100
 }
 
 // clipTriangle appends the part of one triangle on the positive side of the

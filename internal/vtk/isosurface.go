@@ -57,9 +57,13 @@ var tetCases = [16]struct {
 // (clipTriangle), so out receives exactly what ClipMesh would keep of the
 // unclipped surface, in the same order, and the unclipped surface is never
 // stored. It is one sweep over the field per isovalue: a voxel is rejected
-// on its eight samples before any position is formed, and nothing is
-// allocated beyond out's own growth — none once out has held a surface as
-// large (TriangleMesh.Reset).
+// on its eight samples before any position is formed, and so is a crossing
+// voxel whose corner box lies wholly on the discarded side of the plane
+// (planeBound.discarded), since clipTriangle would drop all it emits. The
+// kept side is not short-cut: clipTriangle also drops triangles with NaN
+// positions, which the unclipped surface keeps. Nothing is allocated beyond
+// out's own growth — none once out has held a surface as large
+// (TriangleMesh.Reset).
 //
 // The field must be a scalar: an array with Components != 1 is refused with
 // a *NotScalarError rather than contoured through the wrong stride.
@@ -88,12 +92,16 @@ func ExtractIsosurfaces(out *TriangleMesh, img *ImageData, field string, isoValu
 	coord := func(axis, i int) float32 {
 		return float32(img.Origin[axis] + float64(i)*img.Spacing[axis])
 	}
+	var row planeBound // the clip plane over the voxel row's y and z extent
 	for _, iso := range isoValues {
 		isoF := float32(iso)
 		for k := 0; k < nz-1; k++ {
 			z0, z1 := coord(2, k), coord(2, k+1)
 			for j := 0; j < ny-1; j++ {
 				y0, y1 := coord(1, j), coord(1, j+1)
+				if clip != nil {
+					row = clip.bound().add(clip.Normal[1], y0, y1).add(clip.Normal[2], z0, z1)
+				}
 				// The voxel row's samples: rows (j,k), (j+1,k), (j,k+1),
 				// (j+1,k+1).
 				ra := data[(k*ny+j)*nx:][:nx]
@@ -110,12 +118,15 @@ func ExtractIsosurfaces(out *TriangleMesh, img *ImageData, field string, isoValu
 					// With all eight samples on one side there is no crossing.
 					if lo|hi != 0 && lo&hi != 0xF {
 						x0, x1 := coord(0, i), coord(0, i+1)
-						pos := [8][3]float32{
-							{x0, y0, z0}, {x1, y0, z0}, {x1, y1, z0}, {x0, y1, z0},
-							{x0, y0, z1}, {x1, y0, z1}, {x1, y1, z1}, {x0, y1, z1},
+						// Nothing of a voxel wholly on the discarded side survives the clip.
+						if clip == nil || !row.add(clip.Normal[0], x0, x1).discarded() {
+							pos := [8][3]float32{
+								{x0, y0, z0}, {x1, y0, z0}, {x1, y1, z0}, {x0, y1, z0},
+								{x0, y0, z1}, {x1, y0, z1}, {x1, y1, z1}, {x0, y1, z1},
+							}
+							val := [8]float32{a0, a1, b1, b0, c0, c1, d1, d0}
+							marchVoxel(out, &pos, &val, isoF, clip)
 						}
-						val := [8]float32{a0, a1, b1, b0, c0, c1, d1, d0}
-						marchVoxel(out, &pos, &val, isoF, clip)
 					}
 					a0, b0, c0, d0, lo = a1, b1, c1, d1, hi
 				}

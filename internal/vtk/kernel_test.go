@@ -39,12 +39,17 @@ func requireSameMesh(t *testing.T, what string, got, want *TriangleMesh) {
 }
 
 // randomGrid builds a grid with random dims (now and then one point thick
-// along an axis), origin and spacing, and a field with smooth structure,
-// noise, and a sprinkling of NaN and ±Inf samples.
+// along an axis, now and then large enough for a plane to leave many whole
+// voxels on each side), origin and spacing (now and then NaN or ±Inf on an
+// axis), and a field with smooth structure, noise, and a sprinkling of NaN
+// and ±Inf samples.
 func randomGrid(rng *rand.Rand) *ImageData {
 	var dims [3]int
 	for k := range dims {
 		dims[k] = 2 + rng.Intn(7)
+		if rng.Intn(4) == 0 {
+			dims[k] = 10 + rng.Intn(10)
+		}
 	}
 	if rng.Intn(6) == 0 {
 		dims[rng.Intn(3)] = 1
@@ -53,6 +58,14 @@ func randomGrid(rng *rand.Rand) *ImageData {
 	spacing := [3]float64{0.1 + rng.Float64()*3, 0.1 + rng.Float64()*3, 0.1 + rng.Float64()*3}
 	if rng.Intn(3) == 0 {
 		origin, spacing = [3]float64{}, [3]float64{1, 1, 1}
+	}
+	if rng.Intn(8) == 0 {
+		hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		if rng.Intn(2) == 0 {
+			origin[rng.Intn(3)] = hostile
+		} else {
+			spacing[rng.Intn(3)] = hostile
+		}
 	}
 	img := NewImageData(dims, origin, spacing)
 	arr := img.AddPointArray("f", 1)
@@ -77,17 +90,21 @@ func randomGrid(rng *rand.Rand) *ImageData {
 	return img
 }
 
-// randomPlane draws a clip plane: axis-aligned through a grid point, or
-// arbitrary through the grid's interior, or missing the grid altogether.
+// randomPlane draws a clip plane: axis-aligned through a grid point or
+// between two, or arbitrary through the grid's interior, or missing the
+// grid altogether.
 func randomPlane(rng *rand.Rand, img *ImageData) Plane {
 	at := img.Point(rng.Intn(img.Dims[0]), rng.Intn(img.Dims[1]), rng.Intn(img.Dims[2]))
-	switch rng.Intn(4) {
-	case 0:
+	switch rng.Intn(5) {
+	case 0, 4:
 		axis := rng.Intn(3)
 		var n [3]float32
 		n[axis] = 1
 		if rng.Intn(2) == 0 {
 			n[axis] = -1
+		}
+		if rng.Intn(2) == 0 {
+			at[axis] += img.Spacing[axis] / 2
 		}
 		return Plane{Normal: n, Offset: n[axis] * float32(at[axis])}
 	case 1:
@@ -150,6 +167,65 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 	if triangles < 10000 {
 		t.Fatalf("only %d reference triangles over all trials: the property was barely exercised", triangles)
+	}
+}
+
+// TestFusedClipDropsKeptSideNaNTriangles: NaN samples on the kept side of
+// the plane give triangles with NaN positions. The unclipped surface keeps
+// them; clipTriangle drops those with NaN at every vertex and re-cuts those
+// with NaN at one or two. So a voxel wholly on the kept side may not bypass
+// the clip — only the discarded side is skipped.
+func TestFusedClipDropsKeptSideNaNTriangles(t *testing.T) {
+	img := NewImageData([3]int{10, 6, 6}, [3]float64{}, [3]float64{1, 1, 1})
+	f := img.AddPointArray("f", 1)
+	for k := 0; k < 6; k++ {
+		for j := 0; j < 6; j++ {
+			for i := 0; i < 10; i++ {
+				v := float32(j%2) + 0.05*float32(i)
+				if i >= 5 && (i+j+k)%4 == 0 {
+					v = float32(math.NaN())
+				}
+				f.Data[img.Index(i, j, k)] = v
+			}
+		}
+	}
+	pl := Plane{Normal: [3]float32{1, 0, 0}, Offset: 2}
+	// nanTriangles counts triangles with a NaN coordinate at every vertex.
+	nanTriangles := func(m *TriangleMesh) int {
+		n := 0
+		for tri := 0; tri < m.NumTriangles(); tri++ {
+			nanVertices := 0
+			for v := 0; v < 3; v++ {
+				p := m.Positions[9*tri+3*v:][:3]
+				if p[0] != p[0] || p[1] != p[1] || p[2] != p[2] {
+					nanVertices++
+				}
+			}
+			if nanVertices == 3 {
+				n++
+			}
+		}
+		return n
+	}
+
+	all := &TriangleMesh{}
+	if err := ExtractIsosurfaces(all, img, "f", []float64{0.5}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if nanTriangles(all) == 0 {
+		t.Fatal("no NaN-position triangles in the unclipped surface: the test shows nothing")
+	}
+	fused := &TriangleMesh{}
+	if err := ExtractIsosurfaces(fused, img, "f", []float64{0.5}, &pl); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refIsosurface(img, "f", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMesh(t, "fused clip", fused, refClipMesh(ref, pl))
+	if fused.NumTriangles() == 0 || nanTriangles(fused) != 0 {
+		t.Fatalf("fused clip kept %d triangles, %d with NaN positions", fused.NumTriangles(), nanTriangles(fused))
 	}
 }
 
