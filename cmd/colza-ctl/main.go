@@ -29,6 +29,9 @@ import (
 	"colza/internal/na"
 )
 
+// rpcTimeout bounds each view fetch.
+const rpcTimeout = 10 * time.Second
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: colza-ctl [-server addr | -connfile file] <command> [args]
 commands:
@@ -48,7 +51,6 @@ commands:
 func main() {
 	server := flag.String("server", "", "RPC address of the target server (tcp://host:port)")
 	connFile := flag.String("connfile", "", "read the target address from a connection file")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-RPC timeout")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -79,7 +81,7 @@ func main() {
 
 	switch args[0] {
 	case "members":
-		view, err := client.FetchView(target, *timeout)
+		view, err := client.FetchView(target, rpcTimeout)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -115,7 +117,7 @@ func main() {
 				fatal("%v", err)
 			}
 		} else {
-			view, err := client.FetchView(target, *timeout)
+			view, err := client.FetchView(target, rpcTimeout)
 			if err != nil {
 				fatal("%v", err)
 			}

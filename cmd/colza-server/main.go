@@ -32,13 +32,10 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "TCP host:port for the RPC endpoint (port 0 = ephemeral)")
-	listenMona := flag.String("listen-mona", "127.0.0.1:0", "TCP host:port for the MoNA endpoint")
 	smOn := flag.Bool("sm", true, "also listen for colocated peers; the RPC address becomes sm+tcp://... and colocated peers exchange frames over a unix socket and pull staged blocks from a shared arena")
 	smDir := flag.String("sm-dir", "", "directory for shared-memory segments (empty = <tmp>/colza-sm)")
 	connFile := flag.String("connfile", "colza.addr", "connection file: created by the first daemon, read by joiners")
-	group := flag.String("group", "colza", "SSG group name")
 	gossipMS := flag.Int("gossip-ms", 250, "SSG gossip period in milliseconds")
-	dumpMetrics := flag.Bool("dump-metrics", true, "print the metrics registry on shutdown")
 	stateReplicas := flag.Int("state-replicas", 1, "ring successors receiving each stateful pipeline's checkpoint after deactivate (0 disables the durability layer)")
 	elasticOn := flag.Bool("elastic", false, "embed the closed-loop scaling controller (the SWIM leader's controller actuates)")
 	elasticTarget := flag.Duration("elastic-target", time.Second, "desired per-iteration execute time the controller steers toward")
@@ -51,8 +48,8 @@ func main() {
 	// socket and advertises one composite address, so colocated clients
 	// and daemons dial the unix socket and pull staged blocks straight out
 	// of the exposer's shared arena, while remote peers dial TCP. MoNA
-	// stays on TCP: its collectives run between daemons that are
-	// typically on different nodes.
+	// stays on TCP, on an ephemeral port of the same host: its collectives
+	// run between daemons that are typically on different nodes.
 	var rpcEP na.Endpoint
 	var err error
 	if *smOn {
@@ -63,7 +60,7 @@ func main() {
 	if err != nil {
 		fatal("listen rpc: %v", err)
 	}
-	monaEP, err := na.ListenTCP(*listenMona)
+	monaEP, err := na.ListenTCP(hostOnly(*listen) + ":0")
 	if err != nil {
 		fatal("listen mona: %v", err)
 	}
@@ -79,7 +76,6 @@ func main() {
 	}
 	pools := core.PoolsConfig{Control: core.DefaultControlPool(), Data: core.DefaultDataPool()}
 	cfg := core.ServerConfig{
-		GroupName:     *group,
 		Bootstrap:     bootstrap,
 		SSG:           ssg.Config{GossipPeriod: time.Duration(*gossipMS) * time.Millisecond},
 		Pools:         pools,
@@ -96,9 +92,9 @@ func main() {
 		if err := os.WriteFile(*connFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
 			fatal("write connection file: %v", err)
 		}
-		fmt.Printf("colza-server: created group %q, connection file %s\n", *group, *connFile)
+		fmt.Printf("colza-server: created group, connection file %s\n", *connFile)
 	} else {
-		fmt.Printf("colza-server: joined group %q via %s\n", *group, bootstrap)
+		fmt.Printf("colza-server: joined group via %s\n", bootstrap)
 	}
 	fmt.Printf("colza-server: rpc=%s mona=%s pipelines=%v\n", srv.Addr(), srv.Mona.Addr(), core.PipelineTypes())
 	fmt.Printf("colza-server: pools control=%d/%d data=%d/%d (workers/queue)\n",
@@ -120,9 +116,7 @@ func main() {
 			Binary: binary,
 			Args: []string{
 				"-listen", hostOnly(*listen) + ":0",
-				"-listen-mona", hostOnly(*listenMona) + ":0",
 				"-connfile", *connFile,
-				"-group", *group,
 				"-gossip-ms", fmt.Sprint(*gossipMS),
 				// Boolean flags must use the -flag=value form: the flag
 				// package stops parsing at a separate bare "true" token,
@@ -196,11 +190,9 @@ func main() {
 			fmt.Println("colza-server: last member out; removed connection file")
 		}
 	}
-	if *dumpMetrics {
-		fmt.Println("colza-server: final metrics:")
-		if err := srv.Obs.WriteText(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "colza-server: metrics dump: %v\n", err)
-		}
+	fmt.Println("colza-server: final metrics:")
+	if err := srv.Obs.WriteText(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "colza-server: metrics dump: %v\n", err)
 	}
 	srv.MI.Finalize()
 }

@@ -159,38 +159,6 @@ func (c *Cluster) CreatePipelineOn(s *core.Server, name, typeName string, cfg in
 	return c.Admin.CreatePipeline(s.Addr(), name, typeName, raw)
 }
 
-// MergedHistogram merges one named histogram across every live server's
-// registry — the fleet-wide latency distribution (e.g. "span.srv.stage" for
-// a pipeline label), from which experiments report p50/p95/p99.
-func (c *Cluster) MergedHistogram(key string) obs.HistSnapshot {
-	var out obs.HistSnapshot
-	for _, s := range c.Servers {
-		if s.Provider.Leaving() {
-			continue
-		}
-		out = out.Merge(s.Obs.Snapshot().Histograms[key])
-	}
-	return out
-}
-
-// CollectTraces fetches every live server's span records over the admin
-// interface and appends the client-side trace, giving experiments the full
-// per-iteration timeline of a run.
-func (c *Cluster) CollectTraces() ([]obs.SpanRecord, error) {
-	var out []obs.SpanRecord
-	for _, s := range c.Servers {
-		if s.Provider.Leaving() {
-			continue
-		}
-		recs, err := c.Admin.Trace(s.Addr())
-		if err != nil {
-			return nil, fmt.Errorf("bench: collecting trace from %s: %w", s.Addr(), err)
-		}
-		out = append(out, recs...)
-	}
-	return append(out, c.Obs.Trace()...), nil
-}
-
 // Shutdown kills everything.
 func (c *Cluster) Shutdown() {
 	if c.MI != nil {

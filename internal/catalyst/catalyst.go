@@ -96,16 +96,15 @@ type Stats struct {
 // admin create_pipeline call — the analog of the Catalyst Python script
 // exported from ParaView).
 type IsoConfig struct {
-	Field       string      `json:"field"`
-	IsoValues   []float64   `json:"isovalues"`
-	Width       int         `json:"width"`
-	Height      int         `json:"height"`
-	ScalarRange [2]float64  `json:"scalar_range"`
-	Clip        *ClipSpec   `json:"clip,omitempty"`
-	Camera      *CameraSpec `json:"camera,omitempty"`
-	Strategy    string      `json:"strategy,omitempty"` // "tree" (default) or "bswap"
-	ColorMap    string      `json:"colormap,omitempty"`
-	EmitImage   bool        `json:"emit_image,omitempty"` // return PNG from rank 0
+	Field       string     `json:"field"`
+	IsoValues   []float64  `json:"isovalues"`
+	Width       int        `json:"width"`
+	Height      int        `json:"height"`
+	ScalarRange [2]float64 `json:"scalar_range"`
+	Clip        *ClipSpec  `json:"clip,omitempty"`
+	Strategy    string     `json:"strategy,omitempty"` // "tree" (default) or "bswap"
+	ColorMap    string     `json:"colormap,omitempty"`
+	EmitImage   bool       `json:"emit_image,omitempty"` // return PNG from rank 0
 	// WarmupKiB sizes the first-activation warm-up work (framebuffer and
 	// table allocation standing in for VTK loading shared libraries and
 	// starting a Python interpreter — the first-iteration spike the paper
@@ -117,43 +116,6 @@ type IsoConfig struct {
 type ClipSpec struct {
 	Normal [3]float64 `json:"normal"`
 	Offset float64    `json:"offset"`
-}
-
-// CameraSpec overrides the automatic camera (the analog of the camera
-// state a ParaView-exported Catalyst script carries). Zero value = frame
-// the data automatically.
-type CameraSpec struct {
-	Eye    [3]float64 `json:"eye"`
-	LookAt [3]float64 `json:"lookat"`
-	Up     [3]float64 `json:"up"`
-	FovY   float64    `json:"fovy,omitempty"`
-}
-
-// camera resolves a spec (or automatic framing) into a render.Camera.
-func resolveCamera(spec *CameraSpec, lo, hi render.Vec3) render.Camera {
-	if spec == nil {
-		return render.DefaultCamera(lo, hi)
-	}
-	up := render.Vec3{spec.Up[0], spec.Up[1], spec.Up[2]}
-	if up == (render.Vec3{}) {
-		up = render.Vec3{0, 1, 0}
-	}
-	fov := spec.FovY
-	if fov <= 0 {
-		fov = 45
-	}
-	diag := render.Vec3{hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]}.Norm()
-	if diag == 0 {
-		diag = 1
-	}
-	return render.Camera{
-		Eye:    render.Vec3{spec.Eye[0], spec.Eye[1], spec.Eye[2]},
-		LookAt: render.Vec3{spec.LookAt[0], spec.LookAt[1], spec.LookAt[2]},
-		Up:     up,
-		FovY:   fov,
-		Near:   diag * 0.01,
-		Far:    diag * 20,
-	}
 }
 
 func (c *IsoConfig) withDefaults() {
@@ -241,7 +203,7 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 	if math.IsInf(glo[0], 1) { // nobody has geometry
 		glo, ghi = render.Vec3{}, render.Vec3{1, 1, 1}
 	}
-	cam := resolveCamera(cfg.Camera, glo, ghi)
+	cam := render.DefaultCamera(glo, ghi)
 
 	// Local rendering.
 	t1 := time.Now()
@@ -257,11 +219,7 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 
 	// Parallel compositing — the only communication-intensive step.
 	compStart := time.Now()
-	icetComm, err := icet.FromController(ctrl)
-	if err != nil {
-		return st, nil, err
-	}
-	out, err := icet.Composite(im, icetComm, icet.ParseStrategy(cfg.Strategy), icet.Depth, 0)
+	out, err := icet.Composite(im, ctrl.Communicator(), icet.ParseStrategy(cfg.Strategy), icet.Depth, 0)
 	if err != nil {
 		return st, nil, err
 	}
@@ -272,17 +230,14 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 
 // VolumeConfig configures the unstructured-grid volume pipeline.
 type VolumeConfig struct {
-	Field       string      `json:"field"`
-	Width       int         `json:"width"`
-	Height      int         `json:"height"`
-	ScalarRange [2]float64  `json:"scalar_range"`
-	Opacity     float64     `json:"opacity,omitempty"`
-	PointSize   float64     `json:"point_size,omitempty"`
-	Camera      *CameraSpec `json:"camera,omitempty"`
-	Strategy    string      `json:"strategy,omitempty"`
-	ColorMap    string      `json:"colormap,omitempty"`
-	EmitImage   bool        `json:"emit_image,omitempty"`
-	WarmupKiB   int         `json:"warmup_kib,omitempty"`
+	Field       string     `json:"field"`
+	Width       int        `json:"width"`
+	Height      int        `json:"height"`
+	ScalarRange [2]float64 `json:"scalar_range"`
+	PointSize   float64    `json:"point_size,omitempty"`
+	ColorMap    string     `json:"colormap,omitempty"`
+	EmitImage   bool       `json:"emit_image,omitempty"`
+	WarmupKiB   int        `json:"warmup_kib,omitempty"`
 }
 
 func (c *VolumeConfig) withDefaults() {
@@ -301,7 +256,8 @@ func (c *VolumeConfig) withDefaults() {
 }
 
 // ExecuteVolume runs the DWI pipeline body: merge the staged blocks,
-// volume-splat locally, composite with ordered blending.
+// volume-splat locally, composite with ordered blending over the tree
+// reduce.
 func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg VolumeConfig) (Stats, *render.Image, error) {
 	cfg.withDefaults()
 	var st Stats
@@ -327,7 +283,7 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 	if math.IsInf(glo[0], 1) {
 		glo, ghi = render.Vec3{}, render.Vec3{1, 1, 1}
 	}
-	cam := resolveCamera(cfg.Camera, glo, ghi)
+	cam := render.DefaultCamera(glo, ghi)
 
 	t1 := time.Now()
 	im := render.NewImage(cfg.Width, cfg.Height)
@@ -337,7 +293,6 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 			Field:       cfg.Field,
 			ScalarRange: cfg.ScalarRange,
 			ColorMap:    pickColorMap(cfg.ColorMap),
-			Opacity:     cfg.Opacity,
 			PointSize:   cfg.PointSize,
 		})
 	}
@@ -347,11 +302,7 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 	}
 
 	compStart := time.Now()
-	icetComm, err := icet.FromController(ctrl)
-	if err != nil {
-		return st, nil, err
-	}
-	out, err := icet.Composite(im, icetComm, icet.ParseStrategy(cfg.Strategy), icet.Ordered, 0)
+	out, err := icet.Composite(im, ctrl.Communicator(), icet.TreeReduce, icet.Ordered, 0)
 	if err != nil {
 		return st, nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"colza/internal/margo"
 	"colza/internal/minimpi"
 	"colza/internal/na"
-	"colza/internal/render"
 	"colza/internal/ssg"
 	"colza/internal/vtk"
 )
@@ -123,50 +122,4 @@ func newSingletonComm(t *testing.T) *minimpi.Comm {
 	world := minimpi.World(1)
 	t.Cleanup(func() { world[0].Finalize() })
 	return world[0]
-}
-
-// TestCameraSpecOverridesFraming: a pinned camera produces a different
-// image than automatic framing (the ParaView-exported camera analog).
-func TestCameraSpecOverridesFraming(t *testing.T) {
-	world := newSingletonComm(t)
-	ctrl := vtk.NewController("mpi", world)
-	img := vtk.NewImageData([3]int{12, 12, 12}, [3]float64{}, [3]float64{1, 1, 1})
-	arr := img.AddPointArray("value", 1)
-	for k := 0; k < 12; k++ {
-		for j := 0; j < 12; j++ {
-			for i := 0; i < 12; i++ {
-				dx, dy, dz := float64(i)-5.5, float64(j)-5.5, float64(k)-5.5
-				arr.Data[img.Index(i, j, k)] = float32(dx*dx + dy*dy + dz*dz)
-			}
-		}
-	}
-	base := catalyst_IsoRender(t, ctrl, img, nil)
-	zoomed := catalyst_IsoRender(t, ctrl, img, &CameraSpec{
-		Eye: [3]float64{5.5, 5.5, 8}, LookAt: [3]float64{5.5, 5.5, 5.5}, FovY: 30,
-	})
-	if base.CoveredPixels() == 0 || zoomed.CoveredPixels() == 0 {
-		t.Fatal("one of the renders is empty")
-	}
-	same := true
-	for i := range base.RGBA {
-		if base.RGBA[i] != zoomed.RGBA[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("camera override had no effect")
-	}
-}
-
-func catalyst_IsoRender(t *testing.T, ctrl *vtk.Controller, img *vtk.ImageData, cam *CameraSpec) *render.Image {
-	t.Helper()
-	_, out, err := ExecuteIso(ctrl, []*vtk.ImageData{img}, IsoConfig{
-		Field: "value", IsoValues: []float64{9}, Width: 64, Height: 64,
-		ScalarRange: [2]float64{0, 30}, Camera: cam,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }

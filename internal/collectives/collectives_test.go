@@ -349,12 +349,7 @@ func TestOpsNumeric(t *testing.T) {
 		}
 		return out
 	}
-	acc := f32(1, -2, 3)
-	SumFloat32(acc, f32(10, 20, 30))
-	if got := readF32(acc); got[0] != 11 || got[1] != 18 || got[2] != 33 {
-		t.Fatalf("SumFloat32 = %v", got)
-	}
-	acc = f32(1, 5, 3)
+	acc := f32(1, 5, 3)
 	MinFloat32(acc, f32(2, 4, 9))
 	if got := readF32(acc); got[0] != 1 || got[1] != 4 || got[2] != 3 {
 		t.Fatalf("MinFloat32 = %v", got)

@@ -18,20 +18,6 @@ func XorBytes(acc, in []byte) []byte {
 	return acc
 }
 
-// SumFloat32 adds vectors of little-endian float32 values.
-func SumFloat32(acc, in []byte) []byte {
-	n := len(acc) / 4
-	if len(in)/4 < n {
-		n = len(in) / 4
-	}
-	for i := 0; i < n; i++ {
-		a := math.Float32frombits(binary.LittleEndian.Uint32(acc[4*i:]))
-		b := math.Float32frombits(binary.LittleEndian.Uint32(in[4*i:]))
-		binary.LittleEndian.PutUint32(acc[4*i:], math.Float32bits(a+b))
-	}
-	return acc
-}
-
 // SumFloat64 adds vectors of little-endian float64 values.
 func SumFloat64(acc, in []byte) []byte {
 	n := len(acc) / 8

@@ -719,25 +719,3 @@ func TestBatchedCloseFailsPendingBlocks(t *testing.T) {
 		t.Fatalf("Flush after close: %v, want the pending blocks' ErrHandleClosed", err)
 	}
 }
-
-// TestStageBatchedInvalidPlacement: a broken placement policy must fail the
-// block immediately — sync Stage returns the error, nothing is enqueued.
-func TestStageBatchedInvalidPlacement(t *testing.T) {
-	d := deploy(t, 2)
-	d.createEverywhere(t, "viz")
-	h, reg := batchedHandle(t, d, "viz", 1<<20, -1)
-	if _, err := h.Activate(1); err != nil {
-		t.Fatal(err)
-	}
-	h.SetPlacement(func(BlockMeta, int) int { return -1 })
-	err := h.Stage(1, BlockMeta{Field: "v", BlockID: 0, Type: "raw"}, []byte{1})
-	if err == nil || !strings.Contains(err.Error(), "invalid rank") {
-		t.Fatalf("stage with invalid placement: %v, want invalid-rank error", err)
-	}
-	if got := reg.Snapshot().Counters["colza.stage.batch.blocks{pipeline=viz}"]; got != 0 {
-		t.Fatalf("invalid-placement block was enqueued (batch.blocks = %d)", got)
-	}
-	if err := h.Deactivate(1); err != nil {
-		t.Fatal(err)
-	}
-}

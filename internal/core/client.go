@@ -45,9 +45,6 @@ func NewClient(mi *margo.Instance) *Client {
 	return &Client{mi: mi, infoCache: make(map[string]ServerInfo)}
 }
 
-// Margo exposes the client's instance (for bulk registration).
-func (c *Client) Margo() *margo.Instance { return c.mi }
-
 // SetObserver routes the client's metrics and spans into r (and the
 // underlying Margo instance's RPC metrics with them). Tests and benchmarks
 // give each simulated client rank its own registry this way.
@@ -213,10 +210,8 @@ func (c *Client) FetchView(contact string, timeout time.Duration) (MemberView, e
 	return v, nil
 }
 
-// PlacementPolicy selects the server rank that receives a staged block.
-type PlacementPolicy func(meta BlockMeta, servers int) int
-
-// DefaultPlacement is the paper's default: block id modulo server count.
+// DefaultPlacement is the paper's placement, the one every handle uses:
+// block id modulo server count.
 func DefaultPlacement(meta BlockMeta, servers int) int {
 	if servers <= 0 {
 		return 0
@@ -239,7 +234,6 @@ type DistributedPipelineHandle struct {
 
 	mu         sync.Mutex
 	view       MemberView
-	placement  PlacementPolicy
 	timeout    time.Duration
 	retries    int
 	stageRetry RetryPolicy
@@ -318,7 +312,6 @@ func (c *Client) newHandle(pipeline, contact string, coalesce bool) *Distributed
 		c:          c,
 		pipeline:   pipeline,
 		contact:    contact,
-		placement:  DefaultPlacement,
 		timeout:    10 * time.Second,
 		retries:    8,
 		stageRetry: DefaultStageRetry,
@@ -362,13 +355,6 @@ func (h *DistributedPipelineHandle) Flush(it uint64) error {
 		return nil
 	}
 	return h.batch.flush()
-}
-
-// SetPlacement overrides the stage-target selection policy.
-func (h *DistributedPipelineHandle) SetPlacement(p PlacementPolicy) {
-	h.mu.Lock()
-	h.placement = p
-	h.mu.Unlock()
 }
 
 // SetTimeout sets the per-RPC timeout.
@@ -607,7 +593,7 @@ func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, time
 	return true, nil
 }
 
-// Stage hands one block to the server the placement policy selects, which
+// Stage hands one block to the server DefaultPlacement selects, which
 // fetches it out of the caller's memory (RDMA semantics: data is exposed, not
 // pushed). The contract is the same however the handle stages (see Handle):
 // data must stay unchanged until Stage returns and is the caller's again

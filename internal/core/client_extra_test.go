@@ -8,46 +8,6 @@ import (
 	"time"
 )
 
-// TestCustomPlacementPolicy routes every block to rank 0 regardless of id.
-func TestCustomPlacementPolicy(t *testing.T) {
-	d := deploy(t, 3)
-	d.createEverywhere(t, "viz")
-	h := d.client.Handle("viz", d.servers[0].Addr())
-	h.SetTimeout(2 * time.Second)
-	h.SetPlacement(func(meta BlockMeta, servers int) int { return 0 })
-	if _, err := h.Activate(1); err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < 6; b++ {
-		if err := h.Stage(1, BlockMeta{BlockID: b}, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := h.Execute(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Summary["local_bytes"] != 6 {
-		t.Fatalf("rank 0 got %v bytes, want all 6", res[0].Summary["local_bytes"])
-	}
-	for r := 1; r < 3; r++ {
-		if res[r].Summary["local_bytes"] != 0 {
-			t.Fatalf("rank %d got data despite pinning policy", r)
-		}
-	}
-	h.Deactivate(1)
-
-	// Out-of-range policies are rejected before any RPC.
-	h.SetPlacement(func(meta BlockMeta, servers int) int { return servers + 5 })
-	if _, err := h.Activate(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Stage(2, BlockMeta{}, nil); err == nil {
-		t.Fatal("invalid placement accepted")
-	}
-	h.Deactivate(2)
-}
-
 // TestTwoPipelinesActiveConcurrently: distinct pipelines on the same
 // provider can run overlapping iterations (the paper allows multiple
 // loaded pipelines).

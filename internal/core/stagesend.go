@@ -16,15 +16,11 @@ import (
 func (h *DistributedPipelineHandle) stageTarget(meta BlockMeta) (rank int, addr string, err error) {
 	h.mu.Lock()
 	view := h.view
-	placement := h.placement
 	h.mu.Unlock()
 	if len(view.Members) == 0 {
 		return 0, "", fmt.Errorf("colza: stage before activate (no pinned view)")
 	}
-	rank = placement(meta, len(view.Members))
-	if rank < 0 || rank >= len(view.Members) {
-		return 0, "", fmt.Errorf("colza: placement selected invalid rank %d", rank)
-	}
+	rank = DefaultPlacement(meta, len(view.Members))
 	return rank, view.Members[rank].RPC, nil
 }
 

@@ -122,22 +122,6 @@ func (s *Sim) Run() error {
 	return nil
 }
 
-// RunFor executes events until the clock would pass the deadline, leaving
-// later events queued. It never reports deadlock; use Run for that.
-func (s *Sim) RunFor(d time.Duration) {
-	deadline := s.now + d
-	for s.events.Len() > 0 && s.events[0].t <= deadline {
-		ev := heap.Pop(&s.events).(*event)
-		if ev.t > s.now {
-			s.now = ev.t
-		}
-		ev.fn()
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-}
-
 // Proc is a simulated process. All methods must be called from the
 // process's own goroutine while it is the running process.
 type Proc struct {

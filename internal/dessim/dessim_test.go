@@ -162,24 +162,6 @@ func TestSpawnFromRunningProcess(t *testing.T) {
 	}
 }
 
-func TestRunForStopsAtDeadline(t *testing.T) {
-	s := New(1)
-	fired := 0
-	s.After(time.Second, func() { fired++ })
-	s.After(3*time.Second, func() { fired++ })
-	s.RunFor(2 * time.Second)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if s.Now() != 2*time.Second {
-		t.Fatalf("now = %v, want 2s", s.Now())
-	}
-	s.RunFor(2 * time.Second)
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-}
-
 // TestDeterminism checks the core reproducibility property: same seed and
 // same program produce the same trace of (time, event) pairs.
 func TestDeterminism(t *testing.T) {

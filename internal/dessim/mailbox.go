@@ -72,15 +72,5 @@ func (m *Mailbox) Recv(p *Proc) (Message, bool) {
 	return msg, true
 }
 
-// TryRecv pops a message if one is immediately available.
-func (m *Mailbox) TryRecv() (Message, bool) {
-	if len(m.queue) == 0 {
-		return Message{}, false
-	}
-	msg := m.queue[0]
-	m.queue = m.queue[1:]
-	return msg, true
-}
-
 // Len reports the number of queued messages.
 func (m *Mailbox) Len() int { return len(m.queue) }

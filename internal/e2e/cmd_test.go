@@ -58,7 +58,7 @@ func TestCommandLineDeployment(t *testing.T) {
 
 	startServer := func(name string) *exec.Cmd {
 		cmd := exec.Command(serverBin,
-			"-listen", "127.0.0.1:0", "-listen-mona", "127.0.0.1:0",
+			"-listen", "127.0.0.1:0",
 			"-connfile", connFile, "-gossip-ms", "20",
 			"-sm-dir", dir)
 		cmd.Stdout = os.Stderr
@@ -278,7 +278,7 @@ func TestElasticCommandLine(t *testing.T) {
 
 	startServer := func(name string, extra ...string) {
 		args := append([]string{
-			"-listen", "127.0.0.1:0", "-listen-mona", "127.0.0.1:0",
+			"-listen", "127.0.0.1:0",
 			"-connfile", connFile, "-gossip-ms", "20", "-sm-dir", dir}, extra...)
 		cmd := exec.Command(serverBin, args...)
 		cmd.Stdout = os.Stderr
@@ -407,7 +407,7 @@ func TestElasticProcessRelaunchCarriesController(t *testing.T) {
 	// Target 2ms: any real iso execute overshoots it, so the first sensed
 	// execute triggers a launch. The ceiling of 2 keeps it to one.
 	cmd := exec.Command(serverBin,
-		"-listen", "127.0.0.1:0", "-listen-mona", "127.0.0.1:0",
+		"-listen", "127.0.0.1:0",
 		"-connfile", connFile, "-gossip-ms", "20", "-sm-dir", dir,
 		"-elastic", "-elastic-target", "2ms",
 		"-elastic-ceiling", "2")

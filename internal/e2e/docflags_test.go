@@ -1,6 +1,10 @@
 package e2e
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path"
@@ -135,6 +139,156 @@ func TestDocumentedFlagsExist(t *testing.T) {
 		}
 		if bad := unknownDocFlags(string(doc), flags); len(bad) > 0 {
 			t.Errorf("%s names flags neither colza-server -h nor colza-ctl -h prints: %v", name, bad)
+		}
+	}
+}
+
+// identDocs are the documents whose backticked Go identifiers must name a
+// declaration of this module.
+var identDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+// qualifiedIdent matches pkg.Name and pkg.Name.Member, where Name is
+// exported: a dotted metric name such as catalyst.render_p50_s has a
+// lowercase second part and is not an identifier.
+var qualifiedIdent = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
+
+// moduleDecls maps each package name of the module's non-test files (the
+// benchmark/ module and main packages aside) to its top-level names, and
+// "pkg.Type" to the type's methods, struct fields and interface methods.
+func moduleDecls(t *testing.T, root string) map[string]map[string]bool {
+	t.Helper()
+	decls := map[string]map[string]bool{}
+	add := func(key, name string) {
+		if decls[key] == nil {
+			decls[key] = map[string]bool{}
+		}
+		decls[key][name] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "benchmark") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		if pkg == "main" {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					add(pkg, decl.Name.Name)
+					continue
+				}
+				recv := decl.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if idx, ok := recv.(*ast.IndexExpr); ok {
+					recv = idx.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					add(pkg+"."+id.Name, decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(pkg, spec.Name.Name)
+						var members *ast.FieldList
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							members = typ.Fields
+						case *ast.InterfaceType:
+							members = typ.Methods
+						default:
+							continue
+						}
+						for _, m := range members.List {
+							for _, n := range m.Names {
+								add(pkg+"."+spec.Name.Name, n.Name)
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							add(pkg, n.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls
+}
+
+// unknownDocIdents lists the backticked pkg.Name and pkg.Type.Member
+// references in doc, outside fenced blocks, that no declaration in decls
+// answers. Only names qualified by one of the module's packages count.
+func unknownDocIdents(doc string, decls map[string]map[string]bool) []string {
+	var prose []string
+	fenced := false
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+		} else if !fenced {
+			prose = append(prose, line)
+		}
+	}
+	var bad []string
+	for _, code := range inlineCode.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+		for _, m := range qualifiedIdent.FindAllStringSubmatch(code[1], -1) {
+			pkg, name, member := m[1], m[2], m[3]
+			if decls[pkg] == nil {
+				continue // not one of the module's packages
+			}
+			switch {
+			case !decls[pkg][name]:
+				bad = append(bad, pkg+"."+name)
+			case member != "" && !decls[pkg+"."+name][member]:
+				bad = append(bad, pkg+"."+name+"."+member)
+			}
+		}
+	}
+	return bad
+}
+
+// TestDocumentedIdentifiersExist holds the documents to the code they
+// describe: a Go identifier a document names in inline code must still be
+// declared, so a deleted type, function, method or field fails here until
+// the documents stop naming it.
+func TestDocumentedIdentifiersExist(t *testing.T) {
+	root := repoRoot(t)
+	decls := moduleDecls(t, root)
+
+	// Deleted names planted next to live ones and a metric name.
+	planted := "Composite through `icet.FromController(ctrl)` and the controller's\n" +
+		"`vtk.Controller.Kind`; `vtk.Controller`, `core.DefaultPlacement`,\n" +
+		"`render.Image.At` and `catalyst.render_p50_s` stay.\n\n```go\nicet.RegisterCommFactory(\"mpi\", f) // fenced: not checked\n```\n"
+	if got, want := unknownDocIdents(planted, decls), []string{"icet.FromController", "vtk.Controller.Kind"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("planted stale names: found %v, want %v", got, want)
+	}
+
+	for _, name := range identDocs {
+		doc, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := unknownDocIdents(string(doc), decls); len(bad) > 0 {
+			t.Errorf("%s names identifiers the module does not declare: %v", name, bad)
 		}
 	}
 }

@@ -237,7 +237,7 @@ func TestSurvivesServerCrashMidRun(t *testing.T) {
 // the group together and run an iteration.
 func TestLossyNetworkStillConverges(t *testing.T) {
 	net := na.NewInprocNetwork()
-	net.SetDropProb(0.05) // 5% loss on every delivery
+	net.SetFaultPlan(na.NewFaultPlan(1).Add(na.FaultRule{Prob: 0.05, Drop: true})) // 5% loss on every delivery
 	var servers []*core.Server
 	for i := 0; i < 3; i++ {
 		boot := ""
@@ -258,7 +258,7 @@ func TestLossyNetworkStillConverges(t *testing.T) {
 	waitMembers(t, servers, 3)
 	// Heal the network for the data plane (bulk pulls are not retried in
 	// this prototype), then run an iteration to prove the group is usable.
-	net.SetDropProb(0)
+	net.SetFaultPlan(nil)
 	ep, _ := net.Listen("lossy-client")
 	mi := margo.NewInstance(ep)
 	defer mi.Finalize()

@@ -55,8 +55,6 @@ type Config struct {
 	LaunchRetries int
 	LaunchBackoff time.Duration
 	JoinTimeout   time.Duration
-	// HistoryCap bounds the retained verdict ring (default 128).
-	HistoryCap int
 	// Clock and Sleep inject the time source; nil means wall time. They
 	// must agree (sleeping advances the clock).
 	Clock func() time.Duration
@@ -76,9 +74,6 @@ func (c Config) withDefaults() Config {
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = 10 * time.Second
 	}
-	if c.HistoryCap < 1 {
-		c.HistoryCap = 128
-	}
 	if c.Clock == nil {
 		start := time.Now()
 		c.Clock = func() time.Duration { return time.Since(start) }
@@ -88,6 +83,9 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// historyCap bounds the retained verdict ring.
+const historyCap = 128
 
 // Deps is the controller's actuation surface, injected so tests can swap
 // a fake cluster (and the conformance suite a virtual one) for the live
@@ -289,8 +287,8 @@ func (c *Controller) recordLocked(now time.Duration, action, reason string, serv
 	}
 	c.seq++
 	c.verdicts = append(c.verdicts, v)
-	if len(c.verdicts) > c.cfg.HistoryCap {
-		c.verdicts = c.verdicts[len(c.verdicts)-c.cfg.HistoryCap:]
+	if len(c.verdicts) > historyCap {
+		c.verdicts = c.verdicts[len(c.verdicts)-historyCap:]
 	}
 	return v
 }

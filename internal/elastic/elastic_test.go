@@ -183,9 +183,9 @@ func TestStatusJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// The verdict ring must stay bounded at HistoryCap.
+// The verdict ring must stay bounded at historyCap, keeping the newest.
 func TestVerdictHistoryBounded(t *testing.T) {
-	c, err := NewController(Config{Target: time.Hour, HistoryCap: 4}, Deps{
+	c, err := NewController(Config{Target: time.Hour}, Deps{
 		Members:  func() []string { return []string{"m00", "m01"} },
 		Self:     "m00",
 		Registry: obs.NewRegistry(),
@@ -193,15 +193,15 @@ func TestVerdictHistoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < historyCap+1; i++ {
 		c.Tick(time.Millisecond, 2)
 	}
 	st := c.Status()
-	if len(st.Verdicts) != 4 {
-		t.Fatalf("history length %d, want 4", len(st.Verdicts))
+	if len(st.Verdicts) != historyCap {
+		t.Fatalf("history length %d, want %d", len(st.Verdicts), historyCap)
 	}
-	if st.Verdicts[3].Seq != 9 {
-		t.Fatalf("ring kept wrong tail: %+v", st.Verdicts)
+	if st.Verdicts[0].Seq != 1 || st.Verdicts[historyCap-1].Seq != historyCap {
+		t.Fatalf("ring kept wrong tail: first seq %d, last %d", st.Verdicts[0].Seq, st.Verdicts[historyCap-1].Seq)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"colza/internal/bufpool"
 	"colza/internal/comm"
 	"colza/internal/render"
-	"colza/internal/vtk"
 )
 
 // Strategy selects the compositing algorithm.
@@ -411,43 +410,4 @@ func log2(v int) int {
 		n++
 	}
 	return n
-}
-
-// --- Communicator factory -------------------------------------------------
-//
-// ParaView originally created an IceTCommunicator by downcasting
-// vtkCommunicator to vtkMPICommunicator and extracting the MPI_Comm. The
-// paper's fix added a factory mechanism to vtkIceTContext so other
-// controller kinds can register converters. We mirror that registry.
-
-// CommFactory converts a vtk.Controller into the communicator IceT uses.
-type CommFactory func(*vtk.Controller) (comm.Communicator, error)
-
-var factories = map[string]CommFactory{}
-
-// RegisterCommFactory installs a converter for a controller kind (e.g.
-// "mona", "mpi").
-func RegisterCommFactory(kind string, f CommFactory) { factories[kind] = f }
-
-// FromController resolves the IceT communicator for a controller through
-// the registered factory for its kind.
-func FromController(ctrl *vtk.Controller) (comm.Communicator, error) {
-	f, ok := factories[ctrl.Kind()]
-	if !ok {
-		return nil, fmt.Errorf("icet: no communicator factory registered for controller kind %q (the pre-patch ParaView downcast would have failed here)", ctrl.Kind())
-	}
-	return f(ctrl)
-}
-
-func init() {
-	// Both stacks abstract their communicator identically in this
-	// repository, so the default converters just unwrap the controller.
-	identity := func(c *vtk.Controller) (comm.Communicator, error) {
-		if c.Communicator() == nil {
-			return nil, fmt.Errorf("icet: controller has no communicator")
-		}
-		return c.Communicator(), nil
-	}
-	RegisterCommFactory("mpi", identity)
-	RegisterCommFactory("mona", identity)
 }

@@ -6,10 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"colza/internal/comm"
 	"colza/internal/minimpi"
 	"colza/internal/render"
-	"colza/internal/vtk"
 )
 
 // depthScene builds per-rank images where rank r paints a known region at
@@ -217,32 +215,6 @@ func TestFinalRangesPartitionImage(t *testing.T) {
 				t.Fatalf("p2=%d: pixel %d unowned", p2, i)
 			}
 		}
-	}
-}
-
-func TestCommFactoryRegistry(t *testing.T) {
-	world := minimpi.World(1)
-	defer world[0].Finalize()
-	ctrl := vtk.NewController("mpi", world[0])
-	c, err := FromController(ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Size() != 1 {
-		t.Fatal("factory returned wrong communicator")
-	}
-	// Unregistered kinds reproduce the pre-patch ParaView failure. (The
-	// registry is process-global, so the failing probe must use a name no
-	// test ever registers.)
-	if _, err := FromController(vtk.NewController("never-registered-kind", world[0])); err == nil {
-		t.Fatal("unknown controller kind must fail")
-	}
-	weird := vtk.NewController("fancy-transport", world[0])
-	RegisterCommFactory("fancy-transport", func(c *vtk.Controller) (comm.Communicator, error) {
-		return c.Communicator(), nil
-	})
-	if _, err := FromController(weird); err != nil {
-		t.Fatalf("after registration: %v", err)
 	}
 }
 

@@ -123,15 +123,6 @@ func (m *Instance) BindRPCPool(rpcName string, p *Pool) {
 	m.pmu.Unlock()
 }
 
-// RegisterProviderRPCOnPool registers the handler and binds it to p in one
-// step — per-RPC pool assignment at registration time.
-func (m *Instance) RegisterProviderRPCOnPool(provider, rpc string, p *Pool, h mercury.Handler) {
-	m.RegisterProviderRPC(provider, rpc, h)
-	if p != nil {
-		m.BindRPCPool(ProviderRPCName(provider, rpc), p)
-	}
-}
-
 // dispatch is the mercury.Dispatcher: route bound RPCs to their pool,
 // spawn everything else (responses never come here; internal RPCs like the
 // bulk-pull service stay unbounded — their concurrency is already bounded

@@ -22,7 +22,8 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 
 	var inflight, peak atomic.Int64
 	release := make(chan struct{})
-	m2.RegisterProviderRPCOnPool("t", "work", p, func(req mercury.Request) ([]byte, error) {
+	m2.BindRPCPool(ProviderRPCName("t", "work"), p)
+	m2.RegisterProviderRPC("t", "work", func(req mercury.Request) ([]byte, error) {
 		cur := inflight.Add(1)
 		for {
 			old := peak.Load()
@@ -75,7 +76,8 @@ func TestPoolShedsWhenFull(t *testing.T) {
 
 	started := make(chan struct{}, 16)
 	release := make(chan struct{})
-	m2.RegisterProviderRPCOnPool("t", "work", p, func(req mercury.Request) ([]byte, error) {
+	m2.BindRPCPool(ProviderRPCName("t", "work"), p)
+	m2.RegisterProviderRPC("t", "work", func(req mercury.Request) ([]byte, error) {
 		started <- struct{}{}
 		<-release
 		return nil, nil
@@ -135,7 +137,8 @@ func TestPoolUnboundRPCsUnaffected(t *testing.T) {
 
 	release := make(chan struct{})
 	started := make(chan struct{})
-	m2.RegisterProviderRPCOnPool("t", "slow", p, func(req mercury.Request) ([]byte, error) {
+	m2.BindRPCPool(ProviderRPCName("t", "slow"), p)
+	m2.RegisterProviderRPC("t", "slow", func(req mercury.Request) ([]byte, error) {
 		close(started)
 		<-release
 		return nil, nil

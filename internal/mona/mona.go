@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"colza/internal/bufpool"
@@ -263,80 +262,4 @@ func (c *Comm) Scatter(root, tag int, parts [][]byte) ([]byte, error) {
 // Barrier blocks until every member has entered it.
 func (c *Comm) Barrier(tag int) error {
 	return collectives.Barrier(c, tag)
-}
-
-// Request is a handle on a non-blocking operation.
-type Request struct {
-	ch  chan reqResult
-	res *reqResult
-}
-
-type reqResult struct {
-	data []byte
-	err  error
-}
-
-// Wait blocks until the operation completes.
-func (r *Request) Wait() ([]byte, error) {
-	if r.res == nil {
-		res := <-r.ch
-		r.res = &res
-	}
-	return r.res.data, r.res.err
-}
-
-// Test reports whether the operation has completed, without blocking.
-func (r *Request) Test() bool {
-	if r.res != nil {
-		return true
-	}
-	select {
-	case res := <-r.ch:
-		r.res = &res
-		return true
-	default:
-		return false
-	}
-}
-
-func async(fn func() ([]byte, error)) *Request {
-	r := &Request{ch: make(chan reqResult, 1)}
-	go func() {
-		data, err := fn()
-		r.ch <- reqResult{data: data, err: err}
-	}()
-	return r
-}
-
-// ISend is the non-blocking Send.
-func (c *Comm) ISend(dst, tag int, data []byte) *Request {
-	return async(func() ([]byte, error) { return nil, c.Send(dst, tag, data) })
-}
-
-// IRecv is the non-blocking Recv.
-func (c *Comm) IRecv(src, tag int) *Request {
-	return async(func() ([]byte, error) { return c.Recv(src, tag) })
-}
-
-// IBcast is the non-blocking Bcast.
-func (c *Comm) IBcast(root, tag int, data []byte) *Request {
-	return async(func() ([]byte, error) { return c.Bcast(root, tag, data) })
-}
-
-// IReduce is the non-blocking Reduce.
-func (c *Comm) IReduce(root, tag int, data []byte, op collectives.Op) *Request {
-	return async(func() ([]byte, error) { return c.Reduce(root, tag, data, op) })
-}
-
-// IBarrier is the non-blocking Barrier.
-func (c *Comm) IBarrier(tag int) *Request {
-	return async(func() ([]byte, error) { return nil, c.Barrier(tag) })
-}
-
-// SortedAddrs returns a deterministic ordering of a member set; every
-// process deriving a communicator from the same set gets the same ranks.
-func SortedAddrs(addrs []string) []string {
-	out := append([]string(nil), addrs...)
-	sort.Strings(out)
-	return out
 }

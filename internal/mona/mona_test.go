@@ -315,60 +315,6 @@ func TestSendRecvRankValidation(t *testing.T) {
 	}
 }
 
-func TestNonBlockingOperations(t *testing.T) {
-	_, comms := group(t, 3, 9)
-	onAll(t, comms, func(c *Comm) error {
-		var in []byte
-		if c.Rank() == 0 {
-			in = []byte("async")
-		}
-		req := c.IBcast(0, 11, in)
-		data, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if string(data) != "async" {
-			return fmt.Errorf("ibcast got %q", data)
-		}
-		// Wait is idempotent.
-		if d2, _ := req.Wait(); !bytes.Equal(d2, data) {
-			return fmt.Errorf("second Wait differs")
-		}
-		bar := c.IBarrier(12)
-		for !bar.Test() {
-		}
-		_, err = bar.Wait()
-		return err
-	})
-}
-
-func TestISendIRecvPair(t *testing.T) {
-	_, comms := group(t, 2, 10)
-	rx := comms[1].IRecv(0, 33)
-	tx := comms[0].ISend(1, 33, []byte("nb"))
-	if _, err := tx.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := rx.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "nb" {
-		t.Fatalf("got %q", data)
-	}
-}
-
-func TestSortedAddrsDeterministic(t *testing.T) {
-	in := []string{"inproc://c", "inproc://a", "inproc://b"}
-	got := SortedAddrs(in)
-	if got[0] != "inproc://a" || got[2] != "inproc://c" {
-		t.Fatalf("got %v", got)
-	}
-	if in[0] != "inproc://c" {
-		t.Fatal("input was mutated")
-	}
-}
-
 // Property: reduce over a random number of instances with random payloads
 // matches the sequential fold, across live MoNA instances.
 func TestQuickMonaReduce(t *testing.T) {

@@ -1,7 +1,6 @@
 package na
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -9,13 +8,13 @@ import (
 )
 
 // This file implements scriptable, seedable fault plans — the deterministic
-// chaos layer underneath the transports. The older InprocNetwork knobs
-// (SetDropProb, SetLinkDelay, Partition) apply one global behaviour; a
-// FaultPlan instead carries an ordered list of rules that target specific
-// links, specific message kinds (via a pluggable classifier, e.g. the
-// Mercury RPC name), and specific occurrences ("drop the 3rd prepare",
-// "delay the first five stage requests by 20ms"). All randomness comes from
-// the plan's own seeded RNG, so a chaos run replays identically.
+// chaos layer underneath the transports, and the one way to drop or delay
+// a message (partitions cut links outright). A FaultPlan carries an
+// ordered list of rules that target every send, specific links, specific
+// message kinds (via a pluggable classifier, e.g. the Mercury RPC name),
+// and specific occurrences ("drop 5 % of everything", "drop the 3rd
+// prepare", "delay the first five stage requests by 20ms"). All randomness
+// comes from the plan's own seeded RNG, so a chaos run replays identically.
 
 // Verdict is the outcome of consulting a fault plan for one send.
 type Verdict struct {
@@ -30,16 +29,16 @@ type Verdict struct {
 // firings (0 = unlimited); Prob fires probabilistically (0 = always).
 // Action fields: Drop loses the message silently, Delay postpones delivery.
 type FaultRule struct {
-	From  string `json:"from,omitempty"`  // exact source address
-	To    string `json:"to,omitempty"`    // exact destination address
-	Label string `json:"label,omitempty"` // classifier output, e.g. RPC name
+	From  string // exact source address
+	To    string // exact destination address
+	Label string // classifier output, e.g. RPC name
 
-	Nth   int     `json:"nth,omitempty"`   // fire only on the Nth match (1-based)
-	Count int     `json:"count,omitempty"` // fire at most Count times
-	Prob  float64 `json:"prob,omitempty"`  // fire with this probability
+	Nth   int     // fire only on the Nth match (1-based)
+	Count int     // fire at most Count times
+	Prob  float64 // fire with this probability
 
-	Drop  bool          `json:"drop,omitempty"`
-	Delay time.Duration `json:"delay,omitempty"` // nanoseconds in JSON form
+	Drop  bool
+	Delay time.Duration
 }
 
 // ruleState pairs a rule with its occurrence counters.
@@ -80,20 +79,6 @@ func (p *FaultPlan) Add(r FaultRule) *FaultPlan {
 	p.rules = append(p.rules, &ruleState{rule: r})
 	p.mu.Unlock()
 	return p
-}
-
-// FaultPlanFromJSON builds a plan from a JSON array of FaultRule objects —
-// the scriptable form used by tools and documented in DESIGN.md.
-func FaultPlanFromJSON(seed int64, script []byte) (*FaultPlan, error) {
-	var rules []FaultRule
-	if err := json.Unmarshal(script, &rules); err != nil {
-		return nil, fmt.Errorf("na: parsing fault plan: %w", err)
-	}
-	p := NewFaultPlan(seed)
-	for _, r := range rules {
-		p.Add(r)
-	}
-	return p, nil
 }
 
 // Decide consults every rule for one send and returns the combined verdict

@@ -97,30 +97,6 @@ func TestFaultPlanSeededProbReplays(t *testing.T) {
 	}
 }
 
-func TestFaultPlanFromJSON(t *testing.T) {
-	script := []byte(`[
-		{"label": "colza::prepare", "nth": 1, "drop": true},
-		{"to": "inproc://b", "delay": 1000000}
-	]`)
-	plan, err := FaultPlanFromJSON(1, script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.SetClassifier(func(data []byte) string { return string(data) })
-	if v := plan.Decide("a", "c", []byte("colza::prepare")); !v.Drop {
-		t.Fatal("first prepare should drop")
-	}
-	if v := plan.Decide("a", "c", []byte("colza::prepare")); v.Drop {
-		t.Fatal("second prepare should pass (nth=1)")
-	}
-	if v := plan.Decide("a", "inproc://b", nil); v.Delay != time.Millisecond {
-		t.Fatalf("delay = %v, want 1ms", v.Delay)
-	}
-	if _, err := FaultPlanFromJSON(1, []byte("{not json")); err == nil {
-		t.Fatal("bad script must error")
-	}
-}
-
 func TestOneWayPartition(t *testing.T) {
 	n := NewInprocNetwork()
 	a, _ := n.Listen("a")

@@ -2,7 +2,6 @@ package na
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
@@ -13,19 +12,16 @@ import (
 // InprocNetwork hosts any number of in-process endpoints. It is how the
 // repository deploys "multi-node" Colza runs inside one OS process: every
 // simulated process (simulation rank, Colza server, admin tool) listens on
-// its own address. The network supports fault injection — message drop
-// probability, fixed link delay, and pairwise partitions — used by the
-// failure-handling tests and the fault-tolerance extension experiments.
+// its own address. The network supports fault injection — partitions, and
+// a FaultPlan's drops and delays — used by the failure-handling tests and
+// the fault-tolerance extension experiments.
 type InprocNetwork struct {
-	mu        sync.Mutex
-	eps       map[string]*inprocEP
-	everSeen  map[string]bool
-	dropProb  float64
-	linkDelay time.Duration
-	parts     map[[2]string]bool
-	oneWay    map[[2]string]bool // directed [from, to] cuts
-	plan      *FaultPlan
-	rng       *rand.Rand
+	mu       sync.Mutex
+	eps      map[string]*inprocEP
+	everSeen map[string]bool
+	parts    map[[2]string]bool
+	oneWay   map[[2]string]bool // directed [from, to] cuts
+	plan     *FaultPlan
 }
 
 // NewInprocNetwork creates an empty in-process network.
@@ -35,7 +31,6 @@ func NewInprocNetwork() *InprocNetwork {
 		everSeen: make(map[string]bool),
 		parts:    make(map[[2]string]bool),
 		oneWay:   make(map[[2]string]bool),
-		rng:      rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -54,23 +49,6 @@ func (n *InprocNetwork) Listen(name string) (Endpoint, error) {
 	n.eps[addr] = ep
 	n.everSeen[addr] = true
 	return ep, nil
-}
-
-// SetDropProb makes every subsequent delivery fail silently with
-// probability p (0 disables).
-func (n *InprocNetwork) SetDropProb(p float64) {
-	n.mu.Lock()
-	n.dropProb = p
-	n.mu.Unlock()
-}
-
-// SetLinkDelay delays every delivery by d (0 disables). Delayed packets
-// are delivered asynchronously, preserving per-link ordering is NOT
-// guaranteed under randomized delays; with a fixed d ordering holds.
-func (n *InprocNetwork) SetLinkDelay(d time.Duration) {
-	n.mu.Lock()
-	n.linkDelay = d
-	n.mu.Unlock()
 }
 
 // Partition cuts (or heals) bidirectional connectivity between a and b.
@@ -102,8 +80,9 @@ func (n *InprocNetwork) PartitionOneWay(from, to string, cut bool) {
 }
 
 // SetFaultPlan installs (or, with nil, removes) a scriptable fault plan
-// consulted on every delivery, after partitions and the global drop
-// probability.
+// consulted on every delivery that no partition cut. A delayed packet is
+// delivered asynchronously: with one fixed delay per link, per-link order
+// holds; under differing delays it does not.
 func (n *InprocNetwork) SetFaultPlan(p *FaultPlan) {
 	n.mu.Lock()
 	n.plan = p
@@ -181,20 +160,16 @@ func (e *inprocEP) Send(to string, data []byte) error {
 		n.mu.Unlock()
 		return nil // partitioned: silently lost
 	}
-	if n.dropProb > 0 && n.rng.Float64() < n.dropProb {
-		n.mu.Unlock()
-		return nil
-	}
-	delay := n.linkDelay
 	plan := n.plan
 	n.mu.Unlock()
 
+	var delay time.Duration
 	if plan != nil {
 		v := plan.Decide(e.addr, to, data)
 		if v.Drop {
 			return nil // injected fault: silently lost
 		}
-		delay += v.Delay
+		delay = v.Delay
 	}
 	cp := append([]byte(nil), data...)
 	pkt := packet{from: e.addr, data: cp}

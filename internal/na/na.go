@@ -2,7 +2,8 @@
 // the messaging layer underneath Mercury in the Mochi suite. It provides
 // addressed, connectionless message endpoints. Two transports are
 // implemented: an in-process transport (many simulated "processes" inside
-// one OS process, with optional fault injection and link delays) and a
+// one OS process, with partitions, crashes and a seeded FaultPlan's drops
+// and delays for fault injection) and a
 // stream-socket transport for actually-distributed deployments — TCP, plus,
 // on a dual endpoint, a unix socket and a shared-memory bulk arena for
 // colocated peers. Everything above — RPC (internal/mercury), collectives

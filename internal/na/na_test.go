@@ -112,11 +112,11 @@ func TestInprocDropAll(t *testing.T) {
 	n := NewInprocNetwork()
 	a, _ := n.Listen("a")
 	b, _ := n.Listen("b")
-	n.SetDropProb(1.0)
+	n.SetFaultPlan(NewFaultPlan(1).Add(FaultRule{Drop: true}))
 	for i := 0; i < 10; i++ {
 		a.Send(b.Addr(), []byte("x"))
 	}
-	n.SetDropProb(0)
+	n.SetFaultPlan(nil)
 	a.Send(b.Addr(), []byte("y"))
 	_, data, _ := b.Recv()
 	if string(data) != "y" {
@@ -128,7 +128,7 @@ func TestInprocLinkDelay(t *testing.T) {
 	n := NewInprocNetwork()
 	a, _ := n.Listen("a")
 	b, _ := n.Listen("b")
-	n.SetLinkDelay(30 * time.Millisecond)
+	n.SetFaultPlan(NewFaultPlan(1).Add(FaultRule{Delay: 30 * time.Millisecond}))
 	start := time.Now()
 	a.Send(b.Addr(), []byte("slow"))
 	_, _, err := b.Recv()

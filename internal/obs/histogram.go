@@ -12,9 +12,9 @@ import (
 // reports (p50/p95/p99 at millisecond scales).
 const histBuckets = 65
 
-// Histogram is a lock-free latency/size histogram over int64 values
-// (nanoseconds for latencies, bytes for sizes). The zero value is ready to
-// use.
+// Histogram is a lock-free histogram of durations, in nanoseconds: every
+// histogram the stack creates records one, and the text dump renders its
+// quantiles as time.Duration. The zero value is ready to use.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -72,14 +72,6 @@ func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
 		out.Buckets[i] = s.Buckets[i] + o.Buckets[i]
 	}
 	return out
-}
-
-// Mean returns the arithmetic mean, or 0 with no observations.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // Quantile estimates the q-quantile (q in [0, 1]) by locating the bucket

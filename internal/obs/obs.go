@@ -1,6 +1,7 @@
 // Package obs is the observability layer of the stack: counters, gauges,
-// latency histograms with percentile estimation, and a span/trace API keyed
-// by (pipeline, iteration, rank). The paper's entire evaluation (Figs. 6-12)
+// duration histograms with percentile estimation (every histogram records
+// nanoseconds), and a span/trace API keyed by (pipeline, iteration, rank).
+// The paper's entire evaluation (Figs. 6-12)
 // rests on timing instrumentation — per-iteration stage/execute latency,
 // rescaling cost, membership-change windows — and this package is what the
 // RPC layer (mercury), the service runtime (margo), Colza itself (core), and
@@ -269,13 +270,8 @@ func (r *Registry) Snapshot() Snapshot {
 // colza-admin metrics RPC and printed by `colza-ctl metrics`.
 func (r *Registry) WriteText(w io.Writer) error { return r.Snapshot().WriteText(w) }
 
-// looksLikeDuration reports whether a metric name records nanoseconds, so
-// the text dump can render human-readable quantiles next to the raw value.
-func looksLikeDuration(key string) bool {
-	return strings.HasPrefix(key, "span.") || strings.Contains(key, "latency") || strings.Contains(key, "dispatch")
-}
-
-// WriteText renders the snapshot as sorted, one-instrument-per-line text:
+// WriteText renders the snapshot as sorted, one-instrument-per-line text;
+// a histogram's quantiles print as durations:
 //
 //	counter mercury.call.count{rpc=colza::stage} 42
 //	gauge   margo.handlers.inflight 0 max=7
@@ -309,16 +305,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	sort.Strings(keys)
 	for _, k := range keys {
 		h := s.Histograms[k]
-		q50, q95, q99 := h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
-		var err error
-		if looksLikeDuration(k) {
-			_, err = fmt.Fprintf(w, "hist %s count=%d p50=%v p95=%v p99=%v\n",
-				k, h.Count, time.Duration(q50), time.Duration(q95), time.Duration(q99))
-		} else {
-			_, err = fmt.Fprintf(w, "hist %s count=%d p50=%.0f p95=%.0f p99=%.0f\n",
-				k, h.Count, q50, q95, q99)
-		}
-		if err != nil {
+		if _, err := fmt.Fprintf(w, "hist %s count=%d p50=%v p95=%v p99=%v\n", k, h.Count,
+			time.Duration(h.Quantile(0.50)), time.Duration(h.Quantile(0.95)), time.Duration(h.Quantile(0.99))); err != nil {
 			return err
 		}
 	}

@@ -149,7 +149,7 @@ func TestSplatVolumeBlendsAndRecordsDepth(t *testing.T) {
 	im.SetBackground(0, 0, 0)
 	cam := Camera{Eye: Vec3{0, 0, 4}, LookAt: Vec3{0, 0, 0}, Up: Vec3{0, 1, 0}, FovY: 45, Near: 0.1, Far: 50}
 	err := SplatVolume(im, cam, g, VolumeOptions{
-		Field: "vel", ScalarRange: [2]float64{0, 10}, Opacity: 0.9, PointSize: 4,
+		Field: "vel", ScalarRange: [2]float64{0, 10}, PointSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,12 +7,14 @@ import (
 	"colza/internal/vtk"
 )
 
+// splatOpacity is every splat's opacity at its centre.
+const splatOpacity = 0.25
+
 // VolumeOptions tunes the unstructured-grid volume splatter.
 type VolumeOptions struct {
 	Field       string     // cell array used for color
 	ScalarRange [2]float64 // colormap domain
 	ColorMap    ColorMap
-	Opacity     float64 // per-splat opacity in (0, 1]
 	PointSize   float64 // splat radius in pixels at unit depth scale
 }
 
@@ -33,10 +35,6 @@ func SplatVolume(im *Image, cam Camera, grid *vtk.UnstructuredGrid, opt VolumeOp
 	cmap := opt.ColorMap
 	if cmap == nil {
 		cmap = CoolWarm
-	}
-	opacity := opt.Opacity
-	if opacity <= 0 || opacity > 1 {
-		opacity = 0.25
 	}
 	radius := opt.PointSize
 	if radius <= 0 {
@@ -99,7 +97,7 @@ func SplatVolume(im *Image, cam Camera, grid *vtk.UnstructuredGrid, opt VolumeOp
 					continue
 				}
 				fall := 1 - math.Sqrt(d2)/radius
-				a := opacity * fall
+				a := splatOpacity * fall
 				idx := py*im.W + px
 				o := 4 * idx
 				// "Over" blend on top of current color.

@@ -389,16 +389,3 @@ func (g *GrayScott) Block() *vtk.ImageData {
 	}
 	return img
 }
-
-// ZOffset returns the global z index of the first interior slab (kept for
-// z-decomposed callers).
-func (g *GrayScott) ZOffset() int { return g.offset[2] }
-
-// Offset returns this rank's global index offsets.
-func (g *GrayScott) Offset() [3]int { return g.offset }
-
-// LocalDims returns this rank's interior dimensions.
-func (g *GrayScott) LocalDims() [3]int { return g.local }
-
-// ProcDims returns the process grid used for the decomposition.
-func (g *GrayScott) ProcDims() [3]int { return g.pdims }

@@ -74,24 +74,6 @@ func MandelbulbBlock(cfg MandelbulbConfig, blockID int, iteration uint64) *vtk.I
 	return img
 }
 
-// MandelbulbRankBlocks returns the block ids owned by one client rank
-// (consecutive slabs, like the miniapp's z-partitioning with several
-// blocks per process).
-func MandelbulbRankBlocks(cfg MandelbulbConfig, rank, nranks int) []int {
-	base := cfg.Blocks / nranks
-	rem := cfg.Blocks % nranks
-	n := base
-	if rank < rem {
-		n++
-	}
-	first := rank*base + min(rank, rem)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = first + i
-	}
-	return out
-}
-
 // MandelbulbMeta builds the staging metadata for a block.
 func MandelbulbMeta(cfg MandelbulbConfig, blockID int) core.BlockMeta {
 	return core.BlockMeta{

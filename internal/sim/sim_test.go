@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"colza/internal/minimpi"
+	"colza/internal/vtk"
 )
 
 func TestGrayScottSingleRankConservesSanity(t *testing.T) {
@@ -94,8 +95,7 @@ func TestGrayScottParallelMatchesSerial(t *testing.T) {
 		for r := 0; r < nr; r++ {
 			blk := solvers[r].Block()
 			arr, _ := blk.PointArray("V")
-			off := solvers[r].Offset()
-			dims := solvers[r].LocalDims()
+			off, dims := solvers[r].offset, solvers[r].local
 			for z := 0; z < dims[2]; z++ {
 				for y := 0; y < dims[1]; y++ {
 					for x := 0; x < dims[0]; x++ {
@@ -123,9 +123,7 @@ func TestGrayScottPartitionCoversDomain(t *testing.T) {
 		covered := make([]int, global[0]*global[1]*global[2])
 		for r := 0; r < nr; r++ {
 			g := NewGrayScott(world[r], global, DefaultGrayScott())
-			d := g.LocalDims()
-			off := g.Offset()
-			pd := g.ProcDims()
+			d, off, pd := g.local, g.offset, g.pdims
 			if pd[0]*pd[1]*pd[2] != nr {
 				t.Fatalf("nr=%d: process grid %v", nr, pd)
 			}
@@ -168,6 +166,9 @@ func TestMandelbulbBlockFieldShape(t *testing.T) {
 	if v := mandelbulbEscape(3, 0, 0, 8, 32); v > 2 {
 		t.Fatalf("far point held on for %d iterations", v)
 	}
+	if meta := MandelbulbMeta(cfg, 7); meta.BlockID != 7 || meta.Type != "imagedata" {
+		t.Fatalf("meta = %+v", meta)
+	}
 }
 
 func TestMandelbulbBlocksTileTheDomain(t *testing.T) {
@@ -193,26 +194,6 @@ func TestMandelbulbBlocksTileTheDomain(t *testing.T) {
 	}
 	if same {
 		t.Fatal("iterations 1 and 5 produced identical fields")
-	}
-}
-
-func TestMandelbulbRankBlocksPartition(t *testing.T) {
-	cfg := DefaultMandelbulb([3]int{4, 4, 4}, 10)
-	seen := map[int]bool{}
-	for r := 0; r < 3; r++ {
-		for _, b := range MandelbulbRankBlocks(cfg, r, 3) {
-			if seen[b] {
-				t.Fatalf("block %d assigned twice", b)
-			}
-			seen[b] = true
-		}
-	}
-	if len(seen) != 10 {
-		t.Fatalf("%d blocks assigned, want 10", len(seen))
-	}
-	meta := MandelbulbMeta(cfg, 7)
-	if meta.BlockID != 7 || meta.Type != "imagedata" {
-		t.Fatalf("meta = %+v", meta)
 	}
 }
 
@@ -255,7 +236,7 @@ func TestDWIBlocksPartitionAndData(t *testing.T) {
 			t.Fatalf("block %d: %d velocities for %d cells", b, vel.NumTuples(), g.NumCells())
 		}
 		// Round-trips through the staging codec.
-		dec, err := DecodeRoundTrip(g)
+		dec, err := vtk.DecodeUnstructuredGrid(g.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,35 +60,6 @@ func (s State) String() string {
 	}
 }
 
-// EventType classifies membership change notifications.
-type EventType int
-
-// Membership change notification kinds.
-const (
-	MemberJoined EventType = iota
-	MemberLeft
-	MemberDied
-)
-
-func (e EventType) String() string {
-	switch e {
-	case MemberJoined:
-		return "joined"
-	case MemberLeft:
-		return "left"
-	case MemberDied:
-		return "died"
-	default:
-		return fmt.Sprintf("EventType(%d)", int(e))
-	}
-}
-
-// Event is delivered to observers registered with OnChange.
-type Event struct {
-	Type EventType
-	Addr string
-}
-
 // Config tunes the SWIM protocol. Zero values select defaults suitable
 // for in-process tests (fast gossip).
 type Config struct {
@@ -103,11 +74,6 @@ type Config struct {
 	// SuspectPeriods is how many gossip periods a suspect has to refute
 	// before being declared dead (default 4).
 	SuspectPeriods int
-	// IndirectProbes is the ping-req fan-out k (default 3).
-	IndirectProbes int
-	// RetransmitMult scales the per-update re-gossip budget,
-	// RetransmitMult*ceil(log2(n+1)) (default 4).
-	RetransmitMult int
 	// Seed makes peer selection deterministic when nonzero.
 	Seed int64
 }
@@ -121,12 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SuspectPeriods <= 0 {
 		c.SuspectPeriods = 4
-	}
-	if c.IndirectProbes <= 0 {
-		c.IndirectProbes = 3
-	}
-	if c.RetransmitMult <= 0 {
-		c.RetransmitMult = 4
 	}
 	return c
 }
@@ -176,12 +136,11 @@ type Group struct {
 	cfg  Config
 	rng  *rand.Rand
 
-	mu        sync.Mutex
-	members   map[string]*memberInfo // includes self
-	inc       uint64                 // self incarnation
-	queue     []queuedUpdate
-	observers []func(Event)
-	stopped   bool
+	mu      sync.Mutex
+	members map[string]*memberInfo // includes self
+	inc     uint64                 // self incarnation
+	queue   []queuedUpdate
+	stopped bool
 
 	stopGossip func()
 }
@@ -272,14 +231,6 @@ func (g *Group) Members() []string {
 	return out
 }
 
-// OnChange registers an observer for membership events. Observers run on
-// protocol goroutines and must not block.
-func (g *Group) OnChange(fn func(Event)) {
-	g.mu.Lock()
-	g.observers = append(g.observers, fn)
-	g.mu.Unlock()
-}
-
 // Leave announces departure and stops participating — the graceful path
 // used when a Colza server is asked to shut down.
 func (g *Group) Leave() {
@@ -332,6 +283,14 @@ func (g *Group) Shutdown() {
 	g.mi.Class().Deregister(margo.ProviderRPCName(p, "pingreq"))
 }
 
+// SWIM's dissemination constants: the ping-req fan-out k, and the factor
+// that scales a fresh update's re-gossip budget,
+// retransmitMult*ceil(log2(n+1)).
+const (
+	indirectProbes = 3
+	retransmitMult = 4
+)
+
 // retransmitBudget computes how many times a fresh update is re-gossiped.
 func (g *Group) retransmitBudget() int {
 	n := len(g.members)
@@ -339,7 +298,7 @@ func (g *Group) retransmitBudget() int {
 	for v := 1; v < n+1; v <<= 1 {
 		log2++
 	}
-	b := g.cfg.RetransmitMult * log2
+	b := retransmitMult * log2
 	if b < 3 {
 		b = 3
 	}
@@ -397,11 +356,9 @@ func (g *Group) gossipRound() {
 	// Expire suspects.
 	now := time.Now()
 	deadline := time.Duration(g.cfg.SuspectPeriods) * g.cfg.GossipPeriod
-	var died []string
 	for a, m := range g.members {
 		if m.state == Suspect && now.Sub(m.suspectSince) > deadline {
 			m.state = Dead
-			died = append(died, a)
 			g.enqueueLocked(update{Addr: a, St: Dead, Inc: m.inc})
 		}
 	}
@@ -420,9 +377,6 @@ func (g *Group) gossipRound() {
 	ups := g.takeUpdatesLocked(piggybackMax)
 	g.mu.Unlock()
 
-	for _, a := range died {
-		g.notify(Event{Type: MemberDied, Addr: a})
-	}
 	if target == "" {
 		return
 	}
@@ -454,8 +408,8 @@ func (g *Group) indirectProbe(target string, peers []string) bool {
 	g.mu.Lock()
 	g.rng.Shuffle(len(helpers), func(i, j int) { helpers[i], helpers[j] = helpers[j], helpers[i] })
 	g.mu.Unlock()
-	if len(helpers) > g.cfg.IndirectProbes {
-		helpers = helpers[:g.cfg.IndirectProbes]
+	if len(helpers) > indirectProbes {
+		helpers = helpers[:indirectProbes]
 	}
 	if len(helpers) == 0 {
 		return false
@@ -496,10 +450,10 @@ func (g *Group) suspect(addr string) {
 }
 
 // applyUpdates merges piggybacked assertions using SWIM's incarnation
-// rules and fires observer events for effective changes.
+// rules.
 func (g *Group) applyUpdates(ups []update) {
-	var events []Event
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	for _, u := range ups {
 		if u.Addr == g.self() {
 			// Refute suspicion or death rumors about self.
@@ -519,15 +473,10 @@ func (g *Group) applyUpdates(ups []update) {
 			if !known {
 				g.members[u.Addr] = &memberInfo{state: Alive, inc: u.Inc}
 				g.enqueueLocked(u)
-				events = append(events, Event{Type: MemberJoined, Addr: u.Addr})
 			} else if u.Inc > m.inc {
-				wasGone := m.state == Dead || m.state == Left
 				m.inc = u.Inc
 				m.state = Alive
 				g.enqueueLocked(u)
-				if wasGone {
-					events = append(events, Event{Type: MemberJoined, Addr: u.Addr})
-				}
 			}
 		case Suspect:
 			if known && m.state == Alive && u.Inc >= m.inc {
@@ -541,29 +490,8 @@ func (g *Group) applyUpdates(ups []update) {
 				m.state = u.St
 				m.inc = u.Inc
 				g.enqueueLocked(u)
-				t := MemberDied
-				if u.St == Left {
-					t = MemberLeft
-				}
-				events = append(events, Event{Type: t, Addr: u.Addr})
 			}
 		}
-	}
-	obs := append([]func(Event){}, g.observers...)
-	g.mu.Unlock()
-	for _, e := range events {
-		for _, fn := range obs {
-			fn(e)
-		}
-	}
-}
-
-func (g *Group) notify(e Event) {
-	g.mu.Lock()
-	obs := append([]func(Event){}, g.observers...)
-	g.mu.Unlock()
-	for _, fn := range obs {
-		fn(e)
 	}
 }
 

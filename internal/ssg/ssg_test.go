@@ -2,7 +2,6 @@ package ssg
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -125,47 +124,6 @@ func TestCrashDetectedBySWIM(t *testing.T) {
 	nodes[3].g.Shutdown()
 	nodes[3].mi.Finalize()
 	waitConverged(t, nodes[:3], 3, 10*time.Second)
-}
-
-func TestObserverEvents(t *testing.T) {
-	net := na.NewInprocNetwork()
-	nodes := cluster(t, net, 2)
-	waitConverged(t, nodes, 2, 5*time.Second)
-
-	var mu sync.Mutex
-	events := map[string][]EventType{}
-	nodes[0].g.OnChange(func(e Event) {
-		mu.Lock()
-		events[e.Addr] = append(events[e.Addr], e.Type)
-		mu.Unlock()
-	})
-
-	// A third node joins, then leaves.
-	ep, _ := net.Listen("observer-target")
-	mi := margo.NewInstance(ep)
-	defer mi.Finalize()
-	g, err := Join(mi, "grp", nodes[0].mi.Addr(), fastCfg(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := mi.Addr()
-	waitConverged(t, append(nodes, &node{mi: mi, g: g}), 3, 5*time.Second)
-	g.Leave()
-	waitConverged(t, nodes, 2, 5*time.Second)
-
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		evs := append([]EventType(nil), events[addr]...)
-		mu.Unlock()
-		if len(evs) >= 2 && evs[0] == MemberJoined && (evs[len(evs)-1] == MemberLeft || evs[len(evs)-1] == MemberDied) {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	t.Fatalf("observer events for %s = %v, want join then leave", addr, events[addr])
 }
 
 func TestSuspectRefutation(t *testing.T) {

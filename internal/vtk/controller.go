@@ -1,32 +1,23 @@
 package vtk
 
-import (
-	"sync"
-
-	"colza/internal/comm"
-)
+import "colza/internal/comm"
 
 // Controller is the analog of vtkMultiProcessController: the parallel
 // context a filter or compositor runs in. VTK abstracts communication
 // behind vtkMultiProcessController/vtkCommunicator with MPI-backed child
 // classes; the paper's contribution was a vtkMonaController implementing
 // the same interface over MoNA. Here the same seam is the
-// comm.Communicator interface — a Controller wraps whichever backend was
-// injected and records which kind it is, so downstream consumers (IceT's
-// communicator factory) can convert it without a hard dependency.
+// comm.Communicator interface: a Controller wraps whichever backend was
+// injected, and IceT composites over the same communicator.
 type Controller struct {
-	kind string
-	c    comm.Communicator
+	c comm.Communicator
 }
 
-// NewController wraps a communicator. kind identifies the backing layer
-// ("mona", "mpi", ...), mirroring the concrete controller classes.
+// NewController wraps a communicator. kind names the backing layer ("mona",
+// "mpi"), as VTK's concrete controller classes do; nothing dispatches on it.
 func NewController(kind string, c comm.Communicator) *Controller {
-	return &Controller{kind: kind, c: c}
+	return &Controller{c: c}
 }
-
-// Kind returns the backing communication layer's name.
-func (c *Controller) Kind() string { return c.kind }
 
 // Communicator returns the wrapped communicator.
 func (c *Controller) Communicator() comm.Communicator { return c.c }
@@ -36,27 +27,3 @@ func (c *Controller) Rank() int { return c.c.Rank() }
 
 // Size returns the number of processes in the controller's group.
 func (c *Controller) Size() int { return c.c.Size() }
-
-var (
-	globalMu         sync.RWMutex
-	globalController *Controller
-)
-
-// SetGlobalController installs the process-wide controller, the analog of
-// vtkMultiProcessController::SetGlobalController, which is how the paper
-// points VTK at MoNA before setting up the in situ pipeline. In this
-// repository each staging "process" is in-process state, so pipelines
-// carry their controller explicitly; the global is provided for
-// API-compatibility and single-deployment hosts.
-func SetGlobalController(c *Controller) {
-	globalMu.Lock()
-	globalController = c
-	globalMu.Unlock()
-}
-
-// GetGlobalController returns the process-wide controller (may be nil).
-func GetGlobalController() *Controller {
-	globalMu.RLock()
-	defer globalMu.RUnlock()
-	return globalController
-}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"colza/internal/minimpi"
 )
 
 func sphereField(dims [3]int, center [3]float64, spacing float64) *ImageData {
@@ -300,15 +302,13 @@ func TestDataArrayRange(t *testing.T) {
 }
 
 func TestControllerInjection(t *testing.T) {
-	ctrl := NewController("mona", nil)
-	if ctrl.Kind() != "mona" {
-		t.Fatal("kind lost")
+	world := minimpi.World(2)
+	defer world[0].Finalize()
+	defer world[1].Finalize()
+	ctrl := NewController("mpi", world[1])
+	if ctrl.Communicator() != world[1] || ctrl.Rank() != 1 || ctrl.Size() != 2 {
+		t.Fatalf("controller lost its communicator: rank %d of %d", ctrl.Rank(), ctrl.Size())
 	}
-	SetGlobalController(ctrl)
-	if GetGlobalController() != ctrl {
-		t.Fatal("global controller not installed")
-	}
-	SetGlobalController(nil)
 }
 
 // Property: encode/decode of random meshes round-trips.
