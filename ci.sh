@@ -104,7 +104,9 @@ fi
 # superseded entries, recovery); and
 # the bulk arena, which reads a header and slot
 # words out of memory another process writes (what its tests do not reach is
-# the mmap/open/truncate error branches); the cost model every number
+# the mmap/open/truncate error branches), with the RPC layer's bulk file,
+# which reserves, exposes and releases regions of that shared memory and
+# serves them to pullers that cannot map it; the cost model every number
 # of Figs. 5-10 and ext-autoscale is computed in; and the iso execute's
 # kernels — the rasterizer, the isosurface extraction and the clip — which
 # produce every pixel the benchmark's oracle hashes, and whose pixel-centre
@@ -113,6 +115,6 @@ fi
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/ ./internal/autoscale/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
-check_cover 90 ./internal/na/arena.go
+check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go
 check_cover 90 ./internal/bench/simtime.go
 check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go

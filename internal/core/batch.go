@@ -7,16 +7,17 @@ import (
 	"time"
 
 	"colza/internal/bufpool"
+	"colza/internal/mercury"
 	"colza/internal/obs"
 )
 
 // The batcher's triggers. A pending batch goes out when it holds
-// batchMaxBlocks blocks or batchMaxBytes of assembled payload (also the
-// assembly buffer's initial capacity), or batchMaxAge after its first block,
-// so a trickle of blocks never waits for a size trigger. batchWindow bounds
-// the batches in flight at once — and with them the send goroutines: no
-// goroutine per block. Which handles run a batcher at all is Client.Handle's
-// decision (DESIGN.md §7.3).
+// batchMaxBlocks blocks or batchMaxBytes of assembled payload (twice that
+// sizes its assembly storage; see assembly), or batchMaxAge after its first
+// block, so a trickle of blocks never waits for a size trigger. batchWindow
+// bounds the batches in flight at once — and with them the send goroutines:
+// no goroutine per block. Which handles run a batcher at all is
+// Client.Handle's decision (DESIGN.md §7.3).
 const (
 	batchMaxBlocks = 64
 	batchMaxBytes  = 1 << 20
@@ -38,8 +39,9 @@ type pendingBlock struct {
 }
 
 // pendingBatch accumulates blocks bound for one server rank within one
-// iteration. payload is the pooled assembly buffer holding the
-// concatenated encoded payloads in record order.
+// iteration. payload holds the concatenated encoded payloads in record
+// order, in the batch's assembly storage: a span of the arena reservation
+// resv, or, when resv.ID is 0 (bulk ids start at 1), a pooled heap buffer.
 type pendingBatch struct {
 	target  int
 	addr    string
@@ -47,14 +49,15 @@ type pendingBatch struct {
 	recs    []stageBatchRec
 	blocks  []pendingBlock
 	payload []byte
+	resv    mercury.Bulk
 	gen     uint64
 	timer   *time.Timer
 }
 
 // stageBatcher coalesces a handle's staged blocks into per-rank batches
 // (DESIGN.md §7.3). Enqueue copies the caller's data into batch-owned
-// pooled storage, so the caller's buffer is free for reuse the moment
-// enqueue returns. Errors of sync Stage calls are deferred to the next
+// storage, so the caller's buffer is free for reuse the moment enqueue
+// returns. Errors of sync Stage calls are deferred to the next
 // barrier (Flush / Execute / Deactivate); NBStage errors resolve on the
 // block's own Async.
 type stageBatcher struct {
@@ -82,6 +85,7 @@ type stageBatcher struct {
 	ctrFlushes *obs.Counter
 	ctrFull    *obs.Counter
 	ctrAge     *obs.Counter
+	ctrOutgrow *obs.Counter
 	gWindow    *obs.Gauge
 }
 
@@ -99,6 +103,7 @@ func newStageBatcher(h *DistributedPipelineHandle) *stageBatcher {
 		ctrFlushes: reg.Counter("colza.stage.batch.flushes", "pipeline", h.pipeline),
 		ctrFull:    reg.Counter("colza.stage.batch.full", "pipeline", h.pipeline),
 		ctrAge:     reg.Counter("colza.stage.batch.age", "pipeline", h.pipeline),
+		ctrOutgrow: reg.Counter("colza.stage.batch.outgrown", "pipeline", h.pipeline),
 		gWindow:    reg.Gauge("colza.stage.batch.window", "pipeline", h.pipeline),
 	}
 }
@@ -176,19 +181,17 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 		pb = nil
 	}
 	if pb == nil {
-		pb = &pendingBatch{
-			target:  target,
-			addr:    addr,
-			it:      it,
-			payload: bufpool.Get(b.maxBytes)[:0],
-			gen:     b.gen,
-		}
+		pb = &pendingBatch{target: target, addr: addr, it: it, gen: b.gen}
+		pb.payload, pb.resv = b.assembly(len(wire))
 		b.gen++
 		b.pending[target] = pb
 		if b.maxAge > 0 {
 			gen := pb.gen
 			pb.timer = time.AfterFunc(b.maxAge, func() { b.flushAged(target, gen) })
 		}
+	}
+	if len(pb.payload)+len(wire) > cap(pb.payload) {
+		b.outgrow(pb, len(wire))
 	}
 	pb.payload = append(pb.payload, wire...)
 	pb.recs = append(pb.recs, blk.rec)
@@ -208,6 +211,44 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 		b.dispatch(rp)
 	}
 	return nil
+}
+
+// assembly returns empty storage, holding at least need bytes, for a batch
+// to assemble its payload in: a reservation in the endpoint's shared arena,
+// which sendStage then exposes in place, or — without an arena, or when the
+// arena declines — a pooled heap buffer, which Expose copies into the arena
+// (if there is one). One rule sizes both: twice maxBytes, so that whatever
+// a batch holds before its size trigger fires (less than maxBytes) plus any
+// block up to maxBytes fits; or need, if larger.
+func (b *stageBatcher) assembly(need int) ([]byte, mercury.Bulk) {
+	n := max(2*b.maxBytes, need)
+	if r, span := b.h.c.mi.Class().Reserve(n); span != nil {
+		return span[:0], r
+	}
+	return bufpool.Get(n)[:0], mercury.Bulk{}
+}
+
+// outgrow moves a batch whose next block of n bytes does not fit its
+// assembly storage into storage that does. Only a block larger than maxBytes
+// gets here, and frames are cut where they would have been anyway.
+func (b *stageBatcher) outgrow(pb *pendingBatch, n int) {
+	b.ctrOutgrow.Inc()
+	payload, resv := b.assembly(len(pb.payload) + n)
+	payload = append(payload, pb.payload...)
+	b.freeAssembly(pb)
+	pb.payload, pb.resv = payload, resv
+}
+
+// freeAssembly hands a batch's assembly storage back: the reservation to the
+// arena (a no-op once sendStage has released it), the heap buffer to the
+// pool. The batch must not touch payload afterwards.
+func (b *stageBatcher) freeAssembly(pb *pendingBatch) {
+	if pb.resv.ID != 0 {
+		b.h.c.mi.Class().Release(pb.resv)
+	} else if pb.payload != nil {
+		bufpool.Put(pb.payload)
+	}
+	pb.payload, pb.resv = nil, mercury.Bulk{}
 }
 
 // detachLocked removes a batch from the pending map and disarms its age
@@ -271,10 +312,7 @@ func (b *stageBatcher) finish(pb *pendingBatch, err error) {
 		}
 		b.resolveBlock(blk, fmt.Errorf("colza: stage block %d on %s: %w", blk.rec.Meta.BlockID, pb.addr, err))
 	}
-	if pb.payload != nil {
-		bufpool.Put(pb.payload)
-		pb.payload = nil
-	}
+	b.freeAssembly(pb)
 }
 
 // send puts one batch on the wire through the handle's shared send path
@@ -286,7 +324,8 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 	m := h.stageMetrics()
 	reg := m.reg
 	sp := reg.StartSpan("stage.flush", SpanKeyFor(h.pipeline, pb.it))
-	berrs, err := h.sendStage(pb.it, pb.addr, pb.recs, pb.payload)
+	berrs, err := h.sendStage(pb.it, pb.addr, pb.recs, pb.payload, pb.resv)
+	b.freeAssembly(pb)
 	if err != nil {
 		sp.End(err)
 		b.finish(pb, err)
@@ -300,8 +339,6 @@ func (b *stageBatcher) send(pb *pendingBatch) {
 			blockErr[e.Index] = e
 		}
 	}
-	bufpool.Put(pb.payload)
-	pb.payload = nil
 	for i := range pb.blocks {
 		blk := &pb.blocks[i]
 		if e, bad := blockErr[i]; bad {

@@ -301,6 +301,13 @@ const nbStageWindow = 16
 // handle coalesces the blocks bound for one server rank into one frame and
 // one arena pull; on every other endpoint a block of up to 128 KiB already
 // rides in its own stage RPC, and the handle stages per block.
+//
+// A coalescing handle assembles each pending frame in a reservation of the
+// client's arena (mercury.Class.Reserve): the reservation holds the only
+// copy of the frame's staged bytes, and the handle owns it from the first
+// block until the frame's stage RPC returns, or until Close fails the
+// frame, whichever comes first; only then is the span recycled. A frame the
+// arena has no room for is assembled in pooled memory and exposed by copy.
 func (c *Client) Handle(pipeline, contact string) *DistributedPipelineHandle {
 	return c.newHandle(pipeline, contact, c.mi.Class().SharesBulk())
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"colza/internal/bufpool"
+	"colza/internal/mercury"
 )
 
 // This file is the client's one stage send path (DESIGN.md §7.3). A handle
@@ -25,24 +26,31 @@ func (h *DistributedPipelineHandle) stageTarget(meta BlockMeta) (rank int, addr 
 }
 
 // sendStage sends one stage frame: recs over payload, to addr. It exposes
-// payload in place (so a region of at most mercury's eager limit rides in
-// the frame, and a larger or arena-published one is pulled), runs the RPC
-// under the handle's stage retry policy — whole-frame retries for transient
-// failures (timeout, unreachable, shed at admission), never sooner than a
-// busy server's Retry-After, every wait cut short when the handle closes —
-// and releases the region before returning, so the caller may recycle
-// payload at once. A retry after a timeout may duplicate blocks the server
-// already staged: staging is at-least-once.
+// payload in place: through resv, the arena reservation the batcher
+// assembled payload in, when resv.ID is not 0 (the arena holds the only
+// copy), and otherwise as it lies (a region of at most mercury's eager
+// limit rides in the frame, a larger or arena-published one is pulled). It
+// runs the RPC under the handle's stage retry policy — whole-frame retries
+// for transient failures (timeout, unreachable, shed at admission), never
+// sooner than a busy server's Retry-After, every wait cut short when the
+// handle closes — and releases the region, resv with it, before returning,
+// so the caller may recycle payload at once. A retry after a timeout may
+// duplicate blocks the server already staged: staging is at-least-once.
 //
 // err is a frame-level failure: no block is known to have landed. Otherwise
 // berrs lists the blocks the server refused, by record index.
-func (h *DistributedPipelineHandle) sendStage(it uint64, addr string, recs []stageBatchRec, payload []byte) (berrs []stageBatchBlockErr, err error) {
+func (h *DistributedPipelineHandle) sendStage(it uint64, addr string, recs []stageBatchRec, payload []byte, resv mercury.Bulk) (berrs []stageBatchBlockErr, err error) {
 	h.mu.Lock()
 	timeout := h.timeout
 	retry := h.stageRetry
 	h.mu.Unlock()
 	cls := h.c.mi.Class()
-	bulk := cls.Expose(payload)
+	var bulk mercury.Bulk
+	if resv.ID != 0 {
+		bulk = cls.ExposeReserved(resv, len(payload))
+	} else {
+		bulk = cls.Expose(payload)
+	}
 	// The frame is pooled: the call is synchronous and the transport copies
 	// or writes it out on send, so it is recycled on return — across retries.
 	frame := appendStageBatchMsg(bufpool.Get(stageBatchMsgSize(h.pipeline, recs, bulk))[:0], h.pipeline, it, recs, bulk)
@@ -91,7 +99,7 @@ func (h *DistributedPipelineHandle) stageBlock(it uint64, meta BlockMeta, data [
 	for {
 		wire, pooledWire, ci, used := h.codec.encodeStage(h.pipeline, it, meta, data, zeroBase)
 		recs := [1]stageBatchRec{{CI: ci, Meta: meta, PayloadLen: len(wire)}}
-		berrs, err := h.sendStage(it, addr, recs[:], wire)
+		berrs, err := h.sendStage(it, addr, recs[:], wire, mercury.Bulk{})
 		wireLen := len(wire)
 		if pooledWire {
 			bufpool.Put(wire)

@@ -1,6 +1,7 @@
 package mercury
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -117,6 +118,15 @@ func DecodeBulk(data []byte) (Bulk, []byte, error) {
 // there, where no block can ride in its stage frame.
 func (c *Class) SharesBulk() bool { return c.arena != nil }
 
+// region is one registered bulk region. inArena marks a span of the
+// endpoint's shared arena (Reserve), which the arena recycles at Release —
+// and unmaps, once the endpoint has closed — so nothing may read it after
+// Release returns.
+type region struct {
+	buf     []byte
+	inArena bool
+}
+
 // Expose registers buf as pull-able memory and returns its handle. The
 // caller must keep buf alive and unchanged until Release; the region is
 // referenced, not copied, as with pinned RDMA memory. In particular a
@@ -125,7 +135,7 @@ func (c *Class) SharesBulk() bool { return c.arena != nil }
 func (c *Class) Expose(buf []byte) Bulk {
 	id := c.nextBk.Add(1)
 	c.bmu.Lock()
-	c.bulks[id] = buf
+	c.bulks[id] = region{buf: buf}
 	c.bmu.Unlock()
 	c.bulkM.for_(c.observer()).exposed.Add(int64(len(buf)))
 	b := Bulk{Addr: c.Addr(), ID: id, Size: len(buf)}
@@ -144,31 +154,73 @@ func (c *Class) Expose(buf []byte) Bulk {
 	return b
 }
 
-// Release deregisters a previously exposed region. After Release, pulls
-// against the handle fail with ErrBadBulk (the use-after-release guard) and
-// the caller may recycle or mutate the buffer.
+// Reserve takes n bytes of the endpoint's shared arena for a region the
+// caller assembles in place, sparing the copy Expose makes into the arena.
+// span is writable but not yet pull-able; ExposeReserved exposes a prefix
+// of it, and Release frees it, exposed or not. The caller may write span
+// until it calls Release and never after: the arena recycles the span then.
+// span is nil when the endpoint has no arena (SharesBulk) or the arena
+// declines (full, export-table slot taken, endpoint closed); the caller
+// then assembles in its own memory and uses Expose.
+func (c *Class) Reserve(n int) (r Bulk, span []byte) {
+	if !c.SharesBulk() {
+		return Bulk{}, nil
+	}
+	id := c.nextBk.Add(1)
+	if span = c.arena.ReserveLocal(id, n); span == nil {
+		return Bulk{}, nil
+	}
+	c.bmu.Lock()
+	c.bulks[id] = region{buf: span, inArena: true}
+	c.bmu.Unlock()
+	c.bulkM.for_(c.observer()).exposed.Add(int64(n))
+	return Bulk{Addr: c.Addr(), ID: id, Size: n}, span
+}
+
+// ExposeReserved exposes the first n bytes of the reservation r (0 <= n <=
+// r.Size) as they stand, without copying them, and returns their handle;
+// Release of either handle frees the whole span. Colocated pullers copy the
+// bytes out of the arena, everyone else pulls them over RPC.
+func (c *Class) ExposeReserved(r Bulk, n int) Bulk {
+	c.bmu.Lock()
+	old, ok := c.bulks[r.ID]
+	if ok {
+		c.bulks[r.ID] = region{buf: old.buf[:n], inArena: true}
+	}
+	c.bmu.Unlock()
+	if ok {
+		c.bulkM.for_(c.observer()).exposed.Add(int64(n - len(old.buf)))
+		c.arena.PublishLocal(r.ID, n)
+	}
+	return Bulk{Addr: r.Addr, ID: r.ID, Size: n}
+}
+
+// Release deregisters a previously exposed or reserved region. After
+// Release, pulls against the handle fail with ErrBadBulk (the
+// use-after-release guard) and the caller may recycle or mutate the buffer —
+// or, for a reservation, must no longer touch it.
 func (c *Class) Release(b Bulk) {
 	c.bmu.Lock()
-	_, ok := c.bulks[b.ID]
+	r, ok := c.bulks[b.ID]
 	delete(c.bulks, b.ID)
 	c.bmu.Unlock()
 	if ok {
-		c.bulkM.for_(c.observer()).exposed.Add(int64(-b.Size))
+		c.bulkM.for_(c.observer()).exposed.Add(int64(-len(r.buf)))
 		if c.SharesBulk() {
 			c.arena.ReleaseLocal(b.ID)
 		}
 	}
 }
 
-// ExposedBytes sums the sizes of all currently exposed regions. Leak-check
-// helpers assert it returns to zero at shutdown: every Expose must have been
-// matched by a Release.
+// ExposedBytes sums the sizes of all currently exposed or reserved regions.
+// Leak-check helpers assert it returns to zero at shutdown: every Expose and
+// Reserve must have been matched by a Release.
 func (c *Class) ExposedBytes() int64 {
 	c.bmu.Lock()
 	defer c.bmu.Unlock()
 	var total int64
-	for _, buf := range c.bulks {
-		total += int64(len(buf))
+	for _, r := range c.bulks {
+		total += int64(len(r.buf))
 	}
 	return total
 }
@@ -275,12 +327,12 @@ func (c *Class) pullRange(b Bulk, off int, dst []byte) error {
 	if b.Addr == c.Addr() {
 		m.local.Inc()
 		c.bmu.Lock()
-		src, ok := c.bulks[b.ID]
-		if !ok || len(src) != b.Size {
+		r, ok := c.bulks[b.ID]
+		if !ok || len(r.buf) != b.Size {
 			c.bmu.Unlock()
 			return ErrBadBulk
 		}
-		copy(dst, src[off:off+n])
+		copy(dst, r.buf[off:off+n])
 		c.bmu.Unlock()
 		return nil
 	}
@@ -367,10 +419,17 @@ func (c *Class) handleBulkPull(req Request) ([]byte, error) {
 	off := int(binary.LittleEndian.Uint64(req.Payload[8:]))
 	n := int(binary.LittleEndian.Uint64(req.Payload[16:]))
 	c.bmu.Lock()
-	src, ok := c.bulks[id]
-	c.bmu.Unlock()
-	if !ok || off < 0 || n < 0 || off+n > len(src) {
+	defer c.bmu.Unlock()
+	r, ok := c.bulks[id]
+	if !ok || off < 0 || n < 0 || off+n > len(r.buf) {
 		return nil, ErrBadBulk
 	}
-	return src[off : off+n], nil
+	if r.inArena {
+		// The transport writes the response after this returns, when a
+		// racing Release may have recycled the span or unmapped it: the
+		// response gets its own copy, taken while the lock holds that
+		// Release off.
+		return bytes.Clone(r.buf[off : off+n]), nil
+	}
+	return r.buf[off : off+n], nil
 }

@@ -3,6 +3,8 @@ package mercury
 import (
 	"bytes"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"colza/internal/na"
@@ -62,6 +64,140 @@ func TestBulkUseAfterReleaseOverSM(t *testing.T) {
 	if got := ra.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
 		t.Fatalf("released region still mapped: %d bytes", got)
 	}
+}
+
+// TestBulkReserveExposeInPlace: a region assembled in a reservation is
+// exposed without a copy — a colocated puller reads the bytes written into
+// the span — and Release frees the span whether or not it was exposed. On an
+// endpoint without an arena Reserve declines.
+func TestBulkReserveExposeInPlace(t *testing.T) {
+	ca, cb, ra, rb := classPair(t, "sm")
+	defer VerifyNoExposedLeaks(t, ca)
+	r, span := ca.Reserve(256 << 10)
+	if span == nil {
+		t.Fatal("reserve failed")
+	}
+	for i := range span[:100<<10] {
+		span[i] = byte(i * 13)
+	}
+	if got := ca.ExposedBytes(); got != 256<<10 {
+		t.Fatalf("ExposedBytes with a reservation held = %d, want %d", got, 256<<10)
+	}
+	b := ca.ExposeReserved(r, 100<<10)
+	if b.Size != 100<<10 || b.ID != r.ID {
+		t.Fatalf("exposed handle %+v, want reservation %d's first %d bytes", b, r.ID, 100<<10)
+	}
+	for _, puller := range []*Class{cb, ca} { // colocated, and the owner itself
+		got, err := puller.PullBulk(b)
+		if err != nil || !bytes.Equal(got, span[:100<<10]) {
+			t.Fatalf("pull by %s: err=%v, bytes equal=%v", puller.Addr(), err, bytes.Equal(got, span[:100<<10]))
+		}
+	}
+	if got := rb.Counter("na.shm.pull.local").Value(); got != 1 {
+		t.Fatalf("na.shm.pull.local = %d, want 1", got)
+	}
+	if got := ra.Gauge("mercury.bulk.exposed.bytes").Value(); got != 100<<10 {
+		t.Fatalf("mercury.bulk.exposed.bytes = %d, want the %d exposed", got, 100<<10)
+	}
+	ca.Release(b)
+	// A reservation released without ever being exposed.
+	r2, span2 := ca.Reserve(4096)
+	if span2 == nil {
+		t.Fatal("second reserve failed")
+	}
+	ca.Release(r2)
+	if got := ra.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
+		t.Fatalf("na.shm.mapped.bytes after the releases = %d, want 0", got)
+	}
+	if got := ra.Gauge("mercury.bulk.exposed.bytes").Value(); got != 0 {
+		t.Fatalf("mercury.bulk.exposed.bytes after the releases = %d, want 0", got)
+	}
+	// Exposing a released reservation publishes nothing: pulls fail.
+	stale := ca.ExposeReserved(r2, 16)
+	if _, err := cb.PullBulk(stale); err == nil {
+		t.Fatal("pulled a released reservation")
+	}
+
+	tcp, _, _, _ := classPair(t, "tcp")
+	if _, span := tcp.Reserve(4096); span != nil {
+		t.Fatal("an endpoint without an arena reserved a span")
+	}
+}
+
+// TestBulkRPCPullOfReservedRacesRelease: a peer that cannot map the arena
+// pulls an in-place region over RPC while its owner releases it and fills
+// the recycled span with the next region. The served chunk must be copied
+// out of the span before the release can take it: every pull returns
+// ErrBadBulk or exactly the bytes exposed under its handle, never the next
+// region's.
+func TestBulkRPCPullOfReservedRacesRelease(t *testing.T) {
+	epA, err := na.ListenDual("127.0.0.1:0", t.TempDir(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := na.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, peer := New(epA), New(epB)
+	defer func() { owner.Close(); peer.Close() }()
+	defer VerifyNoExposedLeaks(t, owner)
+
+	// The release waits for the first pull of its round to reach the owner,
+	// so that one is served while the release runs and the others after it.
+	arrived := make(chan struct{}, 1)
+	owner.SetServeHook(func(req Request) error {
+		if req.Name == bulkPullRPC {
+			select {
+			case arrived <- struct{}{}:
+			default:
+			}
+		}
+		return nil
+	})
+	const size, rounds, pullers = 64 << 10, 60, 3
+	var pulled, refused atomic.Int64
+	var prev sync.WaitGroup
+	for round := 0; round < rounds; round++ {
+		r, span := owner.Reserve(size)
+		if span == nil {
+			t.Fatalf("round %d: reserve failed", round)
+		}
+		for i := range span {
+			span[i] = byte(round*7 + i)
+		}
+		b := owner.ExposeReserved(r, size)
+		prev.Wait() // the last round's pulls saw its span refilled with this round's bytes
+		select {
+		case <-arrived: // left over from the last round
+		default:
+		}
+		prev.Add(pullers)
+		for g := 0; g < pullers; g++ {
+			go func(round int) {
+				defer prev.Done()
+				got, err := peer.PullBulk(b)
+				if err != nil {
+					if !strings.Contains(err.Error(), ErrBadBulk.Error()) {
+						t.Errorf("round %d: pull failed with %v, want ErrBadBulk", round, err)
+					}
+					refused.Add(1)
+					return
+				}
+				for i, v := range got {
+					if v != byte(round*7+i) {
+						t.Errorf("round %d: byte %d is %d, not the exposed %d", round, i, v, byte(round*7+i))
+						return
+					}
+				}
+				pulled.Add(1)
+			}(round)
+		}
+		<-arrived
+		owner.Release(b)
+	}
+	prev.Wait()
+	t.Logf("%d pulls got the exposed bytes, %d were refused", pulled.Load(), refused.Load())
 }
 
 // TestBulkArenaMissFallsBackToRPC: a region the exposer could not publish

@@ -192,7 +192,7 @@ type Class struct {
 	pending map[uint64]chan response
 
 	bmu    sync.Mutex
-	bulks  map[uint64][]byte
+	bulks  map[uint64]region
 	nextID atomic.Uint64
 	nextBk atomic.Uint64
 
@@ -245,7 +245,7 @@ func New(ep na.Endpoint) *Class {
 		ep:       ep,
 		handlers: make(map[string]Handler),
 		pending:  make(map[uint64]chan response),
-		bulks:    make(map[uint64][]byte),
+		bulks:    make(map[uint64]region),
 	}
 	c.gather, _ = ep.(na.GatherSender)
 	c.arena, _ = ep.(na.LocalBulk)

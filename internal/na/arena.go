@@ -24,10 +24,12 @@ import (
 //
 // Lifecycle invariants:
 //
-//   - the arena file is created on the first ExposeLocal and unlinked on
-//     Close, next to the endpoint's unix socket; only a process killed
-//     without Close can orphan them, and the next listener in the same
-//     directory removes what a dead pid left (gcStaleSegments);
+//   - the arena file is created on the first ExposeLocal or ReserveLocal
+//     and unlinked on Close, next to the endpoint's unix socket; only a
+//     process killed without Close can orphan them, and the next listener
+//     in the same directory removes what a dead pid left (gcStaleSegments);
+//   - the mapping outlives Close until the last region holding a span of
+//     it is released (smArena.close);
 //   - every PullLocal outcome other than "bytes copied under a stable
 //     seqlock" sends the caller to the RPC pull path, which stays
 //     authoritative.
@@ -42,11 +44,12 @@ import (
 //	64  slots: nslots × 32B {seq u64, id u64, off u64, len u64}
 //	... data area
 //
-// Publication uses a per-slot seqlock: the exposer bumps seq to odd,
-// writes id/off/len and the bytes, bumps seq to even. A puller reads seq,
-// copies, and re-reads seq — any change means the copy may have observed
-// a concurrent release/re-expose and the puller falls back to the RPC
-// pull path, which stays authoritative.
+// Publication uses a per-slot seqlock: the exposer writes the bytes into a
+// span no published slot points at, then bumps seq to odd, writes
+// id/off/len, bumps seq to even. A puller reads seq, copies, and re-reads
+// seq — any change means the copy may have observed a concurrent
+// release/re-expose and the puller falls back to the RPC pull path, which
+// stays authoritative.
 const (
 	smArenaMagic   = 0x435a5342 // "CZSB"
 	smArenaVersion = 1
@@ -183,6 +186,7 @@ func newArenaMetrics(r *obs.Registry) *arenaMetrics {
 
 // close releases every mapping and unlinks the arena file.
 func (s *shmBulk) close() {
+	s.arenaOnce.Do(func() {}) // no arena file is created after Close
 	if s.arena != nil {
 		s.arena.close()
 		os.Remove(s.base + ".blk")
@@ -246,9 +250,10 @@ type smArena struct {
 	nslots  uint64
 	dataOff uint64
 	dataCap uint64
-	entries map[uint64]arenaSpan // id → allocated span
-	bySlot  map[uint64]uint64    // slot → id currently published there
+	entries map[uint64]arenaSpan // id → allocated span, reserved or published
+	bySlot  map[uint64]uint64    // slot → id holding it
 	free    []arenaSpan          // sorted by offset, coalesced
+	closing bool                 // close ran: no new regions, seg unmapped once entries drain
 }
 
 type arenaSpan struct{ off, ln uint64 }
@@ -278,13 +283,24 @@ func (s *shmBulk) ensureArena() *smArena {
 	return s.arena
 }
 
+// close refuses every later region and unmaps the segment — at once when no
+// region holds a span of it, otherwise at the release of the last one. A
+// reservation's holder writes into its span without any lock of ours
+// (ReserveLocal), so unmapping under it would turn that write into a
+// SIGSEGV; the span stays valid until its ReleaseLocal instead.
 func (a *smArena) close() {
 	a.mu.Lock()
-	seg := a.seg
-	a.seg = nil
-	a.mu.Unlock()
-	if seg != nil {
-		syscall.Munmap(seg)
+	defer a.mu.Unlock()
+	a.closing = true
+	a.unmapIfIdle()
+}
+
+// unmapIfIdle unmaps a closing arena that no region holds a span of. The
+// caller holds a.mu.
+func (a *smArena) unmapIfIdle() {
+	if a.closing && len(a.entries) == 0 && a.seg != nil {
+		syscall.Munmap(a.seg)
+		a.seg = nil
 	}
 }
 
@@ -329,43 +345,79 @@ func (a *smArena) release(sp arenaSpan) {
 // (buffer unchanged until Release) extends naturally: even a pull racing
 // a release reads stable arena bytes or misses the slot and falls back.
 func (s *shmBulk) ExposeLocal(id uint64, buf []byte) bool {
-	if len(buf) == 0 {
+	span := s.ReserveLocal(id, len(buf))
+	if span == nil {
 		return false
+	}
+	copy(span, buf)
+	if !s.PublishLocal(id, len(buf)) {
+		s.ReleaseLocal(id)
+		return false
+	}
+	return true
+}
+
+// ReserveLocal allocates n bytes of the arena and id's export-table slot,
+// and returns the span unpublished (LocalBulk): the slot's words still say
+// "empty", so a pull of id misses until PublishLocal.
+func (s *shmBulk) ReserveLocal(id uint64, n int) []byte {
+	if n <= 0 {
+		return nil
 	}
 	a := s.ensureArena()
 	if a == nil {
-		return false
+		return nil
 	}
 	m := s.met.Load()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.seg == nil {
-		return false
+	if a.closing {
+		return nil
 	}
 	slot := id % a.nslots
 	if _, busy := a.bySlot[slot]; busy {
 		m.exposeFallback.Inc()
-		return false
+		return nil
 	}
-	off, ok := a.alloc(uint64(len(buf)))
+	off, ok := a.alloc(uint64(n))
 	if !ok {
 		m.exposeFallback.Inc()
+		return nil
+	}
+	a.entries[id] = arenaSpan{off, uint64(n)}
+	a.bySlot[slot] = id
+	m.mappedBytes.Add(int64(n))
+	start := a.dataOff + off
+	end := start + uint64(n)
+	return a.seg[start:end:end]
+}
+
+// PublishLocal points id's slot at the first n bytes of its reservation,
+// under the seqlock (LocalBulk). The bytes were written before, so a puller
+// that sees the slot even sees them whole.
+func (s *shmBulk) PublishLocal(id uint64, n int) bool {
+	a := s.arena
+	if a == nil {
 		return false
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	sp, ok := a.entries[id]
+	if !ok || a.closing || n <= 0 || uint64(n) > sp.ln {
+		return false
+	}
+	slot := id % a.nslots
 	seq := atomic.LoadUint64(slotWord(a.seg, slot, soSeq))
 	atomic.StoreUint64(slotWord(a.seg, slot, soSeq), seq+1) // odd: in flux
-	copy(a.seg[a.dataOff+off:], buf)
 	atomic.StoreUint64(slotWord(a.seg, slot, soID), id)
-	atomic.StoreUint64(slotWord(a.seg, slot, soOff), off)
-	atomic.StoreUint64(slotWord(a.seg, slot, soLen), uint64(len(buf)))
+	atomic.StoreUint64(slotWord(a.seg, slot, soOff), sp.off)
+	atomic.StoreUint64(slotWord(a.seg, slot, soLen), uint64(n))
 	atomic.StoreUint64(slotWord(a.seg, slot, soSeq), seq+2) // even: published
-	a.entries[id] = arenaSpan{off, uint64(len(buf))}
-	a.bySlot[slot] = id
-	m.mappedBytes.Add(int64(len(buf)))
 	return true
 }
 
-// ReleaseLocal withdraws a published region (LocalBulk).
+// ReleaseLocal withdraws a region, published or only reserved, and frees its
+// span (LocalBulk); the last release of a closing arena unmaps it.
 func (s *shmBulk) ReleaseLocal(id uint64) {
 	a := s.arena
 	if a == nil {
@@ -374,7 +426,7 @@ func (s *shmBulk) ReleaseLocal(id uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp, ok := a.entries[id]
-	if !ok || a.seg == nil {
+	if !ok {
 		return
 	}
 	slot := id % a.nslots
@@ -387,6 +439,7 @@ func (s *shmBulk) ReleaseLocal(id uint64) {
 	delete(a.bySlot, slot)
 	a.release(sp)
 	s.met.Load().mappedBytes.Add(-int64(sp.ln))
+	a.unmapIfIdle()
 }
 
 // --- puller side ----------------------------------------------------------

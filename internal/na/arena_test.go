@@ -233,6 +233,129 @@ func TestSMLocalBulk(t *testing.T) {
 	}
 }
 
+// TestReservedSlotMissedUntilPublished: a reserved span is its holder's to
+// fill, and a pull of its id misses (done=false) until PublishLocal points
+// the slot at it; the reservation holds the slot against colliding ids, a
+// publish is held to the span it was reserved with, and a release withdraws
+// it again.
+func TestReservedSlotMissedUntilPublished(t *testing.T) {
+	a, b, _ := dualPairArena(t, 1<<20, 8)
+	reg := obs.NewRegistry()
+	a.SetObserver(reg)
+	const id = 5
+	span := a.ReserveLocal(id, 100)
+	if len(span) != 100 || cap(span) != 100 {
+		t.Fatalf("reserved span len %d cap %d, want 100 and 100", len(span), cap(span))
+	}
+	for i := range span {
+		span[i] = byte(i * 7)
+	}
+	dst := make([]byte, 60)
+	if done, err := b.PullLocal(a.Addr(), id, 0, dst); done || err != nil {
+		t.Fatalf("pull of a reserved, unpublished region: done=%v err=%v, want a miss", done, err)
+	}
+	if a.ExposeLocal(id+8, []byte("collides")) || a.ReserveLocal(id+8, 8) != nil {
+		t.Fatal("a colliding id took a slot a reservation holds")
+	}
+	if a.ReserveLocal(1, 0) != nil {
+		t.Fatal("an empty span was reserved")
+	}
+	for _, n := range []int{0, -1, 101} {
+		if a.PublishLocal(id, n) {
+			t.Fatalf("published %d bytes of a 100-byte reservation", n)
+		}
+	}
+	if a.PublishLocal(id+1, 1) || b.PublishLocal(id, 1) {
+		t.Fatal("published an id that holds no reservation")
+	}
+	if !a.PublishLocal(id, 60) {
+		t.Fatal("publish failed")
+	}
+	if done, err := b.PullLocal(a.Addr(), id, 0, dst); !done || err != nil || !bytes.Equal(dst, span[:60]) {
+		t.Fatalf("pull after publish: done=%v err=%v", done, err)
+	}
+	if done, _ := b.PullLocal(a.Addr(), id, 0, make([]byte, 61)); done {
+		t.Fatal("pulled past the published prefix")
+	}
+	if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 100 {
+		t.Fatalf("na.shm.mapped.bytes = %d, want the 100 reserved", got)
+	}
+	a.ReleaseLocal(id)
+	if done, _ := b.PullLocal(a.Addr(), id, 0, dst); done {
+		t.Fatal("pulled a released region")
+	}
+	if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
+		t.Fatalf("na.shm.mapped.bytes after release = %d, want 0", got)
+	}
+}
+
+// TestArenaCloseWithReservationHeld: Close does not unmap a span a
+// reservation still holds — its holder may go on writing into it, as a
+// pending batch does — but refuses every new region, unlinks the files at
+// once, and unmaps at the last release.
+func TestArenaCloseWithReservationHeld(t *testing.T) {
+	a, b, dir := dualPair(t)
+	reg := obs.NewRegistry()
+	a.SetObserver(reg)
+	span := a.ReserveLocal(1, 64<<10)
+	if span == nil {
+		t.Fatal("reserve failed")
+	}
+	if !a.ExposeLocal(2, []byte("published")) {
+		t.Fatal("expose failed")
+	}
+	a.Close()
+	b.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		t.Errorf("segment file left after Close: %s", e.Name())
+	}
+	if a.ReserveLocal(3, 16) != nil || a.ExposeLocal(4, []byte("x")) || a.PublishLocal(1, 16) {
+		t.Fatal("a closed arena took a new region")
+	}
+	for i := range span { // the holder's late append: must not fault
+		span[i] = byte(i)
+	}
+	if span[len(span)-1] != byte(len(span)-1) {
+		t.Fatal("span lost a write")
+	}
+	if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 64<<10+9 {
+		t.Fatalf("na.shm.mapped.bytes with two regions held = %d, want %d", got, 64<<10+9)
+	}
+	a.ReleaseLocal(1)
+	a.arena.mu.Lock()
+	mapped := a.arena.seg != nil
+	a.arena.mu.Unlock()
+	if !mapped {
+		t.Fatal("unmapped while a region still held a span")
+	}
+	a.ReleaseLocal(2)
+	a.arena.mu.Lock()
+	mapped = a.arena.seg != nil
+	a.arena.mu.Unlock()
+	if mapped {
+		t.Fatal("the last release left the closed arena mapped")
+	}
+	if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
+		t.Fatalf("na.shm.mapped.bytes after the last release = %d, want 0", got)
+	}
+	// An endpoint closed before it ever exposed creates no arena afterwards.
+	c, err := ListenDual("127.0.0.1:0", dir, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if c.ReserveLocal(1, 16) != nil {
+		t.Fatal("an endpoint closed before its first region reserved one")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("%d segment files after the late reserve, want 0", len(ents))
+	}
+}
+
 // TestSMLocalBulkSlotCollision: two live ids on the same table slot — the
 // second expose must decline so pulls for it use the RPC path, and must
 // never corrupt the first.
@@ -516,7 +639,10 @@ func arenaHeader(nslots, dataCap uint64) []byte {
 // TestArenaChurnStress: an exposer cycles regions through a four-slot, and
 // small, arena — ids that collide on slots, spans that are recycled the
 // moment they are released — while a puller on a second endpoint copies
-// whatever it can. Every pull that reports done must hold exactly its id's
+// whatever it can. Half the regions are snapshots (ExposeLocal), half are
+// reserved, filled in place — while the span may still hold an older
+// region's bytes and the slot an older id — and published with a tail left
+// unpublished. Every pull that reports done must hold exactly its id's
 // bytes (the seqlock's whole job); any other outcome is a fallback, and is
 // counted as one. Both endpoints close with nothing left published.
 func TestArenaChurnStress(t *testing.T) {
@@ -538,11 +664,11 @@ func TestArenaChurnStress(t *testing.T) {
 	stop := make(chan struct{})
 	stopOnce := sync.OnceFunc(func() { close(stop) })
 	defer stopOnce()
-	exposed := make(chan int64, 1)
+	exposed := make(chan [2]int64, 1)
 	go func() {
 		rng := rand.New(rand.NewSource(1))
 		var live []uint64
-		var n int64
+		var n [2]int64 // snapshots, in-place regions
 		buf := make([]byte, size(9))
 		for {
 			select {
@@ -555,10 +681,19 @@ func TestArenaChurnStress(t *testing.T) {
 			default:
 			}
 			id := ids[rng.Intn(len(ids))]
-			fill(id, buf[:size(id)])
-			if a.ExposeLocal(id, buf[:size(id)]) {
+			if rng.Intn(2) == 0 {
+				fill(id, buf[:size(id)])
+				if a.ExposeLocal(id, buf[:size(id)]) {
+					live = append(live, id)
+					n[0]++
+				}
+			} else if span := a.ReserveLocal(id, size(id)+512); span != nil {
+				fill(id, span[:size(id)])
+				if !a.PublishLocal(id, size(id)) {
+					t.Errorf("publish of live reservation %d failed", id)
+				}
 				live = append(live, id)
-				n++
+				n[1]++
 			}
 			// Two regions stay live, so colliding ids (and an id that is
 			// live already) meet a busy slot.
@@ -603,7 +738,10 @@ func TestArenaChurnStress(t *testing.T) {
 	if regA.Counter("na.shm.expose.fallback").Value() == 0 {
 		t.Error("no expose met a busy slot: the ids did not collide")
 	}
-	t.Logf("%d exposes, %d pulls done, %d fell back", n, done, fell)
+	if n[0] == 0 || n[1] == 0 {
+		t.Errorf("%d snapshots and %d in-place regions published, want both", n[0], n[1])
+	}
+	t.Logf("%d snapshots and %d in-place regions, %d pulls done, %d fell back", n[0], n[1], done, fell)
 	a.Close()
 	b.Close()
 	for name, reg := range map[string]*obs.Registry{"exposer": regA, "puller": regB} {

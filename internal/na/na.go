@@ -61,16 +61,29 @@ type Observable interface {
 //
 // Every method is best-effort: a false/not-done return means the caller
 // must fall back to the ordinary pull path, which stays authoritative for
-// use-after-release errors. ExposeLocal snapshots buf (the segment holds
-// its own copy), so the §7 ownership rule — buffer unchanged until
-// Release — is preserved even against pulls that race a release.
+// use-after-release errors. A region lives in segment memory the endpoint
+// owns: ExposeLocal snapshots buf into it (so the §7 ownership rule —
+// buffer unchanged until Release — holds even against pulls that race a
+// release), and ReserveLocal hands the caller a span of it to fill in place
+// and publish with PublishLocal. A reserved span is the caller's to write
+// until its ReleaseLocal, even across the endpoint's Close, and not a
+// moment longer: the release may recycle or unmap it.
 type LocalBulk interface {
 	// ExposeLocal publishes buf under the bulk registration id. False
 	// means the region was not published (no segment, table collision,
 	// arena full) and pulls will use the RPC path.
 	ExposeLocal(id uint64, buf []byte) bool
-	// ReleaseLocal withdraws a published region. Safe to call for ids
-	// that were never published.
+	// ReserveLocal takes the export-table slot of id and n bytes of the
+	// segment and returns them writable but unpublished: a pull of id
+	// misses until PublishLocal. nil means nothing was reserved, for the
+	// reasons ExposeLocal declines, or because the endpoint is closing.
+	ReserveLocal(id uint64, n int) []byte
+	// PublishLocal publishes the first n bytes of id's reservation, as
+	// they are now. False means nothing was published (no such
+	// reservation, n outside it, the endpoint closing).
+	PublishLocal(id uint64, n int) bool
+	// ReleaseLocal withdraws a region, published or only reserved. Safe to
+	// call for ids that were never published.
 	ReleaseLocal(id uint64)
 	// PullLocal copies len(dst) bytes starting at off of the region id
 	// published by the endpoint at ownerAddr. done=false means the
