@@ -25,7 +25,7 @@ cover:
 # Short smoke run of every fuzzer in the tree beyond its seed corpus (go test
 # takes one -fuzz target at a time, so they are found and run in turn).
 fuzz:
-	@set -e; grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' internal cmd examples | \
+	@set -e; grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' internal cmd | \
 	while IFS=: read -r file fn; do \
 		echo "== $${fn#func } ./$${file%/*}/"; \
 		$(GO) test -run=NONE -fuzz="^$${fn#func }\$$" -fuzztime=10s "./$${file%/*}/"; \

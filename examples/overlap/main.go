@@ -18,7 +18,9 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"colza/internal/catalyst"
@@ -32,60 +34,68 @@ import (
 const iterations = 6
 
 func main() {
+	if err := run(os.Stdout, "."); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes nothing into dir: the overlap shows in the timings it prints.
+func run(out io.Writer, dir string) error {
 	catalyst.Register()
 	net := na.NewInprocNetwork()
 	ssgCfg := ssg.Config{GossipPeriod: 10 * time.Millisecond}
 	s0, err := core.StartInprocServer(net, "ov-server0", core.ServerConfig{SSG: ssgCfg})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer s0.Shutdown()
 	s1, err := core.StartInprocServer(net, "ov-server1", core.ServerConfig{Bootstrap: s0.Addr(), SSG: ssgCfg})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer s1.Shutdown()
-	for len(s0.Group.Members()) != 2 {
-		time.Sleep(5 * time.Millisecond)
+	if err := core.WaitMembers([]*core.Server{s0, s1}, 2, 10*time.Second); err != nil {
+		return err
 	}
 
-	ep, _ := net.Listen("ov-client")
+	ep, err := net.Listen("ov-client")
+	if err != nil {
+		return err
+	}
 	mi := margo.NewInstance(ep)
 	defer mi.Finalize()
-	client := core.NewClient(mi)
 	admin := core.NewAdminClient(mi)
-	pcfg, _ := json.Marshal(catalyst.IsoConfig{
+	pcfg, err := json.Marshal(catalyst.IsoConfig{
 		Field: "value", IsoValues: []float64{8}, Width: 300, Height: 300,
 		ScalarRange: [2]float64{0, 32},
 	})
+	if err != nil {
+		return err
+	}
 	for _, addr := range []string{s0.Addr(), s1.Addr()} {
 		if err := admin.CreatePipeline(addr, "ov", catalyst.IsoPipelineType, pcfg); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
-	h := client.Handle("ov", s0.Addr())
+	h := core.NewClient(mi).Handle("ov", s0.Addr())
 	mb := sim.DefaultMandelbulb([3]int{36, 36, 18}, 4)
 
-	// Generate iteration 1 up front.
-	blocks := generate(mb, 1)
-
-	fmt.Println("iter  sim_overhead  hidden_analysis  next_iter_compute")
-	var pending *core.Async
-	var pendingStart time.Time
+	blocks := generate(mb, 1) // iteration 1, up front
+	fmt.Fprintln(out, "iter  sim_overhead  hidden_analysis  next_iter_compute")
 	for it := uint64(1); it <= iterations; it++ {
 		t0 := time.Now()
 		if _, err := h.Activate(it); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for b, data := range blocks {
 			if err := h.Stage(it, sim.MandelbulbMeta(mb, b), data); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		// Fire the analysis and let it run in the background.
-		pending = h.NBExecute(it)
-		pendingStart = time.Now()
+		pending := h.NBExecute(it)
+		pendingStart := time.Now()
 		overhead := time.Since(t0)
 
 		// Meanwhile the "simulation" computes its next iteration.
@@ -99,16 +109,17 @@ func main() {
 		// Reap the analysis; if the computation was long enough, this is
 		// nearly free — the analysis was fully hidden.
 		if _, err := pending.Wait(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		hidden := time.Since(pendingStart)
 		if err := h.Deactivate(it); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%4d  %-12s  %-15s  %s\n",
+		fmt.Fprintf(out, "%4d  %-12s  %-15s  %s\n",
 			it, overhead.Round(100*time.Microsecond), hidden.Round(100*time.Microsecond), compute.Round(100*time.Microsecond))
 		blocks = next
 	}
+	return nil
 }
 
 func generate(mb sim.MandelbulbConfig, it uint64) [][]byte {

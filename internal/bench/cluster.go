@@ -52,7 +52,7 @@ func NewCluster(n int) (*Cluster, error) {
 		// Let each join settle before the next: initial formation is not
 		// the elasticity under test (the elastic figures add servers
 		// mid-run without waiting).
-		if err := c.WaitSize(i+1, 30*time.Second); err != nil {
+		if err := core.WaitMembers(c.Servers, i+1, 30*time.Second); err != nil {
 			return nil, err
 		}
 	}
@@ -65,9 +65,6 @@ func NewCluster(n int) (*Cluster, error) {
 	c.Admin = core.NewAdminClient(c.MI)
 	c.Obs = obs.NewRegistry()
 	c.Client.SetObserver(c.Obs)
-	if err := c.WaitSize(n, 30*time.Second); err != nil {
-		return nil, err
-	}
 	catalyst.Register()
 	return c, nil
 }
@@ -107,30 +104,6 @@ func (c *Cluster) AddServer() (*core.Server, error) {
 
 // Contact returns an address clients can bootstrap from.
 func (c *Cluster) Contact() string { return c.Servers[0].Addr() }
-
-// WaitSize blocks until every live server's view has exactly n members.
-func (c *Cluster) WaitSize(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		ok := true
-		live := 0
-		for _, s := range c.Servers {
-			if s.Provider.Leaving() {
-				continue
-			}
-			live++
-			if len(s.Group.Members()) != n {
-				ok = false
-				break
-			}
-		}
-		if ok && live > 0 {
-			return nil
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return fmt.Errorf("bench: cluster did not converge to %d members", n)
-}
 
 // CreatePipelineEverywhere instantiates a pipeline on every live server.
 func (c *Cluster) CreatePipelineEverywhere(name, typeName string, cfg interface{}) error {

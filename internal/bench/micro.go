@@ -143,92 +143,96 @@ func Fig4Resizing(quick bool) *Table {
 	}
 	rng := rand.New(rand.NewSource(11))
 	cfg := ssg.Config{GossipPeriod: 10 * time.Millisecond, PingTimeout: 100 * time.Millisecond, SuspectPeriods: 20}
-	const teardown = 25 * time.Millisecond // kill + srun teardown, scaled
-
 	for n := 1; n <= maxN; n++ {
-		// --- static: kill everything, relaunch n+1 fresh daemons in
-		// parallel (completion at the slowest launch), re-form the group.
-		staticNet := na.NewInprocNetwork()
-		start := time.Now()
-		time.Sleep(teardown)
-		var slowest time.Duration
-		for i := 0; i <= n; i++ {
-			if c := launchCost(rng); c > slowest {
-				slowest = c
-			}
+		static, elastic := "err", "err"
+		if d, err := fig4Static(rng, cfg, n); err == nil {
+			static = fmt.Sprintf("%.1f", d.Seconds()*fig4TimeScale)
 		}
-		time.Sleep(slowest)
-		var servers []*core.Server
-		boot := ""
-		for i := 0; i <= n; i++ {
-			scfg := core.ServerConfig{GroupName: "fig4", Bootstrap: boot, SSG: cfg}
-			scfg.SSG.Seed = int64(i + 1)
-			s, err := core.StartInprocServer(staticNet, fmt.Sprintf("st%d", i), scfg)
-			if err != nil {
-				t.Add(n, "err", "err")
-				continue
-			}
-			servers = append(servers, s)
-			if boot == "" {
-				boot = s.Addr()
-			}
+		if d, err := timeJoin("fig4e", "el", n, 100, cfg, launchCost(rng), 30*time.Second); err == nil {
+			elastic = fmt.Sprintf("%.1f", d.Seconds()*fig4TimeScale)
 		}
-		waitViews(servers, n+1, 30*time.Second)
-		staticTime := time.Since(start)
-		for _, s := range servers {
-			s.Shutdown()
-		}
-
-		// --- elastic: a running group of n servers; add one and wait for
-		// the membership information to propagate everywhere.
-		elNet := na.NewInprocNetwork()
-		var el []*core.Server
-		boot = ""
-		for i := 0; i < n; i++ {
-			scfg := core.ServerConfig{GroupName: "fig4e", Bootstrap: boot, SSG: cfg}
-			scfg.SSG.Seed = int64(100 + i)
-			s, _ := core.StartInprocServer(elNet, fmt.Sprintf("el%d", i), scfg)
-			el = append(el, s)
-			if boot == "" {
-				boot = s.Addr()
-			}
-		}
-		waitViews(el, n, 30*time.Second)
-		start = time.Now()
-		time.Sleep(launchCost(rng)) // the new daemon's launch
-		scfg := core.ServerConfig{GroupName: "fig4e", Bootstrap: boot, SSG: cfg}
-		scfg.SSG.Seed = 999
-		s, err := core.StartInprocServer(elNet, "el-new", scfg)
-		if err == nil {
-			el = append(el, s)
-		}
-		waitViews(el, n+1, 30*time.Second)
-		elasticTime := time.Since(start)
-		for _, s := range el {
-			s.Shutdown()
-		}
-
-		t.Add(n,
-			fmt.Sprintf("%.1f", staticTime.Seconds()*fig4TimeScale),
-			fmt.Sprintf("%.1f", elasticTime.Seconds()*fig4TimeScale))
+		t.Add(n, static, elastic)
 	}
 	return t
 }
 
-func waitViews(servers []*core.Server, n int, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, s := range servers {
-			if len(s.Group.Members()) != n {
-				ok = false
-				break
-			}
+// fig4Static times Fig. 4's static arm: kill everything, relaunch n+1
+// fresh daemons in parallel (completion at the slowest launch), and wait
+// for the group to re-form.
+func fig4Static(rng *rand.Rand, cfg ssg.Config, n int) (time.Duration, error) {
+	const teardown = 25 * time.Millisecond // kill + srun teardown, scaled
+	start := time.Now()
+	time.Sleep(teardown)
+	var slowest time.Duration
+	for i := 0; i <= n; i++ {
+		if c := launchCost(rng); c > slowest {
+			slowest = c
 		}
-		if ok {
-			return
+	}
+	time.Sleep(slowest)
+	servers, err := startGroup(na.NewInprocNetwork(), "fig4", "st", n+1, 1, cfg)
+	defer shutdownAll(servers)
+	if err != nil {
+		return 0, err
+	}
+	err = core.WaitMembers(servers, n+1, 30*time.Second)
+	return time.Since(start), err
+}
+
+// timeJoin times one join into a running group (Fig. 4's elastic arm, A5):
+// it starts servers prefix0..prefix<n-1> and waits for them to converge,
+// then sleeps launch (the newcomer's modelled launch cost), starts
+// prefix<n>, and waits up to timeout for every view to hold it. Server i
+// gossips with SSG seed seed+i.
+func timeJoin(group, prefix string, n int, seed int64, cfg ssg.Config, launch, timeout time.Duration) (time.Duration, error) {
+	net := na.NewInprocNetwork()
+	servers, err := startGroup(net, group, prefix, n, seed, cfg)
+	defer func() { shutdownAll(servers) }()
+	if err != nil {
+		return 0, err
+	}
+	if err := core.WaitMembers(servers, n, 30*time.Second); err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	time.Sleep(launch)
+	s, err := startServer(net, group, prefix, n, servers[0].Addr(), seed, cfg)
+	if err != nil {
+		return 0, err
+	}
+	servers = append(servers, s)
+	err = core.WaitMembers(servers, n+1, timeout)
+	return time.Since(start), err
+}
+
+// startGroup starts servers prefix0..prefix<n-1> on net, the first
+// creating group and the rest joining through it. On error it returns the
+// servers already started.
+func startGroup(net *na.InprocNetwork, group, prefix string, n int, seed int64, cfg ssg.Config) ([]*core.Server, error) {
+	var servers []*core.Server
+	boot := ""
+	for i := 0; i < n; i++ {
+		s, err := startServer(net, group, prefix, i, boot, seed, cfg)
+		if err != nil {
+			return servers, err
 		}
-		time.Sleep(time.Millisecond)
+		servers = append(servers, s)
+		boot = servers[0].Addr()
+	}
+	return servers, nil
+}
+
+// startServer starts server prefix<i> of group, joining through boot
+// (empty creates the group), with SSG seed seed+i.
+func startServer(net *na.InprocNetwork, group, prefix string, i int, boot string, seed int64, cfg ssg.Config) (*core.Server, error) {
+	scfg := core.ServerConfig{GroupName: group, Bootstrap: boot, SSG: cfg}
+	scfg.SSG.Seed = seed + int64(i)
+	return core.StartInprocServer(net, fmt.Sprintf("%s%d", prefix, i), scfg)
+}
+
+func shutdownAll(servers []*core.Server) {
+	for _, s := range servers {
+		s.Shutdown()
 	}
 }
 
@@ -332,35 +336,11 @@ func AblationA5GossipPeriod(quick bool) *Table {
 		Columns: []string{"period_ms", "propagation_ms", "periods"},
 	}
 	for _, period := range []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond} {
-		net := na.NewInprocNetwork()
 		cfg := ssg.Config{GossipPeriod: period, SuspectPeriods: 4}
-		var servers []*core.Server
-		boot := ""
-		for i := 0; i < groupSize; i++ {
-			scfg := core.ServerConfig{GroupName: "a5", Bootstrap: boot, SSG: cfg}
-			scfg.SSG.Seed = int64(i + 1)
-			s, err := core.StartInprocServer(net, fmt.Sprintf("a5-%d", i), scfg)
-			if err != nil {
-				t.Add(period.Milliseconds(), "err", "-")
-				continue
-			}
-			servers = append(servers, s)
-			if boot == "" {
-				boot = s.Addr()
-			}
-		}
-		waitViews(servers, groupSize, 30*time.Second)
-		start := time.Now()
-		scfg := core.ServerConfig{GroupName: "a5", Bootstrap: boot, SSG: cfg}
-		scfg.SSG.Seed = 777
-		s, err := core.StartInprocServer(net, "a5-new", scfg)
-		if err == nil {
-			servers = append(servers, s)
-		}
-		waitViews(servers, groupSize+1, 60*time.Second)
-		el := time.Since(start)
-		for _, s := range servers {
-			s.Shutdown()
+		el, err := timeJoin("a5", "a5-", groupSize, 1, cfg, 0, 60*time.Second)
+		if err != nil {
+			t.Add(period.Milliseconds(), "err", "-")
+			continue
 		}
 		t.Add(period.Milliseconds(),
 			fmt.Sprintf("%.1f", float64(el)/float64(time.Millisecond)),

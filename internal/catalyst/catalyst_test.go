@@ -146,20 +146,8 @@ func TestIsoPipelineThroughColza(t *testing.T) {
 			s.Shutdown()
 		}
 	}()
-	// Wait for the group to converge.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		converged := true
-		for _, s := range servers {
-			if len(s.Group.Members()) != 3 {
-				converged = false
-				break
-			}
-		}
-		if converged {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := core.WaitMembers(servers, 3, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	ep, _ := net.Listen("cat-client")

@@ -36,9 +36,8 @@ func TestVolumePipelineThroughColza(t *testing.T) {
 			s.Shutdown()
 		}
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && len(servers[0].Group.Members()) != 2 {
-		time.Sleep(2 * time.Millisecond)
+	if err := core.WaitMembers(servers, 2, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	ep, _ := net.Listen("vol-client")

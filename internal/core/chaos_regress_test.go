@@ -411,12 +411,8 @@ func TestDeferredLeaveMigratesOnceAndRejectsPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Departure now completes and state lands on the survivor.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && len(d.servers[0].Group.Members()) != 1 {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if len(d.servers[0].Group.Members()) != 1 {
-		t.Fatal("leaving server never left")
+	if err := WaitMembers(d.servers[:1], 1, 10*time.Second); err != nil {
+		t.Fatalf("leaving server never left: %v", err)
 	}
 	if _, err := h.Activate(2); err != nil {
 		t.Fatal(err)

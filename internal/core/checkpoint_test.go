@@ -37,19 +37,6 @@ func createAccEverywhere(t *testing.T, d *deployment) {
 	}
 }
 
-// waitSoloView waits until the surviving server sees only itself.
-func waitSoloView(t *testing.T, s *Server, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if len(s.Group.Members()) == 1 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("survivor still sees %d members", len(s.Group.Members()))
-}
-
 // TestCheckpointRecoversCrashedServerState is the tentpole in miniature:
 // with the default -state-replicas=1, a server crashing between deactivate
 // and the next activate loses nothing — its last checkpoint is re-seeded
@@ -73,7 +60,9 @@ func TestCheckpointRecoversCrashedServerState(t *testing.T) {
 
 	// Crash (no leave announcement, no migration) between iterations.
 	d.servers[1].Shutdown()
-	waitSoloView(t, d.servers[0], 15*time.Second)
+	if err := WaitMembers(d.servers[:1], 1, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	if total := runAccIteration(t, h, 2, 2); total != 400 {
 		// Survivor's own 200 (100 + this iteration's 200 staged bytes... see
@@ -112,7 +101,9 @@ func TestCheckpointDisabledLosesCrashedState(t *testing.T) {
 		}
 	}
 	d.servers[1].Shutdown()
-	waitSoloView(t, d.servers[0], 15*time.Second)
+	if err := WaitMembers(d.servers[:1], 1, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	if total := runAccIteration(t, h, 2, 2); total != 300 {
 		t.Fatalf("post-crash total = %v, want 300 (own 100 + iter-2's 200; crashed 100 lost)", total)
@@ -145,7 +136,9 @@ func TestLeaveResponseFlushBeforeOnLeave(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("OnLeave never fired")
 	}
-	waitSoloView(t, d.servers[0], 15*time.Second)
+	if err := WaitMembers(d.servers[:1], 1, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRingSuccessors pins the placement rule checkpoints rely on.

@@ -158,7 +158,9 @@ func deployCfg(t *testing.T, n int, mutate func(i int, cfg *ServerConfig)) *depl
 	d.clientM = margo.NewInstance(ep)
 	d.client = NewClient(d.clientM)
 	d.admin = NewAdminClient(d.clientM)
-	d.waitGroupSize(t, n, 10*time.Second)
+	if err := WaitMembers(d.servers, n, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		d.clientM.Finalize()
 		for _, s := range d.servers {
@@ -168,27 +170,23 @@ func deployCfg(t *testing.T, n int, mutate func(i int, cfg *ServerConfig)) *depl
 	return d
 }
 
-// waitGroupSize waits until every live server sees exactly n members.
-func (d *deployment) waitGroupSize(t *testing.T, n int, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, s := range d.servers {
-			if s.Provider.Leaving() {
-				continue
-			}
-			if len(s.Group.Members()) != n {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+// TestWaitMembersReportsViewSizes asks for a size no view reaches: the
+// wait gives up at its timeout and names what each server sees.
+func TestWaitMembersReportsViewSizes(t *testing.T) {
+	d := deploy(t, 2)
+	start := time.Now()
+	err := WaitMembers(d.servers, 3, 50*time.Millisecond)
+	if err == nil {
+		t.Fatal("WaitMembers returned nil for a size no view holds")
 	}
-	t.Fatalf("group did not reach size %d", n)
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("WaitMembers returned %v after its 50ms timeout", el)
+	}
+	for _, s := range d.servers {
+		if want := s.Addr() + " sees 2"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
 }
 
 // createEverywhere instantiates the mock pipeline on all servers.
@@ -350,7 +348,9 @@ func TestElasticGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.servers = append(d.servers, s3)
-	d.waitGroupSize(t, 3, 10*time.Second)
+	if err := WaitMembers(d.servers, 3, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.admin.CreatePipeline(s3.Addr(), "viz", "mock", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -391,12 +391,8 @@ func TestElasticShrinkViaAdminLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Remaining servers converge on 2 members.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(d.servers[0].Group.Members()) == 2 && len(d.servers[1].Group.Members()) == 2 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := WaitMembers(d.servers[:2], 2, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	view, err := h.Activate(2)
 	if err != nil {
@@ -435,14 +431,9 @@ func TestLeaveDeferredWhileActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After deactivate the departure completes.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(d.servers[0].Group.Members()) == 1 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := WaitMembers(d.servers[:1], 1, 10*time.Second); err != nil {
+		t.Fatalf("leaving server never left: %v", err)
 	}
-	t.Fatal("leaving server never left")
 }
 
 func TestCrashedServerEvictedAndActivateRecovers(t *testing.T) {

@@ -51,14 +51,8 @@ func (l *leaveRun) survivors() []*Server {
 func (l *leaveRun) settle() {
 	l.t.Helper()
 	live := l.survivors()
-	deadline := time.Now().Add(15 * time.Second)
-	for _, s := range live {
-		for len(s.Group.Members()) != len(live) {
-			if time.Now().After(deadline) {
-				l.t.Fatalf("%s still sees %d members, want %d", s.Addr(), len(s.Group.Members()), len(live))
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+	if err := WaitMembers(live, len(live), 15*time.Second); err != nil {
+		l.t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"colza/internal/margo"
@@ -124,7 +125,8 @@ func StartServer(rpcEP, monaEP na.Endpoint, cfg ServerConfig) (*Server, error) {
 
 // StartInprocServer creates both endpoints on an in-process network under
 // the given name and starts a server — the deployment path used by tests,
-// benchmarks, and examples.
+// benchmarks, and examples. A joiner's membership spreads by gossip: use
+// WaitMembers to wait until every view has it.
 func StartInprocServer(net *na.InprocNetwork, name string, cfg ServerConfig) (*Server, error) {
 	rpcEP, err := net.Listen(name)
 	if err != nil {
@@ -136,6 +138,42 @@ func StartInprocServer(net *na.InprocNetwork, name string, cfg ServerConfig) (*S
 		return nil, err
 	}
 	return StartServer(rpcEP, monaEP, cfg)
+}
+
+// WaitMembers waits until every server in servers that is not leaving sees
+// exactly n members. It polls every millisecond, so a caller that times the
+// wait (join propagation, say) reads it at that resolution. After timeout
+// it returns an error naming each server's view size.
+func WaitMembers(servers []*Server, n int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		live, ok := 0, true
+		for _, s := range servers {
+			if s.Provider.Leaving() {
+				continue
+			}
+			live++
+			if len(s.Group.Members()) != n {
+				ok = false
+				break
+			}
+		}
+		if ok && live > 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sizes := make([]string, len(servers))
+	for i, s := range servers {
+		sizes[i] = fmt.Sprintf("%s sees %d", s.Addr(), len(s.Group.Members()))
+		if s.Provider.Leaving() {
+			sizes[i] += " (leaving)"
+		}
+	}
+	return fmt.Errorf("colza: views did not reach %d members in %v: %s", n, timeout, strings.Join(sizes, ", "))
 }
 
 // Addr returns the server's RPC address (the one clients and joiners use).

@@ -160,7 +160,9 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, blockLen int
 		servers = append(servers, s)
 		defer s.Shutdown()
 	}
-	waitMembers(t, servers, 2)
+	if err := core.WaitMembers(servers, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	checksumMu.Lock()
 	instsBefore := len(checksumInsts)

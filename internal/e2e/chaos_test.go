@@ -197,7 +197,9 @@ func TestChaosFaultPlanOnControlPlane(t *testing.T) {
 		servers = append(servers, s)
 		defer s.Shutdown()
 	}
-	waitMembers(t, servers, 3)
+	if err := core.WaitMembers(servers, 3, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	ep, _ := net.Listen("fp-client")
 	mi := margo.NewInstance(ep)
@@ -326,7 +328,9 @@ func TestChaosChurnCrashAndPartition(t *testing.T) {
 		servers = append(servers, s)
 		defer s.Shutdown()
 	}
-	waitMembers(t, servers, 3)
+	if err := core.WaitMembers(servers, 3, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	ep, _ := net.Listen("churn-client")
 	mi := margo.NewInstance(ep)
@@ -410,7 +414,9 @@ func TestChaosChurnCrashAndPartition(t *testing.T) {
 	}
 	joinerMu.Unlock()
 	survivors := []*core.Server{servers[0], servers[2]}
-	waitMembers(t, survivors, 2)
+	if err := core.WaitMembers(survivors, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	// Clean convergence: a final quiet iteration spans exactly the two
 	// survivors and completes without faults.

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -289,6 +290,109 @@ func TestDocumentedIdentifiersExist(t *testing.T) {
 		}
 		if bad := unknownDocIdents(string(doc), decls); len(bad) > 0 {
 			t.Errorf("%s names identifiers the module does not declare: %v", name, bad)
+		}
+	}
+}
+
+// repoPath matches a path into the repository's examples/, cmd/ or
+// internal/ tree, with or without a leading ./: a path inside a longer one
+// (colza/internal/core, /tmp/cmd/x) does not count.
+var repoPath = regexp.MustCompile(`(?:^|[^\w./-])((?:\./)?(?:examples|cmd|internal)/[\w.-]+(?:/[\w.-]+)*)`)
+
+// missingDocPaths lists the repository paths doc names, in inline code or
+// on a fenced go run / go build line, that do not exist under root. A
+// trailing /... (a go package pattern) is dropped before the check.
+func missingDocPaths(doc, root string) []string {
+	var spans []string
+	for _, m := range inlineCode.FindAllStringSubmatch(doc, -1) {
+		spans = append(spans, m[1])
+	}
+	for _, line := range fencedLines(doc) {
+		if strings.Contains(line, "go run ") || strings.Contains(line, "go build ") {
+			spans = append(spans, line)
+		}
+	}
+	var bad []string
+	for _, span := range spans {
+		for _, m := range repoPath.FindAllStringSubmatch(span, -1) {
+			p := strings.TrimSuffix(strings.TrimPrefix(m[1], "./"), "/...")
+			if _, err := os.Stat(filepath.Join(root, p)); err != nil {
+				bad = append(bad, p)
+			}
+		}
+	}
+	return bad
+}
+
+// goRunExample matches a fenced `go run ./examples/<x>` line.
+var goRunExample = regexp.MustCompile(`^go run \./examples/([\w-]+)`)
+
+// exampleListDrift compares doc's fenced go run ./examples/<x> lines with
+// the directories under root/examples: it names every listed example that
+// is not a directory and every directory that is not listed.
+func exampleListDrift(t *testing.T, doc, root string) []string {
+	t.Helper()
+	listed := map[string]bool{}
+	for _, line := range fencedLines(doc) {
+		if m := goRunExample.FindStringSubmatch(strings.TrimSpace(line)); m != nil {
+			listed[m[1]] = true
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(root, "examples"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drift []string
+	for _, e := range entries {
+		if e.IsDir() && !listed[e.Name()] {
+			drift = append(drift, "./examples/"+e.Name()+" is not listed")
+		}
+		delete(listed, e.Name())
+	}
+	for name := range listed {
+		drift = append(drift, "./examples/"+name+" is not a directory")
+	}
+	sort.Strings(drift)
+	return drift
+}
+
+// TestDocumentedPathsExist holds the documents to the repository's layout:
+// every examples/, cmd/ or internal/ path they name in inline code or on a
+// fenced go run / go build line must exist, and README's go run
+// ./examples/... lines must list exactly the examples there are.
+func TestDocumentedPathsExist(t *testing.T) {
+	// A fixture tree with an example the planted document leaves out
+	// (ghost), and the planted document naming a deleted one (stats) in
+	// both places the check reads.
+	fixture := t.TempDir()
+	for _, dir := range []string{"examples/quickstart", "examples/ghost", "internal/core"} {
+		if err := os.MkdirAll(filepath.Join(fixture, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	planted := "See `internal/core/` and `./examples/stats`; `go test ./examples/...` runs them.\n\n" +
+		"```sh\ngo run ./examples/quickstart   # kept\ngo run ./examples/stats        # deleted\n```\n"
+	if got, want := missingDocPaths(planted, fixture), []string{"examples/stats", "examples/stats"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("planted deleted path: found %v, want %v", got, want)
+	}
+	want := []string{"./examples/ghost is not listed", "./examples/stats is not a directory"}
+	if got := exampleListDrift(t, planted, fixture); !reflect.DeepEqual(got, want) {
+		t.Fatalf("planted example list: found %v, want %v", got, want)
+	}
+
+	root := repoRoot(t)
+	for _, name := range identDocs {
+		doc, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := missingDocPaths(string(doc), root); len(bad) > 0 {
+			t.Errorf("%s names paths that do not exist: %v", name, bad)
+		}
+		if name == "README.md" {
+			if drift := exampleListDrift(t, string(doc), root); len(drift) > 0 {
+				t.Errorf("README.md's go run ./examples/... lines do not match examples/: %v", drift)
+			}
 		}
 	}
 }

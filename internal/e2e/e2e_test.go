@@ -50,7 +50,9 @@ func TestColzaOverTCP(t *testing.T) {
 	defer s0.Shutdown()
 	s1 := startTCPServer(t, s0.Addr())
 	defer s1.Shutdown()
-	waitMembers(t, []*core.Server{s0, s1}, 2)
+	if err := core.WaitMembers([]*core.Server{s0, s1}, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	clientEP, err := na.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -81,7 +83,9 @@ func TestColzaOverTCP(t *testing.T) {
 	// Grow to three servers over TCP, then iteration 2 uses all three.
 	s2 := startTCPServer(t, s0.Addr())
 	defer s2.Shutdown()
-	waitMembers(t, []*core.Server{s0, s1, s2}, 3)
+	if err := core.WaitMembers([]*core.Server{s0, s1, s2}, 3, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := admin.CreatePipeline(s2.Addr(), "viz", catalyst.IsoPipelineType, pcfg); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,9 @@ func TestColzaOverTCP(t *testing.T) {
 	if err := admin.RequestLeave(s2.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	waitMembers(t, []*core.Server{s0, s1}, 2)
+	if err := core.WaitMembers([]*core.Server{s0, s1}, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	runIteration(t, h, mb, 3, 2)
 }
 
@@ -132,28 +138,6 @@ func runIteration(t *testing.T, h *core.DistributedPipelineHandle, mb sim.Mandel
 	}
 }
 
-func waitMembers(t *testing.T, servers []*core.Server, n int) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, s := range servers {
-			if len(s.Group.Members()) != n {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-		time.Sleep(3 * time.Millisecond)
-	}
-	for i, s := range servers {
-		t.Logf("server %d view: %v", i, s.Group.Members())
-	}
-	t.Fatalf("membership did not reach %d", n)
-}
-
 // TestSurvivesServerCrashMidRun is the fault-tolerance extension (the
 // paper's future work (1)): a server crashes between iterations; the SWIM
 // detector evicts it; the next activate renegotiates a smaller view and
@@ -184,7 +168,9 @@ func TestSurvivesServerCrashMidRun(t *testing.T) {
 			s.Shutdown()
 		}
 	}()
-	waitMembers(t, servers, 3)
+	if err := core.WaitMembers(servers, 3, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	ep, _ := net.Listen("ft-client")
 	mi := margo.NewInstance(ep)
@@ -255,7 +241,9 @@ func TestLossyNetworkStillConverges(t *testing.T) {
 		servers = append(servers, s)
 		defer s.Shutdown()
 	}
-	waitMembers(t, servers, 3)
+	if err := core.WaitMembers(servers, 3, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	// Heal the network for the data plane (bulk pulls are not retried in
 	// this prototype), then run an iteration to prove the group is usable.
 	net.SetFaultPlan(nil)

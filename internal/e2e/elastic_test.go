@@ -372,7 +372,9 @@ func TestElasticCrashedNewcomerCheckpointRecovery(t *testing.T) {
 			// iterations folded into its running moments (each deactivate
 			// shipped a checkpoint to its ring successor).
 			arm.server(1).Shutdown()
-			waitMembers(t, []*core.Server{arm.s0()}, 1)
+			if err := core.WaitMembers([]*core.Server{arm.s0()}, 1, 20*time.Second); err != nil {
+				t.Fatal(err)
+			}
 			crashedAt = it
 		}
 	}
@@ -456,7 +458,9 @@ func TestElasticLeaderCrashHandsOff(t *testing.T) {
 	if err := arm.launch(); err != nil { // elh1, the follower
 		t.Fatal(err)
 	}
-	waitMembers(t, []*core.Server{arm.s0(), arm.server(1)}, 2)
+	if err := core.WaitMembers([]*core.Server{arm.s0(), arm.server(1)}, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	follower := arm.server(1)
 
 	ctl, err := elastic.NewController(elastic.Config{
@@ -474,12 +478,8 @@ func TestElasticLeaderCrashHandsOff(t *testing.T) {
 
 	// The leader crashes; SWIM evicts it from the follower's view.
 	arm.s0().Shutdown()
-	deadline := time.Now().Add(20 * time.Second)
-	for len(follower.Group.Members()) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never evicted the crashed leader: %v", follower.Group.Members())
-		}
-		time.Sleep(3 * time.Millisecond)
+	if err := core.WaitMembers([]*core.Server{follower}, 1, 20*time.Second); err != nil {
+		t.Fatalf("follower never evicted the crashed leader: %v", err)
 	}
 
 	// First tick after the crash: takeover, and a fresh cooldown guards it.

@@ -111,7 +111,9 @@ func runRecoveryArm(t *testing.T, prefix string, stateReplicas int, crash bool, 
 		t.Fatal(err)
 	}
 	t.Cleanup(s1.Shutdown)
-	waitMembers(t, []*core.Server{s0, s1}, 2)
+	if err := core.WaitMembers([]*core.Server{s0, s1}, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	ep, _ := net.Listen(prefix + "-client")
 	mi := margo.NewInstance(ep)
@@ -136,12 +138,8 @@ func runRecoveryArm(t *testing.T, prefix string, stateReplicas int, crash bool, 
 			// no announcement. Wait for SWIM to evict it so activate(3)
 			// negotiates the one-member view (where recovery runs).
 			s1.Shutdown()
-			deadline := time.Now().Add(20 * time.Second)
-			for len(s0.Group.Members()) != 1 {
-				if time.Now().After(deadline) {
-					t.Fatalf("survivor never evicted the crashed server: %v", s0.Group.Members())
-				}
-				time.Sleep(3 * time.Millisecond)
+			if err := core.WaitMembers([]*core.Server{s0}, 1, 20*time.Second); err != nil {
+				t.Fatalf("survivor never evicted the crashed server: %v", err)
 			}
 		}
 		runStatsIteration(t, h, it, recoveryBlocks)

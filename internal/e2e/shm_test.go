@@ -81,7 +81,9 @@ func TestColzaOverSM(t *testing.T) {
 	defer s0.Shutdown()
 	s1, _ := startSMServer(t, dir, s0.Addr())
 	defer s1.Shutdown()
-	waitMembers(t, []*core.Server{s0, s1}, 2)
+	if err := core.WaitMembers([]*core.Server{s0, s1}, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	clientEP, err := na.ListenDual("127.0.0.1:0", dir, "")
 	if err != nil {
@@ -113,7 +115,9 @@ func TestColzaOverSM(t *testing.T) {
 	// Grow to three servers, then iteration 2 uses all three.
 	s2, _ := startSMServer(t, dir, s0.Addr())
 	defer s2.Shutdown()
-	waitMembers(t, []*core.Server{s0, s1, s2}, 3)
+	if err := core.WaitMembers([]*core.Server{s0, s1, s2}, 3, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := admin.CreatePipeline(s2.Addr(), "viz", catalyst.IsoPipelineType, pcfg); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,9 @@ func TestColzaOverSM(t *testing.T) {
 	if err := admin.RequestLeave(s2.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	waitMembers(t, []*core.Server{s0, s1}, 2)
+	if err := core.WaitMembers([]*core.Server{s0, s1}, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	runIteration(t, h, mb, 3, 2)
 
 	// Everything is colocated, so the client must have dialed the unix
@@ -175,7 +181,9 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 		serverEPs = append(serverEPs, ep)
 		defer s.Shutdown()
 	}
-	waitMembers(t, servers, 2)
+	if err := core.WaitMembers(servers, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	checksumMu.Lock()
 	instsBefore := len(checksumInsts)

@@ -21,7 +21,9 @@ func TestColzaOverTCPServerRestart(t *testing.T) {
 	s0 := startTCPServer(t, "")
 	defer s0.Shutdown()
 	s1 := startTCPServer(t, s0.Addr())
-	waitMembers(t, []*core.Server{s0, s1}, 2)
+	if err := core.WaitMembers([]*core.Server{s0, s1}, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	clientEP, err := na.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -57,7 +59,9 @@ func TestColzaOverTCPServerRestart(t *testing.T) {
 	s1.Shutdown()
 	s2 := startTCPServer(t, s0.Addr())
 	defer s2.Shutdown()
-	waitMembers(t, []*core.Server{s0, s2}, 2)
+	if err := core.WaitMembers([]*core.Server{s0, s2}, 2, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := admin.CreatePipeline(s2.Addr(), "viz", catalyst.IsoPipelineType, pcfg); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"colza/internal/bench"
 	"colza/internal/catalyst"
+	"colza/internal/core"
 	"colza/internal/obs"
 )
 
@@ -43,7 +44,7 @@ func TestCoreDepsLiveScaleUpAndDown(t *testing.T) {
 	if v.Action != "scale-up" || !v.Actuated {
 		t.Fatalf("over-target verdict: %+v", v)
 	}
-	if err := cl.WaitSize(2, 30*time.Second); err != nil {
+	if err := core.WaitMembers(cl.Servers, 2, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	newcomer := cl.Servers[1].Addr()
