@@ -91,9 +91,9 @@ fi
 # The floors, checked last. 60%: the packages whose correctness the rest of
 # the stack leans on (metrics math, collective algorithms, image
 # compositing). 90%: the codec layer, which decodes whatever a client staged
-# (the untrusted side of the wire); the elastic controller, which actuates
-# real process launches and membership leaves, and the autoscale policy
-# whose verdicts it actuates; and, per file, the client
+# (the untrusted side of the wire); the elastic controller, with the resize
+# policy in it, which actuates real process launches and membership leaves;
+# and, per file, the client
 # stage path — the frame codec (it also decodes what a client sent), the one
 # send function every Stage goes through, the batcher, whose retry
 # re-exposes a shared payload long after the callers' buffers were recycled,
@@ -113,7 +113,7 @@ fi
 # box and discarded-voxel skip each sit behind a guard that only a test
 # reaching both of its sides checks.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
-check_cover 90 ./internal/codec/ ./internal/elastic/ ./internal/autoscale/
+check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
 check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go
 check_cover 90 ./internal/bench/simtime.go

@@ -122,16 +122,6 @@ func (c *Cluster) CreatePipelineEverywhere(name, typeName string, cfg interface{
 	return nil
 }
 
-// CreatePipelineOn instantiates a pipeline on one server (used after a
-// scale-up).
-func (c *Cluster) CreatePipelineOn(s *core.Server, name, typeName string, cfg interface{}) error {
-	raw, err := json.Marshal(cfg)
-	if err != nil {
-		return err
-	}
-	return c.Admin.CreatePipeline(s.Addr(), name, typeName, raw)
-}
-
 // Shutdown kills everything.
 func (c *Cluster) Shutdown() {
 	if c.MI != nil {

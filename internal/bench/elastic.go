@@ -6,6 +6,7 @@ import (
 
 	"colza/internal/catalyst"
 	"colza/internal/core"
+	"colza/internal/elastic"
 	"colza/internal/sim"
 	"colza/internal/vstack"
 )
@@ -58,14 +59,15 @@ func Fig9MandelbulbElastic(quick bool) (*Table, error) {
 	current := startServers
 	for it := 1; it <= iters; it++ {
 		// Scale up between iterations, like the paper's periodic job
-		// script: launch the daemon, load the pipeline on it, and let the
-		// next activate renegotiate the view.
+		// script: launch the daemon, provision it with the contact's
+		// pipeline as the elastic controller does, and let the next
+		// activate renegotiate the view.
 		if it > 1 && (it-1)%growEvery == 0 && current < maxServers {
 			s, err := cl.AddServer()
 			if err != nil {
 				return nil, err
 			}
-			if err := cl.CreatePipelineOn(s, "fig9", catalyst.IsoPipelineType, pcfg); err != nil {
+			if err := elastic.ProvisionFromDefs(cl.Admin, cl.Contact)(s.Addr()); err != nil {
 				return nil, err
 			}
 			current++
@@ -139,25 +141,25 @@ func Fig10DWIElastic(quick bool) (*Table, error) {
 
 	// Static small, static large, elastic: one cluster each.
 	var handles []*core.DistributedPipelineHandle
-	var elastic *Cluster
+	var grown *Cluster
 	for _, n := range []int{small, large, small} {
 		cl, h, err := newPipelineCluster(n, "fig10", catalyst.VolumePipelineType, vcfg)
 		if err != nil {
 			return nil, err
 		}
 		defer cl.Shutdown()
-		handles, elastic = append(handles, h), cl
+		handles, grown = append(handles, h), cl
 	}
 
 	live := small
 	for it := 1; it <= dwi.Iterations; it++ {
 		// Elastic scale-up every other iteration once growth starts.
 		if it >= growStart && (it-growStart)%2 == 0 && live < large {
-			s, err := elastic.AddServer()
+			s, err := grown.AddServer()
 			if err != nil {
 				return nil, err
 			}
-			if err := elastic.CreatePipelineOn(s, "fig10", catalyst.VolumePipelineType, vcfg); err != nil {
+			if err := elastic.ProvisionFromDefs(grown.Admin, grown.Contact)(s.Addr()); err != nil {
 				return nil, err
 			}
 			live++

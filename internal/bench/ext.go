@@ -4,24 +4,26 @@ import (
 	"fmt"
 	"time"
 
-	"colza/internal/autoscale"
 	"colza/internal/catalyst"
 	"colza/internal/core"
+	"colza/internal/elastic"
 	"colza/internal/netem"
 	"colza/internal/sim"
 	"colza/internal/vstack"
 )
 
 // ExtAutoscale demonstrates the paper's future work (2) end to end: the
-// DWI proxy's rendering cost grows every iteration; an autoscaler watches
-// the pipeline execution time and grows (or shrinks) the staging area to
-// keep it under the target — closed loop, no human in it. Scale-up
-// launches a daemon that joins via SSG; scale-down goes through the admin
-// leave RPC, exactly the two actuation paths the paper describes. The
-// staging area and its block distribution are real; the observed execute
-// time is reconstructed from counted work like every pipeline figure's,
-// with the join iterations' warm-up left out (the policy's cooldown skips
-// them), so the run's shape is identical on every machine.
+// DWI proxy's rendering cost grows every iteration; the elastic controller
+// watches the pipeline execution time and grows (or shrinks) the staging
+// area to keep it under the target — closed loop, no human in it. It runs
+// as an external controller (always the leader) and actuates through the
+// two paths the paper describes: scale-up launches a daemon that joins via
+// SSG and is provisioned with the pipeline, scale-down goes through the
+// admin leave RPC. The staging area and its block distribution are real;
+// the observed execute time is reconstructed from counted work like every
+// pipeline figure's, with the join iterations' warm-up left out (the
+// policy's cooldown skips them), so the run's shape is identical on every
+// machine.
 func ExtAutoscale(quick bool) (*Table, error) {
 	dwi := sim.DWIConfig{Blocks: 64, Iterations: 24, BaseRes: 32, GrowthRes: 3}
 	width := 256
@@ -51,12 +53,12 @@ func ExtAutoscale(quick bool) (*Table, error) {
 	}
 	defer cl.Shutdown()
 
-	as, err := autoscale.New(autoscale.Config{Target: target, Max: maxServers})
+	launch := elastic.LauncherFunc(func() error { _, err := cl.AddServer(); return err })
+	ctl, err := elastic.NewController(elastic.Config{Target: target, Ceiling: maxServers},
+		elastic.CoreDeps("", cl.Servers[0].Group.Members, cl.Admin, launch, cl.Obs))
 	if err != nil {
 		return nil, err
 	}
-
-	live := 1
 	for it := 1; it <= dwi.Iterations; it++ {
 		enc := make([][]byte, dwi.Blocks)
 		metas := make([]core.BlockMeta, dwi.Blocks)
@@ -69,31 +71,8 @@ func ExtAutoscale(quick bool) (*Table, error) {
 			return nil, err
 		}
 		secs := simPipelineSeconds(volumeCost, statsFromResults(results, false), vstack.MoNA, fb)
-
-		action := as.Observe(time.Duration(secs*float64(time.Second)), live).Action
-		t.Add(it, live, secs, action.String())
-		switch action {
-		case autoscale.ScaleUp:
-			s, err := cl.AddServer()
-			if err != nil {
-				return nil, err
-			}
-			if err := cl.CreatePipelineOn(s, "auto", catalyst.VolumePipelineType, vcfg); err != nil {
-				return nil, err
-			}
-			live++
-		case autoscale.ScaleDown:
-			// Ask the most recently added live server to leave.
-			for i := len(cl.Servers) - 1; i > 0; i-- {
-				if !cl.Servers[i].Provider.Leaving() {
-					if err := cl.Admin.RequestLeave(cl.Servers[i].Addr()); err != nil {
-						return nil, err
-					}
-					live--
-					break
-				}
-			}
-		}
+		v := ctl.Tick(time.Duration(secs*float64(time.Second)), len(results))
+		t.Add(it, v.Servers, secs, v.Action)
 	}
 	return t, nil
 }

@@ -413,6 +413,10 @@ const (
 	// 134 k triangles as with 24 k; the mesh and the framebuffer are the
 	// pipeline's and are refilled in place.
 	ceilIsoExecuteAllocs = 6.0
+	// One inproc RPC round trip of a 512 B payload, both sides: the frame is
+	// joined by the one copy the in-process endpoint makes of a gathered
+	// send, and its header rides in a pooled buffer. Measured 8.
+	ceilInprocCallAllocs = 8.0
 )
 
 // skipUnderRace: the race detector's instrumentation allocates on its own,
@@ -525,6 +529,33 @@ func TestBulkPullAllocsCeiling(t *testing.T) {
 	t.Logf("bulk pull: %.1f allocs/op (ceiling %.1f)", allocs, ceilBulkPullAllocs)
 	if allocs > ceilBulkPullAllocs {
 		t.Errorf("bulk pull allocs/op = %.1f, ceiling %.1f", allocs, ceilBulkPullAllocs)
+	}
+}
+
+func TestInprocCallAllocsCeiling(t *testing.T) {
+	skipUnderRace(t)
+	net := na.NewInprocNetwork()
+	cEP, err := net.Listen("micro-caller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sEP, err := net.Listen("micro-callee")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, callee := mercury.New(cEP), mercury.New(sEP)
+	defer caller.Close()
+	defer callee.Close()
+	callee.Register("echo", func(req mercury.Request) ([]byte, error) { return req.Payload, nil })
+	payload := make([]byte, 512)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := caller.Call(callee.Addr(), "echo", payload, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("inproc call: %.1f allocs/op (ceiling %.1f)", allocs, ceilInprocCallAllocs)
+	if allocs > ceilInprocCallAllocs {
+		t.Errorf("inproc call allocs/op = %.1f, ceiling %.1f", allocs, ceilInprocCallAllocs)
 	}
 }
 

@@ -34,10 +34,15 @@ type workCost struct {
 }
 
 // isoCost and volumeCost are the one table per-rank compute comes from.
-// The iso row was measured on the reference box by BenchmarkComputeCost
-// (DESIGN.md §2, substitution 7). The volume row is the cost ext-autoscale
-// already modelled, kept so its frozen rows hold; that benchmark reads
-// ~150 ns/cell merge and ~1.1 µs/cell splat.
+// The iso row is BenchmarkComputeCost's reading on the reference box
+// before the iso kernels' pixel-centre box and discarded-voxel skip; it is
+// kept, not re-measured, so the frozen Figs. 5–10 and ext-autoscale rows
+// stay byte-identical (they cost counted work, which those kernels did not
+// change). The benchmark now reads ~2.6 ns/cell and ~152 ns/triangle
+// extract, ~163 ns/triangle render (DESIGN.md §2, substitution 7). The
+// volume row is the cost ext-autoscale already modelled, kept so its
+// frozen rows hold; that benchmark reads ~150 ns/cell merge and ~1.1
+// µs/cell splat.
 var (
 	isoCost    = workCost{extractPerCell: 7e-9, extractPerTri: 175e-9, renderPerTri: 280e-9}
 	volumeCost = workCost{extractPerCell: 600e-9, renderPerCell: 400e-9}

@@ -1,11 +1,11 @@
-// Package elastic closes the loop the paper leaves as future work (IV-B):
-// it turns the pure autoscale policy into a live controller that senses
-// each iteration's execute time on the server it runs in, feeds it to
-// autoscale.Autoscaler, and actuates the verdicts against a real staging
-// area — scale-up by launching a new colza-server daemon through a
-// pluggable Launcher, scale-down through the existing admin leave RPC.
+// Package elastic closes the loop the paper leaves as future work 2
+// (IV-B), automatic resizing: a controller senses each iteration's execute
+// time, feeds it to its resize policy, and actuates the verdicts against a
+// real staging area — scale-up by launching a new colza-server daemon
+// through a pluggable Launcher, scale-down through the existing admin
+// leave RPC.
 //
-// The controller runs embedded in every -elastic server, but only the
+// The controller runs embedded in every -elastic server, where only the
 // SWIM leader — the lexicographically smallest live member — actuates.
 // The leader is rank 0 of every view it belongs to, and every pipeline
 // ends its execute in a collective rank 0 finishes last (the composite to
@@ -13,7 +13,8 @@
 // iteration's. When the leader dies, the next member's controller
 // observes itself at the head of the sorted membership and takes over,
 // opening a fresh cooldown so decisions resume only on post-takeover
-// observations.
+// observations. An external controller (empty Deps.Self), such as the
+// ext-autoscale experiment's, is always the leader.
 //
 // Both actuations are synchronous: a Tick returns only once the view shows
 // the joiner, or no longer shows the member asked to leave, and a sample
@@ -36,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"colza/internal/autoscale"
 	"colza/internal/obs"
 )
 
@@ -155,7 +155,7 @@ type Controller struct {
 	gLeader, gServers          *obs.Gauge
 
 	mu          sync.Mutex
-	as          *autoscale.Autoscaler
+	policy      *policy
 	verdicts    []Verdict
 	seq         int
 	leaderKnown bool
@@ -165,10 +165,13 @@ type Controller struct {
 	done        chan struct{}
 }
 
-// NewController validates the dependencies and builds the controller.
-// Every elastic.* counter is pre-touched so a clean metrics dump proves
-// the absence of failures, not the absence of instrumentation.
+// NewController validates the target and the dependencies and builds the
+// controller. Every elastic.* counter is pre-touched so a clean metrics
+// dump proves the absence of failures, not the absence of instrumentation.
 func NewController(cfg Config, deps Deps) (*Controller, error) {
+	if cfg.Target <= 0 {
+		return nil, errors.New("elastic: Config.Target must be positive")
+	}
 	if deps.Members == nil {
 		return nil, errors.New("elastic: Deps.Members is required")
 	}
@@ -182,11 +185,8 @@ func NewController(cfg Config, deps Deps) (*Controller, error) {
 	if deps.Launcher == nil {
 		deps.Launcher = LauncherFunc(func() error { return errors.New("elastic: no launcher") })
 	}
-	as, err := autoscale.New(autoscale.Config{Target: cfg.Target, Max: cfg.Ceiling})
-	if err != nil {
-		return nil, err
-	}
-	c := &Controller{cfg: cfg, deps: deps, reg: deps.Registry, as: as, samples: make(chan sample)}
+	c := &Controller{cfg: cfg, deps: deps, reg: deps.Registry,
+		policy: newPolicy(cfg.Target, cfg.Ceiling), samples: make(chan sample)}
 	c.scaleups = c.reg.Counter("elastic.scaleups")
 	c.scaledowns = c.reg.Counter("elastic.scaledowns")
 	c.launchAttempts = c.reg.Counter("elastic.launch_attempts")
@@ -213,44 +213,41 @@ func (c *Controller) Tick(exec time.Duration, servers int) Verdict {
 	now := c.cfg.Clock()
 
 	c.mu.Lock()
-	var pv autoscale.Verdict
+	var v Verdict
 	switch {
 	case !c.evalLeadershipLocked(members):
-		pv = autoscale.Verdict{Action: autoscale.Hold, Reason: "not-leader"}
+		v = Verdict{Action: actHold, Reason: "not-leader"}
 	case servers != n:
-		pv = autoscale.Verdict{Action: autoscale.Hold, Reason: "stale-view"}
+		v = Verdict{Action: actHold, Reason: "stale-view"}
 	default:
-		pv = c.as.Observe(exec, n)
+		v = c.policy.observe(exec, n)
 	}
 	c.mu.Unlock()
 
-	actuated := false
-	reason := pv.Reason
-	switch pv.Action {
-	case autoscale.ScaleUp:
-		if actuated = c.scaleUp(members); actuated {
+	switch v.Action {
+	case actScaleUp:
+		if v.Actuated = c.scaleUp(members); v.Actuated {
 			c.scaleups.Inc()
 		} else {
-			reason += "; launch-failed"
+			v.Reason += "; launch-failed"
 		}
-	case autoscale.ScaleDown:
+	case actScaleDown:
 		victim := scaleDownVictim(members, c.deps.Self)
 		if victim == "" {
-			reason += "; no-victim"
-		} else if actuated = c.scaleDown(victim); actuated {
+			v.Reason += "; no-victim"
+		} else if v.Actuated = c.scaleDown(victim); v.Actuated {
 			c.scaledowns.Inc()
 		} else {
 			c.leaveErrs.Inc()
-			reason += "; leave-failed"
+			v.Reason += "; leave-failed"
 		}
 	default:
 		c.holds.Inc()
 	}
 
 	c.mu.Lock()
-	v := c.recordLocked(now, pv.Action.String(), reason, n, exec, actuated)
-	c.mu.Unlock()
-	return v
+	defer c.mu.Unlock()
+	return c.recordLocked(now, v, n, exec)
 }
 
 // evalLeadershipLocked decides whether this controller actuates, sets the
@@ -263,7 +260,7 @@ func (c *Controller) evalLeadershipLocked(members []string) bool {
 		c.leaderKnown = true
 	} else if leader && !c.wasLeader {
 		c.takeovers.Inc()
-		c.as.StartCooldown()
+		c.policy.startCooldown()
 	}
 	c.wasLeader = leader
 	if leader {
@@ -275,16 +272,12 @@ func (c *Controller) evalLeadershipLocked(members []string) bool {
 	return leader
 }
 
-func (c *Controller) recordLocked(now time.Duration, action, reason string, servers int, exec time.Duration, actuated bool) Verdict {
-	v := Verdict{
-		Seq:      c.seq,
-		AtMS:     now.Milliseconds(),
-		Action:   action,
-		Reason:   reason,
-		Servers:  servers,
-		ExecMS:   float64(exec) / float64(time.Millisecond),
-		Actuated: actuated,
-	}
+// recordLocked completes v — the policy's action and reason, and whether
+// it was actuated — with its sequence number, time and sample, and
+// appends it to the verdict ring.
+func (c *Controller) recordLocked(now time.Duration, v Verdict, servers int, exec time.Duration) Verdict {
+	v.Seq, v.AtMS = c.seq, now.Milliseconds()
+	v.Servers, v.ExecMS = servers, float64(exec)/float64(time.Millisecond)
 	c.seq++
 	c.verdicts = append(c.verdicts, v)
 	if len(c.verdicts) > historyCap {

@@ -1,4 +1,4 @@
-package elastic
+package elastic_test
 
 import (
 	"testing"
@@ -7,6 +7,7 @@ import (
 	"colza/internal/bench"
 	"colza/internal/catalyst"
 	"colza/internal/core"
+	"colza/internal/elastic"
 	"colza/internal/obs"
 )
 
@@ -28,9 +29,9 @@ func TestCoreDepsLiveScaleUpAndDown(t *testing.T) {
 
 	self := cl.Servers[0].Addr()
 	reg := obs.NewRegistry()
-	deps := CoreDeps(self, cl.Servers[0].Group.Members, cl.Admin,
-		LauncherFunc(func() error { _, err := cl.AddServer(); return err }), reg)
-	c, err := NewController(Config{
+	deps := elastic.CoreDeps(self, cl.Servers[0].Group.Members, cl.Admin,
+		elastic.LauncherFunc(func() error { _, err := cl.AddServer(); return err }), reg)
+	c, err := elastic.NewController(elastic.Config{
 		Target: 100 * time.Millisecond, Ceiling: 2, LaunchRetries: 1,
 		JoinTimeout: 30 * time.Second,
 	}, deps)

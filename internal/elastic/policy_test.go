@@ -1,4 +1,4 @@
-package autoscale
+package elastic
 
 import (
 	"runtime"
@@ -12,72 +12,68 @@ func testingQuickCheck(f interface{}) error {
 	return quick.Check(f, &quick.Config{MaxCount: 60})
 }
 
-func mustNew(t *testing.T, cfg Config) *Autoscaler {
-	t.Helper()
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
+// The controller refuses a target the policy cannot decide against — the
+// check behind colza-server -elastic-target 0.
 func TestRejectsZeroTarget(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("zero target accepted")
+	members := func() []string { return []string{"a"} }
+	for _, target := range []time.Duration{0, -time.Second} {
+		if _, err := NewController(Config{Target: target}, Deps{Members: members}); err == nil {
+			t.Fatalf("target %v accepted", target)
+		}
 	}
 }
 
 func TestScaleUpWhenOverTarget(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8})
-	if got := a.Observe(2*time.Second, 2).Action; got != ScaleUp {
+	p := newPolicy(time.Second, 8)
+	if got := p.observe(2*time.Second, 2).Action; got != actScaleUp {
 		t.Fatalf("got %v, want scale-up", got)
 	}
 }
 
 func TestHoldInsideBand(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8})
-	if got := a.Observe(900*time.Millisecond, 4).Action; got != Hold {
+	p := newPolicy(time.Second, 8)
+	if got := p.observe(900*time.Millisecond, 4).Action; got != actHold {
 		t.Fatalf("got %v, want hold", got)
 	}
 }
 
 func TestScaleDownWhenComfortablyUnder(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8})
+	p := newPolicy(time.Second, 8)
 	// 0.2s on 4 servers: projected on 3 servers = 0.267s < 0.7s.
-	if got := a.Observe(200*time.Millisecond, 4).Action; got != ScaleDown {
+	if got := p.observe(200*time.Millisecond, 4).Action; got != actScaleDown {
 		t.Fatalf("got %v, want scale-down", got)
 	}
 }
 
 func TestNoScaleDownWhenProjectionWouldOvershoot(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8})
+	p := newPolicy(time.Second, 8)
 	// 0.6s on 2 servers: on 1 server projected 1.2s > 0.7s low water.
-	if got := a.Observe(600*time.Millisecond, 2).Action; got != Hold {
+	if got := p.observe(600*time.Millisecond, 2).Action; got != actHold {
 		t.Fatalf("got %v, want hold", got)
 	}
 }
 
 func TestRespectsBounds(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 3})
-	if got := a.Observe(5*time.Second, 3).Action; got != Hold {
+	p := newPolicy(time.Second, 3)
+	if got := p.observe(5*time.Second, 3).Action; got != actHold {
 		t.Fatalf("at max: got %v, want hold", got)
 	}
-	a2 := mustNew(t, Config{Target: time.Second, Max: 3})
-	if got := a2.Observe(time.Millisecond, 1).Action; got != Hold {
+	p2 := newPolicy(time.Second, 3)
+	if got := p2.observe(time.Millisecond, 1).Action; got != actHold {
 		t.Fatalf("at the one-server floor: got %v, want hold", got)
 	}
 }
 
 func TestCooldownSuppressesFlapping(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8})
-	if got := a.Observe(5*time.Second, 1).Action; got != ScaleUp {
+	p := newPolicy(time.Second, 8)
+	if got := p.observe(5*time.Second, 1).Action; got != actScaleUp {
 		t.Fatalf("first: %v", got)
 	}
 	// The next observation is in cooldown even though still over.
-	if got := a.Observe(5*time.Second, 2).Action; got != Hold {
+	if got := p.observe(5*time.Second, 2).Action; got != actHold {
 		t.Fatalf("cooldown: %v", got)
 	}
-	if got := a.Observe(5*time.Second, 2).Action; got != ScaleUp {
+	if got := p.observe(5*time.Second, 2).Action; got != actScaleUp {
 		t.Fatalf("after cooldown: %v", got)
 	}
 }
@@ -85,7 +81,7 @@ func TestCooldownSuppressesFlapping(t *testing.T) {
 // A growing workload (DWI-like) must drive the size up monotonically and
 // keep the controlled time bounded, assuming ideal 1/n scaling.
 func TestTracksGrowingWorkload(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 16})
+	p := newPolicy(time.Second, 16)
 	servers := 1
 	maxSeen := 0.0
 	for it := 0; it < 30; it++ {
@@ -95,15 +91,15 @@ func TestTracksGrowingWorkload(t *testing.T) {
 		if exec > maxSeen {
 			maxSeen = exec
 		}
-		switch a.Observe(time.Duration(exec*float64(time.Second)), servers).Action {
-		case ScaleUp:
+		switch p.observe(time.Duration(exec*float64(time.Second)), servers).Action {
+		case actScaleUp:
 			servers++
-		case ScaleDown:
+		case actScaleDown:
 			t.Fatalf("iteration %d: released a server while the workload grows", it)
 		}
 	}
 	if servers < 10 {
-		t.Fatalf("autoscaler only reached %d servers for a ~28x workload", servers)
+		t.Fatalf("policy only reached %d servers for a ~28x workload", servers)
 	}
 	if maxSeen > 2.0 {
 		t.Fatalf("execution time escaped to %.2fs despite autoscaling", maxSeen)
@@ -113,17 +109,17 @@ func TestTracksGrowingWorkload(t *testing.T) {
 // An -elastic daemon observes every iteration of its life: the policy
 // must not keep what it observed.
 func TestObserveRetainsNoHistory(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8})
+	p := newPolicy(time.Second, 8)
 	const n = 1 << 17
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		a.Observe(900*time.Millisecond, 4)
+		p.observe(900*time.Millisecond, 4)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(a)
+	runtime.KeepAlive(p)
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
 		t.Fatalf("%d observations left %d more bytes on the heap", n, grew)
 	}
@@ -131,13 +127,13 @@ func TestObserveRetainsNoHistory(t *testing.T) {
 
 // A shrinking workload must eventually release servers.
 func TestReleasesServersWhenWorkloadShrinks(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 16})
+	p := newPolicy(time.Second, 16)
 	servers := 8
 	work := 0.4 // tiny work on many servers
 	downs := 0
 	for it := 0; it < 10; it++ {
 		exec := work / float64(servers)
-		if a.Observe(time.Duration(exec*float64(time.Second)), servers).Action == ScaleDown {
+		if p.observe(time.Duration(exec*float64(time.Second)), servers).Action == actScaleDown {
 			servers--
 			downs++
 		}
@@ -150,48 +146,39 @@ func TestReleasesServersWhenWorkloadShrinks(t *testing.T) {
 	}
 }
 
-func TestActionStrings(t *testing.T) {
-	if Hold.String() != "hold" || ScaleUp.String() != "scale-up" || ScaleDown.String() != "scale-down" {
-		t.Fatal("action strings wrong")
-	}
-}
-
 func TestStartCooldownSuppresses(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 8})
-	a.StartCooldown()
-	if got := a.Observe(5*time.Second, 1); got.Reason != "cooldown" {
-		t.Fatalf("cooldown ignored after StartCooldown: %+v", got)
+	p := newPolicy(time.Second, 8)
+	p.startCooldown()
+	if got := p.observe(5*time.Second, 1); got.Reason != "cooldown" {
+		t.Fatalf("cooldown ignored after startCooldown: %+v", got)
 	}
-	if got := a.Observe(5*time.Second, 1).Action; got != ScaleUp {
+	if got := p.observe(5*time.Second, 1).Action; got != actScaleUp {
 		t.Fatalf("after cooldown: %v", got)
 	}
 }
 
 func TestVerdictReasonsForBounds(t *testing.T) {
-	a := mustNew(t, Config{Target: time.Second, Max: 3})
-	if got := a.Observe(5*time.Second, 3); got.Reason != "at-ceiling" {
+	p := newPolicy(time.Second, 3)
+	if got := p.observe(5*time.Second, 3); got.Reason != "at-ceiling" {
 		t.Fatalf("ceiling: %+v", got)
 	}
-	if got := a.Observe(time.Millisecond, 1); got.Reason != "at-floor" {
+	if got := p.observe(time.Millisecond, 1); got.Reason != "at-floor" {
 		t.Fatalf("floor: %+v", got)
 	}
 }
 
-// Property: for arbitrary observation streams the autoscaler's actions,
-// when applied, never push the size outside [1, Max].
+// Property: for arbitrary observation streams the policy's actions, when
+// applied, never push the size outside [1, ceiling].
 func TestQuickBoundsRespected(t *testing.T) {
 	f := func(obs []uint16) bool {
-		a, err := New(Config{Target: time.Second, Max: 6})
-		if err != nil {
-			return false
-		}
+		p := newPolicy(time.Second, 6)
 		servers := 3
 		for _, o := range obs {
 			exec := time.Duration(o) * time.Millisecond * 10
-			switch a.Observe(exec, servers).Action {
-			case ScaleUp:
+			switch p.observe(exec, servers).Action {
+			case actScaleUp:
 				servers++
-			case ScaleDown:
+			case actScaleDown:
 				servers--
 			}
 			if servers < 1 || servers > 6 {

@@ -207,9 +207,6 @@ func TestBulkRPCPullOfReservedRacesRelease(t *testing.T) {
 // gathered one.
 func TestBulkArenaMissFallsBackToRPC(t *testing.T) {
 	ca, cb, ra, rb := classPair(t, "sm")
-	if _, ok := ca.ep.(na.GatherSender); !ok {
-		t.Fatal("a dual endpoint does not satisfy na.GatherSender")
-	}
 	holder := ca.Expose([]byte("holds the slot"))
 	defer ca.Release(holder)
 	// Bulk ids count up by one; the table has 4096 slots (the default, what

@@ -13,7 +13,6 @@
 package mercury
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -175,9 +174,6 @@ const bulkPullRPC = "__mercury/bulk_pull"
 // own goroutines, so a handler may itself issue RPCs.
 type Class struct {
 	ep na.Endpoint
-	// gather is ep's scatter-gather send when the transport has one (nil
-	// otherwise); see sendFrame.
-	gather na.GatherSender
 	// arena is ep's shared-memory bulk arena, nil without one (SharesBulk).
 	arena na.LocalBulk
 
@@ -221,9 +217,7 @@ func (c *Class) SetObserver(r *obs.Registry) {
 		r.Counter("mercury.respond.send_errors")
 		// Forward to the transport so endpoint metrics (queue depth,
 		// na.route.* and na.shm.* counters) land in the same registry.
-		if o, ok := c.ep.(na.Observable); ok {
-			o.SetObserver(r)
-		}
+		c.ep.SetObserver(r)
 	}
 }
 
@@ -247,7 +241,6 @@ func New(ep na.Endpoint) *Class {
 		pending:  make(map[uint64]chan response),
 		bulks:    make(map[uint64]region),
 	}
-	c.gather, _ = ep.(na.GatherSender)
 	c.arena, _ = ep.(na.LocalBulk)
 	c.Register(bulkPullRPC, c.handleBulkPull)
 	c.wg.Add(1)
@@ -511,19 +504,16 @@ func (c *Class) Close() error {
 	return err
 }
 
-// sendFrame transmits one frame, hdr followed by payload. A transport that
-// can gather sends payload as it is (hdr is cloned so that the callers' stack
-// buffers need not escape); otherwise the two are joined in a pooled buffer,
-// recycled at once because endpoints are done with the slice when Send
-// returns (inproc copies, tcp writes synchronously).
+// sendFrame transmits one frame, hdr followed by payload, gathered: the
+// payload leaves as it is. hdr is copied into a pooled buffer so that the
+// callers' stack buffers need not escape, and recycled at once, because
+// endpoints are done with both slices when SendGather returns (inproc and a
+// delayed fault copy, the sockets write synchronously).
 func (c *Class) sendFrame(to string, hdr, payload []byte) error {
-	if c.gather != nil {
-		return c.gather.SendGather(to, bytes.Clone(hdr), payload)
-	}
-	frame := bufpool.Get(len(hdr) + len(payload))
-	copy(frame[copy(frame, hdr):], payload)
-	err := c.ep.Send(to, frame)
-	bufpool.Put(frame)
+	head := bufpool.Get(len(hdr))
+	copy(head, hdr)
+	err := c.ep.SendGather(to, head, payload)
+	bufpool.Put(head)
 	return err
 }
 

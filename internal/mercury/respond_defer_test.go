@@ -10,7 +10,7 @@ import (
 	"colza/internal/obs"
 )
 
-// recordEP wraps an endpoint and records a mark when each Send completes,
+// recordEP wraps an endpoint and records a mark when each send completes,
 // so tests can assert ordering between the response frame leaving the
 // endpoint and work deferred behind it.
 type recordEP struct {
@@ -25,8 +25,8 @@ func (r *recordEP) mark(s string) {
 	r.mu.Unlock()
 }
 
-func (r *recordEP) Send(to string, data []byte) error {
-	err := r.Endpoint.Send(to, data)
+func (r *recordEP) SendGather(to string, head, body []byte) error {
+	err := r.Endpoint.SendGather(to, head, body)
 	r.mark("send")
 	return err
 }

@@ -116,9 +116,8 @@ func TestDualFaultPlanCoversSMRoute(t *testing.T) {
 	plan := NewFaultPlan(3).SetClassifier(func(data []byte) string { return string(data) })
 	plan.Add(FaultRule{Label: "head|dropped", Drop: true})
 	a.SetFaultPlan(plan)
-	var gs GatherSender = a
 	for _, body := range []string{"dropped", "arrives"} {
-		if err := gs.SendGather(b.Addr(), []byte("head|"), []byte(body)); err != nil {
+		if err := a.SendGather(b.Addr(), []byte("head|"), []byte(body)); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 	}

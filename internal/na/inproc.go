@@ -135,7 +135,11 @@ func (e *inprocEP) SetObserver(r *obs.Registry) {
 	e.q.setDepthGauge(r.Gauge("na.queue.depth", "transport", "inproc"))
 }
 
-func (e *inprocEP) Send(to string, data []byte) error {
+func (e *inprocEP) Send(to string, data []byte) error { return e.SendGather(to, nil, data) }
+
+// SendGather makes the message's one private copy, head then body, and
+// hands it to the fault plan and the receiver's queue.
+func (e *inprocEP) SendGather(to string, head, body []byte) error {
 	n := e.net
 	n.mu.Lock()
 	if n.eps[e.addr] != e {
@@ -163,22 +167,30 @@ func (e *inprocEP) Send(to string, data []byte) error {
 	plan := n.plan
 	n.mu.Unlock()
 
-	var delay time.Duration
+	pkt := packet{from: e.addr, data: join(head, body)}
 	if plan != nil {
-		v := plan.Decide(e.addr, to, data)
+		v := plan.Decide(e.addr, to, pkt.data)
 		if v.Drop {
 			return nil // injected fault: silently lost
 		}
-		delay = v.Delay
-	}
-	cp := append([]byte(nil), data...)
-	pkt := packet{from: e.addr, data: cp}
-	if delay > 0 {
-		time.AfterFunc(delay, func() { dst.q.push(pkt) })
-		return nil
+		if v.Delay > 0 {
+			time.AfterFunc(v.Delay, func() { dst.q.push(pkt) })
+			return nil
+		}
 	}
 	dst.q.push(pkt)
 	return nil
+}
+
+// join returns head then body in one new slice. Appending body to a
+// full-capacity head allocates once and, unlike a make, clears none of the
+// bytes the copy then writes; with no body that append would return head
+// itself, which is the caller's.
+func join(head, body []byte) []byte {
+	if len(body) == 0 {
+		return append([]byte(nil), head...)
+	}
+	return append(head[:len(head):len(head)], body...)
 }
 
 func (e *inprocEP) Recv() (string, []byte, error) {

@@ -40,16 +40,19 @@ var (
 type Endpoint interface {
 	Addr() string
 	Send(to string, data []byte) error
+	// SendGather sends one message handed over as a head and a body
+	// (writev on a socket), sparing the caller the copy that would join
+	// them. The receiver sees a single message, head then body; everything
+	// else is as Send, which is SendGather(to, nil, data). The endpoint is
+	// done with both slices when it returns.
+	SendGather(to string, head, body []byte) error
 	Recv() (from string, data []byte, err error)
-	Close() error
-}
-
-// Observable is implemented by endpoints that can report transport metrics
-// (receive-queue depth, frame counters) into a registry. The RPC layer
-// forwards its own SetObserver here so per-server registries see their
-// endpoint's numbers without extra wiring.
-type Observable interface {
+	// SetObserver routes the endpoint's transport metrics (receive-queue
+	// depth, route and arena counters) into r; nil is ignored. The RPC
+	// layer forwards its own SetObserver here, so per-server registries
+	// see their endpoint's numbers without extra wiring.
 	SetObserver(r *obs.Registry)
+	Close() error
 }
 
 // LocalBulk is the capability interface behind cross-process zero-copy
@@ -90,14 +93,6 @@ type LocalBulk interface {
 	// caller must fall back to the RPC pull path; done=true with nil err
 	// means dst holds the bytes.
 	PullLocal(ownerAddr string, id uint64, off int, dst []byte) (done bool, err error)
-}
-
-// GatherSender is implemented by endpoints that can send one message handed
-// over as a head and a body (writev on a socket), sparing the caller the
-// copy that would join them. The receiver sees a single message, head then
-// body; everything else is as Send.
-type GatherSender interface {
-	SendGather(to string, head, body []byte) error
 }
 
 // packet is one in-flight message.

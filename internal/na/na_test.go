@@ -58,16 +58,27 @@ func TestInprocNoRouteVsCrashedPeer(t *testing.T) {
 	}
 }
 
+// The receiver gets a private copy of every message, whichever way it was
+// handed over, so the sender may reuse its buffers once the send returns.
 func TestInprocSenderOwnsBuffer(t *testing.T) {
 	n := NewInprocNetwork()
 	a, _ := n.Listen("a")
 	b, _ := n.Listen("b")
-	buf := []byte("immutable")
-	a.Send(b.Addr(), buf)
-	buf[0] = 'X' // mutate after send; receiver must see the original
-	_, data, _ := b.Recv()
-	if string(data) != "immutable" {
-		t.Fatalf("receiver saw mutated buffer: %q", data)
+	for _, c := range []struct{ head, body string }{
+		{"", "immutable"}, {"immu", "table"}, {"immutable", ""},
+	} {
+		head, body := []byte(c.head), []byte(c.body)
+		a.SendGather(b.Addr(), head, body)
+		// Mutate after send; the receiver must see the original.
+		for _, buf := range [][]byte{head, body} {
+			if len(buf) > 0 {
+				buf[0] = 'X'
+			}
+		}
+		_, data, _ := b.Recv()
+		if string(data) != "immutable" {
+			t.Fatalf("head %q body %q: receiver saw mutated buffer: %q", c.head, c.body, data)
+		}
 	}
 }
 
