@@ -106,15 +106,18 @@ fi
 # words out of memory another process writes (what its tests do not reach is
 # the mmap/open/truncate error branches), with the RPC layer's bulk file,
 # which reserves, exposes and releases regions of that shared memory and
-# serves them to pullers that cannot map it; the cost model every number
-# of Figs. 5-10 and ext-autoscale is computed in; and the iso execute's
-# kernels — the rasterizer, the isosurface extraction and the clip — which
-# produce every pixel the benchmark's oracle hashes, and whose pixel-centre
-# box and discarded-voxel skip each sit behind a guard that only a test
-# reaching both of its sides checks.
+# serves them to pullers that cannot map it; the stream endpoint, which
+# reads every byte a peer sends (length words that may lie, frames cut
+# short) and hands each frame out in a pooled buffer, with the RPC file
+# that puts every request frame back once its handler is done; the cost
+# model every number of Figs. 5-10 and ext-autoscale is computed in; and
+# the iso execute's kernels — the rasterizer, the isosurface extraction and
+# the clip — which produce every pixel the benchmark's oracle hashes, and
+# whose pixel-centre box and discarded-voxel skip each sit behind a guard
+# that only a test reaching both of its sides checks.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
-check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go
+check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go ./internal/na/tcp.go ./internal/mercury/mercury.go
 check_cover 90 ./internal/bench/simtime.go
 check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go

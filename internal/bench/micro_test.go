@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -417,6 +418,12 @@ const (
 	// joined by the one copy the in-process endpoint makes of a gathered
 	// send, and its header rides in a pooled buffer. Measured 8.
 	ceilInprocCallAllocs = 8.0
+	// Heap bytes per TCP RPC round trip of a 64 KiB payload, both sides:
+	// the callee's receive lands in a pooled frame that goes back to the
+	// pool after the handler, so what is left is per-call bookkeeping (the
+	// timer, the response channel, the small response frame). 74,144 B when
+	// every received frame was a fresh zeroed make.
+	ceilTCPCallBytes = 4 << 10
 )
 
 // skipUnderRace: the race detector's instrumentation allocates on its own,
@@ -556,6 +563,45 @@ func TestInprocCallAllocsCeiling(t *testing.T) {
 	t.Logf("inproc call: %.1f allocs/op (ceiling %.1f)", allocs, ceilInprocCallAllocs)
 	if allocs > ceilInprocCallAllocs {
 		t.Errorf("inproc call allocs/op = %.1f, ceiling %.1f", allocs, ceilInprocCallAllocs)
+	}
+}
+
+func TestTCPCallBytesCeiling(t *testing.T) {
+	skipUnderRace(t)
+	cEP, err := na.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sEP, err := na.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, callee := mercury.New(cEP), mercury.New(sEP)
+	defer caller.Close()
+	defer callee.Close()
+	callee.Register("sink", func(req mercury.Request) ([]byte, error) { return nil, nil })
+	payload := make([]byte, 64<<10)
+	call := func() {
+		if _, err := caller.Call(callee.Addr(), "sink", payload, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ { // dial, warm the pools and the metric caches
+		call()
+	}
+	// Enough calls that the one pool miss a GC cycle can cause (sync.Pool
+	// drops its contents over two cycles) stays far below the ceiling.
+	const calls = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("64 KiB tcp call: %.0f B allocated/op (ceiling %d)", perCall, ceilTCPCallBytes)
+	if perCall > ceilTCPCallBytes {
+		t.Errorf("64 KiB tcp call allocates %.0f B/op, ceiling %d", perCall, ceilTCPCallBytes)
 	}
 }
 

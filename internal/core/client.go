@@ -77,16 +77,19 @@ const clientBusyRetries = 8
 // responses (admission shedding) are retried in place under the server's
 // backoff hint; they never evict, the server is alive and just loaded.
 func (c *Client) call(addr, rpc string, payload []byte, timeout time.Duration) ([]byte, error) {
-	return c.callUntil(nil, addr, rpc, payload, timeout)
+	return c.callUntil(nil, addr, rpc, payload, nil, timeout)
 }
 
 // callUntil is call with a busy backoff that ends as soon as stop closes
-// (a nil stop never does), with an error wrapping ErrHandleClosed: the
-// stage path passes its handle's closed channel, so a Close during a
-// shed-and-retry does not wait out the schedule.
-func (c *Client) callUntil(stop <-chan struct{}, addr, rpc string, payload []byte, timeout time.Duration) ([]byte, error) {
+// (a nil stop never does), with an error wrapping ErrHandleClosed, and with
+// the request handed over as payload then tail (mercury.Class.CallGather).
+// The stage path passes its handle's closed channel, so a Close during a
+// shed-and-retry does not wait out the schedule, and its frame's head and
+// eager region.
+func (c *Client) callUntil(stop <-chan struct{}, addr, rpc string, payload, tail []byte, timeout time.Duration) ([]byte, error) {
+	name := margo.ProviderRPCName(ProviderID, rpc)
 	for attempt := 0; ; attempt++ {
-		out, err := c.mi.CallProvider(addr, ProviderID, rpc, payload, timeout)
+		out, err := c.mi.Class().CallGather(addr, name, payload, tail, timeout)
 		cls := Classify(err)
 		if cls == ClassOK {
 			return out, nil

@@ -51,9 +51,11 @@ func (h *DistributedPipelineHandle) sendStage(it uint64, addr string, recs []sta
 	} else {
 		bulk = cls.Expose(payload)
 	}
-	// The frame is pooled: the call is synchronous and the transport copies
-	// or writes it out on send, so it is recycled on return — across retries.
-	frame := appendStageBatchMsg(bufpool.Get(stageBatchMsgSize(h.pipeline, recs, bulk))[:0], h.pipeline, it, recs, bulk)
+	// The frame's head is pooled: the call is synchronous and the transport
+	// copies or writes it out on send, so it is recycled on return — across
+	// retries. A region that rides eagerly is the tail, sent from payload
+	// itself.
+	frame, tail := appendStageFrame(bufpool.Get(stageBatchMsgSize(h.pipeline, recs, bulk))[:0], h.pipeline, it, recs, bulk)
 	defer func() {
 		cls.Release(bulk)
 		bufpool.Put(frame)
@@ -70,7 +72,7 @@ func (h *DistributedPipelineHandle) sendStage(it uint64, addr string, recs []sta
 				return nil, fmt.Errorf("colza: stage aborted: %w", ErrHandleClosed)
 			}
 		}
-		resp, err = h.c.callUntil(h.closed, addr, "stage", frame, timeout)
+		resp, err = h.c.callUntil(h.closed, addr, "stage", frame, tail, timeout)
 		if err == nil {
 			break
 		}

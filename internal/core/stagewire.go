@@ -17,9 +17,11 @@ import (
 // coalescing batcher (batch.go) sends every block bound for one server rank
 // in one frame. The server fetches the region once — borrowed from the
 // request when it rode eagerly, pulled otherwise — and slices it by the
-// records' payload lengths. A frame is appended into a pooled buffer sized
-// by stageBatchMsgSize and decoded with a handful of small allocations (the
-// record list and the metadata strings), independent of block size.
+// records' payload lengths. A frame's head is appended into a pooled buffer
+// sized by stageBatchMsgSize; a region that rides eagerly is the frame's last
+// field and leaves from where it lies, as the tail of a gathered send. A
+// frame is decoded with a handful of small allocations (the record list and
+// the metadata strings), independent of block size.
 //
 // Layout (little-endian):
 //
@@ -141,8 +143,9 @@ func stageBatchRecSize(r stageBatchRec) int {
 		4 // payload length
 }
 
-// stageBatchMsgSize is the exact encoded size of a stage frame, so the
-// assembly buffer can be drawn right-sized from the pool.
+// stageBatchMsgSize is the exact size of a stage frame's head (all of it
+// but an eager region), so the assembly buffer can be drawn right-sized from
+// the pool.
 func stageBatchMsgSize(pipeline string, recs []stageBatchRec, bulk mercury.Bulk) int {
 	n := 1 + // version
 		4 + len(pipeline) +
@@ -155,9 +158,13 @@ func stageBatchMsgSize(pipeline string, recs []stageBatchRec, bulk mercury.Bulk)
 	return n
 }
 
-// appendStageBatchMsg encodes a stage frame; with stageBatchMsgSize of spare
-// capacity in dst it does not allocate.
-func appendStageBatchMsg(dst []byte, pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk) []byte {
+// appendStageFrame encodes a stage frame as head and tail: everything up to
+// and including the bulk handle's region length word is appended to dst,
+// and a region that rides eagerly — the frame's last field — is returned as
+// tail, uncopied (nil when it is pulled). On the wire the frame is head then
+// tail. With stageBatchMsgSize of spare capacity in dst it does not
+// allocate.
+func appendStageFrame(dst []byte, pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk) (head, tail []byte) {
 	dst = append(dst, stageBatchWireVersion)
 	dst = appendLenString(dst, pipeline)
 	dst = appendU64(dst, it)
@@ -189,8 +196,11 @@ func appendStageBatchMsg(dst []byte, pipeline string, it uint64, recs []stageBat
 		}
 		dst = appendU32(dst, uint32(r.PayloadLen))
 	}
-	dst = appendU32(dst, uint32(bulk.EncodedSize()))
-	return bulk.AppendEncode(dst)
+	at := len(dst)
+	dst = appendU32(dst, 0) // the encoded handle's length, known below
+	head, tail = bulk.AppendEncode(dst)
+	binary.LittleEndian.PutUint32(head[at:], uint32(len(head)-at-4+len(tail)))
+	return head, tail
 }
 
 // decodeStageBatchMsg parses a stage frame. Records materialize

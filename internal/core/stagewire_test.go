@@ -14,6 +14,13 @@ import (
 	"colza/internal/na"
 )
 
+// appendStageBatchMsg is a whole stage frame as the server receives it:
+// appendStageFrame's head with its tail joined on.
+func appendStageBatchMsg(dst []byte, pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk) []byte {
+	head, tail := appendStageFrame(dst, pipeline, it, recs, bulk)
+	return append(head, tail...)
+}
+
 // oneRec is the record list of a per-block Stage: one record whose payload
 // is the whole region.
 func oneRec(meta BlockMeta, ci stageCodecInfo, bulk mercury.Bulk) []stageBatchRec {
@@ -47,10 +54,11 @@ func TestStageWireRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		recs := oneRec(meta, c.ci, c.bulk)
-		frame := appendStageBatchMsg(nil, "viz", 9, recs, c.bulk)
-		if len(frame) != stageBatchMsgSize("viz", recs, c.bulk) {
-			t.Fatalf("frame length %d, stageBatchMsgSize %d", len(frame), stageBatchMsgSize("viz", recs, c.bulk))
+		head, tail := appendStageFrame(nil, "viz", 9, recs, c.bulk)
+		if len(head) != stageBatchMsgSize("viz", recs, c.bulk) {
+			t.Fatalf("head length %d, stageBatchMsgSize %d", len(head), stageBatchMsgSize("viz", recs, c.bulk))
 		}
+		frame := append(head, tail...)
 		pipeline, it, got, gotBulk, err := decodeStageBatchMsg(frame)
 		if err != nil {
 			t.Fatal(err)
@@ -63,17 +71,23 @@ func TestStageWireRoundTrip(t *testing.T) {
 
 // TestAppendStageMsgNoAllocWithCapacity: assembling a per-block Stage's
 // frame — one record, the block riding in the handle — into its sized pooled
-// buffer does not allocate.
+// buffer does not allocate, and the block is not copied: it is the frame's
+// tail, the exposed buffer itself.
 func TestAppendStageMsgNoAllocWithCapacity(t *testing.T) {
-	bulk := eagerTestBulk(t, bytes.Repeat([]byte{7}, 512))
+	region := bytes.Repeat([]byte{7}, 512)
+	bulk := eagerTestBulk(t, region)
 	ci := stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 10, HasBase: true, DeltaBase: 3, Remember: true}
 	recs := oneRec(BlockMeta{Field: "v", Type: "raw"}, ci, bulk)
 	scratch := make([]byte, 0, stageBatchMsgSize("p", recs, bulk))
+	head, tail := appendStageFrame(scratch, "p", 1, recs, bulk)
+	if len(head) != cap(scratch) || len(tail) != len(region) || &tail[0] != &region[0] {
+		t.Fatalf("head %d of %d bytes, tail %d bytes not aliasing the region", len(head), cap(scratch), len(tail))
+	}
 	allocs := testing.AllocsPerRun(20, func() {
-		appendStageBatchMsg(scratch, "p", 1, recs, bulk)
+		appendStageFrame(scratch, "p", 1, recs, bulk)
 	})
 	if allocs != 0 {
-		t.Fatalf("appendStageBatchMsg into sized buffer allocates %.1f times", allocs)
+		t.Fatalf("appendStageFrame into sized buffer allocates %.1f times", allocs)
 	}
 }
 
@@ -98,8 +112,9 @@ func v2StageFrame(pipeline string, it uint64, meta BlockMeta, bulk mercury.Bulk)
 	for _, s := range meta.Spacing {
 		f = appendU64(f, math.Float64bits(s))
 	}
-	f = appendU32(f, uint32(bulk.EncodedSize()))
-	return bulk.AppendEncode(f)
+	enc := bulk.Encode()
+	f = appendU32(f, uint32(len(enc)))
+	return append(f, enc...)
 }
 
 // unregisteredCodec stands for a codec some other binary knows and this one
@@ -230,7 +245,7 @@ func eagerTestBulk(tb testing.TB, region []byte) mercury.Bulk {
 	cls := mercury.New(ep)
 	tb.Cleanup(func() { cls.Close() })
 	bulk := cls.Expose(region)
-	if bulk.EncodedSize() <= len(region) {
+	if len(bulk.Encode()) <= len(region) {
 		tb.Fatalf("a %d-byte region did not go eager", len(region))
 	}
 	return bulk
@@ -423,10 +438,10 @@ func TestAppendStageBatchMsgNoAllocWithCapacity(t *testing.T) {
 	bulk := batchTestBulk(recs)
 	scratch := make([]byte, 0, stageBatchMsgSize("p", recs, bulk))
 	allocs := testing.AllocsPerRun(20, func() {
-		appendStageBatchMsg(scratch, "p", 1, recs, bulk)
+		appendStageFrame(scratch, "p", 1, recs, bulk)
 	})
 	if allocs != 0 {
-		t.Fatalf("appendStageBatchMsg into sized buffer allocates %.1f times", allocs)
+		t.Fatalf("appendStageFrame into sized buffer allocates %.1f times", allocs)
 	}
 }
 

@@ -38,24 +38,29 @@ const eagerLimit = 128 << 10
 // follows the address as u32 length + bytes.
 const bulkEagerFlag = 1 << 31
 
-// EncodedSize is the exact length of the handle's encoding.
+// EncodedSize is the exact length of AppendEncode's head: the handle's
+// encoding less an eager region, which follows it on the wire.
 func (b Bulk) EncodedSize() int {
 	n := 20 + len(b.Addr)
 	if b.eager != nil {
-		n += 4 + len(b.eager)
+		n += 4
 	}
 	return n
 }
 
-// Encode serializes the handle.
+// Encode serializes the handle, an eager region included.
 func (b Bulk) Encode() []byte {
-	return b.AppendEncode(make([]byte, 0, b.EncodedSize()))
+	head, tail := b.AppendEncode(make([]byte, 0, b.EncodedSize()+len(b.eager)))
+	return append(head, tail...)
 }
 
-// AppendEncode appends the serialized handle to dst; with EncodedSize of
-// spare capacity it does not allocate. An eager region is copied here, so
-// the handle must be serialized before its Release.
-func (b Bulk) AppendEncode(dst []byte) []byte {
+// AppendEncode appends the serialized handle up to and including an eager
+// region's length word to dst, and returns the region itself as tail (nil
+// when the region is pulled): head then tail is the encoding. With
+// EncodedSize of spare capacity it does not allocate. The region is not
+// copied — tail aliases the exposed buffer — so it has to be sent before
+// the handle's Release.
+func (b Bulk) AppendEncode(dst []byte) (head, tail []byte) {
 	al := uint32(len(b.Addr))
 	if b.eager != nil {
 		al |= bulkEagerFlag
@@ -66,9 +71,8 @@ func (b Bulk) AppendEncode(dst []byte) []byte {
 	dst = append(dst, b.Addr...)
 	if b.eager != nil {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.eager)))
-		dst = append(dst, b.eager...)
 	}
-	return dst
+	return dst, b.eager
 }
 
 // DecodeBulk reverses Bulk.Encode, returning the remaining bytes. Malformed
@@ -289,7 +293,7 @@ func (c *Class) BorrowBulk(b Bulk) (region []byte, ok bool) {
 // letting a puller fetch a sub-region (e.g. one block of a packed exposure)
 // without moving the rest.
 func (c *Class) PullBulkRange(b Bulk, off, n int) ([]byte, error) {
-	if b.Size < 0 || off < 0 || n < 0 || off+n > b.Size {
+	if b.Size < 0 || off < 0 || n < 0 || off > b.Size || n > b.Size-off {
 		return nil, ErrBadBulk
 	}
 	out := make([]byte, n)
@@ -305,7 +309,7 @@ func (c *Class) PullBulkRange(b Bulk, off, n int) ([]byte, error) {
 // memory.
 func (c *Class) pullRange(b Bulk, off int, dst []byte) error {
 	n := len(dst)
-	if off < 0 || n < 0 || off+n > b.Size {
+	if off < 0 || off > b.Size || n > b.Size-off {
 		return ErrBadBulk
 	}
 	reg := c.observer()
@@ -421,7 +425,9 @@ func (c *Class) handleBulkPull(req Request) ([]byte, error) {
 	c.bmu.Lock()
 	defer c.bmu.Unlock()
 	r, ok := c.bulks[id]
-	if !ok || off < 0 || n < 0 || off+n > len(r.buf) {
+	// Bounded without computing off+n, which a hostile request can
+	// overflow past the check into a panicking slice expression.
+	if !ok || off < 0 || n < 0 || off > len(r.buf) || n > len(r.buf)-off {
 		return nil, ErrBadBulk
 	}
 	if r.inArena {

@@ -198,7 +198,7 @@ func BenchmarkEagerSweep(b *testing.B) {
 					owner, peer, _, _ := classPair(b, transport)
 					peer.Register("fetch", fetchHandler(peer, nil))
 					region := make([]byte, size)
-					frame := make([]byte, 0, size+64)
+					frame := make([]byte, 0, 64)
 					b.SetBytes(int64(size))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -207,8 +207,9 @@ func BenchmarkEagerSweep(b *testing.B) {
 						if mode == "eager" {
 							h.eager = region
 						}
-						frame = h.AppendEncode(frame[:0])
-						if _, err := owner.Call(peer.Addr(), "fetch", frame, 0); err != nil {
+						var tail []byte
+						frame, tail = h.AppendEncode(frame[:0])
+						if _, err := owner.CallGather(peer.Addr(), "fetch", frame, tail, 0); err != nil {
 							b.Fatal(err)
 						}
 						owner.Release(h)

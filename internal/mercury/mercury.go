@@ -66,8 +66,12 @@ func (e *RemoteError) Error() string { return "mercury: remote: " + e.Msg }
 
 // Request is what a handler receives.
 type Request struct {
-	From    string // caller address
-	Name    string // RPC name
+	From string // caller address
+	Name string // RPC name
+	// Payload lies in the received frame, which is recycled once the
+	// response is sent and the Defer callbacks have run. A handler reads it
+	// until then and copies whatever it keeps: an alias kept past that
+	// point reads another frame's bytes.
 	Payload []byte
 
 	// defers collects response-flush callbacks (Request.Defer). serve owns
@@ -290,15 +294,24 @@ func (c *Class) SetDispatcher(d Dispatcher) {
 }
 
 // Call invokes the named RPC at address to and waits for the response.
-// timeout<=0 selects DefaultTimeout.
-func (c *Class) Call(to, name string, payload []byte, timeout time.Duration) (resp []byte, err error) {
+// timeout<=0 selects DefaultTimeout. The response is the caller's to keep.
+func (c *Class) Call(to, name string, payload []byte, timeout time.Duration) ([]byte, error) {
+	return c.CallGather(to, name, payload, nil, timeout)
+}
+
+// CallGather is Call with the request payload handed over in two pieces,
+// payload then tail, which the callee receives as one: the tail leaves as it
+// lies (the body of a gathered send), and only the request header and
+// payload are copied into the frame's head. A stage frame sends its eager
+// region this way. Call is CallGather with no tail.
+func (c *Class) CallGather(to, name string, payload, tail []byte, timeout time.Duration) (resp []byte, err error) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
 	reg := c.observer()
 	m := c.callM.call(reg, name)
 	m.count.Inc()
-	m.bytesOut.Add(int64(len(payload)))
+	m.bytesOut.Add(int64(len(payload) + len(tail)))
 	start := reg.Now()
 	defer func() {
 		m.latency.Observe(int64(reg.Now() - start))
@@ -328,7 +341,10 @@ func (c *Class) Call(to, name string, payload []byte, timeout time.Duration) (re
 	}()
 
 	var hdr [64]byte
-	sendErr := c.sendFrame(to, appendRequestHeader(hdr[:0], id, name), payload)
+	if len(tail) == 0 {
+		payload, tail = nil, payload // a plain message: the payload is the body
+	}
+	sendErr := c.sendFrame(to, appendRequestHeader(hdr[:0], id, name), payload, tail)
 	if sendErr != nil {
 		return nil, fmt.Errorf("mercury: send to %s: %w", to, sendErr)
 	}
@@ -356,7 +372,10 @@ func (c *Class) Call(to, name string, payload []byte, timeout time.Duration) (re
 }
 
 // progress is the endpoint receive loop: it dispatches requests to handler
-// goroutines and completes pending calls with their responses.
+// goroutines and completes pending calls with their responses. A request's
+// frame is recycled once its serve is over; a frame that serves nothing —
+// short, malformed, shed, a response nobody waits for — at once. A
+// response frame is its caller's.
 func (c *Class) progress() {
 	defer c.wg.Done()
 	for {
@@ -365,6 +384,7 @@ func (c *Class) progress() {
 			return
 		}
 		if len(data) < 9 {
+			recycle(data)
 			continue
 		}
 		kind := data[0]
@@ -374,6 +394,7 @@ func (c *Class) progress() {
 		case kindRequest:
 			name, payload, ok := splitRequest(body)
 			if !ok {
+				recycle(data)
 				continue
 			}
 			c.mu.RLock()
@@ -381,31 +402,40 @@ func (c *Class) progress() {
 			d := c.dispatcher
 			c.mu.RUnlock()
 			if d == nil {
-				go c.serve(from, id, name, payload, h)
+				go c.serve(from, id, name, payload, data, h)
 				continue
 			}
-			if err := d(name, func() { c.serve(from, id, name, payload, h) }); err != nil {
+			if err := d(name, func() { c.serve(from, id, name, payload, data, h) }); err != nil {
 				// Shed at admission: no handler goroutine exists for this
 				// request, so the refusal is sent inline from the progress
 				// loop. The frame is tiny; with transport write deadlines
 				// this cannot wedge the loop.
 				c.respondError(from, id, name, err)
+				recycle(data)
 			}
 		case kindResponse:
-			if len(body) < 1 {
+			var ch chan response
+			if len(body) >= 1 {
+				c.pmu.Lock()
+				ch = c.pending[id]
+				c.pmu.Unlock()
+			}
+			if ch == nil {
+				recycle(data)
 				continue
 			}
-			c.pmu.Lock()
-			ch := c.pending[id]
-			c.pmu.Unlock()
-			if ch != nil {
-				ch <- response{status: body[0], payload: body[1:]}
-			}
+			ch <- response{status: body[0], payload: body[1:]}
+		default:
+			recycle(data)
 		}
 	}
 }
 
-func (c *Class) serve(from string, id uint64, name string, payload []byte, h Handler) {
+// serve runs one request's handler and sends its response. payload lies in
+// frame, which serve recycles once the handler, the response send and the
+// Request.Defer callbacks have all returned: that is how long a handler may
+// read req.Payload, and nothing may keep an alias of it past then.
+func (c *Class) serve(from string, id uint64, name string, payload, frame []byte, h Handler) {
 	reg := c.observer()
 	m := c.serveM.serve(reg, name)
 	m.count.Inc()
@@ -447,6 +477,18 @@ func (c *Class) serve(from string, id uint64, name string, payload []byte, h Han
 		dc.run()
 		deferPool.Put(dc)
 	}
+	recycle(frame)
+}
+
+// recycle returns a spent frame to the pool. The stream endpoints read
+// frames into pooled buffers, whose capacity is a class size; the
+// in-process endpoint hands out exact-size copies, which would park in the
+// class below their size at the cost of a slice header each, for a pool no
+// in-process receive draws from. Those are left to the collector.
+func recycle(frame []byte) {
+	if c := cap(frame); c&(c-1) == 0 {
+		bufpool.Put(frame)
+	}
 }
 
 // errorResponse maps a handler (or dispatcher) error to its wire status and
@@ -481,7 +523,7 @@ func (c *Class) respond(from string, id uint64, status byte, out []byte) {
 	hdr[0] = kindResponse
 	binary.LittleEndian.PutUint64(hdr[1:], id)
 	hdr[9] = status
-	err := c.sendFrame(from, hdr[:], out)
+	err := c.sendFrame(from, hdr[:], nil, out)
 	if err != nil {
 		// The caller only ever sees a timeout when this happens; without the
 		// counter a dropped response leaves zero server-side trace.
@@ -504,15 +546,15 @@ func (c *Class) Close() error {
 	return err
 }
 
-// sendFrame transmits one frame, hdr followed by payload, gathered: the
-// payload leaves as it is. hdr is copied into a pooled buffer so that the
-// callers' stack buffers need not escape, and recycled at once, because
-// endpoints are done with both slices when SendGather returns (inproc and a
-// delayed fault copy, the sockets write synchronously).
-func (c *Class) sendFrame(to string, hdr, payload []byte) error {
-	head := bufpool.Get(len(hdr))
-	copy(head, hdr)
-	err := c.ep.SendGather(to, head, payload)
+// sendFrame transmits one frame, hdr then payload then body, gathered: the
+// body leaves as it is. hdr and payload are copied into one pooled head, so
+// that the callers' stack buffers need not escape, and it is recycled at
+// once, because endpoints are done with both slices when SendGather returns
+// (inproc and a delayed fault copy, the sockets write synchronously).
+func (c *Class) sendFrame(to string, hdr, payload, body []byte) error {
+	head := bufpool.Get(len(hdr) + len(payload))
+	copy(head[copy(head, hdr):], payload)
+	err := c.ep.SendGather(to, head, body)
 	bufpool.Put(head)
 	return err
 }

@@ -36,7 +36,9 @@ var (
 // the same transport and receive messages addressed to it. Send never
 // blocks on the receiver; Recv blocks until a message arrives or the
 // endpoint closes. Endpoints are safe for concurrent use; the payload
-// returned by Recv is owned by the caller.
+// returned by Recv is owned by the caller, who may bufpool.Put it when done
+// with it (the stream endpoint reads frames into pooled buffers; the
+// in-process one hands out an exact-size private copy).
 type Endpoint interface {
 	Addr() string
 	Send(to string, data []byte) error

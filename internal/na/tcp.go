@@ -1,6 +1,7 @@
 package na
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,12 +12,21 @@ import (
 	"sync/atomic"
 	"time"
 
+	"colza/internal/bufpool"
 	"colza/internal/obs"
 )
 
 // maxFrame bounds a single TCP message frame (64 MiB), protecting the
 // receiver from corrupt length prefixes.
 const maxFrame = 64 << 20
+
+// maxFromLen bounds the sender address a frame may carry.
+const maxFromLen = 4096
+
+// readBufSize is the per-connection read buffer: a frame's header, its
+// sender and a small body cost one read(2) together, and a large body still
+// lands in its pooled buffer with at most one buffer's worth copied.
+const readBufSize = 4 << 10
 
 // defaultTCPWriteTimeout bounds how long one frame write may block on a
 // peer that stopped reading. On expiry the connection is dropped and the
@@ -161,43 +171,54 @@ func (e *tcpEP) readLoop(c net.Conn) {
 		e.mu.Unlock()
 	}()
 	// A connection's peer stamps the same sender address on every frame, so
-	// the previous frame's string is reused instead of allocated again.
-	// The header buffer escapes through io.ReadFull, so it is this loop's, not
+	// the previous frame's string is reused instead of allocated again. The
+	// header and the sender are read into scratch, which is this loop's, not
 	// each frame's.
+	r := bufio.NewReaderSize(c, readBufSize)
 	var last string
-	hdr := make([]byte, 8)
+	scratch := make([]byte, 8+maxFromLen)
 	for {
-		from, data, err := readFrame(c, hdr, last)
+		from, data, err := readFrame(r, scratch, last)
 		if err != nil {
 			return
 		}
 		last = from
 		if !e.q.push(packet{from: from, data: data}) {
+			bufpool.Put(data)
 			return
 		}
 	}
 }
 
-// readFrame reads one frame, its 8-byte header into hdr. lastFrom is the
-// sender of the previous frame on this connection; it is returned again when
-// the bytes match.
-func readFrame(r io.Reader, hdr []byte, lastFrom string) (string, []byte, error) {
-	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
+// readFrame reads one frame: its 8-byte header and its sender into scratch
+// (at least 8+maxFromLen bytes), its data into a buffer from bufpool that
+// the caller owns. The data starts at the buffer's start, so a Put of it
+// lands in the class a later Get of the same size draws from. lastFrom is
+// the sender of the previous frame on this connection; it is returned again
+// when the bytes match.
+func readFrame(r io.Reader, scratch []byte, lastFrom string) (string, []byte, error) {
+	hdr := scratch[:8]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return "", nil, err
 	}
 	fromLen := binary.LittleEndian.Uint32(hdr[:4])
 	dataLen := binary.LittleEndian.Uint32(hdr[4:])
-	if fromLen > 4096 || dataLen > maxFrame {
+	if fromLen > maxFromLen || dataLen > maxFrame {
 		return "", nil, ErrTooLarge
 	}
-	buf := make([]byte, int(fromLen)+int(dataLen))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	from := scratch[8 : 8+fromLen]
+	if _, err := io.ReadFull(r, from); err != nil {
 		return "", nil, err
 	}
-	if string(buf[:fromLen]) != lastFrom {
-		lastFrom = string(buf[:fromLen])
+	if string(from) != lastFrom {
+		lastFrom = string(from)
 	}
-	return lastFrom, buf[fromLen:], nil
+	data := bufpool.Get(int(dataLen))
+	if _, err := io.ReadFull(r, data); err != nil {
+		bufpool.Put(data)
+		return "", nil, err
+	}
+	return lastFrom, data, nil
 }
 
 // writeFrame sends header+sender and the message (head then body) as one

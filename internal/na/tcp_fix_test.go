@@ -180,11 +180,11 @@ func TestWriteFrameGathered(t *testing.T) {
 		}
 	}()
 	var from string
-	hdr := make([]byte, 8)
+	scratch := make([]byte, 8+maxFromLen)
 	for i, want := range frames {
 		prev := from
 		var got []byte
-		from, got, err = readFrame(peer, hdr, from)
+		from, got, err = readFrame(peer, scratch, from)
 		if err != nil {
 			t.Fatal(err)
 		}
