@@ -114,10 +114,13 @@ fi
 # the iso execute's kernels — the rasterizer, the isosurface extraction and
 # the clip — which produce every pixel the benchmark's oracle hashes, and
 # whose pixel-centre box and discarded-voxel skip each sit behind a guard
-# that only a test reaching both of its sides checks.
+# that only a test reaching both of its sides checks; and the unstructured
+# grid file, whose decoder turns untrusted staged bytes into the cells and
+# arrays the volume pipeline indexes (one unchecked connectivity entry there
+# crashed every server that executed the block).
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
 check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go ./internal/na/tcp.go ./internal/mercury/mercury.go
 check_cover 90 ./internal/bench/simtime.go
-check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go
+check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go

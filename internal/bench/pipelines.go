@@ -10,11 +10,8 @@ import (
 	"colza/internal/catalyst"
 	"colza/internal/core"
 	"colza/internal/icet"
-	"colza/internal/margo"
 	"colza/internal/minimpi"
-	"colza/internal/na"
 	"colza/internal/sim"
-	"colza/internal/staging"
 	"colza/internal/vstack"
 	"colza/internal/vtk"
 )
@@ -28,12 +25,13 @@ func pipelineScales(quick bool) []int {
 }
 
 // mpiArm runs a pipeline body on every rank of a static mini-MPI world
-// over the blocks DefaultPlacement puts there — the "MPI" arm of Figs.
-// 5-8 — and returns each rank's stats.
-func mpiArm[B any](n int, metas []core.BlockMeta, blocks []B, body func(*vtk.Controller, []B) (catalyst.Stats, error)) ([]catalyst.Stats, error) {
+// over the blocks place puts there — the "MPI" arm of Figs. 5-8, where
+// the Colza arms pass core.DefaultPlacement — and returns each rank's
+// stats.
+func mpiArm[B any](n int, place func(core.BlockMeta, int) int, metas []core.BlockMeta, blocks []B, body func(*vtk.Controller, []B) (catalyst.Stats, error)) ([]catalyst.Stats, error) {
 	byRank := make([][]B, n)
 	for b := range blocks {
-		r := core.DefaultPlacement(metas[b], n)
+		r := place(metas[b], n)
 		byRank[r] = append(byRank[r], blocks[b])
 	}
 	world := minimpi.World(n)
@@ -135,7 +133,7 @@ func Fig5MandelbulbWeak(quick bool) (*Table, error) {
 			imgs[b] = sim.MandelbulbBlock(mb, b, 1)
 			enc[b] = imgs[b].Encode()
 		}
-		mpi, err := mpiArm(s, metas, imgs, isoBody(pcfg))
+		mpi, err := mpiArm(s, core.DefaultPlacement, metas, imgs, isoBody(pcfg))
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +190,7 @@ func Fig6GrayScottStrong(quick bool) (*Table, error) {
 		WarmupKiB:   256,
 	}
 	for _, s := range scales {
-		mpi, err := mpiArm(s, metas, blocks, isoBody(pcfg))
+		mpi, err := mpiArm(s, core.DefaultPlacement, metas, blocks, isoBody(pcfg))
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +283,7 @@ func Fig7DWIScaling(quick bool) (*Table, error) {
 				enc[b] = grids[b].Encode()
 				metas[b] = core.BlockMeta{Field: "velocity", BlockID: b, Type: "ugrid"}
 			}
-			mpi, err := mpiArm(s, metas, grids, volumeBody(vcfg))
+			mpi, err := mpiArm(s, core.DefaultPlacement, metas, grids, volumeBody(vcfg))
 			if err != nil {
 				cl.Shutdown()
 				return nil, err
@@ -306,7 +304,9 @@ func Fig7DWIScaling(quick bool) (*Table, error) {
 }
 
 // Fig8Frameworks reproduces Figure 8: Mandelbulb pipeline execution time
-// under Colza (MoNA and MPI layers), Damaris, and DataSpaces.
+// under Colza (MoNA and MPI layers), Damaris, and DataSpaces. The two
+// baselines are block placements over the MPI arm (DESIGN.md §2,
+// substitution 8).
 func Fig8Frameworks(quick bool) (*Table, error) {
 	clients, servers := 8, 4
 	dims := [3]int{24, 24, 12}
@@ -340,7 +340,7 @@ func Fig8Frameworks(quick bool) (*Table, error) {
 	}
 
 	// --- Colza + MoNA and Colza + MPI.
-	mpi, err := mpiArm(servers, metas, imgs, isoBody(pcfg))
+	mpi, err := mpiArm(servers, core.DefaultPlacement, metas, imgs, isoBody(pcfg))
 	if err != nil {
 		return nil, err
 	}
@@ -354,64 +354,33 @@ func Fig8Frameworks(quick bool) (*Table, error) {
 		return nil, err
 	}
 
-	// --- Damaris: per-client signals with client-side skew. In the paper
-	// the skew arises from clients reaching damaris_signal at different
-	// times; here it is injected as a uniform spread of about one pipeline
-	// time. The simulated staging-area plugin time is the signal skew
-	// (early servers wait in the plugin's first collective for the
-	// stragglers) plus the parallel pipeline time.
-	dam, err := staging.DeployDamaris(staging.DamarisConfig{Clients: clients, Servers: servers, Iso: pcfg})
+	// --- Damaris: each client writes its blocks to its own dedicated
+	// server (client-contiguous placement) and signals independently. In
+	// the paper the skew arises from clients reaching damaris_signal at
+	// different times; here it is injected as a uniform spread of about
+	// one pipeline time, one draw per client in client order. Early
+	// servers wait in the plugin's first collective for the stragglers,
+	// so the plugin time is the signal skew plus the parallel pipeline
+	// time.
+	byClient := func(m core.BlockMeta, n int) int { return m.BlockID / blocksPerClient / (clients / n) }
+	dam, err := mpiArm(servers, byClient, metas, imgs, isoBody(pcfg))
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(8))
 	skewSpan := 1.2 * (monaS + 0.002)
 	minSig, maxSig := math.Inf(1), math.Inf(-1)
-	for c, dc := range dam.Clients() {
+	for c := 0; c < clients; c++ {
 		sig := rng.Float64() * skewSpan
 		minSig, maxSig = min(minSig, sig), max(maxSig, sig)
-		for b := 0; b < blocksPerClient; b++ {
-			dc.Write(1, imgs[c*blocksPerClient+b])
-		}
-		dc.Signal(1)
 	}
-	stats := make([]catalyst.Stats, servers)
-	for s := 0; s < servers; s++ {
-		r := <-dam.Results(s)
-		if r.Err != nil {
-			dam.Shutdown()
-			return nil, r.Err
-		}
-		stats[r.Server] = r.Stats
-	}
-	dam.Shutdown()
-	damS := (maxSig - minSig) + simPipelineSeconds(isoCost, stats, vstack.VendorMPI, fb)
+	damS := (maxSig - minSig) + simPipelineSeconds(isoCost, dam, vstack.VendorMPI, fb)
 
-	// --- DataSpaces: static Margo staging, single trigger, MPI pipeline.
-	dsNet := na.NewInprocNetwork()
-	ds, err := staging.DeployDataSpaces(dsNet, staging.DataSpacesConfig{Servers: servers, Iso: pcfg})
-	if err != nil {
-		return nil, err
-	}
-	defer ds.Shutdown()
-	ep, err := dsNet.Listen("fig8-ds-client")
-	if err != nil {
-		return nil, err
-	}
-	dsClient := margo.NewInstance(ep)
-	defer dsClient.Finalize()
-	for b := range imgs {
-		if err := ds.Put(dsClient, 1, b, imgs[b]); err != nil {
-			return nil, err
-		}
-	}
-	for _, r := range ds.Exec(1) {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		stats[r.Server] = r.Stats
-	}
-	dsS := simPipelineSeconds(isoCost, stats, vstack.VendorMPI, fb)
+	// --- DataSpaces: a static staging service that puts block b on
+	// server b % servers — Colza's DefaultPlacement — and runs the same
+	// iso pipeline over the same static MPI layer, so its time is the
+	// colza+mpi arm's.
+	dsS := mpiS
 
 	for _, e := range []struct {
 		name string

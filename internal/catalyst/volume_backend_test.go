@@ -131,6 +131,35 @@ func TestVolumePipelineRendersNaNAndInfScalars(t *testing.T) {
 	}
 }
 
+// TestVolumePipelineRefusesOutOfRangeCell: a staged tetra whose last
+// vertex is not among the block's points is refused at Stage, so that no
+// execute splats a centroid read past the points.
+func TestVolumePipelineRefusesOutOfRangeCell(t *testing.T) {
+	factory, _ := core.LookupPipelineType(VolumePipelineType)
+	b, err := factory(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := vtk.NewUnstructuredGrid()
+	for i := 0; i < 4; i++ {
+		g.AddPoint(float32(i&1), float32(i>>1&1), float32(i>>2&1))
+	}
+	g.AddCell(vtk.CellTetra, 0, 1, 2, 1000)
+	g.AddCellArray("velocity", 1)
+	if err := b.Activate(core.IterationContext{Iteration: 1, Size: 1, Comm: newSingletonComm(t)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Stage(1, core.BlockMeta{Field: "velocity", Type: "ugrid"}, g.Encode()); err == nil {
+		t.Fatal("tetra over point 1000 of 4 staged")
+	}
+	if _, err := b.Execute(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Deactivate(1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVolumePipelineTypeChecking mirrors the iso backend's error paths.
 func TestVolumePipelineTypeChecking(t *testing.T) {
 	factory, ok := core.LookupPipelineType(VolumePipelineType)

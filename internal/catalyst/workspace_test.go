@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -80,8 +82,18 @@ func requireSameOutput(t *testing.T, what string, got, want isoOutput) {
 	if !bytes.Equal(got.frame, want.frame) {
 		t.Fatalf("%s: local framebuffer differs", what)
 	}
-	if !bytes.Equal(got.surface.Encode(), want.surface.Encode()) {
-		t.Fatalf("%s: surface differs", what)
+	bits := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+	for _, arr := range []struct {
+		name      string
+		got, want []float32
+	}{
+		{"positions", got.surface.Positions, want.surface.Positions},
+		{"normals", got.surface.Normals, want.surface.Normals},
+		{"scalars", got.surface.Scalars, want.surface.Scalars},
+	} {
+		if !slices.EqualFunc(arr.got, arr.want, bits) {
+			t.Fatalf("%s: surface %s differ", what, arr.name)
+		}
 	}
 }
 

@@ -156,7 +156,10 @@ func decodeArrays(data []byte) ([]*DataArray, []byte, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	data = data[4:]
-	if n < 0 || n > 1<<20 {
+	// Every array takes at least 12 bytes (name length, components, value
+	// count), so a count the rest of the input cannot hold is a lie, and
+	// the capacity below never exceeds what the input can fill.
+	if n < 0 || n > len(data)/12 {
 		return nil, nil, ErrDecode
 	}
 	out := make([]*DataArray, 0, n)
@@ -169,6 +172,16 @@ func decodeArrays(data []byte) ([]*DataArray, []byte, error) {
 		data = rest
 	}
 	return out, data, nil
+}
+
+// allTuples reports whether every array holds exactly n tuples.
+func allTuples(arrays []*DataArray, n int) bool {
+	for _, a := range arrays {
+		if len(a.Data) != a.Components*n {
+			return false
+		}
+	}
+	return true
 }
 
 // findArray looks an array up by name.

@@ -120,13 +120,8 @@ func DecodeImageData(data []byte) (*ImageData, error) {
 	}
 	data = data[24:]
 	arrays, _, err := decodeArrays(data)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range arrays {
-		if a.NumTuples() != img.NumPoints() {
-			return nil, ErrDecode
-		}
+	if err != nil || !allTuples(arrays, img.NumPoints()) {
+		return nil, ErrDecode
 	}
 	img.PointData = arrays
 	return img, nil

@@ -1,7 +1,6 @@
 package vtk
 
 import (
-	"encoding/binary"
 	"math"
 	"slices"
 )
@@ -97,57 +96,4 @@ func (m *TriangleMesh) Append(other *TriangleMesh) {
 	m.Positions = append(m.Positions, other.Positions...)
 	m.Normals = append(m.Normals, other.Normals...)
 	m.Scalars = append(m.Scalars, other.Scalars...)
-}
-
-// Encode serializes the mesh.
-func (m *TriangleMesh) Encode() []byte {
-	var tmp [4]byte
-	buf := make([]byte, 0, 12+4*(len(m.Positions)+len(m.Normals)+len(m.Scalars)))
-	emit := func(vals []float32) {
-		binary.LittleEndian.PutUint32(tmp[:], uint32(len(vals)))
-		buf = append(buf, tmp[:]...)
-		for _, v := range vals {
-			binary.LittleEndian.PutUint32(tmp[:], floatBits(v))
-			buf = append(buf, tmp[:]...)
-		}
-	}
-	emit(m.Positions)
-	emit(m.Normals)
-	emit(m.Scalars)
-	return buf
-}
-
-// DecodeTriangleMesh reverses Encode.
-func DecodeTriangleMesh(data []byte) (*TriangleMesh, error) {
-	m := &TriangleMesh{}
-	read := func() ([]float32, bool) {
-		if len(data) < 4 {
-			return nil, false
-		}
-		n := int(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		if n < 0 || len(data) < 4*n {
-			return nil, false
-		}
-		out := make([]float32, n)
-		for i := range out {
-			out[i] = floatFromBits(binary.LittleEndian.Uint32(data[4*i:]))
-		}
-		data = data[4*n:]
-		return out, true
-	}
-	var ok bool
-	if m.Positions, ok = read(); !ok {
-		return nil, ErrDecode
-	}
-	if m.Normals, ok = read(); !ok {
-		return nil, ErrDecode
-	}
-	if m.Scalars, ok = read(); !ok {
-		return nil, ErrDecode
-	}
-	if len(m.Positions)%9 != 0 || len(m.Normals) != len(m.Positions) || len(m.Scalars)*3 != len(m.Positions) {
-		return nil, ErrDecode
-	}
-	return m, nil
 }

@@ -141,7 +141,10 @@ func (g *UnstructuredGrid) AppendEncode(buf []byte) []byte {
 	return buf
 }
 
-// DecodeUnstructuredGrid reverses Encode.
+// DecodeUnstructuredGrid reverses Encode. It refuses a grid any filter
+// could index out of: a cell type of unknown size, a connectivity entry
+// outside the points, or a point/cell array whose tuple count is not the
+// point/cell count.
 func DecodeUnstructuredGrid(data []byte) (*UnstructuredGrid, error) {
 	g := &UnstructuredGrid{}
 	if len(data) < 4 {
@@ -179,28 +182,37 @@ func DecodeUnstructuredGrid(data []byte) (*UnstructuredGrid, error) {
 		return nil, ErrDecode
 	}
 	g.Conn = make([]int32, cl)
+	npts := uint32(np / 3)
 	for i := range g.Conn {
-		g.Conn[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+		p := binary.LittleEndian.Uint32(data[4*i:])
+		if p >= npts { // a negative int32 reads as a large uint32
+			return nil, ErrDecode
+		}
+		g.Conn[i] = int32(p)
 	}
 	data = data[4*cl:]
 	// Rebuild offsets from cell types.
 	g.Offsets = make([]int32, 1, nc+1)
-	var off int32
+	off := 0
 	for _, t := range g.CellTypes {
-		off += int32(t.PointsPerCell())
-		g.Offsets = append(g.Offsets, off)
+		n := t.PointsPerCell()
+		if n == 0 || off+n > cl {
+			return nil, ErrDecode
+		}
+		off += n
+		g.Offsets = append(g.Offsets, int32(off))
 	}
-	if int(off) != cl {
+	if off != cl {
 		return nil, ErrDecode
 	}
 	var err error
 	g.PointData, data, err = decodeArrays(data)
-	if err != nil {
-		return nil, err
+	if err != nil || !allTuples(g.PointData, g.NumPoints()) {
+		return nil, ErrDecode
 	}
 	g.CellData, _, err = decodeArrays(data)
-	if err != nil {
-		return nil, err
+	if err != nil || !allTuples(g.CellData, nc) {
+		return nil, ErrDecode
 	}
 	return g, nil
 }

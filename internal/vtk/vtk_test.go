@@ -3,7 +3,6 @@ package vtk
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"colza/internal/minimpi"
 )
@@ -184,27 +183,6 @@ func TestClipMeshHalves(t *testing.T) {
 	}
 }
 
-func TestTriangleMeshEncodeDecode(t *testing.T) {
-	m := &TriangleMesh{}
-	m.AddTriangle([3]float32{0, 0, 0}, [3]float32{1, 0, 0}, [3]float32{0, 1, 0}, 1, 2, 3)
-	m.AddTriangle([3]float32{5, 5, 5}, [3]float32{6, 5, 5}, [3]float32{5, 6, 5}, 4, 5, 6)
-	dec, err := DecodeTriangleMesh(m.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.NumTriangles() != 2 {
-		t.Fatalf("%d triangles", dec.NumTriangles())
-	}
-	for i := range m.Positions {
-		if dec.Positions[i] != m.Positions[i] {
-			t.Fatal("positions differ")
-		}
-	}
-	if _, err := DecodeTriangleMesh([]byte{9}); err == nil {
-		t.Fatal("garbage should fail to decode")
-	}
-}
-
 func TestMeshNormalsAreUnit(t *testing.T) {
 	m := &TriangleMesh{}
 	m.AddTriangle([3]float32{0, 0, 0}, [3]float32{2, 0, 0}, [3]float32{0, 2, 0}, 0, 0, 0)
@@ -308,36 +286,5 @@ func TestControllerInjection(t *testing.T) {
 	ctrl := NewController("mpi", world[1])
 	if ctrl.Communicator() != world[1] || ctrl.Rank() != 1 || ctrl.Size() != 2 {
 		t.Fatalf("controller lost its communicator: rank %d of %d", ctrl.Rank(), ctrl.Size())
-	}
-}
-
-// Property: encode/decode of random meshes round-trips.
-func TestQuickMeshRoundTrip(t *testing.T) {
-	f := func(tris []float32) bool {
-		m := &TriangleMesh{}
-		for i := 0; i+8 < len(tris) && m.NumTriangles() < 20; i += 9 {
-			m.AddTriangle(
-				[3]float32{tris[i], tris[i+1], tris[i+2]},
-				[3]float32{tris[i+3], tris[i+4], tris[i+5]},
-				[3]float32{tris[i+6], tris[i+7], tris[i+8]},
-				tris[i], tris[i+1], tris[i+2])
-		}
-		dec, err := DecodeTriangleMesh(m.Encode())
-		if err != nil {
-			return false
-		}
-		if dec.NumTriangles() != m.NumTriangles() {
-			return false
-		}
-		for i := range m.Positions {
-			a, b := m.Positions[i], dec.Positions[i]
-			if a != b && !(math.IsNaN(float64(a)) && math.IsNaN(float64(b))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
