@@ -117,10 +117,14 @@ fi
 # that only a test reaching both of its sides checks; and the unstructured
 # grid file, whose decoder turns untrusted staged bytes into the cells and
 # arrays the volume pipeline indexes (one unchecked connectivity entry there
-# crashed every server that executed the block).
+# crashed every server that executed the block); likewise the image-data
+# file, whose decoder feeds every staged iso block to the extraction, and
+# the framebuffer pool file, whose decoder reads every partial image a
+# compositing peer sends.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
 check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go ./internal/na/tcp.go ./internal/mercury/mercury.go
 check_cover 90 ./internal/bench/simtime.go
-check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go
+check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go \
+    ./internal/vtk/imagedata.go ./internal/render/pool.go

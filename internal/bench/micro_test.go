@@ -211,9 +211,10 @@ func bulkPullEnv() (puller *mercury.Class, bulk mercury.Bulk, cleanup func(), er
 	return pullerMI.Class(), bulk, cleanup, nil
 }
 
-// compositeEnv builds deterministic 64×64 framebuffers for 4 ranks.
-func compositeEnv() (world []*minimpi.Comm, imgs []*render.Image) {
-	const ranks, w, h = 4, 64, 64
+// compositeEnv builds deterministic n×n framebuffers for 4 ranks.
+func compositeEnv(n int) (world []*minimpi.Comm, imgs []*render.Image) {
+	const ranks = 4
+	w, h := n, n
 	world = minimpi.World(ranks)
 	rng := rand.New(rand.NewSource(3))
 	imgs = make([]*render.Image, ranks)
@@ -365,10 +366,16 @@ func BenchmarkBulkPull(b *testing.B) {
 	benchLoop(b, func() error { return puller.PullBulkInto(bulk, dst) })
 }
 
-// A full 4-rank tree composite with the pooled scratch images and frames.
+// A full 4-rank tree composite with the pooled scratch images and frames,
+// at the ceiling test's 64² and the benchmark's 256² (where one encoded
+// frame is 512 KiB).
 func BenchmarkCompositePooled(b *testing.B) {
-	world, imgs := compositeEnv()
-	benchLoop(b, func() error { return compositeOp(world, imgs) })
+	for _, n := range []int{64, 256} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			world, imgs := compositeEnv(n)
+			benchLoop(b, func() error { return compositeOp(world, imgs) })
+		})
+	}
 }
 
 // Warm iso execute (extract + render) on the pipeline's own workspace.
@@ -623,7 +630,7 @@ func TestBufpoolCycleAllocsCeiling(t *testing.T) {
 
 func TestCompositeAllocsCeiling(t *testing.T) {
 	skipUnderRace(t)
-	world, imgs := compositeEnv()
+	world, imgs := compositeEnv(64)
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := compositeOp(world, imgs); err != nil {
 			t.Fatal(err)

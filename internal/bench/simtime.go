@@ -38,8 +38,9 @@ type workCost struct {
 // before the iso kernels' pixel-centre box and discarded-voxel skip; it is
 // kept, not re-measured, so the frozen Figs. 5–10 and ext-autoscale rows
 // stay byte-identical (they cost counted work, which those kernels did not
-// change). The benchmark now reads ~2.6 ns/cell and ~152 ns/triangle
-// extract, ~163 ns/triangle render (DESIGN.md §2, substitution 7). The
+// change). The benchmark now reads ~5.2 ns/cell and ~134 ns/triangle
+// extract, ~215 ns/triangle render, the facet normal having moved from
+// extraction to rasterisation (DESIGN.md §2, substitution 7). The
 // volume row is the cost ext-autoscale already modelled, kept so its
 // frozen rows hold; that benchmark reads ~150 ns/cell merge and ~1.1
 // µs/cell splat.

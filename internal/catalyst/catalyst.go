@@ -40,24 +40,23 @@ const boundsTag = 6100
 // globalBounds allreduces per-rank bounds so every rank frames the same
 // camera even though it holds different blocks. Empty ranks contribute
 // +/-Inf and do not shrink the result.
-func globalBounds(c comm.Communicator, lo, hi render.Vec3) (render.Vec3, render.Vec3, error) {
-	if c == nil || c.Size() == 1 {
-		return lo, hi, nil
+func globalBounds(c comm.Communicator, lo, hi [3]float32) (render.Vec3, render.Vec3, error) {
+	if c != nil && c.Size() > 1 {
+		buf := make([]byte, 24)
+		for k := 0; k < 3; k++ {
+			binary.LittleEndian.PutUint32(buf[4*k:], math.Float32bits(lo[k]))
+			binary.LittleEndian.PutUint32(buf[12+4*k:], math.Float32bits(-hi[k]))
+		}
+		out, err := c.AllReduce(boundsTag, buf, collectives.MinFloat32)
+		if err != nil {
+			return render.Vec3{}, render.Vec3{}, err
+		}
+		for k := 0; k < 3; k++ {
+			lo[k] = math.Float32frombits(binary.LittleEndian.Uint32(out[4*k:]))
+			hi[k] = -math.Float32frombits(binary.LittleEndian.Uint32(out[12+4*k:]))
+		}
 	}
-	buf := make([]byte, 24)
-	for k := 0; k < 3; k++ {
-		binary.LittleEndian.PutUint32(buf[4*k:], math.Float32bits(float32(lo[k])))
-		binary.LittleEndian.PutUint32(buf[12+4*k:], math.Float32bits(float32(-hi[k])))
-	}
-	out, err := c.AllReduce(boundsTag, buf, collectives.MinFloat32)
-	if err != nil {
-		return lo, hi, err
-	}
-	var glo, ghi render.Vec3
-	for k := 0; k < 3; k++ {
-		glo[k] = float64(math.Float32frombits(binary.LittleEndian.Uint32(out[4*k:])))
-		ghi[k] = -float64(math.Float32frombits(binary.LittleEndian.Uint32(out[12+4*k:])))
-	}
+	glo, ghi := render.BoxOf(lo, hi)
 	return glo, ghi, nil
 }
 
@@ -171,31 +170,18 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 
 	// Surface extraction: the computation-heavy, embarrassingly parallel
 	// part.
-	var clip *vtk.Plane
-	if cfg.Clip != nil {
-		clip = &vtk.Plane{
-			Normal: [3]float32{float32(cfg.Clip.Normal[0]), float32(cfg.Clip.Normal[1]), float32(cfg.Clip.Normal[2])},
-			Offset: float32(cfg.Clip.Offset),
-		}
-	}
-	surface := &ws.surface
 	t0 := time.Now()
-	surface.Reset()
-	for _, blk := range blocks {
-		if err := vtk.ExtractIsosurfaces(surface, blk, cfg.Field, cfg.IsoValues, clip); err != nil {
-			return st, nil, err
-		}
-		st.LocalCells += blk.NumCells() * len(cfg.IsoValues)
+	lo, hi, err := ws.extract(blocks, cfg)
+	if err != nil {
+		return st, nil, err
 	}
 	st.ExtractSeconds = time.Since(t0).Seconds()
-	st.LocalTriangles = surface.NumTriangles()
+	st.LocalTriangles = ws.surface.NumTriangles()
+	for _, blk := range blocks {
+		st.LocalCells += blk.NumCells() * len(cfg.IsoValues)
+	}
 
 	// Agree on a global camera.
-	lo, hi := render.MeshBounds(surface)
-	if surface.NumTriangles() == 0 {
-		lo = render.Vec3{math.Inf(1), math.Inf(1), math.Inf(1)}
-		hi = render.Vec3{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
-	}
 	glo, ghi, err := globalBounds(ctrl.Communicator(), lo, hi)
 	if err != nil {
 		return st, nil, err
@@ -214,7 +200,7 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 	} else {
 		im.Clear()
 	}
-	render.RasterizeMesh(im, cam, surface, pickColorMap(cfg.ColorMap), cfg.ScalarRange)
+	render.RasterizeMesh(im, cam, &ws.surface, pickColorMap(cfg.ColorMap), cfg.ScalarRange)
 	st.RenderSeconds = time.Since(t1).Seconds()
 
 	// Parallel compositing — the only communication-intensive step.
@@ -226,6 +212,29 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 	st.CompositeSecs = time.Since(compStart).Seconds()
 	st.TotalSeconds = time.Since(start).Seconds()
 	return st, out, nil
+}
+
+// extract refills the surface from blocks, clipped as triangles are
+// emitted, and returns its bounding box (+Inf/−Inf when empty), folding in
+// each block's new positions right after its extraction, while in cache.
+func (ws *isoWorkspace) extract(blocks []*vtk.ImageData, cfg IsoConfig) (lo, hi [3]float32, err error) {
+	var clip *vtk.Plane
+	if cfg.Clip != nil {
+		clip = &vtk.Plane{
+			Normal: [3]float32{float32(cfg.Clip.Normal[0]), float32(cfg.Clip.Normal[1]), float32(cfg.Clip.Normal[2])},
+			Offset: float32(cfg.Clip.Offset),
+		}
+	}
+	ws.surface.Reset()
+	lo, hi = vtk.EmptyBounds()
+	for _, blk := range blocks {
+		n := len(ws.surface.Positions)
+		if err := vtk.ExtractIsosurfaces(&ws.surface, blk, cfg.Field, cfg.IsoValues, clip); err != nil {
+			return lo, hi, err
+		}
+		lo, hi = vtk.FoldBounds(lo, hi, ws.surface.Positions[n:])
+	}
+	return lo, hi, nil
 }
 
 // VolumeConfig configures the unstructured-grid volume pipeline.
@@ -271,11 +280,8 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 	}
 	st.LocalCells = merged.NumCells()
 
-	lo, hi := render.GridBounds(merged)
-	if merged.NumPoints() == 0 {
-		lo = render.Vec3{math.Inf(1), math.Inf(1), math.Inf(1)}
-		hi = render.Vec3{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
-	}
+	lo, hi := vtk.EmptyBounds()
+	lo, hi = vtk.FoldBounds(lo, hi, merged.Points)
 	glo, ghi, err := globalBounds(ctrl.Communicator(), lo, hi)
 	if err != nil {
 		return st, nil, err

@@ -1,8 +1,12 @@
 package catalyst
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"image"
+	"image/color"
+	"image/png"
 	"math"
 	"sync"
 	"testing"
@@ -13,23 +17,25 @@ import (
 	"colza/internal/vtk"
 )
 
-// Hashes of what the iso pipeline produced at commit eb8b19a (go1.24,
-// linux/amd64), recorded before the extraction kernel, the rasterizer or
-// the PNG path were touched. A mismatch means the output is no longer the
-// parent's, bit for bit. The PNG hash also depends on the standard
-// library's deflate: re-record it (from this commit's parent) when the Go
-// version in go.mod's toolchain changes it, never to make a kernel change
-// pass.
+// Hashes of what the iso pipeline produced (go1.24, linux/amd64). The
+// framebuffer hash was recorded at commit eb8b19a, before the extraction
+// kernel or the rasterizer were touched: a mismatch means the pixels are
+// no longer the parent's, bit for bit. The PNG hash pins the encoding of
+// those pixels, which the test first proves by decoding the PNG back to
+// the composited framebuffer. It depends on the encoder's compression
+// level (re-recorded when that went to BestSpeed) and on the standard
+// library's deflate: re-record it when the Go version in go.mod's
+// toolchain changes it, never to make a kernel change pass.
 const (
-	goldenIsoPNG         = "d2d52d6da17e42d7c598bcef5a60e89336493eeaa9ff2611caa312e085d9f8e9"
+	goldenIsoPNG         = "313788659d685f6d6d8a48019fad35778bda8a339edf790a272db1b12b564598"
 	goldenIsoFramebuffer = "e820e69ac837a4e40189318248663ae37dc3074a58f4b0803811d41fd597197f"
 )
 
 // The same pair at the benchmark's iso shape (benchSlabs, benchConfig),
-// recorded at commit 3af247a (go1.24, linux/amd64) before the pixel-centre
-// box and the clip-side voxel skip; the same re-recording rule applies.
+// the framebuffer recorded at commit 3af247a (go1.24, linux/amd64) before
+// the pixel-centre box and the clip-side voxel skip; the same rules apply.
 const (
-	goldenBenchIsoPNG         = "ad601cc24187d4be384f3fc2e70f36fa472e0afb6dce0628f785f127120f7983"
+	goldenBenchIsoPNG         = "4f14bc7634337bfa04e8089d710042155262cecf196a8526358ac007809b1d2d"
 	goldenBenchIsoFramebuffer = "33dfe96110efa73f118c1249fc5de3fce7234d5b33b7fb0df5f6f5b443b71ad4"
 )
 
@@ -104,8 +110,9 @@ func sha(b []byte) string {
 }
 
 // TestGoldenIsoOutput pins the iso pipeline's pixels: the rank-0 PNG of a
-// two-rank tree composite, and the local framebuffer (colour and depth) a
-// single rank renders from the same blocks. The small case splits its slabs
+// two-rank tree composite, which must decode to the composited
+// framebuffer, and the local framebuffer (colour and depth) a single rank
+// renders from the same blocks. The small case splits its slabs
 // into contiguous halves; the benchmark-shaped one places them by block id
 // modulo the rank count, as the client's default placement does.
 func TestGoldenIsoOutput(t *testing.T) {
@@ -147,11 +154,24 @@ func TestGoldenIsoOutput(t *testing.T) {
 					t.Fatalf("rank %d: %v", r, err)
 				}
 			}
-			png, err := root.PNG()
+			enc, err := root.PNG()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sha(png); got != c.wantPNG {
+			dec, err := png.Decode(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Bounds() != image.Rect(0, 0, root.W, root.H) {
+				t.Fatalf("rank-0 PNG is %v, the framebuffer %dx%d", dec.Bounds(), root.W, root.H)
+			}
+			for i := 0; i < root.W*root.H; i++ {
+				c := color.NRGBAModel.Convert(dec.At(i%root.W, i/root.W)).(color.NRGBA)
+				if !bytes.Equal([]byte{c.R, c.G, c.B, c.A}, root.RGBA[4*i:4*i+4]) {
+					t.Fatalf("rank-0 PNG pixel %d decodes to %v, the composited framebuffer holds %v", i, c, root.RGBA[4*i:4*i+4])
+				}
+			}
+			if got := sha(enc); got != c.wantPNG {
 				t.Errorf("rank-0 PNG hash %s, want %s", got, c.wantPNG)
 			}
 

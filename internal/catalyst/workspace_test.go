@@ -11,6 +11,7 @@ import (
 
 	"colza/internal/core"
 	"colza/internal/minimpi"
+	"colza/internal/render"
 	"colza/internal/vtk"
 )
 
@@ -88,7 +89,6 @@ func requireSameOutput(t *testing.T, what string, got, want isoOutput) {
 		got, want []float32
 	}{
 		{"positions", got.surface.Positions, want.surface.Positions},
-		{"normals", got.surface.Normals, want.surface.Normals},
 		{"scalars", got.surface.Scalars, want.surface.Scalars},
 	} {
 		if !slices.EqualFunc(arr.got, arr.want, bits) {
@@ -185,6 +185,73 @@ func TestExtractionStopsAtFirstError(t *testing.T) {
 	}
 	if got, want := ws.surface.NumTriangles(), first.surface.NumTriangles(); got != want {
 		t.Fatalf("%d triangles extracted before the error surfaced, want the first block's %d", got, want)
+	}
+}
+
+// TestExtractFoldsMeshBounds: the camera box extract folds block by block
+// is, bit for bit, render.MeshBounds over the whole surface — or +Inf/−Inf
+// when nothing was extracted, the box an empty rank contributes — with and
+// without the clip, around blocks that add no triangle, and over NaN and
+// ±Inf positions.
+func TestExtractFoldsMeshBounds(t *testing.T) {
+	slabs := goldenSlabs(t)
+	flat := vtk.NewImageData(slabs[1].Dims, slabs[1].Origin, slabs[1].Spacing)
+	flat.AddPointArray("V", 1) // all zero: no level is crossed
+	thin := vtk.NewImageData([3]int{24, 24, 1}, [3]float64{}, [3]float64{1, 1, 1})
+	copy(thin.AddPointArray("V", 1).Data, slabs[0].PointData[0].Data)
+	poisoned := goldenSlabs(t)
+	field, err := poisoned[1].PointArray("V")
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := 0; i < len(field.Data); i += 7 {
+		field.Data[i] = garbage[(i/7)%len(garbage)]
+	}
+	far := vtk.NewImageData(slabs[2].Dims, slabs[2].Origin, [3]float64{-2e37, 1, 1}) // past float32 from x = 17 on
+	far.PointData = slabs[2].PointData
+	inf := math.Inf(1)
+	empty := [2]render.Vec3{{inf, inf, inf}, {-inf, -inf, -inf}}
+
+	var sawNaN, sawInf bool
+	for _, c := range []struct {
+		name   string
+		blocks []*vtk.ImageData
+	}{
+		{"golden slabs", slabs},
+		{"around empty blocks", []*vtk.ImageData{flat, slabs[0], thin, flat, slabs[3], flat}},
+		{"only empty blocks", []*vtk.ImageData{flat, thin}},
+		{"no blocks", nil},
+		{"NaN and Inf samples", poisoned},
+		{"spacing beyond float32", []*vtk.ImageData{slabs[1], far}},
+	} {
+		for _, clip := range []*ClipSpec{goldenConfig().Clip, nil} {
+			cfg := goldenConfig()
+			cfg.Clip = clip
+			var ws isoWorkspace
+			lo, hi, err := ws.extract(c.blocks, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := empty
+			if ws.surface.NumTriangles() > 0 {
+				want[0], want[1] = render.MeshBounds(&ws.surface)
+			}
+			got := [2]render.Vec3{}
+			got[0], got[1] = render.BoxOf(lo, hi)
+			for k := 0; k < 3; k++ {
+				if math.Float64bits(got[0][k]) != math.Float64bits(want[0][k]) || math.Float64bits(got[1][k]) != math.Float64bits(want[1][k]) {
+					t.Fatalf("%s (clip %v): folded box %v–%v, want %v–%v", c.name, clip != nil, lo, hi, want[0], want[1])
+				}
+			}
+			for _, v := range ws.surface.Positions {
+				sawNaN = sawNaN || math.IsNaN(float64(v))
+				sawInf = sawInf || math.IsInf(float64(v), 0)
+			}
+		}
+	}
+	if !sawNaN || !sawInf {
+		t.Fatalf("NaN positions seen: %v, ±Inf positions: %v — the table shows little", sawNaN, sawInf)
 	}
 }
 

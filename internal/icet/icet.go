@@ -97,10 +97,10 @@ func Composite(img *render.Image, c comm.Communicator, strat Strategy, mode Mode
 	}
 }
 
-// treeReduce composites via a binomial reduction over encoded images. The
-// per-fold decode scratch is a pooled image pair reused across all rounds
-// of the reduction; only the encoded accumulator handed back to the
-// collectives layer (which owns it across rounds) is freshly allocated.
+// treeReduce composites via a binomial reduction over encoded images. A
+// pooled image pair is every fold's decode scratch, and each fold
+// re-encodes into the accumulator it was handed: every collectives reduce
+// hands op a private copy, never a buffer a peer or the caller still reads.
 func treeReduce(img *render.Image, c comm.Communicator, mode Mode, root int) (*render.Image, error) {
 	a := render.GetImage(img.W, img.H)
 	b := render.GetImage(img.W, img.H)
@@ -114,7 +114,7 @@ func treeReduce(img *render.Image, c comm.Communicator, mode Mode, root int) (*r
 		// In a binomial reduce the incoming image comes from a higher
 		// relative rank: for ordered mode it is behind the accumulator.
 		mergePixels(a, b, mode)
-		return a.Encode()
+		return a.AppendEncode(acc[:0])
 	}
 	out, err := c.Reduce(root, tagBase, img.Encode(), op)
 	if err != nil {

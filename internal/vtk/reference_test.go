@@ -6,8 +6,10 @@ import "math"
 // as the reference the one-pass kernel is property-tested against
 // (kernel_test.go). Nothing outside tests calls these.
 
-// refAddTriangle is the parent's TriangleMesh.AddTriangle.
-func refAddTriangle(m *TriangleMesh, p0, p1, p2 [3]float32, s0, s1, s2 float32) {
+// refAddTriangle is the parent's TriangleMesh.AddTriangle. It returns the
+// facet normal the parent stored three times per triangle, which the mesh
+// no longer carries (FacetNormal derives it).
+func refAddTriangle(m *TriangleMesh, p0, p1, p2 [3]float32, s0, s1, s2 float32) [3]float32 {
 	ux, uy, uz := p1[0]-p0[0], p1[1]-p0[1], p1[2]-p0[2]
 	vx, vy, vz := p2[0]-p0[0], p2[1]-p0[1], p2[2]-p0[2]
 	nx, ny, nz := uy*vz-uz*vy, uz*vx-ux*vz, ux*vy-uy*vx
@@ -17,9 +19,9 @@ func refAddTriangle(m *TriangleMesh, p0, p1, p2 [3]float32, s0, s1, s2 float32) 
 	}
 	for _, p := range [][3]float32{p0, p1, p2} {
 		m.Positions = append(m.Positions, p[0], p[1], p[2])
-		m.Normals = append(m.Normals, nx, ny, nz)
 	}
 	m.Scalars = append(m.Scalars, s0, s1, s2)
+	return [3]float32{nx, ny, nz}
 }
 
 // refIsosurface is the parent's Isosurface: every voxel's eight positions

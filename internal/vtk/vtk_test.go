@@ -186,15 +186,12 @@ func TestClipMeshHalves(t *testing.T) {
 func TestMeshNormalsAreUnit(t *testing.T) {
 	m := &TriangleMesh{}
 	m.AddTriangle([3]float32{0, 0, 0}, [3]float32{2, 0, 0}, [3]float32{0, 2, 0}, 0, 0, 0)
-	for v := 0; v < 3; v++ {
-		nx, ny, nz := m.Normals[3*v], m.Normals[3*v+1], m.Normals[3*v+2]
-		l := math.Sqrt(float64(nx*nx + ny*ny + nz*nz))
-		if math.Abs(l-1) > 1e-5 {
-			t.Fatalf("normal length %f", l)
-		}
-		if nz != 1 {
-			t.Fatalf("normal = (%f,%f,%f), want +z", nx, ny, nz)
-		}
+	n := m.FacetNormal(0)
+	if l := math.Sqrt(float64(n[0]*n[0] + n[1]*n[1] + n[2]*n[2])); math.Abs(l-1) > 1e-5 {
+		t.Fatalf("normal length %f", l)
+	}
+	if n != [3]float32{0, 0, 1} {
+		t.Fatalf("normal = %v, want +z", n)
 	}
 }
 
@@ -286,5 +283,25 @@ func TestControllerInjection(t *testing.T) {
 	ctrl := NewController("mpi", world[1])
 	if ctrl.Communicator() != world[1] || ctrl.Rank() != 1 || ctrl.Size() != 2 {
 		t.Fatalf("controller lost its communicator: rank %d of %d", ctrl.Rank(), ctrl.Size())
+	}
+}
+
+// TestBoundsIgnoresNaNCountsInf: the one box rule every bounds in the
+// tree folds with — a NaN coordinate is ignored on its axis, ±Inf counts —
+// and an empty mesh's zero box.
+func TestBoundsIgnoresNaNCountsInf(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	m := &TriangleMesh{}
+	if lo, hi := m.Bounds(); lo != [3]float32{} || hi != [3]float32{} {
+		t.Fatalf("empty mesh: %v–%v, want zero boxes", lo, hi)
+	}
+	m.AddTriangle([3]float32{nan, 1, -inf}, [3]float32{2, nan, 0}, [3]float32{-1, 5, nan}, 0, 0, 0)
+	lo, hi := m.Bounds()
+	if lo != [3]float32{-1, 1, -inf} || hi != [3]float32{2, 5, 0} {
+		t.Fatalf("box %v–%v", lo, hi)
+	}
+	elo, ehi := EmptyBounds()
+	if lo, hi := FoldBounds(elo, ehi, []float32{nan, nan, nan}); lo != elo || hi != ehi {
+		t.Fatalf("all-NaN positions widened the empty box to %v–%v", lo, hi)
 	}
 }
