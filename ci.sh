@@ -120,7 +120,11 @@ fi
 # crashed every server that executed the block); likewise the image-data
 # file, whose decoder feeds every staged iso block to the extraction, and
 # the framebuffer pool file, whose decoder reads every partial image a
-# compositing peer sends.
+# compositing peer sends; and the two files that decode and route what a
+# MoNA peer sends — the collectives' slice-frame codec, which decodes every
+# all-gather frame (a count it trusts sizes an allocation), and the MoNA
+# instance, which routes every frame and parks or drops those for
+# communicators it does not hold.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
@@ -128,3 +132,4 @@ check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go ./internal/na/t
 check_cover 90 ./internal/bench/simtime.go
 check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go \
     ./internal/vtk/imagedata.go ./internal/render/pool.go
+check_cover 90 ./internal/collectives/ops.go ./internal/mona/mona.go

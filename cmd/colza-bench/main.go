@@ -8,13 +8,12 @@
 //	colza-bench                    # run everything (full scale)
 //	colza-bench -quick             # run everything (scaled down)
 //	colza-bench fig5 table1 a3     # run selected experiments
-//	colza-bench -out results.txt fig9
+//	colza-bench fig9 | tee results.txt
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -25,7 +24,6 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "run scaled-down experiments (seconds instead of minutes)")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	out := flag.String("out", "", "also write results to this file")
 	csvDir := flag.String("csv", "", "also write each table as <dir>/<name>.csv")
 	flag.Parse()
 
@@ -52,17 +50,7 @@ func main() {
 		selected = bench.All()
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
-	}
-
+	w := os.Stdout
 	mode := "full"
 	if *quick {
 		mode = "quick"

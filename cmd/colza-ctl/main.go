@@ -140,11 +140,13 @@ func main() {
 		}
 		fmt.Println("ok")
 	case "metrics":
-		text, err := admin.Metrics(target)
+		snap, err := admin.MetricsSnapshot(target)
 		if err != nil {
 			fatal("%v", err)
 		}
-		fmt.Print(text)
+		if err := snap.WriteText(os.Stdout); err != nil {
+			fatal("%v", err)
+		}
 	case "elastic":
 		if len(args) < 2 || args[1] != "status" {
 			usage()

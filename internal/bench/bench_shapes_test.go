@@ -306,7 +306,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 // The registry is the paper's evaluation and the DESIGN.md ablations, in
-// presentation order — the experiments results_full.txt lists.
+// presentation order — the order colza-bench runs and prints them in.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1a", "fig4", "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -332,6 +334,70 @@ func TestDecodeSlicesMalformed(t *testing.T) {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
+}
+
+// sliceFrame is a slice frame that claims count parts, followed by body.
+func sliceFrame(count uint32, body ...byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, count), body...)
+}
+
+// decodeAllocs decodes frame and reports the bytes that allocated.
+func decodeAllocs(frame []byte) (parts [][]byte, allocated uint64, err error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	parts, err = DecodeSlices(frame)
+	runtime.ReadMemStats(&after)
+	return parts, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestDecodeSlicesRefusesLyingFrames: an all-gather frame comes from a
+// peer, so a count its bytes cannot hold is refused before the part table
+// is sized by it — a 4-byte frame claiming 1<<24 parts used to allocate
+// 384 MiB, and one claiming 0xffffffff ended the process — and so is a
+// frame with bytes after its last part.
+func TestDecodeSlicesRefusesLyingFrames(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"1<<24 parts, no body", sliceFrame(1 << 24)},
+		{"1<<24 parts, one empty part", sliceFrame(1<<24, 0, 0, 0, 0)},
+		{"the first part takes the second's length", sliceFrame(2, 4, 0, 0, 0, 'a', 'b', 'c', 'd')},
+		{"bytes after the last part", sliceFrame(1, 1, 0, 0, 0, 'a', 'b')},
+	} {
+		_, allocated, err := decodeAllocs(c.frame)
+		if err == nil || !strings.Contains(err.Error(), "malformed slice frame") {
+			t.Errorf("%s: %v, want a malformed-frame error", c.name, err)
+		}
+		if allocated > 64<<10 {
+			t.Errorf("%s: decoding allocated %d bytes", c.name, allocated)
+		}
+	}
+}
+
+// FuzzDecodeSlices: whatever a peer sends, decoding never panics, allocates
+// within a small multiple of the frame, and accepts only what EncodeSlices
+// produces.
+func FuzzDecodeSlices(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(EncodeSlices(nil))
+	f.Add(EncodeSlices([][]byte{[]byte("rank0"), nil, []byte("r2")}))
+	f.Add(sliceFrame(1 << 24))
+	f.Add(sliceFrame(0xffffffff, 0, 0, 0, 0))
+	f.Add(sliceFrame(1, 9, 0, 0, 0, 'a'))
+	f.Add(sliceFrame(1, 1, 0, 0, 0, 'a', 'b'))
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		parts, allocated, err := decodeAllocs(frame)
+		if limit := uint64(8*len(frame) + 64<<10); allocated > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(frame), allocated, limit)
+		}
+		if err != nil {
+			return
+		}
+		if re := EncodeSlices(parts); !bytes.Equal(re, frame) {
+			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, frame)
+		}
+	})
 }
 
 func TestOpsNumeric(t *testing.T) {

@@ -97,13 +97,19 @@ func EncodeSlices(parts [][]byte) []byte {
 	return out
 }
 
-// DecodeSlices reverses EncodeSlices.
+// DecodeSlices reverses EncodeSlices. The parts alias frame. A frame that
+// EncodeSlices could not have produced is refused: a count the rest of the
+// frame cannot hold (every part takes at least its 4-byte length), a part
+// running past the end, or bytes after the last part.
 func DecodeSlices(frame []byte) ([][]byte, error) {
 	if len(frame) < 4 {
 		return nil, errFrame
 	}
 	n := int(binary.LittleEndian.Uint32(frame))
 	frame = frame[4:]
+	if n > len(frame)/4 {
+		return nil, errFrame
+	}
 	out := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		if len(frame) < 4 {
@@ -116,6 +122,9 @@ func DecodeSlices(frame []byte) ([][]byte, error) {
 		}
 		out = append(out, frame[:l:l])
 		frame = frame[l:]
+	}
+	if len(frame) != 0 {
+		return nil, errFrame
 	}
 	return out, nil
 }

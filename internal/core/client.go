@@ -846,15 +846,9 @@ func (a *AdminClient) RequestLeave(serverRPC string) error {
 	return err
 }
 
-// Metrics fetches one server's metrics registry as the stable text dump
-// (the payload `colza-ctl metrics` prints).
-func (a *AdminClient) Metrics(serverRPC string) (string, error) {
-	raw, err := a.mi.CallProvider(serverRPC, AdminID, "metrics", nil, a.timeout)
-	return string(raw), err
-}
-
 // MetricsSnapshot fetches one server's metrics as a structured snapshot,
-// which benchmarks merge across servers (HistSnapshot.Merge).
+// which `colza-ctl metrics` renders as text (Snapshot.WriteText) and
+// benchmarks merge across servers (HistSnapshot.Merge).
 func (a *AdminClient) MetricsSnapshot(serverRPC string) (obs.Snapshot, error) {
 	raw, err := a.mi.CallProvider(serverRPC, AdminID, "metrics_json", nil, a.timeout)
 	if err != nil {

@@ -242,8 +242,7 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 	mi.RegisterProviderRPC(AdminID, "leave", p.handleLeave)
 	mi.RegisterProviderRPC(ProviderID, "checkpoint_state", p.handleCheckpointState)
 	mi.RegisterProviderRPC(ProviderID, "activate_solo", p.handleActivateSolo)
-	mi.RegisterProviderRPC(AdminID, "metrics", p.handleMetrics)
-	mi.RegisterProviderRPC(AdminID, "metrics_json", p.handleMetricsJSON)
+	mi.RegisterProviderRPC(AdminID, "metrics_json", p.handleJSONMetrics)
 	mi.RegisterProviderRPC(AdminID, "trace", p.handleTrace)
 	mi.RegisterProviderRPC(AdminID, "pipeline_defs", p.handlePipelineDefs)
 	mi.RegisterProviderRPC(AdminID, "elastic_status", p.handleElasticStatus)
@@ -273,7 +272,7 @@ func (p *Provider) BindPools(control, data *margo.Pool) {
 		p.mi.BindRPCPool(margo.ProviderRPCName(ProviderID, rpc), control)
 	}
 	for _, rpc := range []string{"create_pipeline", "destroy_pipeline",
-		"list_pipelines", "list_types", "leave", "metrics", "metrics_json",
+		"list_pipelines", "list_types", "leave", "metrics_json",
 		"trace", "pipeline_defs", "elastic_status"} {
 		p.mi.BindRPCPool(margo.ProviderRPCName(AdminID, rpc), control)
 	}
@@ -937,19 +936,10 @@ func sameRPCSet(v MemberView, members []string) bool {
 	return true
 }
 
-// handleMetrics serves the server's metrics registry as the stable text
-// dump (what `colza-ctl metrics` prints).
-func (p *Provider) handleMetrics(req mercury.Request) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := p.observer().WriteText(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// handleMetricsJSON serves the registry as a structured snapshot for
-// programmatic merging across servers.
-func (p *Provider) handleMetricsJSON(req mercury.Request) ([]byte, error) {
+// handleJSONMetrics serves the registry as a structured snapshot: what
+// `colza-ctl metrics` prints as text, and what benchmarks merge across
+// servers.
+func (p *Provider) handleJSONMetrics(req mercury.Request) ([]byte, error) {
 	return json.Marshal(p.observer().Snapshot())
 }
 

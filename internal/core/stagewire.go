@@ -125,6 +125,15 @@ const maxStageBatchBlocks = 65536
 // within 2x the uncompressed ceiling for every registered codec.
 const maxStageBatchPayload = 2 * maxStageUncompressed
 
+// maxStageFramePayload bounds the payload lengths of one frame's records
+// together: the largest frame a client builds. A per-block Stage sends one
+// record. A batch goes out once its payload reaches batchMaxBytes, so it
+// holds less than that before its last block, and that block may carry up to
+// maxStageBatchPayload (the batcher's outgrow case). Without the bound a
+// 6 MB frame of 65,536 maximal records names an 8 TiB region, which the
+// server would try to allocate before pulling it.
+const maxStageFramePayload = batchMaxBytes + maxStageBatchPayload
+
 // stageBatchRec is one block's record in a stage frame: codec info and
 // metadata plus the length of its payload in the shared bulk.
 type stageBatchRec struct {
@@ -207,10 +216,10 @@ func appendStageFrame(dst []byte, pipeline string, it uint64, recs []stageBatchR
 // incrementally as parsing succeeds, so a hostile count cannot reserve
 // memory beyond what the input actually carries; the 64 MiB uncompressed
 // ceiling holds per record, and the payload lengths must sum to exactly the
-// bulk size. The strings are copies, but a bulk handle that carries its
-// region (mercury's eager path) aliases p: the handle, and whatever is
-// borrowed from it, is valid only while p is — for a handler, until it
-// returns.
+// bulk size, which is at most maxStageFramePayload. The strings are copies,
+// but a bulk handle that carries its region (mercury's eager path) aliases
+// p: the handle, and whatever is borrowed from it, is valid only while p is
+// — for a handler, until it returns.
 func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk, err error) {
 	fail := func() (string, uint64, []stageBatchRec, mercury.Bulk, error) {
 		return "", 0, nil, mercury.Bulk{}, ErrStageWire
@@ -292,7 +301,9 @@ func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatc
 			return fail()
 		}
 		r.PayloadLen = int(v32)
-		totalPayload += int64(r.PayloadLen)
+		if totalPayload += int64(r.PayloadLen); totalPayload > maxStageFramePayload {
+			return fail()
+		}
 		recs = append(recs, r)
 	}
 	var bn uint32

@@ -509,6 +509,54 @@ func TestDecodeStageBatchMsgMalformed(t *testing.T) {
 	}
 }
 
+// payloadFrame is a stage frame whose records carry the given payload
+// lengths over one pulled region of their sum.
+func payloadFrame(lens ...int) []byte {
+	recs := make([]stageBatchRec, len(lens))
+	for i, n := range lens {
+		recs[i] = stageBatchRec{Meta: BlockMeta{Field: "v", BlockID: i}, PayloadLen: n}
+	}
+	return appendStageBatchMsg(nil, "p", 1, recs, batchTestBulk(recs))
+}
+
+// hugeStageFrame is the frame the per-frame payload bound exists for: the
+// most records a frame may claim, each at the per-record ceiling — about
+// 6 MB of frame naming an 8 TiB region.
+func hugeStageFrame() []byte {
+	lens := make([]int, maxStageBatchBlocks)
+	for i := range lens {
+		lens[i] = maxStageBatchPayload
+	}
+	return payloadFrame(lens...)
+}
+
+// TestDecodeStageBatchMsgPayloadSum: the frames a client builds decode, up
+// to the batcher's outgrow case; a frame whose payloads sum past that is
+// refused at decode, before the server sizes a buffer for its region.
+func TestDecodeStageBatchMsgPayloadSum(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		ok    bool
+	}{
+		{"one record at the ceiling", payloadFrame(maxStageBatchPayload), true},
+		{"a batch below its trigger, outgrown by a record at the ceiling",
+			payloadFrame(batchMaxBytes-1, maxStageBatchPayload), true},
+		{"the largest frame", payloadFrame(batchMaxBytes/2, batchMaxBytes/2, maxStageBatchPayload), true},
+		{"one byte past the largest frame", payloadFrame(batchMaxBytes, maxStageBatchPayload, 1), false},
+		{"two records at the ceiling", payloadFrame(maxStageBatchPayload, maxStageBatchPayload), false},
+		{"65,536 records at the ceiling", hugeStageFrame(), false},
+	} {
+		_, _, _, bulk, err := decodeStageBatchMsg(c.frame)
+		if c.ok && err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: accepted, a %d-byte region", c.name, bulk.Size)
+		}
+	}
+}
+
 // FuzzStageBatchDecode seeds the frame fuzzer (fuzzStageFrame) with the
 // frames a coalescing handle sends: several records over one region.
 func FuzzStageBatchDecode(f *testing.F) {
@@ -542,6 +590,8 @@ func FuzzStageBatchDecode(f *testing.F) {
 	f.Add([]byte{stageBatchWireVersion, 0xFF, 0xFF, 0xFF, 0x7F, 'x'})
 	// A huge claimed count over an empty body.
 	f.Add([]byte{stageBatchWireVersion, 1, 0, 0, 0, 'p', 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0, 0})
+	// Records whose payloads sum to 8 TiB.
+	f.Add(hugeStageFrame())
 	fuzzStageFrame(f)
 }
 

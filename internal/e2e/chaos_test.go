@@ -396,10 +396,8 @@ func TestChaosChurnCrashAndPartition(t *testing.T) {
 		case 6:
 			// One-way partition: the client cannot reach server 2 for a
 			// while (server 2 still answers everyone else). Heals itself.
-			net.PartitionOneWay("inproc://churn-client", servers[2].Addr(), true)
-			time.AfterFunc(400*time.Millisecond, func() {
-				net.PartitionOneWay("inproc://churn-client", servers[2].Addr(), false)
-			})
+			net.SetFaultPlan(na.NewFaultPlan(1).Add(na.FaultRule{From: "inproc://churn-client", To: servers[2].Addr(), Drop: true}))
+			time.AfterFunc(400*time.Millisecond, func() { net.SetFaultPlan(nil) })
 		}
 		runChaosIteration(t, h, it, blocks, time.Now().Add(30*time.Second))
 	}

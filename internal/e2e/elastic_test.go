@@ -9,6 +9,7 @@ package e2e
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -148,8 +149,9 @@ func (a *elasticArm) launch() error {
 	defer a.mu.Unlock()
 	cfg := core.ServerConfig{SSG: a.ssgCfg, StateReplicas: 1}
 	cfg.SSG.Seed = int64(a.nextID + 1)
+	listening := a.net.Endpoints()
 	for _, s := range a.servers {
-		if !s.MI.Finalized() && !s.Provider.Leaving() {
+		if slices.Contains(listening, s.Addr()) && !s.Provider.Leaving() {
 			cfg.Bootstrap = s.Addr()
 			break
 		}

@@ -213,12 +213,5 @@ func (m *Instance) Finalize() {
 	}
 }
 
-// Finalized reports whether Finalize has run.
-func (m *Instance) Finalized() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.finalized
-}
-
 // String identifies the instance in logs.
 func (m *Instance) String() string { return fmt.Sprintf("margo(%s)", m.Addr()) }

@@ -250,76 +250,25 @@ func (c *Class) bulkChunkSize() int {
 // concurrently — the analog of the RDMA pipeline depth.
 const bulkPullConc = 4
 
-// PullBulk fetches the full region behind the handle into a fresh buffer.
-// The buffer is newly allocated and owned by the caller; hot paths that
-// recycle buffers should use PullBulkInto instead.
-func (c *Class) PullBulk(b Bulk) ([]byte, error) {
-	if b.Size < 0 {
-		return nil, ErrBadBulk
-	}
-	out := make([]byte, b.Size)
-	if err := c.pullRange(b, 0, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // PullBulkInto fetches the full region into dst, which must have length
-// b.Size. Chunks land concurrently; the call does not return — even on
-// error — until every in-flight chunk write to dst has finished, so the
+// b.Size. It is the one way to pull: a region that rode in the frame b was
+// decoded from is copied out of it, a colocated exposer's arena is copied
+// out of mapped memory, and anything else arrives in chunks over the
+// bulk-pull RPC. Chunks land concurrently; the call does not return — even
+// on error — until every in-flight chunk write to dst has finished, so the
 // caller may recycle dst immediately afterwards.
 func (c *Class) PullBulkInto(b Bulk, dst []byte) error {
 	if b.Size < 0 || len(dst) != b.Size {
 		return ErrBadBulk
 	}
-	return c.pullRange(b, 0, dst)
-}
-
-// BorrowBulk returns the region itself when it rode inside the frame b was
-// decoded from, sparing the caller a destination buffer and a copy; ok is
-// false when the region has to be pulled. The bytes alias that frame: a
-// handler may read them until it returns and must not retain or modify them.
-func (c *Class) BorrowBulk(b Bulk) (region []byte, ok bool) {
-	if !b.inFrame {
-		return nil, false
-	}
-	m := c.bulkM.for_(c.observer())
-	m.eagerCount.Inc()
-	m.eagerBytes.Add(int64(len(b.eager)))
-	return b.eager, true
-}
-
-// PullBulkRange fetches n bytes starting at off into a fresh buffer,
-// letting a puller fetch a sub-region (e.g. one block of a packed exposure)
-// without moving the rest.
-func (c *Class) PullBulkRange(b Bulk, off, n int) ([]byte, error) {
-	if b.Size < 0 || off < 0 || n < 0 || off > b.Size || n > b.Size-off {
-		return nil, ErrBadBulk
-	}
-	out := make([]byte, n)
-	if err := c.pullRange(b, off, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// pullRange moves len(dst) bytes of b starting at off into dst. It owns all
-// writes to dst and joins every worker before returning. A local handle is
-// served without touching the network, like intra-node RDMA through shared
-// memory.
-func (c *Class) pullRange(b Bulk, off int, dst []byte) error {
 	n := len(dst)
-	if off < 0 || off > b.Size || n > b.Size-off {
-		return ErrBadBulk
-	}
 	reg := c.observer()
 	m := c.bulkM.for_(reg)
 	if b.inFrame {
-		// The region rode in the frame the handle was decoded from: no RPC,
-		// and not a pull in the counters either.
+		// No RPC, and not a pull in the counters either.
 		m.eagerCount.Inc()
 		m.eagerBytes.Add(int64(n))
-		copy(dst, b.eager[off:off+n])
+		copy(dst, b.eager)
 		return nil
 	}
 	start := reg.Now()
@@ -328,36 +277,24 @@ func (c *Class) pullRange(b Bulk, off int, dst []byte) error {
 	}()
 	m.count.Inc()
 	m.bytes.Add(int64(n))
-	if b.Addr == c.Addr() {
-		m.local.Inc()
-		c.bmu.Lock()
-		r, ok := c.bulks[b.ID]
-		if !ok || len(r.buf) != b.Size {
-			c.bmu.Unlock()
-			return ErrBadBulk
-		}
-		copy(dst, r.buf[off:off+n])
-		c.bmu.Unlock()
-		return nil
-	}
 	if n == 0 {
 		return nil
 	}
 	// Cross-process zero-copy path: if the transport can map the
-	// exposer's shared segment, copy the range straight out of it and
+	// exposer's shared segment, copy the region straight out of it and
 	// skip the chunked request/response protocol entirely. done=false
 	// (region not published, peer not colocated, seqlock churn) falls
 	// through to the RPC pulls, which remain authoritative — notably for
 	// use-after-release, which must surface as ErrBadBulk.
 	if c.SharesBulk() {
-		if done, err := c.arena.PullLocal(b.Addr, b.ID, off, dst); done {
+		if done, err := c.arena.PullLocal(b.Addr, b.ID, 0, dst); done {
 			return err
 		}
 	}
 	chunk := c.bulkChunkSize()
 	nchunks := (n + chunk - 1) / chunk
 	if nchunks == 1 {
-		return c.pullChunk(b, off, dst)
+		return c.pullChunk(b, 0, dst)
 	}
 	workers := bulkPullConc
 	if workers > nchunks {
@@ -380,7 +317,7 @@ func (c *Class) pullRange(b Bulk, off int, dst []byte) error {
 				if hi > n {
 					hi = n
 				}
-				if err := c.pullChunk(b, off+lo, dst[lo:hi]); err != nil {
+				if err := c.pullChunk(b, lo, dst[lo:hi]); err != nil {
 					firstErr.CompareAndSwap(nil, &err)
 					return
 				}
@@ -388,12 +325,26 @@ func (c *Class) pullRange(b Bulk, off int, dst []byte) error {
 		}()
 	}
 	// Join every worker before returning: dst must never be written after
-	// pullRange returns, or a recycled buffer could be scribbled on.
+	// PullBulkInto returns, or a recycled buffer could be scribbled on.
 	wg.Wait()
 	if ep := firstErr.Load(); ep != nil {
 		return *ep
 	}
 	return nil
+}
+
+// BorrowBulk returns the region itself when it rode inside the frame b was
+// decoded from, sparing the caller a destination buffer and a copy; ok is
+// false when the region has to be pulled. The bytes alias that frame: a
+// handler may read them until it returns and must not retain or modify them.
+func (c *Class) BorrowBulk(b Bulk) (region []byte, ok bool) {
+	if !b.inFrame {
+		return nil, false
+	}
+	m := c.bulkM.for_(c.observer())
+	m.eagerCount.Inc()
+	m.eagerBytes.Add(int64(len(b.eager)))
+	return b.eager, true
 }
 
 // pullChunk performs one bulk-pull round trip for dst's worth of bytes at

@@ -105,7 +105,7 @@ func TestEagerAndPulledDeliveryIdentical(t *testing.T) {
 				got := <-delivered
 				// The handle that never crossed the wire pulls as any other,
 				// whatever its size (the bulk_pull_mib_s probes rely on it).
-				direct, err := peer.PullBulk(b)
+				direct, err := pullAll(peer, b)
 				owner.Release(b)
 				if err != nil {
 					t.Fatalf("size %d: in-process handle: %v", size, err)
@@ -150,7 +150,7 @@ func TestEagerAndPulledDeliveryIdentical(t *testing.T) {
 
 // TestEagerHandleAliasesFrame: decoding copies nothing — the handle's region
 // is the frame's bytes, capped so an append cannot run into what follows —
-// and a region range is served from it.
+// and a pull is served from it.
 func TestEagerHandleAliasesFrame(t *testing.T) {
 	owner, peer, _, _ := classPair(t, "inproc")
 	region := []byte("0123456789")
@@ -168,9 +168,9 @@ func TestEagerHandleAliasesFrame(t *testing.T) {
 	if _, ok := peer.BorrowBulk(b); ok {
 		t.Fatal("a handle that never crossed the wire was borrowed")
 	}
-	sub, err := peer.PullBulkRange(dec, 3, 4)
-	if err != nil || string(sub) != "3456" {
-		t.Fatalf("range of an eager handle: %q, %v", sub, err)
+	pulled, err := pullAll(peer, dec)
+	if err != nil || string(pulled) != "0123456789" {
+		t.Fatalf("pull of an eager handle: %q, %v", pulled, err)
 	}
 	if !bytes.Equal(dec.Encode(), b.Encode()) {
 		t.Fatal("decoded eager handle does not re-encode to the same bytes")

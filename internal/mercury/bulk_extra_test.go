@@ -23,7 +23,7 @@ func TestBulkChunkedPull(t *testing.T) {
 		region[i] = byte(i * 31)
 	}
 	h := c1.Expose(region)
-	got, err := c2.PullBulk(h)
+	got, err := pullAll(c2, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestConcurrentBulkPulls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, err := c2.PullBulk(handles[i])
+			got, err := pullAll(c2, handles[i])
 			if err != nil {
 				t.Errorf("pull %d: %v", i, err)
 				return
@@ -80,17 +80,17 @@ func TestBulkTamperedHandleRejected(t *testing.T) {
 	h := c1.Expose([]byte("short"))
 	wrongSize := h
 	wrongSize.Size = 100
-	if _, err := c2.PullBulk(wrongSize); err == nil {
+	if _, err := pullAll(c2, wrongSize); err == nil {
 		t.Fatal("oversized pull accepted")
 	}
 	wrongID := h
 	wrongID.ID = 9999
-	if _, err := c2.PullBulk(wrongID); err == nil {
+	if _, err := pullAll(c2, wrongID); err == nil {
 		t.Fatal("bogus id accepted")
 	}
 	negative := h
 	negative.Size = -3
-	if _, err := c2.PullBulk(negative); err == nil {
+	if _, err := pullAll(c2, negative); err == nil {
 		t.Fatal("negative size accepted")
 	}
 }

@@ -54,48 +54,6 @@ func TestPullBulkInto(t *testing.T) {
 	}
 }
 
-// TestPullBulkRange pulls sub-regions, including edges and invalid ranges.
-func TestPullBulkRange(t *testing.T) {
-	owner, puller := pullPair(t)
-	defer VerifyNoExposedLeaks(t, owner, puller)
-
-	region := []byte("0123456789abcdef")
-	h := owner.Expose(region)
-	defer owner.Release(h)
-
-	for _, tc := range []struct {
-		off, n int
-		want   string
-	}{
-		{0, 16, "0123456789abcdef"},
-		{4, 4, "4567"},
-		{15, 1, "f"},
-		{16, 0, ""},
-		{0, 0, ""},
-	} {
-		got, err := puller.PullBulkRange(h, tc.off, tc.n)
-		if err != nil {
-			t.Fatalf("range(%d,%d): %v", tc.off, tc.n, err)
-		}
-		if string(got) != tc.want {
-			t.Fatalf("range(%d,%d) = %q, want %q", tc.off, tc.n, got, tc.want)
-		}
-	}
-	for _, tc := range []struct{ off, n int }{
-		{-1, 4}, {0, -1}, {10, 7}, {17, 0},
-	} {
-		if _, err := puller.PullBulkRange(h, tc.off, tc.n); !errors.Is(err, ErrBadBulk) {
-			t.Fatalf("range(%d,%d) accepted: %v", tc.off, tc.n, err)
-		}
-	}
-
-	// Local fast path serves ranges too.
-	got, err := owner.PullBulkRange(h, 2, 3)
-	if err != nil || string(got) != "234" {
-		t.Fatalf("local range = %q, %v", got, err)
-	}
-}
-
 // TestPullAfterReleaseFails is the use-after-release guard: once released,
 // a handle must never hand out bytes again (the buffer may have been
 // recycled into a pool).
@@ -105,20 +63,20 @@ func TestPullAfterReleaseFails(t *testing.T) {
 
 	h := owner.Expose([]byte("secret"))
 	owner.Release(h)
-	if _, err := puller.PullBulk(h); err == nil {
+	if _, err := pullAll(puller, h); err == nil {
 		t.Fatal("pull after release succeeded")
 	}
 	dst := make([]byte, h.Size)
 	if err := puller.PullBulkInto(h, dst); err == nil {
 		t.Fatal("pull-into after release succeeded")
 	}
-	if _, err := owner.PullBulk(h); err == nil {
-		t.Fatal("local pull after release succeeded")
+	if _, err := pullAll(owner, h); err == nil {
+		t.Fatal("self pull after release succeeded")
 	}
 }
 
 // TestPullRangeJoinsWorkersOnError: when one chunk fails mid-pull (region
-// released under a concurrent pull), pullRange must still join all workers
+// released under a concurrent pull), PullBulkInto must still join all workers
 // before returning so dst is never written afterwards. The -race detector
 // watches the recycle write below.
 func TestPullRangeJoinsWorkersOnError(t *testing.T) {

@@ -22,22 +22,15 @@ func TestBulkPullOverSharedMemory(t *testing.T) {
 	b := ca.Expose(payload)
 	defer ca.Release(b)
 
-	got, err := cb.PullBulk(b)
+	got, err := pullAll(cb, b)
 	if err != nil {
-		t.Fatalf("PullBulk: %v", err)
+		t.Fatalf("PullBulkInto: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("pulled bytes differ")
 	}
-	sub, err := cb.PullBulkRange(b, 1000, 500)
-	if err != nil {
-		t.Fatalf("PullBulkRange: %v", err)
-	}
-	if !bytes.Equal(sub, payload[1000:1500]) {
-		t.Fatal("ranged pull bytes differ")
-	}
-	if got := rb.Counter("na.shm.pull.local").Value(); got != 2 {
-		t.Fatalf("na.shm.pull.local = %d, want 2", got)
+	if got := rb.Counter("na.shm.pull.local").Value(); got != 1 {
+		t.Fatalf("na.shm.pull.local = %d, want 1", got)
 	}
 	if got := rb.Counter("mercury.call.count{rpc=__mercury/bulk_pull}").Value(); got != 0 {
 		t.Fatalf("bulk-pull RPC ran %d times; zero-copy path missed", got)
@@ -58,7 +51,7 @@ func TestBulkUseAfterReleaseOverSM(t *testing.T) {
 	ca.Release(b)
 	// The failure crosses the wire as a remote error, so match the
 	// ErrBadBulk text rather than the sentinel value.
-	if _, err := cb.PullBulk(b); err == nil || !strings.Contains(err.Error(), ErrBadBulk.Error()) {
+	if _, err := pullAll(cb, b); err == nil || !strings.Contains(err.Error(), ErrBadBulk.Error()) {
 		t.Fatalf("use-after-release: want remote ErrBadBulk, got %v", err)
 	}
 	if got := ra.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
@@ -88,7 +81,7 @@ func TestBulkReserveExposeInPlace(t *testing.T) {
 		t.Fatalf("exposed handle %+v, want reservation %d's first %d bytes", b, r.ID, 100<<10)
 	}
 	for _, puller := range []*Class{cb, ca} { // colocated, and the owner itself
-		got, err := puller.PullBulk(b)
+		got, err := pullAll(puller, b)
 		if err != nil || !bytes.Equal(got, span[:100<<10]) {
 			t.Fatalf("pull by %s: err=%v, bytes equal=%v", puller.Addr(), err, bytes.Equal(got, span[:100<<10]))
 		}
@@ -114,7 +107,7 @@ func TestBulkReserveExposeInPlace(t *testing.T) {
 	}
 	// Exposing a released reservation publishes nothing: pulls fail.
 	stale := ca.ExposeReserved(r2, 16)
-	if _, err := cb.PullBulk(stale); err == nil {
+	if _, err := pullAll(cb, stale); err == nil {
 		t.Fatal("pulled a released reservation")
 	}
 
@@ -176,7 +169,7 @@ func TestBulkRPCPullOfReservedRacesRelease(t *testing.T) {
 		for g := 0; g < pullers; g++ {
 			go func(round int) {
 				defer prev.Done()
-				got, err := peer.PullBulk(b)
+				got, err := pullAll(peer, b)
 				if err != nil {
 					if !strings.Contains(err.Error(), ErrBadBulk.Error()) {
 						t.Errorf("round %d: pull failed with %v, want ErrBadBulk", round, err)
@@ -222,9 +215,9 @@ func TestBulkArenaMissFallsBackToRPC(t *testing.T) {
 		t.Fatalf("na.shm.expose.fallback = %d, want 1: the ids did not collide", got)
 	}
 
-	got, err := cb.PullBulk(b)
+	got, err := pullAll(cb, b)
 	if err != nil {
-		t.Fatalf("PullBulk: %v", err)
+		t.Fatalf("PullBulkInto: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("pulled bytes differ")

@@ -76,7 +76,6 @@ type bulkMetrics struct {
 	reg        *obs.Registry
 	count      *obs.Counter
 	bytes      *obs.Counter
-	local      *obs.Counter
 	latency    *obs.Histogram
 	eagerCount *obs.Counter
 	eagerBytes *obs.Counter
@@ -93,7 +92,6 @@ func (mc *bulkMetricsCache) for_(reg *obs.Registry) *bulkMetrics {
 		reg:        reg,
 		count:      reg.Counter("mercury.bulk.pull.count"),
 		bytes:      reg.Counter("mercury.bulk.pull.bytes"),
-		local:      reg.Counter("mercury.bulk.pull.local"),
 		latency:    reg.Histogram("mercury.bulk.pull.latency"),
 		eagerCount: reg.Counter("mercury.bulk.eager.count"),
 		eagerBytes: reg.Counter("mercury.bulk.eager.bytes"),

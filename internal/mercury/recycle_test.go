@@ -122,8 +122,7 @@ func bulkPullRequest(id, off, n uint64) []byte {
 
 // TestBulkPullHostileRange: a pull request whose offset plus length
 // overflows must be refused, not slice past the region — a panic in a
-// handler takes the whole exposer down. The same bounds hold on the puller
-// side for a range asked of a handle.
+// handler takes the whole exposer down.
 func TestBulkPullHostileRange(t *testing.T) {
 	caller, exposer := pairT(t)
 	region := []byte("0123456789")
@@ -155,18 +154,10 @@ func TestBulkPullHostileRange(t *testing.T) {
 			if _, err := caller.Call(exposer.Addr(), bulkPullRPC, req, time.Second); (err != nil) != c.wantErr {
 				t.Fatalf("call: %v", err)
 			}
-			if got, err := caller.PullBulk(b); err != nil || !bytes.Equal(got, region) {
+			if got, err := pullAll(caller, b); err != nil || !bytes.Equal(got, region) {
 				t.Fatalf("pull after the hostile request: %q, %v", got, err)
 			}
 		})
-	}
-	for _, r := range [][2]int{{1 << 62, 1 << 62}, {math.MaxInt, 1}, {len(region), 1}, {-1, 1}, {0, -1}} {
-		if _, err := caller.PullBulkRange(b, r[0], r[1]); !errors.Is(err, ErrBadBulk) {
-			t.Fatalf("PullBulkRange(%d, %d): %v, want ErrBadBulk", r[0], r[1], err)
-		}
-	}
-	if err := caller.pullRange(b, math.MaxInt, make([]byte, 1)); !errors.Is(err, ErrBadBulk) {
-		t.Fatalf("pullRange past the region: %v, want ErrBadBulk", err)
 	}
 }
 

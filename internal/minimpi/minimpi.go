@@ -2,9 +2,7 @@
 // evaluation. It implements the same communicator abstraction as MoNA
 // (internal/comm.Communicator) over direct in-memory delivery, but with
 // MPI's defining restriction, the one the Colza paper works around: the
-// world is created once, with a fixed size, and can never grow. Splitting
-// (MPI_Comm_split) is supported because the Damaris baseline dedicates
-// ranks by splitting MPI_COMM_WORLD.
+// world is created once, with a fixed size, and can never grow or shrink.
 //
 // In the pipeline experiments (Figs. 5-10) this package plays the role of
 // Cray-mpich/OpenMPI-backed VTK/IceT; in the virtual-time communication
@@ -13,12 +11,9 @@
 package minimpi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
-	"sync"
+	"sync/atomic"
 
 	"colza/internal/collectives"
 	"colza/internal/comm"
@@ -32,81 +27,26 @@ var (
 	ErrFinalized = errors.New("minimpi: world finalized")
 )
 
-// world is the shared state behind all communicators derived from one
-// World call: a table of matching queues keyed by (context, rank).
+// world is the shared state behind the communicators of one World call:
+// one matching queue per rank, fixed at creation.
 type world struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	tables map[uint64][]*comm.MatchQueue
-	dead   bool
-}
-
-func newWorld() *world {
-	w := &world{tables: make(map[uint64][]*comm.MatchQueue)}
-	w.cond = sync.NewCond(&w.mu)
-	return w
-}
-
-// register installs rank's queue in the context table (created on first
-// registration with the group size).
-func (w *world) register(ctx uint64, size, rank int) *comm.MatchQueue {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	tbl, ok := w.tables[ctx]
-	if !ok {
-		tbl = make([]*comm.MatchQueue, size)
-		w.tables[ctx] = tbl
-	}
-	q := comm.NewMatchQueue()
-	tbl[rank] = q
-	w.cond.Broadcast()
-	return q
-}
-
-// queueOf blocks until the destination rank has registered in the context
-// (it will: all members enter Split/World together) and returns its queue.
-func (w *world) queueOf(ctx uint64, rank int) (*comm.MatchQueue, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for {
-		if w.dead {
-			return nil, ErrFinalized
-		}
-		if tbl, ok := w.tables[ctx]; ok && rank < len(tbl) && tbl[rank] != nil {
-			return tbl[rank], nil
-		}
-		w.cond.Wait()
-	}
+	queues []*comm.MatchQueue
+	dead   atomic.Bool
 }
 
 func (w *world) finalize() {
-	w.mu.Lock()
-	if w.dead {
-		w.mu.Unlock()
+	if w.dead.Swap(true) {
 		return
 	}
-	w.dead = true
-	tables := w.tables
-	w.tables = map[uint64][]*comm.MatchQueue{}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	for _, tbl := range tables {
-		for _, q := range tbl {
-			if q != nil {
-				q.Destroy(ErrFinalized)
-			}
-		}
+	for _, q := range w.queues {
+		q.Destroy(ErrFinalized)
 	}
 }
 
-// Comm is one rank's view of a communicator.
+// Comm is one rank's view of the world.
 type Comm struct {
-	w      *world
-	ctx    uint64
-	rank   int
-	size   int
-	q      *comm.MatchQueue
-	splits int
+	w    *world
+	rank int
 }
 
 var _ comm.Communicator = (*Comm)(nil)
@@ -118,50 +58,44 @@ func World(n int) []*Comm {
 	if n < 1 {
 		n = 1
 	}
-	w := newWorld()
+	w := &world{queues: make([]*comm.MatchQueue, n)}
 	out := make([]*Comm, n)
-	for r := 0; r < n; r++ {
-		out[r] = &Comm{
-			w:    w,
-			ctx:  0,
-			rank: r,
-			size: n,
-			q:    w.register(0, n, r),
-		}
+	for r := range out {
+		w.queues[r] = comm.NewMatchQueue()
+		out[r] = &Comm{w: w, rank: r}
 	}
 	return out
 }
 
 // Finalize tears down the whole world; every blocked operation fails.
-// Calling it on any derived communicator finalizes all of them.
+// Calling it on any rank's communicator finalizes all of them.
 func (c *Comm) Finalize() { c.w.finalize() }
 
 // Rank returns the caller's rank.
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the communicator size.
-func (c *Comm) Size() int { return c.size }
+func (c *Comm) Size() int { return len(c.w.queues) }
 
 // Send delivers data to rank dst under tag. The payload is copied, so the
 // caller may reuse its buffer immediately.
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	if dst < 0 || dst >= c.size {
-		return fmt.Errorf("%w: %d of %d", ErrRank, dst, c.size)
+	if dst < 0 || dst >= c.Size() {
+		return fmt.Errorf("%w: %d of %d", ErrRank, dst, c.Size())
 	}
-	q, err := c.w.queueOf(c.ctx, dst)
-	if err != nil {
-		return err
+	if c.w.dead.Load() {
+		return ErrFinalized
 	}
-	q.Push(comm.Msg{Src: c.rank, Tag: tag, Data: append([]byte(nil), data...)})
+	c.w.queues[dst].Push(comm.Msg{Src: c.rank, Tag: tag, Data: append([]byte(nil), data...)})
 	return nil
 }
 
 // Recv blocks for a message from rank src under tag.
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
-	if src < 0 || src >= c.size {
-		return nil, fmt.Errorf("%w: %d of %d", ErrRank, src, c.size)
+	if src < 0 || src >= c.Size() {
+		return nil, fmt.Errorf("%w: %d of %d", ErrRank, src, c.Size())
 	}
-	return c.q.Recv(src, tag)
+	return c.w.queues[c.rank].Recv(src, tag)
 }
 
 // Bcast distributes data from root.
@@ -197,77 +131,4 @@ func (c *Comm) Scatter(root, tag int, parts [][]byte) ([]byte, error) {
 // Barrier blocks until every rank enters.
 func (c *Comm) Barrier(tag int) error {
 	return collectives.Barrier(c, tag)
-}
-
-// splitTag is a tag far outside application ranges, reserved for Split's
-// internal allgather.
-const splitTag = 1 << 28
-
-// Split partitions the communicator like MPI_Comm_split: ranks passing the
-// same color form a new communicator, ordered by (key, old rank). All
-// members must call Split collectively (the same number of times). This is
-// the mechanism Damaris uses to dedicate cores/nodes out of
-// MPI_COMM_WORLD — and the paper's point is that doing so bakes the
-// partition in at startup, unlike Colza's elastic groups.
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	gen := c.splits
-	c.splits++
-	var mine [12]byte
-	binary.LittleEndian.PutUint32(mine[0:], uint32(int32(color)))
-	binary.LittleEndian.PutUint32(mine[4:], uint32(int32(key)))
-	binary.LittleEndian.PutUint32(mine[8:], uint32(int32(c.rank)))
-	all, err := c.AllGather(splitTag+gen*2, mine[:])
-	if err != nil {
-		return nil, err
-	}
-	type member struct{ color, key, rank int }
-	var grp []member
-	for _, raw := range all {
-		if len(raw) != 12 {
-			return nil, fmt.Errorf("minimpi: malformed split record")
-		}
-		m := member{
-			color: int(int32(binary.LittleEndian.Uint32(raw[0:]))),
-			key:   int(int32(binary.LittleEndian.Uint32(raw[4:]))),
-			rank:  int(int32(binary.LittleEndian.Uint32(raw[8:]))),
-		}
-		if m.color == color {
-			grp = append(grp, m)
-		}
-	}
-	sort.Slice(grp, func(i, j int) bool {
-		if grp[i].key != grp[j].key {
-			return grp[i].key < grp[j].key
-		}
-		return grp[i].rank < grp[j].rank
-	})
-	newRank := -1
-	for idx, m := range grp {
-		if m.rank == c.rank {
-			newRank = idx
-			break
-		}
-	}
-	if newRank < 0 {
-		return nil, fmt.Errorf("minimpi: split lost its caller")
-	}
-	h := fnv.New64a()
-	var seedBuf [20]byte
-	binary.LittleEndian.PutUint64(seedBuf[0:], c.ctx)
-	binary.LittleEndian.PutUint32(seedBuf[8:], uint32(int32(gen)))
-	binary.LittleEndian.PutUint32(seedBuf[12:], uint32(int32(color)))
-	binary.LittleEndian.PutUint32(seedBuf[16:], 0x5EED)
-	h.Write(seedBuf[:])
-	ctx := h.Sum64()
-	if ctx == 0 {
-		ctx = 1
-	}
-	sub := &Comm{
-		w:    c.w,
-		ctx:  ctx,
-		rank: newRank,
-		size: len(grp),
-		q:    c.w.register(ctx, len(grp), newRank),
-	}
-	return sub, nil
 }

@@ -87,82 +87,6 @@ func TestCollectivesOnWorld(t *testing.T) {
 	})
 }
 
-func TestSplitColorsFormIndependentGroups(t *testing.T) {
-	// 8 ranks; even ranks are "clients" (color 0), odd ranks "servers"
-	// (color 1) — the Damaris world-split pattern.
-	n := 8
-	w := World(n)
-	defer w[0].Finalize()
-	onAll(t, w, func(c *Comm) error {
-		color := c.Rank() % 2
-		sub, err := c.Split(color, c.Rank())
-		if err != nil {
-			return err
-		}
-		if sub.Size() != n/2 {
-			return fmt.Errorf("sub size = %d", sub.Size())
-		}
-		wantRank := c.Rank() / 2
-		if sub.Rank() != wantRank {
-			return fmt.Errorf("sub rank = %d, want %d", sub.Rank(), wantRank)
-		}
-		// A collective in the subgroup must involve only its members.
-		mine := []byte{byte(c.Rank())}
-		all, err := sub.AllGather(20, mine)
-		if err != nil {
-			return err
-		}
-		for i, part := range all {
-			wantOld := 2*i + color
-			if part[0] != byte(wantOld) {
-				return fmt.Errorf("allgather[%d] = %d, want old rank %d", i, part[0], wantOld)
-			}
-		}
-		return nil
-	})
-}
-
-func TestSplitByKeyReordersRanks(t *testing.T) {
-	n := 4
-	w := World(n)
-	defer w[0].Finalize()
-	ranks := make([]int, n)
-	onAll(t, w, func(c *Comm) error {
-		// All one color, keys reversed: new ranks invert the old order.
-		sub, err := c.Split(0, n-c.Rank())
-		if err != nil {
-			return err
-		}
-		ranks[c.Rank()] = sub.Rank()
-		return nil
-	})
-	for old, sub := range ranks {
-		if sub != n-1-old {
-			t.Fatalf("old rank %d got sub rank %d, want %d", old, sub, n-1-old)
-		}
-	}
-}
-
-func TestNestedSplit(t *testing.T) {
-	n := 8
-	w := World(n)
-	defer w[0].Finalize()
-	onAll(t, w, func(c *Comm) error {
-		half, err := c.Split(c.Rank()/4, c.Rank())
-		if err != nil {
-			return err
-		}
-		quarter, err := half.Split(half.Rank()/2, half.Rank())
-		if err != nil {
-			return err
-		}
-		if quarter.Size() != 2 {
-			return fmt.Errorf("quarter size = %d", quarter.Size())
-		}
-		return quarter.Barrier(1)
-	})
-}
-
 func TestFinalizeUnblocksEverything(t *testing.T) {
 	w := World(2)
 	errCh := make(chan error, 1)

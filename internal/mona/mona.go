@@ -14,13 +14,18 @@
 //
 // Messages may arrive for a communicator the local process has not created
 // yet (normal during elastic reconfiguration); they are parked in an orphan
-// queue and drained when the communicator appears.
+// queue and drained when the communicator appears. A message for a
+// communicator this process destroyed is dropped instead, and so is one
+// that would take the parked bytes past maxOrphanBytes: a frame from a
+// rank still sending after its iteration ended, or a stray frame on the
+// listener, must not stay for the life of the process.
 package mona
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"colza/internal/bufpool"
@@ -28,6 +33,7 @@ import (
 	"colza/internal/collectives"
 	"colza/internal/comm"
 	"colza/internal/na"
+	"colza/internal/obs"
 )
 
 // Errors returned by communicator operations.
@@ -47,15 +53,31 @@ var (
 // header layout: commID u64 | srcRank i32 | tag i32.
 const headerLen = 16
 
+// The orphan queue's bounds. Parked frames are charged their bytes plus
+// orphanFrameCost for the entry that holds them, so a flood of empty frames
+// is bounded too; an instance remembers the last destroyedIDs communicators
+// it destroyed, and an older id's late frames fall under the byte bound.
+const (
+	maxOrphanBytes  = 32 << 20
+	orphanFrameCost = 64
+	destroyedIDs    = 256
+)
+
 // Instance is a MoNA progress loop bound to one endpoint (the analog of
 // mona_instance_t). One instance can host many communicators.
 type Instance struct {
 	ep na.Endpoint
 
-	mu      sync.Mutex
-	comms   map[uint64]*Comm
-	orphans map[uint64][]comm.Msg
-	closed  bool
+	mu          sync.Mutex
+	comms       map[uint64]*Comm
+	orphans     map[uint64][]comm.Msg
+	orphanBytes int
+	destroyed   []uint64 // oldest first, at most destroyedIDs
+	closed      bool
+
+	// Frames dropped instead of parked: for a destroyed communicator, and
+	// past maxOrphanBytes.
+	droppedLate, droppedFull *obs.Counter
 
 	done chan struct{}
 }
@@ -67,6 +89,9 @@ func NewInstance(ep na.Endpoint) *Instance {
 		comms:   make(map[uint64]*Comm),
 		orphans: make(map[uint64][]comm.Msg),
 		done:    make(chan struct{}),
+
+		droppedLate: obs.Default().Counter("mona.orphans.dropped", "reason", "destroyed"),
+		droppedFull: obs.Default().Counter("mona.orphans.dropped", "reason", "full"),
 	}
 	go i.progress()
 	return i
@@ -100,7 +125,7 @@ func (i *Instance) progress() {
 		i.mu.Lock()
 		c, ok := i.comms[id]
 		if !ok {
-			i.orphans[id] = append(i.orphans[id], m)
+			i.park(id, m)
 			i.mu.Unlock()
 			continue
 		}
@@ -108,6 +133,32 @@ func (i *Instance) progress() {
 		c.mq.Push(m)
 	}
 }
+
+// park holds m for communicator id, which this instance has not created,
+// unless id was destroyed here or the orphan queue is full. i.mu is held.
+func (i *Instance) park(id uint64, m comm.Msg) {
+	switch {
+	case slices.Contains(i.destroyed, id):
+		i.droppedLate.Inc()
+	case i.orphanBytes+orphanCost(m) > maxOrphanBytes:
+		i.droppedFull.Inc()
+	default:
+		i.orphans[id] = append(i.orphans[id], m)
+		i.orphanBytes += orphanCost(m)
+	}
+}
+
+// unpark removes and returns the frames parked for id. i.mu is held.
+func (i *Instance) unpark(id uint64) []comm.Msg {
+	stash := i.orphans[id]
+	delete(i.orphans, id)
+	for _, m := range stash {
+		i.orphanBytes -= orphanCost(m)
+	}
+	return stash
+}
+
+func orphanCost(m comm.Msg) int { return len(m.Data) + orphanFrameCost }
 
 // CreateComm assembles a communicator identified by id over the given
 // ordered address list, which must contain this instance's address. All
@@ -142,8 +193,8 @@ func (i *Instance) CreateComm(id uint64, addrs []string) (*Comm, error) {
 		return nil, fmt.Errorf("%w: %d", ErrExists, id)
 	}
 	i.comms[id] = c
-	stash := i.orphans[id]
-	delete(i.orphans, id)
+	i.destroyed = slices.DeleteFunc(i.destroyed, func(d uint64) bool { return d == id })
+	stash := i.unpark(id)
 	i.mu.Unlock()
 	for _, m := range stash {
 		c.mq.Push(m)
@@ -152,13 +203,20 @@ func (i *Instance) CreateComm(id uint64, addrs []string) (*Comm, error) {
 }
 
 // DestroyComm releases the communicator; blocked receivers fail with
-// ErrDestroyed.
+// ErrDestroyed, and frames that arrive for its id until it is created again
+// are dropped.
 func (i *Instance) DestroyComm(c *Comm) {
 	i.mu.Lock()
 	if i.comms[c.id] == c {
 		delete(i.comms, c.id)
 	}
-	delete(i.orphans, c.id)
+	i.unpark(c.id)
+	if !slices.Contains(i.destroyed, c.id) {
+		if len(i.destroyed) == destroyedIDs {
+			i.destroyed = append(i.destroyed[:0], i.destroyed[1:]...)
+		}
+		i.destroyed = append(i.destroyed, c.id)
+	}
 	i.mu.Unlock()
 	c.mq.Destroy(ErrDestroyed)
 }
@@ -191,17 +249,11 @@ type Comm struct {
 // visualization stack.
 var _ comm.Communicator = (*Comm)(nil)
 
-// ID returns the communicator id.
-func (c *Comm) ID() uint64 { return c.id }
-
 // Rank returns the caller's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of members.
 func (c *Comm) Size() int { return len(c.addrs) }
-
-// Addrs returns the ordered member addresses (a copy).
-func (c *Comm) Addrs() []string { return append([]string(nil), c.addrs...) }
 
 // Send transmits data to rank dst with the given tag. It completes locally
 // (buffered at the receiver). The wire frame is built in a size-classed

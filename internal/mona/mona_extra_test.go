@@ -1,13 +1,100 @@
 package mona
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 
 	"colza/internal/collectives"
 	"colza/internal/na"
+	"colza/internal/obs"
 )
+
+// dropped reads the process-wide count of frames an instance dropped
+// instead of parking, for one reason.
+func dropped(reason string) int64 {
+	return obs.Default().Counter("mona.orphans.dropped", "reason", reason).Value()
+}
+
+// parkedBytes sums the payload bytes i holds for communicators it has not
+// created.
+func parkedBytes(i *Instance) int {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	n := 0
+	for _, msgs := range i.orphans {
+		for _, m := range msgs {
+			n += len(m.Data)
+		}
+	}
+	return n
+}
+
+// flushProgress returns once to's progress loop has handled every frame
+// from sent before the call: it sends a marker on a fresh communicator
+// and receives it, and the in-proc link delivers in order.
+func flushProgress(t *testing.T, from, to *Instance, id uint64) {
+	t.Helper()
+	addrs := []string{from.Addr(), to.Addr()}
+	cf, err := from.CreateComm(id, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := to.CreateComm(id, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cf.Send(1, 0, []byte("marker")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ct.Recv(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	from.DestroyComm(cf)
+	to.DestroyComm(ct)
+}
+
+// TestLateFrameForDestroyedCommDropped: a rank still sending after its
+// peer destroyed the iteration's communicator must not leave the frame
+// parked at the peer — the id never recurs, so nothing would release it.
+func TestLateFrameForDestroyedCommDropped(t *testing.T) {
+	insts, comms := group(t, 2, 70)
+	before := dropped("destroyed")
+	insts[1].DestroyComm(comms[1])
+	if err := comms[0].Send(1, 3, make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	flushProgress(t, insts[0], insts[1], 71)
+	if n := parkedBytes(insts[1]); n != 0 {
+		t.Errorf("%d bytes parked for a destroyed communicator", n)
+	}
+	if got := dropped("destroyed") - before; got != 1 {
+		t.Errorf("mona.orphans.dropped{reason=destroyed} rose by %d, want 1", got)
+	}
+}
+
+// TestOrphanQueueBounded: stray frames for communicators that never
+// appear stay under maxOrphanBytes; the rest are dropped and counted.
+func TestOrphanQueueBounded(t *testing.T) {
+	insts, _ := group(t, 2, 80)
+	before := dropped("full")
+	const frame = 4 << 20
+	stray := make([]byte, headerLen+frame)
+	for k := 0; k < 3*maxOrphanBytes/(2*frame); k++ {
+		binary.LittleEndian.PutUint64(stray, uint64(1000+k))
+		if err := insts[0].ep.Send(insts[1].Addr(), stray); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushProgress(t, insts[0], insts[1], 81)
+	if n := parkedBytes(insts[1]); n > maxOrphanBytes {
+		t.Errorf("%d bytes parked, bound %d", n, maxOrphanBytes)
+	}
+	if dropped("full") == before {
+		t.Error("mona.orphans.dropped{reason=full} did not rise")
+	}
+}
 
 // TestCommIDReuseAfterDestroy: destroying a communicator frees its id for
 // a later epoch with the same derived id.

@@ -9,7 +9,7 @@ import (
 
 // This file implements scriptable, seedable fault plans — the deterministic
 // chaos layer underneath the transports, and the one way to drop or delay
-// a message (partitions cut links outright). A FaultPlan carries an
+// a message or to cut a link (a Drop rule per direction). A FaultPlan carries an
 // ordered list of rules that target every send, specific links, specific
 // message kinds (via a pluggable classifier, e.g. the Mercury RPC name),
 // and specific occurrences ("drop 5 % of everything", "drop the 3rd

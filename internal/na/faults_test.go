@@ -101,9 +101,9 @@ func TestOneWayPartition(t *testing.T) {
 	n := NewInprocNetwork()
 	a, _ := n.Listen("a")
 	b, _ := n.Listen("b")
-	n.PartitionOneWay(a.Addr(), b.Addr(), true)
+	n.SetFaultPlan(NewFaultPlan(1).Add(FaultRule{From: a.Addr(), To: b.Addr(), Drop: true}))
 	if err := a.Send(b.Addr(), []byte("lost")); err != nil {
-		t.Fatal(err) // one-way cut drops silently, like a partition
+		t.Fatal(err) // a one-way cut drops silently
 	}
 	if err := b.Send(a.Addr(), []byte("back")); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestOneWayPartition(t *testing.T) {
 	if err != nil || string(data) != "back" {
 		t.Fatalf("reverse direction must still work: %q %v", data, err)
 	}
-	n.PartitionOneWay(a.Addr(), b.Addr(), false)
+	n.SetFaultPlan(nil)
 	if err := a.Send(b.Addr(), []byte("healed")); err != nil {
 		t.Fatal(err)
 	}

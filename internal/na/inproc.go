@@ -12,15 +12,13 @@ import (
 // InprocNetwork hosts any number of in-process endpoints. It is how the
 // repository deploys "multi-node" Colza runs inside one OS process: every
 // simulated process (simulation rank, Colza server, admin tool) listens on
-// its own address. The network supports fault injection — partitions, and
-// a FaultPlan's drops and delays — used by the failure-handling tests and
-// the fault-tolerance extension experiments.
+// its own address. The network supports fault injection — crashes, and a
+// FaultPlan's drops and delays, which also cut links — used by the
+// failure-handling tests and the fault-tolerance extension experiments.
 type InprocNetwork struct {
 	mu       sync.Mutex
 	eps      map[string]*inprocEP
 	everSeen map[string]bool
-	parts    map[[2]string]bool
-	oneWay   map[[2]string]bool // directed [from, to] cuts
 	plan     *FaultPlan
 }
 
@@ -29,8 +27,6 @@ func NewInprocNetwork() *InprocNetwork {
 	return &InprocNetwork{
 		eps:      make(map[string]*inprocEP),
 		everSeen: make(map[string]bool),
-		parts:    make(map[[2]string]bool),
-		oneWay:   make(map[[2]string]bool),
 	}
 }
 
@@ -51,36 +47,9 @@ func (n *InprocNetwork) Listen(name string) (Endpoint, error) {
 	return ep, nil
 }
 
-// Partition cuts (or heals) bidirectional connectivity between a and b.
-func (n *InprocNetwork) Partition(a, b string, cut bool) {
-	key := [2]string{a, b}
-	if a > b {
-		key = [2]string{b, a}
-	}
-	n.mu.Lock()
-	if cut {
-		n.parts[key] = true
-	} else {
-		delete(n.parts, key)
-	}
-	n.mu.Unlock()
-}
-
-// PartitionOneWay cuts (or heals) only the from→to direction: from's
-// messages to to are lost while to can still reach from — the asymmetric
-// failure mode that distinguishes a slow link from a dead peer.
-func (n *InprocNetwork) PartitionOneWay(from, to string, cut bool) {
-	n.mu.Lock()
-	if cut {
-		n.oneWay[[2]string{from, to}] = true
-	} else {
-		delete(n.oneWay, [2]string{from, to})
-	}
-	n.mu.Unlock()
-}
-
 // SetFaultPlan installs (or, with nil, removes) a scriptable fault plan
-// consulted on every delivery that no partition cut. A delayed packet is
+// consulted on every delivery. A link is cut by a {From, To, Drop: true}
+// rule per direction and healed by removing the plan. A delayed packet is
 // delivered asynchronously: with one fixed delay per link, per-link order
 // holds; under differing delays it does not.
 func (n *InprocNetwork) SetFaultPlan(p *FaultPlan) {
@@ -155,14 +124,6 @@ func (e *inprocEP) SendGather(to string, head, body []byte) error {
 			return nil // crashed/closed peer: datagram silently lost
 		}
 		return fmt.Errorf("%w: %s", ErrNoRoute, to)
-	}
-	key := [2]string{e.addr, to}
-	if e.addr > to {
-		key = [2]string{to, e.addr}
-	}
-	if n.parts[key] || n.oneWay[[2]string{e.addr, to}] {
-		n.mu.Unlock()
-		return nil // partitioned: silently lost
 	}
 	plan := n.plan
 	n.mu.Unlock()

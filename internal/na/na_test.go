@@ -106,9 +106,11 @@ func TestInprocPartition(t *testing.T) {
 	n := NewInprocNetwork()
 	a, _ := n.Listen("a")
 	b, _ := n.Listen("b")
-	n.Partition(a.Addr(), b.Addr(), true)
+	n.SetFaultPlan(NewFaultPlan(1).
+		Add(FaultRule{From: a.Addr(), To: b.Addr(), Drop: true}).
+		Add(FaultRule{From: b.Addr(), To: a.Addr(), Drop: true}))
 	a.Send(b.Addr(), []byte("lost"))
-	n.Partition(a.Addr(), b.Addr(), false)
+	n.SetFaultPlan(nil)
 	a.Send(b.Addr(), []byte("arrives"))
 	_, data, err := b.Recv()
 	if err != nil {

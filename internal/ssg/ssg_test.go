@@ -133,11 +133,13 @@ func TestSuspectRefutation(t *testing.T) {
 	// Temporarily cut node 2 from 0 and 1; it should be suspected but then
 	// refute after the partition heals and stay (or rejoin) in the view.
 	a2 := nodes[2].mi.Addr()
-	net.Partition(nodes[0].mi.Addr(), a2, true)
-	net.Partition(nodes[1].mi.Addr(), a2, true)
+	cut := na.NewFaultPlan(1)
+	for _, a := range []string{nodes[0].mi.Addr(), nodes[1].mi.Addr()} {
+		cut.Add(na.FaultRule{From: a, To: a2, Drop: true}).Add(na.FaultRule{From: a2, To: a, Drop: true})
+	}
+	net.SetFaultPlan(cut)
 	time.Sleep(15 * time.Millisecond) // shorter than suspect expiry
-	net.Partition(nodes[0].mi.Addr(), a2, false)
-	net.Partition(nodes[1].mi.Addr(), a2, false)
+	net.SetFaultPlan(nil)
 	waitConverged(t, nodes, 3, 10*time.Second)
 }
 
