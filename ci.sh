@@ -87,6 +87,16 @@ if [ "${1:-}" != "cover" ]; then
         tail -n 1 "$smoke" | grep -q '"correct":true'
     done
     rm -f "$smoke"
+    # Figure gate: the four deterministic figures too slow at full scale for
+    # every test run (internal/bench's notGolden: table2, fig7, fig10,
+    # ext-autoscale) regenerate here and must match results_csv/ byte for
+    # byte, as TestFiguresMatchResultsCSV holds the other ten.
+    figs=$(mktemp -d)
+    go run ./cmd/colza-bench -csv "$figs" table2 fig7 fig10 ext-autoscale > "$figs/log"
+    for fig in table2 fig7 fig10 ext-autoscale; do
+        cmp "$figs/$fig.csv" "results_csv/$fig.csv"
+    done
+    rm -rf "$figs"
 fi
 # The floors, checked last. 60%: the packages whose correctness the rest of
 # the stack leans on (metrics math, collective algorithms, image
@@ -120,16 +130,18 @@ fi
 # crashed every server that executed the block); likewise the image-data
 # file, whose decoder feeds every staged iso block to the extraction, and
 # the framebuffer pool file, whose decoder reads every partial image a
-# compositing peer sends; and the two files that decode and route what a
-# MoNA peer sends — the collectives' slice-frame codec, which decodes every
-# all-gather frame (a count it trusts sizes an allocation), and the MoNA
-# instance, which routes every frame and parks or drops those for
-# communicators it does not hold.
+# compositing peer sends, and the compositor file, whose region decoder
+# writes every pixel range a binary-swap peer sends into the frame; and the
+# two files that fold and route what a MoNA peer sends — the collectives'
+# reduction ops, which fold each peer's contribution into the accumulator
+# (one shorter than the accumulator must fold into its prefix, not read past
+# its end), and the MoNA instance, which routes every frame and parks or
+# drops those for communicators it does not hold.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
 check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go ./internal/na/tcp.go ./internal/mercury/mercury.go
 check_cover 90 ./internal/bench/simtime.go
 check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go \
-    ./internal/vtk/imagedata.go ./internal/render/pool.go
+    ./internal/vtk/imagedata.go ./internal/render/pool.go ./internal/icet/icet.go
 check_cover 90 ./internal/collectives/ops.go ./internal/mona/mona.go

@@ -55,10 +55,10 @@ func init() {
 }
 
 // stagePutEnv builds the minimal single-server staging deployment: in-process
-// transport, one provider hosting a sink pipeline, and a solo (non-collective)
-// client handle with iteration 1 active. Returned cleanup finalizes both
-// margo instances.
-func stagePutEnv() (h *core.PipelineHandle, img *vtk.ImageData, cleanup func(), err error) {
+// transport, one provider hosting a sink pipeline (no SSG group: the
+// provider is its own one-member view), and a client handle with iteration
+// 1 active. Returned cleanup finalizes both margo instances.
+func stagePutEnv() (h *core.DistributedPipelineHandle, img *vtk.ImageData, cleanup func(), err error) {
 	net := na.NewInprocNetwork()
 	sEP, err := net.Listen("micro-srv")
 	if err != nil {
@@ -80,8 +80,8 @@ func stagePutEnv() (h *core.PipelineHandle, img *vtk.ImageData, cleanup func(), 
 	}
 	cmi := margo.NewInstance(cEP)
 	cli := core.NewClient(cmi)
-	h = cli.SoloHandle("bench", mi.Addr())
-	if err := h.Activate(1); err != nil {
+	h = cli.Handle("bench", mi.Addr())
+	if _, err := h.Activate(1); err != nil {
 		return nil, nil, nil, err
 	}
 	img = vtk.NewImageData([3]int{32, 32, 32}, [3]float64{}, [3]float64{1, 1, 1})
@@ -98,7 +98,7 @@ func stagePutEnv() (h *core.PipelineHandle, img *vtk.ImageData, cleanup func(), 
 
 // stagePutOp is one client-observed stage: encode the block into a pooled
 // frame, stage it through the full RPC + bulk-pull path, recycle the frame.
-func stagePutOp(h *core.PipelineHandle, img *vtk.ImageData) error {
+func stagePutOp(h *core.DistributedPipelineHandle, img *vtk.ImageData) error {
 	data := img.AppendEncode(bufpool.Get(img.EncodedSize())[:0])
 	err := h.Stage(1, core.BlockMeta{Field: "v", BlockID: 0, Type: "imagedata"}, data)
 	bufpool.Put(data)

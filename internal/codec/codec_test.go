@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// conformanceCase is one corpus entry every registered codec must survive.
+// conformanceCase is one corpus entry every codec must survive.
 type conformanceCase struct {
 	name string
 	data []byte
@@ -67,14 +67,32 @@ func conformanceCorpus() []conformanceCase {
 	}
 }
 
-// TestCodecConformance runs the shared harness over every registered codec:
-// bit-identical round trips, MaxEncodedSize honored, truncated input errors
-// (never panics), corrupted input never panics and never lies about length.
+// codecNames are the names Lookup resolves, in the order the tests visit
+// them.
+var codecNames = []string{"raw", "shuffle", "delta"}
+
+// lookup is Lookup for a name the test knows exists.
+func lookup(t testing.TB, name string) Codec {
+	t.Helper()
+	c, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestCodecConformance runs the shared harness over every codec Lookup
+// resolves: bit-identical round trips, MaxEncodedSize honored, truncated
+// input errors (never panics), corrupted input never panics and never lies
+// about length. A name Lookup does not know is an error.
 func TestCodecConformance(t *testing.T) {
+	if _, err := Lookup("flate"); err == nil {
+		t.Fatal("Lookup resolved the retired flate codec")
+	}
 	corpus := conformanceCorpus()
-	for _, c := range All() {
-		c := c
-		t.Run(c.Name(), func(t *testing.T) {
+	for _, name := range codecNames {
+		c := lookup(t, name)
+		t.Run(name, func(t *testing.T) {
 			for _, tc := range corpus {
 				enc, err := c.Encode(nil, tc.data)
 				if err != nil {
@@ -140,11 +158,11 @@ func sweepOffsets(n int, boundaries []int) []int {
 	return offs
 }
 
-// segmentBoundaries walks a Shuffle/Delta frame's layout (nil for the
-// other codecs): the end of the mode table, the end of every inline
-// segment payload, and so the start of the DEFLATE stream.
+// segmentBoundaries walks a Shuffle/Delta frame's layout (nil for raw):
+// the end of the mode table, the end of every inline segment payload, and
+// so the start of the DEFLATE stream.
 func segmentBoundaries(c Codec, enc []byte, srcLen int) []int {
-	if c.ID() != ShuffleID && c.ID() != DeltaID {
+	if c == (Raw{}) {
 		return nil
 	}
 	nseg := (srcLen + segSize - 1) / segSize
@@ -168,57 +186,16 @@ func segmentBoundaries(c Codec, enc []byte, srcLen int) []int {
 // the stream encodes must error, not return silently wrong bytes.
 func TestCodecWrongLength(t *testing.T) {
 	data := float32Grid(1024, 9)
-	for _, c := range All() {
+	for _, name := range codecNames {
+		c := lookup(t, name)
 		enc, err := c.Encode(nil, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, wrong := range []int{0, 1, len(data) - 4, len(data) - 1} {
 			if out, err := c.Decode(nil, enc, wrong); err == nil && len(out) != wrong {
-				t.Fatalf("%s: decode with wrong srcLen %d returned %d bytes without error", c.Name(), wrong, len(out))
+				t.Fatalf("%s: decode with wrong srcLen %d returned %d bytes without error", name, wrong, len(out))
 			}
-		}
-	}
-}
-
-// TestRegistry covers the lookup surface: IDs are wire-stable, names
-// resolve, unknown names report the known set.
-func TestRegistry(t *testing.T) {
-	want := map[uint8]string{RawID: "raw", FlateID: "flate", ShuffleID: "shuffle", DeltaID: "delta"}
-	for id, name := range want {
-		c, ok := ByID(id)
-		if !ok || c.Name() != name {
-			t.Fatalf("ByID(%d) = %v, %v; want %s", id, c, ok, name)
-		}
-		byName, ok := ByName(name)
-		if !ok || byName.ID() != id {
-			t.Fatalf("ByName(%q) mismatch", name)
-		}
-		viaLookup, err := Lookup(name)
-		if err != nil || viaLookup.ID() != id {
-			t.Fatalf("Lookup(%q): %v", name, err)
-		}
-	}
-	if _, err := Lookup("zstd"); err == nil {
-		t.Fatal("unknown codec name must error")
-	}
-	ids := IDs()
-	if len(ids) < 4 {
-		t.Fatalf("IDs() = %v", ids)
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Fatalf("IDs() not ascending: %v", ids)
-		}
-	}
-	names := Names()
-	all := All()
-	if len(names) != len(ids) || len(all) != len(ids) {
-		t.Fatalf("Names/All length mismatch: %v vs %v", names, ids)
-	}
-	for i, c := range all {
-		if c.ID() != ids[i] || c.Name() != names[i] {
-			t.Fatalf("All()[%d] out of order", i)
 		}
 	}
 }
@@ -230,25 +207,52 @@ func TestRawLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestFlateTrailingGarbage: extra bytes after the DEFLATE stream are
-// corruption, not silently ignored.
-func TestFlateTrailingGarbage(t *testing.T) {
-	f := &Flate{}
-	data := float32Grid(256, 11)
-	enc, err := f.Encode(nil, data)
+// deflateAll appends one DEFLATE stream of src to dst through f.
+func deflateAll(t testing.TB, f *flater, dst, src []byte) []byte {
+	t.Helper()
+	z := f.deflate(dst)
+	if _, err := z.zw.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	out, err := f.endDeflate(z)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Decode(nil, append(enc, 0xAB), len(data)); err == nil {
+	return out
+}
+
+// inflateAll inflates exactly n bytes out of the stream in src through f;
+// the stream must end at the last byte of src.
+func inflateAll(f *flater, src []byte, n int) ([]byte, error) {
+	out := make([]byte, n)
+	z := f.inflate(src)
+	if err := f.endInflate(z, z.fill(out)); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TestFlateTrailingGarbage: extra bytes after the DEFLATE stream of packed
+// segments are corruption, not silently ignored.
+func TestFlateTrailingGarbage(t *testing.T) {
+	f := &flater{}
+	data := float32Grid(256, 11)
+	enc := deflateAll(t, f, nil, data)
+	if out, err := inflateAll(f, enc, len(data)); err != nil || !bytes.Equal(out, data) {
+		t.Fatalf("intact stream: %v", err)
+	}
+	if _, err := inflateAll(f, append(enc, 0xAB), len(data)); err == nil {
 		t.Fatal("trailing garbage after DEFLATE stream accepted")
 	}
 }
 
-// FuzzCodecDecode: arbitrary input to any registered codec's decoder must
-// never panic, never allocate past the claimed length, and a nil error must
-// mean exactly srcLen output bytes. Seeded from the conformance corpus.
+// FuzzCodecDecode: arbitrary input to any codec's decoder must never panic,
+// never allocate past the claimed length, and a nil error must mean exactly
+// srcLen output bytes. which picks the codec from codecNames (anything past
+// the end is skipped). Seeded from the conformance corpus.
 func FuzzCodecDecode(f *testing.F) {
-	for _, c := range All() {
+	for which, name := range codecNames {
+		c := lookup(f, name)
 		for _, tc := range conformanceCorpus() {
 			if len(tc.data) >= 1<<16 {
 				continue
@@ -257,35 +261,37 @@ func FuzzCodecDecode(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(c.ID(), enc, len(tc.data))
+			f.Add(uint8(which), enc, len(tc.data))
 		}
 	}
-	f.Add(uint8(200), []byte{1, 2, 3}, 3) // unregistered ID
+	const shuffle, delta = 1, 2
+	f.Add(uint8(200), []byte{1, 2, 3}, 3) // no such codec
+	f.Add(uint8(0), []byte{1, 2, 3}, 4)   // raw bytes one short
 	// Segment-table edges: block lengths either side of a segment bound, a
-	// mode table shorter than srcLen implies, an unknown mode, a constant
+	// mode table shorter than srcLen implies, the mode table alone, an
+	// unknown mode, a format byte without the segmented flag, a constant
 	// segment without its byte, inline segments with no stream behind them.
 	for _, n := range []int{segSize - 1, segSize, segSize + 1, 2*segSize + 1} {
 		enc, err := Shuffle{}.Encode(nil, float32Grid(n/4+1, 6)[:n])
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(ShuffleID, enc, n)
-		f.Add(DeltaID, enc, n+segSize)
+		f.Add(uint8(shuffle), enc, n)
+		f.Add(uint8(delta), enc, n+segSize)
+		f.Add(uint8(shuffle), enc[:1+(n+segSize-1)/segSize], n)
 	}
-	f.Add(ShuffleID, []byte{4 | segmentedFlag, 3, 0}, 16)
-	f.Add(ShuffleID, []byte{4 | segmentedFlag, segConst}, 16)
-	f.Add(ShuffleID, []byte{4 | segmentedFlag, segConst, 0}, 16)
-	f.Fuzz(func(t *testing.T, id uint8, data []byte, srcLen int) {
-		c, ok := ByID(id)
-		if !ok {
+	f.Add(uint8(shuffle), []byte{4 | segmentedFlag, 3, 0}, 16)
+	f.Add(uint8(delta), []byte{4, segConst, 0}, 16)
+	f.Add(uint8(shuffle), []byte{4 | segmentedFlag, segConst}, 16)
+	f.Add(uint8(shuffle), []byte{4 | segmentedFlag, segConst, 0}, 16)
+	f.Fuzz(func(t *testing.T, which uint8, data []byte, srcLen int) {
+		if int(which) >= len(codecNames) || srcLen < 0 || srcLen > 1<<20 {
 			return
 		}
-		if srcLen < 0 || srcLen > 1<<20 {
-			return
-		}
+		c := lookup(t, codecNames[which])
 		out, err := c.Decode(nil, data, srcLen)
 		if err == nil && len(out) != srcLen {
-			t.Fatalf("%s: decode returned %d bytes for srcLen %d without error", c.Name(), len(out), srcLen)
+			t.Fatalf("%s: decode returned %d bytes for srcLen %d without error", codecNames[which], len(out), srcLen)
 		}
 	})
 }

@@ -20,8 +20,6 @@ import (
 // observe cross-iteration state mutating under it.
 type Delta struct{}
 
-func (Delta) ID() uint8                { return DeltaID }
-func (Delta) Name() string             { return "delta" }
 func (Delta) MaxEncodedSize(n int) int { return Shuffle{}.MaxEncodedSize(n) }
 
 func (Delta) Encode(dst, src []byte) ([]byte, error) { return Shuffle{}.Encode(dst, src) }
@@ -109,17 +107,6 @@ func (s *DeltaState) XORLatest(dst []byte, k DeltaKey, it uint64, src []byte) (b
 	return e.iter, true
 }
 
-// Latest reports the iteration and length of the stored base for k.
-func (s *DeltaState) Latest(k DeltaKey) (iter uint64, n int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if !ok {
-		return 0, 0, false
-	}
-	return e.iter, len(e.data), true
-}
-
 // Remember stores a copy of buf as the iteration-it base for k, reusing the
 // existing storage when the length matches and evicting least recently used
 // entries if the bound would be exceeded. A buf larger than the whole limit
@@ -182,24 +169,6 @@ func (s *DeltaState) InvalidatePipeline(p string) {
 			delete(s.entries, k)
 		}
 	}
-}
-
-// Reset drops all stored bases.
-func (s *DeltaState) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, e := range s.entries {
-		s.bytes -= len(e.data)
-		bufpool.Put(e.data)
-		delete(s.entries, k)
-	}
-}
-
-// Bytes reports the bytes of base data currently held.
-func (s *DeltaState) Bytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
 }
 
 // xorInto lives in kernels.go: a word-wise XOR with byte-wise tail.

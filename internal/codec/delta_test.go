@@ -154,8 +154,8 @@ func TestDeltaXORBaseRefusals(t *testing.T) {
 }
 
 // TestDeltaSkippedIteration: a block absent for one iteration resumes with
-// the older base (Latest exposes the real stored iteration, and the encoder
-// uses that), still bit-identical end to end.
+// the older base (XORLatest reports the real stored iteration, and the
+// encoder sends that), still bit-identical end to end.
 func TestDeltaSkippedIteration(t *testing.T) {
 	client, server := NewDeltaState(0), NewDeltaState(0)
 	k := DeltaKey{Pipeline: "viz", Field: "U", Block: 0}
@@ -190,8 +190,8 @@ func TestDeltaMembershipChangeInvalidation(t *testing.T) {
 	// Both sides invalidate: next frame is zero-base and still correct.
 	client.InvalidatePipeline("viz")
 	server.InvalidatePipeline("viz")
-	if client.Bytes() != 0 {
-		t.Fatalf("client still holds %d bytes after invalidation", client.Bytes())
+	if heldBytes(client) != 0 {
+		t.Fatalf("client still holds %d bytes after invalidation", heldBytes(client))
 	}
 	wire, base, hasBase = stageDelta(t, client, k, 2, grid)
 	if hasBase {
@@ -216,38 +216,39 @@ func TestDeltaMembershipChangeInvalidation(t *testing.T) {
 	other := DeltaKey{Pipeline: "img", Field: "U", Block: 0}
 	client.Remember(other, 1, grid)
 	client.InvalidatePipeline("viz")
-	if _, _, ok := client.Latest(other); !ok {
+	if _, _, ok := latest(client, other); !ok {
 		t.Fatal("InvalidatePipeline dropped another pipeline's base")
 	}
 }
 
 // TestDeltaRememberSemantics: same-length in-place reuse, length-change
-// replacement, Reset, Bytes accounting, and the oversized-buf guard.
+// replacement, InvalidatePipeline, byte accounting, and the oversized-buf
+// guard.
 func TestDeltaRememberSemantics(t *testing.T) {
 	s := NewDeltaState(1024)
 	k := DeltaKey{Pipeline: "p", Field: "f", Block: 1}
 	s.Remember(k, 1, bytes.Repeat([]byte{1}, 100))
-	if s.Bytes() != 100 {
-		t.Fatalf("Bytes() = %d", s.Bytes())
+	if heldBytes(s) != 100 {
+		t.Fatalf("%d bytes held, want 100", heldBytes(s))
 	}
 	s.Remember(k, 2, bytes.Repeat([]byte{2}, 100)) // same length: in-place
-	if it, n, ok := s.Latest(k); !ok || it != 2 || n != 100 || s.Bytes() != 100 {
-		t.Fatalf("after in-place update: it=%d n=%d bytes=%d", it, n, s.Bytes())
+	if it, n, ok := latest(s, k); !ok || it != 2 || n != 100 || heldBytes(s) != 100 {
+		t.Fatalf("after in-place update: it=%d n=%d bytes=%d", it, n, heldBytes(s))
 	}
 	s.Remember(k, 3, bytes.Repeat([]byte{3}, 200)) // resize: replace
-	if it, n, _ := s.Latest(k); it != 3 || n != 200 || s.Bytes() != 200 {
-		t.Fatalf("after resize: it=%d n=%d bytes=%d", it, n, s.Bytes())
+	if it, n, _ := latest(s, k); it != 3 || n != 200 || heldBytes(s) != 200 {
+		t.Fatalf("after resize: it=%d n=%d bytes=%d", it, n, heldBytes(s))
 	}
 	s.Remember(k, 4, make([]byte, 2048)) // over the whole limit: ignored
-	if it, _, _ := s.Latest(k); it != 3 {
+	if it, _, _ := latest(s, k); it != 3 {
 		t.Fatal("oversized Remember replaced the entry")
 	}
-	s.Reset()
-	if s.Bytes() != 0 {
-		t.Fatalf("Bytes() = %d after Reset", s.Bytes())
+	s.InvalidatePipeline("p")
+	if heldBytes(s) != 0 {
+		t.Fatalf("%d bytes held after InvalidatePipeline", heldBytes(s))
 	}
-	if _, _, ok := s.Latest(k); ok {
-		t.Fatal("entry survived Reset")
+	if _, _, ok := latest(s, k); ok {
+		t.Fatal("entry survived InvalidatePipeline")
 	}
 }
 
@@ -257,18 +258,18 @@ func TestDeltaEvictionBound(t *testing.T) {
 	s := NewDeltaState(1000)
 	for b := 0; b < 50; b++ {
 		s.Remember(DeltaKey{Pipeline: "p", Field: "f", Block: b}, 1, make([]byte, 100))
-		if s.Bytes() > 1000 {
-			t.Fatalf("Bytes() = %d exceeds limit", s.Bytes())
+		if heldBytes(s) > 1000 {
+			t.Fatalf("%d bytes held, over the limit", heldBytes(s))
 		}
 	}
-	if s.Bytes() != 1000 {
-		t.Fatalf("Bytes() = %d, want full at 1000", s.Bytes())
+	if heldBytes(s) != 1000 {
+		t.Fatalf("%d bytes held, want full at 1000", heldBytes(s))
 	}
 	// Blocks 0..39 were evicted; 40..49 remain.
-	if _, _, ok := s.Latest(DeltaKey{Pipeline: "p", Field: "f", Block: 0}); ok {
+	if _, _, ok := latest(s, DeltaKey{Pipeline: "p", Field: "f", Block: 0}); ok {
 		t.Fatal("oldest entry not evicted")
 	}
-	if _, _, ok := s.Latest(DeltaKey{Pipeline: "p", Field: "f", Block: 49}); !ok {
+	if _, _, ok := latest(s, DeltaKey{Pipeline: "p", Field: "f", Block: 49}); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	// Touching an old entry via XORBase protects it from the next eviction.
@@ -279,7 +280,7 @@ func TestDeltaEvictionBound(t *testing.T) {
 	for b := 100; b < 109; b++ {
 		s.Remember(DeltaKey{Pipeline: "p", Field: "f", Block: b}, 1, make([]byte, 100))
 	}
-	if _, _, ok := s.Latest(k45); !ok {
+	if _, _, ok := latest(s, k45); !ok {
 		t.Fatal("recently used entry evicted before stale ones")
 	}
 }
@@ -304,9 +305,9 @@ func TestDeltaStateConcurrent(t *testing.T) {
 				case 1:
 					s.XORBase(k, uint64(rng.Intn(500)), buf)
 				case 2:
-					s.Latest(k)
+					s.XORLatest(buf, k, uint64(i), buf)
 				case 3:
-					s.Bytes()
+					heldBytes(s)
 				case 4:
 					if rng.Intn(50) == 0 {
 						s.InvalidatePipeline("p")
@@ -316,10 +317,28 @@ func TestDeltaStateConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s.Reset()
-	if s.Bytes() != 0 {
-		t.Fatalf("Bytes() = %d after concurrent churn + Reset", s.Bytes())
+	s.InvalidatePipeline("p")
+	if heldBytes(s) != 0 {
+		t.Fatalf("%d bytes held after concurrent churn + InvalidatePipeline", heldBytes(s))
 	}
+}
+
+// heldBytes is the base data s holds.
+func heldBytes(s *DeltaState) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytes
+}
+
+// latest reports the iteration and length of the base s holds for k.
+func latest(s *DeltaState, k DeltaKey) (iter uint64, n int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[k]
+	if !ok {
+		return 0, 0, false
+	}
+	return e.iter, len(e.data), true
 }
 
 // TestXORInto covers the unrolled tail boundaries.

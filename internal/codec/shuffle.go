@@ -54,10 +54,6 @@ const (
 	segPacked
 )
 
-// stdFlate is the shared Flate instance: the registry entry and the packed
-// segments of Shuffle/Delta draw from the same writer/reader pools.
-var stdFlate = &Flate{}
-
 // nlog2n[c] = c·log2(c): the order-0 cost in bits of n bytes with counts c
 // is nlog2n[n] − Σ nlog2n[c].
 var nlog2n = func() (t [segSize + 1]float32) {
@@ -67,12 +63,9 @@ var nlog2n = func() (t [segSize + 1]float32) {
 	return
 }()
 
-func (Shuffle) ID() uint8    { return ShuffleID }
-func (Shuffle) Name() string { return "shuffle" }
-
 // MaxEncodedSize: format byte, mode bytes, and every segment either
 // verbatim or inside a DEFLATE stream that at worst stores it.
-func (Shuffle) MaxEncodedSize(n int) int { return 1 + n/segSize + 1 + stdFlate.MaxEncodedSize(n) }
+func (Shuffle) MaxEncodedSize(n int) int { return 1 + n/segSize + 1 + maxDeflatedSize(n) }
 
 // orderZeroBits is the order-0 cost in bits of n bytes with histogram h.
 func orderZeroBits(h *[256]uint32, n int) float32 {

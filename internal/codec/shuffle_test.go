@@ -10,7 +10,7 @@ import (
 )
 
 // buildFrame hand-assembles a Shuffle frame from an already shuffled block
-// and one mode per segment, through a Flate of its own: the layout as the
+// and one mode per segment, through a flater of its own: the layout as the
 // type comment states it, not as Encode happens to emit it.
 func buildFrame(t *testing.T, stride byte, shuffled, modes []byte) []byte {
 	t.Helper()
@@ -27,11 +27,7 @@ func buildFrame(t *testing.T, stride byte, shuffled, modes []byte) []byte {
 			packed = append(packed, seg...)
 		}
 	}
-	frame, err := (&Flate{}).Encode(frame, packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frame
+	return deflateAll(t, &flater{}, frame, packed)
 }
 
 // pooledOutstanding is the bufpool leak check: Gets not yet matched by a Put.
@@ -140,10 +136,7 @@ func TestShuffleRotatingPlanes(t *testing.T) {
 	}
 	shuffled := make([]byte, len(block))
 	shuffleBytes(shuffled, block, 4)
-	whole, err := (&Flate{}).Encode([]byte{4}, shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := deflateAll(t, &flater{}, []byte{4}, shuffled)
 	if len(enc) >= len(whole) {
 		t.Fatalf("segmented %d bytes, whole-block DEFLATE of the shuffled bytes %d", len(enc), len(whole))
 	}
@@ -186,10 +179,7 @@ func TestShuffleHostileFrames(t *testing.T) {
 		t.Fatalf("the frame the hostile ones derive from: %v", err)
 	}
 	edit := func(f func(frame []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
-	overlong, err := (&Flate{}).Encode(append([]byte(nil), good[:stream]...), data[2*segSize-1:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	overlong := deflateAll(t, &flater{}, append([]byte(nil), good[:stream]...), data[2*segSize-1:])
 	for _, tc := range []struct {
 		name   string
 		frame  []byte
@@ -228,21 +218,18 @@ func TestShuffleHostileFrames(t *testing.T) {
 }
 
 // TestFlateCorruptFramePoolsReader: a peer streaming corrupt frames must not
-// cost the server a fresh inflater each (≈40 KiB). The failing paths of
-// Flate.Decode — which are also those of Shuffle's packed segments — hand
-// the reader back. (sync.Pool drops some Puts under -race, hence the loop.)
+// cost the server a fresh inflater each (≈40 KiB). The failing paths of the
+// packed segments' DEFLATE stream hand the reader back. (sync.Pool drops
+// some Puts under -race, hence the loop.)
 func TestFlateCorruptFramePoolsReader(t *testing.T) {
 	data := float32Grid(1024, 61)
-	f := &Flate{}
-	enc, err := f.Encode(nil, data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := &flater{}
+	enc := deflateAll(t, f, nil, data)
 	for _, bad := range [][]byte{enc[:len(enc)-2], append(enc, 0), nil} {
 		f.readers = sync.Pool{}
 		pooled := false
 		for try := 0; try < 32 && !pooled; try++ {
-			if _, err := f.Decode(nil, bad, len(data)); !errors.Is(err, ErrCorrupt) {
+			if _, err := inflateAll(f, bad, len(data)); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("corrupt frame: %v", err)
 			}
 			pooled = f.readers.Get() != nil

@@ -260,73 +260,6 @@ func reduceKAry(p PT2PT, root, tag int, data []byte, op Op, k int) ([]byte, erro
 	return acc, nil
 }
 
-// Gather collects each rank's data at root. The root returns one slice per
-// rank, indexed by rank; other ranks return nil.
-func Gather(p PT2PT, root, tag int, data []byte) ([][]byte, error) {
-	size, rank := p.Size(), p.Rank()
-	if root < 0 || root >= size {
-		return nil, errRoot
-	}
-	if rank != root {
-		return nil, p.Send(root, tag, data)
-	}
-	out := make([][]byte, size)
-	out[root] = data
-	for r := 0; r < size; r++ {
-		if r == root {
-			continue
-		}
-		got, err := p.Recv(r, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = got
-	}
-	return out, nil
-}
-
-// Scatter distributes parts[i] to rank i from root and returns the caller's
-// part. Only the root consults parts.
-func Scatter(p PT2PT, root, tag int, parts [][]byte) ([]byte, error) {
-	size, rank := p.Size(), p.Rank()
-	if root < 0 || root >= size {
-		return nil, errRoot
-	}
-	if rank == root {
-		if len(parts) != size {
-			return nil, fmt.Errorf("collectives: scatter needs %d parts, got %d", size, len(parts))
-		}
-		for r := 0; r < size; r++ {
-			if r == root {
-				continue
-			}
-			if err := p.Send(r, tag, parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	return p.Recv(root, tag)
-}
-
-// AllGather returns every rank's contribution on every rank (gather to rank
-// 0 followed by a broadcast of the framed concatenation).
-func AllGather(p PT2PT, tag int, data []byte, algo Algorithm) ([][]byte, error) {
-	gathered, err := Gather(p, 0, tag, data)
-	if err != nil {
-		return nil, err
-	}
-	var frame []byte
-	if p.Rank() == 0 {
-		frame = EncodeSlices(gathered)
-	}
-	frame, err = Bcast(p, 0, tag+1, frame, algo)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeSlices(frame)
-}
-
 // AllReduce folds every rank's data and returns the result everywhere
 // (reduce to rank 0 followed by a broadcast).
 func AllReduce(p PT2PT, tag int, data []byte, op Op, algo Algorithm) ([]byte, error) {
@@ -335,25 +268,4 @@ func AllReduce(p PT2PT, tag int, data []byte, op Op, algo Algorithm) ([]byte, er
 		return nil, err
 	}
 	return Bcast(p, 0, tag+1, acc, algo)
-}
-
-// Barrier blocks until every rank has entered it, using the dissemination
-// algorithm (ceil(log2(size)) rounds of shifted exchanges).
-func Barrier(p PT2PT, tag int) error {
-	size, rank := p.Size(), p.Rank()
-	if size == 1 {
-		return nil
-	}
-	for dist := 1; dist < size; dist <<= 1 {
-		dst := (rank + dist) % size
-		src := (rank - dist + size) % size
-		if err := p.Send(dst, tag, nil); err != nil {
-			return err
-		}
-		if _, err := p.Recv(src, tag); err != nil {
-			return err
-		}
-		tag++
-	}
-	return nil
 }

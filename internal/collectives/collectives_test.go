@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -175,57 +172,6 @@ func TestReduceDoesNotClobberInput(t *testing.T) {
 	}
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
-	n, root := 9, 4
-	got, err := runAll(n, func(p PT2PT) ([]byte, error) {
-		mine := []byte(fmt.Sprintf("rank-%d", p.Rank()))
-		gathered, err := Gather(p, root, 5, mine)
-		if err != nil {
-			return nil, err
-		}
-		return Scatter(p, root, 6, gathered)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range got {
-		want := fmt.Sprintf("rank-%d", r)
-		if string(got[r]) != want {
-			t.Fatalf("rank %d: got %q want %q", r, got[r], want)
-		}
-	}
-}
-
-func TestAllGather(t *testing.T) {
-	n := 6
-	f := newFabric(n)
-	results := make([][][]byte, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			res, err := AllGather(f.eps[r], 40, []byte{byte(r * 3)}, DefaultAlgorithm)
-			if err != nil {
-				t.Errorf("rank %d: %v", r, err)
-				return
-			}
-			results[r] = res
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < n; r++ {
-		if len(results[r]) != n {
-			t.Fatalf("rank %d: got %d parts", r, len(results[r]))
-		}
-		for i := 0; i < n; i++ {
-			if len(results[r][i]) != 1 || results[r][i][0] != byte(i*3) {
-				t.Fatalf("rank %d part %d wrong: %v", r, i, results[r][i])
-			}
-		}
-	}
-}
-
 func TestAllReduceSumFloat64(t *testing.T) {
 	n := 8
 	got, err := runAll(n, func(p PT2PT) ([]byte, error) {
@@ -242,24 +188,6 @@ func TestAllReduceSumFloat64(t *testing.T) {
 		if v != want {
 			t.Fatalf("rank %d: sum=%v want %v", r, v, want)
 		}
-	}
-}
-
-func TestBarrierNoEarlyExit(t *testing.T) {
-	n := 12
-	var entered atomic.Int32
-	_, err := runAll(n, func(p PT2PT) ([]byte, error) {
-		entered.Add(1)
-		if err := Barrier(p, 900); err != nil {
-			return nil, err
-		}
-		if got := entered.Load(); got != int32(n) {
-			return nil, fmt.Errorf("rank %d exited barrier with only %d entered", p.Rank(), got)
-		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -300,106 +228,6 @@ func TestQuickReduceEquivalence(t *testing.T) {
 	}
 }
 
-// Property: EncodeSlices/DecodeSlices round-trips arbitrary slice lists.
-func TestQuickSliceFrameRoundTrip(t *testing.T) {
-	f := func(parts [][]byte) bool {
-		dec, err := DecodeSlices(EncodeSlices(parts))
-		if err != nil {
-			return false
-		}
-		if len(dec) != len(parts) {
-			return false
-		}
-		for i := range parts {
-			if !bytes.Equal(dec[i], parts[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeSlicesMalformed(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1, 2},
-		{5, 0, 0, 0},                 // claims 5 parts, no data
-		{1, 0, 0, 0, 10, 0, 0, 0, 1}, // part longer than frame
-	}
-	for i, c := range cases {
-		if _, err := DecodeSlices(c); err == nil {
-			t.Fatalf("case %d: expected error", i)
-		}
-	}
-}
-
-// sliceFrame is a slice frame that claims count parts, followed by body.
-func sliceFrame(count uint32, body ...byte) []byte {
-	return append(binary.LittleEndian.AppendUint32(nil, count), body...)
-}
-
-// decodeAllocs decodes frame and reports the bytes that allocated.
-func decodeAllocs(frame []byte) (parts [][]byte, allocated uint64, err error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	parts, err = DecodeSlices(frame)
-	runtime.ReadMemStats(&after)
-	return parts, after.TotalAlloc - before.TotalAlloc, err
-}
-
-// TestDecodeSlicesRefusesLyingFrames: an all-gather frame comes from a
-// peer, so a count its bytes cannot hold is refused before the part table
-// is sized by it — a 4-byte frame claiming 1<<24 parts used to allocate
-// 384 MiB, and one claiming 0xffffffff ended the process — and so is a
-// frame with bytes after its last part.
-func TestDecodeSlicesRefusesLyingFrames(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		frame []byte
-	}{
-		{"1<<24 parts, no body", sliceFrame(1 << 24)},
-		{"1<<24 parts, one empty part", sliceFrame(1<<24, 0, 0, 0, 0)},
-		{"the first part takes the second's length", sliceFrame(2, 4, 0, 0, 0, 'a', 'b', 'c', 'd')},
-		{"bytes after the last part", sliceFrame(1, 1, 0, 0, 0, 'a', 'b')},
-	} {
-		_, allocated, err := decodeAllocs(c.frame)
-		if err == nil || !strings.Contains(err.Error(), "malformed slice frame") {
-			t.Errorf("%s: %v, want a malformed-frame error", c.name, err)
-		}
-		if allocated > 64<<10 {
-			t.Errorf("%s: decoding allocated %d bytes", c.name, allocated)
-		}
-	}
-}
-
-// FuzzDecodeSlices: whatever a peer sends, decoding never panics, allocates
-// within a small multiple of the frame, and accepts only what EncodeSlices
-// produces.
-func FuzzDecodeSlices(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeSlices(nil))
-	f.Add(EncodeSlices([][]byte{[]byte("rank0"), nil, []byte("r2")}))
-	f.Add(sliceFrame(1 << 24))
-	f.Add(sliceFrame(0xffffffff, 0, 0, 0, 0))
-	f.Add(sliceFrame(1, 9, 0, 0, 0, 'a'))
-	f.Add(sliceFrame(1, 1, 0, 0, 0, 'a', 'b'))
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		parts, allocated, err := decodeAllocs(frame)
-		if limit := uint64(8*len(frame) + 64<<10); allocated > limit {
-			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(frame), allocated, limit)
-		}
-		if err != nil {
-			return
-		}
-		if re := EncodeSlices(parts); !bytes.Equal(re, frame) {
-			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, frame)
-		}
-	})
-}
-
 func TestOpsNumeric(t *testing.T) {
 	f32 := func(vals ...float32) []byte {
 		out := make([]byte, 4*len(vals))
@@ -437,5 +265,22 @@ func TestOpsNumeric(t *testing.T) {
 	}
 	if got := int64(binary.LittleEndian.Uint64(i64[8:])); got != 2 {
 		t.Fatalf("SumInt64[1] = %d", got)
+	}
+}
+
+// TestOpsShortContribution: a contribution comes from a peer, so one shorter
+// than the accumulator folds into the accumulator's prefix and leaves the
+// rest as it was — no op reads past what the peer sent.
+func TestOpsShortContribution(t *testing.T) {
+	for name, op := range map[string]Op{
+		"XorBytes": XorBytes, "SumFloat64": SumFloat64, "MinFloat32": MinFloat32,
+		"MaxFloat32": MaxFloat32, "SumInt64": SumInt64,
+	} {
+		in := bytes.Repeat([]byte{0xBF}, 8)
+		want := op(bytes.Repeat([]byte{0x3F}, 8), in)
+		got := op(bytes.Repeat([]byte{0x3F}, 16), in)
+		if !bytes.Equal(got[:8], want) || !bytes.Equal(got[8:], bytes.Repeat([]byte{0x3F}, 8)) {
+			t.Errorf("%s: %x, want %x folded in and the last 8 bytes untouched", name, got, want)
+		}
 	}
 }

@@ -77,61 +77,3 @@ func SumInt64(acc, in []byte) []byte {
 	}
 	return acc
 }
-
-// EncodeSlices frames a list of byte slices into one buffer; nil slices are
-// preserved as empty.
-func EncodeSlices(parts [][]byte) []byte {
-	total := 4
-	for _, p := range parts {
-		total += 4 + len(p)
-	}
-	out := make([]byte, 0, total)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(parts)))
-	out = append(out, hdr[:]...)
-	for _, p := range parts {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-		out = append(out, hdr[:]...)
-		out = append(out, p...)
-	}
-	return out
-}
-
-// DecodeSlices reverses EncodeSlices. The parts alias frame. A frame that
-// EncodeSlices could not have produced is refused: a count the rest of the
-// frame cannot hold (every part takes at least its 4-byte length), a part
-// running past the end, or bytes after the last part.
-func DecodeSlices(frame []byte) ([][]byte, error) {
-	if len(frame) < 4 {
-		return nil, errFrame
-	}
-	n := int(binary.LittleEndian.Uint32(frame))
-	frame = frame[4:]
-	if n > len(frame)/4 {
-		return nil, errFrame
-	}
-	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		if len(frame) < 4 {
-			return nil, errFrame
-		}
-		l := int(binary.LittleEndian.Uint32(frame))
-		frame = frame[4:]
-		if len(frame) < l {
-			return nil, errFrame
-		}
-		out = append(out, frame[:l:l])
-		frame = frame[l:]
-	}
-	if len(frame) != 0 {
-		return nil, errFrame
-	}
-	return out, nil
-}
-
-// errFrame reports a malformed slice frame.
-var errFrame = errFrameType{}
-
-type errFrameType struct{}
-
-func (errFrameType) Error() string { return "collectives: malformed slice frame" }

@@ -4,10 +4,14 @@
 //
 // This interface is the seam the paper's dependency injection runs
 // through: VTK's vtkMultiProcessController/vtkCommunicator and IceT's
-// IceTCommunicator abstract exactly this set of operations, which is what
-// allowed the authors to swap MPI for MoNA without modifying VTK or IceT.
-// Our internal/vtk and internal/icet packages are written against
-// Communicator and never name a concrete transport.
+// IceTCommunicator abstract the operations the vis stack calls, which is
+// what allowed the authors to swap MPI for MoNA without modifying VTK or
+// IceT. Communicator carries exactly the operations our stack calls —
+// point-to-point Send/Recv (sim's halo exchange, icet's binary swap),
+// Reduce (icet's tree composite) and AllReduce (catalyst's global bounds
+// and ranges) — and internal/vtk and internal/icet are written against it
+// without naming a concrete transport. Other collectives run over any
+// Communicator through internal/collectives.
 package comm
 
 import (
@@ -24,13 +28,8 @@ type Communicator interface {
 	Size() int
 	Send(dst, tag int, data []byte) error
 	Recv(src, tag int) ([]byte, error)
-	Bcast(root, tag int, data []byte) ([]byte, error)
 	Reduce(root, tag int, data []byte, op collectives.Op) ([]byte, error)
 	AllReduce(tag int, data []byte, op collectives.Op) ([]byte, error)
-	Gather(root, tag int, data []byte) ([][]byte, error)
-	AllGather(tag int, data []byte) ([][]byte, error)
-	Scatter(root, tag int, parts [][]byte) ([]byte, error)
-	Barrier(tag int) error
 }
 
 // Msg is one matched message.

@@ -214,16 +214,16 @@ func (c *Client) FetchView(contact string, timeout time.Duration) (MemberView, e
 }
 
 // DefaultPlacement is the paper's placement, the one every handle uses:
-// block id modulo server count.
+// block id modulo server count (of the id's magnitude, for a negative id).
 func DefaultPlacement(meta BlockMeta, servers int) int {
 	if servers <= 0 {
 		return 0
 	}
-	id := meta.BlockID
-	if id < 0 {
-		id = -id
+	id := uint64(meta.BlockID)
+	if meta.BlockID < 0 {
+		id = -id // the magnitude, also of math.MinInt, which int cannot hold
 	}
-	return id % servers
+	return int(id % uint64(servers))
 }
 
 // DistributedPipelineHandle references one pipeline instance on every
@@ -381,11 +381,11 @@ func (h *DistributedPipelineHandle) SetStageRetry(rp RetryPolicy) {
 	h.mu.Unlock()
 }
 
-// SetCodec stages every block through the named codec ("raw", "flate",
-// "shuffle", "delta"); each frame record says which codec it used, and a
-// server decodes any codec registered in its binary. The default is raw:
-// compression is strictly opt-in so the alloc-free raw stage path is
-// untouched. DESIGN.md §10.3 says when a named codec pays.
+// SetCodec stages every block through the named codec, "raw" or "delta" —
+// the two the stage wire carries; each frame record says which codec it
+// used. The default is raw: compression is strictly opt-in so the
+// alloc-free raw stage path is untouched. DESIGN.md §10.3 says when delta
+// pays.
 func (h *DistributedPipelineHandle) SetCodec(name string) error {
 	return h.codec.setCodec(name)
 }
@@ -611,7 +611,8 @@ func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, time
 // itself or, at the latest, by the next Flush, Execute or Deactivate — a
 // per-block handle reports everything at once, a coalescing handle copies
 // the block into its rank's pending frame and reports send failures at that
-// barrier.
+// barrier. A block whose id or dims do not fit in int32, the stage frame's
+// width, is refused at once with ErrStageWire, and nothing is sent.
 //
 // The stage RPC is retried under the handle's RetryPolicy on transient
 // failures (timeouts, unreachable server, admission shedding). A retry after
@@ -619,6 +620,9 @@ func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, time
 // at-least-once: pipelines that cannot tolerate duplicates must deduplicate
 // on (iteration, block id), which BlockMeta carries for exactly that purpose.
 func (h *DistributedPipelineHandle) Stage(it uint64, meta BlockMeta, data []byte) error {
+	if err := checkStageMeta(meta); err != nil {
+		return err
+	}
 	if h.batch != nil {
 		return h.batch.enqueue(it, meta, data, nil)
 	}
@@ -743,8 +747,13 @@ func (h *DistributedPipelineHandle) NBActivate(it uint64) *Async {
 // goroutine spawns bounds both in-flight stages and live goroutines (a
 // goroutine per call is a goroutine bomb under a simulation staging
 // thousands of blocks), and data must stay unchanged until the Async
-// resolves.
+// resolves. A block Stage would refuse resolves its Async with the refusal.
 func (h *DistributedPipelineHandle) NBStage(it uint64, meta BlockMeta, data []byte) *Async {
+	if err := checkStageMeta(meta); err != nil {
+		a := &Async{ch: make(chan asyncRes, 1)}
+		a.ch <- asyncRes{err: err}
+		return a
+	}
 	if h.batch != nil {
 		a := &Async{ch: make(chan asyncRes, 1)}
 		h.batch.enqueue(it, meta, data, a)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -732,6 +733,14 @@ func TestDefaultPlacement(t *testing.T) {
 	}
 	if DefaultPlacement(BlockMeta{BlockID: 5}, 0) != 0 {
 		t.Fatal("zero servers should degrade to 0")
+	}
+	// math.MinInt has no positive counterpart in int: its magnitude is 2^63,
+	// and 2^63 % 3 = 2.
+	if got := DefaultPlacement(BlockMeta{BlockID: math.MinInt}, 3); got != 2 {
+		t.Fatalf("math.MinInt on 3 servers: rank %d, want 2", got)
+	}
+	if got := DefaultPlacement(BlockMeta{BlockID: math.MinInt + 1}, 3); got != int((uint64(1)<<63-1)%3) {
+		t.Fatalf("math.MinInt+1 on 3 servers: rank %d", got)
 	}
 }
 

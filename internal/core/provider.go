@@ -161,13 +161,11 @@ type Provider struct {
 	ckpts  map[ckptKey]*ckptEntry
 
 	// Stage compression (DESIGN.md §10): the per-(pipeline, field, block)
-	// delta bases remembered for temporal encoding, and the per-codec
+	// delta bases remembered for temporal encoding, and the raw and delta
 	// wire/decode byte counters cached so the stage hot path increments them
 	// without a labeled-lookup allocation.
-	codecMu  sync.RWMutex
-	codecIn  map[uint8]*obs.Counter
-	codecOut map[uint8]*obs.Counter
-	deltas   *codec.DeltaState
+	codecCtrs atomic.Pointer[codecCounters]
+	deltas    *codec.DeltaState
 
 	// transferSleep, when non-nil, replaces time.Sleep in the checkpoint
 	// transfer's retry (transfer) so dessim-style tests cover the backoff
@@ -193,18 +191,20 @@ func (p *Provider) SetObserver(r *obs.Registry) {
 	r.Counter("core.state.checkpoint.errors")
 	r.Counter("core.state.recover.count")
 	r.Gauge("core.state.replica.lag")
-	// Pre-create the per-codec wire counters (server side: bytes.in is wire
-	// bytes pulled, bytes.out is decoded bytes handed to the backend) and
-	// cache the instruments so handleStage bumps them allocation-free.
-	in := make(map[uint8]*obs.Counter)
-	out := make(map[uint8]*obs.Counter)
-	for _, c := range codec.All() {
-		in[c.ID()] = r.Counter("codec.bytes.in", "codec", c.Name())
-		out[c.ID()] = r.Counter("codec.bytes.out", "codec", c.Name())
-	}
-	p.codecMu.Lock()
-	p.codecIn, p.codecOut = in, out
-	p.codecMu.Unlock()
+	// Pre-create the raw and delta wire counters (server side: bytes.in is
+	// wire bytes pulled, bytes.out is decoded bytes handed to the backend)
+	// and cache the instruments so handleStage bumps them allocation-free.
+	p.codecCtrs.Store(&codecCounters{
+		rawIn:    r.Counter("codec.bytes.in", "codec", "raw"),
+		rawOut:   r.Counter("codec.bytes.out", "codec", "raw"),
+		deltaIn:  r.Counter("codec.bytes.in", "codec", "delta"),
+		deltaOut: r.Counter("codec.bytes.out", "codec", "delta"),
+	})
+}
+
+// codecCounters are a server's wire byte counters of the two stage codecs.
+type codecCounters struct {
+	rawIn, rawOut, deltaIn, deltaOut *obs.Counter
 }
 
 func (p *Provider) observer() *obs.Registry {
@@ -587,22 +587,15 @@ func (p *Provider) fetchStaged(bulk mercury.Bulk) (wire []byte, pooled bool, err
 // region is whatever the client exposed — for compressed records the encoded
 // payloads, which stageWireBlock decodes (and delta-reconstructs) into pooled
 // buffers before the backend borrows them. Frame-level problems (malformed
-// frame, unknown pipeline, inactive iteration, failed pull, unknown codec)
-// are RPC errors — the client's whole-frame retry machinery applies.
+// frame, a record naming a codec other than raw or delta among them; unknown
+// pipeline, inactive iteration, failed pull) are RPC errors — the client's
+// whole-frame retry machinery applies.
 // Per-block decode and backend failures are demultiplexed into the response
 // instead, so one bad block cannot fail or re-send its frame-mates.
 func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 	pipeline, iteration, recs, bulk, err := decodeStageBatchMsg(req.Payload)
 	if err != nil {
 		return nil, err
-	}
-	// The codec id is a frame-level screen: a frame naming a codec this
-	// binary does not register (a hostile or newer client) must fail loudly,
-	// not land half its blocks.
-	for _, r := range recs {
-		if _, known := codec.ByID(r.CI.CodecID); !known {
-			return nil, fmt.Errorf("colza: stage codec %d not registered on %s", r.CI.CodecID, p.mi.Addr())
-		}
 	}
 	slot, err := p.slot(pipeline)
 	if err != nil {
@@ -653,19 +646,18 @@ func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 // pulled buffer) and is passed to the backend as is when raw; decode targets
 // draw their own pooled buffer and are recycled before return.
 func (p *Provider) stageWireBlock(slot *pipelineSlot, pipeline string, iteration uint64, ci stageCodecInfo, meta BlockMeta, wire []byte, reg *obs.Registry) (uint8, error) {
-	c, _ := codec.ByID(ci.CodecID) // screened by the handler
 	data := wire
 	pooled := false
-	if ci.CodecID == codec.RawID {
+	if ci.CodecID == codec.RawID { // else delta: the frame decoder admits no other id
 		if ci.Uncompressed != uint64(len(wire)) || ci.HasBase {
 			return stageBatchErrRemote, fmt.Errorf("%w: raw block length mismatch", ErrStageWire)
 		}
 	} else {
 		buf := bufpool.Get(int(ci.Uncompressed))
-		dec, derr := c.Decode(buf[:0], wire, int(ci.Uncompressed))
+		dec, derr := codec.Delta{}.Decode(buf[:0], wire, int(ci.Uncompressed))
 		if derr != nil {
 			bufpool.Put(buf)
-			return stageBatchErrRemote, fmt.Errorf("colza: stage decode (%s): %w", c.Name(), derr)
+			return stageBatchErrRemote, fmt.Errorf("colza: stage decode (delta): %w", derr)
 		}
 		data = dec
 		pooled = true
@@ -690,12 +682,13 @@ func (p *Provider) stageWireBlock(slot *pipelineSlot, pipeline string, iteration
 	if err != nil {
 		return stageBatchErrRemote, err
 	}
-	p.codecMu.RLock()
-	ctrIn, ctrOut := p.codecIn[ci.CodecID], p.codecOut[ci.CodecID]
-	p.codecMu.RUnlock()
-	if ctrIn != nil {
-		ctrIn.Add(int64(len(wire)))
-		ctrOut.Add(int64(n))
+	if ctrs := p.codecCtrs.Load(); ctrs != nil {
+		in, out := ctrs.rawIn, ctrs.rawOut
+		if ci.CodecID == codec.DeltaID {
+			in, out = ctrs.deltaIn, ctrs.deltaOut
+		}
+		in.Add(int64(len(wire)))
+		out.Add(int64(n))
 	}
 	m := slot.stagedMetrics(reg)
 	m.bytes.Add(int64(n))

@@ -48,7 +48,7 @@ func (p *Provider) handleActivateSolo(req mercury.Request) ([]byte, error) {
 // PipelineHandle references one pipeline instance on one specific server.
 // Unlike the distributed handle there is no view agreement: activate is a
 // single RPC, after which the handle is a distributed handle pinned to a
-// one-member view — staging (retries, codecs, coalescing by transport),
+// one-member view — staging (retries, coalescing by transport),
 // execute and deactivate are the distributed handle's own.
 type PipelineHandle struct {
 	h      *DistributedPipelineHandle
@@ -81,10 +81,6 @@ func (p *PipelineHandle) Activate(it uint64) error {
 	h.SetView(MemberView{Epoch: epoch, Members: []ServerInfo{{RPC: p.server}}})
 	return nil
 }
-
-// SetCodec stages every block through the named codec; the default is raw
-// (no compression, no copies).
-func (p *PipelineHandle) SetCodec(name string) error { return p.h.SetCodec(name) }
 
 // Stage hands a block to the server (DistributedPipelineHandle.Stage).
 func (p *PipelineHandle) Stage(it uint64, meta BlockMeta, data []byte) error {

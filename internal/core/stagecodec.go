@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -9,29 +10,33 @@ import (
 	"colza/internal/obs"
 )
 
-// codecUsed pairs the codec a block was encoded with (nil when none is
-// named) and the CPU time the encode took, for the metrics recorded once the
-// stage RPC completes.
+// codecUsed says whether a codec was named on the handle when a block was
+// encoded (a handle with none named records no codec metrics) and the CPU
+// time the encode took, for the metrics recorded once the stage RPC
+// completes.
 type codecUsed struct {
-	c     codec.Codec
+	named bool
 	encNs int64
 }
 
 // stageCodecState is the client half of the stage compression path
-// (DESIGN.md §10). SetCodec names the one codec the handle encodes every
-// block with; with none named every block takes the exact pre-codec raw
-// path — no copy, no encode, no extra metrics — so the PR 3 alloc ceilings
-// hold unchanged.
+// (DESIGN.md §10). SetCodec names the codec the handle stages every block
+// through: raw or delta, the two the stage wire carries. With none named, or
+// raw, every block takes the exact raw path — no copy, no encode — so the
+// raw stage path's alloc ceilings (internal/bench) hold unchanged; only a
+// named codec reports codec metrics.
 type stageCodecState struct {
 	mu          sync.Mutex
-	forced      codec.Codec // nil: no codec named
-	delta       *codec.DeltaState
+	named       bool // SetCodec was called
+	delta       bool // blocks go delta-encoded
+	bases       *codec.DeltaState
 	lastMembers string // member key of the last pinned view
 
-	// metrics caches the per-codec instruments recordStaged bumps per block,
-	// resolved against metricsReg (labeled lookups compose a key string).
+	// metrics caches the raw ([0]) and delta ([1]) instruments recordStaged
+	// bumps per block, resolved against metricsReg (labeled lookups compose
+	// a key string).
 	metricsReg *obs.Registry
-	metrics    map[uint8]*codecMetrics
+	metrics    [2]*codecMetrics
 }
 
 // codecMetrics are the client-side instruments of one codec.
@@ -40,32 +45,33 @@ type codecMetrics struct {
 	ratio, encodeCost *obs.Gauge
 }
 
-// codecMetricsFor returns c's instruments in reg. The caller holds s.mu.
-func (s *stageCodecState) codecMetricsFor(reg *obs.Registry, c codec.Codec) *codecMetrics {
+// codecMetricsFor returns the instruments in reg of the codec with wire id
+// id. The caller holds s.mu.
+func (s *stageCodecState) codecMetricsFor(reg *obs.Registry, id uint8) *codecMetrics {
 	if s.metricsReg != reg {
-		s.metricsReg, s.metrics = reg, make(map[uint8]*codecMetrics)
+		s.metricsReg, s.metrics = reg, [2]*codecMetrics{}
 	}
-	m := s.metrics[c.ID()]
-	if m == nil {
-		name := c.Name()
-		m = &codecMetrics{
+	i, name := 0, "raw"
+	if id == codec.DeltaID {
+		i, name = 1, "delta"
+	}
+	if s.metrics[i] == nil {
+		s.metrics[i] = &codecMetrics{
 			bytesIn:    reg.Counter("codec.bytes.in", "codec", name),
 			bytesOut:   reg.Counter("codec.bytes.out", "codec", name),
 			ratio:      reg.Gauge("codec.ratio", "codec", name),
 			encodeCost: reg.Gauge("codec.encode_ns_per_mb", "codec", name),
 		}
-		s.metrics[c.ID()] = m
 	}
-	return m
+	return s.metrics[i]
 }
 
 func (s *stageCodecState) setCodec(name string) error {
-	c, err := codec.Lookup(name)
-	if err != nil {
-		return err
+	if name != "raw" && name != "delta" {
+		return fmt.Errorf("colza: stage codec %q: the stage wire carries raw and delta", name)
 	}
 	s.mu.Lock()
-	s.forced = c
+	s.named, s.delta = true, name == "delta"
 	s.mu.Unlock()
 	return nil
 }
@@ -73,10 +79,10 @@ func (s *stageCodecState) setCodec(name string) error {
 func (s *stageCodecState) deltaState() *codec.DeltaState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.delta == nil {
-		s.delta = codec.NewDeltaState(0)
+	if s.bases == nil {
+		s.bases = codec.NewDeltaState(0)
 	}
-	return s.delta
+	return s.bases
 }
 
 // viewPinned notes the members of a freshly pinned view. A membership
@@ -88,59 +94,56 @@ func (s *stageCodecState) viewPinned(pipeline string, v MemberView) {
 	s.mu.Lock()
 	changed := s.lastMembers != "" && s.lastMembers != key
 	s.lastMembers = key
-	delta := s.delta
+	bases := s.bases
 	s.mu.Unlock()
-	if changed && delta != nil {
-		delta.InvalidatePipeline(pipeline)
+	if changed && bases != nil {
+		bases.InvalidatePipeline(pipeline)
 	}
 }
 
-// encodeStage prepares one block's wire payload. With no codec named wire
-// IS data (raw passthrough, nothing pooled, no codec metrics), and so it is
-// for a named raw; any other codec compresses into a pooled buffer the
-// caller must bufpool.Put once the bytes are sent or copied. zeroBase forces
-// a self-contained delta (the mismatch resend).
+// encodeStage prepares one block's wire payload. Unless the handle stages
+// delta, wire IS data (raw passthrough, nothing pooled); delta compresses
+// into a pooled buffer the caller must bufpool.Put once the bytes are sent
+// or copied. zeroBase forces a self-contained delta (the mismatch resend).
 func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta, data []byte, zeroBase bool) (wire []byte, pooled bool, ci stageCodecInfo, used codecUsed) {
 	s.mu.Lock()
-	c := s.forced
+	used.named = s.named
+	delta := s.delta
 	s.mu.Unlock()
 	ci = stageCodecInfo{Uncompressed: uint64(len(data))}
-	if c == nil || c.ID() == codec.RawID {
-		return data, false, ci, codecUsed{c: c}
+	if !delta {
+		return data, false, ci, used
 	}
-	ci.CodecID = c.ID()
+	ci.CodecID, ci.Remember = codec.DeltaID, true
 	start := time.Now()
 	src := data
 	var xbuf []byte
-	if c.ID() == codec.DeltaID {
-		ci.Remember = true
+	if !zeroBase && len(data) > 0 {
+		// XOR against the remembered base into a pooled buffer (the caller's
+		// must stay untouched — RDMA semantics).
 		key := codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}
-		if !zeroBase && len(data) > 0 {
-			// XOR against the remembered base into a pooled buffer (the
-			// caller's must stay untouched — RDMA semantics).
-			xbuf = bufpool.Get(len(data))
-			if base, ok := s.deltaState().XORLatest(xbuf, key, it, data); ok {
-				ci.HasBase, ci.DeltaBase = true, base
-				src = xbuf
-			} else {
-				bufpool.Put(xbuf)
-				xbuf = nil
-			}
+		xbuf = bufpool.Get(len(data))
+		if base, ok := s.deltaState().XORLatest(xbuf, key, it, data); ok {
+			ci.HasBase, ci.DeltaBase = true, base
+			src = xbuf
+		} else {
+			bufpool.Put(xbuf)
+			xbuf = nil
 		}
 	}
-	buf := bufpool.Get(c.MaxEncodedSize(len(src)))
-	enc, err := c.Encode(buf[:0], src)
+	buf := bufpool.Get(codec.Delta{}.MaxEncodedSize(len(src)))
+	enc, err := codec.Delta{}.Encode(buf[:0], src)
 	if xbuf != nil {
 		bufpool.Put(xbuf)
 	}
+	used.encNs = time.Since(start).Nanoseconds()
 	if err != nil {
-		// The built-in codecs cannot fail to encode, but a failing codec must
-		// degrade to raw, never fail the stage.
+		// Delta's DEFLATE stream writes to memory and does not fail; were it
+		// to, the block would go raw rather than fail the stage.
 		bufpool.Put(buf)
-		ci = stageCodecInfo{Uncompressed: uint64(len(data))}
-		return data, false, ci, codecUsed{codec.Raw{}, time.Since(start).Nanoseconds()}
+		return data, false, stageCodecInfo{Uncompressed: uint64(len(data))}, used
 	}
-	return enc, true, ci, codecUsed{c, time.Since(start).Nanoseconds()}
+	return enc, true, ci, used
 }
 
 // recordStaged feeds one successfully staged block back into metrics and —
@@ -148,15 +151,15 @@ func (s *stageCodecState) encodeStage(pipeline string, it uint64, meta BlockMeta
 // uncompressed bytes entering the codec, codec.bytes.out the wire bytes
 // leaving; codec.ratio is permille (wire*1000/uncompressed). dataLen carries
 // the uncompressed length; data may be nil for a caller that no longer holds
-// the original block (the batcher, for non-delta codecs) — the delta base is
-// then not remembered, and the batcher keeps a pooled copy whenever
-// ci.Remember is set.
+// the original block (the batcher, for raw) — the delta base is then not
+// remembered, and the batcher keeps a pooled copy whenever ci.Remember is
+// set.
 func (s *stageCodecState) recordStaged(reg *obs.Registry, pipeline string, it uint64, meta BlockMeta, data []byte, dataLen int, ci stageCodecInfo, used codecUsed, wireLen int) {
-	if used.c == nil {
+	if !used.named {
 		return
 	}
 	s.mu.Lock()
-	m := s.codecMetricsFor(reg, used.c)
+	m := s.codecMetricsFor(reg, ci.CodecID)
 	s.mu.Unlock()
 	m.bytesIn.Add(int64(dataLen))
 	m.bytesOut.Add(int64(wireLen))

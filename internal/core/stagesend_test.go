@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"slices"
 	"sync"
@@ -209,21 +210,11 @@ func TestStageDeltaMismatchResendIsTyped(t *testing.T) {
 	}
 }
 
-// failingCodec is a compressing codec (not raw's id) whose Encode always
-// fails.
-type failingCodec struct{ codec.Raw }
-
-func (failingCodec) ID() uint8 { return codec.FlateID }
-func (failingCodec) Encode(dst, src []byte) ([]byte, error) {
-	return nil, errors.New("encode failed")
-}
-
 // TestStageCodecIsTheNameOnTheHandle: what SetCodec named is what every
-// record says, with three things the handle decides on its own — an unknown
-// name is refused and changes nothing, a pinned view with different members
-// drops the delta bases (and one with the same members keeps them), and a
-// codec that fails to encode degrades the block to raw instead of failing the
-// stage.
+// record says, with two things the handle decides on its own — a name the
+// stage wire does not carry (the retired flate and shuffle among them) is
+// refused and changes nothing, and a pinned view with different members
+// drops the delta bases (and one with the same members keeps them).
 func TestStageCodecIsTheNameOnTheHandle(t *testing.T) {
 	var got []stageCodecInfo
 	h, reg := stageScript(t, func(call int, recs []stageBatchRec) ([]byte, error) {
@@ -238,8 +229,10 @@ func TestStageCodecIsTheNameOnTheHandle(t *testing.T) {
 			t.Fatalf("stage %d: %v", it, err)
 		}
 	}
-	if err := h.SetCodec("zstd"); err == nil {
-		t.Fatal("an unregistered codec name was accepted")
+	for _, name := range []string{"zstd", "flate", "shuffle"} {
+		if err := h.SetCodec(name); err == nil {
+			t.Fatalf("SetCodec(%q) was accepted", name)
+		}
 	}
 	stage(1) // no codec named: raw, and no codec metrics
 	if n := reg.Snapshot().Counters["codec.bytes.in{codec=raw}"]; got[0].CodecID != codec.RawID || n != 0 {
@@ -269,12 +262,56 @@ func TestStageCodecIsTheNameOnTheHandle(t *testing.T) {
 		t.Fatalf("frames carried a delta base: %v, want %v", based, want)
 	}
 
-	h.codec.forced = failingCodec{}
-	stage(7)
+	if err := h.SetCodec("raw"); err != nil {
+		t.Fatal(err)
+	}
+	stage(7) // raw named: a plain raw record, counted under raw
 	if ci := got[len(got)-1]; ci != (stageCodecInfo{Uncompressed: 256}) {
-		t.Fatalf("record after a failed encode: %+v, want a plain raw record", ci)
+		t.Fatalf("record under SetCodec(raw): %+v, want a plain raw record", ci)
 	}
 	if n := reg.Snapshot().Counters["codec.bytes.out{codec=raw}"]; n != 256 {
-		t.Fatalf("codec.bytes.out{codec=raw} = %d after the degraded block, want 256", n)
+		t.Fatalf("codec.bytes.out{codec=raw} = %d after a raw block, want 256", n)
+	}
+}
+
+// TestStageRefusesMetaTheFrameCannotCarry: a stage record carries the block
+// id and dims as int32, so a BlockMeta whose id or dims are wider would land
+// as another block — 5 + 1<<32 as 5, against block 5's delta base. Stage and
+// NBStage refuse such a block with ErrStageWire and send nothing; that
+// includes math.MinInt, which has no magnitude in int (placed on a
+// three-member view, it must not index rank -2). The int32 extremes
+// themselves go through unchanged.
+func TestStageRefusesMetaTheFrameCannotCarry(t *testing.T) {
+	var sent []BlockMeta
+	h, _ := stageScript(t, func(call int, recs []stageBatchRec) ([]byte, error) {
+		sent = append(sent, recs[0].Meta)
+		return stageRespAllLanded, nil
+	})
+	addr := h.View().Members[0].RPC
+	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: addr}, {RPC: addr}, {RPC: addr}}})
+	for _, meta := range []BlockMeta{
+		{Field: "v", Type: "raw", BlockID: 5 + 1<<32},
+		{Field: "v", Type: "raw", BlockID: math.MaxInt32 + 1},
+		{Field: "v", Type: "raw", BlockID: math.MinInt32 - 1},
+		{Field: "v", Type: "raw", BlockID: math.MinInt},
+		{Field: "v", Type: "raw", BlockID: 1, Dims: [3]int{8, 1 << 31, 8}},
+		{Field: "v", Type: "raw", BlockID: 1, Dims: [3]int{8, 8, math.MinInt32 - 1}},
+	} {
+		if err := h.Stage(1, meta, []byte{1}); !errors.Is(err, ErrStageWire) {
+			t.Errorf("Stage of block %d dims %v: %v, want ErrStageWire", meta.BlockID, meta.Dims, err)
+		}
+		if _, err := h.NBStage(1, meta, []byte{1}).Wait(); !errors.Is(err, ErrStageWire) {
+			t.Errorf("NBStage of block %d dims %v: %v, want ErrStageWire", meta.BlockID, meta.Dims, err)
+		}
+	}
+	if len(sent) != 0 {
+		t.Fatalf("refused blocks reached the server: %+v", sent)
+	}
+	edge := BlockMeta{Field: "v", Type: "raw", BlockID: math.MinInt32, Dims: [3]int{math.MaxInt32, math.MinInt32, 0}}
+	if err := h.Stage(1, edge, []byte{1}); err != nil {
+		t.Fatalf("Stage at the int32 extremes: %v", err)
+	}
+	if len(sent) != 1 || sent[0] != edge {
+		t.Fatalf("the server saw %+v, want %+v", sent, edge)
 	}
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 
+	"colza/internal/codec"
 	"colza/internal/mercury"
 )
 
@@ -30,7 +32,7 @@ import (
 //	u64 iteration
 //	u32 block count
 //	count × record:
-//	    u8  codec id
+//	    u8  codec id (0 raw, 3 delta; any other id is a malformed frame)
 //	    u64 uncompressed payload length
 //	    u64 delta base iteration + 1 (0 = no base: payload is self-contained)
 //	    u8  flags (bit0: server should remember this block for future deltas)
@@ -120,9 +122,9 @@ func readLenString(p []byte) (string, []byte, error) {
 // flushes at batchMaxBlocks, far below it.
 const maxStageBatchBlocks = 65536
 
-// maxStageBatchPayload bounds one record's encoded payload length. Codecs
+// maxStageBatchPayload bounds one record's encoded payload length. Delta
 // may expand hostile input, but never past MaxEncodedSize, which stays
-// within 2x the uncompressed ceiling for every registered codec.
+// within 2x the uncompressed ceiling.
 const maxStageBatchPayload = 2 * maxStageUncompressed
 
 // maxStageFramePayload bounds the payload lengths of one frame's records
@@ -165,6 +167,20 @@ func stageBatchMsgSize(pipeline string, recs []stageBatchRec, bulk mercury.Bulk)
 		n += stageBatchRecSize(r)
 	}
 	return n
+}
+
+// checkStageMeta refuses a block the frame cannot describe: a record
+// carries the block id and dims as int32, so a wider value would land as
+// another block — under delta, against that block's base.
+func checkStageMeta(meta BlockMeta) error {
+	fits := meta.BlockID == int(int32(meta.BlockID))
+	for _, d := range meta.Dims {
+		fits = fits && d == int(int32(d))
+	}
+	if !fits {
+		return fmt.Errorf("%w: block id %d and dims %v must fit in int32", ErrStageWire, meta.BlockID, meta.Dims)
+	}
+	return nil
 }
 
 // appendStageFrame encodes a stage frame as head and tail: everything up to
@@ -214,12 +230,13 @@ func appendStageFrame(dst []byte, pipeline string, it uint64, recs []stageBatchR
 
 // decodeStageBatchMsg parses a stage frame. Records materialize
 // incrementally as parsing succeeds, so a hostile count cannot reserve
-// memory beyond what the input actually carries; the 64 MiB uncompressed
-// ceiling holds per record, and the payload lengths must sum to exactly the
-// bulk size, which is at most maxStageFramePayload. The strings are copies,
-// but a bulk handle that carries its region (mercury's eager path) aliases
-// p: the handle, and whatever is borrowed from it, is valid only while p is
-// — for a handler, until it returns.
+// memory beyond what the input actually carries; a record's codec is raw
+// or delta, the 64 MiB uncompressed ceiling holds per record, and the
+// payload lengths must sum to exactly the bulk size, which is at most
+// maxStageFramePayload. The strings are copies, but a bulk handle that
+// carries its region (mercury's eager path) aliases p: the handle, and
+// whatever is borrowed from it, is valid only while p is — for a handler,
+// until it returns.
 func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk, err error) {
 	fail := func() (string, uint64, []stageBatchRec, mercury.Bulk, error) {
 		return "", 0, nil, mercury.Bulk{}, ErrStageWire
@@ -249,7 +266,9 @@ func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatc
 		if len(p) < 1 {
 			return fail()
 		}
-		r.CI.CodecID = p[0]
+		if r.CI.CodecID = p[0]; r.CI.CodecID != codec.RawID && r.CI.CodecID != codec.DeltaID {
+			return fail() // ids 1 and 2, the retired flate and shuffle, included
+		}
 		p = p[1:]
 		if r.CI.Uncompressed, p, err = readU64(p); err != nil || r.CI.Uncompressed > maxStageUncompressed {
 			return fail()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -27,6 +26,11 @@ func oneRec(meta BlockMeta, ci stageCodecInfo, bulk mercury.Bulk) []stageBatchRe
 	return []stageBatchRec{{CI: ci, Meta: meta, PayloadLen: bulk.Size}}
 }
 
+// stageCodecIDs are the codec ids of the frame fuzzers' seeds: raw and
+// delta, which a server decodes, and 1 and 2, the retired flate and shuffle,
+// which it refuses.
+var stageCodecIDs = []uint8{codec.RawID, 1, 2, codec.DeltaID}
+
 // TestStageWireRoundTrip: the frame a per-block Stage sends — one record —
 // round-trips for every codec block shape, over a pulled and an eager handle.
 func TestStageWireRoundTrip(t *testing.T) {
@@ -43,10 +47,10 @@ func TestStageWireRoundTrip(t *testing.T) {
 		bulk mercury.Bulk
 	}{
 		{stageCodecInfo{CodecID: codec.RawID, Uncompressed: 1 << 20}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
-		{stageCodecInfo{CodecID: codec.ShuffleID, Uncompressed: 4 << 20}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
+		{stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 4 << 20, Remember: true}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
 		{stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 64, HasBase: true, DeltaBase: 0, Remember: true}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
 		{stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 64, HasBase: true, DeltaBase: 8, Remember: true}, eagerTestBulk(t, []byte("a delta payload"))},
-		{stageCodecInfo{CodecID: codec.FlateID, Uncompressed: 0}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
+		{stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 0}, mercury.Bulk{Addr: "inproc://sim-3", ID: 42, Size: 1 << 20}},
 		// A small raw block rides in the frame.
 		{stageCodecInfo{CodecID: codec.RawID, Uncompressed: 4096}, eagerTestBulk(t, bytes.Repeat([]byte{0xC3}, 4096))},
 		// An empty block: one record, no payload, nothing to transfer.
@@ -117,20 +121,13 @@ func v2StageFrame(pipeline string, it uint64, meta BlockMeta, bulk mercury.Bulk)
 	return append(f, enc...)
 }
 
-// unregisteredCodec stands for a codec some other binary knows and this one
-// does not: raw's bytes under an id nothing registers.
-type unregisteredCodec struct{ codec.Raw }
-
-func (unregisteredCodec) ID() uint8    { return 0xC8 }
-func (unregisteredCodec) Name() string { return "unregistered" }
-
-// TestStageRejectsV2Frame: two well-formed frames a server must refuse
-// whole. The single-block wire version is gone — a version-2 frame is a
-// malformed frame to the decoder and ErrStageWire from the server — and a
-// record naming a codec id the server's binary does not register is refused
-// before anything is pulled. Both are remote errors the client must not
-// retry, and neither stages a block; a handle that sends such a record gets
-// the refusal back from Stage on the first attempt.
+// TestStageRejectsV2Frame: well-formed frames a server must refuse whole.
+// The single-block wire version is gone — a version-2 frame is a malformed
+// frame to the decoder and ErrStageWire from the server — and so is a record
+// naming a codec other than raw and delta: the retired flate (1) and shuffle
+// (2), or an id no binary knows. Each is refused before the region is
+// pulled, as a remote error the client must not retry, and none stages a
+// block or leaves a region exposed.
 func TestStageRejectsV2Frame(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
@@ -140,28 +137,29 @@ func TestStageRejectsV2Frame(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta := BlockMeta{Field: "v", Type: "raw"}
-	region := []byte("a block")
+	region := bytes.Repeat([]byte("a block "), 32<<10) // 256 KiB: pulled, not eager
 	cls := d.clientM.Class()
 	bulk := cls.Expose(region)
 	v2 := v2StageFrame("viz", 1, meta, bulk)
 	if _, _, _, _, err := decodeStageBatchMsg(v2); !errors.Is(err, ErrStageWire) {
 		t.Fatalf("decoding a version-2 frame: %v, want ErrStageWire", err)
 	}
-	ci := stageCodecInfo{CodecID: unregisteredCodec{}.ID(), Uncompressed: uint64(len(region))}
-	unknown := appendStageBatchMsg(nil, "viz", 1, oneRec(meta, ci, bulk), bulk)
-	refusal := fmt.Sprintf("colza: stage codec %d not registered on %s", ci.CodecID, addr)
+	naming := func(id uint8) []byte {
+		return appendStageBatchMsg(nil, "viz", 1, oneRec(meta, stageCodecInfo{CodecID: id, Uncompressed: uint64(len(region))}, bulk), bulk)
+	}
 	for _, tc := range []struct {
 		name  string
 		frame []byte
-		want  string
 	}{
-		{"version-2 frame", v2, ErrStageWire.Error()},
-		{"unregistered codec id", unknown, refusal},
+		{"version-2 frame", v2},
+		{"record naming codec 1 (flate)", naming(1)},
+		{"record naming codec 2 (shuffle)", naming(2)},
+		{"record naming codec 0xC8", naming(0xC8)},
 	} {
 		_, err := d.clientM.CallProvider(addr, ProviderID, "stage", tc.frame, time.Second)
 		var re *mercury.RemoteError
-		if !errors.As(err, &re) || re.Msg != tc.want {
-			t.Fatalf("staging a %s: %v, want the server's %q", tc.name, err, tc.want)
+		if !errors.As(err, &re) || re.Msg != ErrStageWire.Error() {
+			t.Fatalf("staging a %s: %v, want the server's %q", tc.name, err, ErrStageWire)
 		}
 		if Retryable(err) {
 			t.Fatalf("staging a %s: %v is retryable", tc.name, err)
@@ -169,18 +167,11 @@ func TestStageRejectsV2Frame(t *testing.T) {
 	}
 	cls.Release(bulk)
 
-	retries := d.client.observer().Counter("colza.stage.retries", "pipeline", "viz")
-	retriesBefore := retries.Value()
-	h.codec.forced = unregisteredCodec{}
-	err := h.Stage(1, meta, region)
-	var re *mercury.RemoteError
-	if !errors.As(err, &re) || re.Msg != refusal {
-		t.Fatalf("Stage through an unregistered codec: %v, want the server's %q", err, refusal)
+	snap := d.servers[0].Obs.Snapshot()
+	if got := snap.Counters["mercury.bulk.pull.count"]; got != 0 {
+		t.Fatalf("server pulled %d regions of refused frames", got)
 	}
-	if got := retries.Value() - retriesBefore; got != 0 {
-		t.Fatalf("Stage burned %d retries on a refusal", got)
-	}
-	if got := d.servers[0].Obs.Snapshot().Counters["colza.staged.blocks{pipeline=viz}"]; got != 0 {
+	if got := snap.Counters["colza.staged.blocks{pipeline=viz}"]; got != 0 {
 		t.Fatalf("server staged %d blocks from refused frames", got)
 	}
 	if c, s := cls.ExposedBytes(), d.servers[0].MI.Class().ExposedBytes(); c != 0 || s != 0 {
@@ -299,6 +290,11 @@ func fuzzStageFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
+		for _, r := range recs {
+			if r.CI.CodecID != codec.RawID && r.CI.CodecID != codec.DeltaID {
+				t.Fatalf("accepted a record naming codec %d", r.CI.CodecID)
+			}
+		}
 		re := appendStageBatchMsg(nil, pipeline, it, recs, bulk)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, data)
@@ -307,9 +303,9 @@ func fuzzStageFrame(f *testing.F) {
 }
 
 // FuzzStageFrameDecode seeds the frame fuzzer with the frames a per-block
-// Stage sends: one record per frame, covering every codec ID and the delta
-// base/flag field combinations of the conformance corpus, plus the retired
-// version-2 layout.
+// Stage sends: one record per frame, covering both codec IDs, the two
+// retired ones, and the delta base/flag field combinations of the
+// conformance corpus, plus the retired version-2 layout.
 func FuzzStageFrameDecode(f *testing.F) {
 	one := func(pipeline string, it uint64, meta BlockMeta, ci stageCodecInfo, bulk mercury.Bulk) []byte {
 		return appendStageBatchMsg(nil, pipeline, it, oneRec(meta, ci, bulk), bulk)
@@ -319,8 +315,8 @@ func FuzzStageFrameDecode(f *testing.F) {
 	bulk := mercury.Bulk{Addr: "inproc://a", ID: 3, Size: 7}
 	f.Add(one("viz", 1, BlockMeta{Field: "v", Type: "raw"}, stageCodecInfo{Uncompressed: 7}, bulk))
 	f.Add(one("", 0, BlockMeta{}, stageCodecInfo{}, mercury.Bulk{}))
-	for _, c := range codec.All() {
-		f.Add(one("p", 2, BlockMeta{Field: "u"}, stageCodecInfo{CodecID: c.ID(), Uncompressed: 64}, bulk))
+	for _, id := range stageCodecIDs {
+		f.Add(one("p", 2, BlockMeta{Field: "u"}, stageCodecInfo{CodecID: id, Uncompressed: 64}, bulk))
 	}
 	f.Add(one("p", 3, BlockMeta{Field: "u"},
 		stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 1 << 16, HasBase: true, DeltaBase: 2, Remember: true}, bulk))
@@ -356,8 +352,8 @@ func TestDecodeStageMsgBoundedAllocs(t *testing.T) {
 // region's slice, so == does not apply).
 func sameBulk(a, b mercury.Bulk) bool { return bytes.Equal(a.Encode(), b.Encode()) }
 
-// batchTestRecs builds a representative multi-record frame: every codec ID,
-// a delta record with a base, and a negative block ID.
+// batchTestRecs builds a representative multi-record frame: both codec IDs,
+// delta records with and without a base, and a negative block ID.
 func batchTestRecs() []stageBatchRec {
 	return []stageBatchRec{
 		{
@@ -367,12 +363,12 @@ func batchTestRecs() []stageBatchRec {
 			PayloadLen: 100,
 		},
 		{
-			CI:         stageCodecInfo{CodecID: codec.FlateID, Uncompressed: 4096},
+			CI:         stageCodecInfo{CodecID: codec.DeltaID, Uncompressed: 4096, Remember: true},
 			Meta:       BlockMeta{Field: "v", BlockID: 1, Type: "raw"},
 			PayloadLen: 512,
 		},
 		{
-			CI:         stageCodecInfo{CodecID: codec.ShuffleID, Uncompressed: 64},
+			CI:         stageCodecInfo{CodecID: codec.RawID, Uncompressed: 64},
 			Meta:       BlockMeta{Field: "u", BlockID: 2, Type: "raw"},
 			PayloadLen: 64,
 		},
@@ -566,9 +562,9 @@ func FuzzStageBatchDecode(f *testing.F) {
 	f.Add(appendStageBatchMsg(nil, "viz", 9, recs, batchTestBulk(recs)))
 	one := recs[:1]
 	f.Add(appendStageBatchMsg(nil, "p", 1, one, batchTestBulk(one)))
-	for _, c := range codec.All() {
+	for _, id := range stageCodecIDs {
 		r := []stageBatchRec{{
-			CI:         stageCodecInfo{CodecID: c.ID(), Uncompressed: 64},
+			CI:         stageCodecInfo{CodecID: id, Uncompressed: 64},
 			Meta:       BlockMeta{Field: "u"},
 			PayloadLen: 64,
 		}}
@@ -612,6 +608,38 @@ func TestDecodeStageBatchMsgBoundedAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("malformed decode allocates %.1f times", allocs)
 	}
+}
+
+// FuzzDecodeStageBatchResp: a stage response comes from the server the
+// client staged to. Whatever it holds, decoding never panics, and a
+// response it accepts names only blocks of the frame, each with a kind the
+// client reacts to, and re-encodes to its input.
+func FuzzDecodeStageBatchResp(f *testing.F) {
+	resp := func(errs ...stageBatchBlockErr) []byte { return appendStageBatchResp(nil, errs) }
+	f.Add([]byte{}, uint16(1))
+	f.Add(stageRespAllLanded, uint16(1))
+	f.Add(resp(stageBatchBlockErr{Index: 0, Kind: stageBatchErrRemote, Msg: "colza: pipeline stage: boom"}), uint16(1))
+	f.Add(resp(stageBatchBlockErr{Index: 2, Kind: stageBatchErrDeltaMismatch, Msg: "base 3"},
+		stageBatchBlockErr{Index: 5, Kind: stageBatchErrRemote}), uint16(8))
+	f.Add(resp(stageBatchBlockErr{Index: 2, Kind: stageBatchErrRemote}), uint16(2))                    // index past the frame
+	f.Add(resp(stageBatchBlockErr{Index: 0, Kind: 3, Msg: "x"}), uint16(1))                            // unknown kind
+	f.Add([]byte{stageBatchRespVersion, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(0xFFFF))                       // a count the body lacks
+	f.Add([]byte{stageBatchRespVersion, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0x7F}, uint16(1)) // a message length that lies
+	f.Add(append(resp(), 0), uint16(1))                                                                // trailing byte
+	f.Fuzz(func(t *testing.T, p []byte, blocks uint16) {
+		errs, err := decodeStageBatchResp(p, int(blocks))
+		if err != nil {
+			return
+		}
+		for _, e := range errs {
+			if e.Index < 0 || e.Index >= int(blocks) || (e.Kind != stageBatchErrRemote && e.Kind != stageBatchErrDeltaMismatch) {
+				t.Fatalf("accepted %+v in a response for %d blocks", e, blocks)
+			}
+		}
+		if re := appendStageBatchResp(nil, errs); !bytes.Equal(re, p) {
+			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, p)
+		}
+	})
 }
 
 func TestStageBatchRespRoundTrip(t *testing.T) {

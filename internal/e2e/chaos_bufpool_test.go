@@ -83,29 +83,22 @@ func init() {
 // and every exposed bulk region must be released by shutdown, client and
 // servers alike (the mercury.bulk.exposed.bytes balance check).
 //
-// The arms rerun the identical fault plan with the wire codec off, through
-// flate, and through delta: the compressed paths add a second pooled buffer
-// and the delta base-mismatch fallback to the retry machinery, and none of
-// it may change what the backend observes.
+// The arms rerun the identical fault plan with the wire codec off and
+// through delta: the compressed path adds a second pooled buffer and the
+// delta base-mismatch fallback to the retry machinery, and none of it may
+// change what the backend observes.
 //
 // The raw arm runs at two block sizes, one on each side of mercury's eager
 // limit: 1 MiB blocks are pulled out of the exposed buffer (a retry's pull
 // re-reads it), 64 KiB blocks ride inside the stage frame (a retry resends a
 // frame that carries the bytes itself, and the server borrows them from the
-// request). The compressed arms' payloads are small, so they ride too.
+// request). The delta arm's payloads are small, so they ride too.
 func TestChaosStageRetryBufferOwnership(t *testing.T) {
 	t.Run("raw", func(t *testing.T) {
 		runChaosStageRetryBufferOwnership(t, "own-raw", chaosPulledBlockLen, func(h *core.DistributedPipelineHandle) {})
 	})
 	t.Run("raw-eager", func(t *testing.T) {
 		runChaosStageRetryBufferOwnership(t, "own-rawe", chaosEagerBlockLen, func(h *core.DistributedPipelineHandle) {})
-	})
-	t.Run("flate", func(t *testing.T) {
-		runChaosStageRetryBufferOwnership(t, "own-flate", chaosEagerBlockLen, func(h *core.DistributedPipelineHandle) {
-			if err := h.SetCodec("flate"); err != nil {
-				t.Fatal(err)
-			}
-		})
 	})
 	t.Run("delta", func(t *testing.T) {
 		runChaosStageRetryBufferOwnership(t, "own-delta", chaosEagerBlockLen, func(h *core.DistributedPipelineHandle) {
@@ -255,10 +248,10 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, blockLen int
 		t.Errorf("fault plan produced %d stage retries, want >= 1", got)
 	}
 	assertStageTransfer(t, blockLen == chaosEagerBlockLen, reg, servers, iters*blocks)
-	// In the compressed arms the codec must actually have carried bytes,
-	// and the forced-delta arm must have hit the base-mismatch fallback (the
-	// dropped stage response leaves the server one iteration ahead, so the
-	// retry's base is stale and the client must re-encode zero-base).
+	// In the delta arm the codec must actually have carried bytes — the
+	// servers decoded them — and must have hit the base-mismatch fallback
+	// (the dropped stage response leaves the server one iteration ahead, so
+	// the retry's base is stale and the client must re-encode zero-base).
 	if !strings.HasPrefix(prefix, "own-raw") {
 		var wire int64
 		for k, v := range snap.Counters {
@@ -270,16 +263,14 @@ func runChaosStageRetryBufferOwnership(t *testing.T, prefix string, blockLen int
 			t.Error("codec enabled but codec.bytes.out counted no wire bytes")
 		}
 	}
-	if prefix == "own-flate" {
+	if prefix == "own-delta" {
 		var decoded int64
 		for _, s := range servers {
-			decoded += s.Obs.Snapshot().Counters["codec.bytes.in{codec=flate}"]
+			decoded += s.Obs.Snapshot().Counters["codec.bytes.in{codec=delta}"]
 		}
 		if decoded < 1 {
-			t.Errorf("servers' codec.bytes.in{codec=flate} = %d, want > 0", decoded)
+			t.Errorf("servers' codec.bytes.in{codec=delta} = %d, want > 0", decoded)
 		}
-	}
-	if prefix == "own-delta" {
 		if got := snap.Counters["codec.bytes.out{codec=delta}"]; got < 1 {
 			t.Errorf("codec.bytes.out{codec=delta} = %d, want > 0", got)
 		}

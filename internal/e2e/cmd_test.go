@@ -129,7 +129,7 @@ func TestCommandLineDeployment(t *testing.T) {
 	client := core.NewClient(mi)
 	h := client.Handle("viz", target)
 	h.SetTimeout(30 * time.Second)
-	if err := h.SetCodec("shuffle"); err != nil {
+	if err := h.SetCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
 	mb := sim.DefaultMandelbulb([3]int{12, 12, 8}, 4)
@@ -175,11 +175,11 @@ func TestCommandLineDeployment(t *testing.T) {
 	assertMetricPresent(t, metrics, "counter core.state.checkpoint.errors")
 	assertMetricPresent(t, metrics, "counter mercury.respond.send_errors")
 	// The compressed stage path must be visible in the live registry: the
-	// client staged through the shuffle codec, so the server counted both
+	// client staged through the delta codec, so the server counted both
 	// wire bytes in and decoded bytes out for it. The raw counters are
 	// pre-touched at SetObserver time and exported at zero.
-	assertMetricLine(t, metrics, "counter codec.bytes.in{codec=shuffle}")
-	assertMetricLine(t, metrics, "counter codec.bytes.out{codec=shuffle}")
+	assertMetricLine(t, metrics, "counter codec.bytes.in{codec=delta}")
+	assertMetricLine(t, metrics, "counter codec.bytes.out{codec=delta}")
 	assertMetricPresent(t, metrics, "counter codec.bytes.in{codec=raw}")
 
 	// `colza-ctl trace` emits the span records as JSON lines.

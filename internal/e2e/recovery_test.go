@@ -161,31 +161,27 @@ func TestCrashRecoveryMatchesOracle(t *testing.T) {
 }
 
 // TestCrashRecoveryMatchesOracleCompressed reruns the crash-vs-oracle
-// experiment with the stage wire compressed — once through flate, once
-// through delta. The crash shrinks the view, which must invalidate every
-// delta base on both sides (the survivor just imported recovered state; the
-// client pinned a different member set), so the recovered run still
-// reproduces the oracle's statistics exactly. Delta is the sharp arm: any
-// stale base that survived invalidation would reconstruct wrong bytes and
-// move the strict-equality sums.
+// experiment with the stage wire compressed through delta. The crash
+// shrinks the view, which must invalidate every delta base on both sides
+// (the survivor just imported recovered state; the client pinned a
+// different member set), so the recovered run still reproduces the
+// oracle's statistics exactly: any stale base that survived invalidation
+// would reconstruct wrong bytes and move the strict-equality sums.
 func TestCrashRecoveryMatchesOracleCompressed(t *testing.T) {
 	oracle, _ := runRecoveryArm(t, "cr-oracle-c", 1, false, nil)
-	for _, name := range []string{"flate", "delta"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			crashed, snap := runRecoveryArm(t, "cr-"+name, 1, true, func(h *core.DistributedPipelineHandle) {
-				if err := h.SetCodec(name); err != nil {
-					t.Fatal(err)
-				}
-			})
-			assertRecoveryMatchesOracle(t, oracle, crashed, snap)
-			// The compressed frames must actually have crossed the wire: the
-			// survivor decoded the codec's payloads into larger blocks.
-			if got := snap.Counters["codec.bytes.in{codec="+name+"}"]; got < 1 {
-				t.Errorf("codec.bytes.in{codec=%s} = %d, want > 0", name, got)
+	t.Run("delta", func(t *testing.T) {
+		crashed, snap := runRecoveryArm(t, "cr-delta", 1, true, func(h *core.DistributedPipelineHandle) {
+			if err := h.SetCodec("delta"); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		assertRecoveryMatchesOracle(t, oracle, crashed, snap)
+		// The compressed frames must actually have crossed the wire: the
+		// survivor decoded the codec's payloads into larger blocks.
+		if got := snap.Counters["codec.bytes.in{codec=delta}"]; got < 1 {
+			t.Errorf("codec.bytes.in{codec=delta} = %d, want > 0", got)
+		}
+	})
 }
 
 // assertRecoveryMatchesOracle holds a crashed arm to the oracle's exact

@@ -1,11 +1,13 @@
 package icet
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
 
+	"colza/internal/bufpool"
 	"colza/internal/minimpi"
 	"colza/internal/render"
 )
@@ -239,6 +241,56 @@ func TestRegionCodec(t *testing.T) {
 		t.Fatal("short payload must fail")
 	}
 	_ = fmt.Sprintf("%v %v", TreeReduce, BinarySwap) // exercise String()
+}
+
+// FuzzDecodeRegion: a region frame comes from a compositing peer.
+// Whatever it holds, decodeRegionInto never panics; a frame it refuses
+// leaves the image as it was, and a frame it accepts writes the pixels of
+// the range it was asked for and no other, and re-encodes to its input.
+func FuzzDecodeRegion(f *testing.F) {
+	const w, h = 8, 2
+	im := render.NewImage(w, h)
+	paint(im, 2, 6, 0.3, 1, 2, 3)
+	region := encodeRegion(im, pixelRange{4, 12})
+	f.Add(region, uint8(4), uint8(8))
+	f.Add(encodeRegion(im, pixelRange{0, w * h}), uint8(0), uint8(w*h))
+	f.Add(encodeRegion(im, pixelRange{3, 3}), uint8(3), uint8(0))
+	f.Add(region, uint8(0), uint8(8))                 // another range than the frame's
+	f.Add(region[:len(region)-1], uint8(4), uint8(8)) // cut short
+	f.Add(append(region, 0), uint8(4), uint8(8))      // a byte past the depths
+	f.Add([]byte{4, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, uint8(4), uint8(8))
+	f.Add([]byte{1}, uint8(4), uint8(8))
+	f.Fuzz(func(t *testing.T, raw []byte, lo, n uint8) {
+		rng := pixelRange{lo: int(lo) % (w*h + 1)}
+		rng.hi = rng.lo + int(n)%(w*h+1-rng.lo)
+		out := render.NewImage(w, h)
+		for i := range out.RGBA {
+			out.RGBA[i] = byte(i * 7)
+		}
+		for i := range out.Depth {
+			out.Depth[i] = float32(i)
+		}
+		before := render.NewImage(w, h)
+		copy(before.RGBA, out.RGBA)
+		copy(before.Depth, out.Depth)
+		err := decodeRegionInto(out, raw, rng)
+		for i := range out.Depth {
+			if err == nil && i >= rng.lo && i < rng.hi {
+				continue
+			}
+			if !bytes.Equal(out.RGBA[4*i:4*i+4], before.RGBA[4*i:4*i+4]) || math.Float32bits(out.Depth[i]) != math.Float32bits(before.Depth[i]) {
+				t.Fatalf("pixel %d written outside [%d, %d) (err %v)", i, rng.lo, rng.hi, err)
+			}
+		}
+		if err != nil {
+			return
+		}
+		re := encodeRegion(out, rng)
+		defer bufpool.Put(re)
+		if !bytes.Equal(re, raw) {
+			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, raw)
+		}
+	})
 }
 
 // TestCompositeRootOutsidePowerOfTwo: with a non-power-of-two group the

@@ -287,7 +287,7 @@ func (c *Class) PullBulkInto(b Bulk, dst []byte) error {
 	// through to the RPC pulls, which remain authoritative — notably for
 	// use-after-release, which must surface as ErrBadBulk.
 	if c.SharesBulk() {
-		if done, err := c.arena.PullLocal(b.Addr, b.ID, 0, dst); done {
+		if done, err := c.arena.PullLocal(b.Addr, b.ID, dst); done {
 			return err
 		}
 	}

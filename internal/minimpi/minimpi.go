@@ -98,11 +98,6 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	return c.w.queues[c.rank].Recv(src, tag)
 }
 
-// Bcast distributes data from root.
-func (c *Comm) Bcast(root, tag int, data []byte) ([]byte, error) {
-	return collectives.Bcast(c, root, tag, data, collectives.DefaultAlgorithm)
-}
-
 // Reduce folds contributions at root.
 func (c *Comm) Reduce(root, tag int, data []byte, op collectives.Op) ([]byte, error) {
 	return collectives.Reduce(c, root, tag, data, op, collectives.DefaultAlgorithm)
@@ -111,24 +106,4 @@ func (c *Comm) Reduce(root, tag int, data []byte, op collectives.Op) ([]byte, er
 // AllReduce folds contributions everywhere.
 func (c *Comm) AllReduce(tag int, data []byte, op collectives.Op) ([]byte, error) {
 	return collectives.AllReduce(c, tag, data, op, collectives.DefaultAlgorithm)
-}
-
-// Gather collects contributions at root.
-func (c *Comm) Gather(root, tag int, data []byte) ([][]byte, error) {
-	return collectives.Gather(c, root, tag, data)
-}
-
-// AllGather collects contributions everywhere.
-func (c *Comm) AllGather(tag int, data []byte) ([][]byte, error) {
-	return collectives.AllGather(c, tag, data, collectives.DefaultAlgorithm)
-}
-
-// Scatter distributes parts from root.
-func (c *Comm) Scatter(root, tag int, parts [][]byte) ([]byte, error) {
-	return collectives.Scatter(c, root, tag, parts)
-}
-
-// Barrier blocks until every rank enters.
-func (c *Comm) Barrier(tag int) error {
-	return collectives.Barrier(c, tag)
 }

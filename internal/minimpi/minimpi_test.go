@@ -62,7 +62,7 @@ func TestCollectivesOnWorld(t *testing.T) {
 		if c.Rank() == 3 {
 			in = []byte("payload")
 		}
-		got, err := c.Bcast(3, 10, in)
+		got, err := collectives.Bcast(c, 3, 10, in, collectives.DefaultAlgorithm)
 		if err != nil {
 			return err
 		}
@@ -83,7 +83,7 @@ func TestCollectivesOnWorld(t *testing.T) {
 				return fmt.Errorf("reduce got %d want %d", red[0], want)
 			}
 		}
-		return c.Barrier(12)
+		return nil
 	})
 }
 

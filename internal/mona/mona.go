@@ -281,11 +281,6 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	return c.mq.Recv(src, tag)
 }
 
-// Bcast distributes data from root (see collectives.Bcast).
-func (c *Comm) Bcast(root, tag int, data []byte) ([]byte, error) {
-	return collectives.Bcast(c, root, tag, data, collectives.DefaultAlgorithm)
-}
-
 // Reduce folds contributions at root (see collectives.Reduce).
 func (c *Comm) Reduce(root, tag int, data []byte, op collectives.Op) ([]byte, error) {
 	return collectives.Reduce(c, root, tag, data, op, collectives.DefaultAlgorithm)
@@ -294,24 +289,4 @@ func (c *Comm) Reduce(root, tag int, data []byte, op collectives.Op) ([]byte, er
 // AllReduce folds contributions and distributes the result everywhere.
 func (c *Comm) AllReduce(tag int, data []byte, op collectives.Op) ([]byte, error) {
 	return collectives.AllReduce(c, tag, data, op, collectives.DefaultAlgorithm)
-}
-
-// Gather collects each rank's data at root.
-func (c *Comm) Gather(root, tag int, data []byte) ([][]byte, error) {
-	return collectives.Gather(c, root, tag, data)
-}
-
-// AllGather collects each rank's data everywhere.
-func (c *Comm) AllGather(tag int, data []byte) ([][]byte, error) {
-	return collectives.AllGather(c, tag, data, collectives.DefaultAlgorithm)
-}
-
-// Scatter distributes parts from root.
-func (c *Comm) Scatter(root, tag int, parts [][]byte) ([]byte, error) {
-	return collectives.Scatter(c, root, tag, parts)
-}
-
-// Barrier blocks until every member has entered it.
-func (c *Comm) Barrier(tag int) error {
-	return collectives.Barrier(c, tag)
 }

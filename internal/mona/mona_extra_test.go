@@ -113,10 +113,10 @@ func TestCommIDReuseAfterDestroy(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c1.Bcast(0, 1, nil)
+		_, err := collectives.Bcast(c1, 0, 1, nil, collectives.DefaultAlgorithm)
 		done <- err
 	}()
-	if _, err := c0.Bcast(0, 1, []byte("fresh")); err != nil {
+	if _, err := collectives.Bcast(c0, 0, 1, []byte("fresh"), collectives.DefaultAlgorithm); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -138,7 +138,7 @@ func TestConcurrentCollectivesDistinctTags(t *testing.T) {
 			if c.Rank() == 0 {
 				in = []byte("first")
 			}
-			got, err := c.Bcast(0, 100, in)
+			got, err := collectives.Bcast(c, 0, 100, in, collectives.DefaultAlgorithm)
 			if err == nil && string(got) != "first" {
 				err = fmt.Errorf("tag 100 got %q", got)
 			}
@@ -150,7 +150,7 @@ func TestConcurrentCollectivesDistinctTags(t *testing.T) {
 			if c.Rank() == 0 {
 				in = []byte("second")
 			}
-			got, err := c.Bcast(0, 200, in)
+			got, err := collectives.Bcast(c, 0, 200, in, collectives.DefaultAlgorithm)
 			if err == nil && string(got) != "second" {
 				err = fmt.Errorf("tag 200 got %q", got)
 			}

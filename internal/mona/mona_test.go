@@ -105,7 +105,7 @@ func TestBcastAcrossInstances(t *testing.T) {
 		if c.Rank() == 2 {
 			in = payload
 		}
-		got, err := c.Bcast(2, 50, in)
+		got, err := collectives.Bcast(c, 2, 50, in, collectives.DefaultAlgorithm)
 		if err != nil {
 			return err
 		}
@@ -137,7 +137,7 @@ func TestReduceXor(t *testing.T) {
 	})
 }
 
-func TestAllReduceAndBarrier(t *testing.T) {
+func TestAllReduce(t *testing.T) {
 	n := 4
 	_, comms := group(t, n, 5)
 	onAll(t, comms, func(c *Comm) error {
@@ -150,35 +150,6 @@ func TestAllReduceAndBarrier(t *testing.T) {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(got))
 		if v != 1.5*float64(n) {
 			return fmt.Errorf("allreduce = %v", v)
-		}
-		return c.Barrier(80)
-	})
-}
-
-func TestGatherScatterAllGather(t *testing.T) {
-	n := 5
-	_, comms := group(t, n, 6)
-	onAll(t, comms, func(c *Comm) error {
-		mine := []byte{byte(c.Rank() * 10)}
-		all, err := c.AllGather(90, mine)
-		if err != nil {
-			return err
-		}
-		for r := 0; r < n; r++ {
-			if len(all[r]) != 1 || all[r][0] != byte(r*10) {
-				return fmt.Errorf("allgather[%d] = %v", r, all[r])
-			}
-		}
-		parts, err := c.Gather(1, 95, mine)
-		if err != nil {
-			return err
-		}
-		back, err := c.Scatter(1, 96, parts)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(back, mine) {
-			return fmt.Errorf("scatter returned %v", back)
 		}
 		return nil
 	})
@@ -242,8 +213,8 @@ func TestGrowGroupWithNewCommunicator(t *testing.T) {
 	// Use epoch-1 communicator.
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); c2b.Bcast(0, 1, nil) }()
-	if _, err := c2a.Bcast(0, 1, []byte("x")); err != nil {
+	go func() { defer wg.Done(); collectives.Bcast(c2b, 0, 1, nil, collectives.DefaultAlgorithm) }()
+	if _, err := collectives.Bcast(c2a, 0, 1, []byte("x"), collectives.DefaultAlgorithm); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -264,13 +235,13 @@ func TestGrowGroupWithNewCommunicator(t *testing.T) {
 		wg.Add(1)
 		go func(cm *Comm) {
 			defer wg.Done()
-			got, err := cm.Bcast(0, 2, nil)
+			got, err := collectives.Bcast(cm, 0, 2, nil, collectives.DefaultAlgorithm)
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Errorf("bcast on grown comm: %v %q", err, got)
 			}
 		}(cm)
 	}
-	if _, err := comms[0].Bcast(0, 2, payload); err != nil {
+	if _, err := collectives.Bcast(comms[0], 0, 2, payload, collectives.DefaultAlgorithm); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -518,11 +518,12 @@ func (s *shmBulk) peerArena(base string) (*smArenaMap, error) {
 // authoritative tiebreaker anyway.
 const pullLocalAttempts = 3
 
-// pull copies len(dst) bytes at off of region id out of the mapping, under
-// the slot's seqlock. False means anything else: another id in the slot, a
-// range the slot's words do not cover, a slot that kept changing. The bounds
-// are compared without adding, so no hostile off/len can wrap past them.
-func (m *smArenaMap) pull(id uint64, off int, dst []byte) bool {
+// pull copies the first len(dst) bytes of region id out of the mapping,
+// under the slot's seqlock. False means anything else: another id in the
+// slot, a range the slot's words do not cover, a slot that kept changing.
+// The bounds are compared without adding, so no hostile off/len can wrap
+// past them.
+func (m *smArenaMap) pull(id uint64, dst []byte) bool {
 	slot := id % m.nslots
 	for attempt := 0; attempt < pullLocalAttempts; attempt++ {
 		s1 := atomic.LoadUint64(slotWord(m.seg, slot, soSeq))
@@ -534,10 +535,10 @@ func (m *smArenaMap) pull(id uint64, off int, dst []byte) bool {
 		}
 		ln := atomic.LoadUint64(slotWord(m.seg, slot, soLen))
 		ofs := atomic.LoadUint64(slotWord(m.seg, slot, soOff))
-		if ofs > m.dataCap || ln > m.dataCap-ofs || uint64(off) > ln || uint64(len(dst)) > ln-uint64(off) {
+		if ofs > m.dataCap || ln > m.dataCap-ofs || uint64(len(dst)) > ln {
 			return false
 		}
-		start := m.dataOff + ofs + uint64(off)
+		start := m.dataOff + ofs
 		copy(dst, m.seg[start:start+uint64(len(dst))])
 		if atomic.LoadUint64(slotWord(m.seg, slot, soSeq)) == s1 {
 			return true
@@ -546,12 +547,12 @@ func (m *smArenaMap) pull(id uint64, off int, dst []byte) bool {
 	return false
 }
 
-// PullLocal maps the exposer's arena and copies the requested range of
-// region id straight out of shared memory (LocalBulk). done=false sends
+// PullLocal maps the exposer's arena and copies the first len(dst) bytes
+// of region id straight out of shared memory (LocalBulk). done=false sends
 // the caller to the RPC pull path.
-func (s *shmBulk) PullLocal(ownerAddr string, id uint64, off int, dst []byte) (bool, error) {
+func (s *shmBulk) PullLocal(ownerAddr string, id uint64, dst []byte) (bool, error) {
 	smAddr, _ := SplitAddr(ownerAddr)
-	if smAddr == "" || off < 0 {
+	if smAddr == "" {
 		return false, nil
 	}
 	host, base, ok := smHostBase(smAddr)
@@ -560,7 +561,7 @@ func (s *shmBulk) PullLocal(ownerAddr string, id uint64, off int, dst []byte) (b
 	}
 	m := s.met.Load()
 	am, err := s.peerArena(base)
-	if err != nil || !am.pull(id, off, dst) {
+	if err != nil || !am.pull(id, dst) {
 		m.pullFallback.Inc()
 		return false, nil
 	}

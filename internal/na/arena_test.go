@@ -144,7 +144,7 @@ func TestSMSegmentCleanup(t *testing.T) {
 		t.Fatal("ExposeLocal failed")
 	}
 	var dst [10]byte
-	if done, err := b.PullLocal(a.Addr(), 1, 0, dst[:]); !done || err != nil {
+	if done, err := b.PullLocal(a.Addr(), 1, dst[:]); !done || err != nil {
 		t.Fatalf("PullLocal: done=%v err=%v", done, err)
 	}
 	ents, _ := os.ReadDir(dir)
@@ -173,29 +173,27 @@ func TestSMLocalBulk(t *testing.T) {
 	}
 	// Full pull.
 	dst := make([]byte, len(payload))
-	if done, err := b.PullLocal(a.Addr(), 42, 0, dst); !done || err != nil {
+	if done, err := b.PullLocal(a.Addr(), 42, dst); !done || err != nil {
 		t.Fatalf("full pull: done=%v err=%v", done, err)
 	}
 	if !bytes.Equal(dst, payload) {
 		t.Fatal("full pull bytes differ")
 	}
-	// Ranged pull.
+	// A prefix pull.
 	sub := make([]byte, 1000)
-	if done, err := b.PullLocal(a.Addr(), 42, 5000, sub); !done || err != nil {
-		t.Fatalf("ranged pull: done=%v err=%v", done, err)
+	if done, err := b.PullLocal(a.Addr(), 42, sub); !done || err != nil {
+		t.Fatalf("prefix pull: done=%v err=%v", done, err)
 	}
-	if !bytes.Equal(sub, payload[5000:6000]) {
-		t.Fatal("ranged pull bytes differ")
+	if !bytes.Equal(sub, payload[:1000]) {
+		t.Fatal("prefix pull bytes differ")
 	}
-	// Out-of-bounds range must decline (RPC path is authoritative).
-	if done, _ := b.PullLocal(a.Addr(), 42, len(payload)-10, make([]byte, 20)); done {
+	// A request longer than the region must decline (RPC path is
+	// authoritative).
+	if done, _ := b.PullLocal(a.Addr(), 42, make([]byte, len(payload)+1)); done {
 		t.Fatal("out-of-bounds pull should fall back")
 	}
-	if done, _ := b.PullLocal(a.Addr(), 42, -1, sub); done {
-		t.Fatal("negative offset should fall back")
-	}
 	// Unknown id declines.
-	if done, _ := b.PullLocal(a.Addr(), 999, 0, dst); done {
+	if done, _ := b.PullLocal(a.Addr(), 999, dst); done {
 		t.Fatal("unknown id should fall back")
 	}
 	// Owners this endpoint cannot map decline: no sm component, another
@@ -208,13 +206,13 @@ func TestSMLocalBulk(t *testing.T) {
 		b.Addr(),
 		DualAddr("sm://"+smHostID()+"/no/such/base", tcpPart),
 	} {
-		if done, _ := b.PullLocal(owner, 42, 0, sub); done {
+		if done, _ := b.PullLocal(owner, 42, sub); done {
 			t.Fatalf("pull from %s should fall back", owner)
 		}
 	}
 	// After release the slot is withdrawn.
 	a.ReleaseLocal(42)
-	if done, _ := b.PullLocal(a.Addr(), 42, 0, dst); done {
+	if done, _ := b.PullLocal(a.Addr(), 42, dst); done {
 		t.Fatal("released region should fall back")
 	}
 	// Slot reuse after release: a new id landing on the same slot works.
@@ -222,7 +220,7 @@ func TestSMLocalBulk(t *testing.T) {
 		t.Fatal("re-expose on same slot failed")
 	}
 	small := make([]byte, 100)
-	if done, err := b.PullLocal(a.Addr(), 42+defaultArenaSlots, 0, small); !done || err != nil {
+	if done, err := b.PullLocal(a.Addr(), 42+defaultArenaSlots, small); !done || err != nil {
 		t.Fatalf("pull after slot reuse: done=%v err=%v", done, err)
 	}
 	a.ReleaseLocal(42 + defaultArenaSlots)
@@ -251,7 +249,7 @@ func TestReservedSlotMissedUntilPublished(t *testing.T) {
 		span[i] = byte(i * 7)
 	}
 	dst := make([]byte, 60)
-	if done, err := b.PullLocal(a.Addr(), id, 0, dst); done || err != nil {
+	if done, err := b.PullLocal(a.Addr(), id, dst); done || err != nil {
 		t.Fatalf("pull of a reserved, unpublished region: done=%v err=%v, want a miss", done, err)
 	}
 	if a.ExposeLocal(id+8, []byte("collides")) || a.ReserveLocal(id+8, 8) != nil {
@@ -271,17 +269,17 @@ func TestReservedSlotMissedUntilPublished(t *testing.T) {
 	if !a.PublishLocal(id, 60) {
 		t.Fatal("publish failed")
 	}
-	if done, err := b.PullLocal(a.Addr(), id, 0, dst); !done || err != nil || !bytes.Equal(dst, span[:60]) {
+	if done, err := b.PullLocal(a.Addr(), id, dst); !done || err != nil || !bytes.Equal(dst, span[:60]) {
 		t.Fatalf("pull after publish: done=%v err=%v", done, err)
 	}
-	if done, _ := b.PullLocal(a.Addr(), id, 0, make([]byte, 61)); done {
+	if done, _ := b.PullLocal(a.Addr(), id, make([]byte, 61)); done {
 		t.Fatal("pulled past the published prefix")
 	}
 	if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 100 {
 		t.Fatalf("na.shm.mapped.bytes = %d, want the 100 reserved", got)
 	}
 	a.ReleaseLocal(id)
-	if done, _ := b.PullLocal(a.Addr(), id, 0, dst); done {
+	if done, _ := b.PullLocal(a.Addr(), id, dst); done {
 		t.Fatal("pulled a released region")
 	}
 	if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
@@ -368,7 +366,7 @@ func TestSMLocalBulkSlotCollision(t *testing.T) {
 		t.Fatal("colliding expose should decline")
 	}
 	dst := make([]byte, 5)
-	if done, err := b.PullLocal(a.Addr(), 3, 0, dst); !done || err != nil || string(dst) != "first" {
+	if done, err := b.PullLocal(a.Addr(), 3, dst); !done || err != nil || string(dst) != "first" {
 		t.Fatalf("first region damaged: done=%v err=%v dst=%q", done, err, dst)
 	}
 	a.ReleaseLocal(3)
@@ -503,10 +501,10 @@ func TestSMObsCounters(t *testing.T) {
 		t.Fatalf("mapped.bytes = %d, want 4", got)
 	}
 	var dst [4]byte
-	if done, _ := b.PullLocal(a.Addr(), 7, 0, dst[:]); !done {
+	if done, _ := b.PullLocal(a.Addr(), 7, dst[:]); !done {
 		t.Fatal("pull failed")
 	}
-	if done, _ := b.PullLocal(a.Addr(), 8, 0, dst[:]); done {
+	if done, _ := b.PullLocal(a.Addr(), 8, dst[:]); done {
 		t.Fatal("pull of an unpublished id succeeded")
 	}
 	if local, fell := regB.Counter("na.shm.pull.local").Value(), regB.Counter("na.shm.pull.fallback").Value(); local != 1 || fell != 1 {
@@ -533,7 +531,7 @@ func TestPullLocalHostileSlot(t *testing.T) {
 		t.Fatal("expose failed")
 	}
 	dst := make([]byte, 16)
-	if done, _ := b.PullLocal(a.Addr(), id, 0, dst); !done {
+	if done, _ := b.PullLocal(a.Addr(), id, dst); !done {
 		t.Fatal("honest pull failed")
 	}
 	seg := a.arena.seg
@@ -545,19 +543,16 @@ func TestPullLocalHostileSlot(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		seq, id, off, len uint64
-		pullOff           int
 	}{
-		{"off+len wraps to a small sum", honest[0], id, max - 7, 16, 0},
-		{"off wraps with the data offset", honest[0], id, max - a.arena.dataOff + 1, 64, 0},
-		{"len past the data area", honest[0], id, 0, 1<<20 + 1, 0},
-		{"off past the data area", honest[0], id, 1<<20 + 1, 16, 0},
-		{"off at the end, len over it", honest[0], id, 1<<20 - 8, 16, 0},
-		{"len is all ones", honest[0], id, 8, max, 0},
-		{"len shorter than the request", honest[0], id, 0, 15, 0},
-		{"pull offset past len", honest[0], id, 0, 64, 65},
-		{"pull offset leaves too little", honest[0], id, 0, 64, 49},
-		{"another id in the slot", honest[0], id + 8, honest[2], honest[3], 0},
-		{"sequence stuck odd", honest[0] + 1, id, honest[2], honest[3], 0},
+		{"off+len wraps to a small sum", honest[0], id, max - 7, 16},
+		{"off wraps with the data offset", honest[0], id, max - a.arena.dataOff + 1, 64},
+		{"len past the data area", honest[0], id, 0, 1<<20 + 1},
+		{"off past the data area", honest[0], id, 1<<20 + 1, 16},
+		{"off at the end, len over it", honest[0], id, 1<<20 - 8, 16},
+		{"len is all ones", honest[0], id, 8, max},
+		{"len shorter than the request", honest[0], id, 0, 15},
+		{"another id in the slot", honest[0], id + 8, honest[2], honest[3]},
+		{"sequence stuck odd", honest[0] + 1, id, honest[2], honest[3]},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for f, v := range [4]uint64{tc.seq, tc.id, tc.off, tc.len} {
@@ -565,7 +560,7 @@ func TestPullLocalHostileSlot(t *testing.T) {
 			}
 			before := reg.Counter("na.shm.pull.fallback").Value()
 			clear(dst)
-			done, err := b.PullLocal(a.Addr(), id, tc.pullOff, dst)
+			done, err := b.PullLocal(a.Addr(), id, dst)
 			if done || err != nil {
 				t.Fatalf("done=%v err=%v dst=%x, want a decline", done, err, dst)
 			}
@@ -577,7 +572,7 @@ func TestPullLocalHostileSlot(t *testing.T) {
 	for f, v := range honest {
 		atomic.StoreUint64(slotWord(seg, id, f*8), v)
 	}
-	if done, _ := b.PullLocal(a.Addr(), id, 48, dst); !done || !bytes.Equal(dst, payload[:16]) {
+	if done, _ := b.PullLocal(a.Addr(), id, dst); !done || !bytes.Equal(dst, payload[:16]) {
 		t.Fatalf("restored slot: done=%v dst=%x", done, dst)
 	}
 	a.ReleaseLocal(id)
@@ -608,7 +603,7 @@ func TestPeerArenaRejectsHostileHeader(t *testing.T) {
 			t.Fatal(err)
 		}
 		owner := DualAddr("sm://"+smHostID()+base, "127.0.0.1:1")
-		if done, err := b.PullLocal(owner, 1, 0, make([]byte, 8)); done || err != nil {
+		if done, err := b.PullLocal(owner, 1, make([]byte, 8)); done || err != nil {
 			t.Fatalf("%s: done=%v err=%v, want a decline", name, done, err)
 		}
 		os.Remove(base + ".blk")
@@ -715,7 +710,7 @@ func TestArenaChurnStress(t *testing.T) {
 		}
 		id := ids[i%len(ids)]
 		got := dst[:size(id)]
-		ok, err := b.PullLocal(a.Addr(), id, 0, got)
+		ok, err := b.PullLocal(a.Addr(), id, got)
 		if err != nil {
 			t.Fatalf("pull %d: %v", id, err)
 		}

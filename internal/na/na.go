@@ -90,11 +90,11 @@ type LocalBulk interface {
 	// ReleaseLocal withdraws a region, published or only reserved. Safe to
 	// call for ids that were never published.
 	ReleaseLocal(id uint64)
-	// PullLocal copies len(dst) bytes starting at off of the region id
+	// PullLocal copies the first len(dst) bytes of the region id
 	// published by the endpoint at ownerAddr. done=false means the
 	// caller must fall back to the RPC pull path; done=true with nil err
 	// means dst holds the bytes.
-	PullLocal(ownerAddr string, id uint64, off int, dst []byte) (done bool, err error)
+	PullLocal(ownerAddr string, id uint64, dst []byte) (done bool, err error)
 }
 
 // packet is one in-flight message.
