@@ -123,8 +123,10 @@ fi
 # model every number of Figs. 5-10 and ext-autoscale is computed in; and
 # the iso execute's kernels — the rasterizer, the isosurface extraction and
 # the clip — which produce every pixel the benchmark's oracle hashes, and
-# whose pixel-centre box and discarded-voxel skip each sit behind a guard
-# that only a test reaching both of its sides checks; and the unstructured
+# whose pixel-centre box, discarded-voxel skip and kept-side skip each sit
+# behind a guard that only a test reaching both of its sides checks; the
+# image file, whose PNG writer writes every image the benchmark's oracle
+# hashes; and the unstructured
 # grid file, whose decoder turns untrusted staged bytes into the cells and
 # arrays the volume pipeline indexes (one unchecked connectivity entry there
 # crashed every server that executed the block); likewise the image-data
@@ -143,5 +145,5 @@ check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./inter
 check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go ./internal/na/tcp.go ./internal/mercury/mercury.go
 check_cover 90 ./internal/bench/simtime.go
 check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go \
-    ./internal/vtk/imagedata.go ./internal/render/pool.go ./internal/icet/icet.go
+    ./internal/vtk/imagedata.go ./internal/render/pool.go ./internal/render/image.go ./internal/icet/icet.go
 check_cover 90 ./internal/collectives/ops.go ./internal/mona/mona.go

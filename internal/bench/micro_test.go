@@ -378,21 +378,55 @@ func BenchmarkCompositePooled(b *testing.B) {
 	}
 }
 
-// Warm iso execute (extract + render) on the pipeline's own workspace.
+// The warm iso execute on the gs_iso_inproc shape, whole (extract + render
+// on the pipeline's own workspace) and phase by phase on storage each
+// phase reuses: the clipped extraction of every block into one mesh, its
+// rasterization at 256², and the PNG of that frame. A phase's profile is
+//
+//	go test -run '^$' -bench 'IsoExecute/render' -cpuprofile cpu.out ./internal/bench/
 func BenchmarkIsoExecute(b *testing.B) {
 	blocks, err := grayScottSlabs(64, 200, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	exec, cleanup, err := isoExecuteEnv(blocks)
-	if err != nil {
+	b.Run("execute", func(b *testing.B) {
+		exec, cleanup, err := isoExecuteEnv(blocks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cleanup()
+		if _, err := exec(); err != nil { // warm: sizes the workspace
+			b.Fatal(err)
+		}
+		benchLoop(b, func() error { _, err := exec(); return err })
+	})
+
+	isos := []float64{0.1, 0.2, 0.3}
+	clip := &vtk.Plane{Normal: [3]float32{1, 0, 0}, Offset: 32}
+	var mesh vtk.TriangleMesh
+	extract := func() error {
+		mesh.Reset()
+		for _, blk := range blocks {
+			if err := vtk.ExtractIsosurfaces(&mesh, blk, "V", isos, clip); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := extract(); err != nil {
 		b.Fatal(err)
 	}
-	defer cleanup()
-	if _, err := exec(); err != nil { // warm: sizes the workspace
-		b.Fatal(err)
+	frame := render.NewImage(256, 256)
+	cam := render.DefaultCamera(render.MeshBounds(&mesh))
+	rasterize := func() error {
+		frame.Clear()
+		render.RasterizeMesh(frame, cam, &mesh, render.CoolWarm, [2]float64{0, 0.5})
+		return nil
 	}
-	benchLoop(b, func() error { _, err := exec(); return err })
+	rasterize()
+	b.Run("extract", func(b *testing.B) { benchLoop(b, extract) })
+	b.Run("render", func(b *testing.B) { benchLoop(b, rasterize) })
+	b.Run("png", func(b *testing.B) { benchLoop(b, func() error { _, err := frame.PNG(); return err }) })
 }
 
 // Allocs/op ceilings: they hold the pooled hot paths at their measured level

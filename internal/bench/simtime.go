@@ -35,15 +35,14 @@ type workCost struct {
 
 // isoCost and volumeCost are the one table per-rank compute comes from.
 // The iso row is BenchmarkComputeCost's reading on the reference box
-// before the iso kernels' pixel-centre box and discarded-voxel skip; it is
-// kept, not re-measured, so the frozen Figs. 5–10 and ext-autoscale rows
-// stay byte-identical (they cost counted work, which those kernels did not
-// change). The benchmark now reads ~5.2 ns/cell and ~134 ns/triangle
-// extract, ~215 ns/triangle render, the facet normal having moved from
-// extraction to rasterisation (DESIGN.md §2, substitution 7). The
-// volume row is the cost ext-autoscale already modelled, kept so its
-// frozen rows hold; that benchmark reads ~150 ns/cell merge and ~1.1
-// µs/cell splat.
+// before the iso kernels' pixel-centre box and voxel skips; it is kept,
+// not re-measured, so the frozen Figs. 5–10 and ext-autoscale rows stay
+// byte-identical (they cost counted work, which those kernels did not
+// change). The benchmark now reads ~3.9 ns/cell and ~153 ns/triangle
+// extract, ~243 ns/triangle render, on a day the previous kernels read
+// 4.9, 198 and 264 (DESIGN.md §2, substitution 7). The volume row is the
+// cost ext-autoscale already modelled, kept so its frozen rows hold; that
+// benchmark reads ~150 ns/cell merge and ~1.1 µs/cell splat.
 var (
 	isoCost    = workCost{extractPerCell: 7e-9, extractPerTri: 175e-9, renderPerTri: 280e-9}
 	volumeCost = workCost{extractPerCell: 600e-9, renderPerCell: 400e-9}

@@ -22,12 +22,13 @@ import (
 // kernel or the rasterizer were touched: a mismatch means the pixels are
 // no longer the parent's, bit for bit. The PNG hash pins the encoding of
 // those pixels, which the test first proves by decoding the PNG back to
-// the composited framebuffer. It depends on the encoder's compression
-// level (re-recorded when that went to BestSpeed) and on the standard
-// library's deflate: re-record it when the Go version in go.mod's
-// toolchain changes it, never to make a kernel change pass.
+// the composited framebuffer. It depends on Image.PNG's writer (its chunk
+// layout, row filter and deflate level) and on the standard library's
+// deflate. Re-record it only after that decode-back check passes, and only
+// when one of those two changes — as when the writer went to filter type 0
+// and one IDAT — never to make a kernel change pass.
 const (
-	goldenIsoPNG         = "313788659d685f6d6d8a48019fad35778bda8a339edf790a272db1b12b564598"
+	goldenIsoPNG         = "77499b09f34f46a9fcaab9173c2aefa7139a3392c55e29e1ec86a6ff12b22dc3"
 	goldenIsoFramebuffer = "e820e69ac837a4e40189318248663ae37dc3074a58f4b0803811d41fd597197f"
 )
 
@@ -35,7 +36,7 @@ const (
 // the framebuffer recorded at commit 3af247a (go1.24, linux/amd64) before
 // the pixel-centre box and the clip-side voxel skip; the same rules apply.
 const (
-	goldenBenchIsoPNG         = "4f14bc7634337bfa04e8089d710042155262cecf196a8526358ac007809b1d2d"
+	goldenBenchIsoPNG         = "1e18df1e8d0b763f456ec78ba8a4a7d78475e58c88a047f8ebe0a3e55f0257bd"
 	goldenBenchIsoFramebuffer = "33dfe96110efa73f118c1249fc5de3fce7234d5b33b7fb0df5f6f5b443b71ad4"
 )
 

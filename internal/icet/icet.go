@@ -97,26 +97,24 @@ func Composite(img *render.Image, c comm.Communicator, strat Strategy, mode Mode
 	}
 }
 
-// treeReduce composites via a binomial reduction over encoded images. A
-// pooled image pair is every fold's decode scratch, and each fold
-// re-encodes into the accumulator it was handed: every collectives reduce
-// hands op a private copy, never a buffer a peer or the caller still reads.
+// treeReduce composites via a binomial reduction over encoded images. Each
+// fold merges the incoming frame into the accumulator's encoded planes in
+// place (mergeEncoded), so only the root decodes, once: every collectives
+// reduce hands op a private copy, never a buffer a peer or the caller
+// still reads.
 func treeReduce(img *render.Image, c comm.Communicator, mode Mode, root int) (*render.Image, error) {
-	a := render.GetImage(img.W, img.H)
-	b := render.GetImage(img.W, img.H)
-	defer render.PutImage(a)
-	defer render.PutImage(b)
 	op := func(acc, in []byte) []byte {
-		if render.DecodeImageInto(a, acc) != nil || render.DecodeImageInto(b, in) != nil ||
-			a.W != b.W || a.H != b.H {
-			return acc
-		}
 		// In a binomial reduce the incoming image comes from a higher
 		// relative rank: for ordered mode it is behind the accumulator.
-		mergePixels(a, b, mode)
-		return a.AppendEncode(acc[:0])
+		mergeEncoded(acc, in, mode)
+		return acc
 	}
-	out, err := c.Reduce(root, tagBase, img.Encode(), op)
+	// The contribution is a pooled frame: every reduce folds and sends a
+	// copy of it (Composite never reduces over one rank), so it is recycled
+	// as soon as Reduce returns.
+	frame := img.AppendEncode(bufpool.Get(img.EncodedSize())[:0])
+	out, err := c.Reduce(root, tagBase, frame, op)
+	bufpool.Put(frame)
 	if err != nil {
 		return nil, fmt.Errorf("icet: tree composite: %w", err)
 	}
@@ -126,40 +124,44 @@ func treeReduce(img *render.Image, c comm.Communicator, mode Mode, root int) (*r
 	return render.DecodeImage(out)
 }
 
-// mergePixels merges src into dst according to mode ("dst wins ties" for
-// depth; dst-over-src for ordered, i.e. src is behind dst).
-func mergePixels(dst, src *render.Image, mode Mode) {
-	n := dst.W * dst.H
-	switch mode {
-	case Ordered:
-		for i := 0; i < n; i++ {
-			o := 4 * i
-			da := float64(dst.RGBA[o+3]) / 255
-			for k := 0; k < 3; k++ {
-				v := float64(dst.RGBA[o+k]) + (1-da)*float64(src.RGBA[o+k])
-				if v > 255 {
-					v = 255
-				}
-				dst.RGBA[o+k] = uint8(v)
-			}
-			na := float64(dst.RGBA[o+3]) + (1-da)*float64(src.RGBA[o+3])
-			if na > 255 {
-				na = 255
-			}
-			dst.RGBA[o+3] = uint8(na)
-			if src.Depth[i] < dst.Depth[i] {
-				dst.Depth[i] = src.Depth[i]
-			}
+// mergeEncoded merges the encoded framebuffer src (render.Image.Encode)
+// into the encoded framebuffer dst in place, pixel for pixel by
+// mergeRange's rules. dst is left as it is unless both are well-formed
+// frames (what render.DecodeImageInto accepts) of the same size.
+func mergeEncoded(dst, src []byte, mode Mode) {
+	n := encodedPixels(dst)
+	if n == 0 || len(src) != len(dst) || [8]byte(src) != [8]byte(dst) {
+		return
+	}
+	dc, sc := dst[8:8+4*n], src[8:8+4*n]
+	dd, sd := dst[8+4*n:], src[8+4*n:]
+	for i := 0; i < n; i++ {
+		o := 4 * i
+		s := math.Float32frombits(binary.LittleEndian.Uint32(sd[o:]))
+		nearer := s < math.Float32frombits(binary.LittleEndian.Uint32(dd[o:]))
+		if nearer {
+			copy(dd[o:o+4], sd[o:o+4])
 		}
-	default: // Depth
-		for i := 0; i < n; i++ {
-			if src.Depth[i] < dst.Depth[i] {
-				dst.Depth[i] = src.Depth[i]
-				o := 4 * i
-				copy(dst.RGBA[o:o+4], src.RGBA[o:o+4])
-			}
+		switch {
+		case mode == Ordered:
+			blendOver(dc[o:o+4], sc[o:o+4])
+		case nearer:
+			copy(dc[o:o+4], sc[o:o+4])
 		}
 	}
+}
+
+// encodedPixels returns the pixel count of a well-formed encoded
+// framebuffer, 0 for anything else.
+func encodedPixels(b []byte) int {
+	if len(b) < 8 {
+		return 0
+	}
+	w, h := int(binary.LittleEndian.Uint32(b)), int(binary.LittleEndian.Uint32(b[4:]))
+	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 || len(b) != 8+8*w*h {
+		return 0
+	}
+	return w * h
 }
 
 // pixelRange is a contiguous pixel interval [lo, hi) of the flattened
@@ -282,6 +284,24 @@ func binarySwap(img *render.Image, c comm.Communicator, mode Mode, root int) (*r
 	return nil, nil
 }
 
+// blendOver blends the RGBA pixel src behind dst into dst ("over", dst in
+// front), each channel clamped to 255.
+func blendOver(dst, src []byte) {
+	da := float64(dst[3]) / 255
+	for k := 0; k < 3; k++ {
+		v := float64(dst[k]) + (1-da)*float64(src[k])
+		if v > 255 {
+			v = 255
+		}
+		dst[k] = uint8(v)
+	}
+	na := float64(dst[3]) + (1-da)*float64(src[3])
+	if na > 255 {
+		na = 255
+	}
+	dst[3] = uint8(na)
+}
+
 // mergeRanked merges other into local over the given range, respecting
 // rank order for ordered mode (lower rank is in front).
 func mergeRanked(local, other *render.Image, myRank, otherRank int, mode Mode, rng pixelRange) {
@@ -304,20 +324,7 @@ func mergeRange(dst, src *render.Image, mode Mode, rng pixelRange) {
 	switch mode {
 	case Ordered:
 		for i := rng.lo; i < rng.hi; i++ {
-			o := 4 * i
-			da := float64(dst.RGBA[o+3]) / 255
-			for k := 0; k < 3; k++ {
-				v := float64(dst.RGBA[o+k]) + (1-da)*float64(src.RGBA[o+k])
-				if v > 255 {
-					v = 255
-				}
-				dst.RGBA[o+k] = uint8(v)
-			}
-			na := float64(dst.RGBA[o+3]) + (1-da)*float64(src.RGBA[o+3])
-			if na > 255 {
-				na = 255
-			}
-			dst.RGBA[o+3] = uint8(na)
+			blendOver(dst.RGBA[4*i:4*i+4], src.RGBA[4*i:4*i+4])
 			if src.Depth[i] < dst.Depth[i] {
 				dst.Depth[i] = src.Depth[i]
 			}

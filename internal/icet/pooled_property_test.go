@@ -2,7 +2,9 @@ package icet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -58,6 +60,121 @@ func referenceCompositeMode(imgs []*render.Image, mode Mode) *render.Image {
 		}
 	}
 	return acc[0]
+}
+
+// mergePixels merges src into dst as the tree composite's fold did before
+// it merged encoded frames in place: "dst wins ties" for depth;
+// dst-over-src for ordered, i.e. src is behind dst.
+func mergePixels(dst, src *render.Image, mode Mode) {
+	n := dst.W * dst.H
+	switch mode {
+	case Ordered:
+		for i := 0; i < n; i++ {
+			o := 4 * i
+			da := float64(dst.RGBA[o+3]) / 255
+			for k := 0; k < 3; k++ {
+				v := float64(dst.RGBA[o+k]) + (1-da)*float64(src.RGBA[o+k])
+				if v > 255 {
+					v = 255
+				}
+				dst.RGBA[o+k] = uint8(v)
+			}
+			na := float64(dst.RGBA[o+3]) + (1-da)*float64(src.RGBA[o+3])
+			if na > 255 {
+				na = 255
+			}
+			dst.RGBA[o+3] = uint8(na)
+			if src.Depth[i] < dst.Depth[i] {
+				dst.Depth[i] = src.Depth[i]
+			}
+		}
+	default: // Depth
+		for i := 0; i < n; i++ {
+			if src.Depth[i] < dst.Depth[i] {
+				dst.Depth[i] = src.Depth[i]
+				o := 4 * i
+				copy(dst.RGBA[o:o+4], src.RGBA[o:o+4])
+			}
+		}
+	}
+}
+
+// TestMergeEncodedMatchesMergePixels: folding encoded frames in place gives
+// the bytes that decoding both, mergePixels and re-encoding gave, for 1-5
+// ranks' random frames in the binomial reduction's fold order, in both
+// modes — with NaN, ±Inf and equal depths planted, and RGBA bytes that
+// exceed their alpha so the blend clamps.
+func TestMergeEncodedMatchesMergePixels(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for trial := 0; trial < 20; trial++ {
+		for _, mode := range []Mode{Depth, Ordered} {
+			for n := 1; n <= 5; n++ {
+				w, h := 1+rng.Intn(40), 1+rng.Intn(40)
+				imgs := make([]*render.Image, n)
+				enc := make([][]byte, n)
+				for r := range imgs {
+					imgs[r] = randomImage(rng, w, h)
+					for i := range imgs[r].Depth {
+						switch rng.Intn(12) {
+						case 0:
+							imgs[r].Depth[i] = float32(math.NaN())
+						case 1:
+							imgs[r].Depth[i] = float32(math.Inf(-1))
+						case 2:
+							imgs[r].Depth[i] = 0.5
+						case 3:
+							rng.Read(imgs[r].RGBA[4*i : 4*i+4])
+						}
+					}
+					enc[r] = imgs[r].Encode()
+				}
+				want := referenceCompositeMode(imgs, mode).Encode()
+				for mask := 1; mask < n; mask <<= 1 {
+					for r := 0; r < n; r++ {
+						if r&mask == 0 && r|mask < n {
+							mergeEncoded(enc[r], enc[r|mask], mode)
+						}
+					}
+				}
+				if !bytes.Equal(enc[0], want) {
+					t.Fatalf("trial %d, %v, %d ranks of %dx%d: the in-place fold differs from mergePixels", trial, mode, n, w, h)
+				}
+			}
+		}
+	}
+}
+
+// TestMergeEncodedLeavesMalformedFrames: a fold with a frame that is not
+// one (short, a zero or oversized side, a length off by one) or of another
+// size leaves the accumulator untouched.
+func TestMergeEncodedLeavesMalformedFrames(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	frame := randomImage(rng, 6, 4).Encode()
+	wider := randomImage(rng, 8, 3).Encode() // the same length, another shape
+	header := func(w, h uint32, n int) []byte {
+		b := make([]byte, n)
+		binary.LittleEndian.PutUint32(b, w)
+		binary.LittleEndian.PutUint32(b[4:], h)
+		return b
+	}
+	for name, c := range map[string][2][]byte{
+		"short accumulator":    {frame[:7], frame},
+		"short frame":          {frame, frame[:7]},
+		"zero width":           {header(0, 4, 8), header(0, 4, 8)},
+		"oversized":            {header(1<<15, 1, 8+8<<15), header(1<<15, 1, 8+8<<15)},
+		"length off by one":    {frame[:len(frame)-1], frame[:len(frame)-1]},
+		"sizes differ":         {frame, randomImage(rng, 5, 4).Encode()},
+		"shapes differ":        {frame, wider},
+		"frame to accumulator": {wider, frame},
+	} {
+		for _, mode := range []Mode{Depth, Ordered} {
+			acc := bytes.Clone(c[0])
+			mergeEncoded(acc, c[1], mode)
+			if !bytes.Equal(acc, c[0]) {
+				t.Errorf("%s, %v: the accumulator changed", name, mode)
+			}
+		}
+	}
 }
 
 // TestPooledCompositeMatchesReference: the pooled composite paths must be

@@ -49,37 +49,31 @@ func (c Camera) viewProjection(aspect float64) Mat4 {
 // shading against a headlight. scalarRange normalizes scalars into the
 // colormap domain.
 //
-// A triangle is projected first and shaded only if it survives: one with a
+// A triangle is projected first and shaded only once it draws: one with a
 // vertex at or behind the eye plane, without area, or with no pixel centre
 // near its bounding box (off screen, or small and between centres) costs
-// three projections and nothing else. A survivor's facet normal is derived
-// then. The colormap and the shading term are looked up again only when a
-// vertex's scalar or the triangle's normal differs from the previous one —
-// an isosurface carries one scalar per level.
+// the x, y and w of three projections and nothing else; z is formed and
+// divided by w only for the rest. Its facet normal and vertex colours are
+// derived at its first pixel that passes the depth test, so a triangle
+// hidden behind others or covering no pixel centre is never shaded
+// (triShader).
 func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap, scalarRange [2]float64) {
 	nt := mesh.NumTriangles()
 	if nt == 0 {
 		return
 	}
 	vp := cam.viewProjection(float64(im.W) / float64(im.H))
-	lightDir := cam.LookAt.Sub(cam.Eye).Normalize().Scale(-1)
 	span := scalarRange[1] - scalarRange[0]
 	if span == 0 {
 		span = 1
 	}
+	sh := triShader{
+		mesh: mesh, cmap: cmap, lightDir: cam.LookAt.Sub(cam.Eye).Normalize().Scale(-1),
+		lo: scalarRange[0], span: span,
+	}
 	halfW, halfH := 0.5*float64(im.W), 0.5*float64(im.H)
 
-	// The last scalar and normal looked up (by bit pattern) and what they
-	// mapped to.
-	var (
-		primed                         bool
-		lastS                          uint32
-		lastN                          [3]uint32
-		lastR, lastG, lastB, lastShade float64
-	)
-
-	var sx, sy, sz [3]float64
-	var colR, colG, colB [3]float64
+	var sx, sy, sz, sw [3]float64
 	for t := 0; t < nt; t++ {
 		pos := (*[9]float32)(mesh.Positions[9*t:])
 		visible := true
@@ -88,7 +82,6 @@ func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap,
 			px, py, pz := float64(pos[3*v]), float64(pos[3*v+1]), float64(pos[3*v+2])
 			x := vp[0]*px + vp[4]*py + vp[8]*pz + vp[12]
 			y := vp[1]*px + vp[5]*py + vp[9]*pz + vp[13]
-			z := vp[2]*px + vp[6]*py + vp[10]*pz + vp[14]
 			w := vp[3]*px + vp[7]*py + vp[11]*pz + vp[15]
 			if w <= 1e-9 {
 				visible = false
@@ -96,7 +89,7 @@ func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap,
 			}
 			sx[v] = (x/w + 1) * halfW
 			sy[v] = (1 - y/w) * halfH
-			sz[v] = z / w
+			sw[v] = w
 		}
 		if !visible {
 			continue
@@ -109,26 +102,56 @@ func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap,
 		if !ok {
 			continue
 		}
-		nrm := mesh.FacetNormal(t)
-		if n := [3]uint32{math.Float32bits(nrm[0]), math.Float32bits(nrm[1]), math.Float32bits(nrm[2])}; !primed || n != lastN {
-			lastN = n
-			dir := Vec3{float64(nrm[0]), float64(nrm[1]), float64(nrm[2])}
-			lastShade = 0.25 + 0.75*math.Abs(dir.Dot(lightDir)) // two-sided shading
-		}
-		scal := (*[3]float32)(mesh.Scalars[3*t:])
 		for v := 0; v < 3; v++ {
-			if s := math.Float32bits(scal[v]); !primed || s != lastS {
-				lastS = s
-				r, g, b := cmap((float64(scal[v]) - scalarRange[0]) / span)
-				lastR, lastG, lastB = float64(r), float64(g), float64(b)
-			}
-			primed = true
-			colR[v] = lastR * lastShade
-			colG[v] = lastG * lastShade
-			colB[v] = lastB * lastShade
+			px, py, pz := float64(pos[3*v]), float64(pos[3*v+1]), float64(pos[3*v+2])
+			sz[v] = (vp[2]*px + vp[6]*py + vp[10]*pz + vp[14]) / sw[v]
 		}
-		fillTriangle(im, box, 1/area, &sx, &sy, &sz, &colR, &colG, &colB)
+		sh.t, sh.ready = t, false
+		fillTriangle(im, box, 1/area, &sx, &sy, &sz, &sh)
 	}
+}
+
+// triShader holds the vertex colours of the triangle being filled, derived
+// on demand (shade) and memoised across triangles: the colormap and the
+// Lambert term are looked up again only when a vertex's scalar or the
+// triangle's normal differs, by bit pattern, from the previous one looked
+// up — an isosurface carries one scalar per level.
+type triShader struct {
+	mesh     *vtk.TriangleMesh
+	cmap     ColorMap
+	lightDir Vec3
+	lo, span float64 // the scalar range's start and extent
+
+	t                              int  // the triangle being filled
+	ready                          bool // r, g, b hold triangle t's colours
+	r, g, b                        [3]float64
+	primed                         bool // the memo below holds a lookup
+	lastS                          uint32
+	lastN                          [3]uint32
+	lastR, lastG, lastB, lastShade float64
+}
+
+// shade derives triangle t's facet normal, Lambert term and vertex colours.
+func (sh *triShader) shade() {
+	nrm := sh.mesh.FacetNormal(sh.t)
+	if n := [3]uint32{math.Float32bits(nrm[0]), math.Float32bits(nrm[1]), math.Float32bits(nrm[2])}; !sh.primed || n != sh.lastN {
+		sh.lastN = n
+		dir := Vec3{float64(nrm[0]), float64(nrm[1]), float64(nrm[2])}
+		sh.lastShade = 0.25 + 0.75*math.Abs(dir.Dot(sh.lightDir)) // two-sided shading
+	}
+	scal := (*[3]float32)(sh.mesh.Scalars[3*sh.t:])
+	for v := 0; v < 3; v++ {
+		if s := math.Float32bits(scal[v]); !sh.primed || s != sh.lastS {
+			sh.lastS = s
+			r, g, b := sh.cmap((float64(scal[v]) - sh.lo) / sh.span)
+			sh.lastR, sh.lastG, sh.lastB = float64(r), float64(g), float64(b)
+		}
+		sh.primed = true
+		sh.r[v] = sh.lastR * sh.lastShade
+		sh.g[v] = sh.lastG * sh.lastShade
+		sh.b[v] = sh.lastB * sh.lastShade
+	}
+	sh.ready = true
 }
 
 // pixelBox is an inclusive pixel rectangle.
@@ -177,8 +200,9 @@ func coveredBox(im *Image, sx, sy *[3]float64, area float64) (box pixelBox, ok b
 
 // fillTriangle rasterizes one screen-space triangle over box (from
 // coveredBox) with barycentric interpolation and a z-buffer test; inv is
-// one over twice its signed area.
-func fillTriangle(im *Image, box pixelBox, inv float64, sx, sy, sz, cr, cg, cb *[3]float64) {
+// one over twice its signed area. Its colours are sh's, shaded at the
+// first pixel that passes the depth test.
+func fillTriangle(im *Image, box pixelBox, inv float64, sx, sy, sz *[3]float64, sh *triShader) {
 	x0, y0, x1, y1, x2, y2 := sx[0], sy[0], sx[1], sy[1], sx[2], sy[2]
 	for py := box.minY; py <= box.maxY; py++ {
 		fy := float64(py) + 0.5
@@ -204,9 +228,12 @@ func fillTriangle(im *Image, box pixelBox, inv float64, sx, sy, sz, cr, cg, cb *
 				continue
 			}
 			im.Depth[idx] = z
-			r := w0*cr[0] + w1*cr[1] + w2*cr[2]
-			g := w0*cg[0] + w1*cg[1] + w2*cg[2]
-			b := w0*cb[0] + w1*cb[1] + w2*cb[2]
+			if !sh.ready {
+				sh.shade()
+			}
+			r := w0*sh.r[0] + w1*sh.r[1] + w2*sh.r[2]
+			g := w0*sh.g[0] + w1*sh.g[1] + w2*sh.g[2]
+			b := w0*sh.b[0] + w1*sh.b[1] + w2*sh.b[2]
 			o := 4 * idx
 			im.RGBA[o] = clamp8(r)
 			im.RGBA[o+1] = clamp8(g)

@@ -266,7 +266,7 @@ func fillAfterProjection(im *Image, sx, sy, sz, cr, cg, cb *[3]float64) pixelBox
 	}
 	box, ok := coveredBox(im, sx, sy, area)
 	if ok {
-		fillTriangle(im, box, 1/area, sx, sy, sz, cr, cg, cb)
+		fillTriangle(im, box, 1/area, sx, sy, sz, &triShader{ready: true, r: *cr, g: *cg, b: *cb})
 	}
 	return box
 }

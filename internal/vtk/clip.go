@@ -32,20 +32,20 @@ func ClipMesh(m *TriangleMesh, pl Plane) *TriangleMesh {
 }
 
 // planeBound bounds n·p − Offset over a box of float32 corners, axis by
-// axis in float64 (a product of two float32s is exact): hi is its largest
-// value, scale the sum of the terms' magnitudes. bound seeds scale with
-// 2^-126 (the smallest normal float32) per unit of normal, so that the
-// margin also covers subnormal rounding.
-type planeBound struct{ hi, scale float64 }
+// axis in float64 (a product of two float32s is exact): lo and hi are its
+// smallest and largest values, scale the sum of the terms' magnitudes.
+// bound seeds scale with 2^-126 (the smallest normal float32) per unit of
+// normal, so that the margin also covers subnormal rounding.
+type planeBound struct{ lo, hi, scale float64 }
 
 func (pl *Plane) bound() planeBound {
 	n, off := pl.Normal, float64(pl.Offset)
-	return planeBound{-off, math.Abs(off) + 0x1p-126*(1+math.Abs(float64(n[0]))+math.Abs(float64(n[1]))+math.Abs(float64(n[2])))}
+	return planeBound{-off, -off, math.Abs(off) + 0x1p-126*(1+math.Abs(float64(n[0]))+math.Abs(float64(n[1]))+math.Abs(float64(n[2])))}
 }
 
 func (b planeBound) add(n, c0, c1 float32) planeBound {
 	p, q := float64(n)*float64(c0), float64(n)*float64(c1)
-	return planeBound{b.hi + max(p, q), b.scale + max(math.Abs(p), math.Abs(q))}
+	return planeBound{b.lo + min(p, q), b.hi + max(p, q), b.scale + max(math.Abs(p), math.Abs(q))}
 }
 
 // discarded reports that clipTriangle keeps nothing of a triangle whose
@@ -54,6 +54,14 @@ func (b planeBound) add(n, c0, c1 float32) planeBound {
 // 1e-4·scale while no term can overflow. NaN (max keeps it) and ±Inf fail.
 func (b planeBound) discarded() bool {
 	return b.hi < -1e-4*b.scale && b.scale < 0x1p100
+}
+
+// kept mirrors discarded, with its margin and cap: every vertex within a
+// float32 rounding of the box has Eval > 0, so clipTriangle keeps such a
+// triangle whole — unless a vertex is NaN (Eval of a NaN vertex is not
+// ≥ 0), which the box cannot tell.
+func (b planeBound) kept() bool {
+	return b.lo > 1e-4*b.scale && b.scale < 0x1p100
 }
 
 // clipTriangle appends the part of one triangle on the positive side of the

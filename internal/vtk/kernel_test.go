@@ -172,8 +172,8 @@ func TestKernelMatchesReference(t *testing.T) {
 // TestFusedClipDropsKeptSideNaNTriangles: NaN samples on the kept side of
 // the plane give triangles with NaN positions. The unclipped surface keeps
 // them; clipTriangle drops those with NaN at every vertex and re-cuts those
-// with NaN at one or two. So a voxel wholly on the kept side may not bypass
-// the clip — only the discarded side is skipped.
+// with NaN at one or two. So a voxel wholly on the kept side bypasses the
+// clip only when it is tame (voxelClip.voxel), which these voxels are not.
 func TestFusedClipDropsKeptSideNaNTriangles(t *testing.T) {
 	img := NewImageData([3]int{10, 6, 6}, [3]float64{}, [3]float64{1, 1, 1})
 	f := img.AddPointArray("f", 1)
@@ -225,6 +225,216 @@ func TestFusedClipDropsKeptSideNaNTriangles(t *testing.T) {
 	requireSameMesh(t, "fused clip", fused, refClipMesh(ref, pl))
 	if fused.NumTriangles() == 0 || nanTriangles(fused) != 0 {
 		t.Fatalf("fused clip kept %d triangles, %d with NaN positions", fused.NumTriangles(), nanTriangles(fused))
+	}
+}
+
+// TestEveryVoxelPatternMatchesReference: for each of the 256 below-iso
+// patterns of a voxel's eight corners, voxelCases emits what marching its
+// six tetrahedra gives, bit for bit, with and without a clip plane through
+// the voxel — on random samples either side of the isovalue (one exactly
+// on it now and then) and random spacing.
+func TestEveryVoxelPatternMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(256))
+	// Grid order of the voxel's corners (i + 2j + 4k) per corner number.
+	at := [8]int{0, 1, 3, 2, 4, 5, 7, 6}
+	for trial := 0; trial < 4; trial++ {
+		for code := 0; code < 256; code++ {
+			img := NewImageData([3]int{2, 2, 2}, [3]float64{rng.NormFloat64(), 0, 1}, [3]float64{0.5 + rng.Float64(), 1, 0.5 + rng.Float64()})
+			f := img.AddPointArray("f", 1)
+			for corner := 0; corner < 8; corner++ {
+				v := 0.5 + 0.5*rng.Float32()
+				if rng.Intn(8) == 0 {
+					v = 0.5
+				}
+				if code>>corner&1 != 0 {
+					v = 0.5 * rng.Float32()
+				}
+				f.Data[at[corner]] = v
+			}
+			ref, err := refIsosurface(img, "f", 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (code != 0 && code != 0xFF) != (ref.NumTriangles() > 0) {
+				t.Fatalf("pattern %#x: the reference emits %d triangles", code, ref.NumTriangles())
+			}
+			got := &TriangleMesh{}
+			if err := ExtractIsosurfaces(got, img, "f", []float64{0.5}, nil); err != nil {
+				t.Fatal(err)
+			}
+			requireSameMesh(t, fmt.Sprintf("pattern %#x", code), got, ref)
+			pl := Plane{Normal: [3]float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}, Offset: float32(rng.NormFloat64())}
+			got.Reset()
+			if err := ExtractIsosurfaces(got, img, "f", []float64{0.5}, &pl); err != nil {
+				t.Fatal(err)
+			}
+			requireSameMesh(t, fmt.Sprintf("pattern %#x clipped", code), got, refClipMesh(ref, pl))
+		}
+	}
+}
+
+// keptSideGrid is a 10×6×6 field crossing 0.5 between every two y rows,
+// with plant(i, j, k) overriding samples where it returns ok; the plane
+// x ≥ 2 leaves every voxel from i = 2 on wholly on its kept side.
+func keptSideGrid(origin, spacing [3]float64, plant func(i, j, k int) (float32, bool)) *ImageData {
+	img := NewImageData([3]int{10, 6, 6}, origin, spacing)
+	f := img.AddPointArray("f", 1)
+	for k := 0; k < 6; k++ {
+		for j := 0; j < 6; j++ {
+			for i := 0; i < 10; i++ {
+				v := float32(j%2) + 0.05*float32(i)
+				if p, ok := plant(i, j, k); ok {
+					v = p
+				}
+				f.Data[img.Index(i, j, k)] = v
+			}
+		}
+	}
+	return img
+}
+
+// TestKeptSideSkipNeedsTameVoxels plants on voxels wholly on the kept side
+// of the plane what would make a skipped clip differ from clipTriangle —
+// NaN and ±Inf samples, samples near ±3e38 (iso − va and vb − va overflow,
+// t is NaN), a y spacing of 3.6e38 that the plane's normal does not weigh
+// (pb − pa overflows between adjacent corners): each gives the unclipped
+// surface triangles with a non-finite coordinate, which the clip drops or
+// re-cuts. The last cases are a tame grid, once under a normal whose terms
+// pass the plane bound's scale cap (Eval is +Inf − Inf = NaN at vertices
+// the bound puts on the kept side), once under an ordinary plane. The fused clip must equal
+// extracting and then clipping, bit for bit, in each case.
+func TestKeptSideSkipNeedsTameVoxels(t *testing.T) {
+	unit := [3]float64{1, 1, 1}
+	every4 := func(v float32) func(i, j, k int) (float32, bool) {
+		return func(i, j, k int) (float32, bool) { return v, i >= 5 && (i+j+k)%4 == 0 }
+	}
+	huge := func(i, j, k int) (float32, bool) {
+		if i < 5 {
+			return 0, false
+		}
+		if (i+j+k)%2 == 0 {
+			return -3e38, true
+		}
+		return 3e38, true
+	}
+	none := func(i, j, k int) (float32, bool) { return 0, false }
+	nonFinite := func(m *TriangleMesh) int {
+		n := 0
+		for tri := 0; tri < m.NumTriangles(); tri++ {
+			for _, c := range m.Positions[9*tri : 9*tri+9] {
+				if math.IsNaN(float64(c)) || math.IsInf(float64(c), 0) {
+					n++
+					break
+				}
+			}
+		}
+		return n
+	}
+	xPlane := Plane{Normal: [3]float32{1, 0, 0}, Offset: 2}
+	for _, c := range []struct {
+		name    string
+		img     *ImageData
+		isos    []float64
+		plane   Plane
+		hostile bool
+	}{
+		{"NaN samples", keptSideGrid([3]float64{}, unit, every4(float32(math.NaN()))), []float64{0.5}, xPlane, true},
+		{"+Inf samples", keptSideGrid([3]float64{}, unit, every4(float32(math.Inf(1)))), []float64{0.5}, xPlane, true},
+		{"-Inf samples", keptSideGrid([3]float64{}, unit, every4(float32(math.Inf(-1)))), []float64{0.5}, xPlane, true},
+		{"samples near ±3e38", keptSideGrid([3]float64{}, unit, huge), []float64{2e38, 0, -2e38, 0.5}, xPlane, true},
+		{"y spacing 3.6e38", keptSideGrid([3]float64{0, -1.8e38, 0}, [3]float64{1, 3.6e38, 1}, none), []float64{0.5}, xPlane, true},
+		{"normal (1e38, -1e38, 0)", keptSideGrid([3]float64{}, unit, none), []float64{0.5}, Plane{Normal: [3]float32{1e38, -1e38, 0}}, false},
+		{"tame", keptSideGrid([3]float64{}, unit, none), []float64{0.5, 0.2}, xPlane, false},
+	} {
+		all, want := &TriangleMesh{}, &TriangleMesh{}
+		for _, iso := range c.isos {
+			ref, err := refIsosurface(c.img, "f", iso)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all.Append(ref)
+			want.Append(refClipMesh(ref, c.plane))
+		}
+		got := &TriangleMesh{}
+		if err := ExtractIsosurfaces(got, c.img, "f", c.isos, &c.plane); err != nil {
+			t.Fatal(err)
+		}
+		requireSameMesh(t, c.name, got, want)
+		if bad := nonFinite(all); c.hostile && bad == 0 || !c.hostile && (bad != 0 || want.NumTriangles() == 0) {
+			t.Fatalf("%s: %d unclipped triangles with a non-finite coordinate, %d kept: the case shows nothing", c.name, bad, want.NumTriangles())
+		}
+	}
+}
+
+// TestBenchmarkShapeTakesKeptSideSkip: on the benchmark's iso shape — 64³
+// cut into 16 z-slabs, unit spacing, isovalues 0.1, 0.2, 0.3, clip x ≥ 32 —
+// with a smooth field in the Gray-Scott range, crossing voxels take all
+// three ways (discarded, kept whole, clipped), most of the kept side goes
+// whole, and the fused output equals extracting and then clipping.
+func TestBenchmarkShapeTakesKeptSideSkip(t *testing.T) {
+	const n = 64
+	isos := []float64{0.1, 0.2, 0.3}
+	clip := Plane{Normal: [3]float32{1, 0, 0}, Offset: n / 2}
+	var skipped, whole, clipped int
+	for s := 0; s < 16; s++ {
+		z0, z1 := 4*s, min(4*s+4, n-1)
+		img := NewImageData([3]int{n, n, z1 - z0 + 1}, [3]float64{0, 0, float64(z0)}, [3]float64{1, 1, 1})
+		f := img.AddPointArray("V", 1)
+		for k := 0; k <= z1-z0; k++ {
+			for j := 0; j < n; j++ {
+				for i := 0; i < n; i++ {
+					x, y, z := float64(i), float64(j), float64(z0+k)
+					f.Data[img.Index(i, j, k)] = float32(0.25 + 0.2*math.Sin(0.31*x)*math.Cos(0.23*y)*math.Sin(0.17*z+0.4))
+				}
+			}
+		}
+
+		vc := voxelClip{clip: &clip}
+		for _, iso := range isos {
+			isoF := float32(iso)
+			for k := 0; k < img.Dims[2]-1; k++ {
+				for j := 0; j < n-1; j++ {
+					vc.setRow(isoF, float32(j), float32(j+1), float32(z0+k), float32(z0+k+1))
+					for i := 0; i < n-1; i++ {
+						var val [8]float32
+						for c, off := range [8][3]int{{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {0, 1, 0}, {0, 0, 1}, {1, 0, 1}, {1, 1, 1}, {0, 1, 1}} {
+							val[c] = f.Data[img.Index(i+off[0], j+off[1], k+off[2])]
+						}
+						lo := belowMask(val[0], val[3], val[4], val[7], isoF)
+						hi := belowMask(val[1], val[2], val[5], val[6], isoF)
+						if lo|hi == 0 || lo&hi == 0xF {
+							continue
+						}
+						switch pl, skip := vc.voxel(float32(i), float32(i+1), &val); {
+						case skip:
+							skipped++
+						case pl == nil:
+							whole++
+						default:
+							clipped++
+						}
+					}
+				}
+			}
+		}
+
+		want := &TriangleMesh{}
+		for _, iso := range isos {
+			ref, err := refIsosurface(img, "V", iso)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Append(refClipMesh(ref, clip))
+		}
+		got := &TriangleMesh{}
+		if err := ExtractIsosurfaces(got, img, "V", isos, &clip); err != nil {
+			t.Fatal(err)
+		}
+		requireSameMesh(t, fmt.Sprintf("slab %d", s), got, want)
+	}
+	t.Logf("crossing voxels: %d discarded, %d kept whole, %d clipped", skipped, whole, clipped)
+	if skipped == 0 || clipped == 0 || whole < 10*clipped {
+		t.Fatalf("crossing voxels: %d discarded, %d kept whole, %d clipped", skipped, whole, clipped)
 	}
 }
 

@@ -46,12 +46,17 @@ func (m *TriangleMesh) AddTriangle(p0, p1, p2 [3]float32, s0, s1, s2 float32) {
 	if np+9 > cap(m.Positions) || ns+3 > cap(m.Scalars) {
 		m.Reserve((ns/3 + 3072) / 4)
 	}
+	// Element by element: a composite literal would be built on the stack
+	// and block-copied, and those wide loads of freshly written narrow
+	// stores stall.
 	m.Positions = m.Positions[:np+9]
-	*(*[9]float32)(m.Positions[np:]) = [9]float32{
-		p0[0], p0[1], p0[2], p1[0], p1[1], p1[2], p2[0], p2[1], p2[2],
-	}
+	p := (*[9]float32)(m.Positions[np:])
+	p[0], p[1], p[2] = p0[0], p0[1], p0[2]
+	p[3], p[4], p[5] = p1[0], p1[1], p1[2]
+	p[6], p[7], p[8] = p2[0], p2[1], p2[2]
 	m.Scalars = m.Scalars[:ns+3]
-	*(*[3]float32)(m.Scalars[ns:]) = [3]float32{s0, s1, s2}
+	s := (*[3]float32)(m.Scalars[ns:])
+	s[0], s[1], s[2] = s0, s1, s2
 }
 
 // FacetNormal returns triangle t's unit normal, (p1−p0)×(p2−p0) scaled to
