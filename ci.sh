@@ -126,14 +126,15 @@ fi
 # whose pixel-centre box, discarded-voxel skip and kept-side skip each sit
 # behind a guard that only a test reaching both of its sides checks; the
 # image file, whose PNG writer writes every image the benchmark's oracle
-# hashes; and the unstructured
+# hashes and whose decoder reads the composited frame at the root; and the
+# unstructured
 # grid file, whose decoder turns untrusted staged bytes into the cells and
 # arrays the volume pipeline indexes (one unchecked connectivity entry there
 # crashed every server that executed the block); likewise the image-data
 # file, whose decoder feeds every staged iso block to the extraction, and
-# the framebuffer pool file, whose decoder reads every partial image a
-# compositing peer sends, and the compositor file, whose region decoder
-# writes every pixel range a binary-swap peer sends into the frame; and the
+# the compositor file, whose mergeEncoded reads every frame a compositing
+# peer sends and folds it into the accumulator in place (a frame of another
+# size must spoil the accumulator's header, not vanish); and the
 # two files that fold and route what a MoNA peer sends — the collectives'
 # reduction ops, which fold each peer's contribution into the accumulator
 # (one shorter than the accumulator must fold into its prefix, not read past
@@ -145,5 +146,5 @@ check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./inter
 check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go ./internal/na/tcp.go ./internal/mercury/mercury.go
 check_cover 90 ./internal/bench/simtime.go
 check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go \
-    ./internal/vtk/imagedata.go ./internal/render/pool.go ./internal/render/image.go ./internal/icet/icet.go
+    ./internal/vtk/imagedata.go ./internal/render/image.go ./internal/icet/icet.go
 check_cover 90 ./internal/collectives/ops.go ./internal/mona/mona.go

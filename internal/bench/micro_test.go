@@ -366,7 +366,7 @@ func BenchmarkBulkPull(b *testing.B) {
 	benchLoop(b, func() error { return puller.PullBulkInto(bulk, dst) })
 }
 
-// A full 4-rank tree composite with the pooled scratch images and frames,
+// A full 4-rank tree composite with its pooled contribution frames,
 // at the ceiling test's 64² and the benchmark's 256² (where one encoded
 // frame is 512 KiB).
 func BenchmarkCompositePooled(b *testing.B) {

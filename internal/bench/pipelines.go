@@ -9,7 +9,6 @@ import (
 
 	"colza/internal/catalyst"
 	"colza/internal/core"
-	"colza/internal/icet"
 	"colza/internal/minimpi"
 	"colza/internal/sim"
 	"colza/internal/vstack"
@@ -397,9 +396,9 @@ func Fig8Frameworks(quick bool) (*Table, error) {
 }
 
 // AblationA3Compositing compares IceT strategies (DESIGN.md A3): modeled
-// compositing cost on the Cori-calibrated network at several group sizes,
-// cross-checked against the real collective for correctness elsewhere
-// (internal/icet tests).
+// compositing cost on the Cori-calibrated network at several group sizes.
+// It is a cost model only: icet runs tree reduce, and binary swap exists
+// here and nowhere else.
 func AblationA3Compositing(quick bool) (*Table, error) {
 	sizes := []int{4, 8, 16, 64}
 	dim := 512
@@ -414,8 +413,8 @@ func AblationA3Compositing(quick bool) (*Table, error) {
 	}
 	fb := frameBytes(dim, dim)
 	for _, n := range sizes {
-		tree := compositeCostSecs(vstack.MoNA, fb, n, icet.TreeReduce) * 1000
-		bswap := compositeCostSecs(vstack.MoNA, fb, n, icet.BinarySwap) * 1000
+		tree := compositeCostSecs(vstack.MoNA, fb, n, treeStrategy) * 1000
+		bswap := compositeCostSecs(vstack.MoNA, fb, n, swapStrategy) * 1000
 		t.Add(n, tree, bswap, bswap/tree)
 	}
 	return t, nil

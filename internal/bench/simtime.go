@@ -6,7 +6,6 @@ import (
 
 	"colza/internal/catalyst"
 	"colza/internal/core"
-	"colza/internal/icet"
 	"colza/internal/netem"
 	"colza/internal/vstack"
 )
@@ -74,9 +73,19 @@ func perMessageOverheadSec(p vstack.Profile) float64 {
 	return (time.Duration(p.SendOverhead) + p.RecvOverhead + p.AllocCost).Seconds()
 }
 
+// compositeStrategy is the algorithm compositeCostSecs prices: the tree
+// reduce icet runs, or binary swap, which ablation A3 compares with it and
+// nothing runs.
+type compositeStrategy int
+
+const (
+	treeStrategy compositeStrategy = iota
+	swapStrategy
+)
+
 // compositeCostSecs models the image-compositing phase on the virtual
 // network.
-func compositeCostSecs(p vstack.Profile, imgBytes, n int, strat icet.Strategy) float64 {
+func compositeCostSecs(p vstack.Profile, imgBytes, n int, strat compositeStrategy) float64 {
 	if n <= 1 {
 		return 0
 	}
@@ -85,7 +94,7 @@ func compositeCostSecs(p vstack.Profile, imgBytes, n int, strat icet.Strategy) f
 	rounds := ceilLog2(n)
 	ovh := perMessageOverheadSec(p)
 	switch strat {
-	case icet.BinarySwap:
+	case swapStrategy:
 		secs := 0.0
 		b := imgBytes
 		for k := 0; k < rounds; k++ {
@@ -123,7 +132,7 @@ func simPipelineSeconds(c workCost, stats []catalyst.Stats, layer vstack.Profile
 		maxRender = max(maxRender, c.renderPerCell*cells+c.renderPerTri*tris)
 	}
 	n := len(stats)
-	return maxFront + boundsCostSecs(layer, n) + maxRender + compositeCostSecs(layer, imgBytes, n, icet.TreeReduce)
+	return maxFront + boundsCostSecs(layer, n) + maxRender + compositeCostSecs(layer, imgBytes, n, treeStrategy)
 }
 
 // statsFromResults reads each rank's work out of Colza execute results.

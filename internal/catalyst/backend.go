@@ -26,6 +26,9 @@ func Register() {
 		if err := decodeConfig("iso", cfg, &c); err != nil {
 			return nil, err
 		}
+		if c.Strategy != "" && c.Strategy != "tree" {
+			return nil, fmt.Errorf("catalyst: iso config: strategy %q: tree compositing is the only one", c.Strategy)
+		}
 		c.withDefaults()
 		return &IsoPipeline{cfg: c}, nil
 	})

@@ -101,7 +101,7 @@ type IsoConfig struct {
 	Height      int        `json:"height"`
 	ScalarRange [2]float64 `json:"scalar_range"`
 	Clip        *ClipSpec  `json:"clip,omitempty"`
-	Strategy    string     `json:"strategy,omitempty"` // "tree" (default) or "bswap"
+	Strategy    string     `json:"strategy,omitempty"` // "" or "tree", the one compositor
 	ColorMap    string     `json:"colormap,omitempty"`
 	EmitImage   bool       `json:"emit_image,omitempty"` // return PNG from rank 0
 	// WarmupKiB sizes the first-activation warm-up work (framebuffer and
@@ -156,8 +156,7 @@ func ExecuteIso(ctrl *vtk.Controller, blocks []*vtk.ImageData, cfg IsoConfig) (S
 // Ownership of the framebuffer: icet.Composite hands the local framebuffer
 // back as its result when the group has one rank, so the image execute
 // returns may be ws.frame. It is valid until the next execute on the same
-// workspace and must not be retained past it, nor handed to
-// render.PutImage.
+// workspace and must not be retained past it.
 type isoWorkspace struct {
 	surface vtk.TriangleMesh
 	frame   *render.Image
@@ -205,7 +204,7 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 
 	// Parallel compositing — the only communication-intensive step.
 	compStart := time.Now()
-	out, err := icet.Composite(im, ctrl.Communicator(), icet.ParseStrategy(cfg.Strategy), icet.Depth, 0)
+	out, err := icet.Composite(im, ctrl.Communicator(), icet.TreeReduce, icet.Depth, 0)
 	if err != nil {
 		return st, nil, err
 	}

@@ -288,6 +288,26 @@ func TestConfigRefusesUnknownKeys(t *testing.T) {
 	}
 }
 
+// Tree reduce is the one compositor: the iso factory accepts "tree" or no
+// strategy, and refuses any other name instead of compositing with tree
+// reduce regardless.
+func TestIsoConfigRefusesUnknownStrategy(t *testing.T) {
+	factory, _ := core.LookupPipelineType(IsoPipelineType)
+	for cfg, ok := range map[string]bool{
+		`{}`:                         true,
+		`{"strategy":""}`:            true,
+		`{"strategy":"tree"}`:        true,
+		`{"strategy":"bswap"}`:       false,
+		`{"strategy":"Tree"}`:        false,
+		`{"strategy":"binary-swap"}`: false,
+	} {
+		_, err := factory(json.RawMessage(cfg))
+		if (err == nil) != ok {
+			t.Errorf("%s: err = %v", cfg, err)
+		}
+	}
+}
+
 // The first execution must be measurably more expensive than later ones
 // (the warm-up spike the elasticity figures show on joins), and the spike
 // must be reported in the stats.

@@ -8,9 +8,11 @@ import (
 	"image/color"
 	"image/png"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
+	"colza/internal/core"
 	"colza/internal/minimpi"
 	"colza/internal/render"
 	"colza/internal/sim"
@@ -128,33 +130,11 @@ func TestGoldenIsoOutput(t *testing.T) {
 		{"benchmark shape", benchSlabs(t), benchConfig(), func(b int) int { return b % 2 }, goldenBenchIsoPNG, goldenBenchIsoFramebuffer},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			var ranks [2][]*vtk.ImageData
+			ranks := make([][]*vtk.ImageData, 2)
 			for b, s := range c.slabs {
 				ranks[c.place(b)] = append(ranks[c.place(b)], s)
 			}
-			world := minimpi.World(2)
-			defer world[0].Finalize()
-			var wg sync.WaitGroup
-			var root *render.Image
-			var tris [2]int
-			errs := make([]error, 2)
-			for r := 0; r < 2; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					st, img, err := ExecuteIso(vtk.NewController("mpi", world[r]), ranks[r], c.cfg)
-					errs[r], tris[r] = err, st.LocalTriangles
-					if r == 0 {
-						root = img
-					}
-				}(r)
-			}
-			wg.Wait()
-			for r, err := range errs {
-				if err != nil {
-					t.Fatalf("rank %d: %v", r, err)
-				}
-			}
+			root, tris := renderOnRanks(t, ranks, c.cfg)
 			enc, err := root.PNG()
 			if err != nil {
 				t.Fatal(err)
@@ -182,8 +162,8 @@ func TestGoldenIsoOutput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.LocalTriangles == 0 || st.LocalTriangles != tris[0]+tris[1] {
-				t.Errorf("single rank extracted %d triangles, two ranks %d+%d", st.LocalTriangles, tris[0], tris[1])
+			if st.LocalTriangles == 0 || st.LocalTriangles != tris {
+				t.Errorf("single rank extracted %d triangles, two ranks %d", st.LocalTriangles, tris)
 			}
 			if fb.CoveredPixels() == 0 {
 				t.Error("local framebuffer is empty")
@@ -193,6 +173,85 @@ func TestGoldenIsoOutput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenIsoImageIndependentOfRanks renders both golden block sets on
+// 1–5 ranks — blocks placed by core.DefaultPlacement, by a seeded random
+// placement, and by DefaultPlacement with each rank's staging order
+// shuffled — and requires the composited framebuffer, colour and depth,
+// to be the single-rank one bit for bit: the picture is a function of the
+// blocks, not of how many servers draw it or which draws what.
+func TestGoldenIsoImageIndependentOfRanks(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		slabs []*vtk.ImageData
+		cfg   IsoConfig
+	}{
+		{"96x96", goldenSlabs(t), goldenConfig()},
+		{"benchmark shape", benchSlabs(t), benchConfig()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			var want []byte
+			for n := 1; n <= 5; n++ {
+				for _, layout := range []string{"default", "random", "shuffled"} {
+					ranks := make([][]*vtk.ImageData, n)
+					for b, s := range c.slabs {
+						r := core.DefaultPlacement(core.BlockMeta{BlockID: b}, n)
+						if layout == "random" {
+							r = rng.Intn(n)
+						}
+						ranks[r] = append(ranks[r], s)
+					}
+					if layout == "shuffled" {
+						for _, blocks := range ranks {
+							rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+						}
+					}
+					fb, _ := renderOnRanks(t, ranks, c.cfg)
+					got := fb.Encode()
+					if want == nil {
+						want = got
+					} else if !bytes.Equal(got, want) {
+						t.Fatalf("%d ranks, %s placement: the framebuffer differs from the single-rank one", n, layout)
+					}
+				}
+			}
+		})
+	}
+}
+
+// renderOnRanks runs ExecuteIso with ranks[r] on rank r of a minimpi
+// world and returns the image composited at rank 0 and the triangles the
+// ranks extracted.
+func renderOnRanks(t *testing.T, ranks [][]*vtk.ImageData, cfg IsoConfig) (*render.Image, int) {
+	t.Helper()
+	world := minimpi.World(len(ranks))
+	defer world[0].Finalize()
+	var root *render.Image
+	tris := make([]int, len(ranks))
+	errs := make([]error, len(ranks))
+	var wg sync.WaitGroup
+	for r := range ranks {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			st, img, err := ExecuteIso(vtk.NewController("mpi", world[r]), ranks[r], cfg)
+			errs[r], tris[r] = err, st.LocalTriangles
+			if r == 0 {
+				root = img
+			}
+		}(r)
+	}
+	wg.Wait()
+	total := 0
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+		total += tris[r]
+	}
+	return root, total
 }
 
 // TestGoldenIsoSurvivesNaNAndInf runs the golden blocks on one rank with

@@ -7,9 +7,9 @@
 // IceTCommunicator abstract the operations the vis stack calls, which is
 // what allowed the authors to swap MPI for MoNA without modifying VTK or
 // IceT. Communicator carries exactly the operations our stack calls —
-// point-to-point Send/Recv (sim's halo exchange, icet's binary swap),
-// Reduce (icet's tree composite) and AllReduce (catalyst's global bounds
-// and ranges) — and internal/vtk and internal/icet are written against it
+// point-to-point Send/Recv (sim's halo exchange), Reduce (icet's
+// composite) and AllReduce (catalyst's global bounds and ranges) — and
+// internal/vtk and internal/icet are written against it
 // without naming a concrete transport. Other collectives run over any
 // Communicator through internal/collectives.
 package comm

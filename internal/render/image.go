@@ -58,11 +58,48 @@ func (im *Image) At(x, y int) (r, g, b, a uint8) {
 // by the compositor.
 func (im *Image) Encode() []byte { return im.AppendEncode(nil) }
 
-// DecodeImage reverses Encode.
+// EncodedSize returns the exact length of Encode's output.
+func (im *Image) EncodedSize() int {
+	return 8 + len(im.RGBA) + 4*len(im.Depth)
+}
+
+// AppendEncode appends the serialized framebuffer to buf; with spare
+// capacity of EncodedSize it does not allocate.
+func (im *Image) AppendEncode(buf []byte) []byte {
+	off := len(buf)
+	n := im.EncodedSize()
+	if cap(buf)-off < n {
+		grown := make([]byte, off, off+n)
+		copy(grown, buf)
+		buf = grown
+	}
+	buf = buf[:off+n]
+	binary.LittleEndian.PutUint32(buf[off:], uint32(im.W))
+	binary.LittleEndian.PutUint32(buf[off+4:], uint32(im.H))
+	copy(buf[off+8:], im.RGBA)
+	doff := off + 8 + len(im.RGBA)
+	for i, d := range im.Depth {
+		binary.LittleEndian.PutUint32(buf[doff+4*i:], math.Float32bits(d))
+	}
+	return buf
+}
+
+// DecodeImage reverses Encode. It refuses a size outside 1..2^14 per axis
+// or a length other than that size's.
 func DecodeImage(data []byte) (*Image, error) {
-	im := &Image{}
-	if err := DecodeImageInto(im, data); err != nil {
-		return nil, err
+	if len(data) < 8 {
+		return nil, ErrImage
+	}
+	w := int(binary.LittleEndian.Uint32(data))
+	h := int(binary.LittleEndian.Uint32(data[4:]))
+	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 || len(data) != 8+8*w*h {
+		return nil, ErrImage
+	}
+	im := &Image{W: w, H: h, RGBA: make([]uint8, 4*w*h), Depth: make([]float32, w*h)}
+	copy(im.RGBA, data[8:8+4*w*h])
+	off := 8 + 4*w*h
+	for i := range im.Depth {
+		im.Depth[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[off+4*i:]))
 	}
 	return im, nil
 }
