@@ -192,12 +192,12 @@ func (c *Client) FetchView(contact string, timeout time.Duration) (MemberView, e
 	if err != nil {
 		return MemberView{}, fmt.Errorf("colza: fetching members from %s: %w", contact, err)
 	}
-	var ms membersMsg
-	if err := json.Unmarshal(raw, &ms); err != nil {
-		return MemberView{}, err
+	members, err := decodeMembersMsg(raw)
+	if err != nil {
+		return MemberView{}, fmt.Errorf("colza: members from %s: %w", contact, err)
 	}
 	var v MemberView
-	for _, addr := range ms.Members {
+	for _, addr := range members {
 		si, err := c.serverInfo(addr, timeout)
 		if err != nil {
 			// Member unreachable right now (likely just died); skip it —
@@ -211,6 +211,27 @@ func (c *Client) FetchView(contact string, timeout time.Duration) (MemberView, e
 	}
 	v.Normalize()
 	return v, nil
+}
+
+// decodeMembersMsg decodes a members response: JSON's own errors for what
+// does not parse, ErrBadControlMsg for a list that does but names an empty
+// address or one address twice.
+func decodeMembersMsg(raw []byte) ([]string, error) {
+	var ms membersMsg
+	if err := json.Unmarshal(raw, &ms); err != nil {
+		return nil, err
+	}
+	seen := make(map[string]bool, len(ms.Members))
+	for _, addr := range ms.Members {
+		if addr == "" {
+			return nil, fmt.Errorf("%w: an empty address in the members list", ErrBadControlMsg)
+		}
+		if seen[addr] {
+			return nil, fmt.Errorf("%w: %s named twice in the members list", ErrBadControlMsg, addr)
+		}
+		seen[addr] = true
+	}
+	return ms.Members, nil
 }
 
 // DefaultPlacement is the paper's placement, the one every handle uses:

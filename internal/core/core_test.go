@@ -128,14 +128,14 @@ type deployment struct {
 	admin   *AdminClient
 }
 
-func deploy(t *testing.T, n int) *deployment {
+func deploy(t testing.TB, n int) *deployment {
 	t.Helper()
 	return deployCfg(t, n, nil)
 }
 
 // deployCfg is deploy with a per-server config hook (e.g. to disable or
 // raise state replication).
-func deployCfg(t *testing.T, n int, mutate func(i int, cfg *ServerConfig)) *deployment {
+func deployCfg(t testing.TB, n int, mutate func(i int, cfg *ServerConfig)) *deployment {
 	t.Helper()
 	d := &deployment{net: na.NewInprocNetwork()}
 	for i := 0; i < n; i++ {
@@ -191,7 +191,7 @@ func TestWaitMembersReportsViewSizes(t *testing.T) {
 }
 
 // createEverywhere instantiates the mock pipeline on all servers.
-func (d *deployment) createEverywhere(t *testing.T, name string) {
+func (d *deployment) createEverywhere(t testing.TB, name string) {
 	t.Helper()
 	for _, s := range d.servers {
 		if s.Provider.Leaving() {

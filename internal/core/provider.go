@@ -39,6 +39,10 @@ var (
 	ErrBusy = errors.New("colza: pipeline already active")
 	// ErrNotPrepared indicates a commit without a matching prepare.
 	ErrNotPrepared = errors.New("colza: commit without matching prepare")
+	// ErrBadControlMsg indicates a control-plane message that parsed but
+	// cannot be acted on: a view or members list with an empty or repeated
+	// address.
+	ErrBadControlMsg = errors.New("colza: malformed control message")
 )
 
 // wire payloads (JSON control plane).
@@ -449,6 +453,9 @@ func (p *Provider) handlePrepare(req mercury.Request) ([]byte, error) {
 	if err != nil {
 		return vote(false, err.Error())
 	}
+	if err := msg.View.check(); err != nil {
+		return vote(false, err.Error())
+	}
 	if msg.View.RankOf(p.mi.Addr()) < 0 {
 		return vote(false, "server not in proposed view")
 	}
@@ -563,25 +570,6 @@ func (p *Provider) handleAbort(req mercury.Request) ([]byte, error) {
 	return []byte("ok"), nil
 }
 
-// fetchStaged returns the region behind a decoded stage handle. A region
-// that rode in the request frame (eager) is borrowed from it as is — no
-// buffer, no copy; anything else is pulled into a pooled buffer sized from
-// the handle, which the caller must bufpool.Put (pooled is true). Either way
-// the handler only lends the bytes on: Backend.Stage decodes into its own
-// structures, so no alias survives the handler (DESIGN.md §7).
-func (p *Provider) fetchStaged(bulk mercury.Bulk) (wire []byte, pooled bool, err error) {
-	cls := p.mi.Class()
-	if wire, ok := cls.BorrowBulk(bulk); ok {
-		return wire, false, nil
-	}
-	wire = bufpool.Get(bulk.Size)
-	if err := cls.PullBulkInto(bulk, wire); err != nil {
-		bufpool.Put(wire)
-		return nil, false, err
-	}
-	return wire, true, nil
-}
-
 // handleStage fetches a frame's staged blocks from the simulation's memory
 // (bulk RDMA) in one transfer and hands each block to the pipeline. The
 // region is whatever the client exposed — for compressed records the encoded
@@ -608,7 +596,12 @@ func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 	defer st.inflight.Done()
 	reg := p.observer()
 	sp := reg.StartSpan("srv.stage", obs.SpanKey{Pipeline: pipeline, Iteration: iteration, Rank: st.rank})
-	data, pooled, err := p.fetchStaged(bulk)
+	// The staged bytes are on loan until done (mercury.Class.BorrowBulk):
+	// the request frame when they rode in it, the client's arena pinned
+	// where it lies when the client shares this host, a pooled buffer
+	// pulled over RPC otherwise. The backend reads them during Stage only
+	// (the Backend loan rule), so nothing retains them past done.
+	data, done, err := p.mi.Class().BorrowBulk(bulk)
 	if err != nil {
 		err = fmt.Errorf("colza: pulling staged blocks: %w", err)
 		sp.End(err)
@@ -627,9 +620,7 @@ func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 			lost = errors.Join(lost, berr)
 		}
 	}
-	if pooled {
-		bufpool.Put(data)
-	}
+	done()
 	// A trace must not show a clean stage for an iteration that lost blocks.
 	sp.End(lost)
 	if len(blockErrs) == 0 {
@@ -642,9 +633,10 @@ func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 
 // stageWireBlock decodes one staged block's wire bytes and hands the block
 // to the backend, with the error tagged by the kind the client reacts to.
-// wire is on loan from the caller (a slice of the request frame or of the
-// pulled buffer) and is passed to the backend as is when raw; decode targets
-// draw their own pooled buffer and are recycled before return.
+// wire is on loan from the caller (a slice of the request frame, of the
+// client's arena or of the pulled buffer) and is passed to the backend as is
+// when raw; decode targets draw their own pooled buffer and are recycled
+// before return.
 func (p *Provider) stageWireBlock(slot *pipelineSlot, pipeline string, iteration uint64, ci stageCodecInfo, meta BlockMeta, wire []byte, reg *obs.Registry) (uint8, error) {
 	data := wire
 	pooled := false

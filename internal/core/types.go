@@ -72,6 +72,25 @@ func (v *MemberView) MonaAddrs() []string {
 	return out
 }
 
+// check reports what makes a view that came off the wire unusable, nil if
+// nothing does: every member needs both addresses, and no address may be
+// named twice — ranks are positions, so a repeated member would take two of
+// them, and as a set the view would pass for a larger one.
+func (v *MemberView) check() error {
+	rpcs := make(map[string]bool, len(v.Members))
+	monas := make(map[string]bool, len(v.Members))
+	for _, m := range v.Members {
+		if m.RPC == "" || m.Mona == "" {
+			return fmt.Errorf("%w: a view member without an address", ErrBadControlMsg)
+		}
+		if rpcs[m.RPC] || monas[m.Mona] {
+			return fmt.Errorf("%w: view member %s named twice", ErrBadControlMsg, m.RPC)
+		}
+		rpcs[m.RPC], monas[m.Mona] = true, true
+	}
+	return nil
+}
+
 // Encode serializes the view (for out-of-band sharing among client ranks).
 func (v *MemberView) Encode() []byte {
 	b, _ := json.Marshal(v)
@@ -139,10 +158,17 @@ type ExecResult struct {
 // Lifecycle per iteration: Activate, any number of Stage calls, Execute,
 // Deactivate. Destroy is called when the pipeline is removed.
 //
-// Ownership: the data slice passed to Stage is only valid for the duration
-// of the call — the provider pulls it into a pooled buffer and recycles it
-// as soon as Stage returns. A backend that needs the bytes afterwards must
-// copy them (the built-in pipelines decode into their own structures).
+// The loan rule (DESIGN.md §7): the data slice passed to Stage is on loan
+// for the duration of the call only. It may be the request frame, a pooled
+// buffer the provider recycles when Stage returns, or — for a client on the
+// same host — a read-only view of the client's shared arena, memory another
+// process maps and can write while Stage runs. So a backend never writes
+// data, copies what it keeps, and reads each byte at most once, validating
+// its own copy rather than the view: a length checked in data and read
+// again from data may have changed in between. The built-in pipelines and
+// the benchmark's sink already do this — vtk.DecodeImageData and
+// vtk.DecodeUnstructuredGrid copy every field once into their own
+// structures and check those, and the sink's CRC reads each byte once.
 type Backend interface {
 	Activate(ctx IterationContext) error
 	Stage(iteration uint64, meta BlockMeta, data []byte) error

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"colza/internal/bufpool"
 )
 
 // Bulk is a handle to a registered memory region on some process. It is
@@ -145,7 +148,7 @@ func (c *Class) Expose(buf []byte) Bulk {
 	b := Bulk{Addr: c.Addr(), ID: id, Size: len(buf)}
 	if c.SharesBulk() {
 		// Additionally publish the region in the endpoint's shared segment so
-		// colocated pullers can copy it straight out of mapped memory.
+		// colocated pullers can read it in place, in mapped memory.
 		// Best-effort: on any failure pulls simply use the RPC path against
 		// c.bulks. IDs are never reused (nextBk only grows), so a stale
 		// publication can never alias a new region.
@@ -183,8 +186,8 @@ func (c *Class) Reserve(n int) (r Bulk, span []byte) {
 
 // ExposeReserved exposes the first n bytes of the reservation r (0 <= n <=
 // r.Size) as they stand, without copying them, and returns their handle;
-// Release of either handle frees the whole span. Colocated pullers copy the
-// bytes out of the arena, everyone else pulls them over RPC.
+// Release of either handle frees the whole span. Colocated pullers read the
+// bytes in the arena, everyone else pulls them over RPC.
 func (c *Class) ExposeReserved(r Bulk, n int) Bulk {
 	c.bmu.Lock()
 	old, ok := c.bulks[r.ID]
@@ -251,46 +254,130 @@ func (c *Class) bulkChunkSize() int {
 const bulkPullConc = 4
 
 // PullBulkInto fetches the full region into dst, which must have length
-// b.Size. It is the one way to pull: a region that rode in the frame b was
-// decoded from is copied out of it, a colocated exposer's arena is copied
-// out of mapped memory, and anything else arrives in chunks over the
-// bulk-pull RPC. Chunks land concurrently; the call does not return — even
-// on error — until every in-flight chunk write to dst has finished, so the
-// caller may recycle dst immediately afterwards.
+// b.Size. It is the one way to copy a region: one that rode in the frame b
+// was decoded from is copied out of it, a colocated exposer's arena is
+// borrowed, copied and handed back, and anything else arrives in chunks
+// over the bulk-pull RPC. Chunks land concurrently; the call does not
+// return — even on error — until every in-flight chunk write to dst has
+// finished, so the caller may recycle dst immediately afterwards.
 func (c *Class) PullBulkInto(b Bulk, dst []byte) error {
 	if b.Size < 0 || len(dst) != b.Size {
 		return ErrBadBulk
 	}
-	n := len(dst)
-	reg := c.observer()
-	m := c.bulkM.for_(reg)
+	m := c.bulkM.for_(c.observer())
 	if b.inFrame {
-		// No RPC, and not a pull in the counters either.
-		m.eagerCount.Inc()
-		m.eagerBytes.Add(int64(n))
+		m.countEager(b.Size)
 		copy(dst, b.eager)
 		return nil
 	}
-	start := reg.Now()
-	defer func() {
-		m.latency.Observe(int64(reg.Now() - start))
-	}()
-	m.count.Inc()
-	m.bytes.Add(int64(n))
-	if n == 0 {
+	defer m.endPull(m.startPull(b.Size))
+	if b.Size == 0 {
 		return nil
 	}
-	// Cross-process zero-copy path: if the transport can map the
-	// exposer's shared segment, copy the region straight out of it and
-	// skip the chunked request/response protocol entirely. done=false
-	// (region not published, peer not colocated, seqlock churn) falls
-	// through to the RPC pulls, which remain authoritative — notably for
-	// use-after-release, which must surface as ErrBadBulk.
-	if c.SharesBulk() {
-		if done, err := c.arena.PullLocal(b.Addr, b.ID, dst); done {
-			return err
-		}
+	if view, done, ok := c.borrowLocal(b); ok {
+		copy(dst, view)
+		done()
+		return nil
 	}
+	return c.pullRPC(b, dst)
+}
+
+// BorrowBulk lends the caller the region's bytes until it calls done, which
+// it must do exactly once, without copying them where it can: a region that
+// rode inside the frame b was decoded from is that frame's bytes, a region
+// in a colocated exposer's arena is read where it lies, pinned there until
+// done (na.LocalBulk.BorrowLocal), and anything else is pulled over RPC into
+// a pooled buffer that done recycles. Either way the bytes are on loan: the
+// caller reads them before done and never writes them — an arena view is
+// mapped read-only, and another process may write it meanwhile.
+func (c *Class) BorrowBulk(b Bulk) (region []byte, done func(), err error) {
+	if b.Size < 0 {
+		return nil, nil, ErrBadBulk
+	}
+	m := c.bulkM.for_(c.observer())
+	if b.inFrame {
+		m.countEager(b.Size)
+		return b.eager, noLoan, nil
+	}
+	defer m.endPull(m.startPull(b.Size))
+	if b.Size == 0 {
+		return nil, noLoan, nil
+	}
+	if view, done, ok := c.borrowLocal(b); ok {
+		return view, done, nil
+	}
+	l := pulledLoans.Get().(*pulledLoan)
+	l.buf = bufpool.Get(b.Size)
+	if err := c.pullRPC(b, l.buf); err != nil {
+		l.release()
+		return nil, nil, err
+	}
+	return l.buf, l.done, nil
+}
+
+// noLoan is the done of a borrow that holds nothing.
+func noLoan() {}
+
+// pulledLoan holds a region pulled into a pooled buffer until its done.
+// Loans are recycled together with their bound done, so a borrow over RPC
+// allocates nothing the pull did not.
+type pulledLoan struct {
+	buf  []byte
+	done func()
+}
+
+var pulledLoans sync.Pool
+
+func init() {
+	// Set here, not in the declaration: release refers to the pool.
+	pulledLoans.New = func() any {
+		l := &pulledLoan{}
+		l.done = l.release
+		return l
+	}
+}
+
+func (l *pulledLoan) release() {
+	bufpool.Put(l.buf)
+	l.buf = nil
+	pulledLoans.Put(l)
+}
+
+// countEager counts a region that rode in its frame: no RPC, and not a pull
+// in the counters either.
+func (m *bulkMetrics) countEager(n int) {
+	m.eagerCount.Inc()
+	m.eagerBytes.Add(int64(n))
+}
+
+// startPull counts a pull of n bytes and returns its start, for endPull to
+// observe the latency: `defer m.endPull(m.startPull(n))`.
+func (m *bulkMetrics) startPull(n int) time.Duration {
+	m.count.Inc()
+	m.bytes.Add(int64(n))
+	return m.reg.Now()
+}
+
+func (m *bulkMetrics) endPull(start time.Duration) {
+	m.latency.Observe(int64(m.reg.Now() - start))
+}
+
+// borrowLocal borrows b from a colocated exposer's shared arena. ok=false
+// (no arena here, peer not colocated, region not published, slot in flux)
+// sends the caller to the RPC pull, which remains authoritative — notably
+// for use-after-release, which must surface as ErrBadBulk.
+func (c *Class) borrowLocal(b Bulk) (view []byte, done func(), ok bool) {
+	if !c.SharesBulk() {
+		return nil, nil, false
+	}
+	return c.arena.BorrowLocal(b.Addr, b.ID, b.Size)
+}
+
+// pullRPC fetches the region into dst in chunks over the bulk-pull RPC,
+// up to bulkPullConc of them in flight, and joins every worker before it
+// returns.
+func (c *Class) pullRPC(b Bulk, dst []byte) error {
+	n := len(dst)
 	chunk := c.bulkChunkSize()
 	nchunks := (n + chunk - 1) / chunk
 	if nchunks == 1 {
@@ -331,20 +418,6 @@ func (c *Class) PullBulkInto(b Bulk, dst []byte) error {
 		return *ep
 	}
 	return nil
-}
-
-// BorrowBulk returns the region itself when it rode inside the frame b was
-// decoded from, sparing the caller a destination buffer and a copy; ok is
-// false when the region has to be pulled. The bytes alias that frame: a
-// handler may read them until it returns and must not retain or modify them.
-func (c *Class) BorrowBulk(b Bulk) (region []byte, ok bool) {
-	if !b.inFrame {
-		return nil, false
-	}
-	m := c.bulkM.for_(c.observer())
-	m.eagerCount.Inc()
-	m.eagerBytes.Add(int64(len(b.eager)))
-	return b.eager, true
 }
 
 // pullChunk performs one bulk-pull round trip for dst's worth of bytes at

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"colza/internal/bufpool"
 	"colza/internal/na"
 	"colza/internal/obs"
 )
@@ -47,24 +46,21 @@ func classPair(tb testing.TB, transport string) (owner, peer *Class, ownerReg, p
 	return owner, peer, ownerReg, peerReg
 }
 
-// fetchHandler serves the "fetch" RPC the way core's stage handlers do: it
-// decodes the handle in the request, borrows the region when it rode in the
-// frame and pulls it into a pooled buffer otherwise, and reports what it got
-// through sink (called before the buffer is recycled).
+// fetchHandler serves the "fetch" RPC the way core's stage handler does: it
+// decodes the handle in the request, borrows the region (the frame's bytes,
+// the arena's, or a pooled buffer it was pulled into), and reports what it
+// got through sink (called before the loan is handed back).
 func fetchHandler(c *Class, sink func(region []byte)) Handler {
 	return func(req Request) ([]byte, error) {
 		b, rest, err := DecodeBulk(req.Payload)
 		if err != nil || len(rest) != 0 {
 			return nil, ErrBadBulk
 		}
-		region, ok := c.BorrowBulk(b)
-		if !ok {
-			region = bufpool.Get(b.Size)
-			defer bufpool.Put(region)
-			if err := c.PullBulkInto(b, region); err != nil {
-				return nil, err
-			}
+		region, done, err := c.BorrowBulk(b)
+		if err != nil {
+			return nil, err
 		}
+		defer done()
 		if sink != nil {
 			sink(region)
 		}
@@ -152,7 +148,7 @@ func TestEagerAndPulledDeliveryIdentical(t *testing.T) {
 // is the frame's bytes, capped so an append cannot run into what follows —
 // and a pull is served from it.
 func TestEagerHandleAliasesFrame(t *testing.T) {
-	owner, peer, _, _ := classPair(t, "inproc")
+	owner, peer, _, peerReg := classPair(t, "inproc")
 	region := []byte("0123456789")
 	b := owner.Expose(region)
 	defer owner.Release(b)
@@ -161,13 +157,17 @@ func TestEagerHandleAliasesFrame(t *testing.T) {
 	if err != nil || string(rest) != "tail" {
 		t.Fatalf("decode: %v, rest %q", err, rest)
 	}
-	got, ok := peer.BorrowBulk(dec)
-	if !ok || &got[0] != &frame[len(frame)-len("tail")-len(region)] || cap(got) != len(region) {
-		t.Fatalf("borrowed region does not alias the frame (ok=%v cap=%d)", ok, cap(got))
+	got, done, err := peer.BorrowBulk(dec)
+	if err != nil || &got[0] != &frame[len(frame)-len("tail")-len(region)] || cap(got) != len(region) {
+		t.Fatalf("borrowed region does not alias the frame (err=%v cap=%d)", err, cap(got))
 	}
-	if _, ok := peer.BorrowBulk(b); ok {
-		t.Fatal("a handle that never crossed the wire was borrowed")
+	done()
+	pulls := peerReg.Counter("mercury.bulk.pull.count").Value()
+	got, done, err = peer.BorrowBulk(b)
+	if err != nil || string(got) != "0123456789" || peerReg.Counter("mercury.bulk.pull.count").Value() != pulls+1 {
+		t.Fatalf("a handle that never crossed the wire was not pulled: %q, %v", got, err)
 	}
+	done()
 	pulled, err := pullAll(peer, dec)
 	if err != nil || string(pulled) != "0123456789" {
 		t.Fatalf("pull of an eager handle: %q, %v", pulled, err)

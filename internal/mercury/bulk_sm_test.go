@@ -40,6 +40,62 @@ func TestBulkPullOverSharedMemory(t *testing.T) {
 	}
 }
 
+// TestBorrowBulkOverSharedMemory: a colocated borrower reads an in-place
+// region where it lies — one local hit, no bulk-pull RPC — and the view
+// outlives the owner's Release: the span is quarantined while the owner
+// reserves and rewrites the rest of its arena, ExposedBytes is back to 0 at
+// once, and the span returns to the arena after done. A borrow of the
+// released handle falls back to the RPC path, which refuses it.
+func TestBorrowBulkOverSharedMemory(t *testing.T) {
+	ca, cb, ra, rb := classPair(t, "sm")
+	const size = 256 << 10
+	r, span := ca.Reserve(size)
+	for i := range span {
+		span[i] = byte(i * 17)
+	}
+	b := ca.ExposeReserved(r, size)
+	view, done, err := cb.BorrowBulk(b)
+	if err != nil || !bytes.Equal(view, span) {
+		t.Fatalf("borrow: err=%v, bytes equal=%v", err, bytes.Equal(view, span))
+	}
+	want := bytes.Clone(view)
+	if local := rb.Counter("na.shm.pull.local").Value(); local != 1 {
+		t.Fatalf("na.shm.pull.local = %d, want 1", local)
+	}
+	if got := rb.Counter("mercury.call.count{rpc=__mercury/bulk_pull}").Value(); got != 0 {
+		t.Fatalf("bulk-pull RPC ran %d times for a colocated borrow", got)
+	}
+	ca.Release(b)
+	if got := ra.Gauge("na.shm.quarantined.bytes").Value(); got != size {
+		t.Fatalf("na.shm.quarantined.bytes = %d with the released region borrowed, want %d", got, size)
+	}
+	if got := ca.ExposedBytes(); got != 0 {
+		t.Fatalf("ExposedBytes = %d after the release, want 0", got)
+	}
+	for i := 0; i < 8; i++ {
+		r, span := ca.Reserve(size)
+		if span == nil {
+			t.Fatalf("reserve %d failed", i)
+		}
+		for j := range span {
+			span[j] = 0xFF
+		}
+		ca.Release(ca.ExposeReserved(r, size))
+	}
+	if !bytes.Equal(view, want) {
+		t.Fatal("the borrowed bytes changed after the owner's release")
+	}
+	done()
+	r, _ = ca.Reserve(16) // reclaims the span nobody pins any more
+	ca.Release(r)
+	if got := ra.Gauge("na.shm.quarantined.bytes").Value(); got != 0 {
+		t.Fatalf("na.shm.quarantined.bytes = %d after done, want 0", got)
+	}
+	if _, _, err := cb.BorrowBulk(b); err == nil || !strings.Contains(err.Error(), ErrBadBulk.Error()) {
+		t.Fatalf("borrow of a released region: want remote ErrBadBulk, got %v", err)
+	}
+}
+
 // TestBulkUseAfterReleaseOverSM: after Release the shared slot is
 // withdrawn and the pull falls back to the RPC path, which stays
 // authoritative and reports ErrBadBulk — the §7 guard survives the

@@ -18,9 +18,9 @@ import (
 // a dual endpoint (the analog of what Mercury's na+sm plugin does for bulk
 // data): exposed bulk regions are published in a per-endpoint mmap'd
 // segment (a tmpfs-backed file), and a same-host puller maps the exposer's
-// arena and copies the bytes straight out of it, skipping the chunked
-// bulk-pull RPC protocol entirely (DESIGN.md §12). RPC frames do not come
-// through here — they ride the endpoint's stream sockets (tcp.go).
+// arena and reads the bytes where they lie, skipping the chunked bulk-pull
+// RPC protocol entirely (DESIGN.md §12). RPC frames do not come through
+// here — they ride the endpoint's stream sockets (tcp.go).
 //
 // Lifecycle invariants:
 //
@@ -30,40 +30,50 @@ import (
 //     in the same directory removes what a dead pid left (gcStaleSegments);
 //   - the mapping outlives Close until the last region holding a span of
 //     it is released (smArena.close);
-//   - every PullLocal outcome other than "bytes copied under a stable
-//     seqlock" sends the caller to the RPC pull path, which stays
+//   - a span a borrower has pinned is not recycled until the pin is gone
+//     (the quarantine), and a puller's mapping of a peer's arena is not
+//     unmapped until its last borrow is done (smArenaMap.unref);
+//   - every BorrowLocal outcome other than "slot pinned, words stable and
+//     in bounds" sends the caller to the RPC pull path, which stays
 //     authoritative.
 
-// Arena segment layout (the LocalBulk export table + data area; all fields
-// little-endian):
+// Arena segment layout, version 2 (the LocalBulk export table + data area;
+// all fields little-endian):
 //
 //	0   magic uint32 / 4 version uint32
 //	8   slot count uint64
-//	16  data offset uint64
+//	16  data offset uint64: header and table rounded up to a page
 //	24  data capacity uint64
-//	64  slots: nslots × 32B {seq u64, id u64, off u64, len u64}
-//	... data area
+//	64  slots: nslots × 40B {seq u64, id u64, off u64, len u64, readers u64}
+//	... data area, from the data offset
 //
 // Publication uses a per-slot seqlock: the exposer writes the bytes into a
 // span no published slot points at, then bumps seq to odd, writes
-// id/off/len, bumps seq to even. A puller reads seq, copies, and re-reads
-// seq — any change means the copy may have observed a concurrent
-// release/re-expose and the puller falls back to the RPC pull path, which
-// stays authoritative.
+// id/off/len, bumps seq to even. A borrower pins the slot first — an atomic
+// add on its reader word — then reads seq, id, off, len and seq again, and
+// keeps the span only if the words were stable, name its id and lie in
+// bounds; on any miss it takes the pin back and falls back to the RPC pull
+// path. A release withdraws the slot under the seqlock and then loads the
+// reader word: a pinned span goes to the quarantine instead of the free
+// list. Go's atomics are sequentially consistent, so of the borrower's add
+// and the releaser's load one comes first: either the releaser sees the pin,
+// or the borrower sees the withdrawal. The data area starts on a page so a
+// puller maps the table read-write (for the pin) and the data read-only.
 const (
 	smArenaMagic   = 0x435a5342 // "CZSB"
-	smArenaVersion = 1
+	smArenaVersion = 2
 	arenaHdrBytes  = 64
-	arenaSlotBytes = 32
+	arenaSlotBytes = 40
 
 	aoSlots   = 8
 	aoDataOff = 16
 	aoDataCap = 24
 
-	soSeq = 0
-	soID  = 8
-	soOff = 16
-	soLen = 24
+	soSeq     = 0
+	soID      = 8
+	soOff     = 16
+	soLen     = 24
+	soReaders = 32
 )
 
 // The arena's data capacity (the file is sparse: only touched pages consume
@@ -134,8 +144,8 @@ func gcStaleSegments(dir string) {
 }
 
 // shmBulk implements LocalBulk for the endpoint whose segments live under
-// base: the arena it publishes its own regions in, and read-only mappings
-// of the colocated peers' arenas it pulls from.
+// base: the arena it publishes its own regions in, and mappings of the
+// colocated peers' arenas it borrows from.
 type shmBulk struct {
 	host string
 	base string
@@ -149,6 +159,7 @@ type shmBulk struct {
 
 	amu    sync.Mutex
 	arenas map[string]*smArenaMap // mapped peer arenas, by base path
+	closed bool                   // close ran: no peer arena is mapped any more
 }
 
 func newShmBulk(base string, arenaBytes, arenaSlots int) (*shmBulk, error) {
@@ -167,36 +178,42 @@ func newShmBulk(base string, arenaBytes, arenaSlots int) (*shmBulk, error) {
 }
 
 // arenaMetrics caches the instrument handles; registry lookups allocate,
-// and expose/pull run once per staged frame.
+// and expose/borrow run once per staged frame.
 type arenaMetrics struct {
-	pullLocal      *obs.Counter
-	pullFallback   *obs.Counter
-	exposeFallback *obs.Counter
-	mappedBytes    *obs.Gauge
+	pullLocal        *obs.Counter
+	pullFallback     *obs.Counter
+	exposeFallback   *obs.Counter
+	mappedBytes      *obs.Gauge
+	quarantinedBytes *obs.Gauge
 }
 
 func newArenaMetrics(r *obs.Registry) *arenaMetrics {
 	return &arenaMetrics{
-		pullLocal:      r.Counter("na.shm.pull.local"),
-		pullFallback:   r.Counter("na.shm.pull.fallback"),
-		exposeFallback: r.Counter("na.shm.expose.fallback"),
-		mappedBytes:    r.Gauge("na.shm.mapped.bytes"),
+		pullLocal:        r.Counter("na.shm.pull.local"),
+		pullFallback:     r.Counter("na.shm.pull.fallback"),
+		exposeFallback:   r.Counter("na.shm.expose.fallback"),
+		mappedBytes:      r.Gauge("na.shm.mapped.bytes"),
+		quarantinedBytes: r.Gauge("na.shm.quarantined.bytes"),
 	}
 }
 
-// close releases every mapping and unlinks the arena file.
+// close unlinks the arena file, drops the endpoint's reference to every
+// peer mapping — each is unmapped at once, or at the done of its last
+// borrow — and refuses every later borrow.
 func (s *shmBulk) close() {
 	s.arenaOnce.Do(func() {}) // no arena file is created after Close
 	if s.arena != nil {
-		s.arena.close()
+		s.arena.close(s.met.Load())
 		os.Remove(s.base + ".blk")
 	}
 	s.amu.Lock()
-	for _, am := range s.arenas {
-		am.close()
-	}
+	s.closed = true
+	arenas := s.arenas
 	s.arenas = map[string]*smArenaMap{}
 	s.amu.Unlock()
+	for _, am := range arenas {
+		am.unref()
+	}
 }
 
 // --- mmap helpers ---------------------------------------------------------
@@ -219,27 +236,19 @@ func smCreateMap(path string, size int) ([]byte, error) {
 	return seg, nil
 }
 
-// smOpenMap maps the first size bytes of a peer's segment read-only.
-func smOpenMap(path string, size int) ([]byte, error) {
-	f, err := os.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if st.Size() < int64(size) {
-		return nil, fmt.Errorf("na: sm segment %s truncated (%d < %d)", path, st.Size(), size)
-	}
-	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
+// arenaDataOff is where the data area of an arena with nslots slots starts:
+// past the header and the table, on a page boundary, so that a puller can
+// map the data apart from the table, read-only.
+func arenaDataOff(nslots uint64) uint64 {
+	page := uint64(os.Getpagesize())
+	return (arenaHdrBytes + nslots*arenaSlotBytes + page - 1) / page * page
 }
 
 // slotWord addresses one word of an export-table slot for atomic access;
-// seg is an arena mapping (page-aligned, so every word is 8-aligned).
-func slotWord(seg []byte, slot uint64, field int) *uint64 {
-	return (*uint64)(unsafe.Pointer(&seg[arenaHdrBytes+slot*arenaSlotBytes+uint64(field)]))
+// table is an arena mapping's start (page-aligned, so every word is
+// 8-aligned).
+func slotWord(table []byte, slot uint64, field int) *uint64 {
+	return (*uint64)(unsafe.Pointer(&table[arenaHdrBytes+slot*arenaSlotBytes+uint64(field)]))
 }
 
 // --- exposer side ---------------------------------------------------------
@@ -253,14 +262,18 @@ type smArena struct {
 	entries map[uint64]arenaSpan // id → allocated span, reserved or published
 	bySlot  map[uint64]uint64    // slot → id holding it
 	free    []arenaSpan          // sorted by offset, coalesced
-	closing bool                 // close ran: no new regions, seg unmapped once entries drain
+	// quarantine holds, by slot, a released span that a borrower had pinned
+	// at the release. It returns to free once the slot's reader word reads
+	// 0, and its slot takes no new region until then.
+	quarantine map[uint64]arenaSpan
+	closing    bool // close ran: no new regions, seg unmapped once entries drain
 }
 
 type arenaSpan struct{ off, ln uint64 }
 
 func (s *shmBulk) ensureArena() *smArena {
 	s.arenaOnce.Do(func() {
-		dataOff := uint64(arenaHdrBytes) + s.arenaSlots*arenaSlotBytes
+		dataOff := arenaDataOff(s.arenaSlots)
 		seg, err := smCreateMap(s.base+".blk", int(dataOff+s.arenaBytes))
 		if err != nil {
 			return
@@ -271,27 +284,35 @@ func (s *shmBulk) ensureArena() *smArena {
 		binary.LittleEndian.PutUint64(seg[aoDataOff:], dataOff)
 		binary.LittleEndian.PutUint64(seg[aoDataCap:], s.arenaBytes)
 		s.arena = &smArena{
-			seg:     seg,
-			nslots:  s.arenaSlots,
-			dataOff: dataOff,
-			dataCap: s.arenaBytes,
-			entries: make(map[uint64]arenaSpan),
-			bySlot:  make(map[uint64]uint64),
-			free:    []arenaSpan{{0, s.arenaBytes}},
+			seg:        seg,
+			nslots:     s.arenaSlots,
+			dataOff:    dataOff,
+			dataCap:    s.arenaBytes,
+			entries:    make(map[uint64]arenaSpan),
+			bySlot:     make(map[uint64]uint64),
+			free:       []arenaSpan{{0, s.arenaBytes}},
+			quarantine: make(map[uint64]arenaSpan),
 		}
 	})
 	return s.arena
 }
 
-// close refuses every later region and unmaps the segment — at once when no
-// region holds a span of it, otherwise at the release of the last one. A
-// reservation's holder writes into its span without any lock of ours
-// (ReserveLocal), so unmapping under it would turn that write into a
-// SIGSEGV; the span stays valid until its ReleaseLocal instead.
-func (a *smArena) close() {
+// close refuses every later region, forgets the quarantine — nothing is
+// allocated any more, so a pinned span can no longer be recycled under its
+// borrower, who reads it through a mapping of its own — and unmaps the
+// segment: at once when no region holds a span of it, otherwise at the
+// release of the last one. A reservation's holder writes into its span
+// without any lock of ours (ReserveLocal), so unmapping under it would turn
+// that write into a SIGSEGV; the span stays valid until its ReleaseLocal
+// instead.
+func (a *smArena) close(m *arenaMetrics) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.closing = true
+	for slot, sp := range a.quarantine {
+		delete(a.quarantine, slot)
+		m.quarantinedBytes.Add(-int64(sp.ln))
+	}
 	a.unmapIfIdle()
 }
 
@@ -301,6 +322,18 @@ func (a *smArena) unmapIfIdle() {
 	if a.closing && len(a.entries) == 0 && a.seg != nil {
 		syscall.Munmap(a.seg)
 		a.seg = nil
+	}
+}
+
+// reclaim frees the quarantined spans whose slot no borrower pins any more.
+// The caller holds a.mu.
+func (a *smArena) reclaim(m *arenaMetrics) {
+	for slot, sp := range a.quarantine {
+		if atomic.LoadUint64(slotWord(a.seg, slot, soReaders)) == 0 {
+			delete(a.quarantine, slot)
+			a.release(sp)
+			m.quarantinedBytes.Add(-int64(sp.ln))
+		}
 	}
 }
 
@@ -342,8 +375,9 @@ func (a *smArena) release(sp arenaSpan) {
 
 // ExposeLocal publishes buf in the shared arena under the bulk id
 // (LocalBulk). The arena holds its own copy, so the caller's §7 contract
-// (buffer unchanged until Release) extends naturally: even a pull racing
-// a release reads stable arena bytes or misses the slot and falls back.
+// (buffer unchanged until Release) extends naturally: a borrower reads
+// stable arena bytes, pinned against the release, or misses the slot and
+// falls back.
 func (s *shmBulk) ExposeLocal(id uint64, buf []byte) bool {
 	span := s.ReserveLocal(id, len(buf))
 	if span == nil {
@@ -359,7 +393,8 @@ func (s *shmBulk) ExposeLocal(id uint64, buf []byte) bool {
 
 // ReserveLocal allocates n bytes of the arena and id's export-table slot,
 // and returns the span unpublished (LocalBulk): the slot's words still say
-// "empty", so a pull of id misses until PublishLocal.
+// "empty", so a borrow of id misses until PublishLocal. A slot whose
+// quarantined span is still pinned takes no new region.
 func (s *shmBulk) ReserveLocal(id uint64, n int) []byte {
 	if n <= 0 {
 		return nil
@@ -374,8 +409,11 @@ func (s *shmBulk) ReserveLocal(id uint64, n int) []byte {
 	if a.closing {
 		return nil
 	}
+	a.reclaim(m)
 	slot := id % a.nslots
-	if _, busy := a.bySlot[slot]; busy {
+	_, busy := a.bySlot[slot]
+	_, pinned := a.quarantine[slot]
+	if busy || pinned {
 		m.exposeFallback.Inc()
 		return nil
 	}
@@ -393,8 +431,8 @@ func (s *shmBulk) ReserveLocal(id uint64, n int) []byte {
 }
 
 // PublishLocal points id's slot at the first n bytes of its reservation,
-// under the seqlock (LocalBulk). The bytes were written before, so a puller
-// that sees the slot even sees them whole.
+// under the seqlock (LocalBulk). The bytes were written before, so a
+// borrower that sees the slot even sees them whole.
 func (s *shmBulk) PublishLocal(id uint64, n int) bool {
 	a := s.arena
 	if a == nil {
@@ -416,13 +454,16 @@ func (s *shmBulk) PublishLocal(id uint64, n int) bool {
 	return true
 }
 
-// ReleaseLocal withdraws a region, published or only reserved, and frees its
-// span (LocalBulk); the last release of a closing arena unmaps it.
+// ReleaseLocal withdraws a region, published or only reserved (LocalBulk),
+// under the seqlock, and then reads the slot's reader word: a span no
+// borrower pins is freed, a pinned one is quarantined until its borrowers
+// are done. The last release of a closing arena unmaps it.
 func (s *shmBulk) ReleaseLocal(id uint64) {
 	a := s.arena
 	if a == nil {
 		return
 	}
+	m := s.met.Load()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp, ok := a.entries[id]
@@ -437,33 +478,43 @@ func (s *shmBulk) ReleaseLocal(id uint64) {
 	atomic.StoreUint64(slotWord(a.seg, slot, soSeq), seq+2)
 	delete(a.entries, id)
 	delete(a.bySlot, slot)
-	a.release(sp)
-	s.met.Load().mappedBytes.Add(-int64(sp.ln))
+	m.mappedBytes.Add(-int64(sp.ln))
+	a.reclaim(m)
+	if !a.closing && atomic.LoadUint64(slotWord(a.seg, slot, soReaders)) != 0 {
+		a.quarantine[slot] = sp
+		m.quarantinedBytes.Add(int64(sp.ln))
+	} else {
+		a.release(sp)
+	}
 	a.unmapIfIdle()
 }
 
 // --- puller side ----------------------------------------------------------
 
-// smArenaMap is a read-only mapping of a peer's arena. Everything read
-// through it — the header at map time, the slot words at every pull — is
-// memory another process writes, and is validated before it sizes a mapping
-// or indexes one.
+// smArenaMap is a puller's mapping of a peer's arena: the header and the
+// slot table read-write, for the pins, and the data area read-only.
+// Everything read through it — the header at map time, the slot words at
+// every borrow — is memory another process writes, and is validated before
+// it sizes a mapping or indexes one. The endpoint's table of mappings holds
+// one reference and every outstanding borrow one more; the last unref
+// unmaps.
 type smArenaMap struct {
-	seg     []byte
-	nslots  uint64
-	dataOff uint64
-	dataCap uint64
+	table  []byte
+	data   []byte
+	nslots uint64
+	refs   atomic.Int64
 }
 
-func (m *smArenaMap) close() {
-	if m.seg != nil {
-		syscall.Munmap(m.seg)
-		m.seg = nil
+func (m *smArenaMap) unref() {
+	if m.refs.Add(-1) == 0 {
+		syscall.Munmap(m.table)
+		syscall.Munmap(m.data)
 	}
 }
 
 // decodeArenaHeader validates the first arenaHdrBytes of a peer's arena and
-// returns the geometry that sizes the full mapping.
+// returns the geometry that sizes the mappings. Another version's layout is
+// refused: its pullers would not pin.
 func decodeArenaHeader(hdr []byte) (nslots, dataOff, dataCap uint64, err error) {
 	if len(hdr) < arenaHdrBytes ||
 		binary.LittleEndian.Uint32(hdr[0:]) != smArenaMagic ||
@@ -473,98 +524,143 @@ func decodeArenaHeader(hdr []byte) (nslots, dataOff, dataCap uint64, err error) 
 	nslots = binary.LittleEndian.Uint64(hdr[aoSlots:])
 	dataOff = binary.LittleEndian.Uint64(hdr[aoDataOff:])
 	dataCap = binary.LittleEndian.Uint64(hdr[aoDataCap:])
-	if nslots == 0 || nslots > 1<<20 || dataOff != uint64(arenaHdrBytes)+nslots*arenaSlotBytes || dataCap > 1<<40 {
+	if nslots == 0 || nslots > 1<<20 || dataOff != arenaDataOff(nslots) || dataCap == 0 || dataCap > 1<<40 {
 		return 0, 0, 0, errSMCorrupt
 	}
 	return nslots, dataOff, dataCap, nil
 }
 
+// mapPeerArena maps the arena file at path: its header first, whose
+// geometry sizes the rest, then the table read-write and the data area
+// read-only. The mapping starts with one reference.
+func mapPeerArena(path string) (*smArenaMap, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var hdr [arenaHdrBytes]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return nil, errSMCorrupt
+	}
+	nslots, dataOff, dataCap, err := decodeArenaHeader(hdr[:])
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if uint64(st.Size()) < dataOff+dataCap {
+		return nil, fmt.Errorf("na: sm segment %s truncated (%d < %d)", path, st.Size(), dataOff+dataCap)
+	}
+	fd := int(f.Fd())
+	table, err := syscall.Mmap(fd, 0, int(dataOff), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, err
+	}
+	data, err := syscall.Mmap(fd, int64(dataOff), int(dataCap), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		syscall.Munmap(table)
+		return nil, err
+	}
+	am := &smArenaMap{table: table, data: data, nslots: nslots}
+	am.refs.Store(1)
+	return am, nil
+}
+
+// peerArena returns the mapping of the arena under base, mapped on first
+// use, with a reference taken for the caller.
 func (s *shmBulk) peerArena(base string) (*smArenaMap, error) {
 	s.amu.Lock()
+	if s.closed {
+		s.amu.Unlock()
+		return nil, ErrClosed
+	}
 	if am, ok := s.arenas[base]; ok {
+		am.refs.Add(1)
 		s.amu.Unlock()
 		return am, nil
 	}
 	s.amu.Unlock()
 
-	// Header first: slot count and data bounds size the full mapping.
-	hdr, err := smOpenMap(base+".blk", arenaHdrBytes)
+	am, err := mapPeerArena(base + ".blk")
 	if err != nil {
 		return nil, err
 	}
-	nslots, dataOff, dataCap, err := decodeArenaHeader(hdr)
-	syscall.Munmap(hdr)
-	if err != nil {
-		return nil, err
-	}
-	full, err := smOpenMap(base+".blk", int(dataOff+dataCap))
-	if err != nil {
-		return nil, err
-	}
-	am := &smArenaMap{seg: full, nslots: nslots, dataOff: dataOff, dataCap: dataCap}
 	s.amu.Lock()
-	if old, ok := s.arenas[base]; ok {
-		s.amu.Unlock()
-		am.close()
-		return old, nil
+	defer s.amu.Unlock()
+	if s.closed {
+		am.unref()
+		return nil, ErrClosed
 	}
-	s.arenas[base] = am
-	s.amu.Unlock()
+	if old, ok := s.arenas[base]; ok {
+		am.unref()
+		am = old
+	} else {
+		s.arenas[base] = am
+	}
+	am.refs.Add(1)
 	return am, nil
 }
 
-// pullLocalAttempts bounds the seqlock retry loop: a slot that keeps
-// changing under the copy is under active churn, and the RPC path is the
-// authoritative tiebreaker anyway.
-const pullLocalAttempts = 3
-
-// pull copies the first len(dst) bytes of region id out of the mapping,
-// under the slot's seqlock. False means anything else: another id in the
-// slot, a range the slot's words do not cover, a slot that kept changing.
-// The bounds are compared without adding, so no hostile off/len can wrap
-// past them.
-func (m *smArenaMap) pull(id uint64, dst []byte) bool {
-	slot := id % m.nslots
-	for attempt := 0; attempt < pullLocalAttempts; attempt++ {
-		s1 := atomic.LoadUint64(slotWord(m.seg, slot, soSeq))
-		if s1&1 != 0 {
-			continue
-		}
-		if atomic.LoadUint64(slotWord(m.seg, slot, soID)) != id {
-			return false
-		}
-		ln := atomic.LoadUint64(slotWord(m.seg, slot, soLen))
-		ofs := atomic.LoadUint64(slotWord(m.seg, slot, soOff))
-		if ofs > m.dataCap || ln > m.dataCap-ofs || uint64(len(dst)) > ln {
-			return false
-		}
-		start := m.dataOff + ofs
-		copy(dst, m.seg[start:start+uint64(len(dst))])
-		if atomic.LoadUint64(slotWord(m.seg, slot, soSeq)) == s1 {
-			return true
+// borrow pins region id's slot and returns the first n bytes of the region
+// as they lie in the data area; unpin(slot) takes the pin back.
+// ok=false means anything else — another id in the slot, a slot in flux or
+// changed under the reads, a range the words do not cover — and leaves the
+// reader word as it found it. The bounds are compared without adding, so
+// no hostile off/len can wrap past them.
+func (m *smArenaMap) borrow(id uint64, n int) (view []byte, slot uint64, ok bool) {
+	slot = id % m.nslots
+	atomic.AddUint64(slotWord(m.table, slot, soReaders), 1)
+	s1 := atomic.LoadUint64(slotWord(m.table, slot, soSeq))
+	if s1&1 == 0 && atomic.LoadUint64(slotWord(m.table, slot, soID)) == id {
+		ofs := atomic.LoadUint64(slotWord(m.table, slot, soOff))
+		ln := atomic.LoadUint64(slotWord(m.table, slot, soLen))
+		dataCap := uint64(len(m.data))
+		if ofs <= dataCap && ln <= dataCap-ofs && uint64(n) <= ln &&
+			atomic.LoadUint64(slotWord(m.table, slot, soSeq)) == s1 {
+			end := ofs + uint64(n)
+			return m.data[ofs:end:end], slot, true
 		}
 	}
-	return false
+	m.unpin(slot)
+	return nil, 0, false
 }
 
-// PullLocal maps the exposer's arena and copies the first len(dst) bytes
-// of region id straight out of shared memory (LocalBulk). done=false sends
-// the caller to the RPC pull path.
-func (s *shmBulk) PullLocal(ownerAddr string, id uint64, dst []byte) (bool, error) {
+func (m *smArenaMap) unpin(slot uint64) {
+	atomic.AddUint64(slotWord(m.table, slot, soReaders), ^uint64(0))
+}
+
+// BorrowLocal pins the first n bytes of the region id published by the
+// endpoint at ownerAddr and returns them where they lie, in this endpoint's
+// read-only mapping of the owner's arena (LocalBulk). Each call counts once:
+// na.shm.pull.local for a view, na.shm.pull.fallback for a miss against a
+// colocated owner.
+func (s *shmBulk) BorrowLocal(ownerAddr string, id uint64, n int) (view []byte, done func(), ok bool) {
 	smAddr, _ := SplitAddr(ownerAddr)
 	if smAddr == "" {
-		return false, nil
+		return nil, nil, false
 	}
 	host, base, ok := smHostBase(smAddr)
 	if !ok || host != s.host || base == s.base {
-		return false, nil
+		return nil, nil, false
 	}
 	m := s.met.Load()
 	am, err := s.peerArena(base)
-	if err != nil || !am.pull(id, dst) {
+	if err != nil {
 		m.pullFallback.Inc()
-		return false, nil
+		return nil, nil, false
+	}
+	view, slot, ok := am.borrow(id, n)
+	if !ok {
+		am.unref()
+		m.pullFallback.Inc()
+		return nil, nil, false
 	}
 	m.pullLocal.Inc()
-	return true, nil
+	return view, func() {
+		am.unpin(slot)
+		am.unref()
+	}, true
 }

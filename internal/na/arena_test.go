@@ -41,6 +41,18 @@ func dualPairArena(t *testing.T, arenaBytes, arenaSlots int) (*DualEndpoint, *Du
 	return eps[0], eps[1], dir
 }
 
+// borrowCopy borrows len(dst) bytes of region id from owner, copies them
+// into dst and hands the view back; false is a miss.
+func borrowCopy(b *DualEndpoint, owner string, id uint64, dst []byte) bool {
+	view, done, ok := b.BorrowLocal(owner, id, len(dst))
+	if !ok {
+		return false
+	}
+	copy(dst, view)
+	done()
+	return true
+}
+
 func TestSMSendRecv(t *testing.T) {
 	a, b, _ := dualPair(t)
 	if err := a.Send(b.Addr(), []byte("ping")); err != nil {
@@ -144,8 +156,8 @@ func TestSMSegmentCleanup(t *testing.T) {
 		t.Fatal("ExposeLocal failed")
 	}
 	var dst [10]byte
-	if done, err := b.PullLocal(a.Addr(), 1, dst[:]); !done || err != nil {
-		t.Fatalf("PullLocal: done=%v err=%v", done, err)
+	if !borrowCopy(b, a.Addr(), 1, dst[:]) {
+		t.Fatal("borrow missed")
 	}
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 3 { // a.sock, a.blk, b.sock
@@ -173,27 +185,27 @@ func TestSMLocalBulk(t *testing.T) {
 	}
 	// Full pull.
 	dst := make([]byte, len(payload))
-	if done, err := b.PullLocal(a.Addr(), 42, dst); !done || err != nil {
-		t.Fatalf("full pull: done=%v err=%v", done, err)
+	if !borrowCopy(b, a.Addr(), 42, dst) {
+		t.Fatal("full borrow missed")
 	}
 	if !bytes.Equal(dst, payload) {
 		t.Fatal("full pull bytes differ")
 	}
 	// A prefix pull.
 	sub := make([]byte, 1000)
-	if done, err := b.PullLocal(a.Addr(), 42, sub); !done || err != nil {
-		t.Fatalf("prefix pull: done=%v err=%v", done, err)
+	if !borrowCopy(b, a.Addr(), 42, sub) {
+		t.Fatal("prefix borrow missed")
 	}
 	if !bytes.Equal(sub, payload[:1000]) {
 		t.Fatal("prefix pull bytes differ")
 	}
 	// A request longer than the region must decline (RPC path is
 	// authoritative).
-	if done, _ := b.PullLocal(a.Addr(), 42, make([]byte, len(payload)+1)); done {
+	if borrowCopy(b, a.Addr(), 42, make([]byte, len(payload)+1)) {
 		t.Fatal("out-of-bounds pull should fall back")
 	}
 	// Unknown id declines.
-	if done, _ := b.PullLocal(a.Addr(), 999, dst); done {
+	if borrowCopy(b, a.Addr(), 999, dst) {
 		t.Fatal("unknown id should fall back")
 	}
 	// Owners this endpoint cannot map decline: no sm component, another
@@ -206,13 +218,13 @@ func TestSMLocalBulk(t *testing.T) {
 		b.Addr(),
 		DualAddr("sm://"+smHostID()+"/no/such/base", tcpPart),
 	} {
-		if done, _ := b.PullLocal(owner, 42, sub); done {
+		if borrowCopy(b, owner, 42, sub) {
 			t.Fatalf("pull from %s should fall back", owner)
 		}
 	}
 	// After release the slot is withdrawn.
 	a.ReleaseLocal(42)
-	if done, _ := b.PullLocal(a.Addr(), 42, dst); done {
+	if borrowCopy(b, a.Addr(), 42, dst) {
 		t.Fatal("released region should fall back")
 	}
 	// Slot reuse after release: a new id landing on the same slot works.
@@ -220,8 +232,8 @@ func TestSMLocalBulk(t *testing.T) {
 		t.Fatal("re-expose on same slot failed")
 	}
 	small := make([]byte, 100)
-	if done, err := b.PullLocal(a.Addr(), 42+defaultArenaSlots, small); !done || err != nil {
-		t.Fatalf("pull after slot reuse: done=%v err=%v", done, err)
+	if !borrowCopy(b, a.Addr(), 42+defaultArenaSlots, small) {
+		t.Fatal("borrow after slot reuse missed")
 	}
 	a.ReleaseLocal(42 + defaultArenaSlots)
 	a.ReleaseLocal(42) // never-published and already-released ids are no-ops
@@ -249,8 +261,8 @@ func TestReservedSlotMissedUntilPublished(t *testing.T) {
 		span[i] = byte(i * 7)
 	}
 	dst := make([]byte, 60)
-	if done, err := b.PullLocal(a.Addr(), id, dst); done || err != nil {
-		t.Fatalf("pull of a reserved, unpublished region: done=%v err=%v, want a miss", done, err)
+	if borrowCopy(b, a.Addr(), id, dst) {
+		t.Fatal("borrowed a reserved, unpublished region")
 	}
 	if a.ExposeLocal(id+8, []byte("collides")) || a.ReserveLocal(id+8, 8) != nil {
 		t.Fatal("a colliding id took a slot a reservation holds")
@@ -269,17 +281,17 @@ func TestReservedSlotMissedUntilPublished(t *testing.T) {
 	if !a.PublishLocal(id, 60) {
 		t.Fatal("publish failed")
 	}
-	if done, err := b.PullLocal(a.Addr(), id, dst); !done || err != nil || !bytes.Equal(dst, span[:60]) {
-		t.Fatalf("pull after publish: done=%v err=%v", done, err)
+	if !borrowCopy(b, a.Addr(), id, dst) || !bytes.Equal(dst, span[:60]) {
+		t.Fatal("borrow after publish missed or read other bytes")
 	}
-	if done, _ := b.PullLocal(a.Addr(), id, make([]byte, 61)); done {
+	if borrowCopy(b, a.Addr(), id, make([]byte, 61)) {
 		t.Fatal("pulled past the published prefix")
 	}
 	if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 100 {
 		t.Fatalf("na.shm.mapped.bytes = %d, want the 100 reserved", got)
 	}
 	a.ReleaseLocal(id)
-	if done, _ := b.PullLocal(a.Addr(), id, dst); done {
+	if borrowCopy(b, a.Addr(), id, dst) {
 		t.Fatal("pulled a released region")
 	}
 	if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
@@ -366,8 +378,8 @@ func TestSMLocalBulkSlotCollision(t *testing.T) {
 		t.Fatal("colliding expose should decline")
 	}
 	dst := make([]byte, 5)
-	if done, err := b.PullLocal(a.Addr(), 3, dst); !done || err != nil || string(dst) != "first" {
-		t.Fatalf("first region damaged: done=%v err=%v dst=%q", done, err, dst)
+	if !borrowCopy(b, a.Addr(), 3, dst) || string(dst) != "first" {
+		t.Fatalf("first region damaged: dst=%q", dst)
 	}
 	a.ReleaseLocal(3)
 }
@@ -501,10 +513,10 @@ func TestSMObsCounters(t *testing.T) {
 		t.Fatalf("mapped.bytes = %d, want 4", got)
 	}
 	var dst [4]byte
-	if done, _ := b.PullLocal(a.Addr(), 7, dst[:]); !done {
+	if !borrowCopy(b, a.Addr(), 7, dst[:]) {
 		t.Fatal("pull failed")
 	}
-	if done, _ := b.PullLocal(a.Addr(), 8, dst[:]); done {
+	if borrowCopy(b, a.Addr(), 8, dst[:]) {
 		t.Fatal("pull of an unpublished id succeeded")
 	}
 	if local, fell := regB.Counter("na.shm.pull.local").Value(), regB.Counter("na.shm.pull.fallback").Value(); local != 1 || fell != 1 {
@@ -518,9 +530,9 @@ func TestSMObsCounters(t *testing.T) {
 
 // TestPullLocalHostileSlot: the slot words are memory another process
 // writes. Whatever they hold — lengths and offsets that wrap uint64, point
-// past the data area, another id, a sequence stuck odd — a pull declines
-// (done=false, na.shm.pull.fallback counted) and never reads outside the
-// region, let alone the mapping.
+// past the data area, another id, a sequence stuck odd — a borrow declines
+// (na.shm.pull.fallback counted once), takes its pin back and never hands out
+// a view outside the region, let alone the mapping.
 func TestPullLocalHostileSlot(t *testing.T) {
 	a, b, _ := dualPairArena(t, 1<<20, 8)
 	reg := obs.NewRegistry()
@@ -531,8 +543,8 @@ func TestPullLocalHostileSlot(t *testing.T) {
 		t.Fatal("expose failed")
 	}
 	dst := make([]byte, 16)
-	if done, _ := b.PullLocal(a.Addr(), id, dst); !done {
-		t.Fatal("honest pull failed")
+	if !borrowCopy(b, a.Addr(), id, dst) {
+		t.Fatal("honest borrow failed")
 	}
 	seg := a.arena.seg
 	honest := [4]uint64{}
@@ -559,21 +571,22 @@ func TestPullLocalHostileSlot(t *testing.T) {
 				atomic.StoreUint64(slotWord(seg, id, f*8), v)
 			}
 			before := reg.Counter("na.shm.pull.fallback").Value()
-			clear(dst)
-			done, err := b.PullLocal(a.Addr(), id, dst)
-			if done || err != nil {
-				t.Fatalf("done=%v err=%v dst=%x, want a decline", done, err, dst)
+			if view, _, ok := b.BorrowLocal(a.Addr(), id, len(dst)); ok {
+				t.Fatalf("borrowed %x, want a decline", view)
 			}
 			if got := reg.Counter("na.shm.pull.fallback").Value(); got != before+1 {
 				t.Fatalf("na.shm.pull.fallback moved %d → %d, want +1", before, got)
+			}
+			if r := atomic.LoadUint64(slotWord(seg, id, soReaders)); r != 0 {
+				t.Fatalf("reader word %d after a declined borrow, want 0", r)
 			}
 		})
 	}
 	for f, v := range honest {
 		atomic.StoreUint64(slotWord(seg, id, f*8), v)
 	}
-	if done, _ := b.PullLocal(a.Addr(), id, dst); !done || !bytes.Equal(dst, payload[:16]) {
-		t.Fatalf("restored slot: done=%v dst=%x", done, dst)
+	if !borrowCopy(b, a.Addr(), id, dst) || !bytes.Equal(dst, payload[:16]) {
+		t.Fatalf("restored slot: dst=%x", dst)
 	}
 	a.ReleaseLocal(id)
 }
@@ -588,6 +601,9 @@ func TestPeerArenaRejectsHostileHeader(t *testing.T) {
 	good := arenaHeader(8, 4096)
 	lyingSlots := arenaHeader(8, 4096)
 	lyingSlots[aoSlots] = 16
+	// A version-1 arena has no reader words to pin: refused, whole as it is.
+	version1 := append(arenaHeader(8, 4096), make([]byte, arenaDataOff(8)+4096-arenaHdrBytes)...)
+	binary.LittleEndian.PutUint32(version1[4:], 1)
 	for name, file := range map[string][]byte{
 		"short":      good[:arenaHdrBytes-1],
 		"magic":      append([]byte("nope"), good[4:]...),
@@ -597,19 +613,20 @@ func TestPeerArenaRejectsHostileHeader(t *testing.T) {
 		"zero slots": arenaHeader(0, 4096),
 		"2^21 slots": arenaHeader(1<<21, 4096),
 		"empty":      nil,
+		"version 1":  version1,
 	} {
 		base := filepath.Join(dir, "hostile")
 		if err := os.WriteFile(base+".blk", file, 0o600); err != nil {
 			t.Fatal(err)
 		}
 		owner := DualAddr("sm://"+smHostID()+base, "127.0.0.1:1")
-		if done, err := b.PullLocal(owner, 1, make([]byte, 8)); done || err != nil {
-			t.Fatalf("%s: done=%v err=%v, want a decline", name, done, err)
+		if borrowCopy(b, owner, 1, make([]byte, 8)) {
+			t.Fatalf("%s: borrowed, want a decline", name)
 		}
 		os.Remove(base + ".blk")
 	}
-	if got := reg.Counter("na.shm.pull.fallback").Value(); got != 8 {
-		t.Fatalf("na.shm.pull.fallback = %d, want 8", got)
+	if got := reg.Counter("na.shm.pull.fallback").Value(); got != 9 {
+		t.Fatalf("na.shm.pull.fallback = %d, want 9", got)
 	}
 	b.amu.Lock()
 	n := len(b.arenas)
@@ -626,20 +643,21 @@ func arenaHeader(nslots, dataCap uint64) []byte {
 	binary.LittleEndian.PutUint32(hdr[0:], smArenaMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], smArenaVersion)
 	binary.LittleEndian.PutUint64(hdr[aoSlots:], nslots)
-	binary.LittleEndian.PutUint64(hdr[aoDataOff:], arenaHdrBytes+nslots*arenaSlotBytes)
+	binary.LittleEndian.PutUint64(hdr[aoDataOff:], arenaDataOff(nslots))
 	binary.LittleEndian.PutUint64(hdr[aoDataCap:], dataCap)
 	return hdr
 }
 
 // TestArenaChurnStress: an exposer cycles regions through a four-slot, and
 // small, arena — ids that collide on slots, spans that are recycled the
-// moment they are released — while a puller on a second endpoint copies
+// moment they are released — while a borrower on a second endpoint reads
 // whatever it can. Half the regions are snapshots (ExposeLocal), half are
 // reserved, filled in place — while the span may still hold an older
 // region's bytes and the slot an older id — and published with a tail left
-// unpublished. Every pull that reports done must hold exactly its id's
-// bytes (the seqlock's whole job); any other outcome is a fallback, and is
-// counted as one. Both endpoints close with nothing left published.
+// unpublished. Every borrow that hits must hold exactly its id's bytes (the
+// seqlock's job), and go on holding them while the exposer churns (the
+// pin's); any other outcome is a fallback, and is counted as one. Both
+// endpoints close with nothing left published or quarantined.
 func TestArenaChurnStress(t *testing.T) {
 	a, b, _ := dualPairArena(t, 64<<10, 4)
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
@@ -702,27 +720,27 @@ func TestArenaChurnStress(t *testing.T) {
 
 	var done, fell int64
 	want := make([]byte, size(9))
-	dst := make([]byte, size(9))
 	start := time.Now()
 	for i := 0; time.Since(start) < 300*time.Millisecond || done == 0; i++ {
 		if time.Since(start) > 10*time.Second {
-			t.Fatalf("no pull out of %d found a published region", i)
+			t.Fatalf("no borrow out of %d found a published region", i)
 		}
 		id := ids[i%len(ids)]
-		got := dst[:size(id)]
-		ok, err := b.PullLocal(a.Addr(), id, got)
-		if err != nil {
-			t.Fatalf("pull %d: %v", id, err)
-		}
+		view, release, ok := b.BorrowLocal(a.Addr(), id, size(id))
 		if !ok {
 			fell++
 			continue
 		}
 		done++
 		fill(id, want[:size(id)])
-		if !bytes.Equal(got, want[:size(id)]) {
-			t.Fatalf("pull %d of region %d reported done with another region's bytes", i, id)
+		if !bytes.Equal(view, want[:size(id)]) {
+			t.Fatalf("borrow %d of region %d hit with another region's bytes", i, id)
 		}
+		runtime.Gosched() // the exposer churns on; the pinned bytes must not
+		if !bytes.Equal(view, want[:size(id)]) {
+			t.Fatalf("borrow %d of region %d: the pinned bytes changed", i, id)
+		}
+		release()
 	}
 	stopOnce()
 	n := <-exposed
@@ -736,12 +754,14 @@ func TestArenaChurnStress(t *testing.T) {
 	if n[0] == 0 || n[1] == 0 {
 		t.Errorf("%d snapshots and %d in-place regions published, want both", n[0], n[1])
 	}
-	t.Logf("%d snapshots and %d in-place regions, %d pulls done, %d fell back", n[0], n[1], done, fell)
+	t.Logf("%d snapshots and %d in-place regions, %d borrows hit, %d fell back", n[0], n[1], done, fell)
 	a.Close()
 	b.Close()
 	for name, reg := range map[string]*obs.Registry{"exposer": regA, "puller": regB} {
-		if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
-			t.Errorf("%s closed with na.shm.mapped.bytes = %d", name, got)
+		for _, g := range []string{"na.shm.mapped.bytes", "na.shm.quarantined.bytes"} {
+			if got := reg.Gauge(g).Value(); got != 0 {
+				t.Errorf("%s closed with %s = %d", name, g, got)
+			}
 		}
 	}
 }
@@ -794,6 +814,219 @@ func TestSMStaleSegmentGC(t *testing.T) {
 	for _, p := range keep {
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("a live owner's or custom-named segment was GC'd: %v", err)
+		}
+	}
+}
+
+// TestCloseUnderBorrow: the borrower's Close drops its mappings of peer
+// arenas while views into them are out — a stage handler still reading,
+// or a pull still copying, when the server finalizes. Each round holds one
+// view across the Close and races the Close against goroutines that borrow
+// (and read) and borrow-and-copy an 8 MiB region in a loop. Nothing may
+// fault, every byte read must be the region's, and the mapping is unmapped
+// at the last done, not before.
+func TestCloseUnderBorrow(t *testing.T) {
+	const size = 8 << 20
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i*13 + i>>12)
+	}
+	for round := 0; round < 20; round++ {
+		a, b, _ := dualPairArena(t, size, 8)
+		if !a.ExposeLocal(1, payload) {
+			t.Fatal("expose failed")
+		}
+		held, heldDone, ok := b.BorrowLocal(a.Addr(), 1, size)
+		if !ok {
+			t.Fatal("borrow failed")
+		}
+		b.amu.Lock()
+		var am *smArenaMap
+		for _, m := range b.arenas {
+			am = m
+		}
+		b.amu.Unlock()
+
+		var wg sync.WaitGroup
+		var hits atomic.Int64
+		started := make(chan struct{}, 2)
+		borrowLoop := func(read func(view []byte) bool) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				view, done, ok := b.BorrowLocal(a.Addr(), 1, size)
+				if i == 0 {
+					started <- struct{}{}
+				}
+				if !ok {
+					return // closed: every later borrow misses
+				}
+				good := read(view)
+				done()
+				if !good {
+					t.Errorf("round %d: a borrowed region read other bytes", round)
+					return
+				}
+				hits.Add(1)
+			}
+		}
+		wg.Add(2)
+		go borrowLoop(func(view []byte) bool { return bytes.Equal(view, payload) })
+		dst := make([]byte, size)
+		go borrowLoop(func(view []byte) bool { copy(dst, view); return bytes.Equal(dst, payload) })
+		<-started
+		<-started
+		b.Close()
+		wg.Wait()
+		if !bytes.Equal(held, payload) {
+			t.Fatalf("round %d: the view held across Close changed", round)
+		}
+		if got := am.refs.Load(); got != 1 {
+			t.Fatalf("round %d: %d references to the mapping with one view out, want 1", round, got)
+		}
+		heldDone()
+		if got := am.refs.Load(); got != 0 {
+			t.Fatalf("round %d: %d references to the mapping after the last done, want 0 (unmapped)", round, got)
+		}
+		if _, _, ok := b.BorrowLocal(a.Addr(), 1, size); ok {
+			t.Fatalf("round %d: borrowed through a closed endpoint", round)
+		}
+		a.Close()
+		if round == 0 {
+			t.Logf("round 0: %d borrows hit before the close", hits.Load())
+		}
+	}
+}
+
+// TestBorrowPinsSpanAgainstRelease: the owner releases a region while a
+// borrower holds a view of it, then goes on reserving, rewriting and
+// releasing spans. The pinned span is quarantined, not freed — the view's
+// bytes never change and its slot takes no new region — and it is reused
+// only after done.
+func TestBorrowPinsSpanAgainstRelease(t *testing.T) {
+	const arena, size = 1 << 20, 64 << 10
+	a, b, _ := dualPairArena(t, arena, 8)
+	regA := obs.NewRegistry()
+	a.SetObserver(regA)
+	const id = 3
+	span := a.ReserveLocal(id, size)
+	for i := range span {
+		span[i] = byte(i * 7)
+	}
+	if !a.PublishLocal(id, size) {
+		t.Fatal("publish failed")
+	}
+	view, done, ok := b.BorrowLocal(a.Addr(), id, size)
+	if !ok {
+		t.Fatal("borrow failed")
+	}
+	want := bytes.Clone(view)
+	a.ReleaseLocal(id)
+	if got := regA.Gauge("na.shm.quarantined.bytes").Value(); got != size {
+		t.Fatalf("na.shm.quarantined.bytes = %d after releasing a pinned span, want %d", got, size)
+	}
+
+	stop := make(chan struct{})
+	changed := make(chan bool)
+	go func() { // the borrower reads its view all along
+		for {
+			select {
+			case <-stop:
+				changed <- false
+				return
+			default:
+			}
+			if !bytes.Equal(view, want) {
+				changed <- true
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	for n := uint64(1); n <= 200; n++ {
+		next := id + 8*n // the pinned slot: declined while the pin holds
+		if a.ReserveLocal(next, 16) != nil {
+			t.Fatalf("id %d took the slot of a pinned span", next)
+		}
+		other := id + 1 + n%7 // every other slot, sized to cover the free space
+		s := a.ReserveLocal(other, arena-size)
+		if s == nil {
+			t.Fatalf("reserve %d of the unpinned space failed", other)
+		}
+		for i := range s {
+			s[i] = 0xFF
+		}
+		a.PublishLocal(other, len(s))
+		if a.ReserveLocal(next+1, 1) != nil {
+			t.Fatal("the arena handed out more than its free space: the pinned span was reused")
+		}
+		a.ReleaseLocal(other)
+	}
+	close(stop)
+	if <-changed {
+		t.Fatal("the pinned bytes changed while the owner churned")
+	}
+	done()
+	if s := a.ReserveLocal(id+8, arena); s == nil {
+		t.Fatal("the span was not reclaimed after done: the whole arena is not free")
+	}
+	a.ReleaseLocal(id + 8)
+	if got := regA.Gauge("na.shm.quarantined.bytes").Value(); got != 0 {
+		t.Fatalf("na.shm.quarantined.bytes = %d after done, want 0", got)
+	}
+}
+
+// TestQuarantineAfterStuckPin: a borrower that died mid-borrow — a server
+// killed while its stage handler read a client's arena — leaves its pin in
+// the reader word for good. Only its span stays quarantined, shown by the
+// gauge: reservations elsewhere go on, those on its slot fall back, and the
+// owner's Close forgets the quarantine, unmaps and unlinks.
+func TestQuarantineAfterStuckPin(t *testing.T) {
+	a, b, _ := dualPairArena(t, 1<<20, 8)
+	regA := obs.NewRegistry()
+	a.SetObserver(regA)
+	const id, size = 5, 64 << 10
+	if !a.ExposeLocal(id, make([]byte, size)) {
+		t.Fatal("expose failed")
+	}
+	atomic.StoreUint64(slotWord(a.arena.seg, id, soReaders), 1) // the dead borrower's pin
+	a.ReleaseLocal(id)
+	if got := regA.Gauge("na.shm.quarantined.bytes").Value(); got != size {
+		t.Fatalf("na.shm.quarantined.bytes = %d, want the stuck span's %d", got, size)
+	}
+	for n := uint64(1); n <= 64; n++ {
+		span := a.ReserveLocal(n, 4096)
+		if pinned := n%8 == id; pinned != (span == nil) {
+			t.Fatalf("reserve of id %d on slot %d: span %v, want a fallback exactly on the stuck slot", n, n%8, span != nil)
+		}
+		if span == nil {
+			continue
+		}
+		span[0] = byte(n)
+		a.PublishLocal(n, 1)
+		if got := make([]byte, 1); !borrowCopy(b, a.Addr(), n, got) || got[0] != byte(n) {
+			t.Fatalf("borrow of id %d beside the stuck slot: %v", n, got)
+		}
+		a.ReleaseLocal(n)
+	}
+	if a.ReserveLocal(1, 1<<20) != nil {
+		t.Fatal("the stuck span was handed out again")
+	}
+	if got := regA.Counter("na.shm.expose.fallback").Value(); got != 9 {
+		t.Fatalf("na.shm.expose.fallback = %d, want 9 (8 on the stuck slot, 1 arena full)", got)
+	}
+	a.Close()
+	a.arena.mu.Lock()
+	mapped := a.arena.seg != nil
+	a.arena.mu.Unlock()
+	if mapped {
+		t.Fatal("Close left the arena mapped under a stuck pin")
+	}
+	if _, err := os.Stat(a.base + ".blk"); !os.IsNotExist(err) {
+		t.Fatalf("arena file left after Close: %v", err)
+	}
+	for _, g := range []string{"na.shm.mapped.bytes", "na.shm.quarantined.bytes"} {
+		if got := regA.Gauge(g).Value(); got != 0 {
+			t.Errorf("%s = %d after Close, want 0", g, got)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // na.route.tcp_fallback). Framing, accept/read loops and the send path are
 // the plain TCP endpoint's. What sharing a host buys beyond the socket is
 // LocalBulk: exposed regions are published in the arena (arena.go) and
-// colocated pullers copy them out of mapped memory.
+// colocated pullers read them in place, in mapped memory.
 type DualEndpoint struct {
 	*tcpEP
 	*shmBulk

@@ -60,26 +60,27 @@ type Endpoint interface {
 // LocalBulk is the capability interface behind cross-process zero-copy
 // bulk handoff (a dual endpoint implements it; see arena.go). An
 // endpoint that supports it lets the RPC layer publish exposed bulk
-// regions in a shared-memory segment and lets same-host pullers copy the
-// bytes straight out of the exposer's segment — no chunked
-// request/response protocol, no kernel socket copies.
+// regions in a shared-memory segment and lets same-host pullers read the
+// bytes where they lie, in the exposer's segment — no chunked
+// request/response protocol, no kernel socket copies, no copy at all.
 //
-// Every method is best-effort: a false/not-done return means the caller
-// must fall back to the ordinary pull path, which stays authoritative for
+// Every method is best-effort: a false return means the caller must fall
+// back to the ordinary pull path, which stays authoritative for
 // use-after-release errors. A region lives in segment memory the endpoint
 // owns: ExposeLocal snapshots buf into it (so the §7 ownership rule —
-// buffer unchanged until Release — holds even against pulls that race a
+// buffer unchanged until Release — holds even against borrows that race a
 // release), and ReserveLocal hands the caller a span of it to fill in place
 // and publish with PublishLocal. A reserved span is the caller's to write
 // until its ReleaseLocal, even across the endpoint's Close, and not a
-// moment longer: the release may recycle or unmap it.
+// moment longer: the release may recycle or unmap it — except that a span
+// a borrower still pins is not recycled before the borrower is done.
 type LocalBulk interface {
 	// ExposeLocal publishes buf under the bulk registration id. False
 	// means the region was not published (no segment, table collision,
 	// arena full) and pulls will use the RPC path.
 	ExposeLocal(id uint64, buf []byte) bool
 	// ReserveLocal takes the export-table slot of id and n bytes of the
-	// segment and returns them writable but unpublished: a pull of id
+	// segment and returns them writable but unpublished: a borrow of id
 	// misses until PublishLocal. nil means nothing was reserved, for the
 	// reasons ExposeLocal declines, or because the endpoint is closing.
 	ReserveLocal(id uint64, n int) []byte
@@ -90,11 +91,14 @@ type LocalBulk interface {
 	// ReleaseLocal withdraws a region, published or only reserved. Safe to
 	// call for ids that were never published.
 	ReleaseLocal(id uint64)
-	// PullLocal copies the first len(dst) bytes of the region id
-	// published by the endpoint at ownerAddr. done=false means the
-	// caller must fall back to the RPC pull path; done=true with nil err
-	// means dst holds the bytes.
-	PullLocal(ownerAddr string, id uint64, dst []byte) (done bool, err error)
+	// BorrowLocal pins the first n bytes of the region id published by the
+	// endpoint at ownerAddr and returns them where they lie, read-only.
+	// The view stays valid until done, which the caller must call exactly
+	// once: the owner's release cannot recycle the span under it, nor this
+	// endpoint's Close unmap it. It is still memory another process can
+	// write, so a reader validates what it copies, not the view. ok=false
+	// means the caller must fall back to the RPC pull path.
+	BorrowLocal(ownerAddr string, id uint64, n int) (view []byte, done func(), ok bool)
 }
 
 // packet is one in-flight message.
