@@ -50,7 +50,7 @@ if [ "${1:-}" != "cover" ]; then
     go vet ./...
     # Every test once without the race detector — this is the pass that asserts
     # the allocs/op ceilings of internal/bench/micro_test.go (stage, pull,
-    # composite, batcher, warm iso execute, buffer-pool recycle), which skip
+    # composite, batcher, warm iso execute, volume execute, buffer-pool recycle), which skip
     # under -race — and once with it. Both passes carry every gate there is no separate step for: the
     # goroutine-leak checks (endpoint teardown, overload shed-and-recover, NBStage
     # bound, batcher drain, controller stop), crash recovery against the
@@ -72,16 +72,17 @@ if [ "${1:-}" != "cover" ]; then
     fi
     # Benchmark gate: benchmark/ is a module of its own (`replace colza => ../`),
     # so nothing above builds it and a changed signature under internal/ would
-    # break it unseen. Its tests run here, then a 2 s run of three workloads on a
+    # break it unseen. Its tests run here, then a 2 s run of four workloads on a
     # real deployment, each of which must exit 0 with every oracle check passed:
     # the per-block TCP stage path, the iso execute path (its oracle holds the
-    # triangle count and every ring slot's PNG hash), and the coalesced stage
+    # triangle count and every ring slot's PNG hash), the coalesced stage
     # path over the sm+tcp arenas — one workload on each side of the handle's
-    # by-transport choice. Speed is measured by `benchmark/run.sh` against the
-    # parent commit (BENCHMARK.json), not gated here.
+    # by-transport choice — and the volume execute path over TCP (its oracle
+    # holds the cell count). Speed is measured by `benchmark/run.sh` against
+    # the parent commit (BENCHMARK.json), not gated here.
     (cd benchmark && go test ./...)
     smoke=$(mktemp)
-    for workload in mb_stage_tcp_perblock gs_iso_inproc mb_stage_sm_batched; do
+    for workload in mb_stage_tcp_perblock gs_iso_inproc mb_stage_sm_batched dwi_volume_tcp; do
         bash benchmark/run.sh --workload "$workload" --seconds 2 --trace 0 > "$smoke"
         tail -n 1 "$smoke"
         tail -n 1 "$smoke" | grep -q '"correct":true'
@@ -125,6 +126,9 @@ fi
 # the clip — which produce every pixel the benchmark's oracle hashes, and
 # whose pixel-centre box, discarded-voxel skip and kept-side skip each sit
 # behind a guard that only a test reaching both of its sides checks; the
+# volume splatter, whose integer sums are the volume pipeline's picture on
+# any number of ranks and whose resolve reads the sum a reduction brought
+# to the root; the
 # image file, whose PNG writer writes every image the benchmark's oracle
 # hashes and whose decoder reads the composited frame at the root; and the
 # unstructured
@@ -146,5 +150,5 @@ check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./inter
 check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go ./internal/na/tcp.go ./internal/mercury/mercury.go
 check_cover 90 ./internal/bench/simtime.go
 check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go \
-    ./internal/vtk/imagedata.go ./internal/render/image.go ./internal/icet/icet.go
+    ./internal/vtk/imagedata.go ./internal/render/image.go ./internal/render/volume.go ./internal/icet/icet.go
 check_cover 90 ./internal/collectives/ops.go ./internal/mona/mona.go

@@ -429,6 +429,32 @@ func BenchmarkIsoExecute(b *testing.B) {
 	b.Run("png", func(b *testing.B) { benchLoop(b, func() error { _, err := frame.PNG(); return err }) })
 }
 
+// volumeExecuteEnv is a one-rank catalyst.ExecuteVolume on the benchmark's
+// DWI shape: the four blocks of growth step 14 (111,684 cells), splatted at
+// 256² with radius 3 and resolved.
+func volumeExecuteEnv() (exec func() error, cleanup func()) {
+	dwi := sim.DWIConfig{Blocks: 4, Iterations: 30, BaseRes: 96, GrowthRes: 2}
+	grids := make([]*vtk.UnstructuredGrid, dwi.Blocks)
+	for b := range grids {
+		grids[b] = sim.DWIIterationBlock(dwi, 14, b)
+	}
+	cfg := catalyst.VolumeConfig{Field: "velocity", Width: 256, Height: 256, ScalarRange: [2]float64{0, 2}, PointSize: 3}
+	world := minimpi.World(1)
+	ctrl := vtk.NewController("mpi", world[0])
+	return func() error {
+		_, _, err := catalyst.ExecuteVolume(ctrl, grids, cfg)
+		return err
+	}, func() { world[0].Finalize() }
+}
+
+// The one-rank volume execute on the dwi_volume_tcp shape: splat, the
+// one-rank reduce and the resolve.
+func BenchmarkVolumeExecute(b *testing.B) {
+	exec, cleanup := volumeExecuteEnv()
+	defer cleanup()
+	benchLoop(b, exec)
+}
+
 // Allocs/op ceilings: they hold the pooled hot paths at their measured level
 // with a little headroom for runtime jitter. The unpooled paths they
 // replaced sat at 85 (stage put), 21 (bulk pull) and 48 (composite)
@@ -455,6 +481,10 @@ const (
 	// 134 k triangles as with 24 k; the mesh and the framebuffer are the
 	// pipeline's and are refilled in place.
 	ceilIsoExecuteAllocs = 6.0
+	// A one-rank catalyst/volume Execute on the benchmark's DWI shape: the
+	// accumulator and the resolved image. Measured 4; the merge into one grid
+	// and the depth sort it replaced took 111,791, one per cell.
+	ceilVolumeExecuteAllocs = 8.0
 	// One inproc RPC round trip of a 512 B payload, both sides: the frame is
 	// joined by the one copy the in-process endpoint makes of a gathered
 	// send, and its header rides in a pooled buffer. Measured 8.
@@ -714,5 +744,23 @@ func TestIsoExecuteAllocsCeiling(t *testing.T) {
 	}
 	if perRun[0] > ceilIsoExecuteAllocs {
 		t.Errorf("iso execute allocs/op = %.0f, ceiling %.0f", perRun[0], ceilIsoExecuteAllocs)
+	}
+}
+
+// TestVolumeExecuteAllocsCeiling holds the one-rank volume execute on the
+// benchmark's DWI shape to a constant number of allocations: none per
+// grid, cell or splat.
+func TestVolumeExecuteAllocsCeiling(t *testing.T) {
+	skipUnderRace(t)
+	exec, cleanup := volumeExecuteEnv()
+	defer cleanup()
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := exec(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("volume execute: %.0f allocs/op (ceiling %.0f)", allocs, ceilVolumeExecuteAllocs)
+	if allocs > ceilVolumeExecuteAllocs {
+		t.Errorf("volume execute allocs/op = %.0f, ceiling %.0f", allocs, ceilVolumeExecuteAllocs)
 	}
 }

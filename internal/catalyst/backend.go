@@ -30,7 +30,7 @@ func Register() {
 			return nil, fmt.Errorf("catalyst: iso config: strategy %q: tree compositing is the only one", c.Strategy)
 		}
 		c.withDefaults()
-		return &IsoPipeline{cfg: c}, nil
+		return &IsoPipeline{staging: staging[*vtk.ImageData]{kind: "iso", blockType: "imagedata", decode: vtk.DecodeImageData}, cfg: c}, nil
 	})
 	core.RegisterPipelineType(VolumePipelineType, func(cfg json.RawMessage) (core.Backend, error) {
 		var c VolumeConfig
@@ -38,7 +38,7 @@ func Register() {
 			return nil, err
 		}
 		c.withDefaults()
-		return &VolumePipeline{cfg: c}, nil
+		return &VolumePipeline{staging: staging[*vtk.UnstructuredGrid]{kind: "volume", blockType: "ugrid", decode: vtk.DecodeUnstructuredGrid}, cfg: c}, nil
 	})
 	registerStats()
 }
@@ -58,6 +58,82 @@ func decodeConfig(kind string, cfg json.RawMessage, c any) error {
 	return nil
 }
 
+// staging is the state both backends keep from activate to deactivate:
+// the pinned iteration context and the blocks staged into it, decoded.
+type staging[B any] struct {
+	kind, blockType string // the pipeline's name in errors; the BlockMeta.Type it stages
+	decode          func([]byte) (B, error)
+
+	mu     sync.Mutex
+	ctx    core.IterationContext
+	active bool
+	warmed bool
+	staged map[uint64][]B
+}
+
+// Activate pins the iteration context.
+func (s *staging[B]) Activate(ctx core.IterationContext) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.active {
+		return fmt.Errorf("catalyst: %s pipeline already active", s.kind)
+	}
+	s.ctx = ctx
+	s.active = true
+	if s.staged == nil {
+		s.staged = make(map[uint64][]B)
+	}
+	return nil
+}
+
+// Stage decodes and retains one block.
+func (s *staging[B]) Stage(it uint64, meta core.BlockMeta, data []byte) error {
+	if meta.Type != "" && meta.Type != s.blockType {
+		return fmt.Errorf("catalyst: %s pipeline cannot stage %q blocks", s.kind, meta.Type)
+	}
+	b, err := s.decode(data)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.active || s.ctx.Iteration != it {
+		return fmt.Errorf("catalyst: stage outside active iteration %d", it)
+	}
+	s.staged[it] = append(s.staged[it], b)
+	return nil
+}
+
+// begin claims active iteration it for an execute: its context, its
+// blocks, and whether this is the instance's first execute. The caller
+// holds mu.
+func (s *staging[B]) begin(it uint64) (core.IterationContext, []B, bool, error) {
+	if !s.active || s.ctx.Iteration != it {
+		return core.IterationContext{}, nil, false, fmt.Errorf("catalyst: execute outside active iteration %d", it)
+	}
+	first := !s.warmed
+	s.warmed = true
+	return s.ctx, s.staged[it], first, nil
+}
+
+// Deactivate releases staged data and unpins the iteration.
+func (s *staging[B]) Deactivate(it uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.staged, it)
+	s.active = false
+	return nil
+}
+
+// Destroy drops all state.
+func (s *staging[B]) Destroy() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.staged = nil
+	s.active = false
+	return nil
+}
+
 // IsoPipeline is the Colza backend running the iso pipeline body (the one
 // behind ExecuteIso). One instance runs on every staging server; instances
 // of the same iteration communicate through the controller built from the
@@ -65,70 +141,26 @@ func decodeConfig(kind string, cfg json.RawMessage, c any) error {
 // surface mesh and local framebuffer — so a steady run of iterations
 // allocates neither; one execute runs on an instance at a time.
 type IsoPipeline struct {
-	cfg IsoConfig
-
-	mu        sync.Mutex
-	ctx       core.IterationContext
-	active    bool
-	warmed    bool
-	executing bool // ws is in use
-	staged    map[uint64][]*vtk.ImageData
-
-	ws isoWorkspace // touched only by the execute that set executing
+	staging[*vtk.ImageData]
+	cfg       IsoConfig
+	executing bool         // ws is in use; under mu
+	ws        isoWorkspace // touched only by the execute that set executing
 }
 
 var _ core.Backend = (*IsoPipeline)(nil)
 
-// Activate pins the iteration context.
-func (p *IsoPipeline) Activate(ctx core.IterationContext) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.active {
-		return fmt.Errorf("catalyst: iso pipeline already active")
-	}
-	p.ctx = ctx
-	p.active = true
-	if p.staged == nil {
-		p.staged = make(map[uint64][]*vtk.ImageData)
-	}
-	return nil
-}
-
-// Stage decodes and retains one ImageData block.
-func (p *IsoPipeline) Stage(it uint64, meta core.BlockMeta, data []byte) error {
-	if meta.Type != "" && meta.Type != "imagedata" {
-		return fmt.Errorf("catalyst: iso pipeline cannot stage %q blocks", meta.Type)
-	}
-	img, err := vtk.DecodeImageData(data)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.active || p.ctx.Iteration != it {
-		return fmt.Errorf("catalyst: stage outside active iteration %d", it)
-	}
-	p.staged[it] = append(p.staged[it], img)
-	return nil
-}
-
 // Execute runs the pipeline over the staged blocks.
 func (p *IsoPipeline) Execute(it uint64) (core.ExecResult, error) {
 	p.mu.Lock()
-	if !p.active || p.ctx.Iteration != it {
-		p.mu.Unlock()
-		return core.ExecResult{}, fmt.Errorf("catalyst: execute outside active iteration %d", it)
+	ctx, blocks, first, err := p.begin(it)
+	if err == nil && p.executing {
+		err = fmt.Errorf("catalyst: iso pipeline is already executing iteration %d", it)
 	}
-	if p.executing {
+	if err != nil {
 		p.mu.Unlock()
-		return core.ExecResult{}, fmt.Errorf("catalyst: iso pipeline is already executing iteration %d", it)
+		return core.ExecResult{}, err
 	}
 	p.executing = true
-	ctx := p.ctx
-	blocks := p.staged[it]
-	cfg := p.cfg
-	warmed := p.warmed
-	p.warmed = true
 	p.mu.Unlock()
 	defer func() {
 		p.mu.Lock()
@@ -137,19 +169,19 @@ func (p *IsoPipeline) Execute(it uint64) (core.ExecResult, error) {
 	}()
 
 	var warm Stats
-	if !warmed {
+	if first {
 		// First execution on this instance pays the VTK/Python startup
 		// analog — the join-iteration spike of Figs. 9-10.
-		warm = warmup(cfg.WarmupKiB, cfg.Width, cfg.Height)
+		warm = warmup(p.cfg.WarmupKiB, p.cfg.Width, p.cfg.Height)
 	}
 	ctrl := vtk.NewController("mona", ctx.Comm)
 	// img may be the workspace's framebuffer: execResult encodes it and it
 	// is not kept past this call.
-	st, img, err := p.ws.execute(ctrl, blocks, cfg)
+	st, img, err := p.ws.execute(ctrl, blocks, p.cfg)
 	if err != nil {
 		return core.ExecResult{}, err
 	}
-	return execResult(st, warm, len(blocks), ctx, img, cfg.EmitImage)
+	return execResult(st, warm, len(blocks), ctx, img, p.cfg.EmitImage)
 }
 
 // execResult is what both backends return for one execute: its work counts
@@ -179,22 +211,12 @@ func execResult(st, warm Stats, blocks int, ctx core.IterationContext, img *rend
 	return res, nil
 }
 
-// Deactivate releases staged data and unpins the iteration.
-func (p *IsoPipeline) Deactivate(it uint64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.staged, it)
-	p.active = false
-	return nil
-}
-
 // Destroy drops all state, the workspace included (an execute still
 // running keeps it until it returns).
 func (p *IsoPipeline) Destroy() error {
+	p.staging.Destroy()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.staged = nil
-	p.active = false
 	if !p.executing {
 		p.ws = isoWorkspace{}
 	}
@@ -202,93 +224,30 @@ func (p *IsoPipeline) Destroy() error {
 }
 
 // VolumePipeline is the Colza backend wrapping ExecuteVolume (the Deep
-// Water Impact rendering pipeline: block merge + volume render + ordered
-// composite).
+// Water Impact rendering pipeline: splat into sums, sum over ranks,
+// resolve).
 type VolumePipeline struct {
+	staging[*vtk.UnstructuredGrid]
 	cfg VolumeConfig
-
-	mu     sync.Mutex
-	ctx    core.IterationContext
-	active bool
-	warmed bool
-	staged map[uint64][]*vtk.UnstructuredGrid
 }
 
 var _ core.Backend = (*VolumePipeline)(nil)
 
-// Activate pins the iteration context.
-func (p *VolumePipeline) Activate(ctx core.IterationContext) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.active {
-		return fmt.Errorf("catalyst: volume pipeline already active")
-	}
-	p.ctx = ctx
-	p.active = true
-	if p.staged == nil {
-		p.staged = make(map[uint64][]*vtk.UnstructuredGrid)
-	}
-	return nil
-}
-
-// Stage decodes and retains one unstructured-grid block (a "VTU file").
-func (p *VolumePipeline) Stage(it uint64, meta core.BlockMeta, data []byte) error {
-	if meta.Type != "" && meta.Type != "ugrid" {
-		return fmt.Errorf("catalyst: volume pipeline cannot stage %q blocks", meta.Type)
-	}
-	g, err := vtk.DecodeUnstructuredGrid(data)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.active || p.ctx.Iteration != it {
-		return fmt.Errorf("catalyst: stage outside active iteration %d", it)
-	}
-	p.staged[it] = append(p.staged[it], g)
-	return nil
-}
-
 // Execute runs the volume pipeline over the staged blocks.
 func (p *VolumePipeline) Execute(it uint64) (core.ExecResult, error) {
 	p.mu.Lock()
-	if !p.active || p.ctx.Iteration != it {
-		p.mu.Unlock()
-		return core.ExecResult{}, fmt.Errorf("catalyst: execute outside active iteration %d", it)
-	}
-	ctx := p.ctx
-	grids := p.staged[it]
-	cfg := p.cfg
-	warmed := p.warmed
-	p.warmed = true
+	ctx, grids, first, err := p.begin(it)
 	p.mu.Unlock()
-
-	var warm Stats
-	if !warmed {
-		warm = warmup(cfg.WarmupKiB, cfg.Width, cfg.Height)
-	}
-	ctrl := vtk.NewController("mona", ctx.Comm)
-	st, img, err := ExecuteVolume(ctrl, grids, cfg)
 	if err != nil {
 		return core.ExecResult{}, err
 	}
-	return execResult(st, warm, len(grids), ctx, img, cfg.EmitImage)
-}
-
-// Deactivate releases staged data.
-func (p *VolumePipeline) Deactivate(it uint64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.staged, it)
-	p.active = false
-	return nil
-}
-
-// Destroy drops all state.
-func (p *VolumePipeline) Destroy() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.staged = nil
-	p.active = false
-	return nil
+	var warm Stats
+	if first {
+		warm = warmup(p.cfg.WarmupKiB, p.cfg.Width, p.cfg.Height)
+	}
+	st, img, err := ExecuteVolume(vtk.NewController("mona", ctx.Comm), grids, p.cfg)
+	if err != nil {
+		return core.ExecResult{}, err
+	}
+	return execResult(st, warm, len(grids), ctx, img, p.cfg.EmitImage)
 }

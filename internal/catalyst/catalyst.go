@@ -11,9 +11,9 @@
 //     over a mesh and a framebuffer the pipeline instance keeps (DESIGN.md
 //     §13). Used by the Gray-Scott and Mandelbulb experiments (Figs. 3, 5,
 //     6, 8, 9).
-//   - "catalyst/volume": block merging followed by volume rendering of
-//     unstructured grids with ordered compositing. Used by the Deep Water
-//     Impact experiments (Figs. 1b, 7, 10).
+//   - "catalyst/volume": volume rendering of unstructured grids as integer
+//     sums per pixel, composited by summing them and resolved once at the
+//     root. Used by the Deep Water Impact experiments (Figs. 1b, 7, 10).
 //
 // Pipelines never name a communication layer: they receive a communicator
 // at activation (from Colza, a MoNA communicator over the 2PC-pinned
@@ -24,6 +24,7 @@ package catalyst
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"time"
 
@@ -34,8 +35,8 @@ import (
 	"colza/internal/vtk"
 )
 
-// boundsTag is the collective tag for global-bounds agreement.
-const boundsTag = 6100
+// The collective tags of global-bounds agreement and the volume composite.
+const boundsTag, volumeTag = 6100, 6200
 
 // globalBounds allreduces per-rank bounds so every rank frames the same
 // camera even though it holds different blocks. Empty ranks contribute
@@ -81,10 +82,10 @@ func pickColorMap(name string) render.ColorMap {
 // for per-layer profiling. Ranks sharing a core interleave their compute,
 // so a phase time includes whatever ran beside it.
 type Stats struct {
-	LocalCells     int     // voxel cells scanned, once per isovalue (iso); cells merged (volume)
+	LocalCells     int     // voxel cells scanned, once per isovalue (iso); cells splatted (volume)
 	LocalTriangles int     // triangles extracted (iso)
 	WarmupKiB      int     // warm-up table built by this call (an instance's first execute)
-	ExtractSeconds float64 // contour/clip or merge
+	ExtractSeconds float64 // contour/clip (iso); 0 (volume)
 	RenderSeconds  float64 // rasterize/splat
 	WarmupSeconds  float64 // first-activation init, when charged to this call
 	CompositeSecs  float64 // compositing, including peer waits
@@ -263,25 +264,20 @@ func (c *VolumeConfig) withDefaults() {
 	}
 }
 
-// ExecuteVolume runs the DWI pipeline body: merge the staged blocks,
-// volume-splat locally, composite with ordered blending over the tree
-// reduce.
+// ExecuteVolume runs the DWI pipeline body: splat the staged grids into
+// integer sums (render.AccumulateVolume), add the ranks' sums at rank 0 and
+// resolve them there, so no rank count or placement changes the picture.
 func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg VolumeConfig) (Stats, *render.Image, error) {
 	cfg.withDefaults()
 	var st Stats
 	start := time.Now()
-
-	t0 := time.Now()
-	merged, err := vtk.MergeUnstructured(grids...)
-	st.ExtractSeconds = time.Since(t0).Seconds()
-	if err != nil {
-		return st, nil, err
-	}
-	st.LocalCells = merged.NumCells()
-
 	lo, hi := vtk.EmptyBounds()
-	lo, hi = vtk.FoldBounds(lo, hi, merged.Points)
-	glo, ghi, err := globalBounds(ctrl.Communicator(), lo, hi)
+	for _, g := range grids {
+		lo, hi = vtk.FoldBounds(lo, hi, g.Points)
+		st.LocalCells += g.NumCells()
+	}
+	c := ctrl.Communicator()
+	glo, ghi, err := globalBounds(c, lo, hi)
 	if err != nil {
 		return st, nil, err
 	}
@@ -291,29 +287,40 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 	cam := render.DefaultCamera(glo, ghi)
 
 	t1 := time.Now()
-	im := render.NewImage(cfg.Width, cfg.Height)
-	var spErr error
-	if merged.NumCells() > 0 {
-		spErr = render.SplatVolume(im, cam, merged, render.VolumeOptions{
-			Field:       cfg.Field,
-			ScalarRange: cfg.ScalarRange,
-			ColorMap:    pickColorMap(cfg.ColorMap),
-			PointSize:   cfg.PointSize,
-		})
+	acc := make([]byte, 32*cfg.Width*cfg.Height)
+	opt := render.VolumeOptions{Field: cfg.Field, ScalarRange: cfg.ScalarRange, ColorMap: pickColorMap(cfg.ColorMap), PointSize: cfg.PointSize}
+	for _, g := range grids {
+		if err := render.AccumulateVolume(acc, cfg.Width, cfg.Height, cam, g, opt); err != nil {
+			return st, nil, err
+		}
 	}
 	st.RenderSeconds = time.Since(t1).Seconds()
-	if spErr != nil {
-		return st, nil, spErr
-	}
 
 	compStart := time.Now()
-	out, err := icet.Composite(im, ctrl.Communicator(), icet.TreeReduce, icet.Ordered, 0)
+	sum, err := c.Reduce(0, volumeTag, acc, sumVolume)
 	if err != nil {
 		return st, nil, err
 	}
+	var im *render.Image
+	if c.Rank() == 0 {
+		im = render.NewImage(cfg.Width, cfg.Height)
+		if err := render.ResolveVolume(im, sum); err != nil {
+			return st, nil, fmt.Errorf("catalyst: volume composite: a contribution is of another size: %w", err)
+		}
+	}
 	st.CompositeSecs = time.Since(compStart).Seconds()
 	st.TotalSeconds = time.Since(start).Seconds()
-	return st, out, nil
+	return st, im, nil
+}
+
+// sumVolume is the volume composite's op, collectives.SumInt64 of inputs of
+// one length: an image of another size empties acc, which no later fold
+// repairs and the root's resolve refuses.
+func sumVolume(acc, in []byte) []byte {
+	if len(in) != len(acc) {
+		return acc[:0]
+	}
+	return collectives.SumInt64(acc, in)
 }
 
 // warmup performs the first-execution initialization work: allocating

@@ -120,9 +120,15 @@ func TestExecuteVolumeStandalone(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	if root == nil || root.CoveredPixels() == 0 {
-		t.Fatal("volume composite empty")
+	if root == nil {
+		t.Fatal("no volume composite at rank 0")
 	}
+	for i := 3; i < len(root.RGBA); i += 4 {
+		if root.RGBA[i] != 0 {
+			return
+		}
+	}
+	t.Fatal("volume composite empty")
 }
 
 // Full integration: Colza deployment staging Mandelbulb blocks into the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"image"
 	"image/color"
 	"image/png"
@@ -40,6 +41,14 @@ const (
 const (
 	goldenBenchIsoPNG         = "1e18df1e8d0b763f456ec78ba8a4a7d78475e58c88a047f8ebe0a3e55f0257bd"
 	goldenBenchIsoFramebuffer = "33dfe96110efa73f118c1249fc5de3fce7234d5b33b7fb0df5f6f5b443b71ad4"
+)
+
+// The same pair for the volume pipeline at the benchmark's DWI shape
+// (benchDWI, benchVolumeConfig; go1.24, linux/amd64), recorded when the
+// splat became a sum of integer terms; the same rules apply.
+const (
+	goldenBenchVolumePNG         = "73e9ad1a9d9652ef0ed2a1560780532ab14d09269911dab21a297a0a3c2f814a"
+	goldenBenchVolumeFramebuffer = "3c140549c866b1355f8104938ec5bc84e914f6bf6710712ce372ece5300c3d92"
 )
 
 // goldenSlabs cuts a fixed Gray-Scott state into four z-slabs that share
@@ -135,26 +144,7 @@ func TestGoldenIsoOutput(t *testing.T) {
 				ranks[c.place(b)] = append(ranks[c.place(b)], s)
 			}
 			root, tris := renderOnRanks(t, ranks, c.cfg)
-			enc, err := root.PNG()
-			if err != nil {
-				t.Fatal(err)
-			}
-			dec, err := png.Decode(bytes.NewReader(enc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dec.Bounds() != image.Rect(0, 0, root.W, root.H) {
-				t.Fatalf("rank-0 PNG is %v, the framebuffer %dx%d", dec.Bounds(), root.W, root.H)
-			}
-			for i := 0; i < root.W*root.H; i++ {
-				c := color.NRGBAModel.Convert(dec.At(i%root.W, i/root.W)).(color.NRGBA)
-				if !bytes.Equal([]byte{c.R, c.G, c.B, c.A}, root.RGBA[4*i:4*i+4]) {
-					t.Fatalf("rank-0 PNG pixel %d decodes to %v, the composited framebuffer holds %v", i, c, root.RGBA[4*i:4*i+4])
-				}
-			}
-			if got := sha(enc); got != c.wantPNG {
-				t.Errorf("rank-0 PNG hash %s, want %s", got, c.wantPNG)
-			}
+			checkPNG(t, root, c.wantPNG)
 
 			solo := minimpi.World(1)
 			defer solo[0].Finalize()
@@ -175,12 +165,37 @@ func TestGoldenIsoOutput(t *testing.T) {
 	}
 }
 
+// checkPNG requires root's PNG to decode back to root's colour plane and
+// to hash to want.
+func checkPNG(t *testing.T, root *render.Image, want string) {
+	t.Helper()
+	enc, err := root.PNG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := png.Decode(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Bounds() != image.Rect(0, 0, root.W, root.H) {
+		t.Fatalf("rank-0 PNG is %v, the framebuffer %dx%d", dec.Bounds(), root.W, root.H)
+	}
+	for i := 0; i < root.W*root.H; i++ {
+		c := color.NRGBAModel.Convert(dec.At(i%root.W, i/root.W)).(color.NRGBA)
+		if !bytes.Equal([]byte{c.R, c.G, c.B, c.A}, root.RGBA[4*i:4*i+4]) {
+			t.Fatalf("rank-0 PNG pixel %d decodes to %v, the composited framebuffer holds %v", i, c, root.RGBA[4*i:4*i+4])
+		}
+	}
+	if got := sha(enc); got != want {
+		t.Errorf("rank-0 PNG hash %s, want %s", got, want)
+	}
+}
+
 // TestGoldenIsoImageIndependentOfRanks renders both golden block sets on
-// 1–5 ranks — blocks placed by core.DefaultPlacement, by a seeded random
-// placement, and by DefaultPlacement with each rank's staging order
-// shuffled — and requires the composited framebuffer, colour and depth,
-// to be the single-rank one bit for bit: the picture is a function of the
-// blocks, not of how many servers draw it or which draws what.
+// every layout of eachLayout and requires the composited framebuffer,
+// colour and depth, to be the single-rank one bit for bit: the picture is
+// a function of the blocks, not of how many servers draw it or which
+// draws what.
 func TestGoldenIsoImageIndependentOfRanks(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -191,33 +206,42 @@ func TestGoldenIsoImageIndependentOfRanks(t *testing.T) {
 		{"benchmark shape", benchSlabs(t), benchConfig()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(41))
 			var want []byte
-			for n := 1; n <= 5; n++ {
-				for _, layout := range []string{"default", "random", "shuffled"} {
-					ranks := make([][]*vtk.ImageData, n)
-					for b, s := range c.slabs {
-						r := core.DefaultPlacement(core.BlockMeta{BlockID: b}, n)
-						if layout == "random" {
-							r = rng.Intn(n)
-						}
-						ranks[r] = append(ranks[r], s)
-					}
-					if layout == "shuffled" {
-						for _, blocks := range ranks {
-							rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
-						}
-					}
-					fb, _ := renderOnRanks(t, ranks, c.cfg)
-					got := fb.Encode()
-					if want == nil {
-						want = got
-					} else if !bytes.Equal(got, want) {
-						t.Fatalf("%d ranks, %s placement: the framebuffer differs from the single-rank one", n, layout)
-					}
+			eachLayout(c.slabs, func(n int, layout string, ranks [][]*vtk.ImageData) {
+				fb, _ := renderOnRanks(t, ranks, c.cfg)
+				got := fb.Encode()
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("%d ranks, %s placement: the framebuffer differs from the single-rank one", n, layout)
+				}
+			})
+		})
+	}
+}
+
+// eachLayout calls f with blocks spread over 1–5 ranks three ways: by
+// core.DefaultPlacement, by a seeded random placement, and by
+// DefaultPlacement with each rank's staging order shuffled.
+func eachLayout[B any](blocks []B, f func(n int, layout string, ranks [][]B)) {
+	rng := rand.New(rand.NewSource(41))
+	for n := 1; n <= 5; n++ {
+		for _, layout := range []string{"default", "random", "shuffled"} {
+			ranks := make([][]B, n)
+			for b, blk := range blocks {
+				r := core.DefaultPlacement(core.BlockMeta{BlockID: b}, n)
+				if layout == "random" {
+					r = rng.Intn(n)
+				}
+				ranks[r] = append(ranks[r], blk)
+			}
+			if layout == "shuffled" {
+				for _, blks := range ranks {
+					rng.Shuffle(len(blks), func(i, j int) { blks[i], blks[j] = blks[j], blks[i] })
 				}
 			}
-		})
+			f(n, layout, ranks)
+		}
 	}
 }
 
@@ -226,32 +250,149 @@ func TestGoldenIsoImageIndependentOfRanks(t *testing.T) {
 // ranks extracted.
 func renderOnRanks(t *testing.T, ranks [][]*vtk.ImageData, cfg IsoConfig) (*render.Image, int) {
 	t.Helper()
+	root, st := executeOnRanks(t, ranks, func(ctrl *vtk.Controller, blocks []*vtk.ImageData) (Stats, *render.Image, error) {
+		return ExecuteIso(ctrl, blocks, cfg)
+	})
+	return root, st.LocalTriangles
+}
+
+// executeOnRanks runs exec with ranks[r] on rank r of a minimpi world and
+// returns the image composited at rank 0 and the ranks' summed counts.
+func executeOnRanks[B any](t *testing.T, ranks [][]B, exec func(*vtk.Controller, []B) (Stats, *render.Image, error)) (*render.Image, Stats) {
+	t.Helper()
 	world := minimpi.World(len(ranks))
 	defer world[0].Finalize()
 	var root *render.Image
-	tris := make([]int, len(ranks))
+	sts := make([]Stats, len(ranks))
 	errs := make([]error, len(ranks))
 	var wg sync.WaitGroup
 	for r := range ranks {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			st, img, err := ExecuteIso(vtk.NewController("mpi", world[r]), ranks[r], cfg)
-			errs[r], tris[r] = err, st.LocalTriangles
+			var img *render.Image
+			sts[r], img, errs[r] = exec(vtk.NewController("mpi", world[r]), ranks[r])
 			if r == 0 {
 				root = img
 			}
 		}(r)
 	}
 	wg.Wait()
-	total := 0
+	var total Stats
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
-		total += tris[r]
+		total.LocalCells += sts[r].LocalCells
+		total.LocalTriangles += sts[r].LocalTriangles
 	}
 	return root, total
+}
+
+// benchDWI is the benchmark's DWI staging: the four blocks of growth step
+// 14, 111,684 cells.
+var benchDWI = sync.OnceValue(func() []*vtk.UnstructuredGrid {
+	cfg := sim.DWIConfig{Blocks: 4, Iterations: 30, BaseRes: 96, GrowthRes: 2}
+	grids := make([]*vtk.UnstructuredGrid, cfg.Blocks)
+	for b := range grids {
+		grids[b] = sim.DWIIterationBlock(cfg, 14, b)
+	}
+	return grids
+})
+
+// benchVolumeConfig is the benchmark's volume configuration: 256x256,
+// coolwarm, splats of radius 3.
+func benchVolumeConfig() VolumeConfig {
+	return VolumeConfig{Field: "velocity", Width: 256, Height: 256, ScalarRange: [2]float64{0, 2}, PointSize: 3}
+}
+
+// volumeOnRanks runs ExecuteVolume with ranks[r] on rank r of a minimpi
+// world and returns the image resolved at rank 0 and the cells the ranks
+// splatted.
+func volumeOnRanks(t *testing.T, ranks [][]*vtk.UnstructuredGrid, cfg VolumeConfig) (*render.Image, int) {
+	t.Helper()
+	root, st := executeOnRanks(t, ranks, func(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid) (Stats, *render.Image, error) {
+		return ExecuteVolume(ctrl, grids, cfg)
+	})
+	return root, st.LocalCells
+}
+
+// TestGoldenVolumeOutput pins the volume pipeline's pixels at the
+// benchmark's DWI shape: the rank-0 PNG of two ranks under
+// DefaultPlacement, which must decode to the resolved framebuffer, and
+// the framebuffer one rank resolves from all four blocks.
+func TestGoldenVolumeOutput(t *testing.T) {
+	grids := benchDWI()
+	root, cells := volumeOnRanks(t, [][]*vtk.UnstructuredGrid{{grids[0], grids[2]}, {grids[1], grids[3]}}, benchVolumeConfig())
+	if cells != 111684 {
+		t.Fatalf("two ranks splatted %d cells, want 111684", cells)
+	}
+	checkPNG(t, root, goldenBenchVolumePNG)
+	solo, _ := volumeOnRanks(t, [][]*vtk.UnstructuredGrid{grids}, benchVolumeConfig())
+	if got := sha(solo.Encode()); got != goldenBenchVolumeFramebuffer {
+		t.Errorf("single-rank framebuffer hash %s, want %s", got, goldenBenchVolumeFramebuffer)
+	}
+}
+
+// TestGoldenVolumeImageIndependentOfRanks renders the benchmark's DWI
+// shape on every layout of eachLayout and requires the framebuffer
+// resolved at rank 0 to be the single-rank one bit for bit, so resizing
+// the staging area under the volume pipeline does not change its picture.
+func TestGoldenVolumeImageIndependentOfRanks(t *testing.T) {
+	var want []byte
+	eachLayout(benchDWI(), func(n int, layout string, ranks [][]*vtk.UnstructuredGrid) {
+		fb, cells := volumeOnRanks(t, ranks, benchVolumeConfig())
+		if cells != 111684 {
+			t.Fatalf("%d ranks, %s placement: %d cells splatted, want 111684", n, layout, cells)
+		}
+		got := fb.Encode()
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("%d ranks, %s placement: the framebuffer differs from the single-rank one", n, layout)
+		}
+	})
+}
+
+// TestVolumeMisSizedContributionFailsAtRoot: one rank rendering at another
+// width — narrower or wider — fails the composite at the root with
+// render.ErrImage wherever it enters the reduction (a leaf folding straight
+// into the root, one folding through an intermediate rank, or the root's
+// own), and no other rank sees an error.
+func TestVolumeMisSizedContributionFailsAtRoot(t *testing.T) {
+	grids := benchDWI()[:1]
+	cfg := VolumeConfig{Field: "velocity", Width: 32, Height: 32, ScalarRange: [2]float64{0, 2}}
+	for _, width := range []int{24, 40} {
+		for _, n := range []int{3, 5} {
+			for badRank := 0; badRank < n; badRank++ {
+				world := minimpi.World(n)
+				imgs := make([]*render.Image, n)
+				errs := make([]error, n)
+				var wg sync.WaitGroup
+				for r := 0; r < n; r++ {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						c := cfg
+						if r == badRank {
+							c.Width = width
+						}
+						_, imgs[r], errs[r] = ExecuteVolume(vtk.NewController("mpi", world[r]), grids, c)
+					}(r)
+				}
+				wg.Wait()
+				world[0].Finalize()
+				if !errors.Is(errs[0], render.ErrImage) || imgs[0] != nil {
+					t.Errorf("width %d at rank %d of %d: root got (%v, %v), want render.ErrImage", width, badRank, n, imgs[0] != nil, errs[0])
+				}
+				for r := 1; r < n; r++ {
+					if errs[r] != nil || imgs[r] != nil {
+						t.Errorf("width %d at rank %d of %d: rank %d got (%v, %v)", width, badRank, n, r, imgs[r] != nil, errs[r])
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestGoldenIsoSurvivesNaNAndInf runs the golden blocks on one rank with

@@ -16,54 +16,63 @@ import (
 )
 
 // TestVolumePipelineThroughColza drives the registered catalyst/volume
-// backend end to end: ugrid staging, merge, splat, ordered compositing.
+// backend end to end — ugrid staging, splat, summed composite — on a
+// deployment that grows from 1 to 3 servers between iterations, staging
+// the same blocks every iteration: each iteration's PNG must be the
+// 1-server one, byte for byte, so a live resize keeps the picture.
 func TestVolumePipelineThroughColza(t *testing.T) {
 	net := na.NewInprocNetwork()
-	var servers []*core.Server
-	for i := 0; i < 2; i++ {
-		cfg := core.ServerConfig{SSG: ssg.Config{GossipPeriod: 5 * time.Millisecond, PingTimeout: 100 * time.Millisecond, SuspectPeriods: 20, Seed: int64(i + 1)}}
-		if i > 0 {
-			cfg.Bootstrap = servers[0].Addr()
-		}
-		s, err := core.StartInprocServer(net, fmt.Sprintf("vol%d", i), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, s)
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Shutdown()
-		}
-	}()
-	if err := core.WaitMembers(servers, 2, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
 	ep, _ := net.Listen("vol-client")
 	mi := margo.NewInstance(ep)
 	defer mi.Finalize()
 	client := core.NewClient(mi)
 	admin := core.NewAdminClient(mi)
-	cfg, _ := json.Marshal(VolumeConfig{
+	pcfg, _ := json.Marshal(VolumeConfig{
 		Field: "velocity", Width: 48, Height: 48, ScalarRange: [2]float64{0, 2},
 		ColorMap: "viridis", EmitImage: true, WarmupKiB: 16,
 	})
-	for _, s := range servers {
-		if err := admin.CreatePipeline(s.Addr(), "vol", VolumePipelineType, cfg); err != nil {
+	var servers []*core.Server
+	defer func() {
+		for _, s := range servers {
+			s.Shutdown()
+		}
+	}()
+	addServer := func() {
+		cfg := core.ServerConfig{SSG: ssg.Config{GossipPeriod: 5 * time.Millisecond, PingTimeout: 100 * time.Millisecond, SuspectPeriods: 20, Seed: int64(len(servers) + 1)}}
+		if len(servers) > 0 {
+			cfg.Bootstrap = servers[0].Addr()
+		}
+		s, err := core.StartInprocServer(net, fmt.Sprintf("vol%d", len(servers)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, s)
+		if err := core.WaitMembers(servers, len(servers), 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := admin.CreatePipeline(s.Addr(), "vol", VolumePipelineType, pcfg); err != nil {
 			t.Fatal(err)
 		}
 	}
 
+	addServer()
 	h := client.Handle("vol", servers[0].Addr())
 	h.SetTimeout(30 * time.Second)
 	dwi := sim.DWIConfig{Blocks: 4, Iterations: 10, BaseRes: 16, GrowthRes: 2}
-	for it := uint64(1); it <= 2; it++ {
-		if _, err := h.Activate(it); err != nil {
+	var want string
+	for it := uint64(1); it <= 3; it++ {
+		if it > 1 {
+			addServer()
+		}
+		view, err := h.Activate(it)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if len(view.Members) != len(servers) {
+			t.Fatalf("iteration %d runs on %d servers, want %d", it, len(view.Members), len(servers))
+		}
 		for b := 0; b < dwi.Blocks; b++ {
-			g := sim.DWIIterationBlock(dwi, int(it)+4, b)
+			g := sim.DWIIterationBlock(dwi, 5, b)
 			meta := core.BlockMeta{Field: "velocity", BlockID: b, Type: "ugrid"}
 			if err := h.Stage(it, meta, g.Encode()); err != nil {
 				t.Fatal(err)
@@ -85,6 +94,11 @@ func TestVolumePipelineThroughColza(t *testing.T) {
 		}
 		if len(res[0].Image) == 0 || res[0].Image[1] != 'P' {
 			t.Fatal("no PNG from rank 0")
+		}
+		if got := sha(res[0].Image); want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("iteration %d on %d servers: PNG %s, the 1-server one %s", it, len(servers), got, want)
 		}
 		if err := h.Deactivate(it); err != nil {
 			t.Fatal(err)

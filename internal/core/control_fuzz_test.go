@@ -141,3 +141,62 @@ func FuzzMembersMsg(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeMemberView feeds DecodeMemberView what a client rank could be
+// handed out of band as a view. The seeds are a live view's Encode() and
+// views bent out of shape. Every input decodes to a view with distinct,
+// non-empty addresses that encodes back to itself, or fails with a JSON
+// error or ErrBadControlMsg.
+func FuzzDecodeMemberView(f *testing.F) {
+	d := deploy(f, 2)
+	d.createEverywhere(f, "viz")
+	h := d.client.Handle("viz", d.servers[0].Addr())
+	h.SetTimeout(2 * time.Second)
+	view, err := h.Activate(1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := h.Deactivate(1); err != nil {
+		f.Fatal(err)
+	}
+	live := view.Encode()
+	f.Add(live)
+	for _, bent := range []func(v *MemberView){
+		func(v *MemberView) { v.Members[1] = v.Members[0] },
+		func(v *MemberView) { v.Members[1].RPC = v.Members[0].RPC },
+		func(v *MemberView) { v.Members[1].Mona = v.Members[0].Mona },
+		func(v *MemberView) { v.Members[0].RPC = "" },
+		func(v *MemberView) { v.Members[0].Mona = "" },
+		func(v *MemberView) { v.Members = nil },
+	} {
+		v, err := DecodeMemberView(live)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bent(&v)
+		f.Add(v.Encode())
+	}
+	for _, s := range []string{`{"members":[1]}`, `{"members":"a"}`, `{"members":[`, `{}`, `null`} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		v, err := DecodeMemberView(raw)
+		if err != nil {
+			if !jsonError(err) && !errors.Is(err, ErrBadControlMsg) {
+				t.Fatalf("view %q: an untyped error: %v", raw, err)
+			}
+			return
+		}
+		seen := map[string]bool{}
+		for _, m := range v.Members {
+			if m.RPC == "" || m.Mona == "" || seen["r"+m.RPC] || seen["m"+m.Mona] {
+				t.Fatalf("view %q decoded to %+v", raw, v.Members)
+			}
+			seen["r"+m.RPC], seen["m"+m.Mona] = true, true
+		}
+		again, err := DecodeMemberView(v.Encode())
+		if err != nil || again.Epoch != v.Epoch || len(again.Members) != len(v.Members) {
+			t.Fatalf("view %q does not survive Encode: %+v, %v", raw, again, err)
+		}
+	})
+}

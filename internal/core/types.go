@@ -97,10 +97,15 @@ func (v *MemberView) Encode() []byte {
 	return b
 }
 
-// DecodeMemberView reverses MemberView.Encode.
+// DecodeMemberView reverses MemberView.Encode. A view that names a member
+// without an address, or an address twice, is refused (ErrBadControlMsg).
 func DecodeMemberView(data []byte) (MemberView, error) {
 	var v MemberView
-	if err := json.Unmarshal(data, &v); err != nil {
+	err := json.Unmarshal(data, &v)
+	if err == nil {
+		err = v.check()
+	}
+	if err != nil {
 		return MemberView{}, fmt.Errorf("core: decode view: %w", err)
 	}
 	return v, nil

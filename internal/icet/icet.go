@@ -8,8 +8,8 @@
 //
 // Depth compositing keeps the nearest fragment per pixel (surface
 // rendering) by a total order, so the image is a function of the
-// fragments alone; Ordered compositing applies back-to-front "over"
-// blending in rank order (volume rendering).
+// fragments alone. The volume pipeline does not composite here: its
+// images are integer sums, added by the communicator's own reduce.
 package icet
 
 import (
@@ -36,7 +36,7 @@ const (
 	// Depth keeps the fragment nearest to the camera (z-buffer merge).
 	Depth Mode = iota
 	// Ordered applies back-to-front alpha blending in descending rank
-	// order (rank n-1 is farthest). Used for volume pipelines.
+	// order (rank n-1 is farthest); kept only for benchmark/probes.go.
 	Ordered
 )
 
@@ -141,7 +141,8 @@ func encodedPixels(b []byte) int {
 }
 
 // blendOver blends the RGBA pixel src behind dst into dst ("over", dst in
-// front), each channel clamped to 255.
+// front), each channel clamped to 255; only Ordered, kept for
+// benchmark/probes.go, calls it.
 func blendOver(dst, src []byte) {
 	t := 1 - float64(dst[3])/255
 	for k := 0; k < 4; k++ {

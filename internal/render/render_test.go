@@ -1,10 +1,14 @@
 package render
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"colza/internal/collectives"
 	"colza/internal/vtk"
 )
 
@@ -135,37 +139,113 @@ func TestDefaultCameraSeesIsosurface(t *testing.T) {
 	}
 }
 
-func TestSplatVolumeBlendsAndRecordsDepth(t *testing.T) {
-	g := vtk.NewUnstructuredGrid()
-	p0 := g.AddPoint(-0.5, -0.5, -0.5)
-	p1 := g.AddPoint(0.5, -0.5, -0.5)
-	p2 := g.AddPoint(0, 0.5, -0.5)
-	p3 := g.AddPoint(0, 0, 0.5)
-	g.AddCell(vtk.CellTetra, p0, p1, p2, p3)
-	arr := g.AddCellArray("vel", 1)
-	arr.Data[0] = 5
+// TestSplatVolumeSumsAndResolves: a splat adds integer terms, so any order
+// and any split over accumulators give the same bytes; the resolve turns
+// one colour into itself, a mix into its opacity-weighted mean, and leaves
+// the depth plane as it was.
+func TestSplatVolumeSumsAndResolves(t *testing.T) {
+	tetra := func(dx float32, v float32) *vtk.UnstructuredGrid {
+		g := vtk.NewUnstructuredGrid()
+		p0 := g.AddPoint(dx-0.5, -0.5, -0.5)
+		p1 := g.AddPoint(dx+0.5, -0.5, -0.5)
+		p2 := g.AddPoint(dx, 0.5, -0.5)
+		p3 := g.AddPoint(dx, 0, 0.5)
+		g.AddCell(vtk.CellTetra, p0, p1, p2, p3)
+		g.AddCellArray("vel", 1).Data[0] = v
+		return g
+	}
+	g1, g2 := tetra(0, 5), tetra(0.05, 9)
+	cam := Camera{Eye: Vec3{0, 0, 4}, LookAt: Vec3{0, 0, 0}, Up: Vec3{0, 1, 0}, FovY: 45, Near: 0.1, Far: 50}
+	opt := VolumeOptions{Field: "vel", ScalarRange: [2]float64{0, 10}, PointSize: 4}
 
 	im := NewImage(64, 64)
-	im.SetBackground(0, 0, 0)
-	cam := Camera{Eye: Vec3{0, 0, 4}, LookAt: Vec3{0, 0, 0}, Up: Vec3{0, 1, 0}, FovY: 45, Near: 0.1, Far: 50}
-	err := SplatVolume(im, cam, g, VolumeOptions{
-		Field: "vel", ScalarRange: [2]float64{0, 10}, PointSize: 4,
-	})
-	if err != nil {
+	if err := SplatVolume(im, cam, g1, opt); err != nil {
 		t.Fatal(err)
 	}
-	if im.CoveredPixels() == 0 {
-		t.Fatal("splat left no depth footprint")
-	}
-	sum := 0
+	r, g, b := CoolWarm(0.5)
+	covered := 0
 	for i := 0; i < len(im.RGBA); i += 4 {
-		sum += int(im.RGBA[i]) + int(im.RGBA[i+1]) + int(im.RGBA[i+2])
+		if px := im.RGBA[i : i+4]; px[3] != 0 {
+			covered++
+			if px[0] != r || px[1] != g || px[2] != b {
+				t.Fatalf("one splat resolves to %v, its colour is %v", px, [3]uint8{r, g, b})
+			}
+		}
 	}
-	if sum == 0 {
-		t.Fatal("splat left no color")
+	if covered == 0 || im.CoveredPixels() != 0 {
+		t.Fatalf("%d pixels with alpha, %d with depth: want some, and none", covered, im.CoveredPixels())
 	}
-	if err := SplatVolume(im, cam, g, VolumeOptions{Field: "missing"}); err == nil {
-		t.Fatal("unknown field should fail")
+
+	sum := func(grids ...*vtk.UnstructuredGrid) []byte {
+		acc := make([]byte, 32*64*64)
+		for _, g := range grids {
+			if err := AccumulateVolume(acc, 64, 64, cam, g, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return acc
+	}
+	both, split := sum(g1, g2), sum(g2)
+	if !bytes.Equal(both, sum(g2, g1)) {
+		t.Fatal("the accumulator depends on the order of the grids")
+	}
+	collectives.SumInt64(split, sum(g1))
+	if !bytes.Equal(both, split) {
+		t.Fatal("two accumulators summed differ from one that took both grids")
+	}
+
+	mix := make([]byte, 32*2)
+	binary.LittleEndian.PutUint64(mix, 200*opacityOne/2+100*opacityOne/2)
+	binary.LittleEndian.PutUint64(mix[24:], opacityOne)
+	binary.LittleEndian.PutUint64(mix[32+24:], math.MaxUint64) // Σa = −1
+	out := NewImage(2, 1)
+	out.SetBackground(9, 9, 9)
+	if err := ResolveVolume(out, mix); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint8{150, 0, 0, 161, 0, 0, 0, 0}; !bytes.Equal(out.RGBA, want) {
+		t.Fatalf("resolved %v, want %v", out.RGBA, want)
+	}
+}
+
+// TestAccumulateVolumeDefaultsAndRefusals: unset options fall back to their
+// defaults, cells behind the camera or off screen add nothing, and a
+// malformed accumulator, an image of another size or an unknown field is
+// refused.
+func TestAccumulateVolumeDefaultsAndRefusals(t *testing.T) {
+	g := vtk.NewUnstructuredGrid()
+	for _, at := range [][2]float32{{0, 0}, {0, 10}, {100, 0}} { // in view, behind the eye, off to the side
+		p := g.AddPoint(at[0], 0, at[1])
+		g.AddCell(vtk.CellTriangle, p, p, p)
+	}
+	g.AddCellArray("vel", 1)
+	cam := Camera{Eye: Vec3{0, 0, 4}, LookAt: Vec3{0, 0, 0}, Up: Vec3{0, 1, 0}, FovY: 45, Near: 0.1, Far: 50}
+	acc := make([]byte, 32*16*16)
+	if err := AccumulateVolume(acc, 16, 16, cam, g, VolumeOptions{Field: "vel"}); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for o := 0; o < len(acc); o += 32 {
+		if binary.LittleEndian.Uint64(acc[o+24:]) != 0 {
+			n++
+		}
+	}
+	if n == 0 || n > 16 { // one splat of the default radius 1.5
+		t.Fatalf("%d pixels reached, want the in-view cell's disc alone", n)
+	}
+	for name, err := range map[string]error{
+		"short accumulator": AccumulateVolume(acc[:40], 16, 16, cam, g, VolumeOptions{Field: "vel"}),
+		"no pixels":         AccumulateVolume(nil, 0, 0, cam, g, VolumeOptions{Field: "vel"}),
+		"unknown field":     AccumulateVolume(acc, 16, 16, cam, g, VolumeOptions{Field: "missing"}),
+		"image size":        ResolveVolume(NewImage(8, 8), acc),
+		"short colour":      ResolveVolume(&Image{W: 16, H: 16}, acc),
+	} {
+		if err == nil || name != "unknown field" && !errors.Is(err, ErrImage) {
+			t.Errorf("%s: got %v", name, err)
+		}
+	}
+	if err := AccumulateVolume(acc[:1], 16, 16, cam, vtk.NewUnstructuredGrid(), VolumeOptions{}); err != nil {
+		t.Errorf("an empty grid adds nothing, got %v", err)
 	}
 }
 

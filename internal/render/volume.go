@@ -1,14 +1,18 @@
 package render
 
 import (
+	"encoding/binary"
 	"math"
-	"sort"
 
 	"colza/internal/vtk"
 )
 
 // splatOpacity is every splat's opacity at its centre.
 const splatOpacity = 0.25
+
+// opacityOne is the fixed-point unit of accumulated opacity: a splat of
+// opacity a at a pixel adds round(a·opacityOne) to that pixel's Σa.
+const opacityOne = 1 << 20
 
 // VolumeOptions tunes the unstructured-grid volume splatter.
 type VolumeOptions struct {
@@ -18,15 +22,21 @@ type VolumeOptions struct {
 	PointSize   float64 // splat radius in pixels at unit depth scale
 }
 
-// SplatVolume renders an unstructured grid as depth-sorted cell splats
-// with back-to-front alpha blending — the volume-rendering stand-in for
-// ParaView's unstructured volume mapper used by the Deep Water Impact
-// pipeline. The output depth plane records the nearest splat per pixel so
-// the compositor can still order partial images.
-func SplatVolume(im *Image, cam Camera, grid *vtk.UnstructuredGrid, opt VolumeOptions) error {
+// AccumulateVolume adds a splat per cell of grid into acc, the accumulator
+// of a w×h image: a disc around the cell's projected centroid whose opacity
+// a falls linearly from splatOpacity at the centre to 0 at the radius, the
+// stand-in for ParaView's unstructured volume mapper. Per pixel, acc holds
+// four little-endian int64 sums, Σa·r, Σa·g, Σa·b and Σa, a in fixed point
+// (weighted blended OIT, McGuire & Bavoil, JCGT 2013). They commute and
+// associate, so accumulators add by collectives.SumInt64 and the image is
+// a function of the cells alone, whatever their order or split.
+func AccumulateVolume(acc []byte, w, h int, cam Camera, grid *vtk.UnstructuredGrid, opt VolumeOptions) error {
 	nc := grid.NumCells()
 	if nc == 0 {
 		return nil
+	}
+	if w <= 0 || h <= 0 || len(acc) != 32*w*h {
+		return ErrImage
 	}
 	arr, err := grid.CellArray(opt.Field)
 	if err != nil {
@@ -44,75 +54,71 @@ func SplatVolume(im *Image, cam Camera, grid *vtk.UnstructuredGrid, opt VolumeOp
 	if span == 0 {
 		span = 1
 	}
-	vp := cam.viewProjection(float64(im.W) / float64(im.H))
-
-	type splat struct {
-		x, y  float64
-		z     float32
-		t     float64 // normalized scalar
-		depth float64 // eye distance for sorting
-	}
-	splats := make([]splat, 0, nc)
+	vp := cam.viewProjection(float64(w) / float64(h))
 	for c := 0; c < nc; c++ {
 		cen := grid.CellCentroid(c)
-		p := Vec3{float64(cen[0]), float64(cen[1]), float64(cen[2])}
-		x, y, z, w := vp.MulPoint(p)
-		if w <= 1e-9 {
+		x, y, _, cw := vp.MulPoint(Vec3{float64(cen[0]), float64(cen[1]), float64(cen[2])})
+		if cw <= 1e-9 {
 			continue
 		}
-		sx := (x/w + 1) * 0.5 * float64(im.W)
-		sy := (1 - y/w) * 0.5 * float64(im.H)
-		if sx < -radius || sy < -radius || sx > float64(im.W)+radius || sy > float64(im.H)+radius {
+		sx := (x/cw + 1) * 0.5 * float64(w)
+		sy := (1 - y/cw) * 0.5 * float64(h)
+		if !(sx >= -radius && sy >= -radius && sx <= float64(w)+radius && sy <= float64(h)+radius) {
 			continue
 		}
-		sc := (float64(arr.Data[c]) - opt.ScalarRange[0]) / span
-		splats = append(splats, splat{x: sx, y: sy, z: float32(z / w), t: sc, depth: w})
-	}
-	// Painter's algorithm: far splats first.
-	sort.Slice(splats, func(i, j int) bool { return splats[i].depth > splats[j].depth })
-
-	for _, s := range splats {
-		r8, g8, b8 := cmap(clamp01(s.t))
-		minX := int(math.Floor(s.x - radius))
-		maxX := int(math.Ceil(s.x + radius))
-		minY := int(math.Floor(s.y - radius))
-		maxY := int(math.Ceil(s.y + radius))
-		if minX < 0 {
-			minX = 0
-		}
-		if minY < 0 {
-			minY = 0
-		}
-		if maxX >= im.W {
-			maxX = im.W - 1
-		}
-		if maxY >= im.H {
-			maxY = im.H - 1
-		}
+		r8, g8, b8 := cmap(clamp01((float64(arr.Data[c]) - opt.ScalarRange[0]) / span))
+		minX, maxX := max(int(math.Floor(sx-radius)), 0), min(int(math.Ceil(sx+radius)), w-1)
+		minY, maxY := max(int(math.Floor(sy-radius)), 0), min(int(math.Ceil(sy+radius)), h-1)
 		for py := minY; py <= maxY; py++ {
 			for px := minX; px <= maxX; px++ {
-				dx, dy := float64(px)+0.5-s.x, float64(py)+0.5-s.y
+				dx, dy := float64(px)+0.5-sx, float64(py)+0.5-sy
 				d2 := dx*dx + dy*dy
 				if d2 > radius*radius {
 					continue
 				}
-				fall := 1 - math.Sqrt(d2)/radius
-				a := splatOpacity * fall
-				idx := py*im.W + px
-				o := 4 * idx
-				// "Over" blend on top of current color.
-				im.RGBA[o] = clamp8(a*float64(r8) + (1-a)*float64(im.RGBA[o]))
-				im.RGBA[o+1] = clamp8(a*float64(g8) + (1-a)*float64(im.RGBA[o+1]))
-				im.RGBA[o+2] = clamp8(a*float64(b8) + (1-a)*float64(im.RGBA[o+2]))
-				na := a*255 + (1-a)*float64(im.RGBA[o+3])
-				im.RGBA[o+3] = clamp8(na)
-				if s.z < im.Depth[idx] {
-					im.Depth[idx] = s.z
-				}
+				a := int64(splatOpacity*(1-math.Sqrt(d2)/radius)*opacityOne + 0.5)
+				s := acc[32*(py*w+px):][:32]
+				binary.LittleEndian.PutUint64(s, binary.LittleEndian.Uint64(s)+uint64(a*int64(r8)))
+				binary.LittleEndian.PutUint64(s[8:], binary.LittleEndian.Uint64(s[8:])+uint64(a*int64(g8)))
+				binary.LittleEndian.PutUint64(s[16:], binary.LittleEndian.Uint64(s[16:])+uint64(a*int64(b8)))
+				binary.LittleEndian.PutUint64(s[24:], binary.LittleEndian.Uint64(s[24:])+uint64(a))
 			}
 		}
 	}
 	return nil
+}
+
+// ResolveVolume writes the image of acc, an accumulator of im's size, into
+// im's colour plane. A pixel's colour is the opacity-weighted mean Σa·c /
+// Σa of its splats' colours and its alpha 1 − exp(−Σa); a pixel no splat
+// reached is transparent black. The depth plane is left as it is.
+func ResolveVolume(im *Image, acc []byte) error {
+	if len(acc) != 32*im.W*im.H || len(im.RGBA) != 4*im.W*im.H {
+		return ErrImage
+	}
+	for i := 0; i < im.W*im.H; i++ {
+		s, o := acc[32*i:][:32], im.RGBA[4*i:][:4]
+		sa := int64(binary.LittleEndian.Uint64(s[24:]))
+		if sa <= 0 {
+			clear(o)
+			continue
+		}
+		for k := 0; k < 3; k++ {
+			o[k] = uint8((int64(binary.LittleEndian.Uint64(s[8*k:])) + sa/2) / sa)
+		}
+		o[3] = clamp8(255 * (1 - math.Exp(-float64(sa)/opacityOne)))
+	}
+	return nil
+}
+
+// SplatVolume renders grid into im by AccumulateVolume and ResolveVolume;
+// kept only for benchmark/probes.go (ROADMAP item 1 deletes it).
+func SplatVolume(im *Image, cam Camera, grid *vtk.UnstructuredGrid, opt VolumeOptions) error {
+	acc := make([]byte, 32*im.W*im.H)
+	if err := AccumulateVolume(acc, im.W, im.H, cam, grid, opt); err != nil {
+		return err
+	}
+	return ResolveVolume(im, acc)
 }
 
 // GridBounds computes the axis-aligned bounds of an unstructured grid's

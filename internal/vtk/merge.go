@@ -5,7 +5,8 @@ import "fmt"
 // MergeUnstructured concatenates several unstructured grids into one,
 // remapping point indices and concatenating data arrays by name (the
 // block-merging step of the Deep Water Impact pipeline). All inputs must
-// carry the same set of cell and point arrays.
+// carry the same set of cell and point arrays. Kept only for
+// benchmark/probes.go (ROADMAP item 1 deletes it).
 func MergeUnstructured(grids ...*UnstructuredGrid) (*UnstructuredGrid, error) {
 	out := NewUnstructuredGrid()
 	if len(grids) == 0 {
