@@ -143,7 +143,12 @@ fi
 # reduction ops, which fold each peer's contribution into the accumulator
 # (one shorter than the accumulator must fold into its prefix, not read past
 # its end), and the MoNA instance, which routes every frame and parks or
-# drops those for communicators it does not hold.
+# drops those for communicators it does not hold; and the catalyst
+# pipelines' staging store and stats pipeline — the store decides whether
+# a block that reaches it twice is kept, dropped or refused (a missed
+# branch there can count a block twice in a picture), and the stats file holds
+# the one reduction record whose every key must encode as JSON, and the
+# checkpoint parser that keeps non-finite moments out of it.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
@@ -152,3 +157,4 @@ check_cover 90 ./internal/bench/simtime.go
 check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go \
     ./internal/vtk/imagedata.go ./internal/render/image.go ./internal/render/volume.go ./internal/icet/icet.go
 check_cover 90 ./internal/collectives/ops.go ./internal/mona/mona.go
+check_cover 90 ./internal/catalyst/stats.go ./internal/catalyst/backend.go

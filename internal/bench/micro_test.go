@@ -310,8 +310,8 @@ func isoExecuteEnv(blocks []*vtk.ImageData) (exec func() (int, error), cleanup f
 		cleanup()
 		return nil, nil, err
 	}
-	for _, blk := range blocks {
-		if err := backend.Stage(1, core.BlockMeta{Type: "imagedata"}, blk.Encode()); err != nil {
+	for i, blk := range blocks {
+		if err := backend.Stage(1, core.BlockMeta{BlockID: i, Type: "imagedata"}, blk.Encode()); err != nil {
 			cleanup()
 			return nil, nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"sync"
 
 	"colza/internal/core"
@@ -58,8 +59,15 @@ func decodeConfig(kind string, cfg json.RawMessage, c any) error {
 	return nil
 }
 
-// staging is the state both backends keep from activate to deactivate:
-// the pinned iteration context and the blocks staged into it, decoded.
+// staging is the one store of the catalyst backends: the pinned iteration
+// context and the active iteration's blocks, decoded, once per block id.
+// Staging is at-least-once (a stage RPC that timed out is retried), so a
+// second copy of a staged id whose bytes match the first is dropped, and a
+// different block under a staged id is refused. The match is a CRC-32C of
+// the staged bytes, a second read of the loaned data that decides only
+// whether a retry is a duplicate. Blocks are only appended and Deactivate
+// starts the next iteration on a fresh slice, so no stage rewrites a block
+// an execute is reading.
 type staging[B any] struct {
 	kind, blockType string // the pipeline's name in errors; the BlockMeta.Type it stages
 	decode          func([]byte) (B, error)
@@ -68,8 +76,11 @@ type staging[B any] struct {
 	ctx    core.IterationContext
 	active bool
 	warmed bool
-	staged map[uint64][]B
+	blocks []B
+	sums   map[int]uint32 // block id -> CRC-32C of its bytes; cleared, not reallocated, per iteration
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Activate pins the iteration context.
 func (s *staging[B]) Activate(ctx core.IterationContext) error {
@@ -80,13 +91,13 @@ func (s *staging[B]) Activate(ctx core.IterationContext) error {
 	}
 	s.ctx = ctx
 	s.active = true
-	if s.staged == nil {
-		s.staged = make(map[uint64][]B)
+	if s.sums == nil {
+		s.sums = make(map[int]uint32)
 	}
 	return nil
 }
 
-// Stage decodes and retains one block.
+// Stage decodes and retains one block, once per block id.
 func (s *staging[B]) Stage(it uint64, meta core.BlockMeta, data []byte) error {
 	if meta.Type != "" && meta.Type != s.blockType {
 		return fmt.Errorf("catalyst: %s pipeline cannot stage %q blocks", s.kind, meta.Type)
@@ -95,12 +106,20 @@ func (s *staging[B]) Stage(it uint64, meta core.BlockMeta, data []byte) error {
 	if err != nil {
 		return err
 	}
+	sum := crc32.Checksum(data, castagnoli)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.active || s.ctx.Iteration != it {
 		return fmt.Errorf("catalyst: stage outside active iteration %d", it)
 	}
-	s.staged[it] = append(s.staged[it], b)
+	if prev, dup := s.sums[meta.BlockID]; dup {
+		if prev != sum {
+			return fmt.Errorf("catalyst: %s pipeline: block %d of iteration %d is already staged with other bytes", s.kind, meta.BlockID, it)
+		}
+		return nil // a retried stage
+	}
+	s.sums[meta.BlockID] = sum
+	s.blocks = append(s.blocks, b)
 	return nil
 }
 
@@ -113,26 +132,27 @@ func (s *staging[B]) begin(it uint64) (core.IterationContext, []B, bool, error) 
 	}
 	first := !s.warmed
 	s.warmed = true
-	return s.ctx, s.staged[it], first, nil
+	return s.ctx, s.blocks, first, nil
 }
 
 // Deactivate releases staged data and unpins the iteration.
-func (s *staging[B]) Deactivate(it uint64) error {
+func (s *staging[B]) Deactivate(uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.staged, it)
-	s.active = false
+	s.release()
 	return nil
 }
 
-// Destroy drops all state.
-func (s *staging[B]) Destroy() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.staged = nil
+// release drops the staged blocks and ends the iteration. The caller holds
+// mu.
+func (s *staging[B]) release() {
+	s.blocks = nil
+	clear(s.sums)
 	s.active = false
-	return nil
 }
+
+// Destroy drops all state.
+func (s *staging[B]) Destroy() error { return s.Deactivate(0) }
 
 // IsoPipeline is the Colza backend running the iso pipeline body (the one
 // behind ExecuteIso). One instance runs on every staging server; instances

@@ -35,8 +35,9 @@ import (
 	"colza/internal/vtk"
 )
 
-// The collective tags of global-bounds agreement and the volume composite.
-const boundsTag, volumeTag = 6100, 6200
+// The collective tags of global-bounds agreement, the volume composite and
+// the stats reduction (an all-reduce also takes its tag+1).
+const boundsTag, volumeTag, statsTag = 6100, 6200, 6300
 
 // globalBounds allreduces per-rank bounds so every rank frames the same
 // camera even though it holds different blocks. Empty ranks contribute

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"colza/internal/collectives"
 	"colza/internal/core"
@@ -58,36 +57,81 @@ func (m runningMoments) newer(than runningMoments) bool {
 	return m.Max > than.Max
 }
 
-// stagedBlock keeps the block id next to the decoded data so the
-// deactivate-time fold can deduplicate re-staged blocks (staging is
-// at-least-once: a client retry may deliver a block twice).
-type stagedBlock struct {
-	id  int
-	img *vtk.ImageData
+// fold adds the finite samples of img's field to m. Non-finite samples are
+// skipped: one NaN or Inf would spoil every later sum, mean and extremum,
+// and a summary must encode as JSON.
+func (m *runningMoments) fold(img *vtk.ImageData, field string) error {
+	arr, err := img.PointArray(field)
+	if err != nil {
+		return err
+	}
+	for _, v := range arr.Data {
+		f := float64(v)
+		if !finite(f) {
+			continue
+		}
+		if m.Count == 0 || f < m.Min {
+			m.Min = f
+		}
+		if m.Count == 0 || f > m.Max {
+			m.Max = f
+		}
+		m.Count++
+		m.Sum += f
+	}
+	return nil
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// add merges another origin's moments into m (the run totals at execute).
+func (m *runningMoments) add(o runningMoments) {
+	if o.Count > 0 {
+		if m.Count == 0 || o.Min < m.Min {
+			m.Min = o.Min
+		}
+		if m.Count == 0 || o.Max > m.Max {
+			m.Max = o.Max
+		}
+	}
+	m.Count += o.Count
+	m.Sum += o.Sum
+}
+
+// bounds is m's minimum and negated maximum, or +Inf twice (the identity
+// of a minimum) when m has no samples.
+func (m runningMoments) bounds() (lo, negHi float64) {
+	if m.Count == 0 {
+		return math.Inf(1), math.Inf(1)
+	}
+	return m.Min, -m.Max
 }
 
 // StatsPipeline is the paper's Section II-C example made concrete: "even
 // a pipeline as simple as computing an average across the data received
 // by multiple staging servers needs a reduction operation". It stages
-// ImageData blocks and, at execute, allreduces (sum, count, min, max) of
-// the configured field over the iteration's MoNA communicator, returning
-// the global mean and extrema from every instance.
+// ImageData blocks and, at execute, runs exactly one reduction over the
+// iteration's MoNA communicator, returning the global mean and extrema
+// from every instance.
 //
 // It is also the repo's reference StatefulBackend: every deactivate folds
-// the iteration's blocks into per-origin running moments, which Execute
-// additionally allreduces into run_* summary keys (statistics over all
+// the iteration's blocks into per-origin running moments, and Execute
+// reduces those too into run_* summary keys (statistics over all
 // completed iterations). The running map is what Export/ImportState move
 // around when a server leaves or crashes, so the cumulative statistics
 // survive any single server.
+//
+// The reduced record is eight little-endian words: float64 sums
+// [sum, run_sum], int64 counts [count, run_count], and float64 minima
+// [min, run_min, -max, -run_max]; reduceStats folds each group with its
+// collectives op. Only finite samples count. min, max and mean are
+// omitted while count is 0, as the run_* extrema and mean are while
+// run_count is.
 type StatsPipeline struct {
-	cfg    StatsConfig
-	origin string // unique id of this instance, the key of its own moments
-
-	mu      sync.Mutex
-	ctx     core.IterationContext
-	active  bool
-	staged  map[uint64][]stagedBlock
-	running map[string]runningMoments // origin id -> cumulative moments
+	staging[*vtk.ImageData]
+	cfg     StatsConfig
+	origin  string                    // unique id of this instance, the key of its own moments
+	running map[string]runningMoments // origin id -> cumulative moments; under mu
 }
 
 var (
@@ -115,6 +159,7 @@ func registerStats() {
 			c.Field = "value"
 		}
 		return &StatsPipeline{
+			staging: staging[*vtk.ImageData]{kind: "stats", blockType: "imagedata", decode: vtk.DecodeImageData},
 			cfg:     c,
 			origin:  newOriginID(),
 			running: make(map[string]runningMoments),
@@ -122,243 +167,98 @@ func registerStats() {
 	})
 }
 
-// Activate pins the iteration context.
-func (p *StatsPipeline) Activate(ctx core.IterationContext) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.active {
-		return fmt.Errorf("catalyst: stats pipeline already active")
-	}
-	p.ctx = ctx
-	p.active = true
-	if p.staged == nil {
-		p.staged = make(map[uint64][]stagedBlock)
-	}
-	if p.running == nil {
-		p.running = make(map[string]runningMoments)
-	}
-	return nil
-}
-
-// Stage decodes and retains one ImageData block. A re-staged block id
-// replaces the earlier copy.
-func (p *StatsPipeline) Stage(it uint64, meta core.BlockMeta, data []byte) error {
-	if meta.Type != "" && meta.Type != "imagedata" {
-		return fmt.Errorf("catalyst: stats pipeline cannot stage %q blocks", meta.Type)
-	}
-	img, err := vtk.DecodeImageData(data)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.active || p.ctx.Iteration != it {
-		return fmt.Errorf("catalyst: stage outside active iteration %d", it)
-	}
-	for i, sb := range p.staged[it] {
-		if sb.id == meta.BlockID {
-			p.staged[it][i].img = img
-			return nil
-		}
-	}
-	p.staged[it] = append(p.staged[it], stagedBlock{id: meta.BlockID, img: img})
-	return nil
+// reduceStats folds one peer's stats record into acc (see StatsPipeline).
+// A short record folds into acc's prefix, as the collectives ops do.
+func reduceStats(acc, in []byte) []byte {
+	span := func(b []byte, lo, hi int) []byte { return b[min(lo, len(b)):min(hi, len(b))] }
+	collectives.SumFloat64(span(acc, 0, 16), span(in, 0, 16))
+	collectives.SumInt64(span(acc, 16, 32), span(in, 16, 32))
+	collectives.MinFloat64(span(acc, 32, 64), span(in, 32, 64))
+	return acc
 }
 
 // Execute computes global field statistics across the staging area.
 func (p *StatsPipeline) Execute(it uint64) (core.ExecResult, error) {
 	p.mu.Lock()
-	if !p.active || p.ctx.Iteration != it {
-		p.mu.Unlock()
-		return core.ExecResult{}, fmt.Errorf("catalyst: execute outside active iteration %d", it)
-	}
-	ctx := p.ctx
-	blocks := p.staged[it]
-	field := p.cfg.Field
-	// Local running totals (completed iterations only; the current
-	// iteration folds in at deactivate).
-	var runCount int64
-	var runSum float64
-	runLo := math.Inf(1)
-	runHi := math.Inf(-1)
-	for _, m := range p.running {
-		runCount += m.Count
-		runSum += m.Sum
-		if m.Count > 0 {
-			if m.Min < runLo {
-				runLo = m.Min
-			}
-			if m.Max > runHi {
-				runHi = m.Max
-			}
-		}
+	ctx, blocks, _, err := p.begin(it)
+	// Run totals over completed iterations (the current one folds in at
+	// deactivate), origins in ExportState's order so the sum's bits do not
+	// depend on map order.
+	var run runningMoments
+	for _, id := range p.originsLocked() {
+		run.add(p.running[id])
 	}
 	p.mu.Unlock()
-
-	// Local moments.
-	var sum float64
-	var count int64
-	lo := float32(math.Inf(1))
-	hi := float32(math.Inf(-1))
-	for _, blk := range blocks {
-		arr, err := blk.img.PointArray(field)
-		if err != nil {
+	if err != nil {
+		return core.ExecResult{}, err
+	}
+	var cur runningMoments
+	for _, img := range blocks {
+		if err := cur.fold(img, p.cfg.Field); err != nil {
 			return core.ExecResult{}, err
 		}
-		for _, v := range arr.Data {
-			sum += float64(v)
-			count++
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
 	}
-
-	// Global reduction: [sum f64 | count i64] summed, extrema min/maxed.
-	acc := make([]byte, 16)
-	binary.LittleEndian.PutUint64(acc, math.Float64bits(sum))
-	binary.LittleEndian.PutUint64(acc[8:], uint64(count))
-	sums, err := ctx.Comm.AllReduce(6200, acc, func(a, in []byte) []byte {
-		collectives.SumFloat64(a[:8], in[:8])
-		collectives.SumInt64(a[8:], in[8:])
-		return a
-	})
+	lo, negHi := cur.bounds()
+	runLo, runNegHi := run.bounds()
+	rec := make([]byte, 0, 64)
+	for _, w := range [...]uint64{
+		math.Float64bits(cur.Sum), math.Float64bits(run.Sum), uint64(cur.Count), uint64(run.Count),
+		math.Float64bits(lo), math.Float64bits(runLo), math.Float64bits(negHi), math.Float64bits(runNegHi),
+	} {
+		rec = binary.LittleEndian.AppendUint64(rec, w)
+	}
+	rec, err = ctx.Comm.AllReduce(statsTag, rec, reduceStats)
 	if err != nil {
 		return core.ExecResult{}, err
 	}
-	loBuf := make([]byte, 4)
-	binary.LittleEndian.PutUint32(loBuf, math.Float32bits(lo))
-	loOut, err := ctx.Comm.AllReduce(6201, loBuf, collectives.MinFloat32)
-	if err != nil {
-		return core.ExecResult{}, err
-	}
-	hiBuf := make([]byte, 4)
-	binary.LittleEndian.PutUint32(hiBuf, math.Float32bits(hi))
-	hiOut, err := ctx.Comm.AllReduce(6202, hiBuf, collectives.MaxFloat32)
-	if err != nil {
-		return core.ExecResult{}, err
-	}
-
-	// Same shape for the running totals (tags 6210-6212, float64 extrema).
-	rAcc := make([]byte, 16)
-	binary.LittleEndian.PutUint64(rAcc, math.Float64bits(runSum))
-	binary.LittleEndian.PutUint64(rAcc[8:], uint64(runCount))
-	rSums, err := ctx.Comm.AllReduce(6210, rAcc, func(a, in []byte) []byte {
-		collectives.SumFloat64(a[:8], in[:8])
-		collectives.SumInt64(a[8:], in[8:])
-		return a
-	})
-	if err != nil {
-		return core.ExecResult{}, err
-	}
-	rLoBuf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(rLoBuf, math.Float64bits(runLo))
-	rLoOut, err := ctx.Comm.AllReduce(6211, rLoBuf, minFloat64)
-	if err != nil {
-		return core.ExecResult{}, err
-	}
-	rHiBuf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(rHiBuf, math.Float64bits(runHi))
-	rHiOut, err := ctx.Comm.AllReduce(6212, rHiBuf, maxFloat64)
-	if err != nil {
-		return core.ExecResult{}, err
-	}
-
-	gSum := math.Float64frombits(binary.LittleEndian.Uint64(sums))
-	gCount := int64(binary.LittleEndian.Uint64(sums[8:]))
-	mean := 0.0
-	if gCount > 0 {
-		mean = gSum / float64(gCount)
-	}
-	gRunSum := math.Float64frombits(binary.LittleEndian.Uint64(rSums))
-	gRunCount := int64(binary.LittleEndian.Uint64(rSums[8:]))
+	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(rec[8*i:])) }
+	count, runCount := int64(binary.LittleEndian.Uint64(rec[16:])), int64(binary.LittleEndian.Uint64(rec[24:]))
 	out := map[string]float64{
-		"count": float64(gCount),
-		"mean":  mean,
-		"min":   float64(math.Float32frombits(binary.LittleEndian.Uint32(loOut))),
-		"max":   float64(math.Float32frombits(binary.LittleEndian.Uint32(hiOut))),
-		"rank":  float64(ctx.Rank),
-		"size":  float64(ctx.Size),
+		"count":     float64(count),
+		"run_count": float64(runCount),
+		"run_sum":   f(1),
+		"rank":      float64(ctx.Rank),
+		"size":      float64(ctx.Size),
 	}
-	out["run_count"] = float64(gRunCount)
-	out["run_sum"] = gRunSum
-	if gRunCount > 0 {
-		// Extrema are only meaningful with data; omitting them on an empty
-		// history also keeps infinities out of the JSON-encoded summary.
-		out["run_mean"] = gRunSum / float64(gRunCount)
-		out["run_min"] = math.Float64frombits(binary.LittleEndian.Uint64(rLoOut))
-		out["run_max"] = math.Float64frombits(binary.LittleEndian.Uint64(rHiOut))
+	if count > 0 {
+		out["mean"], out["min"], out["max"] = f(0)/float64(count), f(4), -f(6)
+	}
+	if runCount > 0 {
+		out["run_mean"], out["run_min"], out["run_max"] = f(1)/float64(runCount), f(5), -f(7)
 	}
 	return core.ExecResult{Summary: out}, nil
 }
 
-func minFloat64(a, in []byte) []byte {
-	av := math.Float64frombits(binary.LittleEndian.Uint64(a))
-	iv := math.Float64frombits(binary.LittleEndian.Uint64(in))
-	if iv < av {
-		binary.LittleEndian.PutUint64(a, math.Float64bits(iv))
-	}
-	return a
-}
-
-func maxFloat64(a, in []byte) []byte {
-	av := math.Float64frombits(binary.LittleEndian.Uint64(a))
-	iv := math.Float64frombits(binary.LittleEndian.Uint64(in))
-	if iv > av {
-		binary.LittleEndian.PutUint64(a, math.Float64bits(iv))
-	}
-	return a
-}
-
-// Deactivate folds the iteration into the running moments and releases the
-// staged data.
-func (p *StatsPipeline) Deactivate(it uint64) error {
+// Deactivate folds the iteration into this instance's own running entry
+// and releases the staged data. Iters advances even for an empty
+// iteration, versioning every deactivate so a newer checkpoint always
+// supersedes an older one.
+func (p *StatsPipeline) Deactivate(uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.foldLocked(it)
-	delete(p.staged, it)
-	p.active = false
+	m := p.running[p.origin]
+	m.Iters++
+	for _, img := range p.blocks {
+		_ = m.fold(img, p.cfg.Field) // a block without the field: Execute already reported it
+	}
+	p.running[p.origin] = m
+	p.release()
 	return nil
 }
 
-// foldLocked folds one iteration's staged blocks into this instance's own
-// running entry. Iters advances even for an empty iteration, versioning
-// every deactivate so a newer checkpoint always supersedes an older one.
-func (p *StatsPipeline) foldLocked(it uint64) {
-	if p.running == nil {
-		p.running = make(map[string]runningMoments)
+// originsLocked is the running map's origin ids, sorted. The caller holds
+// mu.
+func (p *StatsPipeline) originsLocked() []string {
+	ids := make([]string, 0, len(p.running))
+	for id := range p.running {
+		ids = append(ids, id)
 	}
-	m := p.running[p.origin]
-	m.Iters++
-	for _, sb := range p.staged[it] {
-		arr, err := sb.img.PointArray(p.cfg.Field)
-		if err != nil {
-			continue // field absent from this block; Execute already reported it
-		}
-		for _, v := range arr.Data {
-			f := float64(v)
-			if m.Count == 0 {
-				m.Min, m.Max = f, f
-			} else {
-				if f < m.Min {
-					m.Min = f
-				}
-				if f > m.Max {
-					m.Max = f
-				}
-			}
-			m.Count++
-			m.Sum += f
-		}
-	}
-	p.running[p.origin] = m
+	sort.Strings(ids)
+	return ids
 }
 
-// The export format is deliberately not JSON: running moments legitimately
-// hold non-finite floats (a fresh entry's extrema), which encoding/json
+// The export format is deliberately not JSON: an entry without samples may
+// hold non-finite extrema (they mean nothing there), which encoding/json
 // rejects. "CZS1" | uint32 entry count | entries of
 // (uint16 id length | id | Count | Sum | Min | Max | Iters), all
 // little-endian, floats as IEEE-754 bits, sorted by id so equal state
@@ -369,11 +269,7 @@ const statsStateMagic = "CZS1"
 func (p *StatsPipeline) ExportState() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ids := make([]string, 0, len(p.running))
-	for id := range p.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := p.originsLocked()
 	buf := make([]byte, 0, 8+len(ids)*58)
 	buf = append(buf, statsStateMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
@@ -423,6 +319,9 @@ func parseStatsState(data []byte) (map[string]runningMoments, error) {
 		if m.Count < 0 {
 			return nil, fmt.Errorf("catalyst: stats state entry %q has negative count", id)
 		}
+		if !finite(m.Sum) || m.Count > 0 && !(finite(m.Min) && finite(m.Max)) {
+			return nil, fmt.Errorf("catalyst: stats state entry %q holds a non-finite moment", id)
+		}
 		if _, dup := out[id]; dup {
 			return nil, fmt.Errorf("catalyst: stats state repeats entry %q", id)
 		}
@@ -446,9 +345,6 @@ func (p *StatsPipeline) ImportState(data []byte) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.running == nil {
-		p.running = make(map[string]runningMoments)
-	}
 	for id, m := range in {
 		if cur, ok := p.running[id]; !ok || m.newer(cur) {
 			p.running[id] = m
@@ -461,8 +357,7 @@ func (p *StatsPipeline) ImportState(data []byte) error {
 func (p *StatsPipeline) Destroy() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.staged = nil
-	p.running = nil
-	p.active = false
+	p.release()
+	clear(p.running)
 	return nil
 }

@@ -49,8 +49,8 @@ func iterate(p *IsoPipeline, it uint64, blocks []*vtk.ImageData) (isoOutput, err
 	if err := p.Activate(core.IterationContext{Iteration: it, Size: 1, Comm: world[0]}); err != nil {
 		return isoOutput{}, err
 	}
-	for _, blk := range blocks {
-		if err := p.Stage(it, core.BlockMeta{Type: "imagedata"}, blk.Encode()); err != nil {
+	for i, blk := range blocks {
+		if err := p.Stage(it, core.BlockMeta{BlockID: i, Type: "imagedata"}, blk.Encode()); err != nil {
 			return isoOutput{}, err
 		}
 	}

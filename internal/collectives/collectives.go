@@ -261,7 +261,9 @@ func reduceKAry(p PT2PT, root, tag int, data []byte, op Op, k int) ([]byte, erro
 }
 
 // AllReduce folds every rank's data and returns the result everywhere
-// (reduce to rank 0 followed by a broadcast).
+// (reduce to rank 0 followed by a broadcast). It uses two tags: tag for
+// the reduce and tag+1 for the broadcast, so another collective on the
+// same communicator should use neither.
 func AllReduce(p PT2PT, tag int, data []byte, op Op, algo Algorithm) ([]byte, error) {
 	acc, err := Reduce(p, 0, tag, data, op, algo)
 	if err != nil {

@@ -48,6 +48,23 @@ func MinFloat32(acc, in []byte) []byte {
 	return acc
 }
 
+// MinFloat64 keeps the element-wise minimum of float64 vectors (a maximum
+// is the minimum of the negated values).
+func MinFloat64(acc, in []byte) []byte {
+	n := len(acc) / 8
+	if len(in)/8 < n {
+		n = len(in) / 8
+	}
+	for i := 0; i < n; i++ {
+		a := math.Float64frombits(binary.LittleEndian.Uint64(acc[8*i:]))
+		b := math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
+		if b < a {
+			binary.LittleEndian.PutUint64(acc[8*i:], math.Float64bits(b))
+		}
+	}
+	return acc
+}
+
 // MaxFloat32 keeps the element-wise maximum of float32 vectors.
 func MaxFloat32(acc, in []byte) []byte {
 	n := len(acc) / 4

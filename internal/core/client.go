@@ -638,8 +638,11 @@ func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, time
 // The stage RPC is retried under the handle's RetryPolicy on transient
 // failures (timeouts, unreachable server, admission shedding). A retry after
 // a timeout may duplicate a block the server already pulled, so staging is
-// at-least-once: pipelines that cannot tolerate duplicates must deduplicate
-// on (iteration, block id), which BlockMeta carries for exactly that purpose.
+// at-least-once, and BlockMeta carries the block id to collapse duplicates
+// by. The server does not collapse them: the catalyst pipelines do, in
+// their one staging store (a second copy with the same bytes is dropped,
+// one with other bytes refused), and any other Backend must do it itself
+// on (iteration, block id).
 func (h *DistributedPipelineHandle) Stage(it uint64, meta BlockMeta, data []byte) error {
 	if err := checkStageMeta(meta); err != nil {
 		return err

@@ -163,6 +163,13 @@ type ExecResult struct {
 // Lifecycle per iteration: Activate, any number of Stage calls, Execute,
 // Deactivate. Destroy is called when the pipeline is removed.
 //
+// Staging is at-least-once: a stage RPC that timed out is retried, so
+// Stage may see a block id of the active iteration twice. Nothing between
+// the client and the backend collapses duplicates; a backend does it
+// itself, on (iteration, BlockMeta.BlockID). The catalyst pipelines share
+// one store that keeps the first copy, drops a second with the same bytes
+// and refuses one with other bytes.
+//
 // The loan rule (DESIGN.md §7): the data slice passed to Stage is on loan
 // for the duration of the call only. It may be the request frame, a pooled
 // buffer the provider recycles when Stage returns, or — for a client on the
@@ -174,6 +181,10 @@ type ExecResult struct {
 // the benchmark's sink already do this — vtk.DecodeImageData and
 // vtk.DecodeUnstructuredGrid copy every field once into their own
 // structures and check those, and the sink's CRC reads each byte once.
+// The catalyst store's duplicate check is a CRC over data next to the
+// decode; it decides only whether a second copy matches the first, so a
+// view rewritten in between can spoil that client's own block, nothing
+// else.
 type Backend interface {
 	Activate(ctx IterationContext) error
 	Stage(iteration uint64, meta BlockMeta, data []byte) error

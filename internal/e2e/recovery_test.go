@@ -54,8 +54,9 @@ func runStatsIteration(t *testing.T, h *core.DistributedPipelineHandle, it uint6
 // probeRunStats runs one extra iteration with a single block and returns
 // its summary. The run_* keys cover exactly the previously completed
 // iterations (the current one folds in at deactivate), so this reads the
-// cumulative statistics without perturbing them. The block also keeps the
-// per-iteration extrema finite for the JSON-encoded summary.
+// cumulative statistics without perturbing them. The block makes the probe
+// an ordinary iteration; an empty one would execute too, since a summary
+// leaves out the mean and extrema of an iteration without samples.
 func probeRunStats(t *testing.T, h *core.DistributedPipelineHandle, it uint64) map[string]float64 {
 	t.Helper()
 	if _, err := h.Activate(it); err != nil {
