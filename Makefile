@@ -34,11 +34,11 @@ fuzz:
 # Zero-copy hot-path smoke: one racing pass over the micro-benchmarks
 # (correctness under -race), then the allocs/op ceilings in a pure build
 # (they exclude race-instrumentation overhead) — the stage, pull, batcher
-# and composite paths and a warm iso execute; see
-# internal/bench/micro_test.go. Speed is not measured here:
+# and composite paths, a warm iso execute, and the TCP stage and call round
+# trips held at zero; see internal/bench/micro_test.go. Speed is not measured here:
 # `bash benchmark/run.sh --workload <name>` does that, on a real deployment.
 bench-smoke:
-	$(GO) test -race -run NONE -bench 'BenchmarkStagePut|BenchmarkBulkPull|BenchmarkCompositePooled|BenchmarkIsoExecute' -benchtime=1x ./internal/bench/
+	$(GO) test -race -run NONE -bench 'BenchmarkStagePut|BenchmarkBulkPull|BenchmarkCompositePooled|BenchmarkIsoExecute' -benchtime=1x -benchmem ./internal/bench/
 	$(GO) test -count=1 -run 'AllocsCeiling' ./internal/bench/
 	# Codec kernel before/after: word-wise shuffle/XOR next to their
 	# byte-wise references (see internal/codec/kernels.go).

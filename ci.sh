@@ -50,10 +50,14 @@ if [ "${1:-}" != "cover" ]; then
     go vet ./...
     # Every test once without the race detector — this is the pass that asserts
     # the allocs/op ceilings of internal/bench/micro_test.go (stage, pull,
-    # composite, batcher, warm iso execute, volume execute, buffer-pool recycle), which skip
+    # composite, batcher, warm iso execute, volume execute, buffer-pool recycle,
+    # and the two that hold the TCP round trip at zero: TestTCPStageAllocsCeiling,
+    # a 64 KiB block staged per block into a daemon, and TestTCPCallAllocsCeiling,
+    # a 64 KiB call whose caller recycles its response), which skip
     # under -race — and once with it. Both passes carry every gate there is no separate step for: the
     # goroutine-leak checks (endpoint teardown, overload shed-and-recover, NBStage
-    # bound, batcher drain, controller stop), crash recovery against the
+    # bound, batcher drain, controller stop), the pooled response channels'
+    # late-response check (mercury's TestLateResponseNeverReachesNextCall), crash recovery against the
     # replicated-checkpoint oracle, the stage-retry buffer-ownership chaos suites
     # (raw, compressed, coalesced, over sm+tcp), the full stack over sm, the fuzz
     # seed corpora, and the elastic conformance and live closed-loop suites.

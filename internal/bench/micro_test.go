@@ -112,6 +112,19 @@ func stagePutOp(h *core.DistributedPipelineHandle, img *vtk.ImageData) error {
 // (so the collective handle can Activate) and hosts a sink pipeline; the
 // distributed client handle comes back with iteration 1 active.
 func stageBatchEnv(name string) (h *core.DistributedPipelineHandle, cleanup func(), err error) {
+	return stageServerEnv(name, true)
+}
+
+// stageTCPEnv is stageBatchEnv's deployment on plain TCP endpoints, the
+// mb_stage_tcp_perblock shape: the handle stages per block, and a block of
+// up to 128 KiB rides in its stage RPC.
+func stageTCPEnv(name string) (h *core.DistributedPipelineHandle, cleanup func(), err error) {
+	return stageServerEnv(name, false)
+}
+
+// stageServerEnv builds the one-daemon deployment of stageBatchEnv (dual
+// true) and stageTCPEnv (dual false).
+func stageServerEnv(name string, dual bool) (h *core.DistributedPipelineHandle, cleanup func(), err error) {
 	dir, err := os.MkdirTemp("", "czsm-bench-")
 	if err != nil {
 		return nil, nil, err
@@ -137,7 +150,12 @@ func stageBatchEnv(name string) (h *core.DistributedPipelineHandle, cleanup func
 			cleanup()
 		}
 	}()
-	listen := func() (na.Endpoint, error) { return na.ListenDual("127.0.0.1:0", dir, "") }
+	listen := func() (na.Endpoint, error) {
+		if !dual {
+			return na.ListenTCP("127.0.0.1:0")
+		}
+		return na.ListenDual("127.0.0.1:0", dir, "")
+	}
 	rpcEP, err := listen()
 	if err != nil {
 		return nil, nil, err
@@ -460,22 +478,25 @@ func BenchmarkVolumeExecute(b *testing.B) {
 // replaced sat at 85 (stage put), 21 (bulk pull) and 48 (composite)
 // allocs/op — BENCH_3.json is the frozen record.
 const (
-	ceilStagePutAllocs  = 32.0 // measured 29
+	// Measured 6: the in-process endpoint's one copy per frame, for the
+	// stage RPC and the pull of the 128 KiB block, both ways. 23 while the
+	// call path made a response channel, a handler closure and a name per
+	// request and the receive queue reallocated.
+	ceilStagePutAllocs  = 8.0
 	ceilBulkPullAllocs  = 12.0
 	ceilCompositeAllocs = 36.0
 	// The delta-compressed stage path: raw-path RPC allocs plus the codec's
 	// pooled buffers (XOR scratch, wire frame, server decode target, base
 	// copies). Steady state stays pool-served; the headroom absorbs jitter.
-	// Measured 24 — below the raw path's 29, because the compressed payload
-	// is small enough to ride in the stage frame (no pull RPC) while the raw
-	// 128 KiB block is pulled.
-	ceilCompressedStageAllocs = 28.0
+	// Measured 15 (26 before the call path stopped allocating).
+	ceilCompressedStageAllocs = 18.0
 	// Batched stage path, amortized per block: the enqueue side is an append
 	// into the batch's pooled payload plus one record struct, and the frame /
 	// response / pull allocations amortize across MaxBlocks blocks — so the
 	// per-block budget sits far below the per-RPC ceilings above. Measured
-	// 1.7 with the stage instruments resolved once per handle and slot.
-	ceilBatchedStagePerBlockAllocs = 3.0
+	// 0.25 with long-lived senders and a reused age timer per target rank;
+	// 1.58 with a goroutine and a timer per batch and an allocating call path.
+	ceilBatchedStagePerBlockAllocs = 0.5
 	// A warm catalyst/iso Execute short of composite and PNG: the
 	// controller, the clip plane, the result's summary map. Measured 5, with
 	// 134 k triangles as with 24 k; the mesh and the framebuffer are the
@@ -485,16 +506,27 @@ const (
 	// accumulator and the resolved image. Measured 4; the merge into one grid
 	// and the depth sort it replaced took 111,791, one per cell.
 	ceilVolumeExecuteAllocs = 8.0
-	// One inproc RPC round trip of a 512 B payload, both sides: the frame is
-	// joined by the one copy the in-process endpoint makes of a gathered
-	// send, and its header rides in a pooled buffer. Measured 8.
-	ceilInprocCallAllocs = 8.0
+	// One inproc RPC round trip of a 512 B payload, both sides: the one copy
+	// the in-process endpoint makes of each frame, request and response.
+	// Measured 2 (8 while the call path allocated; see ceilTCPCallAllocs).
+	ceilInprocCallAllocs = 3.0
 	// Heap bytes per TCP RPC round trip of a 64 KiB payload, both sides:
 	// the callee's receive lands in a pooled frame that goes back to the
-	// pool after the handler, so what is left is per-call bookkeeping (the
-	// timer, the response channel, the small response frame). 74,144 B when
-	// every received frame was a fresh zeroed make.
+	// pool after the handler, and the rest of the round trip allocates
+	// nothing (ceilTCPCallAllocs), so what is left is the caller's response
+	// frame, which this caller keeps. 74,144 B when every received frame
+	// was a fresh zeroed make.
 	ceilTCPCallBytes = 4 << 10
+	// One TCP RPC round trip of a 64 KiB payload, both sides, for a caller
+	// that hands its response back (mercury.Recycle). Measured 7 when every
+	// call made its response channel and its handler closure, copied the
+	// handler's name, grew the receive queues and missed the pool for its
+	// response frame.
+	ceilTCPCallAllocs = 0.0
+	// One 64 KiB block staged per block over loopback TCP into a daemon's
+	// sink, both sides: the mb_stage_tcp_perblock round trip. Measured 14
+	// before the call path stopped allocating.
+	ceilTCPStageAllocs = 1.0
 )
 
 // skipUnderRace: the race detector's instrumentation allocates on its own,
@@ -591,6 +623,37 @@ func TestBatchedStageAllocsCeiling(t *testing.T) {
 	}
 }
 
+// TestTCPStageAllocsCeiling holds the mb_stage_tcp_perblock path, one
+// 64 KiB block staged through a handle into a daemon over loopback TCP, to
+// its steady state: every buffer, channel, task and string on the round
+// trip is pooled or reused, in the client, the transport, mercury, margo's
+// data pool and the stage handler alike.
+func TestTCPStageAllocsCeiling(t *testing.T) {
+	skipUnderRace(t)
+	h, cleanup, err := stageTCPEnv("tcp-stage-allocs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	block := make([]byte, 64<<10)
+	for i := range block {
+		block[i] = byte(i * 7)
+	}
+	stage := func() {
+		if err := h.Stage(1, core.BlockMeta{Field: "v", BlockID: 3, Type: "raw"}, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ { // warm the pools, the caches and the goroutines
+		stage()
+	}
+	allocs := testing.AllocsPerRun(500, stage)
+	t.Logf("tcp stage: %.2f allocs/op (ceiling %.1f)", allocs, ceilTCPStageAllocs)
+	if allocs > ceilTCPStageAllocs {
+		t.Errorf("tcp stage allocs/op = %.2f, ceiling %.1f", allocs, ceilTCPStageAllocs)
+	}
+}
+
 func TestBulkPullAllocsCeiling(t *testing.T) {
 	skipUnderRace(t)
 	puller, bulk, cleanup, err := bulkPullEnv()
@@ -673,6 +736,44 @@ func TestTCPCallBytesCeiling(t *testing.T) {
 	t.Logf("64 KiB tcp call: %.0f B allocated/op (ceiling %d)", perCall, ceilTCPCallBytes)
 	if perCall > ceilTCPCallBytes {
 		t.Errorf("64 KiB tcp call allocates %.0f B/op, ceiling %d", perCall, ceilTCPCallBytes)
+	}
+}
+
+// TestTCPCallAllocsCeiling: a 64 KiB RPC round trip over loopback TCP,
+// both sides, allocates nothing for a caller that hands its response back:
+// the frames are pooled, the response channel, the serve task and the
+// handler goroutine are reused, and the handler's name is the registered
+// one.
+func TestTCPCallAllocsCeiling(t *testing.T) {
+	skipUnderRace(t)
+	cEP, err := na.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sEP, err := na.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, callee := mercury.New(cEP), mercury.New(sEP)
+	defer caller.Close()
+	defer callee.Close()
+	ok := []byte("ok")
+	callee.Register("sink", func(req mercury.Request) ([]byte, error) { return ok, nil })
+	payload := make([]byte, 64<<10)
+	call := func() {
+		resp, err := caller.Call(callee.Addr(), "sink", payload, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mercury.Recycle(resp)
+	}
+	for i := 0; i < 50; i++ { // dial, warm the pools and the metric caches
+		call()
+	}
+	allocs := testing.AllocsPerRun(500, call)
+	t.Logf("64 KiB tcp call: %.2f allocs/op (ceiling %.1f)", allocs, ceilTCPCallAllocs)
+	if allocs > ceilTCPCallAllocs {
+		t.Errorf("64 KiB tcp call allocs/op = %.2f, ceiling %.1f", allocs, ceilTCPCallAllocs)
 	}
 }
 

@@ -322,6 +322,11 @@ func parseStatsState(data []byte) (map[string]runningMoments, error) {
 		if !finite(m.Sum) || m.Count > 0 && !(finite(m.Min) && finite(m.Max)) {
 			return nil, fmt.Errorf("catalyst: stats state entry %q holds a non-finite moment", id)
 		}
+		if m.Count == 0 && m.Sum != 0 {
+			// No fold writes a sum without values; Execute would add it to
+			// run_sum against a run_count it does not move.
+			return nil, fmt.Errorf("catalyst: stats state entry %q has a sum but no values", id)
+		}
 		if _, dup := out[id]; dup {
 			return nil, fmt.Errorf("catalyst: stats state repeats entry %q", id)
 		}

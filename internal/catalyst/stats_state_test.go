@@ -187,9 +187,33 @@ func TestStatsStateRejectsGarbage(t *testing.T) {
 	}
 }
 
+// countlessSumBlob is a state blob whose one entry carries a sum of 5 over
+// no values, which no fold writes.
+func countlessSumBlob() []byte {
+	src := &StatsPipeline{cfg: StatsConfig{Field: "f"}, origin: "o", running: map[string]runningMoments{
+		"o": {Count: 0, Sum: 5, Iters: 1},
+	}}
+	blob, _ := src.ExportState()
+	return blob
+}
+
+// TestStatsStateRefusesSumWithoutCount: an entry with Count 0 and a nonzero
+// Sum is refused with the parser's other errors; accepted, it made Execute
+// report run_count 0 beside run_sum 5.
+func TestStatsStateRefusesSumWithoutCount(t *testing.T) {
+	p := newStatsForTest(t, "f")
+	before, _ := p.ExportState()
+	if err := p.ImportState(countlessSumBlob()); err == nil {
+		t.Fatal("an entry with a sum of 5 over 0 values was accepted")
+	}
+	if after, _ := p.ExportState(); !bytes.Equal(before, after) {
+		t.Fatal("the refused import mutated state")
+	}
+}
+
 // FuzzStatsImportState: no input may panic ImportState, and any input it
-// accepts must be idempotent on double import. `go test` runs the seed
-// corpus; `go test -fuzz` explores further.
+// accepts must be idempotent on double import and hold no sum over zero
+// values. `go test` runs the seed corpus; `go test -fuzz` explores further.
 func FuzzStatsImportState(f *testing.F) {
 	src := &StatsPipeline{cfg: StatsConfig{Field: "f"}, origin: "fuzz-origin", running: map[string]runningMoments{
 		"fuzz-origin": {Count: 8, Sum: 36, Min: 1, Max: 8, Iters: 1},
@@ -204,11 +228,17 @@ func FuzzStatsImportState(f *testing.F) {
 	junk := make([]byte, 64)
 	rng.Read(junk)
 	f.Add(junk)
+	f.Add(countlessSumBlob())
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		p := &StatsPipeline{cfg: StatsConfig{Field: "f"}, origin: "sink", running: map[string]runningMoments{}}
 		if err := p.ImportState(blob); err != nil {
 			return // rejected cleanly
+		}
+		for id, m := range p.running {
+			if m.Count == 0 && m.Sum != 0 {
+				t.Fatalf("accepted entry %q holds sum %v over 0 values", id, m.Sum)
+			}
 		}
 		once, err := p.ExportState()
 		if err != nil {

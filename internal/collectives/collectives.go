@@ -168,6 +168,10 @@ type Op func(acc, in []byte) []byte
 // Reduce folds the data contributed by every rank with op; the result is
 // returned on root (other ranks return nil). The operation is assumed
 // commutative and associative, as in the paper's binary-tree reduction.
+// data is only read: a rank that receives folds into a private copy of it,
+// made at its first receive (fold), and a leaf sends it as it lies. The
+// root's result is the caller's to keep — data itself on a one-rank
+// communicator.
 func Reduce(p PT2PT, root, tag int, data []byte, op Op, algo Algorithm) ([]byte, error) {
 	size := p.Size()
 	if root < 0 || root >= size {
@@ -189,7 +193,7 @@ func Reduce(p PT2PT, root, tag int, data []byte, op Op, algo Algorithm) ([]byte,
 func reduceBinomial(p PT2PT, root, tag int, data []byte, op Op) ([]byte, error) {
 	size, rank := p.Size(), p.Rank()
 	rel := (rank - root + size) % size
-	acc := append([]byte(nil), data...)
+	acc, own := data, false
 	mask := 1
 	for mask < size {
 		if rel&mask == 0 {
@@ -200,7 +204,7 @@ func reduceBinomial(p PT2PT, root, tag int, data []byte, op Op) ([]byte, error) 
 				if err != nil {
 					return nil, err
 				}
-				acc = op(acc, got)
+				acc, own = fold(op, acc, own, got), true
 			}
 		} else {
 			dstRel := rel &^ mask
@@ -220,7 +224,7 @@ func reduceFlat(p PT2PT, root, tag int, data []byte, op Op) ([]byte, error) {
 	if rank != root {
 		return nil, p.Send(root, tag, data)
 	}
-	acc := append([]byte(nil), data...)
+	acc, own := data, false
 	for r := 0; r < size; r++ {
 		if r == root {
 			continue
@@ -229,9 +233,19 @@ func reduceFlat(p PT2PT, root, tag int, data []byte, op Op) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		acc = op(acc, got)
+		acc, own = fold(op, acc, own, got), true
 	}
 	return acc, nil
+}
+
+// fold folds a received contribution into acc, first copying acc out of
+// the caller's data unless it is already a private copy (own): the reduce
+// never writes data, and a rank that never receives never copies it.
+func fold(op Op, acc []byte, own bool, got []byte) []byte {
+	if !own {
+		acc = append([]byte(nil), acc...)
+	}
+	return op(acc, got)
 }
 
 func reduceKAry(p PT2PT, root, tag int, data []byte, op Op, k int) ([]byte, error) {
@@ -240,7 +254,7 @@ func reduceKAry(p PT2PT, root, tag int, data []byte, op Op, k int) ([]byte, erro
 	}
 	size, rank := p.Size(), p.Rank()
 	rel := (rank - root + size) % size
-	acc := append([]byte(nil), data...)
+	acc, own := data, false
 	for c := 1; c <= k; c++ {
 		child := rel*k + c
 		if child >= size {
@@ -251,7 +265,7 @@ func reduceKAry(p PT2PT, root, tag int, data []byte, op Op, k int) ([]byte, erro
 		if err != nil {
 			return nil, err
 		}
-		acc = op(acc, got)
+		acc, own = fold(op, acc, own, got), true
 	}
 	if rel != 0 {
 		parent := ((rel-1)/k + root) % size

@@ -284,3 +284,90 @@ func TestOpsShortContribution(t *testing.T) {
 		}
 	}
 }
+
+// ownershipRecorder watches one rank of a reduce: the slices it hands to
+// Send, as handed, and how many contributions it receives.
+type ownershipRecorder struct {
+	PT2PT
+	sent  [][]byte
+	recvs int
+}
+
+func (o *ownershipRecorder) Send(dst, tag int, data []byte) error {
+	o.sent = append(o.sent, data)
+	return o.PT2PT.Send(dst, tag, data)
+}
+
+func (o *ownershipRecorder) Recv(src, tag int) ([]byte, error) {
+	o.recvs++
+	return o.PT2PT.Recv(src, tag)
+}
+
+// checkReduceOwnership runs Reduce with op on 1–5 ranks, every algorithm
+// and root, and holds the ownership rule: no rank's input is written; a
+// rank that receives nothing (a leaf) sends its input as it lies, not a
+// copy; and the root's result on more than one rank is a buffer of its
+// own, equal to want(inputs).
+func checkReduceOwnership(t *testing.T, op Op, inputs func(n int) [][]byte, want func([][]byte) []byte) {
+	t.Helper()
+	for _, algo := range allAlgos {
+		for n := 1; n <= 5; n++ {
+			for root := 0; root < n; root++ {
+				in := inputs(n)
+				snap := make([][]byte, n)
+				for r := range in {
+					snap[r] = bytes.Clone(in[r])
+				}
+				recs := make([]*ownershipRecorder, n)
+				got, err := runAll(n, func(p PT2PT) ([]byte, error) {
+					rec := &ownershipRecorder{PT2PT: p}
+					recs[p.Rank()] = rec
+					return Reduce(rec, root, 40, in[p.Rank()], op, algo)
+				})
+				if err != nil {
+					t.Fatalf("algo=%v n=%d root=%d: %v", algo, n, root, err)
+				}
+				for r := range in {
+					if !bytes.Equal(in[r], snap[r]) {
+						t.Fatalf("algo=%v n=%d root=%d: rank %d's input was written", algo, n, root, r)
+					}
+					if rec := recs[r]; rec.recvs == 0 && r != root {
+						if len(rec.sent) != 1 || &rec.sent[0][0] != &in[r][0] {
+							t.Fatalf("algo=%v n=%d root=%d: leaf %d sent a copy of its input", algo, n, root, r)
+						}
+					}
+				}
+				if !bytes.Equal(got[root], want(snap)) {
+					t.Fatalf("algo=%v n=%d root=%d: result differs from the sequential fold", algo, n, root)
+				}
+				if n > 1 && &got[root][0] == &in[root][0] {
+					t.Fatalf("algo=%v n=%d root=%d: the root's result is its input", algo, n, root)
+				}
+			}
+		}
+	}
+}
+
+// TestReduceCopiesOnlyOnReceivingRanks: a reduce folds into a private copy
+// made at a rank's first receive; a leaf neither copies nor writes its
+// input. The depth-merge op is held to the same rule in internal/icet.
+func TestReduceCopiesOnlyOnReceivingRanks(t *testing.T) {
+	checkReduceOwnership(t, SumInt64,
+		func(n int) [][]byte {
+			in := make([][]byte, n)
+			for r := range in {
+				in[r] = make([]byte, 8*4)
+				for i := 0; i < 4; i++ {
+					binary.LittleEndian.PutUint64(in[r][8*i:], uint64(int64(r*10-i)))
+				}
+			}
+			return in
+		},
+		func(in [][]byte) []byte {
+			acc := bytes.Clone(in[0])
+			for _, b := range in[1:] {
+				acc = SumInt64(acc, b)
+			}
+			return acc
+		})
+}

@@ -15,8 +15,9 @@ import (
 // batchMaxBlocks blocks or batchMaxBytes of assembled payload (twice that
 // sizes its assembly storage; see assembly), or batchMaxAge after its first
 // block, so a trickle of blocks never waits for a size trigger. batchWindow
-// bounds the batches in flight at once — and with them the send goroutines:
-// no goroutine per block. Which handles run a batcher at all is
+// bounds the batches in flight at once: it is the number of the batcher's
+// senders, long-lived goroutines that each send one batch at a time — no
+// goroutine per block, nor per batch. Which handles run a batcher at all is
 // Client.Handle's decision (DESIGN.md §7.3).
 const (
 	batchMaxBlocks = 64
@@ -43,15 +44,21 @@ type pendingBlock struct {
 // order, in the batch's assembly storage: a span of the arena reservation
 // resv, or, when resv.ID is 0 (bulk ids start at 1), a pooled heap buffer.
 type pendingBatch struct {
-	target  int
 	addr    string
 	it      uint64
 	recs    []stageBatchRec
 	blocks  []pendingBlock
 	payload []byte
 	resv    mercury.Bulk
-	gen     uint64
-	timer   *time.Timer
+	born    time.Time // when its first block arrived, for the age trigger
+}
+
+// batchSlot is one target rank's place in the batcher: the batch pending
+// for it, if any, and the age timer, made once per slot and re-armed for
+// every batch the slot holds.
+type batchSlot struct {
+	pb    *pendingBatch
+	timer *time.Timer
 }
 
 // stageBatcher coalesces a handle's staged blocks into per-rank batches
@@ -63,18 +70,21 @@ type pendingBatch struct {
 type stageBatcher struct {
 	h *DistributedPipelineHandle
 
-	// The triggers, set from the constants above; they are fields only so
-	// that in-package tests can pin frame boundaries (small frames, no age
-	// timer) before the first block.
+	// The triggers and the sender count, set from the constants above; they
+	// are fields only so that in-package tests can pin frame boundaries
+	// (small frames, no age timer) and the window before the first block.
 	maxBlocks, maxBytes int
 	maxAge              time.Duration
+	window              int
 
 	mu      sync.Mutex
-	pending map[int]*pendingBatch
-	gen     uint64
+	pending map[int]*batchSlot // by target rank
 	closed  bool
 
-	window   chan struct{} // in-flight batch slots; acquired before the send goroutine spawns
+	// work hands a dispatched batch to an idle sender; the senders start
+	// with the first dispatch and exit when the handle closes.
+	work     chan *pendingBatch
+	senders  sync.Once
 	inflight sync.WaitGroup
 
 	errMu sync.Mutex
@@ -96,8 +106,9 @@ func newStageBatcher(h *DistributedPipelineHandle) *stageBatcher {
 		maxBlocks:  batchMaxBlocks,
 		maxBytes:   batchMaxBytes,
 		maxAge:     batchMaxAge,
-		pending:    make(map[int]*pendingBatch),
-		window:     make(chan struct{}, batchWindow),
+		window:     batchWindow,
+		pending:    make(map[int]*batchSlot),
+		work:       make(chan *pendingBatch),
 		ctrBlocks:  reg.Counter("colza.stage.batch.blocks", "pipeline", h.pipeline),
 		ctrBytes:   reg.Counter("colza.stage.batch.bytes", "pipeline", h.pipeline),
 		ctrFlushes: reg.Counter("colza.stage.batch.flushes", "pipeline", h.pipeline),
@@ -172,22 +183,29 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 		}
 		return fail(fmt.Errorf("colza: stage: %w", ErrHandleClosed))
 	}
-	pb := b.pending[target]
+	slot := b.pending[target]
+	if slot == nil {
+		slot = &batchSlot{}
+		b.pending[target] = slot
+	}
+	pb := slot.pb
 	if pb != nil && pb.it != it {
 		// Iteration advanced on this rank: the old batch goes out first so
 		// the server never sees interleaved iterations in one frame.
-		b.detachLocked(pb)
+		b.detachLocked(slot)
 		ready = append(ready, pb)
 		pb = nil
 	}
 	if pb == nil {
-		pb = &pendingBatch{target: target, addr: addr, it: it, gen: b.gen}
+		pb = &pendingBatch{addr: addr, it: it, born: time.Now()}
 		pb.payload, pb.resv = b.assembly(len(wire))
-		b.gen++
-		b.pending[target] = pb
+		slot.pb = pb
 		if b.maxAge > 0 {
-			gen := pb.gen
-			pb.timer = time.AfterFunc(b.maxAge, func() { b.flushAged(target, gen) })
+			if slot.timer == nil {
+				slot.timer = time.AfterFunc(b.maxAge, func() { b.flushAged(target) })
+			} else {
+				slot.timer.Reset(b.maxAge)
+			}
 		}
 	}
 	if len(pb.payload)+len(wire) > cap(pb.payload) {
@@ -200,7 +218,7 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 	b.ctrBytes.Add(int64(len(data)))
 	if len(pb.recs) >= b.maxBlocks || len(pb.payload) >= b.maxBytes {
 		b.ctrFull.Inc()
-		b.detachLocked(pb)
+		b.detachLocked(slot)
 		ready = append(ready, pb)
 	}
 	b.mu.Unlock()
@@ -251,53 +269,70 @@ func (b *stageBatcher) freeAssembly(pb *pendingBatch) {
 	pb.payload, pb.resv = nil, mercury.Bulk{}
 }
 
-// detachLocked removes a batch from the pending map and disarms its age
-// timer; the caller dispatches it outside the lock.
-func (b *stageBatcher) detachLocked(pb *pendingBatch) {
-	delete(b.pending, pb.target)
-	if pb.timer != nil {
-		pb.timer.Stop()
-		pb.timer = nil
+// detachLocked takes the pending batch out of its slot and disarms the
+// slot's age timer; the caller dispatches the batch outside the lock (or
+// fails it and marks it done). The batch counts as in flight from here,
+// under the lock, so a flush that detaches after it also waits for it —
+// even for a batch the age trigger detached and has yet to dispatch.
+func (b *stageBatcher) detachLocked(slot *batchSlot) {
+	b.inflight.Add(1)
+	slot.pb = nil
+	if slot.timer != nil {
+		slot.timer.Stop()
 	}
 }
 
-// flushAged is the age-trigger callback; gen guards against the slot
-// having been reused by a younger batch after a size flush.
-func (b *stageBatcher) flushAged(target int, gen uint64) {
+// flushAged is the age-trigger callback. The slot's timer is re-armed for
+// each batch, so a firing meant for a batch that has since gone out by
+// size may find a younger one in the slot: that one is left to its own
+// firing.
+func (b *stageBatcher) flushAged(target int) {
 	b.mu.Lock()
-	pb := b.pending[target]
-	if pb == nil || pb.gen != gen {
+	slot := b.pending[target]
+	if slot == nil || slot.pb == nil || time.Since(slot.pb.born) < b.maxAge {
 		b.mu.Unlock()
 		return
 	}
-	b.detachLocked(pb)
+	pb := slot.pb
+	b.detachLocked(slot)
 	b.mu.Unlock()
 	b.ctrAge.Inc()
 	b.dispatch(pb)
 }
 
-// dispatch acquires a window slot (blocking: the bound on in-flight
-// batches is the caller's backpressure) and sends the batch on its own
-// goroutine. A handle close while waiting fails the batch without sending.
+// dispatch hands the batch to an idle sender, blocking until one is free:
+// the bound on in-flight batches is the caller's backpressure. A handle
+// close while waiting fails the batch without sending.
 func (b *stageBatcher) dispatch(pb *pendingBatch) {
 	b.ctrFlushes.Inc()
-	b.inflight.Add(1)
+	b.senders.Do(func() {
+		for i := 0; i < b.window; i++ {
+			go b.sender()
+		}
+	})
 	select {
-	case b.window <- struct{}{}:
+	case b.work <- pb:
 	case <-b.h.closed:
 		b.finish(pb, ErrHandleClosed)
 		b.inflight.Done()
-		return
 	}
-	b.gWindow.Inc()
-	go func() {
-		defer func() {
+}
+
+// sender sends the batches dispatch hands it, one at a time, until the
+// handle closes. Senders live as long as the handle, so each keeps the
+// stack the send path grew it instead of growing a fresh one per batch.
+func (b *stageBatcher) sender() {
+	for {
+		select {
+		case pb := <-b.work:
+			b.gWindow.Inc()
+			b.send(pb)
 			b.gWindow.Dec()
-			<-b.window
 			b.inflight.Done()
-		}()
-		b.send(pb)
-	}()
+		case <-b.h.closed:
+			return
+		}
+	}
 }
 
 // finish fails every block of a batch with one error and releases all
@@ -387,10 +422,12 @@ func (b *stageBatcher) detachAll(closing bool) []*pendingBatch {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.closed = b.closed || closing
-	ready := make([]*pendingBatch, 0, len(b.pending))
-	for _, pb := range b.pending {
-		b.detachLocked(pb)
-		ready = append(ready, pb)
+	var ready []*pendingBatch
+	for _, slot := range b.pending {
+		if slot.pb != nil {
+			ready = append(ready, slot.pb)
+			b.detachLocked(slot)
+		}
 	}
 	return ready
 }
@@ -416,5 +453,6 @@ func (b *stageBatcher) flush() error {
 func (b *stageBatcher) close() {
 	for _, pb := range b.detachAll(true) {
 		b.finish(pb, ErrHandleClosed)
+		b.inflight.Done()
 	}
 }

@@ -63,7 +63,7 @@ func TestStageBatchedLifecycle(t *testing.T) {
 	d := deploy(t, 2)
 	d.createEverywhere(t, "viz")
 	h, reg := batchedHandle(t, d, "viz", 4, -1)
-	h.batch.window = make(chan struct{}, 2)
+	h.batch.window = 2
 
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
@@ -683,9 +683,9 @@ func TestBatchConfigDefaults(t *testing.T) {
 		t.Fatal("SetBatching engaged a batcher on an in-process handle")
 	}
 	b := newStageBatcher(h)
-	if b.maxBlocks != 64 || b.maxBytes != 1<<20 || b.maxAge != 2*time.Millisecond || cap(b.window) != 4 {
+	if b.maxBlocks != 64 || b.maxBytes != 1<<20 || b.maxAge != 2*time.Millisecond || b.window != 4 {
 		t.Fatalf("batcher triggers = %d blocks, %d bytes, %v, window %d; DESIGN.md §7.3 documents 64, 1 MiB, 2ms, 4",
-			b.maxBlocks, b.maxBytes, b.maxAge, cap(b.window))
+			b.maxBlocks, b.maxBytes, b.maxAge, b.window)
 	}
 }
 

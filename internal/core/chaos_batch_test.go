@@ -134,7 +134,7 @@ func runChaosBatchedStageRetry(t *testing.T, blockLen int, configure func(h *Dis
 	// response drop below hits a stage reply, not the execute's. The age
 	// trigger is off to keep frame boundaries deterministic.
 	h, reg := batchedHandle(t, d, "viz", 2, -1)
-	h.batch.window = make(chan struct{}, 2)
+	h.batch.window = 2
 	h.SetTimeout(250 * time.Millisecond)
 	configure(h)
 

@@ -87,7 +87,10 @@ func (c *Client) call(addr, rpc string, payload []byte, timeout time.Duration) (
 // shed-and-retry does not wait out the schedule, and its frame's head and
 // eager region.
 func (c *Client) callUntil(stop <-chan struct{}, addr, rpc string, payload, tail []byte, timeout time.Duration) ([]byte, error) {
-	name := margo.ProviderRPCName(ProviderID, rpc)
+	name, ok := providerRPCNames[rpc]
+	if !ok {
+		name = margo.ProviderRPCName(ProviderID, rpc)
+	}
 	for attempt := 0; ; attempt++ {
 		out, err := c.mi.Class().CallGather(addr, name, payload, tail, timeout)
 		cls := Classify(err)

@@ -114,6 +114,10 @@ type pipelineSlot struct {
 	lastIter uint64
 
 	stagedM atomic.Pointer[stagedMetrics]
+
+	// names interns the field and type names this pipeline's stage frames
+	// carry (decodeStageRecords).
+	names internTable
 }
 
 // stagedMetrics are a slot's per-block stage instruments, resolved once per
@@ -268,19 +272,38 @@ func (p *Provider) BindPools(control, data *margo.Pool) {
 	// run on a peer's control pool (deactivate, leave). Keeping it off the
 	// control pool removes the mutual-wait cycle two servers checkpointing to
 	// each other would otherwise risk under a saturated control stream.
-	for _, rpc := range []string{"stage", "execute", "checkpoint_state"} {
-		p.mi.BindRPCPool(margo.ProviderRPCName(ProviderID, rpc), data)
+	for _, rpc := range dataRPCs {
+		p.mi.BindRPCPool(providerRPCNames[rpc], data)
 	}
-	for _, rpc := range []string{"prepare", "commit", "abort", "deactivate",
-		"members", "info", "activate_solo"} {
-		p.mi.BindRPCPool(margo.ProviderRPCName(ProviderID, rpc), control)
+	for _, rpc := range controlRPCs {
+		p.mi.BindRPCPool(providerRPCNames[rpc], control)
 	}
-	for _, rpc := range []string{"create_pipeline", "destroy_pipeline",
-		"list_pipelines", "list_types", "leave", "metrics_json",
-		"trace", "pipeline_defs", "elastic_status"} {
+	for _, rpc := range adminRPCs {
 		p.mi.BindRPCPool(margo.ProviderRPCName(AdminID, rpc), control)
 	}
 }
+
+// The provider's RPCs by execution stream (BindPools): the data plane and
+// the control plane under ProviderID, the admin RPCs under AdminID.
+var (
+	dataRPCs    = []string{"stage", "execute", "checkpoint_state"}
+	controlRPCs = []string{"prepare", "commit", "abort", "deactivate", "members", "info", "activate_solo"}
+	adminRPCs   = []string{"create_pipeline", "destroy_pipeline", "list_pipelines", "list_types", "leave",
+		"metrics_json", "trace", "pipeline_defs", "elastic_status"}
+)
+
+// providerRPCNames maps each ProviderID RPC to its wire name, composed once:
+// a client call (Client.callUntil, once per staged block) looks it up
+// instead of concatenating it.
+var providerRPCNames = func() map[string]string {
+	m := make(map[string]string)
+	for _, rpcs := range [][]string{dataRPCs, controlRPCs} {
+		for _, rpc := range rpcs {
+			m[rpc] = margo.ProviderRPCName(ProviderID, rpc)
+		}
+	}
+	return m
+}()
 
 // Info returns this server's address pair.
 func (p *Provider) Info() ServerInfo {
@@ -434,6 +457,18 @@ func (p *Provider) slot(name string) (*pipelineSlot, error) {
 	return s, nil
 }
 
+// slotOf is slot for a name that lies in a received frame: indexing the
+// table by string(name) copies nothing.
+func (p *Provider) slotOf(name []byte) (*pipelineSlot, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s, ok := p.pipelines[string(name)]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchPipeline, name)
+	}
+	return s, nil
+}
+
 // handlePrepare is phase one of the activate 2PC: vote on pinning the
 // proposed view for the iteration.
 func (p *Provider) handlePrepare(req mercury.Request) ([]byte, error) {
@@ -581,11 +616,19 @@ func (p *Provider) handleAbort(req mercury.Request) ([]byte, error) {
 // Per-block decode and backend failures are demultiplexed into the response
 // instead, so one bad block cannot fail or re-send its frame-mates.
 func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
-	pipeline, iteration, recs, bulk, err := decodeStageBatchMsg(req.Payload)
+	name, rest, err := splitStageFrame(req.Payload)
 	if err != nil {
 		return nil, err
 	}
-	slot, err := p.slot(pipeline)
+	slot, err := p.slotOf(name)
+	if err != nil {
+		return nil, err
+	}
+	pipeline := slot.name
+	list := stageRecLists.Get().(*[]stageBatchRec)
+	defer putStageRecList(list)
+	iteration, recs, bulk, err := decodeStageRecords(rest, req.From, &slot.names, (*list)[:0])
+	*list = recs
 	if err != nil {
 		return nil, err
 	}
@@ -629,6 +672,25 @@ func (p *Provider) handleStage(req mercury.Request) ([]byte, error) {
 	// The response buffer leaves this handler's ownership (the transport
 	// holds it until the reply is sent), so it is not drawn from the pool.
 	return appendStageBatchResp(make([]byte, 0, stageBatchRespSize(blockErrs)), blockErrs), nil
+}
+
+// stageRecLists recycles the record lists handleStage decodes frames into,
+// so a frame's records cost no allocation of their own.
+var stageRecLists = sync.Pool{New: func() any { return new([]stageBatchRec) }}
+
+// maxPooledRecs bounds the record list kept for reuse: a frame of more
+// records than the batcher ever sends (a hostile one) gives its list to the
+// collector.
+const maxPooledRecs = 4 * batchMaxBlocks
+
+func putStageRecList(list *[]stageBatchRec) {
+	if cap(*list) > maxPooledRecs {
+		*list = nil
+	} else {
+		clear(*list)
+		*list = (*list)[:0]
+	}
+	stageRecLists.Put(list)
 }
 
 // stageWireBlock decodes one staged block's wire bytes and hands the block

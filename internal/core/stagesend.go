@@ -80,6 +80,9 @@ func (h *DistributedPipelineHandle) sendStage(it uint64, addr string, recs []sta
 			return nil, err
 		}
 	}
+	// The decoded errors copy what they keep, so the response frame goes
+	// back to the pool at once.
+	defer mercury.Recycle(resp)
 	return decodeStageBatchResp(resp, len(recs))
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"colza/internal/codec"
 	"colza/internal/mercury"
@@ -21,9 +22,10 @@ import (
 // request when it rode eagerly, pulled otherwise — and slices it by the
 // records' payload lengths. A frame's head is appended into a pooled buffer
 // sized by stageBatchMsgSize; a region that rides eagerly is the frame's last
-// field and leaves from where it lies, as the tail of a gathered send. A
-// frame is decoded with a handful of small allocations (the record list and
-// the metadata strings), independent of block size.
+// field and leaves from where it lies, as the tail of a gathered send. The
+// server decodes a frame without allocating: the pipeline name is looked up
+// in place, field and type names come from the pipeline's internTable, and
+// the records go into a pooled list (handleStage).
 //
 // Layout (little-endian):
 //
@@ -111,11 +113,52 @@ func readU64(p []byte) (uint64, []byte, error) {
 }
 
 func readLenString(p []byte) (string, []byte, error) {
+	b, p, err := readLenBytes(p)
+	return string(b), p, err
+}
+
+// readLenBytes is readLenString without the copy: the bytes alias p.
+func readLenBytes(p []byte) ([]byte, []byte, error) {
 	n, p, err := readU32(p)
 	if err != nil || int64(n) > int64(len(p)) {
-		return "", nil, ErrStageWire
+		return nil, nil, ErrStageWire
 	}
-	return string(p[:n]), p[n:], nil
+	return p[:n], p[n:], nil
+}
+
+// maxInterned bounds the strings one internTable holds.
+const maxInterned = 64
+
+// internTable holds the strings a pipeline's stage frames name — field and
+// type names, a handful per pipeline — so that decoding a record copies
+// neither: the frame's bytes are looked up in the table in place. A
+// pipeline instance (its provider slot) owns one. Past maxInterned strings
+// it copies per use, as every string was copied before it existed, so a
+// hostile peer naming endless strings grows it no further.
+type internTable struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+// intern returns b as a string, the table's copy when it has one. A nil
+// table copies.
+func (t *internTable) intern(b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s, ok := t.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(t.m) < maxInterned {
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[s] = s
+	}
+	return s
 }
 
 // maxStageBatchBlocks bounds the block count a frame may claim; the batcher
@@ -228,25 +271,31 @@ func appendStageFrame(dst []byte, pipeline string, it uint64, recs []stageBatchR
 	return head, tail
 }
 
-// decodeStageBatchMsg parses a stage frame. Records materialize
-// incrementally as parsing succeeds, so a hostile count cannot reserve
-// memory beyond what the input actually carries; a record's codec is raw
-// or delta, the 64 MiB uncompressed ceiling holds per record, and the
-// payload lengths must sum to exactly the bulk size, which is at most
-// maxStageFramePayload. The strings are copies, but a bulk handle that
-// carries its region (mercury's eager path) aliases p: the handle, and
-// whatever is borrowed from it, is valid only while p is — for a handler,
-// until it returns.
-func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk, err error) {
-	fail := func() (string, uint64, []stageBatchRec, mercury.Bulk, error) {
-		return "", 0, nil, mercury.Bulk{}, ErrStageWire
-	}
+// splitStageFrame checks a stage frame's version and splits off its
+// pipeline name, which aliases p, from the rest of the frame: the server
+// finds the pipeline by the name's bytes (Provider.slotOf), with no copy,
+// before it decodes the records with decodeStageRecords.
+func splitStageFrame(p []byte) (pipeline, rest []byte, err error) {
 	if len(p) < 1 || p[0] != stageBatchWireVersion {
-		return fail()
+		return nil, nil, ErrStageWire
 	}
-	p = p[1:]
-	if pipeline, p, err = readLenString(p); err != nil {
-		return fail()
+	return readLenBytes(p[1:])
+}
+
+// decodeStageRecords parses what follows a stage frame's pipeline name: the
+// iteration, the records, appended to recs, and the bulk handle. Records
+// materialize incrementally as parsing succeeds, so a hostile count cannot
+// reserve memory beyond what the input actually carries; a record's codec
+// is raw or delta, the 64 MiB uncompressed ceiling holds per record, and
+// the payload lengths must sum to exactly the bulk size, which is at most
+// maxStageFramePayload. Field and type names come from names (copies when
+// it is nil), the bulk's owner address is from when it matches
+// (mercury.DecodeBulk). A bulk handle that carries its region (mercury's
+// eager path) aliases p: the handle, and whatever is borrowed from it, is
+// valid only while p is — for a handler, until it returns.
+func decodeStageRecords(p []byte, from string, names *internTable, recs []stageBatchRec) (it uint64, _ []stageBatchRec, bulk mercury.Bulk, err error) {
+	fail := func() (uint64, []stageBatchRec, mercury.Bulk, error) {
+		return 0, recs, mercury.Bulk{}, ErrStageWire
 	}
 	if it, p, err = readU64(p); err != nil {
 		return fail()
@@ -255,12 +304,8 @@ func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatc
 	if count, p, err = readU32(p); err != nil || count == 0 || count > maxStageBatchBlocks {
 		return fail()
 	}
-	cap0 := int(count)
-	if cap0 > 1024 {
-		cap0 = 1024 // grow as records actually parse, not as the frame claims
-	}
-	recs = make([]stageBatchRec, 0, cap0)
 	var totalPayload int64
+	var str []byte
 	for i := uint32(0); i < count; i++ {
 		var r stageBatchRec
 		if len(p) < 1 {
@@ -286,17 +331,19 @@ func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatc
 		}
 		r.CI.Remember = p[0]&stageFlagRemember != 0
 		p = p[1:]
-		if r.Meta.Field, p, err = readLenString(p); err != nil {
+		if str, p, err = readLenBytes(p); err != nil {
 			return fail()
 		}
+		r.Meta.Field = names.intern(str)
 		var v32 uint32
 		if v32, p, err = readU32(p); err != nil {
 			return fail()
 		}
 		r.Meta.BlockID = int(int32(v32))
-		if r.Meta.Type, p, err = readLenString(p); err != nil {
+		if str, p, err = readLenBytes(p); err != nil {
 			return fail()
 		}
+		r.Meta.Type = names.intern(str)
 		for d := range r.Meta.Dims {
 			if v32, p, err = readU32(p); err != nil {
 				return fail()
@@ -329,14 +376,14 @@ func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatc
 	if bn, p, err = readU32(p); err != nil || int64(bn) != int64(len(p)) {
 		return fail()
 	}
-	bulk, rest, err := mercury.DecodeBulk(p)
+	bulk, rest, err := mercury.DecodeBulk(p, from)
 	if err != nil || len(rest) != 0 {
 		return fail()
 	}
 	if totalPayload != int64(bulk.Size) {
 		return fail()
 	}
-	return pipeline, it, recs, bulk, nil
+	return it, recs, bulk, nil
 }
 
 // --- per-block error demultiplexing response ------------------------------

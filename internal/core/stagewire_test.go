@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"colza/internal/codec"
 	"colza/internal/mercury"
@@ -18,6 +20,19 @@ import (
 func appendStageBatchMsg(dst []byte, pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk) []byte {
 	head, tail := appendStageFrame(dst, pipeline, it, recs, bulk)
 	return append(head, tail...)
+}
+
+// decodeStageBatchMsg decodes a whole stage frame as handleStage does —
+// splitStageFrame, then decodeStageRecords — with every string a copy.
+func decodeStageBatchMsg(p []byte) (pipeline string, it uint64, recs []stageBatchRec, bulk mercury.Bulk, err error) {
+	name, rest, err := splitStageFrame(p)
+	if err != nil {
+		return "", 0, nil, mercury.Bulk{}, err
+	}
+	if it, recs, bulk, err = decodeStageRecords(rest, "", nil, nil); err != nil {
+		return "", 0, nil, mercury.Bulk{}, err
+	}
+	return string(name), it, recs, bulk, nil
 }
 
 // oneRec is the record list of a per-block Stage: one record whose payload
@@ -704,5 +719,32 @@ func TestDecodeStageBatchRespMalformed(t *testing.T) {
 	bad[1+4+4] = 9
 	if _, err := decodeStageBatchResp(bad, 8); err == nil {
 		t.Fatal("unknown error kind accepted")
+	}
+}
+
+// TestStageNamesInternedWithBound: a pipeline's intern table hands out one
+// string per name however many frames carry it, stops growing at
+// maxInterned names (copying past that), and a nil table copies.
+func TestStageNamesInternedWithBound(t *testing.T) {
+	var tab internTable
+	a, b := tab.intern([]byte("imagedata")), tab.intern([]byte("imagedata"))
+	if a != "imagedata" || unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatalf("intern gave %q and %q, two copies", a, b)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tab.intern([]byte("imagedata")) }); allocs != 0 {
+		t.Fatalf("interning a known name allocates %.1f times", allocs)
+	}
+	for i := 0; i < 2*maxInterned; i++ {
+		name := fmt.Sprintf("field-%d", i)
+		if got := tab.intern([]byte(name)); got != name {
+			t.Fatalf("intern(%q) = %q", name, got)
+		}
+	}
+	if n := len(tab.m); n != maxInterned {
+		t.Fatalf("table holds %d names, bound %d", n, maxInterned)
+	}
+	var none *internTable
+	if got := none.intern([]byte("raw")); got != "raw" {
+		t.Fatalf("nil table: intern = %q", got)
 	}
 }

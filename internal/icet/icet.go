@@ -62,8 +62,9 @@ func Composite(img *render.Image, c comm.Communicator, strat Strategy, mode Mode
 		mergeEncoded(acc, in, mode)
 		return acc
 	}
-	// The contribution is a pooled frame: every reduce folds and sends a
-	// copy of it, so it is recycled as soon as Reduce returns.
+	// The contribution is a pooled frame: the reduce only reads it (a leaf
+	// sends it as it lies, a rank that receives folds into a copy), so it is
+	// recycled as soon as Reduce returns.
 	frame := img.AppendEncode(bufpool.Get(img.EncodedSize())[:0])
 	out, err := c.Reduce(root, tagBase, frame, op)
 	bufpool.Put(frame)

@@ -1,9 +1,11 @@
 package icet
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
+	"colza/internal/collectives"
 	"colza/internal/minimpi"
 	"colza/internal/render"
 )
@@ -163,6 +165,78 @@ func TestCompositeRootOutsidePowerOfTwo(t *testing.T) {
 		cr, _, _, _ := res.At(r*2, 2)
 		if cr != uint8(r*10+1) {
 			t.Fatalf("root=%d composite lost rank %d stripe (got %d)", root, r, cr)
+		}
+	}
+}
+
+// leafWatch is one rank of a reduce, recording the slices it hands to
+// Send and whether it received anything.
+type leafWatch struct {
+	*minimpi.Comm
+	sent     [][]byte
+	received bool
+}
+
+func (w *leafWatch) Send(dst, tag int, data []byte) error {
+	w.sent = append(w.sent, data)
+	return w.Comm.Send(dst, tag, data)
+}
+
+func (w *leafWatch) Recv(src, tag int) ([]byte, error) {
+	w.received = true
+	return w.Comm.Recv(src, tag)
+}
+
+// TestDepthMergeReduceLeavesInputsAlone: the composite's reduction, with
+// its depth-merge op, on 1–5 ranks and every root, writes no rank's
+// encoded frame, a leaf sends its frame as it lies instead of a copy, and
+// the root folds into a buffer of its own, equal to the sequential merge.
+func TestDepthMergeReduceLeavesInputsAlone(t *testing.T) {
+	op := func(acc, in []byte) []byte { mergeEncoded(acc, in, Depth); return acc }
+	for n := 1; n <= 5; n++ {
+		for root := 0; root < n; root++ {
+			frames, snap := make([][]byte, n), make([][]byte, n)
+			for r := range frames {
+				im := render.NewImage(6, 4)
+				paint(im, r, r+3, float32((r*7)%5+1), uint8(40*r), 9, 200)
+				frames[r] = im.Encode()
+				snap[r] = im.Encode()
+			}
+			world := minimpi.World(n)
+			watch := make([]*leafWatch, n)
+			outs := make([][]byte, n)
+			var wg sync.WaitGroup
+			for r := range world {
+				watch[r] = &leafWatch{Comm: world[r]}
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					var err error
+					if outs[r], err = collectives.Reduce(watch[r], root, tagBase, frames[r], op, collectives.DefaultAlgorithm); err != nil {
+						t.Errorf("n=%d root=%d rank %d: %v", n, root, r, err)
+					}
+				}(r)
+			}
+			wg.Wait()
+			world[0].Finalize()
+			want := append([]byte(nil), snap[0]...)
+			for _, f := range snap[1:] {
+				mergeEncoded(want, f, Depth)
+			}
+			for r := range frames {
+				if !bytes.Equal(frames[r], snap[r]) {
+					t.Fatalf("n=%d root=%d: rank %d's frame was written", n, root, r)
+				}
+				if w := watch[r]; !w.received && r != root && (len(w.sent) != 1 || &w.sent[0][0] != &frames[r][0]) {
+					t.Fatalf("n=%d root=%d: leaf %d sent a copy of its frame", n, root, r)
+				}
+			}
+			if !bytes.Equal(outs[root], want) {
+				t.Fatalf("n=%d root=%d: the reduced frame differs from the sequential merge", n, root)
+			}
+			if n > 1 && &outs[root][0] == &frames[root][0] {
+				t.Fatalf("n=%d root=%d: the root's result is its own frame", n, root)
+			}
 		}
 	}
 }

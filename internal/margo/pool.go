@@ -60,8 +60,12 @@ type Pool struct {
 	metrics atomic.Pointer[poolMetrics]
 }
 
+// runner is what a pool runs: a request's *mercury.Task, which the
+// dispatcher queues as it is, with no closure around it.
+type runner interface{ Run() }
+
 type poolTask struct {
-	run func()
+	run runner
 	enq time.Duration // observer clock at admission, for queue-wait latency
 }
 
@@ -124,18 +128,18 @@ func (m *Instance) BindRPCPool(rpcName string, p *Pool) {
 }
 
 // dispatch is the mercury.Dispatcher: route bound RPCs to their pool,
-// spawn everything else (responses never come here; internal RPCs like the
-// bulk-pull service stay unbounded — their concurrency is already bounded
-// by the pooled handlers that drive them).
-func (m *Instance) dispatch(name string, run func()) error {
+// run everything else on its own goroutine (responses never come here;
+// internal RPCs like the bulk-pull service stay unbounded — their
+// concurrency is already bounded by the pooled handlers that drive them).
+func (m *Instance) dispatch(name string, t *mercury.Task) error {
 	m.pmu.RLock()
 	p := m.rpcPool[name]
 	m.pmu.RUnlock()
 	if p == nil {
-		go run()
+		t.Go()
 		return nil
 	}
-	return p.trySubmit(run)
+	return p.trySubmit(t)
 }
 
 // Name returns the pool name.
@@ -147,7 +151,7 @@ func (p *Pool) Config() PoolConfig { return p.cfg }
 // trySubmit admits run into the queue or sheds it with a retryable busy
 // error. Never blocks: admission control happens here, on the progress
 // loop, so a full pool costs the caller one round trip, not a goroutine.
-func (p *Pool) trySubmit(run func()) error {
+func (p *Pool) trySubmit(run runner) error {
 	pm := p.poolMetrics()
 	if p.closed.Load() {
 		pm.shed.Inc()
@@ -216,7 +220,7 @@ func (p *Pool) runTask(t poolTask) {
 	pm.depth.Dec()
 	pm.wait.Observe(int64(pm.reg.Now() - t.enq))
 	pm.busy.Inc()
-	t.run()
+	t.run.Run()
 	pm.busy.Dec()
 }
 

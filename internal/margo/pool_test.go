@@ -168,7 +168,7 @@ func TestPoolDrainOnFinalize(t *testing.T) {
 	p := m.DefinePool("data", PoolConfig{Workers: 1, Queue: 4})
 	var ran atomic.Int64
 	for i := 0; i < 3; i++ {
-		if err := p.trySubmit(func() { ran.Add(1) }); err != nil {
+		if err := p.trySubmit(runFunc(func() { ran.Add(1) })); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestPoolDrainOnFinalize(t *testing.T) {
 		t.Fatalf("ran %d admitted tasks, want 3", got)
 	}
 	// After close, submissions shed instead of deadlocking.
-	if err := p.trySubmit(func() {}); !errors.Is(err, mercury.ErrBusy) {
+	if err := p.trySubmit(runFunc(func() {})); !errors.Is(err, mercury.ErrBusy) {
 		t.Fatalf("post-close submit: err = %v, want ErrBusy", err)
 	}
 }
@@ -206,3 +206,9 @@ func TestDefinePoolIdempotent(t *testing.T) {
 		t.Fatalf("config workers = %d, want first definition's 1", got)
 	}
 }
+
+// runFunc submits a plain function to a pool, as the dispatcher submits a
+// request's task.
+type runFunc func()
+
+func (f runFunc) Run() { f() }

@@ -83,8 +83,10 @@ func (b Bulk) AppendEncode(dst []byte) (head, tail []byte) {
 // buffer, an embedded region whose length is not Size) errors without
 // allocating proportionally to the claimed lengths. An embedded region is
 // not copied: the handle aliases data, so it is valid only as long as data
-// is — for a request payload, the duration of the handler.
-func DecodeBulk(data []byte) (Bulk, []byte, error) {
+// is — for a request payload, the duration of the handler. from is the
+// address the handle most likely names, a request's Request.From: an owner
+// address equal to it is that string, not a copy (pass "" for none).
+func DecodeBulk(data []byte, from string) (Bulk, []byte, error) {
 	if len(data) < 20 {
 		return Bulk{}, nil, ErrBadBulk
 	}
@@ -101,7 +103,10 @@ func DecodeBulk(data []byte) (Bulk, []byte, error) {
 	if int64(len(data)) < int64(al) {
 		return Bulk{}, nil, ErrBadBulk
 	}
-	b.Addr = string(data[:al])
+	b.Addr = from
+	if string(data[:al]) != from {
+		b.Addr = string(data[:al])
+	}
 	data = data[al:]
 	if embedded {
 		if len(data) < 4 {
@@ -431,6 +436,7 @@ func (c *Class) pullChunk(b Bulk, off int, dst []byte) error {
 	if err != nil {
 		return fmt.Errorf("mercury: bulk pull from %s: %w", b.Addr, err)
 	}
+	defer Recycle(piece)
 	if len(piece) != len(dst) {
 		return fmt.Errorf("%w: short pull (%d of %d bytes)", ErrBadBulk, len(piece), len(dst))
 	}

@@ -52,7 +52,7 @@ func classPair(tb testing.TB, transport string) (owner, peer *Class, ownerReg, p
 // got through sink (called before the loan is handed back).
 func fetchHandler(c *Class, sink func(region []byte)) Handler {
 	return func(req Request) ([]byte, error) {
-		b, rest, err := DecodeBulk(req.Payload)
+		b, rest, err := DecodeBulk(req.Payload, req.From)
 		if err != nil || len(rest) != 0 {
 			return nil, ErrBadBulk
 		}
@@ -153,7 +153,7 @@ func TestEagerHandleAliasesFrame(t *testing.T) {
 	b := owner.Expose(region)
 	defer owner.Release(b)
 	frame := append(b.Encode(), "tail"...)
-	dec, rest, err := DecodeBulk(frame)
+	dec, rest, err := DecodeBulk(frame, "")
 	if err != nil || string(rest) != "tail" {
 		t.Fatalf("decode: %v, rest %q", err, rest)
 	}
@@ -176,7 +176,7 @@ func TestEagerHandleAliasesFrame(t *testing.T) {
 		t.Fatal("decoded eager handle does not re-encode to the same bytes")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := DecodeBulk(frame); err != nil {
+		if _, _, err := DecodeBulk(frame, ""); err != nil {
 			t.Fatal(err)
 		}
 	})

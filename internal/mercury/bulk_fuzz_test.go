@@ -33,7 +33,7 @@ func FuzzDecodeBulk(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, rest, err := DecodeBulk(data)
+		b, rest, err := DecodeBulk(data, "")
 		if err != nil {
 			return
 		}
@@ -50,6 +50,13 @@ func FuzzDecodeBulk(f *testing.F) {
 		if !bytes.Equal(enc, data[:len(data)-len(rest)]) {
 			t.Fatalf("re-encode mismatch: %x vs %x", enc, data[:len(data)-len(rest)])
 		}
+		// A known sender address changes which string the handle holds,
+		// never what it says.
+		for _, from := range []string{b.Addr, b.Addr + "x"} {
+			if k, _, err := DecodeBulk(data, from); err != nil || k.Addr != b.Addr || k.ID != b.ID || k.Size != b.Size {
+				t.Fatalf("decode with from %q: %+v, %v; without: %+v", from, k, err, b)
+			}
+		}
 	})
 }
 
@@ -61,7 +68,7 @@ func TestDecodeBulkBoundedAllocs(t *testing.T) {
 	frames := append(malformedEagerFrames(), frame)
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, frame := range frames {
-			if _, _, err := DecodeBulk(frame); !errors.Is(err, ErrBadBulk) {
+			if _, _, err := DecodeBulk(frame, ""); !errors.Is(err, ErrBadBulk) {
 				t.Fatalf("malformed frame %x: err = %v, want ErrBadBulk", frame, err)
 			}
 		}

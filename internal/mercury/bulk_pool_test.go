@@ -137,7 +137,7 @@ func TestDecodeBulkNegativeSize(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		enc[i] = 0xFF
 	}
-	if _, _, err := DecodeBulk(enc); !errors.Is(err, ErrBadBulk) {
+	if _, _, err := DecodeBulk(enc, ""); !errors.Is(err, ErrBadBulk) {
 		t.Fatalf("negative size decoded: %v", err)
 	}
 }

@@ -12,9 +12,9 @@ import (
 func TestDispatcherRunsHandlers(t *testing.T) {
 	c1, c2 := pairT(t)
 	var dispatched atomic.Int64
-	c2.SetDispatcher(func(name string, run func()) error {
+	c2.SetDispatcher(func(name string, t *Task) error {
 		dispatched.Add(1)
-		go run()
+		t.Go()
 		return nil
 	})
 	c2.Register("echo", func(req Request) ([]byte, error) {
@@ -38,7 +38,7 @@ func TestDispatcherRunsHandlers(t *testing.T) {
 func TestDispatcherShedSendsBusy(t *testing.T) {
 	c1, c2 := pairT(t)
 	var ran atomic.Bool
-	c2.SetDispatcher(func(name string, run func()) error {
+	c2.SetDispatcher(func(name string, t *Task) error {
 		return &BusyError{RetryAfter: 7 * time.Millisecond}
 	})
 	c2.Register("work", func(req Request) ([]byte, error) {
@@ -62,7 +62,7 @@ func TestDispatcherShedSendsBusy(t *testing.T) {
 // the caller as a remote error (no silent drop, no hang).
 func TestDispatcherShedPlainError(t *testing.T) {
 	c1, c2 := pairT(t)
-	c2.SetDispatcher(func(name string, run func()) error {
+	c2.SetDispatcher(func(name string, t *Task) error {
 		return errors.New("nope")
 	})
 	c2.Register("work", func(req Request) ([]byte, error) { return nil, nil })

@@ -139,15 +139,16 @@ type CallHook func(to, name string) error
 // skipped. The callee-side analog of CallHook.
 type ServeHook func(req Request) error
 
-// Dispatcher schedules the execution of an incoming request's handler. run
-// performs the complete serve (handler + response send) and must be invoked
-// exactly once, on whatever execution stream the dispatcher chooses. A
-// non-nil return sheds the request: run is NOT invoked and the error is
-// sent to the caller directly from the progress loop — return *BusyError to
-// make the shed retryable with a backoff hint. The zero dispatcher (none
-// installed) runs every handler on its own goroutine, the historic
-// unbounded behavior; margo installs one to bind RPCs to bounded pools.
-type Dispatcher func(name string, run func()) error
+// Dispatcher schedules the execution of an incoming request's handler. t
+// is the request: t.Run performs the complete serve (handler + response
+// send) and must be invoked exactly once, on whatever execution stream the
+// dispatcher chooses (t.Go runs it on a goroutine of its own). A non-nil
+// return sheds the request: t is NOT run, the dispatcher must not touch it
+// again, and the error is sent to the caller directly from the progress
+// loop — return *BusyError to make the shed retryable with a backoff hint.
+// The zero dispatcher (none installed) runs every handler on its own
+// goroutine; margo installs one to bind RPCs to bounded pools.
+type Dispatcher func(name string, t *Task) error
 
 // DefaultTimeout is used by Call when the caller passes 0.
 const DefaultTimeout = 10 * time.Second
@@ -182,14 +183,24 @@ type Class struct {
 	arena na.LocalBulk
 
 	mu         sync.RWMutex
-	handlers   map[string]Handler
+	handlers   map[string]handlerEntry
 	callHook   CallHook
 	serveHook  ServeHook
 	dispatcher Dispatcher
 	closed     bool
 
+	// pending maps a call id to the channel its response is delivered on.
+	// The progress loop delivers under pmu and removes the entry as it does,
+	// so a call that stops waiting learns, under pmu, whether a response is
+	// already in its channel (settle).
 	pmu     sync.Mutex
 	pending map[uint64]chan response
+
+	// idle hands a request to a handler goroutine waiting for its next one
+	// (spawn); done closes when the class does, and the waiting goroutines
+	// exit.
+	idle chan *Task
+	done chan struct{}
 
 	bmu    sync.Mutex
 	bulks  map[uint64]region
@@ -232,18 +243,35 @@ func (c *Class) observer() *obs.Registry {
 	return obs.Default()
 }
 
+// handlerEntry is a registered handler under its name: the progress loop
+// finds it by the name's bytes in a request frame and hands the handler
+// this copy of the name, so a known name costs no string per request.
+type handlerEntry struct {
+	name string
+	h    Handler
+}
+
+// response is one delivered response: its status, its payload, and the
+// frame both lie in, which goes back to the pool once nobody reads it.
 type response struct {
 	status  byte
 	payload []byte
+	frame   []byte
 }
+
+// respChans recycles the channels calls wait on; one goes back only empty
+// (settle).
+var respChans = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // New creates a Class on ep and starts its progress loop.
 func New(ep na.Endpoint) *Class {
 	c := &Class{
 		ep:       ep,
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]handlerEntry),
 		pending:  make(map[uint64]chan response),
 		bulks:    make(map[uint64]region),
+		idle:     make(chan *Task),
+		done:     make(chan struct{}),
 	}
 	c.arena, _ = ep.(na.LocalBulk)
 	c.Register(bulkPullRPC, c.handleBulkPull)
@@ -258,7 +286,7 @@ func (c *Class) Addr() string { return c.ep.Addr() }
 // Register installs (or replaces) the handler for an RPC name.
 func (c *Class) Register(name string, h Handler) {
 	c.mu.Lock()
-	c.handlers[name] = h
+	c.handlers[name] = handlerEntry{name: name, h: h}
 	c.mu.Unlock()
 }
 
@@ -294,7 +322,12 @@ func (c *Class) SetDispatcher(d Dispatcher) {
 }
 
 // Call invokes the named RPC at address to and waits for the response.
-// timeout<=0 selects DefaultTimeout. The response is the caller's to keep.
+// timeout<=0 selects DefaultTimeout; it runs from the moment the request is
+// sent. The response is the caller's: it may keep it as long as it likes,
+// or, once done with it, hand it back with Recycle and not touch it again.
+// A caller on a hot path does the latter: a response of up to smallResponse
+// bytes lies at the start of the pooled frame it arrived in, and handing it
+// back is what keeps the receive of the next response from allocating.
 func (c *Class) Call(to, name string, payload []byte, timeout time.Duration) ([]byte, error) {
 	return c.CallGather(to, name, payload, nil, timeout)
 }
@@ -303,7 +336,8 @@ func (c *Class) Call(to, name string, payload []byte, timeout time.Duration) ([]
 // payload then tail, which the callee receives as one: the tail leaves as it
 // lies (the body of a gathered send), and only the request header and
 // payload are copied into the frame's head. A stage frame sends its eager
-// region this way. Call is CallGather with no tail.
+// region this way. Call is CallGather with no tail; the response is owned
+// as Call's is.
 func (c *Class) CallGather(to, name string, payload, tail []byte, timeout time.Duration) (resp []byte, err error) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -330,49 +364,78 @@ func (c *Class) CallGather(to, name string, payload, tail []byte, timeout time.D
 		}
 	}
 	id := c.nextID.Add(1)
-	ch := make(chan response, 1)
+	ch := respChans.Get().(chan response)
 	c.pmu.Lock()
 	c.pending[id] = ch
 	c.pmu.Unlock()
-	defer func() {
-		c.pmu.Lock()
-		delete(c.pending, id)
-		c.pmu.Unlock()
-	}()
 
+	timer := getTimer(timeout)
+	defer putTimer(timer)
 	var hdr [64]byte
 	if len(tail) == 0 {
 		payload, tail = nil, payload // a plain message: the payload is the body
 	}
-	sendErr := c.sendFrame(to, appendRequestHeader(hdr[:0], id, name), payload, tail)
-	if sendErr != nil {
+	if sendErr := c.sendFrame(to, appendRequestHeader(hdr[:0], id, name), payload, tail); sendErr != nil {
+		if r, ok := c.settle(id, ch); ok {
+			Recycle(r.frame)
+		}
 		return nil, fmt.Errorf("mercury: send to %s: %w", to, sendErr)
 	}
-	timer := getTimer(timeout)
-	defer putTimer(timer)
+	var r response
 	select {
-	case r := <-ch:
-		switch r.status {
-		case statusOK:
-			return r.payload, nil
-		case statusUnknownRPC:
-			return nil, fmt.Errorf("%w: %s at %s", ErrUnknownRPC, name, to)
-		case statusBusy:
-			var ra time.Duration
-			if len(r.payload) >= 8 {
-				ra = time.Duration(binary.LittleEndian.Uint64(r.payload))
-			}
-			return nil, &BusyError{RetryAfter: ra}
-		default:
-			return nil, &RemoteError{Msg: string(r.payload)}
-		}
+	case r = <-ch:
+		respChans.Put(ch)
 	case <-timer.C:
-		return nil, fmt.Errorf("%w: %s at %s", ErrTimeout, name, to)
+		var ok bool
+		if r, ok = c.settle(id, ch); !ok {
+			return nil, fmt.Errorf("%w: %s at %s", ErrTimeout, name, to)
+		}
 	}
+	switch r.status {
+	case statusOK:
+		return r.payload, nil
+	case statusUnknownRPC:
+		err = fmt.Errorf("%w: %s at %s", ErrUnknownRPC, name, to)
+	case statusBusy:
+		var ra time.Duration
+		if len(r.payload) >= 8 {
+			ra = time.Duration(binary.LittleEndian.Uint64(r.payload))
+		}
+		err = &BusyError{RetryAfter: ra}
+	default:
+		err = &RemoteError{Msg: string(r.payload)}
+	}
+	Recycle(r.frame)
+	return nil, err
 }
 
-// progress is the endpoint receive loop: it dispatches requests to handler
-// goroutines and completes pending calls with their responses. A request's
+// settle ends a call that stopped waiting for its response (timed out, or
+// its request never left) and returns ch to the pool. The call's pending
+// entry goes; if the progress loop had already removed it, the response was
+// delivered into ch under pmu before settle looked, so it is taken out —
+// returned, ok — and ch goes back empty: a recycled channel never carries
+// an earlier call's response into the next call that draws it.
+func (c *Class) settle(id uint64, ch chan response) (r response, ok bool) {
+	c.pmu.Lock()
+	_, waiting := c.pending[id]
+	delete(c.pending, id)
+	c.pmu.Unlock()
+	if !waiting {
+		r, ok = <-ch, true
+	}
+	respChans.Put(ch)
+	return r, ok
+}
+
+// smallResponse is the largest response payload the progress loop moves to
+// the start of its frame, which is then the whole pooled buffer again and
+// goes back to the pool when the caller hands the response back (Recycle).
+// A larger one — a bulk-pull chunk — is not worth the copy and stays where
+// it lies; Recycle leaves it to the collector.
+const smallResponse = 4 << 10
+
+// progress is the endpoint receive loop: it dispatches requests to their
+// handlers and completes pending calls with their responses. A request's
 // frame is recycled once its serve is over; a frame that serves nothing —
 // short, malformed, shed, a response nobody waits for — at once. A
 // response frame is its caller's.
@@ -384,7 +447,7 @@ func (c *Class) progress() {
 			return
 		}
 		if len(data) < 9 {
-			recycle(data)
+			Recycle(data)
 			continue
 		}
 		kind := data[0]
@@ -392,41 +455,126 @@ func (c *Class) progress() {
 		body := data[9:]
 		switch kind {
 		case kindRequest:
-			name, payload, ok := splitRequest(body)
+			nameBytes, payload, ok := splitRequest(body)
 			if !ok {
-				recycle(data)
+				Recycle(data)
 				continue
 			}
 			c.mu.RLock()
-			h := c.handlers[name]
+			e, known := c.handlers[string(nameBytes)]
 			d := c.dispatcher
 			c.mu.RUnlock()
+			name := e.name
+			if !known {
+				name = string(nameBytes)
+			}
+			t := taskPool.Get().(*Task)
+			*t = Task{c: c, from: from, name: name, id: id, payload: payload, frame: data, h: e.h}
 			if d == nil {
-				go c.serve(from, id, name, payload, data, h)
+				c.spawn(t)
 				continue
 			}
-			if err := d(name, func() { c.serve(from, id, name, payload, data, h) }); err != nil {
+			if err := d(name, t); err != nil {
 				// Shed at admission: no handler goroutine exists for this
 				// request, so the refusal is sent inline from the progress
 				// loop. The frame is tiny; with transport write deadlines
 				// this cannot wedge the loop.
+				*t = Task{}
+				taskPool.Put(t)
 				c.respondError(from, id, name, err)
-				recycle(data)
+				Recycle(data)
 			}
 		case kindResponse:
-			var ch chan response
-			if len(body) >= 1 {
-				c.pmu.Lock()
-				ch = c.pending[id]
-				c.pmu.Unlock()
-			}
-			if ch == nil {
-				recycle(data)
+			if len(body) < 1 {
+				Recycle(data)
 				continue
 			}
-			ch <- response{status: body[0], payload: body[1:]}
+			r := response{status: body[0], payload: body[1:], frame: data}
+			if len(r.payload) <= smallResponse {
+				r.payload = data[:copy(data, r.payload)]
+			}
+			c.pmu.Lock()
+			ch := c.pending[id]
+			if ch != nil {
+				// Delivered under pmu, and the entry removed with it: see
+				// settle. ch is empty while pending, so this never blocks.
+				delete(c.pending, id)
+				ch <- r
+			}
+			c.pmu.Unlock()
+			if ch == nil {
+				Recycle(data)
+			}
 		default:
-			recycle(data)
+			Recycle(data)
+		}
+	}
+}
+
+// Task is one received request on its way to its handler. The progress
+// loop fills one per request from a pool and Run hands it back, so a
+// dispatch allocates nothing.
+type Task struct {
+	c              *Class
+	from, name     string
+	id             uint64
+	payload, frame []byte
+	h              Handler
+}
+
+var taskPool = sync.Pool{New: func() any { return new(Task) }}
+
+// Run serves the request: its handler, its response, its Defer callbacks,
+// and the recycling of its frame. Call it exactly once; t is not to be
+// touched afterwards.
+func (t *Task) Run() {
+	c, from, id, name, payload, frame, h := t.c, t.from, t.id, t.name, t.payload, t.frame, t.h
+	*t = Task{}
+	taskPool.Put(t)
+	c.serve(from, id, name, payload, frame, h)
+}
+
+// Go runs t on a goroutine of its own, as the zero dispatcher runs every
+// request. Like Run, it is called once.
+func (t *Task) Go() { t.c.spawn(t) }
+
+// runnerIdle is how long a handler goroutine waits for another request
+// after serving one before it exits.
+const runnerIdle = 20 * time.Millisecond
+
+// spawn runs t on a goroutine of its own: one that served an earlier
+// request and is waiting for the next if there is one, a new one
+// otherwise. No request ever waits for another's handler, and a steady
+// stream of requests reuses its goroutines instead of starting one (and
+// allocating its closure) per request.
+func (c *Class) spawn(t *Task) {
+	select {
+	case c.idle <- t:
+	default:
+		go c.runner(t)
+	}
+}
+
+// runner serves t, then every request spawn hands it, until none comes for
+// runnerIdle or the class closes.
+func (c *Class) runner(t *Task) {
+	idle := time.NewTimer(runnerIdle)
+	defer idle.Stop()
+	for {
+		t.Run()
+		if !idle.Stop() {
+			select {
+			case <-idle.C:
+			default:
+			}
+		}
+		idle.Reset(runnerIdle)
+		select {
+		case t = <-c.idle:
+		case <-idle.C:
+			return
+		case <-c.done:
+			return
 		}
 	}
 }
@@ -477,15 +625,16 @@ func (c *Class) serve(from string, id uint64, name string, payload, frame []byte
 		dc.run()
 		deferPool.Put(dc)
 	}
-	recycle(frame)
+	Recycle(frame)
 }
 
-// recycle returns a spent frame to the pool. The stream endpoints read
-// frames into pooled buffers, whose capacity is a class size; the
-// in-process endpoint hands out exact-size copies, which would park in the
-// class below their size at the cost of a slice header each, for a pool no
-// in-process receive draws from. Those are left to the collector.
-func recycle(frame []byte) {
+// Recycle hands a spent frame back to the pool: a response a caller is
+// done with (Call), or a request frame once its serve is over. The stream
+// endpoints read frames into pooled buffers, whose capacity is a class
+// size; anything else — the in-process endpoint's exact-size copies, a
+// large response that still carries its header before it — is left to the
+// collector.
+func Recycle(frame []byte) {
 	if c := cap(frame); c&(c-1) == 0 {
 		bufpool.Put(frame)
 	}
@@ -543,6 +692,7 @@ func (c *Class) Close() error {
 	c.mu.Unlock()
 	err := c.ep.Close()
 	c.wg.Wait()
+	close(c.done)
 	return err
 }
 
@@ -567,15 +717,17 @@ func appendRequestHeader(dst []byte, id uint64, name string) []byte {
 	return append(dst, name...)
 }
 
-func splitRequest(body []byte) (name string, payload []byte, ok bool) {
+// splitRequest splits a request body into its RPC name and payload, both
+// aliasing body.
+func splitRequest(body []byte) (name, payload []byte, ok bool) {
 	if len(body) < 4 {
-		return "", nil, false
+		return nil, nil, false
 	}
 	nl := int(binary.LittleEndian.Uint32(body))
 	if len(body) < 4+nl {
-		return "", nil, false
+		return nil, nil, false
 	}
-	return string(body[4 : 4+nl]), body[4+nl:], true
+	return body[4 : 4+nl], body[4+nl:], true
 }
 
 // RPCNameOf extracts the RPC name from a raw request frame. It is the
@@ -586,8 +738,8 @@ func RPCNameOf(frame []byte) (name string, ok bool) {
 	if len(frame) < 9 || frame[0] != kindRequest {
 		return "", false
 	}
-	name, _, ok = splitRequest(frame[9:])
-	return name, ok
+	b, _, ok := splitRequest(frame[9:])
+	return string(b), ok
 }
 
 // timerPool recycles call-timeout timers: every RPC needs one, and a fresh

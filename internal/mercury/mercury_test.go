@@ -182,7 +182,7 @@ func TestBulkEmptyRegion(t *testing.T) {
 func TestBulkHandleEncodeDecode(t *testing.T) {
 	b := Bulk{Addr: "inproc://somewhere", ID: 42, Size: 1 << 20}
 	enc := append(b.Encode(), 0xFF, 0xFE)
-	dec, rest, err := DecodeBulk(enc)
+	dec, rest, err := DecodeBulk(enc, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestBulkHandleEncodeDecode(t *testing.T) {
 	if len(rest) != 2 || rest[0] != 0xFF {
 		t.Fatalf("rest = %v", rest)
 	}
-	if _, _, err := DecodeBulk([]byte{1, 2, 3}); err == nil {
+	if _, _, err := DecodeBulk([]byte{1, 2, 3}, ""); err == nil {
 		t.Fatal("expected error on short handle")
 	}
 }

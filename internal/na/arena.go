@@ -159,6 +159,7 @@ type shmBulk struct {
 
 	amu    sync.Mutex
 	arenas map[string]*smArenaMap // mapped peer arenas, by base path
+	owners map[string]string      // owner address -> colocated base, "" if none (ownerBase)
 	closed bool                   // close ran: no peer arena is mapped any more
 }
 
@@ -172,6 +173,7 @@ func newShmBulk(base string, arenaBytes, arenaSlots int) (*shmBulk, error) {
 		arenaBytes: uint64(arenaBytes),
 		arenaSlots: uint64(arenaSlots),
 		arenas:     make(map[string]*smArenaMap),
+		owners:     make(map[string]string),
 	}
 	s.met.Store(newArenaMetrics(obs.Default()))
 	return s, nil
@@ -638,12 +640,8 @@ func (m *smArenaMap) unpin(slot uint64) {
 // na.shm.pull.local for a view, na.shm.pull.fallback for a miss against a
 // colocated owner.
 func (s *shmBulk) BorrowLocal(ownerAddr string, id uint64, n int) (view []byte, done func(), ok bool) {
-	smAddr, _ := SplitAddr(ownerAddr)
-	if smAddr == "" {
-		return nil, nil, false
-	}
-	host, base, ok := smHostBase(smAddr)
-	if !ok || host != s.host || base == s.base {
+	base := s.ownerBase(ownerAddr)
+	if base == "" {
 		return nil, nil, false
 	}
 	m := s.met.Load()
@@ -659,8 +657,59 @@ func (s *shmBulk) BorrowLocal(ownerAddr string, id uint64, n int) (view []byte, 
 		return nil, nil, false
 	}
 	m.pullLocal.Inc()
-	return view, func() {
-		am.unpin(slot)
-		am.unref()
-	}, true
+	l := arenaLoans.Get().(*arenaLoan)
+	l.am, l.slot = am, slot
+	return view, l.done, true
+}
+
+// ownerBase returns the segment base of a colocated owner's arena, "" when
+// ownerAddr names no peer on this host (or names this endpoint). The answer
+// depends on the address alone, so it is worked out once per owner:
+// SplitAddr builds a string for a composite address.
+func (s *shmBulk) ownerBase(ownerAddr string) string {
+	s.amu.Lock()
+	base, known := s.owners[ownerAddr]
+	s.amu.Unlock()
+	if known {
+		return base
+	}
+	if smAddr, _ := SplitAddr(ownerAddr); smAddr != "" {
+		if host, b, ok := smHostBase(smAddr); ok && host == s.host && b != s.base {
+			base = b
+		}
+	}
+	s.amu.Lock()
+	if len(s.owners) >= maxRoutes {
+		clear(s.owners)
+	}
+	s.owners[ownerAddr] = base
+	s.amu.Unlock()
+	return base
+}
+
+// arenaLoan is one borrow's pin on a peer arena. Loans are pooled with
+// their bound done, so a borrow allocates nothing.
+type arenaLoan struct {
+	am   *smArenaMap
+	slot uint64
+	done func()
+}
+
+var arenaLoans sync.Pool
+
+func init() {
+	// Set here, not in the declaration: release refers to the pool.
+	arenaLoans.New = func() any {
+		l := &arenaLoan{}
+		l.done = l.release
+		return l
+	}
+}
+
+func (l *arenaLoan) release() {
+	am, slot := l.am, l.slot
+	l.am = nil
+	arenaLoans.Put(l)
+	am.unpin(slot)
+	am.unref()
 }

@@ -116,9 +116,15 @@ type packet struct {
 // instantaneous depth and high-water mark as na.queue.depth, and the
 // goroutine-leak gates assert it drains back to zero at teardown.
 type pktQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// items[head:] are the queued packets. The array is kept: a pop only
+	// advances head, the queue starts over at the array's front whenever it
+	// empties, and a push that finds the array full slides what is left to
+	// its front before it grows it. A steady stream of frames therefore
+	// reuses one array instead of allocating a new one per push.
 	items  []packet
+	head   int
 	closed bool
 	depth  atomic.Pointer[obs.Gauge]
 }
@@ -135,7 +141,7 @@ func (q *pktQueue) setDepthGauge(g *obs.Gauge) {
 	q.mu.Lock()
 	q.depth.Store(g)
 	if g != nil {
-		g.Set(int64(len(q.items)))
+		g.Set(int64(len(q.items) - q.head))
 	}
 	q.mu.Unlock()
 }
@@ -145,6 +151,11 @@ func (q *pktQueue) push(p packet) bool {
 	defer q.mu.Unlock()
 	if q.closed {
 		return false
+	}
+	if len(q.items) == cap(q.items) && q.head > 0 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
 	q.items = append(q.items, p)
 	if g := q.depth.Load(); g != nil {
@@ -157,14 +168,17 @@ func (q *pktQueue) push(p packet) bool {
 func (q *pktQueue) pop() (packet, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return packet{}, ErrClosed
 	}
-	p := q.items[0]
-	q.items = q.items[1:]
+	p := q.items[q.head]
+	q.items[q.head] = packet{} // the queue keeps no reference to a popped frame
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	if g := q.depth.Load(); g != nil {
 		g.Add(-1)
 	}
@@ -175,9 +189,9 @@ func (q *pktQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	if g := q.depth.Load(); g != nil {
-		g.Add(-int64(len(q.items)))
+		g.Add(-int64(len(q.items) - q.head))
 	}
-	q.items = nil
+	q.items, q.head = nil, 0
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }

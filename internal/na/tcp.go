@@ -52,6 +52,7 @@ func listenTCP(hostport string) (*tcpEP, error) {
 		l:            l,
 		q:            newPktQueue(),
 		conns:        make(map[string]*tcpConn),
+		routes:       make(map[string]peerRoute),
 		accepted:     make(map[net.Conn]struct{}),
 		writeTimeout: defaultTCPWriteTimeout,
 	}
@@ -80,7 +81,8 @@ type tcpEP struct {
 	route atomic.Pointer[routeMetrics]
 
 	mu       sync.Mutex
-	conns    map[string]*tcpConn   // outbound dials, keyed by peer address
+	conns    map[string]*tcpConn   // outbound dials, keyed by the peer's tcp address
+	routes   map[string]peerRoute  // destination addresses, split (routeOf)
 	accepted map[net.Conn]struct{} // inbound conns owned by readLoops
 	closed   bool
 }
@@ -240,23 +242,16 @@ func (e *tcpEP) SendGather(to string, head, body []byte) error {
 	if len(head)+len(body) > maxFrame {
 		return ErrTooLarge
 	}
-	// A composite sm+tcp address is reached through its tcp component; the
-	// sm one only matters to the dial, and only on a dual endpoint.
-	smPart, tcpPart := SplitAddr(to)
-	if tcpPart != "" {
-		to = tcpPart
-	}
-	hostport := strings.TrimPrefix(to, schemeTCP)
-	if hostport == to {
-		return fmt.Errorf("%w: %s (not a tcp address)", ErrNoRoute, to)
-	}
-	conn, err := e.getConn(to, hostport, smPart)
+	conn, key, err := e.getConn(to)
 	if err != nil {
+		if errors.Is(err, ErrNoRoute) {
+			return err
+		}
 		// Connection refused behaves like a lost datagram once the peer is
 		// gone; surface only resolution-style failures (malformed address,
 		// unresolvable host) — those mean the address can never work.
 		if isAddressErr(err) {
-			return fmt.Errorf("%w: %s: %v", ErrNoRoute, to, err)
+			return fmt.Errorf("%w: %s: %v", ErrNoRoute, key, err)
 		}
 		return nil
 	}
@@ -275,7 +270,7 @@ func (e *tcpEP) SendGather(to string, head, body []byte) error {
 	if err != nil {
 		// Covers write timeouts too: the stalled conn is discarded so the
 		// next Send re-dials instead of queueing behind a dead socket.
-		e.dropConn(to, conn)
+		e.dropConn(key, conn)
 	}
 	return nil
 }
@@ -293,37 +288,81 @@ func isAddressErr(err error) bool {
 	return errors.As(err, &de)
 }
 
-func (e *tcpEP) getConn(to, hostport, smPart string) (*tcpConn, error) {
+// peerRoute is how one destination address is reached: key is the tcp
+// component every form of a peer's address shares, which names its cached
+// connection, hostport what to dial over TCP, and sm the sm component a
+// dual endpoint dials the unix socket by ("" if none).
+type peerRoute struct {
+	key, hostport, sm string
+}
+
+// maxRoutes bounds the split addresses an endpoint remembers; past it the
+// table starts over.
+const maxRoutes = 4096
+
+// routeOf splits to into its route, once per address: SplitAddr builds two
+// strings for a composite address, which a send would otherwise pay for on
+// every frame. The caller holds e.mu.
+func (e *tcpEP) routeOf(to string) (peerRoute, error) {
+	if r, ok := e.routes[to]; ok {
+		return r, nil
+	}
+	// A composite sm+tcp address is reached through its tcp component; the
+	// sm one only matters to the dial, and only on a dual endpoint.
+	sm, key := SplitAddr(to)
+	if key == "" {
+		key = to
+	}
+	hostport := strings.TrimPrefix(key, schemeTCP)
+	if hostport == key {
+		return peerRoute{}, fmt.Errorf("%w: %s (not a tcp address)", ErrNoRoute, to)
+	}
+	if len(e.routes) >= maxRoutes {
+		clear(e.routes)
+	}
+	r := peerRoute{key: key, hostport: hostport, sm: sm}
+	e.routes[to] = r
+	return r, nil
+}
+
+// getConn returns the cached connection to the peer at to, dialing it on
+// first use, and the key it is cached under.
+func (e *tcpEP) getConn(to string) (*tcpConn, string, error) {
 	e.mu.Lock()
+	r, err := e.routeOf(to)
+	if err != nil {
+		e.mu.Unlock()
+		return nil, to, err
+	}
 	if e.closed {
 		e.mu.Unlock()
-		return nil, ErrClosed
+		return nil, r.key, ErrClosed
 	}
-	if c, ok := e.conns[to]; ok {
+	if c, ok := e.conns[r.key]; ok {
 		e.mu.Unlock()
-		return c, nil
+		return c, r.key, nil
 	}
 	e.mu.Unlock()
 
-	raw, err := e.dial(hostport, smPart)
+	raw, err := e.dial(r.hostport, r.sm)
 	if err != nil {
-		return nil, err
+		return nil, r.key, err
 	}
 	c := newTCPConn(raw, e.addr)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		raw.Close()
-		return nil, ErrClosed
+		return nil, r.key, ErrClosed
 	}
-	if old, ok := e.conns[to]; ok {
+	if old, ok := e.conns[r.key]; ok {
 		e.mu.Unlock()
 		raw.Close()
-		return old, nil
+		return old, r.key, nil
 	}
-	e.conns[to] = c
+	e.conns[r.key] = c
 	e.mu.Unlock()
-	return c, nil
+	return c, r.key, nil
 }
 
 // dial opens the connection to a peer. Between two dual endpoints on one
