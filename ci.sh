@@ -59,21 +59,12 @@ if [ "${1:-}" != "cover" ]; then
     # bound, batcher drain, controller stop), the pooled response channels'
     # late-response check (mercury's TestLateResponseNeverReachesNextCall), crash recovery against the
     # replicated-checkpoint oracle, the stage-retry buffer-ownership chaos suites
-    # (raw, compressed, coalesced, over sm+tcp), the full stack over sm, the fuzz
-    # seed corpora, and the elastic conformance and live closed-loop suites.
+    # (raw, compressed, coalesced, over sm+tcp), the full stack over sm, a
+    # daemon that serves on, with nothing of either left on disk, after an sm
+    # client process is SIGKILLed mid-stage, the fuzz seed corpora, and the
+    # elastic conformance and live closed-loop suites.
     go test -timeout 300s ./...
     go test -race -timeout 600s ./...
-    # Segment-cleanup sweep: the passes above ran servers and clients on sm+tcp
-    # dual endpoints; a test run must not leave what a dual endpoint can orphan
-    # — its unix socket (*.sock) and its bulk arena (*.blk) — in the default
-    # segment directory, nor an e2e segment directory, in the temp tree.
-    leftovers=$(find "${TMPDIR:-/tmp}" -maxdepth 2 \
-        \( -name 'czsm-*' -o -path '*/colza-sm/*.sock' -o -path '*/colza-sm/*.blk' \) 2>/dev/null | head -20)
-    if [ -n "$leftovers" ]; then
-        echo "orphaned shared-memory segment files after tests:"
-        echo "$leftovers"
-        exit 1
-    fi
     # Benchmark gate: benchmark/ is a module of its own (`replace colza => ../`),
     # so nothing above builds it and a changed signature under internal/ would
     # break it unseen. Its tests run here, then a 2 s run of four workloads on a
@@ -117,13 +108,14 @@ fi
 # data-corruption path; the checkpoint file, which holds every line that
 # moves pipeline state between servers (rounds, the leave, the drop of
 # superseded entries, recovery); and
-# the bulk arena, which reads a header and slot
-# words out of memory another process writes (what its tests do not reach is
-# the mmap/open/truncate error branches), with the RPC layer's bulk file,
+# the bulk arena, which maps the memfd a colocated peer hands it and reads a
+# header and slot words out of memory that peer writes (what its tests do not
+# reach is the memfd and mmap error branches), with the RPC layer's bulk file,
 # which reserves, exposes and releases regions of that shared memory and
 # serves them to pullers that cannot map it; the stream endpoint, which
 # reads every byte a peer sends (length words that may lie, frames cut
-# short) and hands each frame out in a pooled buffer, with the RPC file
+# short, control messages passing descriptors) and hands each frame out in a
+# pooled buffer, with the RPC file
 # that puts every request frame back once its handler is done; the cost
 # model every number of Figs. 5-10 and ext-autoscale is computed in; and
 # the iso execute's kernels — the rasterizer, the isosurface extraction and

@@ -33,7 +33,6 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "TCP host:port for the RPC endpoint (port 0 = ephemeral)")
 	smOn := flag.Bool("sm", true, "also listen for colocated peers; the RPC address becomes sm+tcp://... and colocated peers exchange frames over a unix socket and pull staged blocks from a shared arena")
-	smDir := flag.String("sm-dir", "", "directory for shared-memory segments (empty = <tmp>/colza-sm)")
 	connFile := flag.String("connfile", "colza.addr", "connection file: created by the first daemon, read by joiners")
 	gossipMS := flag.Int("gossip-ms", 250, "SSG gossip period in milliseconds")
 	stateReplicas := flag.Int("state-replicas", 1, "ring successors receiving each stateful pipeline's checkpoint after deactivate (0 disables the durability layer)")
@@ -53,7 +52,7 @@ func main() {
 	var rpcEP na.Endpoint
 	var err error
 	if *smOn {
-		rpcEP, err = na.ListenDual(*listen, *smDir, "")
+		rpcEP, err = na.ListenDual(*listen, "", "")
 	} else {
 		rpcEP, err = na.ListenTCP(*listen)
 	}
@@ -122,7 +121,6 @@ func main() {
 				// package stops parsing at a separate bare "true" token,
 				// which would silently drop every flag after it.
 				fmt.Sprintf("-sm=%v", *smOn),
-				"-sm-dir", *smDir,
 				"-state-replicas", fmt.Sprint(*stateReplicas),
 				"-elastic=true",
 				"-elastic-target", elasticTarget.String(),

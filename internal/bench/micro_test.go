@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -125,10 +124,6 @@ func stageTCPEnv(name string) (h *core.DistributedPipelineHandle, cleanup func()
 // stageServerEnv builds the one-daemon deployment of stageBatchEnv (dual
 // true) and stageTCPEnv (dual false).
 func stageServerEnv(name string, dual bool) (h *core.DistributedPipelineHandle, cleanup func(), err error) {
-	dir, err := os.MkdirTemp("", "czsm-bench-")
-	if err != nil {
-		return nil, nil, err
-	}
 	var (
 		srv *core.Server
 		cmi *margo.Instance
@@ -143,7 +138,6 @@ func stageServerEnv(name string, dual bool) (h *core.DistributedPipelineHandle, 
 		if srv != nil {
 			srv.Shutdown()
 		}
-		os.RemoveAll(dir)
 	}
 	defer func() {
 		if err != nil {
@@ -154,7 +148,7 @@ func stageServerEnv(name string, dual bool) (h *core.DistributedPipelineHandle, 
 		if !dual {
 			return na.ListenTCP("127.0.0.1:0")
 		}
-		return na.ListenDual("127.0.0.1:0", dir, "")
+		return na.ListenDual("127.0.0.1:0", "", "")
 	}
 	rpcEP, err := listen()
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"os"
 	"testing"
 	"time"
 
@@ -12,8 +11,8 @@ import (
 	"colza/internal/obs"
 )
 
-// smBatchDeployment is one server and one client on sm+tcp dual endpoints in
-// a private segment directory, a checksum pipeline "viz" on the server, and
+// smBatchDeployment is one server and one client on sm+tcp dual endpoints,
+// a checksum pipeline "viz" on the server, and
 // a client handle that coalesces (Handle's own choice on such an endpoint)
 // with the age trigger off, so that only the size triggers cut frames.
 type smBatchDeployment struct {
@@ -26,14 +25,8 @@ type smBatchDeployment struct {
 
 func newSMBatchDeployment(t *testing.T) *smBatchDeployment {
 	t.Helper()
-	// Not t.TempDir: a unix socket path must stay under ~100 bytes.
-	dir, err := os.MkdirTemp("", "czsm-core-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
 	listen := func() na.Endpoint {
-		ep, err := na.ListenDual("127.0.0.1:0", dir, "")
+		ep, err := na.ListenDual("127.0.0.1:0", "", "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"os"
 	"slices"
 	"sync"
 	"testing"
@@ -25,11 +24,6 @@ import (
 // rides).
 func TestStageCoalescesByTransport(t *testing.T) {
 	inproc := na.NewInprocNetwork()
-	smDir, err := os.MkdirTemp("", "czsm-core-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(smDir) })
 	for _, tc := range []struct {
 		name     string
 		listen   func(name string) (na.Endpoint, error)
@@ -37,7 +31,7 @@ func TestStageCoalescesByTransport(t *testing.T) {
 	}{
 		{"inproc", func(name string) (na.Endpoint, error) { return inproc.Listen(name) }, false},
 		{"tcp", func(string) (na.Endpoint, error) { return na.ListenTCP("127.0.0.1:0") }, false},
-		{"sm+tcp", func(string) (na.Endpoint, error) { return na.ListenDual("127.0.0.1:0", smDir, "") }, true},
+		{"sm+tcp", func(string) (na.Endpoint, error) { return na.ListenDual("127.0.0.1:0", "", "") }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			listen := func(name string) na.Endpoint {

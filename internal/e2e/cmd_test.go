@@ -1,12 +1,17 @@
 package e2e
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -59,8 +64,7 @@ func TestCommandLineDeployment(t *testing.T) {
 	startServer := func(name string) *exec.Cmd {
 		cmd := exec.Command(serverBin,
 			"-listen", "127.0.0.1:0",
-			"-connfile", connFile, "-gossip-ms", "20",
-			"-sm-dir", dir)
+			"-connfile", connFile, "-gossip-ms", "20")
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -279,7 +283,7 @@ func TestElasticCommandLine(t *testing.T) {
 	startServer := func(name string, extra ...string) {
 		args := append([]string{
 			"-listen", "127.0.0.1:0",
-			"-connfile", connFile, "-gossip-ms", "20", "-sm-dir", dir}, extra...)
+			"-connfile", connFile, "-gossip-ms", "20"}, extra...)
 		cmd := exec.Command(serverBin, args...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -408,7 +412,7 @@ func TestElasticProcessRelaunchCarriesController(t *testing.T) {
 	// execute triggers a launch. The ceiling of 2 keeps it to one.
 	cmd := exec.Command(serverBin,
 		"-listen", "127.0.0.1:0",
-		"-connfile", connFile, "-gossip-ms", "20", "-sm-dir", dir,
+		"-connfile", connFile, "-gossip-ms", "20",
 		"-elastic", "-elastic-target", "2ms",
 		"-elastic-ceiling", "2")
 	cmd.Stdout = os.Stderr
@@ -545,5 +549,214 @@ func TestDocumentedConfigsParse(t *testing.T) {
 	}
 	if iso.Field != "value" || iso.IsoValues[0] != 8 {
 		t.Fatalf("parsed %+v", iso)
+	}
+}
+
+// killedClientMB is the dataset of TestCommandLineClientKilledMidStage and
+// its helper process: the helper stages blocks [0, Blocks/2) of iteration
+// 1, the surviving rank all of them.
+var killedClientMB = sim.DefaultMandelbulb([3]int{16, 16, 8}, 8)
+
+// TestCommandLineClientKilledMidStage: a client process staging over sm —
+// the daemon reads its blocks out of the client's arena — is SIGKILLed in
+// the middle of an iteration. The daemon keeps serving: the iteration,
+// restaged by the surviving rank, and the next one match a one-server
+// in-process oracle; and at no point does the temp tree the processes
+// share, nor /dev/shm, hold a file of theirs beyond the connection file.
+func TestCommandLineClientKilledMidStage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs subprocesses")
+	}
+	serverBin, ctlBin := buildBinaries(t)
+	dir := t.TempDir()
+	connFile := filepath.Join(dir, "colza.addr")
+	env := append(os.Environ(), "TMPDIR="+dir)
+	noFiles := func(when string) {
+		t.Helper()
+		filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && path != dir && path != connFile {
+				t.Errorf("%s: %s in the shared temp tree", when, path)
+			}
+			return nil
+		})
+		ents, _ := os.ReadDir("/dev/shm")
+		for _, e := range ents {
+			if strings.Contains(e.Name(), "colza") {
+				t.Errorf("%s: /dev/shm/%s", when, e.Name())
+			}
+		}
+	}
+
+	srv := exec.Command(serverBin, "-listen", "127.0.0.1:0", "-connfile", connFile, "-gossip-ms", "20")
+	srv.Env = env
+	srv.Stdout, srv.Stderr = os.Stderr, os.Stderr
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Process.Kill(); srv.Wait() })
+	var target string
+	for deadline := time.Now().Add(20 * time.Second); target == "" && time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		if data, err := os.ReadFile(connFile); err == nil {
+			target = strings.TrimSpace(string(data))
+		}
+	}
+	if !strings.HasPrefix(target, "sm+tcp://") {
+		t.Fatalf("connection file holds %q, want a dual address", target)
+	}
+
+	ep, err := na.ListenDual("127.0.0.1:0", "", "rank0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi := margo.NewInstance(ep)
+	defer mi.Finalize()
+	pcfg, _ := json.Marshal(catalyst.IsoConfig{
+		Field: "value", IsoValues: []float64{8}, Width: 64, Height: 64,
+		ScalarRange: [2]float64{0, 32}, EmitImage: true,
+	})
+	if err := core.NewAdminClient(mi).CreatePipeline(target, "viz", catalyst.IsoPipelineType, pcfg); err != nil {
+		t.Fatal(err)
+	}
+	h := core.NewClient(mi).Handle("viz", target)
+	h.SetTimeout(30 * time.Second)
+	oracle := isoOracle(t, pcfg, 2)
+
+	view, err := h.Activate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	helper := exec.Command(os.Args[0], "-test.run=^TestSMClientHelper$", "--", target, string(view.Encode()))
+	helper.Env = env
+	helper.Stderr = os.Stderr
+	out, err := helper.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := helper.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := bufio.NewReader(out).ReadString('\n'); line != "staged\n" {
+		helper.Process.Kill()
+		helper.Wait()
+		t.Fatalf("helper client said %q (%v), want \"staged\"", line, err)
+	}
+	noFiles("client staging")
+	helper.Process.Signal(syscall.SIGKILL)
+	helper.Wait()
+	noFiles("client killed")
+
+	for it := uint64(1); it <= 2; it++ {
+		if it > 1 {
+			if _, err := h.Activate(it); err != nil {
+				t.Fatalf("iteration %d activate: %v", it, err)
+			}
+		}
+		got := stageAndExecute(t, h, it)
+		if err := h.Deactivate(it); err != nil {
+			t.Fatalf("iteration %d deactivate: %v", it, err)
+		}
+		want := oracle[it-1]
+		for _, key := range []string{"blocks", "cells", "triangles"} {
+			if got.Summary[key] != want.Summary[key] {
+				t.Errorf("iteration %d: %s = %v, oracle %v", it, key, got.Summary[key], want.Summary[key])
+			}
+		}
+		if !bytes.Equal(got.Image, want.Image) {
+			t.Errorf("iteration %d: the picture differs from the oracle's", it)
+		}
+	}
+	metrics, err := exec.Command(ctlBin, "-connfile", connFile, "metrics").CombinedOutput()
+	if err != nil {
+		t.Fatalf("colza-ctl metrics: %v\n%s", err, metrics)
+	}
+	assertMetricLine(t, string(metrics), "counter na.shm.pull.local") // the blocks were read in place
+	noFiles("after the run")
+}
+
+// stageAndExecute stages every block of iteration it and executes it on a
+// one-server staging area.
+func stageAndExecute(t *testing.T, h *core.DistributedPipelineHandle, it uint64) core.ExecResult {
+	t.Helper()
+	for b := 0; b < killedClientMB.Blocks; b++ {
+		blk := sim.MandelbulbBlock(killedClientMB, b, it)
+		if err := h.Stage(it, sim.MandelbulbMeta(killedClientMB, b), blk.Encode()); err != nil {
+			t.Fatalf("iteration %d stage %d: %v", it, b, err)
+		}
+	}
+	results, err := h.Execute(it)
+	if err != nil {
+		t.Fatalf("iteration %d execute: %v", it, err)
+	}
+	if len(results) != 1 {
+		t.Fatalf("iteration %d: %d results, want 1", it, len(results))
+	}
+	return results[0]
+}
+
+// isoOracle runs iterations 1..iters of killedClientMB through the iso
+// pipeline of config pcfg on one in-process server, undisturbed.
+func isoOracle(t *testing.T, pcfg []byte, iters int) []core.ExecResult {
+	t.Helper()
+	net := na.NewInprocNetwork()
+	srv, err := core.StartInprocServer(net, "kc-oracle0", core.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	ep, _ := net.Listen("kc-oracle-client")
+	mi := margo.NewInstance(ep)
+	defer mi.Finalize()
+	if err := core.NewAdminClient(mi).CreatePipeline(srv.Addr(), "viz", catalyst.IsoPipelineType, pcfg); err != nil {
+		t.Fatal(err)
+	}
+	h := core.NewClient(mi).Handle("viz", srv.Addr())
+	h.SetTimeout(30 * time.Second)
+	var out []core.ExecResult
+	for it := uint64(1); it <= uint64(iters); it++ {
+		if _, err := h.Activate(it); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, stageAndExecute(t, h, it))
+		if err := h.Deactivate(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestSMClientHelper is the client process TestCommandLineClientKilledMidStage
+// starts and kills. Given the daemon's address and an activated view of
+// iteration 1 (after "--"), it stages its share of the iteration over a
+// dual endpoint, prints "staged", and stages it again and again until it
+// is killed. Without arguments, in every ordinary test run, it skips.
+func TestSMClientHelper(t *testing.T) {
+	args := flag.Args()
+	if len(args) != 2 {
+		t.Skip("runs as a helper process only")
+	}
+	view, err := core.DecodeMemberView([]byte(args[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := na.ListenDual("127.0.0.1:0", "", "helper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := core.NewClient(margo.NewInstance(ep)).Handle("viz", args[0])
+	h.SetView(view)
+	h.SetTimeout(30 * time.Second)
+	for round := 0; ; round++ {
+		for b := 0; b < killedClientMB.Blocks/2; b++ {
+			blk := sim.MandelbulbBlock(killedClientMB, b, 1)
+			if err := h.Stage(1, sim.MandelbulbMeta(killedClientMB, b), blk.Encode()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.Flush(1); err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			fmt.Println("staged")
+		}
 	}
 }

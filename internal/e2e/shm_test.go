@@ -1,6 +1,7 @@
 package e2e
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"testing"
@@ -17,16 +18,15 @@ import (
 	"colza/internal/ssg"
 )
 
-// smTestDir makes a short-pathed segment directory: unix socket paths are
-// length-limited, and t.TempDir() under a long test name can exceed it.
-func smTestDir(t *testing.T) string {
+// arenaMaps counts this process's mappings of shared arenas (memfds), its
+// own and its peers'.
+func arenaMaps(t *testing.T) int {
 	t.Helper()
-	dir, err := os.MkdirTemp("", "czsm-e2e-")
+	maps, err := os.ReadFile("/proc/self/maps")
 	if err != nil {
-		t.Fatal(err)
+		t.Skipf("no /proc/self/maps: %v", err)
 	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
-	return dir
+	return bytes.Count(maps, []byte("/memfd:colza-arena"))
 }
 
 // startSMServer launches one staging server whose RPC endpoint is dual: a
@@ -34,9 +34,9 @@ func smTestDir(t *testing.T) string {
 // address ends up in the membership view, so peers and clients choose the
 // socket when they dial). MoNA stays on TCP: collective traffic is
 // server-to-server and exercises the plain endpoint alongside the dual one.
-func startSMServer(t *testing.T, dir, bootstrap string) (*core.Server, *na.DualEndpoint) {
+func startSMServer(t *testing.T, bootstrap string) (*core.Server, *na.DualEndpoint) {
 	t.Helper()
-	rpcEP, err := na.ListenDual("127.0.0.1:0", dir, "")
+	rpcEP, err := na.ListenDual("127.0.0.1:0", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,31 +61,26 @@ func startSMServer(t *testing.T, dir, bootstrap string) (*core.Server, *na.DualE
 // with every server listening on sm+tcp. All ranks are colocated, so every
 // RPC connection must be to a unix socket and every staged block must be
 // pulled from the exposer's arena with no bulk-pull RPC served, and
-// shutdown must leave no segment files and no exposed region behind.
+// shutdown must leave no arena mapped and no exposed region behind.
 func TestColzaOverSM(t *testing.T) {
-	dir := smTestDir(t)
-
-	// Runs after every shutdown below (LIFO): all sockets and bulk arenas
-	// must be unlinked once the deployment is down.
+	// Runs after every shutdown below (LIFO): every endpoint's arena, and
+	// every mapping of a peer's, must be gone once the deployment is down.
+	before := arenaMaps(t)
 	defer func() {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatalf("reading segment dir: %v", err)
-		}
-		for _, e := range entries {
-			t.Errorf("orphaned segment file after shutdown: %s", e.Name())
+		if got := arenaMaps(t); got != before {
+			t.Errorf("%d arena mappings after shutdown, want the %d before", got, before)
 		}
 	}()
 
-	s0, _ := startSMServer(t, dir, "")
+	s0, _ := startSMServer(t, "")
 	defer s0.Shutdown()
-	s1, _ := startSMServer(t, dir, s0.Addr())
+	s1, _ := startSMServer(t, s0.Addr())
 	defer s1.Shutdown()
 	if err := core.WaitMembers([]*core.Server{s0, s1}, 2, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	clientEP, err := na.ListenDual("127.0.0.1:0", dir, "")
+	clientEP, err := na.ListenDual("127.0.0.1:0", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +108,7 @@ func TestColzaOverSM(t *testing.T) {
 	runIteration(t, h, mb, 1, 2)
 
 	// Grow to three servers, then iteration 2 uses all three.
-	s2, _ := startSMServer(t, dir, s0.Addr())
+	s2, _ := startSMServer(t, s0.Addr())
 	defer s2.Shutdown()
 	if err := core.WaitMembers([]*core.Server{s0, s1, s2}, 3, 20*time.Second); err != nil {
 		t.Fatal(err)
@@ -167,7 +162,6 @@ func TestColzaOverSM(t *testing.T) {
 // the original bytes — never a recycled buffer. Every exposed region must be
 // released by shutdown on all ranks.
 func TestChaosStageRetryOverSM(t *testing.T) {
-	dir := smTestDir(t)
 
 	var servers []*core.Server
 	var serverEPs []*na.DualEndpoint
@@ -176,7 +170,7 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 		if i > 0 {
 			boot = servers[0].Addr()
 		}
-		s, ep := startSMServer(t, dir, boot)
+		s, ep := startSMServer(t, boot)
 		servers = append(servers, s)
 		serverEPs = append(serverEPs, ep)
 		defer s.Shutdown()
@@ -189,7 +183,7 @@ func TestChaosStageRetryOverSM(t *testing.T) {
 	instsBefore := len(checksumInsts)
 	checksumMu.Unlock()
 
-	clientEP, err := na.ListenDual("127.0.0.1:0", dir, "")
+	clientEP, err := na.ListenDual("127.0.0.1:0", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

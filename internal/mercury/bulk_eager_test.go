@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"colza/internal/na"
 	"colza/internal/obs"
@@ -40,6 +41,14 @@ func classPair(tb testing.TB, transport string) (owner, peer *Class, ownerReg, p
 	}
 	owner, peer = New(epA), New(epB)
 	tb.Cleanup(func() { owner.Close(); peer.Close() })
+	if transport == "sm" {
+		// A dual endpoint borrows only from a peer that dialed its unix
+		// socket and offered its arena: one call each way does both.
+		peer.Register("hello", func(Request) ([]byte, error) { return nil, nil })
+		if _, err := owner.Call(peer.Addr(), "hello", nil, 10*time.Second); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	ownerReg, peerReg = obs.NewRegistry(), obs.NewRegistry()
 	owner.SetObserver(ownerReg)
 	peer.SetObserver(peerReg)

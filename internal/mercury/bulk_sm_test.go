@@ -2,10 +2,15 @@ package mercury
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"colza/internal/na"
 )
@@ -283,5 +288,60 @@ func TestBulkArenaMissFallsBackToRPC(t *testing.T) {
 	}
 	if served := ra.Counter("mercury.serve.count{rpc=__mercury/bulk_pull}").Value(); served == 0 {
 		t.Fatal("the exposer served no bulk_pull RPC: where did the bytes come from?")
+	}
+}
+
+// TestBulkPullFallsBackOnRefusedArena: a peer on the puller's unix socket
+// that claims the exposer's address and hands over a descriptor that is no
+// sealed memfd — here a regular file — replaces the exposer's arena with a
+// refused offer. Every pull from the exposer then falls back, counted, and
+// the chunked RPC pull serves the exposed bytes.
+func TestBulkPullFallsBackOnRefusedArena(t *testing.T) {
+	ca, cb, ra, rb := classPair(t, "sm")
+	payload := make([]byte, 64<<10)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	b := ca.Expose(payload)
+	defer ca.Release(b)
+
+	file, err := os.CreateTemp(t.TempDir(), "arena")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	smPart, _ := na.SplitAddr(cb.Addr())
+	c, err := net.Dial("unix", "@"+smPart[strings.LastIndex(smPart, "/")+1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The opening message of a unix-socket connection: an empty frame from
+	// the claimed address, its first byte carrying the descriptor.
+	offer := binary.LittleEndian.AppendUint32(nil, uint32(len(ca.Addr())))
+	offer = append(binary.LittleEndian.AppendUint32(offer, 0), ca.Addr()...)
+	if _, _, err := c.(*net.UnixConn).WriteMsgUnix(offer, syscall.UnixRights(int(file.Fd())), nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// The offer is filed concurrently: pull until a pull falls back.
+	deadline := time.Now().Add(10 * time.Second)
+	for rb.Counter("na.shm.pull.fallback").Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the refused offer never displaced the exposer's arena")
+		}
+		if got, err := pullAll(cb, b); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("pull: err=%v, bytes equal=%v", err, bytes.Equal(got, payload))
+		}
+	}
+	local := rb.Counter("na.shm.pull.local").Value()
+	if got, err := pullAll(cb, b); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("pull after the refused offer: err=%v, bytes equal=%v", err, bytes.Equal(got, payload))
+	}
+	if fell, l := rb.Counter("na.shm.pull.fallback").Value(), rb.Counter("na.shm.pull.local").Value(); fell != 2 || l != local {
+		t.Fatalf("na.shm.pull.fallback = %d, na.shm.pull.local %d → %d, want 2 and no local pull", fell, local, l)
+	}
+	if served := ra.Counter("mercury.serve.count{rpc=__mercury/bulk_pull}").Value(); served < 2 {
+		t.Fatalf("the exposer served %d bulk_pull RPCs, want >= 2", served)
 	}
 }

@@ -8,9 +8,9 @@ import (
 // Address schemes. A plain transport address is "tcp://host:port" or
 // "inproc://name". A dual endpoint (ListenDual) advertises one composite
 // address carrying its TCP listener and, as an sm component
-// "sm://<host>/<abs-base>", where its unix socket and bulk arena live:
+// "sm://<host>/<name>", the abstract name of its unix socket:
 //
-//	sm+tcp://<host>/<abs-base>;<host:port>
+//	sm+tcp://<host>/<name>;<host:port>
 //
 // The composite travels everywhere a plain address does (connection file,
 // SSG membership, mercury frames, bulk handles); a sender picks the socket
@@ -51,24 +51,21 @@ func DualAddr(smAddr, tcpAddr string) string {
 	return schemeDual + strings.TrimPrefix(smAddr, schemeSM) + dualSep + strings.TrimPrefix(tcpAddr, schemeTCP)
 }
 
-// smHostBase splits an sm:// address into its host identity and the
-// filesystem base path of the endpoint's segments. ok is false for
-// non-sm addresses and malformed forms.
-func smHostBase(addr string) (host, base string, ok bool) {
+// smHostSocket splits an sm:// address into its host identity and the
+// abstract name of the endpoint's unix socket. ok is false for non-sm
+// addresses and malformed forms.
+func smHostSocket(addr string) (host, name string, ok bool) {
 	rest, found := strings.CutPrefix(addr, schemeSM)
 	if !found {
 		return "", "", false
 	}
-	i := strings.Index(rest, "/")
-	if i <= 0 || i == len(rest)-1 {
-		return "", "", false
-	}
-	return rest[:i], rest[i:], true
+	host, name, _ = strings.Cut(rest, "/")
+	return host, name, host != "" && name != ""
 }
 
 // smHostID is this process's host identity embedded in sm:// addresses: a
-// same-host check must never map a segment path that belongs to another
-// machine which happens to use identical paths.
+// same-host check must never dial a socket name that belongs to another
+// machine which happens to use an identical one.
 func smHostID() string {
 	h, err := os.Hostname()
 	if err != nil || h == "" {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -16,23 +15,22 @@ import (
 
 // This file implements the shared-memory bulk arena, the LocalBulk half of
 // a dual endpoint (the analog of what Mercury's na+sm plugin does for bulk
-// data): exposed bulk regions are published in a per-endpoint mmap'd
-// segment (a tmpfs-backed file), and a same-host puller maps the exposer's
-// arena and reads the bytes where they lie, skipping the chunked bulk-pull
-// RPC protocol entirely (DESIGN.md §12). RPC frames do not come through
-// here — they ride the endpoint's stream sockets (tcp.go).
+// data): exposed bulk regions are published in a per-endpoint arena, a
+// memfd, and a colocated puller maps the arena its owner handed it over
+// their unix-socket connection (tcp.go: sendOffer, recvOffer) and reads the
+// bytes where they lie, skipping the chunked bulk-pull RPC protocol
+// entirely (DESIGN.md §12). Lifecycle invariants:
 //
-// Lifecycle invariants:
-//
-//   - the arena file is created on the first ExposeLocal or ReserveLocal
-//     and unlinked on Close, next to the endpoint's unix socket; only a
-//     process killed without Close can orphan them, and the next listener
-//     in the same directory removes what a dead pid left (gcStaleSegments);
-//   - the mapping outlives Close until the last region holding a span of
-//     it is released (smArena.close);
+//   - the arena is no file: the kernel frees it with its last descriptor
+//     and mapping, however its processes end;
+//   - it is sealed against shrinking before any peer sees it, and a puller
+//     maps only an arena so sealed: no owner can turn a read into SIGBUS;
+//   - the owner's mapping outlives Close until the last region holding a
+//     span of it is released (smArena.close); a puller's lives as long as
+//     the connection that brought it, and until its last borrow is done
+//     (smArenaMap.unref);
 //   - a span a borrower has pinned is not recycled until the pin is gone
-//     (the quarantine), and a puller's mapping of a peer's arena is not
-//     unmapped until its last borrow is done (smArenaMap.unref);
+//     (the quarantine);
 //   - every BorrowLocal outcome other than "slot pinned, words stable and
 //     in bounds" sends the caller to the RPC pull path, which stays
 //     authoritative.
@@ -85,98 +83,94 @@ const (
 
 var errSMCorrupt = errors.New("na: sm arena corrupt")
 
-// DefaultSMDir is where dual endpoints place their segments when the caller
-// passes an empty dir: a world-unreadable per-user directory under the
-// system temp dir (tmpfs on typical HPC nodes).
-func DefaultSMDir() string {
-	return filepath.Join(os.TempDir(), "colza-sm")
-}
+// memfd_create(2) flags, fcntl(2) seal commands and seals: stdlib syscall
+// names none of them.
+const (
+	mfdCloexec, mfdAllowSealing = 0x1, 0x2
+	fAddSeals, fGetSeals        = 1033, 1034
+	sealSeal, sealShrink        = 0x1, 0x2
+)
 
-var smNameSeq atomic.Uint64
-
-// smSegmentBase prepares the segment directory (empty dir selects
-// DefaultSMDir) and returns the absolute base path an endpoint's socket
-// (<base>.sock) and arena (<base>.blk) live under; an empty name generates
-// a unique one.
-func smSegmentBase(dir, name string) (string, error) {
-	if dir == "" {
-		dir = DefaultSMDir()
-	}
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return "", fmt.Errorf("na: sm dir: %w", err)
-	}
-	gcStaleSegments(dir)
-	if name == "" {
-		name = fmt.Sprintf("ep-%d-%d", os.Getpid(), smNameSeq.Add(1))
-	}
-	base, err := filepath.Abs(filepath.Join(dir, name))
-	if err != nil {
-		return "", fmt.Errorf("na: sm base: %w", err)
-	}
-	// The kernel caps unix socket paths (108 bytes on Linux); failing
-	// early beats an EINVAL with no context at dial time.
-	if sock := base + ".sock"; len(sock) > 100 {
-		return "", fmt.Errorf("na: sm socket path too long (%d bytes): %s", len(sock), sock)
-	}
-	return base, nil
-}
-
-// gcStaleSegments removes auto-named segment files (ep-<pid>-*) whose
-// owning process is gone: a SIGKILL'd server cannot unlink its own socket
-// or arena, so a shared segment directory self-heals on the next listen.
-// Best-effort — custom-named segments and foreign files are left alone.
-func gcStaleSegments(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range entries {
-		var pid, seq int
-		if n, _ := fmt.Sscanf(ent.Name(), "ep-%d-%d", &pid, &seq); n != 2 || pid <= 0 || pid == os.Getpid() {
-			continue
-		}
-		// Signal 0 probes liveness; ESRCH means the pid is free. EPERM
-		// means it exists under another uid — leave its files alone.
-		if err := syscall.Kill(pid, 0); err == syscall.ESRCH {
-			os.Remove(filepath.Join(dir, ent.Name()))
-		}
-	}
-}
-
-// shmBulk implements LocalBulk for the endpoint whose segments live under
-// base: the arena it publishes its own regions in, and mappings of the
-// colocated peers' arenas it borrows from.
+// shmBulk implements LocalBulk for a dual endpoint: the arena it publishes
+// its own regions in, its memfd, which it offers every peer it dials, and
+// the mappings of the arenas its colocated peers offered it, by address (a
+// nil mapping is an offer refused; peers is nil once close ran).
 type shmBulk struct {
-	host string
-	base string
-	// Arena geometry: the defaults, but for in-package tests.
-	arenaBytes, arenaSlots uint64
-
-	met atomic.Pointer[arenaMetrics]
-
-	arenaOnce sync.Once
-	arena     *smArena // nil if the segment could not be created
-
-	amu    sync.Mutex
-	arenas map[string]*smArenaMap // mapped peer arenas, by base path
-	owners map[string]string      // owner address -> colocated base, "" if none (ownerBase)
-	closed bool                   // close ran: no peer arena is mapped any more
+	met   atomic.Pointer[arenaMetrics]
+	arena *smArena
+	file  *os.File
+	amu   sync.Mutex
+	peers map[string]*smArenaMap
 }
 
-func newShmBulk(base string, arenaBytes, arenaSlots int) (*shmBulk, error) {
+// newShmBulk makes an endpoint's arena: a memfd of the header, a table of
+// arenaSlots slots and arenaBytes of data, sparse (only touched pages
+// consume memory), mapped read-write and sealed against shrinking and
+// further seals, but not writes: pullers write their pins into its table.
+func newShmBulk(arenaBytes, arenaSlots int) (*shmBulk, error) {
 	if arenaSlots <= 0 || arenaSlots&(arenaSlots-1) != 0 {
 		return nil, fmt.Errorf("na: sm arena slots %d not a power of two", arenaSlots)
 	}
+	nslots, dataCap := uint64(arenaSlots), uint64(arenaBytes)
+	dataOff := arenaDataOff(nslots)
+	fd, err := memfdCreate()
+	if err != nil {
+		return nil, fmt.Errorf("na: sm arena: %w", err)
+	}
+	file := os.NewFile(uintptr(fd), "colza-arena")
+	var seg []byte
+	if err = file.Truncate(int64(dataOff + dataCap)); err == nil {
+		if _, err = fcntl(fd, fAddSeals, sealShrink|sealSeal); err == nil {
+			seg, err = syscall.Mmap(fd, 0, int(dataOff+dataCap), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+		}
+	}
+	if err != nil {
+		file.Close()
+		return nil, fmt.Errorf("na: sm arena: %w", err)
+	}
+	binary.LittleEndian.PutUint32(seg[0:], smArenaMagic)
+	binary.LittleEndian.PutUint32(seg[4:], smArenaVersion)
+	binary.LittleEndian.PutUint64(seg[aoSlots:], nslots)
+	binary.LittleEndian.PutUint64(seg[aoDataOff:], dataOff)
+	binary.LittleEndian.PutUint64(seg[aoDataCap:], dataCap)
 	s := &shmBulk{
-		host:       smHostID(),
-		base:       base,
-		arenaBytes: uint64(arenaBytes),
-		arenaSlots: uint64(arenaSlots),
-		arenas:     make(map[string]*smArenaMap),
-		owners:     make(map[string]string),
+		file: file,
+		arena: &smArena{
+			seg:        seg,
+			nslots:     nslots,
+			dataOff:    dataOff,
+			dataCap:    dataCap,
+			entries:    make(map[uint64]arenaSpan),
+			bySlot:     make(map[uint64]uint64),
+			free:       []arenaSpan{{0, dataCap}},
+			quarantine: make(map[uint64]arenaSpan),
+		},
+		peers: make(map[string]*smArenaMap),
 	}
 	s.met.Store(newArenaMetrics(obs.Default()))
 	return s, nil
+}
+
+// memfdCreate makes an anonymous memory file (memfd_create(2)) that closes
+// on exec and can be sealed.
+func memfdCreate() (int, error) {
+	if sysMemfdCreate == 0 {
+		return -1, errors.New("dual endpoints need Linux (memfd_create)")
+	}
+	name := []byte("colza-arena\x00")
+	fd, _, errno := syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(&name[0])), mfdCloexec|mfdAllowSealing, 0)
+	if errno != 0 {
+		return -1, errno
+	}
+	return int(fd), nil
+}
+
+func fcntl(fd, cmd, arg int) (int, error) {
+	r, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), uintptr(cmd), uintptr(arg))
+	if errno != 0 {
+		return 0, errno
+	}
+	return int(r), nil
 }
 
 // arenaMetrics caches the instrument handles; registry lookups allocate,
@@ -199,44 +193,23 @@ func newArenaMetrics(r *obs.Registry) *arenaMetrics {
 	}
 }
 
-// close unlinks the arena file, drops the endpoint's reference to every
-// peer mapping — each is unmapped at once, or at the done of its last
-// borrow — and refuses every later borrow.
+// close closes the arena — its memfd now, its mapping at the last release
+// (smArena.close) — and drops the endpoint's reference to every peer
+// mapping, each unmapped at once or at the done of its last borrow; no
+// later offer is filed.
 func (s *shmBulk) close() {
-	s.arenaOnce.Do(func() {}) // no arena file is created after Close
-	if s.arena != nil {
-		s.arena.close(s.met.Load())
-		os.Remove(s.base + ".blk")
-	}
+	s.arena.close(s.met.Load())
+	s.file.Close()
 	s.amu.Lock()
-	s.closed = true
-	arenas := s.arenas
-	s.arenas = map[string]*smArenaMap{}
+	peers := s.peers
+	s.peers = nil
 	s.amu.Unlock()
-	for _, am := range arenas {
+	for _, am := range peers {
 		am.unref()
 	}
 }
 
 // --- mmap helpers ---------------------------------------------------------
-
-func smCreateMap(path string, size int) ([]byte, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if err := f.Truncate(int64(size)); err != nil {
-		os.Remove(path)
-		return nil, err
-	}
-	seg, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	if err != nil {
-		os.Remove(path)
-		return nil, err
-	}
-	return seg, nil
-}
 
 // arenaDataOff is where the data area of an arena with nslots slots starts:
 // past the header and the table, on a page boundary, so that a puller can
@@ -272,32 +245,6 @@ type smArena struct {
 }
 
 type arenaSpan struct{ off, ln uint64 }
-
-func (s *shmBulk) ensureArena() *smArena {
-	s.arenaOnce.Do(func() {
-		dataOff := arenaDataOff(s.arenaSlots)
-		seg, err := smCreateMap(s.base+".blk", int(dataOff+s.arenaBytes))
-		if err != nil {
-			return
-		}
-		binary.LittleEndian.PutUint32(seg[0:], smArenaMagic)
-		binary.LittleEndian.PutUint32(seg[4:], smArenaVersion)
-		binary.LittleEndian.PutUint64(seg[aoSlots:], s.arenaSlots)
-		binary.LittleEndian.PutUint64(seg[aoDataOff:], dataOff)
-		binary.LittleEndian.PutUint64(seg[aoDataCap:], s.arenaBytes)
-		s.arena = &smArena{
-			seg:        seg,
-			nslots:     s.arenaSlots,
-			dataOff:    dataOff,
-			dataCap:    s.arenaBytes,
-			entries:    make(map[uint64]arenaSpan),
-			bySlot:     make(map[uint64]uint64),
-			free:       []arenaSpan{{0, s.arenaBytes}},
-			quarantine: make(map[uint64]arenaSpan),
-		}
-	})
-	return s.arena
-}
 
 // close refuses every later region, forgets the quarantine — nothing is
 // allocated any more, so a pinned span can no longer be recycled under its
@@ -401,11 +348,7 @@ func (s *shmBulk) ReserveLocal(id uint64, n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	a := s.ensureArena()
-	if a == nil {
-		return nil
-	}
-	m := s.met.Load()
+	a, m := s.arena, s.met.Load()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closing {
@@ -437,9 +380,6 @@ func (s *shmBulk) ReserveLocal(id uint64, n int) []byte {
 // borrower that sees the slot even sees them whole.
 func (s *shmBulk) PublishLocal(id uint64, n int) bool {
 	a := s.arena
-	if a == nil {
-		return false
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp, ok := a.entries[id]
@@ -461,11 +401,7 @@ func (s *shmBulk) PublishLocal(id uint64, n int) bool {
 // borrower pins is freed, a pinned one is quarantined until its borrowers
 // are done. The last release of a closing arena unmaps it.
 func (s *shmBulk) ReleaseLocal(id uint64) {
-	a := s.arena
-	if a == nil {
-		return
-	}
-	m := s.met.Load()
+	a, m := s.arena, s.met.Load()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp, ok := a.entries[id]
@@ -499,7 +435,7 @@ func (s *shmBulk) ReleaseLocal(id uint64) {
 // every borrow — is memory another process writes, and is validated before
 // it sizes a mapping or indexes one. The endpoint's table of mappings holds
 // one reference and every outstanding borrow one more; the last unref
-// unmaps.
+// unmaps. A nil mapping (an offer refused) holds nothing to unref.
 type smArenaMap struct {
 	table  []byte
 	data   []byte
@@ -508,7 +444,7 @@ type smArenaMap struct {
 }
 
 func (m *smArenaMap) unref() {
-	if m.refs.Add(-1) == 0 {
+	if m != nil && m.refs.Add(-1) == 0 {
 		syscall.Munmap(m.table)
 		syscall.Munmap(m.data)
 	}
@@ -532,78 +468,64 @@ func decodeArenaHeader(hdr []byte) (nslots, dataOff, dataCap uint64, err error) 
 	return nslots, dataOff, dataCap, nil
 }
 
-// mapPeerArena maps the arena file at path: its header first, whose
-// geometry sizes the rest, then the table read-write and the data area
-// read-only. The mapping starts with one reference.
-func mapPeerArena(path string) (*smArenaMap, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
+// mapOffer maps the arena a colocated peer offered as the descriptor fd —
+// the table read-write, for the pins, and the data area read-only — and
+// returns the mapping with one reference, or nil: it maps only a memfd
+// sealed against shrinking, with a header decodeArenaHeader accepts, at
+// least as long as the header says. fd stays the caller's.
+func mapOffer(fd int) *smArenaMap {
+	if seals, err := fcntl(fd, fGetSeals, 0); err != nil || seals&sealShrink == 0 {
+		return nil
 	}
-	defer f.Close()
 	var hdr [arenaHdrBytes]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, errSMCorrupt
+	n, _ := syscall.Pread(fd, hdr[:], 0)
+	nslots, dataOff, dataCap, err := decodeArenaHeader(hdr[:max(n, 0)])
+	var st syscall.Stat_t
+	if err != nil || syscall.Fstat(fd, &st) != nil || uint64(st.Size) < dataOff+dataCap {
+		return nil
 	}
-	nslots, dataOff, dataCap, err := decodeArenaHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(st.Size()) < dataOff+dataCap {
-		return nil, fmt.Errorf("na: sm segment %s truncated (%d < %d)", path, st.Size(), dataOff+dataCap)
-	}
-	fd := int(f.Fd())
 	table, err := syscall.Mmap(fd, 0, int(dataOff), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	data, err := syscall.Mmap(fd, int64(dataOff), int(dataCap), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
 		syscall.Munmap(table)
-		return nil, err
+		return nil
 	}
 	am := &smArenaMap{table: table, data: data, nslots: nslots}
 	am.refs.Store(1)
-	return am, nil
+	return am
 }
 
-// peerArena returns the mapping of the arena under base, mapped on first
-// use, with a reference taken for the caller.
-func (s *shmBulk) peerArena(base string) (*smArenaMap, error) {
+// fileOffer files the mapping of the arena a peer offered on a new
+// connection under its address, in place of an older connection's; a nil
+// one, an offer refused, still marks the peer colocated (BorrowLocal
+// counts its misses).
+func (s *shmBulk) fileOffer(from string, am *smArenaMap) {
 	s.amu.Lock()
-	if s.closed {
-		s.amu.Unlock()
-		return nil, ErrClosed
-	}
-	if am, ok := s.arenas[base]; ok {
-		am.refs.Add(1)
-		s.amu.Unlock()
-		return am, nil
+	old := s.peers[from]
+	if s.peers != nil {
+		s.peers[from] = am
+	} else {
+		old = am // closed: the new mapping goes at once
 	}
 	s.amu.Unlock()
+	old.unref()
+}
 
-	am, err := mapPeerArena(base + ".blk")
-	if err != nil {
-		return nil, err
-	}
+// dropOffer forgets the mapping a closing connection brought, unless a
+// newer connection's offer replaced it already.
+func (s *shmBulk) dropOffer(from string, am *smArenaMap) {
 	s.amu.Lock()
-	defer s.amu.Unlock()
-	if s.closed {
-		am.unref()
-		return nil, ErrClosed
+	mine := s.peers[from] == am
+	if mine {
+		delete(s.peers, from)
 	}
-	if old, ok := s.arenas[base]; ok {
+	s.amu.Unlock()
+	if mine {
 		am.unref()
-		am = old
-	} else {
-		s.arenas[base] = am
 	}
-	am.refs.Add(1)
-	return am, nil
 }
 
 // borrow pins region id's slot and returns the first n bytes of the region
@@ -636,55 +558,32 @@ func (m *smArenaMap) unpin(slot uint64) {
 
 // BorrowLocal pins the first n bytes of the region id published by the
 // endpoint at ownerAddr and returns them where they lie, in this endpoint's
-// read-only mapping of the owner's arena (LocalBulk). Each call counts once:
-// na.shm.pull.local for a view, na.shm.pull.fallback for a miss against a
-// colocated owner.
+// read-only mapping of the arena the owner offered it (LocalBulk). An owner
+// that never dialed this endpoint's unix socket is no colocated peer. Each
+// call against one counts once: na.shm.pull.local for a view,
+// na.shm.pull.fallback for a miss or a refused offer.
 func (s *shmBulk) BorrowLocal(ownerAddr string, id uint64, n int) (view []byte, done func(), ok bool) {
-	base := s.ownerBase(ownerAddr)
-	if base == "" {
+	s.amu.Lock()
+	am, colocated := s.peers[ownerAddr]
+	if am != nil {
+		am.refs.Add(1)
+	}
+	s.amu.Unlock()
+	if !colocated {
 		return nil, nil, false
 	}
 	m := s.met.Load()
-	am, err := s.peerArena(base)
-	if err != nil {
-		m.pullFallback.Inc()
-		return nil, nil, false
-	}
-	view, slot, ok := am.borrow(id, n)
-	if !ok {
-		am.unref()
-		m.pullFallback.Inc()
-		return nil, nil, false
-	}
-	m.pullLocal.Inc()
-	l := arenaLoans.Get().(*arenaLoan)
-	l.am, l.slot = am, slot
-	return view, l.done, true
-}
-
-// ownerBase returns the segment base of a colocated owner's arena, "" when
-// ownerAddr names no peer on this host (or names this endpoint). The answer
-// depends on the address alone, so it is worked out once per owner:
-// SplitAddr builds a string for a composite address.
-func (s *shmBulk) ownerBase(ownerAddr string) string {
-	s.amu.Lock()
-	base, known := s.owners[ownerAddr]
-	s.amu.Unlock()
-	if known {
-		return base
-	}
-	if smAddr, _ := SplitAddr(ownerAddr); smAddr != "" {
-		if host, b, ok := smHostBase(smAddr); ok && host == s.host && b != s.base {
-			base = b
+	if am != nil {
+		if view, slot, ok := am.borrow(id, n); ok {
+			m.pullLocal.Inc()
+			l := arenaLoans.Get().(*arenaLoan)
+			l.am, l.slot = am, slot
+			return view, l.done, true
 		}
+		am.unref()
 	}
-	s.amu.Lock()
-	if len(s.owners) >= maxRoutes {
-		clear(s.owners)
-	}
-	s.owners[ownerAddr] = base
-	s.amu.Unlock()
-	return base
+	m.pullFallback.Inc()
+	return nil, nil, false
 }
 
 // arenaLoan is one borrow's pin on a peer arena. Loans are pooled with

@@ -4,41 +4,53 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"colza/internal/obs"
 )
 
-// dualPair builds two dual endpoints in one temp dir and tears them down
-// with the test.
-func dualPair(t *testing.T) (*DualEndpoint, *DualEndpoint, string) {
+// dualPair builds two dual endpoints and tears them down with the test.
+// Neither has dialed the other yet.
+func dualPair(t *testing.T) (*DualEndpoint, *DualEndpoint) {
 	return dualPairArena(t, defaultArenaBytes, defaultArenaSlots)
 }
 
 // dualPairArena is dualPair with the arena geometry chosen by the test.
-func dualPairArena(t *testing.T, arenaBytes, arenaSlots int) (*DualEndpoint, *DualEndpoint, string) {
+func dualPairArena(t *testing.T, arenaBytes, arenaSlots int) (*DualEndpoint, *DualEndpoint) {
 	t.Helper()
-	dir := t.TempDir()
 	var eps [2]*DualEndpoint
 	for i, name := range []string{"a", "b"} {
-		ep, err := listenDual("127.0.0.1:0", dir, name, arenaBytes, arenaSlots)
+		ep, err := listenDual("127.0.0.1:0", name, arenaBytes, arenaSlots)
 		if err != nil {
 			t.Fatalf("ListenDual %s: %v", name, err)
 		}
 		t.Cleanup(func() { ep.Close() })
 		eps[i] = ep
 	}
-	return eps[0], eps[1], dir
+	return eps[0], eps[1]
+}
+
+// colocated has owner send puller one frame, so owner dials puller's unix
+// socket and offers it its arena, and returns once puller has the frame —
+// read after the offer, so the offer is filed by then.
+func colocated(t *testing.T, owner, puller *DualEndpoint) {
+	t.Helper()
+	if err := owner.Send(puller.Addr(), []byte("offer")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if _, data, err := puller.Recv(); err != nil || string(data) != "offer" {
+		t.Fatalf("recv: %q, %v", data, err)
+	}
 }
 
 // borrowCopy borrows len(dst) bytes of region id from owner, copies them
@@ -54,7 +66,7 @@ func borrowCopy(b *DualEndpoint, owner string, id uint64, dst []byte) bool {
 }
 
 func TestSMSendRecv(t *testing.T) {
-	a, b, _ := dualPair(t)
+	a, b := dualPair(t)
 	if err := a.Send(b.Addr(), []byte("ping")); err != nil {
 		t.Fatalf("send: %v", err)
 	}
@@ -81,7 +93,7 @@ func TestSMSendRecv(t *testing.T) {
 // TestSMNoRoute: an address with no tcp component can never be reached —
 // there is no standalone sm:// transport.
 func TestSMNoRoute(t *testing.T) {
-	a, _, _ := dualPair(t)
+	a, _ := dualPair(t)
 	if err := a.Send("inproc://x", []byte("x")); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("inproc address: want ErrNoRoute, got %v", err)
 	}
@@ -95,7 +107,7 @@ func TestSMNoRoute(t *testing.T) {
 // senders, notice crashes — and the dead connection leaves the cache, so a
 // peer that is there is dialed afresh.
 func TestSMCrashedPeerSilentLoss(t *testing.T) {
-	a, b, dir := dualPair(t)
+	a, b := dualPair(t)
 	if err := a.Send(b.Addr(), []byte("warm")); err != nil {
 		t.Fatalf("send: %v", err)
 	}
@@ -126,7 +138,7 @@ func TestSMCrashedPeerSilentLoss(t *testing.T) {
 	if err := a.Send(addr, []byte("still void")); err != nil {
 		t.Fatalf("send after teardown: %v", err)
 	}
-	c, err := ListenDual("127.0.0.1:0", dir, "c")
+	c, err := ListenDual("127.0.0.1:0", "", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +154,13 @@ func TestSMCrashedPeerSilentLoss(t *testing.T) {
 	}
 }
 
-// TestSMSegmentCleanup: a clean Close leaves no segment files — socket and
-// arena are unlinked.
+// TestSMSegmentCleanup: a clean Close leaves nothing behind — not a
+// descriptor, not a mapping of an arena, not a dialable socket — and
+// nothing of either endpoint was ever a file.
 func TestSMSegmentCleanup(t *testing.T) {
-	a, b, dir := dualPair(t)
-	if err := a.Send(b.Addr(), []byte("x")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if _, _, err := b.Recv(); err != nil {
-		t.Fatalf("recv: %v", err)
-	}
+	fds, maps := countFDs(t), countArenaMaps(t)
+	a, b := dualPair(t)
+	colocated(t, a, b)
 	if !a.ExposeLocal(1, []byte("bulk bytes")) {
 		t.Fatal("ExposeLocal failed")
 	}
@@ -159,23 +168,50 @@ func TestSMSegmentCleanup(t *testing.T) {
 	if !borrowCopy(b, a.Addr(), 1, dst[:]) {
 		t.Fatal("borrow missed")
 	}
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 3 { // a.sock, a.blk, b.sock
-		t.Errorf("%d segment files while open, want 3", len(ents))
+	// Each owner maps its own arena, b maps a's table and data area too.
+	if got := countArenaMaps(t) - maps; got != 4 {
+		t.Errorf("%d arena mappings while open, want 4", got)
 	}
+	smPart, _ := SplitAddr(b.Addr())
+	_, name, _ := smHostSocket(smPart)
+	a.ReleaseLocal(1)
 	a.Close()
 	b.Close()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("readdir: %v", err)
+	if got := countFDs(t); got != fds {
+		t.Errorf("%d descriptors open after Close, want the %d before", got, fds)
 	}
-	for _, e := range ents {
-		t.Errorf("orphaned segment file after Close: %s", e.Name())
+	if got := countArenaMaps(t); got != maps {
+		t.Errorf("%d arena mappings after Close, want the %d before", got, maps)
+	}
+	if c, err := net.Dial("unix", "@"+name); err == nil {
+		c.Close()
+		t.Error("a closed endpoint's socket still takes connections")
 	}
 }
 
+// countFDs counts this process's open descriptors.
+func countFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(ents)
+}
+
+// countArenaMaps counts this process's mappings of arena memfds.
+func countArenaMaps(t *testing.T) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	return bytes.Count(maps, []byte("/memfd:colza-arena"))
+}
+
 func TestSMLocalBulk(t *testing.T) {
-	a, b, _ := dualPair(t)
+	a, b := dualPair(t)
+	colocated(t, a, b)
 	payload := make([]byte, 64<<10)
 	for i := range payload {
 		payload[i] = byte(i * 31)
@@ -208,15 +244,16 @@ func TestSMLocalBulk(t *testing.T) {
 	if borrowCopy(b, a.Addr(), 999, dst) {
 		t.Fatal("unknown id should fall back")
 	}
-	// Owners this endpoint cannot map decline: no sm component, another
-	// host, a malformed one, itself, a base with no arena.
-	_, tcpPart := SplitAddr(a.Addr())
+	// Owners that offered this endpoint no arena decline: the owner's
+	// address without its sm component or with another, a malformed one,
+	// itself.
+	smPart, tcpPart := SplitAddr(a.Addr())
 	for _, owner := range []string{
 		tcpPart,
-		DualAddr("sm://other-host"+a.base, tcpPart),
+		smPart,
+		DualAddr("sm://other-host/x", tcpPart),
 		"sm+tcp://nobase;127.0.0.1:1",
 		b.Addr(),
-		DualAddr("sm://"+smHostID()+"/no/such/base", tcpPart),
 	} {
 		if borrowCopy(b, owner, 42, sub) {
 			t.Fatalf("pull from %s should fall back", owner)
@@ -249,7 +286,8 @@ func TestSMLocalBulk(t *testing.T) {
 // publish is held to the span it was reserved with, and a release withdraws
 // it again.
 func TestReservedSlotMissedUntilPublished(t *testing.T) {
-	a, b, _ := dualPairArena(t, 1<<20, 8)
+	a, b := dualPairArena(t, 1<<20, 8)
+	colocated(t, a, b)
 	reg := obs.NewRegistry()
 	a.SetObserver(reg)
 	const id = 5
@@ -301,10 +339,10 @@ func TestReservedSlotMissedUntilPublished(t *testing.T) {
 
 // TestArenaCloseWithReservationHeld: Close does not unmap a span a
 // reservation still holds — its holder may go on writing into it, as a
-// pending batch does — but refuses every new region, unlinks the files at
+// pending batch does — but refuses every new region, closes the memfd at
 // once, and unmaps at the last release.
 func TestArenaCloseWithReservationHeld(t *testing.T) {
-	a, b, dir := dualPair(t)
+	a, b := dualPair(t)
 	reg := obs.NewRegistry()
 	a.SetObserver(reg)
 	span := a.ReserveLocal(1, 64<<10)
@@ -316,12 +354,8 @@ func TestArenaCloseWithReservationHeld(t *testing.T) {
 	}
 	a.Close()
 	b.Close()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		t.Errorf("segment file left after Close: %s", e.Name())
+	if a.file.Fd() != ^uintptr(0) {
+		t.Error("the arena's memfd is open after Close")
 	}
 	if a.ReserveLocal(3, 16) != nil || a.ExposeLocal(4, []byte("x")) || a.PublishLocal(1, 16) {
 		t.Fatal("a closed arena took a new region")
@@ -352,8 +386,8 @@ func TestArenaCloseWithReservationHeld(t *testing.T) {
 	if got := reg.Gauge("na.shm.mapped.bytes").Value(); got != 0 {
 		t.Fatalf("na.shm.mapped.bytes after the last release = %d, want 0", got)
 	}
-	// An endpoint closed before it ever exposed creates no arena afterwards.
-	c, err := ListenDual("127.0.0.1:0", dir, "c")
+	// An endpoint closed before it ever exposed takes no region afterwards.
+	c, err := ListenDual("127.0.0.1:0", "", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,16 +395,14 @@ func TestArenaCloseWithReservationHeld(t *testing.T) {
 	if c.ReserveLocal(1, 16) != nil {
 		t.Fatal("an endpoint closed before its first region reserved one")
 	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-		t.Fatalf("%d segment files after the late reserve, want 0", len(ents))
-	}
 }
 
 // TestSMLocalBulkSlotCollision: two live ids on the same table slot — the
 // second expose must decline so pulls for it use the RPC path, and must
 // never corrupt the first.
 func TestSMLocalBulkSlotCollision(t *testing.T) {
-	a, b, _ := dualPairArena(t, defaultArenaBytes, 8)
+	a, b := dualPairArena(t, defaultArenaBytes, 8)
+	colocated(t, a, b)
 	if !a.ExposeLocal(3, []byte("first")) {
 		t.Fatal("first expose failed")
 	}
@@ -387,7 +419,7 @@ func TestSMLocalBulkSlotCollision(t *testing.T) {
 // TestSMArenaExhaustion: filling the arena declines further exposes and
 // releases make the space reusable (first-fit with coalescing).
 func TestSMArenaExhaustion(t *testing.T) {
-	a, _, _ := dualPairArena(t, 1<<20, 64)
+	a, _ := dualPairArena(t, 1<<20, 64)
 	reg := obs.NewRegistry()
 	a.SetObserver(reg)
 	big := make([]byte, 600<<10)
@@ -422,26 +454,32 @@ func TestSMArenaExhaustion(t *testing.T) {
 	a.ReleaseLocal(3)
 }
 
-// TestSMArenaUnavailable: an endpoint whose arena file cannot be created
-// declines every expose (pulls use the RPC path) and keeps declining.
+// TestSMArenaUnavailable: an endpoint whose arena cannot be made — a slot
+// count that is not a power of two, a size no mapping can take — or whose
+// sockets cannot be bound is refused, and holds nothing afterwards.
 func TestSMArenaUnavailable(t *testing.T) {
-	a, _, _ := dualPair(t)
-	if err := os.WriteFile(a.base+".blk", nil, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Remove(a.base + ".blk")
-	for i := 0; i < 2; i++ {
-		if a.ExposeLocal(1, []byte("x")) {
-			t.Fatal("expose succeeded over a foreign arena file")
+	fds, maps := countFDs(t), countArenaMaps(t)
+	for name, listen := range map[string]func() (*DualEndpoint, error){
+		"slot count 3":     func() (*DualEndpoint, error) { return listenDual("127.0.0.1:0", "c", 1<<20, 3) },
+		"4 EiB of data":    func() (*DualEndpoint, error) { return listenDual("127.0.0.1:0", "c", 1<<62, 8) },
+		"no tcp port":      func() (*DualEndpoint, error) { return ListenDual("127.0.0.1:x", "", "c") },
+		"socket name long": func() (*DualEndpoint, error) { return ListenDual("127.0.0.1:0", "", strings.Repeat("n", 200)) },
+	} {
+		if ep, err := listen(); err == nil {
+			ep.Close()
+			t.Errorf("%s: listened", name)
 		}
 	}
-	if _, err := listenDual("127.0.0.1:0", t.TempDir(), "c", 1<<20, 3); err == nil {
-		t.Fatal("slot count that is not a power of two accepted")
+	if got := countFDs(t); got != fds {
+		t.Errorf("%d descriptors open after the refused listens, want the %d before", got, fds)
+	}
+	if got := countArenaMaps(t); got != maps {
+		t.Errorf("%d arena mappings after the refused listens, want the %d before", got, maps)
 	}
 }
 
 func TestSMFaultPlanDropAndDelay(t *testing.T) {
-	a, b, _ := dualPair(t)
+	a, b := dualPair(t)
 	plan := NewFaultPlan(1)
 	plan.Add(FaultRule{Nth: 1, Count: 1, Drop: true})
 	plan.Add(FaultRule{Nth: 3, Delay: 20 * time.Millisecond})
@@ -470,7 +508,7 @@ func TestSMFaultPlanDropAndDelay(t *testing.T) {
 // TestSMQueueDepthGauge: the receive queue reports depth and high-water
 // through obs and drains back to zero once consumed.
 func TestSMQueueDepthGauge(t *testing.T) {
-	a, b, _ := dualPair(t)
+	a, b := dualPair(t)
 	reg := obs.NewRegistry()
 	b.SetObserver(reg)
 	b.SetObserver(nil) // a nil registry leaves the wiring alone
@@ -502,7 +540,8 @@ func TestSMQueueDepthGauge(t *testing.T) {
 
 // TestSMObsCounters: arena traffic shows up under na.shm.*.
 func TestSMObsCounters(t *testing.T) {
-	a, b, _ := dualPair(t)
+	a, b := dualPair(t)
+	colocated(t, a, b)
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
 	a.SetObserver(regA)
 	b.SetObserver(regB)
@@ -534,7 +573,8 @@ func TestSMObsCounters(t *testing.T) {
 // (na.shm.pull.fallback counted once), takes its pin back and never hands out
 // a view outside the region, let alone the mapping.
 func TestPullLocalHostileSlot(t *testing.T) {
-	a, b, _ := dualPairArena(t, 1<<20, 8)
+	a, b := dualPairArena(t, 1<<20, 8)
+	colocated(t, a, b)
 	reg := obs.NewRegistry()
 	b.SetObserver(reg)
 	const id = 5
@@ -591,11 +631,12 @@ func TestPullLocalHostileSlot(t *testing.T) {
 	a.ReleaseLocal(id)
 }
 
-// TestPeerArenaRejectsHostileHeader: a peer's arena file sizes a mapping,
-// so a header that lies or a file shorter than its header claims is never
-// mapped.
+// TestPeerArenaRejectsHostileHeader: a peer's arena sizes a mapping, so
+// a sealed memfd whose header lies, or that is shorter than its header
+// claims, is never mapped: the peer is colocated, and every borrow from it
+// falls back.
 func TestPeerArenaRejectsHostileHeader(t *testing.T) {
-	_, b, dir := dualPair(t)
+	_, b := dualPair(t)
 	reg := obs.NewRegistry()
 	b.SetObserver(reg)
 	good := arenaHeader(8, 4096)
@@ -615,24 +656,164 @@ func TestPeerArenaRejectsHostileHeader(t *testing.T) {
 		"empty":      nil,
 		"version 1":  version1,
 	} {
-		base := filepath.Join(dir, "hostile")
-		if err := os.WriteFile(base+".blk", file, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		owner := DualAddr("sm://"+smHostID()+base, "127.0.0.1:1")
+		owner := DualAddr("sm://"+smHostID()+"/hostile-"+name, "127.0.0.1:1")
+		offerAs(t, b, owner, syscall.UnixRights(testMemfd(t, file, true)))
 		if borrowCopy(b, owner, 1, make([]byte, 8)) {
 			t.Fatalf("%s: borrowed, want a decline", name)
 		}
-		os.Remove(base + ".blk")
 	}
 	if got := reg.Counter("na.shm.pull.fallback").Value(); got != 9 {
 		t.Fatalf("na.shm.pull.fallback = %d, want 9", got)
 	}
 	b.amu.Lock()
-	n := len(b.arenas)
-	b.amu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d hostile arenas stayed mapped", n)
+	defer b.amu.Unlock()
+	for owner, am := range b.peers {
+		if am != nil {
+			t.Errorf("the arena %s offered is mapped", owner)
+		}
+	}
+}
+
+// TestSharedArenaCannotShrink: with the arena a file, its owner could
+// shrink it under a puller's mapping, and the puller's next read died of
+// SIGBUS, which no recover catches. The memfd is sealed against shrinking
+// before it is offered: the owner's ftruncate fails with EPERM and the
+// next borrow reads the region's bytes.
+func TestSharedArenaCannotShrink(t *testing.T) {
+	a, b := dualPair(t)
+	colocated(t, a, b)
+	payload := make([]byte, 64<<10)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	if !a.ExposeLocal(1, payload) {
+		t.Fatal("expose failed")
+	}
+	dst := make([]byte, len(payload))
+	if !borrowCopy(b, a.Addr(), 1, dst) {
+		t.Fatal("borrow missed")
+	}
+	if err := syscall.Ftruncate(int(a.file.Fd()), 4<<10); err != syscall.EPERM {
+		t.Fatalf("owner's ftruncate to 4 KiB: %v, want EPERM", err)
+	}
+	clear(dst)
+	if !borrowCopy(b, a.Addr(), 1, dst) || !bytes.Equal(dst, payload) {
+		t.Fatal("the borrow after the shrink attempt missed or read other bytes")
+	}
+}
+
+// TestArenaOfferRefused: a peer whose opening message passes an unsealed
+// memfd, or a regular file, is refused its mapping — every borrow from it
+// falls back, counted — and an offer on a newer connection replaces an
+// older one. A message with no descriptor, or two, loses its connection,
+// and the endpoint serves on.
+func TestArenaOfferRefused(t *testing.T) {
+	a, b := dualPair(t)
+	colocated(t, a, b)
+	reg := obs.NewRegistry()
+	b.SetObserver(reg)
+	if !a.ExposeLocal(1, []byte("region")) {
+		t.Fatal("expose failed")
+	}
+	regular, err := os.CreateTemp(t.TempDir(), "arena")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer regular.Close()
+	if _, err := regular.Write(a.arena.seg[:arenaDataOff(defaultArenaSlots)+64]); err != nil {
+		t.Fatal(err)
+	}
+	unsealed := testMemfd(t, a.arena.seg[:arenaDataOff(defaultArenaSlots)+64], false)
+	dst := make([]byte, 6)
+	for name, fd := range map[string]int{"unsealed memfd": unsealed, "regular file": int(regular.Fd())} {
+		if mapOffer(fd) != nil {
+			t.Errorf("%s: mapped", name)
+		}
+		// Under the owner's address: it replaces the owner's sealed arena.
+		offerAs(t, b, a.Addr(), syscall.UnixRights(fd))
+		if borrowCopy(b, a.Addr(), 1, dst) {
+			t.Fatalf("%s: borrowed, want a decline", name)
+		}
+	}
+	if got := reg.Counter("na.shm.pull.fallback").Value(); got != 2 {
+		t.Fatalf("na.shm.pull.fallback = %d, want 2", got)
+	}
+	// The owner's next connection brings its sealed arena back.
+	a.mu.Lock()
+	for _, c := range a.conns {
+		c.c.Close()
+	}
+	a.conns = map[string]*tcpConn{}
+	a.mu.Unlock()
+	colocated(t, a, b)
+	if !borrowCopy(b, a.Addr(), 1, dst) || string(dst) != "region" {
+		t.Fatalf("borrow after the owner's new offer: %q", dst)
+	}
+
+	for name, oob := range map[string][]byte{
+		"no descriptor":   nil,
+		"two descriptors": syscall.UnixRights(unsealed, unsealed),
+	} {
+		c := dialUnix(t, b)
+		if _, _, err := c.WriteMsgUnix(rawFrame(4, 0, []byte("peer"), nil), oob, nil); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: read from the refused connection: %v, want it closed", name, err)
+		}
+	}
+	colocated(t, a, b)
+}
+
+// testMemfd makes a memfd holding contents, sealed against shrinking or
+// not, closed with the test.
+func testMemfd(t *testing.T, contents []byte, sealed bool) int {
+	t.Helper()
+	fd, err := memfdCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Close(fd) })
+	if _, err := syscall.Write(fd, contents); err != nil && len(contents) > 0 {
+		t.Fatal(err)
+	}
+	if sealed {
+		if _, err := fcntl(fd, fAddSeals, sealShrink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fd
+}
+
+// dialUnix dials b's unix socket as a hand-made peer would; the connection
+// closes with the test.
+func dialUnix(t *testing.T, b *DualEndpoint) *net.UnixConn {
+	t.Helper()
+	smPart, _ := SplitAddr(b.Addr())
+	_, name, _ := smHostSocket(smPart)
+	c, err := net.Dial("unix", "@"+name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c.(*net.UnixConn)
+}
+
+// offerAs opens a connection to b as the peer at from whose opening
+// message carries the control bytes oob, then sends one frame and returns
+// once b has it: the offer is filed, or refused, by then.
+func offerAs(t *testing.T, b *DualEndpoint, from string, oob []byte) {
+	t.Helper()
+	c := dialUnix(t, b)
+	if _, _, err := c.WriteMsgUnix(rawFrame(uint32(len(from)), 0, []byte(from), nil), oob, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(rawFrame(uint32(len(from)), 4, []byte(from), []byte("sync"))); err != nil {
+		t.Fatal(err)
+	}
+	if got, data, err := b.Recv(); err != nil || got != from || string(data) != "sync" {
+		t.Fatalf("recv after the offer: %q from %q, %v", data, got, err)
 	}
 }
 
@@ -659,7 +840,8 @@ func arenaHeader(nslots, dataCap uint64) []byte {
 // pin's); any other outcome is a fallback, and is counted as one. Both
 // endpoints close with nothing left published or quarantined.
 func TestArenaChurnStress(t *testing.T) {
-	a, b, _ := dualPairArena(t, 64<<10, 4)
+	a, b := dualPairArena(t, 64<<10, 4)
+	colocated(t, a, b)
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
 	a.SetObserver(regA)
 	b.SetObserver(regB)
@@ -766,58 +948,6 @@ func TestArenaChurnStress(t *testing.T) {
 	}
 }
 
-func TestSMSocketPathTooLong(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "a-very-long-intermediate-directory-name-to-overflow")
-	name := fmt.Sprintf("%0100d", 7)
-	if _, err := ListenDual("127.0.0.1:0", dir, name); err == nil {
-		t.Fatal("oversized socket path accepted")
-	}
-}
-
-// TestSMStaleSegmentGC: a SIGKILL'd endpoint owner cannot unlink its own
-// files, so the next listen in the same directory garbage-collects
-// auto-named segments of dead pids — and leaves live owners' files alone.
-func TestSMStaleSegmentGC(t *testing.T) {
-	dir := t.TempDir()
-	cmd := exec.Command("true")
-	if err := cmd.Run(); err != nil {
-		t.Skipf("no /bin/true: %v", err)
-	}
-	deadPid := cmd.Process.Pid
-	var stale []string
-	for _, ext := range []string{".sock", ".blk"} {
-		p := filepath.Join(dir, fmt.Sprintf("ep-%d-1%s", deadPid, ext))
-		if err := os.WriteFile(p, nil, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		stale = append(stale, p)
-	}
-	keep := []string{
-		filepath.Join(dir, "custom-name.sock"),
-		filepath.Join(dir, fmt.Sprintf("ep-%d-99.blk", os.Getpid())),
-	}
-	for _, p := range keep {
-		if err := os.WriteFile(p, nil, 0o600); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ep, err := ListenDual("127.0.0.1:0", dir, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	for _, p := range stale {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("stale segment %s survived GC (err=%v)", p, err)
-		}
-	}
-	for _, p := range keep {
-		if _, err := os.Stat(p); err != nil {
-			t.Errorf("a live owner's or custom-named segment was GC'd: %v", err)
-		}
-	}
-}
-
 // TestCloseUnderBorrow: the borrower's Close drops its mappings of peer
 // arenas while views into them are out — a stage handler still reading,
 // or a pull still copying, when the server finalizes. Each round holds one
@@ -832,7 +962,8 @@ func TestCloseUnderBorrow(t *testing.T) {
 		payload[i] = byte(i*13 + i>>12)
 	}
 	for round := 0; round < 20; round++ {
-		a, b, _ := dualPairArena(t, size, 8)
+		a, b := dualPairArena(t, size, 8)
+		colocated(t, a, b)
 		if !a.ExposeLocal(1, payload) {
 			t.Fatal("expose failed")
 		}
@@ -841,10 +972,7 @@ func TestCloseUnderBorrow(t *testing.T) {
 			t.Fatal("borrow failed")
 		}
 		b.amu.Lock()
-		var am *smArenaMap
-		for _, m := range b.arenas {
-			am = m
-		}
+		am := b.peers[a.Addr()]
 		b.amu.Unlock()
 
 		var wg sync.WaitGroup
@@ -904,7 +1032,8 @@ func TestCloseUnderBorrow(t *testing.T) {
 // only after done.
 func TestBorrowPinsSpanAgainstRelease(t *testing.T) {
 	const arena, size = 1 << 20, 64 << 10
-	a, b, _ := dualPairArena(t, arena, 8)
+	a, b := dualPairArena(t, arena, 8)
+	colocated(t, a, b)
 	regA := obs.NewRegistry()
 	a.SetObserver(regA)
 	const id = 3
@@ -979,9 +1108,10 @@ func TestBorrowPinsSpanAgainstRelease(t *testing.T) {
 // killed while its stage handler read a client's arena — leaves its pin in
 // the reader word for good. Only its span stays quarantined, shown by the
 // gauge: reservations elsewhere go on, those on its slot fall back, and the
-// owner's Close forgets the quarantine, unmaps and unlinks.
+// owner's Close forgets the quarantine and unmaps.
 func TestQuarantineAfterStuckPin(t *testing.T) {
-	a, b, _ := dualPairArena(t, 1<<20, 8)
+	a, b := dualPairArena(t, 1<<20, 8)
+	colocated(t, a, b)
 	regA := obs.NewRegistry()
 	a.SetObserver(regA)
 	const id, size = 5, 64 << 10
@@ -1020,9 +1150,6 @@ func TestQuarantineAfterStuckPin(t *testing.T) {
 	a.arena.mu.Unlock()
 	if mapped {
 		t.Fatal("Close left the arena mapped under a stuck pin")
-	}
-	if _, err := os.Stat(a.base + ".blk"); !os.IsNotExist(err) {
-		t.Fatalf("arena file left after Close: %v", err)
 	}
 	for _, g := range []string{"na.shm.mapped.bytes", "na.shm.quarantined.bytes"} {
 		if got := regA.Gauge(g).Value(); got != 0 {

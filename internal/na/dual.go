@@ -1,6 +1,9 @@
 package na
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -9,14 +12,15 @@ import (
 
 // DualEndpoint is one stream endpoint plus a shared-memory bulk arena. It
 // listens on TCP and on a unix socket and advertises one composite
-// "sm+tcp://host/base;host:port" address; the first frame to a peer dials
+// "sm+tcp://host/name;host:port" address; the first frame to a peer dials
 // its unix socket when the peer is colocated and alive, its TCP port
 // otherwise, and the cached connection carries every later frame
 // (tcpEP.dial counts the choice: na.route.sm_preferred /
 // na.route.tcp_fallback). Framing, accept/read loops and the send path are
 // the plain TCP endpoint's. What sharing a host buys beyond the socket is
-// LocalBulk: exposed regions are published in the arena (arena.go) and
-// colocated pullers read them in place, in mapped memory.
+// LocalBulk: exposed regions are published in the arena (arena.go), which
+// every unix-socket connection hands its acceptor first, and colocated
+// pullers read them in place, in mapped memory.
 type DualEndpoint struct {
 	*tcpEP
 	*shmBulk
@@ -24,29 +28,31 @@ type DualEndpoint struct {
 	plan atomic.Pointer[FaultPlan]
 }
 
-// ListenDual creates a dual sm+tcp endpoint: hostport binds the TCP side
-// (e.g. "127.0.0.1:0"); the unix socket and the arena are smDir/smName
-// + ".sock" / ".blk" (an empty dir selects DefaultSMDir, an empty name
-// generates a unique one).
+// ListenDual creates a dual sm+tcp endpoint (Linux only: memfd_create,
+// abstract sockets). hostport binds the TCP side (e.g. "127.0.0.1:0"); the
+// unix socket's abstract name is the pid, a per-process sequence number
+// and smName, so no two listens collide. smDir is unused, kept for callers
+// that pass one.
 func ListenDual(hostport, smDir, smName string) (*DualEndpoint, error) {
-	return listenDual(hostport, smDir, smName, defaultArenaBytes, defaultArenaSlots)
+	return listenDual(hostport, smName, defaultArenaBytes, defaultArenaSlots)
 }
 
-func listenDual(hostport, smDir, smName string, arenaBytes, arenaSlots int) (*DualEndpoint, error) {
-	base, err := smSegmentBase(smDir, smName)
-	if err != nil {
-		return nil, err
-	}
-	bulk, err := newShmBulk(base, arenaBytes, arenaSlots)
+var smNameSeq atomic.Uint64
+
+func listenDual(hostport, smName string, arenaBytes, arenaSlots int) (*DualEndpoint, error) {
+	bulk, err := newShmBulk(arenaBytes, arenaSlots)
 	if err != nil {
 		return nil, err
 	}
 	ep, err := listenTCP(hostport)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		name := strings.TrimSuffix(fmt.Sprintf("colza-%d-%d-%s", os.Getpid(), smNameSeq.Add(1), smName), "-")
+		if err = ep.listenUnix(name, bulk); err != nil {
+			ep.Close()
+		}
 	}
-	if err := ep.listenUnix(base); err != nil {
-		ep.Close()
+	if err != nil {
+		bulk.close()
 		return nil, err
 	}
 	return &DualEndpoint{tcpEP: ep, shmBulk: bulk}, nil
@@ -94,9 +100,8 @@ func (e *DualEndpoint) SendGather(to string, head, body []byte) error {
 	return e.tcpEP.SendGather(to, head, body)
 }
 
-// Close shuts the listeners and connections down, releases every mapping
-// and unlinks the socket and arena files — after a clean Close no segment
-// files remain on disk.
+// Close shuts the listeners and connections down and releases the arena
+// and every mapping.
 func (e *DualEndpoint) Close() error {
 	err := e.tcpEP.Close()
 	e.shmBulk.close()

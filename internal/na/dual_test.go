@@ -1,7 +1,6 @@
 package na
 
 import (
-	"os"
 	"testing"
 
 	"colza/internal/obs"
@@ -24,7 +23,7 @@ func connNetwork(e *DualEndpoint, peer string) string {
 // colocated peer, the sender must dial the peer's unix socket, not
 // loopback TCP — and the choice must be counted, once per connection.
 func TestDualPrefersSMOverLoopbackTCP(t *testing.T) {
-	a, b, _ := dualPair(t)
+	a, b := dualPair(t)
 	reg := obs.NewRegistry()
 	a.SetObserver(reg)
 
@@ -67,27 +66,33 @@ func TestDualPrefersSMOverLoopbackTCP(t *testing.T) {
 	}
 }
 
-// TestDualFallsBackToTCP: a peer whose unix socket cannot be dialed — the
-// file is gone, or its address names another host — still gets its frames,
-// over the tcp component.
+// TestDualFallsBackToTCP: a peer whose unix socket cannot be dialed — its
+// listener is closed, or its address names another host — or that cannot
+// be offered an arena, because the dialer's is closed, still gets its
+// frames, over the tcp component.
 func TestDualFallsBackToTCP(t *testing.T) {
-	for name, peerAddr := range map[string]func(t *testing.T, b *DualEndpoint) string{
-		"socket file gone": func(t *testing.T, b *DualEndpoint) string {
-			if err := os.Remove(b.base + ".sock"); err != nil {
+	for name, peerAddr := range map[string]func(t *testing.T, a, b *DualEndpoint) string{
+		"socket gone": func(t *testing.T, _, b *DualEndpoint) string {
+			if err := b.ul.Close(); err != nil {
 				t.Fatal(err)
 			}
 			return b.Addr()
 		},
-		"other host": func(_ *testing.T, b *DualEndpoint) string {
-			_, tcpPart := SplitAddr(b.Addr())
-			return DualAddr("sm://other-host"+b.base, tcpPart)
+		"other host": func(_ *testing.T, _, b *DualEndpoint) string {
+			smPart, tcpPart := SplitAddr(b.Addr())
+			_, name, _ := smHostSocket(smPart)
+			return DualAddr("sm://other-host/"+name, tcpPart)
+		},
+		"arena closed": func(_ *testing.T, a, b *DualEndpoint) string {
+			a.file.Close()
+			return b.Addr()
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			a, b, _ := dualPair(t)
+			a, b := dualPair(t)
 			reg := obs.NewRegistry()
 			a.SetObserver(reg)
-			to := peerAddr(t, b)
+			to := peerAddr(t, a, b)
 			if err := a.Send(to, []byte("via wire")); err != nil {
 				t.Fatalf("send: %v", err)
 			}
@@ -112,7 +117,7 @@ func TestDualFallsBackToTCP(t *testing.T) {
 // message it is (the classifier gets head and body joined), on the unix
 // socket exactly as over TCP.
 func TestDualFaultPlanCoversSMRoute(t *testing.T) {
-	a, b, _ := dualPair(t)
+	a, b := dualPair(t)
 	plan := NewFaultPlan(3).SetClassifier(func(data []byte) string { return string(data) })
 	plan.Add(FaultRule{Label: "head|dropped", Drop: true})
 	a.SetFaultPlan(plan)
@@ -147,7 +152,7 @@ func TestPlainTCPAcceptsCompositeAddr(t *testing.T) {
 		t.Fatalf("listen send: %v", err)
 	}
 	defer send.Close()
-	composite := DualAddr("sm://"+smHostID()+"/no/such/base", recv.Addr())
+	composite := DualAddr("sm://"+smHostID()+"/no-such-socket", recv.Addr())
 	if err := send.Send(composite, []byte("tcp leg")); err != nil {
 		t.Fatalf("send: %v", err)
 	}

@@ -76,8 +76,8 @@ type Endpoint interface {
 // a borrower still pins is not recycled before the borrower is done.
 type LocalBulk interface {
 	// ExposeLocal publishes buf under the bulk registration id. False
-	// means the region was not published (no segment, table collision,
-	// arena full) and pulls will use the RPC path.
+	// means the region was not published (table collision, arena full,
+	// endpoint closed) and pulls will use the RPC path.
 	ExposeLocal(id uint64, buf []byte) bool
 	// ReserveLocal takes the export-table slot of id and n bytes of the
 	// segment and returns them writable but unpublished: a borrow of id

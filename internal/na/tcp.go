@@ -2,14 +2,17 @@ package na
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"colza/internal/bufpool"
@@ -63,7 +66,8 @@ func listenTCP(hostport string) (*tcpEP, error) {
 // tcpEP is the stream-socket endpoint: length-prefixed frames over one
 // cached connection per peer. A plain endpoint (ListenTCP) has a TCP
 // listener only; a dual endpoint (ListenDual) adds a unix-socket listener
-// that colocated peers dial instead — same framing, same loops.
+// that colocated peers dial instead — same framing, same loops, after one
+// first message that hands over the dialer's arena.
 type tcpEP struct {
 	// addr is the endpoint's address, stamped as the sender on outgoing
 	// frames: "tcp://host:port", or the composite form for a dual endpoint,
@@ -73,10 +77,12 @@ type tcpEP struct {
 	q            *pktQueue
 	writeTimeout time.Duration
 
-	// The unix listener of a dual endpoint (nil on a plain one), this
-	// host's identity in composite addresses, and the dial-time counters of
-	// which socket a composite peer was reached over.
+	// The unix listener of a dual endpoint (nil on a plain one) and its
+	// arenas (the one it offers, those it was offered), this host's
+	// identity in composite addresses, and the dial-time counters of which
+	// socket a composite peer was reached over.
 	ul    net.Listener
+	bulk  *shmBulk
 	host  string
 	route atomic.Pointer[routeMetrics]
 
@@ -99,16 +105,17 @@ func newRouteMetrics(r *obs.Registry) *routeMetrics {
 	}
 }
 
-// listenUnix adds the colocated listener at base+".sock" and turns the
-// endpoint's address into the composite one. Before any traffic.
-func (e *tcpEP) listenUnix(base string) error {
-	ul, err := net.Listen("unix", base+".sock")
+// listenUnix adds the colocated listener on the unix socket of the
+// abstract name (no file: the kernel drops it with the listener) and turns
+// the endpoint's address into the composite one. Before any traffic.
+func (e *tcpEP) listenUnix(name string, bulk *shmBulk) error {
+	ul, err := net.Listen("unix", "@"+name)
 	if err != nil {
 		return fmt.Errorf("na: sm listen: %w", err)
 	}
-	e.ul = ul
+	e.ul, e.bulk = ul, bulk
 	e.host = smHostID()
-	e.addr = DualAddr(schemeSM+e.host+base, e.addr)
+	e.addr = DualAddr(schemeSM+e.host+"/"+name, e.addr)
 	e.route.Store(newRouteMetrics(obs.Default()))
 	go e.acceptLoop(ul)
 	return nil
@@ -179,6 +186,16 @@ func (e *tcpEP) readLoop(c net.Conn) {
 	r := bufio.NewReaderSize(c, readBufSize)
 	var last string
 	scratch := make([]byte, 8+maxFromLen)
+	if uc, ok := c.(*net.UnixConn); ok {
+		// A unix-socket connection opens with its dialer's arena offer.
+		from, am, err := recvOffer(uc, r, scratch)
+		if err != nil {
+			return
+		}
+		e.bulk.fileOffer(from, am)
+		defer e.bulk.dropOffer(from, am)
+		last = from
+	}
 	for {
 		from, data, err := readFrame(r, scratch, last)
 		if err != nil {
@@ -221,6 +238,70 @@ func readFrame(r io.Reader, scratch []byte, lastFrom string) (string, []byte, er
 		return "", nil, err
 	}
 	return lastFrom, data, nil
+}
+
+// sendOffer writes the message a dual endpoint opens every unix-socket
+// connection it dials with: an empty frame from its address, whose first
+// byte passes its arena's descriptor (SCM_RIGHTS) for the acceptor to map
+// (recvOffer). Control keeps a concurrent Close from reusing the descriptor.
+func sendOffer(c *net.UnixConn, from string, arena *os.File) error {
+	msg := newTCPConn(c, from).prefix // an empty frame's header, and the sender
+	rc, _ := arena.SyscallConn()
+	var err error
+	cerr := rc.Control(func(fd uintptr) {
+		_, _, err = c.WriteMsgUnix(msg, syscall.UnixRights(int(fd)), nil)
+	})
+	return cmp.Or(cerr, err)
+}
+
+// recvOffer reads the message that opens an accepted unix-socket
+// connection (sendOffer) and maps the arena it offers; a nil mapping is an
+// offer refused (mapOffer), whose frames are still read. An error means a
+// malformed message: the connection is of no use. Every descriptor that
+// came along is closed.
+func recvOffer(c *net.UnixConn, r io.Reader, scratch []byte) (string, *smArenaMap, error) {
+	hdr := (*[8]byte)(scratch)
+	oob := make([]byte, syscall.CmsgSpace(8)) // a second descriptor is seen, and refused
+	n, oobn, _, _, err := c.ReadMsgUnix(hdr[:], oob)
+	fromLen, fds, derr := decodeOffer(hdr, oob[:oobn])
+	for _, fd := range fds {
+		defer syscall.Close(fd)
+	}
+	if err == nil && n < len(hdr) { // one sendmsg of a few bytes arrives whole
+		err = io.ErrUnexpectedEOF
+	}
+	if err = cmp.Or(err, derr); err == nil {
+		_, err = io.ReadFull(r, scratch[8:8+fromLen])
+	}
+	if err != nil {
+		return "", nil, err
+	}
+	return string(scratch[8 : 8+fromLen]), mapOffer(fds[0]), nil
+}
+
+var errBadOffer = errors.New("na: malformed arena offer")
+
+// decodeOffer decodes the head of the message recvOffer reads: hdr must be
+// an empty frame's from at most maxFromLen bytes of address, and oob, the
+// control messages with its first byte, one SCM_RIGHTS passing one
+// descriptor, fds[0]. fds holds every descriptor passed, for the caller to
+// close, whatever err says.
+func decodeOffer(hdr *[8]byte, oob []byte) (fromLen int, fds []int, err error) {
+	cmsgs, err := syscall.ParseSocketControlMessage(oob)
+	for i := range cmsgs {
+		if len(cmsgs[i].Data)%4 != 0 { // ParseUnixRights would index past it
+			err = errBadOffer
+			continue
+		}
+		got, rerr := syscall.ParseUnixRights(&cmsgs[i])
+		fds = append(fds, got...)
+		err = errors.Join(err, rerr)
+	}
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if err != nil || len(cmsgs) != 1 || len(fds) != 1 || n > maxFromLen || binary.LittleEndian.Uint32(hdr[4:]) != 0 {
+		return 0, fds, errBadOffer
+	}
+	return int(n), fds, nil
 }
 
 // writeFrame sends header+sender and the message (head then body) as one
@@ -367,19 +448,23 @@ func (e *tcpEP) getConn(to string) (*tcpConn, string, error) {
 
 // dial opens the connection to a peer. Between two dual endpoints on one
 // host (smPart, the sm component of the peer's composite address, names
-// this host) it connects to the peer's unix socket; whenever that is not
-// possible — other host, socket gone — and on a plain endpoint it connects
-// to hostport over TCP. The choice holds for as long as the connection
-// stays in the cache; a redial chooses again.
+// this host) it connects to the peer's unix socket and offers the peer its
+// arena; whenever that is not possible — other host, socket gone, arena
+// closed — and on a plain endpoint it connects to hostport over TCP. The
+// choice holds for as long as the connection stays in the cache; a redial
+// chooses again.
 func (e *tcpEP) dial(hostport, smPart string) (net.Conn, error) {
 	if e.ul == nil || smPart == "" {
 		return net.Dial("tcp", hostport)
 	}
 	m := e.route.Load()
-	if host, base, ok := smHostBase(smPart); ok && host == e.host {
-		if c, err := net.Dial("unix", base+".sock"); err == nil {
-			m.smPreferred.Inc()
-			return c, nil
+	if host, name, ok := smHostSocket(smPart); ok && host == e.host {
+		if c, err := net.Dial("unix", "@"+name); err == nil {
+			if err := sendOffer(c.(*net.UnixConn), e.addr, e.bulk.file); err == nil {
+				m.smPreferred.Inc()
+				return c, nil
+			}
+			c.Close()
 		}
 	}
 	c, err := net.Dial("tcp", hostport)
@@ -422,7 +507,7 @@ func (e *tcpEP) Close() error {
 	e.mu.Unlock()
 	e.l.Close()
 	if e.ul != nil {
-		e.ul.Close() // unlinks the socket file
+		e.ul.Close()
 	}
 	for _, c := range conns {
 		c.c.Close()
