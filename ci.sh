@@ -118,9 +118,10 @@ fi
 # pooled buffer, with the RPC file
 # that puts every request frame back once its handler is done; the cost
 # model every number of Figs. 5-10 and ext-autoscale is computed in; and
-# the iso execute's kernels — the rasterizer, the isosurface extraction and
-# the clip — which produce every pixel the benchmark's oracle hashes, and
-# whose pixel-centre box, discarded-voxel skip and kept-side skip each sit
+# the iso execute's kernels — the rasterizer, the isosurface extraction with
+# its crossing table, the mesh they share and the clip — which produce every
+# pixel the benchmark's oracle hashes, and whose pixel-centre box,
+# discarded-voxel skip, kept-side skip and shared-vertex lookups each sit
 # behind a guard that only a test reaching both of its sides checks; the
 # volume splatter, whose integer sums are the volume pipeline's picture on
 # any number of ranks and whose resolve reads the sum a reduction brought
@@ -150,7 +151,8 @@ check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
 check_cover 90 ./internal/na/arena.go ./internal/mercury/bulk.go ./internal/na/tcp.go ./internal/mercury/mercury.go
 check_cover 90 ./internal/bench/simtime.go
-check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/clip.go ./internal/vtk/ugrid.go \
-    ./internal/vtk/imagedata.go ./internal/render/image.go ./internal/render/volume.go ./internal/icet/icet.go
+check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/crossings.go ./internal/vtk/mesh.go \
+    ./internal/vtk/clip.go ./internal/vtk/ugrid.go ./internal/vtk/imagedata.go ./internal/render/image.go \
+    ./internal/render/volume.go ./internal/icet/icet.go
 check_cover 90 ./internal/collectives/ops.go ./internal/mona/mona.go
 check_cover 90 ./internal/catalyst/stats.go ./internal/catalyst/backend.go

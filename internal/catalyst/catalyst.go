@@ -149,7 +149,8 @@ func ExecuteIso(ctrl *vtk.Controller, blocks []*vtk.ImageData, cfg IsoConfig) (S
 }
 
 // isoWorkspace is the storage one iso execute fills: the extracted surface
-// and the local framebuffer. An owner that keeps it between executes (one
+// (with its crossing table), the rasterizer's scratch and the local
+// framebuffer. An owner that keeps it between executes (one
 // IsoPipeline instance, never two goroutines at once) pays for that storage
 // once: execute resets and refills it, and allocates only when an iteration
 // extracts more triangles than any before it or the frame size changes.
@@ -161,6 +162,7 @@ func ExecuteIso(ctrl *vtk.Controller, blocks []*vtk.ImageData, cfg IsoConfig) (S
 // workspace and must not be retained past it.
 type isoWorkspace struct {
 	surface vtk.TriangleMesh
+	raster  render.Rasterizer
 	frame   *render.Image
 }
 
@@ -201,7 +203,7 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 	} else {
 		im.Clear()
 	}
-	render.RasterizeMesh(im, cam, &ws.surface, pickColorMap(cfg.ColorMap), cfg.ScalarRange)
+	ws.raster.RasterizeMesh(im, cam, &ws.surface, pickColorMap(cfg.ColorMap), cfg.ScalarRange)
 	st.RenderSeconds = time.Since(t1).Seconds()
 
 	// Parallel compositing — the only communication-intensive step.
@@ -217,7 +219,10 @@ func (ws *isoWorkspace) execute(ctrl *vtk.Controller, blocks []*vtk.ImageData, c
 
 // extract refills the surface from blocks, clipped as triangles are
 // emitted, and returns its bounding box (+Inf/−Inf when empty), folding in
-// each block's new positions right after its extraction, while in cache.
+// each block's new vertices right after its extraction, while in cache —
+// each once, however many triangles share it. Vertices are stored in the
+// order the triangles first use them, so the box is, bit for bit (which
+// zero included), the one of the triangles drawn.
 func (ws *isoWorkspace) extract(blocks []*vtk.ImageData, cfg IsoConfig) (lo, hi [3]float32, err error) {
 	var clip *vtk.Plane
 	if cfg.Clip != nil {
@@ -229,7 +234,7 @@ func (ws *isoWorkspace) extract(blocks []*vtk.ImageData, cfg IsoConfig) (lo, hi 
 	ws.surface.Reset()
 	lo, hi = vtk.EmptyBounds()
 	for _, blk := range blocks {
-		n := len(ws.surface.Positions)
+		n := len(ws.surface.Positions) // the block's vertices start here
 		if err := vtk.ExtractIsosurfaces(&ws.surface, blk, cfg.Field, cfg.IsoValues, clip); err != nil {
 			return lo, hi, err
 		}

@@ -123,12 +123,9 @@ func TestExecuteVolumeStandalone(t *testing.T) {
 	if root == nil {
 		t.Fatal("no volume composite at rank 0")
 	}
-	for i := 3; i < len(root.RGBA); i += 4 {
-		if root.RGBA[i] != 0 {
-			return
-		}
+	if root.CoveredPixels() == 0 {
+		t.Fatal("volume composite empty")
 	}
-	t.Fatal("volume composite empty")
 }
 
 // Full integration: Colza deployment staging Mandelbulb blocks into the

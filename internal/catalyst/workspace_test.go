@@ -95,6 +95,9 @@ func requireSameOutput(t *testing.T, what string, got, want isoOutput) {
 			t.Fatalf("%s: surface %s differ", what, arr.name)
 		}
 	}
+	if !slices.Equal(got.surface.Indices, want.surface.Indices) {
+		t.Fatalf("%s: surface indices differ", what)
+	}
 }
 
 // TestWorkspaceReuse: a pipeline that has rendered a large block set, then

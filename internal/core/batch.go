@@ -80,6 +80,10 @@ type stageBatcher struct {
 	mu      sync.Mutex
 	pending map[int]*batchSlot // by target rank
 	closed  bool
+	// spare holds batches done with (recycle), kept with their recs and
+	// blocks capacity for the next batch to take: at most one per slot
+	// and sender are ever out at once, so it stays that small.
+	spare []*pendingBatch
 
 	// work hands a dispatched batch to an idle sender; the senders start
 	// with the first dispatch and exit when the handle closes.
@@ -171,7 +175,10 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 		a:       a,
 	}
 
-	var ready []*pendingBatch
+	// At most two batches go out per enqueue: the previous iteration's and
+	// a full one.
+	var readyBuf [2]*pendingBatch
+	ready := readyBuf[:0]
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -197,7 +204,8 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 		pb = nil
 	}
 	if pb == nil {
-		pb = &pendingBatch{addr: addr, it: it, born: time.Now()}
+		pb = b.newBatchLocked()
+		pb.addr, pb.it, pb.born = addr, it, time.Now()
 		pb.payload, pb.resv = b.assembly(len(wire))
 		slot.pb = pb
 		if b.maxAge > 0 {
@@ -229,6 +237,29 @@ func (b *stageBatcher) enqueue(it uint64, meta BlockMeta, data []byte, a *Async)
 		b.dispatch(rp)
 	}
 	return nil
+}
+
+// newBatchLocked returns an empty batch, a spare one when there is one.
+func (b *stageBatcher) newBatchLocked() *pendingBatch {
+	if n := len(b.spare); n > 0 {
+		pb := b.spare[n-1]
+		b.spare[n-1] = nil
+		b.spare = b.spare[:n-1]
+		return pb
+	}
+	return &pendingBatch{}
+}
+
+// recycle takes back a batch that send or finish is done with: its records
+// and blocks are cleared — no Async, pooled buffer or metadata of theirs
+// outlives the batch — and their capacity is kept for the next batch.
+func (b *stageBatcher) recycle(pb *pendingBatch) {
+	clear(pb.recs)
+	clear(pb.blocks)
+	*pb = pendingBatch{recs: pb.recs[:0], blocks: pb.blocks[:0]}
+	b.mu.Lock()
+	b.spare = append(b.spare, pb)
+	b.mu.Unlock()
 }
 
 // assembly returns empty storage, holding at least need bytes, for a batch
@@ -314,6 +345,7 @@ func (b *stageBatcher) dispatch(pb *pendingBatch) {
 	case b.work <- pb:
 	case <-b.h.closed:
 		b.finish(pb, ErrHandleClosed)
+		b.recycle(pb)
 		b.inflight.Done()
 	}
 }
@@ -327,6 +359,7 @@ func (b *stageBatcher) sender() {
 		case pb := <-b.work:
 			b.gWindow.Inc()
 			b.send(pb)
+			b.recycle(pb)
 			b.gWindow.Dec()
 			b.inflight.Done()
 		case <-b.h.closed:
@@ -453,6 +486,7 @@ func (b *stageBatcher) flush() error {
 func (b *stageBatcher) close() {
 	for _, pb := range b.detachAll(true) {
 		b.finish(pb, ErrHandleClosed)
+		b.recycle(pb)
 		b.inflight.Done()
 	}
 }

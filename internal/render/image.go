@@ -169,11 +169,14 @@ var pngWriters = sync.Pool{New: func() any {
 	return pw
 }}
 
-// CoveredPixels counts pixels with finite depth (geometry present).
+// CoveredPixels counts the pixels something was drawn on: those with a
+// finite depth (a rasterized surface) or an alpha above zero (a resolved
+// volume image, whose depth plane stays +Inf). A cleared pixel has
+// neither.
 func (im *Image) CoveredPixels() int {
 	n := 0
-	for _, d := range im.Depth {
-		if !math.IsInf(float64(d), 1) {
+	for i, d := range im.Depth {
+		if d-d == 0 || im.RGBA[4*i+3] > 0 { // d − d is NaN for ±Inf and NaN
 			n++
 		}
 	}

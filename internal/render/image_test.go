@@ -60,3 +60,23 @@ func FuzzDecodeImage(f *testing.F) {
 		}
 	})
 }
+
+// TestCoveredPixelsMeansDrawn: a pixel counts as covered when something was
+// drawn on it, whichever plane says so — a rasterized surface leaves a
+// depth (finite, or NaN or −Inf from a degenerate projection, drawn all the
+// same), a resolved volume image only an alpha.
+func TestCoveredPixelsMeansDrawn(t *testing.T) {
+	im := NewImage(4, 2)
+	if n := im.CoveredPixels(); n != 0 {
+		t.Fatalf("a cleared image has %d covered pixels", n)
+	}
+	im.Depth[0] = 0.5 // drawn by the rasterizer: depth and alpha
+	im.RGBA[3] = 255
+	im.Depth[1] = float32(math.NaN())
+	im.RGBA[7] = 255
+	im.RGBA[4*5+3] = 3 // drawn by a volume resolve: alpha only
+	im.RGBA[4*6] = 200 // colour without alpha: not drawn
+	if n := im.CoveredPixels(); n != 3 {
+		t.Fatalf("%d covered pixels, want 3", n)
+	}
+}

@@ -47,22 +47,37 @@ func (c Camera) viewProjection(aspect float64) Mat4 {
 // RasterizeMesh renders a triangle mesh into the framebuffer with
 // z-buffering, per-vertex colors from the scalar field, and Lambertian
 // shading against a headlight. scalarRange normalizes scalars into the
-// colormap domain.
-//
-// A triangle is projected first and shaded only once it draws: one with a
-// vertex at or behind the eye plane, without area, or with no pixel centre
-// near its bounding box (off screen, or small and between centres) costs
-// the x, y and w of three projections and nothing else; z is formed and
-// divided by w only for the rest. Its facet normal and vertex colours are
-// derived at its first pixel that passes the depth test, so a triangle
-// hidden behind others or covering no pixel centre is never shaded
-// (triShader).
+// colormap domain. It is Rasterizer.RasterizeMesh on scratch of its own.
 func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap, scalarRange [2]float64) {
+	new(Rasterizer).RasterizeMesh(im, cam, mesh, cmap, scalarRange)
+}
+
+// Rasterizer draws meshes as RasterizeMesh does, on a projection window
+// (128 KiB) it makes on first use and keeps, so that a caller drawing every
+// iteration — a pipeline instance — allocates nothing for it after the
+// first. The zero value is ready; one goroutine at a time.
+type Rasterizer struct {
+	window *projWindow
+}
+
+// RasterizeMesh: see the function of that name.
+//
+// Triangles are drawn in mesh order. Each vertex is projected once — its
+// screen x and y, its depth z and its w — into a window of the most
+// recently projected vertices that later triangles read (projector). A
+// triangle with a vertex at or behind the eye plane, without area, or with
+// no pixel centre near its bounding box (off screen, or small and between
+// centres) is skipped. Its facet normal and vertex colours are derived at
+// its first pixel that passes the depth test, so a triangle hidden behind
+// others or covering no pixel centre is never shaded (triShader).
+func (r *Rasterizer) RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap, scalarRange [2]float64) {
 	nt := mesh.NumTriangles()
 	if nt == 0 {
 		return
 	}
-	vp := cam.viewProjection(float64(im.W) / float64(im.H))
+	if r.window == nil {
+		r.window = new(projWindow)
+	}
 	span := scalarRange[1] - scalarRange[0]
 	if span == 0 {
 		span = 1
@@ -71,25 +86,27 @@ func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap,
 		mesh: mesh, cmap: cmap, lightDir: cam.LookAt.Sub(cam.Eye).Normalize().Scale(-1),
 		lo: scalarRange[0], span: span,
 	}
-	halfW, halfH := 0.5*float64(im.W), 0.5*float64(im.H)
+	pj := projector{
+		vp:    cam.viewProjection(float64(im.W) / float64(im.H)),
+		halfW: 0.5 * float64(im.W), halfH: 0.5 * float64(im.H),
+		positions: mesh.Positions,
+		window:    r.window,
+	}
 
-	var sx, sy, sz, sw [3]float64
+	var sx, sy, sz [3]float64
 	for t := 0; t < nt; t++ {
-		pos := (*[9]float32)(mesh.Positions[9*t:])
+		ix := (*[3]uint32)(mesh.Indices[3*t:])
 		visible := true
-		for v := 0; v < 3; v++ {
-			// vp.MulPoint, written out: the call copies the matrix.
-			px, py, pz := float64(pos[3*v]), float64(pos[3*v+1]), float64(pos[3*v+2])
-			x := vp[0]*px + vp[4]*py + vp[8]*pz + vp[12]
-			y := vp[1]*px + vp[5]*py + vp[9]*pz + vp[13]
-			w := vp[3]*px + vp[7]*py + vp[11]*pz + vp[15]
-			if w <= 1e-9 {
+		for v, i := range ix {
+			e := &pj.window[i%windowSize]
+			if uint(pj.hi-int(i)-1) >= windowSize { // i ≥ hi, or i < hi − windowSize
+				e = pj.miss(int(i))
+			}
+			if e.w <= 1e-9 {
 				visible = false
 				break
 			}
-			sx[v] = (x/w + 1) * halfW
-			sy[v] = (1 - y/w) * halfH
-			sw[v] = w
+			sx[v], sy[v], sz[v] = e.x, e.y, e.z
 		}
 		if !visible {
 			continue
@@ -102,13 +119,75 @@ func RasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorMap,
 		if !ok {
 			continue
 		}
-		for v := 0; v < 3; v++ {
-			px, py, pz := float64(pos[3*v]), float64(pos[3*v+1]), float64(pos[3*v+2])
-			sz[v] = (vp[2]*px + vp[6]*py + vp[10]*pz + vp[14]) / sw[v]
-		}
 		sh.t, sh.ready = t, false
 		fillTriangle(im, box, 1/area, &sx, &sy, &sz, &sh)
 	}
+}
+
+// windowBits sizes the projection window: the 2^12 most recently projected
+// vertices, 32 B each, 128 KiB. A triangle of an extracted isosurface uses
+// vertices within about one plane of voxels of the newest (a few hundred to
+// a few thousand), which the window holds; older ones are projected again.
+const (
+	windowBits = 12
+	windowSize = 1 << windowBits
+	ahead      = 256 // vertices projected per step of the window
+)
+
+// projWindow holds the projections of vertices [hi − windowSize, hi),
+// vertex i in slot i mod windowSize.
+type projWindow [windowSize]projection
+
+// projection is one vertex on screen: x and y in pixels, z the depth the
+// z-buffer compares, w the clip-space w.
+type projection struct{ x, y, z, w float64 }
+
+// projector projects mesh vertices through the camera. Meshes store their
+// vertices in the order their triangles first use them — an extracted
+// surface, AddTriangle and Append do — so a triangle almost always finds
+// its vertices in the window or just past its end: the window then steps
+// forward, projecting the next vertices in one run.
+type projector struct {
+	vp           Mat4
+	halfW, halfH float64
+	positions    []float32
+	window       *projWindow
+	hi           int        // the window holds vertices [hi − windowSize, hi)
+	old          projection // a vertex from before the window
+}
+
+// miss returns the projection of vertex i, which the window does not hold,
+// valid until the next call. A vertex past the window's end moves the
+// window on to hold it and the ahead vertices after it (as many as the mesh
+// has), projecting those it did not hold; one from before its start is
+// projected on its own.
+func (pj *projector) miss(i int) *projection {
+	if i < pj.hi {
+		pj.project(&pj.old, i)
+		return &pj.old
+	}
+	hi := max(i+1, min(i+ahead, len(pj.positions)/3))
+	for v := max(pj.hi, hi-windowSize); v < hi; v++ {
+		pj.project(&pj.window[v%windowSize], v)
+	}
+	pj.hi = hi
+	return &pj.window[i%windowSize]
+}
+
+// project fills e with vertex i's projection: vp.MulPoint, written out (the
+// call copies the matrix). x, y and z of a vertex with w <= 1e-9 are not
+// used.
+func (pj *projector) project(e *projection, i int) {
+	vp := &pj.vp
+	pos := (*[3]float32)(pj.positions[3*i:])
+	px, py, pz := float64(pos[0]), float64(pos[1]), float64(pos[2])
+	x := vp[0]*px + vp[4]*py + vp[8]*pz + vp[12]
+	y := vp[1]*px + vp[5]*py + vp[9]*pz + vp[13]
+	w := vp[3]*px + vp[7]*py + vp[11]*pz + vp[15]
+	e.x = (x/w + 1) * pj.halfW
+	e.y = (1 - y/w) * pj.halfH
+	e.z = (vp[2]*px + vp[6]*py + vp[10]*pz + vp[14]) / w
+	e.w = w
 }
 
 // triShader holds the vertex colours of the triangle being filled, derived
@@ -139,11 +218,12 @@ func (sh *triShader) shade() {
 		dir := Vec3{float64(nrm[0]), float64(nrm[1]), float64(nrm[2])}
 		sh.lastShade = 0.25 + 0.75*math.Abs(dir.Dot(sh.lightDir)) // two-sided shading
 	}
-	scal := (*[3]float32)(sh.mesh.Scalars[3*sh.t:])
-	for v := 0; v < 3; v++ {
-		if s := math.Float32bits(scal[v]); !sh.primed || s != sh.lastS {
+	ix := (*[3]uint32)(sh.mesh.Indices[3*sh.t:])
+	for v, i := range ix {
+		sc := sh.mesh.Scalars[i]
+		if s := math.Float32bits(sc); !sh.primed || s != sh.lastS {
 			sh.lastS = s
-			r, g, b := sh.cmap((float64(scal[v]) - sh.lo) / sh.span)
+			r, g, b := sh.cmap((float64(sc) - sh.lo) / sh.span)
 			sh.lastR, sh.lastG, sh.lastB = float64(r), float64(g), float64(b)
 		}
 		sh.primed = true
@@ -210,21 +290,15 @@ func fillTriangle(im *Image, box pixelBox, inv float64, sx, sy, sz *[3]float64, 
 		row := py * im.W
 		for px := box.minX; px <= box.maxX; px++ {
 			fx := float64(px) + 0.5
+			// All four tests are made and joined without a branch: which
+			// way each goes cannot be predicted, and computing the rest
+			// of the pixel costs less than a misprediction.
 			w0 := ((x1-fx)*dy2 - (x2-fx)*dy1) * inv
-			if w0 < 0 {
-				continue
-			}
 			w1 := ((x2-fx)*dy0 - (x0-fx)*dy2) * inv
-			if w1 < 0 {
-				continue
-			}
 			w2 := 1 - w0 - w1
-			if w2 < 0 {
-				continue
-			}
 			z := float32(w0*sz[0] + w1*sz[1] + w2*sz[2])
 			idx := row + px
-			if z >= im.Depth[idx] {
+			if b2i(w0 < 0)|b2i(w1 < 0)|b2i(w2 < 0)|b2i(z >= im.Depth[idx]) != 0 {
 				continue
 			}
 			im.Depth[idx] = z
@@ -241,6 +315,15 @@ func fillTriangle(im *Image, box pixelBox, inv float64, sx, sy, sz *[3]float64, 
 			im.RGBA[o+3] = 255
 		}
 	}
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 func clamp8(v float64) uint8 {

@@ -17,7 +17,9 @@ import (
 // The rasterizer as it stood at commit eb8b19a, kept as the reference the
 // current one is compared against pixel for pixel. It reads the facet
 // normal AddTriangle then stored with each vertex; refFacetNormal derives
-// it the same way.
+// it the same way. It drew a soup, one position triple and scalar per
+// triangle corner; here each corner is read through the mesh's indices and
+// projected afresh.
 
 // refFacetNormal is the normal eb8b19a's AddTriangle stored for the
 // triangle p0 p1 p2.
@@ -48,7 +50,7 @@ func refRasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorM
 	for t := 0; t < nt; t++ {
 		var p [3]Vec3
 		for v := range p {
-			base := 9*t + 3*v
+			base := 3 * mesh.Indices[3*t+v]
 			p[v] = Vec3{float64(mesh.Positions[base]), float64(mesh.Positions[base+1]), float64(mesh.Positions[base+2])}
 		}
 		n := refFacetNormal(p[0], p[1], p[2])
@@ -65,7 +67,7 @@ func refRasterizeMesh(im *Image, cam Camera, mesh *vtk.TriangleMesh, cmap ColorM
 
 			diff := math.Abs(n.Dot(lightDir))
 			shade := 0.25 + 0.75*diff
-			sc := (float64(mesh.Scalars[3*t+v]) - scalarRange[0]) / span
+			sc := (float64(mesh.Scalars[mesh.Indices[3*t+v]]) - scalarRange[0]) / span
 			r, g, b := cmap(sc)
 			colR[v] = float64(r) * shade
 			colG[v] = float64(g) * shade
@@ -257,6 +259,62 @@ func TestRasterizeMatchesReference(t *testing.T) {
 	}
 }
 
+// randomShared builds an indexed mesh over nv shared vertices placed as
+// randomSoup places its triangles' (around the origin, a few behind the
+// eye or off screen, some NaN or Inf), each with one of a few scalars or a
+// random one. Most triangles use vertices created shortly before, as an
+// extracted surface's do; one in eight reaches anywhere in the mesh, back
+// past the projection window or ahead of it, and some vertices go unused.
+func randomShared(rng *rand.Rand, nv, nt int) *vtk.TriangleMesh {
+	src := randomSoup(rng, (nv+2)/3, true)
+	m := &vtk.TriangleMesh{Positions: src.Positions[:3*nv], Scalars: src.Scalars[:nv]}
+	for t := 0; t < nt; t++ {
+		at := min(nv-1, t*nv/nt) // the vertices being created
+		for v := 0; v < 3; v++ {
+			i := at - rng.Intn(min(at+1, 40))
+			if rng.Intn(8) == 0 {
+				i = rng.Intn(nv)
+			}
+			m.Indices = append(m.Indices, uint32(i))
+		}
+	}
+	return m
+}
+
+// TestRasterizeSharedVerticesMatchesReference: on meshes whose triangles
+// share vertices, near and far apart in the vertex order, the rasterizer
+// draws what the parent drew of the same triangles, each corner projected
+// afresh. The guard counts the corners that reach further back than the
+// projection window from the newest vertex used so far.
+func TestRasterizeSharedVerticesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	covered, behind := 0, 0
+	for trial := 0; trial < 8; trial++ {
+		nv := 1000 + rng.Intn(3*windowSize)
+		mesh := randomShared(rng, nv, 2*nv)
+		newest := 0
+		for _, i := range mesh.Indices {
+			newest = max(newest, int(i))
+			if newest-int(i) >= windowSize {
+				behind++
+			}
+		}
+		lo, hi := MeshBounds(mesh)
+		cam := DefaultCamera(lo, hi)
+		if trial%2 == 1 {
+			cam = Camera{Eye: Vec3{0.5, 0.2, 1}, LookAt: Vec3{-1, 0, -2}, Up: Vec3{0, 1, 0}, FovY: 70, Near: 0.01, Far: 50}
+		}
+		got, want := NewImage(64, 48), NewImage(64, 48)
+		RasterizeMesh(got, cam, mesh, CoolWarm, [2]float64{0, 0.5})
+		refRasterizeMesh(want, cam, mesh, CoolWarm, [2]float64{0, 0.5})
+		requireSameImage(t, fmt.Sprintf("trial %d", trial), got, want)
+		covered += want.CoveredPixels()
+	}
+	if covered < 2000 || behind < 500 {
+		t.Fatalf("%d pixels covered, %d corners behind the window: the comparison shows little", covered, behind)
+	}
+}
+
 // fillAfterProjection runs what RasterizeMesh does with a projected
 // triangle: the area cut, coveredBox, fillTriangle. It returns the box.
 func fillAfterProjection(im *Image, sx, sy, sz, cr, cg, cb *[3]float64) pixelBox {
@@ -416,5 +474,34 @@ func TestPNGMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		requirePNGPixels(t, fmt.Sprintf("trial %d (%dx%d)", trial, im.W, im.H), got, im)
+	}
+}
+
+// TestRasterizerReuseMatchesFresh: a Rasterizer kept between draws — as a
+// pipeline instance keeps one — draws each mesh as a fresh one does, for
+// meshes whose vertex numbers overlap with different geometry, on images
+// of other sizes: no projection of one draw survives into the next.
+func TestRasterizerReuseMatchesFresh(t *testing.T) {
+	slabs := grayScottSlabs(t)
+	var full, half vtk.TriangleMesh
+	for s, m := range slabs {
+		full.Append(m)
+		if s%2 == 1 {
+			half.Append(m)
+		}
+	}
+	cam := DefaultCamera(MeshBounds(&full))
+	var r Rasterizer
+	for i, c := range []struct {
+		mesh *vtk.TriangleMesh
+		w, h int
+	}{{&full, 256, 256}, {&half, 256, 256}, {&full, 200, 120}, {&half, 300, 300}} {
+		got, want := NewImage(c.w, c.h), NewImage(c.w, c.h)
+		r.RasterizeMesh(got, cam, c.mesh, CoolWarm, [2]float64{0, 0.5})
+		RasterizeMesh(want, cam, c.mesh, CoolWarm, [2]float64{0, 0.5})
+		requireSameImage(t, fmt.Sprintf("draw %d", i), got, want)
+		if want.CoveredPixels() < 2000 {
+			t.Fatalf("draw %d: only %d pixels covered", i, want.CoveredPixels())
+		}
 	}
 }

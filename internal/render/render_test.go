@@ -172,8 +172,13 @@ func TestSplatVolumeSumsAndResolves(t *testing.T) {
 			}
 		}
 	}
-	if covered == 0 || im.CoveredPixels() != 0 {
-		t.Fatalf("%d pixels with alpha, %d with depth: want some, and none", covered, im.CoveredPixels())
+	if covered == 0 || im.CoveredPixels() != covered {
+		t.Fatalf("%d pixels with alpha, %d covered: want some, and as many", covered, im.CoveredPixels())
+	}
+	for _, d := range im.Depth {
+		if !math.IsInf(float64(d), 1) {
+			t.Fatalf("the resolve wrote depth %v", d)
+		}
 	}
 
 	sum := func(grids ...*vtk.UnstructuredGrid) []byte {

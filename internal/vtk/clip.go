@@ -18,15 +18,15 @@ func (pl Plane) Eval(p [3]float32) float32 {
 // pipeline combines this with multi-level isosurfaces to look inside the
 // domain, as in the paper's Figure 3a. It is clipTriangle over a stored
 // mesh; ExtractIsosurfaces applies the same function to each triangle as it
-// is emitted.
+// is emitted. Every triangle kept has vertices of its own.
 func ClipMesh(m *TriangleMesh, pl Plane) *TriangleMesh {
 	out := &TriangleMesh{}
 	nt := m.NumTriangles()
 	for t := 0; t < nt; t++ {
-		pos := (*[9]float32)(m.Positions[9*t:])
-		clipTriangle(out,
-			&[3][3]float32{{pos[0], pos[1], pos[2]}, {pos[3], pos[4], pos[5]}, {pos[6], pos[7], pos[8]}},
-			(*[3]float32)(m.Scalars[3*t:]), &pl)
+		ix := (*[3]uint32)(m.Indices[3*t:])
+		p0, p1, p2 := m.triangle(t)
+		clipTriangle(out, &[3][3]float32{*p0, *p1, *p2},
+			&[3]float32{m.Scalars[ix[0]], m.Scalars[ix[1]], m.Scalars[ix[2]]}, &pl)
 	}
 	return out
 }

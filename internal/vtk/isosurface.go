@@ -2,6 +2,7 @@ package vtk
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -56,7 +57,12 @@ var tetCases = [16]struct {
 type voxelCase struct {
 	nEdges, nTris uint8
 	edges         [16][2]uint8 // corner pairs, interpolated from the first towards the second
-	tris          [12][3]uint8
+	keys          [16]edgeKey  // the edges' directed keys (keyOf)
+	// Bit e of seen flags edge e as one an earlier voxel of the sweep also
+	// has, so its crossing may be in the table; of ahead, as one a later
+	// voxel also has, so its crossing is worth entering (edgeShares).
+	seen, ahead uint16
+	tris        [12][3]uint8
 }
 
 // voxelCases is indexed by lo | hi<<4, the sweep's belowMask words of a
@@ -85,6 +91,14 @@ var voxelCases = func() (cases [256]voxelCase) {
 				if j < 0 { // the edge's first use
 					j = int(vc.nEdges)
 					vc.edges[j] = edge
+					vc.keys[j] = keyOf(edge[0], edge[1])
+					earlier, later := edgeShares(edge[0], edge[1])
+					if earlier {
+						vc.seen |= 1 << j
+					}
+					if later {
+						vc.ahead |= 1 << j
+					}
 					vc.nEdges++
 				}
 				q[i] = uint8(j)
@@ -106,6 +120,13 @@ var voxelCases = func() (cases [256]voxelCase) {
 // interpolate identically), which is what the image-compositing step relies
 // on when blocks are rendered on different staging servers.
 //
+// Each crossed directed lattice edge becomes one vertex per block and
+// isovalue: it is interpolated once, from its first listed corner towards
+// its second, and every later voxel that uses it in that direction refers
+// to that vertex through out's crossing table (crossingTable). Vertices are
+// appended in the order the triangles first use them. A crossed voxel's
+// triangles come from voxelCases, which lists what its six tetrahedra emit.
+//
 // With a clip plane, every triangle is cut against it as it is emitted
 // (clipTriangle), so out receives exactly what ClipMesh would keep of the
 // unclipped surface, in the same order, and the unclipped surface is never
@@ -114,13 +135,16 @@ var voxelCases = func() (cases [256]voxelCase) {
 // voxel whose corner box lies wholly on the discarded side of the plane
 // (planeBound.discarded), since clipTriangle would drop all it emits. A
 // tame crossing voxel wholly on the kept side skips clipTriangle, which
-// would keep all it emits (voxelClip.voxel). A crossed voxel's triangles
-// come from voxelCases, which lists what its six tetrahedra emit with each
-// shared crossing interpolated once. Nothing is allocated beyond out's own
-// growth — none once out has held a surface as large (TriangleMesh.Reset).
+// would keep all it emits (voxelClip.voxel), and shares its crossings like
+// an unclipped one; a voxel the plane cuts gives each triangle clipTriangle
+// keeps vertices of its own. Nothing is allocated beyond out's own growth
+// and its crossing table's first use — none once out has held a surface as
+// large (TriangleMesh.Reset).
 //
 // The field must be a scalar: an array with Components != 1 is refused with
-// a *NotScalarError rather than contoured through the wrong stride.
+// a *NotScalarError rather than contoured through the wrong stride. A
+// surface that would pass the 2^32 vertices a mesh can index is refused
+// with an error.
 //
 // The paper's pipelines run ParaView's contour filter; marching tetrahedra
 // is the table-light equivalent with the same role: an embarrassingly
@@ -146,25 +170,35 @@ func ExtractIsosurfaces(out *TriangleMesh, img *ImageData, field string, isoValu
 	coord := func(axis, i int) float32 {
 		return float32(img.Origin[axis] + float64(i)*img.Spacing[axis])
 	}
-	// vc classifies a crossing voxel against the clip plane, row by row;
-	// crossings is marchVoxel's scratch, zeroed once here, not per voxel.
+	if out.crossings == nil {
+		out.crossings = new(crossingTable)
+	}
+	// vc classifies a crossing voxel against the clip plane, row by row.
 	vc := voxelClip{clip: clip}
-	var crossings [16][3]float32
+	sw := voxelSweep{out: out, table: out.crossings, corner: cornerOffsets(nx, ny)}
+	// A row adds at most maxRowVertices: 12 triangles a voxel, each cut
+	// into at most two of three vertices of their own.
+	maxRowVertices := uint64(72 * (nx - 1))
 	for _, iso := range isoValues {
 		isoF := float32(iso)
+		sw.iso, sw.gen = isoF, sw.table.next()
 		for k := 0; k < nz-1; k++ {
 			z0, z1 := coord(2, k), coord(2, k+1)
 			for j := 0; j < ny-1; j++ {
+				if uint64(out.NumVertices())+maxRowVertices > maxMeshVertices {
+					return fmt.Errorf("vtk: the isosurface of %q passes the %d vertices a mesh can index", arr.Name, maxMeshVertices)
+				}
 				y0, y1 := coord(1, j), coord(1, j+1)
 				if clip != nil {
 					vc.setRow(isoF, y0, y1, z0, z1)
 				}
 				// The voxel row's samples: rows (j,k), (j+1,k), (j,k+1),
 				// (j+1,k+1).
-				ra := data[(k*ny+j)*nx:][:nx]
-				rb := data[(k*ny+j+1)*nx:][:nx]
-				rc := data[((k+1)*ny+j)*nx:][:nx]
-				rd := data[((k+1)*ny+j+1)*nx:][:nx]
+				row := (k*ny + j) * nx
+				ra := data[row:][:nx]
+				rb := data[row+nx:][:nx]
+				rc := data[row+nx*ny:][:nx]
+				rd := data[row+nx*ny+nx:][:nx]
 				// The four samples at i+1 and their below-iso flags become
 				// the next voxel's samples at i.
 				a0, b0, c0, d0 := ra[0], rb[0], rc[0], rd[0]
@@ -181,7 +215,12 @@ func ExtractIsosurfaces(out *TriangleMesh, img *ImageData, field string, isoValu
 								{x0, y0, z0}, {x1, y0, z0}, {x1, y1, z0}, {x0, y1, z0},
 								{x0, y0, z1}, {x1, y0, z1}, {x1, y1, z1}, {x0, y1, z1},
 							}
-							marchVoxel(out, &voxelCases[lo|hi<<4], &pos, &val, isoF, pl, &crossings)
+							c := &voxelCases[lo|hi<<4]
+							if pl == nil {
+								sw.shared(c, row+i, &pos, &val)
+							} else {
+								sw.clipped(c, &pos, &val, pl)
+							}
 						}
 					}
 					a0, b0, c0, d0, lo = a1, b1, c1, d1, hi
@@ -274,24 +313,68 @@ func tameSamples(val *[8]float32) bool {
 	return true
 }
 
-// marchVoxel emits the triangles of one voxel that the isosurface crosses,
-// as marching its six tetrahedra would (c lists them for the voxel's
-// signs): each crossing is interpolated once into q, straight from the
-// voxel's corners, however many tetrahedra share its edge. A nil clip
-// appends the triangles as they are.
-func marchVoxel(out *TriangleMesh, c *voxelCase, pos *[8][3]float32, val *[8]float32, iso float32, clip *Plane, q *[16][3]float32) {
-	for i, e := range c.edges[:c.nEdges] {
-		q[i] = lerpEdge(&pos[e[0]], &pos[e[1]], val[e[0]], val[e[1]], iso)
-	}
-	tris := c.tris[:c.nTris]
-	if clip == nil {
-		for _, t := range tris {
-			out.AddTriangle(q[t[0]], q[t[1]], q[t[2]], iso, iso, iso)
+// voxelSweep emits the triangles of the crossed voxels of one block and
+// isovalue into out.
+type voxelSweep struct {
+	out    *TriangleMesh
+	table  *crossingTable
+	gen    uint32 // the crossing table's generation for this block and isovalue
+	iso    float32
+	corner [8]int         // point-index offset of each voxel corner (cornerOffsets)
+	q      [16][3]float32 // clipped's crossings, zeroed once, not per voxel
+}
+
+// shared emits the triangles of the voxel whose lower corner is grid point
+// p0, as marching its six tetrahedra would (c lists them for the voxel's
+// signs), over shared vertices. The crossings an earlier voxel may have
+// made are looked up in the table; the rest, and those not found, are then
+// interpolated straight from the voxel's corners, in list order, appended,
+// and entered in the table when a later voxel may use them.
+func (sw *voxelSweep) shared(c *voxelCase, p0 int, pos *[8][3]float32, val *[8]float32) {
+	out := sw.out
+	out.roomFor(int(c.nEdges), int(c.nTris))
+	var v [16]uint32
+	missing := ^c.seen & (1<<c.nEdges - 1)
+	for m := c.seen; m != 0; m &= m - 1 {
+		e := bits.TrailingZeros16(m)
+		key := sw.key(c.keys[e], p0)
+		if s := sw.table.slot(key); s.key == key && s.gen == sw.gen {
+			v[e] = s.vert
+		} else {
+			missing |= 1 << e
 		}
-		return
 	}
-	for _, t := range tris {
-		clipTriangle(out, &[3][3]float32{q[t[0]], q[t[1]], q[t[2]]}, &[3]float32{iso, iso, iso}, clip)
+	for ; missing != 0; missing &= missing - 1 {
+		e := bits.TrailingZeros16(missing)
+		a, b := c.edges[e][0], c.edges[e][1]
+		p := lerpEdge(&pos[a], &pos[b], val[a], val[b], sw.iso)
+		v[e] = out.addVertex(&p, sw.iso)
+		if c.ahead>>e&1 != 0 {
+			key := sw.key(c.keys[e], p0)
+			*sw.table.slot(key) = crossingSlot{key: key, gen: sw.gen, vert: v[e]}
+		}
+	}
+	for _, t := range c.tris[:c.nTris] {
+		out.addIndices(v[t[0]], v[t[1]], v[t[2]])
+	}
+}
+
+// key is the directed key of voxel edge k of the voxel at grid point p0.
+func (sw *voxelSweep) key(k edgeKey, p0 int) uint64 {
+	return uint64(p0+sw.corner[k.lower])<<4 | uint64(k.code)
+}
+
+// clipped emits the same triangles as shared, each cut against the plane by
+// clipTriangle, which gives what it keeps vertices of its own. Each crossing
+// is still interpolated once, however many tetrahedra share its edge.
+func (sw *voxelSweep) clipped(c *voxelCase, pos *[8][3]float32, val *[8]float32, clip *Plane) {
+	q := &sw.q
+	for i, e := range c.edges[:c.nEdges] {
+		q[i] = lerpEdge(&pos[e[0]], &pos[e[1]], val[e[0]], val[e[1]], sw.iso)
+	}
+	iso := sw.iso
+	for _, t := range c.tris[:c.nTris] {
+		clipTriangle(sw.out, &[3][3]float32{q[t[0]], q[t[1]], q[t[2]]}, &[3]float32{iso, iso, iso}, clip)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -22,14 +24,36 @@ func sameBits(a, b []float32) (int, bool) {
 	return 0, true
 }
 
+// soup expands m into what it draws: three positions and three scalars
+// per triangle, in triangle order, however its vertices are shared. It
+// fails on a mesh whose arrays disagree in length or whose indices name no
+// vertex.
+func soup(m *TriangleMesh) (positions, scalars []float32) {
+	if len(m.Positions) != 3*len(m.Scalars) || len(m.Indices)%3 != 0 {
+		panic(fmt.Sprintf("mesh of %d coordinates, %d scalars, %d indices", len(m.Positions), len(m.Scalars), len(m.Indices)))
+	}
+	for _, i := range m.Indices {
+		if int(i) >= len(m.Scalars) {
+			panic(fmt.Sprintf("index %d past %d vertices", i, len(m.Scalars)))
+		}
+		positions = append(positions, m.Positions[3*i:3*i+3]...)
+		scalars = append(scalars, m.Scalars[i])
+	}
+	return positions, scalars
+}
+
+// requireSameMesh requires got to draw what want draws, bit for bit and in
+// the same triangle order: their soups (soup) must be equal.
 func requireSameMesh(t *testing.T, what string, got, want *TriangleMesh) {
 	t.Helper()
+	gotPos, gotScal := soup(got)
+	wantPos, wantScal := soup(want)
 	for _, f := range []struct {
 		name      string
 		got, want []float32
 	}{
-		{"Positions", got.Positions, want.Positions},
-		{"Scalars", got.Scalars, want.Scalars},
+		{"Positions", gotPos, wantPos},
+		{"Scalars", gotScal, wantScal},
 	} {
 		if i, ok := sameBits(f.got, f.want); !ok {
 			t.Fatalf("%s: %s differ at %d (len %d, want %d)", what, f.name, i, len(f.got), len(f.want))
@@ -192,10 +216,11 @@ func TestFusedClipDropsKeptSideNaNTriangles(t *testing.T) {
 	// nanTriangles counts triangles with a NaN coordinate at every vertex.
 	nanTriangles := func(m *TriangleMesh) int {
 		n := 0
+		positions, _ := soup(m)
 		for tri := 0; tri < m.NumTriangles(); tri++ {
 			nanVertices := 0
 			for v := 0; v < 3; v++ {
-				p := m.Positions[9*tri+3*v:][:3]
+				p := positions[9*tri+3*v:][:3]
 				if p[0] != p[0] || p[1] != p[1] || p[2] != p[2] {
 					nanVertices++
 				}
@@ -320,8 +345,9 @@ func TestKeptSideSkipNeedsTameVoxels(t *testing.T) {
 	none := func(i, j, k int) (float32, bool) { return 0, false }
 	nonFinite := func(m *TriangleMesh) int {
 		n := 0
+		positions, _ := soup(m)
 		for tri := 0; tri < m.NumTriangles(); tri++ {
-			for _, c := range m.Positions[9*tri : 9*tri+9] {
+			for _, c := range positions[9*tri : 9*tri+9] {
 				if math.IsNaN(float64(c)) || math.IsInf(float64(c), 0) {
 					n++
 					break
@@ -465,7 +491,7 @@ func TestExtractAppendsAndReuses(t *testing.T) {
 
 	first := &out.Positions[0]
 	out.Reset()
-	if out.NumTriangles() != 0 || len(out.Scalars) != 0 {
+	if out.NumTriangles() != 0 || out.NumVertices() != 0 || len(out.Scalars) != 0 {
 		t.Fatal("Reset left data behind")
 	}
 	allocs := testing.AllocsPerRun(5, func() {
@@ -496,7 +522,7 @@ func TestReserve(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			m.AddTriangle([3]float32{0, 0, 0}, [3]float32{1, 0, 0}, [3]float32{0, 1, 0}, 1, 2, 3)
 		}
-		m.Positions, m.Scalars = m.Positions[:9], m.Scalars[:3]
+		m.Positions, m.Scalars, m.Indices = m.Positions[:9], m.Scalars[:3], m.Indices[:3]
 	})
 	if allocs != 0 {
 		t.Errorf("AddTriangle allocated %.0f times inside the reserved room", allocs)
@@ -611,4 +637,292 @@ func TestIsosurfaceRefusesShortArray(t *testing.T) {
 	if _, err := Isosurface(img, "f", 0.5); err == nil {
 		t.Fatal("an array shorter than the grid was accepted")
 	}
+}
+
+// TestAppendOffsetsIndices: Append puts other's vertices after m's and
+// shifts its indices by as many, so the result draws m's triangles and then
+// other's; other is left as it was.
+func TestAppendOffsetsIndices(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var a, b *ImageData
+	for a == nil || b == nil || a.NumCells() == 0 || b.NumCells() == 0 {
+		a, b = randomGrid(rng), randomGrid(rng)
+	}
+	ma, _ := Isosurface(a, "f", 0.5)
+	mb, _ := Isosurface(b, "f", 0.5)
+	if ma.NumTriangles() == 0 || mb.NumTriangles() == 0 || mb.NumVertices() == 3*mb.NumTriangles() {
+		t.Fatalf("%d and %d triangles, %d vertices: the test shows nothing", ma.NumTriangles(), mb.NumTriangles(), mb.NumVertices())
+	}
+	wantPos, wantScal := soup(ma)
+	bPos, bScal := soup(mb)
+	bIndices := append([]uint32(nil), mb.Indices...)
+	ma.Append(mb)
+	gotPos, gotScal := soup(ma)
+	if i, ok := sameBits(gotPos, append(wantPos, bPos...)); !ok {
+		t.Fatalf("appended positions differ at %d", i)
+	}
+	if i, ok := sameBits(gotScal, append(wantScal, bScal...)); !ok {
+		t.Fatalf("appended scalars differ at %d", i)
+	}
+	if !slices.Equal(mb.Indices, bIndices) {
+		t.Fatal("Append changed the appended mesh's indices")
+	}
+}
+
+// TestExtractSharesEachDirectedCrossing: on smooth grids, without a clip,
+// the extraction holds one vertex per crossed directed lattice edge — more
+// only where two crossings took the same crossing-table slot — and uses
+// every vertex it holds. The directed edges are counted here from
+// voxelCases and keyOf, by grid point rather than by slot.
+func TestExtractSharesEachDirectedCrossing(t *testing.T) {
+	type edge struct {
+		point int
+		code  uint8
+	}
+	for _, n := range []int{6, 17, 40} {
+		img := sphereField([3]int{n, n, n - 1}, [3]float64{float64(n) / 2, float64(n) / 2.3, float64(n) / 2.1}, 1)
+		isos := []float64{float64(n) / 5, float64(n) / 3}
+		f, _ := img.PointArray("dist")
+		off := cornerOffsets(n, n)
+		crossed := 0
+		for _, iso := range isos {
+			seen := map[edge]bool{}
+			for k := 0; k < n-2; k++ {
+				for j := 0; j < n-1; j++ {
+					for i := 0; i < n-1; i++ {
+						p0 := img.Index(i, j, k)
+						var lo, hi uint8
+						for c, corner := range [8]uint8{0, 3, 4, 7, 1, 2, 5, 6} {
+							if f.Data[p0+off[corner]] < float32(iso) {
+								if c < 4 {
+									lo |= 1 << c
+								} else {
+									hi |= 1 << (c - 4)
+								}
+							}
+						}
+						vc := &voxelCases[lo|hi<<4]
+						for _, key := range vc.keys[:vc.nEdges] {
+							seen[edge{p0 + off[key.lower], key.code}] = true
+						}
+					}
+				}
+			}
+			crossed += len(seen)
+		}
+		m := &TriangleMesh{}
+		if err := ExtractIsosurfaces(m, img, "dist", isos, nil); err != nil {
+			t.Fatal(err)
+		}
+		used := make([]bool, m.NumVertices())
+		for _, i := range m.Indices {
+			used[i] = true
+		}
+		if i := slices.Index(used, false); i >= 0 {
+			t.Fatalf("n=%d: vertex %d of %d is used by no triangle", n, i, len(used))
+		}
+		t.Logf("n=%d: %d triangles, %d vertices, %d crossed directed edges", n, m.NumTriangles(), m.NumVertices(), crossed)
+		if v := m.NumVertices(); v < crossed || float64(v) > 1.05*float64(crossed) || 3*m.NumTriangles() < 2*v {
+			t.Fatalf("n=%d: %d vertices for %d crossed directed edges and %d triangles", n, v, crossed, m.NumTriangles())
+		}
+	}
+}
+
+// TestResetLeavesNoStaleCrossings: a mesh that extracted one block, was
+// Reset and extracts another block of the same dims (so the same edge
+// keys) — or the same block at another isovalue, or the same block again
+// after a different one — holds exactly what a fresh mesh extracting that
+// block holds: no crossing-table entry outlives its block and isovalue.
+// Without a Reset the second block's vertices and indices follow the first
+// block's, as Append would place them.
+func TestResetLeavesNoStaleCrossings(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	a := sphereField([3]int{12, 11, 10}, [3]float64{5, 5, 4}, 1)
+	b := sphereField([3]int{12, 11, 10}, [3]float64{6, 4, 5}, 1)
+	f := b.PointData[0].Data
+	for i := range f {
+		f[i] += 0.3 * float32(rng.NormFloat64())
+	}
+	fresh := func(img *ImageData, iso float64) *TriangleMesh {
+		m := &TriangleMesh{}
+		if err := ExtractIsosurfaces(m, img, "dist", []float64{iso}, nil); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	requireSameArrays := func(what string, got, want *TriangleMesh) {
+		t.Helper()
+		if i, ok := sameBits(got.Positions, want.Positions); !ok {
+			t.Fatalf("%s: positions differ at %d", what, i)
+		}
+		if i, ok := sameBits(got.Scalars, want.Scalars); !ok {
+			t.Fatalf("%s: scalars differ at %d", what, i)
+		}
+		if !slices.Equal(got.Indices, want.Indices) {
+			t.Fatalf("%s: indices differ", what)
+		}
+	}
+	m := &TriangleMesh{}
+	for _, step := range []struct {
+		img *ImageData
+		iso float64
+	}{{a, 3}, {b, 3}, {b, 3.5}, {a, 3}, {a, 3}} {
+		m.Reset()
+		if err := ExtractIsosurfaces(m, step.img, "dist", []float64{step.iso}, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := fresh(step.img, step.iso)
+		if want.NumTriangles() == 0 {
+			t.Fatal("no triangles: the test shows nothing")
+		}
+		requireSameArrays(fmt.Sprintf("iso %v after Reset", step.iso), m, want)
+	}
+
+	if err := ExtractIsosurfaces(m, b, "dist", []float64{3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := fresh(a, 3)
+	want.Append(fresh(b, 3))
+	requireSameArrays("a second block without Reset", m, want)
+}
+
+// TestHugePlaneBoundsTable: a block with a plane of 2^22 points and two of
+// them extracts with a crossing table of a fixed size, not one sized by the
+// plane (a staging peer picks the dims): the extraction allocates its
+// table and the small surface's storage as it grows, less than one byte
+// per point of the plane.
+func TestHugePlaneBoundsTable(t *testing.T) {
+	const n = 2048
+	img := NewImageData([3]int{n, n, 2}, [3]float64{}, [3]float64{1, 1, 1})
+	f := img.AddPointArray("f", 1)
+	for j := 0; j < n; j += 97 {
+		for i := 0; i < n; i += 89 {
+			f.Data[img.Index(i, j, 1)] = 1
+		}
+	}
+	m := &TriangleMesh{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := ExtractIsosurfaces(m, img, "f", []float64{0.5, 0.25}, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	surface := uint64(4*cap(m.Positions) + 4*cap(m.Scalars) + 4*cap(m.Indices))
+	t.Logf("%d triangles, %d vertices: %d B allocated, %d B of them the surface", m.NumTriangles(), m.NumVertices(), alloc, surface)
+	if m.NumTriangles() < 1000 {
+		t.Fatalf("%d triangles: the test shows nothing", m.NumTriangles())
+	}
+	if alloc >= n*n {
+		t.Fatalf("the extraction allocated %d B for a plane of %d points", alloc, n*n)
+	}
+}
+
+// TestBoundsMatchSoup: an indexed surface's Bounds equal, bit for bit, the
+// bounds of the soup it draws, on grids where both zeros meet at the box's
+// faces: a −0 origin with negative spacing (coordinates −0, −s, …) and
+// crossings that land on +0, with and without clip planes through 0. The
+// fold keeps whichever zero it meets first, and a vertex comes first where
+// the soup first draws it.
+func TestBoundsMatchSoup(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(13))
+	var zeroFaces int
+	for trial := 0; trial < 40; trial++ {
+		origin := [3]float64{negZero, negZero, negZero}
+		spacing := [3]float64{-1, -0.5, -2}
+		for k := range spacing {
+			if rng.Intn(3) == 0 {
+				origin[k], spacing[k] = -3*spacing[k], -spacing[k]
+			}
+		}
+		img := NewImageData([3]int{4 + rng.Intn(5), 4 + rng.Intn(5), 4 + rng.Intn(5)}, origin, spacing)
+		f := img.AddPointArray("f", 1)
+		for i := range f.Data {
+			f.Data[i] = float32(rng.Intn(3)) * 0.5 // crossings at t = 0, 1/2 and 1
+		}
+		var clip *Plane
+		switch rng.Intn(3) {
+		case 1:
+			clip = &Plane{Normal: [3]float32{1, 0, 0}}
+		case 2:
+			clip = &Plane{Normal: [3]float32{0, -1, 1}}
+		}
+		m := &TriangleMesh{}
+		if err := ExtractIsosurfaces(m, img, "f", []float64{0.5, 0.25}, clip); err != nil {
+			t.Fatal(err)
+		}
+		positions, _ := soup(m)
+		glo, ghi := m.Bounds()
+		wlo, whi := EmptyBounds()
+		wlo, whi = FoldBounds(wlo, whi, positions)
+		if len(positions) == 0 {
+			wlo, whi = [3]float32{}, [3]float32{}
+		}
+		if i, ok := sameBits(append(glo[:], ghi[:]...), append(wlo[:], whi[:]...)); !ok {
+			t.Fatalf("trial %d: Bounds %v–%v, the soup's %v–%v (differ at %d)", trial, glo, ghi, wlo, whi, i)
+		}
+		for k := 0; k < 3; k++ {
+			for _, face := range []float32{wlo[k], whi[k]} {
+				if face != 0 {
+					continue
+				}
+				var pos, neg bool
+				for v := k; v < len(positions); v += 3 {
+					if positions[v] == 0 {
+						pos, neg = pos || !math.Signbit(float64(positions[v])), neg || math.Signbit(float64(positions[v]))
+					}
+				}
+				if pos && neg {
+					zeroFaces++
+				}
+			}
+		}
+	}
+	if zeroFaces < 20 {
+		t.Fatalf("only %d box faces at a zero that the soup holds with both signs: the test shows little", zeroFaces)
+	}
+}
+
+// TestCrossingGenerationWrapClearsTable: when the crossing table's
+// generation counter wraps, its slots are cleared, so the entries written
+// under the generation that number last named (here: the first block's,
+// generation 1) cannot pass for the next block's.
+func TestCrossingGenerationWrapClearsTable(t *testing.T) {
+	a := sphereField([3]int{12, 11, 10}, [3]float64{5, 5, 4}, 1)
+	b := sphereField([3]int{12, 11, 10}, [3]float64{6, 4, 5}, 1)
+	m := &TriangleMesh{}
+	if err := ExtractIsosurfaces(m, a, "dist", []float64{3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if m.crossings.gen != 1 {
+		t.Fatalf("the first block was extracted under generation %d", m.crossings.gen)
+	}
+	m.crossings.gen = math.MaxUint32
+	m.Reset()
+	if err := ExtractIsosurfaces(m, b, "dist", []float64{3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if m.crossings.gen != 1 {
+		t.Fatalf("after the wrap the generation is %d", m.crossings.gen)
+	}
+	want := &TriangleMesh{}
+	if err := ExtractIsosurfaces(want, b, "dist", []float64{3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := sameBits(m.Positions, want.Positions); !ok || !slices.Equal(m.Indices, want.Indices) {
+		t.Fatalf("after the wrap the surface differs from a fresh one (positions at %d)", i)
+	}
+}
+
+// TestKeyOfRefusesMixedSteps: an edge that steps down along one axis and up
+// along another is no lattice edge of the split, and keyOf says so rather
+// than key it.
+func TestKeyOfRefusesMixedSteps(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("keyOf keyed the edge from corner 1 to corner 3")
+		}
+	}()
+	keyOf(1, 3)
 }

@@ -6,9 +6,11 @@ import "math"
 // as the reference the one-pass kernel is property-tested against
 // (kernel_test.go). Nothing outside tests calls these.
 
-// refAddTriangle is the parent's TriangleMesh.AddTriangle. It returns the
-// facet normal the parent stored three times per triangle, which the mesh
-// no longer carries (FacetNormal derives it).
+// refAddTriangle is the parent's TriangleMesh.AddTriangle, which appended
+// the triangle's three vertices to a soup; here each also gets the three
+// indices that draw it. It returns the facet normal the parent stored three
+// times per triangle, which the mesh no longer carries (FacetNormal derives
+// it).
 func refAddTriangle(m *TriangleMesh, p0, p1, p2 [3]float32, s0, s1, s2 float32) [3]float32 {
 	ux, uy, uz := p1[0]-p0[0], p1[1]-p0[1], p1[2]-p0[2]
 	vx, vy, vz := p2[0]-p0[0], p2[1]-p0[1], p2[2]-p0[2]
@@ -20,7 +22,9 @@ func refAddTriangle(m *TriangleMesh, p0, p1, p2 [3]float32, s0, s1, s2 float32) 
 	for _, p := range [][3]float32{p0, p1, p2} {
 		m.Positions = append(m.Positions, p[0], p[1], p[2])
 	}
+	v := uint32(len(m.Scalars))
 	m.Scalars = append(m.Scalars, s0, s1, s2)
+	m.Indices = append(m.Indices, v, v+1, v+2)
 	return [3]float32{nx, ny, nz}
 }
 
@@ -135,9 +139,10 @@ func refMarchTetra(mesh *TriangleMesh, p [4][3]float32, v [4]float32, iso float3
 	}
 }
 
-// refClipMesh is the parent's ClipMesh.
+// refClipMesh is the parent's ClipMesh, over m expanded to a soup.
 func refClipMesh(m *TriangleMesh, pl Plane) *TriangleMesh {
 	out := &TriangleMesh{}
+	positions, scalars := soup(m)
 	nt := m.NumTriangles()
 	for t := 0; t < nt; t++ {
 		var p [3][3]float32
@@ -145,8 +150,8 @@ func refClipMesh(m *TriangleMesh, pl Plane) *TriangleMesh {
 		var d [3]float32
 		for v := 0; v < 3; v++ {
 			base := 9*t + 3*v
-			p[v] = [3]float32{m.Positions[base], m.Positions[base+1], m.Positions[base+2]}
-			s[v] = m.Scalars[3*t+v]
+			p[v] = [3]float32{positions[base], positions[base+1], positions[base+2]}
+			s[v] = scalars[3*t+v]
 			d[v] = pl.Eval(p[v])
 		}
 		refClipTriangle(out, p, s, d)

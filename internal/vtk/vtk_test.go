@@ -94,11 +94,12 @@ func TestIsosurfaceSphere(t *testing.T) {
 
 func meshArea(m *TriangleMesh) float64 {
 	var area float64
+	positions, _ := soup(m)
 	for t := 0; t < m.NumTriangles(); t++ {
 		var p [3][3]float64
 		for v := 0; v < 3; v++ {
 			for k := 0; k < 3; k++ {
-				p[v][k] = float64(m.Positions[9*t+3*v+k])
+				p[v][k] = float64(positions[9*t+3*v+k])
 			}
 		}
 		ux, uy, uz := p[1][0]-p[0][0], p[1][1]-p[0][1], p[1][2]-p[0][2]
