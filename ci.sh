@@ -116,7 +116,8 @@ fi
 # reads every byte a peer sends (length words that may lie, frames cut
 # short, control messages passing descriptors) and hands each frame out in a
 # pooled buffer, with the RPC file
-# that puts every request frame back once its handler is done; the cost
+# that puts every request frame back once its handler is done and hands
+# every one-way frame to the server's MoNA instance; the cost
 # model every number of Figs. 5-10 and ext-autoscale is computed in; and
 # the iso execute's kernels — the rasterizer, the isosurface extraction with
 # its crossing table, the mesh they share and the clip — which produce every
@@ -139,8 +140,9 @@ fi
 # two files that fold and route what a MoNA peer sends — the collectives'
 # reduction ops, which fold each peer's contribution into the accumulator
 # (one shorter than the accumulator must fold into its prefix, not read past
-# its end), and the MoNA instance, which routes every frame and parks or
-# drops those for communicators it does not hold; and the catalyst
+# its end), and the MoNA instance, which routes every collective frame
+# that reaches its server's one endpoint and parks or drops those for
+# communicators it does not hold; and the catalyst
 # pipelines' staging store and stats pipeline — the store decides whether
 # a block that reaches it twice is kept, dropped or refused (a missed
 # branch there can count a block twice in a picture), and the stats file holds

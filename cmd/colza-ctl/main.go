@@ -86,7 +86,7 @@ func main() {
 			fatal("%v", err)
 		}
 		for i, m := range view.Members {
-			fmt.Printf("rank %d: rpc=%s mona=%s\n", i, m.RPC, m.Mona)
+			fmt.Printf("rank %d: rpc=%s\n", i, m)
 		}
 	case "list":
 		names, err := admin.ListPipelines(target)

@@ -46,9 +46,9 @@ func main() {
 	// The RPC endpoint is dual by default: it listens on TCP and on a unix
 	// socket and advertises one composite address, so colocated clients
 	// and daemons dial the unix socket and pull staged blocks straight out
-	// of the exposer's shared arena, while remote peers dial TCP. MoNA
-	// stays on TCP, on an ephemeral port of the same host: its collectives
-	// run between daemons that are typically on different nodes.
+	// of the exposer's shared arena, while remote peers dial TCP. It is the
+	// daemon's one endpoint: the pipelines' MoNA collectives ride it too, so
+	// colocated daemons composite over the unix socket.
 	var rpcEP na.Endpoint
 	var err error
 	if *smOn {
@@ -58,10 +58,6 @@ func main() {
 	}
 	if err != nil {
 		fatal("listen rpc: %v", err)
-	}
-	monaEP, err := na.ListenTCP(hostOnly(*listen) + ":0")
-	if err != nil {
-		fatal("listen mona: %v", err)
 	}
 
 	// Bootstrap from the connection file if it already names a live
@@ -83,7 +79,7 @@ func main() {
 	if *stateReplicas <= 0 {
 		cfg.StateReplicas = -1 // flag 0 means off; config negative means off
 	}
-	srv, err := core.StartServer(rpcEP, monaEP, cfg)
+	srv, err := core.StartServer(rpcEP, nil, cfg)
 	if err != nil {
 		fatal("start server: %v", err)
 	}
@@ -95,7 +91,7 @@ func main() {
 	} else {
 		fmt.Printf("colza-server: joined group via %s\n", bootstrap)
 	}
-	fmt.Printf("colza-server: rpc=%s mona=%s pipelines=%v\n", srv.Addr(), srv.Mona.Addr(), core.PipelineTypes())
+	fmt.Printf("colza-server: rpc=%s pipelines=%v\n", srv.Addr(), core.PipelineTypes())
 	fmt.Printf("colza-server: pools control=%d/%d data=%d/%d (workers/queue)\n",
 		pools.Control.Workers, pools.Control.Queue, pools.Data.Workers, pools.Data.Queue)
 

@@ -64,12 +64,7 @@ func stagePutEnv() (h *core.DistributedPipelineHandle, img *vtk.ImageData, clean
 		return nil, nil, nil, err
 	}
 	mi := margo.NewInstance(sEP)
-	mEP, err := net.Listen("micro-srv:mona")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	mn := mona.NewInstance(mEP)
-	prov := core.NewProvider(mi, mn, nil)
+	prov := core.NewProvider(mi, mona.Attach(mi.Class()), nil)
 	if err := prov.CreatePipeline("bench", "bench/sink", nil); err != nil {
 		return nil, nil, nil, err
 	}
@@ -154,12 +149,7 @@ func stageServerEnv(name string, dual bool) (h *core.DistributedPipelineHandle, 
 	if err != nil {
 		return nil, nil, err
 	}
-	monaEP, err := na.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		rpcEP.Close()
-		return nil, nil, err
-	}
-	srv, err = core.StartServer(rpcEP, monaEP, core.ServerConfig{
+	srv, err = core.StartServer(rpcEP, nil, core.ServerConfig{
 		GroupName: name,
 		SSG:       ssg.Config{GossipPeriod: 10 * time.Millisecond},
 	})

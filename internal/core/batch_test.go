@@ -505,7 +505,7 @@ func TestStageCloseCancelsRetryBackoff(t *testing.T) {
 	h.SetTimeout(time.Second)
 	// Every attempt fails (nobody listens at the view's address), and the
 	// backoff alone would hold Stage for half a minute.
-	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: "inproc://nowhere"}}})
+	h.SetView(MemberView{Epoch: 1, Members: []string{"inproc://nowhere"}})
 	h.SetStageRetry(RetryPolicy{Max: 4, Base: 30 * time.Second, Cap: 60 * time.Second})
 
 	errCh := make(chan error, 1)
@@ -540,7 +540,7 @@ func TestActivateCloseCancelsRetryBackoff(t *testing.T) {
 			h := d.client.Handle("viz", "inproc://nowhere")
 			h.SetTimeout(time.Second)
 			if pinned {
-				h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: "inproc://nowhere"}}})
+				h.SetView(MemberView{Epoch: 1, Members: []string{"inproc://nowhere"}})
 			}
 			h.mu.Lock()
 			h.viewRetry = RetryPolicy{Max: 8, Base: 30 * time.Second, Cap: 60 * time.Second}
@@ -575,7 +575,7 @@ func TestBatchedCloseCancelsRetryBackoff(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
 	h, _ := batchedHandle(t, d, "viz", 1, -1)
-	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: "inproc://nowhere"}}})
+	h.SetView(MemberView{Epoch: 1, Members: []string{"inproc://nowhere"}})
 	h.SetStageRetry(RetryPolicy{Max: 4, Base: 30 * time.Second, Cap: 60 * time.Second})
 
 	// MaxBlocks 1: the enqueue dispatches immediately and the send goroutine

@@ -35,8 +35,7 @@ func busyPair(t *testing.T) (client *Client, server *margo.Instance, reg *obs.Re
 
 // TestClientBusyRetry: busy responses are retried in place — the caller of
 // Client.call never sees a transient shed, the retry counter records every
-// busy response (balanced against server-side sheds), and the info cache is
-// left alone (a busy server is alive).
+// busy response (balanced against server-side sheds).
 func TestClientBusyRetry(t *testing.T) {
 	c, sm, reg := busyPair(t)
 	var calls atomic.Int64
@@ -46,10 +45,6 @@ func TestClientBusyRetry(t *testing.T) {
 		}
 		return []byte("pong"), nil
 	})
-	c.mu.Lock()
-	c.infoCache[sm.Addr()] = ServerInfo{RPC: sm.Addr()}
-	c.mu.Unlock()
-
 	out, err := c.call(sm.Addr(), "ping", nil, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +57,6 @@ func TestClientBusyRetry(t *testing.T) {
 	}
 	if got := reg.Counter("core.client.retries.busy", "rpc", "ping").Value(); got != 2 {
 		t.Fatalf("core.client.retries.busy = %d, want 2", got)
-	}
-	if got := c.cachedInfoCount(); got != 1 {
-		t.Fatalf("info cache size = %d, want 1 (busy must not evict)", got)
 	}
 }
 

@@ -219,10 +219,7 @@ func TestBroadcastReportsAllFailures(t *testing.T) {
 	d.createEverywhere(t, "viz")
 	h := d.client.Handle("viz", d.servers[0].Addr())
 	h.SetTimeout(time.Second)
-	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{
-		{RPC: "inproc://dead-1", Mona: "inproc://dead-1:mona"},
-		{RPC: "inproc://dead-2", Mona: "inproc://dead-2:mona"},
-	}})
+	h.SetView(MemberView{Epoch: 1, Members: []string{"inproc://dead-1", "inproc://dead-2"}})
 	_, err := h.Execute(1)
 	if err == nil {
 		t.Fatal("execute over dead view must fail")
@@ -231,35 +228,6 @@ func TestBroadcastReportsAllFailures(t *testing.T) {
 		if !strings.Contains(err.Error(), addr) {
 			t.Fatalf("error %q does not mention %s", err, addr)
 		}
-	}
-}
-
-// TestInfoCacheEvictedOnFailure: after churn kills a server, its cached
-// RPC→Mona mapping must not be served forever.
-func TestInfoCacheEvictedOnFailure(t *testing.T) {
-	d := deploy(t, 2)
-	if _, err := d.client.FetchView(d.servers[0].Addr(), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.client.cachedInfoCount(); got != 2 {
-		t.Fatalf("cache primed with %d entries, want 2", got)
-	}
-	// Server 1 crashes; the next call to it fails and evicts its entry.
-	dead := d.servers[1].Addr()
-	d.servers[1].Shutdown()
-	d.servers = d.servers[:1]
-	if _, err := d.client.call(dead, "info", nil, 200*time.Millisecond); err == nil {
-		t.Fatal("call to crashed server should fail")
-	}
-	if got := d.client.cachedInfoCount(); got != 1 {
-		t.Fatalf("cache has %d entries after eviction, want 1", got)
-	}
-	// Remote errors must NOT evict: the server answered, it is alive.
-	if _, err := d.client.call(d.servers[0].Addr(), "stage", []byte("{}"), time.Second); err == nil {
-		t.Fatal("bogus stage should fail remotely")
-	}
-	if got := d.client.cachedInfoCount(); got != 1 {
-		t.Fatalf("remote error evicted a live server's entry (%d left)", got)
 	}
 }
 
@@ -286,7 +254,7 @@ func TestErrorClassification(t *testing.T) {
 		t.Fatalf("remote refusal classified as %v retryable=%v", Classify(err), Retryable(err))
 	}
 	// Unreachable: the address never existed.
-	_, err = d.clientM.CallProvider("inproc://nowhere", ProviderID, "info", nil, time.Second)
+	_, err = d.clientM.CallProvider("inproc://nowhere", ProviderID, "members", nil, time.Second)
 	if Classify(err) != ClassUnreachable || !Retryable(err) {
 		t.Fatalf("no-route classified as %v", Classify(err))
 	}
@@ -295,7 +263,7 @@ func TestErrorClassification(t *testing.T) {
 	deadAddr := d.servers[0].Addr()
 	d.servers[0].Shutdown()
 	d.servers = nil
-	_, err = d.clientM.CallProvider(deadAddr, ProviderID, "info", nil, 100*time.Millisecond)
+	_, err = d.clientM.CallProvider(deadAddr, ProviderID, "members", nil, 100*time.Millisecond)
 	if Classify(err) != ClassTimeout || !Retryable(err) {
 		t.Fatalf("timeout classified as %v (%v)", Classify(err), err)
 	}
@@ -393,7 +361,7 @@ func TestDeferredLeaveMigratesOnceAndRejectsPrepare(t *testing.T) {
 	h2 := d.client.Handle("idle", d.servers[0].Addr())
 	h2.SetTimeout(time.Second)
 	h2.mu.Lock()
-	h2.retries = 2
+	h2.viewRetry.Max = 2
 	h2.mu.Unlock()
 	_, err := h2.Activate(7)
 	if !errors.Is(err, ErrActivateFailed) || !strings.Contains(err.Error(), "leaving") {
@@ -520,9 +488,6 @@ func TestActivateFailsOverWhenContactLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := d.net.Crash("srv0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.net.Crash("srv0:mona"); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(15 * time.Second)

@@ -108,16 +108,11 @@ func (p *Provider) HeldCheckpoints() int {
 // order, wrapping around, origin excluded; nil when origin is not in the
 // view.
 func ringSuccessors(view MemberView, origin string) []string {
-	n := len(view.Members)
 	rank := view.RankOf(origin)
-	if rank < 0 || n <= 1 {
+	if rank < 0 {
 		return nil
 	}
-	out := make([]string, 0, n-1)
-	for i := 1; i < n; i++ {
-		out = append(out, view.Members[(rank+i)%n].RPC)
-	}
-	return out
+	return slices.Concat(view.Members[rank+1:], view.Members[:rank])
 }
 
 // replicaSequence is the one place replica lists are built, and it keeps

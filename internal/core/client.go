@@ -30,19 +30,16 @@ func SpanKeyFor(pipeline string, it uint64) obs.SpanKey {
 }
 
 // Client is a simulation-side connection to the staging area. One Client
-// serves any number of pipeline handles; it caches server info lookups.
+// serves any number of pipeline handles.
 type Client struct {
 	mi *margo.Instance
 
 	obsReg atomic.Pointer[obs.Registry]
-
-	mu        sync.Mutex
-	infoCache map[string]ServerInfo
 }
 
 // NewClient creates a client on the given Margo instance.
 func NewClient(mi *margo.Instance) *Client {
-	return &Client{mi: mi, infoCache: make(map[string]ServerInfo)}
+	return &Client{mi: mi}
 }
 
 // SetObserver routes the client's metrics and spans into r (and the
@@ -70,12 +67,9 @@ func (c *Client) observer() *obs.Registry {
 // retryable if this inner loop exhausts.
 const clientBusyRetries = 8
 
-// call invokes a colza RPC and maintains the info cache: any failure at the
-// transport level (timeout, unreachable) means what we know about that
-// server may be stale, so its cached address mapping is evicted. Remote
-// errors leave the cache alone — the server answered, it is alive. Busy
-// responses (admission shedding) are retried in place under the server's
-// backoff hint; they never evict, the server is alive and just loaded.
+// call invokes a colza RPC. Busy responses (admission shedding) are
+// retried in place under the server's backoff hint: the server is alive
+// and just loaded.
 func (c *Client) call(addr, rpc string, payload []byte, timeout time.Duration) ([]byte, error) {
 	return c.callUntil(nil, addr, rpc, payload, nil, timeout)
 }
@@ -108,10 +102,6 @@ func (c *Client) callUntil(stop <-chan struct{}, addr, rpc string, payload, tail
 				}
 				continue
 			}
-			return out, err
-		}
-		if cls != ClassRemote {
-			c.evictInfo(addr)
 		}
 		return out, err
 	}
@@ -151,45 +141,10 @@ func busyBackoff(err error, attempt int) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)+1))
 }
 
-// evictInfo drops the cached address mapping for one server.
-func (c *Client) evictInfo(rpcAddr string) {
-	c.mu.Lock()
-	delete(c.infoCache, rpcAddr)
-	c.mu.Unlock()
-}
-
-// cachedInfoCount reports the cache size (tests assert eviction happened).
-func (c *Client) cachedInfoCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.infoCache)
-}
-
-// serverInfo resolves the Mona address of a server, with caching.
-func (c *Client) serverInfo(rpcAddr string, timeout time.Duration) (ServerInfo, error) {
-	c.mu.Lock()
-	if si, ok := c.infoCache[rpcAddr]; ok {
-		c.mu.Unlock()
-		return si, nil
-	}
-	c.mu.Unlock()
-	raw, err := c.call(rpcAddr, "info", nil, timeout)
-	if err != nil {
-		return ServerInfo{}, err
-	}
-	var si ServerInfo
-	if err := json.Unmarshal(raw, &si); err != nil {
-		return ServerInfo{}, err
-	}
-	c.mu.Lock()
-	c.infoCache[rpcAddr] = si
-	c.mu.Unlock()
-	return si, nil
-}
-
-// FetchView asks contact for the current membership and resolves every
-// member's address pair. The returned view is normalized; Epoch is zero
-// (set during activation).
+// FetchView asks contact for the current membership, in one members call.
+// The returned view is normalized; Epoch is zero (set during activation). A
+// member that has just died may still be in it: the 2PC validates whatever
+// view is proposed.
 func (c *Client) FetchView(contact string, timeout time.Duration) (MemberView, error) {
 	raw, err := c.call(contact, "members", nil, timeout)
 	if err != nil {
@@ -199,19 +154,10 @@ func (c *Client) FetchView(contact string, timeout time.Duration) (MemberView, e
 	if err != nil {
 		return MemberView{}, fmt.Errorf("colza: members from %s: %w", contact, err)
 	}
-	var v MemberView
-	for _, addr := range members {
-		si, err := c.serverInfo(addr, timeout)
-		if err != nil {
-			// Member unreachable right now (likely just died); skip it —
-			// the 2PC will validate whatever view we propose.
-			continue
-		}
-		v.Members = append(v.Members, si)
+	if len(members) == 0 {
+		return MemberView{}, fmt.Errorf("colza: no servers via %s", contact)
 	}
-	if len(v.Members) == 0 {
-		return MemberView{}, fmt.Errorf("colza: no reachable servers via %s", contact)
-	}
+	v := MemberView{Members: members}
 	v.Normalize()
 	return v, nil
 }
@@ -262,7 +208,6 @@ type DistributedPipelineHandle struct {
 	mu         sync.Mutex
 	view       MemberView
 	timeout    time.Duration
-	retries    int
 	stageRetry RetryPolicy
 	viewRetry  RetryPolicy
 	rng        *rand.Rand
@@ -347,7 +292,6 @@ func (c *Client) newHandle(pipeline, contact string, coalesce bool) *Distributed
 		pipeline:   pipeline,
 		contact:    contact,
 		timeout:    10 * time.Second,
-		retries:    8,
 		stageRetry: DefaultStageRetry,
 		viewRetry:  DefaultViewRetry,
 		rng:        rand.New(rand.NewSource(1)),
@@ -430,8 +374,8 @@ func (h *DistributedPipelineHandle) refreshView(timeout time.Duration) (MemberVi
 	h.mu.Lock()
 	contacts := []string{h.contact}
 	for _, m := range h.view.Members {
-		if m.RPC != h.contact {
-			contacts = append(contacts, m.RPC)
+		if m != h.contact {
+			contacts = append(contacts, m)
 		}
 	}
 	h.mu.Unlock()
@@ -486,7 +430,7 @@ func (h *DistributedPipelineHandle) broadcast(view MemberView, rpc string, paylo
 			if err != nil {
 				errs[i] = fmt.Errorf("colza: %s on %s: %w", rpc, addr, err)
 			}
-		}(i, m.RPC)
+		}(i, m)
 	}
 	wg.Wait()
 	return outs, errors.Join(errs...)
@@ -515,7 +459,7 @@ func (h *DistributedPipelineHandle) cleanupBroadcast(view MemberView, rpc string
 			if err != nil && Classify(err) != ClassRemote {
 				errs[i] = fmt.Errorf("colza: cleanup %s on %s: %w", rpc, addr, err)
 			}
-		}(i, m.RPC)
+		}(i, m)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -532,7 +476,6 @@ func (h *DistributedPipelineHandle) cleanupBroadcast(view MemberView, rpc string
 func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ error) {
 	h.mu.Lock()
 	timeout := h.timeout
-	retries := h.retries
 	view := h.view
 	viewRetry := h.viewRetry
 	h.mu.Unlock()
@@ -542,7 +485,7 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 	defer func() { sp.End(err_) }()
 
 	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < viewRetry.attempts(); attempt++ {
 		if attempt > 0 {
 			reg.Counter("colza.activate.retries", "pipeline", h.pipeline).Inc()
 		}
@@ -567,12 +510,8 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 		} else if err != nil {
 			lastErr = err
 		}
-		// A failed round means our picture of the group is suspect: drop
-		// the cached info of every proposed member so the next round
-		// re-resolves addresses, then back off to let gossip converge.
-		for _, m := range view.Members {
-			h.c.evictInfo(m.RPC)
-		}
+		// A failed round means our picture of the group is suspect: back
+		// off to let gossip converge, then fetch the view again.
 		if !sleepUnless(h.closed, h.backoff(viewRetry, attempt)) {
 			return MemberView{}, fmt.Errorf("colza: activate aborted: %w", ErrHandleClosed)
 		}
@@ -598,15 +537,15 @@ func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, time
 				return
 			}
 			errs[i] = json.Unmarshal(raw, &votes[i])
-		}(i, m.RPC)
+		}(i, m)
 	}
 	wg.Wait()
 	var reasons []error
 	for i := range votes {
 		if errs[i] != nil {
-			reasons = append(reasons, fmt.Errorf("colza: prepare on %s: %w", view.Members[i].RPC, errs[i]))
+			reasons = append(reasons, fmt.Errorf("colza: prepare on %s: %w", view.Members[i], errs[i]))
 		} else if !votes[i].Yes {
-			reasons = append(reasons, fmt.Errorf("colza: %s voted no: %s", view.Members[i].RPC, votes[i].Reason))
+			reasons = append(reasons, fmt.Errorf("colza: %s voted no: %s", view.Members[i], votes[i].Reason))
 		}
 	}
 	ep, _ := json.Marshal(epochMsg{Pipeline: h.pipeline, Iteration: it, Epoch: view.Epoch})
@@ -835,7 +774,7 @@ func (a *AdminClient) CreatePipeline(serverRPC, name, typeName string, config js
 // view (parallel pipelines need an instance per staging process).
 func (a *AdminClient) CreatePipelineEverywhere(view MemberView, name, typeName string, config json.RawMessage) error {
 	for _, m := range view.Members {
-		if err := a.CreatePipeline(m.RPC, name, typeName, config); err != nil {
+		if err := a.CreatePipeline(m, name, typeName, config); err != nil {
 			return err
 		}
 	}

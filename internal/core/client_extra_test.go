@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -72,8 +71,8 @@ func TestManySequentialIterations(t *testing.T) {
 	}
 }
 
-// TestFetchViewReflectsMembership: FetchView resolves both addresses per
-// member and sorts deterministically.
+// TestFetchViewReflectsMembership: FetchView lists every member and sorts
+// deterministically.
 func TestFetchViewReflectsMembership(t *testing.T) {
 	d := deploy(t, 3)
 	view, err := d.client.FetchView(d.servers[1].Addr(), 2*time.Second)
@@ -84,10 +83,10 @@ func TestFetchViewReflectsMembership(t *testing.T) {
 		t.Fatalf("%d members", len(view.Members))
 	}
 	for i, m := range view.Members {
-		if m.RPC == "" || m.Mona == "" {
-			t.Fatalf("member %d has empty addresses: %+v", i, m)
+		if m == "" {
+			t.Fatalf("member %d has an empty address", i)
 		}
-		if i > 0 && view.Members[i-1].RPC >= m.RPC {
+		if i > 0 && view.Members[i-1] >= m {
 			t.Fatal("view not sorted by RPC address")
 		}
 	}
@@ -107,24 +106,6 @@ func TestAsyncErrorsSurface(t *testing.T) {
 	a := h.NBExecute(3)
 	if _, err := a.Wait(); err == nil {
 		t.Fatal("async execute without activate succeeded")
-	}
-}
-
-// TestProviderInfoEndpoints: every server reports a distinct (rpc, mona)
-// pair.
-func TestProviderInfoEndpoints(t *testing.T) {
-	d := deploy(t, 3)
-	seen := map[string]bool{}
-	for i, s := range d.servers {
-		info := s.Provider.Info()
-		if info.RPC == info.Mona {
-			t.Fatalf("server %d: rpc and mona endpoints identical", i)
-		}
-		key := fmt.Sprintf("%s|%s", info.RPC, info.Mona)
-		if seen[key] {
-			t.Fatalf("duplicate endpoints: %s", key)
-		}
-		seen[key] = true
 	}
 }
 

@@ -63,15 +63,15 @@ func FuzzPrepareMsg(f *testing.F) {
 	}
 	bent := func(change func(m *prepareMsg)) []byte {
 		m := msg
-		m.View.Members = append([]ServerInfo(nil), msg.View.Members...)
+		m.View.Members = append([]string(nil), msg.View.Members...)
 		change(&m)
 		b, _ := json.Marshal(m)
 		return b
 	}
 	f.Add(bent(func(m *prepareMsg) { m.View.Epoch++ }))
 	f.Add(bent(func(m *prepareMsg) { m.View.Members[1] = m.View.Members[0] })) // one member twice, as a set the right size
-	f.Add(bent(func(m *prepareMsg) { m.View.Members[1].Mona = m.View.Members[0].Mona }))
-	f.Add(bent(func(m *prepareMsg) { m.View.Members[1].RPC = "" }))
+	f.Add(bent(func(m *prepareMsg) { m.View.Members[1] = "" }))
+	f.Add([]byte(`{"p":"viz","it":1,"v":{"epoch":1,"members":[{"rpc":"a","mona":"b"}]}}`)) // the members of a two-endpoint view
 	f.Add(bent(func(m *prepareMsg) { m.View.Members = m.View.Members[1:] }))
 	f.Add(bent(func(m *prepareMsg) { m.Pipeline = "nope" }))
 	f.Add(live[:len(live)/2])
@@ -163,10 +163,8 @@ func FuzzDecodeMemberView(f *testing.F) {
 	f.Add(live)
 	for _, bent := range []func(v *MemberView){
 		func(v *MemberView) { v.Members[1] = v.Members[0] },
-		func(v *MemberView) { v.Members[1].RPC = v.Members[0].RPC },
-		func(v *MemberView) { v.Members[1].Mona = v.Members[0].Mona },
-		func(v *MemberView) { v.Members[0].RPC = "" },
-		func(v *MemberView) { v.Members[0].Mona = "" },
+		func(v *MemberView) { v.Members = append(v.Members, v.Members[0]) }, // three ranks on two servers
+		func(v *MemberView) { v.Members[0] = "" },
 		func(v *MemberView) { v.Members = nil },
 	} {
 		v, err := DecodeMemberView(live)
@@ -176,7 +174,8 @@ func FuzzDecodeMemberView(f *testing.F) {
 		bent(&v)
 		f.Add(v.Encode())
 	}
-	for _, s := range []string{`{"members":[1]}`, `{"members":"a"}`, `{"members":[`, `{}`, `null`} {
+	for _, s := range []string{`{"members":[1]}`, `{"members":"a"}`, `{"members":[`, `{}`, `null`,
+		`{"members":[null]}`, `{"members":[{"rpc":"a","mona":"b"}]}`} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -189,10 +188,10 @@ func FuzzDecodeMemberView(f *testing.F) {
 		}
 		seen := map[string]bool{}
 		for _, m := range v.Members {
-			if m.RPC == "" || m.Mona == "" || seen["r"+m.RPC] || seen["m"+m.Mona] {
+			if m == "" || seen[m] {
 				t.Fatalf("view %q decoded to %+v", raw, v.Members)
 			}
-			seen["r"+m.RPC], seen["m"+m.Mona] = true, true
+			seen[m] = true
 		}
 		again, err := DecodeMemberView(v.Encode())
 		if err != nil || again.Epoch != v.Epoch || len(again.Members) != len(v.Members) {

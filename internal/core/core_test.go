@@ -480,7 +480,7 @@ func TestActivateBusyPipelineFails(t *testing.T) {
 	h2 := d.client.Handle("viz", d.servers[0].Addr())
 	h2.SetTimeout(300 * time.Millisecond)
 	h2.mu.Lock()
-	h2.retries = 2
+	h2.viewRetry.Max = 2
 	h2.mu.Unlock()
 	if _, err := h2.Activate(2); !errors.Is(err, ErrActivateFailed) {
 		t.Fatalf("err = %v, want ErrActivateFailed", err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,7 +243,6 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 	mi.RegisterProviderRPC(ProviderID, "execute", p.handleExecute)
 	mi.RegisterProviderRPC(ProviderID, "deactivate", p.handleDeactivate)
 	mi.RegisterProviderRPC(ProviderID, "members", p.handleMembers)
-	mi.RegisterProviderRPC(ProviderID, "info", p.handleInfo)
 	mi.RegisterProviderRPC(AdminID, "create_pipeline", p.handleCreatePipeline)
 	mi.RegisterProviderRPC(AdminID, "destroy_pipeline", p.handleDestroyPipeline)
 	mi.RegisterProviderRPC(AdminID, "list_pipelines", p.handleListPipelines)
@@ -287,7 +287,7 @@ func (p *Provider) BindPools(control, data *margo.Pool) {
 // the control plane under ProviderID, the admin RPCs under AdminID.
 var (
 	dataRPCs    = []string{"stage", "execute", "checkpoint_state"}
-	controlRPCs = []string{"prepare", "commit", "abort", "deactivate", "members", "info", "activate_solo"}
+	controlRPCs = []string{"prepare", "commit", "abort", "deactivate", "members", "activate_solo"}
 	adminRPCs   = []string{"create_pipeline", "destroy_pipeline", "list_pipelines", "list_types", "leave",
 		"metrics_json", "trace", "pipeline_defs", "elastic_status"}
 )
@@ -304,11 +304,6 @@ var providerRPCNames = func() map[string]string {
 	}
 	return m
 }()
-
-// Info returns this server's address pair.
-func (p *Provider) Info() ServerInfo {
-	return ServerInfo{RPC: p.mi.Addr(), Mona: p.mn.Addr()}
-}
 
 // OnLeave registers a callback fired once the server has left the group
 // (after any active iteration drains); the host uses it to shut the
@@ -562,7 +557,7 @@ func (p *Provider) handleCommit(req mercury.Request) ([]byte, error) {
 // — the 2PC commit and the solo handle's — go through it.
 func (p *Provider) activateSlot(slot *pipelineSlot, it, epoch uint64, view MemberView) error {
 	rank := view.RankOf(p.mi.Addr())
-	c, err := p.mn.CreateComm(CommID(slot.name, epoch), view.MonaAddrs())
+	c, err := p.mn.CreateComm(CommID(slot.name, epoch), view.Members)
 	if err != nil {
 		return fmt.Errorf("colza: creating iteration communicator: %w", err)
 	}
@@ -859,10 +854,6 @@ func (p *Provider) handleMembers(req mercury.Request) ([]byte, error) {
 	return json.Marshal(ms)
 }
 
-func (p *Provider) handleInfo(req mercury.Request) ([]byte, error) {
-	return json.Marshal(p.Info())
-}
-
 func (p *Provider) handleCreatePipeline(req mercury.Request) ([]byte, error) {
 	var msg createPipelineMsg
 	if err := json.Unmarshal(req.Payload, &msg); err != nil {
@@ -954,19 +945,12 @@ func (p *Provider) finishLeaveFlush(fn func(), flush func(func())) {
 	go fn()
 }
 
-// viewMemberKey flattens a view's member RPC addresses (already in rank
-// order) into a comparable key for membership-change detection.
-func viewMemberKey(v MemberView) string {
-	var b bytes.Buffer
-	for _, m := range v.Members {
-		b.WriteString(m.RPC)
-		b.WriteByte(',')
-	}
-	return b.String()
-}
+// viewMemberKey flattens a view's member addresses (already in rank order)
+// into a comparable key for membership-change detection.
+func viewMemberKey(v MemberView) string { return strings.Join(v.Members, ",") }
 
-// sameRPCSet reports whether the view's RPC addresses equal the given
-// member list as a set.
+// sameRPCSet reports whether the view's addresses equal the given member
+// list as a set.
 func sameRPCSet(v MemberView, members []string) bool {
 	if len(v.Members) != len(members) {
 		return false
@@ -976,7 +960,7 @@ func sameRPCSet(v MemberView, members []string) bool {
 		set[m] = true
 	}
 	for _, m := range v.Members {
-		if !set[m.RPC] {
+		if !set[m] {
 			return false
 		}
 	}

@@ -14,10 +14,11 @@ import (
 )
 
 // Server bundles everything one Colza staging process runs: a Margo
-// instance (RPC endpoint), a MoNA instance (collectives endpoint), SSG
-// membership, and the provider hosting pipelines. Obs is the server's own
-// metrics registry — per-server, so multi-server tests and deployments see
-// unaggregated numbers; merge snapshots for fleet-wide views.
+// instance on its one endpoint, a MoNA instance whose collectives ride that
+// endpoint, SSG membership, and the provider hosting pipelines. Obs is the
+// server's own metrics registry — per-server, so multi-server tests and
+// deployments see unaggregated numbers; merge snapshots for fleet-wide
+// views.
 type Server struct {
 	MI       *margo.Instance
 	Mona     *mona.Instance
@@ -78,16 +79,21 @@ type ServerConfig struct {
 	StateReplicas int
 }
 
-// StartServer assembles a staging server from its two endpoints. rpcEP
-// carries Margo control traffic (RPCs, bulk pulls); monaEP carries
-// pipeline collectives — the same split the Colza paper uses between Margo
-// and MoNA.
+// StartServer assembles a staging server on rpcEP, its one endpoint: it
+// carries the Margo RPCs and bulk pulls, and the pipelines' MoNA
+// collectives as one-way frames (mona.Attach). A non-nil monaEP is closed
+// at once: the parameter remains only because benchmark/deploy.go still
+// passes a second endpoint, and ROADMAP item 1 drops the argument there and
+// the parameter here. Callers in this module pass nil.
 func StartServer(rpcEP, monaEP na.Endpoint, cfg ServerConfig) (*Server, error) {
+	if monaEP != nil {
+		monaEP.Close()
+	}
 	if cfg.GroupName == "" {
 		cfg.GroupName = "colza"
 	}
 	mi := margo.NewInstance(rpcEP)
-	mn := mona.NewInstance(monaEP)
+	mn := mona.Attach(mi.Class())
 	var group *ssg.Group
 	var err error
 	if cfg.Bootstrap == "" {
@@ -123,21 +129,16 @@ func StartServer(rpcEP, monaEP na.Endpoint, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// StartInprocServer creates both endpoints on an in-process network under
-// the given name and starts a server — the deployment path used by tests,
+// StartInprocServer creates the endpoint on an in-process network under the
+// given name and starts a server — the deployment path used by tests,
 // benchmarks, and examples. A joiner's membership spreads by gossip: use
 // WaitMembers to wait until every view has it.
 func StartInprocServer(net *na.InprocNetwork, name string, cfg ServerConfig) (*Server, error) {
-	rpcEP, err := net.Listen(name)
+	ep, err := net.Listen(name)
 	if err != nil {
 		return nil, err
 	}
-	monaEP, err := net.Listen(name + ":mona")
-	if err != nil {
-		rpcEP.Close()
-		return nil, err
-	}
-	return StartServer(rpcEP, monaEP, cfg)
+	return StartServer(ep, nil, cfg)
 }
 
 // WaitMembers waits until every server in servers that is not leaving sees

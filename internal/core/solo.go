@@ -38,7 +38,7 @@ func (p *Provider) handleActivateSolo(req mercury.Request) ([]byte, error) {
 	if slot.active != nil {
 		return nil, fmt.Errorf("%w: %q", ErrBusy, msg.Pipeline)
 	}
-	view := MemberView{Epoch: msg.Epoch, Members: []ServerInfo{p.Info()}}
+	view := MemberView{Epoch: msg.Epoch, Members: []string{p.mi.Addr()}}
 	if err := p.activateSlot(slot, msg.Iteration, msg.Epoch, view); err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func (p *PipelineHandle) Activate(it uint64) error {
 	if _, err := h.c.call(p.server, "activate_solo", payload, timeout); err != nil {
 		return err
 	}
-	h.SetView(MemberView{Epoch: epoch, Members: []ServerInfo{{RPC: p.server}}})
+	h.SetView(MemberView{Epoch: epoch, Members: []string{p.server}})
 	return nil
 }
 

@@ -22,7 +22,7 @@ func (h *DistributedPipelineHandle) stageTarget(meta BlockMeta) (rank int, addr 
 		return 0, "", fmt.Errorf("colza: stage before activate (no pinned view)")
 	}
 	rank = DefaultPlacement(meta, len(view.Members))
-	return rank, view.Members[rank].RPC, nil
+	return rank, view.Members[rank], nil
 }
 
 // sendStage sends one stage frame: recs over payload, to addr. It exposes

@@ -112,7 +112,7 @@ func stageScript(t *testing.T, script func(call int, recs []stageBatchRec) ([]by
 	h := c.Handle("viz", sm.Addr())
 	t.Cleanup(h.Close)
 	h.SetTimeout(5 * time.Second)
-	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: sm.Addr()}}})
+	h.SetView(MemberView{Epoch: 1, Members: []string{sm.Addr()}})
 	return h, reg
 }
 
@@ -239,7 +239,7 @@ func TestStageCodecIsTheNameOnTheHandle(t *testing.T) {
 	view := h.View()
 	stage(2) // first delta block: nothing to base on
 	stage(3) // based on 2
-	grown := MemberView{Epoch: 2, Members: append(append([]ServerInfo(nil), view.Members...), ServerInfo{RPC: "inproc://zz-joined"})}
+	grown := MemberView{Epoch: 2, Members: append(append([]string(nil), view.Members...), "inproc://zz-joined")}
 	h.SetView(grown)
 	stage(4) // membership changed: self-contained
 	stage(5) // based on 4
@@ -281,8 +281,8 @@ func TestStageRefusesMetaTheFrameCannotCarry(t *testing.T) {
 		sent = append(sent, recs[0].Meta)
 		return stageRespAllLanded, nil
 	})
-	addr := h.View().Members[0].RPC
-	h.SetView(MemberView{Epoch: 1, Members: []ServerInfo{{RPC: addr}, {RPC: addr}, {RPC: addr}}})
+	addr := h.View().Members[0]
+	h.SetView(MemberView{Epoch: 1, Members: []string{addr, addr, addr}})
 	for _, meta := range []BlockMeta{
 		{Field: "v", Type: "raw", BlockID: 5 + 1<<32},
 		{Field: "v", Type: "raw", BlockID: math.MaxInt32 + 1},

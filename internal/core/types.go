@@ -26,67 +26,42 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 
 	"colza/internal/comm"
 )
 
-// ServerInfo identifies one staging server: the address of its RPC (Margo)
-// endpoint and of its MoNA (collectives) endpoint. It is also the info
-// RPC's reply.
-type ServerInfo struct {
-	RPC  string `json:"rpc"`
-	Mona string `json:"mona"`
-}
-
 // MemberView is the frozen, ordered set of servers agreed on for an
-// iteration. Rank order is the sort order of RPC addresses, so every party
-// derives identical ranks.
+// iteration, by address: a server's one endpoint carries both its RPCs and
+// its MoNA collectives. Rank order is the sort order of addresses, so every
+// party derives identical ranks.
 type MemberView struct {
-	Epoch   uint64       `json:"epoch"`
-	Members []ServerInfo `json:"members"`
+	Epoch   uint64   `json:"epoch"`
+	Members []string `json:"members"`
 }
 
-// Normalize sorts members by RPC address (rank order).
-func (v *MemberView) Normalize() {
-	sort.Slice(v.Members, func(i, j int) bool { return v.Members[i].RPC < v.Members[j].RPC })
-}
+// Normalize sorts members by address (rank order).
+func (v *MemberView) Normalize() { sort.Strings(v.Members) }
 
-// RankOf returns the rank of the server with the given RPC address, or -1.
-func (v *MemberView) RankOf(rpcAddr string) int {
-	for i, m := range v.Members {
-		if m.RPC == rpcAddr {
-			return i
-		}
-	}
-	return -1
-}
-
-// MonaAddrs returns the ordered MoNA addresses of the view.
-func (v *MemberView) MonaAddrs() []string {
-	out := make([]string, len(v.Members))
-	for i, m := range v.Members {
-		out[i] = m.Mona
-	}
-	return out
-}
+// RankOf returns the rank of the server with the given address, or -1.
+func (v *MemberView) RankOf(addr string) int { return slices.Index(v.Members, addr) }
 
 // check reports what makes a view that came off the wire unusable, nil if
-// nothing does: every member needs both addresses, and no address may be
-// named twice — ranks are positions, so a repeated member would take two of
+// nothing does: no member may be an empty address, and none may be named
+// twice — ranks are positions, so a repeated member would take two of
 // them, and as a set the view would pass for a larger one.
 func (v *MemberView) check() error {
-	rpcs := make(map[string]bool, len(v.Members))
-	monas := make(map[string]bool, len(v.Members))
+	seen := make(map[string]bool, len(v.Members))
 	for _, m := range v.Members {
-		if m.RPC == "" || m.Mona == "" {
+		if m == "" {
 			return fmt.Errorf("%w: a view member without an address", ErrBadControlMsg)
 		}
-		if rpcs[m.RPC] || monas[m.Mona] {
-			return fmt.Errorf("%w: view member %s named twice", ErrBadControlMsg, m.RPC)
+		if seen[m] {
+			return fmt.Errorf("%w: view member %s named twice", ErrBadControlMsg, m)
 		}
-		rpcs[m.RPC], monas[m.Mona] = true, true
+		seen[m] = true
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -51,8 +52,9 @@ func repoRoot(t *testing.T) string {
 }
 
 // TestCommandLineDeployment drives the real binaries: two colza-server
-// processes bootstrapped through the connection file, administered with
-// colza-ctl, and used by an in-test client for one in situ iteration.
+// processes (-sm and -sm=false, one TCP listener each) bootstrapped through
+// the connection file, administered with colza-ctl, and used by an in-test
+// client for one in situ iteration.
 func TestCommandLineDeployment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs subprocesses")
@@ -61,10 +63,10 @@ func TestCommandLineDeployment(t *testing.T) {
 	dir := t.TempDir()
 	connFile := filepath.Join(dir, "colza.addr")
 
-	startServer := func(name string) *exec.Cmd {
-		cmd := exec.Command(serverBin,
+	startServer := func(name string, flags ...string) *exec.Cmd {
+		cmd := exec.Command(serverBin, append([]string{
 			"-listen", "127.0.0.1:0",
-			"-connfile", connFile, "-gossip-ms", "20")
+			"-connfile", connFile, "-gossip-ms", "20"}, flags...)...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -79,7 +81,7 @@ func TestCommandLineDeployment(t *testing.T) {
 		return cmd
 	}
 
-	startServer("first")
+	first := startServer("first")
 	// Wait for the connection file to appear.
 	deadline := time.Now().Add(20 * time.Second)
 	var target string
@@ -93,7 +95,7 @@ func TestCommandLineDeployment(t *testing.T) {
 	if target == "" {
 		t.Fatal("connection file never appeared")
 	}
-	startServer("second")
+	second := startServer("second", "-sm=false")
 
 	ctl := func(args ...string) string {
 		out, err := exec.Command(ctlBin, append([]string{"-connfile", connFile}, args...)...).CombinedOutput()
@@ -114,6 +116,11 @@ func TestCommandLineDeployment(t *testing.T) {
 	members := ctl("members")
 	if strings.Count(members, "rank ") != 2 {
 		t.Fatalf("membership never reached 2:\n%s", members)
+	}
+	for _, cmd := range []*exec.Cmd{first, second} {
+		if n := tcpListeners(t, cmd.Process.Pid); n != 1 {
+			t.Errorf("%v listens on %d TCP sockets, want 1", cmd.Args[1:], n)
+		}
 	}
 
 	// Create the pipeline everywhere through the admin tool.
@@ -219,8 +226,8 @@ func TestCommandLineDeployment(t *testing.T) {
 	}
 	var leaver string
 	for _, m := range view.Members {
-		if m.RPC != target {
-			leaver = m.RPC
+		if m != target {
+			leaver = m
 		}
 	}
 	out, err := exec.Command(ctlBin, "-server", leaver, "leave").CombinedOutput()
@@ -235,6 +242,30 @@ func TestCommandLineDeployment(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("server never left:\n%s", ctl("members"))
+}
+
+// tcpListeners counts the LISTEN rows (state 0A) of /proc/<pid>/net/tcp
+// whose socket inode is among the open files of process pid.
+func tcpListeners(t *testing.T, pid int) (n int) {
+	t.Helper()
+	dir := fmt.Sprintf("/proc/%d/", pid)
+	table, err := os.ReadFile(dir + "net/tcp")
+	fds, fdErr := os.ReadDir(dir + "fd")
+	if err = errors.Join(err, fdErr); err != nil {
+		t.Fatal(err)
+	}
+	listening := map[string]bool{}
+	for _, row := range strings.Split(string(table), "\n")[1:] {
+		if f := strings.Fields(row); len(f) > 9 && f[3] == "0A" {
+			listening["socket:["+f[9]+"]"] = true
+		}
+	}
+	for _, fd := range fds {
+		if link, _ := os.Readlink(dir + "fd/" + fd.Name()); listening[link] {
+			n++
+		}
+	}
+	return n
 }
 
 // assertMetricLine asserts the text dump contains the given counter line
@@ -379,7 +410,7 @@ func TestElasticCommandLine(t *testing.T) {
 	}
 	var follower string
 	for _, line := range strings.Split(members, "\n") {
-		if strings.HasPrefix(line, "rank ") && !strings.Contains(line, "rpc="+target+" ") {
+		if strings.HasPrefix(line, "rank ") && !strings.HasSuffix(line, "rpc="+target) {
 			follower = strings.TrimPrefix(strings.Fields(line)[2], "rpc=")
 		}
 	}
@@ -494,7 +525,7 @@ func TestElasticProcessRelaunchCarriesController(t *testing.T) {
 	// leave and wait for it to exit, or go test stalls on open I/O.
 	var newcomer string
 	for _, line := range strings.Split(ctl("members"), "\n") {
-		if strings.HasPrefix(line, "rank ") && !strings.Contains(line, "rpc="+target+" ") {
+		if strings.HasPrefix(line, "rank ") && !strings.HasSuffix(line, "rpc="+target) {
 			newcomer = strings.TrimPrefix(strings.Fields(line)[2], "rpc=")
 		}
 	}

@@ -26,11 +26,7 @@ func startTCPServer(t *testing.T, bootstrap string) *core.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monaEP, err := na.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.StartServer(rpcEP, monaEP, core.ServerConfig{
+	s, err := core.StartServer(rpcEP, nil, core.ServerConfig{
 		Bootstrap: bootstrap,
 		// Generous failure-detector settings: under -race on a single
 		// core, scheduling stalls must not read as member failures.

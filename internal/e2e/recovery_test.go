@@ -135,8 +135,8 @@ func runRecoveryArm(t *testing.T, prefix string, stateReplicas int, crash bool, 
 	}
 	for it := uint64(1); it <= recoveryIters; it++ {
 		if crash && it == 3 {
-			// The stateful server dies between iterations — both endpoints,
-			// no announcement. Wait for SWIM to evict it so activate(3)
+			// The stateful server dies between iterations, no
+			// announcement. Wait for SWIM to evict it so activate(3)
 			// negotiates the one-member view (where recovery runs).
 			s1.Shutdown()
 			if err := core.WaitMembers([]*core.Server{s0}, 1, 20*time.Second); err != nil {

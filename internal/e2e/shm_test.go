@@ -32,19 +32,15 @@ func arenaMaps(t *testing.T) int {
 // startSMServer launches one staging server whose RPC endpoint is dual: a
 // unix socket next to the TCP one, and a bulk arena (the sm+tcp composite
 // address ends up in the membership view, so peers and clients choose the
-// socket when they dial). MoNA stays on TCP: collective traffic is
-// server-to-server and exercises the plain endpoint alongside the dual one.
+// socket when they dial). MoNA rides the same endpoint, so the servers
+// composite over the unix socket.
 func startSMServer(t *testing.T, bootstrap string) (*core.Server, *na.DualEndpoint) {
 	t.Helper()
 	rpcEP, err := na.ListenDual("127.0.0.1:0", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	monaEP, err := na.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.StartServer(rpcEP, monaEP, core.ServerConfig{
+	s, err := core.StartServer(rpcEP, nil, core.ServerConfig{
 		Bootstrap: bootstrap,
 		// Generous failure-detector settings, as in startTCPServer: under
 		// -race scheduling stalls must not read as member failures.

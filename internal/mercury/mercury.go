@@ -1,6 +1,8 @@
 // Package mercury implements the remote-procedure-call layer of the stack,
 // modeled on Mercury from the Mochi suite: named RPCs with request/response
-// semantics on top of the NA message layer, plus RDMA-style bulk transfers.
+// semantics on top of the NA message layer, one-way frames (what MoNA's
+// collectives ride on a server's one endpoint), plus RDMA-style bulk
+// transfers.
 // As in Mercury, a large region is not pushed inside an RPC payload: the
 // owner exposes a registered memory region and sends a compact handle, and
 // the peer pulls the bytes on demand (rendezvous). A small region — at most
@@ -160,6 +162,10 @@ const bulkChunk = 8 << 20
 const (
 	kindRequest  = 1
 	kindResponse = 2
+	// kindFrame is a one-way frame: no id, no response. The progress loop
+	// hands it, past its kind byte, to the class's frame handler; like every
+	// frame, one of fewer than 9 bytes is dropped.
+	kindFrame = 3
 )
 
 // Response status byte values.
@@ -187,6 +193,7 @@ type Class struct {
 	callHook   CallHook
 	serveHook  ServeHook
 	dispatcher Dispatcher
+	frames     FrameHandler
 	closed     bool
 
 	// pending maps a call id to the channel its response is delivered on.
@@ -321,6 +328,34 @@ func (c *Class) SetDispatcher(d Dispatcher) {
 	c.mu.Unlock()
 }
 
+// FrameHandler takes the one-way frames a class receives (SendFrame). It
+// runs on the progress loop, one frame at a time in arrival order, and owns
+// frame. Once the endpoint has closed it is called one last time, with a nil
+// frame and the endpoint's error.
+type FrameHandler func(frame []byte, err error)
+
+// SetFrameHandler installs (or, with nil, removes) the handler of one-way
+// frames. Without one they are dropped.
+func (c *Class) SetFrameHandler(h FrameHandler) {
+	c.mu.Lock()
+	c.frames = h
+	c.mu.Unlock()
+}
+
+func (c *Class) frameHandler() FrameHandler {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.frames
+}
+
+// SendFrame sends head then body to the class at address to as one one-way
+// frame, for its frame handler: it carries no RPC name and gets no
+// response, so it costs the receiver no handler goroutine. The endpoint is
+// done with both slices when it returns.
+func (c *Class) SendFrame(to string, head, body []byte) error {
+	return c.sendFrame(to, []byte{kindFrame}, head, body)
+}
+
 // Call invokes the named RPC at address to and waits for the response.
 // timeout<=0 selects DefaultTimeout; it runs from the moment the request is
 // sent. The response is the caller's: it may keep it as long as it likes,
@@ -435,15 +470,19 @@ func (c *Class) settle(id uint64, ch chan response) (r response, ok bool) {
 const smallResponse = 4 << 10
 
 // progress is the endpoint receive loop: it dispatches requests to their
-// handlers and completes pending calls with their responses. A request's
-// frame is recycled once its serve is over; a frame that serves nothing —
-// short, malformed, shed, a response nobody waits for — at once. A
-// response frame is its caller's.
+// handlers, completes pending calls with their responses and hands one-way
+// frames to the frame handler. A request's frame is recycled once its serve
+// is over; a frame that serves nothing — short, malformed, shed, a response
+// nobody waits for, a one-way frame with no handler — at once. A response
+// frame is its caller's, a one-way frame its handler's.
 func (c *Class) progress() {
 	defer c.wg.Done()
 	for {
 		from, data, err := c.ep.Recv()
 		if err != nil {
+			if h := c.frameHandler(); h != nil {
+				h(nil, err)
+			}
 			return
 		}
 		if len(data) < 9 {
@@ -503,6 +542,12 @@ func (c *Class) progress() {
 			}
 			c.pmu.Unlock()
 			if ch == nil {
+				Recycle(data)
+			}
+		case kindFrame:
+			if h := c.frameHandler(); h != nil {
+				h(data[1:], nil)
+			} else {
 				Recycle(data)
 			}
 		default:

@@ -42,6 +42,24 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOneWayFrames: SendFrame's head and body reach the peer's frame handler
+// as one frame; once the peer's endpoint closes, the handler hears so.
+func TestOneWayFrames(t *testing.T) {
+	c1, c2 := pairT(t)
+	got := make(chan string, 2)
+	c2.SetFrameHandler(func(frame []byte, err error) { got <- fmt.Sprint(string(frame), err) })
+	if err := c1.SendFrame(c2.Addr(), []byte("head|"), []byte("body")); err != nil {
+		t.Fatal(err)
+	}
+	if f := <-got; f != "head|body<nil>" {
+		t.Fatalf("handler got %q", f)
+	}
+	c2.Close()
+	if f := <-got; f != na.ErrClosed.Error() {
+		t.Fatalf("handler got %q after close", f)
+	}
+}
+
 func TestCallSeesCallerAddress(t *testing.T) {
 	c1, c2 := pairT(t)
 	c2.Register("who", func(req Request) ([]byte, error) {

@@ -203,7 +203,8 @@ func FuzzBulkPullRequest(f *testing.F) {
 
 // TestProgressSurvivesJunkFrames: frames that serve nothing — too short to
 // carry a header, of no known kind, a request whose name runs past the
-// frame, a response no call waits for — are dropped (and put back) by the
+// frame, a response no call waits for, a one-way frame with no handler —
+// are dropped (and put back) by the
 // progress loop, which goes on serving.
 func TestProgressSurvivesJunkFrames(t *testing.T) {
 	net := na.NewInprocNetwork()
@@ -228,6 +229,7 @@ func TestProgressSurvivesJunkFrames(t *testing.T) {
 		binary.LittleEndian.AppendUint32(header(kindRequest, 2), 1<<20),
 		header(kindResponse, 3),
 		append(header(kindResponse, 4), statusOK, 'x'),
+		header(kindFrame, 5),
 	} {
 		if err := raw.Send(callee.Addr(), junk); err != nil {
 			t.Fatal(err)

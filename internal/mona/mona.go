@@ -12,13 +12,18 @@
 //   - Message buffers are cached and reused, which is why MoNA outperforms
 //     raw NA in the paper's Table I.
 //
+// A staging server has one endpoint: its instance (Attach) sends and
+// receives as one-way frames of the server's RPC class, so a crash, a cut
+// link or a shared-memory route is the same for its collectives as for its
+// RPCs.
+//
 // Messages may arrive for a communicator the local process has not created
 // yet (normal during elastic reconfiguration); they are parked in an orphan
 // queue and drained when the communicator appears. A message for a
 // communicator this process destroyed is dropped instead, and so is one
 // that would take the parked bytes past maxOrphanBytes: a frame from a
 // rank still sending after its iteration ended, or a stray frame on the
-// listener, must not stay for the life of the process.
+// endpoint, must not stay for the life of the process.
 package mona
 
 import (
@@ -28,10 +33,9 @@ import (
 	"slices"
 	"sync"
 
-	"colza/internal/bufpool"
-
 	"colza/internal/collectives"
 	"colza/internal/comm"
+	"colza/internal/mercury"
 	"colza/internal/na"
 	"colza/internal/obs"
 )
@@ -63,10 +67,12 @@ const (
 	destroyedIDs    = 256
 )
 
-// Instance is a MoNA progress loop bound to one endpoint (the analog of
-// mona_instance_t). One instance can host many communicators.
+// Instance is a MoNA instance (the analog of mona_instance_t): its frames
+// ride the one-way frames of an RPC class, whose progress loop hands every
+// one it receives to route. One instance can host many communicators.
 type Instance struct {
-	ep na.Endpoint
+	class *mercury.Class
+	owned bool // NewInstance made class, so Finalize closes it
 
 	mu          sync.Mutex
 	comms       map[uint64]*Comm
@@ -78,60 +84,65 @@ type Instance struct {
 	// Frames dropped instead of parked: for a destroyed communicator, and
 	// past maxOrphanBytes.
 	droppedLate, droppedFull *obs.Counter
-
-	done chan struct{}
 }
 
-// NewInstance starts a progress loop on ep.
-func NewInstance(ep na.Endpoint) *Instance {
+// Attach starts an instance on c, a server's RPC class: its address is c's,
+// and its frames share c's endpoint with the RPCs. Finalize detaches it and
+// leaves c serving.
+func Attach(c *mercury.Class) *Instance {
 	i := &Instance{
-		ep:      ep,
+		class:   c,
 		comms:   make(map[uint64]*Comm),
 		orphans: make(map[uint64][]comm.Msg),
-		done:    make(chan struct{}),
 
 		droppedLate: obs.Default().Counter("mona.orphans.dropped", "reason", "destroyed"),
 		droppedFull: obs.Default().Counter("mona.orphans.dropped", "reason", "full"),
 	}
-	go i.progress()
+	c.SetFrameHandler(i.route)
+	return i
+}
+
+// NewInstance starts an instance on a bare endpoint: ep becomes the
+// endpoint of an RPC class of the instance's own, which Finalize closes.
+func NewInstance(ep na.Endpoint) *Instance {
+	i := Attach(mercury.New(ep))
+	i.owned = true
 	return i
 }
 
 // Addr returns the instance's address, to be shared with peers when
 // assembling communicators.
-func (i *Instance) Addr() string { return i.ep.Addr() }
+func (i *Instance) Addr() string { return i.class.Addr() }
 
-// progress routes incoming messages to communicators' matching queues.
-func (i *Instance) progress() {
-	defer close(i.done)
-	for {
-		_, data, err := i.ep.Recv()
-		if err != nil {
-			i.mu.Lock()
-			for _, c := range i.comms {
-				c.mq.Destroy(ErrDestroyed)
-			}
-			i.comms = map[uint64]*Comm{}
-			i.mu.Unlock()
-			return
-		}
-		if len(data) < headerLen {
-			continue
-		}
-		id := binary.LittleEndian.Uint64(data)
-		src := int(int32(binary.LittleEndian.Uint32(data[8:])))
-		tag := int(int32(binary.LittleEndian.Uint32(data[12:])))
-		m := comm.Msg{Src: src, Tag: tag, Data: data[headerLen:]}
+// route delivers one received frame to its communicator's matching queue,
+// or parks it. A non-nil err means no frame follows: every communicator is
+// torn down.
+func (i *Instance) route(data []byte, err error) {
+	if err != nil {
 		i.mu.Lock()
-		c, ok := i.comms[id]
-		if !ok {
-			i.park(id, m)
-			i.mu.Unlock()
-			continue
+		for _, c := range i.comms {
+			c.mq.Destroy(ErrDestroyed)
 		}
+		i.comms = map[uint64]*Comm{}
 		i.mu.Unlock()
-		c.mq.Push(m)
+		return
 	}
+	if len(data) < headerLen {
+		return
+	}
+	id := binary.LittleEndian.Uint64(data)
+	src := int(int32(binary.LittleEndian.Uint32(data[8:])))
+	tag := int(int32(binary.LittleEndian.Uint32(data[12:])))
+	m := comm.Msg{Src: src, Tag: tag, Data: data[headerLen:]}
+	i.mu.Lock()
+	c, ok := i.comms[id]
+	if !ok {
+		i.park(id, m)
+		i.mu.Unlock()
+		return
+	}
+	i.mu.Unlock()
+	c.mq.Push(m)
 }
 
 // park holds m for communicator id, which this instance has not created,
@@ -221,7 +232,8 @@ func (i *Instance) DestroyComm(c *Comm) {
 	c.mq.Destroy(ErrDestroyed)
 }
 
-// Finalize closes the endpoint and tears down all communicators.
+// Finalize tears down all communicators and stops receiving; an instance
+// of NewInstance also closes its endpoint.
 func (i *Instance) Finalize() {
 	i.mu.Lock()
 	if i.closed {
@@ -230,8 +242,12 @@ func (i *Instance) Finalize() {
 	}
 	i.closed = true
 	i.mu.Unlock()
-	i.ep.Close()
-	<-i.done
+	if i.owned {
+		i.class.Close() // its progress loop ends with route(nil, err)
+		return
+	}
+	i.class.SetFrameHandler(nil)
+	i.route(nil, na.ErrClosed)
 }
 
 // Comm is a communicator: an immutable, ordered member group. It satisfies
@@ -256,21 +272,17 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return len(c.addrs) }
 
 // Send transmits data to rank dst with the given tag. It completes locally
-// (buffered at the receiver). The wire frame is built in a size-classed
-// pooled buffer and recycled as soon as the endpoint is done with it (na
-// Send does not retain the slice past return).
+// (buffered at the receiver). data leaves as it lies, gathered behind the
+// frame's header; the class is done with it when Send returns.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= len(c.addrs) {
 		return fmt.Errorf("%w: %d of %d", ErrRank, dst, len(c.addrs))
 	}
-	buf := bufpool.Get(headerLen + len(data))
-	binary.LittleEndian.PutUint64(buf, c.id)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(int32(c.rank)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(int32(tag)))
-	copy(buf[headerLen:], data)
-	err := c.inst.ep.Send(c.addrs[dst], buf)
-	bufpool.Put(buf)
-	return err
+	var head [headerLen]byte
+	binary.LittleEndian.PutUint64(head[:], c.id)
+	binary.LittleEndian.PutUint32(head[8:], uint32(int32(c.rank)))
+	binary.LittleEndian.PutUint32(head[12:], uint32(int32(tag)))
+	return c.inst.class.SendFrame(c.addrs[dst], head[:], data)
 }
 
 // Recv blocks until a message from rank src with the given tag arrives.

@@ -2,11 +2,14 @@ package mona
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"colza/internal/collectives"
+	"colza/internal/mercury"
 	"colza/internal/na"
 	"colza/internal/obs"
 )
@@ -83,7 +86,7 @@ func TestOrphanQueueBounded(t *testing.T) {
 	stray := make([]byte, headerLen+frame)
 	for k := 0; k < 3*maxOrphanBytes/(2*frame); k++ {
 		binary.LittleEndian.PutUint64(stray, uint64(1000+k))
-		if err := insts[0].ep.Send(insts[1].Addr(), stray); err != nil {
+		if err := insts[0].class.SendFrame(insts[1].Addr(), stray, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,6 +215,36 @@ func TestShrinkingGroupCommunicator(t *testing.T) {
 	}
 	if res[0] != 6 {
 		t.Fatalf("reduce over shrunken group = %d, want 6", res[0])
+	}
+}
+
+// TestAttachedFinalize: finalizing an instance attached to a class fails a
+// receiver blocked on it and refuses new communicators, while the class,
+// which is its owner's, stays open.
+func TestAttachedFinalize(t *testing.T) {
+	ep, _ := na.NewInprocNetwork().Listen("srv")
+	c := mercury.New(ep)
+	defer c.Close()
+	i := Attach(c)
+	addrs := []string{c.Addr(), "inproc://peer"}
+	cm, err := i.CreateComm(90, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := cm.Recv(1, 2)
+		errCh <- err
+	}()
+	i.Finalize()
+	if err := <-errCh; !errors.Is(err, ErrDestroyed) {
+		t.Fatalf("blocked Recv after Finalize: %v", err)
+	}
+	if _, err := i.CreateComm(91, addrs); !errors.Is(err, na.ErrClosed) {
+		t.Fatalf("CreateComm after Finalize: %v", err)
+	}
+	if _, err := c.Call(c.Addr(), "none", nil, time.Second); !errors.Is(err, mercury.ErrUnknownRPC) {
+		t.Fatalf("the class stopped serving: %v", err)
 	}
 }
 
