@@ -1,29 +1,24 @@
 #!/bin/sh
 # Tier-1 gate: everything here must pass before a change lands.
-# `./ci.sh cover` runs only the coverage floor checks.
+# `./ci.sh cover` runs only the first test pass and the coverage floor checks.
 set -eux
 
-# check_cover <floor> <pkgs or files...>: statement coverage floor, from the
-# coverprofile of one test pass. A package argument (./internal/obs/) holds
-# the package to the floor; a file argument (./internal/core/batch.go) runs
-# its package's tests and holds that file alone. An argument that does not
+# check_cover <floor> <pkgs or files...>: statement coverage floor, read
+# from the coverprofile the first test pass writes. A package argument
+# (./internal/obs/) holds the package to the floor; a file argument
+# (./internal/core/batch.go) holds that file alone. Each package's
+# statements are covered by its own tests only. An argument that does not
 # show up in the profile fails the check, so a renamed file cannot drop out
-# of its gate unseen. Fuzz seed corpora run as ordinary tests in these passes.
+# of its gate unseen. Fuzz seed corpora run as ordinary tests in that pass.
 check_cover() {
     floor=$1
     shift
     mod=$(go list -m)
-    pkgs= units=
+    units=
     for arg; do
-        case $arg in
-            *.go) pkgs="$pkgs ${arg%/*}/" ;;
-            *) pkgs="$pkgs $arg" ;;
-        esac
         unit=${arg#./}
         units="$units $mod/${unit%/}"
     done
-    profile=$(mktemp)
-    go test -count=1 -timeout 300s -coverprofile="$profile" $(printf '%s\n' $pkgs | sort -u)
     awk -v floor="$floor" -v units="$units" '
         NR > 1 {  # line 1 is the "mode:" header
             file = $1; sub(/:.*/, "", file)
@@ -42,28 +37,33 @@ check_cover() {
             }
             if (bad) { print "coverage below the " floor "% floor"; exit 1 }
         }' "$profile"
-    rm -f "$profile"
 }
 
+profile=$(mktemp)
+trap 'rm -f "$profile"' EXIT
 if [ "${1:-}" != "cover" ]; then
     go build ./...
     go vet ./...
-    # Every test once without the race detector — this is the pass that asserts
-    # the allocs/op ceilings of internal/bench/micro_test.go (stage, pull,
-    # composite, batcher, warm iso execute, volume execute, buffer-pool recycle,
-    # and the two that hold the TCP round trip at zero: TestTCPStageAllocsCeiling,
-    # a 64 KiB block staged per block into a daemon, and TestTCPCallAllocsCeiling,
-    # a 64 KiB call whose caller recycles its response), which skip
-    # under -race — and once with it. Both passes carry every gate there is no separate step for: the
-    # goroutine-leak checks (endpoint teardown, overload shed-and-recover, NBStage
-    # bound, batcher drain, controller stop), the pooled response channels'
-    # late-response check (mercury's TestLateResponseNeverReachesNextCall), crash recovery against the
-    # replicated-checkpoint oracle, the stage-retry buffer-ownership chaos suites
-    # (raw, compressed, coalesced, over sm+tcp), the full stack over sm, a
-    # daemon that serves on, with nothing of either left on disk, after an sm
-    # client process is SIGKILLed mid-stage, the fuzz seed corpora, and the
-    # elastic conformance and live closed-loop suites.
-    go test -timeout 300s ./...
+fi
+# Every test once without the race detector, writing the coverprofile every
+# floor at the end reads — this is the pass that asserts the allocs/op
+# ceilings of internal/bench/micro_test.go (stage, pull, composite, batcher,
+# warm iso execute, volume execute, buffer-pool recycle, and the two that
+# hold the TCP round trip at zero: TestTCPStageAllocsCeiling, a 64 KiB block
+# staged per block into a daemon, and TestTCPCallAllocsCeiling, a 64 KiB
+# call whose caller recycles its response), which skip under -race but not
+# under coverage, whose counters allocate nothing — and once with it. Both
+# passes carry every gate there is no separate step for: the goroutine-leak
+# checks (endpoint teardown, overload shed-and-recover, NBStage bound,
+# batcher drain, controller stop), the pooled response channels'
+# late-response check (mercury's TestLateResponseNeverReachesNextCall),
+# crash recovery against the replicated-checkpoint oracle, the stage-retry
+# buffer-ownership chaos suites (raw, compressed, coalesced, over sm+tcp),
+# the full stack over sm, a daemon that serves on, with nothing of either
+# left on disk, after an sm client process is SIGKILLed mid-stage, the fuzz
+# seed corpora, and the elastic conformance and live closed-loop suites.
+go test -timeout 300s -coverprofile="$profile" ./...
+if [ "${1:-}" != "cover" ]; then
     go test -race -timeout 600s ./...
     # Benchmark gate: benchmark/ is a module of its own (`replace colza => ../`),
     # so nothing above builds it and a changed signature under internal/ would

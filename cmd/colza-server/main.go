@@ -69,11 +69,9 @@ func main() {
 			bootstrap = ""
 		}
 	}
-	pools := core.PoolsConfig{Control: core.DefaultControlPool(), Data: core.DefaultDataPool()}
 	cfg := core.ServerConfig{
 		Bootstrap:     bootstrap,
 		SSG:           ssg.Config{GossipPeriod: time.Duration(*gossipMS) * time.Millisecond},
-		Pools:         pools,
 		StateReplicas: *stateReplicas,
 	}
 	if *stateReplicas <= 0 {
@@ -92,8 +90,9 @@ func main() {
 		fmt.Printf("colza-server: joined group via %s\n", bootstrap)
 	}
 	fmt.Printf("colza-server: rpc=%s pipelines=%v\n", srv.Addr(), core.PipelineTypes())
+	control, data := srv.MI.Pool(core.ControlPoolName).Config(), srv.MI.Pool(core.DataPoolName).Config()
 	fmt.Printf("colza-server: pools control=%d/%d data=%d/%d (workers/queue)\n",
-		pools.Control.Workers, pools.Control.Queue, pools.Data.Workers, pools.Data.Queue)
+		control.Workers, control.Queue, data.Workers, data.Queue)
 
 	// With -elastic every daemon embeds a controller, fed by its own
 	// executes; only the one whose address heads the sorted membership (the

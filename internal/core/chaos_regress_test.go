@@ -275,6 +275,88 @@ func TestErrorClassification(t *testing.T) {
 	}
 }
 
+// rpcName labels a frame for a fault plan by the RPC it requests ("" for
+// anything else).
+func rpcName(frame []byte) string {
+	name, _ := mercury.RPCNameOf(frame)
+	return name
+}
+
+// TestRefuseRuleIsUnreachable: a Refuse rule fails each send it selects at
+// once with na.ErrNoRoute, which Classify reads as unreachable, and its
+// Label, Nth and Count pick which sends those are — on the in-process
+// network and on a dual endpoint alike.
+func TestRefuseRuleIsUnreachable(t *testing.T) {
+	for _, tr := range []struct {
+		name string
+		pair func(t *testing.T, plan *na.FaultPlan) (a, b na.Endpoint)
+	}{
+		{"inproc", func(t *testing.T, plan *na.FaultPlan) (na.Endpoint, na.Endpoint) {
+			n := na.NewInprocNetwork()
+			n.SetFaultPlan(plan)
+			a, _ := n.Listen("a")
+			b, _ := n.Listen("b")
+			return a, b
+		}},
+		{"sm+tcp", func(t *testing.T, plan *na.FaultPlan) (na.Endpoint, na.Endpoint) {
+			a, err := na.ListenDual("127.0.0.1:0", "", "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := na.ListenDual("127.0.0.1:0", "", "b")
+			if err != nil {
+				a.Close()
+				t.Fatal(err)
+			}
+			a.SetFaultPlan(plan)
+			return a, b
+		}},
+	} {
+		for _, tc := range []struct {
+			name    string
+			rule    na.FaultRule
+			calls   string // the RPC each send calls
+			refused string // 'r' where that send is refused, '.' where it is answered
+		}{
+			{"label", na.FaultRule{Label: "x"}, "xyx", "r.r"},
+			{"nth", na.FaultRule{Label: "x", Nth: 2}, "xxx", ".r."},
+			{"count", na.FaultRule{Count: 2}, "yxy", "rr."},
+		} {
+			t.Run(tr.name+"/"+tc.name, func(t *testing.T) {
+				plan := na.NewFaultPlan(1).SetClassifier(rpcName)
+				ea, eb := tr.pair(t, plan)
+				a, b := mercury.New(ea), mercury.New(eb)
+				defer func() { a.Close(); b.Close() }()
+				for _, name := range []string{"x", "y"} {
+					b.Register(name, func(mercury.Request) ([]byte, error) { return []byte("ok"), nil })
+				}
+				rule := tc.rule
+				rule.From, rule.Refuse = a.Addr(), true // b's responses pass
+				plan.Add(rule)
+				for i, name := range tc.calls {
+					start := time.Now()
+					_, err := a.Call(b.Addr(), string(name), nil, 5*time.Second)
+					if tc.refused[i] == '.' {
+						if err != nil {
+							t.Fatalf("send %d (%c): %v", i, name, err)
+						}
+						continue
+					}
+					if !errors.Is(err, na.ErrNoRoute) || Classify(err) != ClassUnreachable {
+						t.Fatalf("send %d (%c): %v, class %v; want ErrNoRoute, unreachable", i, name, err, Classify(err))
+					}
+					if el := time.Since(start); el > time.Second {
+						t.Fatalf("send %d (%c) was refused after %v, not at once", i, name, el)
+					}
+				}
+				if want := strings.Count(tc.refused, "r"); plan.Fired(0) != want {
+					t.Fatalf("rule fired %d times, want %d (%s)", plan.Fired(0), want, plan)
+				}
+			})
+		}
+	}
+}
+
 // countingStateful counts ExportState/ImportState calls to pin the
 // exactly-once hand-over contract of a deferred leave.
 type countingStateful struct {
@@ -433,24 +515,17 @@ func TestStageRetriesTransientFault(t *testing.T) {
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
 	}
-	// Inject: fail the first two outgoing stage calls at the client.
-	var calls int
-	var cmu sync.Mutex
-	d.clientM.SetCallHook(func(to, name string) error {
-		if name != margo.ProviderRPCName(ProviderID, "stage") {
-			return nil
-		}
-		cmu.Lock()
-		defer cmu.Unlock()
-		calls++
-		if calls <= 2 {
-			return na.ErrNoRoute // classifies as unreachable → retryable
-		}
-		return nil
-	})
-	defer d.clientM.SetCallHook(nil)
+	// Inject: refuse the first two outgoing stage calls at the client
+	// (ErrNoRoute classifies as unreachable → retryable).
+	plan := na.NewFaultPlan(1).SetClassifier(rpcName)
+	plan.Add(na.FaultRule{From: d.clientM.Addr(), Label: margo.ProviderRPCName(ProviderID, "stage"), Count: 2, Refuse: true})
+	d.net.SetFaultPlan(plan)
+	defer d.net.SetFaultPlan(nil)
 	if err := h.Stage(1, BlockMeta{Field: "x", BlockID: 0, Type: "raw"}, []byte("abcd")); err != nil {
 		t.Fatalf("stage with retries: %v", err)
+	}
+	if plan.Fired(0) != 2 {
+		t.Fatalf("refused %d stage calls, want 2 (%s)", plan.Fired(0), plan)
 	}
 	res, err := h.Execute(1)
 	if err != nil {

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
-	"colza/internal/margo"
 	"colza/internal/mercury"
 )
 
@@ -30,16 +30,14 @@ func FuzzPrepareMsg(f *testing.F) {
 	d := deploy(f, 2)
 	d.createEverywhere(f, "viz")
 	srv := d.servers[0]
-	prepareRPC := margo.ProviderRPCName(ProviderID, "prepare")
+	p := srv.Provider
 	var mu sync.Mutex
 	var captured [][]byte
-	srv.MI.Class().SetServeHook(func(req mercury.Request) error {
-		if req.Name == prepareRPC {
-			mu.Lock()
-			captured = append(captured, bytes.Clone(req.Payload))
-			mu.Unlock()
-		}
-		return nil
+	srv.MI.RegisterProviderRPC(ProviderID, "prepare", func(req mercury.Request) ([]byte, error) {
+		mu.Lock()
+		captured = append(captured, bytes.Clone(req.Payload))
+		mu.Unlock()
+		return p.handlePrepare(req)
 	})
 	h := d.client.Handle("viz", srv.Addr())
 	h.SetTimeout(2 * time.Second)
@@ -49,7 +47,7 @@ func FuzzPrepareMsg(f *testing.F) {
 	if err := h.Deactivate(1); err != nil {
 		f.Fatal(err)
 	}
-	srv.MI.Class().SetServeHook(nil)
+	srv.MI.RegisterProviderRPC(ProviderID, "prepare", p.handlePrepare)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(captured) == 0 {
@@ -79,7 +77,6 @@ func FuzzPrepareMsg(f *testing.F) {
 	f.Add([]byte(`{"p":"viz","v":{"members":"x"}}`))
 	f.Add([]byte(`null`))
 
-	p := srv.Provider
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		resp, err := p.handlePrepare(mercury.Request{Payload: payload, From: "fuzz"})
 		if err != nil {
@@ -105,6 +102,88 @@ func FuzzPrepareMsg(f *testing.F) {
 		abort, _ := json.Marshal(epochMsg{Pipeline: m.Pipeline, Epoch: m.View.Epoch})
 		if _, err := p.handleAbort(mercury.Request{Payload: abort}); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzActivateSolo feeds handleActivateSolo, on a live one-server
+// deployment, the JSON a single-server handle sends to activate. The seeds
+// are the payload a real SoloHandle.Activate sent, captured at the server,
+// and that payload bent out of shape. Every input gets "ok" or an error; an
+// activation it made is deactivated again, so no input finds the pipeline
+// busy, and the server still answers members.
+func FuzzActivateSolo(f *testing.F) {
+	d := deploy(f, 1)
+	d.createEverywhere(f, "viz")
+	srv := d.servers[0]
+	p := srv.Provider
+	var mu sync.Mutex
+	var captured [][]byte
+	srv.MI.RegisterProviderRPC(ProviderID, "activate_solo", func(req mercury.Request) ([]byte, error) {
+		mu.Lock()
+		captured = append(captured, bytes.Clone(req.Payload))
+		mu.Unlock()
+		return p.handleActivateSolo(req)
+	})
+	h := d.client.SoloHandle("viz", srv.Addr())
+	h.SetTimeout(2 * time.Second)
+	if err := h.Activate(1); err != nil {
+		f.Fatal(err)
+	}
+	if err := h.Deactivate(1); err != nil {
+		f.Fatal(err)
+	}
+	srv.MI.RegisterProviderRPC(ProviderID, "activate_solo", p.handleActivateSolo)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(captured) != 1 {
+		f.Fatalf("the live activate sent %d activate_solo payloads, want 1", len(captured))
+	}
+	live := captured[0]
+	f.Add(live)
+	var msg soloMsg
+	if err := json.Unmarshal(live, &msg); err != nil || msg.Pipeline != "viz" {
+		f.Fatalf("captured payload %s does not decode to an activate of viz: %v", live, err)
+	}
+	bent := func(change func(m *soloMsg)) []byte {
+		m := msg
+		change(&m)
+		b, _ := json.Marshal(m)
+		return b
+	}
+	f.Add(bent(func(m *soloMsg) { m.Pipeline = "nope" }))
+	f.Add(bent(func(m *soloMsg) { m.Iteration, m.Epoch = 0, 0 }))
+	f.Add(bent(func(m *soloMsg) { m.Iteration, m.Epoch = math.MaxUint64, math.MaxUint64 }))
+	f.Add(live[:len(live)/2])
+	f.Add([]byte(`{"p":"viz","it":-1}`))
+	f.Add([]byte(`{"p":["viz"]}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		resp, err := p.handleActivateSolo(mercury.Request{Payload: payload, From: "fuzz"})
+		switch {
+		case err != nil && bytes.Equal(payload, live):
+			t.Fatalf("the live payload was refused: %v", err)
+		case errors.Is(err, ErrBusy):
+			t.Fatalf("activate %q found the pipeline busy: an earlier input's activation was left", payload)
+		case err == nil && string(resp) != "ok":
+			t.Fatalf("activate %q answered %q", payload, resp)
+		case err == nil:
+			var m soloMsg
+			if err := json.Unmarshal(payload, &m); err != nil {
+				t.Fatalf("activate %q succeeded but does not decode: %v", payload, err)
+			}
+			deact, _ := json.Marshal(epochMsg{Pipeline: m.Pipeline, Iteration: m.Iteration, Epoch: m.Epoch})
+			if _, err := p.handleDeactivate(mercury.Request{Payload: deact}); err != nil {
+				t.Fatalf("deactivating what %q activated: %v", payload, err)
+			}
+		}
+		raw, err := d.client.call(srv.Addr(), "members", nil, 2*time.Second)
+		if err != nil {
+			t.Fatalf("members after activate %q: %v", payload, err)
+		}
+		if members, err := decodeMembersMsg(raw); err != nil || len(members) != 1 || members[0] != srv.Addr() {
+			t.Fatalf("members after activate %q: %q, %v", payload, members, err)
 		}
 	})
 }

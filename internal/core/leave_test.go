@@ -242,12 +242,10 @@ var leaveSchedules = []leaveSchedule{
 		}},
 	{name: "dropped/every-leave-time-transfer", servers: 2, minR: 1, partial: true,
 		between: func(l *leaveRun) {
-			l.servers[1].MI.SetCallHook(func(to, name string) error {
-				if name == ckptRPC {
-					return na.ErrNoRoute
-				}
-				return nil
-			})
+			plan := na.NewFaultPlan(1).SetClassifier(rpcName)
+			plan.Add(na.FaultRule{From: l.servers[1].Addr(), Label: ckptRPC, Refuse: true})
+			l.net.SetFaultPlan(plan)
+			defer l.net.SetFaultPlan(nil)
 			l.leave(1)
 			// One target, three attempts, all counted; the round after
 			// deactivate(1) is still on srv0 and recovers the state.

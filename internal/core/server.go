@@ -27,33 +27,25 @@ type Server struct {
 	Obs      *obs.Registry
 }
 
-// PoolsConfig sizes the server's two execution streams (see
-// Provider.BindPools). Zero-valued fields take the defaults below.
-type PoolsConfig struct {
-	// Control runs the 2PC, membership, and admin RPCs: small and
-	// latency-oriented.
-	Control margo.PoolConfig
-	// Data runs stage and execute: sized for throughput.
-	Data margo.PoolConfig
-}
-
-// Pool names a server defines on its margo instance.
+// Pool names a server defines on its margo instance (see
+// Provider.BindPools): the control pool runs the 2PC, membership and admin
+// RPCs, the data pool stage and execute.
 const (
 	ControlPoolName = "control"
 	DataPoolName    = "data"
 )
 
-// DefaultControlPool is the control-plane pool sizing: RPCs here are
-// cheap (JSON decode + state mutation), so few workers suffice, but the
-// queue absorbs a full 2PC round from many concurrent pipelines.
-func DefaultControlPool() margo.PoolConfig {
+// controlPool is the control-plane pool sizing: RPCs here are cheap (JSON
+// decode + state mutation), so few workers suffice, but the queue absorbs
+// a full 2PC round from many concurrent pipelines.
+func controlPool() margo.PoolConfig {
 	return margo.PoolConfig{Workers: 8, Queue: 64, BusyHint: time.Millisecond}
 }
 
-// DefaultDataPool sizes the stage/execute pool to the machine: one worker
-// per processor (at least 4), with a 4x queue so short bursts ride through
+// dataPool sizes the stage/execute pool to the machine: one worker per
+// processor (at least 4), with a 4x queue so short bursts ride through
 // without shedding.
-func DefaultDataPool() margo.PoolConfig {
+func dataPool() margo.PoolConfig {
 	w := runtime.GOMAXPROCS(0)
 	if w < 4 {
 		w = 4
@@ -70,8 +62,6 @@ type ServerConfig struct {
 	Bootstrap string
 	// SSG tunes the gossip protocol.
 	SSG ssg.Config
-	// Pools bounds the server's execution streams.
-	Pools PoolsConfig
 	// StateReplicas is how many ring successors receive each stateful
 	// pipeline's checkpoint after a deactivate (the durability layer,
 	// DESIGN.md §9). 0 selects the default of 1; a negative value disables
@@ -116,15 +106,7 @@ func StartServer(rpcEP, monaEP na.Endpoint, cfg ServerConfig) (*Server, error) {
 	default:
 		s.Provider.SetStateReplicas(cfg.StateReplicas)
 	}
-	pc := cfg.Pools.Control
-	if pc == (margo.PoolConfig{}) {
-		pc = DefaultControlPool()
-	}
-	pd := cfg.Pools.Data
-	if pd == (margo.PoolConfig{}) {
-		pd = DefaultDataPool()
-	}
-	s.Provider.BindPools(mi.DefinePool(ControlPoolName, pc), mi.DefinePool(DataPoolName, pd))
+	s.Provider.BindPools(mi.DefinePool(ControlPoolName, controlPool()), mi.DefinePool(DataPoolName, dataPool()))
 	mi.OnFinalize(func() { mn.Finalize() })
 	return s, nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"colza/internal/margo"
-	"colza/internal/mercury"
 	"colza/internal/na"
 	"colza/internal/obs"
 )
@@ -146,10 +145,7 @@ func TestSoloHandleRetriesDroppedStage(t *testing.T) {
 	if err := h.Activate(1); err != nil {
 		t.Fatal(err)
 	}
-	plan := na.NewFaultPlan(1).SetClassifier(func(frame []byte) string {
-		name, _ := mercury.RPCNameOf(frame)
-		return name
-	})
+	plan := na.NewFaultPlan(1).SetClassifier(rpcName)
 	plan.Add(na.FaultRule{Label: margo.ProviderRPCName(ProviderID, "stage"), Nth: 1, Drop: true})
 	d.net.SetFaultPlan(plan)
 	defer d.net.SetFaultPlan(nil)

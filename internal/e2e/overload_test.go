@@ -52,32 +52,25 @@ func sumCountersWithPrefix(snap obs.Snapshot, prefix string) int64 {
 }
 
 // TestOverloadShedsAndRecovers is the acceptance scenario for bounded
-// execution streams: one server with a 4-worker/8-deep stage pool against
-// 64 concurrent staging clients. The server's resource envelope must stay
+// execution streams: one server on its default pools against twice as many
+// concurrent staging clients as its data pool holds (workers + queue), so
+// the pool saturates on any core count. Every bound below is read from the
+// pools the server bound. The server's resource envelope must stay
 // fixed (handler concurrency bounded by the pools, goroutines not O(clients)),
 // every client must eventually succeed through ErrBusy retries, and the
 // shed/busy-retry counters must be non-zero and balanced — no request is
 // silently dropped.
 func TestOverloadShedsAndRecovers(t *testing.T) {
-	const (
-		clients        = 64
-		blocksPer      = 4
-		dataWorkers    = 4
-		dataQueue      = 8
-		controlWorkers = 4
-		controlQueue   = 16
-	)
+	const blocksPer = 4
 	net := na.NewInprocNetwork()
-	s, err := core.StartInprocServer(net, "ov-srv", core.ServerConfig{
-		Pools: core.PoolsConfig{
-			Control: margo.PoolConfig{Workers: controlWorkers, Queue: controlQueue, BusyHint: time.Millisecond},
-			Data:    margo.PoolConfig{Workers: dataWorkers, Queue: dataQueue, BusyHint: time.Millisecond},
-		},
-	})
+	s, err := core.StartInprocServer(net, "ov-srv", core.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
+	control := s.MI.Pool(core.ControlPoolName).Config()
+	data := s.MI.Pool(core.DataPoolName).Config()
+	clients := 2 * (data.Workers + data.Queue)
 
 	cEP, err := net.Listen("ov-cli")
 	if err != nil {
@@ -95,8 +88,8 @@ func TestOverloadShedsAndRecovers(t *testing.T) {
 
 	h := client.Handle("ov", s.Addr())
 	h.SetTimeout(30 * time.Second)
-	// A generous outer policy: with 64 ranks against 12 slots the busy
-	// retry loops must be able to ride out a long contention window.
+	// A generous outer policy: with twice as many ranks as data-pool slots
+	// the busy retry loops must be able to ride out a long contention window.
 	h.SetStageRetry(core.RetryPolicy{Max: 50, Base: time.Millisecond, Cap: 20 * time.Millisecond, Jitter: 1})
 	if _, err := h.Activate(1); err != nil {
 		t.Fatal(err)
@@ -159,23 +152,23 @@ func TestOverloadShedsAndRecovers(t *testing.T) {
 	// streams: at most the pools' workers run at once (small slack for
 	// unpooled SWIM gossip handlers landing mid-storm).
 	inflightMax := s.Obs.Gauge("margo.handlers.inflight").Max()
-	if limit := int64(dataWorkers + controlWorkers + 4); inflightMax > limit {
+	if limit := int64(data.Workers + control.Workers + 4); inflightMax > limit {
 		t.Errorf("margo.handlers.inflight max = %d, want <= %d (pool workers + gossip slack)", inflightMax, limit)
 	}
-	if busyMax := s.Obs.Gauge("margo.pool.busy", "pool", core.DataPoolName).Max(); busyMax > dataWorkers {
-		t.Errorf("margo.pool.busy{pool=data} max = %d, want <= %d workers", busyMax, dataWorkers)
+	if busyMax := s.Obs.Gauge("margo.pool.busy", "pool", core.DataPoolName).Max(); busyMax > int64(data.Workers) {
+		t.Errorf("margo.pool.busy{pool=data} max = %d, want <= %d workers", busyMax, data.Workers)
 	}
 	// The depth gauge decrements at dispatch, so between a worker taking a
 	// task and its Dec another admission can land: bound is queue+workers.
-	if depthMax := s.Obs.Gauge("margo.pool.queue.depth", "pool", core.DataPoolName).Max(); depthMax > dataQueue+dataWorkers {
-		t.Errorf("margo.pool.queue.depth{pool=data} max = %d, want <= %d", depthMax, dataQueue+dataWorkers)
+	if depthMax := s.Obs.Gauge("margo.pool.queue.depth", "pool", core.DataPoolName).Max(); depthMax > int64(data.Queue+data.Workers) {
+		t.Errorf("margo.pool.queue.depth{pool=data} max = %d, want <= %d", depthMax, data.Queue+data.Workers)
 	}
 
-	// 3. Process goroutines stayed bounded: the 64 stagers we spawned,
+	// 3. Process goroutines stayed bounded: the stagers we spawned,
 	// plus the server's fixed envelope (pool workers + queue), plus slack
 	// for the client's transient bulk-pull services — NOT one server
 	// handler per client on top.
-	poolCapacity := dataWorkers + dataQueue + controlWorkers + controlQueue
+	poolCapacity := data.Workers + data.Queue + control.Workers + control.Queue
 	limit := int64(baseline + clients + poolCapacity + 24)
 	if p := peak.Load(); p > limit {
 		t.Errorf("goroutine peak %d, want <= %d (baseline %d + %d clients + %d pool capacity + slack)",

@@ -116,15 +116,6 @@ func (m *Instance) CallProvider(addr, provider, rpc string, payload []byte, time
 	return m.class.Call(addr, ProviderRPCName(provider, rpc), payload, timeout)
 }
 
-// SetCallHook installs a fault-injection hook on outgoing calls (hook names
-// are fully qualified, e.g. "colza::prepare"); nil removes it. Chaos tests
-// use it to fail or delay specific control-plane RPCs from one instance.
-func (m *Instance) SetCallHook(h mercury.CallHook) { m.class.SetCallHook(h) }
-
-// SetServeHook installs a fault-injection hook on incoming requests; nil
-// removes it.
-func (m *Instance) SetServeHook(h mercury.ServeHook) { m.class.SetServeHook(h) }
-
 // Periodic starts a background task running fn every interval until the
 // returned stop function is called or the instance finalizes. The first
 // run happens after one interval.

@@ -237,16 +237,6 @@ func (c *Class) ExposedBytes() int64 {
 	return total
 }
 
-// SetBulkChunk overrides the per-round-trip pull chunk size (0 restores the
-// default). Benchmarks and tests shrink it to exercise the multi-chunk
-// concurrent path on small regions.
-func (c *Class) SetBulkChunk(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.chunk.Store(int64(n))
-}
-
 func (c *Class) bulkChunkSize() int {
 	if n := c.chunk.Load(); n > 0 {
 		return int(n)

@@ -30,8 +30,7 @@ func pullPair(t *testing.T) (owner, puller *Class) {
 func TestPullBulkInto(t *testing.T) {
 	owner, puller := pullPair(t)
 	defer VerifyNoExposedLeaks(t, owner, puller)
-	puller.SetBulkChunk(1024)
-	defer puller.SetBulkChunk(0)
+	puller.chunk.Store(1024)
 
 	region := make([]byte, 10_000)
 	for i := range region {
@@ -82,8 +81,7 @@ func TestPullAfterReleaseFails(t *testing.T) {
 func TestPullRangeJoinsWorkersOnError(t *testing.T) {
 	owner, puller := pullPair(t)
 	defer VerifyNoExposedLeaks(t, owner, puller)
-	puller.SetBulkChunk(512)
-	defer puller.SetBulkChunk(0)
+	puller.chunk.Store(512)
 
 	region := make([]byte, 64<<10)
 	for round := 0; round < 20; round++ {
@@ -147,8 +145,7 @@ func TestDecodeBulkNegativeSize(t *testing.T) {
 func TestConcurrentPullBulkIntoSharedRegion(t *testing.T) {
 	owner, puller := pullPair(t)
 	defer VerifyNoExposedLeaks(t, owner, puller)
-	puller.SetBulkChunk(2048)
-	defer puller.SetBulkChunk(0)
+	puller.chunk.Store(2048)
 
 	region := make([]byte, 32<<10)
 	for i := range region {

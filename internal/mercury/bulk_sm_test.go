@@ -200,15 +200,14 @@ func TestBulkRPCPullOfReservedRacesRelease(t *testing.T) {
 	// The release waits for the first pull of its round to reach the owner,
 	// so that one is served while the release runs and the others after it.
 	arrived := make(chan struct{}, 1)
-	owner.SetServeHook(func(req Request) error {
-		if req.Name == bulkPullRPC {
-			select {
-			case arrived <- struct{}{}:
-			default:
-			}
+	owner.Register(bulkPullRPC, func(req Request) ([]byte, error) {
+		select {
+		case arrived <- struct{}{}:
+		default:
 		}
-		return nil
+		return owner.handleBulkPull(req)
 	})
+	defer owner.Register(bulkPullRPC, owner.handleBulkPull)
 	const size, rounds, pullers = 64 << 10, 60, 3
 	var pulled, refused atomic.Int64
 	var prev sync.WaitGroup

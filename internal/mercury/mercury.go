@@ -130,17 +130,6 @@ func (d *deferCtx) run() {
 // a non-nil error is transported to the caller as a *RemoteError.
 type Handler func(req Request) ([]byte, error)
 
-// CallHook intercepts outgoing calls before the request frame is sent; a
-// non-nil return fails the call locally without sending. The hook may also
-// sleep to delay specific RPCs. Used by the chaos harness to target
-// individual RPC names (prepare, commit, stage, ...) on the caller side.
-type CallHook func(to, name string) error
-
-// ServeHook intercepts incoming requests before their handler runs; a
-// non-nil return is sent to the caller as a *RemoteError and the handler is
-// skipped. The callee-side analog of CallHook.
-type ServeHook func(req Request) error
-
 // Dispatcher schedules the execution of an incoming request's handler. t
 // is the request: t.Run performs the complete serve (handler + response
 // send) and must be invoked exactly once, on whatever execution stream the
@@ -190,8 +179,6 @@ type Class struct {
 
 	mu         sync.RWMutex
 	handlers   map[string]handlerEntry
-	callHook   CallHook
-	serveHook  ServeHook
 	dispatcher Dispatcher
 	frames     FrameHandler
 	closed     bool
@@ -214,7 +201,8 @@ type Class struct {
 	nextID atomic.Uint64
 	nextBk atomic.Uint64
 
-	// chunk overrides bulkChunk when nonzero (SetBulkChunk).
+	// chunk overrides bulkChunk when nonzero: tests shrink it to run the
+	// multi-chunk concurrent pull on small regions.
 	chunk atomic.Int64
 
 	obsReg atomic.Pointer[obs.Registry]
@@ -304,22 +292,6 @@ func (c *Class) Deregister(name string) {
 	c.mu.Unlock()
 }
 
-// SetCallHook installs (or, with nil, removes) a fault-injection hook run
-// before every outgoing Call.
-func (c *Class) SetCallHook(h CallHook) {
-	c.mu.Lock()
-	c.callHook = h
-	c.mu.Unlock()
-}
-
-// SetServeHook installs (or, with nil, removes) a fault-injection hook run
-// before every incoming request's handler.
-func (c *Class) SetServeHook(h ServeHook) {
-	c.mu.Lock()
-	c.serveHook = h
-	c.mu.Unlock()
-}
-
 // SetDispatcher installs (or, with nil, removes) the execution-stream
 // dispatcher for incoming requests.
 func (c *Class) SetDispatcher(d Dispatcher) {
@@ -390,14 +362,6 @@ func (c *Class) CallGather(to, name string, payload, tail []byte, timeout time.D
 			m.bytesIn.Add(int64(len(resp)))
 		}
 	}()
-	c.mu.RLock()
-	hook := c.callHook
-	c.mu.RUnlock()
-	if hook != nil {
-		if err := hook(to, name); err != nil {
-			return nil, fmt.Errorf("mercury: injected call fault for %s at %s: %w", name, to, err)
-		}
-	}
 	id := c.nextID.Add(1)
 	ch := respChans.Get().(chan response)
 	c.pmu.Lock()
@@ -641,18 +605,7 @@ func (c *Class) serve(from string, id uint64, name string, payload, frame []byte
 		status = statusUnknownRPC
 	} else {
 		dc = deferPool.Get().(*deferCtx)
-		req := Request{From: from, Name: name, Payload: payload, defers: dc}
-		c.mu.RLock()
-		sh := c.serveHook
-		c.mu.RUnlock()
-		var res []byte
-		var err error
-		if sh != nil {
-			err = sh(req)
-		}
-		if err == nil {
-			res, err = h(req)
-		}
+		res, err := h(Request{From: from, Name: name, Payload: payload, defers: dc})
 		if err != nil {
 			status, out = errorResponse(err)
 		} else {

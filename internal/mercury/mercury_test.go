@@ -284,3 +284,18 @@ func sameBulk(a, b Bulk) bool {
 	return a.Addr == b.Addr && a.ID == b.ID && a.Size == b.Size &&
 		(a.eager == nil) == (b.eager == nil) && bytes.Equal(a.eager, b.eager)
 }
+
+func TestRPCNameOf(t *testing.T) {
+	frame := append(appendRequestHeader(nil, 7, "colza::prepare"), "payload"...)
+	name, ok := RPCNameOf(frame)
+	if !ok || name != "colza::prepare" {
+		t.Fatalf("RPCNameOf = %q, %v", name, ok)
+	}
+	// Responses and junk are not requests.
+	if _, ok := RPCNameOf([]byte{kindResponse, 0, 0, 0, 0, 0, 0, 0, 0, 0}); ok {
+		t.Fatal("response frame classified as request")
+	}
+	if _, ok := RPCNameOf([]byte("short")); ok {
+		t.Fatal("junk classified as request")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"colza/internal/obs"
 )
@@ -75,8 +74,9 @@ func (e *DualEndpoint) SetObserver(r *obs.Registry) {
 func (e *DualEndpoint) SetRouteLog(func(format string, args ...any)) {}
 
 // SetFaultPlan installs (or, with nil, removes) a fault plan consulted on
-// every outgoing frame, whichever socket carries it — chaos suites drop and
-// delay a dual endpoint's frames as they do on the in-process fabric.
+// every outgoing frame, whichever socket carries it — chaos suites refuse,
+// drop and delay a dual endpoint's frames as they do on the in-process
+// fabric.
 func (e *DualEndpoint) SetFaultPlan(p *FaultPlan) { e.plan.Store(p) }
 
 // Send delivers one frame; see SendGather.
@@ -85,17 +85,8 @@ func (e *DualEndpoint) Send(to string, data []byte) error { return e.SendGather(
 // SendGather is the stream endpoint's, behind the fault plan.
 func (e *DualEndpoint) SendGather(to string, head, body []byte) error {
 	if plan := e.plan.Load(); plan != nil {
-		// The plan's classifier reads the whole message, and a delayed one
-		// needs a private copy anyway.
 		msg := append(append(make([]byte, 0, len(head)+len(body)), head...), body...)
-		v := plan.Decide(e.addr, to, msg)
-		if v.Drop {
-			return nil
-		}
-		if v.Delay > 0 {
-			time.AfterFunc(v.Delay, func() { e.tcpEP.SendGather(to, nil, msg) })
-			return nil
-		}
+		return plan.send(e.addr, to, msg, func(msg []byte) error { return e.tcpEP.SendGather(to, nil, msg) })
 	}
 	return e.tcpEP.SendGather(to, head, body)
 }

@@ -8,18 +8,20 @@ import (
 )
 
 // This file implements scriptable, seedable fault plans — the deterministic
-// chaos layer underneath the transports, and the one way to drop or delay
-// a message or to cut a link (a Drop rule per direction). A FaultPlan carries an
-// ordered list of rules that target every send, specific links, specific
-// message kinds (via a pluggable classifier, e.g. the Mercury RPC name),
-// and specific occurrences ("drop 5 % of everything", "drop the 3rd
-// prepare", "delay the first five stage requests by 20ms"). All randomness
-// comes from the plan's own seeded RNG, so a chaos run replays identically.
+// chaos layer underneath the transports, and the one way to drop, delay or
+// refuse a message or to cut a link (a Drop rule per direction). A
+// FaultPlan carries an ordered list of rules that target every send,
+// specific links, specific message kinds (via a pluggable classifier, e.g.
+// the Mercury RPC name), and specific occurrences ("drop 5 % of
+// everything", "refuse the 3rd prepare", "delay the first five stage
+// requests by 20ms"). All randomness comes from the plan's own seeded RNG,
+// so a chaos run replays identically.
 
 // Verdict is the outcome of consulting a fault plan for one send.
 type Verdict struct {
-	Drop  bool
-	Delay time.Duration
+	Refuse bool
+	Drop   bool
+	Delay  time.Duration
 }
 
 // FaultRule selects a subset of sends and says what happens to them.
@@ -27,7 +29,9 @@ type Verdict struct {
 // fields narrow which matching sends the rule fires on: Nth fires on
 // exactly the Nth matching send (1-based); Count caps the total number of
 // firings (0 = unlimited); Prob fires probabilistically (0 = always).
-// Action fields: Drop loses the message silently, Delay postpones delivery.
+// Action fields: Refuse fails the send at once with ErrNoRoute, as a dial
+// to a closed port does, and takes precedence over the others; Drop loses
+// the message silently; Delay postpones delivery.
 type FaultRule struct {
 	From  string // exact source address
 	To    string // exact destination address
@@ -37,8 +41,9 @@ type FaultRule struct {
 	Count int     // fire at most Count times
 	Prob  float64 // fire with this probability
 
-	Drop  bool
-	Delay time.Duration
+	Refuse bool
+	Drop   bool
+	Delay  time.Duration
 }
 
 // ruleState pairs a rule with its occurrence counters.
@@ -82,7 +87,7 @@ func (p *FaultPlan) Add(r FaultRule) *FaultPlan {
 }
 
 // Decide consults every rule for one send and returns the combined verdict
-// (any rule may drop; delays accumulate). Transports call it once per send.
+// (any rule may refuse or drop; delays accumulate).
 func (p *FaultPlan) Decide(from, to string, data []byte) Verdict {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -113,12 +118,30 @@ func (p *FaultPlan) Decide(from, to string, data []byte) Verdict {
 			continue
 		}
 		st.fired++
-		if r.Drop {
-			v.Drop = true
-		}
+		v.Refuse = v.Refuse || r.Refuse
+		v.Drop = v.Drop || r.Drop
 		v.Delay += r.Delay
 	}
 	return v
+}
+
+// send is how a transport with a plan installed sends one message: msg is
+// the whole message, private to this send (the classifier reads all of
+// it, and a delayed one is delivered after the caller has returned). It
+// carries out the plan's verdict and passes msg to deliver now, later or
+// never.
+func (p *FaultPlan) send(from, to string, msg []byte, deliver func([]byte) error) error {
+	v := p.Decide(from, to, msg)
+	switch {
+	case v.Refuse:
+		return fmt.Errorf("%w: %s (refused by the fault plan)", ErrNoRoute, to)
+	case v.Drop:
+		return nil
+	case v.Delay > 0:
+		time.AfterFunc(v.Delay, func() { deliver(msg) })
+		return nil
+	}
+	return deliver(msg)
 }
 
 // Fired reports how many times rule i has applied its action — tests use it
@@ -148,6 +171,8 @@ func (p *FaultPlan) String() string {
 
 func actionName(r FaultRule) string {
 	switch {
+	case r.Refuse:
+		return "refuse"
 	case r.Drop && r.Delay > 0:
 		return "drop+delay"
 	case r.Drop:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"colza/internal/obs"
 )
@@ -13,7 +12,7 @@ import (
 // repository deploys "multi-node" Colza runs inside one OS process: every
 // simulated process (simulation rank, Colza server, admin tool) listens on
 // its own address. The network supports fault injection — crashes, and a
-// FaultPlan's drops and delays, which also cut links — used by the
+// FaultPlan's refusals, drops and delays, which also cut links — used by the
 // failure-handling tests and the fault-tolerance extension experiments.
 type InprocNetwork struct {
 	mu       sync.Mutex
@@ -128,18 +127,14 @@ func (e *inprocEP) SendGather(to string, head, body []byte) error {
 	plan := n.plan
 	n.mu.Unlock()
 
-	pkt := packet{from: e.addr, data: join(head, body)}
+	data := join(head, body)
 	if plan != nil {
-		v := plan.Decide(e.addr, to, pkt.data)
-		if v.Drop {
-			return nil // injected fault: silently lost
-		}
-		if v.Delay > 0 {
-			time.AfterFunc(v.Delay, func() { dst.q.push(pkt) })
+		return plan.send(e.addr, to, data, func(msg []byte) error {
+			dst.q.push(packet{from: e.addr, data: msg})
 			return nil
-		}
+		})
 	}
-	dst.q.push(pkt)
+	dst.q.push(packet{from: e.addr, data: data})
 	return nil
 }
 
