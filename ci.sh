@@ -51,7 +51,11 @@ fi
 # warm iso execute, volume execute, buffer-pool recycle, and the two that
 # hold the TCP round trip at zero: TestTCPStageAllocsCeiling, a 64 KiB block
 # staged per block into a daemon, and TestTCPCallAllocsCeiling, a 64 KiB
-# call whose caller recycles its response), which skip under -race but not
+# call whose caller recycles its response) and the control plane's two
+# (TestControlIterationAllocsCeiling, an empty activate + execute +
+# deactivate on two servers, there, and internal/ssg's
+# TestGossipRoundAllocsCeiling, one SWIM probe with nothing to gossip),
+# which skip under -race but not
 # under coverage, whose counters allocate nothing — and once with it. Both
 # passes carry every gate there is no separate step for: the goroutine-leak
 # checks (endpoint teardown, overload shed-and-recover, NBStage bound,
@@ -147,7 +151,9 @@ fi
 # a block that reaches it twice is kept, dropped or refused (a missed
 # branch there can count a block twice in a picture), and the stats file holds
 # the one reduction record whose every key must encode as JSON, and the
-# checkpoint parser that keeps non-finite moments out of it.
+# checkpoint parser that keeps non-finite moments out of it. Last, the
+# two files that decode what a peer sends every iteration: the control
+# frames of the 2PC, execute and deactivate, and SWIM's messages.
 check_cover 60 ./internal/obs/ ./internal/collectives/ ./internal/icet/
 check_cover 90 ./internal/codec/ ./internal/elastic/
 check_cover 90 ./internal/core/stagewire.go ./internal/core/stagesend.go ./internal/core/batch.go ./internal/core/stagecodec.go ./internal/core/checkpoint.go
@@ -158,3 +164,4 @@ check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./intern
     ./internal/render/volume.go ./internal/icet/icet.go
 check_cover 90 ./internal/collectives/ops.go ./internal/mona/mona.go
 check_cover 90 ./internal/catalyst/stats.go ./internal/catalyst/backend.go
+check_cover 90 ./internal/core/ctrlwire.go ./internal/ssg/wire.go

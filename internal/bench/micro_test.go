@@ -172,6 +172,70 @@ func stageServerEnv(name string, dual bool) (h *core.DistributedPipelineHandle, 
 	return h, cleanup, nil
 }
 
+// controlIterEnv builds the deployment TestControlIterationAllocsCeiling
+// drives: two in-process servers whose gossip period is an hour (so no SWIM
+// round lands inside a measurement), a sink pipeline on both, and a client
+// handle that has already pinned their view. iterate runs one empty
+// iteration — activate, execute, deactivate — and returns the next
+// iteration number.
+func controlIterEnv() (iterate func(it uint64) error, cleanup func(), err error) {
+	net := na.NewInprocNetwork()
+	cfg := core.ServerConfig{GroupName: "ctrl", SSG: ssg.Config{GossipPeriod: time.Hour, PingTimeout: time.Second}}
+	var servers []*core.Server
+	var cmi *margo.Instance
+	cleanup = func() {
+		if cmi != nil {
+			cmi.Finalize()
+		}
+		for _, s := range servers {
+			s.Shutdown()
+		}
+	}
+	defer func() {
+		if err != nil {
+			cleanup()
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		s, err := core.StartInprocServer(net, fmt.Sprintf("ctrl-srv-%d", i), cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		servers = append(servers, s)
+		cfg.Bootstrap = servers[0].Addr()
+	}
+	if err := core.WaitMembers(servers, 2, 5*time.Second); err != nil {
+		return nil, nil, err
+	}
+	cEP, err := net.Listen("ctrl-cli")
+	if err != nil {
+		return nil, nil, err
+	}
+	cmi = margo.NewInstance(cEP)
+	admin := core.NewAdminClient(cmi)
+	for _, s := range servers {
+		if err := admin.CreatePipeline(s.Addr(), "bench", "bench/sink", nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	h := core.NewClient(cmi).Handle("bench", servers[0].Addr())
+	h.SetTimeout(10 * time.Second)
+	iterate = func(it uint64) error {
+		if _, err := h.Activate(it); err != nil {
+			return err
+		}
+		res, err := h.Execute(it)
+		if err != nil {
+			return err
+		}
+		if len(res) != 2 {
+			return fmt.Errorf("execute returned %d results, want 2", len(res))
+		}
+		return h.Deactivate(it)
+	}
+	return iterate, cleanup, nil
+}
+
 // stageBatchOp stages one iteration's worth of small blocks into the active
 // iteration and drains the handle: the Stage calls enqueue into coalesced
 // frames and Flush is the barrier.
@@ -492,10 +556,12 @@ const (
 	// accumulator and the resolved image. Measured 4; the merge into one grid
 	// and the depth sort it replaced took 111,791, one per cell.
 	ceilVolumeExecuteAllocs = 8.0
-	// One inproc RPC round trip of a 512 B payload, both sides: the one copy
-	// the in-process endpoint makes of each frame, request and response.
-	// Measured 2 (8 while the call path allocated; see ceilTCPCallAllocs).
-	ceilInprocCallAllocs = 3.0
+	// One inproc RPC round trip of a 512 B payload, both sides, for a caller
+	// that hands its response back: the in-process endpoint copies each
+	// frame into a pooled buffer, which mercury puts back. Measured 2 while
+	// those copies were exact-size allocations (8 while the call path
+	// allocated; see ceilTCPCallAllocs).
+	ceilInprocCallAllocs = 0.0
 	// Heap bytes per TCP RPC round trip of a 64 KiB payload, both sides:
 	// the callee's receive lands in a pooled frame that goes back to the
 	// pool after the handler, and the rest of the round trip allocates
@@ -513,6 +579,12 @@ const (
 	// sink, both sides: the mb_stage_tcp_perblock round trip. Measured 14
 	// before the call path stopped allocating.
 	ceilTCPStageAllocs = 1.0
+	// One empty activate + execute + deactivate on two in-process servers,
+	// client and servers together. Measured 9: 4 per server for the
+	// communicator, and the results slice; 166 while the control RPCs were
+	// JSON, each call round ran a goroutine per server and in-process
+	// frames were exact-size copies.
+	ceilControlIterationAllocs = 12.0
 )
 
 // skipUnderRace: the race detector's instrumentation allocates on its own,
@@ -642,6 +714,37 @@ func TestTCPStageAllocsCeiling(t *testing.T) {
 	}
 }
 
+// TestControlIterationAllocsCeiling holds an iteration's control plane —
+// the activate 2PC, the execute and deactivate broadcasts, client and
+// servers alike — to the two things it hands out: the MoNA communicator
+// each server creates at activation and the results slice the caller
+// gets. The frames, the call rounds, the decodes, the servers' active
+// state and execute responses allocate nothing. The backend is the sink,
+// which allocates nothing either.
+func TestControlIterationAllocsCeiling(t *testing.T) {
+	skipUnderRace(t)
+	iterate, cleanup, err := controlIterEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	it := uint64(1)
+	run := func() {
+		if err := iterate(it); err != nil {
+			t.Fatal(err)
+		}
+		it++
+	}
+	for i := 0; i < 20; i++ { // warm the pools, the caches and the goroutines
+		run()
+	}
+	allocs := testing.AllocsPerRun(200, run)
+	t.Logf("control iteration: %.1f allocs/op (ceiling %.1f)", allocs, ceilControlIterationAllocs)
+	if allocs > ceilControlIterationAllocs {
+		t.Errorf("control iteration allocs/op = %.1f, ceiling %.1f", allocs, ceilControlIterationAllocs)
+	}
+}
+
 func TestBulkPullAllocsCeiling(t *testing.T) {
 	skipUnderRace(t)
 	puller, bulk, cleanup, err := bulkPullEnv()
@@ -678,9 +781,11 @@ func TestInprocCallAllocsCeiling(t *testing.T) {
 	callee.Register("echo", func(req mercury.Request) ([]byte, error) { return req.Payload, nil })
 	payload := make([]byte, 512)
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := caller.Call(callee.Addr(), "echo", payload, time.Second); err != nil {
+		resp, err := caller.Call(callee.Addr(), "echo", payload, time.Second)
+		if err != nil {
 			t.Fatal(err)
 		}
+		mercury.Recycle(resp)
 	})
 	t.Logf("inproc call: %.1f allocs/op (ceiling %.1f)", allocs, ceilInprocCallAllocs)
 	if allocs > ceilInprocCallAllocs {

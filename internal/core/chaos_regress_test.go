@@ -173,19 +173,23 @@ func TestDuplicatePrepareSecondClientRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	view.Epoch = 999
-	prep, _ := json.Marshal(prepareMsg{Pipeline: "viz", Iteration: 1, View: view})
+	prep := appendPrepare(nil, "viz", 1, view)
 
-	sendPrepare := func(mi *margo.Instance) voteMsg {
+	type vote struct {
+		Yes    bool
+		Reason string
+	}
+	sendPrepare := func(mi *margo.Instance) vote {
 		t.Helper()
 		raw, err := mi.CallProvider(d.servers[0].Addr(), ProviderID, "prepare", prep, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v voteMsg
-		if err := json.Unmarshal(raw, &v); err != nil {
+		yes, reason, err := decodeVote(raw)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return vote{yes, reason}
 	}
 
 	if v := sendPrepare(d.clientM); !v.Yes {
@@ -206,7 +210,7 @@ func TestDuplicatePrepareSecondClientRejected(t *testing.T) {
 		t.Fatalf("reason = %q", v.Reason)
 	}
 	// Clean up the pending prepare.
-	ab, _ := json.Marshal(epochMsg{Pipeline: "viz", Iteration: 1, Epoch: 999})
+	ab := appendEpoch(nil, "viz", 1, 999)
 	if _, err := d.clientM.CallProvider(d.servers[0].Addr(), ProviderID, "abort", ab, time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"colza/internal/bufpool"
 	"colza/internal/margo"
+	"colza/internal/mercury"
 	"colza/internal/obs"
 )
 
@@ -107,6 +110,88 @@ func (c *Client) callUntil(stop <-chan struct{}, addr, rpc string, payload, tail
 	}
 }
 
+// callEach is call to every address of addrs at once, on the caller's
+// goroutine (mercury.Class.CallEach): f's responses and errors, one per
+// address, get what call would have returned for it. Busy responses are
+// retried as call retries them, for the busy addresses only, after the
+// longest backoff their hints ask for.
+func (c *Client) callEach(addrs []string, rpc string, payload []byte, timeout time.Duration, f *fanout) {
+	name := providerRPCNames[rpc]
+	cl := c.mi.Class()
+	cl.CallEach(addrs, name, payload, timeout, f.outs, f.errs)
+	busy := c.noteErrors(rpc, f.errs, nil)
+	for attempt := 0; len(busy) > 0 && attempt < clientBusyRetries; attempt++ {
+		var wait time.Duration
+		sub := getFanout(len(busy))
+		again := make([]string, len(busy))
+		for k, i := range busy {
+			again[k] = addrs[i]
+			wait = max(wait, busyBackoff(f.errs[i], attempt))
+		}
+		time.Sleep(wait)
+		cl.CallEach(again, name, payload, timeout, sub.outs, sub.errs)
+		for k, i := range busy {
+			f.outs[i], f.errs[i] = sub.outs[k], sub.errs[k]
+		}
+		busy = c.noteErrors(rpc, sub.errs, busy)
+		clear(sub.outs) // they are f's now
+		sub.put()
+	}
+}
+
+// noteErrors counts the failed calls among errs as call does, and returns
+// the positions of those that were shed busy, mapped through at when it is
+// non-nil (at[k] is the position of errs[k] in the first round). No
+// allocation when nothing was busy.
+func (c *Client) noteErrors(rpc string, errs []error, at []int) []int {
+	var busy []int
+	for k, err := range errs {
+		if err == nil {
+			continue
+		}
+		cls := Classify(err)
+		c.observer().Counter("colza.call.errors", "rpc", rpc, "class", cls.String()).Inc()
+		if cls != ClassBusy {
+			continue
+		}
+		// One increment per busy response received keeps this counter
+		// balanced against the servers' margo.pool.shed.
+		c.observer().Counter("core.client.retries.busy", "rpc", rpc).Inc()
+		if at != nil {
+			k = at[k]
+		}
+		busy = append(busy, k)
+	}
+	return busy
+}
+
+// fanout is the scratch of one call round to every member of a view: one
+// response and one error per member. Rounds run every iteration, so the
+// scratch is pooled.
+type fanout struct {
+	outs [][]byte
+	errs []error
+}
+
+var fanouts = sync.Pool{New: func() any { return new(fanout) }}
+
+func getFanout(n int) *fanout {
+	f := fanouts.Get().(*fanout)
+	f.outs = slices.Grow(f.outs[:0], n)[:n]
+	f.errs = slices.Grow(f.errs[:0], n)[:n]
+	return f
+}
+
+// put recycles the responses still in f, then f itself.
+func (f *fanout) put() {
+	for _, out := range f.outs {
+		mercury.Recycle(out)
+	}
+	clear(f.outs)
+	clear(f.errs)
+	fanouts.Put(f)
+}
+
 // sleepUnless sleeps d unless stop closes first (a nil stop never does); it
 // reports whether the full sleep elapsed. Retry loops pass their handle's
 // closed channel, so a handle being torn down returns promptly instead of
@@ -151,6 +236,7 @@ func (c *Client) FetchView(contact string, timeout time.Duration) (MemberView, e
 		return MemberView{}, fmt.Errorf("colza: fetching members from %s: %w", contact, err)
 	}
 	members, err := decodeMembersMsg(raw)
+	mercury.Recycle(raw)
 	if err != nil {
 		return MemberView{}, fmt.Errorf("colza: members from %s: %w", contact, err)
 	}
@@ -160,27 +246,6 @@ func (c *Client) FetchView(contact string, timeout time.Duration) (MemberView, e
 	v := MemberView{Members: members}
 	v.Normalize()
 	return v, nil
-}
-
-// decodeMembersMsg decodes a members response: JSON's own errors for what
-// does not parse, ErrBadControlMsg for a list that does but names an empty
-// address or one address twice.
-func decodeMembersMsg(raw []byte) ([]string, error) {
-	var ms membersMsg
-	if err := json.Unmarshal(raw, &ms); err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool, len(ms.Members))
-	for _, addr := range ms.Members {
-		if addr == "" {
-			return nil, fmt.Errorf("%w: an empty address in the members list", ErrBadControlMsg)
-		}
-		if seen[addr] {
-			return nil, fmt.Errorf("%w: %s named twice in the members list", ErrBadControlMsg, addr)
-		}
-		seen[addr] = true
-	}
-	return ms.Members, nil
 }
 
 // DefaultPlacement is the paper's placement, the one every handle uses:
@@ -213,6 +278,10 @@ type DistributedPipelineHandle struct {
 	rng        *rand.Rand
 
 	codec stageCodecState
+
+	// names interns the summary names of the execute results this handle
+	// decodes (decodeExecResult).
+	names internTable
 
 	// closed cancels retry backoffs and fails pending batched work when
 	// the handle is released (Close); closeOnce makes Close idempotent.
@@ -412,57 +481,49 @@ func (h *DistributedPipelineHandle) SetView(v MemberView) {
 // Pipeline returns the pipeline name.
 func (h *DistributedPipelineHandle) Pipeline() string { return h.pipeline }
 
-// broadcast calls an RPC on every member of the view concurrently and
-// collects results in rank order. All per-rank failures are reported
-// (joined), not just the last one — under churn several servers can fail
-// at once and the caller needs the full picture to classify the round.
-func (h *DistributedPipelineHandle) broadcast(view MemberView, rpc string, payload []byte, timeout time.Duration) ([][]byte, error) {
-	n := len(view.Members)
-	outs := make([][]byte, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, m := range view.Members {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			var err error
-			outs[i], err = h.c.call(addr, rpc, payload, timeout)
-			if err != nil {
-				errs[i] = fmt.Errorf("colza: %s on %s: %w", rpc, addr, err)
-			}
-		}(i, m)
+// broadcast calls an RPC on every member of the view at once, leaving each
+// member's response and error in f, in rank order, and reports every
+// failure (joined), not just the last one — under churn several servers can
+// fail at once and the caller needs the full picture to classify the round.
+func (h *DistributedPipelineHandle) broadcast(view MemberView, rpc string, payload []byte, timeout time.Duration, f *fanout) error {
+	h.c.callEach(view.Members, rpc, payload, timeout, f)
+	var errs []error
+	for i, err := range f.errs {
+		if err != nil {
+			errs = append(errs, fmt.Errorf("colza: %s on %s: %w", rpc, view.Members[i], err))
+		}
 	}
-	wg.Wait()
-	return outs, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // cleanupBroadcast issues a best-effort RPC (abort/deactivate after a
 // failed activate round) to every member, bounded by a short timeout, and
-// returns the joined transport-level failures. Unlike the old
-// fire-and-forget goroutines this waits for the calls, so a slow server
-// cannot accumulate leaked goroutines across every retry.
+// returns the joined transport-level failures. It waits for the calls, so a
+// slow server cannot accumulate abandoned calls across every retry.
 func (h *DistributedPipelineHandle) cleanupBroadcast(view MemberView, rpc string, payload []byte, timeout time.Duration) error {
 	ct := timeout / 4
 	if ct < 50*time.Millisecond {
 		ct = timeout
 	}
-	errs := make([]error, len(view.Members))
-	var wg sync.WaitGroup
-	for i, m := range view.Members {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			_, err := h.c.call(addr, rpc, payload, ct)
-			// Remote refusals are expected here (a member that never
-			// prepared has nothing to abort); only transport failures are
-			// worth surfacing.
-			if err != nil && Classify(err) != ClassRemote {
-				errs[i] = fmt.Errorf("colza: cleanup %s on %s: %w", rpc, addr, err)
-			}
-		}(i, m)
+	f := getFanout(len(view.Members))
+	defer f.put()
+	h.c.callEach(view.Members, rpc, payload, ct, f)
+	var errs []error
+	for i, err := range f.errs {
+		// Remote refusals are expected here (a member that never prepared
+		// has nothing to abort); only transport failures are worth
+		// surfacing.
+		if err != nil && Classify(err) != ClassRemote {
+			errs = append(errs, fmt.Errorf("colza: cleanup %s on %s: %w", rpc, view.Members[i], err))
+		}
 	}
-	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// epochFrame encodes the epoch frame of it under view into a pooled buffer,
+// which the caller puts back once its calls have returned.
+func (h *DistributedPipelineHandle) epochFrame(it uint64, view MemberView) []byte {
+	return appendEpoch(bufpool.Get(epochSize(h.pipeline))[:0], h.pipeline, it, view.Epoch)
 }
 
 // Activate starts iteration it: it runs the two-phase commit that pins a
@@ -522,33 +583,26 @@ func (h *DistributedPipelineHandle) Activate(it uint64) (view_ MemberView, err_ 
 
 // tryActivate performs one prepare/commit round over the proposed view.
 func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, timeout time.Duration) (bool, error) {
-	payload, _ := json.Marshal(prepareMsg{Pipeline: h.pipeline, Iteration: it, View: view})
-	n := len(view.Members)
-	votes := make([]voteMsg, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, m := range view.Members {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			raw, err := h.c.call(addr, "prepare", payload, timeout)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = json.Unmarshal(raw, &votes[i])
-		}(i, m)
-	}
-	wg.Wait()
+	prep := appendPrepare(bufpool.Get(prepareSize(h.pipeline, view))[:0], h.pipeline, it, view)
+	f := getFanout(len(view.Members))
+	defer f.put()
+	h.c.callEach(view.Members, "prepare", prep, timeout, f)
+	bufpool.Put(prep)
 	var reasons []error
-	for i := range votes {
-		if errs[i] != nil {
-			reasons = append(reasons, fmt.Errorf("colza: prepare on %s: %w", view.Members[i], errs[i]))
-		} else if !votes[i].Yes {
-			reasons = append(reasons, fmt.Errorf("colza: %s voted no: %s", view.Members[i], votes[i].Reason))
+	for i, err := range f.errs {
+		if err != nil {
+			reasons = append(reasons, fmt.Errorf("colza: prepare on %s: %w", view.Members[i], err))
+			continue
+		}
+		yes, reason, err := decodeVote(f.outs[i])
+		if err != nil {
+			reasons = append(reasons, fmt.Errorf("colza: prepare on %s: %w", view.Members[i], err))
+		} else if !yes {
+			reasons = append(reasons, fmt.Errorf("colza: %s voted no: %s", view.Members[i], reason))
 		}
 	}
-	ep, _ := json.Marshal(epochMsg{Pipeline: h.pipeline, Iteration: it, Epoch: view.Epoch})
+	ep := h.epochFrame(it, view)
+	defer bufpool.Put(ep)
 	if len(reasons) > 0 {
 		// Abort everywhere, best effort but bounded and collected.
 		if cerr := h.cleanupBroadcast(view, "abort", ep, timeout); cerr != nil {
@@ -556,7 +610,9 @@ func (h *DistributedPipelineHandle) tryActivate(it uint64, view MemberView, time
 		}
 		return false, errors.Join(reasons...)
 	}
-	if _, err := h.broadcast(view, "commit", ep, timeout); err != nil {
+	commits := getFanout(len(view.Members))
+	defer commits.put()
+	if err := h.broadcast(view, "commit", ep, timeout, commits); err != nil {
 		// Partial commit: deactivate whatever committed, then retry.
 		if cerr := h.cleanupBroadcast(view, "deactivate", ep, timeout); cerr != nil {
 			err = errors.Join(err, cerr)
@@ -613,14 +669,17 @@ func (h *DistributedPipelineHandle) Execute(it uint64) (res_ []ExecResult, err_ 
 	if len(view.Members) == 0 {
 		return nil, fmt.Errorf("colza: execute before activate")
 	}
-	payload, _ := json.Marshal(epochMsg{Pipeline: h.pipeline, Iteration: it, Epoch: view.Epoch})
-	outs, err := h.broadcast(view, "execute", payload, timeout)
-	if err != nil {
+	payload := h.epochFrame(it, view)
+	defer bufpool.Put(payload)
+	f := getFanout(len(view.Members))
+	defer f.put()
+	if err := h.broadcast(view, "execute", payload, timeout, f); err != nil {
 		return nil, err
 	}
-	results := make([]ExecResult, len(outs))
-	for i, raw := range outs {
-		if err := json.Unmarshal(raw, &results[i]); err != nil {
+	results := make([]ExecResult, len(f.outs))
+	for i, raw := range f.outs {
+		var err error
+		if results[i], err = decodeExecResult(raw, &h.names); err != nil {
 			return nil, fmt.Errorf("colza: decoding execute result from rank %d: %w", i, err)
 		}
 	}
@@ -644,9 +703,11 @@ func (h *DistributedPipelineHandle) Deactivate(it uint64) (err_ error) {
 	if len(view.Members) == 0 {
 		return fmt.Errorf("colza: deactivate before activate")
 	}
-	payload, _ := json.Marshal(epochMsg{Pipeline: h.pipeline, Iteration: it, Epoch: view.Epoch})
-	_, err := h.broadcast(view, "deactivate", payload, timeout)
-	return err
+	payload := h.epochFrame(it, view)
+	defer bufpool.Put(payload)
+	f := getFanout(len(view.Members))
+	defer f.put()
+	return h.broadcast(view, "deactivate", payload, timeout, f)
 }
 
 // Async is a handle on a non-blocking handle operation (the paper's

@@ -717,7 +717,7 @@ func TestNonBlockingVariants(t *testing.T) {
 func TestCommitWithoutPrepareRejected(t *testing.T) {
 	d := deploy(t, 1)
 	d.createEverywhere(t, "viz")
-	payload, _ := json.Marshal(epochMsg{Pipeline: "viz", Iteration: 1, Epoch: 777})
+	payload := appendEpoch(nil, "viz", 1, 777)
 	_, err := d.clientM.CallProvider(d.servers[0].Addr(), ProviderID, "commit", payload, time.Second)
 	if err == nil || !strings.Contains(err.Error(), "without matching prepare") {
 		t.Fatalf("err = %v", err)

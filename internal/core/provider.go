@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,21 +46,8 @@ var (
 	ErrBadControlMsg = errors.New("colza: malformed control message")
 )
 
-// wire payloads (JSON control plane).
-type prepareMsg struct {
-	Pipeline  string     `json:"p"`
-	Iteration uint64     `json:"it"`
-	View      MemberView `json:"v"`
-}
-type voteMsg struct {
-	Yes    bool   `json:"y"`
-	Reason string `json:"r,omitempty"`
-}
-type epochMsg struct {
-	Pipeline  string `json:"p"`
-	Iteration uint64 `json:"it"`
-	Epoch     uint64 `json:"e"`
-}
+// Admin request payloads (JSON, DESIGN.md §7.3); the per-iteration control
+// frames are in ctrlwire.go.
 type createPipelineMsg struct {
 	Name   string          `json:"n"`
 	Type   string          `json:"t"`
@@ -69,9 +56,10 @@ type createPipelineMsg struct {
 type nameMsg struct {
 	Name string `json:"n"`
 }
-type membersMsg struct {
-	Members []string `json:"m"`
-}
+
+// respOK is the response of a control RPC that went well; like every
+// shared response it must stay immutable.
+var respOK = []byte("ok")
 
 type preparedState struct {
 	epoch     uint64
@@ -105,42 +93,52 @@ type pipelineSlot struct {
 	typeName string          // factory type, retained for elastic re-provisioning
 	config   json.RawMessage // creation config, retained with typeName
 
-	mu          sync.Mutex
-	prepared    *preparedState
-	active      *activeState
-	lastMembers string // member key of the last committed view (delta invalidation)
+	mu       sync.Mutex
+	prepared *preparedState // nil, or &prep: a prepare holds no state of its own
+	prep     preparedState
+	// active is nil, or &act: an activation reuses act, because a teardown
+	// reads nothing of it once it cleared active, and every handler that
+	// entered the iteration has left it by then (inflight).
+	active *activeState
+	act    activeState
+	// The members of the last activated view (delta invalidation), a list of
+	// the slot's own.
+	lastMembers []string
 	// The frozen view and number of the last iteration this slot deactivated:
 	// where, and under which version, its checkpoint rounds go.
 	lastView MemberView
 	lastIter uint64
 
-	stagedM atomic.Pointer[stagedMetrics]
+	slotM atomic.Pointer[slotMetrics]
 
 	// names interns the field and type names this pipeline's stage frames
 	// carry (decodeStageRecords).
 	names internTable
 }
 
-// stagedMetrics are a slot's per-block stage instruments, resolved once per
-// registry rather than per block (a labeled lookup composes a key string).
-type stagedMetrics struct {
+// slotMetrics are a slot's per-block stage and per-commit instruments,
+// resolved once per registry rather than per use (a labeled lookup composes
+// a key string).
+type slotMetrics struct {
 	reg           *obs.Registry
 	bytes         *obs.Counter
 	blocks        *obs.Counter
 	deltaMismatch *obs.Counter
+	commits       *obs.Counter
 }
 
-func (s *pipelineSlot) stagedMetrics(reg *obs.Registry) *stagedMetrics {
-	if m := s.stagedM.Load(); m != nil && m.reg == reg {
+func (s *pipelineSlot) metrics(reg *obs.Registry) *slotMetrics {
+	if m := s.slotM.Load(); m != nil && m.reg == reg {
 		return m
 	}
-	m := &stagedMetrics{
+	m := &slotMetrics{
 		reg:           reg,
 		bytes:         reg.Counter("colza.staged.bytes", "pipeline", s.name),
 		blocks:        reg.Counter("colza.staged.blocks", "pipeline", s.name),
 		deltaMismatch: reg.Counter("codec.delta.mismatch", "pipeline", s.name),
+		commits:       reg.Counter("colza.commit.count", "pipeline", s.name),
 	}
-	s.stagedM.Store(m)
+	s.slotM.Store(m)
 	return m
 }
 
@@ -163,6 +161,12 @@ type Provider struct {
 	stateReplicas int                     // ring successors per checkpoint round; 0 disables
 	lastMigration *MigrationStatus        // outcome of the leave round
 	elastic       atomic.Pointer[Elastic] // read lock-free on every execute; nil without -elastic
+
+	// selfView is the member list of a view of this server alone: what a
+	// provider without a group takes for its membership, and the view of a
+	// single-server activate.
+	selfView []string
+	votes    atomic.Pointer[voteCounters]
 
 	// Replicated-checkpoint store (see checkpoint.go): checkpoints held for
 	// peers.
@@ -235,6 +239,7 @@ func NewProvider(mi *margo.Instance, mn *mona.Instance, group *ssg.Group) *Provi
 		ckpts:         make(map[ckptKey]*ckptEntry),
 		deltas:        codec.NewDeltaState(0),
 		transferRNG:   rand.New(rand.NewSource(1)),
+		selfView:      []string{mi.Addr()},
 	}
 	mi.RegisterProviderRPC(ProviderID, "prepare", p.handlePrepare)
 	mi.RegisterProviderRPC(ProviderID, "commit", p.handleCommit)
@@ -464,79 +469,113 @@ func (p *Provider) slotOf(name []byte) (*pipelineSlot, error) {
 	return s, nil
 }
 
+// members is the membership a prepared view must equal: the group's, or,
+// without a group, this server alone. The list is shared: read only.
+func (p *Provider) members() []string {
+	if p.group != nil {
+		return p.group.Snapshot()
+	}
+	return p.selfView
+}
+
+// voteCounters are the two colza.prepare.votes instruments, resolved once
+// per registry.
+type voteCounters struct {
+	reg     *obs.Registry
+	yes, no *obs.Counter
+}
+
+// vote counts and encodes a prepare's vote.
+func (p *Provider) vote(yes bool, reason string) ([]byte, error) {
+	reg := p.observer()
+	m := p.votes.Load()
+	if m == nil || m.reg != reg {
+		m = &voteCounters{reg: reg, yes: reg.Counter("colza.prepare.votes", "vote", "yes"), no: reg.Counter("colza.prepare.votes", "vote", "no")}
+		p.votes.Store(m)
+	}
+	if yes {
+		m.yes.Inc()
+		return voteYes, nil
+	}
+	m.no.Inc()
+	return appendVote(make([]byte, 0, 2+4+len(reason)), false, reason), nil
+}
+
 // handlePrepare is phase one of the activate 2PC: vote on pinning the
 // proposed view for the iteration.
 func (p *Provider) handlePrepare(req mercury.Request) ([]byte, error) {
-	var msg prepareMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
+	name, rest, err := splitCtrlFrame(req.Payload)
+	if err != nil {
 		return nil, err
 	}
-	vote := func(yes bool, reason string) ([]byte, error) {
-		v := "no"
-		if yes {
-			v = "yes"
-		}
-		p.observer().Counter("colza.prepare.votes", "vote", v).Inc()
-		return json.Marshal(voteMsg{Yes: yes, Reason: reason})
-	}
-	slot, err := p.slot(msg.Pipeline)
+	members := p.members()
+	it, view, same, err := decodePrepare(rest, members)
 	if err != nil {
-		return vote(false, err.Error())
+		return nil, err
 	}
-	if err := msg.View.check(); err != nil {
-		return vote(false, err.Error())
+	slot, err := p.slotOf(name)
+	if err != nil {
+		return p.vote(false, err.Error())
 	}
-	if msg.View.RankOf(p.mi.Addr()) < 0 {
-		return vote(false, "server not in proposed view")
+	// A view that is this server's membership as it stands (same) has
+	// passed every check below but the leave; any other is checked here.
+	if !same {
+		if err := view.check(); err != nil {
+			return p.vote(false, err.Error())
+		}
+		if view.RankOf(p.mi.Addr()) < 0 {
+			return p.vote(false, "server not in proposed view")
+		}
 	}
 	p.mu.Lock()
 	leaving := p.leaving
 	p.mu.Unlock()
 	if leaving {
-		return vote(false, "server is leaving the staging area")
+		return p.vote(false, "server is leaving the staging area")
 	}
 	// The 2PC exists because SSG views are only eventually consistent: a
 	// server votes yes only if the proposed view matches its own current
 	// membership, so all parties pin the same group or the client retries.
-	if p.group != nil && !sameRPCSet(msg.View, p.group.Members()) {
-		return vote(false, fmt.Sprintf("view mismatch: proposed %d members, local view has %d", len(msg.View.Members), len(p.group.Members())))
+	if !same && p.group != nil && !sameRPCSet(view, members) {
+		return p.vote(false, fmt.Sprintf("view mismatch: proposed %d members, local view has %d", len(view.Members), len(members)))
 	}
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if slot.active != nil {
-		return vote(false, ErrBusy.Error())
+		return p.vote(false, ErrBusy.Error())
 	}
 	if slot.prepared != nil {
-		if slot.prepared.epoch > msg.View.Epoch {
-			return vote(false, "superseded by newer epoch")
+		if slot.prepared.epoch > view.Epoch {
+			return p.vote(false, "superseded by newer epoch")
 		}
 		// An equal-epoch prepare is idempotent for the client that issued
 		// it (a retry after its vote was lost) but must not let a second
 		// client silently steal a pending prepare: its commit would then
 		// activate under the thief's view.
-		if slot.prepared.epoch == msg.View.Epoch && slot.prepared.from != req.From {
-			return vote(false, fmt.Sprintf("epoch %d already prepared by %s", msg.View.Epoch, slot.prepared.from))
+		if slot.prepared.epoch == view.Epoch && slot.prepared.from != req.From {
+			return p.vote(false, fmt.Sprintf("epoch %d already prepared by %s", view.Epoch, slot.prepared.from))
 		}
 	}
-	slot.prepared = &preparedState{epoch: msg.View.Epoch, iteration: msg.Iteration, view: msg.View, from: req.From}
-	return vote(true, "")
+	slot.prep = preparedState{epoch: view.Epoch, iteration: it, view: view, from: req.From}
+	slot.prepared = &slot.prep
+	return p.vote(true, "")
 }
 
 // handleCommit is phase two: pin the view, build the iteration
 // communicator, and activate the pipeline instance.
 func (p *Provider) handleCommit(req mercury.Request) ([]byte, error) {
-	var msg epochMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
+	name, _, epoch, err := decodeEpoch(req.Payload)
+	if err != nil {
 		return nil, err
 	}
-	slot, err := p.slot(msg.Pipeline)
+	slot, err := p.slotOf(name)
 	if err != nil {
 		return nil, err
 	}
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
-	if slot.prepared == nil || slot.prepared.epoch != msg.Epoch {
-		return nil, fmt.Errorf("%w (pipeline %q epoch %d)", ErrNotPrepared, msg.Pipeline, msg.Epoch)
+	if slot.prepared == nil || slot.prepared.epoch != epoch {
+		return nil, fmt.Errorf("%w (pipeline %q epoch %d)", ErrNotPrepared, slot.name, epoch)
 	}
 	st := slot.prepared
 	// Before the instance starts the iteration, re-seed any orphaned
@@ -547,8 +586,8 @@ func (p *Provider) handleCommit(req mercury.Request) ([]byte, error) {
 		return nil, err
 	}
 	slot.prepared = nil
-	p.observer().Counter("colza.commit.count", "pipeline", msg.Pipeline).Inc()
-	return []byte("ok"), nil
+	slot.metrics(p.observer()).commits.Inc()
+	return respOK, nil
 }
 
 // activateSlot starts iteration it on slot (held locked) under view: the
@@ -565,17 +604,20 @@ func (p *Provider) activateSlot(slot *pipelineSlot, it, epoch uint64, view Membe
 	// under the previous view describe blocks that may now land elsewhere,
 	// so they must not survive into this iteration (invalidation matrix,
 	// DESIGN.md §10).
-	memberKey := viewMemberKey(view)
-	if slot.lastMembers != "" && slot.lastMembers != memberKey {
-		p.deltas.InvalidatePipeline(slot.name)
+	if !slices.Equal(slot.lastMembers, view.Members) {
+		if slot.lastMembers != nil {
+			p.deltas.InvalidatePipeline(slot.name)
+		}
+		slot.lastMembers = slices.Clone(view.Members)
 	}
-	slot.lastMembers = memberKey
 	ctx := IterationContext{Iteration: it, Epoch: epoch, Rank: rank, Size: len(view.Members), Comm: c, View: view}
 	if err := slot.backend.Activate(ctx); err != nil {
 		p.mn.DestroyComm(c)
 		return fmt.Errorf("colza: pipeline activate: %w", err)
 	}
-	slot.active = &activeState{epoch: epoch, iteration: it, rank: rank, comm: c, view: view}
+	st := &slot.act
+	st.epoch, st.iteration, st.rank, st.comm, st.view, st.draining = epoch, it, rank, c, view, false
+	slot.active = st
 	p.mu.Lock()
 	p.activeIters++
 	p.mu.Unlock()
@@ -584,20 +626,20 @@ func (p *Provider) activateSlot(slot *pipelineSlot, it, epoch uint64, view Membe
 }
 
 func (p *Provider) handleAbort(req mercury.Request) ([]byte, error) {
-	var msg epochMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
+	name, _, epoch, err := decodeEpoch(req.Payload)
+	if err != nil {
 		return nil, err
 	}
-	slot, err := p.slot(msg.Pipeline)
+	slot, err := p.slotOf(name)
 	if err != nil {
 		return nil, err
 	}
 	slot.mu.Lock()
-	if slot.prepared != nil && slot.prepared.epoch == msg.Epoch {
+	if slot.prepared != nil && slot.prepared.epoch == epoch {
 		slot.prepared = nil
 	}
 	slot.mu.Unlock()
-	return []byte("ok"), nil
+	return respOK, nil
 }
 
 // handleStage fetches a frame's staged blocks from the simulation's memory
@@ -714,7 +756,7 @@ func (p *Provider) stageWireBlock(slot *pipelineSlot, pipeline string, iteration
 			key := codec.DeltaKey{Pipeline: pipeline, Field: meta.Field, Block: meta.BlockID}
 			if !p.deltas.XORBase(key, ci.DeltaBase, data) {
 				bufpool.Put(data)
-				slot.stagedMetrics(reg).deltaMismatch.Inc()
+				slot.metrics(reg).deltaMismatch.Inc()
 				return stageBatchErrDeltaMismatch,
 					fmt.Errorf("colza: stage delta base mismatch: pipeline %q block %d base %d", pipeline, meta.BlockID, ci.DeltaBase)
 			}
@@ -739,7 +781,7 @@ func (p *Provider) stageWireBlock(slot *pipelineSlot, pipeline string, iteration
 		in.Add(int64(len(wire)))
 		out.Add(int64(n))
 	}
-	m := slot.stagedMetrics(reg)
+	m := slot.metrics(reg)
 	m.bytes.Add(int64(n))
 	m.blocks.Inc()
 	return 0, nil
@@ -760,21 +802,21 @@ func (s *pipelineSlot) enter(iteration uint64, op string) (*activeState, error) 
 }
 
 func (p *Provider) handleExecute(req mercury.Request) ([]byte, error) {
-	var msg epochMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
-		return nil, err
-	}
-	slot, err := p.slot(msg.Pipeline)
+	name, it, _, err := decodeEpoch(req.Payload)
 	if err != nil {
 		return nil, err
 	}
-	st, err := slot.enter(msg.Iteration, "execute")
+	slot, err := p.slotOf(name)
+	if err != nil {
+		return nil, err
+	}
+	st, err := slot.enter(it, "execute")
 	if err != nil {
 		return nil, err
 	}
 	defer st.inflight.Done()
-	sp := p.observer().StartSpan("srv.execute", obs.SpanKey{Pipeline: msg.Pipeline, Iteration: msg.Iteration, Rank: st.rank})
-	res, err := slot.backend.Execute(msg.Iteration)
+	sp := p.observer().StartSpan("srv.execute", obs.SpanKey{Pipeline: slot.name, Iteration: it, Rank: st.rank})
+	res, err := slot.backend.Execute(it)
 	exec := sp.End(err)
 	if err != nil {
 		return nil, err
@@ -782,50 +824,73 @@ func (p *Provider) handleExecute(req mercury.Request) ([]byte, error) {
 	if e := p.elastic.Load(); e != nil {
 		(*e).Executed(exec, len(st.view.Members))
 	}
-	return json.Marshal(res)
+	r := getExecResp()
+	r.buf = appendExecResult(r.buf[:0], res)
+	req.Defer(r.put)
+	return r.buf, nil
+}
+
+// execResp is the buffer an execute response is encoded into. The
+// transport is done with a response once its send returns, when the
+// handler's Request.Defer callbacks run, so put hands the buffer back then.
+type execResp struct {
+	buf []byte
+	put func()
+}
+
+var execResps sync.Pool
+
+func getExecResp() *execResp {
+	if r, ok := execResps.Get().(*execResp); ok {
+		return r
+	}
+	r := new(execResp)
+	r.put = func() { execResps.Put(r) }
+	return r
 }
 
 func (p *Provider) handleDeactivate(req mercury.Request) ([]byte, error) {
-	var msg epochMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
+	name, it, _, err := decodeEpoch(req.Payload)
+	if err != nil {
 		return nil, err
 	}
-	slot, err := p.slot(msg.Pipeline)
+	slot, err := p.slotOf(name)
 	if err != nil {
 		return nil, err
 	}
 	slot.mu.Lock()
 	st := slot.active
-	if st == nil || st.iteration != msg.Iteration || st.draining {
+	if st == nil || st.iteration != it || st.draining {
 		slot.mu.Unlock()
-		return nil, fmt.Errorf("%w: deactivate(iter=%d)", ErrNotActive, msg.Iteration)
+		return nil, fmt.Errorf("%w: deactivate(iter=%d)", ErrNotActive, it)
 	}
 	st.draining = true
 	slot.mu.Unlock()
-	sp := p.observer().StartSpan("srv.deactivate", obs.SpanKey{Pipeline: msg.Pipeline, Iteration: msg.Iteration, Rank: st.rank})
+	sp := p.observer().StartSpan("srv.deactivate", obs.SpanKey{Pipeline: slot.name, Iteration: it, Rank: st.rank})
 	// Drain in-flight stage/execute handlers before touching the backend —
 	// without this, Backend.Deactivate and DestroyComm race a Stage/Execute
 	// still running on the iteration.
 	st.inflight.Wait()
 	slot.mu.Lock()
-	err = slot.backend.Deactivate(msg.Iteration)
+	err = slot.backend.Deactivate(it)
 	p.mn.DestroyComm(st.comm)
+	view := st.view
 	slot.active = nil
-	slot.lastView, slot.lastIter = st.view, msg.Iteration
+	slot.lastView, slot.lastIter = view, it
 	slot.mu.Unlock()
 	sp.End(err)
 	if err == nil {
 		// The iteration's state is now quiescent: replicate it before the
 		// client can activate the next view (which may no longer contain
 		// this server).
-		p.dropSuperseded(slot.name, st.view, msg.Iteration)
+		p.dropSuperseded(slot.name, view, it)
 		p.checkpointSlot(slot, nil)
 	}
 	p.iterDone(req.Defer)
 	if err != nil {
 		return nil, err
 	}
-	return []byte("ok"), nil
+	return respOK, nil
 }
 
 // iterDone decrements the active-iteration count and completes a deferred
@@ -845,13 +910,8 @@ func (p *Provider) iterDone(flush func(func())) {
 }
 
 func (p *Provider) handleMembers(req mercury.Request) ([]byte, error) {
-	var ms membersMsg
-	if p.group != nil {
-		ms.Members = p.group.Members()
-	} else {
-		ms.Members = []string{p.mi.Addr()}
-	}
-	return json.Marshal(ms)
+	v := MemberView{Members: p.members()}
+	return v.Encode(), nil
 }
 
 func (p *Provider) handleCreatePipeline(req mercury.Request) ([]byte, error) {
@@ -862,7 +922,7 @@ func (p *Provider) handleCreatePipeline(req mercury.Request) ([]byte, error) {
 	if err := p.CreatePipeline(msg.Name, msg.Type, msg.Config); err != nil {
 		return nil, err
 	}
-	return []byte("ok"), nil
+	return respOK, nil
 }
 
 func (p *Provider) handleDestroyPipeline(req mercury.Request) ([]byte, error) {
@@ -873,7 +933,7 @@ func (p *Provider) handleDestroyPipeline(req mercury.Request) ([]byte, error) {
 	if err := p.destroyPipeline(msg.Name, req.Defer); err != nil {
 		return nil, err
 	}
-	return []byte("ok"), nil
+	return respOK, nil
 }
 
 func (p *Provider) handleListPipelines(req mercury.Request) ([]byte, error) {
@@ -903,7 +963,7 @@ func (p *Provider) handleLeave(req mercury.Request) ([]byte, error) {
 		return []byte("leave deferred until iteration completes"), nil
 	}
 	p.finishLeaveFlush(fn, req.Defer)
-	return []byte("ok"), nil
+	return respOK, nil
 }
 
 // finishLeave completes a departure outside any RPC context (tests, direct
@@ -944,10 +1004,6 @@ func (p *Provider) finishLeaveFlush(fn func(), flush func(func())) {
 	// not blocked by the host's shutdown.
 	go fn()
 }
-
-// viewMemberKey flattens a view's member addresses (already in rank order)
-// into a comparable key for membership-change detection.
-func viewMemberKey(v MemberView) string { return strings.Join(v.Members, ",") }
 
 // sameRPCSet reports whether the view's addresses equal the given member
 // list as a set.

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
+	"colza/internal/bufpool"
 	"colza/internal/mercury"
 )
 
@@ -15,34 +15,27 @@ import (
 // the staging area. It skips the 2PC — there is no member view to agree
 // on — and gives the pipeline instance a one-member communicator.
 
-// soloMsg drives the single-server activate.
-type soloMsg struct {
-	Pipeline  string `json:"p"`
-	Iteration uint64 `json:"it"`
-	Epoch     uint64 `json:"e"`
-}
-
 // handleActivateSolo activates a pipeline on this server only, with a
-// communicator spanning just this server.
+// communicator spanning just this server. The request is an epoch frame.
 func (p *Provider) handleActivateSolo(req mercury.Request) ([]byte, error) {
-	var msg soloMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
+	name, it, epoch, err := decodeEpoch(req.Payload)
+	if err != nil {
 		return nil, err
 	}
-	slot, err := p.slot(msg.Pipeline)
+	slot, err := p.slotOf(name)
 	if err != nil {
 		return nil, err
 	}
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if slot.active != nil {
-		return nil, fmt.Errorf("%w: %q", ErrBusy, msg.Pipeline)
+		return nil, fmt.Errorf("%w: %q", ErrBusy, slot.name)
 	}
-	view := MemberView{Epoch: msg.Epoch, Members: []string{p.mi.Addr()}}
-	if err := p.activateSlot(slot, msg.Iteration, msg.Epoch, view); err != nil {
+	view := MemberView{Epoch: epoch, Members: p.selfView}
+	if err := p.activateSlot(slot, it, epoch, view); err != nil {
 		return nil, err
 	}
-	return []byte("ok"), nil
+	return respOK, nil
 }
 
 // PipelineHandle references one pipeline instance on one specific server.
@@ -74,10 +67,13 @@ func (p *PipelineHandle) Activate(it uint64) error {
 	timeout := h.timeout
 	h.mu.Unlock()
 	epoch := (it+1)<<8 | 0xE0 // distinct epoch space from distributed handles
-	payload, _ := json.Marshal(soloMsg{Pipeline: h.pipeline, Iteration: it, Epoch: epoch})
-	if _, err := h.c.call(p.server, "activate_solo", payload, timeout); err != nil {
+	payload := appendEpoch(bufpool.Get(epochSize(h.pipeline))[:0], h.pipeline, it, epoch)
+	resp, err := h.c.call(p.server, "activate_solo", payload, timeout)
+	bufpool.Put(payload)
+	if err != nil {
 		return err
 	}
+	mercury.Recycle(resp)
 	h.SetView(MemberView{Epoch: epoch, Members: []string{p.server}})
 	return nil
 }

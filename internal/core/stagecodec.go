@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,7 +31,7 @@ type stageCodecState struct {
 	named       bool // SetCodec was called
 	delta       bool // blocks go delta-encoded
 	bases       *codec.DeltaState
-	lastMembers string // member key of the last pinned view
+	lastMembers []string // the members of the last pinned view, a copy
 
 	// metrics caches the raw ([0]) and delta ([1]) instruments recordStaged
 	// bumps per block, resolved against metricsReg (labeled lookups compose
@@ -90,10 +91,12 @@ func (s *stageCodecState) deltaState() *codec.DeltaState {
 // to servers that never saw their history, so every base this client
 // remembers is suspect (invalidation matrix, DESIGN.md §10.2).
 func (s *stageCodecState) viewPinned(pipeline string, v MemberView) {
-	key := viewMemberKey(v)
 	s.mu.Lock()
-	changed := s.lastMembers != "" && s.lastMembers != key
-	s.lastMembers = key
+	changed := false
+	if !slices.Equal(s.lastMembers, v.Members) {
+		changed = s.lastMembers != nil
+		s.lastMembers = slices.Clone(v.Members)
+	}
 	bases := s.bases
 	s.mu.Unlock()
 	if changed && bases != nil {

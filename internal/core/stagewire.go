@@ -11,9 +11,11 @@ import (
 	"colza/internal/mercury"
 )
 
-// The stage RPC is the only control-plane call on the per-block hot path,
-// so it gets a binary wire format; every other RPC stays JSON (cold and
-// debuggable). There is one stage frame (DESIGN.md §7.3): a count-prefixed
+// What every server sees every iteration is binary on the wire: the stage
+// frame here, the per-iteration control frames (ctrlwire.go) and SWIM's
+// messages (internal/ssg); the admin RPCs and checkpoint rounds, which run
+// when an operator or a leave asks, stay JSON (cold and debuggable).
+// There is one stage frame (DESIGN.md §7.3): a count-prefixed
 // list of per-block records followed by ONE bulk handle over the
 // concatenation of the records' encoded payloads. A per-block Stage sends a
 // frame of one record whose handle exposes the caller's buffer in place; the

@@ -25,9 +25,9 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"colza/internal/comm"
@@ -38,8 +38,8 @@ import (
 // its MoNA collectives. Rank order is the sort order of addresses, so every
 // party derives identical ranks.
 type MemberView struct {
-	Epoch   uint64   `json:"epoch"`
-	Members []string `json:"members"`
+	Epoch   uint64
+	Members []string
 }
 
 // Normalize sorts members by address (rank order).
@@ -66,19 +66,22 @@ func (v *MemberView) check() error {
 	return nil
 }
 
-// Encode serializes the view (for out-of-band sharing among client ranks).
+// Encode serializes the view (for out-of-band sharing among client ranks):
+// a version byte, then the view as a prepare frame carries it (ctrlwire.go).
 func (v *MemberView) Encode() []byte {
-	b, _ := json.Marshal(v)
-	return b
+	return appendView(append(make([]byte, 0, 1+viewSize(*v)), ctrlWireVersion), *v)
 }
 
-// DecodeMemberView reverses MemberView.Encode. A view that names a member
-// without an address, or an address twice, is refused (ErrBadControlMsg).
+// DecodeMemberView reverses MemberView.Encode. What does not decode, and a
+// view that names a member without an address or an address twice, is
+// refused (ErrBadControlMsg).
 func DecodeMemberView(data []byte) (MemberView, error) {
+	err := ErrBadControlMsg
 	var v MemberView
-	err := json.Unmarshal(data, &v)
-	if err == nil {
-		err = v.check()
+	if len(data) > 0 && data[0] == ctrlWireVersion {
+		if v, _, err = decodeView(data[1:], nil); err == nil {
+			err = v.check()
+		}
 	}
 	if err != nil {
 		return MemberView{}, fmt.Errorf("core: decode view: %w", err)
@@ -88,11 +91,18 @@ func DecodeMemberView(data []byte) (MemberView, error) {
 
 // CommID derives the MoNA communicator id for a pipeline iteration; it
 // folds the pipeline name in so concurrently active pipelines cannot
-// collide.
+// collide. The id is the 64-bit FNV-1a hash of "<pipeline>/<epoch>",
+// computed in place.
 func CommID(pipeline string, epoch uint64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", pipeline, epoch)
-	id := h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	id := uint64(offset64)
+	for i := 0; i < len(pipeline); i++ {
+		id = (id ^ uint64(pipeline[i])) * prime64
+	}
+	var digits [20]byte
+	for _, c := range strconv.AppendUint(append(digits[:0], '/'), epoch, 10) {
+		id = (id ^ uint64(c)) * prime64
+	}
 	if id == 0 {
 		id = 1
 	}
@@ -112,7 +122,9 @@ type BlockMeta struct {
 }
 
 // IterationContext is handed to a pipeline at activation: its rank within
-// the frozen view and the communicator spanning exactly that view.
+// the frozen view and the communicator spanning exactly that view. The
+// view's member list is shared with the server (it is often the server's
+// membership list itself): a pipeline reads it and never modifies it.
 type IterationContext struct {
 	Iteration uint64
 	Epoch     uint64
@@ -125,9 +137,9 @@ type IterationContext struct {
 // ExecResult is what a pipeline instance returns from Execute. Rank 0 of a
 // rendering pipeline typically carries the composited image.
 type ExecResult struct {
-	Summary map[string]float64 `json:"summary,omitempty"`
-	Image   []byte             `json:"image,omitempty"` // encoded image (PNG), if produced
-	Note    string             `json:"note,omitempty"`
+	Summary map[string]float64
+	Image   []byte // encoded image (PNG), if produced
+	Note    string
 }
 
 // Backend is the pipeline interface users implement (the analog of

@@ -3,6 +3,7 @@ package e2e
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -656,7 +657,8 @@ func TestCommandLineClientKilledMidStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	helper := exec.Command(os.Args[0], "-test.run=^TestSMClientHelper$", "--", target, string(view.Encode()))
+	// The encoded view is binary: it crosses argv in hex.
+	helper := exec.Command(os.Args[0], "-test.run=^TestSMClientHelper$", "--", target, hex.EncodeToString(view.Encode()))
 	helper.Env = env
 	helper.Stderr = os.Stderr
 	out, err := helper.StdoutPipe()
@@ -765,7 +767,11 @@ func TestSMClientHelper(t *testing.T) {
 	if len(args) != 2 {
 		t.Skip("runs as a helper process only")
 	}
-	view, err := core.DecodeMemberView([]byte(args[1]))
+	raw, err := hex.DecodeString(args[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := core.DecodeMemberView(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

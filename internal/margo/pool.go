@@ -1,6 +1,7 @@
 package margo
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,32 +19,17 @@ import (
 // clients push, and producers are told to back off instead of being
 // silently absorbed (the Catalyst/ISAAC flow-control argument).
 
-// PoolConfig sizes one execution stream.
+// PoolConfig sizes one execution stream. Every field is the caller's to
+// set: the one sizing rule is core.StartServer's.
 type PoolConfig struct {
-	// Workers is the number of concurrently running handlers (default 4).
+	// Workers is the number of concurrently running handlers, at least 1.
 	Workers int
-	// Queue is how many admitted requests may wait beyond the running ones
-	// (default 2*Workers; negative means no waiting room at all).
+	// Queue is how many admitted requests may wait beyond the running ones;
+	// 0 is no waiting room at all.
 	Queue int
 	// BusyHint is the Retry-After backoff suggestion carried on shed
-	// responses (default 2ms).
+	// responses.
 	BusyHint time.Duration
-}
-
-func (cfg PoolConfig) normalized() PoolConfig {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	switch {
-	case cfg.Queue < 0:
-		cfg.Queue = 0
-	case cfg.Queue == 0:
-		cfg.Queue = 2 * cfg.Workers
-	}
-	if cfg.BusyHint <= 0 {
-		cfg.BusyHint = 2 * time.Millisecond
-	}
-	return cfg
 }
 
 // Pool is one bounded execution stream of an Instance.
@@ -74,7 +60,9 @@ type poolTask struct {
 // on the Mercury class; RPCs are then routed to pools by BindRPCPool, and
 // unbound RPCs keep the historic one-goroutine-per-request behavior.
 func (m *Instance) DefinePool(name string, cfg PoolConfig) *Pool {
-	cfg = cfg.normalized()
+	if cfg.Workers < 1 {
+		panic(fmt.Sprintf("margo: pool %q defined with %d workers", name, cfg.Workers))
+	}
 	m.pmu.Lock()
 	if m.pools == nil {
 		m.pools = make(map[string]*Pool)

@@ -18,7 +18,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	m1, m2 := twoInstances(t)
 	reg := obs.NewRegistry()
 	m2.SetObserver(reg)
-	p := m2.DefinePool("data", PoolConfig{Workers: 2, Queue: 32})
+	p := m2.DefinePool("data", PoolConfig{Workers: 2, Queue: 32, BusyHint: 2 * time.Millisecond})
 
 	var inflight, peak atomic.Int64
 	release := make(chan struct{})
@@ -133,7 +133,7 @@ func TestPoolShedsWhenFull(t *testing.T) {
 // spawn-per-request path even when pools exist and are saturated.
 func TestPoolUnboundRPCsUnaffected(t *testing.T) {
 	m1, m2 := twoInstances(t)
-	p := m2.DefinePool("data", PoolConfig{Workers: 1, Queue: 4})
+	p := m2.DefinePool("data", PoolConfig{Workers: 1, Queue: 4, BusyHint: 2 * time.Millisecond})
 
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -165,7 +165,7 @@ func TestPoolDrainOnFinalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewInstance(e)
-	p := m.DefinePool("data", PoolConfig{Workers: 1, Queue: 4})
+	p := m.DefinePool("data", PoolConfig{Workers: 1, Queue: 4, BusyHint: 2 * time.Millisecond})
 	var ran atomic.Int64
 	for i := 0; i < 3; i++ {
 		if err := p.trySubmit(runFunc(func() { ran.Add(1) })); err != nil {
@@ -191,8 +191,8 @@ func TestDefinePoolIdempotent(t *testing.T) {
 	}
 	m := NewInstance(e)
 	defer m.Finalize()
-	a := m.DefinePool("x", PoolConfig{Workers: 1})
-	b := m.DefinePool("x", PoolConfig{Workers: 9})
+	a := m.DefinePool("x", PoolConfig{Workers: 1, Queue: 2, BusyHint: 2 * time.Millisecond})
+	b := m.DefinePool("x", PoolConfig{Workers: 9, Queue: 18, BusyHint: 2 * time.Millisecond})
 	if a != b {
 		t.Fatal("DefinePool with same name returned different pools")
 	}

@@ -422,11 +422,11 @@ func (c *Class) pullChunk(b Bulk, off int, dst []byte) error {
 	binary.LittleEndian.PutUint64(req[:], b.ID)
 	binary.LittleEndian.PutUint64(req[8:], uint64(off))
 	binary.LittleEndian.PutUint64(req[16:], uint64(len(dst)))
-	piece, err := c.Call(b.Addr, bulkPullRPC, req[:], 0)
+	piece, frame, err := c.callGather(b.Addr, bulkPullRPC, nil, req[:], 0)
 	if err != nil {
 		return fmt.Errorf("mercury: bulk pull from %s: %w", b.Addr, err)
 	}
-	defer Recycle(piece)
+	defer Recycle(frame)
 	if len(piece) != len(dst) {
 		return fmt.Errorf("%w: short pull (%d of %d bytes)", ErrBadBulk, len(piece), len(dst))
 	}

@@ -116,14 +116,19 @@ func (d *deferCtx) add(fn func()) {
 }
 
 // run executes and clears the registered callbacks, in registration order.
+// The list keeps its array for the next request: nothing adds to it once
+// the handler has returned.
 func (d *deferCtx) run() {
 	d.mu.Lock()
 	fns := d.fns
-	d.fns = nil
 	d.mu.Unlock()
 	for _, fn := range fns {
 		fn()
 	}
+	clear(fns)
+	d.mu.Lock()
+	d.fns = fns[:0]
+	d.mu.Unlock()
 }
 
 // Handler serves one RPC. The returned bytes become the response payload;
@@ -345,7 +350,16 @@ func (c *Class) Call(to, name string, payload []byte, timeout time.Duration) ([]
 // payload are copied into the frame's head. A stage frame sends its eager
 // region this way. Call is CallGather with no tail; the response is owned
 // as Call's is.
-func (c *Class) CallGather(to, name string, payload, tail []byte, timeout time.Duration) (resp []byte, err error) {
+func (c *Class) CallGather(to, name string, payload, tail []byte, timeout time.Duration) ([]byte, error) {
+	resp, _, err := c.callGather(to, name, payload, tail, timeout)
+	return resp, err
+}
+
+// callGather is CallGather that also returns the frame the response lies
+// in: a caller that hands back the frame (Recycle) rather than the response
+// recycles a large response as well, which does not lie at its frame's
+// start.
+func (c *Class) callGather(to, name string, payload, tail []byte, timeout time.Duration) (resp, frame []byte, err error) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
@@ -354,22 +368,101 @@ func (c *Class) CallGather(to, name string, payload, tail []byte, timeout time.D
 	m.count.Inc()
 	m.bytesOut.Add(int64(len(payload) + len(tail)))
 	start := reg.Now()
-	defer func() {
-		m.latency.Observe(int64(reg.Now() - start))
-		if err != nil {
-			m.errors.Inc()
-		} else {
-			m.bytesIn.Add(int64(len(resp)))
+	defer func() { m.done(reg, start, resp, err) }()
+	id, ch, err := c.send(to, name, payload, tail)
+	if err != nil {
+		return nil, nil, err
+	}
+	timer := getTimer(timeout)
+	defer putTimer(timer)
+	var r response
+	select {
+	case r = <-ch:
+		respChans.Put(ch)
+	case <-timer.C:
+		var ok bool
+		if r, ok = c.settle(id, ch); !ok {
+			return nil, nil, fmt.Errorf("%w: %s at %s", ErrTimeout, name, to)
 		}
-	}()
-	id := c.nextID.Add(1)
-	ch := respChans.Get().(chan response)
+	}
+	if resp, err = r.result(name, to); err != nil {
+		return nil, nil, err
+	}
+	return resp, r.frame, nil
+}
+
+// CallEach is Call to every address of to at once: it sends the request,
+// name with payload, to each, and only then waits for the responses, under
+// one timer and on no goroutine but the caller's. outs[i] and errs[i] are
+// set to what Call would have returned for to[i]; both are the caller's and
+// at least len(to) long, and each response in outs is owned as Call's is.
+// The timeout runs from the last send.
+func (c *Class) CallEach(to []string, name string, payload []byte, timeout time.Duration, outs [][]byte, errs []error) {
+	if timeout <= 0 {
+		timeout = DefaultTimeout
+	}
+	reg := c.observer()
+	m := c.callM.call(reg, name)
+	start := reg.Now()
+	// The pending calls, on the stack for the views a staging area has.
+	type pendingCall struct {
+		id uint64
+		ch chan response
+	}
+	var small [16]pendingCall
+	calls := small[:0]
+	if len(to) > len(small) {
+		calls = make([]pendingCall, 0, len(to))
+	}
+	for i, addr := range to {
+		m.count.Inc()
+		m.bytesOut.Add(int64(len(payload)))
+		id, ch, err := c.send(addr, name, payload, nil)
+		if err != nil {
+			outs[i], errs[i] = nil, err
+			m.done(reg, start, nil, err)
+		}
+		calls = append(calls, pendingCall{id, ch})
+	}
+	timer := getTimer(timeout)
+	defer putTimer(timer)
+	expired := false
+	for i, pc := range calls {
+		if pc.ch == nil {
+			continue // never sent
+		}
+		var r response
+		ok := false
+		if !expired {
+			select {
+			case r = <-pc.ch:
+				respChans.Put(pc.ch)
+				ok = true
+			case <-timer.C:
+				expired = true
+			}
+		}
+		if expired {
+			r, ok = c.settle(pc.id, pc.ch)
+		}
+		if ok {
+			outs[i], errs[i] = r.result(name, to[i])
+		} else {
+			outs[i], errs[i] = nil, fmt.Errorf("%w: %s at %s", ErrTimeout, name, to[i])
+		}
+		m.done(reg, start, outs[i], errs[i])
+	}
+}
+
+// send registers a call to to and sends its request, payload then tail; ch
+// is where its response arrives. A request that did not leave is settled
+// here, and its error returned.
+func (c *Class) send(to, name string, payload, tail []byte) (id uint64, ch chan response, err error) {
+	id = c.nextID.Add(1)
+	ch = respChans.Get().(chan response)
 	c.pmu.Lock()
 	c.pending[id] = ch
 	c.pmu.Unlock()
-
-	timer := getTimer(timeout)
-	defer putTimer(timer)
 	var hdr [64]byte
 	if len(tail) == 0 {
 		payload, tail = nil, payload // a plain message: the payload is the body
@@ -378,18 +471,16 @@ func (c *Class) CallGather(to, name string, payload, tail []byte, timeout time.D
 		if r, ok := c.settle(id, ch); ok {
 			Recycle(r.frame)
 		}
-		return nil, fmt.Errorf("mercury: send to %s: %w", to, sendErr)
+		return 0, nil, fmt.Errorf("mercury: send to %s: %w", to, sendErr)
 	}
-	var r response
-	select {
-	case r = <-ch:
-		respChans.Put(ch)
-	case <-timer.C:
-		var ok bool
-		if r, ok = c.settle(id, ch); !ok {
-			return nil, fmt.Errorf("%w: %s at %s", ErrTimeout, name, to)
-		}
-	}
+	return id, ch, nil
+}
+
+// result turns a delivered response into what a call returns: the payload
+// of an OK, otherwise the error its status carries, with the frame
+// recycled.
+func (r response) result(name, to string) ([]byte, error) {
+	var err error
 	switch r.status {
 	case statusOK:
 		return r.payload, nil
@@ -741,9 +832,9 @@ func RPCNameOf(frame []byte) (name string, ok bool) {
 }
 
 // timerPool recycles call-timeout timers: every RPC needs one, and a fresh
-// time.NewTimer costs two allocations. Timers are returned stopped and
-// drained, so Reset on reuse is race-free (single-goroutine ownership
-// between getTimer and putTimer).
+// time.NewTimer costs two allocations. Only a timer stopped before it
+// fired goes back, so Reset on reuse is race-free (single-goroutine
+// ownership between getTimer and putTimer).
 var timerPool sync.Pool
 
 func getTimer(d time.Duration) *time.Timer {
@@ -755,14 +846,12 @@ func getTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
+// putTimer parks t for the next call unless it has fired. A fired timer is
+// left to the collector: under the module's Go 1.22 timer semantics its
+// value may still be on its way into t.C after Stop reports it expired, and
+// a parked timer carrying it would end the next call's wait at once.
 func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		// Fired (and possibly already received from): make sure C is empty
-		// before the timer is reused.
-		select {
-		case <-t.C:
-		default:
-		}
+	if t.Stop() {
+		timerPool.Put(t)
 	}
-	timerPool.Put(t)
 }

@@ -42,6 +42,86 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCallEach: one round reaches every target before it waits on any —
+// the first target answers only once the last one has its request — and
+// each target's outcome lands at its own index: a response, a remote
+// error, an unknown RPC, a send that found no route, and, under the one
+// timer, a target that never answers. Twenty targets take the round past
+// its on-stack bookkeeping.
+func TestCallEach(t *testing.T) {
+	net := na.NewInprocNetwork()
+	listen := func(name string) *Class {
+		ep, err := net.Listen(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(ep)
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	caller := listen("each-caller")
+	const n = 20
+	last := make(chan struct{})
+	var to []string
+	for i := 0; i < n; i++ {
+		c := listen(fmt.Sprintf("each-%d", i))
+		i := i
+		c.Register("rpc", func(req Request) ([]byte, error) {
+			switch i {
+			case 0:
+				<-last // answered only if the round sent to n-1 before waiting
+			case 3:
+				return nil, errors.New("refused")
+			case n - 1:
+				close(last)
+			}
+			return append([]byte(fmt.Sprint(i, ":")), req.Payload...), nil
+		})
+		to = append(to, c.Addr())
+	}
+	mute := listen("each-mute")
+	mute.Register("rpc", func(req Request) ([]byte, error) {
+		time.Sleep(300 * time.Millisecond)
+		return nil, nil
+	})
+	unknown := listen("each-unknown")
+	to = append(to, unknown.Addr(), "inproc://each-nowhere", mute.Addr())
+	outs, errs := make([][]byte, len(to)), make([]error, len(to))
+	caller.CallEach(to, "rpc", []byte("x"), 150*time.Millisecond, outs, errs)
+	for i := range to {
+		var want string
+		switch {
+		case i == 3:
+			var re *RemoteError
+			if !errors.As(errs[i], &re) || outs[i] != nil {
+				t.Errorf("target 3: %q, %v; want a remote error", outs[i], errs[i])
+			}
+			continue
+		case i == n:
+			if !errors.Is(errs[i], ErrUnknownRPC) {
+				t.Errorf("unknown target: %v", errs[i])
+			}
+			continue
+		case i == n+1:
+			if !errors.Is(errs[i], na.ErrNoRoute) {
+				t.Errorf("unroutable target: %v", errs[i])
+			}
+			continue
+		case i == n+2:
+			if !errors.Is(errs[i], ErrTimeout) {
+				t.Errorf("mute target: %v", errs[i])
+			}
+			continue
+		default:
+			want = fmt.Sprint(i, ":x")
+		}
+		if errs[i] != nil || string(outs[i]) != want {
+			t.Errorf("target %d: %q, %v; want %q", i, outs[i], errs[i], want)
+		}
+		Recycle(outs[i])
+	}
+}
+
 // TestOneWayFrames: SendFrame's head and body reach the peer's frame handler
 // as one frame; once the peer's endpoint closes, the handler hears so.
 func TestOneWayFrames(t *testing.T) {

@@ -3,6 +3,7 @@ package mercury
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"colza/internal/obs"
 )
@@ -21,6 +22,17 @@ type callMetrics struct {
 	bytesIn  *obs.Counter
 	errors   *obs.Counter
 	latency  *obs.Histogram
+}
+
+// done records one finished call that began at start: its latency, and its
+// error or the bytes of its response.
+func (m *callMetrics) done(reg *obs.Registry, start time.Duration, resp []byte, err error) {
+	m.latency.Observe(int64(reg.Now() - start))
+	if err != nil {
+		m.errors.Inc()
+	} else {
+		m.bytesIn.Add(int64(len(resp)))
+	}
 }
 
 // serveMetrics bundles the per-RPC callee-side instruments.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"colza/internal/bufpool"
 	"colza/internal/obs"
 )
 
@@ -105,8 +106,10 @@ func (e *inprocEP) SetObserver(r *obs.Registry) {
 
 func (e *inprocEP) Send(to string, data []byte) error { return e.SendGather(to, nil, data) }
 
-// SendGather makes the message's one private copy, head then body, and
-// hands it to the fault plan and the receiver's queue.
+// SendGather makes the message's one private copy, head then body, in a
+// buffer from bufpool, and hands it to the fault plan and the receiver's
+// queue: the receiver owns it, as a stream endpoint's receiver owns the
+// frame it read, and mercury puts it back once it is spent.
 func (e *inprocEP) SendGather(to string, head, body []byte) error {
 	n := e.net
 	n.mu.Lock()
@@ -138,15 +141,11 @@ func (e *inprocEP) SendGather(to string, head, body []byte) error {
 	return nil
 }
 
-// join returns head then body in one new slice. Appending body to a
-// full-capacity head allocates once and, unlike a make, clears none of the
-// bytes the copy then writes; with no body that append would return head
-// itself, which is the caller's.
+// join returns head then body in one buffer from bufpool.
 func join(head, body []byte) []byte {
-	if len(body) == 0 {
-		return append([]byte(nil), head...)
-	}
-	return append(head[:len(head):len(head)], body...)
+	data := bufpool.Get(len(head) + len(body))
+	copy(data[copy(data, head):], body)
+	return data
 }
 
 func (e *inprocEP) Recv() (string, []byte, error) {

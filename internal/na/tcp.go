@@ -59,6 +59,7 @@ func listenTCP(hostport string) (*tcpEP, error) {
 		accepted:     make(map[net.Conn]struct{}),
 		writeTimeout: defaultTCPWriteTimeout,
 	}
+	ep.loops.Add(1)
 	go ep.acceptLoop(l)
 	return ep, nil
 }
@@ -91,6 +92,11 @@ type tcpEP struct {
 	routes   map[string]peerRoute  // destination addresses, split (routeOf)
 	accepted map[net.Conn]struct{} // inbound conns owned by readLoops
 	closed   bool
+
+	// loops counts the accept and read loops running, each from where it is
+	// started; Close waits them out, so what a read loop holds (a colocated
+	// peer's arena mapping) is released when Close returns.
+	loops sync.WaitGroup
 }
 
 type routeMetrics struct {
@@ -117,6 +123,7 @@ func (e *tcpEP) listenUnix(name string, bulk *shmBulk) error {
 	e.host = smHostID()
 	e.addr = DualAddr(schemeSM+e.host+"/"+name, e.addr)
 	e.route.Store(newRouteMetrics(obs.Default()))
+	e.loops.Add(1)
 	go e.acceptLoop(ul)
 	return nil
 }
@@ -152,6 +159,7 @@ func newTCPConn(c net.Conn, from string) *tcpConn {
 func (e *tcpEP) Addr() string { return e.addr }
 
 func (e *tcpEP) acceptLoop(l net.Listener) {
+	defer e.loops.Done()
 	for {
 		c, err := l.Accept()
 		if err != nil {
@@ -167,8 +175,12 @@ func (e *tcpEP) acceptLoop(l net.Listener) {
 			return
 		}
 		e.accepted[c] = struct{}{}
+		e.loops.Add(1)
 		e.mu.Unlock()
-		go e.readLoop(c)
+		go func() {
+			defer e.loops.Done()
+			e.readLoop(c)
+		}()
 	}
 }
 
@@ -491,6 +503,8 @@ func (e *tcpEP) Recv() (string, []byte, error) {
 	return p.from, p.data, nil
 }
 
+// Close stops the endpoint: listeners, connections and the receive queue
+// close, and Close returns once the accept and read loops have exited.
 func (e *tcpEP) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -519,5 +533,6 @@ func (e *tcpEP) Close() error {
 		c.Close()
 	}
 	e.q.close()
+	e.loops.Wait()
 	return nil
 }

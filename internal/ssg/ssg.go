@@ -22,10 +22,10 @@
 package ssg
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -93,29 +93,13 @@ func (c Config) withDefaults() Config {
 
 // update is a piggybacked membership assertion.
 type update struct {
-	Addr string `json:"a"`
-	St   State  `json:"s"`
-	Inc  uint64 `json:"i"`
-}
-
-// pingMsg is the payload of ping / ping-req / join RPCs.
-type pingMsg struct {
-	From    string   `json:"f"`
-	Inc     uint64   `json:"i,omitempty"` // join only: the joiner's incarnation
-	Target  string   `json:"t,omitempty"` // ping-req only
-	Updates []update `json:"u,omitempty"`
-}
-
-type pingReply struct {
-	Ack     bool     `json:"k"`
-	Updates []update `json:"u,omitempty"`
-}
-
-type joinReply struct {
-	Members []update `json:"m"`
+	Addr string
+	St   State
+	Inc  uint64
 }
 
 type memberInfo struct {
+	addr         string // the member table's key, shared by what decodes it
 	state        State
 	inc          uint64
 	suspectSince time.Time
@@ -141,6 +125,17 @@ type Group struct {
 	inc     uint64                 // self incarnation
 	queue   []queuedUpdate
 	stopped bool
+	// sorted is the Snapshot of members alive or suspected, nil once a
+	// member entered or left that set since it was taken.
+	sorted []string
+
+	// The RPC names, composed once, and gossipRound's scratch: its probe
+	// candidates, the updates it piggybacks and its encoded ping. Only the
+	// gossip task runs gossipRound.
+	rpcJoin, rpcPing, rpcPingReq string
+	peers                        []string
+	ups                          []update
+	wire                         []byte
 
 	stopGossip func()
 }
@@ -150,7 +145,7 @@ const providerPrefix = "ssg/"
 // Create bootstraps a new group containing only this process.
 func Create(mi *margo.Instance, name string, cfg Config) (*Group, error) {
 	g := newGroup(mi, name, cfg)
-	g.members[g.self()] = &memberInfo{state: Alive, inc: 1}
+	g.addLocked(g.self(), Alive, 1)
 	g.inc = 1
 	g.start()
 	return g, nil
@@ -162,23 +157,25 @@ func Create(mi *margo.Instance, name string, cfg Config) (*Group, error) {
 func Join(mi *margo.Instance, name, bootstrap string, cfg Config) (*Group, error) {
 	g := newGroup(mi, name, cfg)
 	g.inc = uint64(time.Now().UnixNano()) // fresh incarnation dominates any stale state
-	body, _ := json.Marshal(pingMsg{From: g.self(), Inc: g.inc})
-	raw, err := mi.CallProvider(bootstrap, providerPrefix+name, "join", body, 5*g.cfg.GossipPeriod+g.cfg.PingTimeout+2*time.Second)
+	body := appendPing(nil, pingMsg{From: g.self(), Inc: g.inc})
+	raw, err := mi.Class().Call(bootstrap, g.rpcJoin, body, 5*g.cfg.GossipPeriod+g.cfg.PingTimeout+2*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("ssg: join via %s: %w", bootstrap, err)
 	}
-	var rep joinReply
-	if err := json.Unmarshal(raw, &rep); err != nil {
+	g.mu.Lock()
+	view, err := g.decodeJoinReplyLocked(raw)
+	mercury.Recycle(raw)
+	if err != nil {
+		g.mu.Unlock()
 		return nil, fmt.Errorf("ssg: join reply: %w", err)
 	}
-	g.mu.Lock()
-	g.members[g.self()] = &memberInfo{state: Alive, inc: g.inc}
-	for _, u := range rep.Members {
+	g.addLocked(g.self(), Alive, g.inc)
+	for _, u := range view {
 		if u.Addr == g.self() {
 			continue
 		}
 		if u.St == Alive || u.St == Suspect {
-			g.members[u.Addr] = &memberInfo{state: Alive, inc: u.Inc}
+			g.addLocked(u.Addr, Alive, u.Inc)
 		}
 	}
 	g.enqueueLocked(update{Addr: g.self(), St: Alive, Inc: g.inc})
@@ -193,13 +190,23 @@ func newGroup(mi *margo.Instance, name string, cfg Config) *Group {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
+	p := providerPrefix + name
 	return &Group{
-		mi:      mi,
-		name:    name,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(seed)),
-		members: make(map[string]*memberInfo),
+		mi:         mi,
+		name:       name,
+		cfg:        cfg,
+		rng:        rand.New(rand.NewSource(seed)),
+		members:    make(map[string]*memberInfo),
+		rpcJoin:    margo.ProviderRPCName(p, "join"),
+		rpcPing:    margo.ProviderRPCName(p, "ping"),
+		rpcPingReq: margo.ProviderRPCName(p, "pingreq"),
 	}
+}
+
+// addLocked enters a member in the table. The caller holds g.mu.
+func (g *Group) addLocked(addr string, st State, inc uint64) {
+	g.members[addr] = &memberInfo{addr: addr, state: st, inc: inc}
+	g.sorted = nil
 }
 
 func (g *Group) self() string { return g.mi.Addr() }
@@ -218,17 +225,25 @@ func (g *Group) start() {
 // Members returns the sorted addresses of members currently believed
 // alive or suspected (a suspect is still in the group until declared
 // dead), including self.
-func (g *Group) Members() []string {
+func (g *Group) Members() []string { return slices.Clone(g.Snapshot()) }
+
+// Snapshot is Members without the copy: the list is shared by every caller
+// until the membership changes, so it must not be modified. A server
+// checks each proposed view against it.
+func (g *Group) Snapshot() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.members))
-	for a, m := range g.members {
-		if m.state == Alive || m.state == Suspect {
-			out = append(out, a)
+	if g.sorted == nil {
+		out := make([]string, 0, len(g.members))
+		for a, m := range g.members {
+			if m.state == Alive || m.state == Suspect {
+				out = append(out, a)
+			}
 		}
+		sort.Strings(out)
+		g.sorted = out
 	}
-	sort.Strings(out)
-	return out
+	return g.sorted
 }
 
 // Leave announces departure and stops participating — the graceful path
@@ -258,9 +273,9 @@ func (g *Group) Leave() {
 	if fan > 4 {
 		fan = 4
 	}
-	body, _ := json.Marshal(pingMsg{From: g.self(), Updates: leaveUpd})
+	body := appendPing(nil, pingMsg{From: g.self(), Updates: leaveUpd})
 	for i := 0; i < fan; i++ {
-		go g.mi.CallProvider(peers[i], providerPrefix+g.name, "ping", body, g.cfg.PingTimeout)
+		go g.mi.Class().Call(peers[i], g.rpcPing, body, g.cfg.PingTimeout)
 	}
 }
 
@@ -277,10 +292,9 @@ func (g *Group) Shutdown() {
 	if g.stopGossip != nil {
 		g.stopGossip()
 	}
-	p := providerPrefix + g.name
-	g.mi.Class().Deregister(margo.ProviderRPCName(p, "join"))
-	g.mi.Class().Deregister(margo.ProviderRPCName(p, "ping"))
-	g.mi.Class().Deregister(margo.ProviderRPCName(p, "pingreq"))
+	for _, name := range []string{g.rpcJoin, g.rpcPing, g.rpcPingReq} {
+		g.mi.Class().Deregister(name)
+	}
 }
 
 // SWIM's dissemination constants: the ping-req fan-out k, and the factor
@@ -326,9 +340,9 @@ func supersedes(a, b update) bool {
 	return a.St > b.St // dead/left > suspect > alive at equal incarnation
 }
 
-// takeUpdatesLocked pops up to max piggyback updates, decrementing budgets.
-func (g *Group) takeUpdatesLocked(max int) []update {
-	var out []update
+// takeUpdatesLocked pops up to max piggyback updates, appended to out,
+// decrementing budgets.
+func (g *Group) takeUpdatesLocked(max int, out []update) []update {
 	w := 0
 	for _, qu := range g.queue {
 		if len(out) < max {
@@ -359,33 +373,37 @@ func (g *Group) gossipRound() {
 	for a, m := range g.members {
 		if m.state == Suspect && now.Sub(m.suspectSince) > deadline {
 			m.state = Dead
+			g.sorted = nil
 			g.enqueueLocked(update{Addr: a, St: Dead, Inc: m.inc})
 		}
 	}
 	// Choose a probe target among alive peers.
-	var peers []string
+	self := g.self()
+	peers := g.peers[:0]
 	for a, m := range g.members {
-		if a != g.self() && (m.state == Alive || m.state == Suspect) {
+		if a != self && (m.state == Alive || m.state == Suspect) {
 			peers = append(peers, a)
 		}
 	}
 	sort.Strings(peers)
+	g.peers = peers
 	var target string
 	if len(peers) > 0 {
 		target = peers[g.rng.Intn(len(peers))]
 	}
-	ups := g.takeUpdatesLocked(piggybackMax)
+	g.ups = g.takeUpdatesLocked(piggybackMax, g.ups[:0])
 	g.mu.Unlock()
 
 	if target == "" {
 		return
 	}
-	body, _ := json.Marshal(pingMsg{From: g.self(), Updates: ups})
-	raw, err := g.mi.CallProvider(target, providerPrefix+g.name, "ping", body, g.cfg.PingTimeout)
+	g.wire = appendPing(g.wire[:0], pingMsg{From: self, Updates: g.ups})
+	clear(g.ups) // so the scratch keeps no address alive past the round
+	raw, err := g.mi.Class().Call(target, g.rpcPing, g.wire, g.cfg.PingTimeout)
 	if err == nil {
-		var rep pingReply
-		if json.Unmarshal(raw, &rep) == nil && rep.Ack {
-			g.applyUpdates(rep.Updates)
+		ack := g.applyReply(raw)
+		mercury.Recycle(raw)
+		if ack {
 			return
 		}
 	}
@@ -394,6 +412,20 @@ func (g *Group) gossipRound() {
 		return
 	}
 	g.suspect(target)
+}
+
+// applyReply decodes a ping reply and, if it acknowledges, applies its
+// updates; it reports the acknowledgement.
+func (g *Group) applyReply(raw []byte) bool {
+	var scratch [piggybackMax]update
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ack, ups, err := g.decodeReplyLocked(raw, scratch[:0])
+	if err != nil || !ack {
+		return false
+	}
+	g.applyLocked(ups)
+	return true
 }
 
 // indirectProbe asks up to k other members to ping target; reports whether
@@ -414,17 +446,12 @@ func (g *Group) indirectProbe(target string, peers []string) bool {
 	if len(helpers) == 0 {
 		return false
 	}
-	body, _ := json.Marshal(pingMsg{From: g.self(), Target: target})
+	body := appendPing(nil, pingMsg{From: g.self(), Target: target})
 	acks := make(chan bool, len(helpers))
 	for _, h := range helpers {
 		go func(h string) {
-			raw, err := g.mi.CallProvider(h, providerPrefix+g.name, "pingreq", body, 2*g.cfg.PingTimeout)
-			if err != nil {
-				acks <- false
-				return
-			}
-			var rep pingReply
-			acks <- json.Unmarshal(raw, &rep) == nil && rep.Ack
+			raw, err := g.mi.Class().Call(h, g.rpcPingReq, body, 2*g.cfg.PingTimeout)
+			acks <- err == nil && g.applyReply(raw)
 		}(h)
 	}
 	ok := false
@@ -454,6 +481,11 @@ func (g *Group) suspect(addr string) {
 func (g *Group) applyUpdates(ups []update) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.applyLocked(ups)
+}
+
+// applyLocked is applyUpdates with g.mu held.
+func (g *Group) applyLocked(ups []update) {
 	for _, u := range ups {
 		if u.Addr == g.self() {
 			// Refute suspicion or death rumors about self.
@@ -471,11 +503,12 @@ func (g *Group) applyUpdates(ups []update) {
 		switch u.St {
 		case Alive:
 			if !known {
-				g.members[u.Addr] = &memberInfo{state: Alive, inc: u.Inc}
+				g.addLocked(u.Addr, Alive, u.Inc)
 				g.enqueueLocked(u)
 			} else if u.Inc > m.inc {
 				m.inc = u.Inc
 				m.state = Alive
+				g.sorted = nil
 				g.enqueueLocked(u)
 			}
 		case Suspect:
@@ -489,6 +522,7 @@ func (g *Group) applyUpdates(ups []update) {
 			if known && (m.state == Alive || m.state == Suspect) && u.Inc >= m.inc {
 				m.state = u.St
 				m.inc = u.Inc
+				g.sorted = nil
 				g.enqueueLocked(u)
 			}
 		}
@@ -497,18 +531,19 @@ func (g *Group) applyUpdates(ups []update) {
 
 // handleJoin serves a join request: adopt the joiner, reply with the view.
 func (g *Group) handleJoin(req mercury.Request) ([]byte, error) {
-	var msg pingMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
+	g.mu.Lock()
+	msg, err := g.decodePingLocked(req.Payload, nil)
+	if err != nil {
+		g.mu.Unlock()
 		return nil, err
 	}
-	g.mu.Lock()
 	if g.stopped {
 		g.mu.Unlock()
 		return nil, ErrNotMember
 	}
-	var rep joinReply
+	view := make([]update, 0, len(g.members))
 	for a, m := range g.members {
-		rep.Members = append(rep.Members, update{Addr: a, St: m.state, Inc: m.inc})
+		view = append(view, update{Addr: a, St: m.state, Inc: m.inc})
 	}
 	g.mu.Unlock()
 	inc := msg.Inc
@@ -516,41 +551,41 @@ func (g *Group) handleJoin(req mercury.Request) ([]byte, error) {
 		inc = uint64(time.Now().UnixNano())
 	}
 	g.applyUpdates([]update{{Addr: msg.From, St: Alive, Inc: inc}})
-	return json.Marshal(rep)
+	return appendJoinReply(nil, view), nil
 }
 
 // handlePing acknowledges and exchanges piggybacked updates.
 func (g *Group) handlePing(req mercury.Request) ([]byte, error) {
-	var msg pingMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
+	var scratch [piggybackMax]update
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	msg, err := g.decodePingLocked(req.Payload, scratch[:0])
+	if err != nil {
 		return nil, err
 	}
-	g.applyUpdates(msg.Updates)
-	g.mu.Lock()
-	stopped := g.stopped
-	ups := g.takeUpdatesLocked(piggybackMax)
-	g.mu.Unlock()
-	if stopped {
+	g.applyLocked(msg.Updates)
+	ups := g.takeUpdatesLocked(piggybackMax, scratch[:0])
+	if g.stopped {
 		return nil, ErrNotMember
 	}
-	return json.Marshal(pingReply{Ack: true, Updates: ups})
+	if len(ups) == 0 {
+		return replyAck, nil
+	}
+	return appendReply(nil, true, ups), nil
 }
 
 // handlePingReq probes a target on behalf of the requester.
 func (g *Group) handlePingReq(req mercury.Request) ([]byte, error) {
-	var msg pingMsg
-	if err := json.Unmarshal(req.Payload, &msg); err != nil {
+	g.mu.Lock()
+	msg, err := g.decodePingLocked(req.Payload, nil)
+	g.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	body, _ := json.Marshal(pingMsg{From: g.self()})
-	raw, err := g.mi.CallProvider(msg.Target, providerPrefix+g.name, "ping", body, g.cfg.PingTimeout)
-	if err != nil {
-		return json.Marshal(pingReply{Ack: false})
+	body := appendPing(nil, pingMsg{From: g.self()})
+	raw, err := g.mi.Class().Call(msg.Target, g.rpcPing, body, g.cfg.PingTimeout)
+	if err != nil || !g.applyReply(raw) {
+		return replyNack, nil
 	}
-	var rep pingReply
-	if json.Unmarshal(raw, &rep) != nil || !rep.Ack {
-		return json.Marshal(pingReply{Ack: false})
-	}
-	g.applyUpdates(rep.Updates)
-	return json.Marshal(pingReply{Ack: true})
+	return replyAck, nil
 }
