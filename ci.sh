@@ -54,8 +54,10 @@ fi
 # call whose caller recycles its response) and the control plane's two
 # (TestControlIterationAllocsCeiling, an empty activate + execute +
 # deactivate on two servers, there, and internal/ssg's
-# TestGossipRoundAllocsCeiling, one SWIM probe with nothing to gossip),
-# which skip under -race but not
+# TestGossipRoundAllocsCeiling, one SWIM probe with nothing to gossip), and
+# one bytes ceiling, TestIsoIterationBytesCeiling (a warm gs_iso_inproc
+# iteration on two servers: at most 256 KiB of heap and no buffer pool
+# miss), all of which skip under -race but not
 # under coverage, whose counters allocate nothing — and once with it. Both
 # passes carry every gate there is no separate step for: the goroutine-leak
 # checks (endpoint teardown, overload shed-and-recover, NBStage bound,
@@ -141,10 +143,13 @@ fi
 # the compositor file, whose mergeEncoded reads every frame a compositing
 # peer sends and folds it into the accumulator in place (a frame of another
 # size must spoil the accumulator's header, not vanish); and the
-# two files that fold and route what a MoNA peer sends — the collectives'
+# three files that fold and route what a MoNA peer sends — the collectives'
 # reduction ops, which fold each peer's contribution into the accumulator
 # (one shorter than the accumulator must fold into its prefix, not read past
-# its end), and the MoNA instance, which routes every collective frame
+# its end), the collective algorithms, which own the accumulator copies and
+# hand every folded contribution's frame back to the communicator that lent
+# it (a frame handed back twice, or while still read, corrupts a later
+# message), and the MoNA instance, which routes every collective frame
 # that reaches its server's one endpoint and parks or drops those for
 # communicators it does not hold; and the catalyst
 # pipelines' staging store and stats pipeline — the store decides whether
@@ -162,6 +167,6 @@ check_cover 90 ./internal/bench/simtime.go
 check_cover 90 ./internal/render/raster.go ./internal/vtk/isosurface.go ./internal/vtk/crossings.go ./internal/vtk/mesh.go \
     ./internal/vtk/clip.go ./internal/vtk/ugrid.go ./internal/vtk/imagedata.go ./internal/render/image.go \
     ./internal/render/volume.go ./internal/icet/icet.go
-check_cover 90 ./internal/collectives/ops.go ./internal/mona/mona.go
+check_cover 90 ./internal/collectives/ops.go ./internal/collectives/collectives.go ./internal/mona/mona.go
 check_cover 90 ./internal/catalyst/stats.go ./internal/catalyst/backend.go
 check_cover 90 ./internal/core/ctrlwire.go ./internal/ssg/wire.go

@@ -179,8 +179,32 @@ func stageServerEnv(name string, dual bool) (h *core.DistributedPipelineHandle, 
 // iteration — activate, execute, deactivate — and returns the next
 // iteration number.
 func controlIterEnv() (iterate func(it uint64) error, cleanup func(), err error) {
+	h, cleanup, err := inprocServersEnv("ctrl", "bench/sink", nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	iterate = func(it uint64) error {
+		if _, err := h.Activate(it); err != nil {
+			return err
+		}
+		res, err := h.Execute(it)
+		if err != nil {
+			return err
+		}
+		if len(res) != 2 {
+			return fmt.Errorf("execute returned %d results, want 2", len(res))
+		}
+		return h.Deactivate(it)
+	}
+	return iterate, cleanup, nil
+}
+
+// inprocServersEnv starts two in-process servers in one SSG group (gossip
+// slowed to a crawl), creates pipeline name of type kind with cfg on both
+// and returns a client handle to it.
+func inprocServersEnv(name, kind string, cfg json.RawMessage) (h *core.DistributedPipelineHandle, cleanup func(), err error) {
 	net := na.NewInprocNetwork()
-	cfg := core.ServerConfig{GroupName: "ctrl", SSG: ssg.Config{GossipPeriod: time.Hour, PingTimeout: time.Second}}
+	scfg := core.ServerConfig{GroupName: name, SSG: ssg.Config{GossipPeriod: time.Hour, PingTimeout: time.Second}}
 	var servers []*core.Server
 	var cmi *margo.Instance
 	cleanup = func() {
@@ -197,39 +221,69 @@ func controlIterEnv() (iterate func(it uint64) error, cleanup func(), err error)
 		}
 	}()
 	for i := 0; i < 2; i++ {
-		s, err := core.StartInprocServer(net, fmt.Sprintf("ctrl-srv-%d", i), cfg)
+		s, err := core.StartInprocServer(net, fmt.Sprintf("%s-srv-%d", name, i), scfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		servers = append(servers, s)
-		cfg.Bootstrap = servers[0].Addr()
+		scfg.Bootstrap = servers[0].Addr()
 	}
 	if err := core.WaitMembers(servers, 2, 5*time.Second); err != nil {
 		return nil, nil, err
 	}
-	cEP, err := net.Listen("ctrl-cli")
+	cEP, err := net.Listen(name + "-cli")
 	if err != nil {
 		return nil, nil, err
 	}
 	cmi = margo.NewInstance(cEP)
 	admin := core.NewAdminClient(cmi)
 	for _, s := range servers {
-		if err := admin.CreatePipeline(s.Addr(), "bench", "bench/sink", nil); err != nil {
+		if err := admin.CreatePipeline(s.Addr(), "bench", kind, cfg); err != nil {
 			return nil, nil, err
 		}
 	}
-	h := core.NewClient(cmi).Handle("bench", servers[0].Addr())
+	h = core.NewClient(cmi).Handle("bench", servers[0].Addr())
 	h.SetTimeout(10 * time.Second)
+	return h, cleanup, nil
+}
+
+// isoIterEnv runs gs_iso_inproc's iteration on inprocServersEnv's two
+// servers: catalyst/iso configured as that workload configures it (the
+// rank-0 PNG included) and blocks encoded once, so iterate is one
+// activate → stage of every block → execute → deactivate.
+func isoIterEnv(blocks []*vtk.ImageData) (iterate func(it uint64) error, cleanup func(), err error) {
+	catalyst.Register()
+	cfg, err := json.Marshal(catalyst.IsoConfig{
+		Field: "V", IsoValues: []float64{0.1, 0.2, 0.3}, Width: 256, Height: 256,
+		ScalarRange: [2]float64{0, 0.5}, Strategy: "tree", EmitImage: true, WarmupKiB: 16,
+		Clip: &catalyst.ClipSpec{Normal: [3]float64{1, 0, 0}, Offset: float64(blocks[0].Dims[0]) / 2},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	h, cleanup, err := inprocServersEnv("iso", catalyst.IsoPipelineType, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	encoded := make([][]byte, len(blocks))
+	for i, blk := range blocks {
+		encoded[i] = blk.Encode()
+	}
 	iterate = func(it uint64) error {
 		if _, err := h.Activate(it); err != nil {
 			return err
+		}
+		for i, data := range encoded {
+			if err := h.Stage(it, core.BlockMeta{Field: "V", BlockID: i, Type: "imagedata"}, data); err != nil {
+				return err
+			}
 		}
 		res, err := h.Execute(it)
 		if err != nil {
 			return err
 		}
-		if len(res) != 2 {
-			return fmt.Errorf("execute returned %d results, want 2", len(res))
+		if len(res) != 2 || len(res[0].Image)+len(res[1].Image) == 0 {
+			return fmt.Errorf("execute returned %d results and no image", len(res))
 		}
 		return h.Deactivate(it)
 	}
@@ -553,8 +607,10 @@ const (
 	// pipeline's and are refilled in place.
 	ceilIsoExecuteAllocs = 6.0
 	// A one-rank catalyst/volume Execute on the benchmark's DWI shape: the
-	// accumulator and the resolved image. Measured 4; the merge into one grid
-	// and the depth sort it replaced took 111,791, one per cell.
+	// accumulator (ExecuteVolume's own; a VolumePipeline keeps its) and the
+	// resolved image. Measured 3, 4 while that image had a depth plane; the
+	// merge into one grid and the depth sort it replaced took 111,791, one
+	// per cell.
 	ceilVolumeExecuteAllocs = 8.0
 	// One inproc RPC round trip of a 512 B payload, both sides, for a caller
 	// that hands its response back: the in-process endpoint copies each
@@ -579,6 +635,17 @@ const (
 	// sink, both sides: the mb_stage_tcp_perblock round trip. Measured 14
 	// before the call path stopped allocating.
 	ceilTCPStageAllocs = 1.0
+	// Heap bytes of one warm gs_iso_inproc iteration on two in-process
+	// servers (activate, stage of 16 Gray-Scott slabs, execute with the
+	// rank-0 PNG, deactivate), client and servers together: the PNG, the
+	// execute results and the communicators. Measured 58 KB; 4.79-4.91 MB,
+	// with 4 buffer pool misses an iteration, while every staged slab
+	// decoded into fresh arrays, rank 1's depth frame arrived in a pooled
+	// 1 MiB buffer nothing put back, the reduce copied the root's frame into
+	// a fresh buffer, the root decoded the composite into a fresh image and
+	// the bounds all-reduce and the PNG response left their frames to the
+	// collector.
+	ceilIsoIterationBytes = 256 << 10
 	// One empty activate + execute + deactivate on two in-process servers,
 	// client and servers together. Measured 9: 4 per server for the
 	// communicator, and the results slice; 166 while the control RPCs were
@@ -742,6 +809,56 @@ func TestControlIterationAllocsCeiling(t *testing.T) {
 	t.Logf("control iteration: %.1f allocs/op (ceiling %.1f)", allocs, ceilControlIterationAllocs)
 	if allocs > ceilControlIterationAllocs {
 		t.Errorf("control iteration allocs/op = %.1f, ceiling %.1f", allocs, ceilControlIterationAllocs)
+	}
+}
+
+// TestIsoIterationBytesCeiling holds a warm gs_iso_inproc iteration to
+// the heap bytes of its small results, the gap the allocs ceilings miss (a
+// 1 MiB frame counts there as one allocation): the staged slabs decode
+// into the blocks of the iteration before, rank 1's frame goes back to the
+// pool once the root has folded it, the reduce's copy comes from the pool
+// and the root composites into its own framebuffer. No buffer pool class
+// may miss over the measured iterations either.
+func TestIsoIterationBytesCeiling(t *testing.T) {
+	skipUnderRace(t)
+	// One P, as benchmark/ runs: on more, a Get can miss while the buffer
+	// it wants sits in another P's private slot of the sync.Pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	blocks, err := grayScottSlabs(64, 200, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iterate, cleanup, err := isoIterEnv(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	it := uint64(1)
+	run := func() {
+		if err := iterate(it); err != nil {
+			t.Fatal(err)
+		}
+		it++
+	}
+	for i := 0; i < 20; i++ { // warm the workspaces, the spares and the pools
+		run()
+	}
+	const iters = 10
+	var before, after runtime.MemStats
+	_, missed, _ := bufpool.Stats()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < iters; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	_, misses, _ := bufpool.Stats()
+	perIter := (after.TotalAlloc - before.TotalAlloc) / iters
+	t.Logf("iso iteration: %d B allocated/op, %d pool misses in %d iterations (ceiling %d B, 0 misses)", perIter, misses-missed, iters, ceilIsoIterationBytes)
+	if perIter > ceilIsoIterationBytes {
+		t.Errorf("iso iteration allocates %d B/op, ceiling %d", perIter, ceilIsoIterationBytes)
+	}
+	if misses != missed {
+		t.Errorf("%d buffer pool misses in %d warm iterations, want 0", misses-missed, iters)
 	}
 }
 

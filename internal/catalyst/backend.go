@@ -31,7 +31,7 @@ func Register() {
 			return nil, fmt.Errorf("catalyst: iso config: strategy %q: tree compositing is the only one", c.Strategy)
 		}
 		c.withDefaults()
-		return &IsoPipeline{staging: staging[*vtk.ImageData]{kind: "iso", blockType: "imagedata", decode: vtk.DecodeImageData}, cfg: c}, nil
+		return &IsoPipeline{staging: staging[*vtk.ImageData]{kind: "iso", blockType: "imagedata", decode: vtk.DecodeImageDataInto}, cfg: c}, nil
 	})
 	core.RegisterPipelineType(VolumePipelineType, func(cfg json.RawMessage) (core.Backend, error) {
 		var c VolumeConfig
@@ -39,7 +39,7 @@ func Register() {
 			return nil, err
 		}
 		c.withDefaults()
-		return &VolumePipeline{staging: staging[*vtk.UnstructuredGrid]{kind: "volume", blockType: "ugrid", decode: vtk.DecodeUnstructuredGrid}, cfg: c}, nil
+		return &VolumePipeline{staging: staging[*vtk.UnstructuredGrid]{kind: "volume", blockType: "ugrid", decode: vtk.DecodeUnstructuredGridInto}, cfg: c}, nil
 	})
 	registerStats()
 }
@@ -65,19 +65,27 @@ func decodeConfig(kind string, cfg json.RawMessage, c any) error {
 // second copy of a staged id whose bytes match the first is dropped, and a
 // different block under a staged id is refused. The match is a CRC-32C of
 // the staged bytes, a second read of the loaned data that decides only
-// whether a retry is a duplicate. Blocks are only appended and Deactivate
-// starts the next iteration on a fresh slice, so no stage rewrites a block
-// an execute is reading.
+// whether a retry is a duplicate.
+//
+// Block storage belongs to the store between iterations: a release that no
+// execute holds keeps the released blocks as spares, and the next
+// iteration's stages decode into them (decode overwrites every field of
+// the spare it is given), so a steady run of iterations decodes without
+// allocating. No stage rewrites a block an execute is reading: an execute
+// claims the store (begin, end), and a release during it — a Deactivate or
+// an abort — leaves that iteration's blocks to the collector.
 type staging[B any] struct {
 	kind, blockType string // the pipeline's name in errors; the BlockMeta.Type it stages
-	decode          func([]byte) (B, error)
+	decode          func(spare B, data []byte) (B, error)
 
-	mu     sync.Mutex
-	ctx    core.IterationContext
-	active bool
-	warmed bool
-	blocks []B
-	sums   map[int]uint32 // block id -> CRC-32C of its bytes; cleared, not reallocated, per iteration
+	mu        sync.Mutex
+	ctx       core.IterationContext
+	active    bool
+	warmed    bool
+	executing bool // an execute holds blocks (and the pipeline's workspace)
+	blocks    []B
+	spares    []B            // the blocks of the last release no execute held
+	sums      map[int]uint32 // block id -> CRC-32C of its bytes; cleared, not reallocated, per iteration
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -97,18 +105,34 @@ func (s *staging[B]) Activate(ctx core.IterationContext) error {
 	return nil
 }
 
-// Stage decodes and retains one block, once per block id.
+// Stage decodes and retains one block, once per block id. It decodes
+// outside mu, into a spare it takes under mu and gives back if the block
+// is not kept.
 func (s *staging[B]) Stage(it uint64, meta core.BlockMeta, data []byte) error {
 	if meta.Type != "" && meta.Type != s.blockType {
 		return fmt.Errorf("catalyst: %s pipeline cannot stage %q blocks", s.kind, meta.Type)
 	}
-	b, err := s.decode(data)
-	if err != nil {
-		return err
+	var spare B
+	s.mu.Lock()
+	n := len(s.spares)
+	if n > 0 {
+		spare = s.spares[n-1]
+		s.spares = s.spares[:n-1]
 	}
+	s.mu.Unlock()
+	b, err := s.decode(spare, data)
 	sum := crc32.Checksum(data, castagnoli)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	keep := false
+	defer func() {
+		if !keep && n > 0 {
+			s.spares = append(s.spares, spare)
+		}
+	}()
+	if err != nil {
+		return err
+	}
 	if !s.active || s.ctx.Iteration != it {
 		return fmt.Errorf("catalyst: stage outside active iteration %d", it)
 	}
@@ -120,19 +144,32 @@ func (s *staging[B]) Stage(it uint64, meta core.BlockMeta, data []byte) error {
 	}
 	s.sums[meta.BlockID] = sum
 	s.blocks = append(s.blocks, b)
+	keep = true
 	return nil
 }
 
-// begin claims active iteration it for an execute: its context, its
-// blocks, and whether this is the instance's first execute. The caller
-// holds mu.
+// begin claims active iteration it for an execute, which holds the
+// returned blocks until it calls end: its context, its blocks, and whether
+// this is the instance's first execute. One execute holds the store at a
+// time. The caller holds mu.
 func (s *staging[B]) begin(it uint64) (core.IterationContext, []B, bool, error) {
 	if !s.active || s.ctx.Iteration != it {
 		return core.IterationContext{}, nil, false, fmt.Errorf("catalyst: execute outside active iteration %d", it)
 	}
+	if s.executing {
+		return core.IterationContext{}, nil, false, fmt.Errorf("catalyst: %s pipeline is already executing iteration %d", s.kind, it)
+	}
+	s.executing = true
 	first := !s.warmed
 	s.warmed = true
 	return s.ctx, s.blocks, first, nil
+}
+
+// end ends the execute begin claimed.
+func (s *staging[B]) end() {
+	s.mu.Lock()
+	s.executing = false
+	s.mu.Unlock()
 }
 
 // Deactivate releases staged data and unpins the iteration.
@@ -143,28 +180,42 @@ func (s *staging[B]) Deactivate(uint64) error {
 	return nil
 }
 
-// release drops the staged blocks and ends the iteration. The caller holds
-// mu.
+// release ends the iteration. Its blocks, if any, become the spares,
+// unless an execute holds them: then they are left to it and the
+// collector, and the next iteration appends to a new slice. The caller
+// holds mu.
 func (s *staging[B]) release() {
-	s.blocks = nil
+	switch {
+	case s.executing:
+		s.blocks = nil
+	case len(s.blocks) > 0:
+		clear(s.spares) // what the released iteration did not take
+		s.spares, s.blocks = s.blocks, s.spares[:0]
+	}
 	clear(s.sums)
 	s.active = false
 }
 
-// Destroy drops all state.
-func (s *staging[B]) Destroy() error { return s.Deactivate(0) }
+// Destroy drops all state, spares included.
+func (s *staging[B]) Destroy() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.release()
+	s.spares = nil
+	return nil
+}
 
 // IsoPipeline is the Colza backend running the iso pipeline body (the one
 // behind ExecuteIso). One instance runs on every staging server; instances
 // of the same iteration communicate through the controller built from the
 // activation context. The instance owns the workspace its executes fill —
 // surface mesh and local framebuffer — so a steady run of iterations
-// allocates neither; one execute runs on an instance at a time.
+// allocates neither; the store's execute claim keeps it to one execute at a
+// time.
 type IsoPipeline struct {
 	staging[*vtk.ImageData]
-	cfg       IsoConfig
-	executing bool         // ws is in use; under mu
-	ws        isoWorkspace // touched only by the execute that set executing
+	cfg IsoConfig
+	ws  isoWorkspace // touched only by the execute that holds the claim
 }
 
 var _ core.Backend = (*IsoPipeline)(nil)
@@ -173,20 +224,11 @@ var _ core.Backend = (*IsoPipeline)(nil)
 func (p *IsoPipeline) Execute(it uint64) (core.ExecResult, error) {
 	p.mu.Lock()
 	ctx, blocks, first, err := p.begin(it)
-	if err == nil && p.executing {
-		err = fmt.Errorf("catalyst: iso pipeline is already executing iteration %d", it)
-	}
+	p.mu.Unlock()
 	if err != nil {
-		p.mu.Unlock()
 		return core.ExecResult{}, err
 	}
-	p.executing = true
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.executing = false
-		p.mu.Unlock()
-	}()
+	defer p.end()
 
 	var warm Stats
 	if first {
@@ -195,8 +237,8 @@ func (p *IsoPipeline) Execute(it uint64) (core.ExecResult, error) {
 		warm = warmup(p.cfg.WarmupKiB, p.cfg.Width, p.cfg.Height)
 	}
 	ctrl := vtk.NewController("mona", ctx.Comm)
-	// img may be the workspace's framebuffer: execResult encodes it and it
-	// is not kept past this call.
+	// img is the workspace's framebuffer: execResult encodes it and it is
+	// not kept past this call.
 	st, img, err := p.ws.execute(ctrl, blocks, p.cfg)
 	if err != nil {
 		return core.ExecResult{}, err
@@ -245,10 +287,11 @@ func (p *IsoPipeline) Destroy() error {
 
 // VolumePipeline is the Colza backend wrapping ExecuteVolume (the Deep
 // Water Impact rendering pipeline: splat into sums, sum over ranks,
-// resolve).
+// resolve). The instance keeps its accumulator across executes.
 type VolumePipeline struct {
 	staging[*vtk.UnstructuredGrid]
 	cfg VolumeConfig
+	ws  volumeWorkspace // touched only by the execute that holds the claim
 }
 
 var _ core.Backend = (*VolumePipeline)(nil)
@@ -261,13 +304,26 @@ func (p *VolumePipeline) Execute(it uint64) (core.ExecResult, error) {
 	if err != nil {
 		return core.ExecResult{}, err
 	}
+	defer p.end()
 	var warm Stats
 	if first {
 		warm = warmup(p.cfg.WarmupKiB, p.cfg.Width, p.cfg.Height)
 	}
-	st, img, err := ExecuteVolume(vtk.NewController("mona", ctx.Comm), grids, p.cfg)
+	st, img, err := p.ws.execute(vtk.NewController("mona", ctx.Comm), grids, p.cfg)
 	if err != nil {
 		return core.ExecResult{}, err
 	}
 	return execResult(st, warm, len(grids), ctx, img, p.cfg.EmitImage)
+}
+
+// Destroy drops all state, the accumulator included (an execute still
+// running keeps it until it returns).
+func (p *VolumePipeline) Destroy() error {
+	p.staging.Destroy()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.executing {
+		p.ws = volumeWorkspace{}
+	}
+	return nil
 }

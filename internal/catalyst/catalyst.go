@@ -28,6 +28,7 @@ import (
 	"math"
 	"time"
 
+	"colza/internal/bufpool"
 	"colza/internal/collectives"
 	"colza/internal/comm"
 	"colza/internal/icet"
@@ -57,6 +58,7 @@ func globalBounds(c comm.Communicator, lo, hi [3]float32) (render.Vec3, render.V
 			lo[k] = math.Float32frombits(binary.LittleEndian.Uint32(out[4*k:]))
 			hi[k] = -math.Float32frombits(binary.LittleEndian.Uint32(out[12+4*k:]))
 		}
+		bufpool.Put(out)
 	}
 	glo, ghi := render.BoxOf(lo, hi)
 	return glo, ghi, nil
@@ -156,10 +158,10 @@ func ExecuteIso(ctrl *vtk.Controller, blocks []*vtk.ImageData, cfg IsoConfig) (S
 // extracts more triangles than any before it or the frame size changes.
 // Nothing computed in one execute is reused by the next.
 //
-// Ownership of the framebuffer: icet.Composite hands the local framebuffer
-// back as its result when the group has one rank, so the image execute
-// returns may be ws.frame. It is valid until the next execute on the same
-// workspace and must not be retained past it.
+// Ownership of the framebuffer: icet.Composite composites into the local
+// framebuffer at the root, so the image execute returns is ws.frame. It is
+// valid until the next execute on the same workspace and must not be
+// retained past it.
 type isoWorkspace struct {
 	surface vtk.TriangleMesh
 	raster  render.Rasterizer
@@ -273,7 +275,22 @@ func (c *VolumeConfig) withDefaults() {
 // ExecuteVolume runs the DWI pipeline body: splat the staged grids into
 // integer sums (render.AccumulateVolume), add the ranks' sums at rank 0 and
 // resolve them there, so no rank count or placement changes the picture.
+// It runs on a workspace of its own; VolumePipeline runs the same body on
+// the workspace it keeps.
 func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg VolumeConfig) (Stats, *render.Image, error) {
+	var ws volumeWorkspace
+	return ws.execute(ctrl, grids, cfg)
+}
+
+// volumeWorkspace is the accumulator one volume execute splats into, four
+// int64 sums per pixel (32 B). An owner that keeps it between executes
+// (one VolumePipeline instance, one execute at a time) clears it instead
+// of allocating it again, unless the frame size changes.
+type volumeWorkspace struct {
+	acc []byte
+}
+
+func (ws *volumeWorkspace) execute(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg VolumeConfig) (Stats, *render.Image, error) {
 	cfg.withDefaults()
 	var st Stats
 	start := time.Now()
@@ -293,24 +310,33 @@ func ExecuteVolume(ctrl *vtk.Controller, grids []*vtk.UnstructuredGrid, cfg Volu
 	cam := render.DefaultCamera(glo, ghi)
 
 	t1 := time.Now()
-	acc := make([]byte, 32*cfg.Width*cfg.Height)
+	if n := 32 * cfg.Width * cfg.Height; len(ws.acc) != n {
+		ws.acc = make([]byte, n)
+	} else {
+		clear(ws.acc)
+	}
 	opt := render.VolumeOptions{Field: cfg.Field, ScalarRange: cfg.ScalarRange, ColorMap: pickColorMap(cfg.ColorMap), PointSize: cfg.PointSize}
 	for _, g := range grids {
-		if err := render.AccumulateVolume(acc, cfg.Width, cfg.Height, cam, g, opt); err != nil {
+		if err := render.AccumulateVolume(ws.acc, cfg.Width, cfg.Height, cam, g, opt); err != nil {
 			return st, nil, err
 		}
 	}
 	st.RenderSeconds = time.Since(t1).Seconds()
 
 	compStart := time.Now()
-	sum, err := c.Reduce(0, volumeTag, acc, sumVolume)
+	sum, err := c.Reduce(0, volumeTag, ws.acc, sumVolume)
 	if err != nil {
 		return st, nil, err
 	}
 	var im *render.Image
 	if c.Rank() == 0 {
-		im = render.NewImage(cfg.Width, cfg.Height)
-		if err := render.ResolveVolume(im, sum); err != nil {
+		// Colour only: nothing reads a resolved volume's depth.
+		im = &render.Image{W: cfg.Width, H: cfg.Height, RGBA: make([]uint8, 4*cfg.Width*cfg.Height)}
+		err := render.ResolveVolume(im, sum)
+		if c.Size() > 1 {
+			bufpool.Put(sum) // the reduce's pooled copy; on one rank sum is ws.acc
+		}
+		if err != nil {
 			return st, nil, fmt.Errorf("catalyst: volume composite: a contribution is of another size: %w", err)
 		}
 	}

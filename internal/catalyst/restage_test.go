@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,4 +195,47 @@ func startServers(t *testing.T, net *na.InprocNetwork, prefix string, n int) []*
 		t.Fatal(err)
 	}
 	return servers
+}
+
+// TestConcurrentStagesIntoSpares: stages that run at once, each block
+// staged twice (the second a retry, whose spare goes back), decode into the
+// blocks the iteration before released without two stages taking the same
+// one: every execute counts each block once, with its own values.
+func TestConcurrentStagesIntoSpares(t *testing.T) {
+	p := newStatsForTest(t, "f")
+	c := newSingletonComm(t)
+	const blocks = 16
+	for it := 1; it <= 4; it++ {
+		if err := p.Activate(core.IterationContext{Iteration: uint64(it), Size: 1, Comm: c}); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for b := 0; b < blocks; b++ {
+			wg.Add(1)
+			go func(b int) {
+				defer wg.Done()
+				v := float32(100*it + b)
+				data := statsImage(v, v, v, v, v, v, v, v)
+				for try := 0; try < 2; try++ {
+					if err := p.Stage(uint64(it), core.BlockMeta{BlockID: b, Type: "imagedata"}, data); err != nil {
+						t.Error(err)
+					}
+				}
+			}(b)
+		}
+		wg.Wait()
+		res, err := p.Execute(uint64(it))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Summary["count"], float64(8*blocks); got != want {
+			t.Errorf("iteration %d: count %v, want %v", it, got, want)
+		}
+		if got, want := res.Summary["mean"], float64(100*it)+7.5; got != want {
+			t.Errorf("iteration %d: mean %v, want %v", it, got, want)
+		}
+		if err := p.Deactivate(uint64(it)); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 
+	"colza/internal/bufpool"
 	"colza/internal/collectives"
 	"colza/internal/core"
 	"colza/internal/vtk"
@@ -159,7 +160,7 @@ func registerStats() {
 			c.Field = "value"
 		}
 		return &StatsPipeline{
-			staging: staging[*vtk.ImageData]{kind: "stats", blockType: "imagedata", decode: vtk.DecodeImageData},
+			staging: staging[*vtk.ImageData]{kind: "stats", blockType: "imagedata", decode: vtk.DecodeImageDataInto},
 			cfg:     c,
 			origin:  newOriginID(),
 			running: make(map[string]runningMoments),
@@ -192,6 +193,7 @@ func (p *StatsPipeline) Execute(it uint64) (core.ExecResult, error) {
 	if err != nil {
 		return core.ExecResult{}, err
 	}
+	defer p.end()
 	var cur runningMoments
 	for _, img := range blocks {
 		if err := cur.fold(img, p.cfg.Field); err != nil {
@@ -225,6 +227,9 @@ func (p *StatsPipeline) Execute(it uint64) (core.ExecResult, error) {
 	}
 	if runCount > 0 {
 		out["run_mean"], out["run_min"], out["run_max"] = f(1)/float64(runCount), f(5), -f(7)
+	}
+	if ctx.Comm.Size() > 1 {
+		bufpool.Put(rec) // the all-reduce's; on one rank rec is ours
 	}
 	return core.ExecResult{Summary: out}, nil
 }
@@ -360,9 +365,9 @@ func (p *StatsPipeline) ImportState(data []byte) error {
 
 // Destroy drops all state.
 func (p *StatsPipeline) Destroy() error {
+	p.staging.Destroy()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.release()
 	clear(p.running)
 	return nil
 }

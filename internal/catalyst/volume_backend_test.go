@@ -1,12 +1,16 @@
 package catalyst
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"colza/internal/collectives"
+	"colza/internal/comm"
 	"colza/internal/core"
 	"colza/internal/margo"
 	"colza/internal/na"
@@ -214,5 +218,120 @@ func TestVolumePipelineTypeChecking(t *testing.T) {
 	sb, _ := sFactory(nil)
 	if err := sb.Destroy(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gateComm is a two-rank communicator seen from rank 0 whose AllReduce —
+// the volume execute's bounds agreement, which comes between its two reads
+// of the staged grids — says so on entered and then waits for open to
+// close. Its collectives return a private copy of the caller's data, as a
+// reduce over two ranks does.
+type gateComm struct{ entered, open chan struct{} }
+
+func (gateComm) Rank() int                     { return 0 }
+func (gateComm) Size() int                     { return 2 }
+func (gateComm) Send(int, int, []byte) error   { return errors.New("gateComm: no peer") }
+func (gateComm) Recv(int, int) ([]byte, error) { return nil, errors.New("gateComm: no peer") }
+func (gateComm) Reduce(_, _ int, data []byte, _ collectives.Op) ([]byte, error) {
+	return bytes.Clone(data), nil
+}
+func (g gateComm) AllReduce(_ int, data []byte, _ collectives.Op) ([]byte, error) {
+	g.entered <- struct{}{}
+	<-g.open
+	return bytes.Clone(data), nil
+}
+
+// TestAbortMidExecuteKeepsBlocks: a Deactivate that arrives while an
+// execute still reads its staged grids, then the next iteration's activate
+// and stages, must leave those grids to the execute: it renders its own
+// bytes, though every stage of the iterations around it decodes into the
+// grids the iteration before released. The grids of all three iterations
+// have one shape, so a decode into the aborted iteration's grids would
+// reuse all of their storage.
+func TestAbortMidExecuteKeepsBlocks(t *testing.T) {
+	cfg := VolumeConfig{Field: "velocity", Width: 32, Height: 32, ScalarRange: [2]float64{0, 2}, EmitImage: true, WarmupKiB: 16}
+	raw, _ := json.Marshal(cfg)
+	factory, _ := core.LookupPipelineType(VolumePipelineType)
+	b, err := factory(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Destroy()
+	dwi := sim.DWIConfig{Blocks: 2, Iterations: 10, BaseRes: 8}
+	grids := func(step int) []*vtk.UnstructuredGrid {
+		return []*vtk.UnstructuredGrid{sim.DWIIterationBlock(dwi, step, 0), sim.DWIIterationBlock(dwi, step, 1)}
+	}
+	pngOf := func(gs []*vtk.UnstructuredGrid) []byte {
+		_, img, err := ExecuteVolume(vtk.NewController("mpi", newSingletonComm(t)), gs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		png, err := img.PNG()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return png
+	}
+	aborted, other := grids(3), grids(7)
+	want, wantOther := pngOf(aborted), pngOf(other)
+	if bytes.Equal(want, wantOther) {
+		t.Fatal("the two steps render alike: the test could not tell them apart")
+	}
+	start := func(it uint64, c comm.Communicator, gs []*vtk.UnstructuredGrid) {
+		if err := b.Activate(core.IterationContext{Iteration: it, Size: c.Size(), Comm: c}); err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range gs {
+			if err := b.Stage(it, core.BlockMeta{Field: "velocity", BlockID: i, Type: "ugrid"}, g.Encode()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	execute := func(it uint64) []byte {
+		res, err := b.Execute(it)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", it, err)
+		}
+		return res.Image
+	}
+
+	// Iteration 1 runs whole and releases its grids to the store.
+	start(1, newSingletonComm(t), other)
+	if got := execute(1); !bytes.Equal(got, wantOther) {
+		t.Fatal("iteration 1 renders another picture")
+	}
+	if err := b.Deactivate(1); err != nil {
+		t.Fatal(err)
+	}
+	// Iteration 2 decodes into them and is deactivated mid-execute;
+	// iteration 3 activates and stages before that execute goes on.
+	gate := gateComm{entered: make(chan struct{}, 1), open: make(chan struct{})}
+	opened := false
+	defer func() { // a failure below must not leave the execute parked
+		if !opened {
+			close(gate.open)
+		}
+	}()
+	start(2, gate, aborted)
+	got := make(chan []byte, 1)
+	go func() {
+		res, err := b.Execute(2)
+		if err != nil {
+			t.Errorf("iteration 2: %v", err)
+		}
+		got <- res.Image
+	}()
+	<-gate.entered
+	if err := b.Deactivate(2); err != nil {
+		t.Fatal(err)
+	}
+	start(3, newSingletonComm(t), other)
+	close(gate.open)
+	opened = true
+	if png := <-got; !bytes.Equal(png, want) {
+		t.Fatal("the aborted execute rendered bytes the next iteration staged")
+	}
+	if got := execute(3); !bytes.Equal(got, wantOther) {
+		t.Fatal("iteration 3 renders another picture")
 	}
 }

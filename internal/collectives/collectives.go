@@ -11,6 +11,8 @@ package collectives
 import (
 	"errors"
 	"fmt"
+
+	"colza/internal/bufpool"
 )
 
 // PT2PT is the point-to-point layer a collective algorithm runs over. Rank
@@ -22,6 +24,17 @@ type PT2PT interface {
 	Size() int
 	Send(dst, tag int, data []byte) error
 	Recv(src, tag int) ([]byte, error)
+}
+
+// Lender is a PT2PT whose received payloads lie in pooled frames it lends
+// out: RecvFrame is Recv that also returns the frame data lies in (nil
+// when data is the caller's outright), and Release takes that frame back
+// once data is spent. The frame goes back whole, never data, a sub-slice
+// the pool would file under a smaller class. A reduce releases every
+// contribution it folds; a payload Recv or Bcast returns is the caller's.
+type Lender interface {
+	RecvFrame(src, tag int) (data, frame []byte, err error)
+	Release(frame []byte)
 }
 
 // Kind selects the tree shape used by a collective.
@@ -62,15 +75,22 @@ var DefaultAlgorithm = Algorithm{Kind: Binomial}
 var errRoot = errors.New("collectives: root out of range")
 
 // Bcast distributes data from root to every rank. On non-root ranks the
-// input data is ignored and the received payload is returned; on the root
-// the input is returned unchanged.
+// input data is ignored and the received payload is returned, the
+// caller's to keep; on the root the input is returned unchanged.
 func Bcast(p PT2PT, root, tag int, data []byte, algo Algorithm) ([]byte, error) {
+	data, _, err := bcast(p, root, tag, data, algo)
+	return data, err
+}
+
+// bcast is Bcast that also returns the frame a Lender lent the received
+// payload in (nil on the root, and without a Lender).
+func bcast(p PT2PT, root, tag int, data []byte, algo Algorithm) ([]byte, []byte, error) {
 	size := p.Size()
 	if root < 0 || root >= size {
-		return nil, errRoot
+		return nil, nil, errRoot
 	}
 	if size == 1 {
-		return data, nil
+		return data, nil, nil
 	}
 	switch algo.Kind {
 	case Flat:
@@ -82,9 +102,27 @@ func Bcast(p PT2PT, root, tag int, data []byte, algo Algorithm) ([]byte, error) 
 	}
 }
 
-func bcastBinomial(p PT2PT, root, tag int, data []byte) ([]byte, error) {
+// recv receives from src, with the frame a Lender lent the payload in (nil
+// without a Lender).
+func recv(p PT2PT, src, tag int) (data, frame []byte, err error) {
+	if l, ok := p.(Lender); ok {
+		return l.RecvFrame(src, tag)
+	}
+	data, err = p.Recv(src, tag)
+	return data, nil, err
+}
+
+// release hands a frame recv returned back to p.
+func release(p PT2PT, frame []byte) {
+	if frame != nil {
+		p.(Lender).Release(frame)
+	}
+}
+
+func bcastBinomial(p PT2PT, root, tag int, data []byte) ([]byte, []byte, error) {
 	size, rank := p.Size(), p.Rank()
 	rel := (rank - root + size) % size
+	var frame []byte
 	mask := 1
 	for mask < size {
 		if rel&mask != 0 {
@@ -92,11 +130,10 @@ func bcastBinomial(p PT2PT, root, tag int, data []byte) ([]byte, error) {
 			if src < 0 {
 				src += size
 			}
-			got, err := p.Recv(src, tag)
-			if err != nil {
-				return nil, err
+			var err error
+			if data, frame, err = recv(p, src, tag); err != nil {
+				return nil, nil, err
 			}
-			data = got
 			break
 		}
 		mask <<= 1
@@ -109,15 +146,15 @@ func bcastBinomial(p PT2PT, root, tag int, data []byte) ([]byte, error) {
 				dst -= size
 			}
 			if err := p.Send(dst, tag, data); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		mask >>= 1
 	}
-	return data, nil
+	return data, frame, nil
 }
 
-func bcastFlat(p PT2PT, root, tag int, data []byte) ([]byte, error) {
+func bcastFlat(p PT2PT, root, tag int, data []byte) ([]byte, []byte, error) {
 	size, rank := p.Size(), p.Rank()
 	if rank == root {
 		for r := 0; r < size; r++ {
@@ -125,27 +162,27 @@ func bcastFlat(p PT2PT, root, tag int, data []byte) ([]byte, error) {
 				continue
 			}
 			if err := p.Send(r, tag, data); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
-		return data, nil
+		return data, nil, nil
 	}
-	return p.Recv(root, tag)
+	return recv(p, root, tag)
 }
 
-func bcastKAry(p PT2PT, root, tag int, data []byte, k int) ([]byte, error) {
+func bcastKAry(p PT2PT, root, tag int, data []byte, k int) ([]byte, []byte, error) {
 	if k < 2 {
 		k = 2
 	}
 	size, rank := p.Size(), p.Rank()
 	rel := (rank - root + size) % size
+	var frame []byte
 	if rel != 0 {
 		parent := ((rel-1)/k + root) % size
-		got, err := p.Recv(parent, tag)
-		if err != nil {
-			return nil, err
+		var err error
+		if data, frame, err = recv(p, parent, tag); err != nil {
+			return nil, nil, err
 		}
-		data = got
 	}
 	for c := 1; c <= k; c++ {
 		child := rel*k + c
@@ -154,24 +191,26 @@ func bcastKAry(p PT2PT, root, tag int, data []byte, k int) ([]byte, error) {
 		}
 		dst := (child + root) % size
 		if err := p.Send(dst, tag, data); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return data, nil
+	return data, frame, nil
 }
 
 // Op folds an incoming contribution into an accumulator. Implementations
 // may modify acc in place and must return the folded result; acc and in are
-// same-length buffers.
+// same-length buffers. The result must not alias in: a reduce hands in back
+// to its communicator as soon as op returns.
 type Op func(acc, in []byte) []byte
 
 // Reduce folds the data contributed by every rank with op; the result is
 // returned on root (other ranks return nil). The operation is assumed
 // commutative and associative, as in the paper's binary-tree reduction.
-// data is only read: a rank that receives folds into a private copy of it,
-// made at its first receive (fold), and a leaf sends it as it lies. The
-// root's result is the caller's to keep — data itself on a one-rank
-// communicator.
+// data is only read: a rank that receives folds into a private copy of it
+// from bufpool, made at its first receive (fold), and a leaf sends it as
+// it lies; a rank that forwards its copy puts it back after the send. The
+// root's result is the caller's to keep: on more than one rank a bufpool
+// buffer it may hand back with bufpool.Put, on one rank data itself.
 func Reduce(p PT2PT, root, tag int, data []byte, op Op, algo Algorithm) ([]byte, error) {
 	size := p.Size()
 	if root < 0 || root >= size {
@@ -199,20 +238,15 @@ func reduceBinomial(p PT2PT, root, tag int, data []byte, op Op) ([]byte, error) 
 		if rel&mask == 0 {
 			srcRel := rel | mask
 			if srcRel < size {
-				src := (srcRel + root) % size
-				got, err := p.Recv(src, tag)
-				if err != nil {
+				var err error
+				if acc, err = fold(p, (srcRel+root)%size, tag, op, acc, own); err != nil {
 					return nil, err
 				}
-				acc, own = fold(op, acc, own, got), true
+				own = true
 			}
 		} else {
 			dstRel := rel &^ mask
-			dst := (dstRel + root) % size
-			if err := p.Send(dst, tag, acc); err != nil {
-				return nil, err
-			}
-			return nil, nil
+			return nil, forward(p, (dstRel+root)%size, tag, acc, own)
 		}
 		mask <<= 1
 	}
@@ -229,23 +263,45 @@ func reduceFlat(p PT2PT, root, tag int, data []byte, op Op) ([]byte, error) {
 		if r == root {
 			continue
 		}
-		got, err := p.Recv(r, tag)
-		if err != nil {
+		var err error
+		if acc, err = fold(p, r, tag, op, acc, own); err != nil {
 			return nil, err
 		}
-		acc, own = fold(op, acc, own, got), true
+		own = true
 	}
 	return acc, nil
 }
 
-// fold folds a received contribution into acc, first copying acc out of
-// the caller's data unless it is already a private copy (own): the reduce
-// never writes data, and a rank that never receives never copies it.
-func fold(op Op, acc []byte, own bool, got []byte) []byte {
-	if !own {
-		acc = append([]byte(nil), acc...)
+// fold receives src's contribution and folds it into acc, first copying
+// acc out of the caller's data into a bufpool buffer unless it already is
+// a private copy (own): the reduce never writes data, and a rank that
+// never receives never copies it. The contribution's frame goes back to a
+// Lender once op has folded it. On an error a private acc goes back to the
+// pool.
+func fold(p PT2PT, src, tag int, op Op, acc []byte, own bool) ([]byte, error) {
+	got, frame, err := recv(p, src, tag)
+	if err != nil {
+		if own {
+			bufpool.Put(acc)
+		}
+		return nil, err
 	}
-	return op(acc, got)
+	if !own {
+		acc = append(bufpool.Get(len(acc))[:0], acc...)
+	}
+	acc = op(acc, got)
+	release(p, frame)
+	return acc, nil
+}
+
+// forward sends acc to dst, then puts it back in the pool if it is this
+// rank's private copy (own).
+func forward(p PT2PT, dst, tag int, acc []byte, own bool) error {
+	err := p.Send(dst, tag, acc)
+	if own {
+		bufpool.Put(acc)
+	}
+	return err
 }
 
 func reduceKAry(p PT2PT, root, tag int, data []byte, op Op, k int) ([]byte, error) {
@@ -260,16 +316,14 @@ func reduceKAry(p PT2PT, root, tag int, data []byte, op Op, k int) ([]byte, erro
 		if child >= size {
 			break
 		}
-		src := (child + root) % size
-		got, err := p.Recv(src, tag)
-		if err != nil {
+		var err error
+		if acc, err = fold(p, (child+root)%size, tag, op, acc, own); err != nil {
 			return nil, err
 		}
-		acc, own = fold(op, acc, own, got), true
+		own = true
 	}
 	if rel != 0 {
-		parent := ((rel-1)/k + root) % size
-		return nil, p.Send(parent, tag, acc)
+		return nil, forward(p, ((rel-1)/k+root)%size, tag, acc, own)
 	}
 	return acc, nil
 }
@@ -277,11 +331,21 @@ func reduceKAry(p PT2PT, root, tag int, data []byte, op Op, k int) ([]byte, erro
 // AllReduce folds every rank's data and returns the result everywhere
 // (reduce to rank 0 followed by a broadcast). It uses two tags: tag for
 // the reduce and tag+1 for the broadcast, so another collective on the
-// same communicator should use neither.
+// same communicator should use neither. On more than one rank the result
+// is the caller's, a buffer it may hand back with bufpool.Put: rank 0's is
+// the reduce's, and a rank that received the result in a lent frame
+// copies it into a bufpool buffer and hands the frame back. On one rank it
+// is data itself.
 func AllReduce(p PT2PT, tag int, data []byte, op Op, algo Algorithm) ([]byte, error) {
 	acc, err := Reduce(p, 0, tag, data, op, algo)
 	if err != nil {
 		return nil, err
 	}
-	return Bcast(p, 0, tag+1, acc, algo)
+	out, frame, err := bcast(p, 0, tag+1, acc, algo)
+	if err != nil || frame == nil {
+		return out, err
+	}
+	own := append(bufpool.Get(len(out))[:0], out...)
+	release(p, frame)
+	return own, nil
 }

@@ -3,6 +3,7 @@ package collectives
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -370,4 +371,124 @@ func TestReduceCopiesOnlyOnReceivingRanks(t *testing.T) {
 			}
 			return acc
 		})
+}
+
+// lender lends every payload it receives in a frame of its own, one byte
+// longer, and checks that only frames it lent come back, once, whole.
+// A frame that comes back is poisoned, so a result still reading it is
+// wrong. failAt > 0 fails the failAt-th receive.
+type lender struct {
+	PT2PT
+	t        *testing.T
+	mu       sync.Mutex
+	out      map[*byte]bool // frames lent and not back, by first byte
+	recvs    int
+	released int
+	failAt   int
+}
+
+var errLend = errors.New("lender: receive failed")
+
+func newLender(t *testing.T, p PT2PT) *lender {
+	return &lender{PT2PT: p, t: t, out: make(map[*byte]bool)}
+}
+
+func (l *lender) RecvFrame(src, tag int) (data, frame []byte, err error) {
+	if l.recvs++; l.recvs == l.failAt {
+		return nil, nil, errLend
+	}
+	if data, err = l.PT2PT.Recv(src, tag); err != nil {
+		return nil, nil, err
+	}
+	frame = append([]byte{0xee}, data...)
+	l.mu.Lock()
+	l.out[&frame[0]] = true
+	l.mu.Unlock()
+	return frame[1:], frame, nil
+}
+
+func (l *lender) Release(frame []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(frame) == 0 || !l.out[&frame[0]] {
+		l.t.Errorf("rank %d: a frame it did not lend, or a part of one, came back", l.Rank())
+		return
+	}
+	delete(l.out, &frame[0])
+	l.released++
+	for i := range frame {
+		frame[i] = 0xdd
+	}
+}
+
+// TestLentFramesGoBack: over a Lender, a reduce hands back every
+// contribution it folds and an all-reduce the frame of the broadcast
+// result too (every rank's result stays right after its frames are
+// poisoned), while a broadcast leaves the payload it returns with the
+// caller.
+func TestLentFramesGoBack(t *testing.T) {
+	in := func(r int) []byte {
+		b := make([]byte, 8*3)
+		for i := 0; i < 3; i++ {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(r*7-i)))
+		}
+		return b
+	}
+	for _, algo := range allAlgos {
+		for _, n := range []int{1, 2, 3, 5, 8} {
+			want := bytes.Clone(in(0))
+			for r := 1; r < n; r++ {
+				want = SumInt64(want, in(r))
+			}
+			for _, kind := range []string{"reduce", "allreduce", "bcast"} {
+				lenders := make([]*lender, n)
+				var mu sync.Mutex
+				got, err := runAll(n, func(p PT2PT) ([]byte, error) {
+					l := newLender(t, p)
+					mu.Lock()
+					lenders[p.Rank()] = l
+					mu.Unlock()
+					switch kind {
+					case "reduce":
+						return Reduce(l, n-1, 40, in(p.Rank()), SumInt64, algo)
+					case "allreduce":
+						return AllReduce(l, 40, in(p.Rank()), SumInt64, algo)
+					default:
+						return Bcast(l, 0, 40, want, algo)
+					}
+				})
+				if err != nil {
+					t.Fatalf("%s algo=%v n=%d: %v", kind, algo, n, err)
+				}
+				for r, l := range lenders {
+					switch {
+					case kind == "bcast" && (len(l.out) != l.recvs || l.released != 0):
+						t.Errorf("bcast algo=%v n=%d rank %d: %d of %d received frames back", algo, n, r, l.released, l.recvs)
+					case kind != "bcast" && len(l.out) != 0:
+						t.Errorf("%s algo=%v n=%d rank %d: %d of %d received frames not back", kind, algo, n, r, len(l.out), l.recvs)
+					}
+					if (kind != "reduce" || r == n-1) && !bytes.Equal(got[r], want) {
+						t.Errorf("%s algo=%v n=%d rank %d: wrong result", kind, algo, n, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFoldReceiveError: a receive that fails after a rank has folded into
+// its own copy fails the reduce with that error.
+func TestFoldReceiveError(t *testing.T) {
+	for _, algo := range []Algorithm{{Kind: Binomial}, {Kind: Flat}, {Kind: KAry, K: 3}} {
+		_, err := runAll(4, func(p PT2PT) ([]byte, error) {
+			l := newLender(t, p)
+			if p.Rank() == 0 {
+				l.failAt = 2
+			}
+			return Reduce(l, 0, 50, make([]byte, 16), SumInt64, algo)
+		})
+		if !errors.Is(err, errLend) {
+			t.Errorf("algo=%v: reduce returned %v, want the receive's error", algo, err)
+		}
+	}
 }

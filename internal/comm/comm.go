@@ -32,10 +32,13 @@ type Communicator interface {
 	AllReduce(tag int, data []byte, op collectives.Op) ([]byte, error)
 }
 
-// Msg is one matched message.
+// Msg is one matched message. Frame, when not nil, is the pooled buffer
+// Data lies in, lent to whoever receives Data until it goes back to the
+// communicator that delivered it (collectives.Lender).
 type Msg struct {
 	Src, Tag int
 	Data     []byte
+	Frame    []byte
 }
 
 // MatchQueue buffers incoming messages and matches Recv(src, tag) calls,
@@ -71,17 +74,23 @@ func (q *MatchQueue) Push(m Msg) {
 // Recv blocks until a message with the given source and tag is available,
 // or the queue is destroyed (in which case it returns the destroy error).
 func (q *MatchQueue) Recv(src, tag int) ([]byte, error) {
+	m, err := q.RecvMsg(src, tag)
+	return m.Data, err
+}
+
+// RecvMsg is Recv returning the whole message, its frame included.
+func (q *MatchQueue) RecvMsg(src, tag int) (Msg, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
 		for idx, m := range q.items {
 			if m.Src == src && m.Tag == tag {
 				q.items = append(q.items[:idx], q.items[idx+1:]...)
-				return m.Data, nil
+				return m, nil
 			}
 		}
 		if q.destroyed {
-			return nil, q.err
+			return Msg{}, q.err
 		}
 		q.cond.Wait()
 	}

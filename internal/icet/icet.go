@@ -45,10 +45,11 @@ const tagBase = 7000
 // Composite merges each rank's partial framebuffer by a reduction whose
 // fold merges the incoming frame into the accumulator's encoded planes in
 // place (mergeEncoded: a reduce hands op a private copy, never a buffer a
-// peer or the caller still reads). Only the root decodes, once, and gets
-// the image (nil elsewhere). All ranks pass the same strategy, mode and
-// root, and images of one size: one of another size fails the composite
-// at root with render.ErrImage.
+// peer or the caller still reads). Only the root decodes, once, back into
+// img, the caller's framebuffer, and returns it (nil elsewhere; img itself
+// on one rank). All ranks pass the same strategy, mode and root, and
+// images of one size: one of another size fails the composite at root
+// with render.ErrImage, leaving img as it was.
 func Composite(img *render.Image, c comm.Communicator, strat Strategy, mode Mode, root int) (*render.Image, error) {
 	if strat != TreeReduce {
 		return nil, fmt.Errorf("icet: unknown compositing strategy %d", strat)
@@ -74,11 +75,13 @@ func Composite(img *render.Image, c comm.Communicator, strat Strategy, mode Mode
 	if c.Rank() != root {
 		return nil, nil
 	}
-	res, err := render.DecodeImage(out)
+	// On more than one rank the root's result is the reduce's pooled copy.
+	err = render.DecodeImageInto(img, out)
+	bufpool.Put(out)
 	if err != nil {
 		return nil, fmt.Errorf("icet: tree composite: a contribution is malformed or of another size: %w", err)
 	}
-	return res, nil
+	return img, nil
 }
 
 // mergeEncoded merges the encoded framebuffer src (render.Image.Encode)

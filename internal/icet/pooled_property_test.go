@@ -262,8 +262,10 @@ func TestMergeEncodedLeavesMalformedFrames(t *testing.T) {
 
 // TestPooledCompositeMatchesReference: the composite, with its pooled
 // contribution frame, must be byte-identical to the unpooled reference at
-// every size 1..8, for both blend modes. Run under -race this also
-// catches aliasing between pooled frames and data still in flight.
+// every size 1..8, for both blend modes, and land in the root's own
+// framebuffer, leaving every other rank's input as it was. Run under
+// -race this also catches aliasing between pooled frames and data still
+// in flight.
 func TestPooledCompositeMatchesReference(t *testing.T) {
 	const w, h = 19, 13
 	for _, mode := range []Mode{Depth, Ordered} {
@@ -274,7 +276,7 @@ func TestPooledCompositeMatchesReference(t *testing.T) {
 				for r := range imgs {
 					imgs[r] = randomImage(rng, w, h)
 				}
-				// Keep pristine copies: Composite must not mutate its input.
+				// Keep pristine copies: Composite writes only the root's input.
 				inputs := make([][]byte, n)
 				for r := range imgs {
 					inputs[r] = imgs[r].Encode()
@@ -288,8 +290,8 @@ func TestPooledCompositeMatchesReference(t *testing.T) {
 						t.Fatalf("rank %d: %v", r, err)
 					}
 				}
-				if results[0] == nil {
-					t.Fatal("no image at root")
+				if results[0] != imgs[0] {
+					t.Fatal("the root's result is not its own framebuffer")
 				}
 				if !bytes.Equal(results[0].Encode(), want.Encode()) {
 					t.Fatal("pooled composite differs from unpooled reference")
@@ -299,7 +301,7 @@ func TestPooledCompositeMatchesReference(t *testing.T) {
 						t.Fatalf("rank %d returned an image; only root should", r)
 					}
 				}
-				for r := range imgs {
+				for r := 1; r < n; r++ {
 					if !bytes.Equal(imgs[r].Encode(), inputs[r]) {
 						t.Fatalf("Composite mutated rank %d's input image", r)
 					}

@@ -305,11 +305,13 @@ func (c *Class) SetDispatcher(d Dispatcher) {
 	c.mu.Unlock()
 }
 
-// FrameHandler takes the one-way frames a class receives (SendFrame). It
-// runs on the progress loop, one frame at a time in arrival order, and owns
-// frame. Once the endpoint has closed it is called one last time, with a nil
-// frame and the endpoint's error.
-type FrameHandler func(frame []byte, err error)
+// FrameHandler takes the one-way frames a class receives (SendFrame): body
+// is what the sender sent, lying in frame, the received buffer, which the
+// handler owns and may hand back with Recycle once body is spent. It runs
+// on the progress loop, one frame at a time in arrival order. Once the
+// endpoint has closed it is called one last time, with nil slices and the
+// endpoint's error.
+type FrameHandler func(body, frame []byte, err error)
 
 // SetFrameHandler installs (or, with nil, removes) the handler of one-way
 // frames. Without one they are dropped.
@@ -519,10 +521,12 @@ func (c *Class) settle(id uint64, ch chan response) (r response, ok bool) {
 
 // smallResponse is the largest response payload the progress loop moves to
 // the start of its frame, which is then the whole pooled buffer again and
-// goes back to the pool when the caller hands the response back (Recycle).
-// A larger one — a bulk-pull chunk — is not worth the copy and stays where
-// it lies; Recycle leaves it to the collector.
-const smallResponse = 4 << 10
+// goes back to the pool when the caller hands the response back (Recycle):
+// control responses, and an execute result carrying a rendered PNG. A
+// larger one — a bulk-pull chunk, whose caller recycles the frame itself —
+// is not worth the copy and stays where it lies; Recycle leaves it to the
+// collector.
+const smallResponse = 64 << 10
 
 // progress is the endpoint receive loop: it dispatches requests to their
 // handlers, completes pending calls with their responses and hands one-way
@@ -536,7 +540,7 @@ func (c *Class) progress() {
 		from, data, err := c.ep.Recv()
 		if err != nil {
 			if h := c.frameHandler(); h != nil {
-				h(nil, err)
+				h(nil, nil, err)
 			}
 			return
 		}
@@ -601,7 +605,7 @@ func (c *Class) progress() {
 			}
 		case kindFrame:
 			if h := c.frameHandler(); h != nil {
-				h(data[1:], nil)
+				h(data[1:], data, nil)
 			} else {
 				Recycle(data)
 			}

@@ -123,11 +123,17 @@ func TestCallEach(t *testing.T) {
 }
 
 // TestOneWayFrames: SendFrame's head and body reach the peer's frame handler
-// as one frame; once the peer's endpoint closes, the handler hears so.
+// as one body, lying in the whole received frame past its kind byte; once
+// the peer's endpoint closes, the handler hears so.
 func TestOneWayFrames(t *testing.T) {
 	c1, c2 := pairT(t)
 	got := make(chan string, 2)
-	c2.SetFrameHandler(func(frame []byte, err error) { got <- fmt.Sprint(string(frame), err) })
+	c2.SetFrameHandler(func(body, frame []byte, err error) {
+		if body != nil && (len(frame) != 1+len(body) || &frame[1] != &body[0]) {
+			err = fmt.Errorf("body is not the frame past its kind byte")
+		}
+		got <- fmt.Sprint(string(body), err)
+	})
 	if err := c1.SendFrame(c2.Addr(), []byte("head|"), []byte("body")); err != nil {
 		t.Fatal(err)
 	}

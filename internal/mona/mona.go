@@ -115,9 +115,11 @@ func NewInstance(ep na.Endpoint) *Instance {
 func (i *Instance) Addr() string { return i.class.Addr() }
 
 // route delivers one received frame to its communicator's matching queue,
-// or parks it. A non-nil err means no frame follows: every communicator is
+// or parks it, with frame, the pooled buffer data lies in, riding along
+// for the consumer to hand back (Comm.Release); a frame it drops goes back
+// at once. A non-nil err means no frame follows: every communicator is
 // torn down.
-func (i *Instance) route(data []byte, err error) {
+func (i *Instance) route(data, frame []byte, err error) {
 	if err != nil {
 		i.mu.Lock()
 		for _, c := range i.comms {
@@ -128,12 +130,13 @@ func (i *Instance) route(data []byte, err error) {
 		return
 	}
 	if len(data) < headerLen {
+		mercury.Recycle(frame)
 		return
 	}
 	id := binary.LittleEndian.Uint64(data)
 	src := int(int32(binary.LittleEndian.Uint32(data[8:])))
 	tag := int(int32(binary.LittleEndian.Uint32(data[12:])))
-	m := comm.Msg{Src: src, Tag: tag, Data: data[headerLen:]}
+	m := comm.Msg{Src: src, Tag: tag, Data: data[headerLen:], Frame: frame}
 	i.mu.Lock()
 	c, ok := i.comms[id]
 	if !ok {
@@ -146,13 +149,16 @@ func (i *Instance) route(data []byte, err error) {
 }
 
 // park holds m for communicator id, which this instance has not created,
-// unless id was destroyed here or the orphan queue is full. i.mu is held.
+// unless id was destroyed here or the orphan queue is full (then m's frame
+// goes back). i.mu is held.
 func (i *Instance) park(id uint64, m comm.Msg) {
 	switch {
 	case slices.Contains(i.destroyed, id):
 		i.droppedLate.Inc()
+		mercury.Recycle(m.Frame)
 	case i.orphanBytes+orphanCost(m) > maxOrphanBytes:
 		i.droppedFull.Inc()
+		mercury.Recycle(m.Frame)
 	default:
 		i.orphans[id] = append(i.orphans[id], m)
 		i.orphanBytes += orphanCost(m)
@@ -221,7 +227,9 @@ func (i *Instance) DestroyComm(c *Comm) {
 	if i.comms[c.id] == c {
 		delete(i.comms, c.id)
 	}
-	i.unpark(c.id)
+	for _, m := range i.unpark(c.id) {
+		mercury.Recycle(m.Frame)
+	}
 	if !slices.Contains(i.destroyed, c.id) {
 		if len(i.destroyed) == destroyedIDs {
 			i.destroyed = append(i.destroyed[:0], i.destroyed[1:]...)
@@ -247,7 +255,7 @@ func (i *Instance) Finalize() {
 		return
 	}
 	i.class.SetFrameHandler(nil)
-	i.route(nil, na.ErrClosed)
+	i.route(nil, nil, na.ErrClosed)
 }
 
 // Comm is a communicator: an immutable, ordered member group. It satisfies
@@ -262,8 +270,11 @@ type Comm struct {
 }
 
 // Comm implements the shared communicator abstraction injected into the
-// visualization stack.
-var _ comm.Communicator = (*Comm)(nil)
+// visualization stack, and lends its received frames to the collectives.
+var (
+	_ comm.Communicator  = (*Comm)(nil)
+	_ collectives.Lender = (*Comm)(nil)
+)
 
 // Rank returns the caller's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
@@ -286,12 +297,26 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 }
 
 // Recv blocks until a message from rank src with the given tag arrives.
+// The payload is the caller's to keep.
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
-	if src < 0 || src >= len(c.addrs) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrRank, src, len(c.addrs))
-	}
-	return c.mq.Recv(src, tag)
+	data, _, err := c.RecvFrame(src, tag)
+	return data, err
 }
+
+// RecvFrame is Recv lending the frame the payload lies in, which the
+// caller hands back with Release once done with the payload
+// (collectives.Lender).
+func (c *Comm) RecvFrame(src, tag int) (data, frame []byte, err error) {
+	if src < 0 || src >= len(c.addrs) {
+		return nil, nil, fmt.Errorf("%w: %d of %d", ErrRank, src, len(c.addrs))
+	}
+	m, err := c.mq.RecvMsg(src, tag)
+	return m.Data, m.Frame, err
+}
+
+// Release takes back a frame RecvFrame lent; the caller must not touch it,
+// or the payload in it, again.
+func (c *Comm) Release(frame []byte) { mercury.Recycle(frame) }
 
 // Reduce folds contributions at root (see collectives.Reduce).
 func (c *Comm) Reduce(root, tag int, data []byte, op collectives.Op) ([]byte, error) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -15,7 +16,9 @@ var ErrImage = errors.New("render: malformed framebuffer")
 
 // Image is a framebuffer with color and depth planes; depth is the
 // normalized-device z in [-1, 1], initialized to +Inf for background.
-// Color is RGBA, 4 bytes per pixel, row-major.
+// Color is RGBA, 4 bytes per pixel, row-major. An image that is only
+// colour (a resolved volume) has no depth plane: every pixel's depth is
+// then the background's +Inf, and that is what Encode writes for it.
 type Image struct {
 	W, H  int
 	RGBA  []uint8
@@ -60,7 +63,16 @@ func (im *Image) Encode() []byte { return im.AppendEncode(nil) }
 
 // EncodedSize returns the exact length of Encode's output.
 func (im *Image) EncodedSize() int {
-	return 8 + len(im.RGBA) + 4*len(im.Depth)
+	return 8 + len(im.RGBA) + 4*im.depthLen()
+}
+
+// depthLen is the length of the encoded depth plane: the plane's, or W×H
+// for an image without one.
+func (im *Image) depthLen() int {
+	if len(im.Depth) == 0 {
+		return im.W * im.H
+	}
+	return len(im.Depth)
 }
 
 // AppendEncode appends the serialized framebuffer to buf; with spare
@@ -78,31 +90,51 @@ func (im *Image) AppendEncode(buf []byte) []byte {
 	binary.LittleEndian.PutUint32(buf[off+4:], uint32(im.H))
 	copy(buf[off+8:], im.RGBA)
 	doff := off + 8 + len(im.RGBA)
+	if len(im.Depth) == 0 {
+		inf := math.Float32bits(float32(math.Inf(1)))
+		for i := 0; i < im.depthLen(); i++ {
+			binary.LittleEndian.PutUint32(buf[doff+4*i:], inf)
+		}
+	}
 	for i, d := range im.Depth {
 		binary.LittleEndian.PutUint32(buf[doff+4*i:], math.Float32bits(d))
 	}
 	return buf
 }
 
-// DecodeImage reverses Encode. It refuses a size outside 1..2^14 per axis
-// or a length other than that size's.
+// DecodeImage reverses Encode into a new image (DecodeImageInto).
 func DecodeImage(data []byte) (*Image, error) {
+	im := &Image{}
+	if err := DecodeImageInto(im, data); err != nil {
+		return nil, err
+	}
+	return im, nil
+}
+
+// DecodeImageInto reverses Encode into im, overwriting its size and both
+// planes and keeping their storage where it is large enough. It refuses a
+// size outside 1..2^14 per axis or a length other than that size's, and
+// then leaves im as it was.
+func DecodeImageInto(im *Image, data []byte) error {
 	if len(data) < 8 {
-		return nil, ErrImage
+		return ErrImage
 	}
 	w := int(binary.LittleEndian.Uint32(data))
 	h := int(binary.LittleEndian.Uint32(data[4:]))
 	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 || len(data) != 8+8*w*h {
-		return nil, ErrImage
+		return ErrImage
 	}
-	im := &Image{W: w, H: h, RGBA: make([]uint8, 4*w*h), Depth: make([]float32, w*h)}
+	im.W, im.H = w, h
+	im.RGBA = slices.Grow(im.RGBA[:0], 4*w*h)[:4*w*h]
+	im.Depth = slices.Grow(im.Depth[:0], w*h)[:w*h]
 	copy(im.RGBA, data[8:8+4*w*h])
 	off := 8 + 4*w*h
 	for i := range im.Depth {
 		im.Depth[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[off+4*i:]))
 	}
-	return im, nil
+	return nil
 }
+
 
 // PNG encodes the color plane as an 8-bit RGBA PNG, which is its layout
 // (non-premultiplied, row-major, no padding): the signature, IHDR, one
@@ -171,12 +203,11 @@ var pngWriters = sync.Pool{New: func() any {
 
 // CoveredPixels counts the pixels something was drawn on: those with a
 // finite depth (a rasterized surface) or an alpha above zero (a resolved
-// volume image, whose depth plane stays +Inf). A cleared pixel has
-// neither.
+// volume image, which has no depth plane). A cleared pixel has neither.
 func (im *Image) CoveredPixels() int {
 	n := 0
-	for i, d := range im.Depth {
-		if d-d == 0 || im.RGBA[4*i+3] > 0 { // d − d is NaN for ±Inf and NaN
+	for i := 0; i < len(im.RGBA)/4; i++ {
+		if im.RGBA[4*i+3] > 0 || i < len(im.Depth) && im.Depth[i]-im.Depth[i] == 0 { // d − d is NaN for ±Inf and NaN
 			n++
 		}
 	}

@@ -91,7 +91,8 @@ func AccumulateVolume(acc []byte, w, h int, cam Camera, grid *vtk.UnstructuredGr
 // ResolveVolume writes the image of acc, an accumulator of im's size, into
 // im's colour plane. A pixel's colour is the opacity-weighted mean Σa·c /
 // Σa of its splats' colours and its alpha 1 − exp(−Σa); a pixel no splat
-// reached is transparent black. The depth plane is left as it is.
+// reached is transparent black. A depth plane, if im has one, is left as
+// it is.
 func ResolveVolume(im *Image, acc []byte) error {
 	if len(acc) != 32*im.W*im.H || len(im.RGBA) != 4*im.W*im.H {
 		return ErrImage

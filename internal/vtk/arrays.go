@@ -118,26 +118,40 @@ func getFloat32s(dst []float32, src []byte) {
 	}
 }
 
-func decodeArray(data []byte) (*DataArray, []byte, error) {
+// decodeArrayInto decodes one array into a, overwriting every field and
+// keeping a's name and value storage where they fit, and returns the rest
+// of data.
+func decodeArrayInto(a *DataArray, data []byte) ([]byte, error) {
 	if len(data) < 4 {
-		return nil, nil, ErrDecode
+		return nil, ErrDecode
 	}
 	nl := int(binary.LittleEndian.Uint32(data))
 	data = data[4:]
 	if nl < 0 || len(data) < nl+8 {
-		return nil, nil, ErrDecode
+		return nil, ErrDecode
 	}
-	a := &DataArray{Name: string(data[:nl])}
+	if a.Name != string(data[:nl]) {
+		a.Name = string(data[:nl])
+	}
 	data = data[nl:]
 	a.Components = int(binary.LittleEndian.Uint32(data))
 	n := int(binary.LittleEndian.Uint32(data[4:]))
 	data = data[8:]
 	if a.Components < 1 || n < 0 || len(data) < 4*n {
-		return nil, nil, ErrDecode
+		return nil, ErrDecode
 	}
-	a.Data = make([]float32, n)
+	a.Data = resize(a.Data, n)
 	getFloat32s(a.Data, data[:4*n])
-	return a, data[4*n:], nil
+	return data[4*n:], nil
+}
+
+// resize returns s at length n, on s's storage when it holds n; a nil s
+// gets a new slice, so a result never depends on whether s was nil.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func encodeArrays(buf []byte, arrays []*DataArray) []byte {
@@ -150,7 +164,11 @@ func encodeArrays(buf []byte, arrays []*DataArray) []byte {
 	return buf
 }
 
-func decodeArrays(data []byte) ([]*DataArray, []byte, error) {
+// decodeArraysInto decodes a counted list of arrays into dst's arrays by
+// position (decodeArrayInto), making the ones dst lacks, and returns them
+// (nil for none) with the rest of data. dst's arrays are overwritten: no
+// one else may read them.
+func decodeArraysInto(dst []*DataArray, data []byte) ([]*DataArray, []byte, error) {
 	if len(data) < 4 {
 		return nil, nil, ErrDecode
 	}
@@ -162,13 +180,26 @@ func decodeArrays(data []byte) ([]*DataArray, []byte, error) {
 	if n < 0 || n > len(data)/12 {
 		return nil, nil, ErrDecode
 	}
-	out := make([]*DataArray, 0, n)
-	for i := 0; i < n; i++ {
-		a, rest, err := decodeArray(data)
+	if n == 0 {
+		return nil, data, nil
+	}
+	out := dst
+	if cap(out) < n {
+		out = make([]*DataArray, n)
+		copy(out, dst)
+	} else {
+		out = out[:n]
+		clear(out[min(len(dst), n):])
+	}
+	for i, a := range out {
+		if a == nil {
+			a = &DataArray{}
+			out[i] = a
+		}
+		rest, err := decodeArrayInto(a, data)
 		if err != nil {
 			return nil, nil, err
 		}
-		out = append(out, a)
 		data = rest
 	}
 	return out, data, nil

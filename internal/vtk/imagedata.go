@@ -98,18 +98,34 @@ func (img *ImageData) AppendEncode(buf []byte) []byte {
 	return encodeArrays(buf, img.PointData)
 }
 
-// DecodeImageData reverses Encode.
+// DecodeImageData reverses Encode into a new grid.
 func DecodeImageData(data []byte) (*ImageData, error) {
+	return DecodeImageDataInto(nil, data)
+}
+
+// DecodeImageDataInto reverses Encode into spare, a grid no one else
+// reads, and returns it; with a nil spare, into a new grid. Every field of
+// the result is overwritten, and spare's point arrays are reused by
+// position, each keeping its name and its values' storage where they fit,
+// so a spare of the same shape decodes without allocating. The result is
+// the one DecodeImageData returns, whatever spare held before. On an error
+// spare's contents are unspecified, but it stays usable as a spare.
+func DecodeImageDataInto(spare *ImageData, data []byte) (*ImageData, error) {
 	if len(data) < 12+48 {
 		return nil, ErrDecode
 	}
-	img := &ImageData{}
+	var dims [3]int
 	for k := 0; k < 3; k++ {
-		img.Dims[k] = int(binary.LittleEndian.Uint32(data[4*k:]))
-		if img.Dims[k] < 1 || img.Dims[k] > 1<<16 {
+		dims[k] = int(binary.LittleEndian.Uint32(data[4*k:]))
+		if dims[k] < 1 || dims[k] > 1<<16 {
 			return nil, ErrDecode
 		}
 	}
+	img := spare
+	if img == nil {
+		img = &ImageData{}
+	}
+	img.Dims = dims
 	data = data[12:]
 	for k := 0; k < 3; k++ {
 		img.Origin[k] = float64(int64(binary.LittleEndian.Uint64(data[8*k:]))) / 1e9
@@ -119,7 +135,7 @@ func DecodeImageData(data []byte) (*ImageData, error) {
 		img.Spacing[k] = float64(int64(binary.LittleEndian.Uint64(data[8*k:]))) / 1e9
 	}
 	data = data[24:]
-	arrays, _, err := decodeArrays(data)
+	arrays, _, err := decodeArraysInto(img.PointData, data)
 	if err != nil || !allTuples(arrays, img.NumPoints()) {
 		return nil, ErrDecode
 	}

@@ -141,12 +141,25 @@ func (g *UnstructuredGrid) AppendEncode(buf []byte) []byte {
 	return buf
 }
 
-// DecodeUnstructuredGrid reverses Encode. It refuses a grid any filter
-// could index out of: a cell type of unknown size, a connectivity entry
-// outside the points, or a point/cell array whose tuple count is not the
-// point/cell count.
+// DecodeUnstructuredGrid reverses Encode into a new grid.
 func DecodeUnstructuredGrid(data []byte) (*UnstructuredGrid, error) {
-	g := &UnstructuredGrid{}
+	return DecodeUnstructuredGridInto(nil, data)
+}
+
+// DecodeUnstructuredGridInto reverses Encode into spare, a grid no one
+// else reads, and returns it; with a nil spare, into a new grid. Every
+// field of the result is overwritten on spare's storage where it fits
+// (arrays by position, as DecodeImageDataInto), and the result is the one
+// DecodeUnstructuredGrid returns, whatever spare held before. It refuses a
+// grid any filter could index out of: a cell type of unknown size, a
+// connectivity entry outside the points, or a point/cell array whose tuple
+// count is not the point/cell count. On an error spare's contents are
+// unspecified, but it stays usable as a spare.
+func DecodeUnstructuredGridInto(spare *UnstructuredGrid, data []byte) (*UnstructuredGrid, error) {
+	g := spare
+	if g == nil {
+		g = &UnstructuredGrid{}
+	}
 	if len(data) < 4 {
 		return nil, ErrDecode
 	}
@@ -155,7 +168,7 @@ func DecodeUnstructuredGrid(data []byte) (*UnstructuredGrid, error) {
 	if np < 0 || np%3 != 0 || len(data) < 4*np {
 		return nil, ErrDecode
 	}
-	g.Points = make([]float32, np)
+	g.Points = resize(g.Points, np)
 	for i := range g.Points {
 		g.Points[i] = floatFromBits(binary.LittleEndian.Uint32(data[4*i:]))
 	}
@@ -168,7 +181,7 @@ func DecodeUnstructuredGrid(data []byte) (*UnstructuredGrid, error) {
 	if nc < 0 || len(data) < nc {
 		return nil, ErrDecode
 	}
-	g.CellTypes = make([]CellType, nc)
+	g.CellTypes = resize(g.CellTypes, nc)
 	for i := range g.CellTypes {
 		g.CellTypes[i] = CellType(data[i])
 	}
@@ -181,7 +194,7 @@ func DecodeUnstructuredGrid(data []byte) (*UnstructuredGrid, error) {
 	if cl < 0 || len(data) < 4*cl {
 		return nil, ErrDecode
 	}
-	g.Conn = make([]int32, cl)
+	g.Conn = resize(g.Conn, cl)
 	npts := uint32(np / 3)
 	for i := range g.Conn {
 		p := binary.LittleEndian.Uint32(data[4*i:])
@@ -192,27 +205,29 @@ func DecodeUnstructuredGrid(data []byte) (*UnstructuredGrid, error) {
 	}
 	data = data[4*cl:]
 	// Rebuild offsets from cell types.
-	g.Offsets = make([]int32, 1, nc+1)
+	g.Offsets = resize(g.Offsets, nc+1)
 	off := 0
-	for _, t := range g.CellTypes {
+	for i, t := range g.CellTypes {
 		n := t.PointsPerCell()
 		if n == 0 || off+n > cl {
 			return nil, ErrDecode
 		}
 		off += n
-		g.Offsets = append(g.Offsets, int32(off))
+		g.Offsets[i+1] = int32(off)
 	}
+	g.Offsets[0] = 0
 	if off != cl {
 		return nil, ErrDecode
 	}
-	var err error
-	g.PointData, data, err = decodeArrays(data)
-	if err != nil || !allTuples(g.PointData, g.NumPoints()) {
+	pd, data, err := decodeArraysInto(g.PointData, data)
+	if err != nil || !allTuples(pd, g.NumPoints()) {
 		return nil, ErrDecode
 	}
-	g.CellData, _, err = decodeArrays(data)
-	if err != nil || !allTuples(g.CellData, nc) {
+	g.PointData = pd
+	cd, _, err := decodeArraysInto(g.CellData, data)
+	if err != nil || !allTuples(cd, nc) {
 		return nil, ErrDecode
 	}
+	g.CellData = cd
 	return g, nil
 }

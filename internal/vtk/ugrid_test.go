@@ -3,6 +3,8 @@ package vtk
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -87,18 +89,45 @@ func TestDecodeUnstructuredGridEveryCellType(t *testing.T) {
 	}
 }
 
-// FuzzDecodeUnstructuredGrid: decoding never panics, and a grid it accepts
-// is one the filters can walk — every cell's centroid reads points that
-// exist, every array holds one tuple per point or cell — and re-encodes to
-// the bytes it was decoded from.
+// FuzzDecodeUnstructuredGrid: decoding never panics; what it refuses it
+// refuses with ErrDecode; decoding into a spare that holds another valid
+// grid gives the grid a fresh decode gives, in the spare, or the same
+// refusal; and a grid it accepts is one the filters can walk — every
+// cell's centroid reads points that exist, every array holds one tuple per
+// point or cell — and re-encodes to the bytes it was decoded from.
 func FuzzDecodeUnstructuredGrid(f *testing.F) {
 	f.Add(tetraGrid(CellTetra, 1, 0, 1, 2, 3).Encode())
 	f.Add(NewUnstructuredGrid().Encode())
 	for _, h := range hostileGrids() {
 		f.Add(h.data)
 	}
+	tri := tetraGrid(CellTriangle, 1, 0, 1, 3)
+	tri.PointData = append(tri.PointData, NewDataArray("normal", 3, tri.NumPoints()))
+	tri.AddCellArray("density", 2)
+	spares := [][]byte{tetraGrid(CellTetra, 1, 0, 1, 2, 3).Encode(), tri.Encode()}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := DecodeUnstructuredGrid(data)
+		if err != nil && !errors.Is(err, ErrDecode) {
+			t.Fatalf("refused with %v, not ErrDecode", err)
+		}
+		for _, enc := range spares {
+			spare, serr := DecodeUnstructuredGrid(enc)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			got, gerr := DecodeUnstructuredGridInto(spare, data)
+			if err != nil {
+				if !errors.Is(gerr, ErrDecode) {
+					t.Fatalf("a fresh decode refuses, one into a spare returns %v", gerr)
+				}
+				continue
+			}
+			want, _ := DecodeUnstructuredGrid(data) // unNaN writes what it compares
+			same := unNaN(got.Points, want.Points) && sameArrays(got.PointData, want.PointData) && sameArrays(got.CellData, want.CellData)
+			if gerr != nil || got != spare || !same || !reflect.DeepEqual(got, want) {
+				t.Fatalf("decoding into a spare: %v, in the spare %v, equal to a fresh decode %v", gerr, got == spare, reflect.DeepEqual(got, want))
+			}
+		}
 		if err != nil {
 			return
 		}
